@@ -199,7 +199,7 @@ pub fn ablation_qp_factor(full: bool) -> Vec<Row> {
 ///
 /// With `batch_posting` on, multi-extent writes (`rdma_write_vec`
 /// behind `lt_write` across LMR chunks) and the RPC reply's
-/// head-release + data pair go out as one `post_write_many` chain —
+/// head-release + data pair go out as one `Nic::post_chain` doorbell chain —
 /// one host post and one QP-context touch per chain instead of per
 /// work request. Off, the same chains degrade to element-at-a-time
 /// posting. This is the fig07/fig11 hot path, isolated.

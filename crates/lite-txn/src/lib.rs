@@ -3,7 +3,8 @@
 //! lite-txn: optimistic (OCC) transactions over LITE LMRs.
 //!
 //! Everything here is built purely on the public `lt_*` API — one-sided
-//! reads/writes plus `lt_cmp_swap` — exactly the way a LITE application
+//! reads, `lt_cmp_swap`, and `lt_chain` (ordered writes and atomics
+//! behind one doorbell) — exactly the way a LITE application
 //! would build it (paper §8: LITE's indirection makes one-sided
 //! primitives safe enough to compose into real systems).
 //!
@@ -12,8 +13,9 @@
 //! * [`TxnTable`] / [`Txn`] — the OCC core. A table is one LMR holding
 //!   versioned records plus a ring of *decision slots*. `Txn::read`
 //!   takes version-consistent snapshots, `Txn::write` stages locally,
-//!   and `commit` runs lock → validate → decide → apply → release with
-//!   every abort path unwinding its CAS locks. Committer crashes are
+//!   and `commit` runs claim → lock + validate → decide → apply +
+//!   release in four blocking round trips, with every abort path
+//!   unwinding its CAS locks. Committer crashes are
 //!   survivable: lock words carry leases and name their decision slot,
 //!   so any peer can finalize and roll the victim forward or back (see
 //!   the [`table`] module docs for the full protocol).

@@ -26,26 +26,38 @@
 //!
 //! # Commit protocol
 //!
-//! 1. **Claim a slot** on the table's home: CAS the header from a
-//!    claimable state (`FREE`/`DRAINED`) to `(epoch+1, UNDECIDED)`,
-//!    publish the redo log (write set with old versions and new
-//!    payloads), then the lease word. The redo is written *before* the
-//!    lease so a lease whose epoch matches the header certifies a
-//!    complete redo.
-//! 2. **Lock the write set** in ascending record order: CAS each
-//!    version word from its expected version to the lock word.
-//! 3. **Validate the read set**: every read-but-not-written record must
-//!    still carry the version observed by [`Txn::read`]. (Write-set
-//!    records were validated by the lock CAS itself.)
-//! 4. **Decide**: CAS the slot header `UNDECIDED -> COMMITTED`. This
-//!    single word is the transaction's atomic commit point.
-//! 5. **Apply + release**: write every staged payload, then CAS each
-//!    lock word to `old_version + 2`.
-//! 6. **Drain** the slot (`COMMITTED -> DRAINED`), making it claimable
-//!    again only after every lock word referencing it is gone.
+//! Four blocking round trips to the table's home; the steps inside a
+//! chain ([`LiteHandle::lt_chain`]) go out behind one doorbell and
+//! execute in order, nothing in a chain depends on a result of the same
+//! chain:
 //!
-//! Every abort path unwinds in reverse: locks CAS back to their old
-//! versions, the slot is finalized `ABORTED` and drained.
+//! 1. **Claim a slot**: CAS the header from a claimable state
+//!    (`FREE`/`DRAINED`) to `(epoch+1, UNDECIDED)`. A handle remembers
+//!    the slot it last drained and CASes it blind; otherwise it reads
+//!    headers from a hash of `(node, pid)` on.
+//! 2. **One chain**: publish the redo log (write set with old versions
+//!    and new payloads), then the lease word — the redo is written
+//!    *before* the lease so a lease whose epoch matches the header
+//!    certifies a complete redo; **lock the write set** in ascending
+//!    record order (CAS each version word from its expected version to
+//!    the lock word); **validate the read set** (a stamped zero
+//!    fetch-add per read-but-not-written record, which must still carry
+//!    the version observed by [`Txn::read`]; write-set records are
+//!    validated by the lock CAS itself). If any lock CAS lost, the ones
+//!    that won are CASed back and the transaction aborts — it never
+//!    waits while holding a lock, which is what keeps ascending-order
+//!    locking deadlock-free.
+//! 3. **Decide**: CAS the slot header `UNDECIDED -> COMMITTED`. This
+//!    single word is the transaction's atomic commit point.
+//! 4. **One chain**: write every staged payload, CAS each lock word to
+//!    `old_version + 2`, then drain the slot (`COMMITTED -> DRAINED`),
+//!    making it claimable again only after every lock word referencing
+//!    it is gone.
+//!
+//! A read-only transaction takes no slot and no lock: one chain of
+//! validating fetch-adds. Every abort path is one chain too: locks CAS
+//! back to their old versions, the slot is finalized `ABORTED` and
+//! drained.
 //!
 //! # Crash recovery
 //!
@@ -65,13 +77,14 @@
 //! lease before applying; once expired it stops touching the table and
 //! reports [`TxnError::Indeterminate`] — recovery owns the outcome.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use lite::verify::{fingerprint, proc_id, TxnLog, TxnOp, TxnOutcome};
-use lite::{Lh, LiteError, LiteHandle, Perm};
+use lite::{ChainOp, ChainOut, Lh, LiteError, LiteHandle, Perm};
 use simnet::{Ctx, Nanos};
 
 /// Errors surfaced by the transaction layer.
@@ -199,6 +212,24 @@ fn lock_expired(w: u64) -> bool {
     (now_ms() & 0xffff_ffff) > lock_expiry(w)
 }
 
+/// Where a handle starts looking for a claimable slot: a mixing hash
+/// (the splitmix64 finalizer) of `(node, pid)`, so neighbouring handles
+/// do not share a start slot the way a linear `node * k + pid` makes them.
+fn start_slot(node: usize, pid: u32, slots: u16) -> u16 {
+    let mut x = (((node as u64) << 32) | pid as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((x ^ (x >> 31)) % slots as u64) as u16
+}
+
+/// The old values a chain's atomics returned, in op order.
+fn old_values(outs: &[ChainOut]) -> impl Iterator<Item = u64> + '_ {
+    outs.iter().filter_map(|o| match o {
+        ChainOut::Value(v) => Some(*v),
+        _ => None,
+    })
+}
+
 /// Where to stop a commit mid-protocol without unwinding — the
 /// crash-of-committer hook the recovery tests and chaos sweeps drive.
 /// A fired hook returns [`TxnError::Indeterminate`] and leaves every
@@ -226,16 +257,36 @@ pub enum CrashPoint {
 pub struct TxnTable {
     lh: Lh,
     spec: TableSpec,
+    /// Payload bytes rounded up to 8.
     payload_p: u64,
+    /// Bytes per decision slot.
+    slot_size: u64,
+    /// Offset of record 0.
+    rec_base: u64,
+    /// The slot this handle last drained and the header it left there:
+    /// the next commit claims it with one blind CAS.
+    last_slot: Cell<Option<(u16, u64)>>,
     log: Option<Arc<TxnLog>>,
 }
 
 impl TxnTable {
-    fn layout(spec: &TableSpec) -> (u64, u64, u64) {
+    fn with_layout(lh: Lh, spec: TableSpec) -> Self {
         let payload_p = (spec.payload as u64).div_ceil(8) * 8;
         let slot_size = 24 + spec.max_writes as u64 * (16 + payload_p);
-        let rec_base = META_LEN + spec.slots as u64 * slot_size;
-        (payload_p, slot_size, rec_base)
+        TxnTable {
+            lh,
+            spec,
+            payload_p,
+            slot_size,
+            rec_base: META_LEN + spec.slots as u64 * slot_size,
+            last_slot: Cell::new(None),
+            log: None,
+        }
+    }
+
+    /// Bytes of a table's LMR.
+    fn lmr_len(&self) -> u64 {
+        self.rec_off(self.spec.records)
     }
 
     /// Creates the table's LMR on `home` and initializes its metadata.
@@ -249,9 +300,9 @@ impl TxnTable {
         if spec.records == 0 || spec.slots == 0 || spec.max_writes == 0 {
             return Err(TxnError::Invalid("empty table spec"));
         }
-        let (payload_p, _, rec_base) = Self::layout(&spec);
-        let total = rec_base + spec.records * (8 + payload_p);
-        let lh = h.lt_malloc(ctx, home, total, name, Perm::RW)?;
+        // The layout sizes the LMR; the lh exists once it is allocated.
+        let mut table = Self::with_layout(0, spec);
+        table.lh = h.lt_malloc(ctx, home, table.lmr_len(), name, Perm::RW)?;
         let mut meta = [0u8; META_LEN as usize];
         for (i, v) in [
             MAGIC,
@@ -266,13 +317,8 @@ impl TxnTable {
         {
             meta[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
         }
-        h.lt_write(ctx, lh, 0, &meta)?;
-        Ok(TxnTable {
-            lh,
-            spec,
-            payload_p,
-            log: None,
-        })
+        h.lt_write(ctx, table.lh, 0, &meta)?;
+        Ok(table)
     }
 
     /// Opens a table created elsewhere by name; the spec is read back
@@ -292,13 +338,7 @@ impl TxnTable {
             max_writes: word(4) as usize,
             lease_ms: word(5),
         };
-        let (payload_p, _, _) = Self::layout(&spec);
-        Ok(TxnTable {
-            lh,
-            spec,
-            payload_p,
-            log: None,
-        })
+        Ok(Self::with_layout(lh, spec))
     }
 
     /// The table's shape.
@@ -326,8 +366,7 @@ impl TxnTable {
     }
 
     fn slot_off(&self, s: u16) -> u64 {
-        let (_, slot_size, _) = Self::layout(&self.spec);
-        META_LEN + s as u64 * slot_size
+        META_LEN + s as u64 * self.slot_size
     }
 
     fn slot_entry_off(&self, s: u16, j: usize) -> u64 {
@@ -335,8 +374,7 @@ impl TxnTable {
     }
 
     fn rec_off(&self, r: u64) -> u64 {
-        let (_, _, rec_base) = Self::layout(&self.spec);
-        rec_base + r * (8 + self.payload_p)
+        self.rec_base + r * (8 + self.payload_p)
     }
 
     fn read_word(&self, h: &mut LiteHandle, ctx: &mut Ctx, off: u64) -> TxnResult<u64> {
@@ -345,16 +383,19 @@ impl TxnTable {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Reads a *version* word as a zero fetch-add rather than a plain
-    /// read. The atomic's completion stamp is monotone with the
-    /// conflicting lock/release CASes on the same word, and the verb
-    /// advances the caller's virtual clock past it — which is what
-    /// makes the `[invoke, response]` intervals recorded for the
-    /// serializability checker sound across unsynchronized per-thread
-    /// clocks: a transaction that observed another's commit can never
-    /// be real-time-ordered before it.
-    fn read_version(&self, h: &mut LiteHandle, ctx: &mut Ctx, rec: u64) -> TxnResult<u64> {
-        Ok(h.lt_fetch_add(ctx, self.lh, self.rec_off(rec), 0)?)
+    /// The validating read of `rec`'s *version* word: a zero fetch-add
+    /// rather than a plain read. The atomic's completion stamp is
+    /// monotone with the conflicting lock/release CASes on the same
+    /// word, and waiting for its chain advances the caller's virtual
+    /// clock past it — which is what makes the `[invoke, response]`
+    /// intervals recorded for the serializability checker sound across
+    /// unsynchronized per-thread clocks: a transaction that observed
+    /// another's commit can never be real-time-ordered before it.
+    fn version_probe(&self, rec: u64) -> ChainOp<'static> {
+        ChainOp::FetchAdd {
+            off: self.rec_off(rec),
+            delta: 0,
+        }
     }
 
     /// One contention backoff step: virtual think time plus a little
@@ -383,7 +424,7 @@ impl TxnTable {
             // One blob read covers the version word and the payload —
             // the snapshot is *optimistic* (Silo-style): it is not
             // verified here but by the stamped version check every
-            // commit performs (`read_version` in validation, or the
+            // commit performs (`version_probe` in validation, or the
             // lock CAS for write records). That check is sound against
             // torn blobs because a payload byte can only be written
             // strictly between two version transitions (lock, then
@@ -532,48 +573,46 @@ impl TxnTable {
         Ok(())
     }
 
-    /// Claims a decision slot, publishing the redo log and lease for
-    /// `writes`. Scavenges expired slots when the ring is exhausted.
-    #[allow(clippy::type_complexity)]
-    fn claim_slot(
-        &self,
-        h: &mut LiteHandle,
-        ctx: &mut Ctx,
-        writes: &[(u64, u64, &[u8])],
-        expiry: u64,
-    ) -> TxnResult<(u16, u64)> {
-        let start = (h.node() as u64 * 31 + h.pid() as u64) % self.spec.slots as u64;
+    /// Claims a decision slot: `(slot, epoch)` with the header now
+    /// `(epoch, UNDECIDED)`. Scavenges expired slots when the ring is
+    /// exhausted.
+    fn claim_slot(&self, h: &mut LiteHandle, ctx: &mut Ctx) -> TxnResult<(u16, u64)> {
+        let slots = self.spec.slots as u64;
+        let claim = |hdr: u64| (((hdr >> 4) + 1) << 4) | S_UNDECIDED;
+        // Start at the slot this handle drained last, CASing the header
+        // it left there without reading it first: the common case is one
+        // verb, and a miss costs no verb a read would not have — the
+        // failed CAS's return value *is* the fresh header.
+        let (start, mut guess) = match self.last_slot.take() {
+            Some((s, hdr)) => (s, Some(hdr)),
+            None => (start_slot(h.node(), h.pid(), self.spec.slots), None),
+        };
         for pass in 0..3u32 {
-            for i in 0..self.spec.slots as u64 {
-                let s = ((start + i) % self.spec.slots as u64) as u16;
-                let hdr = self.read_word(h, ctx, self.slot_off(s))?;
+            for i in 0..slots {
+                let s = ((start as u64 + i) % slots) as u16;
+                let off = self.slot_off(s);
+                let hdr = match guess.take() {
+                    Some(g) => {
+                        let seen = h.lt_cmp_swap(ctx, self.lh, off, g, claim(g))?;
+                        if seen == g {
+                            return Ok((s, (g >> 4) + 1));
+                        }
+                        seen
+                    }
+                    None => self.read_word(h, ctx, off)?,
+                };
                 let (epoch, state) = (hdr >> 4, hdr & 0xf);
                 if state == S_FREE || state == S_DRAINED {
-                    let next = ((epoch + 1) << 4) | S_UNDECIDED;
-                    if h.lt_cmp_swap(ctx, self.lh, self.slot_off(s), hdr, next)? != hdr {
-                        continue;
+                    if h.lt_cmp_swap(ctx, self.lh, off, hdr, claim(hdr))? == hdr {
+                        return Ok((s, epoch + 1));
                     }
-                    // Redo first, then the lease: a lease whose epoch
-                    // matches the header certifies a complete redo.
-                    let entry_sz = (16 + self.payload_p) as usize;
-                    let mut redo = vec![0u8; 8 + writes.len() * entry_sz];
-                    redo[..8].copy_from_slice(&(writes.len() as u64).to_le_bytes());
-                    for (j, (rec, old_v, payload)) in writes.iter().enumerate() {
-                        let e = &mut redo[8 + j * entry_sz..8 + (j + 1) * entry_sz];
-                        e[..8].copy_from_slice(&rec.to_le_bytes());
-                        e[8..16].copy_from_slice(&old_v.to_le_bytes());
-                        e[16..16 + payload.len()].copy_from_slice(payload);
-                    }
-                    h.lt_write(ctx, self.lh, self.slot_off(s) + 16, &redo)?;
-                    let lease = (expiry << 16) | ((epoch + 1) & 0xffff);
-                    h.lt_write(ctx, self.lh, self.slot_off(s) + 8, &lease.to_le_bytes())?;
-                    return Ok((s, epoch + 1));
+                    continue;
                 }
-                if pass > 0 && state != S_DRAINED {
+                if pass > 0 {
                     // Ring exhausted once already: scavenge expired
                     // slots (lease epoch must match the header's, or
                     // the owner hasn't published its lease yet).
-                    let lease = self.read_word(h, ctx, self.slot_off(s) + 8)?;
+                    let lease = self.read_word(h, ctx, off + 8)?;
                     if (lease & 0xffff) == (epoch & 0xffff)
                         && (now_ms() & 0xffff_ffff) > (lease >> 16) & 0xffff_ffff
                     {
@@ -584,6 +623,53 @@ impl TxnTable {
             Self::backoff(ctx, pass);
         }
         Err(TxnError::Conflict { validation: false })
+    }
+
+    /// The redo log of `writes` (`(rec, old version, padded payload)`
+    /// each) as it sits in a slot from its count word on.
+    fn encode_redo(&self, writes: &[(u64, u64, &[u8])]) -> Vec<u8> {
+        let entry_sz = (16 + self.payload_p) as usize;
+        let mut redo = vec![0u8; 8 + writes.len() * entry_sz];
+        redo[..8].copy_from_slice(&(writes.len() as u64).to_le_bytes());
+        for (j, (rec, old_v, payload)) in writes.iter().enumerate() {
+            let e = &mut redo[8 + j * entry_sz..8 + (j + 1) * entry_sz];
+            e[..8].copy_from_slice(&rec.to_le_bytes());
+            e[8..16].copy_from_slice(&old_v.to_le_bytes());
+            e[16..16 + payload.len()].copy_from_slice(payload);
+        }
+        redo
+    }
+
+    /// A committer's own abort, one chain: CAS the locks it holds
+    /// (`(rec, old version)` each) back, finalize its slot `ABORTED`
+    /// (the steal-abort CAS cannot fail against ourselves unless a
+    /// scavenger beat us to it — either way the slot ends settled), and
+    /// drain it. Draining unread is safe here, unlike in recovery: this
+    /// transaction never decided, so nobody rolls it forward, and every
+    /// lock word it placed is in `locked` — whichever of them a
+    /// recoverer already rolled back just fails its CAS.
+    fn abort_own(
+        &self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        (slot, epoch): (u16, u64),
+        lw: u64,
+        locked: &[(u64, u64)],
+    ) -> TxnResult<()> {
+        let hdr = |state: u64| (epoch << 4) | state;
+        let off = self.slot_off(slot);
+        let cas = |off, expect, new| ChainOp::CmpSwap { off, expect, new };
+        let mut ops: Vec<ChainOp> = locked
+            .iter()
+            .map(|&(rec, old_v)| cas(self.rec_off(rec), lw, old_v))
+            .collect();
+        ops.push(cas(off, hdr(S_UNDECIDED), hdr(S_ABORTED)));
+        ops.push(cas(off, hdr(S_ABORTED), hdr(S_DRAINED)));
+        let outs = h.lt_chain(ctx, self.lh, &ops)?;
+        if old_values(&outs).last() == Some(hdr(S_ABORTED)) {
+            self.last_slot.set(Some((slot, hdr(S_DRAINED))));
+        }
+        Ok(())
     }
 
     fn record_txn(
@@ -702,12 +788,22 @@ impl Txn<'_> {
             Err(TxnError::Conflict { validation })
         };
 
-        // Read-only fast path: validate and return — no slot, no locks.
+        // Reads not covered by a write lock are re-validated at commit.
+        let validate: Vec<(u64, u64)> = self
+            .reads
+            .iter()
+            .filter(|(rec, _)| !self.writes.contains_key(rec))
+            .map(|(&rec, &(v, _))| (rec, v))
+            .collect();
+        let probes = validate.iter().map(|&(rec, _)| t.version_probe(rec));
+        let still_valid = |seen: &[u64]| seen.iter().zip(&validate).all(|(s, (_, v))| s == v);
+
+        // Read-only fast path: validate in one chain and return — no
+        // slot, no locks.
         if self.writes.is_empty() {
-            for (&rec, &(v, _)) in self.reads.iter() {
-                if t.read_version(h, ctx, rec)? != v {
-                    return fail(&self, h, ctx, true);
-                }
+            let outs = h.lt_chain(ctx, t.lh, &probes.collect::<Vec<_>>())?;
+            if !still_valid(&old_values(&outs).collect::<Vec<_>>()) {
+                return fail(&self, h, ctx, true);
             }
             t.record_txn(
                 h,
@@ -738,113 +834,121 @@ impl Txn<'_> {
         }
 
         let expiry = (now_ms() + t.spec.lease_ms) & 0xffff_ffff;
+        // Ascending record order (the write set is a BTreeMap).
         let write_list: Vec<(u64, u64, &[u8])> = self
             .writes
             .iter()
             .map(|(&rec, p)| (rec, self.reads[&rec].0, p.as_slice()))
             .collect();
-        let (slot, epoch) = match t.claim_slot(h, ctx, &write_list, expiry) {
+        let w = write_list.len();
+        let (slot, epoch) = match t.claim_slot(h, ctx) {
             Ok(se) => se,
             Err(TxnError::Conflict { .. }) => return fail(&self, h, ctx, false),
             Err(e) => return Err(e),
         };
         let lw = lock_word(slot, epoch, expiry);
-        let hdr_undecided = (epoch << 4) | S_UNDECIDED;
+        let hdr = |state: u64| (epoch << 4) | state;
+        let slot_off = t.slot_off(slot);
+        let cas = |off, expect, new| ChainOp::CmpSwap { off, expect, new };
 
-        // Lock the write set in ascending record order.
-        let mut locked: Vec<(u64, u64)> = Vec::with_capacity(write_list.len());
-        let unwind = |h: &mut LiteHandle, ctx: &mut Ctx, locked: &[(u64, u64)]| -> TxnResult<()> {
-            for &(rec, old_v) in locked {
-                let _ = h.lt_cmp_swap(ctx, t.lh, t.rec_off(rec), lw, old_v)?;
-            }
-            // Finalize + drain our own slot (steal-abort CAS cannot
-            // fail against ourselves unless a scavenger beat us to it —
-            // either way the slot ends settled).
-            t.settle_slot(h, ctx, slot, hdr_undecided)
-        };
-        for &(rec, old_v, _) in &write_list {
-            let mut won = false;
-            for attempt in 0..LOCK_ATTEMPTS {
-                let cur = h.lt_cmp_swap(ctx, t.lh, t.rec_off(rec), old_v, lw)?;
-                if cur == old_v {
-                    won = true;
-                    break;
+        // Publish redo then lease, lock the write set, validate the read
+        // set: one chain.
+        let redo = t.encode_redo(&write_list);
+        let lease = ((expiry << 16) | (epoch & 0xffff)).to_le_bytes();
+        let mut ops = vec![
+            ChainOp::Write {
+                off: slot_off + 16,
+                data: &redo,
+            },
+            ChainOp::Write {
+                off: slot_off + 8,
+                data: &lease,
+            },
+        ];
+        ops.extend(
+            write_list
+                .iter()
+                .map(|&(rec, old_v, _)| cas(t.rec_off(rec), old_v, lw)),
+        );
+        ops.extend(probes);
+        let outs = h.lt_chain(ctx, t.lh, &ops)?;
+        let seen: Vec<u64> = old_values(&outs).collect();
+        let (lock_seen, read_seen) = seen.split_at(w);
+        let locked: Vec<(u64, u64)> = write_list
+            .iter()
+            .zip(lock_seen)
+            .filter(|((_, old_v, _), cur)| old_v == *cur)
+            .map(|(&(rec, old_v, _), _)| (rec, old_v))
+            .collect();
+        if locked.len() < w {
+            // Lost at least one lock: give back the ones that won and
+            // abort. Never wait while holding a later lock — that is
+            // what keeps ascending-order locking deadlock-free. What the
+            // validation probes saw is moot.
+            t.abort_own(h, ctx, (slot, epoch), lw, &locked)?;
+            for &cur in lock_seen {
+                if is_locked(cur) && lock_expired(cur) {
+                    // A dead committer's lock: settle it now, so the
+                    // retry does not run into it again.
+                    t.recover_from_lock(h, ctx, cur)?;
                 }
-                if is_locked(cur) {
-                    if lock_expired(cur) {
-                        t.recover_from_lock(h, ctx, cur)?;
-                    } else {
-                        TxnTable::backoff(ctx, attempt);
-                    }
-                    continue;
-                }
-                break; // version moved: straight conflict
             }
-            if !won {
-                unwind(h, ctx, &locked)?;
-                return fail(&self, h, ctx, false);
-            }
-            locked.push((rec, old_v));
+            return fail(&self, h, ctx, false);
         }
         if crash == CrashPoint::AfterLock {
             return self.vanish(h, ctx, invoke);
         }
-
-        // Validate the read set (reads not covered by a lock CAS).
-        for (&rec, &(v, _)) in self.reads.iter() {
-            if self.writes.contains_key(&rec) {
-                continue;
-            }
-            if t.read_version(h, ctx, rec)? != v {
-                unwind(h, ctx, &locked)?;
-                return fail(&self, h, ctx, true);
-            }
+        if !still_valid(read_seen) {
+            t.abort_own(h, ctx, (slot, epoch), lw, &locked)?;
+            return fail(&self, h, ctx, true);
         }
 
         // The commit point: one CAS on the decision slot.
-        let prev = h.lt_cmp_swap(
-            ctx,
-            t.lh,
-            t.slot_off(slot),
-            hdr_undecided,
-            (epoch << 4) | S_COMMITTED,
-        )?;
-        if prev != hdr_undecided {
+        let prev = h.lt_cmp_swap(ctx, t.lh, slot_off, hdr(S_UNDECIDED), hdr(S_COMMITTED))?;
+        if prev != hdr(S_UNDECIDED) {
             // A scavenger steal-aborted us (lease looked expired):
             // roll back — versions never moved.
-            unwind(h, ctx, &locked)?;
+            t.abort_own(h, ctx, (slot, epoch), lw, &locked)?;
             return fail(&self, h, ctx, false);
         }
         if crash == CrashPoint::AfterDecide {
             return self.vanish(h, ctx, invoke);
         }
 
-        // Apply, then release. Once our own lease is expired we must
-        // stop touching the table (recovery may already be rolling us
-        // forward) and report indeterminate.
-        let hdr_committed = (epoch << 4) | S_COMMITTED;
-        for (i, (&rec, payload)) in self.writes.iter().enumerate() {
-            if crash == CrashPoint::MidApply && i == 1 {
-                return self.vanish(h, ctx, invoke);
-            }
-            if (now_ms() & 0xffff_ffff) > expiry {
-                return self.vanish(h, ctx, invoke);
-            }
-            h.lt_write(ctx, t.lh, t.rec_off(rec) + 8, payload)?;
+        // Apply, release, drain: one chain. A crash hook that falls
+        // inside it posts the prefix up to the hook and vanishes.
+        let mut ops: Vec<ChainOp> = write_list
+            .iter()
+            .map(|&(rec, _, data)| ChainOp::Write {
+                off: t.rec_off(rec) + 8,
+                data,
+            })
+            .collect();
+        ops.extend(
+            locked
+                .iter()
+                .map(|&(rec, old_v)| cas(t.rec_off(rec), lw, old_v.wrapping_add(2))),
+        );
+        ops.push(cas(slot_off, hdr(S_COMMITTED), hdr(S_DRAINED)));
+        let cut = match crash {
+            CrashPoint::MidApply if w > 1 => Some(1),
+            CrashPoint::MidRelease if w > 1 => Some(w + 1),
+            _ => None,
+        };
+        ops.truncate(cut.unwrap_or(ops.len()));
+        // Once our own lease is expired we must stop touching the table
+        // (recovery may already be rolling us forward) and report
+        // indeterminate.
+        if (now_ms() & 0xffff_ffff) > expiry {
+            return self.vanish(h, ctx, invoke);
         }
-        for (i, &(rec, old_v)) in locked.iter().enumerate() {
-            if crash == CrashPoint::MidRelease && i == 1 {
-                return self.vanish(h, ctx, invoke);
-            }
-            let _ = h.lt_cmp_swap(ctx, t.lh, t.rec_off(rec), lw, old_v.wrapping_add(2))?;
+        let outs = h.lt_chain(ctx, t.lh, &ops)?;
+        if cut.is_some() {
+            return self.vanish(h, ctx, invoke);
         }
-        let _ = h.lt_cmp_swap(
-            ctx,
-            t.lh,
-            t.slot_off(slot),
-            hdr_committed,
-            (epoch << 4) | S_DRAINED,
-        )?;
+        if old_values(&outs).last() == Some(hdr(S_COMMITTED)) {
+            t.last_slot.set(Some((slot, hdr(S_DRAINED))));
+        }
 
         t.record_txn(
             h,
@@ -893,5 +997,23 @@ pub fn with_txn_retry<T>(
             }
             other => return other,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn start_slots_spread_over_the_ring() {
+        // The old linear hash `(node * 31 + pid) % 32` sends (n, p) and
+        // (n + 1, p + 1) to one slot; 12 neighbouring handles must not
+        // pile up like that.
+        let starts: BTreeSet<u16> = (0..3)
+            .flat_map(|node| (1..=4).map(move |pid| start_slot(node, pid, 32)))
+            .collect();
+        assert!(starts.len() >= 10, "{starts:?}");
+        assert!(starts.iter().all(|&s| s < 32));
     }
 }

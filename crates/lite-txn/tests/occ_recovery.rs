@@ -214,3 +214,79 @@ fn live_lock_is_not_stolen_before_expiry() {
     r.commit(&mut h1, &mut c1).unwrap();
     assert_eq!((a, b), (7, 9));
 }
+
+/// Raw scan of a table's LMR (layout from `lite_txn::table`'s module
+/// docs): `(records whose version word is a lock word, slots left
+/// UNDECIDED or COMMITTED)`.
+fn scan(h: &mut lite::LiteHandle, ctx: &mut Ctx, name: &str, spec: &TableSpec) -> (u64, u64) {
+    let payload_p = (spec.payload as u64).div_ceil(8) * 8;
+    let slot_size = 24 + spec.max_writes as u64 * (16 + payload_p);
+    let rec_base = 64 + spec.slots as u64 * slot_size;
+    let lh = h.lt_map(ctx, name).unwrap();
+    let mut word = |off: u64| {
+        let mut b = [0u8; 8];
+        h.lt_read(ctx, lh, off, &mut b).unwrap();
+        u64::from_le_bytes(b)
+    };
+    let locked = (0..spec.records)
+        .filter(|r| word(rec_base + r * (8 + payload_p)) & 1 == 1)
+        .count() as u64;
+    let busy = (0..spec.slots as u64)
+        .filter(|s| matches!(word(64 + s * slot_size) & 0xf, 1 | 2))
+        .count() as u64;
+    (locked, busy)
+}
+
+#[test]
+fn losing_the_second_lock_gives_back_the_first() {
+    // Eight read-2-write-2 transactions over records (1, 2) snapshot
+    // both, then another committer takes record 2's lock and stalls.
+    // Each of the eight wins lock 1 and loses lock 2 in the same chain:
+    // it must give lock 1 back, settle its own slot, and report a clean
+    // conflict — never wait on 2 while holding 1, never leak either.
+    let cluster = start();
+    let mut h0 = cluster.attach(0).unwrap();
+    let mut h1 = cluster.attach(1).unwrap();
+    let mut c0 = Ctx::new();
+    let mut c1 = Ctx::new();
+    let table_spec = TableSpec {
+        lease_ms: 150,
+        ..TableSpec::new(4, 8)
+    };
+    let name = "rec.second";
+    let t0 = TxnTable::create(&mut h0, &mut c0, 1, name, table_spec).unwrap();
+    let t1 = TxnTable::open(&mut h1, &mut c1, name).unwrap();
+
+    let mut losers = Vec::new();
+    for i in 0..8u64 {
+        let mut t = t1.begin();
+        for rec in [1, 2] {
+            assert_eq!(u64s(&t.read(&mut h1, &mut c1, rec).unwrap()), 0);
+            t.write(rec, &(100 + i).to_le_bytes()).unwrap();
+        }
+        losers.push(t);
+    }
+    let mut blocker = t0.begin();
+    blocker.write(2, &9u64.to_le_bytes()).unwrap();
+    assert_eq!(
+        blocker.commit_at(&mut h0, &mut c0, CrashPoint::AfterLock),
+        Err(TxnError::Indeterminate)
+    );
+    for t in losers {
+        assert_eq!(
+            t.commit(&mut h1, &mut c1),
+            Err(TxnError::Conflict { validation: false })
+        );
+    }
+    // Only the stalled committer's lock and slot are left.
+    assert_eq!(scan(&mut h1, &mut c1, name, &table_spec), (1, 1));
+
+    // Its lease runs out; the next reader settles it. Nothing is left.
+    std::thread::sleep(Duration::from_millis(200));
+    let mut r = t1.begin();
+    for rec in 0..4 {
+        assert_eq!(u64s(&r.read(&mut h1, &mut c1, rec).unwrap()), 0);
+    }
+    r.commit(&mut h1, &mut c1).unwrap();
+    assert_eq!(scan(&mut h1, &mut c1, name, &table_spec), (0, 0));
+}

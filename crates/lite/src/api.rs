@@ -24,6 +24,7 @@
 //! | `LT_fetch-add`   | [`LiteHandle::lt_fetch_add`]             |
 //! | `LT_test-set`    | [`LiteHandle::lt_test_set`]              |
 //! | `LT_cmp-swap`    | [`LiteHandle::lt_cmp_swap`] (general CAS; `lt_test_set` delegates) |
+//! | (extension)      | [`LiteHandle::lt_chain`]: ordered write/read/fetch-add/cmp-swap ops on one LMR, one doorbell, one wait |
 
 use std::sync::Arc;
 
@@ -72,6 +73,54 @@ pub struct RpcCall {
     /// reply in one doorbell batch (only set with `batch_posting`, for
     /// remote two-way calls).
     pub(crate) pending_head: Mutex<Option<Op>>,
+}
+
+/// One op of an [`LiteHandle::lt_chain`]: a one-sided access at byte
+/// offset `off` of the chain's LMR.
+#[derive(Debug, Clone, Copy)]
+pub enum ChainOp<'a> {
+    /// Writes `data` at `off`.
+    Write {
+        /// Byte offset in the LMR.
+        off: u64,
+        /// Bytes to write.
+        data: &'a [u8],
+    },
+    /// Reads `len` bytes at `off`.
+    Read {
+        /// Byte offset in the LMR.
+        off: u64,
+        /// Bytes to read.
+        len: usize,
+    },
+    /// Fetch-and-add on the u64 at `off`.
+    FetchAdd {
+        /// Byte offset of the word.
+        off: u64,
+        /// Addend.
+        delta: u64,
+    },
+    /// Compare-and-swap `expect -> new` on the u64 at `off`.
+    CmpSwap {
+        /// Byte offset of the word.
+        off: u64,
+        /// Expected value.
+        expect: u64,
+        /// Replacement value.
+        new: u64,
+    },
+}
+
+/// What one [`ChainOp`] returned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ChainOut {
+    /// A write; nothing to return.
+    Done,
+    /// The bytes a read fetched.
+    Bytes(Vec<u8>),
+    /// The word's previous contents (an atomic; a CAS won iff it equals
+    /// `expect`).
+    Value(u64),
 }
 
 /// A physical scratch region owned by a handle.
@@ -199,6 +248,28 @@ impl LiteHandle {
             invoke,
             response,
         });
+    }
+
+    /// [`Self::record_hist`] for a read or write of `len` bytes at
+    /// `offset` of the LMR behind `entry`.
+    #[allow(clippy::too_many_arguments)]
+    fn record_reg(
+        &self,
+        entry: &LhEntry,
+        offset: u64,
+        len: usize,
+        kind: crate::verify::OpKind,
+        ok: bool,
+        invoke: Nanos,
+        response: Nanos,
+    ) {
+        let key = crate::verify::Key::Reg {
+            node: entry.id.node,
+            idx: entry.id.idx,
+            offset,
+            len: len as u64,
+        };
+        self.record_hist(key, kind, 0, ok, invoke, response);
     }
 
     // ------------------------------------------------------------------
@@ -614,6 +685,64 @@ impl LiteHandle {
         Ok(guards)
     }
 
+    /// Runs `body` once against the live physical pieces of `ranges`
+    /// (`(offset, len, needed permission)` each) of `lh`, inside one
+    /// syscall crossing. The combinator owns the tiering heal loop — a
+    /// `Relocated` from the permission/bounds check or from a pin means
+    /// the cached location is stale: re-fetch it from the master and
+    /// resolve again — and the pin fencing: every range is pinned before
+    /// `body` runs (so healing has no side effect to repeat) and stays
+    /// pinned until it returns (eviction drains pins, so no chunk can
+    /// move or be freed under an in-flight op). `body` reads target
+    /// addresses out of the piece lists it is handed, which the pins have
+    /// just verified against the live mapping. Every path, error or not,
+    /// leaves through `exit()`.
+    fn with_fresh_pieces<T>(
+        &mut self,
+        ctx: &mut Ctx,
+        lh: Lh,
+        ranges: &[(u64, usize, Perm)],
+        body: impl FnOnce(&mut Self, &mut Ctx, &LhEntry, &[Vec<(NodeId, Chunk)>]) -> LiteResult<T>,
+    ) -> LiteResult<T> {
+        self.enter(ctx);
+        let result = self
+            .fresh_pieces(ctx, lh, ranges)
+            .and_then(|(entry, pieces, _pins)| body(self, ctx, &entry, &pieces));
+        self.exit(ctx);
+        result
+    }
+
+    /// The heal loop of [`Self::with_fresh_pieces`]: the lh's entry, the
+    /// pieces of every range, and the pins that keep them where they are.
+    #[allow(clippy::type_complexity)]
+    fn fresh_pieces(
+        &mut self,
+        ctx: &mut Ctx,
+        lh: Lh,
+        ranges: &[(u64, usize, Perm)],
+    ) -> LiteResult<(LhEntry, Vec<Vec<(NodeId, Chunk)>>, Vec<crate::mm::PinGuard>)> {
+        for attempt in 0..3 {
+            if attempt > 0 {
+                self.refresh_lh(ctx, lh)?;
+            }
+            let entry = self.kernel.lookup_lh(self.pid, lh)?;
+            let mut pieces = Vec::with_capacity(ranges.len());
+            let mut pins = Vec::new();
+            let resolved = ranges.iter().try_for_each(|&(offset, len, need)| {
+                let p = entry.check(offset, len, need)?;
+                pins.extend(self.pin_pieces(ctx, &entry, offset, &p)?);
+                pieces.push(p);
+                Ok(())
+            });
+            match resolved {
+                Ok(()) => return Ok((entry, pieces, pins)),
+                Err(LiteError::Relocated) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Err(LiteError::Relocated)
+    }
+
     /// LT_unmap: drops the lh and tells the master.
     pub fn lt_unmap(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
         self.enter(ctx);
@@ -855,62 +984,27 @@ impl LiteHandle {
     /// LT_write: blocking one-sided write of `data` at `offset` in the
     /// LMR. Returns when the data is remotely visible (§4.2).
     pub fn lt_write(&mut self, ctx: &mut Ctx, lh: Lh, offset: u64, data: &[u8]) -> LiteResult<()> {
-        self.enter(ctx);
-        // Lookup/permission/bounds failures return before any side
-        // effect and are not recorded in the history (a no-effect op
-        // adds no constraint); failures past this point may have
-        // partially applied and are recorded as failed writes.
-        let start = ctx.now();
-        let mut entry = self.kernel.lookup_lh(self.pid, lh)?;
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                // The location moved under tiering: re-fetch it from the
-                // master and redo the access against the fresh pieces.
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-                entry = self.kernel.lookup_lh(self.pid, lh)?;
-            }
-            let pieces = match entry.check(offset, data.len(), Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // Pins are taken before any byte is posted, so a Relocated
-            // here (or from check) retries with zero side effects.
-            let _pins = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self.write_pieces(ctx, &pieces, data);
-            break;
-        }
-        self.record_hist(
-            crate::verify::Key::Reg {
-                node: entry.id.node,
-                idx: entry.id.idx,
+        let range = [(offset, data.len(), Perm::RW)];
+        self.with_fresh_pieces(ctx, lh, &range, |this, ctx, entry, pieces| {
+            // Lookup/permission/bounds failures return before any side
+            // effect and are not recorded in the history (a no-effect op
+            // adds no constraint); failures past this point may have
+            // partially applied and are recorded as failed writes.
+            let start = ctx.now();
+            let result = this.write_pieces(ctx, &pieces[0], data);
+            let fp = crate::verify::fingerprint(data);
+            let kind = crate::verify::OpKind::Write { fp };
+            this.record_reg(
+                entry,
                 offset,
-                len: data.len() as u64,
-            },
-            crate::verify::OpKind::Write {
-                fp: crate::verify::fingerprint(data),
-            },
-            0,
-            result.is_ok(),
-            start,
-            ctx.now(),
-        );
-        self.exit(ctx);
-        result
+                data.len(),
+                kind,
+                result.is_ok(),
+                start,
+                ctx.now(),
+            );
+            result
+        })
     }
 
     fn write_pieces(
@@ -948,60 +1042,27 @@ impl LiteHandle {
         offset: u64,
         buf: &mut [u8],
     ) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let mut entry = self.kernel.lookup_lh(self.pid, lh)?;
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-                entry = self.kernel.lookup_lh(self.pid, lh)?;
-            }
-            let pieces = match entry.check(offset, buf.len(), Perm::RO) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            let _pins = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self.read_pieces(ctx, &pieces, buf);
-            break;
-        }
-        self.record_hist(
-            crate::verify::Key::Reg {
-                node: entry.id.node,
-                idx: entry.id.idx,
+        let range = [(offset, buf.len(), Perm::RO)];
+        self.with_fresh_pieces(ctx, lh, &range, |this, ctx, entry, pieces| {
+            let start = ctx.now();
+            let result = this.read_pieces(ctx, &pieces[0], buf);
+            // Failed reads are excluded by the checker; fp is meaningful
+            // only on the ok path.
+            let fp = result
+                .as_ref()
+                .map_or(0, |()| crate::verify::fingerprint(buf));
+            let kind = crate::verify::OpKind::Read { fp };
+            this.record_reg(
+                entry,
                 offset,
-                len: buf.len() as u64,
-            },
-            crate::verify::OpKind::Read {
-                // Failed reads are excluded by the checker; fp is
-                // meaningful only on the ok path.
-                fp: if result.is_ok() {
-                    crate::verify::fingerprint(buf)
-                } else {
-                    0
-                },
-            },
-            0,
-            result.is_ok(),
-            start,
-            ctx.now(),
-        );
-        self.exit(ctx);
-        result
+                buf.len(),
+                kind,
+                result.is_ok(),
+                start,
+                ctx.now(),
+            );
+            result
+        })
     }
 
     fn read_pieces(
@@ -1795,6 +1856,7 @@ impl LiteHandle {
     }
 
     /// LT_fetch-add on a u64 inside an LMR; returns the previous value.
+    /// A one-element [`Self::lt_chain`].
     pub fn lt_fetch_add(
         &mut self,
         ctx: &mut Ctx,
@@ -1802,54 +1864,14 @@ impl LiteHandle {
         offset: u64,
         delta: u64,
     ) -> LiteResult<u64> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            }
-            let entry = self.kernel.lookup_lh(self.pid, lh)?;
-            let pieces = match entry.check(offset, 8, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // The pin is taken before the atomic posts, so a retry after
-            // Relocated never re-applies a landed fetch-add — and the
-            // target address is only read out of the piece list *after*
-            // the pin has verified that list against the live mapping.
-            // (Extracting it first reads from a snapshot a concurrent
-            // eviction may already have invalidated; the pin would still
-            // catch it, but only because nothing was cached before it.)
-            let pin = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            let (node, c) = match single_piece(offset, &pieces) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self.kernel.fetch_add(ctx, self.prio, node, c.addr, delta);
-            // The guard must outlive the post: eviction drains pins, so
-            // the chunk cannot move (or be freed) mid-atomic.
-            drop(pin);
-            break;
+        self.lt_atomic(ctx, lh, ChainOp::FetchAdd { off: offset, delta })
+    }
+
+    fn lt_atomic(&mut self, ctx: &mut Ctx, lh: Lh, op: ChainOp) -> LiteResult<u64> {
+        match self.lt_chain(ctx, lh, &[op])?.pop() {
+            Some(ChainOut::Value(old)) => Ok(old),
+            _ => Err(LiteError::Internal("atomic chain op returned no value")),
         }
-        self.exit(ctx);
-        result
     }
 
     /// LT_test-set on a u64 inside an LMR: compare-and-swap
@@ -1871,10 +1893,10 @@ impl LiteHandle {
     /// word with `new` iff it currently equals `expect`; returns the
     /// previous value (the CAS won iff it equals `expect`). This is the
     /// primitive OCC commit protocols build on (lock-word acquire and
-    /// version-check release), exposed with the same Relocated-healing
-    /// and pin discipline as [`Self::lt_fetch_add`]; the datapath records
-    /// the CAS in the verification history so `lite::verify` sees lock
-    /// traffic.
+    /// version-check release). A one-element [`Self::lt_chain`], so it
+    /// shares its Relocated-healing and pin discipline; the datapath
+    /// records the CAS in the verification history so `lite::verify` sees
+    /// lock traffic.
     pub fn lt_cmp_swap(
         &mut self,
         ctx: &mut Ctx,
@@ -1883,50 +1905,147 @@ impl LiteHandle {
         expect: u64,
         new: u64,
     ) -> LiteResult<u64> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
+        let off = offset;
+        self.lt_atomic(ctx, lh, ChainOp::CmpSwap { off, expect, new })
+    }
+
+    /// Executes an ordered chain of one-sided ops on one LMR in a single
+    /// call: one syscall crossing, one lh lookup, one pin pass over every
+    /// range, one doorbell per storage node, one completion wait. Ops are
+    /// unconditional and take effect in order (a later op sees every
+    /// earlier one); the result holds one [`ChainOut`] per op — the bytes
+    /// read, or the word's previous value for atomics.
+    ///
+    /// This is the round-trip lever for protocols whose steps do not
+    /// depend on each other's results (publish a record *then* release
+    /// its lock; lock a write set *and* validate a read set): N blocking
+    /// waits become one.
+    ///
+    /// An `Err` means the chain stopped part-way: a prefix of the ops may
+    /// have taken effect, each at most once.
+    pub fn lt_chain(
+        &mut self,
+        ctx: &mut Ctx,
+        lh: Lh,
+        ops: &[ChainOp],
+    ) -> LiteResult<Vec<ChainOut>> {
+        if ops.is_empty() {
+            return Ok(Vec::new());
+        }
+        let ranges: Vec<(u64, usize, Perm)> = ops
+            .iter()
+            .map(|op| match *op {
+                ChainOp::Write { off, data } => (off, data.len(), Perm::RW),
+                ChainOp::Read { off, len } => (off, len, Perm::RO),
+                ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => (off, 8, Perm::RW),
+            })
+            .collect();
+        self.with_fresh_pieces(ctx, lh, &ranges, |this, ctx, entry, pieces| {
+            this.chain_pieces(ctx, entry, ops, pieces)
+        })
+    }
+
+    /// The body of [`Self::lt_chain`] once every range is resolved and
+    /// pinned: stage, post, wait once, collect.
+    fn chain_pieces(
+        &mut self,
+        ctx: &mut Ctx,
+        entry: &LhEntry,
+        ops: &[ChainOp],
+        pieces: &[Vec<(NodeId, Chunk)>],
+    ) -> LiteResult<Vec<ChainOut>> {
+        let start = ctx.now();
+        // Staging holds every write's payload and every read's landing
+        // zone, in op order.
+        let total: usize = ops
+            .iter()
+            .map(|op| match *op {
+                ChainOp::Write { data, .. } => data.len(),
+                ChainOp::Read { len, .. } => len,
+                ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => 0,
+            })
+            .sum();
+        Self::ensure(&self.kernel, &mut self.staging, total)?;
+        let mut zone = self.staging.addr;
+        // One datapath descriptor per physical piece; `marks[k]` is op
+        // k's staging zone and where its descriptors start.
+        let mut posts = Vec::with_capacity(ops.len());
+        let mut marks = Vec::with_capacity(ops.len());
+        for (op, pieces) in ops.iter().zip(pieces) {
+            marks.push((zone, posts.len()));
+            match *op {
+                ChainOp::Write { .. } | ChainOp::Read { .. } => {
+                    if let ChainOp::Write { data, .. } = *op {
+                        let mem = self.kernel.fabric().mem(self.kernel.node());
+                        mem.write(zone, data)?;
+                    }
+                    for &(node, c) in pieces {
+                        let here = vec![Chunk {
+                            addr: zone,
+                            len: c.len,
+                        }];
+                        zone += c.len;
+                        posts.push(match op {
+                            ChainOp::Write { .. } => Op::write(node, c.addr, here, c.len as usize),
+                            _ => Op::read(node, c.addr, here, c.len as usize),
+                        });
+                    }
+                }
+                ChainOp::FetchAdd { off, delta } => {
+                    let (node, c) = single_piece(off, pieces)?;
+                    let addr = c.addr;
+                    posts.push(Op::FetchAdd { node, addr, delta });
+                }
+                ChainOp::CmpSwap { off, expect, new } => {
+                    let (node, c) = single_piece(off, pieces)?;
+                    posts.push(Op::CmpSwap {
+                        node,
+                        addr: c.addr,
+                        expect,
+                        new,
+                    });
                 }
             }
-            let entry = self.kernel.lookup_lh(self.pid, lh)?;
-            let pieces = match entry.check(offset, 8, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // Same discipline as `lt_fetch_add`: pin first, then read
-            // the target address out of the now-verified piece list, and
-            // hold the guard across the post.
-            let pin = match self.pin_pieces(ctx, &entry, offset, &pieces) {
-                Ok(g) => g,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            let (node, c) = match single_piece(offset, &pieces) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            result = self
-                .kernel
-                .cmp_swap(ctx, self.prio, node, c.addr, expect, new);
-            drop(pin);
-            break;
         }
-        self.exit(ctx);
-        result
+        let result = self.kernel.rdma_chain(ctx, self.prio, &posts);
+        if let Ok(comps) = &result {
+            // Ops that went out in a doorbell chain are still in flight;
+            // single posts of blocking verbs have already been reaped.
+            let last = comps.iter().map(|c| c.stamp).max().unwrap_or(0);
+            if last > ctx.now() {
+                self.finish_blocking(ctx, last);
+            }
+        }
+        let end = ctx.now();
+        let mut outs = Vec::with_capacity(ops.len());
+        for (op, &(zone, first)) in ops.iter().zip(&marks) {
+            match *op {
+                ChainOp::Write { off, data } => {
+                    // As `lt_write`: a failed chain may have applied any
+                    // prefix, so its writes are recorded as failed.
+                    let fp = crate::verify::fingerprint(data);
+                    let kind = crate::verify::OpKind::Write { fp };
+                    self.record_reg(entry, off, data.len(), kind, result.is_ok(), start, end);
+                    outs.push(ChainOut::Done);
+                }
+                ChainOp::Read { off, len } => {
+                    let mut buf = vec![0u8; len];
+                    let mut fp = 0;
+                    if result.is_ok() {
+                        self.unstage(zone, &mut buf)?;
+                        fp = crate::verify::fingerprint(&buf);
+                    }
+                    let kind = crate::verify::OpKind::Read { fp };
+                    self.record_reg(entry, off, len, kind, result.is_ok(), start, end);
+                    outs.push(ChainOut::Bytes(buf));
+                }
+                ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => {
+                    let old = result.as_ref().map_or(0, |comps| comps[first].value);
+                    outs.push(ChainOut::Value(old));
+                }
+            }
+        }
+        result.map(|_| outs)
     }
 }
 

@@ -20,8 +20,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rnic::{
-    FaultAction, IbConfig, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, Sge, VerbsError,
-    WritePost,
+    FaultAction, IbConfig, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, Sge, VerbsError, Wr,
 };
 use simnet::{transfer_time, Ctx, Nanos, Resource};
 use smem::{PhysAllocator, PhysMem};
@@ -144,7 +143,7 @@ impl Op {
 }
 
 /// Outcome of a posted op.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Completion {
     /// Virtual time at which the op is complete (remotely visible for
     /// writes, locally filled for reads, executed for atomics).
@@ -178,9 +177,11 @@ pub trait DataPath: Send + Sync {
     /// stamp when needed); atomics are blocking, like their verbs.
     fn post(&self, ctx: &mut Ctx, prio: Priority, op: &Op) -> LiteResult<Completion>;
 
-    /// Posts a chain of ops. The default issues them one by one;
-    /// implementations may amortize (doorbell batching). Completions are
-    /// returned in op order.
+    /// Posts an ordered chain of ops; completions are returned in op
+    /// order and ops towards one node take effect in that order. The
+    /// default issues them one by one; implementations may amortize
+    /// (doorbell batching), and an op that went out in a chain — atomics
+    /// included — does not block: wait on the latest stamp.
     fn post_many(&self, ctx: &mut Ctx, prio: Priority, ops: &[Op]) -> LiteResult<Vec<Completion>> {
         ops.iter().map(|op| self.post(ctx, prio, op)).collect()
     }
@@ -246,6 +247,20 @@ pub struct RnicDataPath {
     /// same fetch-add/cmp-swap carries the same exactly-once token to
     /// the responder NIC's dedup filter.
     atomic_seq: AtomicU64,
+}
+
+/// The acknowledged prefix of a run being posted: `out[..n]` is final,
+/// a retry resumes at op `n`.
+struct Done<'a> {
+    out: &'a mut [Completion],
+    n: usize,
+}
+
+impl Done<'_> {
+    fn push(&mut self, c: Completion) {
+        self.out[self.n] = c;
+        self.n += 1;
+    }
 }
 
 /// Observability identity of one in-flight op, threaded through the
@@ -695,272 +710,340 @@ impl RnicDataPath {
         }
     }
 
-    /// Write-imm posts race with the remote poller's credit reposting;
-    /// RNR (exhausted credits) is transient, so retry briefly. The
-    /// batched variant is safe to retry whole: `post_write_many` claims
-    /// credits atomically and rolls back on failure.
-    fn write_many_rnr_retry(
-        &self,
-        ctx: &mut Ctx,
-        qp: &Qp,
-        posts: &[WritePost],
-    ) -> LiteResult<Vec<rnic::WriteOutcome>> {
-        let nic = self.fabric.nic(self.node);
-        let mut tries = 0;
-        loop {
-            match nic.post_write_many(ctx, qp, posts) {
-                Ok(outcomes) => return Ok(outcomes),
-                Err(rnic::VerbsError::ReceiverNotReady) if tries < 1000 => {
-                    tries += 1;
-                    std::thread::yield_now();
-                    ctx.clock.advance(200);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Posts a doorbell chain of writes towards one peer: per-op mapping
-    /// checks and QoS, then one `post_write_many` so the host post cost
-    /// and QP-context touch are paid once for the whole run.
-    fn post_write_batch(
+    /// One posting attempt of the doorbell chain `ops[done.n..]`
+    /// towards the remote node `dst`: per-op mapping checks and QoS as the
+    /// single posts charge them, then one [`rnic::Nic::post_chain`] so the
+    /// host post cost and QP-context touch are paid once for the run.
+    ///
+    /// Every acknowledged completion is pushed onto `done`, on failure
+    /// too, which makes a retry *resume* rather than replay: request-leg
+    /// faults fire before any side effect (nothing is appended, the whole
+    /// remainder retries), while an atomic's lost ack stops the chain
+    /// after its apply — the next attempt starts at that atomic, whose
+    /// exactly-once token (`aseq0` + its index, minted once per logical
+    /// op) turns the repeat into a lookup. Replaying from the top instead
+    /// would rewrite payloads *after* later atomics of the chain had
+    /// taken effect — e.g. a record write after its lock release.
+    fn post_chain_once(
         &self,
         ctx: &mut Ctx,
         prio: Priority,
         dst: NodeId,
         ops: &[Op],
-    ) -> LiteResult<Vec<Completion>> {
+        aseq0: u64,
+        done: &mut Done,
+    ) -> LiteResult<()> {
+        let first = done.n;
+        let rest = &ops[first..];
         let start = ctx.now();
-        let mut posts = Vec::with_capacity(ops.len());
-        let mut metas = Vec::with_capacity(ops.len());
-        for op in ops {
-            let Op::Write {
+        let qp = self.qp_to(dst, prio)?;
+        let rkey = self.rkey(dst)?;
+        let remote = |addr| RemoteAddr { rkey, addr };
+        let sge = |chunks: &Vec<Chunk>| Sge::Phys {
+            lkey: self.global_lkey,
+            chunks: chunks.clone(),
+        };
+        let mut wr_of = |k: usize, op: &Op| {
+            if !matches!(op, Op::Write { imm: Some(_), .. }) {
+                // Write-imm paths pay their (cheaper) mapping cost as
+                // part of RPC metadata handling instead.
+                ctx.work(self.map_check_ns);
+            }
+            // Tagged with the logical-op sequence: a retry after a lost
+            // ack hits the responder's dedup filter instead of applying
+            // a second time.
+            let token = Some((self.node, aseq0 + (first + k) as u64));
+            match op {
+                Op::Write {
+                    dst_addr,
+                    src,
+                    len,
+                    imm,
+                    ..
+                } => {
+                    self.qos_before(ctx, prio, dst, *len as u64);
+                    Wr::Write {
+                        sge: sge(src),
+                        remote: remote(*dst_addr),
+                        imm: *imm,
+                    }
+                }
+                Op::Read {
+                    src_addr,
+                    dst: land,
+                    len,
+                    ..
+                } => {
+                    self.qos_before(ctx, prio, dst, *len as u64);
+                    Wr::Read {
+                        sge: sge(land),
+                        remote: remote(*src_addr),
+                    }
+                }
+                Op::FetchAdd { addr, delta, .. } => Wr::FetchAdd {
+                    remote: remote(*addr),
+                    delta: *delta,
+                    token,
+                },
+                Op::CmpSwap {
+                    addr, expect, new, ..
+                } => Wr::CmpSwap {
+                    remote: remote(*addr),
+                    expect: *expect,
+                    new: *new,
+                    token,
+                },
+            }
+        };
+        // A run of one (every `post`) needs no heap for its work request.
+        let (one, many);
+        let wrs: &[Wr] = if let [op] = rest {
+            one = wr_of(0, op);
+            std::slice::from_ref(&one)
+        } else {
+            many = rest
+                .iter()
+                .enumerate()
+                .map(|(k, op)| wr_of(k, op))
+                .collect::<Vec<_>>();
+            &many
+        };
+        // Write-imm posts race with the remote poller's credit reposting;
+        // RNR (exhausted credits) is transient, so retry briefly. Safe to
+        // repeat whole: `post_chain` claims credits before any side effect
+        // and rolls them back on failure.
+        let nic = self.fabric.nic(self.node);
+        let mut tries = 0;
+        let (outcomes, error) = loop {
+            match nic.post_chain(ctx, &qp, wrs) {
+                Ok(outcomes) => break (outcomes, None),
+                Err(e) if matches!(e.error, VerbsError::ReceiverNotReady) && tries < 1000 => {
+                    tries += 1;
+                    std::thread::yield_now();
+                    ctx.clock.advance(200);
+                }
+                Err(e) => break (e.done, Some(e.error)),
+            }
+        };
+        for (op, o) in rest.iter().zip(&outcomes) {
+            let plain = match op {
+                Op::Write { imm, .. } => imm.is_none(),
+                Op::Read { .. } => true,
+                _ => false,
+            };
+            if plain && prio == Priority::High {
+                let latency = o.completion.saturating_sub(start);
+                self.qos_after_high(dst, o.completion, op.bytes(), latency);
+            }
+            done.push(Completion {
+                stamp: o.completion,
+                value: o.value,
+            });
+        }
+        error.map_or(Ok(()), |e| Err(e.into()))
+    }
+
+    /// An op on this node's own memory: a plain copy or a local atomic,
+    /// no NIC. Cannot fault and never repeats.
+    fn post_local(&self, ctx: &mut Ctx, op: &Op) -> LiteResult<Completion> {
+        ctx.work(self.map_check_ns);
+        let cost = self.fabric.cost();
+        match op {
+            Op::Write {
                 dst_addr,
                 src,
                 len,
                 imm,
                 ..
-            } = op
-            else {
-                unreachable!("batch runs contain only writes");
-            };
-            if imm.is_none() {
-                ctx.work(self.map_check_ns);
-            }
-            self.qos_before(ctx, prio, dst, *len as u64);
-            metas.push((*len as u64, imm.is_none()));
-            posts.push(WritePost {
-                wr_id: 0,
-                sge: Sge::Phys {
-                    lkey: self.global_lkey,
-                    chunks: src.clone(),
-                },
-                remote: RemoteAddr {
-                    rkey: self.rkey(dst)?,
-                    addr: *dst_addr,
-                },
-                imm: *imm,
-                signaled: false,
-            });
-        }
-        let qp = self.qp_to(dst, prio)?;
-        let outcomes = self.write_many_rnr_retry(ctx, &qp, &posts)?;
-        let mut comps = Vec::with_capacity(outcomes.len());
-        for ((bytes, plain), o) in metas.into_iter().zip(outcomes) {
-            if plain && prio == Priority::High {
-                self.qos_after_high(dst, o.completion, bytes, o.completion.saturating_sub(start));
-            }
-            comps.push(Completion {
-                stamp: o.completion,
-                value: 0,
-            });
-        }
-        Ok(comps)
-    }
-
-    /// A single posting attempt of one op — the body of `post` before
-    /// the recovery layer existed. Faults are injected before any side
-    /// effect, so the retry wrapper can replay this safely; local ops
-    /// cannot fault and never repeat.
-    fn post_once(
-        &self,
-        ctx: &mut Ctx,
-        prio: Priority,
-        op: &Op,
-        aseq: u64,
-    ) -> LiteResult<Completion> {
-        match op {
-            Op::Write {
-                dst_node,
-                dst_addr,
-                src,
-                len,
-                imm,
             } => {
-                if *dst_node == self.node {
-                    // Local LMR: plain memory copy, no NIC. (Loop-back
-                    // write-imm goes through the kernel's RPC layer, not
-                    // here — it must land in the shared receive CQ.)
-                    debug_assert!(imm.is_none(), "loopback imm handled by the RPC layer");
-                    ctx.work(self.map_check_ns);
-                    let cost = self.fabric.cost();
-                    let data = read_chunks(self.mem(), src, *len)?;
-                    self.mem().write(*dst_addr, &data)?;
-                    ctx.work(cost.memcpy_time(*len as u64));
-                    return Ok(Completion {
-                        stamp: ctx.now(),
-                        value: 0,
-                    });
-                }
-                let start = ctx.now();
-                if imm.is_none() {
-                    // Write-imm paths pay their (cheaper) mapping cost as
-                    // part of RPC metadata handling instead.
-                    ctx.work(self.map_check_ns);
-                }
-                self.qos_before(ctx, prio, *dst_node, *len as u64);
-                let qp = self.qp_to(*dst_node, prio)?;
-                let sge = Sge::Phys {
-                    lkey: self.global_lkey,
-                    chunks: src.clone(),
-                };
-                let remote = RemoteAddr {
-                    rkey: self.rkey(*dst_node)?,
-                    addr: *dst_addr,
-                };
-                let comp = if imm.is_some() {
-                    let posts = [WritePost {
-                        wr_id: 0,
-                        sge,
-                        remote,
-                        imm: *imm,
-                        signaled: false,
-                    }];
-                    // Single-element chain: identical to a plain post, but
-                    // shares the RNR retry loop.
-                    self.write_many_rnr_retry(ctx, &qp, &posts)?[0].completion
-                } else {
-                    self.fabric
-                        .nic(self.node)
-                        .post_write(ctx, &qp, 0, &sge, remote, None, false)?
-                };
-                if imm.is_none() && prio == Priority::High {
-                    self.qos_after_high(*dst_node, comp, *len as u64, comp.saturating_sub(start));
-                }
-                Ok(Completion {
-                    stamp: comp,
-                    value: 0,
-                })
+                // Loop-back write-imm goes through the kernel's RPC layer,
+                // not here — it must land in the shared receive CQ.
+                debug_assert!(imm.is_none(), "loopback imm handled by the RPC layer");
+                let data = read_chunks(self.mem(), src, *len)?;
+                self.mem().write(*dst_addr, &data)?;
+                ctx.work(cost.memcpy_time(*len as u64));
             }
             Op::Read {
-                src_node,
-                src_addr,
-                dst,
-                len,
+                src_addr, dst, len, ..
             } => {
-                let start = ctx.now();
-                ctx.work(self.map_check_ns);
-                if *src_node == self.node {
-                    let cost = self.fabric.cost();
-                    let mut data = vec![0u8; *len];
-                    self.mem().read(*src_addr, &mut data)?;
-                    write_chunks(self.mem(), dst, &data)?;
-                    ctx.work(cost.memcpy_time(*len as u64));
-                    return Ok(Completion {
-                        stamp: ctx.now(),
-                        value: 0,
-                    });
-                }
-                self.qos_before(ctx, prio, *src_node, *len as u64);
-                let qp = self.qp_to(*src_node, prio)?;
-                let sge = Sge::Phys {
-                    lkey: self.global_lkey,
-                    chunks: dst.clone(),
-                };
-                let comp = self.fabric.nic(self.node).post_read(
-                    ctx,
-                    &qp,
-                    0,
-                    &sge,
-                    RemoteAddr {
-                        rkey: self.rkey(*src_node)?,
-                        addr: *src_addr,
-                    },
-                    false,
-                )?;
-                if prio == Priority::High {
-                    self.qos_after_high(*src_node, comp, *len as u64, comp.saturating_sub(start));
-                }
-                Ok(Completion {
-                    stamp: comp,
-                    value: 0,
-                })
+                let mut data = vec![0u8; *len];
+                self.mem().read(*src_addr, &mut data)?;
+                write_chunks(self.mem(), dst, &data)?;
+                ctx.work(cost.memcpy_time(*len as u64));
             }
+            Op::FetchAdd { .. } | Op::CmpSwap { .. } => {
+                ctx.work(LOCAL_ATOMIC_NS);
+                // Stamped apply: the completion stamp is taken inside the
+                // cell's critical section so conflicting atomics' stamps
+                // follow the real apply order (history-checker soundness;
+                // see `PhysMem::fetch_add_u64_stamped`).
+                let (value, stamp) = match *op {
+                    Op::FetchAdd { addr, delta, .. } => {
+                        self.mem().fetch_add_u64_stamped(addr, delta, ctx.now())?
+                    }
+                    Op::CmpSwap {
+                        addr, expect, new, ..
+                    } => self.mem().cas_u64_stamped(addr, expect, new, ctx.now())?,
+                    _ => unreachable!("matched an atomic"),
+                };
+                ctx.wait_until(stamp);
+                return Ok(Completion { stamp, value });
+            }
+        }
+        Ok(Completion {
+            stamp: ctx.now(),
+            value: 0,
+        })
+    }
+
+    /// History capture for the linearizability checker: atomics are
+    /// recorded here, at the datapath, so lock-word traffic is seen too —
+    /// not just `lt_fetch_add`/`lt_test_set`. An acknowledged atomic's
+    /// value is the one real apply (retries are exactly-once); a failed
+    /// one is recorded as pending (the checker explores both did/didn't
+    /// branches).
+    fn record_atomic(&self, op: &Op, ret: u64, ok: bool, invoke: Nanos, response: Nanos) {
+        let (node, addr, kind) = match *op {
             Op::FetchAdd { node, addr, delta } => {
-                ctx.work(self.map_check_ns);
-                if *node == self.node {
-                    ctx.work(LOCAL_ATOMIC_NS);
-                    // Stamped apply: the completion stamp is taken inside
-                    // the cell's critical section so conflicting atomics'
-                    // stamps follow the real apply order (history-checker
-                    // soundness; see `PhysMem::fetch_add_u64_stamped`).
-                    let (value, stamp) =
-                        self.mem().fetch_add_u64_stamped(*addr, *delta, ctx.now())?;
-                    ctx.wait_until(stamp);
-                    return Ok(Completion { stamp, value });
-                }
-                let qp = self.qp_to(*node, prio)?;
-                // Tagged with the logical-op sequence: a retry after a
-                // lost ack hits the responder's dedup filter instead of
-                // applying the delta a second time.
-                let value = self.fabric.nic(self.node).fetch_add_tagged(
-                    ctx,
-                    &qp,
-                    RemoteAddr {
-                        rkey: self.rkey(*node)?,
-                        addr: *addr,
-                    },
-                    *delta,
-                    (self.node, aseq),
-                )?;
-                Ok(Completion {
-                    stamp: ctx.now(),
-                    value,
-                })
+                (node, addr, crate::verify::OpKind::FetchAdd { delta })
             }
             Op::CmpSwap {
                 node,
                 addr,
                 expect,
                 new,
-            } => {
-                ctx.work(self.map_check_ns);
-                if *node == self.node {
-                    ctx.work(LOCAL_ATOMIC_NS);
-                    let (value, stamp) =
-                        self.mem()
-                            .cas_u64_stamped(*addr, *expect, *new, ctx.now())?;
-                    ctx.wait_until(stamp);
-                    return Ok(Completion { stamp, value });
+            } => (node, addr, crate::verify::OpKind::TestSet { expect, new }),
+            _ => return,
+        };
+        let Some(log) = self.obs.history() else {
+            return;
+        };
+        // Key atomic histories by *logical* location when the cell lives
+        // in a tracked LMR chunk: the physical address changes when the
+        // chunk migrates, but the (LMR id, offset) identity does not — so
+        // histories on a cell stay one linearizable history across
+        // eviction, fetch-back, and rebalance. Untracked cells (lock
+        // words, budget-0 runs) keep their physical key, byte-identical
+        // to the pre-tiering behavior.
+        let key = match self.dir.mm(node).and_then(|mm| mm.logical_cell(addr)) {
+            Some((id, off)) => crate::verify::Key::LogicalCell {
+                node: id.node,
+                idx: id.idx,
+                off,
+            },
+            None => crate::verify::Key::Cell { node, addr },
+        };
+        log.record(crate::verify::HistOp {
+            proc: crate::verify::proc_id(self.node, 0),
+            key,
+            kind,
+            ret,
+            ok,
+            invoke,
+            response,
+        });
+    }
+
+    /// A run of ops towards one node through the recovery layer —
+    /// retry/backoff, transparent QP re-establishment, and the
+    /// peer-liveness fast path — around resumable posting attempts. A
+    /// remote run of two or more goes out as one doorbell chain
+    /// ([`RnicDataPath::post_chain_once`]); a run of one is the single
+    /// verb, and its atomic blocks like the verb does. Each op's lifecycle
+    /// (posted/batched/retried/reconnected/completed/failed) is traced and
+    /// its post→completion latency recorded per class, priority, and
+    /// peer.
+    fn post_run(
+        &self,
+        ctx: &mut Ctx,
+        prio: Priority,
+        ops: &[Op],
+        out: &mut [Completion],
+    ) -> LiteResult<()> {
+        let peer = ops[0].dst_node();
+        if peer != self.node {
+            self.ensure_qps(peer)?;
+        }
+        for op in ops {
+            self.touch_mm(op);
+        }
+        let start = ctx.now();
+        let sampled = self.obs.sample();
+        let id0 = self.obs.next_op_ids(ops.len() as u64);
+        if sampled {
+            for (id, op) in (id0..).zip(ops) {
+                self.obs
+                    .trace(id, op.class(), EventKind::Posted, prio, peer, start);
+                if ops.len() > 1 {
+                    self.obs
+                        .trace(id, op.class(), EventKind::Batched, prio, peer, start);
                 }
-                let qp = self.qp_to(*node, prio)?;
-                let value = self.fabric.nic(self.node).cmp_swap_tagged(
-                    ctx,
-                    &qp,
-                    RemoteAddr {
-                        rkey: self.rkey(*node)?,
-                        addr: *addr,
-                    },
-                    *expect,
-                    *new,
-                    (self.node, aseq),
-                )?;
-                Ok(Completion {
-                    stamp: ctx.now(),
-                    value,
-                })
             }
         }
+        // A chain retries as a unit, so retry events carry the first
+        // op's id.
+        let trace = OpTrace {
+            op_id: id0,
+            class: ops[0].class(),
+            prio,
+        };
+        // One sequence per *logical* op, minted before the retry loop:
+        // every attempt below replays the same exactly-once tokens.
+        let aseq0 = self
+            .atomic_seq
+            .fetch_add(ops.len() as u64, Ordering::Relaxed);
+        let mut done = Done { out, n: 0 };
+        let res = self.with_retry(ctx, peer, Some(trace), |dp, ctx| {
+            if peer == dp.node {
+                for op in &ops[done.n..] {
+                    done.push(dp.post_local(ctx, op)?);
+                }
+                return Ok(());
+            }
+            dp.post_chain_once(ctx, prio, peer, ops, aseq0, &mut done)?;
+            if let ([op], [c]) = (ops, &mut *done.out) {
+                if op.class() == OpClass::Atomic {
+                    ctx.wait_until(c.stamp);
+                    ctx.work(dp.fabric.cost().cq_poll_ns);
+                    c.stamp = ctx.now();
+                }
+            }
+            Ok(())
+        });
+        let done = &done.out[..done.n];
+        for ((id, op), c) in (id0..).zip(ops).zip(done) {
+            self.record_atomic(op, c.value, true, start, c.stamp);
+            self.obs.record_completion(
+                op.class(),
+                prio,
+                peer,
+                op.bytes(),
+                c.stamp.saturating_sub(start),
+                c.stamp,
+                sampled,
+            );
+            if sampled {
+                self.obs
+                    .trace(id, op.class(), EventKind::Completed, prio, peer, c.stamp);
+            }
+        }
+        if let Err(e) = res {
+            for op in &ops[done.len()..] {
+                self.record_atomic(op, 0, false, start, ctx.now());
+            }
+            let failed = &ops[done.len()];
+            self.obs.record_failure(peer);
+            self.obs.trace(
+                id0 + done.len() as u64,
+                failed.class(),
+                EventKind::Failed,
+                prio,
+                peer,
+                ctx.now(),
+            );
+            return Err(e);
+        }
+        Ok(())
     }
 }
 
@@ -977,217 +1060,29 @@ impl DataPath for RnicDataPath {
         Ok(self.alloc.lock().alloc(bytes)?)
     }
 
-    /// One op through the recovery layer — retry/backoff, transparent QP
-    /// re-establishment, and the peer-liveness fast path — around a
-    /// replayable [`RnicDataPath::post_once`] attempt. The op's lifecycle
-    /// (posted/retried/reconnected/completed/failed) is traced and its
-    /// post→completion latency recorded per class, priority, and peer.
     fn post(&self, ctx: &mut Ctx, prio: Priority, op: &Op) -> LiteResult<Completion> {
-        let peer = op.dst_node();
-        if peer != self.node {
-            self.ensure_qps(peer)?;
-        }
-        let class = op.class();
-        self.touch_mm(op);
-        let start = ctx.now();
-        let sampled = self.obs.sample();
-        let op_id = self.obs.next_op_id();
-        if sampled {
-            self.obs
-                .trace(op_id, class, EventKind::Posted, prio, peer, start);
-        }
-        // History capture for the linearizability checker: atomics are
-        // recorded here, at the datapath, so lock-word traffic is seen
-        // too — not just `lt_fetch_add`/`lt_test_set`. Faults inject
-        // before side effects and retries are replay-exact, so an Ok
-        // completion's value is the one real apply; an Err is recorded
-        // as pending (the checker explores both did/didn't branches).
-        let cell_op = match op {
-            Op::FetchAdd { node, addr, delta } => Some((
-                *node,
-                *addr,
-                crate::verify::OpKind::FetchAdd { delta: *delta },
-            )),
-            Op::CmpSwap {
-                node,
-                addr,
-                expect,
-                new,
-            } => Some((
-                *node,
-                *addr,
-                crate::verify::OpKind::TestSet {
-                    expect: *expect,
-                    new: *new,
-                },
-            )),
-            _ => None,
-        };
-        let record_cell = |ret: u64, ok: bool, response: Nanos| {
-            if let (Some((node, addr, kind)), Some(log)) = (cell_op, self.obs.history()) {
-                // Key atomic histories by *logical* location when the
-                // cell lives in a tracked LMR chunk: the physical
-                // address changes when the chunk migrates, but the
-                // (LMR id, offset) identity does not — so histories on
-                // a cell stay one linearizable history across eviction,
-                // fetch-back, and rebalance. Untracked cells (lock
-                // words, budget-0 runs) keep their physical key,
-                // byte-identical to the pre-tiering behavior.
-                let key = match self.dir.mm(node).and_then(|mm| mm.logical_cell(addr)) {
-                    Some((id, off)) => crate::verify::Key::LogicalCell {
-                        node: id.node,
-                        idx: id.idx,
-                        off,
-                    },
-                    None => crate::verify::Key::Cell { node, addr },
-                };
-                log.record(crate::verify::HistOp {
-                    proc: crate::verify::proc_id(self.node, 0),
-                    key,
-                    kind,
-                    ret,
-                    ok,
-                    invoke: start,
-                    response,
-                });
-            }
-        };
-        let trace = OpTrace { op_id, class, prio };
-        // One sequence per *logical* op, minted before the retry loop:
-        // every attempt below replays the same exactly-once token.
-        let aseq = self.atomic_seq.fetch_add(1, Ordering::Relaxed);
-        match self.with_retry(ctx, peer, Some(trace), |dp, ctx| {
-            dp.post_once(ctx, prio, op, aseq)
-        }) {
-            Ok(c) => {
-                record_cell(c.value, true, c.stamp);
-                self.obs.record_completion(
-                    class,
-                    prio,
-                    peer,
-                    op.bytes(),
-                    c.stamp.saturating_sub(start),
-                    c.stamp,
-                    sampled,
-                );
-                if sampled {
-                    self.obs
-                        .trace(op_id, class, EventKind::Completed, prio, peer, c.stamp);
-                }
-                Ok(c)
-            }
-            Err(e) => {
-                record_cell(0, false, ctx.now());
-                self.obs.record_failure(peer);
-                self.obs
-                    .trace(op_id, class, EventKind::Failed, prio, peer, ctx.now());
-                Err(e)
-            }
-        }
+        let mut out = [Completion::default()];
+        self.post_run(ctx, prio, std::slice::from_ref(op), &mut out)?;
+        Ok(out[0])
     }
 
-    /// Doorbell batching: consecutive remote writes towards the same peer
-    /// are chained through one `post_write_many` (one host post, one
-    /// QP-context touch, one engine batch — §6.1's sharing taken one step
-    /// further). Everything else falls back to sequential posts, as does
-    /// the whole chain when `batch_posting` is off.
+    /// Doorbell batching: every maximal run of remote ops towards the
+    /// same peer — any mix of writes, reads and atomics — goes out as one
+    /// chain (one host post, one QP-context touch, one engine batch —
+    /// §6.1's sharing taken one step further). Local ops, and every op
+    /// when `batch_posting` is off, post one by one.
     fn post_many(&self, ctx: &mut Ctx, prio: Priority, ops: &[Op]) -> LiteResult<Vec<Completion>> {
-        if !self.batch || ops.len() < 2 {
-            return ops.iter().map(|op| self.post(ctx, prio, op)).collect();
-        }
-        let mut out = Vec::with_capacity(ops.len());
+        let mut out = vec![Completion::default(); ops.len()];
         let mut i = 0;
         while i < ops.len() {
-            let run_dst = match &ops[i] {
-                Op::Write { dst_node, .. } if *dst_node != self.node => *dst_node,
-                _ => {
-                    out.push(self.post(ctx, prio, &ops[i])?);
-                    i += 1;
-                    continue;
-                }
-            };
+            let dst = ops[i].dst_node();
             let mut j = i + 1;
-            while j < ops.len() {
-                match &ops[j] {
-                    Op::Write { dst_node, .. } if *dst_node == run_dst => j += 1,
-                    _ => break,
+            if self.batch && dst != self.node {
+                while j < ops.len() && ops[j].dst_node() == dst {
+                    j += 1;
                 }
             }
-            if j - i >= 2 {
-                self.ensure_qps(run_dst)?;
-                for op in &ops[i..j] {
-                    self.touch_mm(op);
-                }
-                let start = ctx.now();
-                let sampled = self.obs.sample();
-                // One op id per chained write; the chain retries as a
-                // unit, so retry/failure events carry the first op's id.
-                let ids: Vec<u64> = (i..j).map(|_| self.obs.next_op_id()).collect();
-                if sampled {
-                    for &id in &ids {
-                        self.obs
-                            .trace(id, OpClass::Write, EventKind::Posted, prio, run_dst, start);
-                        self.obs.trace(
-                            id,
-                            OpClass::Write,
-                            EventKind::Batched,
-                            prio,
-                            run_dst,
-                            start,
-                        );
-                    }
-                }
-                let trace = OpTrace {
-                    op_id: ids[0],
-                    class: OpClass::Write,
-                    prio,
-                };
-                // The whole chain retries as a unit: `post_write_batch`
-                // claims credits atomically and rolls back on failure.
-                let res = self.with_retry(ctx, run_dst, Some(trace), |dp, ctx| {
-                    dp.post_write_batch(ctx, prio, run_dst, &ops[i..j])
-                });
-                match res {
-                    Ok(comps) => {
-                        for (k, c) in comps.iter().enumerate() {
-                            self.obs.record_completion(
-                                OpClass::Write,
-                                prio,
-                                run_dst,
-                                ops[i + k].bytes(),
-                                c.stamp.saturating_sub(start),
-                                c.stamp,
-                                sampled,
-                            );
-                            if sampled {
-                                self.obs.trace(
-                                    ids[k],
-                                    OpClass::Write,
-                                    EventKind::Completed,
-                                    prio,
-                                    run_dst,
-                                    c.stamp,
-                                );
-                            }
-                        }
-                        out.extend(comps);
-                    }
-                    Err(e) => {
-                        self.obs.record_failure(run_dst);
-                        self.obs.trace(
-                            ids[0],
-                            OpClass::Write,
-                            EventKind::Failed,
-                            prio,
-                            run_dst,
-                            ctx.now(),
-                        );
-                        return Err(e);
-                    }
-                }
-            } else {
-                out.push(self.post(ctx, prio, &ops[i])?);
-            }
+            self.post_run(ctx, prio, &ops[i..j], &mut out[i..j])?;
             i = j;
         }
         Ok(out)
@@ -1573,43 +1468,43 @@ impl LiteKernel {
         Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
     }
 
-    /// Writes a scatter list of `(dst_node, dst_addr, src_chunk)` pieces,
-    /// chaining consecutive remote pieces towards the same node into one
-    /// doorbell batch. Returns the latest completion stamp.
+    /// Posts an ordered chain of ops ([`DataPath::post_many`]: one
+    /// doorbell per run of remote ops towards one node), counting its
+    /// reads and writes.
+    pub(crate) fn rdma_chain(
+        &self,
+        ctx: &mut Ctx,
+        prio: Priority,
+        ops: &[Op],
+    ) -> LiteResult<Vec<Completion>> {
+        for op in ops {
+            match op {
+                Op::Write { len, .. } => self.counters.count_write(*len as u64),
+                Op::Read { len, .. } => self.counters.count_read(*len as u64),
+                Op::FetchAdd { .. } | Op::CmpSwap { .. } => {}
+            }
+        }
+        self.try_datapath()?.post_many(ctx, prio, ops)
+    }
+
+    /// Writes a scatter list of `(dst_node, dst_addr, src_chunk)` pieces
+    /// as one chain. Returns the latest completion stamp.
     pub(crate) fn rdma_write_vec(
         &self,
         ctx: &mut Ctx,
         prio: Priority,
         pieces: &[(NodeId, u64, Chunk)],
     ) -> LiteResult<Nanos> {
-        let mut last = ctx.now();
-        let mut i = 0;
-        while i < pieces.len() {
-            let node = pieces[i].0;
-            let mut j = i + 1;
-            while j < pieces.len() && pieces[j].0 == node {
-                j += 1;
-            }
-            let run = &pieces[i..j];
-            if run.len() >= 2 && node != self.node {
-                let total: u64 = run.iter().map(|(_, _, c)| c.len).sum();
-                self.counters.count_writes(run.len() as u64, total);
-                let ops: Vec<Op> = run
-                    .iter()
-                    .map(|(n, addr, c)| Op::write(*n, *addr, vec![*c], c.len as usize))
-                    .collect();
-                for comp in self.try_datapath()?.post_many(ctx, prio, &ops)? {
-                    last = last.max(comp.stamp);
-                }
-            } else {
-                for (n, addr, c) in run {
-                    let comp = self.rdma_write(ctx, prio, *n, *addr, &[*c], c.len as usize)?;
-                    last = last.max(comp);
-                }
-            }
-            i = j;
+        if let [(n, addr, c)] = pieces {
+            // The common single-extent write needs no chain.
+            return self.rdma_write(ctx, prio, *n, *addr, &[*c], c.len as usize);
         }
-        Ok(last)
+        let ops: Vec<Op> = pieces
+            .iter()
+            .map(|(n, addr, c)| Op::write(*n, *addr, vec![*c], c.len as usize))
+            .collect();
+        let comps = self.rdma_chain(ctx, prio, &ops)?;
+        Ok(comps.iter().map(|c| c.stamp).fold(ctx.now(), Nanos::max))
     }
 
     /// One-sided fetch-and-add on a u64 anywhere in the cluster.
@@ -1622,25 +1517,6 @@ impl LiteKernel {
         delta: u64,
     ) -> LiteResult<u64> {
         let op = Op::FetchAdd { node, addr, delta };
-        Ok(self.try_datapath()?.post(ctx, prio, &op)?.value)
-    }
-
-    /// One-sided compare-and-swap on a u64 anywhere in the cluster.
-    pub(crate) fn cmp_swap(
-        &self,
-        ctx: &mut Ctx,
-        prio: Priority,
-        node: NodeId,
-        addr: u64,
-        expect: u64,
-        new: u64,
-    ) -> LiteResult<u64> {
-        let op = Op::CmpSwap {
-            node,
-            addr,
-            expect,
-            new,
-        };
         Ok(self.try_datapath()?.post(ctx, prio, &op)?.value)
     }
 }

@@ -119,11 +119,6 @@ impl KernelCounters {
         self.bytes.fetch_add(bytes, Ordering::Release);
     }
 
-    pub(crate) fn count_writes(&self, n: u64, bytes: u64) {
-        self.writes.fetch_add(n, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Release);
-    }
-
     pub(crate) fn count_read(&self, bytes: u64) {
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Release);
@@ -212,7 +207,8 @@ mod tests {
     fn counters_snapshot() {
         let c = KernelCounters::new();
         c.count_write(100);
-        c.count_writes(2, 50);
+        c.count_write(20);
+        c.count_write(30);
         c.count_read(7);
         c.count_rpc();
         c.count_cleanup_failure();

@@ -62,7 +62,7 @@ pub mod shard;
 pub mod verify;
 pub mod wire;
 
-pub use api::{Lh, LiteHandle, LockId, RpcCall};
+pub use api::{ChainOp, ChainOut, Lh, LiteHandle, LockId, RpcCall};
 pub use cluster::LiteCluster;
 pub use config::LiteConfig;
 pub use directory::ClusterDirectory;

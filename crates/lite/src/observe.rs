@@ -513,7 +513,13 @@ impl Observability {
 
     /// Assigns the next monotonic op id.
     pub fn next_op_id(&self) -> u64 {
-        self.next_op.fetch_add(1, Ordering::Relaxed)
+        self.next_op_ids(1)
+    }
+
+    /// Assigns `n` consecutive op ids (a doorbell chain's); returns the
+    /// first.
+    pub fn next_op_ids(&self, n: u64) -> u64 {
+        self.next_op.fetch_add(n, Ordering::Relaxed)
     }
 
     /// Whether this op's latency (and posted/completed trace events)

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use lite::{Chunk, LiteCluster, LiteConfig, Op, Priority, QosConfig, USER_FUNC_MIN};
-use rnic::IbConfig;
+use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
 fn cluster_with_batching(batch: bool) -> Arc<LiteCluster> {
@@ -78,52 +78,161 @@ fn batched_posting_matches_single_and_is_no_slower() {
     );
 }
 
-/// A mixed op list still dispatches correctly when batching splits it
-/// into runs: write, atomic, two more writes — the atomic breaks the
-/// chain but every op must land.
+/// A mixed op list — write, atomic, two more writes towards one peer —
+/// goes out as one doorbell chain: nothing blocks (the atomic included),
+/// completions come back in op order with non-decreasing stamps, and
+/// memory ends up exactly as element-at-a-time posting leaves it.
 #[test]
 fn mixed_ops_dispatch_through_post_many() {
-    let cluster = cluster_with_batching(true);
-    let dp0 = cluster.datapath(0);
-    let dp1 = cluster.datapath(1);
-    let mut ctx = Ctx::new();
-    let src = dp0.alloc(64).unwrap();
-    let dst = dp1.alloc(64).unwrap();
-    let counter = dp1.alloc(8).unwrap();
-    dp0.fabric().mem(0).write(src, &[7u8; 64]).unwrap();
-    dp0.fabric().mem(1).write(counter, &[0u8; 8]).unwrap();
-    let w = |off: u64| {
-        Op::write(
-            1,
-            dst + off,
-            vec![Chunk {
-                addr: src + off,
-                len: 16,
-            }],
-            16,
-        )
+    let run = |batch: bool| {
+        let cluster = cluster_with_batching(batch);
+        let dp0 = cluster.datapath(0);
+        let dp1 = cluster.datapath(1);
+        let mut ctx = Ctx::new();
+        let src = dp0.alloc(64).unwrap();
+        let dst = dp1.alloc(64).unwrap();
+        let counter = dp1.alloc(8).unwrap();
+        dp0.fabric().mem(0).write(src, &[7u8; 64]).unwrap();
+        dp0.fabric().mem(1).write(counter, &[0u8; 8]).unwrap();
+        let w = |off: u64| {
+            Op::write(
+                1,
+                dst + off,
+                vec![Chunk {
+                    addr: src + off,
+                    len: 16,
+                }],
+                16,
+            )
+        };
+        let ops = vec![
+            w(0),
+            Op::FetchAdd {
+                node: 1,
+                addr: counter,
+                delta: 5,
+            },
+            w(16),
+            w(32),
+        ];
+        let comps = dp0.post_many(&mut ctx, Priority::High, &ops).unwrap();
+        assert_eq!(comps.len(), 4);
+        assert_eq!(comps[1].value, 0, "fetch-add returns the old value");
+        let posted = ctx.now();
+        let last = comps.iter().map(|c| c.stamp).max().unwrap();
+        ctx.wait_until(last);
+        let mut got = vec![0u8; 48];
+        dp0.fabric().mem(1).read(dst, &mut got).unwrap();
+        assert_eq!(got, vec![7u8; 48]);
+        let mut c = [0u8; 8];
+        dp0.fabric().mem(1).read(counter, &mut c).unwrap();
+        assert_eq!(u64::from_le_bytes(c), 5);
+        (posted, comps)
     };
-    let ops = vec![
-        w(0),
-        Op::FetchAdd {
-            node: 1,
-            addr: counter,
-            delta: 5,
-        },
-        w(16),
-        w(32),
-    ];
-    let comps = dp0.post_many(&mut ctx, Priority::High, &ops).unwrap();
-    assert_eq!(comps.len(), 4);
-    assert_eq!(comps[1].value, 0, "fetch-add returns the old value");
-    let last = comps.iter().map(|c| c.stamp).max().unwrap();
-    ctx.wait_until(last);
-    let mut got = vec![0u8; 48];
-    dp0.fabric().mem(1).read(dst, &mut got).unwrap();
-    assert_eq!(got, vec![7u8; 48]);
-    let mut c = [0u8; 8];
-    dp0.fabric().mem(1).read(counter, &mut c).unwrap();
-    assert_eq!(u64::from_le_bytes(c), 5);
+    let (posted, comps) = run(true);
+    assert!(
+        comps.iter().all(|c| c.stamp > posted),
+        "a chained op does not block, atomics included: posted at {posted}, {comps:?}"
+    );
+    assert!(
+        comps.windows(2).all(|p| p[0].stamp <= p[1].stamp),
+        "an RC QP completes its chain in order: {comps:?}"
+    );
+    let (posted_single, single) = run(false);
+    assert!(
+        single[1].stamp <= posted_single,
+        "posted one by one, the atomic blocks like its verb"
+    );
+    assert!(posted < posted_single, "one doorbell beats four posts");
+}
+
+/// Chains under request-leg drops (`DropWr`: nothing applied, the whole
+/// remainder retries) and lost atomic acks (`DropAtomicAck`: the apply
+/// landed, the retry must *resume* at that atomic): every atomic applies
+/// exactly once, and no write lands after a later atomic of its chain
+/// has taken effect. Each round's chain is
+/// `[X <- v, CAS X: v -> w, counter += 1, read X]`; a replay from the top
+/// after the CAS's ack was lost would put `v` back over `w`.
+#[test]
+fn faulted_chains_resume_instead_of_replaying() {
+    for seed in [3u64, 11, 29] {
+        let cluster = LiteCluster::start_with(
+            IbConfig::with_nodes(2),
+            LiteConfig {
+                retry_base_ns: 500,
+                ..Default::default()
+            },
+            QosConfig::default(),
+        )
+        .unwrap();
+        let dp0 = cluster.datapath(0);
+        let dp1 = cluster.datapath(1);
+        let mem0 = dp0.fabric().mem(0).clone();
+        let mem1 = dp0.fabric().mem(1).clone();
+        let mut ctx = Ctx::new();
+        let src = dp0.alloc(8).unwrap();
+        let land = dp0.alloc(8).unwrap();
+        let x = dp1.alloc(8).unwrap();
+        let counter = dp1.alloc(8).unwrap();
+        mem1.store_u64(x, 0).unwrap();
+        mem1.store_u64(counter, 0).unwrap();
+        // Warm the QP mesh before faults start.
+        let probe = Op::read(1, x, vec![Chunk { addr: land, len: 8 }], 8);
+        dp0.post(&mut ctx, Priority::High, &probe).unwrap();
+
+        cluster.fabric().install_fault_plan(
+            FaultPlan::seeded(seed)
+                .with(FaultRule::DropWr {
+                    src: Some(0),
+                    dst: Some(1),
+                    prob: 0.25,
+                    max_drops: 64,
+                })
+                .with(FaultRule::DropAtomicAck {
+                    src: Some(0),
+                    dst: Some(1),
+                    prob: 0.4,
+                    max_drops: 64,
+                }),
+        );
+        let rounds = 96u64;
+        for k in 0..rounds {
+            let (v, w) = (1000 + 2 * k, 1001 + 2 * k);
+            mem0.store_u64(src, v).unwrap();
+            let ops = [
+                Op::write(1, x, vec![Chunk { addr: src, len: 8 }], 8),
+                Op::CmpSwap {
+                    node: 1,
+                    addr: x,
+                    expect: v,
+                    new: w,
+                },
+                Op::FetchAdd {
+                    node: 1,
+                    addr: counter,
+                    delta: 1,
+                },
+                Op::read(1, x, vec![Chunk { addr: land, len: 8 }], 8),
+            ];
+            let comps = dp0.post_many(&mut ctx, Priority::High, &ops).unwrap();
+            ctx.wait_until(comps.iter().map(|c| c.stamp).max().unwrap());
+            assert_eq!(comps[1].value, v, "seed {seed} round {k}: the CAS won");
+            assert_eq!(comps[2].value, k, "seed {seed} round {k}: counter stream");
+            assert_eq!(mem0.load_u64(land).unwrap(), w, "seed {seed} round {k}");
+            assert_eq!(
+                mem1.load_u64(x).unwrap(),
+                w,
+                "seed {seed} round {k}: the write did not land again behind its CAS"
+            );
+        }
+        let stats = cluster.fabric().fault_stats();
+        cluster.fabric().clear_fault_plan();
+        assert_eq!(mem1.load_u64(counter).unwrap(), rounds, "seed {seed}");
+        assert!(
+            stats.ack_drops > 0 && stats.drops > 0,
+            "seed {seed}: {stats:?}"
+        );
+    }
 }
 
 /// RPC through a deliberately tiny ring: the reply's head-release +

@@ -4,7 +4,7 @@
 //! range split across several chunk segments, an ascending copy
 //! overwrites source bytes a later segment still has to read.
 
-use lite::{LiteCluster, LiteConfig, Perm};
+use lite::{ChainOp, ChainOut, LiteCluster, LiteConfig, LiteError, Perm};
 use rnic::IbConfig;
 use simnet::Ctx;
 
@@ -106,4 +106,95 @@ fn memmove_across_lmrs_is_memcpy() {
     let mut got = vec![0u8; len];
     h.lt_read(&mut ctx, b, 0, &mut got).unwrap();
     assert_eq!(got, data);
+}
+
+/// `lt_chain`: ops on one LMR take effect in order and return what the
+/// single calls would — across a chunk boundary, on a remote and on a
+/// local LMR — for one blocking wait instead of one per op.
+#[test]
+fn chain_matches_the_single_calls_in_one_wait() {
+    for home in [1, 0] {
+        let cluster = small_chunk_cluster();
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let lh = h
+            .lt_malloc(&mut ctx, home, 2 * CHUNK, "chain.arena", Perm::RW)
+            .unwrap();
+        let straddle = CHUNK - 8; // 24 bytes over the chunk boundary
+        let payload = pattern(24);
+
+        let t0 = ctx.now();
+        let outs = h
+            .lt_chain(
+                &mut ctx,
+                lh,
+                &[
+                    ChainOp::Write {
+                        off: straddle,
+                        data: &payload,
+                    },
+                    ChainOp::FetchAdd { off: 64, delta: 5 },
+                    ChainOp::CmpSwap {
+                        off: 64,
+                        expect: 5,
+                        new: 9,
+                    },
+                    ChainOp::Read {
+                        off: straddle,
+                        len: 24,
+                    },
+                    ChainOp::Read { off: 64, len: 8 },
+                ],
+            )
+            .unwrap();
+        let chained = ctx.now() - t0;
+        assert_eq!(
+            outs,
+            [
+                ChainOut::Done,
+                ChainOut::Value(0),
+                ChainOut::Value(5),
+                ChainOut::Bytes(payload.clone()),
+                ChainOut::Bytes(9u64.to_le_bytes().to_vec()),
+            ],
+            "home {home}"
+        );
+
+        // The same five ops as five calls.
+        let t0 = ctx.now();
+        h.lt_write(&mut ctx, lh, straddle, &payload).unwrap();
+        assert_eq!(h.lt_fetch_add(&mut ctx, lh, 64, 5).unwrap(), 9);
+        assert_eq!(h.lt_cmp_swap(&mut ctx, lh, 64, 14, 9).unwrap(), 14);
+        let mut back = [0u8; 24];
+        h.lt_read(&mut ctx, lh, straddle, &mut back).unwrap();
+        let mut word = [0u8; 8];
+        h.lt_read(&mut ctx, lh, 64, &mut word).unwrap();
+        let single = ctx.now() - t0;
+        assert_eq!((&back[..], word), (&payload[..], 9u64.to_le_bytes()));
+        if home != 0 {
+            assert!(
+                chained * 2 < single,
+                "one wait, not five: chained {chained} ns, single calls {single} ns"
+            );
+        }
+
+        // An atomic must sit inside one chunk; the chain fails before
+        // anything is posted.
+        let err = h.lt_chain(
+            &mut ctx,
+            lh,
+            &[
+                ChainOp::FetchAdd { off: 64, delta: 1 },
+                ChainOp::FetchAdd {
+                    off: CHUNK - 4,
+                    delta: 1,
+                },
+            ],
+        );
+        assert!(
+            matches!(err, Err(LiteError::StraddlesChunk { .. })),
+            "{err:?}"
+        );
+        assert_eq!(h.lt_fetch_add(&mut ctx, lh, 64, 0).unwrap(), 9);
+    }
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
-use simnet::{Ctx, Lru, Nanos, Resource};
+use simnet::{Ctx, Grant, Lru, Nanos, Resource};
 use smem::{AddrSpace, Chunk, PhysMem, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::cost::CostModel;
@@ -162,30 +162,99 @@ struct Resolved {
     penalty: Nanos,
 }
 
-/// One write work request inside a doorbell batch
-/// ([`Nic::post_write_many`]).
+/// One work request of a doorbell chain ([`Nic::post_chain`]): any
+/// one-sided verb towards the QP's peer. Chained WQEs are unsignaled —
+/// the chain returns every completion stamp to the poster.
 #[derive(Debug, Clone)]
-pub struct WritePost {
-    /// Caller-chosen id returned in the (signaled) send completion.
-    pub wr_id: u64,
-    /// Local payload description.
-    pub sge: Sge,
-    /// Remote destination.
-    pub remote: RemoteAddr,
-    /// Immediate data (consumes a remote receive credit when present).
-    pub imm: Option<u32>,
-    /// Whether to generate a send-CQ completion.
-    pub signaled: bool,
+pub enum Wr {
+    /// RDMA write of the local `sge` to `remote`.
+    Write {
+        /// Local payload description.
+        sge: Sge,
+        /// Remote destination.
+        remote: RemoteAddr,
+        /// Immediate data (consumes a remote receive credit when present).
+        imm: Option<u32>,
+    },
+    /// RDMA read of `remote` into the local `sge`.
+    Read {
+        /// Local landing buffer.
+        sge: Sge,
+        /// Remote source.
+        remote: RemoteAddr,
+    },
+    /// Atomic fetch-and-add on the remote u64.
+    FetchAdd {
+        /// The remote word.
+        remote: RemoteAddr,
+        /// Addend.
+        delta: u64,
+        /// Exactly-once token; see [`Nic::fetch_add_tagged`].
+        token: Option<(NodeId, u64)>,
+    },
+    /// Atomic compare-and-swap on the remote u64.
+    CmpSwap {
+        /// The remote word.
+        remote: RemoteAddr,
+        /// Expected value.
+        expect: u64,
+        /// Replacement value.
+        new: u64,
+        /// Exactly-once token; see [`Nic::fetch_add_tagged`].
+        token: Option<(NodeId, u64)>,
+    },
 }
 
-/// Timing of a one-sided write, for baselines that detect incoming data
-/// by polling remote memory (HERD, FaRM) rather than a CQ.
-#[derive(Debug, Clone, Copy)]
-pub struct WriteOutcome {
-    /// When the local completion (RC ack) is observable.
+/// Outcome of one work request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WrOutcome {
+    /// When the local completion is observable. Non-decreasing along a
+    /// chain: an RC QP completes its WQEs in order.
     pub completion: Nanos,
-    /// When the data is visible in remote memory.
+    /// When the responder executed the request: a write's data is visible
+    /// in remote memory (what memory-polling receivers such as HERD and
+    /// FaRM wait for), a read's data has left it, an atomic has applied.
     pub remote_visible: Nanos,
+    /// The word's previous contents for atomics; 0 for reads and writes.
+    pub value: u64,
+}
+
+/// A chain that stopped part-way ([`Nic::post_chain`]).
+#[derive(Debug, Clone)]
+pub struct ChainError {
+    /// Outcomes of the leading work requests that executed *and* were
+    /// acknowledged. Empty when the chain failed before any side effect
+    /// (validation, receive credits, the request-leg fault gate).
+    /// Otherwise the work request at index `done.len()` is the one that
+    /// failed and nothing after it ran; when it is an atomic and the
+    /// error is [`VerbsError::Timeout`], its apply landed and only the
+    /// ack was lost — resume from it, reusing its token.
+    pub done: Vec<WrOutcome>,
+    /// Why the chain stopped.
+    pub error: VerbsError,
+}
+
+impl From<VerbsError> for ChainError {
+    fn from(error: VerbsError) -> Self {
+        ChainError {
+            done: Vec::new(),
+            error,
+        }
+    }
+}
+
+/// One chained work request with both ends resolved (the validation
+/// pass of [`Nic::post_chain`]).
+struct PlannedWr {
+    /// Local buffer; none for atomics.
+    local: Option<Resolved>,
+    /// Payload bytes (8 for atomics).
+    len: usize,
+    /// Local engine SRAM penalty.
+    lpen: Nanos,
+    remote: Resolved,
+    /// Remote engine SRAM penalty.
+    rpen: Nanos,
 }
 
 impl Nic {
@@ -758,197 +827,19 @@ impl Nic {
         remote: RemoteAddr,
         imm: Option<u32>,
         signaled: bool,
-    ) -> VerbsResult<WriteOutcome> {
-        if !qp.supports_write() {
-            return Err(VerbsError::BadOpForQpType);
-        }
-        let fabric = self.fabric();
-        let (peer_node, peer_qp) = qp.peer()?;
-        self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
-        let len = sge.len();
-
-        // Local NIC: WQE fetch + lkey/PTE resolution, then DMA-read the
-        // payload and push it onto the wire.
-        let local = self.resolve_local(sge)?;
-        let lpen = local.penalty + self.touch_qpc(qp.id);
-        let g1 = self
-            .engine
-            .acquire(ctx.now(), self.cost.nic_engine_ns + lpen);
-        let data = Self::read_fragments(&self.mem(), &local.chunks)?;
-        let g2 = self.tx.acquire(g1.finish, self.cost.link_time(len as u64));
-
-        // Remote NIC: ingress link, then rkey/PTE resolution and DMA.
-        let rnic = fabric.try_nic(peer_node)?;
-        let arrive = rnic.rx_arrival(g2.start + self.cost.propagation_ns, len);
-        let rres = rnic.resolve_remote(&remote, len, true, false, false)?;
-        let rpen = rres.penalty + rnic.touch_qpc(peer_qp);
-        let g3 = rnic.engine.acquire(arrive, self.cost.nic_engine_ns + rpen);
-        Self::write_fragments(fabric.mem(peer_node), &rres.chunks, &data)?;
-        let done = qp.order_delivery(g3.finish);
-
-        // Immediate data consumes a receive credit and surfaces in the
-        // remote receive CQ.
-        if let Some(imm) = imm {
-            let rqp = rnic.qp(peer_qp)?;
-            let entry = rqp.rq.consume()?;
-            let mut wc = Wc::new(
-                entry.wr_id,
-                WcOpcode::RecvRdmaWithImm,
-                len,
-                done + self.cost.recv_handle_ns,
-            );
-            wc.imm = Some(imm);
-            wc.src = Some((self.node, qp.id));
-            rqp.recv_cq.push(wc);
-        }
-
-        // RC acks; UC completes at the wire.
-        let comp = match qp.typ {
-            QpType::Rc => done + self.cost.propagation_ns + self.cost.ack_ns,
-            _ => g2.finish,
+    ) -> VerbsResult<WrOutcome> {
+        let wr = Wr::Write {
+            sge: sge.clone(),
+            remote,
+            imm,
         };
+        let o = self.post_one(ctx, qp, wr)?;
         if signaled {
-            let mut wc = Wc::new(wr_id, WcOpcode::RdmaWrite, len, comp);
+            let mut wc = Wc::new(wr_id, WcOpcode::RdmaWrite, sge.len(), o.completion);
             wc.imm = imm;
             qp.send_cq.push(wc);
         }
-        self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
-        self.bytes_tx.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(WriteOutcome {
-            completion: comp,
-            remote_visible: done,
-        })
-    }
-
-    /// Posts a chain of RDMA writes on one QP with a single doorbell.
-    ///
-    /// The host pays `post_wr_ns` and the QP-context lookup **once** for
-    /// the whole chain, and the WQE-engine charges are granted in one
-    /// batch ([`Resource::acquire_batch`]) — this is the amortization a
-    /// real NIC gets from doorbell batching. Everything downstream of the
-    /// engine (wire serialization, remote resolution, delivery ordering,
-    /// receive credits) is charged per WQE exactly as in
-    /// [`Nic::post_write_outcome`], so a one-element batch is
-    /// indistinguishable from a single post apart from the warm-QPC
-    /// difference being folded into the first element.
-    ///
-    /// The batch is atomic with respect to validation: every SGE, remote
-    /// address, and receive credit is checked/claimed before any memory
-    /// is written or any completion pushed. On failure the claimed
-    /// credits are re-posted and the error returned with no side effects.
-    pub fn post_write_many(
-        &self,
-        ctx: &mut Ctx,
-        qp: &Qp,
-        posts: &[WritePost],
-    ) -> VerbsResult<Vec<WriteOutcome>> {
-        if posts.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !qp.supports_write() {
-            return Err(VerbsError::BadOpForQpType);
-        }
-        let fabric = self.fabric();
-        let (peer_node, peer_qp) = qp.peer()?;
-        self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        let rnic = fabric.try_nic(peer_node)?;
-
-        // Validation pass: resolve both sides of every WQE and claim all
-        // receive credits before touching memory, so a mid-batch failure
-        // cannot leave half the chain delivered.
-        let mut locals = Vec::with_capacity(posts.len());
-        let mut remotes = Vec::with_capacity(posts.len());
-        let qpc_pen = self.touch_qpc(qp.id);
-        let rqpc_pen = rnic.touch_qpc(peer_qp);
-        let mut validate = || -> VerbsResult<()> {
-            for (i, p) in posts.iter().enumerate() {
-                let len = p.sge.len();
-                let local = self.resolve_local(&p.sge)?;
-                let rres = rnic.resolve_remote(&p.remote, len, true, false, false)?;
-                // The doorbell chain touches the QP context once; only
-                // the first WQE can miss.
-                let lpen = local.penalty + if i == 0 { qpc_pen } else { 0 };
-                let rpen = rres.penalty + if i == 0 { rqpc_pen } else { 0 };
-                locals.push((local, lpen));
-                remotes.push((rres, rpen));
-            }
-            Ok(())
-        };
-        validate()?;
-        let rqp = rnic.qp(peer_qp)?;
-        let mut credits = Vec::new();
-        for p in posts {
-            if p.imm.is_some() {
-                match rqp.rq.consume() {
-                    Ok(entry) => credits.push(entry),
-                    Err(e) => {
-                        // Roll back: pure credits are interchangeable, so
-                        // re-posting in any order restores the queue.
-                        for entry in credits {
-                            rqp.rq.post(entry);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        // One doorbell: a single host post charge, then the engine grants
-        // the whole WQE chain back-to-back.
-        ctx.work(self.cost.post_wr_ns);
-        let services: Vec<Nanos> = locals
-            .iter()
-            .map(|(_, lpen)| self.cost.nic_engine_ns + lpen)
-            .collect();
-        let engine_grants = self.engine.acquire_batch(ctx.now(), &services);
-
-        let mut outcomes = Vec::with_capacity(posts.len());
-        let mut credits = credits.into_iter();
-        let mut total_len = 0u64;
-        for (i, p) in posts.iter().enumerate() {
-            let len = p.sge.len();
-            let (local, _) = &locals[i];
-            let (rres, rpen) = &remotes[i];
-            let data = Self::read_fragments(&self.mem(), &local.chunks)?;
-            let g2 = self
-                .tx
-                .acquire(engine_grants[i].finish, self.cost.link_time(len as u64));
-            let arrive = rnic.rx_arrival(g2.start + self.cost.propagation_ns, len);
-            let g3 = rnic.engine.acquire(arrive, self.cost.nic_engine_ns + rpen);
-            Self::write_fragments(fabric.mem(peer_node), &rres.chunks, &data)?;
-            let done = qp.order_delivery(g3.finish);
-            if let Some(imm) = p.imm {
-                let entry = credits.next().expect("credit claimed per imm");
-                let mut wc = Wc::new(
-                    entry.wr_id,
-                    WcOpcode::RecvRdmaWithImm,
-                    len,
-                    done + self.cost.recv_handle_ns,
-                );
-                wc.imm = Some(imm);
-                wc.src = Some((self.node, qp.id));
-                rqp.recv_cq.push(wc);
-            }
-            let comp = match qp.typ {
-                QpType::Rc => done + self.cost.propagation_ns + self.cost.ack_ns,
-                _ => g2.finish,
-            };
-            if p.signaled {
-                let mut wc = Wc::new(p.wr_id, WcOpcode::RdmaWrite, len, comp);
-                wc.imm = p.imm;
-                qp.send_cq.push(wc);
-            }
-            total_len += len as u64;
-            outcomes.push(WriteOutcome {
-                completion: comp,
-                remote_visible: done,
-            });
-        }
-        self.one_sided_ops
-            .fetch_add(posts.len() as u64, Ordering::Relaxed);
-        self.bytes_tx.fetch_add(total_len, Ordering::Relaxed);
-        Ok(outcomes)
+        Ok(o)
     }
 
     /// Posts a one-sided RDMA read. Data lands in the local SGE buffer.
@@ -961,42 +852,15 @@ impl Nic {
         remote: RemoteAddr,
         signaled: bool,
     ) -> VerbsResult<Nanos> {
-        if !qp.supports_read_atomic() {
-            return Err(VerbsError::BadOpForQpType);
-        }
-        let fabric = self.fabric();
-        let (peer_node, peer_qp) = qp.peer()?;
-        self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
-        let len = sge.len();
-
-        // Request leg: local engine, then the (tiny) request on the wire.
-        let local = self.resolve_local(sge)?;
-        let lpen = local.penalty + self.touch_qpc(qp.id);
-        let g1 = self
-            .engine
-            .acquire(ctx.now(), self.cost.nic_engine_ns + lpen);
-        let arrive_req = g1.finish + self.cost.propagation_ns;
-
-        // Remote NIC resolves and streams the data back.
-        let rnic = fabric.try_nic(peer_node)?;
-        let rres = rnic.resolve_remote(&remote, len, false, true, false)?;
-        let rpen = rres.penalty + rnic.touch_qpc(peer_qp);
-        let g3 = rnic
-            .engine
-            .acquire(arrive_req, self.cost.nic_engine_ns + rpen);
-        let data = Self::read_fragments(fabric.mem(peer_node), &rres.chunks)?;
-        let g4 = rnic.tx.acquire(g3.finish, self.cost.link_time(len as u64));
-        let back = self.rx_arrival(g4.start + self.cost.propagation_ns, len);
-
-        // Local DMA into the destination buffer.
-        Self::write_fragments(&self.mem(), &local.chunks, &data)?;
-        let comp = back + self.cost.ack_ns;
+        let wr = Wr::Read {
+            sge: sge.clone(),
+            remote,
+        };
+        let comp = self.post_one(ctx, qp, wr)?.completion;
         if signaled {
             qp.send_cq
-                .push(Wc::new(wr_id, WcOpcode::RdmaRead, len, comp));
+                .push(Wc::new(wr_id, WcOpcode::RdmaRead, sge.len(), comp));
         }
-        self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
         Ok(comp)
     }
 
@@ -1009,7 +873,13 @@ impl Nic {
         remote: RemoteAddr,
         delta: u64,
     ) -> VerbsResult<u64> {
-        self.atomic_op(ctx, qp, remote, AtomicKind::FetchAdd(delta), None)
+        let token = None;
+        let wr = Wr::FetchAdd {
+            remote,
+            delta,
+            token,
+        };
+        self.atomic_op(ctx, qp, wr)
     }
 
     /// One-sided atomic compare-and-swap; returns the old value.
@@ -1021,7 +891,14 @@ impl Nic {
         expect: u64,
         new: u64,
     ) -> VerbsResult<u64> {
-        self.atomic_op(ctx, qp, remote, AtomicKind::CmpSwap(expect, new), None)
+        let token = None;
+        let wr = Wr::CmpSwap {
+            remote,
+            expect,
+            new,
+            token,
+        };
+        self.atomic_op(ctx, qp, wr)
     }
 
     /// [`Self::fetch_add`] tagged with an exactly-once token
@@ -1038,7 +915,13 @@ impl Nic {
         delta: u64,
         token: (NodeId, u64),
     ) -> VerbsResult<u64> {
-        self.atomic_op(ctx, qp, remote, AtomicKind::FetchAdd(delta), Some(token))
+        let token = Some(token);
+        let wr = Wr::FetchAdd {
+            remote,
+            delta,
+            token,
+        };
+        self.atomic_op(ctx, qp, wr)
     }
 
     /// [`Self::cmp_swap`] tagged with an exactly-once token; see
@@ -1052,13 +935,31 @@ impl Nic {
         new: u64,
         token: (NodeId, u64),
     ) -> VerbsResult<u64> {
-        self.atomic_op(
-            ctx,
-            qp,
+        let token = Some(token);
+        let wr = Wr::CmpSwap {
             remote,
-            AtomicKind::CmpSwap(expect, new),
-            Some(token),
-        )
+            expect,
+            new,
+            token,
+        };
+        self.atomic_op(ctx, qp, wr)
+    }
+
+    /// The blocking atomic verbs: a one-element chain, then wait for the
+    /// completion and reap it.
+    fn atomic_op(&self, ctx: &mut Ctx, qp: &Qp, wr: Wr) -> VerbsResult<u64> {
+        let o = self.post_one(ctx, qp, wr)?;
+        ctx.wait_until(o.completion);
+        ctx.work(self.cost.cq_poll_ns);
+        Ok(o.value)
+    }
+
+    /// The single verbs are one-element chains.
+    fn post_one(&self, ctx: &mut Ctx, qp: &Qp, wr: Wr) -> VerbsResult<WrOutcome> {
+        match self.post_chain(ctx, qp, std::slice::from_ref(&wr)) {
+            Ok(done) => Ok(done[0]),
+            Err(e) => Err(e.error),
+        }
     }
 
     fn atomic_memo_get(&self, src: NodeId, seq: u64) -> Option<u64> {
@@ -1074,72 +975,280 @@ impl Nic {
         }
     }
 
-    fn atomic_op(
+    /// Posts an ordered chain of one-sided work requests — any mix of
+    /// write, read, fetch-add and cmp-swap — on one QP with a single
+    /// doorbell.
+    ///
+    /// The host pays `post_wr_ns` and the QP-context lookup **once** for
+    /// the whole chain, and the WQE-engine charges are granted in one
+    /// batch ([`Resource::acquire_batch`]) — this is the amortization a
+    /// real NIC gets from doorbell batching. Everything downstream of the
+    /// local engine (wire serialization, remote resolution and engine,
+    /// delivery ordering, receive credits, the atomic's stamped apply) is
+    /// charged per WQE, so a one-element chain *is* the single verb.
+    ///
+    /// The responder executes the chain in order: a read or atomic never
+    /// starts before the work request ahead of it has executed, and
+    /// completion stamps are non-decreasing. Nothing blocks: the caller's
+    /// clock advances by the post cost only.
+    ///
+    /// The chain is atomic with respect to validation: every SGE, remote
+    /// address, and receive credit is checked/claimed, and the request-leg
+    /// fault gate run once, before any memory is touched. The only
+    /// failure past that point is an atomic's lost ack
+    /// ([`IbFabric::fault_check_ack`]): the chain stops there and reports
+    /// the acknowledged prefix in [`ChainError::done`].
+    pub fn post_chain(
         &self,
         ctx: &mut Ctx,
         qp: &Qp,
-        remote: RemoteAddr,
-        kind: AtomicKind,
-        token: Option<(NodeId, u64)>,
-    ) -> VerbsResult<u64> {
-        if !qp.supports_read_atomic() {
-            return Err(VerbsError::BadOpForQpType);
+        wrs: &[Wr],
+    ) -> Result<Vec<WrOutcome>, ChainError> {
+        if wrs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let supported = wrs.iter().all(|wr| match wr {
+            Wr::Write { .. } => qp.supports_write(),
+            _ => qp.supports_read_atomic(),
+        });
+        if !supported {
+            return Err(VerbsError::BadOpForQpType.into());
         }
         let fabric = self.fabric();
         let (peer_node, peer_qp) = qp.peer()?;
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
-        let lpen = self.touch_qpc(qp.id);
-        let g1 = self
-            .engine
-            .acquire(ctx.now(), self.cost.nic_engine_ns + lpen);
-        let arrive = g1.finish + self.cost.propagation_ns;
         let rnic = fabric.try_nic(peer_node)?;
-        let rres = rnic.resolve_remote(&remote, 8, false, false, true)?;
-        let rpen = rres.penalty + rnic.touch_qpc(peer_qp);
-        let g3 = rnic.engine.acquire(
-            arrive,
-            self.cost.nic_engine_ns + self.cost.atomic_extra_ns + rpen,
-        );
-        let target = rres.chunks[0].addr;
-        let mem = fabric.mem(peer_node);
-        // Apply through the stamped variants: the completion stamp is
-        // taken inside the target page's critical section, so stamps of
-        // conflicting atomics are monotone in the order the memory
-        // system actually applied them — even when host-thread
-        // scheduling reorders the appliers relative to virtual time.
-        let comp = g3.finish + self.cost.propagation_ns + self.cost.ack_ns;
-        // Exactly-once filter for tagged ops: a retry whose first attempt
-        // already applied (its ack leg was lost) short-circuits to the
-        // memoized old value — the word is never touched twice.
-        if let Some((src, seq)) = token {
-            if let Some(old) = rnic.atomic_memo_get(src, seq) {
-                ctx.wait_until(comp);
-                ctx.work(self.cost.cq_poll_ns);
-                self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
-                return Ok(old);
+
+        // Validation pass: resolve both sides of every WQE and claim all
+        // receive credits before touching memory, so a bad element cannot
+        // leave half the chain delivered.
+        let mut plans = Vec::with_capacity(wrs.len());
+        for wr in wrs {
+            plans.push(self.plan_wr(rnic, wr)?);
+        }
+        // The doorbell chain touches the QP context once; only the first
+        // WQE can miss.
+        plans[0].lpen += self.touch_qpc(qp.id);
+        plans[0].rpen += rnic.touch_qpc(peer_qp);
+        let imms = wrs
+            .iter()
+            .filter(|wr| matches!(wr, Wr::Write { imm: Some(_), .. }))
+            .count();
+        let rqp = if imms > 0 {
+            Some(rnic.qp(peer_qp)?)
+        } else {
+            None
+        };
+        let mut credits = Vec::with_capacity(imms);
+        if let Some(rqp) = &rqp {
+            for _ in 0..imms {
+                match rqp.rq.consume() {
+                    Ok(entry) => credits.push(entry),
+                    Err(e) => {
+                        // Roll back: pure credits are interchangeable, so
+                        // re-posting in any order restores the queue.
+                        for entry in credits {
+                            rqp.rq.post(entry);
+                        }
+                        return Err(e.into());
+                    }
+                }
             }
         }
-        let (old, stamp) = match kind {
-            AtomicKind::FetchAdd(d) => mem.fetch_add_u64_stamped(target, d, comp)?,
-            AtomicKind::CmpSwap(e, n) => mem.cas_u64_stamped(target, e, n, comp)?,
+
+        // One doorbell: a single host post charge, then the engine grants
+        // the whole WQE chain back-to-back.
+        ctx.work(self.cost.post_wr_ns);
+        let service = |p: &PlannedWr| self.cost.nic_engine_ns + p.lpen;
+        let (single, batch);
+        let grants: &[Grant] = if let [p] = plans.as_slice() {
+            // A batch of one is exactly `acquire`, minus two allocations
+            // on what is every single verb's path.
+            single = [self.engine.acquire(ctx.now(), service(p))];
+            &single
+        } else {
+            let services: Vec<Nanos> = plans.iter().map(service).collect();
+            batch = self.engine.acquire_batch(ctx.now(), &services);
+            &batch
         };
-        // The memo is recorded before the ack-leg gate below: if the ack
-        // is dropped, the retry must find the apply it is retrying.
-        if let Some((src, seq)) = token {
-            rnic.atomic_memo_put(src, seq, old);
+
+        let prop = self.cost.propagation_ns;
+        let mem = self.mem();
+        let rmem = fabric.mem(peer_node);
+        let mut credits = credits.into_iter();
+        let mut done: Vec<WrOutcome> = Vec::with_capacity(wrs.len());
+        let mut bytes_tx = 0u64;
+        let mut failure = None;
+        for ((wr, plan), g1) in wrs.iter().zip(&plans).zip(grants) {
+            // In-order execution at the responder: requests that carry no
+            // payload would otherwise overtake a large write ahead of them.
+            let (fence, floor) = done
+                .last()
+                .map_or((0, 0), |o| (o.remote_visible, o.completion));
+            let len = plan.len;
+            let rsvc = self.cost.nic_engine_ns + plan.rpen;
+            let mut step = || -> VerbsResult<WrOutcome> {
+                match *wr {
+                    Wr::Write { imm, .. } => {
+                        // Local NIC DMA-reads the payload and pushes it
+                        // onto the wire; the remote NIC takes it off the
+                        // ingress link, resolves the rkey and DMA-writes.
+                        let local = plan.local.as_ref().expect("writes carry an sge");
+                        let data = Self::read_fragments(&mem, &local.chunks)?;
+                        let g2 = self.tx.acquire(g1.finish, self.cost.link_time(len as u64));
+                        let arrive = rnic.rx_arrival(g2.start + prop, len);
+                        let g3 = rnic.engine.acquire(arrive, rsvc);
+                        Self::write_fragments(rmem, &plan.remote.chunks, &data)?;
+                        let delivered = qp.order_delivery(g3.finish);
+                        // Immediate data consumes a receive credit and
+                        // surfaces in the remote receive CQ.
+                        if let (Some(imm), Some(rqp)) = (imm, &rqp) {
+                            let entry = credits.next().expect("credit claimed per imm");
+                            let mut wc = Wc::new(
+                                entry.wr_id,
+                                WcOpcode::RecvRdmaWithImm,
+                                len,
+                                delivered + self.cost.recv_handle_ns,
+                            );
+                            wc.imm = Some(imm);
+                            wc.src = Some((self.node, qp.id));
+                            rqp.recv_cq.push(wc);
+                        }
+                        bytes_tx += len as u64;
+                        // RC acks; UC completes at the wire.
+                        let completion = match qp.typ {
+                            QpType::Rc => delivered + prop + self.cost.ack_ns,
+                            _ => g2.finish,
+                        };
+                        Ok(WrOutcome {
+                            completion,
+                            remote_visible: delivered,
+                            value: 0,
+                        })
+                    }
+                    Wr::Read { .. } => {
+                        // The (tiny) request crosses the wire; the remote
+                        // NIC resolves and streams the data back, and the
+                        // local NIC DMAs it into the landing buffer.
+                        let local = plan.local.as_ref().expect("reads carry an sge");
+                        let g3 = rnic.engine.acquire((g1.finish + prop).max(fence), rsvc);
+                        let data = Self::read_fragments(rmem, &plan.remote.chunks)?;
+                        let g4 = rnic.tx.acquire(g3.finish, self.cost.link_time(len as u64));
+                        let back = self.rx_arrival(g4.start + prop, len);
+                        Self::write_fragments(&mem, &local.chunks, &data)?;
+                        Ok(WrOutcome {
+                            completion: back + self.cost.ack_ns,
+                            remote_visible: g3.finish,
+                            value: 0,
+                        })
+                    }
+                    Wr::FetchAdd { token, .. } | Wr::CmpSwap { token, .. } => {
+                        let g3 = rnic.engine.acquire(
+                            (g1.finish + prop).max(fence),
+                            rsvc + self.cost.atomic_extra_ns,
+                        );
+                        let comp = g3.finish + prop + self.cost.ack_ns;
+                        // Exactly-once filter for tagged ops: a retry
+                        // whose first attempt already applied (its ack
+                        // leg was lost) short-circuits to the memoized
+                        // old value — the word is never touched twice.
+                        if let Some(old) =
+                            token.and_then(|(src, seq)| rnic.atomic_memo_get(src, seq))
+                        {
+                            return Ok(WrOutcome {
+                                completion: comp,
+                                remote_visible: g3.finish,
+                                value: old,
+                            });
+                        }
+                        // Apply through the stamped variants: the
+                        // completion stamp is taken inside the target
+                        // page's critical section, so stamps of
+                        // conflicting atomics are monotone in the order
+                        // the memory system actually applied them — even
+                        // when host-thread scheduling reorders the
+                        // appliers relative to virtual time.
+                        let target = plan.remote.chunks[0].addr;
+                        let (old, stamp) = match *wr {
+                            Wr::FetchAdd { delta, .. } => {
+                                rmem.fetch_add_u64_stamped(target, delta, comp)?
+                            }
+                            Wr::CmpSwap { expect, new, .. } => {
+                                rmem.cas_u64_stamped(target, expect, new, comp)?
+                            }
+                            _ => unreachable!("matched an atomic"),
+                        };
+                        // The memo is recorded before the ack-leg gate
+                        // below: if the ack is dropped, the retry must
+                        // find the apply it is retrying.
+                        if let Some((src, seq)) = token {
+                            rnic.atomic_memo_put(src, seq, old);
+                        }
+                        // Response-leg injection point — the apply above
+                        // is durable, so a Drop here is the lost-ACK
+                        // window that makes blind retry of a
+                        // non-idempotent verb double-apply (the
+                        // request-leg gate cannot model it: it fires
+                        // before side effects).
+                        if fabric.fault_check_ack(self.node, peer_node) == FaultAction::Drop {
+                            return Err(VerbsError::Timeout);
+                        }
+                        Ok(WrOutcome {
+                            completion: stamp,
+                            remote_visible: g3.finish,
+                            value: old,
+                        })
+                    }
+                }
+            };
+            match step() {
+                Ok(mut o) => {
+                    o.completion = o.completion.max(floor);
+                    done.push(o);
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
         }
-        // Response-leg injection point — the apply above is durable, so a
-        // Drop here is the lost-ACK window that makes blind retry of a
-        // non-idempotent verb double-apply (the request-leg gate cannot
-        // model it: it fires before side effects).
-        if fabric.fault_check_ack(self.node, peer_node) == FaultAction::Drop {
-            return Err(VerbsError::Timeout);
+        self.one_sided_ops
+            .fetch_add(done.len() as u64, Ordering::Relaxed);
+        self.bytes_tx.fetch_add(bytes_tx, Ordering::Relaxed);
+        match failure {
+            None => Ok(done),
+            Some(error) => {
+                // Credits of the writes that never ran go back.
+                if let Some(rqp) = &rqp {
+                    for entry in credits {
+                        rqp.rq.post(entry);
+                    }
+                }
+                Err(ChainError { done, error })
+            }
         }
-        ctx.wait_until(stamp);
-        ctx.work(self.cost.cq_poll_ns);
-        self.one_sided_ops.fetch_add(1, Ordering::Relaxed);
-        Ok(old)
+    }
+
+    /// Resolves both ends of one work request, charging each NIC's SRAM
+    /// penalties exactly as the hardware would.
+    fn plan_wr(&self, rnic: &Nic, wr: &Wr) -> VerbsResult<PlannedWr> {
+        let (sge, remote, write, read) = match wr {
+            Wr::Write { sge, remote, .. } => (Some(sge), remote, true, false),
+            Wr::Read { sge, remote } => (Some(sge), remote, false, true),
+            Wr::FetchAdd { remote, .. } | Wr::CmpSwap { remote, .. } => {
+                (None, remote, false, false)
+            }
+        };
+        let len = sge.map_or(8, Sge::len);
+        let local = sge.map(|sge| self.resolve_local(sge)).transpose()?;
+        let remote = rnic.resolve_remote(remote, len, write, read, sge.is_none())?;
+        Ok(PlannedWr {
+            lpen: local.as_ref().map_or(0, |l| l.penalty),
+            rpen: remote.penalty,
+            local,
+            len,
+            remote,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1258,11 +1367,6 @@ impl Nic {
         self.bytes_tx.fetch_add(len as u64, Ordering::Relaxed);
         Ok(comp)
     }
-}
-
-enum AtomicKind {
-    FetchAdd(u64),
-    CmpSwap(u64, u64),
 }
 
 /// Restricts an SGE to its first `len` bytes.
