@@ -322,7 +322,9 @@ impl Store {
 pub struct KvService {
     spec: KvSpec,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    stop_replicator: Arc<AtomicBool>,
+    servers: Vec<JoinHandle<()>>,
+    replicator: JoinHandle<()>,
     replicas: Vec<Arc<ReplicaState>>,
     lag: Arc<AtomicU64>,
 }
@@ -332,6 +334,7 @@ impl KvService {
     /// returns once every replica is serving.
     pub fn spawn(cluster: &Arc<LiteCluster>, spec: KvSpec) -> KvService {
         let stop = Arc::new(AtomicBool::new(false));
+        let stop_replicator = Arc::new(AtomicBool::new(false));
         let lag = Arc::new(AtomicU64::new(0));
         let replicas: Vec<Arc<ReplicaState>> = spec
             .replicas()
@@ -349,10 +352,10 @@ impl KvService {
         // everyone (plus the spawner) meets at `ready` before traffic.
         let log_ready = Arc::new(Barrier::new(1 + spec.followers.len()));
         let ready = Arc::new(Barrier::new(2 + spec.followers.len()));
-        let mut threads = Vec::new();
+        let mut servers = Vec::new();
 
         // Leader.
-        threads.push({
+        servers.push({
             let cluster = Arc::clone(cluster);
             let spec = spec.clone();
             let stop = Arc::clone(&stop);
@@ -384,7 +387,7 @@ impl KvService {
             let state = Arc::clone(&replicas[1 + i]);
             let log_ready = Arc::clone(&log_ready);
             let ready = Arc::clone(&ready);
-            threads.push(std::thread::spawn(move || {
+            servers.push(std::thread::spawn(move || {
                 log_ready.wait();
                 let mut h = cluster.attach(node).expect("follower attach");
                 let mut ctx = Ctx::new();
@@ -403,21 +406,23 @@ impl KvService {
         ready.wait();
 
         // Replicator (runs on the leader node with its own handle).
-        threads.push({
+        let replicator = {
             let cluster = Arc::clone(cluster);
             let spec = spec.clone();
-            let stop = Arc::clone(&stop);
+            let stop = Arc::clone(&stop_replicator);
             let leader_state = Arc::clone(&replicas[0]);
             let lag = Arc::clone(&lag);
             std::thread::spawn(move || {
                 run_replicator(&cluster, &spec, &stop, &leader_state, &lag);
             })
-        });
+        };
 
         KvService {
             spec,
             stop,
-            threads,
+            stop_replicator,
+            servers,
+            replicator,
             replicas,
             lag,
         }
@@ -462,17 +467,28 @@ impl KvService {
         }
     }
 
-    /// Stops all service threads and waits for them.
+    /// Stops all service threads and waits for them. The replicator goes
+    /// first, while the followers still answer: caught mid-multicast after
+    /// they had left, it would wait out an `op_timeout` per follower.
     pub fn stop(self) {
+        self.stop_replicator.store(true, Ordering::Release);
+        let _ = self.replicator.join();
         self.stop.store(true, Ordering::Release);
-        for t in self.threads {
+        for t in self.servers {
             let _ = t.join();
         }
     }
 }
 
-/// Poll backoff when a service thread finds its queues empty.
-const IDLE_SLEEP: Duration = Duration::from_micros(50);
+/// Poll backoff when a service thread finds its queues empty. A timer on
+/// purpose: blocking on the poller's arrivals instead serves a closed loop
+/// four times faster, but at a rate set by the host's thread hand-offs,
+/// which on a shared VM moves by a quarter from one run to the next; the
+/// timer makes a run repeat (ROADMAP item 3 removes the hand-offs).
+fn idle_pause() {
+    // sleep-ok: the one pace of the three service loops, see above
+    std::thread::sleep(Duration::from_micros(50));
+}
 
 #[allow(clippy::too_many_arguments)]
 fn serve_leader(
@@ -517,7 +533,7 @@ fn serve_leader(
         }
         busy |= serve_gets(spec, state, &kernel, h, ctx, store);
         if !busy {
-            std::thread::sleep(IDLE_SLEEP);
+            idle_pause();
         }
     }
 }
@@ -616,7 +632,7 @@ fn serve_follower(
                 }
             }
         }
-        std::thread::sleep(IDLE_SLEEP);
+        idle_pause();
     }
 }
 
@@ -748,7 +764,7 @@ fn run_replicator(
             let trailing = n > 0 && acked.iter().any(|&a| a < committed);
             if !trailing || !idle_rounds.is_multiple_of(20) {
                 publish_lag(lag, &kernel, committed, &acked, n);
-                std::thread::sleep(IDLE_SLEEP);
+                idle_pause();
                 continue;
             }
         } else {

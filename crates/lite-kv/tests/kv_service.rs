@@ -1,7 +1,7 @@
 //! End-to-end tests of the replicated KV service: write/read round
 //! trips on every replica, session consistency with a stalled
 //! follower, event-log scans, capacity overflow over `lite::mm`
-//! tiering, and the kernel gauges the service feeds.
+//! tiering, the kernel gauges the service feeds, and prompt shutdown.
 
 use std::time::{Duration, Instant};
 
@@ -201,4 +201,28 @@ fn capacity_overflow_rides_mm_tiering() {
         256 * 1024
     );
     svc.stop();
+}
+
+/// Stopping a freshly loaded service — the replicator still streaming the
+/// load to the followers — returns promptly: `stop()` retires the
+/// replicator while the followers still answer it, then the serving
+/// threads. (Followers leaving first used to cost the replicator two 5 s
+/// `op_timeout`s.)
+#[test]
+fn stop_right_after_a_load_returns_promptly() {
+    for round in 0..20 {
+        let cluster = LiteCluster::start(4).unwrap();
+        let spec = KvSpec::new("kv", 1, &[2, 3]);
+        let svc = KvService::spawn(&cluster, spec.clone());
+        let mut ctx = Ctx::new();
+        let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+        for i in 0..1_000u32 {
+            c.put(&mut ctx, &i.to_le_bytes(), &[round as u8; 64])
+                .unwrap();
+        }
+        let asked = Instant::now();
+        svc.stop();
+        let took = asked.elapsed();
+        assert!(took < Duration::from_secs(1), "round {round}: {took:?}");
+    }
 }

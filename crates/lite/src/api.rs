@@ -72,7 +72,7 @@ pub struct RpcCall {
     /// Deferred ring-release head update, flushed together with the
     /// reply in one doorbell batch (only set with `batch_posting`, for
     /// remote two-way calls).
-    pub(crate) pending_head: Mutex<Option<Op>>,
+    pub(crate) pending_head: Mutex<Option<Op<'static>>>,
 }
 
 /// One op of an [`LiteHandle::lt_chain`]: a one-sided access at byte
@@ -226,11 +226,12 @@ impl LiteHandle {
 
     /// Appends one op to the linearizability history, when recording is
     /// armed (see [`crate::LiteCluster::record_history`]). One `OnceLock`
-    /// load when unarmed.
+    /// load when unarmed: `kind` — payload fingerprints included — is
+    /// computed only for an armed log.
     fn record_hist(
         &self,
         key: crate::verify::Key,
-        kind: crate::verify::OpKind,
+        kind: impl FnOnce() -> crate::verify::OpKind,
         ret: u64,
         ok: bool,
         invoke: Nanos,
@@ -242,7 +243,7 @@ impl LiteHandle {
         log.record(crate::verify::HistOp {
             proc: crate::verify::proc_id(self.kernel.node(), self.pid),
             key,
-            kind,
+            kind: kind(),
             ret,
             ok,
             invoke,
@@ -258,7 +259,7 @@ impl LiteHandle {
         entry: &LhEntry,
         offset: u64,
         len: usize,
-        kind: crate::verify::OpKind,
+        kind: impl FnOnce() -> crate::verify::OpKind,
         ok: bool,
         invoke: Nanos,
         response: Nanos,
@@ -289,6 +290,20 @@ impl LiteHandle {
         if self.user_level && !self.kernel.config.fast_syscalls {
             ctx.work(2 * self.kernel.config.syscall_crossing_ns);
         }
+    }
+
+    /// Runs `body` as one simulated system call: the crossing in, and the
+    /// return on every path — a call that fails still came back from the
+    /// kernel.
+    fn syscall<T>(
+        &mut self,
+        ctx: &mut Ctx,
+        body: impl FnOnce(&mut Self, &mut Ctx) -> LiteResult<T>,
+    ) -> LiteResult<T> {
+        self.enter(ctx);
+        let result = body(self, ctx);
+        self.exit(ctx);
+        result
     }
 
     // ------------------------------------------------------------------
@@ -534,29 +549,20 @@ impl LiteHandle {
     /// LT_map: acquires an lh for a named LMR (manager lookup + master
     /// map, §4.1).
     pub fn lt_map(&mut self, ctx: &mut Ctx, name: &str) -> LiteResult<Lh> {
-        self.enter(ctx);
-        let resp = self
-            .kcall(
-                ctx,
-                MANAGER_NODE,
-                FN_QUERYNAME,
-                Enc::new().bytes(name.as_bytes()).done(),
-            )
-            .map_err(|e| named_err(e, name))?;
-        let mut d = Dec::new(&resp);
-        let master = d.u32()? as NodeId;
-        let lh = self.map_at(ctx, name, master)?;
-        self.exit(ctx);
-        Ok(lh)
+        self.syscall(ctx, |this, ctx| {
+            let query = Enc::new().bytes(name.as_bytes()).done();
+            let resp = this
+                .kcall(ctx, MANAGER_NODE, FN_QUERYNAME, query)
+                .map_err(|e| named_err(e, name))?;
+            let master = Dec::new(&resp).u32()? as NodeId;
+            this.map_at(ctx, name, master)
+        })
     }
 
     /// LT_map with a known master node (the paper's
     /// `LT_map(name, master)` form) — skips the manager lookup.
     pub fn lt_map_at(&mut self, ctx: &mut Ctx, name: &str, master: NodeId) -> LiteResult<Lh> {
-        self.enter(ctx);
-        let lh = self.map_at(ctx, name, master)?;
-        self.exit(ctx);
-        Ok(lh)
+        self.syscall(ctx, |this, ctx| this.map_at(ctx, name, master))
     }
 
     fn map_at(&mut self, ctx: &mut Ctx, name: &str, master: NodeId) -> LiteResult<Lh> {
@@ -704,12 +710,10 @@ impl LiteHandle {
         ranges: &[(u64, usize, Perm)],
         body: impl FnOnce(&mut Self, &mut Ctx, &LhEntry, &[Vec<(NodeId, Chunk)>]) -> LiteResult<T>,
     ) -> LiteResult<T> {
-        self.enter(ctx);
-        let result = self
-            .fresh_pieces(ctx, lh, ranges)
-            .and_then(|(entry, pieces, _pins)| body(self, ctx, &entry, &pieces));
-        self.exit(ctx);
-        result
+        self.syscall(ctx, |this, ctx| {
+            let (entry, pieces, _pins) = this.fresh_pieces(ctx, lh, ranges)?;
+            body(this, ctx, &entry, &pieces)
+        })
     }
 
     /// The heal loop of [`Self::with_fresh_pieces`]: the lh's entry, the
@@ -745,19 +749,19 @@ impl LiteHandle {
 
     /// LT_unmap: drops the lh and tells the master.
     pub fn lt_unmap(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.remove_lh(self.pid, lh)?;
-        let _ = self.kcall(
-            ctx,
-            entry.id.node as NodeId,
-            FN_UNMAP,
-            Enc::new()
-                .u32(entry.id.idx)
-                .u32(self.kernel.node() as u32)
-                .done(),
-        );
-        self.exit(ctx);
-        Ok(())
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.kernel.remove_lh(this.pid, lh)?;
+            let _ = this.kcall(
+                ctx,
+                entry.id.node as NodeId,
+                FN_UNMAP,
+                Enc::new()
+                    .u32(entry.id.idx)
+                    .u32(this.kernel.node() as u32)
+                    .done(),
+            );
+            Ok(())
+        })
     }
 
     /// LT_free: frees the LMR everywhere and invalidates every mapper.
@@ -992,8 +996,9 @@ impl LiteHandle {
             // partially applied and are recorded as failed writes.
             let start = ctx.now();
             let result = this.write_pieces(ctx, &pieces[0], data);
-            let fp = crate::verify::fingerprint(data);
-            let kind = crate::verify::OpKind::Write { fp };
+            let kind = || crate::verify::OpKind::Write {
+                fp: crate::verify::fingerprint(data),
+            };
             this.record_reg(
                 entry,
                 offset,
@@ -1014,22 +1019,9 @@ impl LiteHandle {
         data: &[u8],
     ) -> LiteResult<()> {
         let staged = self.stage(data)?;
-        let mut off = 0u64;
-        let mut vec_pieces = Vec::with_capacity(pieces.len());
-        for (node, c) in pieces {
-            vec_pieces.push((
-                *node,
-                c.addr,
-                Chunk {
-                    addr: staged + off,
-                    len: c.len,
-                },
-            ));
-            off += c.len;
-        }
         // Multi-extent writes towards one node chain into a single
         // doorbell batch; single-extent writes post as before.
-        let last = self.kernel.rdma_write_vec(ctx, self.prio, &vec_pieces)?;
+        let last = self.kernel.rdma_write_vec(ctx, self.prio, staged, pieces)?;
         self.finish_blocking(ctx, last);
         Ok(())
     }
@@ -1048,10 +1040,14 @@ impl LiteHandle {
             let result = this.read_pieces(ctx, &pieces[0], buf);
             // Failed reads are excluded by the checker; fp is meaningful
             // only on the ok path.
-            let fp = result
-                .as_ref()
-                .map_or(0, |()| crate::verify::fingerprint(buf));
-            let kind = crate::verify::OpKind::Read { fp };
+            let ok = result.is_ok();
+            let kind = || crate::verify::OpKind::Read {
+                fp: if ok {
+                    crate::verify::fingerprint(buf)
+                } else {
+                    0
+                },
+            };
             this.record_reg(
                 entry,
                 offset,
@@ -1316,21 +1312,19 @@ impl LiteHandle {
         if func < USER_FUNC_MIN {
             return Err(LiteError::ReservedFunc { func });
         }
-        self.enter(ctx);
-        let out = self.call_raw(ctx, server, func, input, max_reply, false)?;
-        self.exit(ctx);
-        Ok(out)
+        self.syscall(ctx, |this, ctx| {
+            this.call_raw(ctx, server, func, input, max_reply, false)
+        })
     }
 
     /// LT_recvRPC: receives the next call for `func`. The payload move
     /// out of the ring is the single memory move of §5.2.
     pub fn lt_recv_rpc(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<RpcCall> {
-        self.enter(ctx);
-        let timeout = self.kernel.config.op_timeout;
-        let inc = self.kernel.pop_rpc(ctx, func, timeout)?;
-        let call = self.finish_recv(ctx, inc)?;
-        self.exit(ctx);
-        Ok(call)
+        self.syscall(ctx, |this, ctx| {
+            let timeout = this.kernel.config.op_timeout;
+            let inc = this.kernel.pop_rpc(ctx, func, timeout)?;
+            this.finish_recv(ctx, inc)
+        })
     }
 
     fn finish_recv(&mut self, ctx: &mut Ctx, inc: crate::kernel::Incoming) -> LiteResult<RpcCall> {
@@ -1361,19 +1355,20 @@ impl LiteHandle {
     /// Non-blocking LT_recvRPC: returns `Ok(None)` when no call is
     /// queued. Lets servers interleave RPC service with other work.
     pub fn lt_try_recv_rpc(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<Option<RpcCall>> {
-        self.enter(ctx);
-        let inc = self.kernel.try_pop_rpc(ctx, func)?;
-        let out = match inc {
-            Some(inc) => Some(self.finish_recv(ctx, inc)?),
-            None => None,
-        };
-        self.exit(ctx);
-        Ok(out)
+        self.syscall(ctx, |this, ctx| {
+            let inc = this.kernel.try_pop_rpc(ctx, func)?;
+            inc.map(|inc| this.finish_recv(ctx, inc)).transpose()
+        })
     }
 
     /// LT_replyRPC: sends the return value for `call`.
     pub fn lt_reply_rpc(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
-        self.enter(ctx);
+        self.syscall(ctx, |this, ctx| this.reply(ctx, call, output))
+    }
+
+    /// The reply half of a server-side call: stage `output` and send it,
+    /// chained with the call's deferred ring release.
+    fn reply(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
         ctx.work(self.kernel.config.rpc_meta_ns);
         let staged = self.stage(output)?;
         let chunks = [Chunk {
@@ -1383,7 +1378,6 @@ impl LiteHandle {
         let head = call.pending_head.lock().take();
         self.kernel
             .send_reply_with(ctx, self.prio, call.route, &chunks, output.len(), head)?;
-        self.exit(ctx);
         Ok(())
     }
 
@@ -1395,40 +1389,31 @@ impl LiteHandle {
         output: &[u8],
         func: u8,
     ) -> LiteResult<RpcCall> {
-        self.enter(ctx);
-        ctx.work(self.kernel.config.rpc_meta_ns);
-        let staged = self.stage(output)?;
-        let chunks = [Chunk {
-            addr: staged,
-            len: output.len() as u64,
-        }];
-        let head = call.pending_head.lock().take();
-        self.kernel
-            .send_reply_with(ctx, self.prio, call.route, &chunks, output.len(), head)?;
-        let timeout = self.kernel.config.op_timeout;
-        let inc = self.kernel.pop_rpc(ctx, func, timeout)?;
-        let next = self.finish_recv(ctx, inc)?;
-        self.exit(ctx);
-        Ok(next)
+        self.syscall(ctx, |this, ctx| {
+            this.reply(ctx, call, output)?;
+            let timeout = this.kernel.config.op_timeout;
+            let inc = this.kernel.pop_rpc(ctx, func, timeout)?;
+            this.finish_recv(ctx, inc)
+        })
     }
 
     /// LT_send: one-way message to `node` (received via
     /// [`LiteHandle::lt_recv_msg`]).
     pub fn lt_send(&mut self, ctx: &mut Ctx, node: NodeId, data: &[u8]) -> LiteResult<()> {
-        self.enter(ctx);
-        self.call_raw(ctx, node, FN_MSG, data, 0, true)?;
-        self.exit(ctx);
-        Ok(())
+        self.syscall(ctx, |this, ctx| {
+            this.call_raw(ctx, node, FN_MSG, data, 0, true)?;
+            Ok(())
+        })
     }
 
     /// Receives the next message sent to this node with LT_send.
     pub fn lt_recv_msg(&mut self, ctx: &mut Ctx) -> LiteResult<(NodeId, Vec<u8>)> {
-        self.enter(ctx);
-        let timeout = self.kernel.config.op_timeout;
-        let inc = self.kernel.pop_rpc(ctx, FN_MSG, timeout)?;
-        let call = self.finish_recv(ctx, inc)?;
-        self.exit(ctx);
-        Ok((call.src_node, call.input))
+        self.syscall(ctx, |this, ctx| {
+            let timeout = this.kernel.config.op_timeout;
+            let inc = this.kernel.pop_rpc(ctx, FN_MSG, timeout)?;
+            let call = this.finish_recv(ctx, inc)?;
+            Ok((call.src_node, call.input))
+        })
     }
 
     /// Multicast RPC (§8.4): issues the same call to several servers
@@ -1620,12 +1605,12 @@ impl LiteHandle {
 
     /// Creates a distributed lock owned by this node.
     pub fn lt_create_lock(&mut self, ctx: &mut Ctx) -> LiteResult<LockId> {
-        self.enter(ctx);
-        let (addr, _idx) = self.kernel.alloc_lock_cell()?;
-        self.exit(ctx);
-        Ok(LockId {
-            node: self.kernel.node(),
-            addr,
+        self.syscall(ctx, |this, _| {
+            let (addr, _idx) = this.kernel.alloc_lock_cell()?;
+            Ok(LockId {
+                node: this.kernel.node(),
+                addr,
+            })
         })
     }
 
@@ -1646,7 +1631,7 @@ impl LiteHandle {
                 node: lock.node,
                 addr: lock.addr,
             },
-            crate::verify::OpKind::Lock,
+            || crate::verify::OpKind::Lock,
             0,
             result.is_ok(),
             start,
@@ -1749,7 +1734,7 @@ impl LiteHandle {
                 node: lock.node,
                 addr: lock.addr,
             },
-            crate::verify::OpKind::Unlock,
+            || crate::verify::OpKind::Unlock,
             0,
             result.is_ok(),
             start,
@@ -1842,7 +1827,7 @@ impl LiteHandle {
         let end = ctx.now();
         self.record_hist(
             crate::verify::Key::Barrier { id },
-            crate::verify::OpKind::Barrier { count },
+            || crate::verify::OpKind::Barrier { count },
             0,
             result.is_ok(),
             start,
@@ -2023,19 +2008,21 @@ impl LiteHandle {
                 ChainOp::Write { off, data } => {
                     // As `lt_write`: a failed chain may have applied any
                     // prefix, so its writes are recorded as failed.
-                    let fp = crate::verify::fingerprint(data);
-                    let kind = crate::verify::OpKind::Write { fp };
+                    let kind = || crate::verify::OpKind::Write {
+                        fp: crate::verify::fingerprint(data),
+                    };
                     self.record_reg(entry, off, data.len(), kind, result.is_ok(), start, end);
                     outs.push(ChainOut::Done);
                 }
                 ChainOp::Read { off, len } => {
                     let mut buf = vec![0u8; len];
-                    let mut fp = 0;
                     if result.is_ok() {
                         self.unstage(zone, &mut buf)?;
-                        fp = crate::verify::fingerprint(&buf);
                     }
-                    let kind = crate::verify::OpKind::Read { fp };
+                    // An unread buffer is all zeroes: fingerprint 0.
+                    let kind = || crate::verify::OpKind::Read {
+                        fp: crate::verify::fingerprint(&buf),
+                    };
                     self.record_reg(entry, off, len, kind, result.is_ok(), start, end);
                     outs.push(ChainOut::Bytes(buf));
                 }
@@ -2103,5 +2090,32 @@ fn named_err(e: LiteError, name: &str) -> LiteError {
             name: name.to_string(),
         },
         other => other,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verify::OpKind;
+    use crate::LiteCluster;
+
+    /// What is computed only for the history log is computed only when a
+    /// log is armed: on an unarmed cluster the `kind` closure (payload
+    /// fingerprints, on the real paths) never runs.
+    #[test]
+    fn history_kind_is_computed_only_when_armed() {
+        let cluster = LiteCluster::start(2).unwrap();
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let lh = h.lt_malloc(&mut ctx, 1, 4096, "lazy", Perm::RW).unwrap();
+        let entry = h.kernel.lookup_lh(h.pid, lh).unwrap();
+        let unarmed = || -> OpKind { panic!("computed for an observer nobody armed") };
+        h.record_reg(&entry, 0, 8, unarmed, true, 0, 1);
+
+        let log = cluster.record_history().unwrap();
+        h.record_reg(&entry, 0, 8, || OpKind::Write { fp: 7 }, true, 0, 1);
+        let ops = log.take().ops;
+        assert_eq!(ops.len(), 1);
+        assert_eq!(ops[0].kind, OpKind::Write { fp: 7 });
     }
 }

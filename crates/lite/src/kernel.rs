@@ -14,7 +14,6 @@
 //!   and the verbs/TCP implementations (one-sided plane + batching).
 //! * [`rpc`] — rings, completion slots, reply routing, the poll loop.
 //! * [`msg`] — kernel services (naming, mapping, locks, barriers).
-//! * [`chunkio`] — gather/scatter between chunk lists and memory.
 //! * [`stats`] — hot-path counters and the stats snapshot.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -35,7 +34,6 @@ use crate::qos::{QosConfig, QosState};
 use crate::ring::{ClientRing, ServerRing};
 use crate::shard::ShardedMap;
 
-pub(crate) mod chunkio;
 pub mod datapath;
 mod msg;
 mod rpc;

@@ -14,19 +14,19 @@
 //!   stack, so baselines and apps can swap transports without touching
 //!   their data plane.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rnic::{
-    FaultAction, IbConfig, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, Sge, VerbsError, Wr,
+    FaultAction, IbConfig, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr,
 };
 use simnet::{transfer_time, Ctx, Nanos, Resource};
 use smem::{PhysAllocator, PhysMem};
 use transport::TcpCostModel;
 
-use super::chunkio::{read_chunks, write_chunks};
 use super::stats::RetryCounters;
 use super::LiteKernel;
 use crate::config::LiteConfig;
@@ -40,10 +40,18 @@ pub use smem::Chunk;
 /// Cost of a local atomic executed by the kernel (no NIC involved).
 const LOCAL_ATOMIC_NS: Nanos = 120;
 
+/// The one physically-consecutive extent `[addr, addr + len)`.
+fn extent(addr: u64, len: usize) -> Chunk {
+    let len = len as u64;
+    Chunk { addr, len }
+}
+
 /// A one-sided datapath operation, described in terms of physical
-/// addresses under the global MR rather than verbs objects.
+/// addresses under the global MR rather than verbs objects. Chunk lists
+/// are borrowed or owned: the kernel's own posts borrow the caller's, so
+/// describing an op copies nothing.
 #[derive(Debug, Clone)]
-pub enum Op {
+pub enum Op<'a> {
     /// RDMA-write `len` bytes gathered from local `src` chunks to
     /// `(dst_node, dst_addr)`; optionally carries immediate data (which
     /// consumes a receive credit and wakes the remote poller).
@@ -53,7 +61,7 @@ pub enum Op {
         /// Destination physical address.
         dst_addr: u64,
         /// Local source chunks (gather list).
-        src: Vec<Chunk>,
+        src: Cow<'a, [Chunk]>,
         /// Bytes to move.
         len: usize,
         /// Encoded immediate value, if any.
@@ -67,7 +75,7 @@ pub enum Op {
         /// Source physical address.
         src_addr: u64,
         /// Local destination chunks (scatter list).
-        dst: Vec<Chunk>,
+        dst: Cow<'a, [Chunk]>,
         /// Bytes to move.
         len: usize,
     },
@@ -93,24 +101,34 @@ pub enum Op {
     },
 }
 
-impl Op {
+impl<'a> Op<'a> {
     /// Plain write descriptor (no immediate).
-    pub fn write(dst_node: NodeId, dst_addr: u64, src: Vec<Chunk>, len: usize) -> Op {
+    pub fn write(
+        dst_node: NodeId,
+        dst_addr: u64,
+        src: impl Into<Cow<'a, [Chunk]>>,
+        len: usize,
+    ) -> Op<'a> {
         Op::Write {
             dst_node,
             dst_addr,
-            src,
+            src: src.into(),
             len,
             imm: None,
         }
     }
 
     /// Plain read descriptor.
-    pub fn read(src_node: NodeId, src_addr: u64, dst: Vec<Chunk>, len: usize) -> Op {
+    pub fn read(
+        src_node: NodeId,
+        src_addr: u64,
+        dst: impl Into<Cow<'a, [Chunk]>>,
+        len: usize,
+    ) -> Op<'a> {
         Op::Read {
             src_node,
             src_addr,
-            dst,
+            dst: dst.into(),
             len,
         }
     }
@@ -673,6 +691,7 @@ impl RnicDataPath {
                     ctx.wait_until(ctx.now() + backoff);
                     // A little host-wall pacing so a down peer does not
                     // turn the bounded wait into a hot spin.
+                    // sleep-ok: retry backoff, nothing to be woken by
                     std::thread::sleep(Duration::from_nanos(backoff.min(100_000)));
                     backoff = (backoff * 2).min(self.retry_max_backoff_ns);
                 }
@@ -724,12 +743,12 @@ impl RnicDataPath {
     /// op) turns the repeat into a lookup. Replaying from the top instead
     /// would rewrite payloads *after* later atomics of the chain had
     /// taken effect — e.g. a record write after its lock release.
-    fn post_chain_once(
+    fn post_chain_once<'o>(
         &self,
         ctx: &mut Ctx,
         prio: Priority,
         dst: NodeId,
-        ops: &[Op],
+        ops: &'o [Op],
         aseq0: u64,
         done: &mut Done,
     ) -> LiteResult<()> {
@@ -739,11 +758,8 @@ impl RnicDataPath {
         let qp = self.qp_to(dst, prio)?;
         let rkey = self.rkey(dst)?;
         let remote = |addr| RemoteAddr { rkey, addr };
-        let sge = |chunks: &Vec<Chunk>| Sge::Phys {
-            lkey: self.global_lkey,
-            chunks: chunks.clone(),
-        };
-        let mut wr_of = |k: usize, op: &Op| {
+        let lkey = self.global_lkey;
+        let mut wr_of = |k: usize, op: &'o Op| -> Wr<'o> {
             if !matches!(op, Op::Write { imm: Some(_), .. }) {
                 // Write-imm paths pay their (cheaper) mapping cost as
                 // part of RPC metadata handling instead.
@@ -763,7 +779,7 @@ impl RnicDataPath {
                 } => {
                     self.qos_before(ctx, prio, dst, *len as u64);
                     Wr::Write {
-                        sge: sge(src),
+                        sge: SgeRef::Phys { lkey, chunks: src },
                         remote: remote(*dst_addr),
                         imm: *imm,
                     }
@@ -776,7 +792,7 @@ impl RnicDataPath {
                 } => {
                     self.qos_before(ctx, prio, dst, *len as u64);
                     Wr::Read {
-                        sge: sge(land),
+                        sge: SgeRef::Phys { lkey, chunks: land },
                         remote: remote(*src_addr),
                     }
                 }
@@ -813,19 +829,8 @@ impl RnicDataPath {
         // repeat whole: `post_chain` claims credits before any side effect
         // and rolls them back on failure.
         let nic = self.fabric.nic(self.node);
-        let mut tries = 0;
-        let (outcomes, error) = loop {
-            match nic.post_chain(ctx, &qp, wrs) {
-                Ok(outcomes) => break (outcomes, None),
-                Err(e) if matches!(e.error, VerbsError::ReceiverNotReady) && tries < 1000 => {
-                    tries += 1;
-                    std::thread::yield_now();
-                    ctx.clock.advance(200);
-                }
-                Err(e) => break (e.done, Some(e.error)),
-            }
-        };
-        for (op, o) in rest.iter().zip(&outcomes) {
+        let mut ack = |o: rnic::WrOutcome| {
+            let op = &ops[done.n];
             let plain = match op {
                 Op::Write { imm, .. } => imm.is_none(),
                 Op::Read { .. } => true,
@@ -839,8 +844,18 @@ impl RnicDataPath {
                 stamp: o.completion,
                 value: o.value,
             });
+        };
+        let mut tries = 0;
+        loop {
+            match nic.post_chain(ctx, &qp, wrs, &mut ack) {
+                Err(VerbsError::ReceiverNotReady) if tries < 1000 => {
+                    tries += 1;
+                    std::thread::yield_now();
+                    ctx.clock.advance(200);
+                }
+                result => return Ok(result?),
+            }
         }
-        error.map_or(Ok(()), |e| Err(e.into()))
     }
 
     /// An op on this node's own memory: a plain copy or a local atomic,
@@ -859,16 +874,15 @@ impl RnicDataPath {
                 // Loop-back write-imm goes through the kernel's RPC layer,
                 // not here — it must land in the shared receive CQ.
                 debug_assert!(imm.is_none(), "loopback imm handled by the RPC layer");
-                let data = read_chunks(self.mem(), src, *len)?;
-                self.mem().write(*dst_addr, &data)?;
+                let mem = self.mem();
+                mem.copy_from(mem, src, &[extent(*dst_addr, *len)])?;
                 ctx.work(cost.memcpy_time(*len as u64));
             }
             Op::Read {
                 src_addr, dst, len, ..
             } => {
-                let mut data = vec![0u8; *len];
-                self.mem().read(*src_addr, &mut data)?;
-                write_chunks(self.mem(), dst, &data)?;
+                let mem = self.mem();
+                mem.copy_from(mem, &[extent(*src_addr, *len)], dst)?;
                 ctx.work(cost.memcpy_time(*len as u64));
             }
             Op::FetchAdd { .. } | Op::CmpSwap { .. } => {
@@ -1229,9 +1243,9 @@ impl DataPath for TcpDataPath {
                 len,
                 ..
             } => {
-                let data = read_chunks(local_mem, src, *len)?;
+                let land = [extent(*dst_addr, *len)];
                 if *dst_node == self.node {
-                    local_mem.write(*dst_addr, &data)?;
+                    local_mem.copy_from(local_mem, src, &land)?;
                     ctx.work(self.copy_time(*len));
                     return Ok(Completion {
                         stamp: ctx.now(),
@@ -1240,7 +1254,9 @@ impl DataPath for TcpDataPath {
                 }
                 self.fault_gate(ctx, *dst_node)?;
                 let arrive = self.send_leg(ctx, *len);
-                self.fabric.mem(*dst_node).write(*dst_addr, &data)?;
+                self.fabric
+                    .mem(*dst_node)
+                    .copy_from(local_mem, src, &land)?;
                 Ok(Completion {
                     stamp: self.rx_done(arrive, *len),
                     value: 0,
@@ -1252,10 +1268,9 @@ impl DataPath for TcpDataPath {
                 dst,
                 len,
             } => {
+                let from = [extent(*src_addr, *len)];
                 if *src_node == self.node {
-                    let mut data = vec![0u8; *len];
-                    local_mem.read(*src_addr, &mut data)?;
-                    write_chunks(local_mem, dst, &data)?;
+                    local_mem.copy_from(local_mem, &from, dst)?;
                     ctx.work(self.copy_time(*len));
                     return Ok(Completion {
                         stamp: ctx.now(),
@@ -1264,9 +1279,7 @@ impl DataPath for TcpDataPath {
                 }
                 self.fault_gate(ctx, *src_node)?;
                 let req_arrive = self.send_leg(ctx, TCP_CTRL_BYTES);
-                let mut data = vec![0u8; *len];
-                self.fabric.mem(*src_node).read(*src_addr, &mut data)?;
-                write_chunks(local_mem, dst, &data)?;
+                local_mem.copy_from(self.fabric.mem(*src_node), &from, dst)?;
                 let back = self.return_leg(*src_node, req_arrive, *len);
                 Ok(Completion {
                     stamp: self.rx_done(back, *len),
@@ -1389,15 +1402,8 @@ impl DataPathBarrier {
                 delta: 1,
             },
         )?;
-        let poll = Op::read(
-            self.home,
-            self.cell,
-            vec![Chunk {
-                addr: self.spin,
-                len: 8,
-            }],
-            8,
-        );
+        let land = [extent(self.spin, 8)];
+        let poll = Op::read(self.home, self.cell, &land[..], 8);
         loop {
             let comp = self.dp.post(ctx, Priority::High, &poll)?;
             ctx.wait_until(comp.stamp);
@@ -1448,7 +1454,7 @@ impl LiteKernel {
         len: usize,
     ) -> LiteResult<Nanos> {
         self.counters.count_write(len as u64);
-        let op = Op::write(dst_node, dst_addr, src_chunks.to_vec(), len);
+        let op = Op::write(dst_node, dst_addr, src_chunks, len);
         Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
     }
 
@@ -1464,7 +1470,7 @@ impl LiteKernel {
         len: usize,
     ) -> LiteResult<Nanos> {
         self.counters.count_read(len as u64);
-        let op = Op::read(src_node, src_addr, dst_chunks.to_vec(), len);
+        let op = Op::read(src_node, src_addr, dst_chunks, len);
         Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
     }
 
@@ -1487,21 +1493,37 @@ impl LiteKernel {
         self.try_datapath()?.post_many(ctx, prio, ops)
     }
 
-    /// Writes a scatter list of `(dst_node, dst_addr, src_chunk)` pieces
-    /// as one chain. Returns the latest completion stamp.
+    /// Writes the bytes staged contiguously at local `staged` over the
+    /// `(node, chunk)` pieces of an LMR range, as one chain. Returns the
+    /// latest completion stamp.
     pub(crate) fn rdma_write_vec(
         &self,
         ctx: &mut Ctx,
         prio: Priority,
-        pieces: &[(NodeId, u64, Chunk)],
+        staged: u64,
+        pieces: &[(NodeId, Chunk)],
     ) -> LiteResult<Nanos> {
-        if let [(n, addr, c)] = pieces {
+        if let [(node, c)] = pieces {
             // The common single-extent write needs no chain.
-            return self.rdma_write(ctx, prio, *n, *addr, &[*c], c.len as usize);
+            let (src, len) = ([extent(staged, c.len as usize)], c.len as usize);
+            return self.rdma_write(ctx, prio, *node, c.addr, &src, len);
         }
+        let mut zone = staged;
+        let srcs: Vec<Chunk> = pieces
+            .iter()
+            .map(|(_, c)| {
+                let src = Chunk {
+                    addr: zone,
+                    len: c.len,
+                };
+                zone += c.len;
+                src
+            })
+            .collect();
         let ops: Vec<Op> = pieces
             .iter()
-            .map(|(n, addr, c)| Op::write(*n, *addr, vec![*c], c.len as usize))
+            .zip(&srcs)
+            .map(|((n, c), src)| Op::write(*n, c.addr, std::slice::from_ref(src), c.len as usize))
             .collect();
         let comps = self.rdma_chain(ctx, prio, &ops)?;
         Ok(comps.iter().map(|c| c.stamp).fold(ctx.now(), Nanos::max))

@@ -6,6 +6,7 @@
 //! datapath; the only NIC-adjacent artifact left is the loop-back
 //! delivery, which fabricates a completion into the shared receive CQ.
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -241,8 +242,11 @@ impl LiteKernel {
         imm: Imm,
     ) -> LiteResult<Nanos> {
         if dst_node == self.node {
-            let data = super::chunkio::read_chunks(self.mem(), src_chunks, len)?;
-            self.mem().write(dst_addr, &data)?;
+            let land = [Chunk {
+                addr: dst_addr,
+                len: len as u64,
+            }];
+            self.mem().copy_from(self.mem(), src_chunks, &land)?;
             let cost = self.fabric.cost();
             ctx.work(cost.memcpy_time(len as u64));
             let stamp = ctx.now() + LOOPBACK_NS;
@@ -255,7 +259,7 @@ impl LiteKernel {
         let op = Op::Write {
             dst_node,
             dst_addr,
-            src: src_chunks.to_vec(),
+            src: src_chunks.into(),
             len,
             imm: Some(imm.encode()),
         };
@@ -396,7 +400,7 @@ impl LiteKernel {
     /// through [`LiteKernel::release_ring`]. Deferring a head update is
     /// safe: heads are monotonic cumulative positions, so a later release
     /// covers an earlier one.
-    pub(crate) fn release_ring_op(&self, client: NodeId, inc: &Incoming) -> Option<Op> {
+    pub(crate) fn release_ring_op(&self, client: NodeId, inc: &Incoming) -> Option<Op<'static>> {
         debug_assert_ne!(client, self.node, "loopback releases are not deferrable");
         let total = HEADER_BYTES as u64 + inc.hdr.len as u64;
         let ring = self.server_ring(client).ok()?;
@@ -408,7 +412,7 @@ impl LiteKernel {
         Some(Op::Write {
             dst_node: client,
             dst_addr: sink,
-            src: Vec::new(),
+            src: Cow::Borrowed(&[]),
             len: 0,
             imm: Some(imm.encode()),
         })
@@ -438,7 +442,7 @@ impl LiteKernel {
         route: ReplyRoute,
         src_chunks: &[Chunk],
         len: usize,
-        head: Option<Op>,
+        head: Option<Op<'static>>,
     ) -> LiteResult<Nanos> {
         if route.slot == 0 {
             // One-way message: nothing to send (deferral never happens
@@ -476,7 +480,7 @@ impl LiteKernel {
         let reply = Op::Write {
             dst_node: dst,
             dst_addr: route.reply_addr,
-            src: src_chunks.to_vec(),
+            src: src_chunks.into(),
             len,
             imm: Some(reply_imm.encode()),
         };

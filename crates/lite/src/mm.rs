@@ -703,6 +703,7 @@ impl MemManager {
                 self.redirects.fetch_add(1, Ordering::Relaxed);
                 return (PinOutcome::Relocated, 0);
             }
+            // sleep-ok: bounded wait for a migration to end (ROADMAP item 3)
             std::thread::sleep(Duration::from_micros(20));
         }
     }
@@ -921,6 +922,7 @@ impl MemManager {
             if Instant::now() >= deadline || self.stopping() {
                 return false;
             }
+            // sleep-ok: bounded wait for in-flight pins to drain (ROADMAP item 3)
             std::thread::sleep(Duration::from_micros(20));
         }
         true

@@ -1103,6 +1103,7 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
             if std::time::Instant::now() >= deadline {
                 return Err(LiteError::Internal("tiering enabled but nothing evicted"));
             }
+            // sleep-ok: test harness waiting on the sweeper's first pass
             std::thread::sleep(Duration::from_millis(1));
         }
     }

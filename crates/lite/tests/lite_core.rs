@@ -3,7 +3,11 @@
 
 use std::sync::Arc;
 
-use lite::{LiteCluster, LiteError, Perm, Priority, QosMode, USER_FUNC_MIN};
+use lite::{
+    LiteCluster, LiteConfig, LiteError, LiteHandle, LiteResult, Perm, Priority, QosConfig, QosMode,
+    USER_FUNC_MIN,
+};
+use rnic::IbConfig;
 use simnet::Ctx;
 
 #[test]
@@ -184,6 +188,63 @@ fn rpc_unknown_function_errors_not_hangs() {
         c.lt_rpc(&mut ctx, 1, 3, b"", 64),
         Err(LiteError::ReservedFunc { .. })
     ));
+}
+
+/// A call that fails has still returned from the kernel: with the §5.2
+/// crossing optimization ablated (`fast_syscalls = false`), an RPC-side
+/// call that errors is charged the same syscall return — two crossings —
+/// as one that succeeds.
+#[test]
+fn failed_rpc_calls_pay_the_syscall_return() {
+    const F: u8 = USER_FUNC_MIN + 9;
+    type Call = fn(&mut LiteHandle, &mut Ctx) -> LiteResult<()>;
+    // Virtual cost of the first `call` on a fresh cluster of its own.
+    let cost = |fast_syscalls: bool, serve: bool, call: Call| {
+        let config = LiteConfig {
+            fast_syscalls,
+            ..Default::default()
+        };
+        let cluster =
+            LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+        // Kernel-level server: its own cost does not depend on the knob.
+        let srv = serve.then(|| {
+            let mut h = cluster.attach_kernel(1).unwrap();
+            h.register_rpc(F).unwrap();
+            std::thread::spawn(move || {
+                let mut ctx = Ctx::new();
+                let call = h.lt_recv_rpc(&mut ctx, F).unwrap();
+                h.lt_reply_rpc(&mut ctx, &call, b"pong").unwrap();
+            })
+        });
+        let mut c = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let outcome = call(&mut c, &mut ctx);
+        assert_eq!(outcome.is_ok(), serve);
+        if let Some(srv) = srv {
+            srv.join().unwrap();
+        }
+        ctx.now()
+    };
+    let rpc: Call = |c, ctx| c.lt_rpc(ctx, 1, F, b"ping", 64).map(|_| ());
+    let try_recv: Call = |c, ctx| c.lt_try_recv_rpc(ctx, F).map(|_| ());
+    // One byte over `max_rpc_payload`.
+    let send: Call = |c, ctx| c.lt_send(ctx, 1, &vec![0; (4 << 20) + 1]);
+    let syscall_return = 2 * LiteConfig::default().syscall_crossing_ns;
+    assert_eq!(
+        cost(false, true, rpc) - cost(true, true, rpc),
+        syscall_return
+    );
+    for (name, failing) in [
+        ("lt_rpc", rpc),
+        ("lt_try_recv_rpc", try_recv),
+        ("lt_send", send),
+    ] {
+        assert_eq!(
+            cost(false, false, failing) - cost(true, false, failing),
+            syscall_return,
+            "{name} that fails"
+        );
+    }
 }
 
 #[test]

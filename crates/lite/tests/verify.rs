@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{LiteCluster, LiteConfig, LiteError, Perm, QosConfig};
+use lite::{
+    fingerprint, ChainOp, ChainOut, LiteCluster, LiteConfig, LiteError, OpKind, Perm, QosConfig,
+};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -244,5 +246,47 @@ fn mixed_workload_records_linearizable_history() {
         outcome.is_linearizable(),
         "mixed workload not linearizable: {:?}",
         outcome.violations
+    );
+}
+
+/// An armed history carries the payload fingerprints of `lt_write`,
+/// `lt_read` and the reads and writes of an `lt_chain` — computed only
+/// because a log is armed, and the same values the register spec has
+/// always been checked against.
+#[test]
+fn armed_history_fingerprints_every_payload() {
+    let cluster = LiteCluster::start(2).unwrap();
+    let log = cluster.record_history().unwrap();
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let lh = h.lt_malloc(&mut ctx, 1, 4096, "fp", Perm::RW).unwrap();
+    let (first, second) = ([0xA5u8; 100], [0x3Cu8; 24]);
+    h.lt_write(&mut ctx, lh, 0, &first).unwrap();
+    let mut back = [0u8; 100];
+    h.lt_read(&mut ctx, lh, 0, &mut back).unwrap();
+    let mut untouched = [1u8; 16];
+    h.lt_read(&mut ctx, lh, 2048, &mut untouched).unwrap();
+    let chain = [
+        ChainOp::Write {
+            off: 512,
+            data: &second,
+        },
+        ChainOp::Read { off: 512, len: 24 },
+    ];
+    let outs = h.lt_chain(&mut ctx, lh, &chain).unwrap();
+    assert_eq!(outs[1], ChainOut::Bytes(second.to_vec()));
+
+    let kinds: Vec<OpKind> = log.take().ops.iter().map(|op| op.kind).collect();
+    let (fp1, fp2) = (fingerprint(&first), fingerprint(&second));
+    assert!(fp1 != 0 && fp2 != 0 && fp1 != fp2);
+    assert_eq!(
+        kinds,
+        [
+            OpKind::Write { fp: fp1 },
+            OpKind::Read { fp: fp1 },
+            OpKind::Read { fp: 0 }, // never-written memory reads as zeroes
+            OpKind::Write { fp: fp2 },
+            OpKind::Read { fp: fp2 },
+        ]
     );
 }

@@ -15,7 +15,7 @@ use crate::error::{VerbsError, VerbsResult};
 use crate::fabric::{IbFabric, NodeId};
 use crate::fault::FaultAction;
 use crate::qp::{Qp, QpId, QpType, RecvEntry, RecvQueue};
-use crate::verbs::{Access, RemoteAddr, Sge, Wc, WcOpcode};
+use crate::verbs::{Access, RemoteAddr, Sge, SgeRef, Wc, WcOpcode};
 
 /// How a registered MR addresses memory.
 enum MrKind {
@@ -156,21 +156,41 @@ pub struct Nic {
 /// in-flight logical atomic per requester context).
 const ATOMIC_MEMO_WINDOW: usize = 1024;
 
-/// Local buffer resolved to physical fragments.
-struct Resolved {
-    chunks: Vec<Chunk>,
+/// The physical fragments behind one end of a work request: borrowed
+/// from the poster's SGE, a single extent held inline, or a translated
+/// list — only the last (user-space virtual MRs) touches the heap.
+enum Frags<'a> {
+    One(Chunk),
+    Borrowed(&'a [Chunk]),
+    Owned(Vec<Chunk>),
+}
+
+impl std::ops::Deref for Frags<'_> {
+    type Target = [Chunk];
+    fn deref(&self) -> &[Chunk] {
+        match self {
+            Frags::One(c) => std::slice::from_ref(c),
+            Frags::Borrowed(cs) => cs,
+            Frags::Owned(cs) => cs,
+        }
+    }
+}
+
+/// A buffer resolved to physical fragments.
+struct Resolved<'a> {
+    chunks: Frags<'a>,
     penalty: Nanos,
 }
 
 /// One work request of a doorbell chain ([`Nic::post_chain`]): any
 /// one-sided verb towards the QP's peer. Chained WQEs are unsignaled —
 /// the chain returns every completion stamp to the poster.
-#[derive(Debug, Clone)]
-pub enum Wr {
+#[derive(Debug, Clone, Copy)]
+pub enum Wr<'a> {
     /// RDMA write of the local `sge` to `remote`.
     Write {
         /// Local payload description.
-        sge: Sge,
+        sge: SgeRef<'a>,
         /// Remote destination.
         remote: RemoteAddr,
         /// Immediate data (consumes a remote receive credit when present).
@@ -179,7 +199,7 @@ pub enum Wr {
     /// RDMA read of `remote` into the local `sge`.
     Read {
         /// Local landing buffer.
-        sge: Sge,
+        sge: SgeRef<'a>,
         /// Remote source.
         remote: RemoteAddr,
     },
@@ -219,40 +239,16 @@ pub struct WrOutcome {
     pub value: u64,
 }
 
-/// A chain that stopped part-way ([`Nic::post_chain`]).
-#[derive(Debug, Clone)]
-pub struct ChainError {
-    /// Outcomes of the leading work requests that executed *and* were
-    /// acknowledged. Empty when the chain failed before any side effect
-    /// (validation, receive credits, the request-leg fault gate).
-    /// Otherwise the work request at index `done.len()` is the one that
-    /// failed and nothing after it ran; when it is an atomic and the
-    /// error is [`VerbsError::Timeout`], its apply landed and only the
-    /// ack was lost — resume from it, reusing its token.
-    pub done: Vec<WrOutcome>,
-    /// Why the chain stopped.
-    pub error: VerbsError,
-}
-
-impl From<VerbsError> for ChainError {
-    fn from(error: VerbsError) -> Self {
-        ChainError {
-            done: Vec::new(),
-            error,
-        }
-    }
-}
-
 /// One chained work request with both ends resolved (the validation
 /// pass of [`Nic::post_chain`]).
-struct PlannedWr {
+struct PlannedWr<'a> {
     /// Local buffer; none for atomics.
-    local: Option<Resolved>,
+    local: Option<Resolved<'a>>,
     /// Payload bytes (8 for atomics).
     len: usize,
     /// Local engine SRAM penalty.
     lpen: Nanos,
-    remote: Resolved,
+    remote: Resolved<'static>,
     /// Remote engine SRAM penalty.
     rpen: Nanos,
 }
@@ -648,38 +644,36 @@ impl Nic {
 
     /// Resolves a local SGE to physical fragments, charging SRAM
     /// penalties exactly as the hardware would.
-    fn resolve_local(&self, sge: &Sge) -> VerbsResult<Resolved> {
+    fn resolve_local<'a>(&self, sge: SgeRef<'a>) -> VerbsResult<Resolved<'a>> {
         match sge {
-            Sge::Virt { lkey, addr, len } => {
-                let mr = self.lookup_mr(*lkey)?;
+            SgeRef::Virt { lkey, addr, len } => {
+                let mr = self.lookup_mr(lkey)?;
                 let MrKind::Virt {
                     space,
                     base,
                     len: mrlen,
                 } = &mr.kind
                 else {
-                    return Err(VerbsError::BadKey { key: *lkey });
+                    return Err(VerbsError::BadKey { key: lkey });
                 };
-                check_bounds(*addr, *len, *base, *mrlen)?;
-                let mut penalty = self.touch_mr_key(*lkey);
-                penalty += self.touch_ptes(*lkey, *addr, *len);
-                penalty += self.fault_in_lazy(&mr, space, *addr, *len)?;
-                let chunks = space.translate_range(*addr, *len as u64)?;
+                check_bounds(addr, len, *base, *mrlen)?;
+                let mut penalty = self.touch_mr_key(lkey);
+                penalty += self.touch_ptes(lkey, addr, len);
+                penalty += self.fault_in_lazy(&mr, space, addr, len)?;
+                let chunks = Frags::Owned(space.translate_range(addr, len as u64)?);
                 Ok(Resolved { chunks, penalty })
             }
-            Sge::Phys { lkey, chunks } => {
-                let mr = self.lookup_mr(*lkey)?;
+            SgeRef::Phys { lkey, chunks } => {
+                let mr = self.lookup_mr(lkey)?;
                 let MrKind::Phys { base, len: mrlen } = &mr.kind else {
-                    return Err(VerbsError::BadKey { key: *lkey });
+                    return Err(VerbsError::BadKey { key: lkey });
                 };
                 for c in chunks {
                     check_bounds(c.addr, c.len as usize, *base, *mrlen)?;
                 }
-                let penalty = self.touch_mr_key(*lkey);
-                Ok(Resolved {
-                    chunks: chunks.clone(),
-                    penalty,
-                })
+                let penalty = self.touch_mr_key(lkey);
+                let chunks = Frags::Borrowed(chunks);
+                Ok(Resolved { chunks, penalty })
             }
         }
     }
@@ -693,7 +687,7 @@ impl Nic {
         need_write: bool,
         need_read: bool,
         need_atomic: bool,
-    ) -> VerbsResult<Resolved> {
+    ) -> VerbsResult<Resolved<'static>> {
         let mr = self.lookup_mr(remote.rkey)?;
         let a = &mr.access;
         if (need_write && !a.remote_write)
@@ -712,49 +706,19 @@ impl Nic {
                 let mut penalty = self.touch_mr_key(remote.rkey);
                 penalty += self.touch_ptes(remote.rkey, remote.addr, len);
                 penalty += self.fault_in_lazy(&mr, space, remote.addr, len)?;
-                let chunks = space.translate_range(remote.addr, len as u64)?;
+                let chunks = Frags::Owned(space.translate_range(remote.addr, len as u64)?);
                 Ok(Resolved { chunks, penalty })
             }
             MrKind::Phys { base, len: mrlen } => {
                 check_bounds(remote.addr, len, *base, *mrlen)?;
                 let penalty = self.touch_mr_key(remote.rkey);
-                Ok(Resolved {
-                    chunks: vec![Chunk {
-                        addr: remote.addr,
-                        len: len as u64,
-                    }],
-                    penalty,
-                })
+                let chunks = Frags::One(Chunk {
+                    addr: remote.addr,
+                    len: len as u64,
+                });
+                Ok(Resolved { chunks, penalty })
             }
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Data movement between physical fragments
-    // ------------------------------------------------------------------
-
-    fn read_fragments(mem: &PhysMem, chunks: &[Chunk]) -> VerbsResult<Vec<u8>> {
-        let total: usize = chunks.iter().map(|c| c.len as usize).sum();
-        let mut buf = vec![0u8; total];
-        let mut off = 0;
-        for c in chunks {
-            mem.read(c.addr, &mut buf[off..off + c.len as usize])?;
-            off += c.len as usize;
-        }
-        Ok(buf)
-    }
-
-    fn write_fragments(mem: &PhysMem, chunks: &[Chunk], data: &[u8]) -> VerbsResult<()> {
-        let mut off = 0;
-        for c in chunks {
-            let n = (c.len as usize).min(data.len() - off);
-            mem.write(c.addr, &data[off..off + n])?;
-            off += n;
-            if off == data.len() {
-                break;
-            }
-        }
-        Ok(())
     }
 
     fn check_up(&self, fabric: &IbFabric, peer: NodeId) -> VerbsResult<()> {
@@ -829,7 +793,7 @@ impl Nic {
         signaled: bool,
     ) -> VerbsResult<WrOutcome> {
         let wr = Wr::Write {
-            sge: sge.clone(),
+            sge: sge.as_ref(),
             remote,
             imm,
         };
@@ -853,7 +817,7 @@ impl Nic {
         signaled: bool,
     ) -> VerbsResult<Nanos> {
         let wr = Wr::Read {
-            sge: sge.clone(),
+            sge: sge.as_ref(),
             remote,
         };
         let comp = self.post_one(ctx, qp, wr)?.completion;
@@ -956,10 +920,9 @@ impl Nic {
 
     /// The single verbs are one-element chains.
     fn post_one(&self, ctx: &mut Ctx, qp: &Qp, wr: Wr) -> VerbsResult<WrOutcome> {
-        match self.post_chain(ctx, qp, std::slice::from_ref(&wr)) {
-            Ok(done) => Ok(done[0]),
-            Err(e) => Err(e.error),
-        }
+        let mut out = None;
+        self.post_chain(ctx, qp, &[wr], |o| out = Some(o))?;
+        Ok(out.expect("a chain that succeeded acknowledged its work request"))
     }
 
     fn atomic_memo_get(&self, src: NodeId, seq: u64) -> Option<u64> {
@@ -996,23 +959,34 @@ impl Nic {
     /// address, and receive credit is checked/claimed, and the request-leg
     /// fault gate run once, before any memory is touched. The only
     /// failure past that point is an atomic's lost ack
-    /// ([`IbFabric::fault_check_ack`]): the chain stops there and reports
-    /// the acknowledged prefix in [`ChainError::done`].
+    /// ([`IbFabric::fault_check_ack`]): the chain stops there.
+    ///
+    /// Each work request that executed *and* was acknowledged has its
+    /// outcome handed to `ack`, in chain order, so nothing is collected
+    /// on the poster's behalf (a chain of one — every single verb —
+    /// touches no heap). On `Err` the outcomes already handed over are
+    /// the acknowledged prefix: none when the chain failed before any
+    /// side effect (validation, receive credits, the request-leg fault
+    /// gate); otherwise the next work request is the one that failed and
+    /// nothing after it ran. When that one is an atomic and the error is
+    /// [`VerbsError::Timeout`], its apply landed and only the ack was
+    /// lost — resume from it, reusing its token.
     pub fn post_chain(
         &self,
         ctx: &mut Ctx,
         qp: &Qp,
         wrs: &[Wr],
-    ) -> Result<Vec<WrOutcome>, ChainError> {
+        mut ack: impl FnMut(WrOutcome),
+    ) -> VerbsResult<()> {
         if wrs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let supported = wrs.iter().all(|wr| match wr {
             Wr::Write { .. } => qp.supports_write(),
             _ => qp.supports_read_atomic(),
         });
         if !supported {
-            return Err(VerbsError::BadOpForQpType.into());
+            return Err(VerbsError::BadOpForQpType);
         }
         let fabric = self.fabric();
         let (peer_node, peer_qp) = qp.peer()?;
@@ -1022,10 +996,15 @@ impl Nic {
         // Validation pass: resolve both sides of every WQE and claim all
         // receive credits before touching memory, so a bad element cannot
         // leave half the chain delivered.
-        let mut plans = Vec::with_capacity(wrs.len());
-        for wr in wrs {
-            plans.push(self.plan_wr(rnic, wr)?);
-        }
+        let (mut one, mut many);
+        let plans: &mut [PlannedWr] = if let [wr] = wrs {
+            one = [self.plan_wr(rnic, wr)?];
+            &mut one
+        } else {
+            let planned = wrs.iter().map(|wr| self.plan_wr(rnic, wr));
+            many = planned.collect::<VerbsResult<Vec<_>>>()?;
+            &mut many
+        };
         // The doorbell chain touches the QP context once; only the first
         // WQE can miss.
         plans[0].lpen += self.touch_qpc(qp.id);
@@ -1050,7 +1029,7 @@ impl Nic {
                         for entry in credits {
                             rqp.rq.post(entry);
                         }
-                        return Err(e.into());
+                        return Err(e);
                     }
                 }
             }
@@ -1061,7 +1040,7 @@ impl Nic {
         ctx.work(self.cost.post_wr_ns);
         let service = |p: &PlannedWr| self.cost.nic_engine_ns + p.lpen;
         let (single, batch);
-        let grants: &[Grant] = if let [p] = plans.as_slice() {
+        let grants: &[Grant] = if let [p] = &*plans {
             // A batch of one is exactly `acquire`, minus two allocations
             // on what is every single verb's path.
             single = [self.engine.acquire(ctx.now(), service(p))];
@@ -1076,15 +1055,13 @@ impl Nic {
         let mem = self.mem();
         let rmem = fabric.mem(peer_node);
         let mut credits = credits.into_iter();
-        let mut done: Vec<WrOutcome> = Vec::with_capacity(wrs.len());
+        let mut acked = 0u64;
         let mut bytes_tx = 0u64;
         let mut failure = None;
-        for ((wr, plan), g1) in wrs.iter().zip(&plans).zip(grants) {
-            // In-order execution at the responder: requests that carry no
-            // payload would otherwise overtake a large write ahead of them.
-            let (fence, floor) = done
-                .last()
-                .map_or((0, 0), |o| (o.remote_visible, o.completion));
+        // In-order execution at the responder: requests that carry no
+        // payload would otherwise overtake a large write ahead of them.
+        let (mut fence, mut floor) = (0, 0);
+        for ((wr, plan), g1) in wrs.iter().zip(&*plans).zip(grants) {
             let len = plan.len;
             let rsvc = self.cost.nic_engine_ns + plan.rpen;
             let mut step = || -> VerbsResult<WrOutcome> {
@@ -1094,11 +1071,10 @@ impl Nic {
                         // onto the wire; the remote NIC takes it off the
                         // ingress link, resolves the rkey and DMA-writes.
                         let local = plan.local.as_ref().expect("writes carry an sge");
-                        let data = Self::read_fragments(&mem, &local.chunks)?;
                         let g2 = self.tx.acquire(g1.finish, self.cost.link_time(len as u64));
                         let arrive = rnic.rx_arrival(g2.start + prop, len);
                         let g3 = rnic.engine.acquire(arrive, rsvc);
-                        Self::write_fragments(rmem, &plan.remote.chunks, &data)?;
+                        rmem.copy_from(&mem, &local.chunks, &plan.remote.chunks)?;
                         let delivered = qp.order_delivery(g3.finish);
                         // Immediate data consumes a receive credit and
                         // surfaces in the remote receive CQ.
@@ -1132,10 +1108,9 @@ impl Nic {
                         // local NIC DMAs it into the landing buffer.
                         let local = plan.local.as_ref().expect("reads carry an sge");
                         let g3 = rnic.engine.acquire((g1.finish + prop).max(fence), rsvc);
-                        let data = Self::read_fragments(rmem, &plan.remote.chunks)?;
                         let g4 = rnic.tx.acquire(g3.finish, self.cost.link_time(len as u64));
                         let back = self.rx_arrival(g4.start + prop, len);
-                        Self::write_fragments(&mem, &local.chunks, &data)?;
+                        mem.copy_from(rmem, &plan.remote.chunks, &local.chunks)?;
                         Ok(WrOutcome {
                             completion: back + self.cost.ack_ns,
                             remote_visible: g3.finish,
@@ -1204,7 +1179,9 @@ impl Nic {
             match step() {
                 Ok(mut o) => {
                     o.completion = o.completion.max(floor);
-                    done.push(o);
+                    (fence, floor) = (o.remote_visible, o.completion);
+                    acked += 1;
+                    ack(o);
                 }
                 Err(e) => {
                     failure = Some(e);
@@ -1212,36 +1189,33 @@ impl Nic {
                 }
             }
         }
-        self.one_sided_ops
-            .fetch_add(done.len() as u64, Ordering::Relaxed);
+        self.one_sided_ops.fetch_add(acked, Ordering::Relaxed);
         self.bytes_tx.fetch_add(bytes_tx, Ordering::Relaxed);
-        match failure {
-            None => Ok(done),
-            Some(error) => {
-                // Credits of the writes that never ran go back.
-                if let Some(rqp) = &rqp {
-                    for entry in credits {
-                        rqp.rq.post(entry);
-                    }
-                }
-                Err(ChainError { done, error })
+        let Some(error) = failure else {
+            return Ok(());
+        };
+        // Credits of the writes that never ran go back.
+        if let Some(rqp) = &rqp {
+            for entry in credits {
+                rqp.rq.post(entry);
             }
         }
+        Err(error)
     }
 
     /// Resolves both ends of one work request, charging each NIC's SRAM
     /// penalties exactly as the hardware would.
-    fn plan_wr(&self, rnic: &Nic, wr: &Wr) -> VerbsResult<PlannedWr> {
-        let (sge, remote, write, read) = match wr {
+    fn plan_wr<'a>(&self, rnic: &Nic, wr: &Wr<'a>) -> VerbsResult<PlannedWr<'a>> {
+        let (sge, remote, write, read) = match *wr {
             Wr::Write { sge, remote, .. } => (Some(sge), remote, true, false),
             Wr::Read { sge, remote } => (Some(sge), remote, false, true),
             Wr::FetchAdd { remote, .. } | Wr::CmpSwap { remote, .. } => {
                 (None, remote, false, false)
             }
         };
-        let len = sge.map_or(8, Sge::len);
+        let len = sge.map_or(8, |sge| sge.len());
         let local = sge.map(|sge| self.resolve_local(sge)).transpose()?;
-        let remote = rnic.resolve_remote(remote, len, write, read, sge.is_none())?;
+        let remote = rnic.resolve_remote(&remote, len, write, read, sge.is_none())?;
         Ok(PlannedWr {
             lpen: local.as_ref().map_or(0, |l| l.penalty),
             rpen: remote.penalty,
@@ -1318,12 +1292,11 @@ impl Nic {
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
         ctx.work(self.cost.post_wr_ns);
         let len = sge.len();
-        let local = self.resolve_local(sge)?;
+        let local = self.resolve_local(sge.as_ref())?;
         let lpen = local.penalty + self.touch_qpc(qp.id);
         let g1 = self
             .engine
             .acquire(ctx.now(), self.cost.nic_engine_ns + lpen + extra);
-        let data = Self::read_fragments(&self.mem(), &local.chunks)?;
         let g2 = self.tx.acquire(g1.finish, self.cost.link_time(len as u64));
 
         let rnic = fabric.try_nic(peer_node)?;
@@ -1345,9 +1318,12 @@ impl Nic {
                     have: dst.len(),
                 });
             }
-            let rres = rnic.resolve_local(&truncate_sge(dst, len))?;
+            let dst = truncate_sge(dst, len);
+            let rres = rnic.resolve_local(dst.as_ref())?;
             rpen += rres.penalty;
-            Self::write_fragments(fabric.mem(peer_node), &rres.chunks, &data)?;
+            fabric
+                .mem(peer_node)
+                .copy_from(&self.mem(), &local.chunks, &rres.chunks)?;
         }
         let g3 = rnic.engine.acquire(arrive, self.cost.nic_engine_ns + rpen);
         let delivered = qp.order_delivery(g3.finish);

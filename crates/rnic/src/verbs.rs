@@ -69,9 +69,59 @@ pub enum Sge {
 impl Sge {
     /// Total byte length of the buffer.
     pub fn len(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    /// Whether the buffer is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// This buffer, borrowed.
+    pub fn as_ref(&self) -> SgeRef<'_> {
         match self {
-            Sge::Virt { len, .. } => *len,
-            Sge::Phys { chunks, .. } => chunks.iter().map(|c| c.len as usize).sum(),
+            Sge::Virt { lkey, addr, len } => SgeRef::Virt {
+                lkey: *lkey,
+                addr: *addr,
+                len: *len,
+            },
+            Sge::Phys { lkey, chunks } => SgeRef::Phys {
+                lkey: *lkey,
+                chunks,
+            },
+        }
+    }
+}
+
+/// A borrowed [`Sge`] — what a chained work request ([`crate::Wr`])
+/// carries, so posting from a chunk list someone else owns (LITE's
+/// datapath descriptors) never copies the list.
+#[derive(Debug, Clone, Copy)]
+pub enum SgeRef<'a> {
+    /// See [`Sge::Virt`].
+    Virt {
+        /// lkey of the MR the buffer lives in.
+        lkey: u32,
+        /// Starting virtual address.
+        addr: u64,
+        /// Length in bytes.
+        len: usize,
+    },
+    /// See [`Sge::Phys`].
+    Phys {
+        /// lkey of the physical MR.
+        lkey: u32,
+        /// Physically-consecutive fragments, in order.
+        chunks: &'a [Chunk],
+    },
+}
+
+impl SgeRef<'_> {
+    /// Total byte length of the buffer.
+    pub fn len(&self) -> usize {
+        match self {
+            SgeRef::Virt { len, .. } => *len,
+            SgeRef::Phys { chunks, .. } => chunks.iter().map(|c| c.len as usize).sum(),
         }
     }
 

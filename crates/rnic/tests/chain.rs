@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rnic::{
-    Access, FaultPlan, FaultRule, IbConfig, IbFabric, Mr, Qp, RemoteAddr, Sge, VerbsError, Wr,
+    Access, FaultPlan, FaultRule, IbConfig, IbFabric, Mr, Qp, RemoteAddr, Sge, SgeRef, VerbsError,
+    Wr, WrOutcome,
 };
 use simnet::Ctx;
 use smem::{AddrSpace, PhysAllocator};
@@ -69,6 +70,33 @@ impl Rig {
         }
     }
 
+    /// Posts `chain` from node 0 and collects what it acknowledged: every
+    /// outcome on `Ok`, the acknowledged prefix beside the error on `Err`.
+    fn post(
+        &self,
+        ctx: &mut Ctx,
+        chain: &[Wr],
+    ) -> Result<Vec<WrOutcome>, (Vec<WrOutcome>, VerbsError)> {
+        let mut done = Vec::new();
+        match self
+            .fabric
+            .nic(0)
+            .post_chain(ctx, &self.qp, chain, |o| done.push(o))
+        {
+            Ok(()) => Ok(done),
+            Err(e) => Err((done, e)),
+        }
+    }
+
+    /// [`Rig::sge`] as a chained work request carries it.
+    fn wr_sge(&self, off: u64, len: usize) -> SgeRef<'static> {
+        SgeRef::Virt {
+            lkey: self.local.0.lkey(),
+            addr: self.local.1 + off,
+            len,
+        }
+    }
+
     fn at(&self, off: u64) -> RemoteAddr {
         RemoteAddr {
             rkey: self.remote.0.rkey(),
@@ -100,7 +128,7 @@ fn mixed_chain_executes_in_order_behind_one_doorbell() {
     r.set_local_u64(0, 41);
     let chain = [
         Wr::Write {
-            sge: r.sge(0, 8),
+            sge: r.wr_sge(0, 8),
             remote: r.at(64),
             imm: None,
         },
@@ -116,13 +144,13 @@ fn mixed_chain_executes_in_order_behind_one_doorbell() {
             token: None,
         },
         Wr::Read {
-            sge: r.sge(128, 8),
+            sge: r.wr_sge(128, 8),
             remote: r.at(64),
         },
     ];
     let mut ctx = Ctx::new();
     let start = ctx.now();
-    let done = r.fabric.nic(0).post_chain(&mut ctx, &r.qp, &chain).unwrap();
+    let done = r.post(&mut ctx, &chain).unwrap();
     assert_eq!(
         ctx.now() - start,
         r.fabric.cost().post_wr_ns,
@@ -159,11 +187,11 @@ fn one_element_chain_equals_the_single_verb() {
         .post_write_outcome(&mut ca, &a.qp, 0, &a.sge(0, 64), a.at(0), None, false)
         .unwrap();
     let wr = Wr::Write {
-        sge: b.sge(0, 64),
+        sge: b.wr_sge(0, 64),
         remote: b.at(0),
         imm: None,
     };
-    let chained = b.fabric.nic(0).post_chain(&mut cb, &b.qp, &[wr]).unwrap();
+    let chained = b.post(&mut cb, &[wr]).unwrap();
     assert_eq!(chained, [single]);
     assert_eq!(ca.now(), cb.now());
 
@@ -176,10 +204,10 @@ fn one_element_chain_equals_the_single_verb() {
         .post_read(&mut ca, &a.qp, 0, &a.sge(0, 2048), a.at(0), false)
         .unwrap();
     let wr = Wr::Read {
-        sge: b.sge(0, 2048),
+        sge: b.wr_sge(0, 2048),
         remote: b.at(0),
     };
-    let chained = b.fabric.nic(0).post_chain(&mut cb, &b.qp, &[wr]).unwrap();
+    let chained = b.post(&mut cb, &[wr]).unwrap();
     assert_eq!(chained[0].completion, single);
     assert_eq!(ca.now(), cb.now());
 
@@ -197,7 +225,7 @@ fn one_element_chain_equals_the_single_verb() {
         delta: 3,
         token: None,
     };
-    let chained = b.fabric.nic(0).post_chain(&mut cb, &b.qp, &[wr]).unwrap();
+    let chained = b.post(&mut cb, &[wr]).unwrap();
     assert_eq!(chained[0].value, old);
     assert_eq!(cb.now(), b.fabric.cost().post_wr_ns);
     assert_eq!(
@@ -215,7 +243,7 @@ fn validation_failure_leaves_no_side_effect() {
     let r = rig();
     r.set_local_u64(0, 7);
     let good_write = Wr::Write {
-        sge: r.sge(0, 8),
+        sge: r.wr_sge(0, 8),
         remote: r.at(256),
         imm: None,
     };
@@ -229,7 +257,7 @@ fn validation_failure_leaves_no_side_effect() {
         (
             // Remote range runs off the end of the MR.
             Wr::Read {
-                sge: r.sge(0, 64),
+                sge: r.wr_sge(0, 64),
                 remote: r.at(4090),
             },
             |e| matches!(e, VerbsError::OutOfBounds { .. }),
@@ -250,7 +278,7 @@ fn validation_failure_leaves_no_side_effect() {
         (
             // No receive credit posted for the immediate.
             Wr::Write {
-                sge: r.sge(0, 8),
+                sge: r.wr_sge(0, 8),
                 remote: r.at(272),
                 imm: Some(9),
             },
@@ -259,17 +287,13 @@ fn validation_failure_leaves_no_side_effect() {
     ];
     for (pos, (wr, expected)) in bad.iter().enumerate() {
         // The bad element takes each position of a three-element chain.
-        let mut chain = vec![good_write.clone(), good_add.clone()];
-        chain.insert(pos, wr.clone());
+        let mut chain = vec![good_write, good_add];
+        chain.insert(pos, *wr);
         let mut ctx = Ctx::new();
         let ops_before = r.fabric.nic(0).stats().one_sided_ops;
-        let err = r
-            .fabric
-            .nic(0)
-            .post_chain(&mut ctx, &r.qp, &chain)
-            .unwrap_err();
-        assert!(expected(&err.error), "position {pos}: {:?}", err.error);
-        assert!(err.done.is_empty(), "nothing ran");
+        let (done, error) = r.post(&mut ctx, &chain).unwrap_err();
+        assert!(expected(&error), "position {pos}: {error:?}");
+        assert!(done.is_empty(), "nothing ran");
         assert_eq!(ctx.now(), 0, "no doorbell was rung");
         assert_eq!(r.remote_u64(256), 0, "the good write did not land");
         assert_eq!(r.remote_u64(264), 0, "the good fetch-add did not apply");
@@ -288,7 +312,7 @@ fn lost_ack_mid_chain_resumes_from_the_atomic() {
     r.set_local_u64(8, 2);
     let chain = [
         Wr::Write {
-            sge: r.sge(0, 8),
+            sge: r.wr_sge(0, 8),
             remote: r.at(512),
             imm: None,
         },
@@ -298,7 +322,7 @@ fn lost_ack_mid_chain_resumes_from_the_atomic() {
             token: Some((0, 77)),
         },
         Wr::Write {
-            sge: r.sge(8, 8),
+            sge: r.wr_sge(8, 8),
             remote: r.at(528),
             imm: None,
         },
@@ -311,13 +335,9 @@ fn lost_ack_mid_chain_resumes_from_the_atomic() {
             max_drops: 1,
         }));
     let mut ctx = Ctx::new();
-    let err = r
-        .fabric
-        .nic(0)
-        .post_chain(&mut ctx, &r.qp, &chain)
-        .unwrap_err();
-    assert!(matches!(err.error, VerbsError::Timeout), "{:?}", err.error);
-    assert_eq!(err.done.len(), 1, "only the leading write was acknowledged");
+    let (acked, error) = r.post(&mut ctx, &chain).unwrap_err();
+    assert!(matches!(error, VerbsError::Timeout), "{error:?}");
+    assert_eq!(acked.len(), 1, "only the leading write was acknowledged");
     assert_eq!(r.remote_u64(512), 1);
     assert_eq!(
         r.remote_u64(520),
@@ -329,11 +349,7 @@ fn lost_ack_mid_chain_resumes_from_the_atomic() {
     // The poster meanwhile overwrote the first payload's source; a replay
     // from the top would carry the new bytes, a resume must not.
     r.set_local_u64(0, 99);
-    let done = r
-        .fabric
-        .nic(0)
-        .post_chain(&mut ctx, &r.qp, &chain[err.done.len()..])
-        .unwrap();
+    let done = r.post(&mut ctx, &chain[acked.len()..]).unwrap();
     assert_eq!(
         done[0].value, 0,
         "the memoized old value, not a second apply"

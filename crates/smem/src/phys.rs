@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::alloc::Chunk;
 use crate::error::MemError;
 
 /// Page size (bytes). Matches x86-64 base pages, like the paper's testbed.
@@ -126,6 +127,93 @@ impl PhysMem {
             p[in_page..in_page + n].fill(byte);
         });
         Ok(())
+    }
+
+    /// Copies the bytes of `src` — fragments of `from`, in order — onto
+    /// the fragments `dst` of this memory, page fragment to page fragment
+    /// with no buffer in between (the NIC's DMA between two scatter
+    /// lists). Moves `min(Σ src, Σ dst)` bytes. Every chunk of both lists
+    /// is bounds-checked before the first byte moves, so an error leaves
+    /// the destination untouched. `from` may be this memory; overlapping
+    /// ranges behave as if all of `src` were read before any of `dst` is
+    /// written.
+    pub fn copy_from(&self, from: &PhysMem, src: &[Chunk], dst: &[Chunk]) -> Result<(), MemError> {
+        for c in src {
+            from.check(c.addr, c.len as usize)?;
+        }
+        for c in dst {
+            self.check(c.addr, c.len as usize)?;
+        }
+        let overlaps = |s: &Chunk| {
+            let hits = |d: &Chunk| s.addr < d.addr + d.len && d.addr < s.addr + s.len;
+            dst.iter().any(hits)
+        };
+        if std::ptr::eq(self, from) && src.iter().any(overlaps) {
+            // A streaming copy would read bytes it has already replaced.
+            let total: u64 = src.iter().map(|c| c.len).sum();
+            let mut buf = vec![0u8; total as usize];
+            let mut off = 0;
+            for c in src {
+                from.read(c.addr, &mut buf[off..off + c.len as usize])?;
+                off += c.len as usize;
+            }
+            let mut rest = &buf[..];
+            for c in dst {
+                let (head, tail) = rest.split_at(rest.len().min(c.len as usize));
+                self.write(c.addr, head)?;
+                rest = tail;
+            }
+            return Ok(());
+        }
+        let in_page = |addr: u64| (addr & (PAGE_SIZE as u64 - 1)) as usize;
+        let (mut src, mut dst) = (src.iter(), dst.iter());
+        let (mut s, mut d) = (Chunk { addr: 0, len: 0 }, Chunk { addr: 0, len: 0 });
+        loop {
+            // Empty chunks are legal in a scatter list; skip them.
+            while s.len == 0 {
+                match src.next() {
+                    Some(next) => s = *next,
+                    None => return Ok(()),
+                }
+            }
+            while d.len == 0 {
+                match dst.next() {
+                    Some(next) => d = *next,
+                    None => return Ok(()),
+                }
+            }
+            let (so, doff) = (in_page(s.addr), in_page(d.addr));
+            let n = (s.len.min(d.len) as usize)
+                .min(PAGE_SIZE - so)
+                .min(PAGE_SIZE - doff);
+            let sp = from.page(s.addr >> PAGE_SHIFT);
+            let dp = self.page(d.addr >> PAGE_SHIFT);
+            if Arc::ptr_eq(&sp, &dp) {
+                // Disjoint ranges of one page (overlap went the other way).
+                sp.lock().copy_within(so..so + n, doff);
+            } else {
+                // Both pages in address order, so two copies in opposite
+                // directions cannot deadlock.
+                let (sg, mut dg);
+                if Arc::as_ptr(&sp) < Arc::as_ptr(&dp) {
+                    sg = sp.lock();
+                    dg = dp.lock();
+                } else {
+                    dg = dp.lock();
+                    sg = sp.lock();
+                }
+                dg[doff..doff + n].copy_from_slice(&sg[so..so + n]);
+            }
+            let n = n as u64;
+            s = Chunk {
+                addr: s.addr + n,
+                len: s.len - n,
+            };
+            d = Chunk {
+                addr: d.addr + n,
+                len: d.len - n,
+            };
+        }
     }
 
     fn atomic_cell(&self, addr: PhysAddr) -> Result<(Arc<Mutex<Page>>, usize), MemError> {
