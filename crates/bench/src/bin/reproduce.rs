@@ -1,131 +1,29 @@
-//! Runs every figure/table harness and prints the full report.
+//! Runs the figure/table harnesses of [`bench::FIGURES`] and prints the
+//! report.
 //!
-//! `cargo run --release -p bench --bin reproduce` (add `--full` for
-//! paper-scale parameters).
+//! `cargo run --release -p bench --bin reproduce` runs all of them;
+//! `reproduce fig04 ablation_syscalls` runs only those. Add `--full` for
+//! paper-scale parameters.
 fn main() {
     let full = bench::full_mode();
-    let t0 = std::time::Instant::now();
-    macro_rules! run {
-        ($title:expr, $xlabel:expr, $f:path) => {{
-            let rows = $f(full);
-            bench::print_table($title, $xlabel, &rows);
-        }};
+    let names: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    if let Some(unknown) = names
+        .iter()
+        .find(|n| !bench::FIGURES.iter().any(|f| f.name == n.as_str()))
+    {
+        let known: Vec<&str> = bench::FIGURES.iter().map(|f| f.name).collect();
+        eprintln!("unknown figure `{unknown}`; known: {}", known.join(" "));
+        std::process::exit(2);
     }
-    run!(
-        "Figure 4: 64B write latency vs number of (L)MRs (us)",
-        "num_mrs",
-        bench::figs::micro::fig04
-    );
-    run!(
-        "Figure 5: write throughput vs (L)MR size (requests/us)",
-        "mr_size",
-        bench::figs::micro::fig05
-    );
-    run!(
-        "Figure 6: write latency vs request size (us)",
-        "size_bytes",
-        bench::figs::micro::fig06
-    );
-    run!(
-        "Figure 7: throughput vs write size, 1 and 8 ways (GB/s)",
-        "size",
-        bench::figs::micro::fig07
-    );
-    run!(
-        "Figure 8: (de)register and (un)map latency vs size (us)",
-        "size",
-        bench::figs::micro::fig08
-    );
-    run!(
-        "Figure 10: RPC latency vs return size (us)",
-        "ret_bytes",
-        bench::figs::rpc::fig10
-    );
-    run!(
-        "Figure 11: RPC throughput, 1 and 16 pairs (GB/s)",
-        "ret_bytes",
-        bench::figs::rpc::fig11
-    );
-    run!(
-        "Figure 12: RPC memory utilization (fraction)",
-        "scheme",
-        bench::figs::rpc::fig12
-    );
-    run!(
-        "Figure 13: CPU time per request, Facebook arrivals (us)",
-        "amplification",
-        bench::figs::rpc::fig13
-    );
-    run!(
-        "Figure 14: scalability with cluster size (requests/us)",
-        "nodes",
-        bench::figs::scale_qos::fig14
-    );
-    run!(
-        "Figure 15: QoS with real applications (normalized)",
-        "mode",
-        bench::figs::scale_qos::fig15
-    );
-    run!(
-        "Figure 16: QoS timeline, synthetic mix (GB/s per 100ms)",
-        "time",
-        bench::figs::scale_qos::fig16
-    );
-    run!(
-        "Figure 17: LITE memory-op latency vs size (us)",
-        "size",
-        bench::figs::micro::fig17
-    );
-    run!(
-        "Figure 18: MapReduce WordCount run time (s)",
-        "system",
-        bench::figs::apps::fig18
-    );
-    run!(
-        "Figure 19: PageRank run time (s)",
-        "cluster",
-        bench::figs::apps::fig19
-    );
-    run!(
-        "Section 7.2: lock and barrier latency (us)",
-        "case",
-        bench::figs::apps::sync_bench
-    );
-    run!(
-        "Section 8.1: LITE-Log commit throughput",
-        "writers",
-        bench::figs::apps::app_log
-    );
-    run!(
-        "Section 8.4: LITE-DSM microbenchmarks (us)",
-        "op",
-        bench::figs::apps::app_dsm
-    );
-    run!(
-        "Ablation: global physical MR vs virtual MR",
-        "workload",
-        bench::figs::ablation::ablation_global_mr
-    );
-    run!(
-        "Ablation: syscall crossing + polling optimizations",
-        "variant",
-        bench::figs::ablation::ablation_syscalls
-    );
-    run!(
-        "Ablation: QP sharing factor K",
-        "K",
-        bench::figs::ablation::ablation_qp_factor
-    );
-    run!(
-        "Ablation: chunked LMR allocation",
-        "policy",
-        bench::figs::ablation::ablation_chunking
-    );
-    run!(
-        "Ablation: doorbell-batched posting",
-        "posting",
-        bench::figs::ablation::ablation_batch_posting
-    );
+    let t0 = std::time::Instant::now();
+    for fig in bench::FIGURES {
+        if names.is_empty() || names.iter().any(|n| n == fig.name) {
+            bench::print_table(fig.title, fig.xlabel, &(fig.run)(full));
+        }
+    }
     eprintln!(
         "\n(reproduced in {:.1?}, mode = {})",
         t0.elapsed(),

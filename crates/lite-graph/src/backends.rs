@@ -3,10 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lite::{
-    Chunk, DataPath, DataPathBarrier, Lh, LiteCluster, LiteHandle, LiteResult, LockId, Op, Perm,
-    Priority, TcpDataPath,
-};
+use lite::{Lh, LiteCluster, LiteHandle, LiteResult, LockId, Perm};
 use lite_dsm::{DsmCluster, DsmHandle};
 use simnet::{Ctx, Nanos};
 use transport::{Mesh, MeshSock, TcpCostModel, TcpNet};
@@ -332,192 +329,6 @@ pub fn run_grappa(
     };
     // Aggregation buys bandwidth at the price of batching delay.
     run_mesh(graph, nodes, threads, cfg, grappa_cost, 8_000, 28)
-}
-
-// ---------------------------------------------------------------------
-// DataPath backend (transport selected through the shared trait)
-// ---------------------------------------------------------------------
-
-/// A backend over the transport-agnostic [`DataPath`] trait: rank/active
-/// bundles live in datapath-allocated segments on a home node, publishes
-/// are doorbell-batched write chains ([`DataPath::post_many`]), fetches
-/// are single one-sided reads, and rounds synchronize through a
-/// [`DataPathBarrier`]. The same engine code runs over RDMA
-/// ([`run_lite_datapath`]) or the TCP stack ([`run_tcp_datapath`]) —
-/// only the `Arc<dyn DataPath>` handed in differs.
-pub struct DataPathBackend {
-    dp: Arc<dyn DataPath>,
-    /// Node hosting every segment and the barrier cell.
-    home: usize,
-    me: usize,
-    nodes: usize,
-    seg_lens: Vec<usize>,
-    seg_addrs: Vec<u64>,
-    /// Local staging the bundles marshal through.
-    staging: u64,
-    cached_actives: Vec<Option<Vec<bool>>>,
-    barrier: DataPathBarrier,
-}
-
-impl Backend for DataPathBackend {
-    fn nodes(&self) -> usize {
-        self.nodes
-    }
-    fn me(&self) -> usize {
-        self.me
-    }
-
-    fn fetch(&mut self, ctx: &mut Ctx, node: usize) -> Vec<f64> {
-        let n = self.seg_lens[node];
-        let op = Op::read(
-            self.home,
-            self.seg_addrs[node],
-            vec![Chunk {
-                addr: self.staging,
-                len: (n * 9) as u64,
-            }],
-            n * 9,
-        );
-        let comp = self
-            .dp
-            .post(ctx, Priority::High, &op)
-            .expect("segment read");
-        ctx.wait_until(comp.stamp);
-        let mut buf = vec![0u8; n * 9];
-        self.dp
-            .fabric()
-            .mem(self.dp.node())
-            .read(self.staging, &mut buf)
-            .expect("staging read");
-        let (ranks, actives) = decode_bundle(&buf, n);
-        self.cached_actives[node] = Some(actives);
-        ranks
-    }
-
-    fn fetch_actives(&mut self, _: &mut Ctx, node: usize) -> Vec<bool> {
-        self.cached_actives[node]
-            .clone()
-            .expect("fetch before fetch_actives")
-    }
-
-    fn publish(&mut self, ctx: &mut Ctx, ranks: &[f64], actives: &[bool]) {
-        let n = ranks.len();
-        let bytes = encode_bundle(ranks, actives);
-        let mem = self.dp.fabric().mem(self.dp.node());
-        mem.write(self.staging, &bytes).expect("staging write");
-        // Ranks and the activity vector post as one doorbell chain.
-        let ops = [
-            Op::write(
-                self.home,
-                self.seg_addrs[self.me],
-                vec![Chunk {
-                    addr: self.staging,
-                    len: (n * 8) as u64,
-                }],
-                n * 8,
-            ),
-            Op::write(
-                self.home,
-                self.seg_addrs[self.me] + (n * 8) as u64,
-                vec![Chunk {
-                    addr: self.staging + (n * 8) as u64,
-                    len: n as u64,
-                }],
-                n,
-            ),
-        ];
-        let comps = self
-            .dp
-            .post_many(ctx, Priority::High, &ops)
-            .expect("publish");
-        let last = comps.iter().map(|c| c.stamp).max().unwrap_or(0);
-        ctx.wait_until(last);
-    }
-
-    fn barrier(&mut self, ctx: &mut Ctx, seq: u64) {
-        self.barrier.wait(ctx, seq).expect("barrier");
-    }
-}
-
-/// Runs the GAS engine over any set of connected [`DataPath`]s (one per
-/// engine node, `paths[0]` hosting the shared segments).
-pub fn run_datapath(
-    paths: &[Arc<dyn DataPath>],
-    graph: &Graph,
-    threads: usize,
-    cfg: &PagerankConfig,
-) -> LiteResult<PagerankResult> {
-    let nodes = paths.len();
-    let seg_lens: Vec<usize> = (0..nodes)
-        .map(|n| graph.partition_range(n, nodes).len())
-        .collect();
-    let home = paths[0].node();
-    let mut seg_addrs = Vec::with_capacity(nodes);
-    for &len in &seg_lens {
-        seg_addrs.push(paths[0].alloc((len * 9).max(64) as u64)?);
-    }
-    let cell = DataPathBarrier::alloc_cell(&paths[0])?;
-    let max_seg = seg_lens.iter().copied().max().unwrap_or(1);
-
-    let mut handles = Vec::new();
-    #[allow(clippy::needless_range_loop)]
-    for me in 0..nodes {
-        let dp = Arc::clone(&paths[me]);
-        let graph = graph.clone();
-        let cfg = cfg.clone();
-        let seg_lens = seg_lens.clone();
-        let seg_addrs = seg_addrs.clone();
-        handles.push(std::thread::spawn(move || -> LiteResult<_> {
-            let staging = dp.alloc((max_seg * 9).max(64) as u64)?;
-            let barrier = DataPathBarrier::new(Arc::clone(&dp), home, cell, nodes as u64)?;
-            let mut backend = DataPathBackend {
-                dp,
-                home,
-                me,
-                nodes,
-                seg_lens,
-                seg_addrs,
-                staging,
-                cached_actives: (0..nodes).map(|_| None).collect(),
-                barrier,
-            };
-            Ok(node_loop(&mut backend, &graph, &cfg, threads))
-        }));
-    }
-    collect(
-        graph,
-        nodes,
-        handles.into_iter().map(|h| h.join().expect("node")),
-    )
-}
-
-/// LITE-Graph through the shared trait: each engine node drives its
-/// cluster node's [`RnicDataPath`] directly (kernel-level consumer).
-pub fn run_lite_datapath(
-    cluster: &Arc<LiteCluster>,
-    graph: &Graph,
-    engine_nodes: usize,
-    threads: usize,
-    cfg: &PagerankConfig,
-) -> LiteResult<PagerankResult> {
-    assert!(cluster.num_nodes() >= engine_nodes);
-    let paths: Vec<Arc<dyn DataPath>> = (0..engine_nodes).map(|n| cluster.datapath(n)).collect();
-    run_datapath(&paths, graph, threads, cfg)
-}
-
-/// The same engine over the modeled TCP stack — backend selection is
-/// literally which `Arc<dyn DataPath>` set is handed to [`run_datapath`].
-pub fn run_tcp_datapath(
-    graph: &Graph,
-    nodes: usize,
-    threads: usize,
-    cfg: &PagerankConfig,
-) -> LiteResult<PagerankResult> {
-    let paths: Vec<Arc<dyn DataPath>> = TcpDataPath::mesh(nodes, TcpCostModel::default())
-        .into_iter()
-        .map(|p| p as Arc<dyn DataPath>)
-        .collect();
-    run_datapath(&paths, graph, threads, cfg)
 }
 
 // ---------------------------------------------------------------------

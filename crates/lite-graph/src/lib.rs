@@ -16,9 +16,6 @@
 //!   stack: better than raw TCP, still short of one-sided RDMA.
 //! * [`backends::DsmBackend`] — LITE-Graph-DSM (§8.4): ranks in
 //!   `lite_dsm` shared memory, paying the extra DSM indirection.
-//! * [`backends::DataPathBackend`] — the engine over the shared
-//!   `lite::DataPath` trait: the same backend code runs on RDMA or TCP,
-//!   selected by which `Arc<dyn DataPath>` set is handed in.
 //!
 //! Every backend computes bit-comparable ranks (asserted in tests).
 
@@ -26,10 +23,7 @@ pub mod backends;
 pub mod engine;
 pub mod gen;
 
-pub use backends::{
-    run_datapath, run_dsm, run_grappa, run_lite, run_lite_datapath, run_powergraph_tcp,
-    run_reference, run_tcp_datapath,
-};
+pub use backends::{run_dsm, run_grappa, run_lite, run_powergraph_tcp, run_reference};
 pub use engine::{Backend, PagerankConfig, PagerankResult};
 pub use gen::Graph;
 
@@ -64,34 +58,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn datapath_backends_agree_on_ranks() {
-        let g = Graph::power_law(400, 3000, 0.9, 7);
-        let cfg = PagerankConfig::default();
-        let reference = run_reference(&g, &cfg);
-
-        let cluster = lite::LiteCluster::start(3).unwrap();
-        let rdma_r = run_lite_datapath(&cluster, &g, 3, 2, &cfg).unwrap();
-        let tcp_r = run_tcp_datapath(&g, 3, 2, &cfg).unwrap();
-
-        for (name, r) in [("rnic-datapath", &rdma_r), ("tcp-datapath", &tcp_r)] {
-            assert_eq!(r.ranks.len(), reference.ranks.len());
-            for (i, (a, b)) in r.ranks.iter().zip(&reference.ranks).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "{name} rank[{i}] {a} vs reference {b}"
-                );
-            }
-        }
-        // One-sided RDMA pulls beat the TCP stack on the same engine.
-        assert!(
-            rdma_r.runtime_ns < tcp_r.runtime_ns,
-            "rnic {} tcp {}",
-            rdma_r.runtime_ns,
-            tcp_r.runtime_ns
-        );
     }
 
     /// Figure 19's ordering needs realistic data volumes: at toy scale,

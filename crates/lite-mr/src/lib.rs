@@ -14,14 +14,9 @@
 //! * [`hadoop`] — the same phases over TCP/IPoIB with per-task launch
 //!   overhead and disk-spill shuffle, Hadoop-style.
 //!
-//! A fourth runner, [`datapath`], speaks the shared `lite::DataPath`
-//! trait directly: the same WordCount runs over RDMA or TCP depending
-//! only on which datapath set is handed in.
-//!
 //! All implementations produce bit-identical word counts (asserted in
 //! tests); runtimes diverge exactly the way Figure 18 shows.
 
-pub mod datapath;
 pub mod ft;
 pub mod hadoop;
 pub mod litemr;
@@ -31,7 +26,6 @@ pub mod text;
 
 use std::collections::HashMap;
 
-pub use datapath::run_mr_datapath;
 pub use ft::run_litemr_ft;
 pub use hadoop::run_hadoop;
 pub use litemr::run_litemr;

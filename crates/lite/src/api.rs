@@ -38,12 +38,19 @@ use crate::kernel::datapath::Op;
 use crate::kernel::{
     perm_to_byte, LiteKernel, ReplyRoute, FN_BARRIER, FN_FREE_CHUNKS, FN_GRANT, FN_INVALIDATE,
     FN_LOCK, FN_MALLOC, FN_MAP, FN_MEMCPY, FN_MEMSET, FN_MSG, FN_QUERYNAME, FN_REGNAME,
-    FN_TAKE_RECORD, FN_UNMAP, FN_UNREGNAME, MANAGER_NODE, USER_FUNC_MIN,
+    FN_TAKE_RECORD, FN_UNMAP, FN_UNREGNAME, MANAGER_NODE, RPC_META_NS, USER_FUNC_MIN,
 };
 use crate::lmr::{LhEntry, LmrId, Location, Perm};
 use crate::observe::{EventKind, OpClass, StatsReport};
 use crate::qos::Priority;
 use crate::wire::{Dec, Enc, Imm, MsgHeader, HEADER_BYTES};
+
+/// One user/kernel crossing (§5.2 measures ~0.17 µs for the two
+/// crossings left on the RPC fast path).
+pub const SYSCALL_CROSSING_NS: Nanos = 85;
+
+/// Maximum RPC payload (input or reply), in bytes.
+pub const MAX_RPC_PAYLOAD: usize = 4 << 20;
 
 /// A cluster-wide lock identity (§7.2: a 64-bit integer in an internal
 /// LMR with an owner node). `Copy` — distribute it to other nodes through
@@ -279,7 +286,7 @@ impl LiteHandle {
 
     fn enter(&self, ctx: &mut Ctx) {
         if self.user_level {
-            ctx.work(self.kernel.config.syscall_crossing_ns);
+            ctx.work(SYSCALL_CROSSING_NS);
         }
     }
 
@@ -288,7 +295,7 @@ impl LiteHandle {
         // the shared page — no further crossing. The ablation restores
         // the full syscall return plus a re-entry to fetch results.
         if self.user_level && !self.kernel.config.fast_syscalls {
-            ctx.work(2 * self.kernel.config.syscall_crossing_ns);
+            ctx.work(2 * SYSCALL_CROSSING_NS);
         }
     }
 
@@ -357,14 +364,13 @@ impl LiteHandle {
         max_reply: usize,
         oneway: bool,
     ) -> LiteResult<Vec<u8>> {
-        let cfg = self.kernel.config.clone();
-        if payload.len() > cfg.max_rpc_payload {
+        if payload.len() > MAX_RPC_PAYLOAD {
             return Err(LiteError::TooLarge {
                 len: payload.len(),
-                max: cfg.max_rpc_payload,
+                max: MAX_RPC_PAYLOAD,
             });
         }
-        ctx.work(cfg.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         let span_start = ctx.now();
         let total = HEADER_BYTES as u64 + payload.len() as u64;
         let r = self.kernel.reserve_ring(ctx, server, total)?;
@@ -405,7 +411,7 @@ impl LiteHandle {
             post?;
             return Ok(Vec::new());
         };
-        let result = post.and_then(|_| slot.wait(ctx, &cfg, cfg.op_timeout));
+        let result = post.and_then(|_| slot.wait(ctx, &self.kernel.config));
         self.kernel.free_slot(slot_id);
         let res = result?;
         self.span(OpClass::Rpc, server, span_start, res.stamp);
@@ -455,95 +461,94 @@ impl LiteHandle {
         name: &str,
         default_perm: Perm,
     ) -> LiteResult<Lh> {
-        self.enter(ctx);
-        let reg_started = ctx.now();
-        let max_chunk = self.kernel.config.max_lmr_chunk;
-        let resp = self.kcall(
-            ctx,
-            target,
-            FN_MALLOC,
-            Enc::new().u64(size).u64(max_chunk).done(),
-        )?;
-        let mut d = Dec::new(&resp);
-        let n = d.u32()?;
-        let mut extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((target, Chunk { addr, len }));
-        }
-        let location = Location { extents };
-        let id = self.kernel.create_master_record(
-            location.clone(),
-            Some(name.to_string()),
-            default_perm,
-        );
-        // Register the name with the cluster manager; roll back on clash.
-        let reg = self.kcall(
-            ctx,
-            MANAGER_NODE,
-            FN_REGNAME,
-            Enc::new()
-                .bytes(name.as_bytes())
-                .u32(self.kernel.node() as u32)
-                .done(),
-        );
-        if let Err(e) = reg {
-            self.kernel.remove_master_record(id.idx);
-            // The registration may have landed with only its reply lost;
-            // best-effort guarded scrub so a half-registered name cannot
-            // outlive the record it pointed at. A clean name clash
-            // (Remote(1)) means someone else owns the binding — the
-            // guard makes scrubbing it a no-op either way.
-            if !matches!(e, LiteError::Remote(1)) {
-                let _ = self.kcall(
-                    ctx,
-                    MANAGER_NODE,
-                    FN_UNREGNAME,
-                    Enc::new()
-                        .bytes(name.as_bytes())
-                        .u32(self.kernel.node() as u32)
-                        .done(),
-                );
+        self.syscall(ctx, |this, ctx| {
+            let reg_started = ctx.now();
+            let max_chunk = this.kernel.config.max_lmr_chunk;
+            let resp = this.kcall(
+                ctx,
+                target,
+                FN_MALLOC,
+                Enc::new().u64(size).u64(max_chunk).done(),
+            )?;
+            let mut d = Dec::new(&resp);
+            let n = d.u32()?;
+            let mut extents = Vec::with_capacity(n as usize);
+            for _ in 0..n {
+                let addr = d.u64()?;
+                let len = d.u64()?;
+                extents.push((target, Chunk { addr, len }));
             }
-            let mut free = Enc::new().u32(location.extents.len() as u32);
-            for (_, c) in &location.extents {
-                free = free.u64(c.addr);
-            }
-            if self
-                .kcall(ctx, target, FN_FREE_CHUNKS, free.done())
-                .is_err()
-            {
-                // Rollback failed: the chunks on `target` are leaked.
-                // Count it and trace it instead of swallowing it.
-                self.kernel.note_cleanup_failure(target, ctx.now());
-            }
-            let mapped = matches!(e, LiteError::Remote(1));
-            self.exit(ctx);
-            return Err(if mapped {
-                LiteError::NameExists {
-                    name: name.to_string(),
+            let location = Location { extents };
+            let id = this.kernel.create_master_record(
+                location.clone(),
+                Some(name.to_string()),
+                default_perm,
+            );
+            // Register the name with the cluster manager; roll back on clash.
+            let reg = this.kcall(
+                ctx,
+                MANAGER_NODE,
+                FN_REGNAME,
+                Enc::new()
+                    .bytes(name.as_bytes())
+                    .u32(this.kernel.node() as u32)
+                    .done(),
+            );
+            if let Err(e) = reg {
+                this.kernel.remove_master_record(id.idx);
+                // The registration may have landed with only its reply lost;
+                // best-effort guarded scrub so a half-registered name cannot
+                // outlive the record it pointed at. A clean name clash
+                // (Remote(1)) means someone else owns the binding — the
+                // guard makes scrubbing it a no-op either way.
+                if !matches!(e, LiteError::Remote(1)) {
+                    let _ = this.kcall(
+                        ctx,
+                        MANAGER_NODE,
+                        FN_UNREGNAME,
+                        Enc::new()
+                            .bytes(name.as_bytes())
+                            .u32(this.kernel.node() as u32)
+                            .done(),
+                    );
                 }
-            } else {
-                e
-            });
-        }
-        let lh = self.kernel.install_lh(
-            self.pid,
-            LhEntry {
-                id,
-                name: name.to_string(),
-                location,
-                perm: Perm::MASTER,
-                stale: false,
-                relocated: false,
-            },
-        );
-        self.kernel
-            .mm()
-            .record_reg_latency(ctx.now().saturating_sub(reg_started));
-        self.exit(ctx);
-        Ok(lh)
+                let mut free = Enc::new().u32(location.extents.len() as u32);
+                for (_, c) in &location.extents {
+                    free = free.u64(c.addr);
+                }
+                if this
+                    .kcall(ctx, target, FN_FREE_CHUNKS, free.done())
+                    .is_err()
+                {
+                    // Rollback failed: the chunks on `target` are leaked.
+                    // Count it and trace it instead of swallowing it.
+                    this.kernel.note_cleanup_failure(target, ctx.now());
+                }
+                let mapped = matches!(e, LiteError::Remote(1));
+                return Err(if mapped {
+                    LiteError::NameExists {
+                        name: name.to_string(),
+                    }
+                } else {
+                    e
+                });
+            }
+            let lh = this.kernel.install_lh(
+                this.pid,
+                LhEntry {
+                    id,
+                    name: name.to_string(),
+                    location,
+                    perm: Perm::MASTER,
+                    stale: false,
+                    relocated: false,
+                },
+            );
+            this.kernel
+                .mm()
+                .record_reg_latency(ctx.now().saturating_sub(reg_started));
+            Ok(lh)
+        })
     }
 
     /// LT_map: acquires an lh for a named LMR (manager lookup + master
@@ -767,78 +772,77 @@ impl LiteHandle {
     /// LT_free: frees the LMR everywhere and invalidates every mapper.
     /// Requires a master lh.
     pub fn lt_free(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        if !entry.perm.master {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        let resp = self.kcall(
-            ctx,
-            entry.id.node as NodeId,
-            FN_TAKE_RECORD,
-            Enc::new().bytes(entry.name.as_bytes()).done(),
-        )?;
-        let mut d = Dec::new(&resp);
-        let id = LmrId {
-            node: d.u32()?,
-            idx: d.u32()?,
-        };
-        let n = d.u32()?;
-        let mut extents: Vec<(NodeId, Chunk)> = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let node = d.u32()? as NodeId;
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((node, Chunk { addr, len }));
-        }
-        let m = d.u32()?;
-        let mut mapped = Vec::with_capacity(m as usize);
-        for _ in 0..m {
-            mapped.push(d.u32()? as NodeId);
-        }
-        // Scrub the name binding *now*, immediately after the record was
-        // taken — before the fallible chunk frees below. The old
-        // ordering (unregister last) leaked the binding whenever a free
-        // failed mid-way: the record was gone but the name stayed,
-        // pointing at a master that would answer "unknown" forever and
-        // blocking re-registration. The trailing u32 guards the scrub:
-        // the manager only removes the binding if it still names this
-        // master, so a name freed and re-registered by someone else in
-        // the meantime is left alone.
-        let _ = self.kcall(
-            ctx,
-            MANAGER_NODE,
-            FN_UNREGNAME,
-            Enc::new()
-                .bytes(entry.name.as_bytes())
-                .u32(entry.id.node)
-                .done(),
-        );
-        // Free storage per node.
-        let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
-        for (node, c) in &extents {
-            by_node.entry(*node).or_default().push(c.addr);
-        }
-        for (node, addrs) in by_node {
-            let mut e = Enc::new().u32(addrs.len() as u32);
-            for a in addrs {
-                e = e.u64(a);
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.kernel.lookup_lh(this.pid, lh)?;
+            if !entry.perm.master {
+                return Err(LiteError::NotMaster);
             }
-            self.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
-        }
-        // Invalidate every mapper (including ourselves, via loop-back).
-        for node in mapped {
-            let _ = self.kcall(
+            let resp = this.kcall(
                 ctx,
-                node,
-                FN_INVALIDATE,
-                Enc::new().u32(id.node).u32(id.idx).done(),
+                entry.id.node as NodeId,
+                FN_TAKE_RECORD,
+                Enc::new().bytes(entry.name.as_bytes()).done(),
+            )?;
+            let mut d = Dec::new(&resp);
+            let id = LmrId {
+                node: d.u32()?,
+                idx: d.u32()?,
+            };
+            let n = d.u32()?;
+            let mut extents: Vec<(NodeId, Chunk)> = Vec::with_capacity(n as usize);
+            for _ in 0..n {
+                let node = d.u32()? as NodeId;
+                let addr = d.u64()?;
+                let len = d.u64()?;
+                extents.push((node, Chunk { addr, len }));
+            }
+            let m = d.u32()?;
+            let mut mapped = Vec::with_capacity(m as usize);
+            for _ in 0..m {
+                mapped.push(d.u32()? as NodeId);
+            }
+            // Scrub the name binding *now*, immediately after the record was
+            // taken — before the fallible chunk frees below. The old
+            // ordering (unregister last) leaked the binding whenever a free
+            // failed mid-way: the record was gone but the name stayed,
+            // pointing at a master that would answer "unknown" forever and
+            // blocking re-registration. The trailing u32 guards the scrub:
+            // the manager only removes the binding if it still names this
+            // master, so a name freed and re-registered by someone else in
+            // the meantime is left alone.
+            let _ = this.kcall(
+                ctx,
+                MANAGER_NODE,
+                FN_UNREGNAME,
+                Enc::new()
+                    .bytes(entry.name.as_bytes())
+                    .u32(entry.id.node)
+                    .done(),
             );
-        }
-        let _ = self.kernel.remove_lh(self.pid, lh);
-        self.exit(ctx);
-        Ok(())
+            // Free storage per node.
+            let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
+            for (node, c) in &extents {
+                by_node.entry(*node).or_default().push(c.addr);
+            }
+            for (node, addrs) in by_node {
+                let mut e = Enc::new().u32(addrs.len() as u32);
+                for a in addrs {
+                    e = e.u64(a);
+                }
+                this.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
+            }
+            // Invalidate every mapper (including ourselves, via loop-back).
+            for node in mapped {
+                let _ = this.kcall(
+                    ctx,
+                    node,
+                    FN_INVALIDATE,
+                    Enc::new().u32(id.node).u32(id.idx).done(),
+                );
+            }
+            let _ = this.kernel.remove_lh(this.pid, lh);
+            Ok(())
+        })
     }
 
     /// LT_move (§4.1 master role): migrates the LMR's bytes to `target`
@@ -847,142 +851,138 @@ impl LiteHandle {
     /// Requires a master lh, and (in this implementation) must run on the
     /// LMR's record-holder node.
     pub fn lt_move(&mut self, ctx: &mut Ctx, lh: Lh, target: NodeId) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        if !entry.perm.master {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        if entry.id.node as NodeId != self.kernel.node() {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        let len = entry.location.len();
-        // Allocate at the target.
-        let resp = self.kcall(
-            ctx,
-            target,
-            FN_MALLOC,
-            Enc::new()
-                .u64(len)
-                .u64(self.kernel.config.max_lmr_chunk)
-                .done(),
-        )?;
-        let mut d = Dec::new(&resp);
-        let n = d.u32()?;
-        let mut new_extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let addr = d.u64()?;
-            let clen = d.u64()?;
-            new_extents.push((target, Chunk { addr, len: clen }));
-        }
-        let new_loc = Location {
-            extents: new_extents,
-        };
-        // Copy the bytes: each source piece pushed by its storage node.
-        let src_pieces = entry.location.slice(0, len)?;
-        let dst_pieces = new_loc.slice(0, len)?;
-        let (mut si, mut di) = (0usize, 0usize);
-        let (mut s_used, mut d_used) = (0u64, 0u64);
-        let mut remaining = len;
-        while remaining > 0 {
-            let (s_node, s_c) = &src_pieces[si];
-            let (d_node, d_c) = &dst_pieces[di];
-            let nbytes = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
-            let op = if s_node == d_node { 0u8 } else { 1u8 };
-            self.kcall(
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.kernel.lookup_lh(this.pid, lh)?;
+            if !entry.perm.master {
+                return Err(LiteError::NotMaster);
+            }
+            if entry.id.node as NodeId != this.kernel.node() {
+                return Err(LiteError::NotMaster);
+            }
+            let len = entry.location.len();
+            // Allocate at the target.
+            let resp = this.kcall(
                 ctx,
-                *s_node,
-                FN_MEMCPY,
+                target,
+                FN_MALLOC,
                 Enc::new()
-                    .u8(op)
-                    .u64(s_c.addr + s_used)
-                    .u64(nbytes)
-                    .u32(*d_node as u32)
-                    .u64(d_c.addr + d_used)
+                    .u64(len)
+                    .u64(this.kernel.config.max_lmr_chunk)
                     .done(),
             )?;
-            s_used += nbytes;
-            d_used += nbytes;
-            remaining -= nbytes;
-            if s_used == s_c.len {
-                si += 1;
-                s_used = 0;
+            let mut d = Dec::new(&resp);
+            let n = d.u32()?;
+            let mut new_extents = Vec::with_capacity(n as usize);
+            for _ in 0..n {
+                let addr = d.u64()?;
+                let clen = d.u64()?;
+                new_extents.push((target, Chunk { addr, len: clen }));
             }
-            if d_used == d_c.len {
-                di += 1;
-                d_used = 0;
+            let new_loc = Location {
+                extents: new_extents,
+            };
+            // Copy the bytes: each source piece pushed by its storage node.
+            let src_pieces = entry.location.slice(0, len)?;
+            let dst_pieces = new_loc.slice(0, len)?;
+            let (mut si, mut di) = (0usize, 0usize);
+            let (mut s_used, mut d_used) = (0u64, 0u64);
+            let mut remaining = len;
+            while remaining > 0 {
+                let (s_node, s_c) = &src_pieces[si];
+                let (d_node, d_c) = &dst_pieces[di];
+                let nbytes = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
+                let op = if s_node == d_node { 0u8 } else { 1u8 };
+                this.kcall(
+                    ctx,
+                    *s_node,
+                    FN_MEMCPY,
+                    Enc::new()
+                        .u8(op)
+                        .u64(s_c.addr + s_used)
+                        .u64(nbytes)
+                        .u32(*d_node as u32)
+                        .u64(d_c.addr + d_used)
+                        .done(),
+                )?;
+                s_used += nbytes;
+                d_used += nbytes;
+                remaining -= nbytes;
+                if s_used == s_c.len {
+                    si += 1;
+                    s_used = 0;
+                }
+                if d_used == d_c.len {
+                    di += 1;
+                    d_used = 0;
+                }
             }
-        }
-        // Swap the record, free the old storage, invalidate mappers.
-        let Some((id, old_loc, mapped)) =
-            self.kernel
-                .swap_master_location(&entry.name, self.kernel.node(), new_loc.clone())
-        else {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        };
-        let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
-        for (node, c) in &old_loc.extents {
-            by_node.entry(*node).or_default().push(c.addr);
-        }
-        for (node, addrs) in by_node {
-            let mut e = Enc::new().u32(addrs.len() as u32);
-            for a in addrs {
-                e = e.u64(a);
+            // Swap the record, free the old storage, invalidate mappers.
+            let Some((id, old_loc, mapped)) =
+                this.kernel
+                    .swap_master_location(&entry.name, this.kernel.node(), new_loc.clone())
+            else {
+                return Err(LiteError::NotMaster);
+            };
+            let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
+            for (node, c) in &old_loc.extents {
+                by_node.entry(*node).or_default().push(c.addr);
             }
-            self.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
-        }
-        for node in mapped {
-            let _ = self.kcall(
-                ctx,
-                node,
-                FN_INVALIDATE,
-                Enc::new().u32(id.node).u32(id.idx).done(),
+            for (node, addrs) in by_node {
+                let mut e = Enc::new().u32(addrs.len() as u32);
+                for a in addrs {
+                    e = e.u64(a);
+                }
+                this.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
+            }
+            for node in mapped {
+                let _ = this.kcall(
+                    ctx,
+                    node,
+                    FN_INVALIDATE,
+                    Enc::new().u32(id.node).u32(id.idx).done(),
+                );
+            }
+            // Re-install our own (fresh) lh in place.
+            this.kernel.remove_lh(this.pid, lh).ok();
+            let new_lh = this.kernel.install_lh(
+                this.pid,
+                LhEntry {
+                    id,
+                    name: entry.name.clone(),
+                    location: new_loc,
+                    perm: Perm::MASTER,
+                    stale: false,
+                    relocated: false,
+                },
             );
-        }
-        // Re-install our own (fresh) lh in place.
-        self.kernel.remove_lh(self.pid, lh).ok();
-        let new_lh = self.kernel.install_lh(
-            self.pid,
-            LhEntry {
-                id,
-                name: entry.name.clone(),
-                location: new_loc,
-                perm: Perm::MASTER,
-                stale: false,
-                relocated: false,
-            },
-        );
-        // Keep the caller's lh number stable by aliasing: re-register the
-        // fresh entry under the original lh id as well.
-        let fresh = self.kernel.lookup_lh(self.pid, new_lh)?;
-        self.kernel.reinstall_lh(self.pid, lh, fresh);
-        self.kernel.remove_lh(self.pid, new_lh).ok();
-        self.exit(ctx);
-        Ok(())
+            // Keep the caller's lh number stable by aliasing: re-register the
+            // fresh entry under the original lh id as well.
+            let fresh = this.kernel.lookup_lh(this.pid, new_lh)?;
+            this.kernel.reinstall_lh(this.pid, lh, fresh);
+            this.kernel.remove_lh(this.pid, new_lh).ok();
+            Ok(())
+        })
     }
 
     /// Grants `perm` on a named LMR to `node` (master only).
     pub fn lt_grant(&mut self, ctx: &mut Ctx, lh: Lh, node: NodeId, perm: Perm) -> LiteResult<()> {
-        self.enter(ctx);
-        let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        if !entry.perm.master {
-            self.exit(ctx);
-            return Err(LiteError::NotMaster);
-        }
-        self.kcall(
-            ctx,
-            entry.id.node as NodeId,
-            FN_GRANT,
-            Enc::new()
-                .bytes(entry.name.as_bytes())
-                .u32(node as u32)
-                .u8(perm_to_byte(perm))
-                .done(),
-        )?;
-        self.exit(ctx);
-        Ok(())
+        self.syscall(ctx, |this, ctx| {
+            let entry = this.kernel.lookup_lh(this.pid, lh)?;
+            if !entry.perm.master {
+                return Err(LiteError::NotMaster);
+            }
+            this.kcall(
+                ctx,
+                entry.id.node as NodeId,
+                FN_GRANT,
+                Enc::new()
+                    .bytes(entry.name.as_bytes())
+                    .u32(node as u32)
+                    .u8(perm_to_byte(perm))
+                    .done(),
+            )?;
+            Ok(())
+        })
     }
 
     /// LT_write: blocking one-sided write of `data` at `offset` in the
@@ -1102,47 +1102,36 @@ impl LiteHandle {
         len: usize,
         byte: u8,
     ) -> LiteResult<()> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        'attempt: for attempt in 0..3 {
-            if attempt > 0 {
-                if let Err(e) = self.refresh_lh(ctx, lh) {
-                    self.exit(ctx);
-                    return Err(e);
+        self.syscall(ctx, |this, ctx| {
+            'attempt: for attempt in 0..3 {
+                if attempt > 0 {
+                    this.refresh_lh(ctx, lh)?;
                 }
-            }
-            let entry = self.kernel.lookup_lh(self.pid, lh)?;
-            let pieces = match entry.check(offset, len, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // The remote handler fences each range itself and answers
-            // Relocated when a chunk is mid-migration; redoing all the
-            // pieces after a refresh is idempotent.
-            for (node, c) in pieces {
-                match self.kcall(
-                    ctx,
-                    node,
-                    FN_MEMSET,
-                    Enc::new().u64(c.addr).u64(c.len).u8(byte).done(),
-                ) {
-                    Ok(_) => {}
-                    Err(LiteError::Relocated) => continue 'attempt,
-                    Err(e) => {
-                        self.exit(ctx);
-                        return Err(e);
+                let entry = this.kernel.lookup_lh(this.pid, lh)?;
+                let pieces = match entry.check(offset, len, Perm::RW) {
+                    Ok(p) => p,
+                    Err(LiteError::Relocated) => continue,
+                    Err(e) => return Err(e),
+                };
+                // The remote handler fences each range itself and answers
+                // Relocated when a chunk is mid-migration; redoing all the
+                // pieces after a refresh is idempotent.
+                for (node, c) in pieces {
+                    match this.kcall(
+                        ctx,
+                        node,
+                        FN_MEMSET,
+                        Enc::new().u64(c.addr).u64(c.len).u8(byte).done(),
+                    ) {
+                        Ok(_) => {}
+                        Err(LiteError::Relocated) => continue 'attempt,
+                        Err(e) => return Err(e),
                     }
                 }
+                return Ok(());
             }
-            result = Ok(());
-            break;
-        }
-        self.exit(ctx);
-        result
+            Err(LiteError::Relocated)
+        })
     }
 
     /// LT_memcpy: copies between LMRs. Each source piece is pushed by the
@@ -1175,94 +1164,78 @@ impl LiteHandle {
         len: usize,
         reverse: bool,
     ) -> LiteResult<()> {
-        self.enter(ctx);
-        let mut result = Err(LiteError::Relocated);
-        'attempt: for attempt in 0..3 {
-            if attempt > 0 {
-                // Either handle's cached location may be the stale one;
-                // refresh both (a fresh refresh is a cheap no-op) and
-                // redo the whole copy — re-copying bytes is idempotent.
-                if let Err(e) = self
-                    .refresh_lh(ctx, src_lh)
-                    .and_then(|()| self.refresh_lh(ctx, dst_lh))
-                {
-                    self.exit(ctx);
-                    return Err(e);
+        self.syscall(ctx, |this, ctx| {
+            'attempt: for attempt in 0..3 {
+                if attempt > 0 {
+                    // Either handle's cached location may be the stale one;
+                    // refresh both (a fresh refresh is a cheap no-op) and
+                    // redo the whole copy — re-copying bytes is idempotent.
+                    this.refresh_lh(ctx, src_lh)?;
+                    this.refresh_lh(ctx, dst_lh)?;
                 }
-            }
-            let src_entry = self.kernel.lookup_lh(self.pid, src_lh)?;
-            let dst_entry = self.kernel.lookup_lh(self.pid, dst_lh)?;
-            let src_pieces = match src_entry.check(src_off, len, Perm::RO) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            let dst_pieces = match dst_entry.check(dst_off, len, Perm::RW) {
-                Ok(p) => p,
-                Err(LiteError::Relocated) => continue,
-                Err(e) => {
-                    self.exit(ctx);
-                    return Err(e);
-                }
-            };
-            // Walk both piece lists in lockstep to build the per-call
-            // segments, then issue them in copy order. A retry after
-            // Relocated rebuilds from fresh pieces, so a stale segment
-            // list is never re-issued.
-            let (mut si, mut di) = (0usize, 0usize);
-            let (mut s_used, mut d_used) = (0u64, 0u64);
-            let mut remaining = len as u64;
-            let mut segs: Vec<(NodeId, u64, NodeId, u64, u64)> = Vec::new();
-            while remaining > 0 {
-                let (s_node, s_c) = &src_pieces[si];
-                let (d_node, d_c) = &dst_pieces[di];
-                let n = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
-                segs.push((*s_node, s_c.addr + s_used, *d_node, d_c.addr + d_used, n));
-                s_used += n;
-                d_used += n;
-                remaining -= n;
-                if s_used == s_c.len {
-                    si += 1;
-                    s_used = 0;
-                }
-                if d_used == d_c.len {
-                    di += 1;
-                    d_used = 0;
-                }
-            }
-            if reverse {
-                segs.reverse();
-            }
-            for (s_node, s_addr, d_node, d_addr, n) in segs {
-                let op = if s_node == d_node { 0u8 } else { 1u8 };
-                match self.kcall(
-                    ctx,
-                    s_node,
-                    FN_MEMCPY,
-                    Enc::new()
-                        .u8(op)
-                        .u64(s_addr)
-                        .u64(n)
-                        .u32(d_node as u32)
-                        .u64(d_addr)
-                        .done(),
-                ) {
-                    Ok(_) => {}
-                    Err(LiteError::Relocated) => continue 'attempt,
-                    Err(e) => {
-                        self.exit(ctx);
-                        return Err(e);
+                let src_entry = this.kernel.lookup_lh(this.pid, src_lh)?;
+                let dst_entry = this.kernel.lookup_lh(this.pid, dst_lh)?;
+                let src_pieces = match src_entry.check(src_off, len, Perm::RO) {
+                    Ok(p) => p,
+                    Err(LiteError::Relocated) => continue,
+                    Err(e) => return Err(e),
+                };
+                let dst_pieces = match dst_entry.check(dst_off, len, Perm::RW) {
+                    Ok(p) => p,
+                    Err(LiteError::Relocated) => continue,
+                    Err(e) => return Err(e),
+                };
+                // Walk both piece lists in lockstep to build the per-call
+                // segments, then issue them in copy order. A retry after
+                // Relocated rebuilds from fresh pieces, so a stale segment
+                // list is never re-issued.
+                let (mut si, mut di) = (0usize, 0usize);
+                let (mut s_used, mut d_used) = (0u64, 0u64);
+                let mut remaining = len as u64;
+                let mut segs: Vec<(NodeId, u64, NodeId, u64, u64)> = Vec::new();
+                while remaining > 0 {
+                    let (s_node, s_c) = &src_pieces[si];
+                    let (d_node, d_c) = &dst_pieces[di];
+                    let n = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
+                    segs.push((*s_node, s_c.addr + s_used, *d_node, d_c.addr + d_used, n));
+                    s_used += n;
+                    d_used += n;
+                    remaining -= n;
+                    if s_used == s_c.len {
+                        si += 1;
+                        s_used = 0;
+                    }
+                    if d_used == d_c.len {
+                        di += 1;
+                        d_used = 0;
                     }
                 }
+                if reverse {
+                    segs.reverse();
+                }
+                for (s_node, s_addr, d_node, d_addr, n) in segs {
+                    let op = if s_node == d_node { 0u8 } else { 1u8 };
+                    match this.kcall(
+                        ctx,
+                        s_node,
+                        FN_MEMCPY,
+                        Enc::new()
+                            .u8(op)
+                            .u64(s_addr)
+                            .u64(n)
+                            .u32(d_node as u32)
+                            .u64(d_addr)
+                            .done(),
+                    ) {
+                        Ok(_) => {}
+                        Err(LiteError::Relocated) => continue 'attempt,
+                        Err(e) => return Err(e),
+                    }
+                }
+                return Ok(());
             }
-            result = Ok(());
-            break;
-        }
-        self.exit(ctx);
-        result
+            Err(LiteError::Relocated)
+        })
     }
 
     /// LT_memmove: memcpy with memmove semantics for overlapping ranges
@@ -1331,7 +1304,7 @@ impl LiteHandle {
         let client = inc.hdr.src_node as NodeId;
         let input = self.kernel.read_ring_payload(client, &inc)?;
         ctx.work(self.kernel.fabric().cost().memcpy_time(input.len() as u64));
-        ctx.work(self.kernel.config.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         // For remote two-way calls with batching on, defer the
         // ring-release head update: the reply path chains it with the
         // reply into one doorbell batch (one post for §5.1 steps e+f).
@@ -1369,7 +1342,7 @@ impl LiteHandle {
     /// The reply half of a server-side call: stage `output` and send it,
     /// chained with the call's deferred ring release.
     fn reply(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
-        ctx.work(self.kernel.config.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         let staged = self.stage(output)?;
         let chunks = [Chunk {
             addr: staged,
@@ -1471,132 +1444,122 @@ impl LiteHandle {
         if func < USER_FUNC_MIN {
             return Err(LiteError::ReservedFunc { func });
         }
-        self.enter(ctx);
-        let cfg = self.kernel.config.clone();
-        ctx.work(cfg.rpc_meta_ns);
-        // Stage input once; carve one reply cell per destination out of
-        // the persistent multicast scratch.
-        let cell = max_reply.max(1);
-        let prep = (|| {
-            let staged = self.stage(input)?;
-            if self.mcast_reply.is_none() {
-                self.mcast_reply = Some(Scratch {
-                    addr: self.kernel.alloc.lock().alloc(INIT_SCRATCH as u64)?,
+        self.syscall(ctx, |this, ctx| {
+            ctx.work(RPC_META_NS);
+            // Stage input once; carve one reply cell per destination out of
+            // the persistent multicast scratch.
+            let cell = max_reply.max(1);
+            let staged = this.stage(input)?;
+            if this.mcast_reply.is_none() {
+                this.mcast_reply = Some(Scratch {
+                    addr: this.kernel.alloc.lock().alloc(INIT_SCRATCH as u64)?,
                     cap: INIT_SCRATCH,
                 });
             }
-            let scratch = self.mcast_reply.as_mut().expect("just initialized");
-            Self::ensure(&self.kernel, scratch, cell.saturating_mul(servers.len()))?;
-            Ok((staged, scratch.addr))
-        })();
-        let (staged, reply_base) = match prep {
-            Ok(v) => v,
-            Err(e) => {
-                self.exit(ctx);
-                return Err(e);
-            }
-        };
-        let total = HEADER_BYTES as u64 + input.len() as u64;
-        // Fan-out: per destination, a posted completion slot or the
-        // error that stopped it. Failed destinations keep their entry so
-        // the gather below stays index-aligned with `servers`.
-        let mut pending = Vec::with_capacity(servers.len());
-        for (i, &server) in servers.iter().enumerate() {
-            let raddr = reply_base + (i * cell) as u64;
-            let r = match self.kernel.reserve_ring(ctx, server, total) {
-                Ok(r) => r,
-                Err(e) => {
-                    pending.push(Err(e));
-                    continue;
+            let scratch = this.mcast_reply.as_mut().expect("just initialized");
+            Self::ensure(&this.kernel, scratch, cell.saturating_mul(servers.len()))?;
+            let reply_base = scratch.addr;
+            let total = HEADER_BYTES as u64 + input.len() as u64;
+            // Fan-out: per destination, a posted completion slot or the
+            // error that stopped it. Failed destinations keep their entry so
+            // the gather below stays index-aligned with `servers`.
+            let mut pending = Vec::with_capacity(servers.len());
+            for (i, &server) in servers.iter().enumerate() {
+                let raddr = reply_base + (i * cell) as u64;
+                let r = match this.kernel.reserve_ring(ctx, server, total) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        pending.push(Err(e));
+                        continue;
+                    }
+                };
+                let (slot_id, slot) = this.kernel.alloc_slot();
+                let hdr = MsgHeader {
+                    func,
+                    slot: slot_id,
+                    len: input.len() as u32,
+                    reply_addr: raddr,
+                    reply_max: max_reply as u32,
+                    src_node: this.kernel.node() as u32,
+                    src_pid: this.pid,
+                    skip: r.skip as u32,
+                };
+                // Header goes through a tiny transient staging cell so the
+                // shared input staging stays untouched.
+                let hdr_addr = match this.kernel.alloc.lock().alloc(HEADER_BYTES as u64) {
+                    Ok(a) => a,
+                    Err(e) => {
+                        this.kernel.free_slot(slot_id);
+                        pending.push(Err(LiteError::from(e)));
+                        continue;
+                    }
+                };
+                let post = this
+                    .kernel
+                    .fabric()
+                    .mem(this.kernel.node())
+                    .write(hdr_addr, &hdr.encode())
+                    .map_err(LiteError::from)
+                    .and_then(|()| {
+                        let chunks = [
+                            Chunk {
+                                addr: hdr_addr,
+                                len: HEADER_BYTES as u64,
+                            },
+                            Chunk {
+                                addr: staged,
+                                len: input.len() as u64,
+                            },
+                        ];
+                        let dst = this.kernel.ring_remote_addr(server, r.offset)?;
+                        let imm = Imm::Request {
+                            granule: (r.offset / crate::wire::RING_GRANULE) as u32,
+                        };
+                        this.kernel.post_write_imm(
+                            ctx,
+                            this.prio,
+                            server,
+                            dst,
+                            &chunks,
+                            total as usize,
+                            imm,
+                        )
+                    });
+                if this.kernel.alloc.lock().free(hdr_addr).is_err() {
+                    this.kernel.note_cleanup_failure(server, ctx.now());
                 }
-            };
-            let (slot_id, slot) = self.kernel.alloc_slot();
-            let hdr = MsgHeader {
-                func,
-                slot: slot_id,
-                len: input.len() as u32,
-                reply_addr: raddr,
-                reply_max: max_reply as u32,
-                src_node: self.kernel.node() as u32,
-                src_pid: self.pid,
-                skip: r.skip as u32,
-            };
-            // Header goes through a tiny transient staging cell so the
-            // shared input staging stays untouched.
-            let hdr_addr = match self.kernel.alloc.lock().alloc(HEADER_BYTES as u64) {
-                Ok(a) => a,
-                Err(e) => {
-                    self.kernel.free_slot(slot_id);
-                    pending.push(Err(LiteError::from(e)));
-                    continue;
-                }
-            };
-            let post = self
-                .kernel
-                .fabric()
-                .mem(self.kernel.node())
-                .write(hdr_addr, &hdr.encode())
-                .map_err(LiteError::from)
-                .and_then(|()| {
-                    let chunks = [
-                        Chunk {
-                            addr: hdr_addr,
-                            len: HEADER_BYTES as u64,
-                        },
-                        Chunk {
-                            addr: staged,
-                            len: input.len() as u64,
-                        },
-                    ];
-                    let dst = self.kernel.ring_remote_addr(server, r.offset)?;
-                    let imm = Imm::Request {
-                        granule: (r.offset / crate::wire::RING_GRANULE) as u32,
-                    };
-                    self.kernel.post_write_imm(
-                        ctx,
-                        self.prio,
-                        server,
-                        dst,
-                        &chunks,
-                        total as usize,
-                        imm,
-                    )
-                });
-            if self.kernel.alloc.lock().free(hdr_addr).is_err() {
-                self.kernel.note_cleanup_failure(server, ctx.now());
-            }
-            match post {
-                Ok(_) => pending.push(Ok((slot_id, slot))),
-                Err(e) => {
-                    self.kernel.free_slot(slot_id);
-                    pending.push(Err(e));
-                }
-            }
-        }
-        // Gather replies; every posted slot is waited on and freed
-        // whatever its outcome.
-        let mut results = Vec::with_capacity(pending.len());
-        for (i, posted) in pending.into_iter().enumerate() {
-            let result = match posted {
-                Ok((slot_id, slot)) => {
-                    let waited = slot.wait(ctx, &cfg, cfg.op_timeout);
-                    self.kernel.free_slot(slot_id);
-                    match waited {
-                        Ok(r) if r.ok => {
-                            let mut buf = vec![0u8; (r.len as usize).min(cell)];
-                            self.unstage(reply_base + (i * cell) as u64, &mut buf)
-                                .map(|()| buf)
-                        }
-                        Ok(_) => Err(LiteError::UnknownRpc { func }),
-                        Err(e) => Err(e),
+                match post {
+                    Ok(_) => pending.push(Ok((slot_id, slot))),
+                    Err(e) => {
+                        this.kernel.free_slot(slot_id);
+                        pending.push(Err(e));
                     }
                 }
-                Err(e) => Err(e),
-            };
-            results.push(result);
-        }
-        self.exit(ctx);
-        Ok(results)
+            }
+            // Gather replies; every posted slot is waited on and freed
+            // whatever its outcome.
+            let mut results = Vec::with_capacity(pending.len());
+            for (i, posted) in pending.into_iter().enumerate() {
+                let result = match posted {
+                    Ok((slot_id, slot)) => {
+                        let waited = slot.wait(ctx, &this.kernel.config);
+                        this.kernel.free_slot(slot_id);
+                        match waited {
+                            Ok(r) if r.ok => {
+                                let mut buf = vec![0u8; (r.len as usize).min(cell)];
+                                this.unstage(reply_base + (i * cell) as u64, &mut buf)
+                                    .map(|()| buf)
+                            }
+                            Ok(_) => Err(LiteError::UnknownRpc { func }),
+                            Err(e) => Err(e),
+                        }
+                    }
+                    Err(e) => Err(e),
+                };
+                results.push(result);
+            }
+            Ok(results)
+        })
     }
 
     // ------------------------------------------------------------------

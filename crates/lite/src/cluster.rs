@@ -7,8 +7,7 @@
 //! built here; each pair is wired on first use by the datapath
 //! ([`RnicDataPath::ensure_qps`](crate::kernel::datapath::RnicDataPath))
 //! and the RPC layer (`ensure_ring`), both under the directory's single
-//! connect lock. Set [`LiteConfig::eager_mesh`] to pre-wire every pair at
-//! boot (the paper's original setup; useful for latency-floor baselines).
+//! connect lock.
 //!
 //! Nodes can also join at runtime: [`LiteCluster::start_partial`] boots a
 //! prefix of the fabric and [`LiteCluster::join_node`] brings up the rest
@@ -23,6 +22,7 @@ use crate::api::LiteHandle;
 use crate::config::LiteConfig;
 use crate::directory::{ClusterDirectory, DirEntry};
 use crate::error::{LiteError, LiteResult};
+use crate::kernel::datapath::RnicDataPath;
 use crate::kernel::LiteKernel;
 use crate::qos::{QosConfig, QosMode};
 
@@ -82,9 +82,6 @@ impl LiteCluster {
         for node in 0..boot {
             cluster.join_node(node)?;
         }
-        if cluster.config.eager_mesh {
-            cluster.wire_full_mesh(boot)?;
-        }
         Ok(cluster)
     }
 
@@ -133,22 +130,6 @@ impl LiteCluster {
         Ok(kernel)
     }
 
-    /// Pre-wires every QP pool and ring pair among nodes `0..n` — the
-    /// paper's original eager bring-up, behind
-    /// [`LiteConfig::eager_mesh`].
-    fn wire_full_mesh(&self, n: usize) -> LiteResult<()> {
-        for a in 0..n {
-            let k = self.try_kernel(a)?;
-            for b in 0..n {
-                if a != b {
-                    k.datapath().ensure_qps(b)?;
-                }
-                k.ensure_ring(b)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Nodes joined so far (boot nodes plus runtime joins).
     pub fn num_nodes(&self) -> usize {
         self.dir.joined()
@@ -186,13 +167,15 @@ impl LiteCluster {
             .ok_or(LiteError::NodeDown { node })
     }
 
-    /// The transport-agnostic datapath of `node` — the same op plane the
-    /// kernel posts through, exposed for consumers that select backends
-    /// via the [`DataPath`](crate::kernel::datapath::DataPath) trait.
+    /// The datapath of `node` — the same op plane the kernel posts
+    /// through, exposed for kernel-level consumers that post [`Op`]
+    /// descriptors directly.
     ///
     /// Panics if `node` has not joined.
-    pub fn datapath(&self, node: NodeId) -> Arc<dyn crate::kernel::datapath::DataPath> {
-        Arc::clone(self.kernel(node).datapath()) as _
+    ///
+    /// [`Op`]: crate::kernel::datapath::Op
+    pub fn datapath(&self, node: NodeId) -> Arc<RnicDataPath> {
+        Arc::clone(self.kernel(node).datapath())
     }
 
     /// Attaches a user-level process on `node` (LT_join).

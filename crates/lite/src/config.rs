@@ -18,21 +18,6 @@ pub struct LiteConfig {
     /// Maximum physically-consecutive chunk of an LMR (§4.1 splits large
     /// LMRs to avoid external fragmentation).
     pub max_lmr_chunk: u64,
-    /// One user/kernel crossing (§5.2 measures ~0.17 µs for the two
-    /// crossings left on the RPC fast path).
-    pub syscall_crossing_ns: Nanos,
-    /// Kernel-side mapping + permission check for a one-sided op (§4.2:
-    /// "less than 0.3 µs" for RPC metadata; one-sided is cheaper).
-    pub map_check_ns: Nanos,
-    /// RPC metadata handling (mapping + protection for an RPC).
-    pub rpc_meta_ns: Nanos,
-    /// Poller cost to parse an IMM and dispatch to a queue.
-    pub imm_dispatch_ns: Nanos,
-    /// How long a user thread busy-checks the shared completion page
-    /// before sleeping (the "adaptive" thread model of §5.2).
-    pub adaptive_spin_ns: Nanos,
-    /// Maximum RPC payload (input or reply).
-    pub max_rpc_payload: usize,
     /// Liveness bound on any blocking LITE call, in host wall time.
     pub op_timeout: std::time::Duration,
 
@@ -42,10 +27,6 @@ pub struct LiteConfig {
     /// a power of two, minimum 1. More shards = less lock contention
     /// between unrelated keys; 16 is plenty up to thousands of contexts.
     pub kernel_shards: usize,
-    /// `true` restores the old boot behavior: wire the full O(N²·K) QP
-    /// mesh and every RPC ring pair at cluster start instead of lazily
-    /// on first use. The ablation baseline for the `scale` bench.
-    pub eager_mesh: bool,
 
     // ---- fault recovery (DESIGN.md "Fault model & recovery") ----
     /// `false` disables the kernel recovery layer: datapath ops fail on
@@ -54,8 +35,6 @@ pub struct LiteConfig {
     pub retry_enabled: bool,
     /// Initial retry backoff (virtual time); doubles per failed attempt.
     pub retry_base_ns: Nanos,
-    /// Cap on the exponential backoff growth.
-    pub retry_max_backoff_ns: Nanos,
     /// Consecutive deadline-exhausted ops towards one peer after which
     /// the peer is declared dead; subsequent ops fail fast with
     /// [`crate::LiteError::PeerDead`] until incoming traffic or a probe
@@ -80,21 +59,11 @@ pub struct LiteConfig {
     /// resident bytes of locally-mastered LMRs exceed the budget, the
     /// [`crate::mm`] manager evicts cold chunks to swap nodes over the
     /// datapath. 0 (the default) disables tiering entirely: nothing is
-    /// tracked, evicted, or rebalanced — the ablation baseline.
+    /// tracked or evicted — the ablation baseline.
     pub mem_budget_bytes: u64,
-    /// How often the background memory manager wakes to check pressure
-    /// and rebalance, in host wall time.
+    /// How often the background memory manager wakes to check pressure,
+    /// in host wall time.
     pub mm_sweep_interval: std::time::Duration,
-    /// Nodes eligible to host evicted chunks. Empty (the default) means
-    /// round-robin over all alive peers.
-    pub mm_swap_nodes: Vec<usize>,
-    /// Remote map-faults on an evicted LMR after which the manager pulls
-    /// its chunks home (fetch-back), budget permitting.
-    pub mm_fetch_back_faults: u32,
-    /// Minimum per-chunk access count from a single remote peer before
-    /// the rebalancer migrates the chunk toward that accessor. 0 (the
-    /// default) disables rebalancing.
-    pub mm_rebalance_threshold: u64,
     /// Pin-free on-demand registration (DESIGN.md §13). `false` (the
     /// default) pins every LMR page up front, so registration cost
     /// scales with size (the paper's Fig 8 malloc line). `true` defers
@@ -110,12 +79,8 @@ pub struct LiteConfig {
     /// `false` makes the shared polling thread and user waiters burn CPU
     /// for their whole wait (no adaptive sleep) — the Fig 13 ablation.
     pub adaptive_poll: bool,
-    /// `false` disables the global physical MR: LITE falls back to
-    /// registering each LMR as a native virtual MR, resurrecting the
-    /// Fig 4/5 cliffs (DESIGN.md ablation `global_mr`).
-    pub use_global_mr: bool,
     /// `false` disables doorbell-batched posting: chains handed to
-    /// `DataPath::post_many` degrade to one host post + QP-context touch
+    /// `RnicDataPath::post_many` degrade to one host post + QP-context touch
     /// per work request instead of one per chain.
     pub batch_posting: bool,
 }
@@ -127,30 +92,18 @@ impl Default for LiteConfig {
             rpc_ring_bytes: 16 << 20,
             recv_credits: 4_096,
             max_lmr_chunk: 4 << 20,
-            syscall_crossing_ns: 85,
-            map_check_ns: 100,
-            rpc_meta_ns: 300,
-            imm_dispatch_ns: 300,
-            adaptive_spin_ns: 2_000,
-            max_rpc_payload: 4 << 20,
             op_timeout: std::time::Duration::from_secs(5),
             kernel_shards: 16,
-            eager_mesh: false,
             retry_enabled: true,
             retry_base_ns: 2_000,
-            retry_max_backoff_ns: 1_000_000,
             peer_dead_threshold: 3,
             stats_sample_rate: 1,
             trace_ring_slots: 4_096,
             mem_budget_bytes: 0,
             mm_sweep_interval: std::time::Duration::from_millis(2),
-            mm_swap_nodes: Vec::new(),
-            mm_fetch_back_faults: 3,
-            mm_rebalance_threshold: 0,
             lazy_pinning: false,
             fast_syscalls: true,
             adaptive_poll: true,
-            use_global_mr: true,
             batch_posting: true,
         }
     }
@@ -177,6 +130,6 @@ mod tests {
         assert_eq!(c.max_lmr_chunk, 4 << 20);
         assert!((1..=4).contains(&c.qp_factor));
         // Two crossings ≈ 0.17 µs.
-        assert_eq!(2 * c.syscall_crossing_ns, 170);
+        assert_eq!(2 * crate::api::SYSCALL_CROSSING_NS, 170);
     }
 }

@@ -10,8 +10,8 @@
 //! This file only holds the struct, construction, and cluster wiring;
 //! the behavior lives in focused submodules:
 //!
-//! * [`datapath`] — op descriptors, the [`datapath::DataPath`] trait,
-//!   and the verbs/TCP implementations (one-sided plane + batching).
+//! * [`datapath`] — op descriptors and the verbs-backed
+//!   [`datapath::RnicDataPath`] (one-sided plane + batching + recovery).
 //! * [`rpc`] — rings, completion slots, reply routing, the poll loop.
 //! * [`msg`] — kernel services (naming, mapping, locks, barriers).
 //! * [`stats`] — hot-path counters and the stats snapshot.
@@ -39,7 +39,7 @@ mod msg;
 mod rpc;
 mod stats;
 
-pub use rpc::Incoming;
+pub use rpc::{Incoming, ADAPTIVE_SPIN_NS, IMM_DISPATCH_NS, RPC_META_NS};
 pub use stats::KernelStats;
 
 pub(crate) use msg::{byte_to_perm, perm_to_byte};

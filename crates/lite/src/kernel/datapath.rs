@@ -1,18 +1,12 @@
-//! The transport-agnostic datapath: op descriptors and their dispatch.
+//! The datapath: op descriptors and their dispatch.
 //!
-//! The LITE kernel used to call `rnic` verbs directly from a dozen call
-//! sites. This module narrows all of that to one seam: callers describe
-//! work as [`Op`] descriptors and hand them to a [`DataPath`], which owns
-//! transport selection, QoS, QP choice, and posting. Two implementations
-//! exist:
-//!
-//! * [`RnicDataPath`] — the real thing: the global physical MR (§4.1),
-//!   K shared RC QPs per peer (§6.1), HW-Sep/SW-Pri QoS (§6.2), and
-//!   doorbell-batched posting ([`DataPath::post_many`]) that pays the
-//!   host post cost and QP-context touch once per chain.
-//! * [`TcpDataPath`] — the same descriptors over a modeled TCP/IPoIB
-//!   stack, so baselines and apps can swap transports without touching
-//!   their data plane.
+//! Every one-sided operation of the LITE kernel goes through one seam:
+//! callers describe work as [`Op`] descriptors and hand them to the
+//! node's [`RnicDataPath`], which owns QoS, QP choice, posting and
+//! recovery: the global physical MR (§4.1), K shared RC QPs per peer
+//! (§6.1), HW-Sep/SW-Pri QoS (§6.2), and doorbell-batched posting
+//! ([`RnicDataPath::post_many`]) that pays the host post cost and
+//! QP-context touch once per chain.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -20,12 +14,9 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rnic::{
-    FaultAction, IbConfig, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr,
-};
-use simnet::{transfer_time, Ctx, Nanos, Resource};
+use rnic::{IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr};
+use simnet::{Ctx, Nanos};
 use smem::{PhysAllocator, PhysMem};
-use transport::TcpCostModel;
 
 use super::stats::RetryCounters;
 use super::LiteKernel;
@@ -39,6 +30,14 @@ pub use smem::Chunk;
 
 /// Cost of a local atomic executed by the kernel (no NIC involved).
 const LOCAL_ATOMIC_NS: Nanos = 120;
+
+/// Kernel-side mapping + permission check for a one-sided op (§4.2:
+/// "less than 0.3 µs" for RPC metadata; one-sided is cheaper).
+pub const MAP_CHECK_NS: Nanos = 100;
+
+/// Cap on the growth of the exponential retry backoff, which starts at
+/// [`LiteConfig::retry_base_ns`] and doubles per failed attempt.
+pub const RETRY_MAX_BACKOFF_NS: Nanos = 1_000_000;
 
 /// The one physically-consecutive extent `[addr, addr + len)`.
 fn extent(addr: u64, len: usize) -> Chunk {
@@ -171,44 +170,6 @@ pub struct Completion {
     pub value: u64,
 }
 
-/// A transport under the LITE data plane: posts [`Op`] descriptors and
-/// reports completion stamps.
-///
-/// Implementations own everything below the descriptor — QP/socket
-/// selection, QoS, retry — so consumers (the kernel itself, `lite-graph`
-/// backends, `lite-mr`) never special-case the transport.
-pub trait DataPath: Send + Sync {
-    /// The node this datapath instance posts from.
-    fn node(&self) -> NodeId;
-
-    /// The fabric whose physical memory the descriptors address (staging
-    /// buffers are filled through it; moving host bytes into simulated
-    /// memory carries no virtual-time cost).
-    fn fabric(&self) -> &Arc<IbFabric>;
-
-    /// Allocates `bytes` of remote-accessible physical memory on this
-    /// datapath's node; returns its physical address.
-    fn alloc(&self, bytes: u64) -> LiteResult<u64>;
-
-    /// Posts one op; returns its completion. The caller's clock advances
-    /// through the post path only (block with `ctx.wait_until` on the
-    /// stamp when needed); atomics are blocking, like their verbs.
-    fn post(&self, ctx: &mut Ctx, prio: Priority, op: &Op) -> LiteResult<Completion>;
-
-    /// Posts an ordered chain of ops; completions are returned in op
-    /// order and ops towards one node take effect in that order. The
-    /// default issues them one by one; implementations may amortize
-    /// (doorbell batching), and an op that went out in a chain — atomics
-    /// included — does not block: wait on the latest stamp.
-    fn post_many(&self, ctx: &mut Ctx, prio: Priority, ops: &[Op]) -> LiteResult<Vec<Completion>> {
-        ops.iter().map(|op| self.post(ctx, prio, op)).collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// RNIC implementation
-// ---------------------------------------------------------------------
-
 /// Liveness view of one peer node: consecutive deadline-exhausted ops
 /// are counted, and past [`LiteConfig::peer_dead_threshold`] the peer is
 /// declared dead — subsequent ops fail fast with [`LiteError::PeerDead`]
@@ -226,7 +187,6 @@ struct PeerHealth {
 pub struct RnicDataPath {
     fabric: Arc<IbFabric>,
     node: NodeId,
-    map_check_ns: Nanos,
     batch: bool,
     global_lkey: u32,
     /// Cluster membership: peer rkeys, QoS views, and memory managers
@@ -250,7 +210,6 @@ pub struct RnicDataPath {
     alloc: Arc<Mutex<PhysAllocator>>,
     retry_enabled: bool,
     retry_base_ns: Nanos,
-    retry_max_backoff_ns: Nanos,
     peer_dead_threshold: u32,
     op_timeout: Duration,
     health: Vec<PeerHealth>,
@@ -307,7 +266,6 @@ impl RnicDataPath {
         RnicDataPath {
             fabric,
             node,
-            map_check_ns: config.map_check_ns,
             batch: config.batch_posting,
             global_lkey,
             dir,
@@ -320,7 +278,6 @@ impl RnicDataPath {
             alloc,
             retry_enabled: config.retry_enabled,
             retry_base_ns: config.retry_base_ns.max(1),
-            retry_max_backoff_ns: config.retry_max_backoff_ns.max(1),
             peer_dead_threshold: config.peer_dead_threshold.max(1),
             op_timeout: config.op_timeout,
             health: (0..peers).map(|_| PeerHealth::default()).collect(),
@@ -421,8 +378,8 @@ impl RnicDataPath {
     }
 
     /// Feeds the target node's memory manager one access: promotes the
-    /// touched chunk in its LRU and adds heat from this node for the
-    /// rebalancer. Called once per op (not per retry attempt).
+    /// touched chunk in its LRU. Called once per op (not per retry
+    /// attempt).
     fn touch_mm(&self, op: &Op) {
         let (node, addr, len) = match op {
             Op::Write {
@@ -440,7 +397,7 @@ impl RnicDataPath {
             Op::FetchAdd { node, addr, .. } | Op::CmpSwap { node, addr, .. } => (*node, *addr, 8),
         };
         if let Some(mm) = self.dir.mm(node) {
-            mm.touch(addr, len, self.node);
+            mm.touch(addr, len);
         }
     }
 
@@ -693,7 +650,7 @@ impl RnicDataPath {
                     // turn the bounded wait into a hot spin.
                     // sleep-ok: retry backoff, nothing to be woken by
                     std::thread::sleep(Duration::from_nanos(backoff.min(100_000)));
-                    backoff = (backoff * 2).min(self.retry_max_backoff_ns);
+                    backoff = (backoff * 2).min(RETRY_MAX_BACKOFF_NS);
                 }
                 Err(e) => {
                     self.retry.ops_failed.fetch_add(1, Ordering::Relaxed);
@@ -763,7 +720,7 @@ impl RnicDataPath {
             if !matches!(op, Op::Write { imm: Some(_), .. }) {
                 // Write-imm paths pay their (cheaper) mapping cost as
                 // part of RPC metadata handling instead.
-                ctx.work(self.map_check_ns);
+                ctx.work(MAP_CHECK_NS);
             }
             // Tagged with the logical-op sequence: a retry after a lost
             // ack hits the responder's dedup filter instead of applying
@@ -861,7 +818,7 @@ impl RnicDataPath {
     /// An op on this node's own memory: a plain copy or a local atomic,
     /// no NIC. Cannot fault and never repeats.
     fn post_local(&self, ctx: &mut Ctx, op: &Op) -> LiteResult<Completion> {
-        ctx.work(self.map_check_ns);
+        ctx.work(MAP_CHECK_NS);
         let cost = self.fabric.cost();
         match op {
             Op::Write {
@@ -936,9 +893,9 @@ impl RnicDataPath {
         // in a tracked LMR chunk: the physical address changes when the
         // chunk migrates, but the (LMR id, offset) identity does not — so
         // histories on a cell stay one linearizable history across
-        // eviction, fetch-back, and rebalance. Untracked cells (lock
-        // words, budget-0 runs) keep their physical key, byte-identical
-        // to the pre-tiering behavior.
+        // eviction and fetch-back. Untracked cells (lock words, budget-0
+        // runs) keep their physical key, byte-identical to the
+        // pre-tiering behavior.
         let key = match self.dir.mm(node).and_then(|mm| mm.logical_cell(addr)) {
             Some((id, off)) => crate::verify::Key::LogicalCell {
                 node: id.node,
@@ -1061,31 +1018,45 @@ impl RnicDataPath {
     }
 }
 
-impl DataPath for RnicDataPath {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn fabric(&self) -> &Arc<IbFabric> {
+impl RnicDataPath {
+    /// The fabric whose physical memory the descriptors address (staging
+    /// buffers are filled through it; moving host bytes into simulated
+    /// memory carries no virtual-time cost).
+    pub fn fabric(&self) -> &Arc<IbFabric> {
         &self.fabric
     }
 
-    fn alloc(&self, bytes: u64) -> LiteResult<u64> {
+    /// Allocates `bytes` of remote-accessible physical memory on this
+    /// datapath's node; returns its physical address.
+    pub fn alloc(&self, bytes: u64) -> LiteResult<u64> {
         Ok(self.alloc.lock().alloc(bytes)?)
     }
 
-    fn post(&self, ctx: &mut Ctx, prio: Priority, op: &Op) -> LiteResult<Completion> {
+    /// Posts one op; returns its completion. The caller's clock advances
+    /// through the post path only (block with `ctx.wait_until` on the
+    /// stamp when needed); atomics are blocking, like their verbs.
+    pub fn post(&self, ctx: &mut Ctx, prio: Priority, op: &Op) -> LiteResult<Completion> {
         let mut out = [Completion::default()];
         self.post_run(ctx, prio, std::slice::from_ref(op), &mut out)?;
         Ok(out[0])
     }
 
+    /// Posts an ordered chain of ops; completions are returned in op
+    /// order and ops towards one node take effect in that order. An op
+    /// that went out in a chain — atomics included — does not block: wait
+    /// on the latest stamp.
+    ///
     /// Doorbell batching: every maximal run of remote ops towards the
     /// same peer — any mix of writes, reads and atomics — goes out as one
     /// chain (one host post, one QP-context touch, one engine batch —
     /// §6.1's sharing taken one step further). Local ops, and every op
     /// when `batch_posting` is off, post one by one.
-    fn post_many(&self, ctx: &mut Ctx, prio: Priority, ops: &[Op]) -> LiteResult<Vec<Completion>> {
+    pub fn post_many(
+        &self,
+        ctx: &mut Ctx,
+        prio: Priority,
+        ops: &[Op],
+    ) -> LiteResult<Vec<Completion>> {
         let mut out = vec![Completion::default(); ops.len()];
         let mut i = 0;
         while i < ops.len() {
@@ -1100,323 +1071,6 @@ impl DataPath for RnicDataPath {
             i = j;
         }
         Ok(out)
-    }
-}
-
-// ---------------------------------------------------------------------
-// TCP implementation
-// ---------------------------------------------------------------------
-
-/// Per-node TCP/IPoIB stack resources (mirrors `transport::tcp`).
-struct TcpStack {
-    kernel: Resource,
-    wire: Resource,
-}
-
-/// The same op descriptors over a modeled kernel TCP stack on IPoIB.
-///
-/// One-sided semantics are emulated request/response style: writes push
-/// the bytes with one message, reads and atomics pay a round trip. Used
-/// by baselines that want LITE's data plane shape without its RDMA
-/// substrate — build a set of connected paths with
-/// [`TcpDataPath::mesh`].
-pub struct TcpDataPath {
-    fabric: Arc<IbFabric>,
-    node: NodeId,
-    cost: TcpCostModel,
-    stacks: Arc<Vec<TcpStack>>,
-    alloc: Mutex<PhysAllocator>,
-}
-
-/// Bytes of a read request / atomic request / atomic response message.
-const TCP_CTRL_BYTES: usize = 24;
-
-impl TcpDataPath {
-    /// Builds one connected datapath per node over a fresh memory fabric.
-    pub fn mesh(nodes: usize, cost: TcpCostModel) -> Vec<Arc<TcpDataPath>> {
-        let fabric = IbFabric::new(IbConfig::with_nodes(nodes));
-        let stacks = Arc::new(
-            (0..nodes)
-                .map(|_| TcpStack {
-                    kernel: Resource::with_slack("tcp-kernel", 40_000),
-                    wire: Resource::with_slack("ipoib-wire", 40_000),
-                })
-                .collect::<Vec<_>>(),
-        );
-        (0..nodes)
-            .map(|node| {
-                let size = fabric.mem(node).size();
-                Arc::new(TcpDataPath {
-                    fabric: Arc::clone(&fabric),
-                    node,
-                    cost: cost.clone(),
-                    stacks: Arc::clone(&stacks),
-                    alloc: Mutex::new(PhysAllocator::new(0, size)),
-                })
-            })
-            .collect()
-    }
-
-    fn segs(&self, len: usize) -> u64 {
-        len.max(1).div_ceil(self.cost.mss) as u64
-    }
-
-    fn copy_time(&self, len: usize) -> Nanos {
-        transfer_time(len as u64, self.cost.copy_bytes_per_sec)
-    }
-
-    fn wire_time(&self, len: usize) -> Nanos {
-        transfer_time(len as u64, self.cost.bytes_per_sec)
-    }
-
-    /// Send path from this node, charged to the caller's CPU; returns the
-    /// arrival stamp at the peer (post-wakeup, pre-copy).
-    fn send_leg(&self, ctx: &mut Ctx, len: usize) -> Nanos {
-        let c = &self.cost;
-        ctx.work(c.syscall_ns + self.copy_time(len));
-        let seg = self.stacks[self.node]
-            .kernel
-            .acquire(ctx.now(), c.segment_ns * self.segs(len));
-        let wire = self.stacks[self.node]
-            .wire
-            .acquire(seg.finish, self.wire_time(len));
-        wire.finish + c.propagation_ns + c.rx_wakeup_ns
-    }
-
-    /// Response path from `from`, starting at virtual time `start`
-    /// (remote CPU; nothing charged to the caller).
-    fn return_leg(&self, from: NodeId, start: Nanos, len: usize) -> Nanos {
-        let c = &self.cost;
-        let cpu = c.syscall_ns + self.copy_time(len);
-        let seg = self.stacks[from]
-            .kernel
-            .acquire(start + cpu, c.segment_ns * self.segs(len));
-        let wire = self.stacks[from]
-            .wire
-            .acquire(seg.finish, self.wire_time(len));
-        wire.finish + c.propagation_ns + c.rx_wakeup_ns
-    }
-
-    /// Receiver-side cost folded into the completion stamp.
-    fn rx_done(&self, arrive: Nanos, len: usize) -> Nanos {
-        arrive + self.cost.syscall_ns + self.copy_time(len)
-    }
-
-    /// Mirror of the RNIC datapath's injection point: TCP ops consult
-    /// the fabric's fault plan and node-down state before touching the
-    /// wire, so both transports honor the same fault model. There is no
-    /// QP to break on a socket path, so `BreakQp` rules never match
-    /// (`fault_check` is called without a QP).
-    fn fault_gate(&self, ctx: &mut Ctx, dst: NodeId) -> LiteResult<()> {
-        match self.fabric.fault_check(self.node, dst, None) {
-            FaultAction::Delay(d) => ctx.wait_until(ctx.now() + d),
-            FaultAction::Drop => return Err(LiteError::Timeout),
-            _ => {}
-        }
-        if self.fabric.is_down(self.node) || self.fabric.is_down(dst) {
-            return Err(LiteError::Timeout);
-        }
-        Ok(())
-    }
-}
-
-impl DataPath for TcpDataPath {
-    fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn fabric(&self) -> &Arc<IbFabric> {
-        &self.fabric
-    }
-
-    fn alloc(&self, bytes: u64) -> LiteResult<u64> {
-        Ok(self.alloc.lock().alloc(bytes)?)
-    }
-
-    fn post(&self, ctx: &mut Ctx, _prio: Priority, op: &Op) -> LiteResult<Completion> {
-        let local_mem = self.fabric.mem(self.node);
-        match op {
-            Op::Write {
-                dst_node,
-                dst_addr,
-                src,
-                len,
-                ..
-            } => {
-                let land = [extent(*dst_addr, *len)];
-                if *dst_node == self.node {
-                    local_mem.copy_from(local_mem, src, &land)?;
-                    ctx.work(self.copy_time(*len));
-                    return Ok(Completion {
-                        stamp: ctx.now(),
-                        value: 0,
-                    });
-                }
-                self.fault_gate(ctx, *dst_node)?;
-                let arrive = self.send_leg(ctx, *len);
-                self.fabric
-                    .mem(*dst_node)
-                    .copy_from(local_mem, src, &land)?;
-                Ok(Completion {
-                    stamp: self.rx_done(arrive, *len),
-                    value: 0,
-                })
-            }
-            Op::Read {
-                src_node,
-                src_addr,
-                dst,
-                len,
-            } => {
-                let from = [extent(*src_addr, *len)];
-                if *src_node == self.node {
-                    local_mem.copy_from(local_mem, &from, dst)?;
-                    ctx.work(self.copy_time(*len));
-                    return Ok(Completion {
-                        stamp: ctx.now(),
-                        value: 0,
-                    });
-                }
-                self.fault_gate(ctx, *src_node)?;
-                let req_arrive = self.send_leg(ctx, TCP_CTRL_BYTES);
-                local_mem.copy_from(self.fabric.mem(*src_node), &from, dst)?;
-                let back = self.return_leg(*src_node, req_arrive, *len);
-                Ok(Completion {
-                    stamp: self.rx_done(back, *len),
-                    value: 0,
-                })
-            }
-            Op::FetchAdd { node, addr, delta } => {
-                if *node == self.node {
-                    ctx.work(LOCAL_ATOMIC_NS);
-                    // Stamped applies keep conflicting atomics' stamps
-                    // monotone in apply order (history-checker soundness).
-                    let (value, stamp) =
-                        local_mem.fetch_add_u64_stamped(*addr, *delta, ctx.now())?;
-                    ctx.wait_until(stamp);
-                    return Ok(Completion { stamp, value });
-                }
-                self.fault_gate(ctx, *node)?;
-                let req_arrive = self.send_leg(ctx, TCP_CTRL_BYTES);
-                let back = self.return_leg(*node, req_arrive, TCP_CTRL_BYTES);
-                let done = self.rx_done(back, TCP_CTRL_BYTES);
-                let (value, stamp) = self
-                    .fabric
-                    .mem(*node)
-                    .fetch_add_u64_stamped(*addr, *delta, done)?;
-                // Response-leg injection point, mirroring the RNIC path:
-                // the apply above landed; a dropped ack surfaces as a
-                // timeout. The TCP path has no retry layer, so the op
-                // fails indeterminate — which is exactly how the history
-                // checker treats it (pending, explored both ways).
-                if self.fabric.fault_check_ack(self.node, *node) == FaultAction::Drop {
-                    return Err(LiteError::Timeout);
-                }
-                ctx.wait_until(stamp); // atomics are blocking, like their verbs
-                Ok(Completion { stamp, value })
-            }
-            Op::CmpSwap {
-                node,
-                addr,
-                expect,
-                new,
-            } => {
-                if *node == self.node {
-                    ctx.work(LOCAL_ATOMIC_NS);
-                    let (value, stamp) =
-                        local_mem.cas_u64_stamped(*addr, *expect, *new, ctx.now())?;
-                    ctx.wait_until(stamp);
-                    return Ok(Completion { stamp, value });
-                }
-                self.fault_gate(ctx, *node)?;
-                let req_arrive = self.send_leg(ctx, TCP_CTRL_BYTES);
-                let back = self.return_leg(*node, req_arrive, TCP_CTRL_BYTES);
-                let done = self.rx_done(back, TCP_CTRL_BYTES);
-                let (value, stamp) = self
-                    .fabric
-                    .mem(*node)
-                    .cas_u64_stamped(*addr, *expect, *new, done)?;
-                if self.fabric.fault_check_ack(self.node, *node) == FaultAction::Drop {
-                    return Err(LiteError::Timeout);
-                }
-                ctx.wait_until(stamp);
-                Ok(Completion { stamp, value })
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Shared synchronization helper
-// ---------------------------------------------------------------------
-
-/// A sense-free spin barrier built from nothing but [`Op`] descriptors:
-/// one cumulative counter cell on a home node, bumped with
-/// [`Op::FetchAdd`] and polled with one-sided reads. Lets any
-/// [`DataPath`] consumer (the graph and MapReduce apps) synchronize
-/// without a second transport-specific mechanism.
-///
-/// The counter is monotonic: the barrier with sequence `seq` releases
-/// once the cell reaches `(seq + 1) * parties`, so one cell serves every
-/// round of a run.
-pub struct DataPathBarrier {
-    dp: Arc<dyn DataPath>,
-    home: NodeId,
-    cell: u64,
-    parties: u64,
-    /// Local 8-byte landing pad the polls read into.
-    spin: u64,
-}
-
-impl DataPathBarrier {
-    /// Allocates and zeroes a counter cell on `home`'s node (call once,
-    /// share the address with every party).
-    pub fn alloc_cell(home: &Arc<dyn DataPath>) -> LiteResult<u64> {
-        let cell = home.alloc(8)?;
-        home.fabric().mem(home.node()).write(cell, &[0u8; 8])?;
-        Ok(cell)
-    }
-
-    /// A party's view of the barrier at `cell` on node `home`.
-    pub fn new(dp: Arc<dyn DataPath>, home: NodeId, cell: u64, parties: u64) -> LiteResult<Self> {
-        let spin = dp.alloc(8)?;
-        Ok(DataPathBarrier {
-            dp,
-            home,
-            cell,
-            parties,
-            spin,
-        })
-    }
-
-    /// Joins barrier `seq` (0, 1, 2, … over the life of the cell) and
-    /// blocks until all parties have.
-    pub fn wait(&self, ctx: &mut Ctx, seq: u64) -> LiteResult<()> {
-        let target = (seq + 1) * self.parties;
-        self.dp.post(
-            ctx,
-            Priority::High,
-            &Op::FetchAdd {
-                node: self.home,
-                addr: self.cell,
-                delta: 1,
-            },
-        )?;
-        let land = [extent(self.spin, 8)];
-        let poll = Op::read(self.home, self.cell, &land[..], 8);
-        loop {
-            let comp = self.dp.post(ctx, Priority::High, &poll)?;
-            ctx.wait_until(comp.stamp);
-            let mut b = [0u8; 8];
-            self.dp
-                .fabric()
-                .mem(self.dp.node())
-                .read(self.spin, &mut b)?;
-            if u64::from_le_bytes(b) >= target {
-                return Ok(());
-            }
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -1474,7 +1128,7 @@ impl LiteKernel {
         Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
     }
 
-    /// Posts an ordered chain of ops ([`DataPath::post_many`]: one
+    /// Posts an ordered chain of ops ([`RnicDataPath::post_many`]: one
     /// doorbell per run of remote ops towards one node), counting its
     /// reads and writes.
     pub(crate) fn rdma_chain(
@@ -1543,24 +1197,9 @@ impl LiteKernel {
     }
 }
 
-/// QPs this kernel should create towards each peer, honoring QoS needs:
-/// K RC QPs per peer (§6.1). Used by the cluster builder's tests and by
-/// external tooling that inspects the sharing scheme.
-#[allow(dead_code)]
-pub(crate) fn qp_plan(nodes: usize, me: NodeId, k: usize) -> Vec<(NodeId, usize)> {
-    (0..nodes).filter(|&p| p != me).map(|p| (p, k)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn qp_plan_counts() {
-        let plan = qp_plan(4, 1, 2);
-        assert_eq!(plan, vec![(0, 2), (2, 2), (3, 2)]);
-        assert_eq!(plan.iter().map(|(_, k)| k).sum::<usize>(), 6);
-    }
 
     #[test]
     fn op_descriptor_accessors() {
@@ -1583,82 +1222,5 @@ mod tests {
             new: 1,
         };
         assert_eq!((cs.dst_node(), cs.bytes()), (0, 8));
-    }
-
-    #[test]
-    fn tcp_mesh_moves_bytes_and_counts_time() {
-        let paths = TcpDataPath::mesh(2, TcpCostModel::default());
-        let dst = paths[1].alloc(4096).unwrap();
-        let src = paths[0].alloc(4096).unwrap();
-        paths[0]
-            .fabric()
-            .mem(0)
-            .write(src, b"over the socket")
-            .unwrap();
-        let mut ctx = Ctx::new();
-        let comp = paths[0]
-            .post(
-                &mut ctx,
-                Priority::High,
-                &Op::write(1, dst, vec![Chunk { addr: src, len: 15 }], 15),
-            )
-            .unwrap();
-        // Kernel TCP write-path: tens of microseconds end to end.
-        assert!(comp.stamp > 10_000, "stamp {}", comp.stamp);
-        let mut back = [0u8; 15];
-        paths[1].fabric().mem(1).read(dst, &mut back).unwrap();
-        assert_eq!(&back, b"over the socket");
-
-        // Round trip the same bytes with a read from the other side.
-        let hole = paths[0].alloc(64).unwrap();
-        let mut c0 = Ctx::new();
-        let rc = paths[0]
-            .post(
-                &mut c0,
-                Priority::High,
-                &Op::read(
-                    1,
-                    dst,
-                    vec![Chunk {
-                        addr: hole,
-                        len: 15,
-                    }],
-                    15,
-                ),
-            )
-            .unwrap();
-        assert!(rc.stamp > comp.stamp - comp.stamp / 2);
-        let mut got = [0u8; 15];
-        paths[0].fabric().mem(0).read(hole, &mut got).unwrap();
-        assert_eq!(&got, b"over the socket");
-
-        // Atomics return the previous value and block the caller.
-        let cell = paths[1].alloc(64).unwrap();
-        let fa = paths[0]
-            .post(
-                &mut c0,
-                Priority::High,
-                &Op::FetchAdd {
-                    node: 1,
-                    addr: cell,
-                    delta: 5,
-                },
-            )
-            .unwrap();
-        assert_eq!(fa.value, 0);
-        assert_eq!(c0.now(), fa.stamp);
-        let cs = paths[0]
-            .post(
-                &mut c0,
-                Priority::High,
-                &Op::CmpSwap {
-                    node: 1,
-                    addr: cell,
-                    expect: 5,
-                    new: 9,
-                },
-            )
-            .unwrap();
-        assert_eq!(cs.value, 5);
     }
 }

@@ -17,7 +17,7 @@ use rnic::{NodeId, Wc, WcOpcode};
 use simnet::{Ctx, Nanos};
 use smem::Chunk;
 
-use super::datapath::{DataPath, Op};
+use super::datapath::Op;
 use super::{LiteKernel, FN_MSG, USER_FUNC_MIN};
 use crate::config::LiteConfig;
 use crate::error::{LiteError, LiteResult};
@@ -27,6 +27,17 @@ use crate::wire::{Imm, MsgHeader, HEADER_BYTES, RING_GRANULE};
 
 /// Simulation-internal cost of a loop-back delivery (RPC to self).
 const LOOPBACK_NS: Nanos = 400;
+
+/// RPC metadata handling: mapping + protection for an RPC (§4.2: "less
+/// than 0.3 µs").
+pub const RPC_META_NS: Nanos = 300;
+
+/// Poller cost to parse an IMM and dispatch to a queue.
+pub const IMM_DISPATCH_NS: Nanos = 300;
+
+/// How long a user thread busy-checks the shared completion page before
+/// sleeping (the "adaptive" thread model of §5.2).
+pub const ADAPTIVE_SPIN_NS: Nanos = 2_000;
 
 /// A per-call completion slot: the simulation analogue of §5.2's shared
 /// user/kernel page through which the LITE library observes completion
@@ -58,18 +69,13 @@ impl CallSlot {
 
     /// Blocks for the result; models the adaptive busy-check-then-sleep
     /// wait of the LITE library (§5.2).
-    pub(crate) fn wait(
-        &self,
-        ctx: &mut Ctx,
-        cfg: &LiteConfig,
-        timeout: Duration,
-    ) -> LiteResult<SlotResult> {
+    pub(crate) fn wait(&self, ctx: &mut Ctx, cfg: &LiteConfig) -> LiteResult<SlotResult> {
         let mut st = self.state.lock();
         let r = loop {
             match *st {
                 Some(r) => break r,
                 None => {
-                    if self.cv.wait_for(&mut st, timeout).timed_out() && st.is_none() {
+                    if self.cv.wait_for(&mut st, cfg.op_timeout).timed_out() && st.is_none() {
                         return Err(LiteError::Timeout);
                     }
                 }
@@ -79,7 +85,7 @@ impl CallSlot {
         let gap = r.stamp.saturating_sub(ctx.now());
         if cfg.adaptive_poll {
             // Busy-check briefly, then sleep until completion.
-            ctx.cpu.charge(gap.min(cfg.adaptive_spin_ns));
+            ctx.cpu.charge(gap.min(ADAPTIVE_SPIN_NS));
         } else {
             ctx.cpu.charge(gap);
         }
@@ -346,7 +352,7 @@ impl LiteKernel {
         let inc = q.pop(timeout).ok_or(LiteError::Timeout)?;
         let gap = inc.stamp.saturating_sub(ctx.now());
         if self.config.adaptive_poll {
-            ctx.cpu.charge(gap.min(self.config.adaptive_spin_ns));
+            ctx.cpu.charge(gap.min(ADAPTIVE_SPIN_NS));
         } else {
             ctx.cpu.charge(gap);
         }
@@ -548,7 +554,7 @@ impl LiteKernel {
                     }
                 }
             }
-            ctx.work(self.config.imm_dispatch_ns);
+            ctx.work(IMM_DISPATCH_NS);
             match Imm::decode(wc.imm.unwrap_or(0)) {
                 Imm::Request { granule } => {
                     self.counters.count_rpc();
@@ -617,7 +623,7 @@ impl LiteKernel {
             Err(_) => return,
         };
         let _ = self.release_ring(ctx, client, &inc);
-        ctx.work(self.config.rpc_meta_ns);
+        ctx.work(RPC_META_NS);
         let route = ReplyRoute::of_hdr(&hdr);
         match self.kernel_service(ctx, &hdr, &payload) {
             Ok(Some(resp)) => {

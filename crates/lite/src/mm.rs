@@ -7,8 +7,7 @@
 //! ([`crate::LiteConfig::mem_budget_bytes`]), tracks chunk temperature
 //! with an LRU ([`simnet::Lru`]), evicts cold chunks of locally-mastered
 //! LMRs to swap nodes over the existing datapath, transparently redirects
-//! or faults accesses that land on evicted chunks, and rebalances hot
-//! chunks toward their heaviest accessor (NP-RDMA's on-demand
+//! or faults accesses that land on evicted chunks (NP-RDMA's on-demand
 //! materialization + RDMAbox's remote paging, folded into LITE).
 //!
 //! # Residency state machine
@@ -75,6 +74,10 @@ const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
 /// before reporting `Relocated` and letting the API refresh-retry.
 const PIN_DEADLINE: Duration = Duration::from_secs(2);
 
+/// Remote map-faults on an evicted LMR after which the manager pulls its
+/// chunks home (fetch-back), budget permitting.
+pub const FETCH_BACK_FAULTS: u32 = 3;
+
 /// Track at most this many segments in the recency list; beyond it the
 /// LRU sheds recency info (victim selection falls back to map order).
 const LRU_CAPACITY: usize = 65_536;
@@ -84,7 +87,7 @@ const LRU_CAPACITY: usize = 65_536;
 pub enum Residency {
     /// Bytes live on the master node.
     Resident,
-    /// An eviction/rebalance is draining pins and copying out.
+    /// An eviction is draining pins and copying out.
     Evicting,
     /// Bytes live on a swap node (the segment's current host).
     Remote,
@@ -142,15 +145,13 @@ pub struct Segment {
     /// flight: the migrator re-checks it under the state lock and rolls
     /// back instead of committing segments of a dead LMR.
     dead: AtomicBool,
-    /// Per-node access counts (rebalancer input).
-    heat: Vec<AtomicU64>,
     /// Sweep epoch of the last access (background-unpinner input: a
     /// segment untouched for a full epoch is cold enough to unpin).
     last_touch: AtomicU64,
 }
 
 impl Segment {
-    fn new(key: SegKey, len: u64, addr: u64, host: NodeId, residency: u8, nodes: usize) -> Self {
+    fn new(key: SegKey, len: u64, addr: u64, host: NodeId, residency: u8) -> Self {
         Segment {
             key,
             len,
@@ -159,7 +160,6 @@ impl Segment {
             residency: AtomicU8::new(residency),
             pins: AtomicU32::new(0),
             dead: AtomicBool::new(false),
-            heat: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             last_touch: AtomicU64::new(0),
         }
     }
@@ -182,28 +182,6 @@ impl Segment {
     /// Current residency.
     pub fn residency(&self) -> Residency {
         residency_of(self.residency.load(Ordering::Acquire))
-    }
-
-    fn top_accessor(&self) -> Option<(NodeId, u64)> {
-        self.heat
-            .iter()
-            .enumerate()
-            .map(|(n, h)| (n, h.load(Ordering::Relaxed)))
-            .max_by_key(|&(_, h)| h)
-            .filter(|&(_, h)| h > 0)
-    }
-
-    fn heat_of(&self, node: NodeId) -> u64 {
-        self.heat
-            .get(node)
-            .map(|h| h.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    fn reset_heat(&self) {
-        for h in &self.heat {
-            h.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -316,9 +294,6 @@ pub struct MemManager {
     budget: u64,
     /// Pin-free registration ([`crate::LiteConfig::lazy_pinning`]).
     lazy: bool,
-    fetch_back_faults: u32,
-    rebalance_threshold: u64,
-    swap_nodes: Vec<NodeId>,
     next_swap: AtomicUsize,
     state: Mutex<MmState>,
     /// Peer managers via cluster membership (normal wiring).
@@ -330,7 +305,6 @@ pub struct MemManager {
     shutdown: AtomicBool,
     evictions: AtomicU64,
     fetch_backs: AtomicU64,
-    rebalances: AtomicU64,
     redirects: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -353,9 +327,6 @@ impl MemManager {
             nodes,
             budget: config.mem_budget_bytes,
             lazy: config.lazy_pinning,
-            fetch_back_faults: config.mm_fetch_back_faults.max(1),
-            rebalance_threshold: config.mm_rebalance_threshold,
-            swap_nodes: config.mm_swap_nodes.clone(),
             next_swap: AtomicUsize::new(0),
             state: Mutex::new(MmState {
                 by_addr: BTreeMap::new(),
@@ -373,7 +344,6 @@ impl MemManager {
             shutdown: AtomicBool::new(false),
             evictions: AtomicU64::new(0),
             fetch_backs: AtomicU64::new(0),
-            rebalances: AtomicU64::new(0),
             redirects: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -453,9 +423,7 @@ impl MemManager {
         for (node, c) in &location.extents {
             if *node == self.node && c.len > 0 {
                 let key = SegKey { id, off };
-                let seg = Arc::new(Segment::new(
-                    key, c.len, c.addr, self.node, residency, self.nodes,
-                ));
+                let seg = Arc::new(Segment::new(key, c.len, c.addr, self.node, residency));
                 seg.last_touch.store(epoch, Ordering::Relaxed);
                 if !self.lazy {
                     self.pins.fault_in(c.addr, c.len);
@@ -559,9 +527,9 @@ impl MemManager {
     // Hot-path hooks (datapath / API)
     // ------------------------------------------------------------------
 
-    /// Records one access to `[addr, addr+len)` from node `from`:
-    /// promotes the segment in the LRU and feeds the rebalancer's heat.
-    pub(crate) fn touch(&self, addr: u64, _len: u64, from: NodeId) {
+    /// Records one access to `[addr, addr+len)`: promotes the segment in
+    /// the LRU and stamps it with the current sweep epoch.
+    pub(crate) fn touch(&self, addr: u64, _len: u64) {
         if !self.tracking() {
             return;
         }
@@ -574,9 +542,6 @@ impl MemManager {
             return;
         };
         let seg = Arc::clone(seg);
-        if let Some(h) = seg.heat.get(from) {
-            h.fetch_add(1, Ordering::Relaxed);
-        }
         seg.last_touch
             .store(self.current_epoch(), Ordering::Relaxed);
         if seg.key.id.node as NodeId == self.node {
@@ -802,7 +767,6 @@ impl MemManager {
             evicted_chunks,
             evictions: self.evictions.load(Ordering::Relaxed),
             fetch_backs: self.fetch_backs.load(Ordering::Relaxed),
-            rebalances: self.rebalances.load(Ordering::Relaxed),
             redirects: self.redirects.load(Ordering::Relaxed),
             lru_hits: hits,
             lru_misses: misses,
@@ -852,18 +816,10 @@ impl MemManager {
             .next()
     }
 
-    /// Picks the swap node for the next eviction: the configured list,
-    /// or round-robin over alive peers.
+    /// Picks the swap node for the next eviction: round-robin over alive
+    /// peers.
     fn pick_swap_node(&self, alive: impl Fn(NodeId) -> bool) -> Option<NodeId> {
-        let candidates: Vec<NodeId> = if self.swap_nodes.is_empty() {
-            (0..self.nodes).filter(|&n| n != self.node).collect()
-        } else {
-            self.swap_nodes
-                .iter()
-                .copied()
-                .filter(|&n| n != self.node && n < self.nodes)
-                .collect()
-        };
+        let candidates: Vec<NodeId> = (0..self.nodes).filter(|&n| n != self.node).collect();
         if candidates.is_empty() {
             return None;
         }
@@ -951,7 +907,6 @@ impl MemManager {
                 c.addr,
                 host,
                 state,
-                self.nodes,
             )));
             off += c.len;
         }
@@ -1154,11 +1109,10 @@ impl MemManager {
     fn take_fetch_back_candidates(&self) -> Vec<u32> {
         let mut st = self.state.lock();
         let resident = st.resident_bytes;
-        let threshold = self.fetch_back_faults;
         let ready: Vec<u32> = st
             .faults
             .iter()
-            .filter(|&(_, &n)| n >= threshold)
+            .filter(|&(_, &n)| n >= FETCH_BACK_FAULTS)
             .map(|(&idx, _)| idx)
             .collect();
         let mut headroom = self.budget.saturating_sub(resident);
@@ -1179,27 +1133,6 @@ impl MemManager {
             }
         }
         out
-    }
-
-    /// Resident segments whose heaviest accessor is another (alive)
-    /// node past the rebalance threshold, with their targets.
-    fn rebalance_candidates(&self, alive: impl Fn(NodeId) -> bool) -> Vec<(SegKey, NodeId)> {
-        if self.rebalance_threshold == 0 {
-            return Vec::new();
-        }
-        let st = self.state.lock();
-        st.segs
-            .values()
-            .filter(|s| s.residency.load(Ordering::Relaxed) == R_RESIDENT)
-            .filter_map(|s| {
-                let (top, heat) = s.top_accessor()?;
-                (top != self.node
-                    && heat >= self.rebalance_threshold
-                    && heat > s.heat_of(self.node)
-                    && alive(top))
-                .then_some((s.key, top))
-            })
-            .collect()
     }
 
     /// Background unpinner (lazy mode only): closes the sweep epoch and
@@ -1261,8 +1194,6 @@ pub struct MmReport {
     pub evictions: u64,
     /// Chunks fetched back over the node's lifetime.
     pub fetch_backs: u64,
-    /// Chunks migrated toward their heaviest accessor.
-    pub rebalances: u64,
     /// Accesses that landed on migrated chunks and were redirected
     /// (refresh + retry) instead of served in place.
     pub redirects: u64,
@@ -1289,7 +1220,7 @@ impl MmReport {
     /// stats report).
     pub fn json(&self) -> String {
         format!(
-            "{{\"enabled\":{},\"lazy\":{},\"budget_bytes\":{},\"resident_bytes\":{},\"evicted_bytes\":{},\"hosted_bytes\":{},\"resident_chunks\":{},\"evicted_chunks\":{},\"evictions\":{},\"fetch_backs\":{},\"rebalances\":{},\"redirects\":{},\"lru_hits\":{},\"lru_misses\":{},\"hit_rate\":{:.4},\"pinned_pages\":{},\"first_touch_faults\":{},\"bg_unpins\":{},\"fetch_back_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}},\"reg_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}}}}",
+            "{{\"enabled\":{},\"lazy\":{},\"budget_bytes\":{},\"resident_bytes\":{},\"evicted_bytes\":{},\"hosted_bytes\":{},\"resident_chunks\":{},\"evicted_chunks\":{},\"evictions\":{},\"fetch_backs\":{},\"redirects\":{},\"lru_hits\":{},\"lru_misses\":{},\"hit_rate\":{:.4},\"pinned_pages\":{},\"first_touch_faults\":{},\"bg_unpins\":{},\"fetch_back_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}},\"reg_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}}}}",
             self.enabled,
             self.lazy,
             self.budget_bytes,
@@ -1300,7 +1231,6 @@ impl MmReport {
             self.evicted_chunks,
             self.evictions,
             self.fetch_backs,
-            self.rebalances,
             self.redirects,
             self.lru_hits,
             self.lru_misses,
@@ -1324,15 +1254,8 @@ impl MmReport {
 // The manager thread
 // ---------------------------------------------------------------------
 
-/// Why a segment is being migrated (decides which counter ticks).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MigrateWhy {
-    Evict,
-    Rebalance,
-}
-
 /// The body of the `lite-mm-{node}` thread: drains requests, relieves
-/// budget pressure, pulls faulted LMRs home, and rebalances hot chunks.
+/// budget pressure, and pulls faulted LMRs home.
 /// Spawned by `finish_setup` only when a budget is configured.
 pub(crate) fn run(kernel: Arc<LiteKernel>) {
     let mm = Arc::clone(kernel.mm());
@@ -1349,7 +1272,7 @@ pub(crate) fn run(kernel: Arc<LiteKernel>) {
             match req {
                 MmRequest::Evict { idx, off } => {
                     for key in mm.resident_segs_of(idx, off) {
-                        let _ = evict_one(&kernel, &mut ctx, &mut handle, key, None);
+                        let _ = evict_one(&kernel, &mut ctx, &mut handle, key);
                     }
                 }
                 MmRequest::FetchBack { idx } => {
@@ -1376,7 +1299,7 @@ fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
         let Some(victim) = mm.pick_victim() else {
             break;
         };
-        if evict_one(kernel, ctx, handle, victim, None).is_err() {
+        if evict_one(kernel, ctx, handle, victim).is_err() {
             break;
         }
     }
@@ -1390,15 +1313,7 @@ fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
             let _ = fetch_back_one(kernel, ctx, handle, key);
         }
     }
-    // 3. Rebalance: migrate hot chunks toward their heaviest accessor.
-    let alive = |n: NodeId| kernel.try_datapath().is_ok_and(|dp| !dp.peer_is_dead(n));
-    for (key, target) in mm.rebalance_candidates(alive) {
-        if mm.stopping() {
-            return;
-        }
-        let _ = evict_one(kernel, ctx, handle, key, Some(target));
-    }
-    // 4. Lazy mode: release pins of segments cold for a full epoch.
+    // 3. Lazy mode: release pins of segments cold for a full epoch.
     mm.bg_unpin_sweep();
 }
 
@@ -1475,25 +1390,19 @@ fn invalidate_mappers(
     }
 }
 
-/// Migrates one resident segment to a swap node (eviction) or to an
-/// explicit `target` (rebalance): drain pins, remote-allocate, copy out
-/// over the datapath, update the master record, register the hosted
-/// copy, tombstone and free the local range, invalidate mappers.
+/// Migrates one resident segment to a swap node: drain pins,
+/// remote-allocate, copy out over the datapath, update the master
+/// record, register the hosted copy, tombstone and free the local range,
+/// invalidate mappers.
 fn evict_one(
     kernel: &Arc<LiteKernel>,
     ctx: &mut Ctx,
     handle: &mut LiteHandle,
     key: SegKey,
-    target: Option<NodeId>,
 ) -> LiteResult<()> {
     let mm = Arc::clone(kernel.mm());
-    let why = if target.is_some() {
-        MigrateWhy::Rebalance
-    } else {
-        MigrateWhy::Evict
-    };
     let alive = |n: NodeId| kernel.try_datapath().is_ok_and(|dp| !dp.peer_is_dead(n));
-    let Some(target) = target.or_else(|| mm.pick_swap_node(alive)) else {
+    let Some(target) = mm.pick_swap_node(alive) else {
         return Err(LiteError::Internal("no alive swap node"));
     };
     let Some((seg, was)) = mm.begin_evict(&key) else {
@@ -1559,11 +1468,7 @@ fn evict_one(
     if !freed {
         kernel.note_cleanup_failure(kernel.node(), ctx.now());
     }
-    match why {
-        MigrateWhy::Evict => mm.evictions.fetch_add(1, Ordering::Relaxed),
-        MigrateWhy::Rebalance => mm.rebalances.fetch_add(1, Ordering::Relaxed),
-    };
-    seg.reset_heat();
+    mm.evictions.fetch_add(1, Ordering::Relaxed);
     invalidate_mappers(kernel, ctx, handle, key.id, &mappers);
     Ok(())
 }
@@ -1749,23 +1654,19 @@ mod tests {
     }
 
     #[test]
-    fn touch_feeds_lru_and_heat() {
+    fn touch_feeds_lru() {
         let mm = MemManager::new(0, 3, &cfg(1 << 20));
         let id = LmrId { node: 0, idx: 1 };
         mm.register(id, &loc(0, &[(0x1000, 4096), (0x4000, 4096)]));
-        mm.touch(0x1000, 64, 2);
-        mm.touch(0x1080, 64, 2);
-        mm.touch(0x4000, 64, 0);
+        mm.touch(0x1000, 64);
+        mm.touch(0x1080, 64);
+        mm.touch(0x4000, 64);
         let r = mm.stats();
         assert_eq!(r.lru_hits, 3);
         // The coldest segment is the one at 0x4000? No: 0x4000 touched
         // last, so the 0x1000 segment is colder only by insertion; both
         // were touched. Victim selection still returns something.
         assert!(mm.pick_victim().is_some());
-        let st = mm.state.lock();
-        let seg = st.segs.get(&SegKey { id, off: 0 }).unwrap();
-        assert_eq!(seg.heat_of(2), 2);
-        assert_eq!(seg.heat_of(0), 0);
     }
 
     #[test]
@@ -1813,7 +1714,7 @@ mod tests {
         let id = LmrId { node: 0, idx: 1 };
         mm.register(id, &loc(0, &[(0x1000, 4096), (0x4000, 4096)]));
         // Touch the first; the second becomes the LRU victim.
-        mm.touch(0x1000, 8, 0);
+        mm.touch(0x1000, 8);
         assert_eq!(mm.pick_victim(), Some(SegKey { id, off: 4096 }));
     }
 
@@ -1874,7 +1775,7 @@ mod tests {
         let (a, b) = pair();
         let id = LmrId { node: 0, idx: 2 };
         let key = SegKey { id, off: 0 };
-        let seg = Arc::new(Segment::new(key, 4096, 0x9000, 1, R_REMOTE, 2));
+        let seg = Arc::new(Segment::new(key, 4096, 0x9000, 1, R_REMOTE));
         {
             let mut st = a.state.lock();
             st.segs.insert(key, Arc::clone(&seg));
@@ -1914,7 +1815,6 @@ mod tests {
                 0x9000,
                 1,
                 R_REMOTE,
-                2,
             ));
             st.segs.insert(seg.key, seg);
             st.evicted_bytes = 4096;

@@ -6,13 +6,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lite::{
-    DataPath, LiteCluster, LiteConfig, LiteError, Op, Perm, Priority, QosConfig, TcpDataPath,
-    USER_FUNC_MIN,
-};
+use lite::{LiteCluster, LiteConfig, LiteError, Perm, QosConfig, USER_FUNC_MIN};
 use rnic::{FaultPlan, FaultRule, IbConfig, VerbsError};
 use simnet::Ctx;
-use transport::TcpCostModel;
 
 fn cluster_with(nodes: usize, config: LiteConfig) -> Arc<LiteCluster> {
     LiteCluster::start_with(IbConfig::with_nodes(nodes), config, QosConfig::default()).unwrap()
@@ -270,44 +266,4 @@ fn ring_fills_up_while_peer_is_down() {
         }
     }
     assert!(saw_ring_full, "leaked reservations must fill the ring");
-}
-
-/// Satellite check: the TCP datapath consults the same fault plan and
-/// node-down state as the RNIC datapath — both transports share one
-/// fault model.
-#[test]
-fn tcp_datapath_honors_down_nodes_and_fault_plans() {
-    let paths = TcpDataPath::mesh(2, TcpCostModel::default());
-    let mut ctx = Ctx::new();
-    let src = paths[0].alloc(64).unwrap();
-    let dst = paths[1].alloc(64).unwrap();
-    paths[0].fabric().mem(0).write(src, &[9u8; 64]).unwrap();
-    let op = Op::write(1, dst, vec![lite::Chunk { addr: src, len: 64 }], 64);
-
-    paths[0].fabric().set_down(1, true);
-    assert_eq!(
-        paths[0].post(&mut ctx, Priority::High, &op).unwrap_err(),
-        LiteError::Timeout,
-        "down node must fail TCP ops like RNIC ops"
-    );
-    paths[0].fabric().set_down(1, false);
-
-    paths[0]
-        .fabric()
-        .install_fault_plan(FaultPlan::seeded(3).with(FaultRule::DropWr {
-            src: None,
-            dst: Some(1),
-            prob: 1.0,
-            max_drops: 1,
-        }));
-    assert_eq!(
-        paths[0].post(&mut ctx, Priority::High, &op).unwrap_err(),
-        LiteError::Timeout,
-        "a dropped segment times out on TCP too"
-    );
-    // Budget spent: traffic flows again and the bytes land.
-    paths[0].post(&mut ctx, Priority::High, &op).unwrap();
-    let mut got = [0u8; 64];
-    paths[0].fabric().mem(1).read(dst, &mut got).unwrap();
-    assert_eq!(got, [9u8; 64]);
 }

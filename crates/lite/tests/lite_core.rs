@@ -227,9 +227,20 @@ fn failed_rpc_calls_pay_the_syscall_return() {
     };
     let rpc: Call = |c, ctx| c.lt_rpc(ctx, 1, F, b"ping", 64).map(|_| ());
     let try_recv: Call = |c, ctx| c.lt_try_recv_rpc(ctx, F).map(|_| ());
-    // One byte over `max_rpc_payload`.
-    let send: Call = |c, ctx| c.lt_send(ctx, 1, &vec![0; (4 << 20) + 1]);
-    let syscall_return = 2 * LiteConfig::default().syscall_crossing_ns;
+    let send: Call = |c, ctx| c.lt_send(ctx, 1, &vec![0; lite::api::MAX_RPC_PAYLOAD + 1]);
+    // Node 5 is not in the cluster; lh 999 was never handed out; a 1 TB
+    // reply cell cannot be carved out of the scratch allocator.
+    let malloc: Call = |c, ctx| c.lt_malloc(ctx, 5, 64, "nowhere", Perm::RW).map(|_| ());
+    let free: Call = |c, ctx| c.lt_free(ctx, 999);
+    let mv: Call = |c, ctx| c.lt_move(ctx, 999, 1);
+    let grant: Call = |c, ctx| c.lt_grant(ctx, 999, 1, Perm::RW);
+    let memset: Call = |c, ctx| c.lt_memset(ctx, 999, 0, 8, 0);
+    let memcpy: Call = |c, ctx| c.lt_memcpy(ctx, 999, 0, 998, 0, 8);
+    let multicast: Call = |c, ctx| {
+        c.lt_multicast_rpc_partial(ctx, &[1], F, b"ping", 1 << 40)
+            .map(|_| ())
+    };
+    let syscall_return = 2 * lite::api::SYSCALL_CROSSING_NS;
     assert_eq!(
         cost(false, true, rpc) - cost(true, true, rpc),
         syscall_return
@@ -238,6 +249,13 @@ fn failed_rpc_calls_pay_the_syscall_return() {
         ("lt_rpc", rpc),
         ("lt_try_recv_rpc", try_recv),
         ("lt_send", send),
+        ("lt_malloc", malloc),
+        ("lt_free", free),
+        ("lt_move", mv),
+        ("lt_grant", grant),
+        ("lt_memset", memset),
+        ("lt_memcpy", memcpy),
+        ("lt_multicast_rpc_partial", multicast),
     ] {
         assert_eq!(
             cost(false, false, failing) - cost(true, false, failing),
@@ -463,24 +481,6 @@ fn qp_sharing_counts_match_section_6_1() {
         assert_eq!(cluster.kernel(node).stats().qps, 2 * 4);
     }
     assert_eq!(cluster.fabric().nic(0).stats().live_qps, 8);
-}
-
-#[test]
-fn eager_mesh_restores_boot_time_wiring() {
-    // The ablation switch for the old behavior: eager_mesh pre-wires
-    // every pair (and every ring) during start.
-    let cluster = LiteCluster::start_with(
-        rnic::IbConfig::with_nodes(4),
-        lite::LiteConfig {
-            eager_mesh: true,
-            ..lite::LiteConfig::with_qp_factor(2)
-        },
-        lite::QosConfig::default(),
-    )
-    .unwrap();
-    for node in 0..4 {
-        assert_eq!(cluster.kernel(node).stats().qps, 2 * 3);
-    }
 }
 
 #[test]

@@ -3,13 +3,16 @@
 # (the Figure 20 analogue).
 set -e
 cd "$(dirname "$0")/.."
-echo "== lines of Rust per crate =="
+# Lines of every .rs file under the given directories (0 when none exist).
+lines() {
+  find "$@" -name '*.rs' 2>/dev/null | xargs cat 2>/dev/null | wc -l
+}
+echo "== lines of Rust per crate (src/**, tests/**, all .rs) =="
+printf '%-24s %6s %6s %6s\n' crate src tests total
 for c in crates/*/; do
-  n=$(find "$c" -name '*.rs' | xargs wc -l | tail -1 | awk '{print $1}')
-  printf '%-24s %6s\n' "$(basename "$c")" "$n"
+  printf '%-24s %6s %6s %6s\n' "$(basename "$c")" "$(lines "$c"src)" "$(lines "$c"tests)" "$(lines "$c")"
 done
-n=$(find src examples tests -name '*.rs' | xargs wc -l | tail -1 | awk '{print $1}')
-printf '%-24s %6s\n' "root (src+examples+tests)" "$n"
+printf '%-24s %6s %6s %6s\n' "root (src+examples+tests)" "$(lines src examples)" "$(lines tests)" "$(lines src examples tests)"
 echo
 echo "== LITE-API call sites per application (Fig 20 analogue) =="
 for c in lite-log lite-mr lite-graph lite-dsm; do
