@@ -28,7 +28,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rnic::NodeId;
 use simnet::{Ctx, Nanos};
 use smem::Chunk;
@@ -76,10 +75,6 @@ pub struct RpcCall {
     /// Calling process.
     pub src_pid: u32,
     pub(crate) route: ReplyRoute,
-    /// Deferred ring-release head update, flushed together with the
-    /// reply in one doorbell batch (only set with `batch_posting`, for
-    /// remote two-way calls).
-    pub(crate) pending_head: Mutex<Option<Op<'static>>>,
 }
 
 /// One op of an [`LiteHandle::lt_chain`]: a one-sided access at byte
@@ -391,22 +386,24 @@ impl LiteHandle {
             src_pid: self.pid,
             skip: r.skip as u32,
         };
-        // One write-imm carries header + input (§5.1 step 2).
-        let mut msg = Vec::with_capacity(total as usize);
-        msg.extend_from_slice(&hdr.encode());
-        msg.extend_from_slice(payload);
-        let staged = self.stage(&msg)?;
+        // One write-imm carries header + input (§5.1 step 2), staged
+        // back to back.
+        Self::ensure(&self.kernel, &mut self.staging, total as usize)?;
+        let staged = self.staging.addr;
+        let mem = self.kernel.fabric().mem(self.kernel.node());
+        mem.write(staged, &hdr.encode())?;
+        mem.write(staged + HEADER_BYTES as u64, payload)?;
         let chunks = [Chunk {
             addr: staged,
-            len: msg.len() as u64,
+            len: total,
         }];
         let dst = self.kernel.ring_remote_addr(server, r.offset)?;
         let imm = Imm::Request {
             granule: (r.offset / crate::wire::RING_GRANULE) as u32,
         };
-        let post = self
-            .kernel
-            .post_write_imm(ctx, self.prio, server, dst, &chunks, msg.len(), imm);
+        let post =
+            self.kernel
+                .post_write_imm(ctx, self.prio, server, dst, &chunks, total as usize, imm);
         let Some(slot) = slot else {
             post?;
             return Ok(Vec::new());
@@ -1305,23 +1302,12 @@ impl LiteHandle {
         let input = self.kernel.read_ring_payload(client, &inc)?;
         ctx.work(self.kernel.fabric().cost().memcpy_time(input.len() as u64));
         ctx.work(RPC_META_NS);
-        // For remote two-way calls with batching on, defer the
-        // ring-release head update: the reply path chains it with the
-        // reply into one doorbell batch (one post for §5.1 steps e+f).
-        let defer =
-            self.kernel.config.batch_posting && inc.hdr.slot != 0 && client != self.kernel.node();
-        let pending_head = if defer {
-            self.kernel.release_ring_op(client, &inc)
-        } else {
-            self.kernel.release_ring(ctx, client, &inc)?;
-            None
-        };
+        self.kernel.release_ring(ctx, client, &inc)?;
         Ok(RpcCall {
             input,
             src_node: client,
             src_pid: inc.hdr.src_pid,
             route: ReplyRoute::of_hdr(&inc.hdr),
-            pending_head: Mutex::new(pending_head),
         })
     }
 
@@ -1339,8 +1325,7 @@ impl LiteHandle {
         self.syscall(ctx, |this, ctx| this.reply(ctx, call, output))
     }
 
-    /// The reply half of a server-side call: stage `output` and send it,
-    /// chained with the call's deferred ring release.
+    /// The reply half of a server-side call: stage `output` and send it.
     fn reply(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
         ctx.work(RPC_META_NS);
         let staged = self.stage(output)?;
@@ -1348,9 +1333,8 @@ impl LiteHandle {
             addr: staged,
             len: output.len() as u64,
         }];
-        let head = call.pending_head.lock().take();
         self.kernel
-            .send_reply_with(ctx, self.prio, call.route, &chunks, output.len(), head)?;
+            .send_reply(ctx, self.prio, call.route, &chunks, output.len())?;
         Ok(())
     }
 

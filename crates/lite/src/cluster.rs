@@ -114,7 +114,6 @@ impl LiteCluster {
                 DirEntry {
                     kernel: Arc::downgrade(&kernel),
                     rkey: kernel.global_rkey(),
-                    head_sink: kernel.head_sink_addr(),
                     qos: kernel.qos_arc(),
                     mm: kernel.mm_arc(),
                 },

@@ -4,7 +4,7 @@
 //! Boot used to wire the full O(N²·K) QP mesh and every ordered-pair
 //! RPC ring before the first op could run. The directory replaces that:
 //! [`crate::LiteCluster`] registers each node's membership record —
-//! global rkey, head-sink address, QoS state, memory manager, and a
+//! global rkey, QoS state, memory manager, and a
 //! weak kernel handle — as the node joins (O(N) total), and peers pull
 //! what they need from the directory on demand. Shared QPs and rings
 //! are established on *first use* of a peer pair, under the one
@@ -29,8 +29,6 @@ pub(crate) struct DirEntry {
     pub(crate) kernel: Weak<LiteKernel>,
     /// The node's global-MR rkey (§4.1).
     pub(crate) rkey: u32,
-    /// Physical address of the node's 64-byte head-update sink cell.
-    pub(crate) head_sink: u64,
     /// The node's QoS state (receiver-side SW-Pri policies read it).
     pub(crate) qos: Arc<QosState>,
     /// The node's memory-tiering manager.
@@ -106,11 +104,6 @@ impl ClusterDirectory {
     /// The node's global rkey.
     pub(crate) fn rkey(&self, node: NodeId) -> Option<u32> {
         Some(self.entry(node)?.rkey)
-    }
-
-    /// The node's head-sink physical address.
-    pub(crate) fn head_sink(&self, node: NodeId) -> Option<u64> {
-        Some(self.entry(node)?.head_sink)
     }
 
     /// The node's QoS state.

@@ -31,7 +31,7 @@ use crate::error::{LiteError, LiteResult};
 use crate::mm::MemManager;
 use crate::observe::{self, Observability, QosReport, StatsReport};
 use crate::qos::{QosConfig, QosState};
-use crate::ring::{ClientRing, ServerRing};
+use crate::ring::{ClientRing, HeadCell, ServerRing, HEAD_CELL_SPAN};
 use crate::shard::ShardedMap;
 
 pub mod datapath;
@@ -95,7 +95,7 @@ pub struct LiteKernel {
     pub(crate) alloc: Arc<Mutex<PhysAllocator>>,
     global_mr: rnic::Mr,
     datapath: OnceLock<Arc<RnicDataPath>>,
-    /// Cluster membership directory (rkeys, head sinks, peer kernels).
+    /// Cluster membership directory (rkeys, peer kernels).
     dir: OnceLock<Arc<ClusterDirectory>>,
     pub(crate) shared_recv_cq: Arc<Cq>,
     shared_send_cq: Arc<Cq>,
@@ -107,8 +107,9 @@ pub struct LiteKernel {
     /// Server-side ring state, indexed by client node; filled lazily by
     /// the *client's* `ensure_ring`.
     server_rings: RwLock<Vec<Option<Arc<ServerRing>>>>,
-    /// This node's 64-byte head-update sink cell.
-    head_sink: u64,
+    /// Where this node's head-cell pulls land: allocated by the first
+    /// pull, held for the length of each one.
+    pull_land: Mutex<Option<u64>>,
     /// Base of the lock-cell array.
     lock_cells: u64,
     next_lock: AtomicU64,
@@ -159,10 +160,7 @@ impl LiteKernel {
         // off, this MR is still created but LMR traffic goes through
         // per-LMR virtual MRs instead (see `ablation` tests).
         let global_mr = nic.register_phys_mr(&mut ctx, 0, mem_size, rnic::Access::RW)?;
-        let (head_sink, lock_cells) = {
-            let mut a = alloc.lock();
-            (a.alloc(64)?, a.alloc(LOCK_CELLS * 8)?)
-        };
+        let lock_cells = alloc.lock().alloc(LOCK_CELLS * 8)?;
         let link = fabric.cost().link_bytes_per_sec;
         let mm = Arc::new(MemManager::new(node, fabric.num_nodes(), &config));
         let shards = config.kernel_shards;
@@ -180,7 +178,7 @@ impl LiteKernel {
             shared_rq: Arc::new(RecvQueue::new()),
             client_rings: RwLock::new(vec![None; capacity]),
             server_rings: RwLock::new(vec![None; capacity]),
-            head_sink,
+            pull_land: Mutex::new(None),
             lock_cells,
             next_lock: AtomicU64::new(0),
             slots: ShardedMap::new(shards),
@@ -499,19 +497,20 @@ impl LiteKernel {
         )
     }
 
-    /// This node's head-sink physical address (for the cluster exchange).
-    pub(crate) fn head_sink_addr(&self) -> u64 {
-        self.head_sink
-    }
-
     /// This node's global rkey (for the cluster exchange).
     pub(crate) fn global_rkey(&self) -> u32 {
         self.global_mr.rkey()
     }
 
-    /// Allocates the server-side ring for messages from `client`.
+    /// Allocates the server-side ring for messages from `client`, with
+    /// its head cell right behind it. Rings are wired lazily and may land
+    /// on freed (dirty) memory, so the cell is written: nothing consumed.
     pub(crate) fn alloc_ring(&self, _client: NodeId) -> LiteResult<u64> {
-        Ok(self.alloc.lock().alloc(self.config.rpc_ring_bytes)?)
+        let size = self.config.rpc_ring_bytes;
+        let base = self.alloc.lock().alloc(size + HEAD_CELL_SPAN)?;
+        let empty = HeadCell { head: 0, stamp: 0 };
+        self.mem().write(base + size, &empty.encode())?;
+        Ok(base)
     }
 
     /// Begins shutdown: stops the memory manager (it issues kernel calls

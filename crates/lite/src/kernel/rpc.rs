@@ -6,7 +6,6 @@
 //! datapath; the only NIC-adjacent artifact left is the loop-back
 //! delivery, which fabricates a completion into the shared receive CQ.
 
-use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,7 +21,7 @@ use super::{LiteKernel, FN_MSG, USER_FUNC_MIN};
 use crate::config::LiteConfig;
 use crate::error::{LiteError, LiteResult};
 use crate::qos::Priority;
-use crate::ring::{ClientRing, Reservation, ServerRing};
+use crate::ring::{ClientRing, HeadCell, Reservation, ServerRing};
 use crate::wire::{Imm, MsgHeader, HEADER_BYTES, RING_GRANULE};
 
 /// Simulation-internal cost of a loop-back delivery (RPC to self).
@@ -161,20 +160,6 @@ impl ReplyRoute {
     }
 }
 
-/// Reconstructs a monotonic head position from its truncated 30-bit
-/// granule counter, relative to the current head (which it can only be
-/// ahead of, by less than the wrap period).
-fn reconstruct_head(cur: u64, granule30: u32) -> u64 {
-    let cur_g = (cur / RING_GRANULE) & ((1 << 30) - 1);
-    let delta = (granule30 as u64).wrapping_sub(cur_g) & ((1 << 30) - 1);
-    // Heads only move forward; a stale (reordered) update decodes as a
-    // huge delta — ignore it by treating > half the period as stale.
-    if delta > (1 << 29) {
-        return cur;
-    }
-    cur + delta * RING_GRANULE
-}
-
 impl LiteKernel {
     pub(super) fn client_ring(&self, server: NodeId) -> LiteResult<Arc<ClientRing>> {
         self.client_rings
@@ -272,8 +257,11 @@ impl LiteKernel {
         Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
     }
 
-    /// Reserves ring space towards `server`, waiting (bounded) for head
-    /// updates when the ring is full.
+    /// Reserves ring space towards `server`. Only when the cached head
+    /// says the ring is full does this cost anything: the client pulls
+    /// the server's head cell and retries, bounded by `op_timeout`. A ring
+    /// that stays full — the server made no progress, or is unreachable
+    /// and cannot say otherwise — is a typed [`LiteError::RingFull`].
     pub(crate) fn reserve_ring(
         &self,
         ctx: &mut Ctx,
@@ -287,18 +275,58 @@ impl LiteKernel {
         let deadline = std::time::Instant::now() + self.config.op_timeout;
         loop {
             match ring.try_reserve(total_len) {
-                Ok(r) => return Ok(r),
-                Err(LiteError::RingFull) => {
-                    if std::time::Instant::now() > deadline {
-                        return Err(LiteError::RingFull);
-                    }
-                    let (_, stamp) = ring.head();
-                    ctx.wait_until(stamp);
-                    std::thread::yield_now();
-                }
-                Err(e) => return Err(e),
+                Err(LiteError::RingFull) if std::time::Instant::now() <= deadline => {}
+                reserved => return reserved,
+            }
+            let seen = ring.head();
+            match self.pull_head(ctx, server, &ring) {
+                Err(
+                    LiteError::Timeout | LiteError::NodeDown { .. } | LiteError::PeerDead { .. },
+                ) => return Err(LiteError::RingFull),
+                pulled => pulled?,
+            }
+            if ring.head() == seen {
+                // Nothing was consumed since the last pull. Pull again
+                // only once something has been, so that pulls — and the
+                // virtual time they cost — follow the server's consumes,
+                // not how often this host thread gets to spin.
+                let srv = self.try_dir()?.kernel(server);
+                let srv = srv.ok_or(LiteError::NodeDown { node: server })?;
+                srv.server_ring(self.node)?.wait_past(seen, deadline);
             }
         }
+    }
+
+    /// Reads the head cell behind `ring` at `server` with one one-sided
+    /// 16 B read through the datapath (a local copy on the loop-back
+    /// ring), applies it, and advances the caller past both the read's
+    /// completion and the consume that published the head.
+    fn pull_head(&self, ctx: &mut Ctx, server: NodeId, ring: &ClientRing) -> LiteResult<()> {
+        self.counters.count_ring_pull();
+        let mut slot = self.pull_land.lock();
+        let land = Chunk {
+            addr: match *slot {
+                Some(addr) => addr,
+                None => *slot.insert(self.alloc.lock().alloc(HeadCell::BYTES as u64)?),
+            },
+            len: HeadCell::BYTES as u64,
+        };
+        let op = Op::read(
+            server,
+            ring.head_cell(),
+            std::slice::from_ref(&land),
+            HeadCell::BYTES,
+        );
+        let done = self.try_datapath()?.post(ctx, Priority::High, &op)?.stamp;
+        let mut cell = [0u8; HeadCell::BYTES];
+        self.mem().read(land.addr, &mut cell)?;
+        let cell = HeadCell::decode(&cell);
+        if !ring.update_head(cell.head) {
+            return Err(LiteError::Internal("head cell ahead of the ring's tail"));
+        }
+        ctx.wait_until(done.max(cell.stamp));
+        ctx.work(self.fabric.cost().cq_poll_ns);
+        Ok(())
     }
 
     /// Ring slot → physical address at the server.
@@ -377,51 +405,13 @@ impl LiteKernel {
         Ok(buf)
     }
 
-    /// Frees the ring span of a consumed message and pushes the head
-    /// update to the client (§5.1 step f).
-    pub(crate) fn release_ring(
-        &self,
-        ctx: &mut Ctx,
-        client: NodeId,
-        inc: &Incoming,
-    ) -> LiteResult<()> {
+    /// Frees the ring span of a consumed message (§5.1 step f). The new
+    /// head is published in the ring's head cell; nothing is sent.
+    pub(crate) fn release_ring(&self, ctx: &Ctx, client: NodeId, inc: &Incoming) -> LiteResult<()> {
         let total = HEADER_BYTES as u64 + inc.hdr.len as u64;
         let ring = self.server_ring(client)?;
-        if let Some(head) = ring.consume(inc.ring_offset, total, inc.hdr.skip as u64) {
-            let sink = self
-                .try_dir()?
-                .head_sink(client)
-                .ok_or(LiteError::NodeDown { node: client })?;
-            let imm = Imm::Head {
-                granule: ((head / RING_GRANULE) & ((1 << 30) - 1)) as u32,
-            };
-            self.post_write_imm(ctx, Priority::High, client, sink, &[], 0, imm)?;
-        }
-        Ok(())
-    }
-
-    /// Like [`LiteKernel::release_ring`], but returns the head-update as
-    /// an unposted [`Op`] so the caller can chain it with a reply in one
-    /// doorbell batch. Remote clients only — loop-back deliveries must go
-    /// through [`LiteKernel::release_ring`]. Deferring a head update is
-    /// safe: heads are monotonic cumulative positions, so a later release
-    /// covers an earlier one.
-    pub(crate) fn release_ring_op(&self, client: NodeId, inc: &Incoming) -> Option<Op<'static>> {
-        debug_assert_ne!(client, self.node, "loopback releases are not deferrable");
-        let total = HEADER_BYTES as u64 + inc.hdr.len as u64;
-        let ring = self.server_ring(client).ok()?;
-        let head = ring.consume(inc.ring_offset, total, inc.hdr.skip as u64)?;
-        let sink = self.try_dir().ok()?.head_sink(client)?;
-        let imm = Imm::Head {
-            granule: ((head / RING_GRANULE) & ((1 << 30) - 1)) as u32,
-        };
-        Some(Op::Write {
-            dst_node: client,
-            dst_addr: sink,
-            src: Cow::Borrowed(&[]),
-            len: 0,
-            imm: Some(imm.encode()),
-        })
+        let skip = inc.hdr.skip as u64;
+        Ok(ring.consume(self.mem(), inc.ring_offset, total, skip, ctx.now())?)
     }
 
     /// Sends a reply (LT_replyRPC's kernel half): writes the payload to
@@ -434,70 +424,19 @@ impl LiteKernel {
         src_chunks: &[Chunk],
         len: usize,
     ) -> LiteResult<Nanos> {
-        self.send_reply_with(ctx, prio, route, src_chunks, len, None)
-    }
-
-    /// [`LiteKernel::send_reply`] with an optional deferred head-update
-    /// op: when present, head and reply are chained through one doorbell
-    /// batch towards the client — one host post and one QP-context touch
-    /// for both (§5.1 steps e+f amortized).
-    pub(crate) fn send_reply_with(
-        &self,
-        ctx: &mut Ctx,
-        prio: Priority,
-        route: ReplyRoute,
-        src_chunks: &[Chunk],
-        len: usize,
-        head: Option<Op<'static>>,
-    ) -> LiteResult<Nanos> {
         if route.slot == 0 {
-            // One-way message: nothing to send (deferral never happens
-            // for slot-0 traffic; flush defensively).
-            if let Some(h) = head {
-                self.try_datapath()?.post(ctx, Priority::High, &h)?;
-            }
+            // One-way message: nothing to send.
             return Ok(ctx.now());
         }
         if len > route.reply_max as usize {
-            // The reply fails, but the ring span was consumed: the head
-            // update must still reach the client.
-            if let Some(h) = head {
-                self.try_datapath()?.post(ctx, Priority::High, &h)?;
-            }
             return Err(LiteError::TooLarge {
                 len,
                 max: route.reply_max as usize,
             });
         }
+        let imm = Imm::Reply { slot: route.slot };
         let dst = route.node as NodeId;
-        let reply_imm = Imm::Reply { slot: route.slot };
-        if dst == self.node {
-            debug_assert!(head.is_none(), "loopback replies are never deferred");
-            return self.post_write_imm(
-                ctx,
-                prio,
-                dst,
-                route.reply_addr,
-                src_chunks,
-                len,
-                reply_imm,
-            );
-        }
-        let reply = Op::Write {
-            dst_node: dst,
-            dst_addr: route.reply_addr,
-            src: src_chunks.into(),
-            len,
-            imm: Some(reply_imm.encode()),
-        };
-        match head {
-            Some(h) => {
-                let comps = self.try_datapath()?.post_many(ctx, prio, &[h, reply])?;
-                let stamp = comps.last().map(|c| c.stamp).unwrap_or_else(|| ctx.now());
-                Ok(stamp)
-            }
-            None => Ok(self.try_datapath()?.post(ctx, prio, &reply)?.stamp),
-        }
+        self.post_write_imm(ctx, prio, dst, route.reply_addr, src_chunks, len, imm)
     }
 
     /// Sends an error reply (consumes no reply-buffer space).
@@ -555,13 +494,15 @@ impl LiteKernel {
                 }
             }
             ctx.work(IMM_DISPATCH_NS);
+            // A reserved (never sent) kind is dispatched to nobody.
             match Imm::decode(wc.imm.unwrap_or(0)) {
-                Imm::Request { granule } => {
+                None => {}
+                Some(Imm::Request { granule }) => {
                     self.counters.count_rpc();
                     let offset = granule as u64 * RING_GRANULE;
                     self.handle_request(&mut ctx, src_node, offset, wc.ready_at);
                 }
-                Imm::Reply { slot } => {
+                Some(Imm::Reply { slot }) => {
                     if let Some(s) = self.slots.get(&slot) {
                         s.complete(SlotResult {
                             stamp: ctx.now(),
@@ -570,19 +511,13 @@ impl LiteKernel {
                         });
                     }
                 }
-                Imm::ReplyErr { slot } => {
+                Some(Imm::ReplyErr { slot }) => {
                     if let Some(s) = self.slots.get(&slot) {
                         s.complete(SlotResult {
                             stamp: ctx.now(),
                             len: 0,
                             ok: false,
                         });
-                    }
-                }
-                Imm::Head { granule } => {
-                    if let Ok(ring) = self.client_ring(src_node) {
-                        let (cur, _) = ring.head();
-                        ring.update_head(reconstruct_head(cur, granule), ctx.now());
                     }
                 }
             }
@@ -660,25 +595,5 @@ impl LiteKernel {
         let r = self.send_reply(ctx, Priority::High, route, &chunks, bytes.len());
         self.alloc.lock().free(addr)?;
         r.map(|_| ())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn head_reconstruction() {
-        // Simple forward movement.
-        assert_eq!(reconstruct_head(0, 10), 10 * RING_GRANULE);
-        let cur = 100 * RING_GRANULE;
-        assert_eq!(reconstruct_head(cur, 100), cur, "no movement");
-        assert_eq!(reconstruct_head(cur, 150), 150 * RING_GRANULE);
-        // Stale update (behind current) is ignored.
-        assert_eq!(reconstruct_head(cur, 50), cur);
-        // Across the 30-bit wrap.
-        let near_wrap = ((1u64 << 30) - 2) * RING_GRANULE;
-        let new = reconstruct_head(near_wrap, 3);
-        assert_eq!(new, near_wrap + 5 * RING_GRANULE);
     }
 }

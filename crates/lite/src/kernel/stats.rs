@@ -75,6 +75,9 @@ pub struct KernelStats {
     pub mesh_ns: u64,
     /// Peer pairs this node wired on first use (incremental membership).
     pub lazy_connects: u64,
+    /// Times a client found an RPC ring full and pulled the server's
+    /// head cell — a caller stalled for ring space.
+    pub ring_pulls: u64,
 }
 
 /// The kernel's live counters (relaxed atomics; snapshot via
@@ -94,6 +97,7 @@ pub(crate) struct KernelCounters {
     pub(crate) kv_puts: AtomicU64,
     pub(crate) kv_gets: AtomicU64,
     pub(crate) kv_replication_lag: AtomicU64,
+    pub(crate) ring_pulls: AtomicU64,
 }
 
 /// Recovery-layer counters, owned by the node's datapath (the retry
@@ -159,6 +163,10 @@ impl KernelCounters {
         self.kv_gets.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn count_ring_pull(&self) {
+        self.ring_pulls.fetch_add(1, Ordering::Relaxed);
+    }
+
     pub(crate) fn set_kv_replication_lag(&self, lag: u64) {
         self.kv_replication_lag.store(lag, Ordering::Relaxed);
     }
@@ -190,6 +198,7 @@ impl KernelCounters {
             kv_puts: r(&self.kv_puts),
             kv_gets: r(&self.kv_gets),
             kv_replication_lag: r(&self.kv_replication_lag),
+            ring_pulls: r(&self.ring_pulls),
             // Gauges owned by the kernel/datapath; folded in by
             // `LiteKernel::stats` after this snapshot.
             boot_ns: 0,

@@ -812,12 +812,12 @@ impl StatsReport {
         ));
         let k = &self.kernel;
         s.push_str(&format!(
-            "\"rpc_dispatched\":{},\"lt_writes\":{},\"lt_reads\":{},\"lt_bytes\":{},\"qps\":{},\"retries\":{},\"qp_reconnects\":{},\"peers_marked_dead\":{},\"ops_failed\":{},\"cleanup_failures\":{},\"lock_unwinds\":{},\"sync_leaks\":{},\"txn_commits\":{},\"txn_aborts\":{},\"txn_validation_fails\":{},\"kv_puts\":{},\"kv_gets\":{},\"kv_replication_lag\":{},\"boot_ns\":{},\"mesh_ns\":{},\"lazy_connects\":{}}}",
+            "\"rpc_dispatched\":{},\"lt_writes\":{},\"lt_reads\":{},\"lt_bytes\":{},\"qps\":{},\"retries\":{},\"qp_reconnects\":{},\"peers_marked_dead\":{},\"ops_failed\":{},\"cleanup_failures\":{},\"lock_unwinds\":{},\"sync_leaks\":{},\"txn_commits\":{},\"txn_aborts\":{},\"txn_validation_fails\":{},\"kv_puts\":{},\"kv_gets\":{},\"kv_replication_lag\":{},\"boot_ns\":{},\"mesh_ns\":{},\"lazy_connects\":{},\"ring_pulls\":{}}}",
             k.rpc_dispatched, k.lt_writes, k.lt_reads, k.lt_bytes, k.qps, k.retries,
             k.qp_reconnects, k.peers_marked_dead, k.ops_failed, k.cleanup_failures,
             k.lock_unwinds, k.sync_leaks, k.txn_commits, k.txn_aborts,
             k.txn_validation_fails, k.kv_puts, k.kv_gets, k.kv_replication_lag,
-            k.boot_ns, k.mesh_ns, k.lazy_connects
+            k.boot_ns, k.mesh_ns, k.lazy_connects, k.ring_pulls
         ));
         s.push_str(",\"classes\":{");
         for (i, c) in self.classes.iter().enumerate() {

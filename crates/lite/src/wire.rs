@@ -27,12 +27,6 @@ pub enum Imm {
         /// The completion slot id.
         slot: u32,
     },
-    /// Ring-head update: the peer freed our ring up to
-    /// `granule * RING_GRANULE`.
-    Head {
-        /// New head position in granules (truncated to 30 bits).
-        granule: u32,
-    },
     /// The RPC failed remotely (no handler bound, bad function id, ...).
     ReplyErr {
         /// The completion slot id.
@@ -42,7 +36,9 @@ pub enum Imm {
 
 const KIND_REQUEST: u32 = 0;
 const KIND_REPLY: u32 = 1;
-const KIND_HEAD: u32 = 2;
+/// Reserved: was the pushed ring-head update, before clients pulled the
+/// head cell instead ([`crate::ring`]). Never sent; decodes to `None`.
+const KIND_RESERVED: u32 = 2;
 const KIND_REPLY_ERR: u32 = 3;
 const PAYLOAD_MASK: u32 = (1 << 30) - 1;
 
@@ -52,19 +48,19 @@ impl Imm {
         match self {
             Imm::Request { granule } => (KIND_REQUEST << 30) | (granule & PAYLOAD_MASK),
             Imm::Reply { slot } => (KIND_REPLY << 30) | (slot & PAYLOAD_MASK),
-            Imm::Head { granule } => (KIND_HEAD << 30) | (granule & PAYLOAD_MASK),
             Imm::ReplyErr { slot } => (KIND_REPLY_ERR << 30) | (slot & PAYLOAD_MASK),
         }
     }
 
-    /// Decodes from the 32-bit immediate (total: every value is valid).
-    pub fn decode(v: u32) -> Imm {
+    /// Decodes from the 32-bit immediate (total); `None` for the
+    /// reserved kind, which the poller ignores.
+    pub fn decode(v: u32) -> Option<Imm> {
         let payload = v & PAYLOAD_MASK;
         match v >> 30 {
-            KIND_REQUEST => Imm::Request { granule: payload },
-            KIND_REPLY => Imm::Reply { slot: payload },
-            KIND_HEAD => Imm::Head { granule: payload },
-            _ => Imm::ReplyErr { slot: payload },
+            KIND_REQUEST => Some(Imm::Request { granule: payload }),
+            KIND_REPLY => Some(Imm::Reply { slot: payload }),
+            KIND_RESERVED => None,
+            _ => Some(Imm::ReplyErr { slot: payload }),
         }
     }
 }
@@ -232,11 +228,11 @@ mod tests {
             Imm::Reply {
                 slot: (1 << 30) - 1,
             },
-            Imm::Head { granule: 42 },
             Imm::ReplyErr { slot: 7 },
         ] {
-            assert_eq!(Imm::decode(imm.encode()), imm);
+            assert_eq!(Imm::decode(imm.encode()), Some(imm));
         }
+        assert_eq!(Imm::decode((2 << 30) | 42), None, "reserved kind");
     }
 
     #[test]

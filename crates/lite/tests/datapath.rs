@@ -235,10 +235,10 @@ fn faulted_chains_resume_instead_of_replaying() {
     }
 }
 
-/// RPC through a deliberately tiny ring: the reply's head-release +
-/// data chain goes out via `post_many`, so wrap-around exercises the
-/// deferred head release under batched posting. Both settings must
-/// produce identical replies.
+/// RPC through a deliberately tiny ring: the client runs out of cached
+/// space every few calls and pulls the server's head cell with a
+/// one-sided read through the datapath, at odd wrap offsets. Both
+/// posting settings must produce identical replies.
 #[test]
 fn ring_wraparound_survives_batched_posting() {
     for batch in [true, false] {

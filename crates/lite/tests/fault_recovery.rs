@@ -267,3 +267,55 @@ fn ring_fills_up_while_peer_is_down() {
     }
     assert!(saw_ring_full, "leaked reservations must fill the ring");
 }
+
+/// A full ring is reopened by a one-sided read of the server's head
+/// cell, and that read is datapath traffic like any other: dropped, it
+/// is re-posted by the recovery layer, and the RPC behind it completes.
+#[test]
+fn dropped_ring_pull_is_retried() {
+    const FN_ECHO: u8 = USER_FUNC_MIN + 2;
+    let config = LiteConfig {
+        rpc_ring_bytes: 1 << 10,
+        ..Default::default()
+    };
+    let cluster = cluster_with(2, config);
+    cluster.attach(1).unwrap().register_rpc(FN_ECHO).unwrap();
+    let srv = {
+        let cluster = Arc::clone(&cluster);
+        std::thread::spawn(move || {
+            let mut h = cluster.attach(1).unwrap();
+            let mut ctx = Ctx::new();
+            for _ in 0..5 {
+                let call = h.lt_recv_rpc(&mut ctx, FN_ECHO).unwrap();
+                h.lt_reply_rpc(&mut ctx, &call, &call.input[..8]).unwrap();
+            }
+        })
+    };
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    // Four 256-byte messages fill the client's view of the ring exactly.
+    for i in 0..4u8 {
+        let reply = h.lt_rpc(&mut ctx, 1, FN_ECHO, &[i; 200], 64).unwrap();
+        assert_eq!(reply, [i; 8]);
+    }
+    assert_eq!(cluster.kernel(0).stats().ring_pulls, 0);
+
+    // The fifth call's first WR towards the server is the pull.
+    cluster
+        .fabric()
+        .install_fault_plan(FaultPlan::seeded(3).with(FaultRule::DropWr {
+            src: Some(0),
+            dst: Some(1),
+            prob: 1.0,
+            max_drops: 1,
+        }));
+    let reply = h.lt_rpc(&mut ctx, 1, FN_ECHO, &[9; 200], 64).unwrap();
+    assert_eq!(reply, [9; 8]);
+    srv.join().unwrap();
+    assert_eq!(cluster.fabric().fault_stats().drops, 1, "plan never fired");
+    cluster.fabric().clear_fault_plan();
+    let stats = cluster.kernel(0).stats();
+    assert_eq!(stats.ring_pulls, 1);
+    assert!(stats.retries >= 1, "the dropped read costs a retry");
+    assert_eq!(stats.ops_failed, 0, "the drop must not surface");
+}

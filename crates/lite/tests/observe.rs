@@ -6,9 +6,11 @@
 use std::sync::Arc;
 
 use lite::{
-    ConcurrentHistogram, EventKind, LiteCluster, OpClass, Perm, Priority, QosMode, USER_FUNC_MIN,
+    ConcurrentHistogram, EventKind, LiteCluster, LiteConfig, OpClass, Perm, Priority, QosConfig,
+    QosMode, USER_FUNC_MIN,
 };
 use proptest::prelude::*;
+use rnic::IbConfig;
 use simnet::stats::{bucket_floor, bucket_of};
 use simnet::Ctx;
 
@@ -211,5 +213,50 @@ fn stats_report_exports_json() {
         "\"qos\":{\"mode\":\"none\"",
     ] {
         assert!(json.contains(key), "JSON export missing {key}: {json}");
+    }
+}
+
+/// "A client stalled for ring space" is visible from the system's own
+/// output: `ring_pulls` stays 0 where the ring never fills (the default
+/// 16 MB) and counts every head-cell pull where it does (1 KiB: four
+/// 200-byte requests fill it).
+#[test]
+fn ring_pulls_count_stalls_for_ring_space() {
+    const FN_ECHO: u8 = USER_FUNC_MIN + 3;
+    let default_ring = LiteConfig::default().rpc_ring_bytes;
+    for ring in [default_ring, 1 << 10] {
+        let config = LiteConfig {
+            rpc_ring_bytes: ring,
+            ..Default::default()
+        };
+        let cluster =
+            LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+        cluster.attach(1).unwrap().register_rpc(FN_ECHO).unwrap();
+        let server = {
+            let cluster = Arc::clone(&cluster);
+            std::thread::spawn(move || {
+                let mut h = cluster.attach(1).unwrap();
+                let mut ctx = Ctx::new();
+                for _ in 0..32 {
+                    let call = h.lt_recv_rpc(&mut ctx, FN_ECHO).unwrap();
+                    h.lt_reply_rpc(&mut ctx, &call, &call.input[..4]).unwrap();
+                }
+            })
+        };
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        for _ in 0..32 {
+            let reply = h.lt_rpc(&mut ctx, 1, FN_ECHO, &[7u8; 200], 64).unwrap();
+            assert_eq!(reply, [7u8; 4]);
+        }
+        server.join().unwrap();
+        let report = h.lt_stats();
+        let pulls = report.kernel.ring_pulls;
+        assert_eq!(pulls > 0, ring < default_ring, "{ring} B ring: {pulls}");
+        let json = report.to_json();
+        assert!(
+            json.contains(&format!("\"ring_pulls\":{pulls}}}")),
+            "{json}"
+        );
     }
 }

@@ -9,7 +9,7 @@ use rnic::IbConfig;
 use simnet::Ctx;
 
 /// A deliberately tiny (64 KB) ring forces constant wrap-around and
-/// head-update flow control under 4 concurrent clients.
+/// head-cell pulls (flow control) under 4 concurrent clients.
 #[test]
 fn tiny_ring_wraps_under_concurrency() {
     let config = LiteConfig {
@@ -53,6 +53,60 @@ fn tiny_ring_wraps_under_concurrency() {
         j.join().unwrap();
     }
     srv.join().unwrap();
+}
+
+/// Rings are wired lazily, so one can land on memory an LMR dirtied and
+/// freed. Its head cell must still read "nothing consumed": a client
+/// that fills the ring before the server consumed anything gets a typed
+/// `RingFull` in bounded time, keeps its clock, and carries on once the
+/// server drains.
+#[test]
+fn ring_on_reused_memory_starts_empty() {
+    let config = LiteConfig {
+        rpc_ring_bytes: 1 << 10,
+        op_timeout: std::time::Duration::from_millis(150),
+        ..Default::default()
+    };
+    let cluster =
+        LiteCluster::start_with(IbConfig::with_nodes(3), config, QosConfig::default()).unwrap();
+    let mut ctx = Ctx::new();
+    let mut dirty = cluster.attach(0).unwrap();
+    let lh = dirty
+        .lt_malloc(&mut ctx, 1, 8 << 10, "dirt", lite::Perm::RW)
+        .unwrap();
+    dirty.lt_write(&mut ctx, lh, 0, &[0x11; 8 << 10]).unwrap();
+    dirty.lt_free(&mut ctx, lh).unwrap();
+
+    // Node 2's ring at node 1 is wired now, over the freed bytes. Four
+    // 256-byte messages fill it; nobody receives yet.
+    let mut h = cluster.attach(2).unwrap();
+    let mut ctx = Ctx::new();
+    for i in 0..4u8 {
+        h.lt_send(&mut ctx, 1, &[i; 200]).unwrap();
+    }
+    let before = ctx.now();
+    let full = h.lt_send(&mut ctx, 1, &[4; 200]);
+    assert!(matches!(full, Err(LiteError::RingFull)), "{full:?}");
+    assert!(
+        ctx.now() - before < 1_000_000,
+        "a pull costs a read, not a jump to a garbage stamp"
+    );
+    assert_eq!(
+        cluster.kernel(2).stats().ring_pulls,
+        1,
+        "no progress, one pull"
+    );
+
+    let mut srv = cluster.attach(1).unwrap();
+    let mut sctx = Ctx::new();
+    // (Two shared QPs: arrival order across them is not the send order.)
+    let mut got: Vec<_> = (0..4)
+        .map(|_| srv.lt_recv_msg(&mut sctx).unwrap())
+        .collect();
+    got.sort();
+    assert_eq!(got, (0..4u8).map(|i| (2, vec![i; 200])).collect::<Vec<_>>());
+    h.lt_send(&mut ctx, 1, &[4; 200]).unwrap();
+    assert_eq!(srv.lt_recv_msg(&mut sctx).unwrap(), (2, vec![4; 200]));
 }
 
 /// Replies larger than the client's announced buffer are rejected at the

@@ -25,10 +25,9 @@ fn quick_config(op_timeout: Duration) -> LiteConfig {
     }
 }
 
-/// A release whose ack (and the head update batched with it) is dropped
-/// must be retried by the unlocker and deduplicated by the owner: the
-/// waiter is granted exactly once, nothing leaks, and the recorded
-/// history linearizes.
+/// A release whose ack is dropped must be retried by the unlocker and
+/// deduplicated by the owner: the waiter is granted exactly once, nothing
+/// leaks, and the recorded history linearizes.
 #[test]
 fn unlock_handover_survives_dropped_ack() {
     let mut config = quick_config(Duration::from_millis(300));
@@ -68,16 +67,17 @@ fn unlock_handover_survives_dropped_ack() {
         "B must still be queued while A holds the lock"
     );
 
-    // Drop the next two owner->A WRs: the head update and the release
-    // ack of A's first unlock attempt. The grant to B (loop-back on the
-    // owner) is unaffected, so B wakes while A's ack is lost.
+    // Drop the next owner->A WR: the release ack of A's first unlock
+    // attempt (consuming the request sends nothing). The grant to B
+    // (loop-back on the owner) is unaffected, so B wakes while A's ack is
+    // lost.
     cluster
         .fabric()
         .install_fault_plan(FaultPlan::seeded(1).with(FaultRule::DropWr {
             src: Some(0),
             dst: Some(1),
             prob: 1.0,
-            max_drops: 2,
+            max_drops: 1,
         }));
     a.lt_unlock(&mut ctx_a, lock).unwrap();
     b_thread.join().unwrap();

@@ -119,10 +119,11 @@ proptest! {
 
     #[test]
     fn imm_decode_is_total_and_roundtrips(v in any::<u32>()) {
-        let imm = lite::wire::Imm::decode(v);
-        // Re-encoding preserves the payload bits we keep.
-        let enc = imm.encode();
-        prop_assert_eq!(lite::wire::Imm::decode(enc), imm);
+        match lite::wire::Imm::decode(v) {
+            // Re-encoding preserves the payload bits we keep.
+            Some(imm) => prop_assert_eq!(lite::wire::Imm::decode(imm.encode()), Some(imm)),
+            None => prop_assert_eq!(v >> 30, 2, "only the reserved kind is ignored"),
+        }
     }
 
     #[test]
@@ -158,18 +159,24 @@ proptest! {
     ) {
         let cr = lite::ring::ClientRing::new(0, 16 * 1024).unwrap();
         let sr = lite::ring::ServerRing::new(0, 16 * 1024).unwrap();
+        let mem = smem::PhysMem::new(32 * 1024);
+        // The client learns of freed space only by pulling the head cell.
+        let pull = || {
+            let mut cell = [0u8; lite::ring::HeadCell::BYTES];
+            mem.read(cr.head_cell(), &mut cell).unwrap();
+            cr.update_head(lite::ring::HeadCell::decode(&cell).head);
+        };
         let mut pending: Vec<(lite::ring::Reservation, u64)> = Vec::new();
         for (i, &len) in sizes.iter().enumerate() {
             match cr.try_reserve(len) {
                 Ok(r) => pending.push((r, len)),
                 Err(lite::LiteError::RingFull) => {
-                    // Drain a few and retry once.
+                    // Drain a few, pull, and retry once.
                     for _ in 0..consume_lag.min(pending.len()) {
                         let (r, l) = pending.remove(0);
-                        if let Some(h) = sr.consume(r.offset, l, r.skip) {
-                            cr.update_head(h, i as u64);
-                        }
+                        sr.consume(&mem, r.offset, l, r.skip, i as u64).unwrap();
                     }
+                    pull();
                     if let Ok(r) = cr.try_reserve(len) {
                         pending.push((r, len));
                     }
@@ -179,16 +186,13 @@ proptest! {
             }
             if pending.len() >= consume_lag {
                 let (r, l) = pending.remove(0);
-                if let Some(h) = sr.consume(r.offset, l, r.skip) {
-                    cr.update_head(h, i as u64);
-                }
+                sr.consume(&mem, r.offset, l, r.skip, i as u64).unwrap();
             }
         }
         for (r, l) in pending {
-            if let Some(h) = sr.consume(r.offset, l, r.skip) {
-                cr.update_head(h, u64::MAX - 1);
-            }
+            sr.consume(&mem, r.offset, l, r.skip, u64::MAX - 1).unwrap();
         }
+        pull();
         prop_assert_eq!(cr.in_flight(), 0, "ring space leaked");
     }
 
