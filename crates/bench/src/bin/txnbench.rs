@@ -73,6 +73,11 @@ struct RunResult {
     txns: u64,
     elapsed_ns: u64,
     aborts: u64,
+    /// From the home node's `lt_stats().nic` over the measured interval:
+    /// the share of the run its NIC's request engine was busy, and the
+    /// share of that busy time spent executing atomics (OCC runs only).
+    home_engine_busy: f64,
+    home_atomic_share: f64,
 }
 
 impl RunResult {
@@ -105,6 +110,8 @@ fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
             init.commit(&mut h, &mut ctx).unwrap();
         }
     }
+    let home_nic = || cluster.kernel(NODES).lt_stats().nic;
+    let nic_before = home_nic();
     let cdf = Arc::new(zipf_cdf());
     let mut joins = Vec::new();
     for t in 0..THREADS {
@@ -147,10 +154,17 @@ fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
         elapsed_ns = elapsed_ns.max(e);
         aborts += a;
     }
+    let nic = home_nic();
+    let cost = cluster.fabric().cost();
+    let busy_ns = (nic.engine_busy_ns - nic_before.engine_busy_ns).max(1);
+    let atomic_ns =
+        (nic.atomic_ops - nic_before.atomic_ops) * (cost.nic_engine_ns + cost.atomic_extra_ns);
     RunResult {
         txns: (THREADS * ops) as u64,
         elapsed_ns,
         aborts,
+        home_engine_busy: busy_ns as f64 / elapsed_ns.max(1) as f64,
+        home_atomic_share: atomic_ns as f64 / busy_ns as f64,
     }
 }
 
@@ -228,6 +242,8 @@ fn run_lock_rpc(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
         txns: (THREADS * ops) as u64,
         elapsed_ns,
         aborts: 0,
+        home_engine_busy: 0.0,
+        home_atomic_share: 0.0,
     }
 }
 
@@ -255,18 +271,23 @@ fn main() {
                     .cell("occ_ktps", occ.tps() / 1e3)
                     .cell("lock_ktps", lock.tps() / 1e3)
                     .cell("occ_speedup", speedup)
-                    .cell("occ_aborts", occ.aborts as f64),
+                    .cell("occ_aborts", occ.aborts as f64)
+                    .cell("home_engine_busy", occ.home_engine_busy)
+                    .cell("of_it_atomics", occ.home_atomic_share),
             );
             entries.push(format!(
                 "{{\"mix\":\"{mix_name}\",\"qos\":\"{mode_name}\",\
                  \"occ_tps\":{:.0},\"lock_rpc_tps\":{:.0},\"occ_speedup\":{:.3},\
-                 \"occ_txns\":{},\"occ_aborts\":{},\"lock_txns\":{}}}",
+                 \"occ_txns\":{},\"occ_aborts\":{},\"lock_txns\":{},\
+                 \"occ_home_engine_busy\":{:.3},\"occ_home_atomic_share\":{:.3}}}",
                 occ.tps(),
                 lock.tps(),
                 speedup,
                 occ.txns,
                 occ.aborts,
                 lock.txns,
+                occ.home_engine_busy,
+                occ.home_atomic_share,
             ));
         }
     }

@@ -295,6 +295,54 @@ mod tests {
         assert_eq!(log.committed(&mut h, &mut ctx).unwrap(), 100);
     }
 
+    /// `committed()` is a one-word read of a counter that fetch-adds
+    /// maintain, so it is a stamped read: a reader that sees `n` has its
+    /// clock past the n-th publish, however far it lagged, and the record
+    /// that publish covers is there for the `read_at` that follows.
+    #[test]
+    fn committed_never_runs_ahead_of_the_reader() {
+        const RECORDS: u64 = 200;
+        let cluster = LiteCluster::start(3).unwrap();
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let log = LiteLog::create(&mut h, &mut ctx, 2, "plog", 1 << 20).unwrap();
+        let size = LiteLog::record_size(&[&[0u8; 8]]);
+        // The publisher's clock before each commit, i.e. before the
+        // fetch-add that publishes it.
+        let began = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let publisher = {
+            let (cluster, began) = (Arc::clone(&cluster), Arc::clone(&began));
+            std::thread::spawn(move || {
+                let mut h = cluster.attach(1).unwrap();
+                let mut ctx = Ctx::new();
+                let log = LiteLog::open(&mut h, &mut ctx, "plog", 1 << 20).unwrap();
+                // A second ahead of the reader, whose clock starts at 0.
+                ctx.wait_until(1_000_000_000);
+                for k in 0..RECORDS {
+                    began.lock().push(ctx.now());
+                    let off = log.commit(&mut h, &mut ctx, &[&k.to_le_bytes()]).unwrap();
+                    assert_eq!(off, k * size);
+                }
+            })
+        };
+        let mut seen = 0;
+        while seen < RECORDS {
+            let n = log.committed(&mut h, &mut ctx).unwrap();
+            assert!(n >= seen, "committed went backwards");
+            if n > seen {
+                assert!(
+                    ctx.now() > began.lock()[n as usize - 1],
+                    "saw {n} commits at {} ns, before the last of them began",
+                    ctx.now()
+                );
+                let txn = log.read_at(&mut h, &mut ctx, (n - 1) * size).unwrap();
+                assert_eq!(txn.entries, vec![(n - 1).to_le_bytes().to_vec()]);
+            }
+            seen = n;
+        }
+        publisher.join().unwrap();
+    }
+
     #[test]
     fn cleaner_reclaims_in_order() {
         let cluster = LiteCluster::start(2).unwrap();

@@ -40,24 +40,52 @@
 //!    *before* the lease so a lease whose epoch matches the header
 //!    certifies a complete redo; **lock the write set** in ascending
 //!    record order (CAS each version word from its expected version to
-//!    the lock word); **validate the read set** (a stamped zero
-//!    fetch-add per read-but-not-written record, which must still carry
-//!    the version observed by [`Txn::read`]; write-set records are
+//!    the lock word); **validate the read set** (a one-word read of the
+//!    version word per read-but-not-written record, which must still
+//!    carry the version observed by [`Txn::read`]; write-set records are
 //!    validated by the lock CAS itself). If any lock CAS lost, the ones
 //!    that won are CASed back and the transaction aborts — it never
 //!    waits while holding a lock, which is what keeps ascending-order
 //!    locking deadlock-free.
 //! 3. **Decide**: CAS the slot header `UNDECIDED -> COMMITTED`. This
 //!    single word is the transaction's atomic commit point.
-//! 4. **One chain**: write every staged payload, CAS each lock word to
-//!    `old_version + 2`, then drain the slot (`COMMITTED -> DRAINED`),
-//!    making it claimable again only after every lock word referencing
-//!    it is gone.
+//! 4. **One chain**: write every staged payload, then write
+//!    `old_version + 2` over each lock word, then drain the slot
+//!    (`COMMITTED -> DRAINED`), making it claimable again only after
+//!    every lock word referencing it is gone.
 //!
 //! A read-only transaction takes no slot and no lock: one chain of
-//! validating fetch-adds. Every abort path is one chain too: locks CAS
-//! back to their old versions, the slot is finalized `ABORTED` and
-//! drained.
+//! validating word reads, no atomic at all. Every abort path is one
+//! chain too: locks CAS back to their old versions, the slot is
+//! finalized `ABORTED` and drained.
+//!
+//! # Which verb where
+//!
+//! The home node runs no code, but its NIC's request engine serves
+//! every verb, and an atomic holds it six times as long as a read or a
+//! write (`rnic::CostModel`: 180 ns, + 900 ns `atomic_extra_ns`). So
+//! atomics are kept for the places where a race is *decided* — claim,
+//! lock, decide, drain, and everything abort and recovery do — and the
+//! two places that only *observe* or *publish* use plain verbs: 5
+//! atomics for an uncontended read-2-write-2 commit, none for a
+//! read-only one.
+//!
+//! * Validation observes. An aligned one-word read is executed as a
+//!   stamped load, so it is ordered against the lock CASes on the same
+//!   word exactly as the zero fetch-add it replaces was.
+//! * Release publishes. The lock word under a version write is the
+//!   committer's own: nobody else writes that word while the lock
+//!   stands, except a recoverer — and only once the lease has expired.
+//!   The payload writes of the same chain are blind under the same
+//!   lease for the same reason, so the version write adds no exposure
+//!   the protocol did not already have; the own-lease re-check right
+//!   before the chain guards both. The version writes follow *all*
+//!   payload writes (an RC QP executes in order), so a reader that sees
+//!   `old + 2` sees the payload under it.
+//! * Abort and recovery keep CAS: `abort_own` runs without a lease
+//!   re-check (a scavenger may have rolled a lock back and a later
+//!   committer re-locked the record — a blind write would clobber that
+//!   lock), and a recoverer races other recoverers by design.
 //!
 //! # Crash recovery
 //!
@@ -222,11 +250,13 @@ fn start_slot(node: usize, pid: u32, slots: u16) -> u16 {
     ((x ^ (x >> 31)) % slots as u64) as u16
 }
 
-/// The old values a chain's atomics returned, in op order.
+/// The words a chain observed, in op order: the old value of every
+/// atomic and the word every one-word read fetched.
 fn old_values(outs: &[ChainOut]) -> impl Iterator<Item = u64> + '_ {
     outs.iter().filter_map(|o| match o {
         ChainOut::Value(v) => Some(*v),
-        _ => None,
+        ChainOut::Bytes(b) => b.as_slice().try_into().ok().map(u64::from_le_bytes),
+        ChainOut::Done => None,
     })
 }
 
@@ -248,8 +278,9 @@ pub enum CrashPoint {
     /// Crash after applying the first payload (recovery completes the
     /// partially applied write set).
     MidApply,
-    /// Crash after releasing the first lock (recovery settles the
-    /// remainder).
+    /// Crash after the first version write: the first record is released
+    /// and readable, the rest still locked (recovery settles the
+    /// remainder from the redo).
     MidRelease,
 }
 
@@ -383,18 +414,20 @@ impl TxnTable {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// The validating read of `rec`'s *version* word: a zero fetch-add
-    /// rather than a plain read. The atomic's completion stamp is
-    /// monotone with the conflicting lock/release CASes on the same
-    /// word, and waiting for its chain advances the caller's virtual
-    /// clock past it — which is what makes the `[invoke, response]`
-    /// intervals recorded for the serializability checker sound across
-    /// unsynchronized per-thread clocks: a transaction that observed
-    /// another's commit can never be real-time-ordered before it.
+    /// The validating read of `rec`'s *version* word: a one-sided read of
+    /// exactly that aligned word, which the datapath executes as a stamped
+    /// load (`smem::PhysMem::load_u64_stamped`). Its completion stamp is
+    /// monotone with the conflicting lock CASes on the same word, and
+    /// waiting for its chain advances the caller's virtual clock past it
+    /// — which is what makes the `[invoke, response]` intervals recorded
+    /// for the serializability checker sound across unsynchronized
+    /// per-thread clocks: a transaction that observed another's commit
+    /// can never be real-time-ordered before it. It costs the home NIC's
+    /// engine what a read costs, not an atomic.
     fn version_probe(&self, rec: u64) -> ChainOp<'static> {
-        ChainOp::FetchAdd {
+        ChainOp::Read {
             off: self.rec_off(rec),
-            delta: 0,
+            len: 8,
         }
     }
 
@@ -427,10 +460,10 @@ impl TxnTable {
             // commit performs (`version_probe` in validation, or the
             // lock CAS for write records). That check is sound against
             // torn blobs because a payload byte can only be written
-            // strictly between two version transitions (lock, then
-            // release-to-`old+2`), so a commit-time version equal to
-            // the blob's unlocked `v1` certifies the payload was never
-            // concurrently written. It is also what keeps recorded
+            // strictly between two version transitions (lock CAS, then
+            // the release write of `old+2`), so a commit-time version
+            // equal to the blob's unlocked `v1` certifies the payload
+            // was never concurrently written. It is also what keeps recorded
             // serializability intervals clock-sound: the stamped
             // validation orders every committed reader after the
             // writers it observed.
@@ -917,18 +950,29 @@ impl Txn<'_> {
 
         // Apply, release, drain: one chain. A crash hook that falls
         // inside it posts the prefix up to the hook and vanishes.
-        let mut ops: Vec<ChainOp> = write_list
+        // The releases are plain writes of `old + 2` over our own lock
+        // words, posted after *every* payload write: the responder
+        // executes a chain in order, so whoever sees a new version sees
+        // the payload under it. Blind like the payload writes, and safe
+        // for the same reason — the lease check below. The drain is the
+        // chain's only atomic and its last op, so a lost ack resumes at
+        // the drain and re-lands nothing.
+        let released: Vec<[u8; 8]> = write_list
             .iter()
-            .map(|&(rec, _, data)| ChainOp::Write {
-                off: t.rec_off(rec) + 8,
-                data,
-            })
+            .map(|&(_, old_v, _)| old_v.wrapping_add(2).to_le_bytes())
             .collect();
-        ops.extend(
-            locked
-                .iter()
-                .map(|&(rec, old_v)| cas(t.rec_off(rec), lw, old_v.wrapping_add(2))),
-        );
+        let payloads = write_list.iter().map(|&(rec, _, data)| ChainOp::Write {
+            off: t.rec_off(rec) + 8,
+            data,
+        });
+        let versions = write_list
+            .iter()
+            .zip(&released)
+            .map(|(&(rec, ..), data)| ChainOp::Write {
+                off: t.rec_off(rec),
+                data,
+            });
+        let mut ops: Vec<ChainOp> = payloads.chain(versions).collect();
         ops.push(cas(slot_off, hdr(S_COMMITTED), hdr(S_DRAINED)));
         let cut = match crash {
             CrashPoint::MidApply if w > 1 => Some(1),

@@ -180,6 +180,47 @@ fn stats_gauges_count_commits_and_aborts() {
     assert_eq!(ks.txn_validation_fails, 1);
 }
 
+/// Which verbs a commit spends at the home node, read off the home's own
+/// `lt_stats()`: validation is word reads, release is version writes, so
+/// a read-only commit costs the home NIC no atomic at all and an
+/// uncontended read-2-write-2 exactly five — claim, two locks, decide,
+/// drain.
+#[test]
+fn home_nic_atomics_per_commit() {
+    let cluster = start(2);
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let t = TxnTable::create(&mut h, &mut ctx, 1, "txn.verbs", TableSpec::new(8, 8)).unwrap();
+    let home_atomics = || cluster.kernel(1).lt_stats().nic.atomic_ops;
+
+    let before = home_atomics();
+    for i in 0..100u64 {
+        let mut ro = t.begin();
+        ro.read(&mut h, &mut ctx, i % 8).unwrap();
+        ro.read(&mut h, &mut ctx, (i + 3) % 8).unwrap();
+        ro.commit(&mut h, &mut ctx).unwrap();
+    }
+    assert_eq!(home_atomics() - before, 0, "read-only commits");
+
+    for i in 0..100u64 {
+        let (a, b) = (i % 8, (i + 3) % 8);
+        let before = home_atomics();
+        let mut rw = t.begin();
+        let va = u64s(&rw.read(&mut h, &mut ctx, a).unwrap());
+        let vb = u64s(&rw.read(&mut h, &mut ctx, b).unwrap());
+        rw.write(a, &va.wrapping_add(1).to_le_bytes()).unwrap();
+        rw.write(b, &vb.wrapping_sub(1).to_le_bytes()).unwrap();
+        rw.commit(&mut h, &mut ctx).unwrap();
+        assert_eq!(home_atomics() - before, 5, "read-2-write-2 commit {i}");
+    }
+    let mut sum = t.begin();
+    let total = (0..8).fold(0u64, |acc, r| {
+        acc.wrapping_add(u64s(&sum.read(&mut h, &mut ctx, r).unwrap()))
+    });
+    sum.commit(&mut h, &mut ctx).unwrap();
+    assert_eq!(total, 0, "every transfer landed whole");
+}
+
 #[test]
 fn armed_log_yields_serializable_history() {
     let cluster = start(2);

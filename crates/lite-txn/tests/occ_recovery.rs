@@ -6,8 +6,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{LiteCluster, TxnLog};
+use lite::{LiteCluster, LiteConfig, QosConfig, TxnLog};
 use lite_txn::{CrashPoint, TableSpec, TxnError, TxnTable};
+use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
 fn start() -> Arc<LiteCluster> {
@@ -91,12 +92,123 @@ fn crash_mid_apply_completes_the_write_set() {
 
 #[test]
 fn crash_mid_release_settles_the_rest() {
-    // All payloads applied, one lock released: recovery reclaims the
-    // remaining lock word without double-bumping the released one.
+    // The release is a chain of version *writes*, and the crash cuts
+    // between two of them: record 1 is released and readable at once,
+    // record 2 still carries the lock word, the slot says COMMITTED.
+    let cluster = start();
+    let mut h0 = cluster.attach(0).unwrap();
+    let mut h1 = cluster.attach(1).unwrap();
+    let mut c0 = Ctx::new();
+    let mut c1 = Ctx::new();
+    let (name, table_spec) = ("rec.release", spec(4));
+    let t0 = TxnTable::create(&mut h0, &mut c0, 1, name, table_spec).unwrap();
+    let t1 = TxnTable::open(&mut h1, &mut c1, name).unwrap();
+    let mut w = t0.begin();
+    w.write(1, &7u64.to_le_bytes()).unwrap();
+    w.write(2, &9u64.to_le_bytes()).unwrap();
     assert_eq!(
-        crash_and_recover(CrashPoint::MidRelease, "rec.release"),
-        (7, 9)
+        w.commit_at(&mut h0, &mut c0, CrashPoint::MidRelease),
+        Err(TxnError::Indeterminate)
     );
+    let raw = Raw::of(&mut h1, &mut c1, name, &table_spec);
+    assert_eq!(raw.record(&mut h1, &mut c1, 1), (2, 7), "released");
+    let (lock, payload) = raw.record(&mut h1, &mut c1, 2);
+    assert_eq!((lock & 1, payload), (1, 9), "applied, still locked");
+    assert_eq!(raw.scan(&mut h1, &mut c1), (1, 1));
+    let mut early = t1.begin();
+    assert_eq!(u64s(&early.read(&mut h1, &mut c1, 1).unwrap()), 7);
+    early.commit(&mut h1, &mut c1).unwrap();
+
+    // Recovery rolls record 2 forward from the redo and treats record 1
+    // as settled: one bump each, no lock word and no busy slot left.
+    expire_lease();
+    let mut r = t1.begin();
+    assert_eq!(u64s(&r.read(&mut h1, &mut c1, 2).unwrap()), 9);
+    r.commit(&mut h1, &mut c1).unwrap();
+    assert_eq!(raw.record(&mut h1, &mut c1, 1), (2, 7));
+    assert_eq!(raw.record(&mut h1, &mut c1, 2), (2, 9));
+    assert_eq!(raw.scan(&mut h1, &mut c1), (0, 0));
+}
+
+/// Every atomic of a commit loses its ack once — the drain at the end of
+/// the release chain among them. Each retry must *resume* at the atomic
+/// that lost its ack, not replay its chain from the top: the drain is
+/// the last op of its chain, so the version writes ahead of it never
+/// land a second time. A "later committer" on a third node shows the
+/// difference: it locks record 1 the moment the version write releases
+/// it, well inside the retry backoff, and that lock word must still
+/// stand when the commit returns.
+#[test]
+fn lost_drain_ack_resumes_at_the_drain_alone() {
+    let cluster = LiteCluster::start_with(
+        IbConfig::with_nodes(3),
+        LiteConfig {
+            // Host-wall pacing between attempts: the later committer's
+            // window.
+            retry_base_ns: 100_000,
+            ..Default::default()
+        },
+        QosConfig::default(),
+    )
+    .unwrap();
+    let mut h0 = cluster.attach(0).unwrap();
+    let mut c0 = Ctx::new();
+    let (name, table_spec) = ("rec.drain", TableSpec::new(4, 8));
+    let t0 = TxnTable::create(&mut h0, &mut c0, 1, name, table_spec).unwrap();
+    // Version 0 -> 2, fault-free: wires the QPs and leaves the handle a
+    // drained slot to claim blind.
+    let mut warm = t0.begin();
+    warm.write(1, &1u64.to_le_bytes()).unwrap();
+    warm.write(2, &1u64.to_le_bytes()).unwrap();
+    warm.commit(&mut h0, &mut c0).unwrap();
+
+    let fake_lock = 0xdead_0001u64;
+    let later = {
+        let cluster = Arc::clone(&cluster);
+        std::thread::spawn(move || {
+            let mut h2 = cluster.attach(2).unwrap();
+            let mut c2 = Ctx::new();
+            let raw = Raw::of(&mut h2, &mut c2, name, &table_spec);
+            let word = raw.rec_base + raw.rec_stride;
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while h2.lt_cmp_swap(&mut c2, raw.lh, word, 4, fake_lock).unwrap() != 4 {
+                assert!(std::time::Instant::now() < deadline, "never released");
+            }
+        })
+    };
+    cluster
+        .fabric()
+        .install_fault_plan(FaultPlan::seeded(1).with(FaultRule::DropAtomicAck {
+            src: Some(0),
+            dst: Some(1),
+            prob: 1.0,
+            max_drops: u64::MAX,
+        }));
+    let atomics = || cluster.kernel(1).lt_stats().nic.atomic_ops;
+    let before = (atomics(), cluster.kernel(0).stats().retries);
+    let mut w = t0.begin();
+    w.write(1, &7u64.to_le_bytes()).unwrap();
+    w.write(2, &9u64.to_le_bytes()).unwrap();
+    w.commit(&mut h0, &mut c0).unwrap();
+    let dropped = cluster.fabric().fault_stats().ack_drops;
+    cluster.fabric().clear_fault_plan();
+    later.join().unwrap();
+    assert_eq!(dropped, 5, "claim, two locks, decide, drain");
+    assert_eq!(cluster.kernel(0).stats().retries - before.1, 5);
+
+    let mut h1 = cluster.attach(1).unwrap();
+    let mut c1 = Ctx::new();
+    let raw = Raw::of(&mut h1, &mut c1, name, &table_spec);
+    assert_eq!(
+        raw.record(&mut h1, &mut c1, 1),
+        (fake_lock, 7),
+        "a version write landed again, over the later committer's lock"
+    );
+    assert_eq!(raw.record(&mut h1, &mut c1, 2), (4, 9));
+    // The later committer's own CASes are in this count; the commit's
+    // share is five applies and five deduplicated repeats.
+    assert!(atomics() - before.0 >= 10);
+    assert_eq!(raw.scan(&mut h1, &mut c1), (1, 0), "only the fake lock");
 }
 
 #[test]
@@ -215,26 +327,52 @@ fn live_lock_is_not_stolen_before_expiry() {
     assert_eq!((a, b), (7, 9));
 }
 
-/// Raw scan of a table's LMR (layout from `lite_txn::table`'s module
-/// docs): `(records whose version word is a lock word, slots left
-/// UNDECIDED or COMMITTED)`.
-fn scan(h: &mut lite::LiteHandle, ctx: &mut Ctx, name: &str, spec: &TableSpec) -> (u64, u64) {
-    let payload_p = (spec.payload as u64).div_ceil(8) * 8;
-    let slot_size = 24 + spec.max_writes as u64 * (16 + payload_p);
-    let rec_base = 64 + spec.slots as u64 * slot_size;
-    let lh = h.lt_map(ctx, name).unwrap();
-    let mut word = |off: u64| {
+/// Raw view of a table's LMR (layout from `lite_txn::table`'s module
+/// docs).
+struct Raw {
+    lh: lite::Lh,
+    spec: TableSpec,
+    slot_size: u64,
+    rec_base: u64,
+    rec_stride: u64,
+}
+
+impl Raw {
+    fn of(h: &mut lite::LiteHandle, ctx: &mut Ctx, name: &str, spec: &TableSpec) -> Raw {
+        let payload_p = (spec.payload as u64).div_ceil(8) * 8;
+        let slot_size = 24 + spec.max_writes as u64 * (16 + payload_p);
+        Raw {
+            lh: h.lt_map(ctx, name).unwrap(),
+            spec: *spec,
+            slot_size,
+            rec_base: 64 + spec.slots as u64 * slot_size,
+            rec_stride: 8 + payload_p,
+        }
+    }
+
+    fn word(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx, off: u64) -> u64 {
         let mut b = [0u8; 8];
-        h.lt_read(ctx, lh, off, &mut b).unwrap();
+        h.lt_read(ctx, self.lh, off, &mut b).unwrap();
         u64::from_le_bytes(b)
-    };
-    let locked = (0..spec.records)
-        .filter(|r| word(rec_base + r * (8 + payload_p)) & 1 == 1)
-        .count() as u64;
-    let busy = (0..spec.slots as u64)
-        .filter(|s| matches!(word(64 + s * slot_size) & 0xf, 1 | 2))
-        .count() as u64;
-    (locked, busy)
+    }
+
+    /// `(version word, first payload word)` of record `r`.
+    fn record(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx, r: u64) -> (u64, u64) {
+        let off = self.rec_base + r * self.rec_stride;
+        (self.word(h, ctx, off), self.word(h, ctx, off + 8))
+    }
+
+    /// `(records whose version word is a lock word, slots left
+    /// UNDECIDED or COMMITTED)`.
+    fn scan(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx) -> (u64, u64) {
+        let locked = (0..self.spec.records)
+            .filter(|&r| self.record(h, ctx, r).0 & 1 == 1)
+            .count() as u64;
+        let busy = (0..self.spec.slots as u64)
+            .filter(|s| matches!(self.word(h, ctx, 64 + s * self.slot_size) & 0xf, 1 | 2))
+            .count() as u64;
+        (locked, busy)
+    }
 }
 
 #[test]
@@ -279,7 +417,8 @@ fn losing_the_second_lock_gives_back_the_first() {
         );
     }
     // Only the stalled committer's lock and slot are left.
-    assert_eq!(scan(&mut h1, &mut c1, name, &table_spec), (1, 1));
+    let raw = Raw::of(&mut h1, &mut c1, name, &table_spec);
+    assert_eq!(raw.scan(&mut h1, &mut c1), (1, 1));
 
     // Its lease runs out; the next reader settles it. Nothing is left.
     std::thread::sleep(Duration::from_millis(200));
@@ -288,5 +427,5 @@ fn losing_the_second_lock_gives_back_the_first() {
         assert_eq!(u64s(&r.read(&mut h1, &mut c1, rec).unwrap()), 0);
     }
     r.commit(&mut h1, &mut c1).unwrap();
-    assert_eq!(scan(&mut h1, &mut c1, name, &table_spec), (0, 0));
+    assert_eq!(raw.scan(&mut h1, &mut c1), (0, 0));
 }

@@ -207,7 +207,7 @@ impl LiteHandle {
     /// across chunk migrations (only the physical location moves), so
     /// tooling can use it to target `MmRequest`s at a specific LMR.
     pub fn lh_id(&self, lh: Lh) -> LiteResult<crate::lmr::LmrId> {
-        Ok(self.kernel.lookup_lh(self.pid, lh)?.id)
+        self.kernel.with_lh(self.pid, lh, |entry| Ok(entry.id))
     }
 
     /// Records a completed API-level round trip (RPC/lock/barrier) into
@@ -254,11 +254,11 @@ impl LiteHandle {
     }
 
     /// [`Self::record_hist`] for a read or write of `len` bytes at
-    /// `offset` of the LMR behind `entry`.
+    /// `offset` of the LMR `id`.
     #[allow(clippy::too_many_arguments)]
     fn record_reg(
         &self,
-        entry: &LhEntry,
+        id: LmrId,
         offset: u64,
         len: usize,
         kind: impl FnOnce() -> crate::verify::OpKind,
@@ -267,8 +267,8 @@ impl LiteHandle {
         response: Nanos,
     ) {
         let key = crate::verify::Key::Reg {
-            node: entry.id.node,
-            idx: entry.id.idx,
+            node: id.node,
+            idx: id.idx,
             offset,
             len: len as u64,
         };
@@ -667,16 +667,16 @@ impl LiteHandle {
     fn pin_pieces(
         &self,
         ctx: &mut Ctx,
-        entry: &LhEntry,
+        id: LmrId,
         offset: u64,
         pieces: &[(NodeId, Chunk)],
-    ) -> LiteResult<Vec<crate::mm::PinGuard>> {
-        let mut guards = Vec::new();
+        guards: &mut Vec<crate::mm::PinGuard>,
+    ) -> LiteResult<()> {
         let mut lmr_off = offset;
         let mut faulted = 0usize;
         for (node, c) in pieces {
             if let Some(mm) = self.kernel.mm().peer(*node) {
-                match mm.pin_touch(c.addr, c.len, entry.id, lmr_off) {
+                match mm.pin_touch(c.addr, c.len, id, lmr_off) {
                     (crate::mm::PinOutcome::Untracked, _) => {}
                     (crate::mm::PinOutcome::Pinned(g), f) => {
                         guards.push(g);
@@ -690,7 +690,7 @@ impl LiteHandle {
         if faulted > 0 {
             ctx.work(self.kernel.fabric().cost().fault_page_ns * faulted as u64);
         }
-        Ok(guards)
+        Ok(())
     }
 
     /// Runs `body` once against the live physical pieces of `ranges`
@@ -709,39 +709,45 @@ impl LiteHandle {
         &mut self,
         ctx: &mut Ctx,
         lh: Lh,
-        ranges: &[(u64, usize, Perm)],
-        body: impl FnOnce(&mut Self, &mut Ctx, &LhEntry, &[Vec<(NodeId, Chunk)>]) -> LiteResult<T>,
+        ranges: impl Iterator<Item = (u64, usize, Perm)> + Clone,
+        body: impl FnOnce(&mut Self, &mut Ctx, LmrId, &[Vec<(NodeId, Chunk)>]) -> LiteResult<T>,
     ) -> LiteResult<T> {
         self.syscall(ctx, |this, ctx| {
-            let (entry, pieces, _pins) = this.fresh_pieces(ctx, lh, ranges)?;
-            body(this, ctx, &entry, &pieces)
+            let (id, pieces, _pins) = this.fresh_pieces(ctx, lh, ranges)?;
+            body(this, ctx, id, &pieces)
         })
     }
 
-    /// The heal loop of [`Self::with_fresh_pieces`]: the lh's entry, the
+    /// The heal loop of [`Self::with_fresh_pieces`]: the lh's LMR, the
     /// pieces of every range, and the pins that keep them where they are.
     #[allow(clippy::type_complexity)]
     fn fresh_pieces(
         &mut self,
         ctx: &mut Ctx,
         lh: Lh,
-        ranges: &[(u64, usize, Perm)],
-    ) -> LiteResult<(LhEntry, Vec<Vec<(NodeId, Chunk)>>, Vec<crate::mm::PinGuard>)> {
+        ranges: impl Iterator<Item = (u64, usize, Perm)> + Clone,
+    ) -> LiteResult<(LmrId, Vec<Vec<(NodeId, Chunk)>>, Vec<crate::mm::PinGuard>)> {
         for attempt in 0..3 {
             if attempt > 0 {
                 self.refresh_lh(ctx, lh)?;
             }
-            let entry = self.kernel.lookup_lh(self.pid, lh)?;
-            let mut pieces = Vec::with_capacity(ranges.len());
-            let mut pins = Vec::new();
-            let resolved = ranges.iter().try_for_each(|&(offset, len, need)| {
-                let p = entry.check(offset, len, need)?;
-                pins.extend(self.pin_pieces(ctx, &entry, offset, &p)?);
-                pieces.push(p);
-                Ok(())
+            // Resolve against the entry in place; only the pieces leave.
+            let resolved = self.kernel.with_lh(self.pid, lh, |entry| {
+                let mut pieces = Vec::with_capacity(ranges.size_hint().0);
+                for (offset, len, need) in ranges.clone() {
+                    pieces.push(entry.check(offset, len, need)?);
+                }
+                Ok((entry.id, pieces))
             });
-            match resolved {
-                Ok(()) => return Ok((entry, pieces, pins)),
+            let mut pins = Vec::new();
+            let pinned = resolved.and_then(|(id, pieces)| {
+                for ((offset, ..), p) in ranges.clone().zip(&pieces) {
+                    self.pin_pieces(ctx, id, offset, p, &mut pins)?;
+                }
+                Ok((id, pieces))
+            });
+            match pinned {
+                Ok((id, pieces)) => return Ok((id, pieces, pins)),
                 Err(LiteError::Relocated) => {}
                 Err(e) => return Err(e),
             }
@@ -985,8 +991,8 @@ impl LiteHandle {
     /// LT_write: blocking one-sided write of `data` at `offset` in the
     /// LMR. Returns when the data is remotely visible (§4.2).
     pub fn lt_write(&mut self, ctx: &mut Ctx, lh: Lh, offset: u64, data: &[u8]) -> LiteResult<()> {
-        let range = [(offset, data.len(), Perm::RW)];
-        self.with_fresh_pieces(ctx, lh, &range, |this, ctx, entry, pieces| {
+        let range = [(offset, data.len(), Perm::RW)].into_iter();
+        self.with_fresh_pieces(ctx, lh, range, |this, ctx, id, pieces| {
             // Lookup/permission/bounds failures return before any side
             // effect and are not recorded in the history (a no-effect op
             // adds no constraint); failures past this point may have
@@ -997,7 +1003,7 @@ impl LiteHandle {
                 fp: crate::verify::fingerprint(data),
             };
             this.record_reg(
-                entry,
+                id,
                 offset,
                 data.len(),
                 kind,
@@ -1031,8 +1037,8 @@ impl LiteHandle {
         offset: u64,
         buf: &mut [u8],
     ) -> LiteResult<()> {
-        let range = [(offset, buf.len(), Perm::RO)];
-        self.with_fresh_pieces(ctx, lh, &range, |this, ctx, entry, pieces| {
+        let range = [(offset, buf.len(), Perm::RO)].into_iter();
+        self.with_fresh_pieces(ctx, lh, range, |this, ctx, id, pieces| {
             let start = ctx.now();
             let result = this.read_pieces(ctx, &pieces[0], buf);
             // Failed reads are excluded by the checker; fp is meaningful
@@ -1046,7 +1052,7 @@ impl LiteHandle {
                 },
             };
             this.record_reg(
-                entry,
+                id,
                 offset,
                 buf.len(),
                 kind,
@@ -1864,16 +1870,13 @@ impl LiteHandle {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
-        let ranges: Vec<(u64, usize, Perm)> = ops
-            .iter()
-            .map(|op| match *op {
-                ChainOp::Write { off, data } => (off, data.len(), Perm::RW),
-                ChainOp::Read { off, len } => (off, len, Perm::RO),
-                ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => (off, 8, Perm::RW),
-            })
-            .collect();
-        self.with_fresh_pieces(ctx, lh, &ranges, |this, ctx, entry, pieces| {
-            this.chain_pieces(ctx, entry, ops, pieces)
+        let ranges = ops.iter().map(|op| match *op {
+            ChainOp::Write { off, data } => (off, data.len(), Perm::RW),
+            ChainOp::Read { off, len } => (off, len, Perm::RO),
+            ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => (off, 8, Perm::RW),
+        });
+        self.with_fresh_pieces(ctx, lh, ranges, |this, ctx, id, pieces| {
+            this.chain_pieces(ctx, id, ops, pieces)
         })
     }
 
@@ -1882,41 +1885,45 @@ impl LiteHandle {
     fn chain_pieces(
         &mut self,
         ctx: &mut Ctx,
-        entry: &LhEntry,
+        id: LmrId,
         ops: &[ChainOp],
         pieces: &[Vec<(NodeId, Chunk)>],
     ) -> LiteResult<Vec<ChainOut>> {
         let start = ctx.now();
         // Staging holds every write's payload and every read's landing
-        // zone, in op order.
-        let total: usize = ops
-            .iter()
-            .map(|op| match *op {
-                ChainOp::Write { data, .. } => data.len(),
-                ChainOp::Read { len, .. } => len,
-                ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => 0,
-            })
-            .sum();
+        // zone, in op order: one local chunk per physical piece.
+        let staged = |op: &ChainOp| match *op {
+            ChainOp::Write { data, .. } => data.len(),
+            ChainOp::Read { len, .. } => len,
+            ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => 0,
+        };
+        let total: usize = ops.iter().map(staged).sum();
         Self::ensure(&self.kernel, &mut self.staging, total)?;
+        let mem = self.kernel.fabric().mem(self.kernel.node());
         let mut zone = self.staging.addr;
-        // One datapath descriptor per physical piece; `marks[k]` is op
-        // k's staging zone and where its descriptors start.
-        let mut posts = Vec::with_capacity(ops.len());
-        let mut marks = Vec::with_capacity(ops.len());
+        let staged_pieces = ops.iter().zip(pieces).filter(|(op, _)| staged(op) > 0);
+        let mut zones = Vec::with_capacity(staged_pieces.map(|(_, p)| p.len()).sum());
         for (op, pieces) in ops.iter().zip(pieces) {
-            marks.push((zone, posts.len()));
+            match *op {
+                ChainOp::Write { data, .. } => mem.write(zone, data)?,
+                ChainOp::Read { .. } => {}
+                ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => continue,
+            }
+            for (_, c) in pieces {
+                zones.push(Chunk {
+                    addr: zone,
+                    len: c.len,
+                });
+                zone += c.len;
+            }
+        }
+        // One datapath descriptor per physical piece, borrowing its zone.
+        let mut posts = Vec::with_capacity(zones.len() + ops.len());
+        let mut zone_of = zones.iter().map(std::slice::from_ref);
+        for (op, pieces) in ops.iter().zip(pieces) {
             match *op {
                 ChainOp::Write { .. } | ChainOp::Read { .. } => {
-                    if let ChainOp::Write { data, .. } = *op {
-                        let mem = self.kernel.fabric().mem(self.kernel.node());
-                        mem.write(zone, data)?;
-                    }
-                    for &(node, c) in pieces {
-                        let here = vec![Chunk {
-                            addr: zone,
-                            len: c.len,
-                        }];
-                        zone += c.len;
+                    for (&(node, c), here) in pieces.iter().zip(&mut zone_of) {
                         posts.push(match op {
                             ChainOp::Write { .. } => Op::write(node, c.addr, here, c.len as usize),
                             _ => Op::read(node, c.addr, here, c.len as usize),
@@ -1949,8 +1956,11 @@ impl LiteHandle {
             }
         }
         let end = ctx.now();
+        // Walk the ops again with the same two cursors the posting pass
+        // advanced: the staging zone and the descriptor index.
+        let (mut zone, mut first) = (self.staging.addr, 0);
         let mut outs = Vec::with_capacity(ops.len());
-        for (op, &(zone, first)) in ops.iter().zip(&marks) {
+        for (op, pieces) in ops.iter().zip(pieces) {
             match *op {
                 ChainOp::Write { off, data } => {
                     // As `lt_write`: a failed chain may have applied any
@@ -1958,26 +1968,30 @@ impl LiteHandle {
                     let kind = || crate::verify::OpKind::Write {
                         fp: crate::verify::fingerprint(data),
                     };
-                    self.record_reg(entry, off, data.len(), kind, result.is_ok(), start, end);
+                    self.record_reg(id, off, data.len(), kind, result.is_ok(), start, end);
                     outs.push(ChainOut::Done);
+                    first += pieces.len();
                 }
                 ChainOp::Read { off, len } => {
                     let mut buf = vec![0u8; len];
                     if result.is_ok() {
-                        self.unstage(zone, &mut buf)?;
+                        mem.read(zone, &mut buf)?;
                     }
                     // An unread buffer is all zeroes: fingerprint 0.
                     let kind = || crate::verify::OpKind::Read {
                         fp: crate::verify::fingerprint(&buf),
                     };
-                    self.record_reg(entry, off, len, kind, result.is_ok(), start, end);
+                    self.record_reg(id, off, len, kind, result.is_ok(), start, end);
                     outs.push(ChainOut::Bytes(buf));
+                    first += pieces.len();
                 }
                 ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => {
                     let old = result.as_ref().map_or(0, |comps| comps[first].value);
                     outs.push(ChainOut::Value(old));
+                    first += 1;
                 }
             }
+            zone += staged(op) as u64;
         }
         result.map(|_| outs)
     }
@@ -2055,12 +2069,12 @@ mod tests {
         let mut h = cluster.attach(0).unwrap();
         let mut ctx = Ctx::new();
         let lh = h.lt_malloc(&mut ctx, 1, 4096, "lazy", Perm::RW).unwrap();
-        let entry = h.kernel.lookup_lh(h.pid, lh).unwrap();
+        let id = h.lh_id(lh).unwrap();
         let unarmed = || -> OpKind { panic!("computed for an observer nobody armed") };
-        h.record_reg(&entry, 0, 8, unarmed, true, 0, 1);
+        h.record_reg(id, 0, 8, unarmed, true, 0, 1);
 
         let log = cluster.record_history().unwrap();
-        h.record_reg(&entry, 0, 8, || OpKind::Write { fp: 7 }, true, 0, 1);
+        h.record_reg(id, 0, 8, || OpKind::Write { fp: 7 }, true, 0, 1);
         let ops = log.take().ops;
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].kind, OpKind::Write { fp: 7 });

@@ -273,6 +273,7 @@ impl LiteKernel {
             mode: self.qos.mode(),
             rtt_ewma_ns: self.qos.rtt_estimate(),
         };
+        let nic = self.fabric.nic(self.node).stats();
         match self.datapath.get() {
             Some(dp) => observe::build_report(
                 self.node,
@@ -281,6 +282,7 @@ impl LiteKernel {
                 |peer| !dp.peer_is_dead(peer),
                 qos,
                 self.mm.stats(),
+                nic,
             ),
             None => StatsReport {
                 node: self.node,
@@ -290,6 +292,7 @@ impl LiteKernel {
                 trace: Default::default(),
                 qos,
                 mm: self.mm.stats(),
+                nic,
                 sample_rate: self.config.stats_sample_rate,
             },
         }

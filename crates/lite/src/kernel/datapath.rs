@@ -839,8 +839,17 @@ impl RnicDataPath {
                 src_addr, dst, len, ..
             } => {
                 let mem = self.mem();
-                mem.copy_from(mem, &[extent(*src_addr, *len)], dst)?;
                 ctx.work(cost.memcpy_time(*len as u64));
+                if *len == 8 && src_addr % 8 == 0 {
+                    // One aligned word: the stamped load `Nic::post_chain`
+                    // does for the same read from a remote node, at the
+                    // price of the copy it is.
+                    let (word, stamp) = mem.load_u64_stamped(*src_addr, ctx.now())?;
+                    mem.scatter(dst, &word.to_le_bytes())?;
+                    ctx.wait_until(stamp);
+                } else {
+                    mem.copy_from(mem, &[extent(*src_addr, *len)], dst)?;
+                }
             }
             Op::FetchAdd { .. } | Op::CmpSwap { .. } => {
                 ctx.work(LOCAL_ATOMIC_NS);

@@ -123,6 +123,21 @@ impl LiteKernel {
         self.lhs.get(&(pid, lh)).ok_or(LiteError::BadLh { lh })
     }
 
+    /// Runs `f` on the entry behind `(pid, lh)` under its shard lock: the
+    /// datapath calls need an id and a few pieces of the location, not a
+    /// clone of the name and the whole extent list. `f` must not take
+    /// another kernel lock ([`crate::shard`]'s ordering rule).
+    pub(crate) fn with_lh<T>(
+        &self,
+        pid: u32,
+        lh: u64,
+        f: impl FnOnce(&LhEntry) -> LiteResult<T>,
+    ) -> LiteResult<T> {
+        self.lhs.with_shard_of(&(pid, lh), |shard| {
+            f(shard.get(&(pid, lh)).ok_or(LiteError::BadLh { lh })?)
+        })
+    }
+
     pub(crate) fn reinstall_lh(&self, pid: u32, lh: u64, entry: LhEntry) {
         self.lhs.insert((pid, lh), entry);
     }

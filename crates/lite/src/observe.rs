@@ -755,6 +755,10 @@ pub struct StatsReport {
     pub qos: QosReport,
     /// Memory-tiering gauges (resident/evicted bytes, migrations).
     pub mm: crate::mm::MmReport,
+    /// This node's NIC: how long its WQE engine was busy and how many
+    /// atomics it executed for its peers — whether one-sided traffic to
+    /// this node is bound by the engine, and by which verb.
+    pub nic: rnic::NicStats,
     /// Sampling rate the histograms were recorded at.
     pub sample_rate: u32,
 }
@@ -861,6 +865,10 @@ impl StatsReport {
             mode, self.qos.rtt_ewma_ns
         ));
         s.push_str(&format!(",\"mm\":{}", self.mm.json()));
+        s.push_str(&format!(
+            ",\"nic\":{{\"engine_busy_ns\":{},\"atomic_ops\":{}}}",
+            self.nic.engine_busy_ns, self.nic.atomic_ops
+        ));
         s.push('}');
         s
     }
@@ -874,6 +882,7 @@ pub(crate) fn build_report(
     peer_alive: impl Fn(NodeId) -> bool,
     qos: QosReport,
     mm: crate::mm::MmReport,
+    nic: rnic::NicStats,
 ) -> StatsReport {
     let mut classes = Vec::new();
     for &class in &OP_CLASSES {
@@ -924,6 +933,7 @@ pub(crate) fn build_report(
         },
         qos,
         mm,
+        nic,
         sample_rate: obs.sample_rate(),
     }
 }
@@ -1019,6 +1029,7 @@ mod tests {
                 rtt_ewma_ns: 0,
             },
             crate::mm::MmReport::default(),
+            rnic::NicStats::default(),
         );
         let lat = report.class(OpClass::Read, Priority::High).unwrap();
         assert_eq!(lat.count, 50);

@@ -235,6 +235,81 @@ fn faulted_chains_resume_instead_of_replaying() {
     }
 }
 
+/// The loop-back twin of `rnic`'s `one_word_read_is_a_stamped_load_…`: an
+/// op on the poster's own node never reaches a NIC (`post_local`), so the
+/// stamped word read has to exist there too — a lite-txn client that sits
+/// on its table's home node validates through this path.
+#[test]
+fn loopback_word_read_is_a_stamped_load_at_the_price_of_a_copy() {
+    let cluster = cluster_with_batching(true);
+    let dp = cluster.datapath(0);
+    let mem = dp.fabric().mem(0).clone();
+    let cost = dp.fabric().cost().clone();
+    let cells = dp.alloc(64).unwrap();
+    let land = dp.alloc(64).unwrap();
+    mem.write(cells, &[0u8; 64]).unwrap();
+    let read = |off: u64, len: usize| {
+        let dst = vec![Chunk {
+            addr: land,
+            len: len as u64,
+        }];
+        Op::read(0, cells + off, dst, len)
+    };
+    // A context whose clock runs far ahead applies an atomic to another
+    // word of this node.
+    let mut far = Ctx::new();
+    far.wait_until(1_000_000);
+    let other = Op::FetchAdd {
+        node: 0,
+        addr: cells + 32,
+        delta: 0,
+    };
+    let ahead = dp.post(&mut far, Priority::High, &other).unwrap().stamp;
+
+    // A lagging context's CAS is stamped behind it, and so is the word
+    // read that observes the CAS; both block until their stamps.
+    let mut ctx = Ctx::new();
+    let word = 0x0000_0007_0000_0009;
+    let cas = Op::CmpSwap {
+        node: 0,
+        addr: cells,
+        expect: 0,
+        new: word,
+    };
+    let locked = dp.post(&mut ctx, Priority::High, &cas).unwrap();
+    assert!(locked.stamp > ahead && ctx.now() == locked.stamp);
+    let before = ctx.now();
+    let seen = dp.post(&mut ctx, Priority::High, &read(0, 8)).unwrap();
+    assert_eq!(mem.load_u64(land).unwrap(), word);
+    assert!(seen.stamp > locked.stamp && ctx.now() == seen.stamp);
+    let word_read_ns = ctx.now() - before;
+
+    // It is charged as the copy it is: what a 16-byte read pays, less the
+    // eight extra bytes — and less than the local atomic it replaces.
+    let before = ctx.now();
+    dp.post(&mut ctx, Priority::High, &read(0, 16)).unwrap();
+    let wide_read_ns = ctx.now() - before;
+    assert_eq!(
+        wide_read_ns - word_read_ns,
+        cost.memcpy_time(16) - cost.memcpy_time(8)
+    );
+    let before = ctx.now();
+    dp.post(&mut ctx, Priority::High, &other).unwrap();
+    assert!(word_read_ns < ctx.now() - before);
+
+    // Reads of any other shape stay plain copies: a context that lags
+    // does not get pulled up to the atomic clock by them.
+    for (off, len) in [(0, 16), (4, 8)] {
+        let mut lag = Ctx::new();
+        let plain = dp.post(&mut lag, Priority::High, &read(off, len)).unwrap();
+        assert!(plain.stamp < ahead, "{len} bytes at +{off}: {plain:?}");
+    }
+    assert_eq!(mem.load_u64(land).unwrap(), word >> 32, "bytes 4..12");
+    let mut lag = Ctx::new();
+    let pulled = dp.post(&mut lag, Priority::High, &read(0, 8)).unwrap();
+    assert!(pulled.stamp > seen.stamp && lag.now() == pulled.stamp);
+}
+
 /// RPC through a deliberately tiny ring: the client runs out of cached
 /// space every few calls and pulls the server's head cell with a
 /// one-sided read through the datapath, at odd wrap offsets. Both

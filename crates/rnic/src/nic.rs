@@ -115,6 +115,14 @@ pub struct NicStats {
     pub qp_misses: u64,
     /// First-touch page faults served for lazily registered MRs.
     pub page_faults: u64,
+    /// Virtual nanoseconds of service this NIC's WQE engine has handed
+    /// out, as requester and as responder. Over an interval of virtual
+    /// time it is the engine's utilisation.
+    pub engine_busy_ns: Nanos,
+    /// Atomics (fetch-add, cmp-swap) this NIC's engine executed as the
+    /// responder; each costs it `nic_engine_ns + atomic_extra_ns`, a read
+    /// or write `nic_engine_ns`.
+    pub atomic_ops: u64,
     /// Registered MRs currently live.
     pub live_mrs: usize,
     /// QPs currently live.
@@ -140,6 +148,7 @@ pub struct Nic {
     send_ops: AtomicU64,
     bytes_tx: AtomicU64,
     page_faults: AtomicU64,
+    atomic_ops: AtomicU64,
     /// Responder-side exactly-once filter for *tagged* atomics: per
     /// requester node, a sliding window of (sequence → old value). A
     /// retried atomic whose first attempt already applied (its ack leg
@@ -281,6 +290,7 @@ impl Nic {
             send_ops: AtomicU64::new(0),
             bytes_tx: AtomicU64::new(0),
             page_faults: AtomicU64::new(0),
+            atomic_ops: AtomicU64::new(0),
             atomic_dedup: Mutex::new(HashMap::new()),
         }
     }
@@ -316,6 +326,8 @@ impl Nic {
             pte_misses: c.ptes.misses(),
             qp_misses: c.qpc.misses(),
             page_faults: self.page_faults.load(Ordering::Relaxed),
+            engine_busy_ns: self.engine.busy_time(),
+            atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
             live_mrs: self.mrs.read().len(),
             live_qps: self.qps.read().len(),
         }
@@ -1110,9 +1122,23 @@ impl Nic {
                         let g3 = rnic.engine.acquire((g1.finish + prop).max(fence), rsvc);
                         let g4 = rnic.tx.acquire(g3.finish, self.cost.link_time(len as u64));
                         let back = self.rx_arrival(g4.start + prop, len);
-                        mem.copy_from(rmem, &plan.remote.chunks, &local.chunks)?;
+                        let mut completion = back + self.cost.ack_ns;
+                        match *plan.remote.chunks {
+                            // One aligned word: a stamped load, so the
+                            // read observes a word that atomics maintain
+                            // in their apply order (it completes after
+                            // every atomic whose effect it shows) while
+                            // paying what a read pays — no atomic unit,
+                            // no dedup token.
+                            [Chunk { addr, len: 8 }] if addr % 8 == 0 => {
+                                let (word, stamp) = rmem.load_u64_stamped(addr, completion)?;
+                                mem.scatter(&local.chunks, &word.to_le_bytes())?;
+                                completion = stamp;
+                            }
+                            _ => mem.copy_from(rmem, &plan.remote.chunks, &local.chunks)?,
+                        }
                         Ok(WrOutcome {
-                            completion: back + self.cost.ack_ns,
+                            completion,
                             remote_visible: g3.finish,
                             value: 0,
                         })
@@ -1122,6 +1148,7 @@ impl Nic {
                             (g1.finish + prop).max(fence),
                             rsvc + self.cost.atomic_extra_ns,
                         );
+                        rnic.atomic_ops.fetch_add(1, Ordering::Relaxed);
                         let comp = g3.finish + prop + self.cost.ack_ns;
                         // Exactly-once filter for tagged ops: a retry
                         // whose first attempt already applied (its ack

@@ -362,3 +362,73 @@ fn lost_ack_mid_chain_resumes_from_the_atomic() {
         "the acknowledged prefix was not replayed"
     );
 }
+
+/// An aligned one-word read is a stamped load: chained behind a CAS it
+/// returns what the CAS left and completes no earlier than the CAS's
+/// stamp, yet it costs the responder's engine a read, not an atomic. A
+/// read of any other shape is the plain copy it always was.
+#[test]
+fn one_word_read_is_a_stamped_load_at_the_price_of_a_read() {
+    let r = rig();
+    let cost = r.fabric.cost().clone();
+    let read = |local: u64, remote: u64, len: usize| Wr::Read {
+        sge: r.wr_sge(local, len),
+        remote: r.at(remote),
+    };
+    // An atomic from a context whose clock runs far ahead parks node 1's
+    // atomic clock there: what observes a word after it must not complete
+    // before it.
+    let ahead = 1_000_000;
+    let other = r.spaces[1].translate(r.remote.1 + 1024).unwrap();
+    r.fabric
+        .mem(1)
+        .fetch_add_u64_stamped(other, 0, ahead)
+        .unwrap();
+
+    let mut ctx = Ctx::new();
+    let word = 0x0000_0007_0000_0009;
+    let cas = Wr::CmpSwap {
+        remote: r.at(64),
+        expect: 0,
+        new: word,
+        token: None,
+    };
+    let before = r.fabric.nic(1).stats();
+    let done = r.post(&mut ctx, &[cas, read(128, 64, 8)]).unwrap();
+    let after = r.fabric.nic(1).stats();
+    assert_eq!(r.local_u64(128), word, "the read saw the CAS ahead of it");
+    assert!(done[0].completion > ahead, "the CAS is stamped: {done:?}");
+    assert!(
+        done[1].completion > done[0].completion,
+        "the word read is stamped after the CAS it observed: {done:?}"
+    );
+    assert_eq!(after.atomic_ops - before.atomic_ops, 1, "the CAS alone");
+    assert_eq!(
+        after.engine_busy_ns - before.engine_busy_ns,
+        (cost.nic_engine_ns + cost.atomic_extra_ns) + cost.nic_engine_ns,
+        "the responder charged one atomic and one read"
+    );
+
+    // Sixteen bytes, or eight at a misaligned address: the plain copy,
+    // which neither reads nor moves the atomic clock.
+    let chain = [read(512, 64, 16), read(256, 68, 8)];
+    let before = r.fabric.nic(1).stats();
+    let plain = r.post(&mut ctx, &chain).unwrap();
+    let after = r.fabric.nic(1).stats();
+    assert_eq!((r.local_u64(512), r.local_u64(520)), (word, 0));
+    assert_eq!(r.local_u64(256), word >> 32, "bytes 68..76 of the region");
+    assert!(
+        plain.iter().all(|o| o.completion < ahead),
+        "plain reads complete on the poster's own clock: {plain:?}"
+    );
+    assert_eq!(
+        after.engine_busy_ns - before.engine_busy_ns,
+        2 * cost.nic_engine_ns
+    );
+    assert_eq!(after.atomic_ops, before.atomic_ops);
+    let again = r.post(&mut ctx, &[read(128, 64, 8)]).unwrap();
+    assert!(
+        again[0].completion > done[1].completion,
+        "and the clock they left alone still orders the next word read"
+    );
+}

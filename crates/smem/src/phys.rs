@@ -129,6 +129,22 @@ impl PhysMem {
         Ok(())
     }
 
+    /// Writes `data` over the fragments `dst`, in order; moves
+    /// `min(data.len(), Σ dst)` bytes. Every chunk is bounds-checked
+    /// before the first byte moves.
+    pub fn scatter(&self, dst: &[Chunk], data: &[u8]) -> Result<(), MemError> {
+        for c in dst {
+            self.check(c.addr, c.len as usize)?;
+        }
+        let mut rest = data;
+        for c in dst {
+            let (head, tail) = rest.split_at(rest.len().min(c.len as usize));
+            self.write(c.addr, head)?;
+            rest = tail;
+        }
+        Ok(())
+    }
+
     /// Copies the bytes of `src` — fragments of `from`, in order — onto
     /// the fragments `dst` of this memory, page fragment to page fragment
     /// with no buffer in between (the NIC's DMA between two scatter
@@ -157,13 +173,7 @@ impl PhysMem {
                 from.read(c.addr, &mut buf[off..off + c.len as usize])?;
                 off += c.len as usize;
             }
-            let mut rest = &buf[..];
-            for c in dst {
-                let (head, tail) = rest.split_at(rest.len().min(c.len as usize));
-                self.write(c.addr, head)?;
-                rest = tail;
-            }
-            return Ok(());
+            return self.scatter(dst, &buf);
         }
         let in_page = |addr: u64| (addr & (PAGE_SIZE as u64 - 1)) as usize;
         let (mut src, mut dst) = (src.iter(), dst.iter());
@@ -306,6 +316,21 @@ impl PhysMem {
         Ok((old, stamp))
     }
 
+    /// [`Self::load_u64`] with an apply-order-monotone stamp: `(value,
+    /// stamp)` exactly as `fetch_add_u64_stamped(addr, 0, now)` returns
+    /// them, without the store. The stamp is taken under the cell's page
+    /// lock, so it falls after the stamp of every atomic whose effect the
+    /// value shows and before that of every atomic applied later — an
+    /// aligned one-word read is a sound way to observe a word that
+    /// stamped atomics maintain.
+    pub fn load_u64_stamped(&self, addr: PhysAddr, now: u64) -> Result<(u64, u64), MemError> {
+        let (page, off) = self.atomic_cell(addr)?;
+        let p = page.lock();
+        let value = u64::from_le_bytes(p[off..off + 8].try_into().expect("8 bytes"));
+        let stamp = self.bump_atomic_clock(now);
+        Ok((value, stamp))
+    }
+
     /// Reads the u64 at `addr` atomically.
     pub fn load_u64(&self, addr: PhysAddr) -> Result<u64, MemError> {
         let (page, off) = self.atomic_cell(addr)?;
@@ -414,6 +439,49 @@ mod tests {
         assert!(s2 > s1);
         let (_, s3) = m.fetch_add_u64_stamped(64, 1, 2_000).unwrap();
         assert!(s3 >= 2_000 && s3 > s2);
+        // A stamped load is ordered the same way: it sees what the last
+        // atomic left and is stamped after it.
+        let (seen, s4) = m.load_u64_stamped(64, 0).unwrap();
+        assert_eq!(seen, 8);
+        assert!(s4 > s3);
+        assert!(m.load_u64_stamped(60, 0).is_err(), "misaligned");
+    }
+
+    /// Threaded: a word counts the CASes applied to it, each CAS keeps
+    /// its stamp, and a reader takes stamped loads meanwhile. A load that
+    /// saw `k` CASes must be stamped after the k-th CAS and before the
+    /// (k+1)-th, whatever virtual clocks the threads bring.
+    #[test]
+    fn stamped_loads_fall_between_the_atomics_around_them() {
+        const CASES: u64 = 20_000;
+        let m = Arc::new(PhysMem::new(1 << 16));
+        let writer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                // Stamp of the CAS that took the word to k, at index k.
+                let mut stamps = vec![0u64];
+                for k in 0..CASES {
+                    // A clock that jumps around, lagging more than not.
+                    let now = (k * 7919) % 1_000;
+                    let (old, stamp) = m.cas_u64_stamped(64, k, k + 1, now).unwrap();
+                    assert_eq!(old, k);
+                    stamps.push(stamp);
+                }
+                stamps
+            })
+        };
+        let mut loads = Vec::new();
+        while loads.last().is_none_or(|&(seen, _)| seen < CASES) {
+            loads.push(m.load_u64_stamped(64, loads.len() as u64 % 500).unwrap());
+        }
+        let stamps = writer.join().unwrap();
+        for (seen, stamp) in loads {
+            let k = seen as usize;
+            assert!(stamps[k] < stamp, "load of {k} precedes the CAS it saw");
+            if let Some(&next) = stamps.get(k + 1) {
+                assert!(stamp < next, "load of {k} follows a CAS it missed");
+            }
+        }
     }
 
     #[test]
