@@ -78,6 +78,10 @@ struct RunResult {
     /// share of that busy time spent executing atomics (OCC runs only).
     home_engine_busy: f64,
     home_atomic_share: f64,
+    /// Summed over the threads' `TxnTable::stats()`: read-write commits
+    /// that started on a kept slot, and those that paid a claim CAS.
+    claims_kept: u64,
+    claims_cas: u64,
 }
 
 impl RunResult {
@@ -144,15 +148,18 @@ fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
             }
             let elapsed = ctx.now() - start;
             let ks = h.lt_stats().kernel;
-            (elapsed, ks.txn_aborts)
+            (elapsed, ks.txn_aborts, table.stats())
         }));
     }
     let mut elapsed_ns = 0u64;
     let mut aborts = 0u64;
+    let (mut claims_kept, mut claims_cas) = (0u64, 0u64);
     for j in joins {
-        let (e, a) = j.join().unwrap();
+        let (e, a, stats) = j.join().unwrap();
         elapsed_ns = elapsed_ns.max(e);
         aborts += a;
+        claims_kept += stats.claims_kept;
+        claims_cas += stats.claims_cas;
     }
     let nic = home_nic();
     let cost = cluster.fabric().cost();
@@ -165,6 +172,8 @@ fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
         aborts,
         home_engine_busy: busy_ns as f64 / elapsed_ns.max(1) as f64,
         home_atomic_share: atomic_ns as f64 / busy_ns as f64,
+        claims_kept,
+        claims_cas,
     }
 }
 
@@ -244,6 +253,8 @@ fn run_lock_rpc(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
         aborts: 0,
         home_engine_busy: 0.0,
         home_atomic_share: 0.0,
+        claims_kept: 0,
+        claims_cas: 0,
     }
 }
 
@@ -273,13 +284,16 @@ fn main() {
                     .cell("occ_speedup", speedup)
                     .cell("occ_aborts", occ.aborts as f64)
                     .cell("home_engine_busy", occ.home_engine_busy)
-                    .cell("of_it_atomics", occ.home_atomic_share),
+                    .cell("of_it_atomics", occ.home_atomic_share)
+                    .cell("claims_kept", occ.claims_kept as f64)
+                    .cell("claims_cas", occ.claims_cas as f64),
             );
             entries.push(format!(
                 "{{\"mix\":\"{mix_name}\",\"qos\":\"{mode_name}\",\
                  \"occ_tps\":{:.0},\"lock_rpc_tps\":{:.0},\"occ_speedup\":{:.3},\
                  \"occ_txns\":{},\"occ_aborts\":{},\"lock_txns\":{},\
-                 \"occ_home_engine_busy\":{:.3},\"occ_home_atomic_share\":{:.3}}}",
+                 \"occ_home_engine_busy\":{:.3},\"occ_home_atomic_share\":{:.3},\
+                 \"occ_claims_kept\":{},\"occ_claims_cas\":{}}}",
                 occ.tps(),
                 lock.tps(),
                 speedup,
@@ -288,6 +302,8 @@ fn main() {
                 lock.txns,
                 occ.home_engine_busy,
                 occ.home_atomic_share,
+                occ.claims_kept,
+                occ.claims_cas,
             ));
         }
     }

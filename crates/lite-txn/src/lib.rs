@@ -13,12 +13,13 @@
 //! * [`TxnTable`] / [`Txn`] — the OCC core. A table is one LMR holding
 //!   versioned records plus a ring of *decision slots*. `Txn::read`
 //!   takes version-consistent snapshots, `Txn::write` stages locally,
-//!   and `commit` runs claim → lock + validate → decide → apply +
-//!   release in four blocking round trips, with every abort path
-//!   unwinding its CAS locks. Committer crashes are
-//!   survivable: lock words carry leases and name their decision slot,
-//!   so any peer can finalize and roll the victim forward or back (see
-//!   the [`table`] module docs for the full protocol).
+//!   and `commit` runs lock + validate, then decide + apply + release,
+//!   in two blocking round trips on a decision slot the handle keeps
+//!   from one commit to the next, with every abort path unwinding its
+//!   CAS locks. Committer crashes are survivable: lock words carry
+//!   leases and name their decision slot, so any peer can finalize and
+//!   roll the victim forward or back (see the [`table`] module docs for
+//!   the full protocol).
 //! * [`RemoteHashMap`] — a fixed-bucket, linear-probing hash map whose
 //!   operations are transactions, giving atomic multi-probe updates
 //!   and serializable gets.
@@ -37,4 +38,6 @@ pub mod table;
 
 pub use index::OrderedIndex;
 pub use map::RemoteHashMap;
-pub use table::{with_txn_retry, CrashPoint, TableSpec, Txn, TxnError, TxnResult, TxnTable};
+pub use table::{
+    with_txn_retry, CrashPoint, TableSpec, TableStats, Txn, TxnError, TxnResult, TxnTable,
+};

@@ -26,48 +26,91 @@
 //!
 //! # Commit protocol
 //!
-//! Four blocking round trips to the table's home; the steps inside a
-//! chain ([`LiteHandle::lt_chain`]) go out behind one doorbell and
-//! execute in order, nothing in a chain depends on a result of the same
-//! chain:
+//! Two blocking round trips to the table's home, each one
+//! [`LiteHandle::lt_chain`]: its steps go out behind one doorbell and
+//! execute in order, and nothing in a chain depends on a result of the
+//! same chain.
 //!
-//! 1. **Claim a slot**: CAS the header from a claimable state
-//!    (`FREE`/`DRAINED`) to `(epoch+1, UNDECIDED)`. A handle remembers
-//!    the slot it last drained and CASes it blind; otherwise it reads
-//!    headers from a hash of `(node, pid)` on.
-//! 2. **One chain**: publish the redo log (write set with old versions
-//!    and new payloads), then the lease word — the redo is written
-//!    *before* the lease so a lease whose epoch matches the header
-//!    certifies a complete redo; **lock the write set** in ascending
-//!    record order (CAS each version word from its expected version to
-//!    the lock word); **validate the read set** (a one-word read of the
-//!    version word per read-but-not-written record, which must still
-//!    carry the version observed by [`Txn::read`]; write-set records are
-//!    validated by the lock CAS itself). If any lock CAS lost, the ones
-//!    that won are CASed back and the transaction aborts — it never
-//!    waits while holding a lock, which is what keeps ascending-order
-//!    locking deadlock-free.
-//! 3. **Decide**: CAS the slot header `UNDECIDED -> COMMITTED`. This
-//!    single word is the transaction's atomic commit point.
-//! 4. **One chain**: write every staged payload, then write
-//!    `old_version + 2` over each lock word, then drain the slot
-//!    (`COMMITTED -> DRAINED`), making it claimable again only after
-//!    every lock word referencing it is gone.
+//! 0. **The slot is already ours**: a committer keeps its decision slot
+//!    from one commit to the next (below), so in the steady state
+//!    claiming it costs no verb. Only a handle's first commit, or one
+//!    after it idled past half its lease, pays a claim CAS
+//!    (`FREE`/`DRAINED`/its own stale keep → `(epoch+2, UNDECIDED)`),
+//!    reading headers from a hash of `(node, pid)` on when it holds
+//!    nothing.
+//! 1. **Publish, lock, validate**: publish the redo log (write set with
+//!    old versions and new payloads), then the lease word — the redo is
+//!    written *before* the lease so a lease whose epoch matches the
+//!    header certifies a complete redo; **lock the write set** in
+//!    ascending record order (CAS each version word from its expected
+//!    version to the lock word); **validate the read set** (a one-word
+//!    read of the version word per read-but-not-written record, which
+//!    must still carry the version observed by [`Txn::read`]; write-set
+//!    records are validated by the lock CAS itself). If any lock CAS
+//!    lost, the ones that won are CASed back and the transaction aborts
+//!    — it never waits while holding a lock, which is what keeps
+//!    ascending-order locking deadlock-free.
+//! 2. **Decide, apply, release, keep**: CAS the slot header `UNDECIDED
+//!    -> COMMITTED` — this single word is the transaction's atomic
+//!    commit point — then, in the same chain, write every staged
+//!    payload, write `old_version + 2` over each lock word, and CAS the
+//!    header `COMMITTED@e -> UNDECIDED@(e+1)`: the slot is the
+//!    committer's again, for its next transaction, only after every lock
+//!    word referencing epoch `e` is gone. The decide's outcome is read
+//!    from the chain's results. Nothing behind it waits for it, which is
+//!    safe for the reason the payload writes were always safe: a decide
+//!    can only lose to a scavenger, and a scavenger only acts on an
+//!    expired lease — the own-lease re-check is the last statement
+//!    before the chain is posted. A decide that lost anyway (the lease
+//!    ran out between that check and the NIC executing the chain, the
+//!    window the blind payload writes have always had) reports
+//!    [`TxnError::Indeterminate`], never a clean conflict.
 //!
 //! A read-only transaction takes no slot and no lock: one chain of
 //! validating word reads, no atomic at all. Every abort path is one
 //! chain too: locks CAS back to their old versions, the slot is
-//! finalized `ABORTED` and drained.
+//! finalized `ABORTED` and kept (`ABORTED@e -> UNDECIDED@(e+1)`).
+//!
+//! # The kept slot
+//!
+//! After a commit or an abort the handle remembers `(slot, header it
+//! left, expiry of the lease that commit ran under)`. The slot sits
+//! `UNDECIDED@(e+1)` while its lease word still says epoch `e`: that
+//! pair *is* the kept, idle state, no header state of its own. While
+//! the lease is live nobody may touch the slot, and the next commit
+//! starts on it at once; its lock chain publishes the redo and lease of
+//! epoch `e+1`. Those writes are blind, so the owner trusts a kept slot
+//! for the first half of the lease only — starting them inside the lease
+//! and landing them past it takes a stall of half a lease, not of
+//! nothing. After that it re-claims with one blind CAS from the header
+//! it left (a miss returns the fresh header, so it costs no verb a read
+//! would not have).
+//!
+//! The scavenger — a claimer that found the whole ring busy — learns one
+//! rule for it: a slot whose lease word carries the header's epoch *or
+//! the one before it* and has expired is abandoned; steal-abort and
+//! settle it like any other. A kept slot's stale redo names no lock word
+//! of epoch `e+1`, so settling it touches no record. A claim bumps the
+//! epoch by 2, never 1: a just-claimed slot whose owner has not yet
+//! published its lease is therefore never mistaken for a kept one.
+//!
+//! The bound this introduces: a table serves `slots` handles at full
+//! speed. Handle `slots + 1` finds every slot kept and gets one when an
+//! owner has gone quiet (or away) for a lease: it waits out at most that
+//! lease, scavenges the slot, and the handle it took it from pays one
+//! failed CAS and claims again. An owner that never pauses for a lease
+//! never loses its slot, so size `slots` for the handles that commit
+//! read-write transactions concurrently (32 by default).
 //!
 //! # Which verb where
 //!
 //! The home node runs no code, but its NIC's request engine serves
 //! every verb, and an atomic holds it six times as long as a read or a
 //! write (`rnic::CostModel`: 180 ns, + 900 ns `atomic_extra_ns`). So
-//! atomics are kept for the places where a race is *decided* — claim,
-//! lock, decide, drain, and everything abort and recovery do — and the
-//! two places that only *observe* or *publish* use plain verbs: 5
-//! atomics for an uncontended read-2-write-2 commit, none for a
+//! atomics are kept for the places where a race is *decided* — lock,
+//! decide, keep, the occasional claim, and everything abort and recovery
+//! do — and the two places that only *observe* or *publish* use plain
+//! verbs: 4 atomics for an uncontended read-2-write-2 commit, none for a
 //! read-only one.
 //!
 //! * Validation observes. An aligned one-word read is executed as a
@@ -82,6 +125,14 @@
 //!   before the chain guards both. The version writes follow *all*
 //!   payload writes (an RC QP executes in order), so a reader that sees
 //!   `old + 2` sees the payload under it.
+//! * The keep-slot CAS stays an atomic and stays last. An atomic,
+//!   because a recoverer that judged the lease expired may have drained
+//!   the slot and a new owner claimed it: a blind header write would
+//!   take the slot back from under them. Last, because the slot may only
+//!   change epoch once no lock word names the old one, and because a
+//!   chain's retry resumes at the atomic that lost its ack: with nothing
+//!   behind it, a lost keep-slot ack re-lands no payload or version
+//!   write.
 //! * Abort and recovery keep CAS: `abort_own` runs without a lease
 //!   re-check (a scavenger may have rolled a lock back and a later
 //!   committer re-locked the record — a blind write would clobber that
@@ -102,8 +153,9 @@
 //! Leases are **host-wall** milliseconds (simnet virtual clocks are
 //! per-thread and unsynchronized, so they cannot order a crashed
 //! committer against its recoverer). A live committer re-checks its own
-//! lease before applying; once expired it stops touching the table and
-//! reports [`TxnError::Indeterminate`] — recovery owns the outcome.
+//! lease before it posts the deciding chain; once expired it stops
+//! touching the table and reports [`TxnError::Indeterminate`] — recovery
+//! owns the outcome.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -216,6 +268,12 @@ fn now_ms() -> u64 {
     base.elapsed().as_millis() as u64 + 1
 }
 
+/// The header a transaction of `epoch` leaves on the slot it keeps:
+/// the next epoch, undecided, under the lease word of this one.
+fn kept_hdr(epoch: u64) -> u64 {
+    ((epoch + 1) << 4) | S_UNDECIDED
+}
+
 fn lock_word(slot: u16, epoch: u64, expiry_ms: u64) -> u64 {
     1 | ((slot as u64) << 1) | ((expiry_ms & 0xffff_ffff) << 17) | ((epoch & 0x7fff) << 49)
 }
@@ -236,8 +294,14 @@ fn lock_epoch15(w: u64) -> u64 {
     w >> 49
 }
 
+/// Whether a lease that runs until `expiry_ms` (low 32 bits of
+/// [`now_ms`]) is over.
+fn expired(expiry_ms: u64) -> bool {
+    (now_ms() & 0xffff_ffff) > expiry_ms
+}
+
 fn lock_expired(w: u64) -> bool {
-    (now_ms() & 0xffff_ffff) > lock_expiry(w)
+    expired(lock_expiry(w))
 }
 
 /// Where a handle starts looking for a claimable slot: a mixing hash
@@ -272,8 +336,9 @@ pub enum CrashPoint {
     /// Crash after locking the write set, before deciding (recovery
     /// must steal-abort and roll back).
     AfterLock,
-    /// Crash right after the commit-point CAS, before any apply
-    /// (recovery must roll forward from the redo).
+    /// Crash right after the commit-point CAS, before any apply: the
+    /// deciding chain is cut after its first op (recovery must roll
+    /// forward from the redo).
     AfterDecide,
     /// Crash after applying the first payload (recovery completes the
     /// partially applied write set).
@@ -282,6 +347,27 @@ pub enum CrashPoint {
     /// and readable, the rest still locked (recovery settles the
     /// remainder from the redo).
     MidRelease,
+}
+
+/// What one [`TxnTable`] handle did, counted on the handle itself (no
+/// verb, no virtual time): the per-handle view beside the kernel-wide
+/// `txn_*` gauges of `lt_stats()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TableStats {
+    /// Transactions this handle committed.
+    pub commits: u64,
+    /// Transactions this handle aborted (conflicts, explicit aborts and
+    /// indeterminate outcomes, as `txn_aborts` counts them).
+    pub aborts: u64,
+    /// Read-write commits that started on the slot the previous one
+    /// kept: no claim verb.
+    pub claims_kept: u64,
+    /// Read-write commits that claimed a slot with a header CAS (the
+    /// first on a handle, or one that no longer trusted its kept slot).
+    pub claims_cas: u64,
+    /// Expired slots of other committers this handle settled while
+    /// looking for one to claim.
+    pub slots_scavenged: u64,
 }
 
 /// A versioned record table inside one LMR, shared by name.
@@ -294,9 +380,11 @@ pub struct TxnTable {
     slot_size: u64,
     /// Offset of record 0.
     rec_base: u64,
-    /// The slot this handle last drained and the header it left there:
-    /// the next commit claims it with one blind CAS.
-    last_slot: Cell<Option<(u16, u64)>>,
+    /// The slot this handle kept, the header it left there and how long
+    /// it may trust that ([`TxnTable::keep`]): until then the next commit
+    /// starts on it with no verb, after that with one blind CAS.
+    last_slot: Cell<Option<(u16, u64, u64)>>,
+    stats: Cell<TableStats>,
     log: Option<Arc<TxnLog>>,
 }
 
@@ -311,6 +399,7 @@ impl TxnTable {
             slot_size,
             rec_base: META_LEN + spec.slots as u64 * slot_size,
             last_slot: Cell::new(None),
+            stats: Cell::default(),
             log: None,
         }
     }
@@ -375,6 +464,17 @@ impl TxnTable {
     /// The table's shape.
     pub fn spec(&self) -> &TableSpec {
         &self.spec
+    }
+
+    /// This handle's own counters.
+    pub fn stats(&self) -> TableStats {
+        self.stats.get()
+    }
+
+    fn count(&self, bump: impl FnOnce(&mut TableStats)) {
+        let mut stats = self.stats.get();
+        bump(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Arms serializability recording: every commit/abort through this
@@ -606,18 +706,52 @@ impl TxnTable {
         Ok(())
     }
 
-    /// Claims a decision slot: `(slot, epoch)` with the header now
-    /// `(epoch, UNDECIDED)`. Scavenges expired slots when the ring is
-    /// exhausted.
+    /// One claim CAS on slot `s` from the header `hdr`: the epoch the slot
+    /// now runs at, `UNDECIDED` and this handle's to decide — or the
+    /// header found there instead.
+    fn try_claim(
+        &self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        s: u16,
+        hdr: u64,
+    ) -> TxnResult<Result<u64, u64>> {
+        // By 2: a lease word never carries an epoch above its header's,
+        // so a claimed slot is at least two epochs ahead of its lease
+        // until its owner publishes one. One ahead is the mark of a
+        // *kept* slot, which a scavenger may take.
+        let epoch = (hdr >> 4) + 2;
+        let seen = h.lt_cmp_swap(
+            ctx,
+            self.lh,
+            self.slot_off(s),
+            hdr,
+            (epoch << 4) | S_UNDECIDED,
+        )?;
+        if seen != hdr {
+            return Ok(Err(seen));
+        }
+        self.count(|c| c.claims_cas += 1);
+        Ok(Ok(epoch))
+    }
+
+    /// Claims a decision slot: `(slot, epoch)` with the header
+    /// `(epoch, UNDECIDED)`. A kept slot still trusted is returned as it
+    /// stands; anything else costs a header CAS. Scavenges expired slots
+    /// when the ring is exhausted.
     fn claim_slot(&self, h: &mut LiteHandle, ctx: &mut Ctx) -> TxnResult<(u16, u64)> {
         let slots = self.spec.slots as u64;
-        let claim = |hdr: u64| (((hdr >> 4) + 1) << 4) | S_UNDECIDED;
-        // Start at the slot this handle drained last, CASing the header
-        // it left there without reading it first: the common case is one
-        // verb, and a miss costs no verb a read would not have — the
-        // failed CAS's return value *is* the fresh header.
+        // Start at the slot this handle kept. Once it is no longer
+        // trusted a scavenger may have taken it, so CAS the header left
+        // there without reading it first: the common case is one verb, and a miss costs no verb
+        // a read would not have — the failed CAS's return value *is* the
+        // fresh header.
         let (start, mut guess) = match self.last_slot.take() {
-            Some((s, hdr)) => (s, Some(hdr)),
+            Some((s, hdr, trusted_ms)) if !expired(trusted_ms) => {
+                self.count(|c| c.claims_kept += 1);
+                return Ok((s, hdr >> 4));
+            }
+            Some((s, hdr, _)) => (s, Some(hdr)),
             None => (start_slot(h.node(), h.pid(), self.spec.slots), None),
         };
         for pass in 0..3u32 {
@@ -625,31 +759,32 @@ impl TxnTable {
                 let s = ((start as u64 + i) % slots) as u16;
                 let off = self.slot_off(s);
                 let hdr = match guess.take() {
-                    Some(g) => {
-                        let seen = h.lt_cmp_swap(ctx, self.lh, off, g, claim(g))?;
-                        if seen == g {
-                            return Ok((s, (g >> 4) + 1));
-                        }
-                        seen
-                    }
+                    Some(g) => match self.try_claim(h, ctx, s, g)? {
+                        Ok(epoch) => return Ok((s, epoch)),
+                        Err(seen) => seen,
+                    },
                     None => self.read_word(h, ctx, off)?,
                 };
                 let (epoch, state) = (hdr >> 4, hdr & 0xf);
                 if state == S_FREE || state == S_DRAINED {
-                    if h.lt_cmp_swap(ctx, self.lh, off, hdr, claim(hdr))? == hdr {
-                        return Ok((s, epoch + 1));
+                    if let Ok(epoch) = self.try_claim(h, ctx, s, hdr)? {
+                        return Ok((s, epoch));
                     }
                     continue;
                 }
                 if pass > 0 {
                     // Ring exhausted once already: scavenge expired
-                    // slots (lease epoch must match the header's, or
-                    // the owner hasn't published its lease yet).
+                    // slots. A lease vouches for the header epoch it was
+                    // published under (a commit in flight) and for the
+                    // next one, which the keep-slot CAS moved the header
+                    // to (a kept, idle slot); an older lease means the
+                    // owner has not published its own yet.
                     let lease = self.read_word(h, ctx, off + 8)?;
-                    if (lease & 0xffff) == (epoch & 0xffff)
-                        && (now_ms() & 0xffff_ffff) > (lease >> 16) & 0xffff_ffff
+                    if epoch.wrapping_sub(lease) & 0xffff <= 1
+                        && expired((lease >> 16) & 0xffff_ffff)
                     {
                         self.settle_slot(h, ctx, s, hdr)?;
+                        self.count(|c| c.slots_scavenged += 1);
                     }
                 }
             }
@@ -677,34 +812,49 @@ impl TxnTable {
     /// (`(rec, old version)` each) back, finalize its slot `ABORTED`
     /// (the steal-abort CAS cannot fail against ourselves unless a
     /// scavenger beat us to it — either way the slot ends settled), and
-    /// drain it. Draining unread is safe here, unlike in recovery: this
-    /// transaction never decided, so nobody rolls it forward, and every
-    /// lock word it placed is in `locked` — whichever of them a
-    /// recoverer already rolled back just fails its CAS.
+    /// keep it for the next transaction. Moving the slot on unread is
+    /// safe here, unlike in recovery: this transaction never decided, so
+    /// nobody rolls it forward, and every lock word it placed is in
+    /// `locked` — whichever of them a recoverer already rolled back just
+    /// fails its CAS.
     fn abort_own(
         &self,
         h: &mut LiteHandle,
         ctx: &mut Ctx,
-        (slot, epoch): (u16, u64),
-        lw: u64,
+        (slot, epoch, expiry): (u16, u64, u64),
         locked: &[(u64, u64)],
     ) -> TxnResult<()> {
         let hdr = |state: u64| (epoch << 4) | state;
-        let off = self.slot_off(slot);
+        let (off, lw) = (self.slot_off(slot), lock_word(slot, epoch, expiry));
         let cas = |off, expect, new| ChainOp::CmpSwap { off, expect, new };
         let mut ops: Vec<ChainOp> = locked
             .iter()
             .map(|&(rec, old_v)| cas(self.rec_off(rec), lw, old_v))
             .collect();
         ops.push(cas(off, hdr(S_UNDECIDED), hdr(S_ABORTED)));
-        ops.push(cas(off, hdr(S_ABORTED), hdr(S_DRAINED)));
+        ops.push(cas(off, hdr(S_ABORTED), kept_hdr(epoch)));
         let outs = h.lt_chain(ctx, self.lh, &ops)?;
         if old_values(&outs).last() == Some(hdr(S_ABORTED)) {
-            self.last_slot.set(Some((slot, hdr(S_DRAINED))));
+            self.keep(slot, epoch, expiry);
         }
         Ok(())
     }
 
+    /// Remembers the slot a transaction of `epoch` just kept, under the
+    /// lease (until `expiry`) it ran under. Nobody may take the slot
+    /// before that lease is over, but the handle trusts it for the first
+    /// half only: the next commit's redo and lease writes go out blind,
+    /// and a claimer that starts them just inside the lease and lands
+    /// them just past it would write over whoever scavenged the slot in
+    /// between. Half a lease is the stall that takes.
+    fn keep(&self, slot: u16, epoch: u64, expiry: u64) {
+        let trusted_ms = expiry.saturating_sub(self.spec.lease_ms / 2);
+        self.last_slot
+            .set(Some((slot, kept_hdr(epoch), trusted_ms)));
+    }
+
+    /// One finished transaction, into this handle's counters and — when
+    /// armed — the serializability log.
     fn record_txn(
         &self,
         h: &LiteHandle,
@@ -714,6 +864,10 @@ impl TxnTable {
         writes: &BTreeMap<u64, Vec<u8>>,
         outcome: TxnOutcome,
     ) {
+        self.count(|c| match outcome {
+            TxnOutcome::Committed => c.commits += 1,
+            TxnOutcome::Aborted | TxnOutcome::Indeterminate => c.aborts += 1,
+        });
         if let Some(log) = &self.log {
             log.record(TxnOp {
                 proc: proc_id(h.node(), h.pid()),
@@ -790,9 +944,10 @@ impl Txn<'_> {
         h.kernel().note_txn_abort(false);
     }
 
-    /// Commits: locks the write set, validates the read set, decides,
-    /// applies, releases. On [`TxnError::Conflict`] the transaction
-    /// aborted cleanly (all locks unwound) and may simply be retried.
+    /// Commits: locks the write set and validates the read set in one
+    /// round trip, decides, applies and releases in a second. On
+    /// [`TxnError::Conflict`] the transaction aborted cleanly (all locks
+    /// unwound) and may simply be retried.
     pub fn commit(self, h: &mut LiteHandle, ctx: &mut Ctx) -> TxnResult<()> {
         self.commit_at(h, ctx, CrashPoint::None)
     }
@@ -866,7 +1021,6 @@ impl Txn<'_> {
             self.reads.insert(rec, (v, payload));
         }
 
-        let expiry = (now_ms() + t.spec.lease_ms) & 0xffff_ffff;
         // Ascending record order (the write set is a BTreeMap).
         let write_list: Vec<(u64, u64, &[u8])> = self
             .writes
@@ -879,6 +1033,10 @@ impl Txn<'_> {
             Err(TxnError::Conflict { .. }) => return fail(&self, h, ctx, false),
             Err(e) => return Err(e),
         };
+        // The lease runs from here, not from before a claim that may have
+        // waited for a slot.
+        let expiry = (now_ms() + t.spec.lease_ms) & 0xffff_ffff;
+        let own = (slot, epoch, expiry);
         let lw = lock_word(slot, epoch, expiry);
         let hdr = |state: u64| (epoch << 4) | state;
         let slot_off = t.slot_off(slot);
@@ -918,7 +1076,7 @@ impl Txn<'_> {
             // abort. Never wait while holding a later lock — that is
             // what keeps ascending-order locking deadlock-free. What the
             // validation probes saw is moot.
-            t.abort_own(h, ctx, (slot, epoch), lw, &locked)?;
+            t.abort_own(h, ctx, own, &locked)?;
             for &cur in lock_seen {
                 if is_locked(cur) && lock_expired(cur) {
                     // A dead committer's lock: settle it now, so the
@@ -932,31 +1090,23 @@ impl Txn<'_> {
             return self.vanish(h, ctx, invoke);
         }
         if !still_valid(read_seen) {
-            t.abort_own(h, ctx, (slot, epoch), lw, &locked)?;
+            t.abort_own(h, ctx, own, &locked)?;
             return fail(&self, h, ctx, true);
         }
 
-        // The commit point: one CAS on the decision slot.
-        let prev = h.lt_cmp_swap(ctx, t.lh, slot_off, hdr(S_UNDECIDED), hdr(S_COMMITTED))?;
-        if prev != hdr(S_UNDECIDED) {
-            // A scavenger steal-aborted us (lease looked expired):
-            // roll back — versions never moved.
-            t.abort_own(h, ctx, (slot, epoch), lw, &locked)?;
-            return fail(&self, h, ctx, false);
-        }
-        if crash == CrashPoint::AfterDecide {
-            return self.vanish(h, ctx, invoke);
-        }
-
-        // Apply, release, drain: one chain. A crash hook that falls
-        // inside it posts the prefix up to the hook and vanishes.
+        // Decide, apply, release, keep the slot: one chain. Its first op
+        // is the commit point, one CAS on the decision slot; nothing
+        // behind it waits for its outcome, which is read from the results
+        // below. A crash hook posts the prefix up to the hook and
+        // vanishes.
         // The releases are plain writes of `old + 2` over our own lock
         // words, posted after *every* payload write: the responder
         // executes a chain in order, so whoever sees a new version sees
         // the payload under it. Blind like the payload writes, and safe
-        // for the same reason — the lease check below. The drain is the
-        // chain's only atomic and its last op, so a lost ack resumes at
-        // the drain and re-lands nothing.
+        // for the same reason — the lease check below, which is also what
+        // keeps a scavenger from deciding in our place. The keep-slot CAS
+        // is the chain's last op, so a lost ack resumes at it alone and
+        // re-lands nothing.
         let released: Vec<[u8; 8]> = write_list
             .iter()
             .map(|&(_, old_v, _)| old_v.wrapping_add(2).to_le_bytes())
@@ -972,26 +1122,32 @@ impl Txn<'_> {
                 off: t.rec_off(rec),
                 data,
             });
-        let mut ops: Vec<ChainOp> = payloads.chain(versions).collect();
-        ops.push(cas(slot_off, hdr(S_COMMITTED), hdr(S_DRAINED)));
+        let mut ops = vec![cas(slot_off, hdr(S_UNDECIDED), hdr(S_COMMITTED))];
+        ops.extend(payloads.chain(versions));
+        ops.push(cas(slot_off, hdr(S_COMMITTED), kept_hdr(epoch)));
         let cut = match crash {
-            CrashPoint::MidApply if w > 1 => Some(1),
-            CrashPoint::MidRelease if w > 1 => Some(w + 1),
+            CrashPoint::AfterDecide => Some(1),
+            CrashPoint::MidApply if w > 1 => Some(2),
+            CrashPoint::MidRelease if w > 1 => Some(w + 2),
             _ => None,
         };
         ops.truncate(cut.unwrap_or(ops.len()));
         // Once our own lease is expired we must stop touching the table
-        // (recovery may already be rolling us forward) and report
-        // indeterminate.
-        if (now_ms() & 0xffff_ffff) > expiry {
+        // (recovery may already be settling us) and report indeterminate.
+        if expired(expiry) {
             return self.vanish(h, ctx, invoke);
         }
         let outs = h.lt_chain(ctx, t.lh, &ops)?;
-        if cut.is_some() {
+        let mut headers = old_values(&outs);
+        // A decide that lost did so to a scavenger, inside the window
+        // between the check above and the chain executing: the writes
+        // behind it went out all the same, so the outcome is recovery's
+        // to tell, not a clean conflict.
+        if cut.is_some() || headers.next() != Some(hdr(S_UNDECIDED)) {
             return self.vanish(h, ctx, invoke);
         }
-        if old_values(&outs).last() == Some(hdr(S_COMMITTED)) {
-            t.last_slot.set(Some((slot, hdr(S_DRAINED))));
+        if headers.last() == Some(hdr(S_COMMITTED)) {
+            t.keep(slot, epoch, expiry);
         }
 
         t.record_txn(

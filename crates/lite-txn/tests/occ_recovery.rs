@@ -130,9 +130,10 @@ fn crash_mid_release_settles_the_rest() {
     assert_eq!(raw.scan(&mut h1, &mut c1), (0, 0));
 }
 
-/// Every atomic of a commit loses its ack once — the drain at the end of
-/// the release chain among them. Each retry must *resume* at the atomic
-/// that lost its ack, not replay its chain from the top: the drain is
+/// Every atomic of a commit loses its ack once — the two locks, the
+/// decide at the head of the second chain, and the keep-slot CAS (the
+/// old drain) at its end. Each retry must *resume* at the atomic that
+/// lost its ack, not replay its chain from the top: the keep-slot CAS is
 /// the last op of its chain, so the version writes ahead of it never
 /// land a second time. A "later committer" on a third node shows the
 /// difference: it locks record 1 the moment the version write releases
@@ -153,10 +154,16 @@ fn lost_drain_ack_resumes_at_the_drain_alone() {
     .unwrap();
     let mut h0 = cluster.attach(0).unwrap();
     let mut c0 = Ctx::new();
-    let (name, table_spec) = ("rec.drain", TableSpec::new(4, 8));
+    // A lease that outlasts the test: the commit under faults starts on
+    // the slot the warm-up kept, with no claim CAS.
+    let table_spec = TableSpec {
+        lease_ms: 60_000,
+        ..TableSpec::new(4, 8)
+    };
+    let name = "rec.drain";
     let t0 = TxnTable::create(&mut h0, &mut c0, 1, name, table_spec).unwrap();
-    // Version 0 -> 2, fault-free: wires the QPs and leaves the handle a
-    // drained slot to claim blind.
+    // Version 0 -> 2, fault-free: wires the QPs and leaves the handle the
+    // slot it keeps.
     let mut warm = t0.begin();
     warm.write(1, &1u64.to_le_bytes()).unwrap();
     warm.write(2, &1u64.to_le_bytes()).unwrap();
@@ -193,8 +200,8 @@ fn lost_drain_ack_resumes_at_the_drain_alone() {
     let dropped = cluster.fabric().fault_stats().ack_drops;
     cluster.fabric().clear_fault_plan();
     later.join().unwrap();
-    assert_eq!(dropped, 5, "claim, two locks, decide, drain");
-    assert_eq!(cluster.kernel(0).stats().retries - before.1, 5);
+    assert_eq!(dropped, 4, "two locks, decide, keep-slot");
+    assert_eq!(cluster.kernel(0).stats().retries - before.1, 4);
 
     let mut h1 = cluster.attach(1).unwrap();
     let mut c1 = Ctx::new();
@@ -206,8 +213,8 @@ fn lost_drain_ack_resumes_at_the_drain_alone() {
     );
     assert_eq!(raw.record(&mut h1, &mut c1, 2), (4, 9));
     // The later committer's own CASes are in this count; the commit's
-    // share is five applies and five deduplicated repeats.
-    assert!(atomics() - before.0 >= 10);
+    // share is four applies and four deduplicated repeats.
+    assert!(atomics() - before.0 >= 8);
     assert_eq!(raw.scan(&mut h1, &mut c1), (1, 0), "only the fake lock");
 }
 
@@ -327,6 +334,173 @@ fn live_lock_is_not_stolen_before_expiry() {
     assert_eq!((a, b), (7, 9));
 }
 
+/// One read-modify-write of `rec` (+1) through `t`; the commit's result.
+fn bump(t: &TxnTable, h: &mut lite::LiteHandle, ctx: &mut Ctx, rec: u64) -> Result<(), TxnError> {
+    let mut w = t.begin();
+    let cur = u64s(&w.read(h, ctx, rec)?);
+    w.write(rec, &(cur + 1).to_le_bytes())?;
+    w.commit(h, ctx)
+}
+
+/// A cluster with `n` handles (nodes 0 and 1 in turn) on a fresh
+/// `slots`-slot table mastered on node 1.
+#[allow(clippy::type_complexity)]
+fn handles_on(
+    name: &str,
+    table_spec: TableSpec,
+    n: usize,
+) -> (Arc<LiteCluster>, Vec<(lite::LiteHandle, Ctx, TxnTable)>) {
+    let cluster = start();
+    let ends = (0..n)
+        .map(|i| {
+            let mut h = cluster.attach(i % 2).unwrap();
+            let mut ctx = Ctx::new();
+            let t = if i == 0 {
+                TxnTable::create(&mut h, &mut ctx, 1, name, table_spec).unwrap()
+            } else {
+                TxnTable::open(&mut h, &mut ctx, name).unwrap()
+            };
+            (h, ctx, t)
+        })
+        .collect();
+    (cluster, ends)
+}
+
+#[test]
+fn kept_slot_of_a_vanished_handle_is_scavenged() {
+    // Two handles commit once each and go away: both slots of the ring
+    // are left kept — UNDECIDED, with nobody to decide them. Once the
+    // leases they were kept under run out they are anybody's.
+    let table_spec = TableSpec {
+        slots: 2,
+        lease_ms: 15,
+        ..TableSpec::new(4, 8)
+    };
+    let name = "rec.vanished";
+    let (_cluster, mut ends) = handles_on(name, table_spec, 4);
+    let (mut h2, mut c2, t2) = ends.pop().unwrap();
+    let (mut h3, mut c3, t3) = ends.pop().unwrap();
+    for (h, ctx, t) in &mut ends {
+        bump(t, h, ctx, 0).unwrap();
+    }
+    let raw = Raw::of(&mut h2, &mut c2, name, &table_spec);
+    assert!(raw.kept(&mut h2, &mut c2, 0) && raw.kept(&mut h2, &mut c2, 1));
+    drop(ends);
+
+    expire_lease();
+    bump(&t2, &mut h2, &mut c2, 0).unwrap();
+    assert_eq!(t2.stats().slots_scavenged, 2);
+    // Both are reusable: one is this handle's now, the other takes a
+    // second committer while that one's lease is live.
+    bump(&t3, &mut h3, &mut c3, 0).unwrap();
+    assert_eq!((t3.stats().slots_scavenged, t3.stats().claims_cas), (0, 1));
+    assert!(raw.kept(&mut h2, &mut c2, 0) && raw.kept(&mut h2, &mut c2, 1));
+    assert_eq!(raw.record(&mut h2, &mut c2, 0), (8, 4));
+    assert_eq!(raw.scan(&mut h2, &mut c2), (0, 0));
+}
+
+#[test]
+fn expired_keep_falls_back_to_the_claim_cas() {
+    let table_spec = TableSpec {
+        slots: 2,
+        lease_ms: 100,
+        ..TableSpec::new(4, 8)
+    };
+    let name = "rec.expired";
+    let (cluster, mut ends) = handles_on(name, table_spec, 3);
+    // The scavenger sits on the home node; the two owners' verbs all
+    // cross its NIC, where they are counted.
+    let (mut hc, mut cc, tc) = ends.remove(1);
+    let raw = Raw::of(&mut hc, &mut cc, name, &table_spec);
+    let atomics = || cluster.kernel(1).lt_stats().nic.atomic_ops;
+    let idle = || std::thread::sleep(Duration::from_millis(150));
+
+    // An owner that idles past its lease no longer trusts its slot: the
+    // next commit re-claims it with exactly one CAS from the header it
+    // left, the epoch bumped, on top of the steady state's three (one
+    // lock, decide, keep).
+    let (ha, ca, ta) = &mut ends[0];
+    bump(ta, ha, ca, 0).unwrap();
+    let a = (0..2).find(|&s| raw.kept(&mut hc, &mut cc, s)).unwrap();
+    let left = raw.slot(&mut hc, &mut cc, a).0;
+    idle();
+    let before = atomics();
+    bump(ta, ha, ca, 0).unwrap();
+    assert_eq!(atomics() - before, 4);
+    assert_eq!((ta.stats().claims_cas, ta.stats().claims_kept), (2, 0));
+    let now = raw.slot(&mut hc, &mut cc, a).0;
+    assert!(raw.kept(&mut hc, &mut cc, a) && now >> 4 > (left >> 4) + 1);
+    // Inside the lease the same slot costs no claim at all.
+    let before = atomics();
+    bump(ta, ha, ca, 0).unwrap();
+    assert_eq!(atomics() - before, 3);
+
+    // Now a scavenger takes it meanwhile. A second owner fills the ring,
+    // both idle out, and a third handle scavenges both and keeps one.
+    let (hb, cb, tb) = &mut ends[1];
+    bump(tb, hb, cb, 1).unwrap();
+    idle();
+    bump(&tc, &mut hc, &mut cc, 2).unwrap();
+    assert_eq!(tc.stats().slots_scavenged, 2);
+    let taken = (0..2).find(|&s| raw.kept(&mut hc, &mut cc, s)).unwrap();
+    // The slot's old owner comes back: its blind CAS loses to the new
+    // owner's header, it claims the other slot, and not a word of the new
+    // owner's header, lease or redo is overwritten.
+    let (h, ctx, t) = &mut ends[if taken == a { 0 } else { 1 }];
+    let words = |h: &mut lite::LiteHandle, ctx: &mut Ctx| {
+        let off = raw.slot_off(taken);
+        (0..raw.slot_size / 8)
+            .map(|i| raw.word(h, ctx, off + i * 8))
+            .collect::<Vec<_>>()
+    };
+    let theirs = words(&mut hc, &mut cc);
+    let (before, claims) = (atomics(), t.stats().claims_cas);
+    bump(t, h, ctx, 3).unwrap();
+    assert_eq!(atomics() - before, 5, "lost CAS, claim, lock, decide, keep");
+    assert_eq!(t.stats().claims_cas, claims + 1);
+    assert_eq!(words(&mut hc, &mut cc), theirs);
+    assert!(raw.kept(&mut hc, &mut cc, 1 - taken));
+    assert_eq!(raw.scan(&mut hc, &mut cc), (0, 0));
+}
+
+#[test]
+fn more_handles_than_slots_all_commit() {
+    // Four handles take turns on a two-slot ring: whoever holds no slot
+    // waits out a lease, scavenges one, and the handle it took it from
+    // does the same on its next turn. Everybody finishes, nothing is
+    // lost, and the history is serializable.
+    let table_spec = TableSpec {
+        slots: 2,
+        lease_ms: 10,
+        ..TableSpec::new(4, 8)
+    };
+    const ROUNDS: u64 = 4;
+    let (_cluster, mut ends) = handles_on("rec.crowd", table_spec, 4);
+    let log = Arc::new(TxnLog::new());
+    for (_, _, t) in &mut ends {
+        t.arm_txn_log(log.clone());
+    }
+    for _ in 0..ROUNDS {
+        for (h, ctx, t) in &mut ends {
+            lite_txn::with_txn_retry(h, ctx, 1_000, |h, ctx| bump(t, h, ctx, 0)).unwrap();
+        }
+    }
+    let (h, ctx, t) = &mut ends[0];
+    let mut r = t.begin();
+    assert_eq!(u64s(&r.read(h, ctx, 0).unwrap()), 4 * ROUNDS);
+    r.commit(h, ctx).unwrap();
+    let scavenged: u64 = ends.iter().map(|(_, _, t)| t.stats().slots_scavenged).sum();
+    assert!(scavenged > 0, "four handles never fit two slots");
+    let out = log.take().check();
+    assert!(out.is_serializable(), "{:?}", out.violation);
+    assert_eq!(out.committed as u64, 4 * ROUNDS + 1);
+}
+
+/// Whether a slot's `(header, lease word)` say kept and idle.
+fn is_kept((hdr, lease): (u64, u64)) -> bool {
+    hdr & 0xf == 1 && (hdr >> 4).wrapping_sub(lease) & 0xffff == 1
+}
+
 /// Raw view of a table's LMR (layout from `lite_txn::table`'s module
 /// docs).
 struct Raw {
@@ -362,14 +536,33 @@ impl Raw {
         (self.word(h, ctx, off), self.word(h, ctx, off + 8))
     }
 
-    /// `(records whose version word is a lock word, slots left
-    /// UNDECIDED or COMMITTED)`.
+    fn slot_off(&self, s: u64) -> u64 {
+        64 + s * self.slot_size
+    }
+
+    /// `(header, lease word)` of slot `s`.
+    fn slot(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx, s: u64) -> (u64, u64) {
+        let off = self.slot_off(s);
+        (self.word(h, ctx, off), self.word(h, ctx, off + 8))
+    }
+
+    /// Whether slot `s` is kept and idle: UNDECIDED, one epoch ahead of
+    /// the lease word its owner's last transaction published.
+    fn kept(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx, s: u64) -> bool {
+        is_kept(self.slot(h, ctx, s))
+    }
+
+    /// `(records whose version word is a lock word, slots stuck
+    /// mid-commit: COMMITTED, or UNDECIDED and not just kept)`.
     fn scan(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx) -> (u64, u64) {
         let locked = (0..self.spec.records)
             .filter(|&r| self.record(h, ctx, r).0 & 1 == 1)
             .count() as u64;
         let busy = (0..self.spec.slots as u64)
-            .filter(|s| matches!(self.word(h, ctx, 64 + s * self.slot_size) & 0xf, 1 | 2))
+            .filter(|&s| {
+                let slot = self.slot(h, ctx, s);
+                matches!(slot.0 & 0xf, 1 | 2) && !is_kept(slot)
+            })
             .count() as u64;
         (locked, busy)
     }

@@ -214,7 +214,15 @@ fn concurrent_access_survives_live_migration() {
             let mut h = cluster.attach(t).unwrap();
             let mut ctx = Ctx::new();
             let lh = h.lt_map(&mut ctx, "mm.churn").unwrap();
-            for i in 0..150u32 {
+            // The sweeper ticks on host time: keep writing until it has
+            // migrated something under the writers (a release build gets
+            // through 150 rounds before its first tick), but not forever.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let churned = || cluster.kernel(0).mm_stats().evictions > 0;
+            for i in 0u32.. {
+                if i >= 150 && (churned() || Instant::now() > deadline) {
+                    break;
+                }
                 let off = (t * 32 * 1024) as u64 + u64::from(i % 64) * 256;
                 let tag = [(t as u8) << 4 | (i % 16) as u8; 64];
                 h.lt_write(&mut ctx, lh, off, &tag).unwrap();

@@ -63,10 +63,15 @@ impl Cq {
 
     /// Hardware side: deposits a completion.
     pub fn push(&self, wc: Wc) {
-        let mut q = self.q.lock();
-        let seq = q.1;
-        q.1 += 1;
-        q.0.push(Entry(Reverse((wc.ready_at, seq)), wc));
+        {
+            let mut q = self.q.lock();
+            let seq = q.1;
+            q.1 += 1;
+            q.0.push(Entry(Reverse((wc.ready_at, seq)), wc));
+        }
+        // Outside the lock: a poller woken while it is still held would
+        // block on it at once, two context switches for nothing. No wakeup
+        // is lost: a poller checks the heap and parks under the lock.
         self.cv.notify_all();
     }
 

@@ -1,13 +1,14 @@
 //! Golden virtual-time values: what one context pays, per call, at each
-//! public entry point of a default 2-node cluster. These are the `.vns`
-//! rows of the benchmark's ladder (`benchmark/src/ladder.rs`), asserted
-//! exactly: the model is deterministic for one context, so a change meant
-//! only to make the simulator cheaper to run (the host clock) that moves
-//! any of them has changed the model, and fails here before it reaches
-//! the benchmark.
+//! public entry point of a default 2-node cluster (4 nodes under the
+//! lite-txn rows). These are the `.vns` rows of the benchmark's ladder
+//! (`benchmark/src/ladder.rs`), asserted exactly: the model is
+//! deterministic for one context, so a change meant only to make the
+//! simulator cheaper to run (the host clock) that moves any of them has
+//! changed the model, and fails here before it reaches the benchmark.
 
 use lite::{Chunk, LiteCluster, LiteError, LiteHandle, Op, Perm, Priority, USER_FUNC_MIN};
 use lite_log::LiteLog;
+use lite_txn::{TableSpec, TxnTable};
 use simnet::Ctx;
 
 /// Untimed calls first: lazy QP and ring wiring, warm NIC caches.
@@ -143,4 +144,52 @@ fn per_call_virtual_costs_are_the_published_ones() {
         log.commit(&mut user, ctx, &[&entry]).unwrap();
     });
     assert_eq!(commits, 7_944 * calls, "LiteLog::commit 16 B");
+
+    // lite-txn, on the benchmark's shape: 4 nodes, the table mastered on
+    // the last. `commit` alone is timed; the two reads before it are not.
+    // A read-only commit is one chain of two word reads. A steady-state
+    // read-2-write-2 commit is two chains on the slot the handle keeps —
+    // [redo, lease, lock, lock] and [decide, payload x 2, version x 2,
+    // keep-slot] — so a third round trip (it was 13 942 ns with a claim
+    // CAS before them and the decide between them) fails here.
+    let cluster = LiteCluster::start(4).unwrap();
+    let mut user = cluster.attach(0).unwrap();
+    let spec = TableSpec {
+        // Host-wall: no stall between two commits may outlast it.
+        lease_ms: 60_000,
+        ..TableSpec::new(64, 8)
+    };
+    let table = TxnTable::create(&mut user, &mut ctx, 3, "golden.txn", spec).unwrap();
+    let verbs = || -> u64 {
+        (0..4)
+            .map(|n| cluster.fabric().nic(n).stats())
+            .map(|s| s.one_sided_ops + s.send_ops)
+            .sum()
+    };
+    // `(virtual ns inside commit, verbs of the whole transactions)` over
+    // `CALLS` transactions, after `WARM` untimed ones.
+    let mut txns = |writes: bool| {
+        let (mut vns, mut verbs_before) = (0, 0);
+        for i in 0..WARM + CALLS {
+            if i == WARM {
+                (vns, verbs_before) = (0, verbs());
+            }
+            let (a, b) = ((i % 64) as u64, ((i + 1) % 64) as u64);
+            let mut txn = table.begin();
+            let va = txn.read(&mut user, &mut ctx, a).unwrap();
+            let vb = txn.read(&mut user, &mut ctx, b).unwrap();
+            if writes {
+                txn.write(a, &vb).unwrap();
+                txn.write(b, &va).unwrap();
+            }
+            let start = ctx.now();
+            txn.commit(&mut user, &mut ctx).unwrap();
+            vns += ctx.now() - start;
+        }
+        (vns, verbs() - verbs_before)
+    };
+    assert_eq!(txns(false).0, 2_328 * calls, "Txn::commit read-only");
+    let (vns, issued) = txns(true);
+    assert_eq!(vns, 8_152 * calls, "Txn::commit read-2-write-2");
+    assert_eq!(issued, 12 * calls, "verbs per read-2-write-2: 2 + 4 + 6");
 }
