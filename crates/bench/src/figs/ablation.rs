@@ -197,8 +197,8 @@ pub fn ablation_qp_factor(full: bool) -> Vec<Row> {
 
 /// Ablation: doorbell-batched posting through the shared datapath.
 ///
-/// With `batch_posting` on, multi-extent writes (`rdma_write_vec`
-/// behind `lt_write` across LMR chunks) and the RPC reply's
+/// With `batch_posting` on, multi-extent writes (`lt_write` across LMR
+/// chunks: one verb per piece in `chain_pieces`) and the RPC reply's
 /// head-release + data pair go out as one `Nic::post_chain` doorbell chain —
 /// one host post and one QP-context touch per chain instead of per
 /// work request. Off, the same chains degrade to element-at-a-time

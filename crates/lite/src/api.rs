@@ -25,24 +25,34 @@
 //! | `LT_test-set`    | [`LiteHandle::lt_test_set`]              |
 //! | `LT_cmp-swap`    | [`LiteHandle::lt_cmp_swap`] (general CAS; `lt_test_set` delegates) |
 //! | (extension)      | [`LiteHandle::lt_chain`]: ordered write/read/fetch-add/cmp-swap ops on one LMR, one doorbell, one wait |
+//!
+//! `lt_write`, `lt_read`, `lt_fetch_add`, `lt_test_set` and `lt_cmp_swap`
+//! are `lt_chain`s of one op: all six run the same body
+//! (`one_sided` → `chain_pieces`), so the paper's one indirection — lh →
+//! permission check → address mapping → verb (§4.2) — is written once.
+//! The file is four mechanisms (DESIGN.md §5.2): `syscall` (the crossing,
+//! on every path), `heal` (the tiering retry on `Relocated`), that
+//! one-sided body, and the kernel-service stubs (`k_*`, defined beside
+//! their handlers in `kernel/msg.rs`) under everything that is an RPC to
+//! a kernel.
 
 use std::sync::Arc;
 
 use rnic::NodeId;
 use simnet::{Ctx, Nanos};
-use smem::Chunk;
+use smem::{Chunk, PhysMem};
 
 use crate::error::{LiteError, LiteResult};
-use crate::kernel::datapath::Op;
+use crate::kernel::datapath::{Completion, Op};
 use crate::kernel::{
-    perm_to_byte, LiteKernel, ReplyRoute, FN_BARRIER, FN_FREE_CHUNKS, FN_GRANT, FN_INVALIDATE,
-    FN_LOCK, FN_MALLOC, FN_MAP, FN_MEMCPY, FN_MEMSET, FN_MSG, FN_QUERYNAME, FN_REGNAME,
-    FN_TAKE_RECORD, FN_UNMAP, FN_UNREGNAME, MANAGER_NODE, RPC_META_NS, USER_FUNC_MIN,
+    CallSlot, LiteKernel, ReplyRoute, FN_MSG, LOCK_ABORT, LOCK_ENQUEUE, LOCK_NO_WAITER,
+    LOCK_RELEASE, MANAGER_NODE, RPC_META_NS, USER_FUNC_MIN,
 };
 use crate::lmr::{LhEntry, LmrId, Location, Perm};
 use crate::observe::{EventKind, OpClass, StatsReport};
 use crate::qos::Priority;
-use crate::wire::{Dec, Enc, Imm, MsgHeader, HEADER_BYTES};
+use crate::verify::{fingerprint, HistOp, Key, OpKind};
+use crate::wire::{Imm, MsgHeader, HEADER_BYTES};
 
 /// One user/kernel crossing (§5.2 measures ~0.17 µs for the two
 /// crossings left on the RPC fast path).
@@ -60,6 +70,16 @@ pub struct LockId {
     pub node: NodeId,
     /// Physical address of the lock word on the owner node.
     pub addr: u64,
+}
+
+impl LockId {
+    /// The lock word's key in the linearizability history.
+    fn key(self) -> Key {
+        Key::Lock {
+            node: self.node,
+            addr: self.addr,
+        }
+    }
 }
 
 /// An opaque LITE handle to an LMR (the paper's `lh`).
@@ -125,11 +145,14 @@ pub enum ChainOut {
     Value(u64),
 }
 
-/// A physical scratch region owned by a handle.
+/// A physical scratch region owned by a handle; none yet while `cap`
+/// is 0.
 struct Scratch {
     addr: u64,
     cap: usize,
 }
+
+const NO_SCRATCH: Scratch = Scratch { addr: 0, cap: 0 };
 
 /// One process's LITE endpoint.
 pub struct LiteHandle {
@@ -140,35 +163,29 @@ pub struct LiteHandle {
     staging: Scratch,
     reply: Scratch,
     /// Reply cells for multicast calls, one `max_reply`-sized cell per
-    /// destination, allocated lazily on the first multicast. Persistent
+    /// destination, allocated by the first multicast. Persistent
     /// like [`LiteHandle::reply`] (never freed while the handle lives):
     /// a straggler reply landing after a slot timeout scribbles scratch
     /// this handle owns, never allocator memory someone else reused.
-    mcast_reply: Option<Scratch>,
+    mcast_reply: Scratch,
 }
 
 const INIT_SCRATCH: usize = 64 * 1024;
 
 impl LiteHandle {
     pub(crate) fn new(kernel: Arc<LiteKernel>, user_level: bool) -> LiteResult<Self> {
-        let pid = kernel.alloc_pid();
-        let staging = Scratch {
-            addr: kernel.alloc.lock().alloc(INIT_SCRATCH as u64)?,
-            cap: INIT_SCRATCH,
-        };
-        let reply = Scratch {
-            addr: kernel.alloc.lock().alloc(INIT_SCRATCH as u64)?,
-            cap: INIT_SCRATCH,
-        };
-        Ok(LiteHandle {
+        let mut handle = LiteHandle {
+            pid: kernel.alloc_pid(),
             kernel,
-            pid,
             user_level,
             prio: Priority::High,
-            staging,
-            reply,
-            mcast_reply: None,
-        })
+            staging: NO_SCRATCH,
+            reply: NO_SCRATCH,
+            mcast_reply: NO_SCRATCH,
+        };
+        Self::ensure(&handle.kernel, &mut handle.staging, 1)?;
+        Self::ensure(&handle.kernel, &mut handle.reply, 1)?;
+        Ok(handle)
     }
 
     /// The node this handle lives on.
@@ -232,8 +249,8 @@ impl LiteHandle {
     /// computed only for an armed log.
     fn record_hist(
         &self,
-        key: crate::verify::Key,
-        kind: impl FnOnce() -> crate::verify::OpKind,
+        key: Key,
+        kind: impl FnOnce() -> OpKind,
         ret: u64,
         ok: bool,
         invoke: Nanos,
@@ -242,7 +259,7 @@ impl LiteHandle {
         let Some(log) = self.kernel.observe().and_then(|obs| obs.history().cloned()) else {
             return;
         };
-        log.record(crate::verify::HistOp {
+        log.record(HistOp {
             proc: crate::verify::proc_id(self.kernel.node(), self.pid),
             key,
             kind: kind(),
@@ -261,12 +278,12 @@ impl LiteHandle {
         id: LmrId,
         offset: u64,
         len: usize,
-        kind: impl FnOnce() -> crate::verify::OpKind,
+        kind: impl FnOnce() -> OpKind,
         ok: bool,
         invoke: Nanos,
         response: Nanos,
     ) {
-        let key = crate::verify::Key::Reg {
+        let key = Key::Reg {
             node: id.node,
             idx: id.idx,
             offset,
@@ -279,21 +296,6 @@ impl LiteHandle {
     // syscall model
     // ------------------------------------------------------------------
 
-    fn enter(&self, ctx: &mut Ctx) {
-        if self.user_level {
-            ctx.work(SYSCALL_CROSSING_NS);
-        }
-    }
-
-    fn exit(&self, ctx: &mut Ctx) {
-        // With the §5.2 optimizations the return path is observed through
-        // the shared page — no further crossing. The ablation restores
-        // the full syscall return plus a re-entry to fetch results.
-        if self.user_level && !self.kernel.config.fast_syscalls {
-            ctx.work(2 * SYSCALL_CROSSING_NS);
-        }
-    }
-
     /// Runs `body` as one simulated system call: the crossing in, and the
     /// return on every path — a call that fails still came back from the
     /// kernel.
@@ -302,10 +304,41 @@ impl LiteHandle {
         ctx: &mut Ctx,
         body: impl FnOnce(&mut Self, &mut Ctx) -> LiteResult<T>,
     ) -> LiteResult<T> {
-        self.enter(ctx);
+        if self.user_level {
+            ctx.work(SYSCALL_CROSSING_NS);
+        }
         let result = body(self, ctx);
-        self.exit(ctx);
+        // With the §5.2 optimizations the return path is observed through
+        // the shared page — no further crossing. The ablation restores
+        // the full syscall return plus a re-entry to fetch results.
+        if self.user_level && !self.kernel.config.fast_syscalls {
+            ctx.work(2 * SYSCALL_CROSSING_NS);
+        }
         result
+    }
+
+    /// One synchronization call (§7.2): a syscall whose round trip goes
+    /// into the linearizability history under `key` and, when it
+    /// succeeded and `span` names a class and peer, into that class's
+    /// latency view.
+    fn sync_call(
+        &mut self,
+        ctx: &mut Ctx,
+        key: Key,
+        kind: OpKind,
+        span: Option<(OpClass, NodeId)>,
+        body: impl FnOnce(&mut Self, &mut Ctx) -> LiteResult<()>,
+    ) -> LiteResult<()> {
+        self.syscall(ctx, |this, ctx| {
+            let start = ctx.now();
+            let result = body(this, ctx);
+            let end = ctx.now();
+            this.record_hist(key, || kind, 0, result.is_ok(), start, end);
+            if let (Ok(()), Some((class, peer))) = (&result, span) {
+                this.span(class, peer, start, end);
+            }
+            result
+        })
     }
 
     // ------------------------------------------------------------------
@@ -318,10 +351,12 @@ impl LiteHandle {
         if need <= s.cap {
             return Ok(());
         }
-        let new_cap = need.next_power_of_two();
+        let new_cap = need.max(INIT_SCRATCH).next_power_of_two();
         let mut a = kernel.alloc.lock();
         let new_addr = a.alloc(new_cap as u64)?;
-        a.free(s.addr)?;
+        if s.cap > 0 {
+            a.free(s.addr)?;
+        }
         s.addr = new_addr;
         s.cap = new_cap;
         Ok(())
@@ -336,21 +371,95 @@ impl LiteHandle {
         Ok(self.staging.addr)
     }
 
-    fn unstage(&self, addr: u64, buf: &mut [u8]) -> LiteResult<()> {
-        self.kernel
-            .fabric()
-            .mem(self.kernel.node())
-            .read(addr, buf)?;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // kernel-call plumbing
     // ------------------------------------------------------------------
 
+    /// The request half of an RPC: reserves ring space at `server`,
+    /// claims a completion slot (none for a one-way message), writes the
+    /// header at the front of `gather` — room for it, then the staged
+    /// input — and posts `gather` as one write-imm (§5.1 step 2). The
+    /// server writes its reply to `reply_at`, `max_reply` bytes at most. A
+    /// failure releases the slot.
+    fn post_request(
+        &self,
+        ctx: &mut Ctx,
+        server: NodeId,
+        func: u8,
+        gather: &[Chunk],
+        (reply_at, max_reply): (u64, usize),
+        oneway: bool,
+    ) -> LiteResult<Option<Posted>> {
+        let total = gather.iter().map(|c| c.len as usize).sum();
+        let r = self.kernel.reserve_ring(ctx, server, total as u64)?;
+        let posted = (!oneway).then(|| self.kernel.alloc_slot());
+        let hdr = MsgHeader {
+            func,
+            slot: posted.as_ref().map_or(0, |(id, _)| *id),
+            len: (total - HEADER_BYTES) as u32,
+            reply_addr: reply_at,
+            reply_max: max_reply as u32,
+            src_node: self.kernel.node() as u32,
+            src_pid: self.pid,
+            skip: r.skip as u32,
+        };
+        let mem = self.kernel.fabric().mem(self.kernel.node());
+        let sent = mem
+            .write(gather[0].addr, &hdr.encode())
+            .map_err(LiteError::from)
+            .and_then(|()| {
+                let dst = self.kernel.ring_remote_addr(server, r.offset)?;
+                let imm = Imm::Request {
+                    granule: (r.offset / crate::wire::RING_GRANULE) as u32,
+                };
+                self.kernel
+                    .post_write_imm(ctx, self.prio, server, dst, gather, total, imm)
+            });
+        if let (Err(_), Some((slot_id, _))) = (&sent, &posted) {
+            self.kernel.free_slot(*slot_id);
+        }
+        sent.map(|_| posted)
+    }
+
+    /// The reply half of an RPC (a one-way message has none): waits on
+    /// the slot and frees it, whatever the outcome, then checks status and
+    /// length and copies the reply out of `reply_at`, where the server
+    /// RDMA-wrote it (zero-copy at the client). With `span`, the round
+    /// trip from that start towards that server is recorded as an RPC
+    /// span.
+    fn harvest_reply(
+        &self,
+        ctx: &mut Ctx,
+        func: u8,
+        posted: Option<Posted>,
+        (reply_at, max_reply): (u64, usize),
+        span: Option<(NodeId, Nanos)>,
+    ) -> LiteResult<Vec<u8>> {
+        let Some((slot_id, slot)) = posted else {
+            return Ok(Vec::new());
+        };
+        let waited = slot.wait(ctx, &self.kernel.config);
+        self.kernel.free_slot(slot_id);
+        let res = waited?;
+        if let Some((server, start)) = span {
+            self.span(OpClass::Rpc, server, start, res.stamp);
+        }
+        if !res.ok {
+            return Err(LiteError::UnknownRpc { func });
+        }
+        let (len, max) = (res.len as usize, max_reply);
+        if len > max {
+            return Err(LiteError::TooLarge { len, max });
+        }
+        let mut out = vec![0u8; len];
+        let mem = self.kernel.fabric().mem(self.kernel.node());
+        mem.read(reply_at, &mut out)?;
+        Ok(out)
+    }
+
     /// Sends one LITE RPC (request write-imm → slot wait) and returns the
     /// reply bytes. `func` may be a kernel service or a user function.
-    fn call_raw(
+    pub(crate) fn call_raw(
         &mut self,
         ctx: &mut Ctx,
         server: NodeId,
@@ -367,81 +476,20 @@ impl LiteHandle {
         }
         ctx.work(RPC_META_NS);
         let span_start = ctx.now();
-        let total = HEADER_BYTES as u64 + payload.len() as u64;
-        let r = self.kernel.reserve_ring(ctx, server, total)?;
-        let (slot_id, slot) = if oneway {
-            (0, None)
-        } else {
-            Self::ensure(&self.kernel, &mut self.reply, max_reply.max(1))?;
-            let (id, s) = self.kernel.alloc_slot();
-            (id, Some(s))
-        };
-        let hdr = MsgHeader {
-            func,
-            slot: slot_id,
-            len: payload.len() as u32,
-            reply_addr: self.reply.addr,
-            reply_max: max_reply as u32,
-            src_node: self.kernel.node() as u32,
-            src_pid: self.pid,
-            skip: r.skip as u32,
-        };
-        // One write-imm carries header + input (§5.1 step 2), staged
-        // back to back.
-        Self::ensure(&self.kernel, &mut self.staging, total as usize)?;
+        // Header and input are staged back to back: one gather chunk.
+        let total = HEADER_BYTES + payload.len();
+        Self::ensure(&self.kernel, &mut self.staging, total)?;
+        Self::ensure(&self.kernel, &mut self.reply, max_reply.max(1))?;
         let staged = self.staging.addr;
         let mem = self.kernel.fabric().mem(self.kernel.node());
-        mem.write(staged, &hdr.encode())?;
         mem.write(staged + HEADER_BYTES as u64, payload)?;
-        let chunks = [Chunk {
+        let gather = [Chunk {
             addr: staged,
-            len: total,
+            len: total as u64,
         }];
-        let dst = self.kernel.ring_remote_addr(server, r.offset)?;
-        let imm = Imm::Request {
-            granule: (r.offset / crate::wire::RING_GRANULE) as u32,
-        };
-        let post =
-            self.kernel
-                .post_write_imm(ctx, self.prio, server, dst, &chunks, total as usize, imm);
-        let Some(slot) = slot else {
-            post?;
-            return Ok(Vec::new());
-        };
-        let result = post.and_then(|_| slot.wait(ctx, &self.kernel.config));
-        self.kernel.free_slot(slot_id);
-        let res = result?;
-        self.span(OpClass::Rpc, server, span_start, res.stamp);
-        if !res.ok {
-            return Err(LiteError::UnknownRpc { func });
-        }
-        if res.len as usize > max_reply {
-            return Err(LiteError::TooLarge {
-                len: res.len as usize,
-                max: max_reply,
-            });
-        }
-        // The reply was RDMA-written straight into our reply buffer —
-        // zero-copy at the client.
-        let mut out = vec![0u8; res.len as usize];
-        self.unstage(self.reply.addr, &mut out)?;
-        Ok(out)
-    }
-
-    /// Kernel-service call; checks the leading status byte.
-    pub(crate) fn kcall(
-        &mut self,
-        ctx: &mut Ctx,
-        server: NodeId,
-        func: u8,
-        payload: Vec<u8>,
-    ) -> LiteResult<Vec<u8>> {
-        let resp = self.call_raw(ctx, server, func, &payload, 64 * 1024, false)?;
-        match resp.first() {
-            Some(0) => Ok(resp[1..].to_vec()),
-            Some(&code) => Err(map_status(code)),
-            None => Err(LiteError::Remote(0xFB)),
-        }
+        let reply = (self.reply.addr, max_reply);
+        let posted = self.post_request(ctx, server, func, &gather, reply, oneway)?;
+        self.harvest_reply(ctx, func, posted, reply, Some((server, span_start)))
     }
 
     // ------------------------------------------------------------------
@@ -460,69 +508,32 @@ impl LiteHandle {
     ) -> LiteResult<Lh> {
         self.syscall(ctx, |this, ctx| {
             let reg_started = ctx.now();
-            let max_chunk = this.kernel.config.max_lmr_chunk;
-            let resp = this.kcall(
-                ctx,
-                target,
-                FN_MALLOC,
-                Enc::new().u64(size).u64(max_chunk).done(),
-            )?;
-            let mut d = Dec::new(&resp);
-            let n = d.u32()?;
-            let mut extents = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let addr = d.u64()?;
-                let len = d.u64()?;
-                extents.push((target, Chunk { addr, len }));
-            }
-            let location = Location { extents };
+            let chunks = this.k_malloc(ctx, target, size)?;
+            let location = Location {
+                extents: chunks.iter().map(|c| (target, *c)).collect(),
+            };
             let id = this.kernel.create_master_record(
                 location.clone(),
                 Some(name.to_string()),
                 default_perm,
             );
             // Register the name with the cluster manager; roll back on clash.
-            let reg = this.kcall(
-                ctx,
-                MANAGER_NODE,
-                FN_REGNAME,
-                Enc::new()
-                    .bytes(name.as_bytes())
-                    .u32(this.kernel.node() as u32)
-                    .done(),
-            );
-            if let Err(e) = reg {
+            let me = this.kernel.node();
+            if let Err(e) = this.k_regname(ctx, name, me) {
                 this.kernel.remove_master_record(id.idx);
                 // The registration may have landed with only its reply lost;
                 // best-effort guarded scrub so a half-registered name cannot
                 // outlive the record it pointed at. A clean name clash
                 // (Remote(1)) means someone else owns the binding — the
                 // guard makes scrubbing it a no-op either way.
-                if !matches!(e, LiteError::Remote(1)) {
-                    let _ = this.kcall(
-                        ctx,
-                        MANAGER_NODE,
-                        FN_UNREGNAME,
-                        Enc::new()
-                            .bytes(name.as_bytes())
-                            .u32(this.kernel.node() as u32)
-                            .done(),
-                    );
+                let clash = matches!(e, LiteError::Remote(1));
+                if !clash {
+                    let _ = this.k_unregname(ctx, name, me);
                 }
-                let mut free = Enc::new().u32(location.extents.len() as u32);
-                for (_, c) in &location.extents {
-                    free = free.u64(c.addr);
-                }
-                if this
-                    .kcall(ctx, target, FN_FREE_CHUNKS, free.done())
-                    .is_err()
-                {
-                    // Rollback failed: the chunks on `target` are leaked.
-                    // Count it and trace it instead of swallowing it.
-                    this.kernel.note_cleanup_failure(target, ctx.now());
-                }
-                let mapped = matches!(e, LiteError::Remote(1));
-                return Err(if mapped {
+                // A failed free leaks the chunks on `target`; the stub
+                // counts it.
+                let _ = this.k_free_chunks(ctx, target, chunks.iter().map(|c| c.addr));
+                return Err(if clash {
                     LiteError::NameExists {
                         name: name.to_string(),
                     }
@@ -530,17 +541,9 @@ impl LiteHandle {
                     e
                 });
             }
-            let lh = this.kernel.install_lh(
-                this.pid,
-                LhEntry {
-                    id,
-                    name: name.to_string(),
-                    location,
-                    perm: Perm::MASTER,
-                    stale: false,
-                    relocated: false,
-                },
-            );
+            let lh = this
+                .kernel
+                .install_lh(this.pid, fresh_entry(id, name, location, Perm::MASTER));
             this.kernel
                 .mm()
                 .record_reg_latency(ctx.now().saturating_sub(reg_started));
@@ -552,11 +555,7 @@ impl LiteHandle {
     /// map, §4.1).
     pub fn lt_map(&mut self, ctx: &mut Ctx, name: &str) -> LiteResult<Lh> {
         self.syscall(ctx, |this, ctx| {
-            let query = Enc::new().bytes(name.as_bytes()).done();
-            let resp = this
-                .kcall(ctx, MANAGER_NODE, FN_QUERYNAME, query)
-                .map_err(|e| named_err(e, name))?;
-            let master = Dec::new(&resp).u32()? as NodeId;
+            let master = this.k_queryname(ctx, name)?;
             this.map_at(ctx, name, master)
         })
     }
@@ -568,39 +567,9 @@ impl LiteHandle {
     }
 
     fn map_at(&mut self, ctx: &mut Ctx, name: &str, master: NodeId) -> LiteResult<Lh> {
-        let resp = self
-            .kcall(
-                ctx,
-                master,
-                FN_MAP,
-                Enc::new().bytes(name.as_bytes()).done(),
-            )
-            .map_err(|e| named_err(e, name))?;
-        let mut d = Dec::new(&resp);
-        let id = LmrId {
-            node: d.u32()?,
-            idx: d.u32()?,
-        };
-        let perm = crate::kernel::byte_to_perm(d.u8()?);
-        let n = d.u32()?;
-        let mut extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let node = d.u32()? as NodeId;
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((node, Chunk { addr, len }));
-        }
-        Ok(self.kernel.install_lh(
-            self.pid,
-            LhEntry {
-                id,
-                name: name.to_string(),
-                location: Location { extents },
-                perm,
-                stale: false,
-                relocated: false,
-            },
-        ))
+        let (id, perm, location) = self.k_map(ctx, master, name)?;
+        let entry = fresh_entry(id, name, location, perm);
+        Ok(self.kernel.install_lh(self.pid, entry))
     }
 
     /// Transparently refreshes an lh whose cached location went stale
@@ -610,47 +579,45 @@ impl LiteHandle {
     /// carries is preserved — a plain `FN_MAP` reply would downgrade a
     /// master handle to the granted perm.
     fn refresh_lh(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
-        let entry = self.kernel.lookup_lh(self.pid, lh)?;
-        let resp = self
-            .kcall(
-                ctx,
-                entry.id.node as NodeId,
-                FN_MAP,
-                Enc::new().bytes(entry.name.as_bytes()).done(),
-            )
-            .map_err(|e| match e {
-                // The LMR vanished while we held a relocated handle: the
-                // handle is dead, not merely stale.
-                LiteError::NameNotFound { .. } => LiteError::BadLh { lh },
-                other => other,
-            })?;
-        let mut d = Dec::new(&resp);
-        let id = LmrId {
-            node: d.u32()?,
-            idx: d.u32()?,
-        };
-        let _granted = d.u8()?;
-        let n = d.u32()?;
-        let mut extents = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let node = d.u32()? as NodeId;
-            let addr = d.u64()?;
-            let len = d.u64()?;
-            extents.push((node, Chunk { addr, len }));
-        }
-        self.kernel.reinstall_lh(
-            self.pid,
-            lh,
-            LhEntry {
-                id,
-                name: entry.name,
-                location: Location { extents },
-                perm: entry.perm,
-                stale: false,
-                relocated: false,
-            },
-        );
+        let (master, name, perm) = self.kernel.with_lh(self.pid, lh, |entry| {
+            Ok((entry.id.node as NodeId, entry.name.clone(), entry.perm))
+        })?;
+        let (id, _granted, location) = self.k_map(ctx, master, &name).map_err(|e| match e {
+            // The LMR vanished while we held a relocated handle: the
+            // handle is dead, not merely stale.
+            LiteError::NameNotFound { .. } => LiteError::BadLh { lh },
+            other => other,
+        })?;
+        let entry = fresh_entry(id, &name, location, perm);
+        self.kernel.reinstall_lh(self.pid, lh, entry);
         Ok(())
+    }
+
+    /// The tiering heal loop, the only one: runs `body`, and when it
+    /// answers `Relocated` — a cached location went stale under
+    /// `lite::mm`, noticed by the permission/bounds check, a pin, or a
+    /// remote handler's own fence — re-fetches the location of every lh in
+    /// `lhs` from its master (a fresh one is a cheap no-op) and runs
+    /// `body` again, three times at most. A `body` that answers
+    /// `Relocated` must have done nothing it cannot repeat whole.
+    fn heal<T>(
+        &mut self,
+        ctx: &mut Ctx,
+        lhs: &[Lh],
+        mut body: impl FnMut(&mut Self, &mut Ctx) -> LiteResult<T>,
+    ) -> LiteResult<T> {
+        for attempt in 0..3 {
+            if attempt > 0 {
+                for &lh in lhs {
+                    self.refresh_lh(ctx, lh)?;
+                }
+            }
+            match body(self, ctx) {
+                Err(LiteError::Relocated) => {}
+                done => return done,
+            }
+        }
+        Err(LiteError::Relocated)
     }
 
     /// Pins every piece at its storage node's memory manager before a
@@ -693,33 +660,13 @@ impl LiteHandle {
         Ok(())
     }
 
-    /// Runs `body` once against the live physical pieces of `ranges`
-    /// (`(offset, len, needed permission)` each) of `lh`, inside one
-    /// syscall crossing. The combinator owns the tiering heal loop — a
-    /// `Relocated` from the permission/bounds check or from a pin means
-    /// the cached location is stale: re-fetch it from the master and
-    /// resolve again — and the pin fencing: every range is pinned before
-    /// `body` runs (so healing has no side effect to repeat) and stays
-    /// pinned until it returns (eviction drains pins, so no chunk can
-    /// move or be freed under an in-flight op). `body` reads target
-    /// addresses out of the piece lists it is handed, which the pins have
-    /// just verified against the live mapping. Every path, error or not,
-    /// leaves through `exit()`.
-    fn with_fresh_pieces<T>(
-        &mut self,
-        ctx: &mut Ctx,
-        lh: Lh,
-        ranges: impl Iterator<Item = (u64, usize, Perm)> + Clone,
-        body: impl FnOnce(&mut Self, &mut Ctx, LmrId, &[Vec<(NodeId, Chunk)>]) -> LiteResult<T>,
-    ) -> LiteResult<T> {
-        self.syscall(ctx, |this, ctx| {
-            let (id, pieces, _pins) = this.fresh_pieces(ctx, lh, ranges)?;
-            body(this, ctx, id, &pieces)
-        })
-    }
-
-    /// The heal loop of [`Self::with_fresh_pieces`]: the lh's LMR, the
-    /// pieces of every range, and the pins that keep them where they are.
+    /// The lh's LMR, the live physical pieces of every range
+    /// (`(offset, len, needed permission)` each), and the pins that keep
+    /// them where they are — healed: every range is resolved and pinned
+    /// before anything is posted, so a `Relocated` has no side effect to
+    /// repeat, and stays pinned while the caller holds the guards
+    /// (eviction drains pins, so no chunk can move or be freed under an
+    /// in-flight op).
     #[allow(clippy::type_complexity)]
     fn fresh_pieces(
         &mut self,
@@ -727,124 +674,88 @@ impl LiteHandle {
         lh: Lh,
         ranges: impl Iterator<Item = (u64, usize, Perm)> + Clone,
     ) -> LiteResult<(LmrId, Vec<Vec<(NodeId, Chunk)>>, Vec<crate::mm::PinGuard>)> {
-        for attempt in 0..3 {
-            if attempt > 0 {
-                self.refresh_lh(ctx, lh)?;
-            }
+        self.heal(ctx, &[lh], |this, ctx| {
             // Resolve against the entry in place; only the pieces leave.
-            let resolved = self.kernel.with_lh(self.pid, lh, |entry| {
+            let (id, pieces) = this.kernel.with_lh(this.pid, lh, |entry| {
                 let mut pieces = Vec::with_capacity(ranges.size_hint().0);
                 for (offset, len, need) in ranges.clone() {
                     pieces.push(entry.check(offset, len, need)?);
                 }
                 Ok((entry.id, pieces))
-            });
+            })?;
             let mut pins = Vec::new();
-            let pinned = resolved.and_then(|(id, pieces)| {
-                for ((offset, ..), p) in ranges.clone().zip(&pieces) {
-                    self.pin_pieces(ctx, id, offset, p, &mut pins)?;
-                }
-                Ok((id, pieces))
-            });
-            match pinned {
-                Ok((id, pieces)) => return Ok((id, pieces, pins)),
-                Err(LiteError::Relocated) => {}
-                Err(e) => return Err(e),
+            for ((offset, ..), p) in ranges.clone().zip(&pieces) {
+                this.pin_pieces(ctx, id, offset, p, &mut pins)?;
             }
-        }
-        Err(LiteError::Relocated)
+            Ok((id, pieces, pins))
+        })
     }
 
     /// LT_unmap: drops the lh and tells the master.
     pub fn lt_unmap(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
         self.syscall(ctx, |this, ctx| {
             let entry = this.kernel.remove_lh(this.pid, lh)?;
-            let _ = this.kcall(
-                ctx,
-                entry.id.node as NodeId,
-                FN_UNMAP,
-                Enc::new()
-                    .u32(entry.id.idx)
-                    .u32(this.kernel.node() as u32)
-                    .done(),
-            );
+            let _ = this.k_unmap(ctx, entry.id);
             Ok(())
         })
     }
 
-    /// LT_free: frees the LMR everywhere and invalidates every mapper.
-    /// Requires a master lh.
-    pub fn lt_free(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
-        self.syscall(ctx, |this, ctx| {
-            let entry = this.kernel.lookup_lh(this.pid, lh)?;
+    /// The `(master node, name)` behind `lh`, which must carry master
+    /// permission.
+    fn master_of(&self, lh: Lh) -> LiteResult<(NodeId, String)> {
+        self.kernel.with_lh(self.pid, lh, |entry| {
             if !entry.perm.master {
                 return Err(LiteError::NotMaster);
             }
-            let resp = this.kcall(
-                ctx,
-                entry.id.node as NodeId,
-                FN_TAKE_RECORD,
-                Enc::new().bytes(entry.name.as_bytes()).done(),
-            )?;
-            let mut d = Dec::new(&resp);
-            let id = LmrId {
-                node: d.u32()?,
-                idx: d.u32()?,
-            };
-            let n = d.u32()?;
-            let mut extents: Vec<(NodeId, Chunk)> = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let node = d.u32()? as NodeId;
-                let addr = d.u64()?;
-                let len = d.u64()?;
-                extents.push((node, Chunk { addr, len }));
-            }
-            let m = d.u32()?;
-            let mut mapped = Vec::with_capacity(m as usize);
-            for _ in 0..m {
-                mapped.push(d.u32()? as NodeId);
-            }
+            Ok((entry.id.node as NodeId, entry.name.clone()))
+        })
+    }
+
+    /// Releases storage a master record no longer names: frees `extents`
+    /// at every node holding some — a node that fails to free leaks its
+    /// chunks (counted by the stub) and does not stop the others — then
+    /// tells every mapper, ourselves included via loop-back, that its
+    /// handle is dead. Returns the first free that failed.
+    fn free_and_invalidate(
+        &mut self,
+        ctx: &mut Ctx,
+        id: LmrId,
+        extents: &[(NodeId, Chunk)],
+        mappers: &[NodeId],
+    ) -> LiteResult<()> {
+        let mut by_node: std::collections::BTreeMap<NodeId, Vec<u64>> = Default::default();
+        for (node, c) in extents {
+            by_node.entry(*node).or_default().push(c.addr);
+        }
+        let mut freed = Ok(());
+        for (node, addrs) in by_node {
+            freed = freed.and(self.k_free_chunks(ctx, node, addrs.into_iter()));
+        }
+        for &node in mappers {
+            let _ = self.k_invalidate(ctx, node, id, false);
+        }
+        freed
+    }
+
+    /// LT_free: frees the LMR everywhere and invalidates every mapper.
+    /// Requires a master lh. Once the master record is taken the call
+    /// runs to the end whatever fails on the way: an `Err` means some
+    /// storage node leaked its chunks, never that handles still point at
+    /// them.
+    pub fn lt_free(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
+        self.syscall(ctx, |this, ctx| {
+            let (master, name) = this.master_of(lh)?;
+            let (id, location, mapped) = this.k_take_record(ctx, master, &name)?;
             // Scrub the name binding *now*, immediately after the record was
-            // taken — before the fallible chunk frees below. The old
-            // ordering (unregister last) leaked the binding whenever a free
-            // failed mid-way: the record was gone but the name stayed,
-            // pointing at a master that would answer "unknown" forever and
-            // blocking re-registration. The trailing u32 guards the scrub:
-            // the manager only removes the binding if it still names this
-            // master, so a name freed and re-registered by someone else in
-            // the meantime is left alone.
-            let _ = this.kcall(
-                ctx,
-                MANAGER_NODE,
-                FN_UNREGNAME,
-                Enc::new()
-                    .bytes(entry.name.as_bytes())
-                    .u32(entry.id.node)
-                    .done(),
-            );
-            // Free storage per node.
-            let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
-            for (node, c) in &extents {
-                by_node.entry(*node).or_default().push(c.addr);
-            }
-            for (node, addrs) in by_node {
-                let mut e = Enc::new().u32(addrs.len() as u32);
-                for a in addrs {
-                    e = e.u64(a);
-                }
-                this.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
-            }
-            // Invalidate every mapper (including ourselves, via loop-back).
-            for node in mapped {
-                let _ = this.kcall(
-                    ctx,
-                    node,
-                    FN_INVALIDATE,
-                    Enc::new().u32(id.node).u32(id.idx).done(),
-                );
-            }
+            // taken — before the fallible chunk frees below: the record is
+            // gone, and a name left pointing at a master that would answer
+            // "unknown" forever blocks re-registration. The scrub is
+            // guarded by the master node, so a name freed and re-registered
+            // by someone else in the meantime is left alone.
+            let _ = this.k_unregname(ctx, &name, master);
+            let freed = this.free_and_invalidate(ctx, id, &location.extents, &mapped);
             let _ = this.kernel.remove_lh(this.pid, lh);
-            Ok(())
+            freed
         })
     }
 
@@ -855,181 +766,56 @@ impl LiteHandle {
     /// LMR's record-holder node.
     pub fn lt_move(&mut self, ctx: &mut Ctx, lh: Lh, target: NodeId) -> LiteResult<()> {
         self.syscall(ctx, |this, ctx| {
-            let entry = this.kernel.lookup_lh(this.pid, lh)?;
-            if !entry.perm.master {
+            let (master, name) = this.master_of(lh)?;
+            if master != this.kernel.node() {
                 return Err(LiteError::NotMaster);
             }
-            if entry.id.node as NodeId != this.kernel.node() {
-                return Err(LiteError::NotMaster);
-            }
-            let len = entry.location.len();
-            // Allocate at the target.
-            let resp = this.kcall(
-                ctx,
-                target,
-                FN_MALLOC,
-                Enc::new()
-                    .u64(len)
-                    .u64(this.kernel.config.max_lmr_chunk)
-                    .done(),
-            )?;
-            let mut d = Dec::new(&resp);
-            let n = d.u32()?;
-            let mut new_extents = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let addr = d.u64()?;
-                let clen = d.u64()?;
-                new_extents.push((target, Chunk { addr, len: clen }));
-            }
+            let old = this
+                .kernel
+                .with_lh(this.pid, lh, |entry| Ok(entry.location.clone()))?;
+            let len = old.len();
+            let chunks = this.k_malloc(ctx, target, len)?;
             let new_loc = Location {
-                extents: new_extents,
+                extents: chunks.into_iter().map(|c| (target, c)).collect(),
             };
             // Copy the bytes: each source piece pushed by its storage node.
-            let src_pieces = entry.location.slice(0, len)?;
-            let dst_pieces = new_loc.slice(0, len)?;
-            let (mut si, mut di) = (0usize, 0usize);
-            let (mut s_used, mut d_used) = (0u64, 0u64);
-            let mut remaining = len;
-            while remaining > 0 {
-                let (s_node, s_c) = &src_pieces[si];
-                let (d_node, d_c) = &dst_pieces[di];
-                let nbytes = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
-                let op = if s_node == d_node { 0u8 } else { 1u8 };
-                this.kcall(
-                    ctx,
-                    *s_node,
-                    FN_MEMCPY,
-                    Enc::new()
-                        .u8(op)
-                        .u64(s_c.addr + s_used)
-                        .u64(nbytes)
-                        .u32(*d_node as u32)
-                        .u64(d_c.addr + d_used)
-                        .done(),
-                )?;
-                s_used += nbytes;
-                d_used += nbytes;
-                remaining -= nbytes;
-                if s_used == s_c.len {
-                    si += 1;
-                    s_used = 0;
-                }
-                if d_used == d_c.len {
-                    di += 1;
-                    d_used = 0;
-                }
+            for seg in segments(&old.slice(0, len)?, &new_loc.slice(0, len)?) {
+                this.k_memcpy(ctx, &seg)?;
             }
             // Swap the record, free the old storage, invalidate mappers.
             let Some((id, old_loc, mapped)) =
                 this.kernel
-                    .swap_master_location(&entry.name, this.kernel.node(), new_loc.clone())
+                    .swap_master_location(&name, master, new_loc.clone())
             else {
                 return Err(LiteError::NotMaster);
             };
-            let mut by_node: std::collections::HashMap<NodeId, Vec<u64>> = Default::default();
-            for (node, c) in &old_loc.extents {
-                by_node.entry(*node).or_default().push(c.addr);
-            }
-            for (node, addrs) in by_node {
-                let mut e = Enc::new().u32(addrs.len() as u32);
-                for a in addrs {
-                    e = e.u64(a);
-                }
-                this.kcall(ctx, node, FN_FREE_CHUNKS, e.done())?;
-            }
-            for node in mapped {
-                let _ = this.kcall(
-                    ctx,
-                    node,
-                    FN_INVALIDATE,
-                    Enc::new().u32(id.node).u32(id.idx).done(),
-                );
-            }
-            // Re-install our own (fresh) lh in place.
-            this.kernel.remove_lh(this.pid, lh).ok();
-            let new_lh = this.kernel.install_lh(
-                this.pid,
-                LhEntry {
-                    id,
-                    name: entry.name.clone(),
-                    location: new_loc,
-                    perm: Perm::MASTER,
-                    stale: false,
-                    relocated: false,
-                },
-            );
-            // Keep the caller's lh number stable by aliasing: re-register the
-            // fresh entry under the original lh id as well.
-            let fresh = this.kernel.lookup_lh(this.pid, new_lh)?;
-            this.kernel.reinstall_lh(this.pid, lh, fresh);
-            this.kernel.remove_lh(this.pid, new_lh).ok();
-            Ok(())
+            let freed = this.free_and_invalidate(ctx, id, &old_loc.extents, &mapped);
+            // The loop-back invalidation just marked our own handle stale:
+            // put the fresh entry under the caller's lh number.
+            let entry = fresh_entry(id, &name, new_loc, Perm::MASTER);
+            this.kernel.reinstall_lh(this.pid, lh, entry);
+            freed
         })
     }
 
     /// Grants `perm` on a named LMR to `node` (master only).
     pub fn lt_grant(&mut self, ctx: &mut Ctx, lh: Lh, node: NodeId, perm: Perm) -> LiteResult<()> {
         self.syscall(ctx, |this, ctx| {
-            let entry = this.kernel.lookup_lh(this.pid, lh)?;
-            if !entry.perm.master {
-                return Err(LiteError::NotMaster);
-            }
-            this.kcall(
-                ctx,
-                entry.id.node as NodeId,
-                FN_GRANT,
-                Enc::new()
-                    .bytes(entry.name.as_bytes())
-                    .u32(node as u32)
-                    .u8(perm_to_byte(perm))
-                    .done(),
-            )?;
-            Ok(())
+            let (master, name) = this.master_of(lh)?;
+            this.k_grant(ctx, master, &name, node, perm)
         })
     }
 
     /// LT_write: blocking one-sided write of `data` at `offset` in the
-    /// LMR. Returns when the data is remotely visible (§4.2).
+    /// LMR. Returns when the data is remotely visible (§4.2). A one-op
+    /// [`Self::lt_chain`].
     pub fn lt_write(&mut self, ctx: &mut Ctx, lh: Lh, offset: u64, data: &[u8]) -> LiteResult<()> {
-        let range = [(offset, data.len(), Perm::RW)].into_iter();
-        self.with_fresh_pieces(ctx, lh, range, |this, ctx, id, pieces| {
-            // Lookup/permission/bounds failures return before any side
-            // effect and are not recorded in the history (a no-effect op
-            // adds no constraint); failures past this point may have
-            // partially applied and are recorded as failed writes.
-            let start = ctx.now();
-            let result = this.write_pieces(ctx, &pieces[0], data);
-            let kind = || crate::verify::OpKind::Write {
-                fp: crate::verify::fingerprint(data),
-            };
-            this.record_reg(
-                id,
-                offset,
-                data.len(),
-                kind,
-                result.is_ok(),
-                start,
-                ctx.now(),
-            );
-            result
-        })
+        let op = ChainOp::Write { off: offset, data };
+        self.one_sided(ctx, lh, &[op], &mut |_| Ok(()))
     }
 
-    fn write_pieces(
-        &mut self,
-        ctx: &mut Ctx,
-        pieces: &[(NodeId, Chunk)],
-        data: &[u8],
-    ) -> LiteResult<()> {
-        let staged = self.stage(data)?;
-        // Multi-extent writes towards one node chain into a single
-        // doorbell batch; single-extent writes post as before.
-        let last = self.kernel.rdma_write_vec(ctx, self.prio, staged, pieces)?;
-        self.finish_blocking(ctx, last);
-        Ok(())
-    }
-
-    /// LT_read: blocking one-sided read into `buf` from `offset`.
+    /// LT_read: blocking one-sided read into `buf` from `offset`. A
+    /// one-op [`Self::lt_chain`] whose bytes land in `buf`.
     pub fn lt_read(
         &mut self,
         ctx: &mut Ctx,
@@ -1037,62 +823,13 @@ impl LiteHandle {
         offset: u64,
         buf: &mut [u8],
     ) -> LiteResult<()> {
-        let range = [(offset, buf.len(), Perm::RO)].into_iter();
-        self.with_fresh_pieces(ctx, lh, range, |this, ctx, id, pieces| {
-            let start = ctx.now();
-            let result = this.read_pieces(ctx, &pieces[0], buf);
-            // Failed reads are excluded by the checker; fp is meaningful
-            // only on the ok path.
-            let ok = result.is_ok();
-            let kind = || crate::verify::OpKind::Read {
-                fp: if ok {
-                    crate::verify::fingerprint(buf)
-                } else {
-                    0
-                },
-            };
-            this.record_reg(
-                id,
-                offset,
-                buf.len(),
-                kind,
-                result.is_ok(),
-                start,
-                ctx.now(),
-            );
-            result
+        let (off, len) = (offset, buf.len());
+        self.one_sided(ctx, lh, &[ChainOp::Read { off, len }], &mut |landed| {
+            if let Landed::Bytes(mem, at) = landed {
+                mem.read(at.addr, buf)?;
+            }
+            Ok(())
         })
-    }
-
-    fn read_pieces(
-        &mut self,
-        ctx: &mut Ctx,
-        pieces: &[(NodeId, Chunk)],
-        buf: &mut [u8],
-    ) -> LiteResult<()> {
-        Self::ensure(&self.kernel, &mut self.staging, buf.len())?;
-        let staged = self.staging.addr;
-        let mut off = 0u64;
-        let mut last = ctx.now();
-        for (node, c) in pieces {
-            let dst = [Chunk {
-                addr: staged + off,
-                len: c.len,
-            }];
-            let comp =
-                self.kernel
-                    .rdma_read(ctx, self.prio, *node, c.addr, &dst, c.len as usize)?;
-            last = last.max(comp);
-            off += c.len;
-        }
-        self.finish_blocking(ctx, last);
-        self.unstage(staged, buf)?;
-        Ok(())
-    }
-
-    fn finish_blocking(&self, ctx: &mut Ctx, comp: Nanos) {
-        ctx.wait_until(comp);
-        ctx.work(self.kernel.fabric().cost().cq_poll_ns);
     }
 
     /// LT_memset: sets `len` bytes at `offset` to `byte`, executed at the
@@ -1106,34 +843,16 @@ impl LiteHandle {
         byte: u8,
     ) -> LiteResult<()> {
         self.syscall(ctx, |this, ctx| {
-            'attempt: for attempt in 0..3 {
-                if attempt > 0 {
-                    this.refresh_lh(ctx, lh)?;
-                }
-                let entry = this.kernel.lookup_lh(this.pid, lh)?;
-                let pieces = match entry.check(offset, len, Perm::RW) {
-                    Ok(p) => p,
-                    Err(LiteError::Relocated) => continue,
-                    Err(e) => return Err(e),
-                };
+            this.heal(ctx, &[lh], |this, ctx| {
+                let check = |entry: &LhEntry| entry.check(offset, len, Perm::RW);
                 // The remote handler fences each range itself and answers
                 // Relocated when a chunk is mid-migration; redoing all the
                 // pieces after a refresh is idempotent.
-                for (node, c) in pieces {
-                    match this.kcall(
-                        ctx,
-                        node,
-                        FN_MEMSET,
-                        Enc::new().u64(c.addr).u64(c.len).u8(byte).done(),
-                    ) {
-                        Ok(_) => {}
-                        Err(LiteError::Relocated) => continue 'attempt,
-                        Err(e) => return Err(e),
-                    }
+                for (node, c) in this.kernel.with_lh(this.pid, lh, check)? {
+                    this.k_memset(ctx, node, c, byte)?;
                 }
-                return Ok(());
-            }
-            Err(LiteError::Relocated)
+                Ok(())
+            })
         })
     }
 
@@ -1149,100 +868,51 @@ impl LiteHandle {
         dst_off: u64,
         len: usize,
     ) -> LiteResult<()> {
-        self.copy_ranges(ctx, src_lh, src_off, dst_lh, dst_off, len, false)
+        self.copy_ranges(ctx, (src_lh, src_off), (dst_lh, dst_off), len, false)
     }
 
-    /// Shared body of `lt_memcpy`/`lt_memmove`. `reverse` issues the
-    /// per-piece copies from the highest address down — each FN_MEMCPY
-    /// call buffers its whole subrange before writing, so segment order
-    /// is the only thing that matters for overlapping ranges.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared body of `lt_memcpy`/`lt_memmove`. With `overlap_safe`, a
+    /// copy inside one LMR whose destination sits above its source issues
+    /// the per-segment copies from the highest address down — each
+    /// FN_MEMCPY call reads its whole subrange before writing, so segment
+    /// order is the only thing that matters for overlapping ranges.
     fn copy_ranges(
         &mut self,
         ctx: &mut Ctx,
-        src_lh: Lh,
-        src_off: u64,
-        dst_lh: Lh,
-        dst_off: u64,
+        (src_lh, src_off): (Lh, u64),
+        (dst_lh, dst_off): (Lh, u64),
         len: usize,
-        reverse: bool,
+        overlap_safe: bool,
     ) -> LiteResult<()> {
         self.syscall(ctx, |this, ctx| {
-            'attempt: for attempt in 0..3 {
-                if attempt > 0 {
-                    // Either handle's cached location may be the stale one;
-                    // refresh both (a fresh refresh is a cheap no-op) and
-                    // redo the whole copy — re-copying bytes is idempotent.
-                    this.refresh_lh(ctx, src_lh)?;
-                    this.refresh_lh(ctx, dst_lh)?;
-                }
-                let src_entry = this.kernel.lookup_lh(this.pid, src_lh)?;
-                let dst_entry = this.kernel.lookup_lh(this.pid, dst_lh)?;
-                let src_pieces = match src_entry.check(src_off, len, Perm::RO) {
-                    Ok(p) => p,
-                    Err(LiteError::Relocated) => continue,
-                    Err(e) => return Err(e),
+            // Either handle's cached location may be the stale one, and a
+            // heal redoes the whole copy — re-copying bytes is idempotent —
+            // from fresh pieces, so a stale segment list is never re-issued.
+            this.heal(ctx, &[src_lh, dst_lh], |this, ctx| {
+                let pieces_of = |lh, off, need| {
+                    let check = |e: &LhEntry| Ok((e.id, e.check(off, len, need)?));
+                    this.kernel.with_lh(this.pid, lh, check)
                 };
-                let dst_pieces = match dst_entry.check(dst_off, len, Perm::RW) {
-                    Ok(p) => p,
-                    Err(LiteError::Relocated) => continue,
-                    Err(e) => return Err(e),
-                };
-                // Walk both piece lists in lockstep to build the per-call
-                // segments, then issue them in copy order. A retry after
-                // Relocated rebuilds from fresh pieces, so a stale segment
-                // list is never re-issued.
-                let (mut si, mut di) = (0usize, 0usize);
-                let (mut s_used, mut d_used) = (0u64, 0u64);
-                let mut remaining = len as u64;
-                let mut segs: Vec<(NodeId, u64, NodeId, u64, u64)> = Vec::new();
-                while remaining > 0 {
-                    let (s_node, s_c) = &src_pieces[si];
-                    let (d_node, d_c) = &dst_pieces[di];
-                    let n = (s_c.len - s_used).min(d_c.len - d_used).min(remaining);
-                    segs.push((*s_node, s_c.addr + s_used, *d_node, d_c.addr + d_used, n));
-                    s_used += n;
-                    d_used += n;
-                    remaining -= n;
-                    if s_used == s_c.len {
-                        si += 1;
-                        s_used = 0;
-                    }
-                    if d_used == d_c.len {
-                        di += 1;
-                        d_used = 0;
-                    }
-                }
-                if reverse {
+                let (src_id, src) = pieces_of(src_lh, src_off, Perm::RO)?;
+                let (dst_id, dst) = pieces_of(dst_lh, dst_off, Perm::RW)?;
+                let mut segs = segments(&src, &dst);
+                // Both ranges are in bounds: the sums cannot wrap.
+                let overlaps = src_id == dst_id
+                    && src_off < dst_off + len as u64
+                    && dst_off < src_off + len as u64;
+                if overlap_safe && overlaps && dst_off > src_off {
                     segs.reverse();
                 }
-                for (s_node, s_addr, d_node, d_addr, n) in segs {
-                    let op = if s_node == d_node { 0u8 } else { 1u8 };
-                    match this.kcall(
-                        ctx,
-                        s_node,
-                        FN_MEMCPY,
-                        Enc::new()
-                            .u8(op)
-                            .u64(s_addr)
-                            .u64(n)
-                            .u32(d_node as u32)
-                            .u64(d_addr)
-                            .done(),
-                    ) {
-                        Ok(_) => {}
-                        Err(LiteError::Relocated) => continue 'attempt,
-                        Err(e) => return Err(e),
-                    }
+                for seg in &segs {
+                    this.k_memcpy(ctx, seg)?;
                 }
-                return Ok(());
-            }
-            Err(LiteError::Relocated)
+                Ok(())
+            })
         })
     }
 
     /// LT_memmove: memcpy with memmove semantics for overlapping ranges
-    /// inside one LMR. Each FN_MEMCPY call buffers its whole subrange
+    /// inside one LMR. Each FN_MEMCPY call reads its whole subrange
     /// before writing, so a single segment can never tear itself; the
     /// overlap hazard is *between* segments — a later segment reading
     /// source bytes an earlier segment already overwrote. Copying
@@ -1257,14 +927,7 @@ impl LiteHandle {
         dst_off: u64,
         len: usize,
     ) -> LiteResult<()> {
-        let same_lmr = {
-            let src_entry = self.kernel.lookup_lh(self.pid, src_lh)?;
-            let dst_entry = self.kernel.lookup_lh(self.pid, dst_lh)?;
-            src_entry.id == dst_entry.id
-        };
-        let overlaps = same_lmr && src_off < dst_off + len as u64 && dst_off < src_off + len as u64;
-        let reverse = overlaps && dst_off > src_off;
-        self.copy_ranges(ctx, src_lh, src_off, dst_lh, dst_off, len, reverse)
+        self.copy_ranges(ctx, (src_lh, src_off), (dst_lh, dst_off), len, true)
     }
 
     // ------------------------------------------------------------------
@@ -1296,11 +959,16 @@ impl LiteHandle {
     /// LT_recvRPC: receives the next call for `func`. The payload move
     /// out of the ring is the single memory move of §5.2.
     pub fn lt_recv_rpc(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<RpcCall> {
-        self.syscall(ctx, |this, ctx| {
-            let timeout = this.kernel.config.op_timeout;
-            let inc = this.kernel.pop_rpc(ctx, func, timeout)?;
-            this.finish_recv(ctx, inc)
-        })
+        self.syscall(ctx, |this, ctx| this.recv(ctx, func))
+    }
+
+    /// The receive half of a server-side call: blocks for the next call
+    /// of `func`, `op_timeout` at most, and moves its payload out.
+    fn recv(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<RpcCall> {
+        let inc = self
+            .kernel
+            .pop_rpc(ctx, func, self.kernel.config.op_timeout)?;
+        self.finish_recv(ctx, inc)
     }
 
     fn finish_recv(&mut self, ctx: &mut Ctx, inc: crate::kernel::Incoming) -> LiteResult<RpcCall> {
@@ -1354,9 +1022,7 @@ impl LiteHandle {
     ) -> LiteResult<RpcCall> {
         self.syscall(ctx, |this, ctx| {
             this.reply(ctx, call, output)?;
-            let timeout = this.kernel.config.op_timeout;
-            let inc = this.kernel.pop_rpc(ctx, func, timeout)?;
-            this.finish_recv(ctx, inc)
+            this.recv(ctx, func)
         })
     }
 
@@ -1372,9 +1038,7 @@ impl LiteHandle {
     /// Receives the next message sent to this node with LT_send.
     pub fn lt_recv_msg(&mut self, ctx: &mut Ctx) -> LiteResult<(NodeId, Vec<u8>)> {
         self.syscall(ctx, |this, ctx| {
-            let timeout = this.kernel.config.op_timeout;
-            let inc = this.kernel.pop_rpc(ctx, FN_MSG, timeout)?;
-            let call = this.finish_recv(ctx, inc)?;
+            let call = this.recv(ctx, FN_MSG)?;
             Ok((call.src_node, call.input))
         })
     }
@@ -1396,18 +1060,7 @@ impl LiteHandle {
         max_reply: usize,
     ) -> LiteResult<Vec<Vec<u8>>> {
         let results = self.lt_multicast_rpc_partial(ctx, servers, func, input, max_reply)?;
-        let mut outs = Vec::with_capacity(results.len());
-        let mut first_err = None;
-        for r in results {
-            match r {
-                Ok(reply) => outs.push(reply),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(outs),
-        }
+        results.into_iter().collect()
     }
 
     /// Multicast RPC with per-destination outcomes, in `servers` order.
@@ -1440,115 +1093,43 @@ impl LiteHandle {
             // the persistent multicast scratch.
             let cell = max_reply.max(1);
             let staged = this.stage(input)?;
-            if this.mcast_reply.is_none() {
-                this.mcast_reply = Some(Scratch {
-                    addr: this.kernel.alloc.lock().alloc(INIT_SCRATCH as u64)?,
-                    cap: INIT_SCRATCH,
-                });
-            }
-            let scratch = this.mcast_reply.as_mut().expect("just initialized");
-            Self::ensure(&this.kernel, scratch, cell.saturating_mul(servers.len()))?;
-            let reply_base = scratch.addr;
-            let total = HEADER_BYTES as u64 + input.len() as u64;
+            let cells = cell.saturating_mul(servers.len());
+            Self::ensure(&this.kernel, &mut this.mcast_reply, cells)?;
+            let reply_base = this.mcast_reply.addr;
+            let reply_of = |i: usize| (reply_base + (i * cell) as u64, max_reply);
             // Fan-out: per destination, a posted completion slot or the
             // error that stopped it. Failed destinations keep their entry so
             // the gather below stays index-aligned with `servers`.
             let mut pending = Vec::with_capacity(servers.len());
             for (i, &server) in servers.iter().enumerate() {
-                let raddr = reply_base + (i * cell) as u64;
-                let r = match this.kernel.reserve_ring(ctx, server, total) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        pending.push(Err(e));
-                        continue;
-                    }
-                };
-                let (slot_id, slot) = this.kernel.alloc_slot();
-                let hdr = MsgHeader {
-                    func,
-                    slot: slot_id,
-                    len: input.len() as u32,
-                    reply_addr: raddr,
-                    reply_max: max_reply as u32,
-                    src_node: this.kernel.node() as u32,
-                    src_pid: this.pid,
-                    skip: r.skip as u32,
-                };
                 // Header goes through a tiny transient staging cell so the
                 // shared input staging stays untouched.
-                let hdr_addr = match this.kernel.alloc.lock().alloc(HEADER_BYTES as u64) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        this.kernel.free_slot(slot_id);
-                        pending.push(Err(LiteError::from(e)));
-                        continue;
+                let hdr_cell = this.kernel.alloc.lock().alloc(HEADER_BYTES as u64);
+                pending.push(hdr_cell.map_err(LiteError::from).and_then(|hdr_at| {
+                    let gather = [
+                        Chunk {
+                            addr: hdr_at,
+                            len: HEADER_BYTES as u64,
+                        },
+                        Chunk {
+                            addr: staged,
+                            len: input.len() as u64,
+                        },
+                    ];
+                    let posted = this.post_request(ctx, server, func, &gather, reply_of(i), false);
+                    if this.kernel.alloc.lock().free(hdr_at).is_err() {
+                        this.kernel.note_cleanup_failure(server, ctx.now());
                     }
-                };
-                let post = this
-                    .kernel
-                    .fabric()
-                    .mem(this.kernel.node())
-                    .write(hdr_addr, &hdr.encode())
-                    .map_err(LiteError::from)
-                    .and_then(|()| {
-                        let chunks = [
-                            Chunk {
-                                addr: hdr_addr,
-                                len: HEADER_BYTES as u64,
-                            },
-                            Chunk {
-                                addr: staged,
-                                len: input.len() as u64,
-                            },
-                        ];
-                        let dst = this.kernel.ring_remote_addr(server, r.offset)?;
-                        let imm = Imm::Request {
-                            granule: (r.offset / crate::wire::RING_GRANULE) as u32,
-                        };
-                        this.kernel.post_write_imm(
-                            ctx,
-                            this.prio,
-                            server,
-                            dst,
-                            &chunks,
-                            total as usize,
-                            imm,
-                        )
-                    });
-                if this.kernel.alloc.lock().free(hdr_addr).is_err() {
-                    this.kernel.note_cleanup_failure(server, ctx.now());
-                }
-                match post {
-                    Ok(_) => pending.push(Ok((slot_id, slot))),
-                    Err(e) => {
-                        this.kernel.free_slot(slot_id);
-                        pending.push(Err(e));
-                    }
-                }
+                    posted
+                }));
             }
             // Gather replies; every posted slot is waited on and freed
             // whatever its outcome.
-            let mut results = Vec::with_capacity(pending.len());
-            for (i, posted) in pending.into_iter().enumerate() {
-                let result = match posted {
-                    Ok((slot_id, slot)) => {
-                        let waited = slot.wait(ctx, &this.kernel.config);
-                        this.kernel.free_slot(slot_id);
-                        match waited {
-                            Ok(r) if r.ok => {
-                                let mut buf = vec![0u8; (r.len as usize).min(cell)];
-                                this.unstage(reply_base + (i * cell) as u64, &mut buf)
-                                    .map(|()| buf)
-                            }
-                            Ok(_) => Err(LiteError::UnknownRpc { func }),
-                            Err(e) => Err(e),
-                        }
-                    }
-                    Err(e) => Err(e),
-                };
-                results.push(result);
-            }
-            Ok(results)
+            let harvested = pending
+                .into_iter()
+                .enumerate()
+                .map(|(i, posted)| this.harvest_reply(ctx, func, posted?, reply_of(i), None));
+            Ok(harvested.collect())
         })
     }
 
@@ -1575,45 +1156,32 @@ impl LiteHandle {
     /// unrecoverable case — the owner unreachable with our enqueue fate
     /// unknown — is counted in [`crate::KernelStats::sync_leaks`].
     pub fn lt_lock(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let result = self.lock_inner(ctx, lock);
-        let end = ctx.now();
-        self.record_hist(
-            crate::verify::Key::Lock {
-                node: lock.node,
-                addr: lock.addr,
-            },
-            || crate::verify::OpKind::Lock,
-            0,
-            result.is_ok(),
-            start,
-            end,
-        );
-        if result.is_ok() {
-            self.span(OpClass::Lock, lock.node, start, end);
-        }
-        self.exit(ctx);
-        result
+        let span = Some((OpClass::Lock, lock.node));
+        self.sync_call(ctx, lock.key(), OpKind::Lock, span, |this, ctx| {
+            this.lock_inner(ctx, lock)
+        })
+    }
+
+    /// One-sided fetch-and-add on the lock word; its previous contents.
+    fn lock_word_add(&self, ctx: &mut Ctx, lock: LockId, delta: u64) -> LiteResult<u64> {
+        let (node, addr) = (lock.node, lock.addr);
+        let add = Op::FetchAdd { node, addr, delta };
+        Ok(self
+            .kernel
+            .try_datapath()?
+            .post(ctx, self.prio, &add)?
+            .value)
     }
 
     fn lock_inner(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
-        let old = self
-            .kernel
-            .fetch_add(ctx, self.prio, lock.node, lock.addr, 1)?;
-        if old == 0 {
+        if self.lock_word_add(ctx, lock, 1)? == 0 {
             return Ok(());
         }
         // Contended: wait in the owner's FIFO queue (reply == grant).
         // The token names this enqueue attempt; on failure it lets the
         // abort ask the owner what actually happened.
         let token = self.kernel.next_sync_token();
-        match self.kcall(
-            ctx,
-            lock.node,
-            FN_LOCK,
-            Enc::new().u8(1).u64(lock.addr).u64(token).done(),
-        ) {
+        match self.k_lock(ctx, lock, LOCK_ENQUEUE, token) {
             Ok(_) => Ok(()),
             Err(e) => {
                 // The enqueue's fate is unknown: the request or the
@@ -1647,11 +1215,10 @@ impl LiteHandle {
     /// arrived). The owner memoizes the answer per token, so the
     /// bounded retries here are idempotent.
     fn lock_abort(&mut self, ctx: &mut Ctx, lock: LockId, token: u64) -> LiteResult<u8> {
-        let payload = Enc::new().u8(3).u64(lock.addr).u64(token).done();
         let mut last = LiteError::Timeout;
         for _ in 0..3 {
-            match self.kcall(ctx, lock.node, FN_LOCK, payload.clone()) {
-                Ok(resp) => return resp.first().copied().ok_or(LiteError::Remote(0xFB)),
+            match self.k_lock(ctx, lock, LOCK_ABORT, token) {
+                Ok(answer) => return Ok(answer),
                 Err(e) => last = e,
             }
         }
@@ -1660,10 +1227,7 @@ impl LiteHandle {
 
     /// Best-effort rollback of a failed acquire's `fetch_add`.
     fn unwind_lock_word(&mut self, ctx: &mut Ctx, lock: LockId) {
-        match self
-            .kernel
-            .fetch_add(ctx, self.prio, lock.node, lock.addr, u64::MAX)
-        {
+        match self.lock_word_add(ctx, lock, u64::MAX) {
             Ok(_) => self.kernel.note_lock_unwind(),
             Err(_) => self.kernel.note_sync_leak(lock.node, ctx.now()),
         }
@@ -1679,35 +1243,18 @@ impl LiteHandle {
     /// would decrement the lock word a second time). Counted in
     /// [`crate::KernelStats::sync_leaks`].
     pub fn lt_unlock(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let result = self.unlock_inner(ctx, lock);
-        self.record_hist(
-            crate::verify::Key::Lock {
-                node: lock.node,
-                addr: lock.addr,
-            },
-            || crate::verify::OpKind::Unlock,
-            0,
-            result.is_ok(),
-            start,
-            ctx.now(),
-        );
-        self.exit(ctx);
-        result
+        self.sync_call(ctx, lock.key(), OpKind::Unlock, None, |this, ctx| {
+            this.unlock_inner(ctx, lock)
+        })
     }
 
     fn unlock_inner(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
-        let old = self
-            .kernel
-            .fetch_add(ctx, self.prio, lock.node, lock.addr, u64::MAX)?; // -1
+        let old = self.lock_word_add(ctx, lock, u64::MAX)?; // -1
         if old == 0 {
             // Unlock of a free lock (app bug or a forbidden retry after
             // a poisoned unlock): restore the word — leaving it at
             // `u64::MAX` would let every subsequent acquire fast-path.
-            let _ = self
-                .kernel
-                .fetch_add(ctx, self.prio, lock.node, lock.addr, 1);
+            let _ = self.lock_word_add(ctx, lock, 1);
             return Err(LiteError::Internal("unlock of a free lock"));
         }
         if old == 1 {
@@ -1722,7 +1269,6 @@ impl LiteHandle {
         // unwound by an abort; re-reading the word tells the two apart
         // (0 = nothing outstanding, the lock is simply free).
         let token = self.kernel.next_sync_token();
-        let payload = Enc::new().u8(2).u64(lock.addr).u64(token).done();
         // Each failed kcall already burns up to one op_timeout, so the
         // attempt budget (not the deadline) bounds the error path; the
         // deadline bounds the fast "no waiter yet" polling loop.
@@ -1730,17 +1276,12 @@ impl LiteHandle {
         let mut errs = 0;
         let mut last = None;
         loop {
-            match self.kcall(ctx, lock.node, FN_LOCK, payload.clone()) {
-                Ok(resp) if resp.first() == Some(&3) => {
-                    match self
-                        .kernel
-                        .fetch_add(ctx, self.prio, lock.node, lock.addr, 0)
-                    {
-                        Ok(0) => return Ok(()),
-                        Ok(_) => {}
-                        Err(e) => last = Some(e),
-                    }
-                }
+            match self.k_lock(ctx, lock, LOCK_RELEASE, token) {
+                Ok(LOCK_NO_WAITER) => match self.lock_word_add(ctx, lock, 0) {
+                    Ok(0) => return Ok(()),
+                    Ok(_) => {}
+                    Err(e) => last = Some(e),
+                },
                 Ok(_) => return Ok(()),
                 Err(e) => {
                     errs += 1;
@@ -1767,34 +1308,16 @@ impl LiteHandle {
     /// LT_barrier: blocks until `count` participants arrive at barrier
     /// `id` (coordinated by the manager node).
     pub fn lt_barrier(&mut self, ctx: &mut Ctx, id: u64, count: u32) -> LiteResult<()> {
-        self.enter(ctx);
-        let start = ctx.now();
-        let result = self
-            .kcall(
-                ctx,
-                MANAGER_NODE,
-                FN_BARRIER,
-                Enc::new().u64(id).u32(count).done(),
-            )
-            .map(|_| ());
-        let end = ctx.now();
-        self.record_hist(
-            crate::verify::Key::Barrier { id },
-            || crate::verify::OpKind::Barrier { count },
-            0,
-            result.is_ok(),
-            start,
-            end,
-        );
-        if result.is_ok() {
-            self.span(OpClass::Barrier, MANAGER_NODE, start, end);
-        }
-        self.exit(ctx);
-        result
+        let key = Key::Barrier { id };
+        let kind = OpKind::Barrier { count };
+        let span = Some((OpClass::Barrier, MANAGER_NODE));
+        self.sync_call(ctx, key, kind, span, |this, ctx| {
+            this.k_barrier(ctx, id, count)
+        })
     }
 
     /// LT_fetch-add on a u64 inside an LMR; returns the previous value.
-    /// A one-element [`Self::lt_chain`].
+    /// A one-op [`Self::lt_chain`].
     pub fn lt_fetch_add(
         &mut self,
         ctx: &mut Ctx,
@@ -1802,14 +1325,19 @@ impl LiteHandle {
         offset: u64,
         delta: u64,
     ) -> LiteResult<u64> {
-        self.lt_atomic(ctx, lh, ChainOp::FetchAdd { off: offset, delta })
+        self.atomic(ctx, lh, ChainOp::FetchAdd { off: offset, delta })
     }
 
-    fn lt_atomic(&mut self, ctx: &mut Ctx, lh: Lh, op: ChainOp) -> LiteResult<u64> {
-        match self.lt_chain(ctx, lh, &[op])?.pop() {
-            Some(ChainOut::Value(old)) => Ok(old),
-            _ => Err(LiteError::Internal("atomic chain op returned no value")),
-        }
+    /// A one-op chain of an atomic: the word's previous contents.
+    fn atomic(&mut self, ctx: &mut Ctx, lh: Lh, op: ChainOp) -> LiteResult<u64> {
+        let mut old = 0;
+        self.one_sided(ctx, lh, &[op], &mut |landed| {
+            if let Landed::Value(v) = landed {
+                old = v;
+            }
+            Ok(())
+        })?;
+        Ok(old)
     }
 
     /// LT_test-set on a u64 inside an LMR: compare-and-swap
@@ -1831,8 +1359,7 @@ impl LiteHandle {
     /// word with `new` iff it currently equals `expect`; returns the
     /// previous value (the CAS won iff it equals `expect`). This is the
     /// primitive OCC commit protocols build on (lock-word acquire and
-    /// version-check release). A one-element [`Self::lt_chain`], so it
-    /// shares its Relocated-healing and pin discipline; the datapath
+    /// version-check release). A one-op [`Self::lt_chain`]; the datapath
     /// records the CAS in the verification history so `lite::verify` sees
     /// lock traffic.
     pub fn lt_cmp_swap(
@@ -1844,7 +1371,7 @@ impl LiteHandle {
         new: u64,
     ) -> LiteResult<u64> {
         let off = offset;
-        self.lt_atomic(ctx, lh, ChainOp::CmpSwap { off, expect, new })
+        self.atomic(ctx, lh, ChainOp::CmpSwap { off, expect, new })
     }
 
     /// Executes an ordered chain of one-sided ops on one LMR in a single
@@ -1870,28 +1397,60 @@ impl LiteHandle {
         if ops.is_empty() {
             return Ok(Vec::new());
         }
+        let mut outs = Vec::with_capacity(ops.len());
+        self.one_sided(ctx, lh, ops, &mut |landed| {
+            outs.push(match landed {
+                Landed::Done => ChainOut::Done,
+                Landed::Bytes(mem, at) => {
+                    let mut bytes = vec![0u8; at.len as usize];
+                    mem.read(at.addr, &mut bytes)?;
+                    ChainOut::Bytes(bytes)
+                }
+                Landed::Value(old) => ChainOut::Value(old),
+            });
+            Ok(())
+        })?;
+        Ok(outs)
+    }
+
+    /// Every one-sided call — `lt_write`, `lt_read`, the atomics,
+    /// `lt_chain` — is this: one syscall crossing around the healed,
+    /// pinned pieces of every op's range ([`Self::fresh_pieces`]) and the
+    /// one body that posts them ([`Self::chain_pieces`]). `sink` is handed
+    /// each op's result, in op order, once the whole chain completed.
+    fn one_sided(
+        &mut self,
+        ctx: &mut Ctx,
+        lh: Lh,
+        ops: &[ChainOp],
+        sink: &mut dyn FnMut(Landed) -> LiteResult<()>,
+    ) -> LiteResult<()> {
         let ranges = ops.iter().map(|op| match *op {
             ChainOp::Write { off, data } => (off, data.len(), Perm::RW),
             ChainOp::Read { off, len } => (off, len, Perm::RO),
             ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => (off, 8, Perm::RW),
         });
-        self.with_fresh_pieces(ctx, lh, ranges, |this, ctx, id, pieces| {
-            this.chain_pieces(ctx, id, ops, pieces)
+        self.syscall(ctx, |this, ctx| {
+            let (id, pieces, _pins) = this.fresh_pieces(ctx, lh, ranges)?;
+            this.chain_pieces(ctx, id, ops, &pieces, sink)
         })
     }
 
-    /// The body of [`Self::lt_chain`] once every range is resolved and
-    /// pinned: stage, post, wait once, collect.
+    /// The one body of a one-sided call, once every range is resolved
+    /// (`pieces[i]` are op `i`'s) and pinned: stage, post, wait once,
+    /// collect. One verb per physical piece; `zones`, `posts` and `comps`
+    /// below are indexed by verb.
     fn chain_pieces(
         &mut self,
         ctx: &mut Ctx,
         id: LmrId,
         ops: &[ChainOp],
         pieces: &[Vec<(NodeId, Chunk)>],
-    ) -> LiteResult<Vec<ChainOut>> {
+        sink: &mut dyn FnMut(Landed) -> LiteResult<()>,
+    ) -> LiteResult<()> {
         let start = ctx.now();
         // Staging holds every write's payload and every read's landing
-        // zone, in op order: one local chunk per physical piece.
+        // zone, in op order.
         let staged = |op: &ChainOp| match *op {
             ChainOp::Write { data, .. } => data.len(),
             ChainOp::Read { len, .. } => len,
@@ -1900,102 +1459,129 @@ impl LiteHandle {
         let total: usize = ops.iter().map(staged).sum();
         Self::ensure(&self.kernel, &mut self.staging, total)?;
         let mem = self.kernel.fabric().mem(self.kernel.node());
-        let mut zone = self.staging.addr;
-        let staged_pieces = ops.iter().zip(pieces).filter(|(op, _)| staged(op) > 0);
-        let mut zones = Vec::with_capacity(staged_pieces.map(|(_, p)| p.len()).sum());
+        let mut at = self.staging.addr;
         for (op, pieces) in ops.iter().zip(pieces) {
             match *op {
-                ChainOp::Write { data, .. } => mem.write(zone, data)?,
+                ChainOp::Write { data, .. } => mem.write(at, data)?,
                 ChainOp::Read { .. } => {}
-                ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => continue,
-            }
-            for (_, c) in pieces {
-                zones.push(Chunk {
-                    addr: zone,
-                    len: c.len,
-                });
-                zone += c.len;
-            }
-        }
-        // One datapath descriptor per physical piece, borrowing its zone.
-        let mut posts = Vec::with_capacity(zones.len() + ops.len());
-        let mut zone_of = zones.iter().map(std::slice::from_ref);
-        for (op, pieces) in ops.iter().zip(pieces) {
-            match *op {
-                ChainOp::Write { .. } | ChainOp::Read { .. } => {
-                    for (&(node, c), here) in pieces.iter().zip(&mut zone_of) {
-                        posts.push(match op {
-                            ChainOp::Write { .. } => Op::write(node, c.addr, here, c.len as usize),
-                            _ => Op::read(node, c.addr, here, c.len as usize),
+                // An atomic operates on one 8-byte word, which must
+                // therefore live inside a single chunk of the LMR; `check`
+                // has bounds/permission checked the range, so more than
+                // one piece means the word straddles a chunk boundary.
+                ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => {
+                    if pieces.len() != 1 {
+                        return Err(LiteError::StraddlesChunk {
+                            offset: off,
+                            len: 8,
                         });
                     }
                 }
-                ChainOp::FetchAdd { off, delta } => {
-                    let (node, c) = single_piece(off, pieces)?;
-                    let addr = c.addr;
-                    posts.push(Op::FetchAdd { node, addr, delta });
-                }
-                ChainOp::CmpSwap { off, expect, new } => {
-                    let (node, c) = single_piece(off, pieces)?;
-                    posts.push(Op::CmpSwap {
-                        node,
-                        addr: c.addr,
-                        expect,
-                        new,
-                    });
-                }
             }
+            at += staged(op) as u64;
         }
-        let result = self.kernel.rdma_chain(ctx, self.prio, &posts);
-        if let Ok(comps) = &result {
-            // Ops that went out in a doorbell chain are still in flight;
-            // single posts of blocking verbs have already been reaped.
-            let last = comps.iter().map(|c| c.stamp).max().unwrap_or(0);
-            if last > ctx.now() {
-                self.finish_blocking(ctx, last);
-            }
-        }
-        let end = ctx.now();
-        // Walk the ops again with the same two cursors the posting pass
-        // advanced: the staging zone and the descriptor index.
-        let (mut zone, mut first) = (self.staging.addr, 0);
-        let mut outs = Vec::with_capacity(ops.len());
-        for (op, pieces) in ops.iter().zip(pieces) {
+        let verbs = ops
+            .iter()
+            .zip(pieces)
+            .flat_map(|(op, pieces)| pieces.iter().map(move |piece| (op, piece)));
+        let n = pieces.iter().map(Vec::len).sum();
+        // A verb's zone: its piece's share of the op's staging (none for
+        // an atomic).
+        let mut at = self.staging.addr;
+        let zone_of = verbs.clone().map(|(op, (_, c))| {
+            let len = if staged(op) > 0 { c.len } else { 0 };
+            let zone = Chunk { addr: at, len };
+            at += len;
+            zone
+        });
+        let (mut one, mut many) = (None, Vec::new());
+        let zones = gather(n, zone_of, &mut one, &mut many);
+        let post_of = verbs.zip(&*zones).map(|((op, &(node, c)), zone)| {
+            let (addr, zone, len) = (c.addr, std::slice::from_ref(zone), c.len as usize);
             match *op {
+                ChainOp::Write { .. } => Op::write(node, addr, zone, len),
+                ChainOp::Read { .. } => Op::read(node, addr, zone, len),
+                ChainOp::FetchAdd { delta, .. } => Op::FetchAdd { node, addr, delta },
+                ChainOp::CmpSwap { expect, new, .. } => Op::CmpSwap {
+                    node,
+                    addr,
+                    expect,
+                    new,
+                },
+            }
+        });
+        let (mut one, mut many) = (None, Vec::new());
+        let posts = gather(n, post_of, &mut one, &mut many);
+        let (mut one, mut many) = (None, Vec::new());
+        let blank = std::iter::repeat_n(Completion::default(), n);
+        let comps = gather(n, blank, &mut one, &mut many);
+        let result = self.kernel.rdma_chain(ctx, self.prio, posts, comps);
+        if result.is_ok() {
+            // A call that moved bytes reaps one completion. Atomics alone:
+            // a lone one was reaped by its post, like the blocking verb it
+            // is; those of a doorbell chain are still in flight.
+            let last = comps.iter().map(|c| c.stamp).max().unwrap_or(0);
+            if total > 0 || last > ctx.now() {
+                ctx.wait_until(last);
+                ctx.work(self.kernel.fabric().cost().cq_poll_ns);
+            }
+        }
+        let (end, ok) = (ctx.now(), result.is_ok());
+        // Walk the ops again with the same two cursors the posting pass
+        // advanced: the staging address and the verb index.
+        let (mut at, mut verb) = (self.staging.addr, 0);
+        for (op, pieces) in ops.iter().zip(pieces) {
+            let landed = match *op {
                 ChainOp::Write { off, data } => {
-                    // As `lt_write`: a failed chain may have applied any
-                    // prefix, so its writes are recorded as failed.
-                    let kind = || crate::verify::OpKind::Write {
-                        fp: crate::verify::fingerprint(data),
+                    // Lookup/permission/bounds failures returned before any
+                    // side effect and are not recorded in the history (a
+                    // no-effect op adds no constraint); a chain that failed
+                    // past that point may have applied any prefix, so its
+                    // writes are recorded as failed.
+                    let kind = || OpKind::Write {
+                        fp: fingerprint(data),
                     };
-                    self.record_reg(id, off, data.len(), kind, result.is_ok(), start, end);
-                    outs.push(ChainOut::Done);
-                    first += pieces.len();
+                    self.record_reg(id, off, data.len(), kind, ok, start, end);
+                    Landed::Done
                 }
                 ChainOp::Read { off, len } => {
-                    let mut buf = vec![0u8; len];
-                    if result.is_ok() {
-                        mem.read(zone, &mut buf)?;
-                    }
-                    // An unread buffer is all zeroes: fingerprint 0.
-                    let kind = || crate::verify::OpKind::Read {
-                        fp: crate::verify::fingerprint(&buf),
+                    // Failed reads are excluded by the checker; fp is
+                    // meaningful only on the ok path.
+                    let kind = || {
+                        let mut got = vec![0u8; len];
+                        let read = ok && mem.read(at, &mut got).is_ok();
+                        let fp = if read { fingerprint(&got) } else { 0 };
+                        OpKind::Read { fp }
                     };
-                    self.record_reg(id, off, len, kind, result.is_ok(), start, end);
-                    outs.push(ChainOut::Bytes(buf));
-                    first += pieces.len();
+                    self.record_reg(id, off, len, kind, ok, start, end);
+                    let len = len as u64;
+                    Landed::Bytes(mem, Chunk { addr: at, len })
                 }
                 ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => {
-                    let old = result.as_ref().map_or(0, |comps| comps[first].value);
-                    outs.push(ChainOut::Value(old));
-                    first += 1;
+                    Landed::Value(comps[verb].value)
                 }
+            };
+            if ok {
+                sink(landed)?;
             }
-            zone += staged(op) as u64;
+            at += staged(op) as u64;
+            verb += pieces.len();
         }
-        result.map(|_| outs)
+        result
     }
 }
+
+/// What the one-sided body hands its caller's sink for one completed op.
+enum Landed<'a> {
+    /// A write; nothing to return.
+    Done,
+    /// A read: the bytes wait in this zone of the node's memory.
+    Bytes(&'a PhysMem, Chunk),
+    /// An atomic: the word's previous contents.
+    Value(u64),
+}
+
+/// A claimed completion slot: its id and the slot to wait on.
+type Posted = (u32, Arc<CallSlot>);
 
 impl Drop for LiteHandle {
     fn drop(&mut self) {
@@ -2003,12 +1589,8 @@ impl Drop for LiteHandle {
         let mut failures = 0;
         {
             let mut a = self.kernel.alloc.lock();
-            let mcast = self.mcast_reply.as_ref().map(|s| s.addr);
-            for addr in [self.staging.addr, self.reply.addr]
-                .into_iter()
-                .chain(mcast)
-            {
-                if a.free(addr).is_err() {
+            for s in [&self.staging, &self.reply, &self.mcast_reply] {
+                if s.cap > 0 && a.free(s.addr).is_err() {
                     failures += 1;
                 }
             }
@@ -2022,42 +1604,76 @@ impl Drop for LiteHandle {
     }
 }
 
-/// Atomics operate on one 8-byte word, which must therefore live inside
-/// a single chunk of the LMR; `check` has already bounds/permission
-/// checked the range, so more than one piece means the word straddles a
-/// chunk boundary.
-fn single_piece(offset: u64, pieces: &[(NodeId, Chunk)]) -> LiteResult<(NodeId, &Chunk)> {
-    if pieces.len() != 1 {
-        return Err(LiteError::StraddlesChunk { offset, len: 8 });
-    }
-    Ok((pieces[0].0, &pieces[0].1))
-}
-
-fn map_status(code: u8) -> LiteError {
-    match code {
-        1 => LiteError::Remote(1),
-        2 => LiteError::NameNotFound {
-            name: String::new(),
-        },
-        3 => LiteError::NotMaster,
-        4 => LiteError::Relocated,
-        other => LiteError::Remote(other),
+/// The `n` items of `items` as a slice: held in `one` when there is
+/// just one — a one-op call on one piece builds no vector — else in
+/// `many`.
+fn gather<'s, T>(
+    n: usize,
+    mut items: impl Iterator<Item = T>,
+    one: &'s mut Option<T>,
+    many: &'s mut Vec<T>,
+) -> &'s mut [T] {
+    if n == 1 {
+        *one = items.next();
+        one.as_mut_slice()
+    } else {
+        many.reserve_exact(n);
+        many.extend(items);
+        many
     }
 }
 
-fn named_err(e: LiteError, name: &str) -> LiteError {
-    match e {
-        LiteError::NameNotFound { .. } => LiteError::NameNotFound {
-            name: name.to_string(),
-        },
-        other => other,
+/// A just-fetched lh table entry.
+fn fresh_entry(id: LmrId, name: &str, location: Location, perm: Perm) -> LhEntry {
+    LhEntry {
+        id,
+        name: name.to_string(),
+        location,
+        perm,
+        stale: false,
+        relocated: false,
     }
+}
+
+/// One `FN_MEMCPY`'s worth of a copy: `len` bytes contiguous at both
+/// ends, `(node, physical address)` each.
+pub(crate) struct Seg {
+    pub(crate) src: (NodeId, u64),
+    pub(crate) dst: (NodeId, u64),
+    pub(crate) len: u64,
+}
+
+/// Walks the piece lists of two equally long ranges in lockstep, cutting
+/// a segment wherever either side crosses a piece boundary.
+fn segments(src: &[(NodeId, Chunk)], dst: &[(NodeId, Chunk)]) -> Vec<Seg> {
+    let (mut si, mut di) = (0usize, 0usize);
+    let (mut s_used, mut d_used) = (0u64, 0u64);
+    let mut segs = Vec::new();
+    while si < src.len() && di < dst.len() {
+        let ((s_node, s), (d_node, d)) = (src[si], dst[di]);
+        let len = (s.len - s_used).min(d.len - d_used);
+        segs.push(Seg {
+            src: (s_node, s.addr + s_used),
+            dst: (d_node, d.addr + d_used),
+            len,
+        });
+        s_used += len;
+        d_used += len;
+        if s_used == s.len {
+            si += 1;
+            s_used = 0;
+        }
+        if d_used == d.len {
+            di += 1;
+            d_used = 0;
+        }
+    }
+    segs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::OpKind;
     use crate::LiteCluster;
 
     /// What is computed only for the history log is computed only when a
@@ -2078,5 +1694,32 @@ mod tests {
         let ops = log.take().ops;
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].kind, OpKind::Write { fp: 7 });
+    }
+
+    /// A reply longer than the caller allowed is `TooLarge` from `lt_rpc`
+    /// and from a multicast alike, never cut to the reply cell. Only a
+    /// server that ignores the limit it was sent produces one: forge its
+    /// route.
+    #[test]
+    fn overlong_reply_is_too_large_for_rpc_and_multicast_alike() {
+        const F: u8 = USER_FUNC_MIN;
+        let cluster = LiteCluster::start(2).unwrap();
+        let mut server = cluster.attach(1).unwrap();
+        server.register_rpc(F).unwrap();
+        let rogue = std::thread::spawn(move || {
+            let mut ctx = Ctx::new();
+            for _ in 0..2 {
+                let mut call = server.lt_recv_rpc(&mut ctx, F).unwrap();
+                call.route.reply_max = 64;
+                server.lt_reply_rpc(&mut ctx, &call, &[9; 64]).unwrap();
+            }
+        });
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let too_large = Err(LiteError::TooLarge { len: 64, max: 8 });
+        assert_eq!(h.lt_rpc(&mut ctx, 1, F, b"x", 8), too_large);
+        let each = h.lt_multicast_rpc_partial(&mut ctx, &[1], F, b"x", 8);
+        assert_eq!(each.unwrap(), [too_large]);
+        rogue.join().unwrap();
     }
 }

@@ -42,12 +42,12 @@ mod stats;
 pub use rpc::{Incoming, ADAPTIVE_SPIN_NS, IMM_DISPATCH_NS, RPC_META_NS};
 pub use stats::KernelStats;
 
-pub(crate) use msg::{byte_to_perm, perm_to_byte};
-pub(crate) use rpc::ReplyRoute;
+pub(crate) use msg::{LOCK_ABORT, LOCK_ENQUEUE, LOCK_NO_WAITER, LOCK_RELEASE};
+pub(crate) use rpc::{CallSlot, ReplyRoute};
 
 use datapath::RnicDataPath;
 use msg::{BarrierState, LockState, MasterTable};
-use rpc::{CallSlot, RpcQueue};
+use rpc::RpcQueue;
 use stats::KernelCounters;
 
 // ---------------------------------------------------------------------
@@ -70,11 +70,7 @@ pub(crate) const FN_BARRIER: u8 = 12;
 pub(crate) const FN_TAKE_RECORD: u8 = 13;
 pub(crate) const FN_GRANT: u8 = 14;
 pub(crate) const FN_UNREGNAME: u8 = 15;
-/// Asks a node's memory manager to evict a chunk of one of its LMRs.
-pub(crate) const FN_EVICT: u8 = 16;
-/// Asks a node's memory manager to fetch an evicted LMR back home.
-pub(crate) const FN_FETCH_BACK: u8 = 17;
-/// First function id available to applications.
+/// First function id available to applications (16 and 17 are unassigned).
 pub const USER_FUNC_MIN: u8 = 18;
 
 /// The cluster-manager node (name registry; §3.3's management service).

@@ -1067,6 +1067,18 @@ impl RnicDataPath {
         ops: &[Op],
     ) -> LiteResult<Vec<Completion>> {
         let mut out = vec![Completion::default(); ops.len()];
+        self.post_many_into(ctx, prio, ops, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::post_many`] into the caller's `out`, one slot per op.
+    pub(crate) fn post_many_into(
+        &self,
+        ctx: &mut Ctx,
+        prio: Priority,
+        ops: &[Op],
+        out: &mut [Completion],
+    ) -> LiteResult<()> {
         let mut i = 0;
         while i < ops.len() {
             let dst = ops[i].dst_node();
@@ -1079,7 +1091,7 @@ impl RnicDataPath {
             self.post_run(ctx, prio, &ops[i..j], &mut out[i..j])?;
             i = j;
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -1104,48 +1116,24 @@ impl LiteKernel {
             .ok_or(LiteError::Internal("op posted before cluster wiring"))
     }
 
-    /// RDMA-writes `len` bytes from local physical `src_chunks` to
-    /// `(dst_node, dst_addr)`. Returns the completion stamp; the caller
-    /// decides whether to block on it (LT_write always does).
-    pub(crate) fn rdma_write(
-        &self,
-        ctx: &mut Ctx,
-        prio: Priority,
-        dst_node: NodeId,
-        dst_addr: u64,
-        src_chunks: &[Chunk],
-        len: usize,
-    ) -> LiteResult<Nanos> {
-        self.counters.count_write(len as u64);
-        let op = Op::write(dst_node, dst_addr, src_chunks, len);
-        Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
-    }
-
-    /// RDMA-reads `len` bytes from `(src_node, src_addr)` into local
-    /// physical `dst_chunks`.
-    pub(crate) fn rdma_read(
-        &self,
-        ctx: &mut Ctx,
-        prio: Priority,
-        src_node: NodeId,
-        src_addr: u64,
-        dst_chunks: &[Chunk],
-        len: usize,
-    ) -> LiteResult<Nanos> {
-        self.counters.count_read(len as u64);
-        let op = Op::read(src_node, src_addr, dst_chunks, len);
-        Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
+    /// Posts one read or write, counted like a chain of one; returns its
+    /// completion stamp, and the caller decides whether to block on it.
+    pub(crate) fn rdma_one(&self, ctx: &mut Ctx, prio: Priority, op: &Op) -> LiteResult<Nanos> {
+        let mut out = [Completion::default()];
+        self.rdma_chain(ctx, prio, std::slice::from_ref(op), &mut out)?;
+        Ok(out[0].stamp)
     }
 
     /// Posts an ordered chain of ops ([`RnicDataPath::post_many`]: one
-    /// doorbell per run of remote ops towards one node), counting its
-    /// reads and writes.
+    /// doorbell per run of remote ops towards one node) into `out`,
+    /// counting its reads and writes.
     pub(crate) fn rdma_chain(
         &self,
         ctx: &mut Ctx,
         prio: Priority,
         ops: &[Op],
-    ) -> LiteResult<Vec<Completion>> {
+        out: &mut [Completion],
+    ) -> LiteResult<()> {
         for op in ops {
             match op {
                 Op::Write { len, .. } => self.counters.count_write(*len as u64),
@@ -1153,56 +1141,7 @@ impl LiteKernel {
                 Op::FetchAdd { .. } | Op::CmpSwap { .. } => {}
             }
         }
-        self.try_datapath()?.post_many(ctx, prio, ops)
-    }
-
-    /// Writes the bytes staged contiguously at local `staged` over the
-    /// `(node, chunk)` pieces of an LMR range, as one chain. Returns the
-    /// latest completion stamp.
-    pub(crate) fn rdma_write_vec(
-        &self,
-        ctx: &mut Ctx,
-        prio: Priority,
-        staged: u64,
-        pieces: &[(NodeId, Chunk)],
-    ) -> LiteResult<Nanos> {
-        if let [(node, c)] = pieces {
-            // The common single-extent write needs no chain.
-            let (src, len) = ([extent(staged, c.len as usize)], c.len as usize);
-            return self.rdma_write(ctx, prio, *node, c.addr, &src, len);
-        }
-        let mut zone = staged;
-        let srcs: Vec<Chunk> = pieces
-            .iter()
-            .map(|(_, c)| {
-                let src = Chunk {
-                    addr: zone,
-                    len: c.len,
-                };
-                zone += c.len;
-                src
-            })
-            .collect();
-        let ops: Vec<Op> = pieces
-            .iter()
-            .zip(&srcs)
-            .map(|((n, c), src)| Op::write(*n, c.addr, std::slice::from_ref(src), c.len as usize))
-            .collect();
-        let comps = self.rdma_chain(ctx, prio, &ops)?;
-        Ok(comps.iter().map(|c| c.stamp).fold(ctx.now(), Nanos::max))
-    }
-
-    /// One-sided fetch-and-add on a u64 anywhere in the cluster.
-    pub(crate) fn fetch_add(
-        &self,
-        ctx: &mut Ctx,
-        prio: Priority,
-        node: NodeId,
-        addr: u64,
-        delta: u64,
-    ) -> LiteResult<u64> {
-        let op = Op::FetchAdd { node, addr, delta };
-        Ok(self.try_datapath()?.post(ctx, prio, &op)?.value)
+        self.try_datapath()?.post_many_into(ctx, prio, ops, out)
     }
 }
 

@@ -6,6 +6,12 @@
 //! thread* — none of them blocks, and multi-step operations are driven
 //! by the calling thread as a sequence of RPCs, so the poller can never
 //! deadlock.
+//!
+//! Both ends of every service live in this module and nowhere else: the
+//! handler arms of [`LiteKernel::kernel_service`] and, below them, one
+//! client stub per `FN_*` (`LiteHandle::k_*`) that encodes the request
+//! the arm decodes and decodes the reply it encodes. The rest of the
+//! crate calls the stubs and never sees a payload.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -14,12 +20,14 @@ use rnic::NodeId;
 use simnet::Ctx;
 use smem::Chunk;
 
+use super::datapath::Op;
 use super::rpc::ReplyRoute;
 use super::{
-    LiteKernel, FN_BARRIER, FN_EVICT, FN_FETCH_BACK, FN_FREE_CHUNKS, FN_GRANT, FN_INVALIDATE,
-    FN_LOCK, FN_MALLOC, FN_MAP, FN_MEMCPY, FN_MEMSET, FN_QUERYNAME, FN_REGNAME, FN_TAKE_RECORD,
-    FN_UNMAP, FN_UNREGNAME, LOCK_CELLS,
+    LiteKernel, FN_BARRIER, FN_FREE_CHUNKS, FN_GRANT, FN_INVALIDATE, FN_LOCK, FN_MALLOC, FN_MAP,
+    FN_MEMCPY, FN_MEMSET, FN_QUERYNAME, FN_REGNAME, FN_TAKE_RECORD, FN_UNMAP, FN_UNREGNAME,
+    LOCK_CELLS, MANAGER_NODE,
 };
+use crate::api::{LiteHandle, LockId, Seg};
 use crate::error::{LiteError, LiteResult};
 use crate::lmr::{LhEntry, LmrId, Location, MasterRecord, Perm};
 use crate::qos::Priority;
@@ -91,11 +99,20 @@ impl MasterTable {
     }
 }
 
-pub(crate) fn perm_to_byte(p: Perm) -> u8 {
+/// `FN_LOCK` sub-op: enqueue a waiter; the reply is the grant.
+pub(crate) const LOCK_ENQUEUE: u8 = 1;
+/// `FN_LOCK` sub-op: hand the lock to the next waiter.
+pub(crate) const LOCK_RELEASE: u8 = 2;
+/// `FN_LOCK` sub-op: cancel an enqueue whose fate is unknown.
+pub(crate) const LOCK_ABORT: u8 = 3;
+/// A release's answer when nobody is queued yet.
+pub(crate) const LOCK_NO_WAITER: u8 = 3;
+
+fn perm_to_byte(p: Perm) -> u8 {
     (p.read as u8) | ((p.write as u8) << 1) | ((p.master as u8) << 2)
 }
 
-pub(crate) fn byte_to_perm(b: u8) -> Perm {
+fn byte_to_perm(b: u8) -> Perm {
     Perm {
         read: b & 1 != 0,
         write: b & 2 != 0,
@@ -119,13 +136,9 @@ impl LiteKernel {
         lh
     }
 
-    pub(crate) fn lookup_lh(&self, pid: u32, lh: u64) -> LiteResult<LhEntry> {
-        self.lhs.get(&(pid, lh)).ok_or(LiteError::BadLh { lh })
-    }
-
-    /// Runs `f` on the entry behind `(pid, lh)` under its shard lock: the
-    /// datapath calls need an id and a few pieces of the location, not a
-    /// clone of the name and the whole extent list. `f` must not take
+    /// Runs `f` on the entry behind `(pid, lh)` under its shard lock: a
+    /// call needs an id and a few pieces of the location, not a clone of
+    /// the name and the whole extent list. `f` must not take
     /// another kernel lock ([`crate::shard`]'s ordering rule).
     pub(crate) fn with_lh<T>(
         &self,
@@ -146,24 +159,21 @@ impl LiteKernel {
         self.lhs.remove(&(pid, lh)).ok_or(LiteError::BadLh { lh })
     }
 
-    fn invalidate_lmr(&self, id: LmrId) {
+    /// Marks every local handle on `id` dead (`stale`: the LMR was freed
+    /// or moved) or, with `relocated`, merely out of date: the LMR still
+    /// exists but its chunks migrated under the handle, and the API layer
+    /// re-fetches the mapping and clears the flag.
+    pub(crate) fn invalidate_lmr(&self, id: LmrId, relocated: bool) {
         // Snapshot-per-shard: a handle installed into an already-visited
         // shard mid-sweep belongs to a mapping that re-fetched after the
         // invalidation, so skipping it is correct.
         self.lhs.for_each_mut(|_, entry| {
             if entry.id == id {
-                entry.stale = true;
-            }
-        });
-    }
-
-    /// Marks every local handle on `id` as relocated (not stale): the
-    /// LMR still exists, but its cached location moved under the handle.
-    /// The API layer re-fetches the mapping and clears the flag.
-    pub(crate) fn invalidate_lmr_relocated(&self, id: LmrId) {
-        self.lhs.for_each_mut(|_, entry| {
-            if entry.id == id {
-                entry.relocated = true;
+                if relocated {
+                    entry.relocated = true;
+                } else {
+                    entry.stale = true;
+                }
             }
         });
     }
@@ -316,6 +326,26 @@ impl LiteKernel {
     // Kernel services (run on the poller; must never block)
     // ------------------------------------------------------------------
 
+    /// Pins the raw range `[addr, addr + len)` at `mm` for the length of
+    /// a handler, charging the pages it faults in. `None`: the range
+    /// migrated under the caller's cached location — the handler answers
+    /// status 4 and the caller refreshes its mapping and retries.
+    fn fence(
+        &self,
+        ctx: &mut Ctx,
+        mm: &crate::mm::MemManager,
+        addr: u64,
+        len: u64,
+    ) -> Option<crate::mm::PinOutcome> {
+        match mm.pin_raw_nowait(addr, len) {
+            (crate::mm::PinOutcome::Relocated, _) => None,
+            (pin, faulted) => {
+                ctx.work(self.fabric.cost().fault_page_ns * faulted as u64);
+                Some(pin)
+            }
+        }
+    }
+
     pub(super) fn kernel_service(
         &self,
         ctx: &mut Ctx,
@@ -372,15 +402,10 @@ impl LiteKernel {
             FN_INVALIDATE => {
                 let node = d.u32()?;
                 let idx = d.u32()?;
-                // Trailing kind byte (absent in older senders): 0 = the
-                // LMR is gone (free/move) — handles go stale; 1 = the
-                // LMR's chunks migrated — handles refresh transparently.
-                let kind = d.u8().unwrap_or(0);
-                if kind == 1 {
-                    self.invalidate_lmr_relocated(LmrId { node, idx });
-                } else {
-                    self.invalidate_lmr(LmrId { node, idx });
-                }
+                // Trailing kind byte: absent = the LMR is gone
+                // (free/move) — handles go stale; 1 = the LMR's chunks
+                // migrated — handles refresh transparently.
+                self.invalidate_lmr(LmrId { node, idx }, d.u8() == Ok(1));
                 Ok(Some(Enc::new().u8(0).done()))
             }
             FN_REGNAME => {
@@ -398,20 +423,13 @@ impl LiteKernel {
                 // caller believes owns the name. If the name was freed
                 // and re-registered by another node in the meantime, the
                 // newer binding is left alone — an unregister must never
-                // scrub a binding it did not create. (Legacy senders
-                // without the guard fall back to unconditional removal.)
-                match d.u32() {
-                    Ok(expected) => {
-                        self.names.with_shard_of(&name, |m| {
-                            if m.get(&name) == Some(&expected) {
-                                m.remove(&name);
-                            }
-                        });
+                // scrub a binding it did not create.
+                let expected = d.u32()?;
+                self.names.with_shard_of(&name, |m| {
+                    if m.get(&name) == Some(&expected) {
+                        m.remove(&name);
                     }
-                    Err(_) => {
-                        self.names.remove(&name);
-                    }
-                }
+                });
                 Ok(Some(Enc::new().u8(0).done()))
             }
             FN_QUERYNAME => {
@@ -443,15 +461,12 @@ impl LiteKernel {
                     // pull the LMR home on the next manager sweep.
                     let fault = rec.id.node as NodeId == me
                         && rec.location.extents.iter().any(|(n, _)| *n != me);
-                    let mut e = Enc::new()
+                    let e = Enc::new()
                         .u8(0)
                         .u32(rec.id.node)
                         .u32(rec.id.idx)
                         .u8(perm_to_byte(perm))
-                        .u32(rec.location.extents.len() as u32);
-                    for (node, c) in &rec.location.extents {
-                        e = e.u32(*node as u32).u64(c.addr).u64(c.len);
-                    }
+                        .extents(&rec.location.extents);
                     Some((fault, e.done()))
                 });
                 match out {
@@ -511,11 +526,8 @@ impl LiteKernel {
                             .u8(0)
                             .u32(rec.id.node)
                             .u32(rec.id.idx)
-                            .u32(rec.location.extents.len() as u32);
-                        for (node, c) in &rec.location.extents {
-                            e = e.u32(*node as u32).u64(c.addr).u64(c.len);
-                        }
-                        e = e.u32(rec.mapped_by.len() as u32);
+                            .extents(&rec.location.extents)
+                            .u32(rec.mapped_by.len() as u32);
                         for n in &rec.mapped_by {
                             e = e.u32(*n as u32);
                         }
@@ -548,16 +560,8 @@ impl LiteKernel {
                 let addr = d.u64()?;
                 let len = d.u64()?;
                 let byte = d.u8()?;
-                // Status 4: the range migrated under the caller's cached
-                // location — it refreshes the mapping and retries.
-                let _pin = match self.mm.pin_raw_nowait(addr, len) {
-                    (crate::mm::PinOutcome::Relocated, _) => {
-                        return Ok(Some(Enc::new().u8(4).done()))
-                    }
-                    (pin, faulted) => {
-                        ctx.work(self.fabric.cost().fault_page_ns * faulted as u64);
-                        pin
-                    }
+                let Some(_pin) = self.fence(ctx, &self.mm, addr, len) else {
+                    return Ok(Some(Enc::new().u8(4).done()));
                 };
                 self.mem().fill(addr, len as usize, byte)?;
                 ctx.work(self.fabric.cost().memcpy_time(len));
@@ -569,14 +573,8 @@ impl LiteKernel {
                 let len = d.u64()?;
                 let dst_node = d.u32()? as NodeId;
                 let dst = d.u64()?;
-                let _src_pin = match self.mm.pin_raw_nowait(src, len) {
-                    (crate::mm::PinOutcome::Relocated, _) => {
-                        return Ok(Some(Enc::new().u8(4).done()))
-                    }
-                    (pin, faulted) => {
-                        ctx.work(self.fabric.cost().fault_page_ns * faulted as u64);
-                        pin
-                    }
+                let Some(_src_pin) = self.fence(ctx, &self.mm, src, len) else {
+                    return Ok(Some(Enc::new().u8(4).done()));
                 };
                 let local_dst = op == 0 || dst_node == self.node;
                 // Fence the destination at whichever node hosts it: a
@@ -590,27 +588,22 @@ impl LiteKernel {
                 } else {
                     self.mm.peer(dst_node)
                 };
-                let _dst_pin = match dst_mm.map(|mm| mm.pin_raw_nowait(dst, len)) {
-                    Some((crate::mm::PinOutcome::Relocated, _)) => {
-                        return Ok(Some(Enc::new().u8(4).done()))
-                    }
-                    Some((pin, faulted)) => {
-                        ctx.work(self.fabric.cost().fault_page_ns * faulted as u64);
-                        Some(pin)
-                    }
-                    None => None,
+                let _dst_pin = match dst_mm.map(|mm| self.fence(ctx, mm, dst, len)) {
+                    Some(None) => return Ok(Some(Enc::new().u8(4).done())),
+                    pinned => pinned,
                 };
-                let mut data = vec![0u8; len as usize];
-                self.mem().read(src, &mut data)?;
+                let chunks = [Chunk { addr: src, len }];
                 if local_dst {
-                    self.mem().write(dst, &data)?;
+                    // As if all of `src` were read before any of `dst` is
+                    // written: an overlapping segment cannot tear itself.
+                    let mem = self.mem();
+                    mem.copy_from(mem, &chunks, &[Chunk { addr: dst, len }])?;
                     ctx.work(self.fabric.cost().memcpy_time(len));
                 } else {
                     // Push to the destination node with a one-sided write;
                     // LT_memcpy returns only once the copy is durable.
-                    let chunks = [Chunk { addr: src, len }];
-                    let comp =
-                        self.rdma_write(ctx, Priority::High, dst_node, dst, &chunks, len as usize)?;
+                    let push = Op::write(dst_node, dst, &chunks[..], len as usize);
+                    let comp = self.rdma_one(ctx, Priority::High, &push)?;
                     ctx.wait_until(comp);
                 }
                 Ok(Some(Enc::new().u8(0).done()))
@@ -620,7 +613,7 @@ impl LiteKernel {
                 let addr = d.u64()?;
                 let token = d.u64()?;
                 match op {
-                    1 => {
+                    LOCK_ENQUEUE => {
                         // Enqueue a waiter; reply only when granted. A
                         // release that raced ahead of this enqueue will
                         // come back (the unlocker retries releases that
@@ -631,7 +624,7 @@ impl LiteKernel {
                         });
                         Ok(None)
                     }
-                    2 => {
+                    LOCK_RELEASE => {
                         // Grant-next on release. Two-way: the unlocker
                         // gets an ack, so it can retry a lost one — and
                         // `releases_seen` makes the retry idempotent (a
@@ -661,7 +654,7 @@ impl LiteKernel {
                                     st.granted.insert(wtoken);
                                     Ok(route)
                                 }
-                                None => Err(3),
+                                None => Err(LOCK_NO_WAITER),
                             }
                         });
                         match grant {
@@ -675,7 +668,7 @@ impl LiteKernel {
                             Err(code) => Ok(Some(Enc::new().u8(0).u8(code).done())),
                         }
                     }
-                    3 => {
+                    LOCK_ABORT => {
                         // Abort an enqueue whose reply was lost. Replies
                         // with what actually happened: 0 = dequeued (the
                         // caller does not hold the lock), 1 = already
@@ -734,25 +727,255 @@ impl LiteKernel {
                 }
                 Ok(None)
             }
-            FN_EVICT => {
-                let idx = d.u32()?;
-                let off = d.u64()?;
-                if !self.mm.enabled() {
-                    return Ok(Some(Enc::new().u8(1).done()));
-                }
-                self.mm.request(crate::mm::MmRequest::Evict { idx, off });
-                Ok(Some(Enc::new().u8(0).done()))
-            }
-            FN_FETCH_BACK => {
-                let idx = d.u32()?;
-                if !self.mm.enabled() {
-                    return Ok(Some(Enc::new().u8(1).done()));
-                }
-                self.mm.request(crate::mm::MmRequest::FetchBack { idx });
-                Ok(Some(Enc::new().u8(0).done()))
-            }
             other => Err(LiteError::UnknownRpc { func: other }),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Client stubs, one per service above: the request its arm decodes, the
+// reply it encodes. Run on the calling thread, inside its syscall.
+// ---------------------------------------------------------------------
+
+impl LiteHandle {
+    /// Calls kernel service `func` at `server` and checks the leading
+    /// status byte of the reply; returns what follows it.
+    fn kcall(
+        &mut self,
+        ctx: &mut Ctx,
+        server: NodeId,
+        func: u8,
+        payload: Vec<u8>,
+    ) -> LiteResult<Vec<u8>> {
+        let resp = self.call_raw(ctx, server, func, &payload, 64 * 1024, false)?;
+        match resp.first() {
+            Some(0) => Ok(resp[1..].to_vec()),
+            Some(1) => Err(LiteError::Remote(1)),
+            Some(2) => Err(LiteError::NameNotFound {
+                name: String::new(),
+            }),
+            Some(3) => Err(LiteError::NotMaster),
+            Some(4) => Err(LiteError::Relocated),
+            Some(&other) => Err(LiteError::Remote(other)),
+            None => Err(LiteError::Remote(0xFB)),
+        }
+    }
+
+    /// `FN_MALLOC`: `size` bytes on `node`, in chunks of at most
+    /// `max_lmr_chunk`; the landed chunks.
+    pub(crate) fn k_malloc(
+        &mut self,
+        ctx: &mut Ctx,
+        node: NodeId,
+        size: u64,
+    ) -> LiteResult<Vec<Chunk>> {
+        let max_chunk = self.kernel().config().max_lmr_chunk;
+        let request = Enc::new().u64(size).u64(max_chunk).done();
+        let resp = self.kcall(ctx, node, FN_MALLOC, request)?;
+        let mut d = Dec::new(&resp);
+        let n = d.u32()? as usize;
+        if n > resp.len() / 16 {
+            return Err(LiteError::Remote(0xFC));
+        }
+        let mut chunks = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (addr, len) = (d.u64()?, d.u64()?);
+            chunks.push(Chunk { addr, len });
+        }
+        Ok(chunks)
+    }
+
+    /// `FN_FREE_CHUNKS`: frees the chunks at `addrs` on `node`. A failure
+    /// leaks them; it is counted as a cleanup failure here, for every
+    /// caller.
+    pub(crate) fn k_free_chunks(
+        &mut self,
+        ctx: &mut Ctx,
+        node: NodeId,
+        addrs: impl ExactSizeIterator<Item = u64>,
+    ) -> LiteResult<()> {
+        let request = Enc::new().u32(addrs.len() as u32);
+        let request = addrs.fold(request, Enc::u64);
+        let freed = self.kcall(ctx, node, FN_FREE_CHUNKS, request.done());
+        if freed.is_err() {
+            self.kernel().note_cleanup_failure(node, ctx.now());
+        }
+        freed.map(|_| ())
+    }
+
+    /// `FN_INVALIDATE`: tells `node` that LMR `id` is gone (its handles go
+    /// stale) or, with `relocated`, that its chunks moved (its handles
+    /// refresh on next use).
+    pub(crate) fn k_invalidate(
+        &mut self,
+        ctx: &mut Ctx,
+        node: NodeId,
+        id: LmrId,
+        relocated: bool,
+    ) -> LiteResult<()> {
+        let mut request = Enc::new().u32(id.node).u32(id.idx);
+        if relocated {
+            request = request.u8(1);
+        }
+        self.kcall(ctx, node, FN_INVALIDATE, request.done())
+            .map(drop)
+    }
+
+    /// `FN_REGNAME`: binds `name` to `master` at the cluster manager;
+    /// `Remote(1)` when the name is taken.
+    pub(crate) fn k_regname(
+        &mut self,
+        ctx: &mut Ctx,
+        name: &str,
+        master: NodeId,
+    ) -> LiteResult<()> {
+        let request = Enc::new().bytes(name.as_bytes()).u32(master as u32);
+        self.kcall(ctx, MANAGER_NODE, FN_REGNAME, request.done())
+            .map(drop)
+    }
+
+    /// `FN_UNREGNAME`: scrubs the binding of `name` at the cluster manager
+    /// if it still names `master`.
+    pub(crate) fn k_unregname(
+        &mut self,
+        ctx: &mut Ctx,
+        name: &str,
+        master: NodeId,
+    ) -> LiteResult<()> {
+        let request = Enc::new().bytes(name.as_bytes()).u32(master as u32);
+        self.kcall(ctx, MANAGER_NODE, FN_UNREGNAME, request.done())
+            .map(drop)
+    }
+
+    /// `FN_QUERYNAME`: the master node `name` is bound to.
+    pub(crate) fn k_queryname(&mut self, ctx: &mut Ctx, name: &str) -> LiteResult<NodeId> {
+        let request = Enc::new().bytes(name.as_bytes()).done();
+        let resp = self
+            .kcall(ctx, MANAGER_NODE, FN_QUERYNAME, request)
+            .map_err(|e| named_err(e, name))?;
+        Ok(Dec::new(&resp).u32()? as NodeId)
+    }
+
+    /// `FN_MAP`: registers this node as a mapper of `name` at `master`;
+    /// the LMR's id, the permission granted and where its bytes live.
+    pub(crate) fn k_map(
+        &mut self,
+        ctx: &mut Ctx,
+        master: NodeId,
+        name: &str,
+    ) -> LiteResult<(LmrId, Perm, Location)> {
+        let request = Enc::new().bytes(name.as_bytes()).done();
+        let resp = self
+            .kcall(ctx, master, FN_MAP, request)
+            .map_err(|e| named_err(e, name))?;
+        let mut d = Dec::new(&resp);
+        let (node, idx) = (d.u32()?, d.u32()?);
+        let perm = byte_to_perm(d.u8()?);
+        let extents = d.extents()?;
+        Ok((LmrId { node, idx }, perm, Location { extents }))
+    }
+
+    /// `FN_UNMAP`: this node no longer maps `id`.
+    pub(crate) fn k_unmap(&mut self, ctx: &mut Ctx, id: LmrId) -> LiteResult<()> {
+        let request = Enc::new().u32(id.idx).u32(self.node() as u32).done();
+        self.kcall(ctx, id.node as NodeId, FN_UNMAP, request)
+            .map(drop)
+    }
+
+    /// `FN_TAKE_RECORD`: removes the master record of `name` at `master`
+    /// (master permission required); its id, location and mappers.
+    pub(crate) fn k_take_record(
+        &mut self,
+        ctx: &mut Ctx,
+        master: NodeId,
+        name: &str,
+    ) -> LiteResult<(LmrId, Location, Vec<NodeId>)> {
+        let request = Enc::new().bytes(name.as_bytes()).done();
+        let resp = self.kcall(ctx, master, FN_TAKE_RECORD, request)?;
+        let mut d = Dec::new(&resp);
+        let (node, idx) = (d.u32()?, d.u32()?);
+        let extents = d.extents()?;
+        let mut mappers = Vec::new();
+        for _ in 0..d.u32()? {
+            mappers.push(d.u32()? as NodeId);
+        }
+        Ok((LmrId { node, idx }, Location { extents }, mappers))
+    }
+
+    /// `FN_GRANT`: grants `perm` on `name` to `node` (master permission
+    /// required).
+    pub(crate) fn k_grant(
+        &mut self,
+        ctx: &mut Ctx,
+        master: NodeId,
+        name: &str,
+        node: NodeId,
+        perm: Perm,
+    ) -> LiteResult<()> {
+        let request = Enc::new()
+            .bytes(name.as_bytes())
+            .u32(node as u32)
+            .u8(perm_to_byte(perm));
+        self.kcall(ctx, master, FN_GRANT, request.done()).map(drop)
+    }
+
+    /// `FN_MEMSET`: fills the physical range `c` of `node` with `byte`;
+    /// `Relocated` when the range migrated under the caller's view.
+    pub(crate) fn k_memset(
+        &mut self,
+        ctx: &mut Ctx,
+        node: NodeId,
+        c: Chunk,
+        byte: u8,
+    ) -> LiteResult<()> {
+        let request = Enc::new().u64(c.addr).u64(c.len).u8(byte).done();
+        self.kcall(ctx, node, FN_MEMSET, request).map(drop)
+    }
+
+    /// `FN_MEMCPY`: the node storing `seg`'s source copies it to the
+    /// destination — a local copy when that is the same node, a one-sided
+    /// write otherwise; `Relocated` when either end migrated.
+    pub(crate) fn k_memcpy(&mut self, ctx: &mut Ctx, seg: &Seg) -> LiteResult<()> {
+        let ((s_node, s_addr), (d_node, d_addr)) = (seg.src, seg.dst);
+        let request = Enc::new()
+            .u8((s_node != d_node) as u8)
+            .u64(s_addr)
+            .u64(seg.len)
+            .u32(d_node as u32)
+            .u64(d_addr);
+        self.kcall(ctx, s_node, FN_MEMCPY, request.done()).map(drop)
+    }
+
+    /// `FN_LOCK`, sub-op `op` (`LOCK_ENQUEUE`: returns once granted;
+    /// `LOCK_RELEASE`: 0 = handed over or already seen, `LOCK_NO_WAITER`;
+    /// `LOCK_ABORT`: 0 = dequeued, 1 = already granted, 2 = never arrived)
+    /// on `lock` under `token`; the owner's answer.
+    pub(crate) fn k_lock(
+        &mut self,
+        ctx: &mut Ctx,
+        lock: LockId,
+        op: u8,
+        token: u64,
+    ) -> LiteResult<u8> {
+        let request = Enc::new().u8(op).u64(lock.addr).u64(token).done();
+        let resp = self.kcall(ctx, lock.node, FN_LOCK, request)?;
+        // A grant is a bare status byte.
+        Ok(resp.first().copied().unwrap_or(0))
+    }
+
+    /// `FN_BARRIER`: returns once `count` participants arrived at `id`.
+    pub(crate) fn k_barrier(&mut self, ctx: &mut Ctx, id: u64, count: u32) -> LiteResult<()> {
+        let request = Enc::new().u64(id).u32(count).done();
+        self.kcall(ctx, MANAGER_NODE, FN_BARRIER, request).map(drop)
+    }
+}
+
+fn named_err(e: LiteError, name: &str) -> LiteError {
+    match e {
+        LiteError::NameNotFound { .. } => LiteError::NameNotFound {
+            name: name.to_string(),
+        },
+        other => other,
     }
 }
 
@@ -778,23 +1001,11 @@ mod tests {
             .unwrap();
         let mut h2 = cluster.attach(2).unwrap();
         // Wrong guard (node 2 never registered the name): no-op.
-        h2.kcall(
-            &mut ctx,
-            crate::MANAGER_NODE,
-            FN_UNREGNAME,
-            Enc::new().bytes(b"guarded").u32(2).done(),
-        )
-        .unwrap();
+        h2.k_unregname(&mut ctx, "guarded", 2).unwrap();
         let lh = h2.lt_map(&mut ctx, "guarded").unwrap();
         h2.lt_unmap(&mut ctx, lh).unwrap();
         // Right guard: the binding goes away.
-        h2.kcall(
-            &mut ctx,
-            crate::MANAGER_NODE,
-            FN_UNREGNAME,
-            Enc::new().bytes(b"guarded").u32(1).done(),
-        )
-        .unwrap();
+        h2.k_unregname(&mut ctx, "guarded", 1).unwrap();
         assert!(matches!(
             h2.lt_map(&mut ctx, "guarded"),
             Err(LiteError::NameNotFound { .. })

@@ -84,12 +84,13 @@ impl Location {
         if len == 0 {
             return Ok(Vec::new());
         }
-        let total = self.len();
-        if offset + len > total {
-            return Err(LiteError::OutOfBounds {
-                offset,
-                len: len as usize,
-            });
+        let out_of_bounds = LiteError::OutOfBounds {
+            offset,
+            len: len as usize,
+        };
+        // `offset` is the caller's: near `u64::MAX` the sum wraps.
+        if offset.checked_add(len).is_none_or(|end| end > self.len()) {
+            return Err(out_of_bounds);
         }
         let mut out = Vec::new();
         let mut cur = 0u64;
@@ -114,7 +115,9 @@ impl Location {
                 break;
             }
         }
-        debug_assert_eq!(remaining, 0);
+        if remaining != 0 {
+            return Err(out_of_bounds);
+        }
         Ok(out)
     }
 }
@@ -279,6 +282,17 @@ mod tests {
         assert!(l.slice(0, 350).is_ok());
         assert!(l.slice(349, 1).is_ok());
         assert!(l.slice(10, 0).unwrap().is_empty());
+        // An offset whose end wraps past zero is out of bounds, not in.
+        for (offset, len) in [(u64::MAX - 3, 8), (u64::MAX, 1), (8, u64::MAX)] {
+            let len_out = len as usize;
+            assert_eq!(
+                l.slice(offset, len),
+                Err(LiteError::OutOfBounds {
+                    offset,
+                    len: len_out
+                })
+            );
+        }
     }
 
     #[test]

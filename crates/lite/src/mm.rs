@@ -62,6 +62,7 @@ use smem::Chunk;
 use crate::api::LiteHandle;
 use crate::config::LiteConfig;
 use crate::error::{LiteError, LiteResult};
+use crate::kernel::datapath::Op;
 use crate::kernel::LiteKernel;
 use crate::lmr::{LmrId, Location};
 use crate::observe::{ConcurrentHistogram, LatencySummary};
@@ -1317,74 +1318,20 @@ fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
     mm.bg_unpin_sweep();
 }
 
-/// Remote-allocates `len` bytes on `target` through the kernel allocator
-/// service; returns the landed chunks.
-fn remote_alloc(
-    kernel: &Arc<LiteKernel>,
-    ctx: &mut Ctx,
-    handle: &mut LiteHandle,
-    target: NodeId,
-    len: u64,
-) -> LiteResult<Vec<Chunk>> {
-    let payload = crate::wire::Enc::new()
-        .u64(len)
-        .u64(kernel.config().max_lmr_chunk)
-        .done();
-    let reply = handle.kcall(ctx, target, crate::kernel::FN_MALLOC, payload)?;
-    let mut d = crate::wire::Dec::new(&reply);
-    let n = d.u32()?;
-    let mut chunks = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let addr = d.u64()?;
-        let clen = d.u64()?;
-        chunks.push(Chunk { addr, len: clen });
-    }
-    Ok(chunks)
-}
-
-/// Best-effort remote free of `chunks` on `node` (rollback paths).
-fn remote_free(
-    kernel: &Arc<LiteKernel>,
-    ctx: &mut Ctx,
-    handle: &mut LiteHandle,
-    node: NodeId,
-    chunks: &[Chunk],
-) {
-    let mut e = crate::wire::Enc::new().u32(chunks.len() as u32);
-    for c in chunks {
-        e = e.u64(c.addr);
-    }
-    if handle
-        .kcall(ctx, node, crate::kernel::FN_FREE_CHUNKS, e.done())
-        .is_err()
-    {
-        kernel.note_cleanup_failure(node, ctx.now());
-    }
-}
-
-/// Tells every mapper of `idx` (and local handles) that the LMR's
-/// location changed under them — kind 1: refreshable, not fatal.
-fn invalidate_mappers(
+/// Tells every mapper of `id` — local handles directly, other nodes by
+/// `FN_INVALIDATE` — that the LMR's location changed under them:
+/// refreshable, not fatal. A mapper that cannot be told keeps a handle
+/// that heals itself on its next `Relocated`; the miss is counted.
+fn notify_relocated(
     kernel: &Arc<LiteKernel>,
     ctx: &mut Ctx,
     handle: &mut LiteHandle,
     id: LmrId,
     mappers: &[NodeId],
 ) {
-    kernel.invalidate_lmr_relocated(id);
-    for &m in mappers {
-        if m == kernel.node() {
-            continue;
-        }
-        let payload = crate::wire::Enc::new()
-            .u32(id.node)
-            .u32(id.idx)
-            .u8(1)
-            .done();
-        if handle
-            .kcall(ctx, m, crate::kernel::FN_INVALIDATE, payload)
-            .is_err()
-        {
+    kernel.invalidate_lmr(id, true);
+    for &m in mappers.iter().filter(|&&m| m != kernel.node()) {
+        if handle.k_invalidate(ctx, m, id, true).is_err() {
             kernel.note_cleanup_failure(m, ctx.now());
         }
     }
@@ -1414,7 +1361,7 @@ fn evict_one(
     }
     let src_addr = seg.addr.load(Ordering::Acquire);
     // Land space on the swap node.
-    let chunks = match remote_alloc(kernel, ctx, handle, target, seg.len) {
+    let chunks = match handle.k_malloc(ctx, target, seg.len) {
         Ok(c) => c,
         Err(e) => {
             mm.abort_transition(&seg, was);
@@ -1426,32 +1373,32 @@ fn evict_one(
     // the staged entries instead of posting unfenced mid-copy.
     let staged = mm.stage_hosted(&seg, target, &chunks);
     // Copy out over the datapath (one-sided writes from the segment's
-    // own physical range — no staging copy).
-    let mut done = 0u64;
-    for c in &chunks {
-        let src = [Chunk {
-            addr: src_addr + done,
-            len: c.len,
-        }];
-        match kernel.rdma_write(ctx, Priority::Low, target, c.addr, &src, c.len as usize) {
-            Ok(comp) => ctx.wait_until(comp),
-            Err(e) => {
-                mm.unstage_hosted(target, &staged);
-                remote_free(kernel, ctx, handle, target, &chunks);
-                mm.abort_transition(&seg, was);
-                return Err(e);
-            }
+    // own physical range — no staging copy), then point the master record
+    // at the new home. A failed write, or a record that vanished
+    // (freed/moved concurrently), rolls back.
+    let moved = (|| {
+        let mut done = 0u64;
+        for c in &chunks {
+            let src = [Chunk {
+                addr: src_addr + done,
+                len: c.len,
+            }];
+            let push = Op::write(target, c.addr, &src[..], c.len as usize);
+            let comp = kernel.rdma_one(ctx, Priority::Low, &push)?;
+            ctx.wait_until(comp);
+            done += c.len;
         }
-        done += c.len;
-    }
-    // Point the master record at the new home. Failure means the record
-    // vanished (freed/moved concurrently) — roll back.
-    let repl: Vec<(NodeId, Chunk)> = chunks.iter().map(|c| (target, *c)).collect();
-    if !kernel.replace_extents(key.id.idx, key.off, seg.len, &repl) {
+        let repl: Vec<(NodeId, Chunk)> = chunks.iter().map(|c| (target, *c)).collect();
+        if !kernel.replace_extents(key.id.idx, key.off, seg.len, &repl) {
+            return Err(LiteError::Internal("record vanished during migration"));
+        }
+        Ok(())
+    })();
+    if let Err(e) = moved {
         mm.unstage_hosted(target, &staged);
-        remote_free(kernel, ctx, handle, target, &chunks);
+        let _ = handle.k_free_chunks(ctx, target, chunks.iter().map(|c| c.addr));
         mm.abort_transition(&seg, was);
-        return Err(LiteError::Internal("record vanished during migration"));
+        return Err(e);
     }
     let mappers = kernel.record_mappers(key.id.idx).unwrap_or_default();
     let Some(old_addr) = mm.finish_evict(&seg, target, &staged) else {
@@ -1469,7 +1416,7 @@ fn evict_one(
         kernel.note_cleanup_failure(kernel.node(), ctx.now());
     }
     mm.evictions.fetch_add(1, Ordering::Relaxed);
-    invalidate_mappers(kernel, ctx, handle, key.id, &mappers);
+    notify_relocated(kernel, ctx, handle, key.id, &mappers);
     Ok(())
 }
 
@@ -1510,69 +1457,41 @@ fn fetch_back_one(
     // the stage, not post unfenced against a half-copied range.
     let staged = mm.stage_local(&seg, &local);
     let remote_addr = seg.addr.load(Ordering::Acquire);
-    let mut done = 0u64;
-    for c in &local {
-        let dst = [*c];
-        match kernel.rdma_read(
-            ctx,
-            Priority::High,
-            host,
-            remote_addr + done,
-            &dst,
-            c.len as usize,
-        ) {
-            Ok(comp) => ctx.wait_until(comp),
-            Err(e) => {
-                mm.unstage_local(&staged);
-                let mut a = kernel.alloc.lock();
-                let _ = a.free_chunks(&local);
-                drop(a);
-                mm.abort_transition(&seg, R_REMOTE);
-                return Err(e);
-            }
+    let moved = (|| {
+        let mut done = 0u64;
+        for c in &local {
+            let (from, land) = (remote_addr + done, std::slice::from_ref(c));
+            let pull = Op::read(host, from, land, c.len as usize);
+            let comp = kernel.rdma_one(ctx, Priority::High, &pull)?;
+            ctx.wait_until(comp);
+            done += c.len;
         }
-        done += c.len;
-    }
-    let repl: Vec<(NodeId, Chunk)> = local.iter().map(|c| (kernel.node(), *c)).collect();
-    if !kernel.replace_extents(key.id.idx, key.off, seg.len, &repl) {
+        let repl: Vec<(NodeId, Chunk)> = local.iter().map(|c| (kernel.node(), *c)).collect();
+        if !kernel.replace_extents(key.id.idx, key.off, seg.len, &repl) {
+            return Err(LiteError::Internal("record vanished during fetch-back"));
+        }
+        Ok(())
+    })();
+    if let Err(e) = moved {
         mm.unstage_local(&staged);
-        let mut a = kernel.alloc.lock();
-        let _ = a.free_chunks(&local);
-        drop(a);
+        let _ = kernel.alloc.lock().free_chunks(&local);
         mm.abort_transition(&seg, R_REMOTE);
-        return Err(LiteError::Internal("record vanished during fetch-back"));
+        return Err(e);
     }
     let mappers = kernel.record_mappers(key.id.idx).unwrap_or_default();
     let Some(freed_remote) = mm.finish_fetch_back(&seg, host, &staged) else {
         // The LMR was freed after replace_extents pointed its record at
         // the landed local chunks: the dropper frees those; the remote
         // copy is still ours to release.
-        remote_free(
-            kernel,
-            ctx,
-            handle,
-            host,
-            &[Chunk {
-                addr: seg.addr.load(Ordering::Acquire),
-                len: seg.len,
-            }],
-        );
+        let remote = seg.addr.load(Ordering::Acquire);
+        let _ = handle.k_free_chunks(ctx, host, [remote].into_iter());
         return Err(LiteError::Internal("record vanished during fetch-back"));
     };
-    remote_free(
-        kernel,
-        ctx,
-        handle,
-        host,
-        &[Chunk {
-            addr: freed_remote,
-            len: seg.len,
-        }],
-    );
+    let _ = handle.k_free_chunks(ctx, host, [freed_remote].into_iter());
     mm.fetch_backs.fetch_add(1, Ordering::Relaxed);
     mm.fetch_back_lat
         .record(ctx.now().saturating_sub(started).max(1));
-    invalidate_mappers(kernel, ctx, handle, key.id, &mappers);
+    notify_relocated(kernel, ctx, handle, key.id, &mappers);
     Ok(())
 }
 

@@ -2,6 +2,9 @@
 //! encoding (§5.1: "LITE uses the IMM value to include the RPC function ID
 //! and the offset where the data starts in the LMR").
 
+use rnic::NodeId;
+use smem::Chunk;
+
 use crate::error::{LiteError, LiteResult};
 
 /// Ring messages are rounded up to this granule; IMM offsets are in
@@ -171,6 +174,14 @@ impl Enc {
         self.0.extend_from_slice(v);
         self
     }
+    /// Appends a count-prefixed extent list, `(node, addr, len)` each.
+    pub fn extents(mut self, v: &[(NodeId, Chunk)]) -> Self {
+        self = self.u32(v.len() as u32);
+        for (node, c) in v {
+            self = self.u32(*node as u32).u64(c.addr).u64(c.len);
+        }
+        self
+    }
     /// Finishes, returning the encoded payload.
     pub fn done(self) -> Vec<u8> {
         self.0
@@ -214,7 +225,26 @@ impl<'a> Dec<'a> {
         let n = self.u32()? as usize;
         self.take(n)
     }
+    /// Reads an extent list written by [`Enc::extents`].
+    pub fn extents(&mut self) -> LiteResult<Vec<(NodeId, Chunk)>> {
+        let n = self.u32()? as usize;
+        // A count the remaining bytes cannot hold is truncated input, not
+        // an allocation size.
+        if n > (self.b.len() - self.pos) / EXTENT_BYTES {
+            return Err(LiteError::Remote(0xFC));
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let node = self.u32()? as NodeId;
+            let (addr, len) = (self.u64()?, self.u64()?);
+            out.push((node, Chunk { addr, len }));
+        }
+        Ok(out)
+    }
 }
+
+/// Encoded size of one extent: u32 node, u64 address, u64 length.
+const EXTENT_BYTES: usize = 20;
 
 #[cfg(test)]
 mod tests {
@@ -278,5 +308,22 @@ mod tests {
         assert_eq!(d.u64().unwrap(), 0x1122334455667788);
         assert_eq!(d.bytes().unwrap(), b"hello");
         assert!(d.u8().is_err(), "exhausted");
+    }
+
+    #[test]
+    fn extents_roundtrip_and_reject_a_count_the_input_cannot_hold() {
+        let chunk = |addr, len| Chunk { addr, len };
+        let list = vec![(3, chunk(0x1000, 64)), (0, chunk(u64::MAX - 7, 8))];
+        let v = Enc::new().extents(&list).u8(9).done();
+        let mut d = Dec::new(&v);
+        assert_eq!(d.extents().unwrap(), list);
+        assert_eq!(d.u8().unwrap(), 9);
+        assert_eq!(
+            Dec::new(&Enc::new().extents(&[]).done()).extents(),
+            Ok(vec![])
+        );
+        // One extent short of its count, and a count with nothing behind it.
+        assert!(Dec::new(&v[..v.len() - 2]).extents().is_err());
+        assert!(Dec::new(&u32::MAX.to_le_bytes()).extents().is_err());
     }
 }

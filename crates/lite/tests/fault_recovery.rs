@@ -319,3 +319,49 @@ fn dropped_ring_pull_is_retried() {
     assert!(stats.retries >= 1, "the dropped read costs a retry");
     assert_eq!(stats.ops_failed, 0, "the drop must not surface");
 }
+
+/// `lt_free` with a storage node down still runs to the end: the master
+/// record and the name are gone, so every handle must be too. It used to
+/// return at the first free that failed, leaving the mapper's handle (and
+/// the caller's own) pointing at storage no record names any more.
+#[test]
+fn free_with_a_dead_storage_node_still_kills_every_handle() {
+    let config = LiteConfig {
+        op_timeout: Duration::from_millis(150),
+        ..Default::default()
+    };
+    let cluster = cluster_with(3, config);
+    let (mut owner, mut mapper) = (cluster.attach(0).unwrap(), cluster.attach(1).unwrap());
+    let (mut octx, mut mctx) = (Ctx::new(), Ctx::new());
+    // Stored on node 2, mastered on node 0, mapped on node 1.
+    let lh = owner
+        .lt_malloc(&mut octx, 2, 1 << 16, "orphan", Perm::RW)
+        .unwrap();
+    let mapped = mapper.lt_map(&mut mctx, "orphan").unwrap();
+    mapper.lt_write(&mut mctx, mapped, 0, b"alive").unwrap();
+
+    cluster
+        .fabric()
+        .install_fault_plan(FaultPlan::seeded(3).with(FaultRule::CrashNode {
+            node: 2,
+            at_op: 1,
+            restart_after_ops: u64::MAX,
+        }));
+    let leaks_before = cluster.kernel(0).stats().cleanup_failures;
+    let freed = owner.lt_free(&mut octx, lh);
+    assert!(freed.is_err(), "node 2 never freed its chunks: {freed:?}");
+    assert!(cluster.kernel(0).stats().cleanup_failures > leaks_before);
+
+    // Both handles fail at the lookup, not after a post towards node 2
+    // (which would be a `Timeout`).
+    let dead = |r: Result<(), LiteError>| matches!(r, Err(LiteError::BadLh { .. }));
+    let at_mapper = mapper.lt_write(&mut mctx, mapped, 0, b"x");
+    assert!(dead(at_mapper.clone()), "mapper: {at_mapper:?}");
+    let at_owner = owner.lt_write(&mut octx, lh, 0, b"x");
+    assert!(dead(at_owner.clone()), "owner: {at_owner:?}");
+    // The name is free again.
+    owner
+        .lt_malloc(&mut octx, 1, 4096, "orphan", Perm::RW)
+        .unwrap();
+    cluster.fabric().clear_fault_plan();
+}

@@ -212,3 +212,125 @@ fn chain_matches_the_single_calls_in_one_wait() {
         assert_eq!(h.lt_fetch_add(&mut ctx, lh, 64, 0).unwrap(), 9);
     }
 }
+
+/// A single call *is* a chain of one: for each of write / read /
+/// fetch-add / cmp-swap, on a remote and on a local LMR, from the first
+/// call after `lt_malloc` (one shared QP never touched) to the tenth,
+/// `lt_chain(&[op])` on a cluster of its own costs exactly the virtual ns
+/// the single call costs and returns what it returns.
+#[test]
+fn single_call_costs_what_a_chain_of_one_costs_cold_and_warm() {
+    let fresh = |home| {
+        let cluster = small_chunk_cluster();
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let lh = h
+            .lt_malloc(&mut ctx, home, 2 * CHUNK, "one.arena", Perm::RW)
+            .unwrap();
+        (cluster, h, ctx, lh)
+    };
+    let payload = pattern(64);
+    for home in [1, 0] {
+        for kind in ["write", "read", "fetch-add", "cmp-swap"] {
+            let (_single_cluster, mut single, mut sctx, slh) = fresh(home);
+            let (_chain_cluster, mut chain, mut cctx, clh) = fresh(home);
+            for call in 0..10u64 {
+                if kind == "read" && call == 9 {
+                    // Something to read back, untimed, on both sides.
+                    single.lt_write(&mut sctx, slh, 0, &payload).unwrap();
+                    chain.lt_write(&mut cctx, clh, 0, &payload).unwrap();
+                }
+                let off = call * 64;
+                let (s0, c0) = (sctx.now(), cctx.now());
+                let (got, op) = match kind {
+                    "write" => {
+                        single.lt_write(&mut sctx, slh, off, &payload).unwrap();
+                        let data = &payload[..];
+                        (ChainOut::Done, ChainOp::Write { off, data })
+                    }
+                    "read" => {
+                        let mut buf = vec![0u8; 64];
+                        single.lt_read(&mut sctx, slh, 0, &mut buf).unwrap();
+                        (ChainOut::Bytes(buf), ChainOp::Read { off: 0, len: 64 })
+                    }
+                    "fetch-add" => {
+                        let old = single.lt_fetch_add(&mut sctx, slh, 8, 3).unwrap();
+                        (ChainOut::Value(old), ChainOp::FetchAdd { off: 8, delta: 3 })
+                    }
+                    _ => {
+                        // Wins on even calls, loses on odd ones.
+                        let (expect, new) = (call / 2, call / 2 + 1);
+                        let old = single.lt_cmp_swap(&mut sctx, slh, 8, expect, new).unwrap();
+                        let op = ChainOp::CmpSwap {
+                            off: 8,
+                            expect,
+                            new,
+                        };
+                        (ChainOut::Value(old), op)
+                    }
+                };
+                let chained = chain.lt_chain(&mut cctx, clh, &[op]).unwrap();
+                let at = format!("{kind}, home {home}, call {call}");
+                assert_eq!(chained, std::slice::from_ref(&got), "{at}");
+                assert_eq!(cctx.now() - c0, sctx.now() - s0, "virtual ns: {at}");
+                if kind == "read" && call == 9 {
+                    assert_eq!(got, ChainOut::Bytes(payload.clone()));
+                }
+            }
+        }
+    }
+}
+
+/// An offset whose end wraps past `u64::MAX` is out of bounds for every
+/// memory call — it used to pass the bounds check in release builds and
+/// move no byte, and to panic in debug builds — and a chain with such an
+/// op posts none of its ops.
+#[test]
+fn offset_near_u64_max_is_out_of_bounds_everywhere() {
+    let cluster = small_chunk_cluster();
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let lh = h
+        .lt_malloc(&mut ctx, 1, 2 * CHUNK, "wrap.arena", Perm::RW)
+        .unwrap();
+    let other = h
+        .lt_malloc(&mut ctx, 1, 2 * CHUNK, "wrap.other", Perm::RW)
+        .unwrap();
+    let far = u64::MAX - 3;
+    let oob = |r: Result<(), LiteError>, call: &str| {
+        assert!(
+            matches!(r, Err(LiteError::OutOfBounds { .. })),
+            "{call}: {r:?}"
+        );
+    };
+    oob(h.lt_write(&mut ctx, lh, far, &[1; 8]), "lt_write");
+    oob(h.lt_read(&mut ctx, lh, far, &mut [0; 8]), "lt_read");
+    oob(h.lt_memset(&mut ctx, lh, far, 8, 0xAB), "lt_memset");
+    oob(
+        h.lt_memcpy(&mut ctx, lh, far, other, 0, 8),
+        "lt_memcpy from",
+    );
+    oob(h.lt_memcpy(&mut ctx, other, 0, lh, far, 8), "lt_memcpy to");
+    oob(h.lt_memmove(&mut ctx, lh, far, lh, 0, 8), "lt_memmove");
+    oob(
+        h.lt_fetch_add(&mut ctx, lh, far, 1).map(drop),
+        "lt_fetch_add",
+    );
+    oob(
+        h.lt_cmp_swap(&mut ctx, lh, u64::MAX, 0, 1).map(drop),
+        "lt_cmp_swap",
+    );
+
+    let verbs = || cluster.fabric().nic(0).stats().one_sided_ops;
+    let before = verbs();
+    let chain = [
+        ChainOp::FetchAdd { off: 64, delta: 5 },
+        ChainOp::Write {
+            off: far,
+            data: &[1; 8],
+        },
+    ];
+    oob(h.lt_chain(&mut ctx, lh, &chain).map(drop), "lt_chain");
+    assert_eq!(verbs(), before, "a chain with a bad op posts nothing");
+    assert_eq!(h.lt_fetch_add(&mut ctx, lh, 64, 0).unwrap(), 0);
+}

@@ -206,3 +206,37 @@ fn multicast_failure_paths_release_client_scratch() {
     assert_eq!(replies, vec![vec![1, b'o', b'k']]);
     server.join().unwrap();
 }
+
+/// A reply longer than the `max_reply` a multicast announced never
+/// reaches its cell, whose neighbours belong to other destinations: the
+/// server is refused with `TooLarge`, as for `lt_rpc`, and the reply that
+/// fits is what the destination's entry holds. (A server that ignored the
+/// limit is a `TooLarge` at the client too, not a truncated reply — the
+/// `api` unit tests forge one.)
+#[test]
+fn multicast_reply_larger_than_max_reply_is_refused() {
+    const F: u8 = USER_FUNC_MIN + 15;
+    let cluster = LiteCluster::start(3).unwrap();
+    let polite = echo_server(&cluster, 1, F, 1);
+    cluster.attach(2).unwrap().register_rpc(F).unwrap();
+    let greedy = {
+        let cluster = Arc::clone(&cluster);
+        std::thread::spawn(move || {
+            let mut h = cluster.attach(2).unwrap();
+            let mut ctx = Ctx::new();
+            let call = h.lt_recv_rpc(&mut ctx, F).unwrap();
+            let refused = h.lt_reply_rpc(&mut ctx, &call, &[9u8; 9]);
+            assert_eq!(refused, Err(LiteError::TooLarge { len: 9, max: 8 }));
+            h.lt_reply_rpc(&mut ctx, &call, &[2u8; 8]).unwrap();
+        })
+    };
+    let mut c = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let replies = c
+        .lt_multicast_rpc(&mut ctx, &[2, 1], F, b"seven b", 8)
+        .unwrap();
+    assert_eq!(replies[0], [2u8; 8]);
+    assert_eq!(replies[1], [&[1u8][..], b"seven b"].concat());
+    polite.join().unwrap();
+    greedy.join().unwrap();
+}

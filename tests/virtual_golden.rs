@@ -103,6 +103,28 @@ fn per_call_virtual_costs_are_the_published_ones() {
         );
     });
     assert_eq!(swaps, 2_945 * calls, "lt_cmp_swap");
+    // A read that straddles the LMR's 4 MB chunk boundary is two pieces
+    // on node 1 behind one doorbell: what `lt_chain(&[ChainOp::Read])` of
+    // this range cost before `lt_read` was a chain of one (two doorbells,
+    // whose small reads overlapped at the responder, made it 2 250 then).
+    let straddle = (4 << 20) - 8;
+    let straddles = total_vns(&mut ctx, |ctx, _| {
+        user.lt_read(ctx, lh, straddle, &mut [0u8; 24]).unwrap();
+    });
+    assert_eq!(
+        straddles,
+        2_330 * calls,
+        "lt_read 24 B over a chunk boundary"
+    );
+    // A call that moved bytes reaps one completion, on this node's own
+    // memory too: 192 ns of crossing, map check and copy + `cq_poll_ns`.
+    let local = user
+        .lt_malloc(&mut ctx, 0, 1 << 20, "golden.local", Perm::RW)
+        .unwrap();
+    let local_writes = total_vns(&mut ctx, |ctx, i| {
+        user.lt_write(ctx, local, (i * 64) as u64, &small).unwrap();
+    });
+    assert_eq!(local_writes, 342 * calls, "lt_write 64 B, local LMR");
 
     const ECHO: u8 = USER_FUNC_MIN;
     let verbs = || -> u64 {

@@ -14,6 +14,9 @@ for c in crates/*/; do
 done
 printf '%-24s %6s %6s %6s\n' "root (src+examples+tests)" "$(lines src examples)" "$(lines tests)" "$(lines src examples tests)"
 echo
+echo "== the API layer on its own (ROADMAP item 5b) =="
+printf '%-24s %6s\n' crates/lite/src/api.rs "$(wc -l < crates/lite/src/api.rs)"
+echo
 echo "== LITE-API call sites per application (Fig 20 analogue) =="
 for c in lite-log lite-mr lite-graph lite-dsm; do
   calls=$(grep -roE 'lt_[a-z_]+\(|register_rpc\(' "crates/$c/src" | wc -l)
