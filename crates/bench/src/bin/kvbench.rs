@@ -156,22 +156,24 @@ fn run(mode: QosMode, rate: f64, ops: usize) -> RunResult {
     }
 
     // Kernel-side view: the clients' RPC histograms split by priority
-    // (gets high, puts low) and the leader's service gauges.
+    // (gets that took the RPC path high, puts low) and the service gauges
+    // — puts count on the leader, a get where it was served: on a replica
+    // by RPC, on the client's own node by a one-sided read.
     let client_stats = cluster.attach(CLIENTS[0]).unwrap().lt_stats();
     let rpc_p999 = |prio| {
         client_stats
             .class(lite::OpClass::Rpc, prio)
             .map_or(0, |s| s.p999)
     };
-    let leader = cluster.kernel(LEADER).stats();
+    let kv_gets = (0..cluster.num_nodes()).map(|n| cluster.kernel(n).stats().kv_gets);
     let result = RunResult {
         gets: summarize(&get_lats, SLO_GET_NS),
         puts: summarize(&put_lats, SLO_PUT_NS),
         max_lag,
         kernel_rpc_high_p999: rpc_p999(Priority::High),
         kernel_rpc_low_p999: rpc_p999(Priority::Low),
-        kv_puts: leader.kv_puts,
-        kv_gets: leader.kv_gets,
+        kv_puts: cluster.kernel(LEADER).stats().kv_puts,
+        kv_gets: kv_gets.sum(),
     };
     match Arc::try_unwrap(svc) {
         Ok(svc) => svc.stop(),

@@ -5,14 +5,23 @@
 //! experiment on top of everything the repo has grown since: writes flow
 //! through a single leader that assigns a total order by committing each
 //! update to a [`lite_log::LiteLog`], the leader streams committed
-//! updates to follower replicas with `lt_multicast_rpc`, and reads are
-//! served locally by any replica. The log is the source of truth — a
-//! follower that misses replication frames (slow, paused, or crashed)
-//! catches up by reading the log directly with one-sided `LT_read`s, the
-//! same way the paper's applications sidestep their servers' CPUs.
+//! updates to follower replicas with `lt_multicast_rpc`, and any replica
+//! serves reads. The log is the source of truth — a follower that misses
+//! replication frames (slow, paused, or crashed) catches up by reading
+//! the log directly with one-sided `LT_read`s, the same way the paper's
+//! applications sidestep their servers' CPUs.
 //!
-//! Consistency is per-session: [`SessionMode::ReadYourWrites`] threads
-//! the client's last-written sequence number through its reads and falls
+//! So do warm reads: every value slot holds a self-verifying [`record`],
+//! PUT and GET replies say where the key's slot is, and a session that
+//! knows reads it out of the replica's arena with one `LT_read` — no
+//! server thread involved — falling back to the GET RPC only when the
+//! record says so (not applied yet, torn, moved, too old for the
+//! session) or the replica cannot be read. [`KvClient::stats`] counts
+//! which way each get went.
+//!
+//! Consistency is per-session: [`SessionMode::ReadYourWrites`] accepts a
+//! one-sided record only if it is at least as new as the session's last
+//! write, threads that sequence number through its RPC reads, and falls
 //! back to the leader when a replica has not applied that far yet;
 //! [`SessionMode::Eventual`] takes whatever the chosen replica has.
 //! Values live in a per-replica LMR arena, so capacity overflow rides on
@@ -28,10 +37,11 @@
 //!
 //! See DESIGN.md §15 for the replication protocol and its guarantees.
 
+pub mod record;
 mod service;
 pub mod workload;
 
-pub use service::{KvClient, KvEvent, KvService, KvSpec, SessionMode};
+pub use service::{KvClient, KvClientStats, KvEvent, KvFallbacks, KvService, KvSpec, SessionMode};
 
 use lite::LiteError;
 

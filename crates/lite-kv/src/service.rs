@@ -7,10 +7,11 @@ use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use lite::{Lh, LiteCluster, LiteError, LiteHandle, Perm, Priority, USER_FUNC_MIN};
+use lite::{Lh, LiteCluster, LiteError, LiteHandle, LiteResult, Perm, Priority, USER_FUNC_MIN};
 use lite_log::LiteLog;
 use simnet::Ctx;
 
+use crate::record::{self, Slot, HEADER};
 use crate::{KvError, KvResult};
 
 /// Offset the three service functions claim above `spec.func_base`.
@@ -27,6 +28,21 @@ const GET_BEHIND: u8 = 2;
 const PUT_OK: u8 = 0;
 const PUT_STORE_FULL: u8 = 1;
 const PUT_LOG_FULL: u8 = 2;
+/// The log commit failed for a reason other than space (time-out, dead
+/// peer); the client surfaces it as `LiteError::Remote`.
+const PUT_COMMIT_FAILED: u8 = 3;
+
+/// Reply status, PUT and GET, of a request that does not parse.
+const BAD_REQUEST: u8 = 0xFF;
+
+/// A `PUT_OK` reply, and what a `GET_HIT` one carries before the value:
+/// status, a sequence number (assigned / applied), then at `LOC_AT` the
+/// slot's `(off u64, cap u32)`.
+const REPLY_HEAD: usize = LOC_AT + 8 + 4;
+const LOC_AT: usize = 1 + 8;
+
+/// Sets in a session's location cache: two 16 B entries each, 64 KiB.
+const LOC_CACHE_SETS: usize = 2048;
 
 /// How long a follower sits out of the replication fan-out after a
 /// failed multicast before the replicator probes it again (rounds).
@@ -216,14 +232,29 @@ fn update_record_size(key: &[u8], value: &[u8]) -> u64 {
 
 // ---------------------------------------------------------------------------
 // Replica store: a bump-allocated value arena (an LMR, so mm tiering
-// applies) plus an in-memory index.
+// applies) plus an in-memory index. Every slot holds a self-verifying
+// `record`, and replicas apply the same updates in the same order, so a
+// key's slot sits at the same offset in every replica's arena.
 // ---------------------------------------------------------------------------
 
+fn arena_name(service: &str, node: usize) -> String {
+    format!("{service}.arena{node}")
+}
+
+/// A key's slot: `HEADER + cap` bytes at `off`, `len` of them value.
 #[derive(Clone, Copy)]
 struct Loc {
     off: u64,
     len: u32,
     cap: u32,
+}
+
+impl Loc {
+    /// `(off, cap)` as replies carry it.
+    fn append_to(&self, reply: &mut Vec<u8>) {
+        reply.extend_from_slice(&self.off.to_le_bytes());
+        reply.extend_from_slice(&self.cap.to_le_bytes());
+    }
 }
 
 struct Store {
@@ -234,14 +265,16 @@ struct Store {
 }
 
 impl Store {
+    /// The arena is read-only to whoever maps it by name: only this
+    /// replica (which holds `MASTER`) ever writes it.
     fn create(h: &mut LiteHandle, ctx: &mut Ctx, spec: &KvSpec, node: usize) -> Store {
         let arena = h
             .lt_malloc(
                 ctx,
                 node,
                 spec.arena_bytes,
-                &format!("{}.arena{}", spec.name, node),
-                Perm::RW,
+                &arena_name(&spec.name, node),
+                Perm::RO,
             )
             .expect("kv replica arena allocation");
         Store {
@@ -261,56 +294,68 @@ impl Store {
     fn can_apply(&self, key: &[u8], vlen: usize) -> bool {
         match self.index.get(key) {
             Some(loc) if vlen <= loc.cap as usize => true,
-            _ => self.bump + Self::aligned(vlen) <= self.cap,
+            _ => self.bump + HEADER as u64 + Self::aligned(vlen) <= self.cap,
         }
     }
 
+    /// Writes update `seq` into `key`'s slot — in place when the value
+    /// fits, else into a fresh slot, leaving a tombstone over the old one
+    /// so a reader that still holds its location asks again.
     fn apply(
         &mut self,
         h: &mut LiteHandle,
         ctx: &mut Ctx,
+        seq: u64,
         key: &[u8],
         value: &[u8],
-    ) -> KvResult<()> {
+    ) -> KvResult<Loc> {
+        let rec = record::live(seq, key, value);
+        ctx.work(check_cost(h, rec.len()));
         if let Some(loc) = self.index.get_mut(key) {
             if value.len() <= loc.cap as usize {
-                if !value.is_empty() {
-                    h.lt_write(ctx, self.arena, loc.off, value)?;
-                }
+                h.lt_write(ctx, self.arena, loc.off, &rec)?;
                 loc.len = value.len() as u32;
-                return Ok(());
+                return Ok(*loc);
             }
         }
-        let need = Self::aligned(value.len());
-        if self.bump + need > self.cap {
+        let cap = Self::aligned(value.len());
+        if self.bump + HEADER as u64 + cap > self.cap {
             return Err(KvError::StoreFull);
         }
-        let off = self.bump;
-        if !value.is_empty() {
-            h.lt_write(ctx, self.arena, off, value)?;
+        let loc = Loc {
+            off: self.bump,
+            len: value.len() as u32,
+            cap: cap as u32,
+        };
+        h.lt_write(ctx, self.arena, loc.off, &rec)?;
+        self.bump += HEADER as u64 + cap;
+        if let Some(old) = self.index.insert(key.to_vec(), loc) {
+            h.lt_write(ctx, self.arena, old.off, &record::tombstone(seq, key))?;
         }
-        self.bump += need;
-        self.index.insert(
-            key.to_vec(),
-            Loc {
-                off,
-                len: value.len() as u32,
-                cap: need as u32,
-            },
-        );
-        Ok(())
+        Ok(loc)
     }
 
-    fn get(&self, h: &mut LiteHandle, ctx: &mut Ctx, key: &[u8]) -> KvResult<Option<Vec<u8>>> {
+    fn get(
+        &self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        key: &[u8],
+    ) -> KvResult<Option<(Loc, Vec<u8>)>> {
         let Some(loc) = self.index.get(key) else {
             return Ok(None);
         };
         let mut buf = vec![0u8; loc.len as usize];
         if !buf.is_empty() {
-            h.lt_read(ctx, self.arena, loc.off, &mut buf)?;
+            h.lt_read(ctx, self.arena, loc.off + HEADER as u64, &mut buf)?;
         }
-        Ok(Some(buf))
+        Ok(Some((*loc, buf)))
     }
+}
+
+/// CPU a record's check costs its writer and each reader: one pass over
+/// the bytes.
+fn check_cost(h: &LiteHandle, len: usize) -> u64 {
+    h.kernel().fabric().cost().memcpy_time(len as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -508,26 +553,26 @@ fn serve_leader(
         while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, spec.fn_put()) {
             busy = true;
             let reply = match dec_put(&call.input) {
-                Some((key, value)) if store.can_apply(key, value.len()) => {
-                    match log.commit(h, ctx, &[key, value]) {
-                        Ok(off) => {
-                            store.apply(h, ctx, key, value).expect("checked apply");
-                            let seq = state.applied.load(Ordering::Acquire) + 1;
-                            state.applied.store(seq, Ordering::Release);
-                            state
-                                .next_off
-                                .store(off + update_record_size(key, value), Ordering::Release);
-                            kernel.note_kv_put();
-                            let mut r = vec![PUT_OK];
-                            r.extend_from_slice(&seq.to_le_bytes());
-                            r
-                        }
-                        Err(LiteError::OutOfBounds { .. }) => vec![PUT_LOG_FULL],
-                        Err(_) => vec![PUT_LOG_FULL],
+                None => vec![BAD_REQUEST],
+                Some((key, value)) if !store.can_apply(key, value.len()) => vec![PUT_STORE_FULL],
+                Some((key, value)) => match log.commit(h, ctx, &[key, value]) {
+                    Ok(off) => {
+                        let seq = state.applied.load(Ordering::Acquire) + 1;
+                        let loc = store.apply(h, ctx, seq, key, value).expect("checked apply");
+                        state.applied.store(seq, Ordering::Release);
+                        state
+                            .next_off
+                            .store(off + update_record_size(key, value), Ordering::Release);
+                        kernel.note_kv_put();
+                        let mut r = Vec::with_capacity(REPLY_HEAD);
+                        r.push(PUT_OK);
+                        r.extend_from_slice(&seq.to_le_bytes());
+                        loc.append_to(&mut r);
+                        r
                     }
-                }
-                Some(_) => vec![PUT_STORE_FULL],
-                None => vec![PUT_STORE_FULL],
+                    Err(LiteError::OutOfBounds { .. }) => vec![PUT_LOG_FULL],
+                    Err(_) => vec![PUT_COMMIT_FAILED],
+                },
             };
             let _ = h.lt_reply_rpc(ctx, &call, &reply);
         }
@@ -553,31 +598,23 @@ fn serve_gets(
         busy = true;
         kernel.note_kv_get();
         let applied = state.applied.load(Ordering::Acquire);
-        let reply = match call.input.get(0..8) {
-            Some(need) => {
-                let need = u64::from_le_bytes(need.try_into().expect("8 bytes"));
-                let key = &call.input[8..];
-                if need > applied {
-                    let mut r = vec![GET_BEHIND];
-                    r.extend_from_slice(&applied.to_le_bytes());
+        let with_applied = |status: u8| {
+            let mut r = vec![status];
+            r.extend_from_slice(&applied.to_le_bytes());
+            r
+        };
+        let reply = match call.input.split_first_chunk::<8>() {
+            None => vec![BAD_REQUEST],
+            Some((need, _)) if u64::from_le_bytes(*need) > applied => with_applied(GET_BEHIND),
+            Some((_, key)) => match store.get(h, ctx, key) {
+                Ok(Some((loc, v))) => {
+                    let mut r = with_applied(GET_HIT);
+                    loc.append_to(&mut r);
+                    r.extend_from_slice(&v);
                     r
-                } else {
-                    match store.get(h, ctx, key) {
-                        Ok(Some(v)) => {
-                            let mut r = vec![GET_HIT];
-                            r.extend_from_slice(&applied.to_le_bytes());
-                            r.extend_from_slice(&v);
-                            r
-                        }
-                        _ => {
-                            let mut r = vec![GET_MISS];
-                            r.extend_from_slice(&applied.to_le_bytes());
-                            r
-                        }
-                    }
                 }
-            }
-            None => vec![GET_MISS, 0, 0, 0, 0, 0, 0, 0, 0],
+                _ => with_applied(GET_MISS),
+            },
         };
         let _ = h.lt_reply_rpc(ctx, &call, &reply);
     }
@@ -598,6 +635,12 @@ fn serve_follower(
     let kernel = Arc::clone(cluster.kernel(state.node));
     let delay = spec.apply_delay(state.node);
     let mut idle_rounds = 0u32;
+    // Reads are served on a clock of their own, as by a second thread of
+    // the replica: this host thread takes frames and gets in the order
+    // the host delivers them, and a get must not wait for a frame the
+    // replicator stamped after the get arrived. What reads no longer
+    // queue behind is one `lt_write` per update, a few percent of a core.
+    let mut reads = Ctx::new();
     while !stop.load(Ordering::Acquire) {
         let mut busy = false;
         // Replication stream: always drained and acked promptly (the
@@ -615,7 +658,7 @@ fn serve_follower(
             r.extend_from_slice(&state.next_off.load(Ordering::Acquire).to_le_bytes());
             let _ = h.lt_reply_rpc(ctx, &call, &r);
         }
-        busy |= serve_gets(spec, state, &kernel, h, ctx, store);
+        busy |= serve_gets(spec, state, &kernel, h, &mut reads, store);
         if busy {
             idle_rounds = 0;
             continue;
@@ -661,7 +704,7 @@ fn catch_up_from_log(
         let [key, value] = &txn.entries[..] else {
             return false;
         };
-        if store.apply(h, ctx, key, value).is_err() {
+        if store.apply(h, ctx, applied + 1, key, value).is_err() {
             return false;
         }
         if delay > 0 {
@@ -694,7 +737,10 @@ fn apply_stream_frame(
     if !catch_up_from_log(state, h, ctx, log, store, frame.seq - 1, delay, usize::MAX) {
         return;
     }
-    if store.apply(h, ctx, &frame.key, &frame.value).is_err() {
+    if store
+        .apply(h, ctx, frame.seq, &frame.key, &frame.value)
+        .is_err()
+    {
         return;
     }
     if delay > 0 {
@@ -835,6 +881,111 @@ fn publish_lag(
 // Client.
 // ---------------------------------------------------------------------------
 
+/// How one session's gets were served, as [`KvClient::stats`] reports it:
+/// `one_sided + rpc` gets were issued, and every `rpc` one has its reason
+/// counted in `fallbacks`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KvClientStats {
+    /// Gets answered by one `lt_read` of a cached slot, no server thread
+    /// involved.
+    pub one_sided: u64,
+    /// Gets that took the RPC path.
+    pub rpc: u64,
+    /// Why the RPC path was taken.
+    pub fallbacks: KvFallbacks,
+}
+
+/// Why a get could not be served from a cached slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KvFallbacks {
+    /// The session holds no location for the key.
+    pub no_entry: u64,
+    /// The slot is still zeroed: the replica has not applied the update
+    /// that allocated it.
+    pub behind: u64,
+    /// The bytes were not one whole record of the key (read while the
+    /// owner rewrote the slot, or another key's slot).
+    pub torn: u64,
+    /// The value outgrew the slot and moved.
+    pub tombstone: u64,
+    /// `ReadYourWrites` only: the record is older than the session's
+    /// last write, so it does not prove the replica has applied it.
+    pub too_old: u64,
+    /// The replica's arena could not be mapped or read.
+    pub unreachable: u64,
+}
+
+/// Why [`KvClient::read_slot`] did not serve a get; one per counter of
+/// [`KvFallbacks`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    NoEntry,
+    Behind,
+    Torn,
+    Tombstone,
+    TooOld,
+    Unreachable,
+}
+
+/// One entry of a session's location cache.
+#[derive(Clone, Copy, Default)]
+struct CachedLoc {
+    off: u64,
+    /// 0 = empty (a slot's cap is at least `ARENA_ALIGN`).
+    cap: u32,
+    /// Upper half of the key's hash; the lower bits chose the set.
+    tag: u32,
+}
+
+impl CachedLoc {
+    fn is(&self, hash: u64) -> bool {
+        self.cap != 0 && self.tag == (hash >> 32) as u32
+    }
+}
+
+/// `hash(key) → (off, cap)` in sets of two, the more recently used entry
+/// first; a third key in a set takes the place of the other one. A wrong
+/// entry is harmless — the record it leads to fails the check against the
+/// key asked for.
+struct LocCache(Vec<[CachedLoc; 2]>);
+
+impl LocCache {
+    /// `hash`'s set, its entry — if it has one — moved to the front.
+    fn set(&mut self, hash: u64) -> &mut [CachedLoc; 2] {
+        let set = &mut self.0[hash as usize % LOC_CACHE_SETS];
+        if set[1].is(hash) {
+            set.swap(0, 1);
+        }
+        set
+    }
+
+    fn get(&mut self, hash: u64) -> Option<(u64, usize)> {
+        let e = self.set(hash)[0];
+        e.is(hash).then_some((e.off, e.cap as usize))
+    }
+
+    /// Learns a location from the `(off, cap)` a reply carries.
+    fn learn(&mut self, hash: u64, wire: &[u8]) {
+        let (off, cap) = wire.split_at(8);
+        let set = self.set(hash);
+        if !set[0].is(hash) {
+            set[1] = set[0];
+        }
+        set[0] = CachedLoc {
+            off: u64::from_le_bytes(off.try_into().expect("8")),
+            cap: u32::from_le_bytes(cap.try_into().expect("4")),
+            tag: (hash >> 32) as u32,
+        };
+    }
+
+    fn forget(&mut self, hash: u64) {
+        let set = self.set(hash);
+        if set[0].is(hash) {
+            *set = [set[1], CachedLoc::default()];
+        }
+    }
+}
+
 /// A client session against a [`KvService`].
 pub struct KvClient {
     h: LiteHandle,
@@ -847,8 +998,13 @@ pub struct KvClient {
     prefer: Option<usize>,
     rr: usize,
     log: Option<LiteLog>,
-    log_name: String,
+    name: String,
     log_capacity: u64,
+    /// Where keys this session has put or fetched sit in the arenas.
+    locs: LocCache,
+    /// Replica arenas mapped so far, by node.
+    arenas: Vec<(usize, Lh)>,
+    stats: KvClientStats,
 }
 
 impl KvClient {
@@ -871,8 +1027,11 @@ impl KvClient {
             prefer: None,
             rr: 0,
             log: None,
-            log_name: spec.name.clone(),
+            name: spec.name.clone(),
             log_capacity: spec.log_capacity,
+            locs: LocCache(vec![[CachedLoc::default(); 2]; LOC_CACHE_SETS]),
+            arenas: Vec::new(),
+            stats: KvClientStats::default(),
         })
     }
 
@@ -891,6 +1050,11 @@ impl KvClient {
         self.session_seq
     }
 
+    /// How this session's gets were served so far.
+    pub fn stats(&self) -> KvClientStats {
+        self.stats
+    }
+
     /// Writes `key = value` through the leader; returns the assigned
     /// sequence number.
     pub fn put(&mut self, ctx: &mut Ctx, key: &[u8], value: &[u8]) -> KvResult<u64> {
@@ -899,24 +1063,29 @@ impl KvClient {
             self.leader,
             self.func_base + FN_PUT,
             &enc_put(key, value),
-            16,
+            REPLY_HEAD,
         )?;
         match rep.first() {
-            Some(&PUT_OK) if rep.len() >= 9 => {
-                let seq = u64::from_le_bytes(rep[1..9].try_into().expect("8"));
+            Some(&PUT_OK) if rep.len() == REPLY_HEAD => {
+                let seq = u64::from_le_bytes(rep[1..LOC_AT].try_into().expect("8"));
                 self.session_seq = self.session_seq.max(seq);
+                self.locs.learn(record::hash64(&[key]), &rep[LOC_AT..]);
                 Ok(seq)
             }
             Some(&PUT_STORE_FULL) => Err(KvError::StoreFull),
             Some(&PUT_LOG_FULL) => Err(KvError::LogFull),
-            _ => Err(KvError::BadReply),
+            Some(&PUT_COMMIT_FAILED) => Err(LiteError::Remote(PUT_COMMIT_FAILED).into()),
+            _ => Err(KvError::BadReply), // BAD_REQUEST included
         }
     }
 
-    /// Reads `key` from a replica (preferred or round-robin). In
-    /// read-your-writes mode a lagging replica answers "behind" and the
-    /// read retries on the leader; a replica that cannot be reached at
-    /// all fails over to the leader too.
+    /// Reads `key` from a replica (preferred or round-robin): with one
+    /// `lt_read` of the key's slot in that replica's arena when the
+    /// session knows where it is and the record there is good, else by
+    /// RPC. In read-your-writes mode a record older than the session's
+    /// last write does not count as good, a lagging replica answers the
+    /// RPC "behind", and the read retries on the leader; a replica that
+    /// cannot be reached at all fails over to the leader too.
     pub fn get(&mut self, ctx: &mut Ctx, key: &[u8]) -> KvResult<Option<Vec<u8>>> {
         let replica = self.prefer.unwrap_or_else(|| {
             let r = self.replicas[self.rr % self.replicas.len()];
@@ -927,45 +1096,112 @@ impl KvClient {
             SessionMode::Eventual => 0,
             SessionMode::ReadYourWrites => self.session_seq,
         };
-        let max_reply = 9 + self.max_value;
-        if replica != self.leader {
-            let rep = self.h.lt_rpc(
-                ctx,
-                replica,
-                self.func_base + FN_GET,
-                &enc_get(need, key),
-                max_reply,
-            );
-            match rep.as_deref().map(Self::dec_get) {
-                Ok(Ok(Some(hit))) => return Ok(hit),
-                Ok(Ok(None)) => {} // behind: fall through to the leader
-                Ok(Err(e)) => return Err(e),
-                Err(_) => {} // unreachable replica: fail over
+        let hash = record::hash64(&[key]);
+        let miss = match self.read_slot(ctx, replica, hash, key, need) {
+            Ok(value) => {
+                self.stats.one_sided += 1;
+                self.h.kernel().note_kv_get();
+                return Ok(Some(value));
+            }
+            Err(miss) => miss,
+        };
+        self.stats.rpc += 1;
+        let f = &mut self.stats.fallbacks;
+        *match miss {
+            Miss::NoEntry => &mut f.no_entry,
+            Miss::Behind => &mut f.behind,
+            Miss::Torn => &mut f.torn,
+            Miss::Tombstone => &mut f.tombstone,
+            Miss::TooOld => &mut f.too_old,
+            Miss::Unreachable => &mut f.unreachable,
+        } += 1;
+        // A replica that could not be read is not asked a second time.
+        if replica != self.leader && miss != Miss::Unreachable {
+            match self.get_rpc(ctx, replica, need, hash, key) {
+                Ok(Some(hit)) => return Ok(hit),
+                Ok(None) => {}              // behind: fall through to the leader
+                Err(KvError::Lite(_)) => {} // unreachable replica: fail over
+                Err(e) => return Err(e),
             }
         }
         // The leader applies synchronously, so need_seq 0 suffices.
-        let rep = self.h.lt_rpc(
-            ctx,
-            self.leader,
-            self.func_base + FN_GET,
-            &enc_get(0, key),
-            max_reply,
-        )?;
-        match Self::dec_get(&rep)? {
+        match self.get_rpc(ctx, self.leader, 0, hash, key)? {
             Some(hit) => Ok(hit),
             None => Err(KvError::BadReply), // the leader is never behind
         }
     }
 
-    /// `Ok(Some(hit))` = served (hit is the optional value);
-    /// `Ok(None)` = replica behind the session.
+    /// The one-sided attempt: reads `key`'s cached slot on `replica` and
+    /// returns the value iff the record there is whole, live and — for a
+    /// `need` above 0 — written at or after update `need`: replicas apply
+    /// in order, so that proves `replica` has applied `need`.
+    fn read_slot(
+        &mut self,
+        ctx: &mut Ctx,
+        replica: usize,
+        hash: u64,
+        key: &[u8],
+        need: u64,
+    ) -> Result<Vec<u8>, Miss> {
+        let (off, cap) = self.locs.get(hash).ok_or(Miss::NoEntry)?;
+        let mut buf = vec![0u8; HEADER + cap];
+        self.arena(ctx, replica)
+            .and_then(|arena| self.h.lt_read(ctx, arena, off, &mut buf))
+            .map_err(|_| Miss::Unreachable)?;
+        ctx.work(check_cost(&self.h, buf.len()));
+        let len = match record::parse(&buf, key) {
+            Slot::Live { seq, value } if seq >= need => value.len(),
+            Slot::Live { .. } => return Err(Miss::TooOld),
+            Slot::Empty => return Err(Miss::Behind),
+            Slot::Torn => return Err(Miss::Torn),
+            Slot::Tombstone { .. } => {
+                self.locs.forget(hash);
+                return Err(Miss::Tombstone);
+            }
+        };
+        buf.copy_within(HEADER..HEADER + len, 0);
+        buf.truncate(len);
+        Ok(buf)
+    }
+
+    /// `replica`'s arena, mapped on first use.
+    fn arena(&mut self, ctx: &mut Ctx, replica: usize) -> LiteResult<Lh> {
+        if let Some(&(_, lh)) = self.arenas.iter().find(|(node, _)| *node == replica) {
+            return Ok(lh);
+        }
+        let name = arena_name(&self.name, replica);
+        let lh = self.h.lt_map_at(ctx, &name, replica)?;
+        self.arenas.push((replica, lh));
+        Ok(lh)
+    }
+
+    /// The GET RPC. `Ok(Some(hit))` = served (hit is the optional
+    /// value, and its location is now cached); `Ok(None)` = `node` is
+    /// behind the session.
     #[allow(clippy::type_complexity)]
-    fn dec_get(rep: &[u8]) -> KvResult<Option<Option<Vec<u8>>>> {
+    fn get_rpc(
+        &mut self,
+        ctx: &mut Ctx,
+        node: usize,
+        need: u64,
+        hash: u64,
+        key: &[u8],
+    ) -> KvResult<Option<Option<Vec<u8>>>> {
+        let rep = self.h.lt_rpc(
+            ctx,
+            node,
+            self.func_base + FN_GET,
+            &enc_get(need, key),
+            REPLY_HEAD + self.max_value,
+        )?;
         match rep.first() {
-            Some(&GET_HIT) if rep.len() >= 9 => Ok(Some(Some(rep[9..].to_vec()))),
+            Some(&GET_HIT) if rep.len() >= REPLY_HEAD => {
+                self.locs.learn(hash, &rep[LOC_AT..REPLY_HEAD]);
+                Ok(Some(Some(rep[REPLY_HEAD..].to_vec())))
+            }
             Some(&GET_MISS) => Ok(Some(None)),
             Some(&GET_BEHIND) => Ok(None),
-            _ => Err(KvError::BadReply),
+            _ => Err(KvError::BadReply), // BAD_REQUEST included
         }
     }
 
@@ -978,7 +1214,7 @@ impl KvClient {
             self.log = Some(LiteLog::open(
                 &mut self.h,
                 ctx,
-                &self.log_name,
+                &self.name,
                 self.log_capacity,
             )?);
         }
@@ -1006,5 +1242,110 @@ impl KvClient {
             }
         }
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One raw call, as a client that speaks the wire format badly (or
+    /// well) would make it.
+    fn raw(h: &mut LiteHandle, node: usize, func: u8, input: &[u8]) -> Vec<u8> {
+        h.lt_rpc(&mut Ctx::new(), node, func, input, 64).unwrap()
+    }
+
+    #[test]
+    fn malformed_requests_get_their_own_status() {
+        let cluster = LiteCluster::start(3).unwrap();
+        let spec = KvSpec::new("kv", 1, &[2]);
+        let svc = KvService::spawn(&cluster, spec.clone());
+        let mut h = cluster.attach(0).unwrap();
+        // No key length; a key length past the end of the request.
+        assert_eq!(raw(&mut h, 1, spec.fn_put(), &[5]), [BAD_REQUEST]);
+        assert_eq!(raw(&mut h, 1, spec.fn_put(), &[9, 0, b'k']), [BAD_REQUEST]);
+        // A GET too short to hold its `need_seq`, on leader and follower.
+        for node in spec.replicas() {
+            assert_eq!(raw(&mut h, node, spec.fn_get(), &[0; 7]), [BAD_REQUEST]);
+        }
+        // Well-formed ones still answer as before.
+        let ok = raw(&mut h, 1, spec.fn_put(), &enc_put(b"k", b"v"));
+        assert_eq!((ok[0], ok.len()), (PUT_OK, REPLY_HEAD));
+        let hit = raw(&mut h, 1, spec.fn_get(), &enc_get(0, b"k"));
+        assert_eq!((hit[0], &hit[REPLY_HEAD..]), (GET_HIT, &b"v"[..]));
+        let miss = raw(&mut h, 1, spec.fn_get(), &enc_get(0, b"nope"));
+        assert_eq!((miss[0], miss.len()), (GET_MISS, LOC_AT));
+        assert_eq!(svc.committed_seq(), 1, "nothing malformed was ordered");
+        svc.stop();
+    }
+
+    #[test]
+    fn full_store_and_full_log_say_which() {
+        let cluster = LiteCluster::start(3).unwrap();
+        let mut spec = KvSpec::new("kv", 1, &[2]);
+        spec.arena_bytes = 256;
+        spec.log_capacity = 1024;
+        let svc = KvService::spawn(&cluster, spec.clone());
+        let mut h = cluster.attach(0).unwrap();
+        let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+        let mut ctx = Ctx::new();
+        // Two 64 B slots fit 256 B of arena, a third does not.
+        c.put(&mut ctx, b"a", &[1; 64]).unwrap();
+        c.put(&mut ctx, b"b", &[2; 64]).unwrap();
+        let full = raw(&mut h, 1, spec.fn_put(), &enc_put(b"c", &[3; 64]));
+        assert_eq!(full, [PUT_STORE_FULL]);
+        assert!(matches!(
+            c.put(&mut ctx, b"c", &[3; 64]),
+            Err(KvError::StoreFull)
+        ));
+        // A stalled follower pins the log: overwrites fill the ring.
+        svc.pause_follower(2);
+        let filled = (0..64).find_map(|_| c.put(&mut ctx, b"a", &[4; 64]).err());
+        assert!(matches!(filled, Some(KvError::LogFull)), "{filled:?}");
+        let full = raw(&mut h, 1, spec.fn_put(), &enc_put(b"a", &[5; 64]));
+        assert_eq!(full, [PUT_LOG_FULL]);
+        svc.stop();
+    }
+
+    /// The client's reading of every status, against a scripted leader.
+    #[test]
+    fn client_maps_each_status_to_its_error() {
+        let cluster = LiteCluster::start(2).unwrap();
+        let spec = KvSpec::new("kv", 1, &[]);
+        let script = [
+            PUT_STORE_FULL,
+            PUT_LOG_FULL,
+            PUT_COMMIT_FAILED,
+            BAD_REQUEST,
+            0x77,
+        ];
+        let mut server = cluster.attach(1).unwrap();
+        server.register_rpc(spec.fn_put()).unwrap();
+        server.register_rpc(spec.fn_get()).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut ctx = Ctx::new();
+                for status in script {
+                    let call = server.lt_recv_rpc(&mut ctx, spec.fn_put()).unwrap();
+                    server.lt_reply_rpc(&mut ctx, &call, &[status]).unwrap();
+                }
+                let call = server.lt_recv_rpc(&mut ctx, spec.fn_get()).unwrap();
+                server
+                    .lt_reply_rpc(&mut ctx, &call, &[BAD_REQUEST])
+                    .unwrap();
+            });
+            let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+            let mut ctx = Ctx::new();
+            let mut put = || c.put(&mut ctx, b"k", b"v").unwrap_err();
+            assert!(matches!(put(), KvError::StoreFull));
+            assert!(matches!(put(), KvError::LogFull));
+            assert!(matches!(
+                put(),
+                KvError::Lite(LiteError::Remote(PUT_COMMIT_FAILED))
+            ));
+            assert!(matches!(put(), KvError::BadReply));
+            assert!(matches!(put(), KvError::BadReply));
+            assert!(matches!(c.get(&mut ctx, b"k"), Err(KvError::BadReply)));
+        });
     }
 }
