@@ -12,12 +12,16 @@
 //! applications sidestep their servers' CPUs.
 //!
 //! So do warm reads: every value slot holds a self-verifying [`record`],
-//! PUT and GET replies say where the key's slot is, and a session that
-//! knows reads it out of the replica's arena with one `LT_read` — no
-//! server thread involved — falling back to the GET RPC only when the
-//! record says so (not applied yet, torn, moved, too old for the
-//! session) or the replica cannot be read. [`KvClient::stats`] counts
-//! which way each get went.
+//! PUT and GET replies say where the key's slot is, and a session on a
+//! node that knows reads it out of the replica's arena with one `LT_read`
+//! — no server thread involved — falling back to the GET RPC only when
+//! the record says so (not applied yet, torn, moved, too old for the
+//! session) or the replica cannot be read. What is known is known per
+//! *node*: one fixed-size location cache per (node, service), owned by
+//! the node's kernel, that every reply to any session there fills and
+//! every session there reads — a session opened later starts warm, and a
+//! location is believed only if it lies inside the arena.
+//! [`KvClient::stats`] counts, per session, which way each get went.
 //!
 //! Consistency is per-session: [`SessionMode::ReadYourWrites`] accepts a
 //! one-sided record only if it is at least as new as the session's last

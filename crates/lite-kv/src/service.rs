@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -41,8 +41,11 @@ const BAD_REQUEST: u8 = 0xFF;
 const REPLY_HEAD: usize = LOC_AT + 8 + 4;
 const LOC_AT: usize = 1 + 8;
 
-/// Sets in a session's location cache: two 16 B entries each, 64 KiB.
-const LOC_CACHE_SETS: usize = 2048;
+/// A node's location cache: this many 16 B entries (256 KiB) in sets of
+/// `LOC_CACHE_WAYS`, the sets dealt over `LOC_CACHE_STRIPES` locks.
+const LOC_CACHE_ENTRIES: usize = 16 * 1024;
+const LOC_CACHE_WAYS: usize = 4;
+const LOC_CACHE_STRIPES: usize = 64;
 
 /// How long a follower sits out of the replication fan-out after a
 /// failed multicast before the replicator probes it again (rounds).
@@ -898,7 +901,7 @@ pub struct KvClientStats {
 /// Why a get could not be served from a cached slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KvFallbacks {
-    /// The session holds no location for the key.
+    /// The node's cache holds no location for the key.
     pub no_entry: u64,
     /// The slot is still zeroed: the replica has not applied the update
     /// that allocated it.
@@ -927,7 +930,7 @@ enum Miss {
     Unreachable,
 }
 
-/// One entry of a session's location cache.
+/// One entry of a node's location cache.
 #[derive(Clone, Copy, Default)]
 struct CachedLoc {
     off: u64,
@@ -943,46 +946,70 @@ impl CachedLoc {
     }
 }
 
-/// `hash(key) → (off, cap)` in sets of two, the more recently used entry
-/// first; a third key in a set takes the place of the other one. A wrong
+type LocSet = [CachedLoc; LOC_CACHE_WAYS];
+
+/// `hash(key) → (off, cap)` for every session a node has open against one
+/// service ([`lite::LiteKernel::service_state`] holds it): what a reply to
+/// any of them said, all of them read. Sets of four, most recently used
+/// first, a fifth key in a set taking the place of the last; one lock per
+/// stripe of sets, so sessions on different threads rarely meet. A wrong
 /// entry is harmless — the record it leads to fails the check against the
-/// key asked for.
-struct LocCache(Vec<[CachedLoc; 2]>);
+/// key asked for — so whoever learnt it, a reader trusts it no further
+/// than one `lt_read`.
+struct LocCache(Box<[Mutex<Box<[LocSet]>>]>);
 
 impl LocCache {
-    /// `hash`'s set, its entry — if it has one — moved to the front.
-    fn set(&mut self, hash: u64) -> &mut [CachedLoc; 2] {
-        let set = &mut self.0[hash as usize % LOC_CACHE_SETS];
-        if set[1].is(hash) {
-            set.swap(0, 1);
-        }
-        set
+    fn new() -> LocCache {
+        let sets = LOC_CACHE_ENTRIES / LOC_CACHE_WAYS / LOC_CACHE_STRIPES;
+        let stripe = || Mutex::new(vec![LocSet::default(); sets].into_boxed_slice());
+        LocCache((0..LOC_CACHE_STRIPES).map(|_| stripe()).collect())
     }
 
-    fn get(&mut self, hash: u64) -> Option<(u64, usize)> {
-        let e = self.set(hash)[0];
-        e.is(hash).then_some((e.off, e.cap as usize))
+    /// Runs `f` on `hash`'s set, its stripe locked.
+    fn with_set<R>(&self, hash: u64, f: impl FnOnce(&mut LocSet) -> R) -> R {
+        let stripe = &self.0[hash as usize % LOC_CACHE_STRIPES];
+        // A panic elsewhere leaves entries that are each whole.
+        let mut sets = stripe.lock().unwrap_or_else(PoisonError::into_inner);
+        let index = (hash as usize / LOC_CACHE_STRIPES) % sets.len();
+        f(&mut sets[index])
     }
 
-    /// Learns a location from the `(off, cap)` a reply carries.
-    fn learn(&mut self, hash: u64, wire: &[u8]) {
+    fn get(&self, hash: u64) -> Option<(u64, usize)> {
+        self.with_set(hash, |set| {
+            let at = set.iter().position(|e| e.is(hash))?;
+            set[..=at].rotate_right(1);
+            Some((set[0].off, set[0].cap as usize))
+        })
+    }
+
+    /// Learns a location from the `(off, cap)` a reply carries — if it
+    /// names a slot inside an arena of `arena_bytes`: every session on the
+    /// node will read `HEADER + cap` bytes at `off` on this reply's word.
+    fn learn(&self, hash: u64, wire: &[u8], arena_bytes: u64) {
         let (off, cap) = wire.split_at(8);
-        let set = self.set(hash);
-        if !set[0].is(hash) {
-            set[1] = set[0];
+        let off = u64::from_le_bytes(off.try_into().expect("8"));
+        let cap = u32::from_le_bytes(cap.try_into().expect("4"));
+        let end = off.checked_add(HEADER as u64 + cap as u64);
+        if (cap as u64) < ARENA_ALIGN || end.is_none_or(|end| end > arena_bytes) {
+            return;
         }
-        set[0] = CachedLoc {
-            off: u64::from_le_bytes(off.try_into().expect("8")),
-            cap: u32::from_le_bytes(cap.try_into().expect("4")),
-            tag: (hash >> 32) as u32,
-        };
+        self.with_set(hash, |set| {
+            let at = set.iter().position(|e| e.is(hash));
+            set[..=at.unwrap_or(LOC_CACHE_WAYS - 1)].rotate_right(1);
+            let tag = (hash >> 32) as u32;
+            set[0] = CachedLoc { off, cap, tag };
+        })
     }
 
-    fn forget(&mut self, hash: u64) {
-        let set = self.set(hash);
-        if set[0].is(hash) {
-            *set = [set[1], CachedLoc::default()];
-        }
+    /// Drops `hash`'s entry if it still says `off`: a reader that found a
+    /// tombstone there must not undo what a neighbour learnt since.
+    fn forget(&self, hash: u64, off: u64) {
+        self.with_set(hash, |set| {
+            if let Some(at) = set.iter().position(|e| e.is(hash) && e.off == off) {
+                set[at..].rotate_left(1);
+                set[LOC_CACHE_WAYS - 1] = CachedLoc::default();
+            }
+        })
     }
 }
 
@@ -1000,8 +1027,10 @@ pub struct KvClient {
     log: Option<LiteLog>,
     name: String,
     log_capacity: u64,
-    /// Where keys this session has put or fetched sit in the arenas.
-    locs: LocCache,
+    arena_bytes: u64,
+    /// Where keys any session on this node has put or fetched sit in the
+    /// arenas.
+    locs: Arc<LocCache>,
     /// Replica arenas mapped so far, by node.
     arenas: Vec<(usize, Lh)>,
     stats: KvClientStats,
@@ -1016,8 +1045,10 @@ impl KvClient {
         spec: &KvSpec,
         mode: SessionMode,
     ) -> KvResult<KvClient> {
+        let h = cluster.attach(node)?;
+        let locs = h.kernel().service_state(&spec.name, LocCache::new);
         Ok(KvClient {
-            h: cluster.attach(node)?,
+            h,
             leader: spec.leader,
             replicas: spec.replicas(),
             func_base: spec.func_base,
@@ -1029,7 +1060,8 @@ impl KvClient {
             log: None,
             name: spec.name.clone(),
             log_capacity: spec.log_capacity,
-            locs: LocCache(vec![[CachedLoc::default(); 2]; LOC_CACHE_SETS]),
+            arena_bytes: spec.arena_bytes,
+            locs,
             arenas: Vec::new(),
             stats: KvClientStats::default(),
         })
@@ -1069,7 +1101,8 @@ impl KvClient {
             Some(&PUT_OK) if rep.len() == REPLY_HEAD => {
                 let seq = u64::from_le_bytes(rep[1..LOC_AT].try_into().expect("8"));
                 self.session_seq = self.session_seq.max(seq);
-                self.locs.learn(record::hash64(&[key]), &rep[LOC_AT..]);
+                let hash = record::hash64(&[key]);
+                self.locs.learn(hash, &rep[LOC_AT..], self.arena_bytes);
                 Ok(seq)
             }
             Some(&PUT_STORE_FULL) => Err(KvError::StoreFull),
@@ -1080,12 +1113,12 @@ impl KvClient {
     }
 
     /// Reads `key` from a replica (preferred or round-robin): with one
-    /// `lt_read` of the key's slot in that replica's arena when the
-    /// session knows where it is and the record there is good, else by
-    /// RPC. In read-your-writes mode a record older than the session's
-    /// last write does not count as good, a lagging replica answers the
-    /// RPC "behind", and the read retries on the leader; a replica that
-    /// cannot be reached at all fails over to the leader too.
+    /// `lt_read` of the key's slot in that replica's arena when some
+    /// session on this node has learnt where it is and the record there is
+    /// good, else by RPC. In read-your-writes mode a record older than the
+    /// session's last write does not count as good, a lagging replica
+    /// answers the RPC "behind", and the read retries on the leader; a
+    /// replica that cannot be reached at all fails over to the leader too.
     pub fn get(&mut self, ctx: &mut Ctx, key: &[u8]) -> KvResult<Option<Vec<u8>>> {
         let replica = self.prefer.unwrap_or_else(|| {
             let r = self.replicas[self.rr % self.replicas.len()];
@@ -1155,7 +1188,7 @@ impl KvClient {
             Slot::Empty => return Err(Miss::Behind),
             Slot::Torn => return Err(Miss::Torn),
             Slot::Tombstone { .. } => {
-                self.locs.forget(hash);
+                self.locs.forget(hash, off);
                 return Err(Miss::Tombstone);
             }
         };
@@ -1196,7 +1229,8 @@ impl KvClient {
         )?;
         match rep.first() {
             Some(&GET_HIT) if rep.len() >= REPLY_HEAD => {
-                self.locs.learn(hash, &rep[LOC_AT..REPLY_HEAD]);
+                self.locs
+                    .learn(hash, &rep[LOC_AT..REPLY_HEAD], self.arena_bytes);
                 Ok(Some(Some(rep[REPLY_HEAD..].to_vec())))
             }
             Some(&GET_MISS) => Ok(Some(None)),
@@ -1346,6 +1380,63 @@ mod tests {
             assert!(matches!(put(), KvError::BadReply));
             assert!(matches!(put(), KvError::BadReply));
             assert!(matches!(c.get(&mut ctx, b"k"), Err(KvError::BadReply)));
+        });
+    }
+
+    /// A reply's `(off, cap)` is learnt only if it names a slot inside the
+    /// arena: a scripted leader that answers with anything else is served
+    /// from (the op succeeds) and not believed (no entry, so no session on
+    /// the node ever sizes a buffer or aims a read by it).
+    #[test]
+    fn client_learns_no_location_outside_the_arena() {
+        let cluster = LiteCluster::start(2).unwrap();
+        let spec = KvSpec::new("kv", 1, &[]);
+        let arena = spec.arena_bytes;
+        let last = arena - HEADER as u64 - ARENA_ALIGN;
+        // (off, cap) of each reply: the first five must not be learnt.
+        let script: [(u64, u32); 6] = [
+            (0, u32::MAX),
+            (arena, 8),
+            (last + 1, 8),
+            (u64::MAX - 10, 8),
+            (0, 4),
+            (last, 8),
+        ];
+        let mut server = cluster.attach(1).unwrap();
+        server.register_rpc(spec.fn_put()).unwrap();
+        server.register_rpc(spec.fn_get()).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut ctx = Ctx::new();
+                for (i, (off, cap)) in script.into_iter().enumerate() {
+                    // Even replies answer a put, odd ones a get.
+                    let (func, status) = [(spec.fn_put(), PUT_OK), (spec.fn_get(), GET_HIT)][i % 2];
+                    let call = server.lt_recv_rpc(&mut ctx, func).unwrap();
+                    let mut reply = vec![status];
+                    reply.extend_from_slice(&1u64.to_le_bytes());
+                    Loc { off, len: 1, cap }.append_to(&mut reply);
+                    if func == spec.fn_get() {
+                        reply.push(b'v');
+                    }
+                    server.lt_reply_rpc(&mut ctx, &call, &reply).unwrap();
+                }
+            });
+            let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+            let mut ctx = Ctx::new();
+            let hash = record::hash64(&[b"k"]);
+            for i in 0..script.len() {
+                assert!(c.locs.get(hash).is_none(), "learnt {:?}", &script[..i]);
+                if i % 2 == 0 {
+                    assert_eq!(c.put(&mut ctx, b"k", b"v").unwrap(), 1);
+                } else {
+                    assert_eq!(c.get(&mut ctx, b"k").unwrap().as_deref(), Some(&b"v"[..]));
+                }
+            }
+            // Every get had to ask; the last reply named the arena's last
+            // slot, and that one is believed.
+            let stats = c.stats();
+            assert_eq!((stats.rpc, stats.fallbacks.no_entry), (3, 3), "{stats:?}");
+            assert_eq!(c.locs.get(hash), Some((last, 8)));
         });
     }
 }

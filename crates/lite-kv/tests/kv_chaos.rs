@@ -138,11 +138,8 @@ fn service_survives_follower_crash_and_restart() {
         cluster.fabric().fault_stats(),
     );
     // And it serves the data written while it was dead, locally — by RPC
-    // to a session that has to ask where the key is, one-sidedly after
-    // (node 0 may still hold node 3 for dead on the first read: that one
-    // falls back too).
-    let mut ev = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
-    ev.prefer_replica(3);
+    // to a session that has to ask where the key is, one-sidedly after.
+    // Node 4 has had no session, so its cache knows nothing.
     let reads_node_3_again = |c: &mut KvClient, ctx: &mut Ctx, key: &[u8], want: &[u8]| {
         eventually(Duration::from_secs(10), || {
             let before = c.stats().one_sided;
@@ -150,12 +147,26 @@ fn service_survives_follower_crash_and_restart() {
             c.stats().one_sided > before
         })
     };
+    let mut ev = KvClient::connect(&cluster, 4, &spec, SessionMode::Eventual).unwrap();
+    ev.prefer_replica(3);
     assert!(
         reads_node_3_again(&mut ev, &mut ctx, b"c119", b"w119"),
         "{:?}",
         ev.stats()
     );
     assert_eq!(ev.stats().fallbacks.no_entry, 1, "{:?}", ev.stats());
+    assert_eq!(ev.stats().rpc, 1, "{:?}", ev.stats());
+    // A session opened on node 0 now starts with what `c` learnt there: it
+    // never has to ask (node 0 may still hold node 3 for dead on the first
+    // read: that one falls back as unreachable).
+    let mut warm = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    warm.prefer_replica(3);
+    assert!(
+        reads_node_3_again(&mut warm, &mut ctx, b"c119", b"w119"),
+        "{:?}",
+        warm.stats()
+    );
+    assert_eq!(warm.stats().fallbacks.no_entry, 0, "{:?}", warm.stats());
     // The session that lived through the outage reads node 3's arena
     // again too: `tick` carries its last write.
     let last_tick = (tick - 1).to_le_bytes();

@@ -1,18 +1,23 @@
-//! The one-sided read path: a get whose session knows where the key's
+//! The one-sided read path: a get from a node that knows where the key's
 //! slot is reads it with one `lt_read`, lets the record say whether the
 //! answer is good, and takes the RPC only when it is not. These tests pin
 //! the path itself (no server thread involved), every fallback, the
 //! record's resistance to torn reads, the layout claim a shared location
 //! rests on, and — with a seeded model — that no interleaving of puts,
-//! overwrites and growth makes a get return what was never put.
+//! overwrites and growth makes a get return what was never put. Locations
+//! are learnt per node, not per session: the `shared_*` tests pin who
+//! gets to read what whom was told, and that it ends at the cluster.
+//! A test that wants a session that knows nothing opens it on a node no
+//! session has used.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lite::{LiteCluster, LiteConfig, LiteError, Perm, QosConfig};
 use lite_kv::record::{self, Slot, HEADER};
-use lite_kv::{KvClient, KvService, KvSpec, SessionMode};
+use lite_kv::{KvClient, KvClientStats, KvFallbacks, KvService, KvSpec, SessionMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rnic::IbConfig;
@@ -84,35 +89,36 @@ fn cached_gets_reach_no_server_thread() {
 }
 
 /// (b) Every value length, overwritten in place and then grown past its
-/// slot: a second session holding the pre-growth location finds a
+/// slot: a session on a node that holds the pre-growth location finds a
 /// tombstone there, asks, and from then on reads the new slot — never
-/// the old value once the replica has applied the move.
+/// the old value once the replica has applied the move. One stale node
+/// per replica (the writer sits on none of them), and on each a
+/// neighbour session: what the reader's fallback learnt, the neighbour
+/// reads without meeting the tombstone.
 #[test]
 fn growth_leaves_a_tombstone_stale_readers_follow() {
-    let cluster = LiteCluster::start(4).unwrap();
+    let cluster = LiteCluster::start(7).unwrap();
     let mut spec = KvSpec::new("kv", 1, &[2, 3]);
     spec.max_value = 20 * 1024;
     let svc = KvService::spawn(&cluster, spec.clone());
     let mut ctx = Ctx::new();
     let mut writer = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
     let lens = [0usize, 1, 64, 4096, 16 * 1024];
+    let n = lens.len() as u64;
     let key = |len: usize| format!("len{len}").into_bytes();
     let fill = |len: usize, byte: u8| vec![byte; len];
     for &len in &lens {
         writer.put(&mut ctx, &key(len), &fill(len, 1)).unwrap();
     }
     converge(&svc);
-    // One reader per replica learns the first locations by RPC, then
-    // reads them one-sidedly.
-    let mut readers: Vec<KvClient> = spec
-        .replicas()
-        .iter()
-        .map(|&r| {
-            let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
-            c.prefer_replica(r);
-            c
-        })
-        .collect();
+    // One reader per replica, each on a node of its own, learns the first
+    // locations by RPC, then reads them one-sidedly.
+    let on_node_of = |i: usize| {
+        let mut c = KvClient::connect(&cluster, 4 + i, &spec, SessionMode::Eventual).unwrap();
+        c.prefer_replica(spec.replicas()[i]);
+        c
+    };
+    let mut readers: Vec<KvClient> = (0..3).map(on_node_of).collect();
     for r in &mut readers {
         for pass in 0..2 {
             for &len in &lens {
@@ -120,7 +126,17 @@ fn growth_leaves_a_tombstone_stale_readers_follow() {
                 assert_eq!(got, Some(fill(len, 1)), "len {len} pass {pass}");
             }
         }
-        assert_eq!(r.stats().one_sided, lens.len() as u64);
+        assert_eq!(r.stats().one_sided, n);
+        assert_eq!(r.stats().fallbacks.no_entry, n);
+    }
+    // Their neighbours, opened after, never have to ask.
+    let mut neighbours: Vec<KvClient> = (0..3).map(on_node_of).collect();
+    for nb in &mut neighbours {
+        for &len in &lens {
+            let got = nb.get(&mut ctx, &key(len)).unwrap();
+            assert_eq!(got, Some(fill(len, 1)), "len {len}, neighbour");
+        }
+        assert_eq!((nb.stats().one_sided, nb.stats().rpc), (n, 0));
     }
     // In place: same slot, new bytes (the empty value gets a few).
     let in_place = |len: usize| fill(len.max(5), 2);
@@ -133,8 +149,8 @@ fn growth_leaves_a_tombstone_stale_readers_follow() {
             let got = r.get(&mut ctx, &key(len)).unwrap();
             assert_eq!(got, Some(in_place(len)), "len {len} in place");
         }
-        assert_eq!(r.stats().one_sided, 2 * lens.len() as u64);
-        assert_eq!(r.stats().rpc, lens.len() as u64);
+        assert_eq!(r.stats().one_sided, 2 * n);
+        assert_eq!(r.stats().rpc, n);
     }
     // Grown past the slot: the value moves, the old slot says so.
     let grown = |len: usize| fill(len.max(5) + 9, 3);
@@ -150,11 +166,22 @@ fn growth_leaves_a_tombstone_stale_readers_follow() {
             }
         }
         let s = r.stats();
-        assert_eq!(s.fallbacks.tombstone, lens.len() as u64, "{s:?}");
-        assert_eq!(s.one_sided, 3 * lens.len() as u64, "{s:?}");
-        assert_eq!(s.rpc, 2 * lens.len() as u64, "{s:?}");
+        assert_eq!(s.fallbacks.tombstone, n, "{s:?}");
+        assert_eq!(s.one_sided, 3 * n, "{s:?}");
+        assert_eq!(s.rpc, 2 * n, "{s:?}");
     }
-    // The writer's own cache followed its puts.
+    // Per node each tombstone was met once: the reader's refresh is the
+    // neighbour's too, which last read these keys at their old slots.
+    for nb in &mut neighbours {
+        for &len in &lens {
+            let got = nb.get(&mut ctx, &key(len)).unwrap();
+            assert_eq!(got, Some(grown(len)), "len {len} grown, neighbour");
+        }
+        let s = nb.stats();
+        assert_eq!((s.one_sided, s.rpc), (2 * n, 0), "{s:?}");
+        assert_eq!(s.fallbacks, KvFallbacks::default(), "{s:?}");
+    }
+    // The writer's node followed its puts.
     for &len in &lens {
         let got = writer.get(&mut ctx, &key(len)).unwrap();
         assert_eq!(got, Some(grown(len)));
@@ -516,4 +543,264 @@ fn random_interleavings_match_the_model() {
         assert!(served > 0, "seed {seed}: the one-sided path never ran");
         svc.stop();
     }
+}
+
+/// (h) Locations are the node's: a session opened after another on the
+/// same node filled the cache reads every key on every replica with one
+/// `lt_read` and no server thread; a node that has had no session pays one
+/// RPC per key, once, for all its sessions.
+#[test]
+fn shared_cache_warms_later_sessions_of_the_node() {
+    let cluster = LiteCluster::start(5).unwrap();
+    let spec = KvSpec::new("kv", 1, &[2, 3]);
+    let svc = KvService::spawn(&cluster, spec.clone());
+    let mut ctx = Ctx::new();
+    let key = |i: usize| format!("k{i}").into_bytes();
+    let value = |i: usize| format!("value-{i}").into_bytes();
+    let mut a = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    for i in 0..50 {
+        a.put(&mut ctx, &key(i), &value(i)).unwrap();
+    }
+    converge(&svc);
+
+    let served = |n: usize| cluster.kernel(n).stats().kv_gets;
+    let served_before: Vec<u64> = spec.replicas().iter().map(|&r| served(r)).collect();
+    let mut b = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    for &replica in &spec.replicas() {
+        b.prefer_replica(replica);
+        // Maps the replica's arena (a kernel RPC to it), outside the count.
+        assert_eq!(b.get(&mut ctx, &key(0)).unwrap(), Some(value(0)));
+        let dispatched = cluster.kernel(replica).stats().rpc_dispatched;
+        for i in 1..50 {
+            let got = b.get(&mut ctx, &key(i)).unwrap();
+            assert_eq!(got, Some(value(i)), "replica {replica} key {i}");
+        }
+        assert_eq!(
+            cluster.kernel(replica).stats().rpc_dispatched,
+            dispatched,
+            "a get of session b woke replica {replica}"
+        );
+    }
+    let warm = KvClientStats {
+        one_sided: 150,
+        ..Default::default()
+    };
+    assert_eq!(b.stats(), warm);
+    let served_after: Vec<u64> = spec.replicas().iter().map(|&r| served(r)).collect();
+    assert_eq!(served_after, served_before, "no replica served a get");
+
+    // Node 4 knows nothing: its first session asks once per key ...
+    let mut c = KvClient::connect(&cluster, 4, &spec, SessionMode::Eventual).unwrap();
+    for pass in 0..2 {
+        for i in 0..50 {
+            assert_eq!(c.get(&mut ctx, &key(i)).unwrap(), Some(value(i)), "{pass}");
+        }
+    }
+    let s = c.stats();
+    assert_eq!((s.one_sided, s.rpc, s.fallbacks.no_entry), (50, 50, 50));
+    // ... and its second never.
+    let mut d = KvClient::connect(&cluster, 4, &spec, SessionMode::Eventual).unwrap();
+    for i in 0..50 {
+        assert_eq!(d.get(&mut ctx, &key(i)).unwrap(), Some(value(i)));
+    }
+    let warm = KvClientStats {
+        one_sided: 50,
+        ..Default::default()
+    };
+    assert_eq!(d.stats(), warm);
+    svc.stop();
+}
+
+/// (i) The cache belongs to a node of a cluster, not to a node index or a
+/// service name: two clusters alive at once, same name, same index, hold
+/// two; and a cluster built where one was dropped starts cold.
+#[test]
+fn shared_cache_ends_at_its_cluster() {
+    const KEYS: usize = 20;
+    let spec = KvSpec::new("kv", 1, &[2]);
+    let key = |i: usize| format!("k{i}").into_bytes();
+    let mut ctx = Ctx::new();
+    // A cluster whose node 0 never put: the keys arrive from node 3, each
+    // tagged with the cluster's name and padded by a different amount, so
+    // that one cluster's locations are wrong for another.
+    let loaded = |tag: &'static str, pad: usize| {
+        let cluster = LiteCluster::start(4).unwrap();
+        let svc = KvService::spawn(&cluster, spec.clone());
+        let mut loader = KvClient::connect(&cluster, 3, &spec, SessionMode::Eventual).unwrap();
+        let mut ctx = Ctx::new();
+        loader.put(&mut ctx, b"pad", &vec![0; pad]).unwrap();
+        for i in 0..KEYS {
+            let value = format!("{tag}-{i}");
+            loader.put(&mut ctx, &key(i), value.as_bytes()).unwrap();
+        }
+        converge(&svc);
+        (cluster, svc)
+    };
+    // Reads every key from node 0 and says how the session fared.
+    let mut read_all = |cluster: &Arc<LiteCluster>, tag: &str| {
+        let mut c = KvClient::connect(cluster, 0, &spec, SessionMode::Eventual).unwrap();
+        for i in 0..KEYS {
+            let got = c.get(&mut ctx, &key(i)).unwrap();
+            assert_eq!(got, Some(format!("{tag}-{i}").into_bytes()), "key {i}");
+        }
+        c.stats()
+    };
+    let cold = (0, KEYS as u64, KEYS as u64);
+    let warm = (KEYS as u64, 0, 0);
+    let fared = |s: KvClientStats| (s.one_sided, s.rpc, s.fallbacks.no_entry);
+
+    let (x, x_svc) = loaded("x", 8);
+    assert_eq!(fared(read_all(&x, "x")), cold);
+    assert_eq!(fared(read_all(&x, "x")), warm);
+    // Cluster y's node 0 learns nothing from x's ...
+    let (y, y_svc) = loaded("y", 40);
+    assert_eq!(fared(read_all(&y, "y")), cold);
+    assert_eq!(fared(read_all(&y, "y")), warm);
+    // ... nor x's from y's: still warm, still its own values.
+    assert_eq!(fared(read_all(&x, "x")), warm);
+    // Dropped and rebuilt — same name, same node, maybe the same
+    // addresses — it knows nothing.
+    x_svc.stop();
+    drop(x);
+    let (z, z_svc) = loaded("z", 72);
+    assert_eq!(fared(read_all(&z, "z")), cold);
+    assert_eq!(fared(read_all(&y, "y")), warm);
+    y_svc.stop();
+    z_svc.stop();
+}
+
+/// (j) Four threads of two sessions each (one eventual, one
+/// read-your-writes) on one node put, overwrite, grow and get 64 keys for
+/// two seconds through the one cache: nothing deadlocks, every get
+/// returns a value that was put for that key, and every get is counted
+/// once.
+#[test]
+fn shared_cache_under_concurrent_sessions() {
+    const THREADS: usize = 4;
+    const KEYS: u64 = 64;
+    // A value says who wrote it and which of their puts it is; its length
+    // and bytes follow from that, so a reader can tell a value that was
+    // put from one that never was without a shared model.
+    fn value_of(key: u64, writer: u64, n: u64) -> Vec<u8> {
+        let mut v = Vec::new();
+        for word in [key, writer, n] {
+            v.extend_from_slice(&word.to_le_bytes());
+        }
+        // Mostly 64 B bodies; every so often one that outgrows the slot,
+        // a little further as the writer goes on.
+        let body = [64, 64, 64, 8, 200, 1000][(n % 6) as usize] + (n / 40 % 8 * 16) as usize;
+        let mut rng = SmallRng::seed_from_u64(key << 40 ^ writer << 32 ^ n);
+        v.extend((0..body).map(|_| rng.gen::<u8>()));
+        v
+    }
+    let cluster = LiteCluster::start(4).unwrap();
+    let mut spec = KvSpec::new("kv", 1, &[2, 3]);
+    // Slots are never freed: room for every key to climb through every size.
+    spec.arena_bytes = 4 << 20;
+    spec.log_capacity = 16 << 20;
+    let svc = KvService::spawn(&cluster, spec.clone());
+    // Puts each writer (thread × session) has begun: stored before the put.
+    let begun: Vec<AtomicU64> = (0..2 * THREADS).map(|_| AtomicU64::new(0)).collect();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let (gets, stats): (Vec<u64>, Vec<KvClientStats>) = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (cluster, spec, begun) = (&cluster, &spec, &begun);
+                s.spawn(move || {
+                    let modes = [SessionMode::Eventual, SessionMode::ReadYourWrites];
+                    let mut sessions =
+                        modes.map(|m| KvClient::connect(cluster, 0, spec, m).unwrap());
+                    let mut ctx = Ctx::new();
+                    let mut rng = SmallRng::seed_from_u64(t as u64);
+                    let mut gets = 0;
+                    while Instant::now() < deadline {
+                        let which = rng.gen_range(0..2usize);
+                        let writer = (2 * t + which) as u64;
+                        let k = rng.gen_range(0..KEYS);
+                        let key = format!("k{k}");
+                        if rng.gen_bool(0.3) {
+                            let n = begun[writer as usize].fetch_add(1, Ordering::AcqRel);
+                            sessions[which]
+                                .put(&mut ctx, key.as_bytes(), &value_of(k, writer, n))
+                                .unwrap_or_else(|e| panic!("writer {writer} put {n}: {e}"));
+                            continue;
+                        }
+                        gets += 1;
+                        let got = sessions[which]
+                            .get(&mut ctx, key.as_bytes())
+                            .unwrap_or_else(|e| panic!("writer {writer} get {key}: {e}"));
+                        // `None`: a replica that has not applied the first put.
+                        let Some(v) = got else { continue };
+                        let word =
+                            |i: usize| u64::from_le_bytes(v[8 * i..][..8].try_into().unwrap());
+                        let (by, n) = (word(1), word(2));
+                        assert_eq!(word(0), k, "{key} holds another key's value");
+                        assert!(
+                            n < begun[by as usize].load(Ordering::Acquire),
+                            "{key}: put {n} of writer {by} was never begun"
+                        );
+                        assert!(v == value_of(k, by, n), "{key}: not put {n} of {by}");
+                    }
+                    let stats = sessions.map(|s| s.stats());
+                    (gets, stats)
+                })
+            })
+            .collect();
+        let done = threads.into_iter().map(|t| t.join().unwrap());
+        let (gets, stats): (Vec<u64>, Vec<[KvClientStats; 2]>) = done.unzip();
+        (gets, stats.into_iter().flatten().collect())
+    });
+    let issued: u64 = gets.iter().sum();
+    let one_sided: u64 = stats.iter().map(|s| s.one_sided).sum();
+    let rpc: u64 = stats.iter().map(|s| s.rpc).sum();
+    assert_eq!(one_sided + rpc, issued, "{stats:?}");
+    assert!(issued > 1_000, "only {issued} gets in two seconds");
+    // Followers trail a put stream this dense, so many slots read as not
+    // applied yet or too old for the session; a good share is still served.
+    assert!(one_sided > issued / 10, "{one_sided} of {issued} one-sided");
+    let sum = |f: fn(&KvFallbacks) -> u64| stats.iter().map(|s| f(&s.fallbacks)).sum::<u64>();
+    println!(
+        "{issued} gets: {one_sided} one-sided, no entry {}, behind {}, torn {}, tombstone {}, too old {}",
+        sum(|f| f.no_entry),
+        sum(|f| f.behind),
+        sum(|f| f.torn),
+        sum(|f| f.tombstone),
+        sum(|f| f.too_old),
+    );
+    svc.stop();
+}
+
+/// (k) Three times as many keys as the node's cache has entries: what it
+/// dropped costs an RPC again (`no_entry`), what it kept is one-sided,
+/// and every get is right either way.
+#[test]
+fn shared_cache_past_capacity_falls_back() {
+    /// `LOC_CACHE_ENTRIES` of `service.rs`.
+    const ENTRIES: u64 = 16 * 1024;
+    const KEYS: u64 = 3 * ENTRIES;
+    let cluster = LiteCluster::start(2).unwrap();
+    let mut spec = KvSpec::new("kv", 1, &[]);
+    spec.arena_bytes = 4 << 20;
+    let svc = KvService::spawn(&cluster, spec.clone());
+    let mut ctx = Ctx::new();
+    let key = |i: u64| format!("key:{i:06}").into_bytes();
+    let mut writer = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    for i in 0..KEYS {
+        writer.put(&mut ctx, &key(i), &i.to_le_bytes()).unwrap();
+    }
+    // Newest first: a set's entries are all read before the first miss in
+    // that set replaces one of them.
+    let mut reader = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    for i in (0..KEYS).rev() {
+        let got = reader.get(&mut ctx, &key(i)).unwrap();
+        assert_eq!(got, Some(i.to_le_bytes().to_vec()), "key {i}");
+    }
+    let s = reader.stats();
+    assert_eq!(s.one_sided + s.fallbacks.no_entry, KEYS, "{s:?}");
+    assert_eq!(s.rpc, s.fallbacks.no_entry, "{s:?}");
+    assert!(s.one_sided <= ENTRIES, "{s:?}");
+    // Four-way sets keep the cache full to within a few entries: the sets
+    // fewer than four of the keys hashed to.
+    assert!(s.one_sided >= ENTRIES * 98 / 100, "{s:?}");
+    svc.stop();
 }

@@ -16,6 +16,7 @@
 //! * [`msg`] — kernel services (naming, mapping, locks, barriers).
 //! * [`stats`] — hot-path counters and the stats snapshot.
 
+use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -117,6 +118,9 @@ pub struct LiteKernel {
     masters: MasterTable,
     names: ShardedMap<String, u32>,
     lhs: ShardedMap<(u32, u64), crate::lmr::LhEntry>,
+    /// What services layered above the kernel hold once per node, by type
+    /// and service name ([`LiteKernel::service_state`]).
+    service_states: ShardedMap<(TypeId, String), Arc<dyn Any + Send + Sync>>,
     next_pid: AtomicU32,
     next_lh: AtomicU64,
     pub(crate) qos: Arc<QosState>,
@@ -185,6 +189,7 @@ impl LiteKernel {
             masters: MasterTable::new(shards),
             names: ShardedMap::new(shards),
             lhs: ShardedMap::new(shards),
+            service_states: ShardedMap::new(shards),
             next_pid: AtomicU32::new(1),
             next_lh: AtomicU64::new(1),
             qos: Arc::new(QosState::new(qos_cfg, link)),
@@ -366,6 +371,24 @@ impl LiteKernel {
     /// A gauge — each call overwrites the previous value.
     pub fn set_kv_replication_lag(&self, lag: u64) {
         self.counters.set_kv_replication_lag(lag);
+    }
+
+    /// The one `T` this node holds for the service called `name`, made by
+    /// `init` on the first call: state that is per node, not per process
+    /// — every handle attached here that asks gets the same `Arc`. It
+    /// lives as long as the kernel, so a cluster built later starts empty.
+    /// `init` runs with a table shard locked and must not call the kernel.
+    pub fn service_state<T: Any + Send + Sync>(
+        &self,
+        name: &str,
+        init: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let key = (TypeId::of::<T>(), name.to_string());
+        let state = self.service_states.with_shard_of(&key, |shard| {
+            let made = shard.entry(key.clone()).or_insert_with(|| Arc::new(init()));
+            Arc::clone(made)
+        });
+        state.downcast().expect("keyed by its type")
     }
 
     /// Free bytes in this node's kernel scratch allocator (staging

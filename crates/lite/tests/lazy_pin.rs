@@ -209,15 +209,25 @@ fn atomics_survive_concurrent_eviction() {
         panic!("atomic still Relocated after 100 retries");
     }
 
+    // At least 200 adds and 50 swaps, and on until the churn thread has
+    // migrated something under them (an optimised build finishes the
+    // floor before its first eviction lands), within ten seconds.
     const ADDS: u64 = 200;
+    const SWAPS: u64 = 50;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let churned = || kernel.mm_stats().evictions > 0;
     let mut prev_sum = 0u64;
-    for i in 0..ADDS {
+    for i in 0u64.. {
+        if i >= ADDS && (churned() || Instant::now() > deadline) {
+            break;
+        }
         let before = eventually(|| h.lt_fetch_add(&mut ctx, lh, 16, 1));
         assert_eq!(before, i, "fetch-add lost or double-applied at {i}");
         prev_sum = before + 1;
     }
-    // CAS chain: each step must see exactly the previous value.
-    for i in 0..50u64 {
+    // CAS chain: each step must see exactly the previous value. Its floor
+    // runs with evictions already landing.
+    for i in 0..SWAPS {
         let prev = eventually(|| h.lt_test_set(&mut ctx, lh, 24, i, i + 1));
         assert_eq!(prev, i, "test-set saw a torn value at {i}");
     }
