@@ -643,13 +643,13 @@ impl LiteHandle {
         let mut faulted = 0usize;
         for (node, c) in pieces {
             if let Some(mm) = self.kernel.mm().peer(*node) {
-                match mm.pin_touch(c.addr, c.len, id, lmr_off) {
-                    (crate::mm::PinOutcome::Untracked, _) => {}
-                    (crate::mm::PinOutcome::Pinned(g), f) => {
+                match mm.pin(c.addr, c.len, id, lmr_off) {
+                    crate::mm::PinOutcome::Untracked => {}
+                    crate::mm::PinOutcome::Pinned(g, f) => {
                         guards.push(g);
                         faulted += f;
                     }
-                    (crate::mm::PinOutcome::Relocated, _) => return Err(LiteError::Relocated),
+                    crate::mm::PinOutcome::Relocated => return Err(LiteError::Relocated),
                 }
             }
             lmr_off += c.len;

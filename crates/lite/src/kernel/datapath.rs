@@ -381,23 +381,17 @@ impl RnicDataPath {
     /// touched chunk in its LRU. Called once per op (not per retry
     /// attempt).
     fn touch_mm(&self, op: &Op) {
-        let (node, addr, len) = match op {
+        let (node, addr) = match op {
             Op::Write {
-                dst_node,
-                dst_addr,
-                len,
-                ..
-            } => (*dst_node, *dst_addr, *len as u64),
+                dst_node, dst_addr, ..
+            } => (*dst_node, *dst_addr),
             Op::Read {
-                src_node,
-                src_addr,
-                len,
-                ..
-            } => (*src_node, *src_addr, *len as u64),
-            Op::FetchAdd { node, addr, .. } | Op::CmpSwap { node, addr, .. } => (*node, *addr, 8),
+                src_node, src_addr, ..
+            } => (*src_node, *src_addr),
+            Op::FetchAdd { node, addr, .. } | Op::CmpSwap { node, addr, .. } => (*node, *addr),
         };
         if let Some(mm) = self.dir.mm(node) {
-            mm.touch(addr, len);
+            mm.touch(addr);
         }
     }
 

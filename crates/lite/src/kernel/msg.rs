@@ -337,13 +337,11 @@ impl LiteKernel {
         addr: u64,
         len: u64,
     ) -> Option<crate::mm::PinOutcome> {
-        match mm.pin_raw_nowait(addr, len) {
-            (crate::mm::PinOutcome::Relocated, _) => None,
-            (pin, faulted) => {
-                ctx.work(self.fabric.cost().fault_page_ns * faulted as u64);
-                Some(pin)
-            }
+        let pin = mm.pin_raw_nowait(addr, len);
+        if let crate::mm::PinOutcome::Pinned(_, faulted) = &pin {
+            ctx.work(self.fabric.cost().fault_page_ns * *faulted as u64);
         }
+        (!matches!(pin, crate::mm::PinOutcome::Relocated)).then_some(pin)
     }
 
     pub(super) fn kernel_service(

@@ -70,7 +70,7 @@ pub use error::{LiteError, LiteResult};
 pub use kernel::datapath::{Chunk, Completion, Op, RnicDataPath};
 pub use kernel::{KernelStats, LiteKernel, MANAGER_NODE, USER_FUNC_MIN};
 pub use lmr::{LmrId, Location, Perm};
-pub use mm::{MemManager, MmReport, Residency};
+pub use mm::{MemManager, MmReport};
 pub use observe::{
     ClassStats, ConcurrentHistogram, EventKind, LatencySummary, Observability, OpClass, PeerReport,
     QosReport, StatsReport, TraceEvent, TraceRing, TraceStats,

@@ -13,20 +13,36 @@
 //! # Residency state machine
 //!
 //! Every tracked *segment* (one physically-consecutive piece of an LMR,
-//! initially 1:1 with its allocation chunks) is in one of five states:
+//! initially 1:1 with its allocation chunks) is in one of four states:
 //!
 //! ```text
-//!             evict: drain pins, copy out, update record
-//!   Resident ──────────▶ Evicting ──────────▶ Remote
-//!    ▲ ▲  │                  ▲                  │
-//!    │ │  │ bg unpin (cold,  │ evict            │
-//!    │ │  │  lazy mode)      │                  │
-//!    │ │  ▼                  │                  │
-//!    │ └─ Unpinned ──────────┘                  │
-//!    │   first-touch fault (pages pin on pin()) │
-//!    └────────── FetchingBack ◀─────────────────┘
-//!          fetch-back: drain pins, copy home, update record
+//!              claim                commit
+//!   Resident ────────▶ Migrating ────────▶ Remote     out, to a swap node
+//!    ▲    │  ◀────────     ▲     ◀────────            home, the same protocol
+//!    │    │    commit      │       claim
+//!    │    ▼ bg unpin       │ claim (out)
+//!   Unpinned ──────────────┘       (an abort restores the claimed state)
+//!    first-touch fault: pin() pins the touched pages
 //! ```
+//!
+//! # Migration protocol
+//!
+//! Eviction and fetch-back are one protocol ([`migrate_one`]) whose
+//! direction is its `to` argument — a swap node, or home: claim the
+//! segment, drain its pins, land space at `to`, fence the landing range
+//! there with staged `Migrating` entries, copy, point the master record
+//! at the landing, retire the source slot to a `Moved` tombstone, swap
+//! the staged segments in for the old one (a migration *replaces* a
+//! segment; its address and host never change), free the source, tell
+//! the mappers. The source's manager and the master's are locked one
+//! after the other, never both. `Migrating` fences new accesses (pins
+//! wait); in-flight accesses hold a pin that the migrator drains before
+//! moving bytes. Because one-sided op effects apply synchronously during
+//! `post()`, a pin held across stage+post is a sound fence. A
+//! migrated-away range leaves a `Moved` tombstone in the address map, so
+//! accesses through a stale cached location observe
+//! [`crate::LiteError::Relocated`] and the API layer re-fetches the
+//! mapping from the master and retries.
 //!
 //! `Unpinned` is the pin-free registration tier
 //! ([`crate::LiteConfig::lazy_pinning`], NP-RDMA's first-touch model):
@@ -35,15 +51,10 @@
 //! charges the NIC page-fault cost) and promotes the segment to
 //! `Resident`; the sweeper demotes cold, pin-free segments back to
 //! `Unpinned`, releasing their page pins. Eviction may start from either
-//! tier — `Unpinned` segments are the cheapest victims.
-//!
-//! `Evicting`/`FetchingBack` fence new accesses (pins wait); in-flight
-//! accesses hold a pin that the migrator drains before moving bytes.
-//! Because one-sided op effects apply synchronously during `post()`, a
-//! pin held across stage+post is a sound fence. A migrated-away range
-//! leaves a `Moved` tombstone in the address map, so accesses through a
-//! stale cached location observe [`crate::LiteError::Relocated`] and the
-//! API layer re-fetches the mapping from the master and retries.
+//! tier — `Unpinned` segments are the cheapest victims. It does not fold
+//! into `Resident`: it is the one bit that lets the background unpinner
+//! skip segments it already released instead of re-walking their pages
+//! every epoch.
 //!
 //! Budget is policy, not capacity: allocation never fails because of the
 //! budget, so forward progress is guaranteed even when eviction cannot
@@ -66,13 +77,14 @@ use crate::kernel::datapath::Op;
 use crate::kernel::LiteKernel;
 use crate::lmr::{LmrId, Location};
 use crate::observe::{ConcurrentHistogram, LatencySummary};
+use crate::qos::Priority;
 
 /// How long a migrator waits for in-flight pins to drain before giving
 /// up on this attempt (the segment reverts to its previous state).
 const DRAIN_DEADLINE: Duration = Duration::from_secs(1);
 
-/// How long an access waits on an `Evicting`/`FetchingBack` segment
-/// before reporting `Relocated` and letting the API refresh-retry.
+/// How long an access waits on a `Migrating` segment before reporting
+/// `Relocated` and letting the API refresh-retry.
 const PIN_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Remote map-faults on an evicted LMR after which the manager pulls its
@@ -83,38 +95,17 @@ pub const FETCH_BACK_FAULTS: u32 = 3;
 /// LRU sheds recency info (victim selection falls back to map order).
 const LRU_CAPACITY: usize = 65_536;
 
-/// Residency of one tracked segment, from its master node's view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Residency {
-    /// Bytes live on the master node.
-    Resident,
-    /// An eviction is draining pins and copying out.
-    Evicting,
-    /// Bytes live on a swap node (the segment's current host).
-    Remote,
-    /// A fetch-back is draining pins and copying home.
-    FetchingBack,
-    /// Bytes are home but their pages hold no pin (lazy mode): the next
-    /// access faults them in; the background sweeper parks cold segments
-    /// here.
-    Unpinned,
-}
-
+// Residency of one tracked segment, from its master node's view.
+/// Bytes live on the master node, pages pinned.
 const R_RESIDENT: u8 = 0;
-const R_EVICTING: u8 = 1;
+/// A migration (either direction) is draining pins and copying.
+const R_MIGRATING: u8 = 1;
+/// Bytes live on a swap node (the segment's host).
 const R_REMOTE: u8 = 2;
-const R_FETCHING: u8 = 3;
-const R_UNPINNED: u8 = 4;
-
-fn residency_of(v: u8) -> Residency {
-    match v {
-        R_EVICTING => Residency::Evicting,
-        R_REMOTE => Residency::Remote,
-        R_FETCHING => Residency::FetchingBack,
-        R_UNPINNED => Residency::Unpinned,
-        _ => Residency::Resident,
-    }
-}
+/// Bytes are home but their pages hold no pin (lazy mode): the next
+/// access faults them in; the background sweeper parks cold segments
+/// here.
+const R_UNPINNED: u8 = 3;
 
 /// Logical identity of a segment: which LMR, at which byte offset.
 /// Stable across migration — the physical address changes, the key does
@@ -134,10 +125,11 @@ pub struct SegKey {
 pub struct Segment {
     key: SegKey,
     len: u64,
-    /// Physical address of the bytes on the current host.
-    addr: AtomicU64,
-    /// Node the bytes currently live on.
-    host: AtomicUsize,
+    /// Physical address of the bytes on `host`. Never changes: a
+    /// migration replaces the segment with new ones at the landing.
+    addr: u64,
+    /// Node the bytes live on.
+    host: NodeId,
     residency: AtomicU8,
     /// In-flight accesses through this segment (API-layer fencing).
     pins: AtomicU32,
@@ -156,33 +148,13 @@ impl Segment {
         Segment {
             key,
             len,
-            addr: AtomicU64::new(addr),
-            host: AtomicUsize::new(host),
+            addr,
+            host,
             residency: AtomicU8::new(residency),
             pins: AtomicU32::new(0),
             dead: AtomicBool::new(false),
             last_touch: AtomicU64::new(0),
         }
-    }
-
-    /// Logical identity.
-    pub fn key(&self) -> SegKey {
-        self.key
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the segment is empty (never true for tracked segments).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current residency.
-    pub fn residency(&self) -> Residency {
-        residency_of(self.residency.load(Ordering::Acquire))
     }
 }
 
@@ -201,8 +173,10 @@ impl Drop for PinGuard {
 pub enum PinOutcome {
     /// The range is not managed by this node's manager — proceed.
     Untracked,
-    /// Pinned; hold the guard across the access.
-    Pinned(PinGuard),
+    /// Pinned; hold the guard across the access. The count is the pages
+    /// the access faulted in (lazy mode's first-touch pins), for the
+    /// caller to charge the NIC page-fault cost in virtual time.
+    Pinned(PinGuard, usize),
     /// The range was migrated (tombstone), is mid-migration past the
     /// wait deadline, or belongs to a different LMR than expected —
     /// the caller's cached location is stale.
@@ -297,10 +271,8 @@ pub struct MemManager {
     lazy: bool,
     next_swap: AtomicUsize,
     state: Mutex<MmState>,
-    /// Peer managers via cluster membership (normal wiring).
+    /// Peer managers (and this one), via cluster membership.
     dir: OnceLock<Arc<crate::directory::ClusterDirectory>>,
-    /// Peer managers as an explicit vector (standalone tests).
-    cluster: OnceLock<Vec<Arc<MemManager>>>,
     queue: StdMutex<VecDeque<MmRequest>>,
     wake: Condvar,
     shutdown: AtomicBool,
@@ -339,7 +311,6 @@ impl MemManager {
                 hosted_bytes: 0,
             }),
             dir: OnceLock::new(),
-            cluster: OnceLock::new(),
             queue: StdMutex::new(VecDeque::new()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -389,18 +360,9 @@ impl MemManager {
         let _ = self.dir.set(dir);
     }
 
-    /// Wires peer-manager lookup through an explicit vector (standalone
-    /// unit tests that run managers without kernels).
-    #[cfg(test)]
-    pub(crate) fn set_cluster(&self, all: Vec<Arc<MemManager>>) {
-        let _ = self.cluster.set(all);
-    }
-
+    /// The manager of `node` — any member, this node included.
     pub(crate) fn peer(&self, node: NodeId) -> Option<&Arc<MemManager>> {
-        if let Some(dir) = self.dir.get() {
-            return dir.mm(node);
-        }
-        self.cluster.get()?.get(node)
+        self.dir.get()?.mm(node)
     }
 
     // ------------------------------------------------------------------
@@ -459,12 +421,12 @@ impl MemManager {
             };
             seg.dead.store(true, Ordering::Release);
             st.lru.remove(&key);
-            if seg.host.load(Ordering::Acquire) == self.node {
-                let addr = seg.addr.load(Ordering::Acquire);
-                if matches!(st.by_addr.get(&addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, &seg)) {
-                    st.by_addr.remove(&addr);
+            if seg.host == self.node {
+                if matches!(st.by_addr.get(&seg.addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, &seg))
+                {
+                    st.by_addr.remove(&seg.addr);
                 }
-                self.pins.unpin_all(addr, seg.len);
+                self.pins.unpin_all(seg.addr, seg.len);
                 st.resident_bytes = st.resident_bytes.saturating_sub(seg.len);
             } else {
                 st.evicted_bytes = st.evicted_bytes.saturating_sub(seg.len);
@@ -528,9 +490,9 @@ impl MemManager {
     // Hot-path hooks (datapath / API)
     // ------------------------------------------------------------------
 
-    /// Records one access to `[addr, addr+len)`: promotes the segment in
+    /// Records one access at `addr`: promotes the covering segment in
     /// the LRU and stamps it with the current sweep epoch.
-    pub(crate) fn touch(&self, addr: u64, _len: u64) {
+    pub(crate) fn touch(&self, addr: u64) {
         if !self.tracking() {
             return;
         }
@@ -552,72 +514,61 @@ impl MemManager {
     }
 
     /// Fences an access to `[addr, addr+len)` that the caller believes
-    /// belongs to LMR `id` at byte offset `lmr_off`. Verifying the
-    /// identity closes the ABA window where the range was freed and
-    /// recycled for a different tracked LMR.
-    #[cfg(test)]
+    /// belongs to LMR `id` at byte offset `lmr_off`, waiting out a
+    /// migration in progress. Verifying the identity closes the ABA
+    /// window where the range was freed and recycled for a different
+    /// tracked LMR.
     pub(crate) fn pin(&self, addr: u64, len: u64, id: LmrId, lmr_off: u64) -> PinOutcome {
-        self.pin_inner(addr, len, Some((id, lmr_off)), true).0
-    }
-
-    /// Like [`MemManager::pin`], but also reports how many pages the
-    /// access faulted in (lazy mode's first-touch pins), so the caller
-    /// can charge the NIC page-fault cost in virtual time.
-    pub(crate) fn pin_touch(
-        &self,
-        addr: u64,
-        len: u64,
-        id: LmrId,
-        lmr_off: u64,
-    ) -> (PinOutcome, usize) {
-        self.pin_inner(addr, len, Some((id, lmr_off)), true)
+        self.pin_range(addr, len, Some((id, lmr_off)), true)
     }
 
     /// Fences a raw physical range (kernel services that operate on raw
     /// addresses, e.g. `FN_MEMSET`): no identity expectation, and no
     /// waiting — these run on the poller, which must never block, so a
     /// mid-migration range answers `Relocated` immediately and the
-    /// caller retries after a refresh. Also reports first-touch faults.
-    pub(crate) fn pin_raw_nowait(&self, addr: u64, len: u64) -> (PinOutcome, usize) {
-        self.pin_inner(addr, len, None, false)
+    /// caller retries after a refresh.
+    pub(crate) fn pin_raw_nowait(&self, addr: u64, len: u64) -> PinOutcome {
+        self.pin_range(addr, len, None, false)
     }
 
-    fn pin_inner(
+    fn pin_range(
         &self,
         addr: u64,
         len: u64,
         expect: Option<(LmrId, u64)>,
         wait: bool,
-    ) -> (PinOutcome, usize) {
+    ) -> PinOutcome {
         if !self.tracking() {
-            return (PinOutcome::Untracked, 0);
+            return PinOutcome::Untracked;
         }
-        let deadline = Instant::now() + PIN_DEADLINE;
+        // Taken on the first pass that has to wait: only a pin that
+        // finds a migration in progress reads the host clock.
+        let mut deadline = None;
         loop {
             {
                 let st = self.state.lock();
                 let Some((start, slot)) = st.covering(addr) else {
-                    return (PinOutcome::Untracked, 0);
+                    return PinOutcome::Untracked;
                 };
                 let Slot::Entry(seg) = slot else {
                     self.misses.fetch_add(1, Ordering::Relaxed);
                     self.redirects.fetch_add(1, Ordering::Relaxed);
-                    return (PinOutcome::Relocated, 0);
+                    return PinOutcome::Relocated;
                 };
                 if addr + len > start + seg.len {
                     // Straddles out of the tracked range — stale view.
                     self.redirects.fetch_add(1, Ordering::Relaxed);
-                    return (PinOutcome::Relocated, 0);
+                    return PinOutcome::Relocated;
                 }
                 if let Some((id, lmr_off)) = expect {
                     let actual_off = seg.key.off + (addr - start);
                     if seg.key.id != id || actual_off != lmr_off {
                         self.redirects.fetch_add(1, Ordering::Relaxed);
-                        return (PinOutcome::Relocated, 0);
+                        return PinOutcome::Relocated;
                     }
                 }
                 match seg.residency.load(Ordering::Acquire) {
-                    R_EVICTING | R_FETCHING => { /* wait below, lock released */ }
+                    R_MIGRATING => { /* wait below, lock released */ }
                     r => {
                         // Lazy mode: fault the touched pages in (only the
                         // ones not yet resident) and promote an Unpinned
@@ -640,34 +591,29 @@ impl MemManager {
                         seg.pins.fetch_add(1, Ordering::SeqCst);
                         // Our state lock only serializes against claims
                         // on segments WE master. A hosted copy is the
-                        // origin's Arc: its evict/fetch-back claim runs
-                        // under the origin's lock, so it can land between
-                        // the residency read above and the increment —
-                        // with its pin drain reading zero in that window
-                        // and migrating under a live pin. Publish the pin
+                        // origin's Arc: its migration claim runs under
+                        // the origin's lock, so it can land between the
+                        // residency read above and the increment — with
+                        // its pin drain reading zero in that window and
+                        // migrating under a live pin. Publish the pin
                         // first, then re-validate; both sides are SeqCst
                         // RMW-then-load, so at least one observes the
                         // other (see drain_pins).
-                        if matches!(
-                            seg.residency.load(Ordering::SeqCst),
-                            R_EVICTING | R_FETCHING
-                        ) {
+                        if seg.residency.load(Ordering::SeqCst) == R_MIGRATING {
                             seg.pins.fetch_sub(1, Ordering::AcqRel);
                             // Lost to a claim: wait below, lock released.
                         } else {
-                            return (
-                                PinOutcome::Pinned(PinGuard {
-                                    seg: Arc::clone(seg),
-                                }),
-                                faulted,
-                            );
+                            let seg = Arc::clone(seg);
+                            return PinOutcome::Pinned(PinGuard { seg }, faulted);
                         }
                     }
                 }
             }
-            if !wait || Instant::now() >= deadline {
+            if !wait
+                || Instant::now() >= *deadline.get_or_insert_with(|| Instant::now() + PIN_DEADLINE)
+            {
                 self.redirects.fetch_add(1, Ordering::Relaxed);
-                return (PinOutcome::Relocated, 0);
+                return PinOutcome::Relocated;
             }
             // sleep-ok: bounded wait for a migration to end (ROADMAP item 3)
             std::thread::sleep(Duration::from_micros(20));
@@ -714,12 +660,10 @@ impl MemManager {
     }
 
     fn drain_requests(&self, interval: Duration) -> Vec<MmRequest> {
-        let q = self.queue.lock().expect("mm queue");
-        if q.is_empty() && !self.shutdown.load(Ordering::Acquire) {
-            let (mut q, _) = self.wake.wait_timeout(q, interval).expect("mm queue");
-            return q.drain(..).collect();
+        let mut q = self.queue.lock().expect("mm queue");
+        if q.is_empty() && !self.stopping() {
+            q = self.wake.wait_timeout(q, interval).expect("mm queue").0;
         }
-        let mut q = q;
         q.drain(..).collect()
     }
 
@@ -742,11 +686,7 @@ impl MemManager {
     pub fn stats(&self) -> MmReport {
         let (resident_bytes, evicted_bytes, hosted_bytes, resident_chunks, evicted_chunks) = {
             let st = self.state.lock();
-            let evicted = st
-                .segs
-                .values()
-                .filter(|s| s.host.load(Ordering::Relaxed) != self.node)
-                .count();
+            let evicted = st.segs.values().filter(|s| s.host != self.node).count();
             (
                 st.resident_bytes,
                 st.evicted_bytes,
@@ -807,19 +747,14 @@ impl MemManager {
                 matches!(s.residency.load(Ordering::Acquire), R_RESIDENT | R_UNPINNED)
             })
         };
-        if let Some(key) = st.lru.iter_lru().find(|k| resident(k)).copied() {
-            return Some(key);
-        }
-        st.segs
-            .iter()
-            .filter(|(k, _)| resident(k))
-            .map(|(k, _)| *k)
-            .next()
+        let mut coldest_first = st.lru.iter_lru().chain(st.segs.keys());
+        coldest_first.find(|k| resident(k)).copied()
     }
 
     /// Picks the swap node for the next eviction: round-robin over alive
     /// peers.
-    fn pick_swap_node(&self, alive: impl Fn(NodeId) -> bool) -> Option<NodeId> {
+    fn pick_swap_node(&self, kernel: &LiteKernel) -> Option<NodeId> {
+        let alive = |n: NodeId| kernel.try_datapath().is_ok_and(|dp| !dp.peer_is_dead(n));
         let candidates: Vec<NodeId> = (0..self.nodes).filter(|&n| n != self.node).collect();
         if candidates.is_empty() {
             return None;
@@ -834,45 +769,36 @@ impl MemManager {
     // Migration primitives (called from the manager thread only)
     // ------------------------------------------------------------------
 
-    /// Claims `key` for eviction: Resident/Unpinned → Evicting. Returns
-    /// the segment and the state it came from (for rollback); `None`
-    /// when the segment is gone or mid-transition.
-    fn begin_evict(&self, key: &SegKey) -> Option<(Arc<Segment>, u8)> {
+    /// Claims `key` for a migration to `to`: Resident | Unpinned | Remote
+    /// → Migrating. Returns the segment and the state it came from (what
+    /// an abort restores); `None` when the segment is gone, mid-migration
+    /// or not on the other side of the move — a segment at home can only
+    /// leave, a remote one only come home.
+    fn begin_migrate(&self, key: &SegKey, to: NodeId) -> Option<(Arc<Segment>, u8)> {
         let st = self.state.lock();
         let seg = st.segs.get(key)?;
-        for from in [R_RESIDENT, R_UNPINNED] {
-            // SeqCst pairs with pin_inner's publish-then-revalidate: the
-            // claim RMW and the drain's pin load must order as a unit
-            // against the pin RMW and its residency re-load.
-            if seg
-                .residency
-                .compare_exchange(from, R_EVICTING, Ordering::SeqCst, Ordering::Acquire)
-                .is_ok()
-            {
-                return Some((Arc::clone(seg), from));
-            }
+        if (seg.host == self.node) == (to == self.node) {
+            return None;
         }
-        None
-    }
-
-    /// Claims `key` for fetch-back: Remote → FetchingBack.
-    fn begin_fetch_back(&self, key: &SegKey) -> Option<Arc<Segment>> {
-        let st = self.state.lock();
-        let seg = st.segs.get(key)?;
-        seg.residency
-            .compare_exchange(R_REMOTE, R_FETCHING, Ordering::SeqCst, Ordering::Acquire)
+        // SeqCst pairs with pin_range's publish-then-revalidate: the
+        // claim RMW and the drain's pin load must order as a unit
+        // against the pin RMW and its residency re-load.
+        let claim = |r: u8| (r != R_MIGRATING).then_some(R_MIGRATING);
+        let from = seg
+            .residency
+            .fetch_update(Ordering::SeqCst, Ordering::Acquire, claim)
             .ok()?;
-        Some(Arc::clone(seg))
+        Some((Arc::clone(seg), from))
     }
 
-    fn abort_transition(&self, seg: &Segment, back_to: u8) {
+    fn abort_migrate(&self, seg: &Segment, back_to: u8) {
         seg.residency.store(back_to, Ordering::Release);
     }
 
     /// Waits for in-flight pins to drain; `false` on deadline.
     fn drain_pins(&self, seg: &Segment) -> bool {
         let deadline = Instant::now() + DRAIN_DEADLINE;
-        // SeqCst: see pin_inner's publish-then-revalidate. If a pin's
+        // SeqCst: see pin_range's publish-then-revalidate. If a pin's
         // increment is not visible here, the claim preceding this load
         // is visible to that pin's residency re-check, and it backs off.
         while seg.pins.load(Ordering::SeqCst) != 0 {
@@ -885,246 +811,155 @@ impl MemManager {
         true
     }
 
-    /// Builds one per-chunk segment for a migration landing zone,
-    /// created directly in claimed state `state` so datapath pins block
-    /// (or bounce, for no-wait pins) instead of posting unfenced against
-    /// bytes that are still being copied.
-    fn landing_segs(
-        &self,
-        seg: &Segment,
-        chunks: &[Chunk],
-        host: NodeId,
-        state: u8,
-    ) -> Vec<Arc<Segment>> {
+    /// Stages a migration's landing range in the address map of the
+    /// node it lands `at` (a swap node outbound, this one inbound)
+    /// *before* the data copy: one entry per landed chunk, created
+    /// directly in the claimed Migrating state so datapath pins block
+    /// (or bounce, for no-wait pins). Without this, the window between
+    /// `replace_extents` (which publishes the new location) and
+    /// registration — and, worse, a stale view of a recycled address
+    /// whose `Moved` tombstone the landing allocation just scrubbed —
+    /// pins `Untracked` and posts unfenced while the bytes are in
+    /// flight: a concurrent claim's pin drain reads zero and migrates
+    /// under a live access, losing the op's effect. `finish` flips the
+    /// stage to its settled state once the record points at it;
+    /// `unstage` removes it on any abort.
+    fn stage(&self, seg: &Segment, at: NodeId, chunks: &[Chunk]) -> Vec<Arc<Segment>> {
         let mut staged = Vec::with_capacity(chunks.len());
         let mut off = seg.key.off;
         for c in chunks {
-            staged.push(Arc::new(Segment::new(
-                SegKey {
-                    id: seg.key.id,
-                    off,
-                },
-                c.len,
-                c.addr,
-                host,
-                state,
-            )));
+            let key = SegKey {
+                id: seg.key.id,
+                off,
+            };
+            staged.push(Arc::new(Segment::new(key, c.len, c.addr, at, R_MIGRATING)));
             off += c.len;
         }
-        staged
-    }
-
-    /// Stages an outbound migration's landing range at the target
-    /// *before* the data copy: hosted entries in the claimed Evicting
-    /// state. Without this, the window between `replace_extents` (which
-    /// publishes the new location) and registration — and, worse, a
-    /// stale view of a recycled address whose `Moved` tombstone the
-    /// landing `FN_MALLOC` just scrubbed — pins `Untracked` and posts
-    /// unfenced while the bytes are in flight: a concurrent claim's
-    /// pin drain reads zero and migrates under a live access, losing
-    /// the op's effect. `finish_evict` flips the stage Remote once the
-    /// record points at it; `unstage_hosted` removes it on any abort.
-    fn stage_hosted(&self, seg: &Segment, target: NodeId, chunks: &[Chunk]) -> Vec<Arc<Segment>> {
-        let staged = self.landing_segs(seg, chunks, target, R_EVICTING);
-        if let Some(peer) = self.peer(target) {
-            let mut pst = peer.state.lock();
+        if let Some(land) = self.peer(at) {
+            let mut lst = land.state.lock();
             for s in &staged {
-                let addr = s.addr.load(Ordering::Relaxed);
-                pst.scrub_moved(addr, s.len);
-                peer.pins.fault_in(addr, s.len);
-                pst.by_addr.insert(addr, Slot::Entry(Arc::clone(s)));
-                pst.hosted_bytes += s.len;
+                lst.scrub_moved(s.addr, s.len);
+                land.pins.fault_in(s.addr, s.len);
+                lst.by_addr.insert(s.addr, Slot::Entry(Arc::clone(s)));
+                if at != self.node {
+                    lst.hosted_bytes += s.len;
+                }
             }
         }
         staged
     }
 
-    /// Rolls a staged outbound landing back out of the target's address
-    /// map (aborted copy, vanished record, or dead LMR).
-    fn unstage_hosted(&self, target: NodeId, staged: &[Arc<Segment>]) {
-        if let Some(peer) = self.peer(target) {
-            let mut pst = peer.state.lock();
+    /// Rolls a staged landing back out of the address map at `at`
+    /// (aborted copy, vanished record, or dead LMR). The chunks
+    /// themselves stay allocated — the caller (or, when the LMR died
+    /// after `replace_extents` adopted them, the dropper) frees them.
+    fn unstage(&self, at: NodeId, staged: &[Arc<Segment>]) {
+        if let Some(land) = self.peer(at) {
+            let mut lst = land.state.lock();
             for s in staged {
-                let addr = s.addr.load(Ordering::Relaxed);
-                if matches!(pst.by_addr.get(&addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, s)) {
-                    pst.by_addr.remove(&addr);
-                    peer.pins.unpin_all(addr, s.len);
-                    pst.hosted_bytes = pst.hosted_bytes.saturating_sub(s.len);
+                if matches!(lst.by_addr.get(&s.addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, s)) {
+                    lst.by_addr.remove(&s.addr);
+                    land.pins.unpin_all(s.addr, s.len);
+                    if at != self.node {
+                        lst.hosted_bytes = lst.hosted_bytes.saturating_sub(s.len);
+                    }
                 }
             }
         }
     }
 
-    /// Finalizes an outbound migration: tombstones the local range and
-    /// replaces `seg` with the staged hosted segments, flipped Remote
-    /// now that the record points at them (releasing any pins that
-    /// queued against the stage during the copy). Returns the local
-    /// address to free — or `None` when the LMR was unregistered
-    /// (freed/moved/taken) mid-flight, in which case the stage is
-    /// rolled back: committing would resurrect segments of a dead LMR
-    /// (leaking `evicted_bytes`) and leave hosted entries over chunks
-    /// the dropper frees at the target.
-    fn finish_evict(
-        &self,
-        seg: &Arc<Segment>,
-        target: NodeId,
-        staged: &[Arc<Segment>],
-    ) -> Option<u64> {
-        let old_addr = seg.addr.load(Ordering::Acquire);
+    /// Finalizes a migration whose record already points at the landing:
+    /// retires the source slot to a `Moved` tombstone under the source
+    /// manager's lock, then — under ours — replaces `seg` with the
+    /// staged segments, flipped to their settled state (releasing any
+    /// pins that queued against the stage during the copy). One order
+    /// for both directions, and the two locks are never held at once, so
+    /// cross-node managers cannot deadlock on each other. `false` when
+    /// the LMR was unregistered (freed/moved/taken) mid-flight, in which
+    /// case the stage is rolled back: committing would resurrect
+    /// segments of a dead LMR in `segs` (leaking `evicted_bytes`) and
+    /// leave entries over chunks the dropper frees at the landing. Either
+    /// way the caller frees the source copy — nothing else will.
+    fn finish(&self, seg: &Arc<Segment>, at: NodeId, staged: &[Arc<Segment>]) -> bool {
+        if let Some(src) = self.peer(seg.host) {
+            let mut sst = src.state.lock();
+            if matches!(sst.by_addr.get(&seg.addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, seg)) {
+                sst.by_addr.insert(seg.addr, Slot::Moved(seg.len));
+                // The source pages are about to be freed: release
+                // whatever pins they held (all of them eager, only the
+                // faulted subset lazy).
+                src.pins.unpin_all(seg.addr, seg.len);
+                if seg.host != self.node {
+                    sst.hosted_bytes = sst.hosted_bytes.saturating_sub(seg.len);
+                }
+            }
+        }
         let mut st = self.state.lock();
         // Re-verify liveness under our own lock: unregister_lmr/on_free
         // serialize on it, so a dead or replaced segment is definitely
-        // visible here. (Target lock and ours are never held at once,
-        // so cross-node managers cannot deadlock on each other.)
+        // visible here.
         if seg.dead.load(Ordering::Acquire)
             || !matches!(st.segs.get(&seg.key), Some(e) if Arc::ptr_eq(e, seg))
         {
             drop(st);
-            self.unstage_hosted(target, staged);
-            return None;
+            self.unstage(at, staged);
+            return false;
         }
         st.segs.remove(&seg.key);
-        st.lru.remove(&seg.key);
-        if matches!(st.by_addr.get(&old_addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, seg)) {
-            st.by_addr.insert(old_addr, Slot::Moved(seg.len));
+        if at == self.node {
+            st.evicted_bytes = st.evicted_bytes.saturating_sub(seg.len);
+        } else {
+            st.lru.remove(&seg.key);
+            st.resident_bytes = st.resident_bytes.saturating_sub(seg.len);
+            st.evicted_bytes += seg.len;
         }
-        // The local pages are about to be freed: release whatever pins
-        // they held (all of them eager, only the faulted subset lazy).
-        self.pins.unpin_all(old_addr, seg.len);
-        st.resident_bytes = st.resident_bytes.saturating_sub(seg.len);
-        st.evicted_bytes += seg.len;
         for s in staged {
             st.segs.insert(s.key, Arc::clone(s));
-            s.residency.store(R_REMOTE, Ordering::Release);
-        }
-        Some(old_addr)
-    }
-
-    /// Stages an inbound migration's landing range in our own address
-    /// map *before* the data copy (claimed FetchingBack entries), for
-    /// the same reason as [`MemManager::stage_hosted`]: a stale view of
-    /// the recycled local address must block on the stage, not pin
-    /// `Untracked` and post unfenced against bytes still in flight.
-    fn stage_local(&self, seg: &Segment, chunks: &[Chunk]) -> Vec<Arc<Segment>> {
-        let staged = self.landing_segs(seg, chunks, self.node, R_FETCHING);
-        let mut st = self.state.lock();
-        for s in &staged {
-            let addr = s.addr.load(Ordering::Relaxed);
-            st.scrub_moved(addr, s.len);
-            self.pins.fault_in(addr, s.len);
-            st.by_addr.insert(addr, Slot::Entry(Arc::clone(s)));
-        }
-        staged
-    }
-
-    /// Rolls a staged inbound landing back out of our address map. The
-    /// chunks themselves stay allocated — the caller (or, when the LMR
-    /// died after `replace_extents` adopted them, the dropper) frees
-    /// them.
-    fn unstage_local(&self, staged: &[Arc<Segment>]) {
-        let mut st = self.state.lock();
-        for s in staged {
-            let addr = s.addr.load(Ordering::Relaxed);
-            if matches!(st.by_addr.get(&addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, s)) {
-                st.by_addr.remove(&addr);
-                self.pins.unpin_all(addr, s.len);
+            if at == self.node {
+                // The bytes just DMAed in, so they land pinned (the stage
+                // faulted them) and warm (a fetch-back is demand-driven).
+                s.last_touch.store(self.current_epoch(), Ordering::Relaxed);
+                st.lru.insert(s.key, ());
+                st.resident_bytes += s.len;
+                s.residency.store(R_RESIDENT, Ordering::Release);
+            } else {
+                s.residency.store(R_REMOTE, Ordering::Release);
             }
         }
+        true
     }
 
-    /// Finalizes an inbound migration: replaces the remote `seg` with
-    /// the staged local segments (flipped Resident now that the record
-    /// points at them), tombstones the range at the old host, and
-    /// returns the remote address to free there — or `None` when the
-    /// LMR was unregistered mid-flight (the stage is rolled back; the
-    /// caller still frees the remote copy, while the landed local
-    /// chunks belong to the record and are freed by the dropper).
-    fn finish_fetch_back(
+    /// Segments of LMR `idx` covering byte `off` (`u64::MAX`: all of
+    /// them) whose bytes are home (`here`) or on a swap node.
+    fn segs_of<'a>(
         &self,
-        seg: &Arc<Segment>,
-        host: NodeId,
-        staged: &[Arc<Segment>],
-    ) -> Option<u64> {
-        let remote_addr = seg.addr.load(Ordering::Acquire);
-        if let Some(peer) = self.peer(host) {
-            let mut pst = peer.state.lock();
-            if matches!(pst.by_addr.get(&remote_addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, seg))
-            {
-                pst.by_addr.insert(remote_addr, Slot::Moved(seg.len));
-                peer.pins.unpin_all(remote_addr, seg.len);
-                pst.hosted_bytes = pst.hosted_bytes.saturating_sub(seg.len);
-            }
-        }
-        let mut st = self.state.lock();
-        // Same liveness re-check as finish_evict: committing resident
-        // segments of a dead LMR would resurrect it in segs/by_addr.
-        if seg.dead.load(Ordering::Acquire)
-            || !matches!(st.segs.get(&seg.key), Some(e) if Arc::ptr_eq(e, seg))
-        {
-            drop(st);
-            self.unstage_local(staged);
-            return None;
-        }
-        st.segs.remove(&seg.key);
-        st.evicted_bytes = st.evicted_bytes.saturating_sub(seg.len);
-        for s in staged {
-            // The bytes just DMAed in, so they land pinned (the stage
-            // faulted them) and warm (a fetch-back is demand-driven).
-            s.last_touch
-                .store(self.epoch.load(Ordering::Relaxed), Ordering::Relaxed);
-            st.segs.insert(s.key, Arc::clone(s));
-            st.lru.insert(s.key, ());
-            st.resident_bytes += s.len;
-            s.residency.store(R_RESIDENT, Ordering::Release);
-        }
-        Some(remote_addr)
-    }
-
-    /// Segments of LMR `idx` matching `off` (`u64::MAX` = all) that are
-    /// currently resident here.
-    fn resident_segs_of(&self, idx: u32, off: u64) -> Vec<SegKey> {
-        let st = self.state.lock();
-        st.segs
-            .values()
-            .filter(|s| {
-                s.key.id.idx == idx
-                    && s.host.load(Ordering::Relaxed) == self.node
-                    && (off == u64::MAX || (s.key.off <= off && off < s.key.off + s.len))
-            })
-            .map(|s| s.key)
-            .collect()
-    }
-
-    /// Remote segments of LMR `idx`.
-    fn remote_segs_of(&self, idx: u32) -> Vec<SegKey> {
-        let st = self.state.lock();
-        st.segs
-            .values()
-            .filter(|s| s.key.id.idx == idx && s.host.load(Ordering::Relaxed) != self.node)
-            .map(|s| s.key)
-            .collect()
+        st: &'a MmState,
+        idx: u32,
+        off: u64,
+        here: bool,
+    ) -> impl Iterator<Item = &'a Arc<Segment>> {
+        let home = self.node;
+        st.segs.values().filter(move |s| {
+            s.key.id.idx == idx
+                && (s.host == home) == here
+                && (off == u64::MAX || (s.key.off <= off && off < s.key.off + s.len))
+        })
     }
 
     /// LMRs whose remote map-faults crossed the fetch-back threshold and
     /// whose remote bytes fit under the budget. Consumes the counts.
     fn take_fetch_back_candidates(&self) -> Vec<u32> {
         let mut st = self.state.lock();
-        let resident = st.resident_bytes;
         let ready: Vec<u32> = st
             .faults
             .iter()
             .filter(|&(_, &n)| n >= FETCH_BACK_FAULTS)
             .map(|(&idx, _)| idx)
             .collect();
-        let mut headroom = self.budget.saturating_sub(resident);
+        let mut headroom = self.budget.saturating_sub(st.resident_bytes);
         let mut out = Vec::new();
         for idx in ready {
-            let need: u64 = st
-                .segs
-                .values()
-                .filter(|s| s.key.id.idx == idx && s.host.load(Ordering::Relaxed) != self.node)
-                .map(|s| s.len)
-                .sum();
+            let need: u64 = self.segs_of(&st, idx, u64::MAX, false).map(|s| s.len).sum();
             if need > 0 && need <= headroom {
                 headroom -= need;
                 out.push(idx);
@@ -1140,7 +975,7 @@ impl MemManager {
     /// demotes locally-resident segments that went a full epoch without
     /// a touch and have no pins in flight — Resident → Unpinned, pages
     /// released. Runs entirely under the state lock, so it can never
-    /// interleave with `pin_inner`'s fault-in/pin sequence: a segment is
+    /// interleave with `pin_range`'s fault-in/pin sequence: a segment is
     /// either demoted before a pin (the pin refaults it) or after (the
     /// pin count blocks the demotion).
     fn bg_unpin_sweep(&self) {
@@ -1152,7 +987,7 @@ impl MemManager {
         let prev = self.epoch.fetch_add(1, Ordering::AcqRel);
         let st = self.state.lock();
         for seg in st.segs.values() {
-            if seg.host.load(Ordering::Relaxed) != self.node
+            if seg.host != self.node
                 || seg.pins.load(Ordering::Acquire) != 0
                 || seg.last_touch.load(Ordering::Relaxed) >= prev
                 || seg
@@ -1162,9 +997,7 @@ impl MemManager {
             {
                 continue;
             }
-            let released = self
-                .pins
-                .unpin_all(seg.addr.load(Ordering::Acquire), seg.len);
+            let released = self.pins.unpin_all(seg.addr, seg.len);
             if released > 0 {
                 self.bg_unpins.fetch_add(released as u64, Ordering::Relaxed);
             }
@@ -1270,18 +1103,11 @@ pub(crate) fn run(kernel: Arc<LiteKernel>) {
             if mm.stopping() {
                 break;
             }
-            match req {
-                MmRequest::Evict { idx, off } => {
-                    for key in mm.resident_segs_of(idx, off) {
-                        let _ = evict_one(&kernel, &mut ctx, &mut handle, key);
-                    }
-                }
-                MmRequest::FetchBack { idx } => {
-                    for key in mm.remote_segs_of(idx) {
-                        let _ = fetch_back_one(&kernel, &mut ctx, &mut handle, key);
-                    }
-                }
-            }
+            let (idx, off, out) = match req {
+                MmRequest::Evict { idx, off } => (idx, off, true),
+                MmRequest::FetchBack { idx } => (idx, u64::MAX, false),
+            };
+            migrate_lmr(&kernel, &mut ctx, &mut handle, idx, off, out);
         }
         if mm.stopping() {
             break;
@@ -1300,7 +1126,10 @@ fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
         let Some(victim) = mm.pick_victim() else {
             break;
         };
-        if evict_one(kernel, ctx, handle, victim).is_err() {
+        let Some(to) = mm.pick_swap_node(kernel) else {
+            break;
+        };
+        if migrate_one(kernel, ctx, handle, victim, to).is_err() {
             break;
         }
     }
@@ -1310,192 +1139,168 @@ fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
         if mm.stopping() {
             return;
         }
-        for key in mm.remote_segs_of(idx) {
-            let _ = fetch_back_one(kernel, ctx, handle, key);
-        }
+        migrate_lmr(kernel, ctx, handle, idx, u64::MAX, false);
     }
     // 3. Lazy mode: release pins of segments cold for a full epoch.
     mm.bg_unpin_sweep();
 }
 
-/// Tells every mapper of `id` — local handles directly, other nodes by
-/// `FN_INVALIDATE` — that the LMR's location changed under them:
-/// refreshable, not fatal. A mapper that cannot be told keeps a handle
-/// that heals itself on its next `Relocated`; the miss is counted.
-fn notify_relocated(
+/// Migrates the segments of LMR `idx` covering byte `off` (`u64::MAX`:
+/// all of them): the ones at home `out` to swap nodes, or the remote
+/// ones back home.
+fn migrate_lmr(
     kernel: &Arc<LiteKernel>,
     ctx: &mut Ctx,
     handle: &mut LiteHandle,
-    id: LmrId,
-    mappers: &[NodeId],
+    idx: u32,
+    off: u64,
+    out: bool,
 ) {
-    kernel.invalidate_lmr(id, true);
-    for &m in mappers.iter().filter(|&&m| m != kernel.node()) {
-        if handle.k_invalidate(ctx, m, id, true).is_err() {
-            kernel.note_cleanup_failure(m, ctx.now());
+    let mm = kernel.mm();
+    let keys: Vec<SegKey> = mm
+        .segs_of(&mm.state.lock(), idx, off, out)
+        .map(|s| s.key)
+        .collect();
+    for key in keys {
+        let to = if out {
+            mm.pick_swap_node(kernel)
+        } else {
+            Some(kernel.node())
+        };
+        if let Some(to) = to {
+            let _ = migrate_one(kernel, ctx, handle, key, to);
         }
     }
 }
 
-/// Migrates one resident segment to a swap node: drain pins,
-/// remote-allocate, copy out over the datapath, update the master
-/// record, register the hosted copy, tombstone and free the local range,
-/// invalidate mappers.
-fn evict_one(
+/// Frees the chunks at `addrs` on `node`: straight from our allocator
+/// when they are ours (no RPC to self — it would cost virtual time), by
+/// `FN_FREE_CHUNKS` otherwise. A failure leaks them and is counted.
+fn free_at(
+    kernel: &Arc<LiteKernel>,
+    ctx: &mut Ctx,
+    handle: &mut LiteHandle,
+    node: NodeId,
+    addrs: impl ExactSizeIterator<Item = u64>,
+) {
+    if node != kernel.node() {
+        let _ = handle.k_free_chunks(ctx, node, addrs);
+        return;
+    }
+    let mut alloc = kernel.alloc.lock();
+    for addr in addrs {
+        if alloc.free(addr).is_err() {
+            kernel.note_cleanup_failure(node, ctx.now());
+        }
+    }
+}
+
+/// Migrates one segment to node `to` — an eviction when `to` is a swap
+/// node, a fetch-back when it is this one: claim, drain pins, land
+/// space at `to`, fence the landing, copy over the datapath, point the
+/// master record at the landing, retire and free the source, invalidate
+/// mappers. A fetch-back's latency lands in its histogram cell.
+fn migrate_one(
     kernel: &Arc<LiteKernel>,
     ctx: &mut Ctx,
     handle: &mut LiteHandle,
     key: SegKey,
+    to: NodeId,
 ) -> LiteResult<()> {
-    let mm = Arc::clone(kernel.mm());
-    let alive = |n: NodeId| kernel.try_datapath().is_ok_and(|dp| !dp.peer_is_dead(n));
-    let Some(target) = mm.pick_swap_node(alive) else {
-        return Err(LiteError::Internal("no alive swap node"));
+    let mm = kernel.mm();
+    let inbound = to == kernel.node();
+    let Some((seg, was)) = mm.begin_migrate(&key, to) else {
+        return Ok(()); // gone, mid-migration or already there; nothing to do
     };
-    let Some((seg, was)) = mm.begin_evict(&key) else {
-        return Ok(()); // gone or mid-transition; nothing to do
-    };
+    let started = ctx.now();
     if !mm.drain_pins(&seg) {
-        mm.abort_transition(&seg, was);
+        mm.abort_migrate(&seg, was);
         return Err(LiteError::Timeout);
     }
-    let src_addr = seg.addr.load(Ordering::Acquire);
-    // Land space on the swap node.
-    let chunks = match handle.k_malloc(ctx, target, seg.len) {
+    // Land space at `to`: straight from our allocator when that is us
+    // (no RPC to self), from the swap node's allocator service otherwise.
+    let landed = if inbound {
+        let mut a = kernel.alloc.lock();
+        a.alloc_chunked(seg.len, kernel.config().max_lmr_chunk)
+            .map_err(LiteError::from)
+    } else {
+        handle.k_malloc(ctx, to, seg.len)
+    };
+    let chunks = match landed {
         Ok(c) => c,
         Err(e) => {
-            mm.abort_transition(&seg, was);
+            mm.abort_migrate(&seg, was);
             return Err(e);
         }
     };
-    // Fence the landing range at the target before any byte moves, so
-    // a stale (or freshly-refreshed) view of those addresses blocks on
-    // the staged entries instead of posting unfenced mid-copy.
-    let staged = mm.stage_hosted(&seg, target, &chunks);
-    // Copy out over the datapath (one-sided writes from the segment's
-    // own physical range — no staging copy), then point the master record
-    // at the new home. A failed write, or a record that vanished
-    // (freed/moved concurrently), rolls back.
+    // Fence the landing range before any byte moves (see `stage`), so a
+    // stale (or freshly-refreshed) view of those addresses blocks on the
+    // staged entries instead of posting unfenced mid-copy.
+    let staged = mm.stage(&seg, to, &chunks);
+    // Copy over the datapath — pulled with one-sided reads inbound,
+    // pushed outbound with one-sided writes from the segment's own
+    // physical range (no staging copy) at low priority — then point the
+    // master record at the new home. A failed op, or a record that
+    // vanished (freed/moved concurrently), rolls back.
     let moved = (|| {
         let mut done = 0u64;
         for c in &chunks {
-            let src = [Chunk {
-                addr: src_addr + done,
-                len: c.len,
-            }];
-            let push = Op::write(target, c.addr, &src[..], c.len as usize);
-            let comp = kernel.rdma_one(ctx, Priority::Low, &push)?;
+            let comp = if inbound {
+                let land = std::slice::from_ref(c);
+                let pull = Op::read(seg.host, seg.addr + done, land, c.len as usize);
+                kernel.rdma_one(ctx, Priority::High, &pull)?
+            } else {
+                let src = [Chunk {
+                    addr: seg.addr + done,
+                    len: c.len,
+                }];
+                let push = Op::write(to, c.addr, &src[..], c.len as usize);
+                kernel.rdma_one(ctx, Priority::Low, &push)?
+            };
             ctx.wait_until(comp);
             done += c.len;
         }
-        let repl: Vec<(NodeId, Chunk)> = chunks.iter().map(|c| (target, *c)).collect();
+        let repl: Vec<(NodeId, Chunk)> = chunks.iter().map(|c| (to, *c)).collect();
         if !kernel.replace_extents(key.id.idx, key.off, seg.len, &repl) {
             return Err(LiteError::Internal("record vanished during migration"));
         }
         Ok(())
     })();
     if let Err(e) = moved {
-        mm.unstage_hosted(target, &staged);
-        let _ = handle.k_free_chunks(ctx, target, chunks.iter().map(|c| c.addr));
-        mm.abort_transition(&seg, was);
+        mm.unstage(to, &staged);
+        free_at(kernel, ctx, handle, to, chunks.iter().map(|c| c.addr));
+        mm.abort_migrate(&seg, was);
         return Err(e);
     }
     let mappers = kernel.record_mappers(key.id.idx).unwrap_or_default();
-    let Some(old_addr) = mm.finish_evict(&seg, target, &staged) else {
-        // The LMR was freed/moved after replace_extents pointed its
-        // record at the landed chunks: the dropper owns (and frees)
-        // those, but nothing else releases our local copy.
-        if kernel.alloc.lock().free(src_addr).is_err() {
-            kernel.note_cleanup_failure(kernel.node(), ctx.now());
-        }
+    let committed = mm.finish(&seg, to, &staged);
+    // Release the source last: its tombstone is already in place. Also
+    // when the LMR was freed/moved after replace_extents pointed its
+    // record at the landed chunks — the dropper owns (and frees) those,
+    // but nothing else releases the source copy.
+    free_at(kernel, ctx, handle, seg.host, [seg.addr].into_iter());
+    if !committed {
         return Err(LiteError::Internal("record vanished during migration"));
-    };
-    // Release the local pages last: the tombstone is already in place.
-    let freed = kernel.alloc.lock().free(old_addr).is_ok();
-    if !freed {
-        kernel.note_cleanup_failure(kernel.node(), ctx.now());
     }
-    mm.evictions.fetch_add(1, Ordering::Relaxed);
-    notify_relocated(kernel, ctx, handle, key.id, &mappers);
+    if inbound {
+        mm.fetch_backs.fetch_add(1, Ordering::Relaxed);
+        mm.fetch_back_lat
+            .record(ctx.now().saturating_sub(started).max(1));
+    } else {
+        mm.evictions.fetch_add(1, Ordering::Relaxed);
+    }
+    // Tell every mapper — local handles directly, other nodes by
+    // `FN_INVALIDATE` — that the LMR's location changed under them:
+    // refreshable, not fatal. A mapper that cannot be told keeps a handle
+    // that heals itself on its next `Relocated`; the miss is counted.
+    kernel.invalidate_lmr(key.id, true);
+    for m in mappers.into_iter().filter(|&m| m != kernel.node()) {
+        if handle.k_invalidate(ctx, m, key.id, true).is_err() {
+            kernel.note_cleanup_failure(m, ctx.now());
+        }
+    }
     Ok(())
 }
-
-/// Pulls one remote segment home: drain pins, local-allocate, read the
-/// bytes back over the datapath, update the master record, free the
-/// remote copy, invalidate mappers. Latency lands in the fetch-back
-/// histogram cell.
-fn fetch_back_one(
-    kernel: &Arc<LiteKernel>,
-    ctx: &mut Ctx,
-    handle: &mut LiteHandle,
-    key: SegKey,
-) -> LiteResult<()> {
-    let mm = Arc::clone(kernel.mm());
-    let Some(seg) = mm.begin_fetch_back(&key) else {
-        return Ok(());
-    };
-    let started = ctx.now();
-    let host = seg.host.load(Ordering::Acquire);
-    if !mm.drain_pins(&seg) {
-        mm.abort_transition(&seg, R_REMOTE);
-        return Err(LiteError::Timeout);
-    }
-    // Land local space straight from our allocator (no RPC to self).
-    let local = {
-        let mut a = kernel.alloc.lock();
-        a.alloc_chunked(seg.len, kernel.config().max_lmr_chunk)
-    };
-    let local = match local {
-        Ok(c) => c,
-        Err(e) => {
-            mm.abort_transition(&seg, R_REMOTE);
-            return Err(e.into());
-        }
-    };
-    // Fence the landing range before any byte moves (see stage_hosted
-    // for why): a stale view of a recycled local address must block on
-    // the stage, not post unfenced against a half-copied range.
-    let staged = mm.stage_local(&seg, &local);
-    let remote_addr = seg.addr.load(Ordering::Acquire);
-    let moved = (|| {
-        let mut done = 0u64;
-        for c in &local {
-            let (from, land) = (remote_addr + done, std::slice::from_ref(c));
-            let pull = Op::read(host, from, land, c.len as usize);
-            let comp = kernel.rdma_one(ctx, Priority::High, &pull)?;
-            ctx.wait_until(comp);
-            done += c.len;
-        }
-        let repl: Vec<(NodeId, Chunk)> = local.iter().map(|c| (kernel.node(), *c)).collect();
-        if !kernel.replace_extents(key.id.idx, key.off, seg.len, &repl) {
-            return Err(LiteError::Internal("record vanished during fetch-back"));
-        }
-        Ok(())
-    })();
-    if let Err(e) = moved {
-        mm.unstage_local(&staged);
-        let _ = kernel.alloc.lock().free_chunks(&local);
-        mm.abort_transition(&seg, R_REMOTE);
-        return Err(e);
-    }
-    let mappers = kernel.record_mappers(key.id.idx).unwrap_or_default();
-    let Some(freed_remote) = mm.finish_fetch_back(&seg, host, &staged) else {
-        // The LMR was freed after replace_extents pointed its record at
-        // the landed local chunks: the dropper frees those; the remote
-        // copy is still ours to release.
-        let remote = seg.addr.load(Ordering::Acquire);
-        let _ = handle.k_free_chunks(ctx, host, [remote].into_iter());
-        return Err(LiteError::Internal("record vanished during fetch-back"));
-    };
-    let _ = handle.k_free_chunks(ctx, host, [freed_remote].into_iter());
-    mm.fetch_backs.fetch_add(1, Ordering::Relaxed);
-    mm.fetch_back_lat
-        .record(ctx.now().saturating_sub(started).max(1));
-    notify_relocated(kernel, ctx, handle, key.id, &mappers);
-    Ok(())
-}
-
-use crate::qos::Priority;
 
 #[cfg(test)]
 mod tests {
@@ -1537,7 +1342,7 @@ mod tests {
         assert_eq!(mm.stats().resident_chunks, 2);
         // Pin inside the second chunk: lmr offset 4096 + 16.
         match mm.pin(0x4010, 32, id, 4096 + 16) {
-            PinOutcome::Pinned(_) => {}
+            PinOutcome::Pinned(..) => {}
             _ => panic!("expected pin"),
         }
         // Wrong identity → Relocated.
@@ -1577,9 +1382,9 @@ mod tests {
         let mm = MemManager::new(0, 3, &cfg(1 << 20));
         let id = LmrId { node: 0, idx: 1 };
         mm.register(id, &loc(0, &[(0x1000, 4096), (0x4000, 4096)]));
-        mm.touch(0x1000, 64);
-        mm.touch(0x1080, 64);
-        mm.touch(0x4000, 64);
+        mm.touch(0x1000);
+        mm.touch(0x1080);
+        mm.touch(0x4000);
         let r = mm.stats();
         assert_eq!(r.lru_hits, 3);
         // The coldest segment is the one at 0x4000? No: 0x4000 touched
@@ -1606,25 +1411,7 @@ mod tests {
         assert!(mm.stats().redirects >= 1);
         // Re-registration scrubs the tombstone.
         mm.register(id, &loc(0, &[(0x1000, 4096)]));
-        assert!(matches!(mm.pin(0x1000, 8, id, 0), PinOutcome::Pinned(_)));
-    }
-
-    #[test]
-    fn pin_blocks_until_transition_ends() {
-        let mm = Arc::new(MemManager::new(0, 2, &cfg(1 << 20)));
-        let id = LmrId { node: 0, idx: 1 };
-        mm.register(id, &loc(0, &[(0x1000, 4096)]));
-        let key = SegKey { id, off: 0 };
-        let (seg, was) = mm.begin_evict(&key).expect("claim");
-        assert_eq!(was, R_RESIDENT);
-        let mm2 = Arc::clone(&mm);
-        let t = std::thread::spawn(move || {
-            // Blocks while Evicting, succeeds once reverted.
-            matches!(mm2.pin(0x1000, 8, id, 0), PinOutcome::Pinned(_))
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        mm.abort_transition(&seg, R_RESIDENT);
-        assert!(t.join().unwrap());
+        assert!(matches!(mm.pin(0x1000, 8, id, 0), PinOutcome::Pinned(..)));
     }
 
     #[test]
@@ -1633,7 +1420,7 @@ mod tests {
         let id = LmrId { node: 0, idx: 1 };
         mm.register(id, &loc(0, &[(0x1000, 4096), (0x4000, 4096)]));
         // Touch the first; the second becomes the LRU victim.
-        mm.touch(0x1000, 8);
+        mm.touch(0x1000);
         assert_eq!(mm.pick_victim(), Some(SegKey { id, off: 4096 }));
     }
 
@@ -1652,73 +1439,128 @@ mod tests {
             len: 4096,
         }]);
         assert!(matches!(
-            mm.pin_raw_nowait(0x1000, 64).0,
+            mm.pin_raw_nowait(0x1000, 64),
             PinOutcome::Untracked
         ));
     }
 
+    /// Two managers that find each other the way kernels' do: through
+    /// a cluster directory (whose entries carry no kernel here).
     fn pair() -> (Arc<MemManager>, Arc<MemManager>) {
-        let a = Arc::new(MemManager::new(0, 2, &cfg(1 << 20)));
-        let b = Arc::new(MemManager::new(1, 2, &cfg(1 << 20)));
-        let cluster = vec![Arc::clone(&a), Arc::clone(&b)];
-        a.set_cluster(cluster.clone());
-        b.set_cluster(cluster);
-        (a, b)
+        let dir = Arc::new(crate::directory::ClusterDirectory::new(2));
+        let join = |node: NodeId| {
+            let mm = Arc::new(MemManager::new(node, 2, &cfg(1 << 20)));
+            let entry = crate::directory::DirEntry {
+                kernel: std::sync::Weak::new(),
+                rkey: 0,
+                qos: Arc::new(crate::qos::QosState::new(Default::default(), 1)),
+                mm: Arc::clone(&mm),
+            };
+            dir.register(node, entry);
+            mm.set_directory(Arc::clone(&dir));
+            mm
+        };
+        (join(0), join(1))
     }
 
-    #[test]
-    fn finish_evict_rolls_back_when_lmr_dies() {
-        let (a, b) = pair();
+    /// LMR 1 of `a` (node 0), one 4 KiB segment, claimed for a migration
+    /// `to` node 1 (an eviction from 0x1000) or `to` node 0 (a fetch-back
+    /// of the copy `b` hosts at 0x9000): the claimed segment, the state
+    /// it was in, and the chunk it is to land in.
+    fn claimed(a: &MemManager, b: &MemManager, to: NodeId) -> (Arc<Segment>, u8, Chunk) {
         let id = LmrId { node: 0, idx: 1 };
-        a.register(id, &loc(0, &[(0x1000, 4096)]));
         let key = SegKey { id, off: 0 };
-        let (seg, _) = a.begin_evict(&key).expect("claim");
-        let landed = [Chunk {
+        let mut landed = Chunk {
             addr: 0x9000,
             len: 4096,
-        }];
-        let staged = a.stage_hosted(&seg, 1, &landed);
-        // The LMR is freed while the migration is mid-flight.
-        a.unregister_lmr(1);
-        assert!(a.finish_evict(&seg, 1, &staged).is_none());
-        // Nothing resurrected on the master, nothing left at the target.
-        assert_eq!(a.stats().evicted_bytes, 0);
-        assert_eq!(a.stats().resident_bytes, 0);
-        assert!(a.state.lock().segs.is_empty());
-        assert_eq!(b.stats().hosted_bytes, 0);
-        assert!(b.state.lock().by_addr.is_empty());
+        };
+        if to == 1 {
+            a.register(id, &loc(0, &[(0x1000, 4096)]));
+        } else {
+            let seg = Arc::new(Segment::new(key, 4096, 0x9000, 1, R_REMOTE));
+            a.state.lock().segs.insert(key, Arc::clone(&seg));
+            a.state.lock().evicted_bytes = 4096;
+            b.state.lock().by_addr.insert(0x9000, Slot::Entry(seg));
+            b.state.lock().hosted_bytes = 4096;
+            landed.addr = 0x2000;
+        }
+        let (seg, was) = a.begin_migrate(&key, to).expect("claim");
+        (seg, was, landed)
     }
 
+    /// Both directions (`to` the peer: eviction; `to` home: fetch-back),
+    /// the LMR unregistered mid-copy or between claim and stage.
     #[test]
-    fn finish_fetch_back_rolls_back_when_lmr_dies() {
-        let (a, b) = pair();
-        let id = LmrId { node: 0, idx: 2 };
-        let key = SegKey { id, off: 0 };
-        let seg = Arc::new(Segment::new(key, 4096, 0x9000, 1, R_REMOTE));
-        {
-            let mut st = a.state.lock();
-            st.segs.insert(key, Arc::clone(&seg));
-            st.evicted_bytes = 4096;
+    fn finish_rolls_back_when_lmr_dies() {
+        for (to, dies_before_stage) in [(1, false), (1, true), (0, false), (0, true)] {
+            let (a, b) = pair();
+            let (seg, _, landed) = claimed(&a, &b, to);
+            if dies_before_stage {
+                a.unregister_lmr(1);
+            }
+            let staged = a.stage(&seg, to, &[landed]);
+            // The LMR is freed while the migration is mid-flight.
+            a.unregister_lmr(1);
+            assert!(!a.finish(&seg, to, &staged), "to {to}");
+            // Nothing resurrected on the master.
+            assert_eq!(a.stats().evicted_bytes, 0, "to {to}");
+            assert_eq!(a.stats().resident_bytes, 0, "to {to}");
+            assert!(a.state.lock().segs.is_empty(), "to {to}");
+            // The rolled-back stage leaves no address slot, hosted byte
+            // or pinned page at the landing node — nor anywhere else —
+            // and the source slot is retired: gone with the LMR, or a
+            // tombstone that bounces stale views.
+            assert_eq!(b.stats().hosted_bytes, 0, "to {to}");
+            assert_eq!(a.stats().pinned_pages + b.stats().pinned_pages, 0);
+            for mm in [&a, &b] {
+                let st = mm.state.lock();
+                assert!(!st.by_addr.contains_key(&landed.addr), "to {to}");
+                assert!(st.by_addr.values().all(|s| matches!(s, Slot::Moved(_))));
+            }
         }
-        {
-            let mut st = b.state.lock();
-            st.by_addr.insert(0x9000, Slot::Entry(Arc::clone(&seg)));
-            st.hosted_bytes = 4096;
+    }
+
+    /// A migration fences both of its ends, in either direction: while
+    /// the source is claimed and the landing staged, the poller's
+    /// no-wait pin bounces off the landing range, and waiting pins on
+    /// both ranges block until the migration commits (`finish`) or
+    /// aborts (`unstage`, then the claim reverts).
+    #[test]
+    fn pin_blocks_until_transition_ends() {
+        for (to, commits) in [(1, true), (1, false), (0, true), (0, false)] {
+            let (a, b) = pair();
+            let (seg, was, landed) = claimed(&a, &b, to);
+            let staged = a.stage(&seg, to, &[landed]);
+            let (land, src) = if to == 1 { (&b, &a) } else { (&a, &b) };
+            assert!(matches!(
+                land.pin_raw_nowait(landed.addr, 64),
+                PinOutcome::Relocated
+            ));
+            let ended = Arc::new(AtomicBool::new(false));
+            let waiter = |mm: &Arc<MemManager>, addr: u64| {
+                let (mm, ended, id) = (Arc::clone(mm), Arc::clone(&ended), seg.key.id);
+                std::thread::spawn(move || {
+                    let out = mm.pin(addr, 64, id, 0);
+                    assert!(ended.load(Ordering::SeqCst), "pinned through the fence");
+                    out
+                })
+            };
+            let (at_src, at_land) = (waiter(src, seg.addr), waiter(land, landed.addr));
+            std::thread::sleep(Duration::from_millis(5));
+            ended.store(true, Ordering::SeqCst);
+            if commits {
+                // The source is a tombstone now, the landing live.
+                assert!(a.finish(&seg, to, &staged));
+                assert!(matches!(at_src.join().unwrap(), PinOutcome::Relocated));
+                assert!(matches!(at_land.join().unwrap(), PinOutcome::Pinned(..)));
+            } else {
+                // The source is live again, the landing nobody's.
+                a.unstage(to, &staged);
+                a.abort_migrate(&seg, was);
+                assert!(matches!(at_src.join().unwrap(), PinOutcome::Pinned(..)));
+                assert!(matches!(at_land.join().unwrap(), PinOutcome::Untracked));
+            }
         }
-        let seg = a.begin_fetch_back(&key).expect("claim");
-        let landed = [Chunk {
-            addr: 0x2000,
-            len: 4096,
-        }];
-        let staged = a.stage_local(&seg, &landed);
-        a.unregister_lmr(2);
-        assert!(a.finish_fetch_back(&seg, 1, &staged).is_none());
-        assert_eq!(a.stats().resident_bytes, 0);
-        assert_eq!(a.stats().evicted_bytes, 0);
-        assert!(a.state.lock().segs.is_empty());
-        // The rolled-back stage leaves no pinned pages or address slots.
-        assert_eq!(a.stats().pinned_pages, 0);
-        assert!(!a.state.lock().by_addr.contains_key(&0x2000));
     }
 
     #[test]

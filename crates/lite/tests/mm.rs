@@ -275,3 +275,63 @@ fn ablation_budget_zero_is_inert() {
     h.lt_read(&mut ctx, lh, 0, &mut buf).unwrap();
     assert_eq!(buf, data);
 }
+
+/// A scripted migration — four 8 KiB chunks pushed out to the swap node,
+/// then pulled home — costs, in virtual time, exactly what it cost
+/// before `lite::mm` had one migration body (measured at f148b75): the
+/// push is `Op::write` at `Priority::Low`, the pull `Op::read` at
+/// `Priority::High`, and neither direction gained or lost a round trip.
+#[test]
+fn migration_costs_what_it_cost() {
+    let total = 32 * 1024usize;
+    let cluster = tiered_cluster(2, 4 << 20);
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let lh = h
+        .lt_malloc(&mut ctx, 0, total as u64, "mm.cost", Perm::RW)
+        .unwrap();
+    let data = pattern(total, 5);
+    h.lt_write(&mut ctx, lh, 0, &data).unwrap();
+    let id = h.lh_id(lh).unwrap();
+
+    let kernel = cluster.kernel(0);
+    kernel.mm().request(MmRequest::Evict {
+        idx: id.idx,
+        off: u64::MAX,
+    });
+    assert!(
+        wait_for(10, || kernel.mm_stats().evictions == 4),
+        "evict did not complete: {:?}",
+        kernel.mm_stats()
+    );
+    kernel.mm().request(MmRequest::FetchBack { idx: id.idx });
+    assert!(
+        wait_for(10, || kernel.mm_stats().fetch_backs == 4),
+        "fetch-back did not complete: {:?}",
+        kernel.mm_stats()
+    );
+
+    let stats = kernel.lt_stats();
+    let mm = &stats.mm;
+    assert_eq!((mm.evictions, mm.fetch_backs), (4, 4));
+    assert_eq!(mm.resident_bytes, total as u64);
+    assert_eq!(mm.evicted_bytes, 0);
+    assert_eq!(cluster.kernel(1).mm_stats().hosted_bytes, 0);
+    let spread = |l: &lite::LatencySummary| (l.count, l.p0, l.p50, l.p90, l.p99, l.p999, l.p100);
+    assert_eq!(
+        spread(&mm.fetch_back_lat),
+        (4, 7_846, 7_846, 7_846, 7_846, 7_846, 7_846)
+    );
+    let push = stats
+        .class(lite::OpClass::Write, lite::Priority::Low)
+        .expect("eviction pushes at low priority");
+    assert_eq!((push.count, push.p0, push.p100), (4, 3_911, 5_311));
+    let pull = stats
+        .class(lite::OpClass::Read, lite::Priority::High)
+        .expect("fetch-back pulls at high priority");
+    assert_eq!(spread(pull), (4, 3_911, 3_911, 3_911, 3_911, 3_911, 3_911));
+
+    let mut buf = vec![0u8; total];
+    h.lt_read(&mut ctx, lh, 0, &mut buf).unwrap();
+    assert_eq!(buf, data, "data corrupted across the round trip");
+}

@@ -14,8 +14,10 @@ for c in crates/*/; do
 done
 printf '%-24s %6s %6s %6s\n' "root (src+examples+tests)" "$(lines src examples)" "$(lines tests)" "$(lines src examples tests)"
 echo
-echo "== the API layer on its own (ROADMAP item 5b) =="
+echo "== the API layer and the memory manager on their own (ROADMAP items 5b, 5c) =="
 printf '%-24s %6s\n' crates/lite/src/api.rs "$(wc -l < crates/lite/src/api.rs)"
+printf '%-24s %6s non-test (up to #[cfg(test)])\n' crates/lite/src/mm.rs \
+  "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n }' crates/lite/src/mm.rs)"
 echo
 echo "== LITE-API call sites per application (Fig 20 analogue) =="
 for c in lite-log lite-mr lite-graph lite-dsm; do
