@@ -31,17 +31,22 @@
 //! execute in order, and nothing in a chain depends on a result of the
 //! same chain.
 //!
+//! Every transaction runs at the epoch after the header it starts from
+//! — `e+1` on a slot its handle kept at `COMMITTED@e` or `ABORTED@e`,
+//! `c+1` on one it just claimed at `CLAIMED@c` — and its decide is a CAS
+//! *from that header*.
+//!
 //! 0. **The slot is already ours**: a committer keeps its decision slot
 //!    from one commit to the next (below), so in the steady state
 //!    claiming it costs no verb. Only a handle's first commit, or one
 //!    after it idled past half its lease, pays a claim CAS
-//!    (`FREE`/`DRAINED`/its own stale keep → `(epoch+2, UNDECIDED)`),
-//!    reading headers from a hash of `(node, pid)` on when it holds
-//!    nothing.
+//!    (`FREE`/`DRAINED`/the header its own last transaction left →
+//!    `CLAIMED@(epoch+2)`), reading headers from a hash of `(node, pid)`
+//!    on when it holds nothing.
 //! 1. **Publish, lock, validate**: publish the redo log (write set with
-//!    old versions and new payloads), then the lease word — the redo is
-//!    written *before* the lease so a lease whose epoch matches the
-//!    header certifies a complete redo; **lock the write set** in
+//!    old versions and new payloads), then the lease word of `e+1` — the
+//!    redo is written *before* the lease so a lease one epoch ahead of
+//!    the header certifies a complete redo; **lock the write set** in
 //!    ascending record order (CAS each version word from its expected
 //!    version to the lock word); **validate the read set** (a one-word
 //!    read of the version word per read-but-not-written record, which
@@ -50,49 +55,63 @@
 //!    lost, the ones that won are CASed back and the transaction aborts
 //!    — it never waits while holding a lock, which is what keeps
 //!    ascending-order locking deadlock-free.
-//! 2. **Decide, apply, release, keep**: CAS the slot header `UNDECIDED
-//!    -> COMMITTED` — this single word is the transaction's atomic
-//!    commit point — then, in the same chain, write every staged
-//!    payload, write `old_version + 2` over each lock word, and CAS the
-//!    header `COMMITTED@e -> UNDECIDED@(e+1)`: the slot is the
-//!    committer's again, for its next transaction, only after every lock
-//!    word referencing epoch `e` is gone. The decide's outcome is read
-//!    from the chain's results. Nothing behind it waits for it, which is
-//!    safe for the reason the payload writes were always safe: a decide
-//!    can only lose to a scavenger, and a scavenger only acts on an
-//!    expired lease — the own-lease re-check is the last statement
-//!    before the chain is posted. A decide that lost anyway (the lease
-//!    ran out between that check and the NIC executing the chain, the
-//!    window the blind payload writes have always had) reports
-//!    [`TxnError::Indeterminate`], never a clean conflict.
+//! 2. **Decide, apply, release**: CAS the slot header from the one the
+//!    transaction started on to `COMMITTED@(e+1)` — this single word is
+//!    the transaction's atomic commit point, and the header it leaves is
+//!    the one the next transaction on the slot decides from — then, in
+//!    the same chain, write every staged payload and write
+//!    `old_version + 2` over each lock word. Nothing follows. The
+//!    decide's outcome is read from the chain's results. Nothing behind
+//!    it waits for it, which is safe for the reason the payload writes
+//!    were always safe: a decide can only lose to a scavenger, and a
+//!    scavenger only acts on an expired lease — the own-lease re-check
+//!    is the last statement before the chain is posted. A decide that
+//!    lost anyway (the lease ran out between that check and the NIC
+//!    executing the chain, the window the blind payload writes have
+//!    always had) reports [`TxnError::Indeterminate`], never a clean
+//!    conflict.
 //!
 //! A read-only transaction takes no slot and no lock: one chain of
 //! validating word reads, no atomic at all. Every abort path is one
-//! chain too: locks CAS back to their old versions, the slot is
-//! finalized `ABORTED` and kept (`ABORTED@e -> UNDECIDED@(e+1)`).
+//! chain too: locks CAS back to their old versions, then one CAS from
+//! the header the transaction started on to `ABORTED@(e+1)` finalizes it
+//! and keeps the slot.
 //!
 //! # The kept slot
 //!
 //! After a commit or an abort the handle remembers `(slot, header it
-//! left, expiry of the lease that commit ran under)`. The slot sits
-//! `UNDECIDED@(e+1)` while its lease word still says epoch `e`: that
-//! pair *is* the kept, idle state, no header state of its own. While
-//! the lease is live nobody may touch the slot, and the next commit
-//! starts on it at once; its lock chain publishes the redo and lease of
-//! epoch `e+1`. Those writes are blind, so the owner trusts a kept slot
-//! for the first half of the lease only — starting them inside the lease
-//! and landing them past it takes a stall of half a lease, not of
-//! nothing. After that it re-claims with one blind CAS from the header
-//! it left (a miss returns the fresh header, so it costs no verb a read
-//! would not have).
+//! left, expiry of the lease that commit ran under)`. The header it left
+//! — `COMMITTED@e` or `ABORTED@e`, under a lease word that says `e` too
+//! — *is* the kept, idle state, no header state of its own. While the
+//! lease is live nobody may touch the slot, and the next commit starts
+//! on it at once; its lock chain publishes the redo and lease of epoch
+//! `e+1`. Those writes are blind, so the owner trusts a kept slot for the
+//! first half of the lease only — starting them inside the lease and
+//! landing them past it takes a stall of half a lease, not of nothing.
+//! After that it re-claims with one blind CAS from the header it left (a
+//! miss returns the fresh header, so it costs no verb a read would not
+//! have).
 //!
-//! The scavenger — a claimer that found the whole ring busy — learns one
-//! rule for it: a slot whose lease word carries the header's epoch *or
-//! the one before it* and has expired is abandoned; steal-abort and
-//! settle it like any other. A kept slot's stale redo names no lock word
-//! of epoch `e+1`, so settling it touches no record. A claim bumps the
-//! epoch by 2, never 1: a just-claimed slot whose owner has not yet
-//! published its lease is therefore never mistaken for a kept one.
+//! Whoever reads a slot it does not own — a recoverer holding an expired
+//! lock word, a scavenger (a claimer that found the whole ring busy)
+//! holding an expired lease — goes by one rule, `stage`: compare the
+//! epoch that word carries with the header's.
+//!
+//! * **Equal**: that transaction decided and the header says how; once
+//!   its chain 2 has completed this is the kept, idle slot.
+//! * **One ahead**: a transaction in flight and undecided. Its owner will
+//!   decide by a CAS from this very header, so a steal CASes the same
+//!   word to `ABORTED@(e+1)`: exactly one of the two wins.
+//! * **Two or more behind**: just claimed, its owner's lease not yet
+//!   published — which is why a claim bumps the epoch by 2, never 1 — or
+//!   long settled. Hands off.
+//!
+//! A kept `COMMITTED@e` looks exactly like a commit whose release was
+//! cut short with a lock word of `e` still out, so it no longer proves
+//! by itself that every lock word of `e` is gone. In its owner's hands it
+//! does: the owner keeps a slot only once its chain 2 has completed. A
+//! scavenger settles a kept slot's redo before draining it, which
+//! touches no released record and only happens on a rare path.
 //!
 //! The bound this introduces: a table serves `slots` handles at full
 //! speed. Handle `slots + 1` finds every slot kept and gets one when an
@@ -108,10 +127,10 @@
 //! every verb, and an atomic holds it six times as long as a read or a
 //! write (`rnic::CostModel`: 180 ns, + 900 ns `atomic_extra_ns`). So
 //! atomics are kept for the places where a race is *decided* — lock,
-//! decide, keep, the occasional claim, and everything abort and recovery
-//! do — and the two places that only *observe* or *publish* use plain
-//! verbs: 4 atomics for an uncontended read-2-write-2 commit, none for a
-//! read-only one.
+//! decide, the occasional claim, and everything abort and recovery do —
+//! and the places that only *observe*, *publish* or *move on* use plain
+//! verbs or none: 3 atomics for an uncontended read-2-write-2 commit,
+//! none for a read-only one.
 //!
 //! * Validation observes. An aligned one-word read is executed as a
 //!   stamped load, so it is ordered against the lock CASes on the same
@@ -125,14 +144,16 @@
 //!   before the chain guards both. The version writes follow *all*
 //!   payload writes (an RC QP executes in order), so a reader that sees
 //!   `old + 2` sees the payload under it.
-//! * The keep-slot CAS stays an atomic and stays last. An atomic,
-//!   because a recoverer that judged the lease expired may have drained
-//!   the slot and a new owner claimed it: a blind header write would
-//!   take the slot back from under them. Last, because the slot may only
-//!   change epoch once no lock word names the old one, and because a
-//!   chain's retry resumes at the atomic that lost its ack: with nothing
-//!   behind it, a lost keep-slot ack re-lands no payload or version
-//!   write.
+//! * The decide carries the epoch. Moving the slot to the next epoch
+//!   needs no verb of its own: the next decide is a CAS from the header
+//!   this one leaves, so it guards the move exactly as a separate CAS
+//!   would — if a recoverer drained the slot and a new owner claimed it
+//!   meanwhile, the decide loses and the owner stops. The owner starts
+//!   the next transaction only once chain 2 has completed, so no lock
+//!   word of the old epoch is out when the new one begins. And with no
+//!   atomic left behind the version writes, no lost ack can make a retry
+//!   re-land one: a chain's retry resumes at the atomic that lost its
+//!   ack, and the decide comes before every write.
 //! * Abort and recovery keep CAS: `abort_own` runs without a lease
 //!   re-check (a scavenger may have rolled a lock back and a later
 //!   committer re-locked the record — a blind write would clobber that
@@ -143,8 +164,8 @@
 //! A committer that dies mid-protocol leaves lock words behind. Leases
 //! make them reclaimable: any transaction that runs into an **expired**
 //! lock word reads the owning slot, finalizes it — steal-aborting an
-//! `UNDECIDED` slot via the same header CAS the owner would have used
-//! to commit, so the decision stays atomic — and then settles *every*
+//! undecided transaction via the same header CAS the owner would have
+//! used to commit, so the decision stays atomic — and then settles *every*
 //! redo entry: roll forward (`COMMITTED`: copy the redo payload, CAS
 //! the lock word to `old+2`) or roll back (`ABORTED`: CAS to `old`).
 //! Settling the whole redo before the slot drains is what keeps lock
@@ -242,7 +263,8 @@ impl TableSpec {
 
 // Slot header states (low 4 bits; epoch in the high 60).
 const S_FREE: u64 = 0;
-const S_UNDECIDED: u64 = 1;
+/// Claimed, with nothing decided on it yet.
+const S_CLAIMED: u64 = 1;
 const S_COMMITTED: u64 = 2;
 const S_ABORTED: u64 = 3;
 const S_DRAINED: u64 = 4;
@@ -266,12 +288,6 @@ fn now_ms() -> u64 {
     static BASE: OnceLock<Instant> = OnceLock::new();
     let base = *BASE.get_or_init(Instant::now);
     base.elapsed().as_millis() as u64 + 1
-}
-
-/// The header a transaction of `epoch` leaves on the slot it keeps:
-/// the next epoch, undecided, under the lease word of this one.
-fn kept_hdr(epoch: u64) -> u64 {
-    ((epoch + 1) << 4) | S_UNDECIDED
 }
 
 fn lock_word(slot: u16, epoch: u64, expiry_ms: u64) -> u64 {
@@ -302,6 +318,33 @@ fn expired(expiry_ms: u64) -> bool {
 
 fn lock_expired(w: u64) -> bool {
     expired(lock_expiry(w))
+}
+
+/// Where a transaction stands, by the epoch a word it published carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// It decided, and the slot's header says how. Once its chain 2 has
+    /// completed, this is the kept, idle slot.
+    Decided(u64),
+    /// In flight and undecided: its owner will decide by a CAS from the
+    /// header as it stands.
+    InFlight(u64),
+}
+
+/// The one rule for reading a slot one does not own: the low `bits` bits
+/// of a transaction's epoch — 16 in a lease word, 15 in a lock word —
+/// against the slot's header `hdr`. Equal, the transaction decided; one
+/// ahead, it is in flight; two or more behind, the slot was just claimed
+/// and its owner has not published a lease yet (a claim bumps the epoch
+/// by 2 so that this never reads as one of the other two), or the
+/// transaction is long settled: `None`, hands off.
+fn stage(hdr: u64, epoch: u64, bits: u32) -> Option<Stage> {
+    let at = hdr >> 4;
+    match epoch.wrapping_sub(at) & ((1 << bits) - 1) {
+        0 => Some(Stage::Decided(at)),
+        1 => Some(Stage::InFlight(at + 1)),
+        _ => None,
+    }
 }
 
 /// Where a handle starts looking for a claimable slot: a mixing hash
@@ -593,47 +636,44 @@ impl TxnTable {
             return Err(TxnError::Invalid("lock word names a bogus slot"));
         }
         let hdr = self.read_word(h, ctx, self.slot_off(slot))?;
-        let epoch = hdr >> 4;
-        if (epoch & 0x7fff) != lock_epoch15(lw) {
+        match stage(hdr, lock_epoch15(lw), 15) {
+            Some(at) => self.settle_slot(h, ctx, slot, hdr, at),
             // The owning epoch is gone; the lock word must have been
             // settled concurrently — let the caller re-read.
-            return Ok(());
+            None => Ok(()),
         }
-        self.settle_slot(h, ctx, slot, hdr)
     }
 
-    /// Finalizes (steal-aborting if undecided) and fully settles one
-    /// slot, then drains it. Safe to race: every step is a CAS that
-    /// loses harmlessly.
+    /// Finalizes (steal-aborting if in flight) and fully settles the
+    /// transaction `at` of one slot, whose header read `hdr_seen`, then
+    /// drains the slot. Safe to race: every step is a CAS that loses
+    /// harmlessly.
     fn settle_slot(
         &self,
         h: &mut LiteHandle,
         ctx: &mut Ctx,
         slot: u16,
         hdr_seen: u64,
+        at: Stage,
     ) -> TxnResult<()> {
-        let epoch = hdr_seen >> 4;
-        let mut state = hdr_seen & 0xf;
-        if state == S_UNDECIDED {
-            // The same CAS the owner uses to commit: whoever wins, the
-            // decision is made exactly once.
-            let prev = h.lt_cmp_swap(
-                ctx,
-                self.lh,
-                self.slot_off(slot),
-                (epoch << 4) | S_UNDECIDED,
-                (epoch << 4) | S_ABORTED,
-            )?;
-            if prev == ((epoch << 4) | S_UNDECIDED) {
-                state = S_ABORTED;
-            } else if prev >> 4 != epoch {
-                return Ok(()); // slot moved on entirely
-            } else {
-                state = prev & 0xf; // owner (or another recoverer) decided
+        let (epoch, state) = match at {
+            Stage::Decided(epoch) => (epoch, hdr_seen & 0xf),
+            Stage::InFlight(epoch) => {
+                // The same CAS the owner uses to commit, from the same
+                // header: whoever wins, the decision is made exactly once.
+                let stolen = (epoch << 4) | S_ABORTED;
+                let prev = h.lt_cmp_swap(ctx, self.lh, self.slot_off(slot), hdr_seen, stolen)?;
+                if prev == hdr_seen {
+                    (epoch, S_ABORTED)
+                } else if prev >> 4 == epoch {
+                    (epoch, prev & 0xf) // owner (or another recoverer) decided
+                } else {
+                    return Ok(()); // slot moved on entirely
+                }
             }
-        }
+        };
         if state != S_COMMITTED && state != S_ABORTED {
-            return Ok(()); // FREE or DRAINED: nothing left to settle
+            return Ok(()); // FREE, CLAIMED or DRAINED: nothing to settle
         }
         let count = self.read_word(h, ctx, self.slot_off(slot) + 16)?;
         if count > self.spec.max_writes as u64 {
@@ -706,9 +746,9 @@ impl TxnTable {
         Ok(())
     }
 
-    /// One claim CAS on slot `s` from the header `hdr`: the epoch the slot
-    /// now runs at, `UNDECIDED` and this handle's to decide — or the
-    /// header found there instead.
+    /// One claim CAS on slot `s` from the header `hdr`: the header it
+    /// leaves, `CLAIMED` and this handle's to decide from — or the header
+    /// found there instead.
     fn try_claim(
         &self,
         h: &mut LiteHandle,
@@ -716,29 +756,24 @@ impl TxnTable {
         s: u16,
         hdr: u64,
     ) -> TxnResult<Result<u64, u64>> {
-        // By 2: a lease word never carries an epoch above its header's,
-        // so a claimed slot is at least two epochs ahead of its lease
-        // until its owner publishes one. One ahead is the mark of a
-        // *kept* slot, which a scavenger may take.
-        let epoch = (hdr >> 4) + 2;
-        let seen = h.lt_cmp_swap(
-            ctx,
-            self.lh,
-            self.slot_off(s),
-            hdr,
-            (epoch << 4) | S_UNDECIDED,
-        )?;
+        // By 2: the lease word of a slot nobody is deciding on carries
+        // its header's epoch or an older one, so a claimed slot's lease
+        // stays two or more behind until its owner publishes one — never
+        // equal (decided) nor one ahead (in flight), which a scavenger
+        // may take.
+        let claimed = (((hdr >> 4) + 2) << 4) | S_CLAIMED;
+        let seen = h.lt_cmp_swap(ctx, self.lh, self.slot_off(s), hdr, claimed)?;
         if seen != hdr {
             return Ok(Err(seen));
         }
         self.count(|c| c.claims_cas += 1);
-        Ok(Ok(epoch))
+        Ok(Ok(claimed))
     }
 
-    /// Claims a decision slot: `(slot, epoch)` with the header
-    /// `(epoch, UNDECIDED)`. A kept slot still trusted is returned as it
-    /// stands; anything else costs a header CAS. Scavenges expired slots
-    /// when the ring is exhausted.
+    /// Claims a decision slot: `(slot, header)`, the header the next
+    /// transaction on it decides from. A kept slot still trusted is
+    /// returned as its last transaction left it; anything else costs a
+    /// header CAS. Scavenges expired slots when the ring is exhausted.
     fn claim_slot(&self, h: &mut LiteHandle, ctx: &mut Ctx) -> TxnResult<(u16, u64)> {
         let slots = self.spec.slots as u64;
         // Start at the slot this handle kept. Once it is no longer
@@ -749,7 +784,7 @@ impl TxnTable {
         let (start, mut guess) = match self.last_slot.take() {
             Some((s, hdr, trusted_ms)) if !expired(trusted_ms) => {
                 self.count(|c| c.claims_kept += 1);
-                return Ok((s, hdr >> 4));
+                return Ok((s, hdr));
             }
             Some((s, hdr, _)) => (s, Some(hdr)),
             None => (start_slot(h.node(), h.pid(), self.spec.slots), None),
@@ -760,31 +795,31 @@ impl TxnTable {
                 let off = self.slot_off(s);
                 let hdr = match guess.take() {
                     Some(g) => match self.try_claim(h, ctx, s, g)? {
-                        Ok(epoch) => return Ok((s, epoch)),
+                        Ok(claimed) => return Ok((s, claimed)),
                         Err(seen) => seen,
                     },
                     None => self.read_word(h, ctx, off)?,
                 };
-                let (epoch, state) = (hdr >> 4, hdr & 0xf);
+                let state = hdr & 0xf;
                 if state == S_FREE || state == S_DRAINED {
-                    if let Ok(epoch) = self.try_claim(h, ctx, s, hdr)? {
-                        return Ok((s, epoch));
+                    if let Ok(claimed) = self.try_claim(h, ctx, s, hdr)? {
+                        return Ok((s, claimed));
                     }
                     continue;
                 }
                 if pass > 0 {
                     // Ring exhausted once already: scavenge expired
-                    // slots. A lease vouches for the header epoch it was
-                    // published under (a commit in flight) and for the
-                    // next one, which the keep-slot CAS moved the header
-                    // to (a kept, idle slot); an older lease means the
-                    // owner has not published its own yet.
+                    // slots. A lease at the header's epoch is a decided
+                    // transaction's — a kept, idle slot, or one whose
+                    // release was cut short — and one ahead an
+                    // undecided one's; an older lease means the owner
+                    // has just claimed and not published its own yet.
                     let lease = self.read_word(h, ctx, off + 8)?;
-                    if epoch.wrapping_sub(lease) & 0xffff <= 1
-                        && expired((lease >> 16) & 0xffff_ffff)
-                    {
-                        self.settle_slot(h, ctx, s, hdr)?;
-                        self.count(|c| c.slots_scavenged += 1);
+                    if let Some(at) = stage(hdr, lease & 0xffff, 16) {
+                        if expired((lease >> 16) & 0xffff_ffff) {
+                            self.settle_slot(h, ctx, s, hdr, at)?;
+                            self.count(|c| c.slots_scavenged += 1);
+                        }
                     }
                 }
             }
@@ -809,48 +844,48 @@ impl TxnTable {
     }
 
     /// A committer's own abort, one chain: CAS the locks it holds
-    /// (`(rec, old version)` each) back, finalize its slot `ABORTED`
-    /// (the steal-abort CAS cannot fail against ourselves unless a
-    /// scavenger beat us to it — either way the slot ends settled), and
-    /// keep it for the next transaction. Moving the slot on unread is
-    /// safe here, unlike in recovery: this transaction never decided, so
-    /// nobody rolls it forward, and every lock word it placed is in
-    /// `locked` — whichever of them a recoverer already rolled back just
-    /// fails its CAS.
+    /// (`(rec, old version)` each) back, then finalize the transaction
+    /// `ABORTED` with a CAS from the header it started on, which keeps
+    /// the slot for the next one. That CAS cannot fail against ourselves
+    /// unless a scavenger beat us to it — either way the slot ends
+    /// settled. Moving the slot on unread is safe here, unlike in
+    /// recovery: this transaction never decided, so nobody rolls it
+    /// forward, and every lock word it placed is in `locked` — whichever
+    /// of them a recoverer already rolled back just fails its CAS.
     fn abort_own(
         &self,
         h: &mut LiteHandle,
         ctx: &mut Ctx,
-        (slot, epoch, expiry): (u16, u64, u64),
+        (slot, from, expiry): (u16, u64, u64),
         locked: &[(u64, u64)],
     ) -> TxnResult<()> {
-        let hdr = |state: u64| (epoch << 4) | state;
+        let epoch = (from >> 4) + 1;
         let (off, lw) = (self.slot_off(slot), lock_word(slot, epoch, expiry));
         let cas = |off, expect, new| ChainOp::CmpSwap { off, expect, new };
         let mut ops: Vec<ChainOp> = locked
             .iter()
             .map(|&(rec, old_v)| cas(self.rec_off(rec), lw, old_v))
             .collect();
-        ops.push(cas(off, hdr(S_UNDECIDED), hdr(S_ABORTED)));
-        ops.push(cas(off, hdr(S_ABORTED), kept_hdr(epoch)));
+        let aborted = (epoch << 4) | S_ABORTED;
+        ops.push(cas(off, from, aborted));
         let outs = h.lt_chain(ctx, self.lh, &ops)?;
-        if old_values(&outs).last() == Some(hdr(S_ABORTED)) {
-            self.keep(slot, epoch, expiry);
+        if old_values(&outs).last() == Some(from) {
+            self.keep(slot, aborted, expiry);
         }
         Ok(())
     }
 
-    /// Remembers the slot a transaction of `epoch` just kept, under the
-    /// lease (until `expiry`) it ran under. Nobody may take the slot
-    /// before that lease is over, but the handle trusts it for the first
-    /// half only: the next commit's redo and lease writes go out blind,
-    /// and a claimer that starts them just inside the lease and lands
-    /// them just past it would write over whoever scavenged the slot in
-    /// between. Half a lease is the stall that takes.
-    fn keep(&self, slot: u16, epoch: u64, expiry: u64) {
+    /// Remembers the slot a transaction just kept, the header `left` it
+    /// decided there and the lease (until `expiry`) it ran under. Nobody
+    /// may take the slot before that lease is over, but the handle trusts
+    /// it for the first half only: the next commit's redo and lease
+    /// writes go out blind, and a claimer that starts them just inside
+    /// the lease and lands them just past it would write over whoever
+    /// scavenged the slot in between. Half a lease is the stall that
+    /// takes.
+    fn keep(&self, slot: u16, left: u64, expiry: u64) {
         let trusted_ms = expiry.saturating_sub(self.spec.lease_ms / 2);
-        self.last_slot
-            .set(Some((slot, kept_hdr(epoch), trusted_ms)));
+        self.last_slot.set(Some((slot, left, trusted_ms)));
     }
 
     /// One finished transaction, into this handle's counters and — when
@@ -1028,17 +1063,19 @@ impl Txn<'_> {
             .map(|(&rec, p)| (rec, self.reads[&rec].0, p.as_slice()))
             .collect();
         let w = write_list.len();
-        let (slot, epoch) = match t.claim_slot(h, ctx) {
-            Ok(se) => se,
+        let (slot, from) = match t.claim_slot(h, ctx) {
+            Ok(sh) => sh,
             Err(TxnError::Conflict { .. }) => return fail(&self, h, ctx, false),
             Err(e) => return Err(e),
         };
+        // This transaction runs at the epoch after the header in hand, and
+        // deciding moves the header there.
+        let epoch = (from >> 4) + 1;
         // The lease runs from here, not from before a claim that may have
         // waited for a slot.
         let expiry = (now_ms() + t.spec.lease_ms) & 0xffff_ffff;
-        let own = (slot, epoch, expiry);
+        let own = (slot, from, expiry);
         let lw = lock_word(slot, epoch, expiry);
-        let hdr = |state: u64| (epoch << 4) | state;
         let slot_off = t.slot_off(slot);
         let cas = |off, expect, new| ChainOp::CmpSwap { off, expect, new };
 
@@ -1094,19 +1131,20 @@ impl Txn<'_> {
             return fail(&self, h, ctx, true);
         }
 
-        // Decide, apply, release, keep the slot: one chain. Its first op
-        // is the commit point, one CAS on the decision slot; nothing
-        // behind it waits for its outcome, which is read from the results
-        // below. A crash hook posts the prefix up to the hook and
-        // vanishes.
+        // Decide, apply, release: one chain. Its first op is the commit
+        // point, one CAS on the decision slot from the header in hand,
+        // and the header it leaves is the one the next transaction here
+        // decides from; nothing behind it waits for its outcome, which is
+        // read from the results below. A crash hook posts the prefix up
+        // to the hook and vanishes.
         // The releases are plain writes of `old + 2` over our own lock
         // words, posted after *every* payload write: the responder
         // executes a chain in order, so whoever sees a new version sees
         // the payload under it. Blind like the payload writes, and safe
         // for the same reason — the lease check below, which is also what
-        // keeps a scavenger from deciding in our place. The keep-slot CAS
-        // is the chain's last op, so a lost ack resumes at it alone and
-        // re-lands nothing.
+        // keeps a scavenger from deciding in our place. The decide is the
+        // chain's only atomic and its first op, so a lost ack resumes at
+        // it, ahead of every write, and re-lands nothing.
         let released: Vec<[u8; 8]> = write_list
             .iter()
             .map(|&(_, old_v, _)| old_v.wrapping_add(2).to_le_bytes())
@@ -1122,9 +1160,9 @@ impl Txn<'_> {
                 off: t.rec_off(rec),
                 data,
             });
-        let mut ops = vec![cas(slot_off, hdr(S_UNDECIDED), hdr(S_COMMITTED))];
+        let committed = (epoch << 4) | S_COMMITTED;
+        let mut ops = vec![cas(slot_off, from, committed)];
         ops.extend(payloads.chain(versions));
-        ops.push(cas(slot_off, hdr(S_COMMITTED), kept_hdr(epoch)));
         let cut = match crash {
             CrashPoint::AfterDecide => Some(1),
             CrashPoint::MidApply if w > 1 => Some(2),
@@ -1138,17 +1176,17 @@ impl Txn<'_> {
             return self.vanish(h, ctx, invoke);
         }
         let outs = h.lt_chain(ctx, t.lh, &ops)?;
-        let mut headers = old_values(&outs);
         // A decide that lost did so to a scavenger, inside the window
         // between the check above and the chain executing: the writes
         // behind it went out all the same, so the outcome is recovery's
         // to tell, not a clean conflict.
-        if cut.is_some() || headers.next() != Some(hdr(S_UNDECIDED)) {
+        if cut.is_some() || old_values(&outs).next() != Some(from) {
             return self.vanish(h, ctx, invoke);
         }
-        if headers.last() == Some(hdr(S_COMMITTED)) {
-            t.keep(slot, epoch, expiry);
-        }
+        // The whole chain has completed: no lock word of this epoch is
+        // out, so the header we left is the next transaction's to decide
+        // from.
+        t.keep(slot, committed, expiry);
 
         t.record_txn(
             h,

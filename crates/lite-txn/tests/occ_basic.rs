@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lite::{LiteCluster, TxnHistory, TxnLog};
-use lite_txn::{TableSpec, TxnError, TxnTable};
+use lite_txn::{CrashPoint, TableSpec, TxnError, TxnTable};
 use simnet::Ctx;
 
 fn start(nodes: usize) -> Arc<LiteCluster> {
@@ -181,14 +181,17 @@ fn stats_gauges_count_commits_and_aborts() {
 }
 
 /// Which verbs a commit spends at the home node, read off the home's own
-/// `lt_stats()`: validation is word reads, release is version writes, so
-/// a read-only commit costs the home NIC no atomic at all and an
-/// uncontended read-2-write-2 exactly four — two locks, decide, keep the
-/// slot. Only the first on a handle pays a fifth, the claim CAS.
+/// `lt_stats()`: validation is word reads, release is version writes and
+/// the decide carries the slot to its next epoch, so a read-only commit
+/// costs the home NIC no atomic at all and an uncontended read-2-write-2
+/// exactly three — two locks and the decide. Only the first on a handle
+/// pays a fourth, the claim CAS. An abort on a lost lock gives back the
+/// `won` locks and finalizes its slot: `won + 1`.
 #[test]
 fn home_nic_atomics_per_commit() {
     let cluster = start(2);
     let mut h = cluster.attach(0).unwrap();
+    let mut hb = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     // A lease no host stall between two commits outlasts: a kept slot
     // whose lease ran out costs a claim CAS again.
@@ -217,7 +220,7 @@ fn home_nic_atomics_per_commit() {
         rw.write(a, &va.wrapping_add(1).to_le_bytes()).unwrap();
         rw.write(b, &vb.wrapping_sub(1).to_le_bytes()).unwrap();
         rw.commit(&mut h, &mut ctx).unwrap();
-        let expect = if i == 0 { 5 } else { 4 };
+        let expect = if i == 0 { 4 } else { 3 };
         assert_eq!(home_atomics() - before, expect, "read-2-write-2 commit {i}");
     }
     let mut sum = t.begin();
@@ -231,6 +234,35 @@ fn home_nic_atomics_per_commit() {
     assert_eq!((stats.commits, stats.aborts), (201, 0));
     assert_eq!((stats.claims_cas, stats.claims_kept), (1, 99));
     assert_eq!(stats.slots_scavenged, 0);
+
+    // A second handle locks record 7 and stalls there. A read-2-write-2
+    // over (6, 7) that snapshot both first wins 6 and loses 7: two lock
+    // CASes, then the abort chain — 6 back, the slot `ABORTED`.
+    let tb = TxnTable::open(&mut hb, &mut ctx, "txn.verbs").unwrap();
+    let mut rw = t.begin();
+    for r in [6, 7] {
+        let v = u64s(&rw.read(&mut h, &mut ctx, r).unwrap());
+        rw.write(r, &v.wrapping_add(1).to_le_bytes()).unwrap();
+    }
+    let mut blocker = tb.begin();
+    blocker.write(7, &1u64.to_le_bytes()).unwrap();
+    let stalled = blocker.commit_at(&mut hb, &mut ctx, CrashPoint::AfterLock);
+    assert_eq!(stalled, Err(TxnError::Indeterminate));
+    let before = home_atomics();
+    assert_eq!(
+        rw.commit(&mut h, &mut ctx),
+        Err(TxnError::Conflict { validation: false })
+    );
+    let (locks, won) = (2, 1);
+    assert_eq!(home_atomics() - before, locks + won + 1, "lost-lock abort");
+    // The abort kept the slot: the next commit pays no claim.
+    let before = home_atomics();
+    let mut rw = t.begin();
+    rw.write(0, &5u64.to_le_bytes()).unwrap();
+    rw.write(1, &5u64.to_le_bytes()).unwrap();
+    rw.commit(&mut h, &mut ctx).unwrap();
+    assert_eq!(home_atomics() - before, 3, "read-2-write-2 after an abort");
+    assert_eq!((t.stats().claims_cas, t.stats().claims_kept), (1, 101));
 }
 
 #[test]

@@ -33,16 +33,38 @@ fn expire_lease() {
 
 /// Crash a two-record commit at `crash` on node 0's handle, then read
 /// both records through a second handle after the lease expires and
-/// return what the recovered table holds.
+/// return what the recovered table holds — on a freshly claimed slot and
+/// on a kept one, which must recover alike.
 fn crash_and_recover(crash: CrashPoint, name: &str) -> (u64, u64) {
+    let fresh = crash_on(crash, name, false);
+    let kept = crash_on(crash, &format!("{name}.kept"), true);
+    assert_eq!(kept, fresh, "{crash:?} on a kept slot");
+    fresh
+}
+
+/// One `crash_and_recover` run; `warm` first commits once, so the crashed
+/// commit starts on the slot that left `COMMITTED@e`: its lock words
+/// carry `e+1` over a header that is already decided.
+fn crash_on(crash: CrashPoint, name: &str, warm: bool) -> (u64, u64) {
     let cluster = start();
     let mut h0 = cluster.attach(0).unwrap();
     let mut h1 = cluster.attach(1).unwrap();
     let mut c0 = Ctx::new();
     let mut c1 = Ctx::new();
-    let t0 = TxnTable::create(&mut h0, &mut c0, 1, name, spec(4)).unwrap();
+    // A kept slot is trusted for half a lease: the lease must outlast the
+    // gap between the two commits, or the second claims afresh.
+    let table_spec = TableSpec {
+        lease_ms: if warm { 60 } else { 15 },
+        ..spec(4)
+    };
+    let t0 = TxnTable::create(&mut h0, &mut c0, 1, name, table_spec).unwrap();
     let t1 = TxnTable::open(&mut h1, &mut c1, name).unwrap();
 
+    if warm {
+        let mut w = t0.begin();
+        w.write(3, &1u64.to_le_bytes()).unwrap();
+        w.commit(&mut h0, &mut c0).unwrap();
+    }
     let mut w = t0.begin();
     w.write(1, &7u64.to_le_bytes()).unwrap();
     w.write(2, &9u64.to_le_bytes()).unwrap();
@@ -50,8 +72,9 @@ fn crash_and_recover(crash: CrashPoint, name: &str) -> (u64, u64) {
         w.commit_at(&mut h0, &mut c0, crash),
         Err(TxnError::Indeterminate)
     );
+    assert_eq!(t0.stats().claims_kept, warm as u64);
 
-    expire_lease();
+    std::thread::sleep(Duration::from_millis(2 * table_spec.lease_ms));
     let mut r = t1.begin();
     let a = u64s(&r.read(&mut h1, &mut c1, 1).unwrap());
     let b = u64s(&r.read(&mut h1, &mut c1, 2).unwrap());
@@ -92,9 +115,14 @@ fn crash_mid_apply_completes_the_write_set() {
 
 #[test]
 fn crash_mid_release_settles_the_rest() {
+    assert_eq!(
+        crash_and_recover(CrashPoint::MidRelease, "rec.release.both"),
+        (7, 9)
+    );
     // The release is a chain of version *writes*, and the crash cuts
     // between two of them: record 1 is released and readable at once,
-    // record 2 still carries the lock word, the slot says COMMITTED.
+    // record 2 still carries the lock word, the slot says COMMITTED —
+    // under the lease of that epoch, exactly as a kept slot reads.
     let cluster = start();
     let mut h0 = cluster.attach(0).unwrap();
     let mut h1 = cluster.attach(1).unwrap();
@@ -130,17 +158,19 @@ fn crash_mid_release_settles_the_rest() {
     assert_eq!(raw.scan(&mut h1, &mut c1), (0, 0));
 }
 
-/// Every atomic of a commit loses its ack once — the two locks, the
-/// decide at the head of the second chain, and the keep-slot CAS (the
-/// old drain) at its end. Each retry must *resume* at the atomic that
-/// lost its ack, not replay its chain from the top: the keep-slot CAS is
-/// the last op of its chain, so the version writes ahead of it never
-/// land a second time. A "later committer" on a third node shows the
-/// difference: it locks record 1 the moment the version write releases
-/// it, well inside the retry backoff, and that lock word must still
-/// stand when the commit returns.
+/// Every atomic of a commit loses its ack once — the two locks, and the
+/// decide, which is the second chain's only atomic and its first op.
+/// Each retry *resumes* at the atomic that lost its ack, its repeat a
+/// deduplicated lookup: the NIC stops a chain right after that atomic's
+/// apply, so the payload and version writes behind the decide go out
+/// exactly once, on the retry, and nothing behind them can send any of
+/// them out again. A "later committer" on a third node shows it: it
+/// locks record 1 the moment the version write releases it, well inside
+/// the retry backoff, and that lock word must still stand when the commit
+/// returns. (A decide repeated without its dedup token would lose to its
+/// own first apply, and the commit would not return `Ok`.)
 #[test]
-fn lost_drain_ack_resumes_at_the_drain_alone() {
+fn lost_decide_ack_lands_each_write_once() {
     let cluster = LiteCluster::start_with(
         IbConfig::with_nodes(3),
         LiteConfig {
@@ -160,7 +190,7 @@ fn lost_drain_ack_resumes_at_the_drain_alone() {
         lease_ms: 60_000,
         ..TableSpec::new(4, 8)
     };
-    let name = "rec.drain";
+    let name = "rec.ack";
     let t0 = TxnTable::create(&mut h0, &mut c0, 1, name, table_spec).unwrap();
     // Version 0 -> 2, fault-free: wires the QPs and leaves the handle the
     // slot it keeps.
@@ -200,8 +230,8 @@ fn lost_drain_ack_resumes_at_the_drain_alone() {
     let dropped = cluster.fabric().fault_stats().ack_drops;
     cluster.fabric().clear_fault_plan();
     later.join().unwrap();
-    assert_eq!(dropped, 4, "two locks, decide, keep-slot");
-    assert_eq!(cluster.kernel(0).stats().retries - before.1, 4);
+    assert_eq!(dropped, 3, "two locks, decide");
+    assert_eq!(cluster.kernel(0).stats().retries - before.1, 3);
 
     let mut h1 = cluster.attach(1).unwrap();
     let mut c1 = Ctx::new();
@@ -213,8 +243,8 @@ fn lost_drain_ack_resumes_at_the_drain_alone() {
     );
     assert_eq!(raw.record(&mut h1, &mut c1, 2), (4, 9));
     // The later committer's own CASes are in this count; the commit's
-    // share is four applies and four deduplicated repeats.
-    assert!(atomics() - before.0 >= 8);
+    // share is three applies and three deduplicated repeats.
+    assert!(atomics() - before.0 >= 6);
     assert_eq!(raw.scan(&mut h1, &mut c1), (1, 0), "only the fake lock");
 }
 
@@ -285,7 +315,7 @@ fn slot_ring_exhaustion_is_scavenged() {
     }
     expire_lease();
 
-    // Both slots are stuck UNDECIDED; this commit needs one.
+    // Both slots are stuck in flight; this commit needs one.
     let mut w = t1.begin();
     w.write(7, &1u64.to_le_bytes()).unwrap();
     w.commit(&mut h1, &mut c1).unwrap();
@@ -369,8 +399,9 @@ fn handles_on(
 #[test]
 fn kept_slot_of_a_vanished_handle_is_scavenged() {
     // Two handles commit once each and go away: both slots of the ring
-    // are left kept — UNDECIDED, with nobody to decide them. Once the
-    // leases they were kept under run out they are anybody's.
+    // are left kept — COMMITTED under a lease of the same epoch, with
+    // nobody to start the next transaction on them. Once the leases they
+    // were kept under run out they are anybody's.
     let table_spec = TableSpec {
         slots: 2,
         lease_ms: 15,
@@ -400,6 +431,43 @@ fn kept_slot_of_a_vanished_handle_is_scavenged() {
 }
 
 #[test]
+fn kept_slot_whose_next_commit_died_is_scavenged() {
+    // A one-slot ring. Its owner commits once and keeps it `COMMITTED@e`;
+    // its next commit dies holding record 1's lock, so the lease word says
+    // `e+1` — one ahead of a header that is already decided. A second
+    // handle needs the slot for record 3, which nobody locked: it must
+    // steal-abort the dead transaction by a CAS from that very header,
+    // roll its lock back, drain the slot and take it.
+    let table_spec = TableSpec {
+        slots: 1,
+        lease_ms: 60,
+        ..TableSpec::new(4, 8)
+    };
+    let name = "rec.kept.dead";
+    let (_cluster, mut ends) = handles_on(name, table_spec, 2);
+    let (mut hb, mut cb, tb) = ends.pop().unwrap();
+    let (ha, ca, ta) = &mut ends[0];
+    bump(ta, ha, ca, 0).unwrap();
+    let mut w = ta.begin();
+    w.write(1, &7u64.to_le_bytes()).unwrap();
+    let crashed = w.commit_at(ha, ca, CrashPoint::AfterLock);
+    assert_eq!(crashed, Err(TxnError::Indeterminate));
+    assert_eq!(ta.stats().claims_kept, 1, "died on the kept slot");
+    let raw = Raw::of(&mut hb, &mut cb, name, &table_spec);
+    let slot = raw.slot(&mut hb, &mut cb, 0);
+    assert_eq!((slot.0 & 0xf, lease_ahead(slot)), (2, 1));
+    assert_eq!(raw.scan(&mut hb, &mut cb), (1, 1));
+
+    std::thread::sleep(Duration::from_millis(2 * table_spec.lease_ms));
+    bump(&tb, &mut hb, &mut cb, 3).unwrap();
+    assert_eq!(tb.stats().slots_scavenged, 1);
+    assert_eq!(raw.record(&mut hb, &mut cb, 1), (0, 0), "rolled back");
+    assert_eq!(raw.record(&mut hb, &mut cb, 3), (2, 1));
+    assert!(raw.kept(&mut hb, &mut cb, 0));
+    assert_eq!(raw.scan(&mut hb, &mut cb), (0, 0));
+}
+
+#[test]
 fn expired_keep_falls_back_to_the_claim_cas() {
     let table_spec = TableSpec {
         slots: 2,
@@ -417,8 +485,8 @@ fn expired_keep_falls_back_to_the_claim_cas() {
 
     // An owner that idles past its lease no longer trusts its slot: the
     // next commit re-claims it with exactly one CAS from the header it
-    // left, the epoch bumped, on top of the steady state's three (one
-    // lock, decide, keep).
+    // left, the epoch bumped, on top of the steady state's two (one
+    // lock, decide).
     let (ha, ca, ta) = &mut ends[0];
     bump(ta, ha, ca, 0).unwrap();
     let a = (0..2).find(|&s| raw.kept(&mut hc, &mut cc, s)).unwrap();
@@ -426,14 +494,14 @@ fn expired_keep_falls_back_to_the_claim_cas() {
     idle();
     let before = atomics();
     bump(ta, ha, ca, 0).unwrap();
-    assert_eq!(atomics() - before, 4);
+    assert_eq!(atomics() - before, 3);
     assert_eq!((ta.stats().claims_cas, ta.stats().claims_kept), (2, 0));
     let now = raw.slot(&mut hc, &mut cc, a).0;
     assert!(raw.kept(&mut hc, &mut cc, a) && now >> 4 > (left >> 4) + 1);
     // Inside the lease the same slot costs no claim at all.
     let before = atomics();
     bump(ta, ha, ca, 0).unwrap();
-    assert_eq!(atomics() - before, 3);
+    assert_eq!(atomics() - before, 2);
 
     // Now a scavenger takes it meanwhile. A second owner fills the ring,
     // both idle out, and a third handle scavenges both and keeps one.
@@ -456,7 +524,7 @@ fn expired_keep_falls_back_to_the_claim_cas() {
     let theirs = words(&mut hc, &mut cc);
     let (before, claims) = (atomics(), t.stats().claims_cas);
     bump(t, h, ctx, 3).unwrap();
-    assert_eq!(atomics() - before, 5, "lost CAS, claim, lock, decide, keep");
+    assert_eq!(atomics() - before, 4, "lost CAS, claim, lock, decide");
     assert_eq!(t.stats().claims_cas, claims + 1);
     assert_eq!(words(&mut hc, &mut cc), theirs);
     assert!(raw.kept(&mut hc, &mut cc, 1 - taken));
@@ -496,9 +564,16 @@ fn more_handles_than_slots_all_commit() {
     assert_eq!(out.committed as u64, 4 * ROUNDS + 1);
 }
 
-/// Whether a slot's `(header, lease word)` say kept and idle.
-fn is_kept((hdr, lease): (u64, u64)) -> bool {
-    hdr & 0xf == 1 && (hdr >> 4).wrapping_sub(lease) & 0xffff == 1
+/// How far a slot's lease word runs ahead of its header, in epochs: 0
+/// when its last transaction decided, 1 while one is in flight.
+fn lease_ahead((hdr, lease): (u64, u64)) -> u64 {
+    lease.wrapping_sub(hdr >> 4) & 0xffff
+}
+
+/// Whether a slot's `(header, lease word)` say kept and idle: COMMITTED
+/// or ABORTED, at the epoch of its lease.
+fn is_kept(slot: (u64, u64)) -> bool {
+    matches!(slot.0 & 0xf, 2 | 3) && lease_ahead(slot) == 0
 }
 
 /// Raw view of a table's LMR (layout from `lite_txn::table`'s module
@@ -546,25 +621,28 @@ impl Raw {
         (self.word(h, ctx, off), self.word(h, ctx, off + 8))
     }
 
-    /// Whether slot `s` is kept and idle: UNDECIDED, one epoch ahead of
-    /// the lease word its owner's last transaction published.
+    /// Whether slot `s` is kept and idle (`is_kept`).
     fn kept(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx, s: u64) -> bool {
         is_kept(self.slot(h, ctx, s))
     }
 
     /// `(records whose version word is a lock word, slots stuck
-    /// mid-commit: COMMITTED, or UNDECIDED and not just kept)`.
+    /// mid-commit: a lock word names them, or their lease is one epoch
+    /// ahead of the header — in flight)`. The header alone cannot tell: a
+    /// commit whose release was cut short leaves `COMMITTED` under the
+    /// lease of its epoch, exactly as a kept slot reads.
     fn scan(&self, h: &mut lite::LiteHandle, ctx: &mut Ctx) -> (u64, u64) {
-        let locked = (0..self.spec.records)
-            .filter(|&r| self.record(h, ctx, r).0 & 1 == 1)
-            .count() as u64;
+        let locks: Vec<u64> = (0..self.spec.records)
+            .map(|r| self.record(h, ctx, r).0)
+            .filter(|w| w & 1 == 1)
+            .collect();
         let busy = (0..self.spec.slots as u64)
             .filter(|&s| {
-                let slot = self.slot(h, ctx, s);
-                matches!(slot.0 & 0xf, 1 | 2) && !is_kept(slot)
+                locks.iter().any(|w| (w >> 1) & 0xffff == s)
+                    || lease_ahead(self.slot(h, ctx, s)) == 1
             })
             .count() as u64;
-        (locked, busy)
+        (locks.len() as u64, busy)
     }
 }
 

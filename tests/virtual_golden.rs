@@ -172,9 +172,11 @@ fn per_call_virtual_costs_are_the_published_ones() {
     // the last. `commit` alone is timed; the two reads before it are not.
     // A read-only commit is one chain of two word reads. A steady-state
     // read-2-write-2 commit is two chains on the slot the handle keeps —
-    // [redo, lease, lock, lock] and [decide, payload x 2, version x 2,
-    // keep-slot] — so a third round trip (it was 13 942 ns with a claim
-    // CAS before them and the decide between them) fails here.
+    // [redo, lease, lock, lock] and [decide, payload x 2, version x 2],
+    // the decide carrying the slot to its next epoch — so a third round
+    // trip (it was 13 942 ns with a claim CAS before them and the decide
+    // between them) or a fourth atomic (8 152 ns with a keep-slot CAS
+    // last) fails here.
     let cluster = LiteCluster::start(4).unwrap();
     let mut user = cluster.attach(0).unwrap();
     let spec = TableSpec {
@@ -213,6 +215,6 @@ fn per_call_virtual_costs_are_the_published_ones() {
     };
     assert_eq!(txns(false).0, 2_328 * calls, "Txn::commit read-only");
     let (vns, issued) = txns(true);
-    assert_eq!(vns, 8_152 * calls, "Txn::commit read-2-write-2");
-    assert_eq!(issued, 12 * calls, "verbs per read-2-write-2: 2 + 4 + 6");
+    assert_eq!(vns, 7_866 * calls, "Txn::commit read-2-write-2");
+    assert_eq!(issued, 11 * calls, "verbs per read-2-write-2: 2 + 4 + 5");
 }
