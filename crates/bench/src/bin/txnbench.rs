@@ -20,6 +20,7 @@ use std::sync::Arc;
 use bench::{print_table, Row};
 use lite::{LiteCluster, LiteHandle, LockId, Perm, QosMode};
 use lite_txn::{TableSpec, TxnError, TxnTable};
+use rnic::COST;
 use simnet::Ctx;
 
 const RECORDS: u64 = 64;
@@ -162,10 +163,9 @@ fn run_occ(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
         claims_cas += stats.claims_cas;
     }
     let nic = home_nic();
-    let cost = cluster.fabric().cost();
     let busy_ns = (nic.engine_busy_ns - nic_before.engine_busy_ns).max(1);
     let atomic_ns =
-        (nic.atomic_ops - nic_before.atomic_ops) * (cost.nic_engine_ns + cost.atomic_extra_ns);
+        (nic.atomic_ops - nic_before.atomic_ops) * (COST.nic_engine_ns + COST.atomic_extra_ns);
     RunResult {
         txns: (THREADS * ops) as u64,
         elapsed_ns,

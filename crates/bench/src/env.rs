@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use lite::{LiteCluster, LiteConfig, QosConfig};
+use lite::{LiteCluster, LiteConfig};
 use parking_lot::Mutex;
 use rnic::{IbConfig, IbFabric};
 use smem::{AddrSpace, PhysAllocator};
@@ -49,12 +49,8 @@ impl LiteEnv {
     /// Custom-config cluster.
     pub fn with_config(nodes: usize, config: LiteConfig) -> LiteEnv {
         LiteEnv {
-            cluster: LiteCluster::start_with(
-                IbConfig::with_nodes(nodes),
-                config,
-                QosConfig::default(),
-            )
-            .expect("cluster start"),
+            cluster: LiteCluster::start_with(IbConfig::with_nodes(nodes), config)
+                .expect("cluster start"),
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use lite::{LiteConfig, Perm};
 use rand::{Rng, SeedableRng};
+use rnic::COST;
 use simnet::{Ctx, Summary};
 
 use crate::env::LiteEnv;
@@ -89,7 +90,7 @@ pub fn ablation_global_mr(full: bool) -> Vec<Row> {
             )
             .unwrap();
         ctx.wait_until(comp);
-        ctx.work(venv.fabric.cost().cq_poll_ns);
+        ctx.work(COST.cq_poll_ns);
         s.record(ctx.now() - t0);
     }
     vec![Row::new("64B@64MB")

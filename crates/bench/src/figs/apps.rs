@@ -63,7 +63,6 @@ pub fn fig19(full: bool) -> Vec<Row> {
     let g = lite_graph::Graph::power_law(v, e, 0.9, 19);
     let cfg = lite_graph::PagerankConfig {
         max_iters: if full { 10 } else { 6 },
-        ..Default::default()
     };
     let reference = lite_graph::run_reference(&g, &cfg);
     let mut rows = Vec::new();

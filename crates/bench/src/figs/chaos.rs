@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{LiteCluster, LiteConfig, Perm, QosConfig};
+use lite::{LiteCluster, LiteConfig, Perm};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -25,7 +25,6 @@ fn cluster(nodes: usize, retry_enabled: bool) -> Arc<LiteCluster> {
             retry_enabled,
             ..Default::default()
         },
-        QosConfig::default(),
     )
     .unwrap()
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use lite::Perm;
 use rand::{Rng, SeedableRng};
-use rnic::{Access, RemoteAddr, Sge};
+use rnic::{Access, RemoteAddr, Sge, COST};
 use simnet::{Ctx, Summary};
 use transport::{RcmSock, TcpCostModel, TcpNet};
 
@@ -60,7 +60,7 @@ impl VerbsWriter {
             .post_write(ctx, &self.qp, 0, &sge, remote, None, false)
             .unwrap();
         ctx.wait_until(comp);
-        ctx.work(self.env.fabric.cost().cq_poll_ns);
+        ctx.work(COST.cq_poll_ns);
     }
 }
 
@@ -202,7 +202,7 @@ pub fn fig05(full: bool) -> Vec<Row> {
                             )
                             .unwrap();
                         ctx.wait_until(comp);
-                        ctx.work(env.fabric.cost().cq_poll_ns);
+                        ctx.work(COST.cq_poll_ns);
                         gate.pace(t, ctx.now());
                     }
                     gate.finish(t);
@@ -433,7 +433,7 @@ pub fn fig07(full: bool) -> Vec<Row> {
                             )
                             .unwrap();
                         ctx.wait_until(comp);
-                        ctx.work(env.fabric.cost().cq_poll_ns);
+                        ctx.work(COST.cq_poll_ns);
                         gate.pace(t, ctx.now());
                     }
                     gate.finish(t);

@@ -230,7 +230,6 @@ pub fn fig15(full: bool) -> Vec<Row> {
     let g = lite_graph::Graph::power_law(4_000, 40_000, 0.9, 15);
     let cfg = lite_graph::PagerankConfig {
         max_iters: if full { 6 } else { 4 },
-        ..Default::default()
     };
     let mut graph_rate = Vec::new();
     for &(_, mode) in modes {

@@ -10,7 +10,7 @@
 //! suitable for CI).
 //!
 //! Absolute numbers come from a calibrated cost model (see
-//! [`rnic::CostModel`] and DESIGN.md §2); the claims under test are the
+//! [`rnic::COST`] and DESIGN.md §2); the claims under test are the
 //! *shapes*: who wins, by what factor, and where the cliffs fall.
 
 pub mod env;

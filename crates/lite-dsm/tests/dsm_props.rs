@@ -148,7 +148,7 @@ fn reads_move_data_one_sidedly() {
 /// actually have engaged.
 #[test]
 fn concurrent_cells_lose_nothing_under_memory_budget() {
-    use lite::{LiteConfig, QosConfig};
+    use lite::LiteConfig;
     use rnic::IbConfig;
     use std::time::Duration;
 
@@ -160,8 +160,7 @@ fn concurrent_cells_lose_nothing_under_memory_budget() {
         max_lmr_chunk: 4096,
         ..LiteConfig::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(3), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(3), config).unwrap();
     let dsm = DsmCluster::create(&cluster, (8 * PAGE) as u64).unwrap();
     let per_node = 25;
     let mut joins = Vec::new();

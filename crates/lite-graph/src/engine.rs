@@ -12,25 +12,22 @@ pub const APPLY_NS: Nanos = 25;
 /// Per-vertex cost of the delta-cache check when a vertex is skipped.
 pub const SKIP_NS: Nanos = 2;
 
+/// PageRank damping factor.
+pub const DAMPING: f64 = 0.85;
+/// Delta-cache threshold: vertices whose rank moved less than this are
+/// inactive next iteration.
+pub const EPSILON: f64 = 1e-7;
+
 /// PageRank parameters.
 #[derive(Debug, Clone)]
 pub struct PagerankConfig {
-    /// Damping factor.
-    pub damping: f64,
     /// Iteration cap.
     pub max_iters: usize,
-    /// Delta-cache threshold: vertices whose rank moved less than this
-    /// are inactive next iteration.
-    pub epsilon: f64,
 }
 
 impl Default for PagerankConfig {
     fn default() -> Self {
-        PagerankConfig {
-            damping: 0.85,
-            max_iters: 10,
-            epsilon: 1e-7,
-        }
+        PagerankConfig { max_iters: 10 }
     }
 }
 
@@ -136,9 +133,9 @@ pub fn node_loop<B: Backend>(
             }
             edges_done += srcs.len() as u64;
             applied += 1;
-            let new_rank = (1.0 - cfg.damping) / n as f64 + cfg.damping * acc;
+            let new_rank = (1.0 - DAMPING) / n as f64 + DAMPING * acc;
             let delta = (new_rank - my_ranks[i]).abs();
-            if delta > cfg.epsilon {
+            if delta > EPSILON {
                 new_active[i] = true;
             }
             max_delta = max_delta.max(delta);
@@ -170,8 +167,7 @@ mod tests {
 
     #[test]
     fn config_defaults() {
-        let c = PagerankConfig::default();
-        assert!(c.damping > 0.8 && c.damping < 0.9);
-        assert!(c.max_iters >= 5);
+        const { assert!(DAMPING > 0.8 && DAMPING < 0.9) };
+        assert!(PagerankConfig::default().max_iters >= 5);
     }
 }

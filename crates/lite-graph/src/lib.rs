@@ -66,10 +66,7 @@ mod tests {
     #[test]
     fn fig19_ordering_at_scale() {
         let g = Graph::power_law(30_000, 240_000, 0.9, 21);
-        let cfg = PagerankConfig {
-            max_iters: 6,
-            ..Default::default()
-        };
+        let cfg = PagerankConfig { max_iters: 6 };
         let cluster = lite::LiteCluster::start(3).unwrap();
         let lite_r = run_lite(&cluster, &g, 3, 4, &cfg).unwrap();
         let tcp_r = run_powergraph_tcp(&g, 3, 4, &cfg);
@@ -115,10 +112,7 @@ mod tests {
         use std::time::Duration;
 
         let g = Graph::power_law(3_000, 24_000, 0.9, 11);
-        let cfg = PagerankConfig {
-            max_iters: 5,
-            ..Default::default()
-        };
+        let cfg = PagerankConfig { max_iters: 5 };
         let reference = run_reference(&g, &cfg);
 
         let config = lite::LiteConfig {
@@ -127,12 +121,7 @@ mod tests {
             max_lmr_chunk: 4096,
             ..lite::LiteConfig::default()
         };
-        let cluster = lite::LiteCluster::start_with(
-            rnic::IbConfig::with_nodes(3),
-            config,
-            lite::QosConfig::default(),
-        )
-        .unwrap();
+        let cluster = lite::LiteCluster::start_with(rnic::IbConfig::with_nodes(3), config).unwrap();
         let lite_r = run_lite(&cluster, &g, 3, 2, &cfg).unwrap();
         assert_eq!(lite_r.ranks.len(), reference.ranks.len());
         for (i, (a, b)) in lite_r.ranks.iter().zip(&reference.ranks).enumerate() {

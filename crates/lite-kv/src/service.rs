@@ -9,15 +9,20 @@ use std::time::Duration;
 
 use lite::{Lh, LiteCluster, LiteError, LiteHandle, LiteResult, Perm, Priority, USER_FUNC_MIN};
 use lite_log::LiteLog;
+use rnic::COST;
 use simnet::Ctx;
 
 use crate::record::{self, Slot, HEADER};
 use crate::{KvError, KvResult};
 
-/// Offset the three service functions claim above `spec.func_base`.
-const FN_PUT: u8 = 0;
-const FN_GET: u8 = 1;
-const FN_REPL: u8 = 2;
+/// The three service functions' RPC ids: the first user ids.
+const FN_PUT: u8 = USER_FUNC_MIN;
+const FN_GET: u8 = USER_FUNC_MIN + 1;
+const FN_REPL: u8 = USER_FUNC_MIN + 2;
+
+/// Max updates streamed per replication multicast (and replayed per idle
+/// catch-up pass).
+const REPL_BATCH: usize = 32;
 
 /// GET reply status bytes.
 const GET_HIT: u8 = 0;
@@ -64,16 +69,12 @@ pub struct KvSpec {
     pub leader: usize,
     /// Follower replica nodes (read path + redundancy).
     pub followers: Vec<usize>,
-    /// First of three consecutive RPC function ids (PUT/GET/REPL).
-    pub func_base: u8,
     /// Byte capacity of the ordering log ring.
     pub log_capacity: u64,
     /// Byte capacity of each replica's value arena.
     pub arena_bytes: u64,
     /// Largest value a client may read back (sizes reply buffers).
     pub max_value: usize,
-    /// Max updates streamed per replication multicast.
-    pub repl_batch: usize,
     /// Per-node artificial apply cost (virtual ns per update), for
     /// modelling deliberately slow consumer replicas.
     pub slow_followers: Vec<(usize, u64)>,
@@ -86,11 +87,9 @@ impl KvSpec {
             name: name.to_string(),
             leader,
             followers: followers.to_vec(),
-            func_base: USER_FUNC_MIN,
             log_capacity: 4 << 20,
             arena_bytes: 1 << 20,
             max_value: 4096,
-            repl_batch: 32,
             slow_followers: Vec::new(),
         }
     }
@@ -100,16 +99,6 @@ impl KvSpec {
         let mut v = vec![self.leader];
         v.extend_from_slice(&self.followers);
         v
-    }
-
-    fn fn_put(&self) -> u8 {
-        self.func_base + FN_PUT
-    }
-    fn fn_get(&self) -> u8 {
-        self.func_base + FN_GET
-    }
-    fn fn_repl(&self) -> u8 {
-        self.func_base + FN_REPL
     }
 
     fn apply_delay(&self, node: usize) -> u64 {
@@ -313,7 +302,7 @@ impl Store {
         value: &[u8],
     ) -> KvResult<Loc> {
         let rec = record::live(seq, key, value);
-        ctx.work(check_cost(h, rec.len()));
+        ctx.work(check_cost(rec.len()));
         if let Some(loc) = self.index.get_mut(key) {
             if value.len() <= loc.cap as usize {
                 h.lt_write(ctx, self.arena, loc.off, &rec)?;
@@ -357,8 +346,8 @@ impl Store {
 
 /// CPU a record's check costs its writer and each reader: one pass over
 /// the bytes.
-fn check_cost(h: &LiteHandle, len: usize) -> u64 {
-    h.kernel().fabric().cost().memcpy_time(len as u64)
+fn check_cost(len: usize) -> u64 {
+    COST.memcpy_time(len as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -417,8 +406,8 @@ impl KvService {
                     LiteLog::create(&mut h, &mut ctx, spec.leader, &spec.name, spec.log_capacity)
                         .expect("kv log create");
                 let mut store = Store::create(&mut h, &mut ctx, &spec, spec.leader);
-                h.register_rpc(spec.fn_put()).expect("register PUT");
-                h.register_rpc(spec.fn_get()).expect("register GET");
+                h.register_rpc(FN_PUT).expect("register PUT");
+                h.register_rpc(FN_GET).expect("register GET");
                 log_ready.wait();
                 ready.wait();
                 serve_leader(
@@ -442,8 +431,8 @@ impl KvService {
                 let log = LiteLog::open(&mut h, &mut ctx, &spec.name, spec.log_capacity)
                     .expect("kv log open");
                 let mut store = Store::create(&mut h, &mut ctx, &spec, node);
-                h.register_rpc(spec.fn_repl()).expect("register REPL");
-                h.register_rpc(spec.fn_get()).expect("register GET");
+                h.register_rpc(FN_REPL).expect("register REPL");
+                h.register_rpc(FN_GET).expect("register GET");
                 ready.wait();
                 serve_follower(
                     &cluster, &spec, &stop, &state, &mut h, &mut ctx, &log, &mut store,
@@ -553,7 +542,7 @@ fn serve_leader(
     while !stop.load(Ordering::Acquire) {
         let mut busy = false;
         // Writes: order through the log, apply locally, ack with seq.
-        while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, spec.fn_put()) {
+        while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, FN_PUT) {
             busy = true;
             let reply = match dec_put(&call.input) {
                 None => vec![BAD_REQUEST],
@@ -579,7 +568,7 @@ fn serve_leader(
             };
             let _ = h.lt_reply_rpc(ctx, &call, &reply);
         }
-        busy |= serve_gets(spec, state, &kernel, h, ctx, store);
+        busy |= serve_gets(state, &kernel, h, ctx, store);
         if !busy {
             idle_pause();
         }
@@ -589,7 +578,6 @@ fn serve_leader(
 /// Drains the GET queue; shared by leader and followers. Returns
 /// whether any call was served.
 fn serve_gets(
-    spec: &KvSpec,
     state: &ReplicaState,
     kernel: &lite::LiteKernel,
     h: &mut LiteHandle,
@@ -597,7 +585,7 @@ fn serve_gets(
     store: &Store,
 ) -> bool {
     let mut busy = false;
-    while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, spec.fn_get()) {
+    while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, FN_GET) {
         busy = true;
         kernel.note_kv_get();
         let applied = state.applied.load(Ordering::Acquire);
@@ -649,7 +637,7 @@ fn serve_follower(
         // Replication stream: always drained and acked promptly (the
         // leader must never block on a slow consumer); applied unless
         // paused. A gap means missed frames — recover from the log.
-        while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, spec.fn_repl()) {
+        while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, FN_REPL) {
             busy = true;
             if !state.paused.load(Ordering::Acquire) {
                 for f in dec_frames(&call.input).unwrap_or_default() {
@@ -661,7 +649,7 @@ fn serve_follower(
             r.extend_from_slice(&state.next_off.load(Ordering::Acquire).to_le_bytes());
             let _ = h.lt_reply_rpc(ctx, &call, &r);
         }
-        busy |= serve_gets(spec, state, &kernel, h, &mut reads, store);
+        busy |= serve_gets(state, &kernel, h, &mut reads, store);
         if busy {
             idle_rounds = 0;
             continue;
@@ -673,7 +661,7 @@ fn serve_follower(
         if idle_rounds.is_multiple_of(20) && !state.paused.load(Ordering::Acquire) {
             if let Ok(target) = log.committed(h, ctx) {
                 if target > state.applied.load(Ordering::Acquire) {
-                    catch_up_from_log(state, h, ctx, log, store, target, delay, spec.repl_batch);
+                    catch_up_from_log(state, h, ctx, log, store, target, delay, REPL_BATCH);
                     continue;
                 }
             }
@@ -787,7 +775,7 @@ fn run_replicator(
         // Read the next batch out of the log (one-sided; the leader's
         // serving thread is not involved).
         let mut frames = Vec::new();
-        while repl_seq < committed && frames.len() < spec.repl_batch {
+        while repl_seq < committed && frames.len() < REPL_BATCH {
             let Ok(txn) = log.read_at(&mut h, &mut ctx, repl_off) else {
                 break;
             };
@@ -833,7 +821,7 @@ fn run_replicator(
         let nodes: Vec<usize> = targets.iter().map(|&(_, node)| node).collect();
         if !nodes.is_empty() {
             let results = h
-                .lt_multicast_rpc_partial(&mut ctx, &nodes, spec.fn_repl(), &buf, 32)
+                .lt_multicast_rpc_partial(&mut ctx, &nodes, FN_REPL, &buf, 32)
                 .unwrap_or_else(|_| vec![Err(LiteError::Timeout); nodes.len()]);
             for ((i, _), result) in targets.iter().zip(results) {
                 match result {
@@ -1018,7 +1006,6 @@ pub struct KvClient {
     h: LiteHandle,
     leader: usize,
     replicas: Vec<usize>,
-    func_base: u8,
     max_value: usize,
     mode: SessionMode,
     session_seq: u64,
@@ -1051,7 +1038,6 @@ impl KvClient {
             h,
             leader: spec.leader,
             replicas: spec.replicas(),
-            func_base: spec.func_base,
             max_value: spec.max_value,
             mode,
             session_seq: 0,
@@ -1090,13 +1076,9 @@ impl KvClient {
     /// Writes `key = value` through the leader; returns the assigned
     /// sequence number.
     pub fn put(&mut self, ctx: &mut Ctx, key: &[u8], value: &[u8]) -> KvResult<u64> {
-        let rep = self.h.lt_rpc(
-            ctx,
-            self.leader,
-            self.func_base + FN_PUT,
-            &enc_put(key, value),
-            REPLY_HEAD,
-        )?;
+        let rep = self
+            .h
+            .lt_rpc(ctx, self.leader, FN_PUT, &enc_put(key, value), REPLY_HEAD)?;
         match rep.first() {
             Some(&PUT_OK) if rep.len() == REPLY_HEAD => {
                 let seq = u64::from_le_bytes(rep[1..LOC_AT].try_into().expect("8"));
@@ -1181,7 +1163,7 @@ impl KvClient {
         self.arena(ctx, replica)
             .and_then(|arena| self.h.lt_read(ctx, arena, off, &mut buf))
             .map_err(|_| Miss::Unreachable)?;
-        ctx.work(check_cost(&self.h, buf.len()));
+        ctx.work(check_cost(buf.len()));
         let len = match record::parse(&buf, key) {
             Slot::Live { seq, value } if seq >= need => value.len(),
             Slot::Live { .. } => return Err(Miss::TooOld),
@@ -1223,7 +1205,7 @@ impl KvClient {
         let rep = self.h.lt_rpc(
             ctx,
             node,
-            self.func_base + FN_GET,
+            FN_GET,
             &enc_get(need, key),
             REPLY_HEAD + self.max_value,
         )?;
@@ -1296,18 +1278,18 @@ mod tests {
         let svc = KvService::spawn(&cluster, spec.clone());
         let mut h = cluster.attach(0).unwrap();
         // No key length; a key length past the end of the request.
-        assert_eq!(raw(&mut h, 1, spec.fn_put(), &[5]), [BAD_REQUEST]);
-        assert_eq!(raw(&mut h, 1, spec.fn_put(), &[9, 0, b'k']), [BAD_REQUEST]);
+        assert_eq!(raw(&mut h, 1, FN_PUT, &[5]), [BAD_REQUEST]);
+        assert_eq!(raw(&mut h, 1, FN_PUT, &[9, 0, b'k']), [BAD_REQUEST]);
         // A GET too short to hold its `need_seq`, on leader and follower.
         for node in spec.replicas() {
-            assert_eq!(raw(&mut h, node, spec.fn_get(), &[0; 7]), [BAD_REQUEST]);
+            assert_eq!(raw(&mut h, node, FN_GET, &[0; 7]), [BAD_REQUEST]);
         }
         // Well-formed ones still answer as before.
-        let ok = raw(&mut h, 1, spec.fn_put(), &enc_put(b"k", b"v"));
+        let ok = raw(&mut h, 1, FN_PUT, &enc_put(b"k", b"v"));
         assert_eq!((ok[0], ok.len()), (PUT_OK, REPLY_HEAD));
-        let hit = raw(&mut h, 1, spec.fn_get(), &enc_get(0, b"k"));
+        let hit = raw(&mut h, 1, FN_GET, &enc_get(0, b"k"));
         assert_eq!((hit[0], &hit[REPLY_HEAD..]), (GET_HIT, &b"v"[..]));
-        let miss = raw(&mut h, 1, spec.fn_get(), &enc_get(0, b"nope"));
+        let miss = raw(&mut h, 1, FN_GET, &enc_get(0, b"nope"));
         assert_eq!((miss[0], miss.len()), (GET_MISS, LOC_AT));
         assert_eq!(svc.committed_seq(), 1, "nothing malformed was ordered");
         svc.stop();
@@ -1326,7 +1308,7 @@ mod tests {
         // Two 64 B slots fit 256 B of arena, a third does not.
         c.put(&mut ctx, b"a", &[1; 64]).unwrap();
         c.put(&mut ctx, b"b", &[2; 64]).unwrap();
-        let full = raw(&mut h, 1, spec.fn_put(), &enc_put(b"c", &[3; 64]));
+        let full = raw(&mut h, 1, FN_PUT, &enc_put(b"c", &[3; 64]));
         assert_eq!(full, [PUT_STORE_FULL]);
         assert!(matches!(
             c.put(&mut ctx, b"c", &[3; 64]),
@@ -1336,7 +1318,7 @@ mod tests {
         svc.pause_follower(2);
         let filled = (0..64).find_map(|_| c.put(&mut ctx, b"a", &[4; 64]).err());
         assert!(matches!(filled, Some(KvError::LogFull)), "{filled:?}");
-        let full = raw(&mut h, 1, spec.fn_put(), &enc_put(b"a", &[5; 64]));
+        let full = raw(&mut h, 1, FN_PUT, &enc_put(b"a", &[5; 64]));
         assert_eq!(full, [PUT_LOG_FULL]);
         svc.stop();
     }
@@ -1354,16 +1336,16 @@ mod tests {
             0x77,
         ];
         let mut server = cluster.attach(1).unwrap();
-        server.register_rpc(spec.fn_put()).unwrap();
-        server.register_rpc(spec.fn_get()).unwrap();
+        server.register_rpc(FN_PUT).unwrap();
+        server.register_rpc(FN_GET).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut ctx = Ctx::new();
                 for status in script {
-                    let call = server.lt_recv_rpc(&mut ctx, spec.fn_put()).unwrap();
+                    let call = server.lt_recv_rpc(&mut ctx, FN_PUT).unwrap();
                     server.lt_reply_rpc(&mut ctx, &call, &[status]).unwrap();
                 }
-                let call = server.lt_recv_rpc(&mut ctx, spec.fn_get()).unwrap();
+                let call = server.lt_recv_rpc(&mut ctx, FN_GET).unwrap();
                 server
                     .lt_reply_rpc(&mut ctx, &call, &[BAD_REQUEST])
                     .unwrap();
@@ -1403,19 +1385,19 @@ mod tests {
             (last, 8),
         ];
         let mut server = cluster.attach(1).unwrap();
-        server.register_rpc(spec.fn_put()).unwrap();
-        server.register_rpc(spec.fn_get()).unwrap();
+        server.register_rpc(FN_PUT).unwrap();
+        server.register_rpc(FN_GET).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut ctx = Ctx::new();
                 for (i, (off, cap)) in script.into_iter().enumerate() {
                     // Even replies answer a put, odd ones a get.
-                    let (func, status) = [(spec.fn_put(), PUT_OK), (spec.fn_get(), GET_HIT)][i % 2];
+                    let (func, status) = [(FN_PUT, PUT_OK), (FN_GET, GET_HIT)][i % 2];
                     let call = server.lt_recv_rpc(&mut ctx, func).unwrap();
                     let mut reply = vec![status];
                     reply.extend_from_slice(&1u64.to_le_bytes());
                     Loc { off, len: 1, cap }.append_to(&mut reply);
-                    if func == spec.fn_get() {
+                    if func == FN_GET {
                         reply.push(b'v');
                     }
                     server.lt_reply_rpc(&mut ctx, &call, &reply).unwrap();

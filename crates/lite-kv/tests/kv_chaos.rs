@@ -7,7 +7,7 @@
 
 use std::time::{Duration, Instant};
 
-use lite::{LiteCluster, LiteConfig, QosConfig};
+use lite::{LiteCluster, LiteConfig};
 use lite_kv::{KvClient, KvService, KvSpec, SessionMode};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
@@ -31,8 +31,7 @@ fn service_survives_follower_crash_and_restart() {
         op_timeout: Duration::from_millis(300),
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(5), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(5), config).unwrap();
     let spec = KvSpec::new("kv", 1, &[2, 3]);
     let svc = KvService::spawn(&cluster, spec.clone());
 

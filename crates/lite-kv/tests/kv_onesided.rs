@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lite::{LiteCluster, LiteConfig, LiteError, Perm, QosConfig};
+use lite::{LiteCluster, LiteConfig, LiteError, Perm};
 use lite_kv::record::{self, Slot, HEADER};
 use lite_kv::{KvClient, KvClientStats, KvFallbacks, KvService, KvSpec, SessionMode};
 use rand::rngs::SmallRng;
@@ -442,8 +442,7 @@ fn cached_reads_ride_mm_tiering() {
         max_lmr_chunk: 16 * 1024,
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(4), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(4), config).unwrap();
     let mut spec = KvSpec::new("kv", 1, &[2]);
     spec.arena_bytes = 1 << 20;
     spec.log_capacity = 2 << 20;

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use lite::{LiteCluster, LiteConfig, QosConfig};
+use lite::{LiteCluster, LiteConfig};
 use lite_kv::{KvClient, KvService, KvSpec, SessionMode};
 use rnic::IbConfig;
 use simnet::Ctx;
@@ -172,8 +172,7 @@ fn capacity_overflow_rides_mm_tiering() {
         max_lmr_chunk: 16 * 1024,
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(4), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(4), config).unwrap();
     let mut spec = KvSpec::new("kv", 1, &[2]);
     spec.arena_bytes = 1 << 20;
     spec.log_capacity = 2 << 20;

@@ -125,7 +125,7 @@
 //!
 //! The home node runs no code, but its NIC's request engine serves
 //! every verb, and an atomic holds it six times as long as a read or a
-//! write (`rnic::CostModel`: 180 ns, + 900 ns `atomic_extra_ns`). So
+//! write (`rnic::COST`: 180 ns, + 900 ns `atomic_extra_ns`). So
 //! atomics are kept for the places where a race is *decided* — lock,
 //! decide, the occasional claim, and everything abort and recovery do —
 //! and the places that only *observe*, *publish* or *move on* use plain

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{LiteCluster, LiteConfig, QosConfig, TxnLog};
+use lite::{LiteCluster, LiteConfig, TxnLog};
 use lite_txn::{CrashPoint, TableSpec, TxnError, TxnTable};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
@@ -179,7 +179,6 @@ fn lost_decide_ack_lands_each_write_once() {
             retry_base_ns: 100_000,
             ..Default::default()
         },
-        QosConfig::default(),
     )
     .unwrap();
     let mut h0 = cluster.attach(0).unwrap();

@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use rnic::NodeId;
+use rnic::{NodeId, COST};
 use simnet::{Ctx, Nanos};
 use smem::{Chunk, PhysMem};
 
@@ -655,7 +655,7 @@ impl LiteHandle {
             lmr_off += c.len;
         }
         if faulted > 0 {
-            ctx.work(self.kernel.fabric().cost().fault_page_ns * faulted as u64);
+            ctx.work(COST.fault_page_ns * faulted as u64);
         }
         Ok(())
     }
@@ -974,7 +974,7 @@ impl LiteHandle {
     fn finish_recv(&mut self, ctx: &mut Ctx, inc: crate::kernel::Incoming) -> LiteResult<RpcCall> {
         let client = inc.hdr.src_node as NodeId;
         let input = self.kernel.read_ring_payload(client, &inc)?;
-        ctx.work(self.kernel.fabric().cost().memcpy_time(input.len() as u64));
+        ctx.work(COST.memcpy_time(input.len() as u64));
         ctx.work(RPC_META_NS);
         self.kernel.release_ring(ctx, client, &inc)?;
         Ok(RpcCall {
@@ -1189,7 +1189,7 @@ impl LiteHandle {
                 // timed out while still queued. The per-pair ring is
                 // FIFO and drops are terminal, so by the time the abort
                 // runs the enqueue either ran or never will.
-                match self.lock_abort(ctx, lock, token) {
+                match self.ask_owner(ctx, lock, LOCK_ABORT, token) {
                     // The grant won the race — we hold the lock.
                     Ok(1) => Ok(()),
                     // Dequeued (0) or never arrived (2): we don't hold
@@ -1210,19 +1210,48 @@ impl LiteHandle {
         }
     }
 
-    /// Asks the lock owner to cancel enqueue `token`; returns the
-    /// owner's answer (0 = dequeued, 1 = already granted, 2 = never
-    /// arrived). The owner memoizes the answer per token, so the
-    /// bounded retries here are idempotent.
-    fn lock_abort(&mut self, ctx: &mut Ctx, lock: LockId, token: u64) -> LiteResult<u8> {
+    /// Asks the lock owner `op` (`LOCK_ABORT` or `LOCK_RELEASE`) under
+    /// `token` until an answer settles it; returns that answer. The owner
+    /// memoizes abort answers and dedups consumed release tokens, so the
+    /// retries are idempotent. An abort settles at its first answer
+    /// (0 = dequeued, 1 = already granted, 2 = never arrived). A release
+    /// settles at any answer but `LOCK_NO_WAITER`, which means the
+    /// winner's enqueue is still in flight *or* its increment was unwound
+    /// by an abort; re-reading the word tells the two apart (0 = nothing
+    /// outstanding, the lock is simply free).
+    fn ask_owner(&mut self, ctx: &mut Ctx, lock: LockId, op: u8, token: u64) -> LiteResult<u8> {
+        // Each failed kcall already burns up to one op_timeout, so the
+        // attempt budget (not the deadline) bounds the error path; the
+        // deadline bounds the fast "no waiter yet" polling loop.
+        let deadline = std::time::Instant::now() + self.kernel.config.op_timeout * 4;
+        let mut errs = 0;
         let mut last = LiteError::Timeout;
-        for _ in 0..3 {
-            match self.k_lock(ctx, lock, LOCK_ABORT, token) {
+        loop {
+            match self.k_lock(ctx, lock, op, token) {
+                Ok(LOCK_NO_WAITER) if op == LOCK_RELEASE => {
+                    match self.lock_word_add(ctx, lock, 0) {
+                        Ok(0) => return Ok(LOCK_NO_WAITER),
+                        Ok(_) => {}
+                        Err(e) => last = e,
+                    }
+                }
                 Ok(answer) => return Ok(answer),
-                Err(e) => last = e,
+                Err(e) => {
+                    errs += 1;
+                    last = e;
+                    if errs >= 3 {
+                        return Err(last);
+                    }
+                }
             }
+            if std::time::Instant::now() >= deadline {
+                return Err(last);
+            }
+            // Back off before re-asking: the in-flight enqueue (or the
+            // aborting waiter's unwind) needs time to land.
+            ctx.work(2_000);
+            std::thread::yield_now();
         }
-        Err(last)
     }
 
     /// Best-effort rollback of a failed acquire's `fetch_add`.
@@ -1264,45 +1293,18 @@ impl LiteHandle {
         // release token is generated once and reused verbatim across
         // retries — the owner's dedup on consumed tokens is what makes
         // the retries safe (a release whose ack was lost cannot grant a
-        // second waiter). "No waiter yet" (sub-code 3) means the
-        // winner's enqueue is still in flight *or* its increment was
-        // unwound by an abort; re-reading the word tells the two apart
-        // (0 = nothing outstanding, the lock is simply free).
+        // second waiter).
         let token = self.kernel.next_sync_token();
-        // Each failed kcall already burns up to one op_timeout, so the
-        // attempt budget (not the deadline) bounds the error path; the
-        // deadline bounds the fast "no waiter yet" polling loop.
-        let deadline = std::time::Instant::now() + self.kernel.config.op_timeout * 4;
-        let mut errs = 0;
-        let mut last = None;
-        loop {
-            match self.k_lock(ctx, lock, LOCK_RELEASE, token) {
-                Ok(LOCK_NO_WAITER) => match self.lock_word_add(ctx, lock, 0) {
-                    Ok(0) => return Ok(()),
-                    Ok(_) => {}
-                    Err(e) => last = Some(e),
-                },
-                Ok(_) => return Ok(()),
-                Err(e) => {
-                    errs += 1;
-                    last = Some(e);
-                    if errs >= 3 {
-                        break;
-                    }
-                }
+        match self.ask_owner(ctx, lock, LOCK_RELEASE, token) {
+            Ok(_) => Ok(()),
+            Err(e) => {
+                // The word is already decremented but the handover may
+                // or may not have been processed: indeterminate —
+                // poisoned.
+                self.kernel.note_sync_leak(lock.node, ctx.now());
+                Err(e)
             }
-            if std::time::Instant::now() >= deadline {
-                break;
-            }
-            // Back off before re-asking: the in-flight enqueue (or the
-            // aborting waiter's unwind) needs time to land.
-            ctx.work(2_000);
-            std::thread::yield_now();
         }
-        // The word is already decremented but the handover may or may
-        // not have been processed: indeterminate — poisoned.
-        self.kernel.note_sync_leak(lock.node, ctx.now());
-        Err(last.unwrap_or(LiteError::Timeout))
     }
 
     /// LT_barrier: blocks until `count` participants arrive at barrier
@@ -1522,7 +1524,7 @@ impl LiteHandle {
             let last = comps.iter().map(|c| c.stamp).max().unwrap_or(0);
             if total > 0 || last > ctx.now() {
                 ctx.wait_until(last);
-                ctx.work(self.kernel.fabric().cost().cq_poll_ns);
+                ctx.work(COST.cq_poll_ns);
             }
         }
         let (end, ok) = (ctx.now(), result.is_ok());

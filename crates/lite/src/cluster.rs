@@ -24,14 +24,13 @@ use crate::directory::{ClusterDirectory, DirEntry};
 use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::RnicDataPath;
 use crate::kernel::LiteKernel;
-use crate::qos::{QosConfig, QosMode};
+use crate::qos::QosMode;
 
 /// A running LITE cluster: one fabric, one kernel per joined node, one
 /// membership directory.
 pub struct LiteCluster {
     fabric: Arc<IbFabric>,
     config: LiteConfig,
-    qos_cfg: QosConfig,
     dir: Arc<ClusterDirectory>,
     /// Write-once kernel slot per fabric node; empty until the node
     /// joins (at boot or via [`LiteCluster::join_node`]).
@@ -44,18 +43,14 @@ pub struct LiteCluster {
 impl LiteCluster {
     /// Starts a cluster of `nodes` nodes with default configuration.
     pub fn start(nodes: usize) -> LiteResult<Arc<Self>> {
-        Self::start_with(
-            IbConfig::with_nodes(nodes),
-            LiteConfig::default(),
-            QosConfig::default(),
-        )
+        Self::start_with(IbConfig::with_nodes(nodes), LiteConfig::default())
     }
 
-    /// Starts a cluster with explicit fabric / LITE / QoS configuration.
-    /// Every fabric node joins at boot.
-    pub fn start_with(ib: IbConfig, config: LiteConfig, qos: QosConfig) -> LiteResult<Arc<Self>> {
+    /// Starts a cluster with explicit fabric / LITE configuration. Every
+    /// fabric node joins at boot.
+    pub fn start_with(ib: IbConfig, config: LiteConfig) -> LiteResult<Arc<Self>> {
         let boot = ib.nodes;
-        Self::start_partial(ib, config, qos, boot)
+        Self::start_partial(ib, config, boot)
     }
 
     /// Starts a cluster in which only nodes `0..boot_nodes` join at
@@ -65,7 +60,6 @@ impl LiteCluster {
     pub fn start_partial(
         ib: IbConfig,
         config: LiteConfig,
-        qos: QosConfig,
         boot_nodes: usize,
     ) -> LiteResult<Arc<Self>> {
         let fabric = IbFabric::new(ib);
@@ -77,7 +71,6 @@ impl LiteCluster {
             nodes: (0..capacity).map(|_| OnceLock::new()).collect(),
             history: OnceLock::new(),
             config,
-            qos_cfg: qos,
         });
         for node in 0..boot {
             cluster.join_node(node)?;
@@ -97,7 +90,6 @@ impl LiteCluster {
         let kernel = Arc::new(LiteKernel::new(
             node,
             self.config.clone(),
-            self.qos_cfg.clone(),
             Arc::clone(&self.fabric),
         )?);
         {

@@ -22,7 +22,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use rnic::qp::{RecvEntry, RecvQueue};
-use rnic::{Cq, IbFabric, NodeId};
+use rnic::{Cq, IbFabric, NodeId, COST};
 use simnet::{CpuMeter, Ctx};
 use smem::{PhysAllocator, PhysMem};
 
@@ -31,7 +31,7 @@ use crate::directory::ClusterDirectory;
 use crate::error::{LiteError, LiteResult};
 use crate::mm::MemManager;
 use crate::observe::{self, Observability, QosReport, StatsReport};
-use crate::qos::{QosConfig, QosState};
+use crate::qos::QosState;
 use crate::ring::{ClientRing, HeadCell, ServerRing, HEAD_CELL_SPAN};
 use crate::shard::ShardedMap;
 
@@ -145,12 +145,7 @@ pub struct LiteKernel {
 impl LiteKernel {
     /// Creates the kernel for `node`; the cluster finishes wiring with
     /// [`LiteKernel::finish_setup`].
-    pub(crate) fn new(
-        node: NodeId,
-        config: LiteConfig,
-        qos_cfg: QosConfig,
-        fabric: Arc<IbFabric>,
-    ) -> LiteResult<Self> {
+    pub(crate) fn new(node: NodeId, config: LiteConfig, fabric: Arc<IbFabric>) -> LiteResult<Self> {
         let mem_size = fabric.mem(node).size();
         let alloc = Arc::new(Mutex::new(PhysAllocator::new(0, mem_size)));
         let mut ctx = Ctx::new();
@@ -161,7 +156,6 @@ impl LiteKernel {
         // per-LMR virtual MRs instead (see `ablation` tests).
         let global_mr = nic.register_phys_mr(&mut ctx, 0, mem_size, rnic::Access::RW)?;
         let lock_cells = alloc.lock().alloc(LOCK_CELLS * 8)?;
-        let link = fabric.cost().link_bytes_per_sec;
         let mm = Arc::new(MemManager::new(node, fabric.num_nodes(), &config));
         let shards = config.kernel_shards;
         let capacity = fabric.num_nodes();
@@ -192,7 +186,7 @@ impl LiteKernel {
             service_states: ShardedMap::new(shards),
             next_pid: AtomicU32::new(1),
             next_lh: AtomicU64::new(1),
-            qos: Arc::new(QosState::new(qos_cfg, link)),
+            qos: Arc::new(QosState::new(COST.link_bytes_per_sec)),
             mm,
             mm_thread: Mutex::new(None),
             shutdown: AtomicBool::new(false),

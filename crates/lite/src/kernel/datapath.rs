@@ -14,7 +14,7 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rnic::{IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr};
+use rnic::{IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr, COST};
 use simnet::{Ctx, Nanos};
 use smem::{PhysAllocator, PhysMem};
 
@@ -332,6 +332,21 @@ impl RnicDataPath {
     /// Builds the K shared QPs between this node and `peer`, installing
     /// both ends' pools. Caller holds the directory's connect lock.
     fn wire_peer(&self, peer: NodeId) -> LiteResult<()> {
+        let (me, other) = self.pair_ends(peer)?;
+        let other_dp = other.try_datapath()?;
+        for _ in 0..self.qp_factor.max(1) {
+            self.add_pair(peer, &me, &other, other_dp);
+        }
+        // Latch both ends so neither side re-wires the pair.
+        self.wired[peer].store(true, Ordering::Release);
+        if let Some(w) = other_dp.wired.get(self.node) {
+            w.store(true, Ordering::Release);
+        }
+        Ok(())
+    }
+
+    /// The kernels at the two ends of the pair towards `peer`.
+    fn pair_ends(&self, peer: NodeId) -> LiteResult<(Arc<LiteKernel>, Arc<LiteKernel>)> {
         let me = self
             .kernel
             .upgrade()
@@ -340,28 +355,26 @@ impl RnicDataPath {
             .dir
             .kernel(peer)
             .ok_or(LiteError::NodeDown { node: peer })?;
-        let other_dp = other.try_datapath()?;
-        for _ in 0..self.qp_factor.max(1) {
-            let (sa, ra, rqa) = me.shared_queues();
-            let (sb, rb, rqb) = other.shared_queues();
-            let qa = self
-                .fabric
-                .nic(self.node)
-                .create_qp_with(QpType::Rc, sa, ra, rqa);
-            let qb = self
-                .fabric
-                .nic(peer)
-                .create_qp_with(QpType::Rc, sb, rb, rqb);
-            self.fabric.connect(&qa, &qb);
-            self.add_qp(peer, qa);
-            other_dp.add_qp(self.node, qb);
-        }
-        // Latch both ends so neither side re-wires the pair.
-        self.wired[peer].store(true, Ordering::Release);
-        if let Some(w) = other_dp.wired.get(self.node) {
-            w.store(true, Ordering::Release);
-        }
-        Ok(())
+        Ok((me, other))
+    }
+
+    /// Builds one RC QP pair on the two nodes' shared queues, connects it
+    /// and adds it to both ends' pools. Caller holds the directory's
+    /// connect lock.
+    fn add_pair(&self, peer: NodeId, me: &LiteKernel, other: &LiteKernel, other_dp: &Self) {
+        let (sa, ra, rqa) = me.shared_queues();
+        let (sb, rb, rqb) = other.shared_queues();
+        let qa = self
+            .fabric
+            .nic(self.node)
+            .create_qp_with(QpType::Rc, sa, ra, rqa);
+        let qb = self
+            .fabric
+            .nic(peer)
+            .create_qp_with(QpType::Rc, sb, rb, rqb);
+        self.fabric.connect(&qa, &qb);
+        self.add_qp(peer, qa);
+        other_dp.add_qp(self.node, qb);
     }
 
     /// This node's observability surface (histograms + trace ring).
@@ -512,14 +525,7 @@ impl RnicDataPath {
     /// rebuilt the pair (`false`: the other end got there first).
     fn reconnect_qp(&self, peer: NodeId, qp: QpId) -> LiteResult<bool> {
         let _g = self.dir.lock_connect();
-        let me = self
-            .kernel
-            .upgrade()
-            .ok_or(LiteError::NodeDown { node: self.node })?;
-        let other = self
-            .dir
-            .kernel(peer)
-            .ok_or(LiteError::NodeDown { node: peer })?;
+        let (me, other) = self.pair_ends(peer)?;
         let other_dp = other.try_datapath()?;
         // Already repaired from the other end?
         if !self.remove_qp(peer, qp) {
@@ -537,16 +543,7 @@ impl RnicDataPath {
             nic.destroy_qp(&q);
         }
         // ...and wire a fresh one on the same shared queues.
-        let (sa, ra, rqa) = me.shared_queues();
-        let (sb, rb, rqb) = other.shared_queues();
-        let qa = nic.create_qp_with(QpType::Rc, sa, ra, rqa);
-        let qb = self
-            .fabric
-            .nic(peer)
-            .create_qp_with(QpType::Rc, sb, rb, rqb);
-        self.fabric.connect(&qa, &qb);
-        self.add_qp(peer, qa);
-        other_dp.add_qp(self.node, qb);
+        self.add_pair(peer, &me, &other, other_dp);
         self.retry.qp_reconnects.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -566,15 +563,18 @@ impl RnicDataPath {
         &self,
         ctx: &mut Ctx,
         peer: NodeId,
-        trace: Option<OpTrace>,
+        t: OpTrace,
         mut attempt: impl FnMut(&Self, &mut Ctx) -> LiteResult<T>,
     ) -> LiteResult<T> {
         // Lifecycle *error* events are recorded unsampled, exactly where
         // the matching counter increments — the chaos tests assert that
         // trace-ring `Retried` events equal `KernelStats.retries`.
-        let trace_retry = |t: &OpTrace, at: Nanos| {
-            self.obs
-                .trace(t.op_id, t.class, EventKind::Retried, t.prio, peer, at);
+        let trace = |kind: EventKind, at: Nanos| {
+            self.obs.trace(t.op_id, t.class, kind, t.prio, peer, at);
+        };
+        let retried = |at: Nanos| {
+            self.retry.retries.fetch_add(1, Ordering::Relaxed);
+            trace(EventKind::Retried, at);
             self.obs.record_retry(peer);
         };
         if peer == self.node {
@@ -605,29 +605,14 @@ impl RnicDataPath {
                 }
                 Err(LiteError::Verbs(VerbsError::QpBroken { qp })) => {
                     match self.reconnect_qp(peer, qp) {
-                        Ok(rebuilt) => {
-                            if rebuilt {
-                                if let Some(t) = &trace {
-                                    self.obs.trace(
-                                        t.op_id,
-                                        t.class,
-                                        EventKind::Reconnected,
-                                        t.prio,
-                                        peer,
-                                        ctx.now(),
-                                    );
-                                }
-                            }
-                        }
+                        Ok(true) => trace(EventKind::Reconnected, ctx.now()),
+                        Ok(false) => {}
                         Err(e) => {
                             self.retry.ops_failed.fetch_add(1, Ordering::Relaxed);
                             return Err(e);
                         }
                     }
-                    self.retry.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &trace {
-                        trace_retry(t, ctx.now());
-                    }
+                    retried(ctx.now());
                 }
                 Err(e @ (LiteError::Timeout | LiteError::NodeDown { .. })) => {
                     if Instant::now() >= deadline {
@@ -635,10 +620,7 @@ impl RnicDataPath {
                         self.retry.ops_failed.fetch_add(1, Ordering::Relaxed);
                         return Err(e);
                     }
-                    self.retry.retries.fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &trace {
-                        trace_retry(t, ctx.now());
-                    }
+                    retried(ctx.now());
                     ctx.wait_until(ctx.now() + backoff);
                     // A little host-wall pacing so a down peer does not
                     // turn the bounded wait into a hot spin.
@@ -813,7 +795,6 @@ impl RnicDataPath {
     /// no NIC. Cannot fault and never repeats.
     fn post_local(&self, ctx: &mut Ctx, op: &Op) -> LiteResult<Completion> {
         ctx.work(MAP_CHECK_NS);
-        let cost = self.fabric.cost();
         match op {
             Op::Write {
                 dst_addr,
@@ -827,13 +808,13 @@ impl RnicDataPath {
                 debug_assert!(imm.is_none(), "loopback imm handled by the RPC layer");
                 let mem = self.mem();
                 mem.copy_from(mem, src, &[extent(*dst_addr, *len)])?;
-                ctx.work(cost.memcpy_time(*len as u64));
+                ctx.work(COST.memcpy_time(*len as u64));
             }
             Op::Read {
                 src_addr, dst, len, ..
             } => {
                 let mem = self.mem();
-                ctx.work(cost.memcpy_time(*len as u64));
+                ctx.work(COST.memcpy_time(*len as u64));
                 if *len == 8 && src_addr % 8 == 0 {
                     // One aligned word: the stamped load `Nic::post_chain`
                     // does for the same read from a remote node, at the
@@ -967,7 +948,7 @@ impl RnicDataPath {
             .atomic_seq
             .fetch_add(ops.len() as u64, Ordering::Relaxed);
         let mut done = Done { out, n: 0 };
-        let res = self.with_retry(ctx, peer, Some(trace), |dp, ctx| {
+        let res = self.with_retry(ctx, peer, trace, |dp, ctx| {
             if peer == dp.node {
                 for op in &ops[done.n..] {
                     done.push(dp.post_local(ctx, op)?);
@@ -978,7 +959,7 @@ impl RnicDataPath {
             if let ([op], [c]) = (ops, &mut *done.out) {
                 if op.class() == OpClass::Atomic {
                     ctx.wait_until(c.stamp);
-                    ctx.work(dp.fabric.cost().cq_poll_ns);
+                    ctx.work(COST.cq_poll_ns);
                     c.stamp = ctx.now();
                 }
             }

@@ -16,7 +16,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use rnic::NodeId;
+use rnic::{NodeId, COST};
 use simnet::Ctx;
 use smem::Chunk;
 
@@ -339,7 +339,7 @@ impl LiteKernel {
     ) -> Option<crate::mm::PinOutcome> {
         let pin = mm.pin_raw_nowait(addr, len);
         if let crate::mm::PinOutcome::Pinned(_, faulted) = &pin {
-            ctx.work(self.fabric.cost().fault_page_ns * *faulted as u64);
+            ctx.work(COST.fault_page_ns * *faulted as u64);
         }
         (!matches!(pin, crate::mm::PinOutcome::Relocated)).then_some(pin)
     }
@@ -373,7 +373,7 @@ impl LiteKernel {
                                 .iter()
                                 .map(|c| (c.len + smem::PAGE_SIZE as u64 - 1) >> smem::PAGE_SHIFT)
                                 .sum::<u64>();
-                            ctx.work(self.fabric.cost().pin_page_ns * pages);
+                            ctx.work(COST.pin_page_ns * pages);
                         }
                         let mut e = Enc::new().u8(0).u32(chunks.len() as u32);
                         for c in &chunks {
@@ -562,7 +562,7 @@ impl LiteKernel {
                     return Ok(Some(Enc::new().u8(4).done()));
                 };
                 self.mem().fill(addr, len as usize, byte)?;
-                ctx.work(self.fabric.cost().memcpy_time(len));
+                ctx.work(COST.memcpy_time(len));
                 Ok(Some(Enc::new().u8(0).done()))
             }
             FN_MEMCPY => {
@@ -596,7 +596,7 @@ impl LiteKernel {
                     // written: an overlapping segment cannot tear itself.
                     let mem = self.mem();
                     mem.copy_from(mem, &chunks, &[Chunk { addr: dst, len }])?;
-                    ctx.work(self.fabric.cost().memcpy_time(len));
+                    ctx.work(COST.memcpy_time(len));
                 } else {
                     // Push to the destination node with a one-sided write;
                     // LT_memcpy returns only once the copy is durable.

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 use rnic::qp::RecvEntry;
-use rnic::{NodeId, Wc, WcOpcode};
+use rnic::{NodeId, Wc, WcOpcode, COST};
 use simnet::{Ctx, Nanos};
 use smem::Chunk;
 
@@ -238,8 +238,7 @@ impl LiteKernel {
                 len: len as u64,
             }];
             self.mem().copy_from(self.mem(), src_chunks, &land)?;
-            let cost = self.fabric.cost();
-            ctx.work(cost.memcpy_time(len as u64));
+            ctx.work(COST.memcpy_time(len as u64));
             let stamp = ctx.now() + LOOPBACK_NS;
             let mut wc = Wc::new(0, WcOpcode::RecvRdmaWithImm, len, stamp);
             wc.imm = Some(imm.encode());
@@ -325,7 +324,7 @@ impl LiteKernel {
             return Err(LiteError::Internal("head cell ahead of the ring's tail"));
         }
         ctx.wait_until(done.max(cell.stamp));
-        ctx.work(self.fabric.cost().cq_poll_ns);
+        ctx.work(COST.cq_poll_ns);
         Ok(())
     }
 
@@ -462,12 +461,11 @@ impl LiteKernel {
 
     pub(super) fn poll_loop(self: Arc<Self>) {
         let mut ctx = Ctx::with_meter(Arc::clone(&self.poller_cpu));
-        let cost = self.fabric.cost().clone();
         let spin = !self.config.adaptive_poll;
         while !self.shutdown.load(Ordering::Acquire) {
             let Some(wc) =
                 self.shared_recv_cq
-                    .poll_blocking(&mut ctx, &cost, spin, Duration::from_millis(50))
+                    .poll_blocking(&mut ctx, spin, Duration::from_millis(50))
             else {
                 if self.shared_recv_cq.is_closed() {
                     break;
@@ -482,7 +480,7 @@ impl LiteKernel {
                     wr_id: 0,
                     sge: None,
                 });
-                ctx.work(cost.post_wr_ns);
+                ctx.work(COST.post_wr_ns);
                 if src_node != self.node {
                     // Traffic from a peer is proof of life: revive it
                     // for the liveness monitor without waiting for a

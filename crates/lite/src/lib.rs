@@ -75,7 +75,7 @@ pub use observe::{
     ClassStats, ConcurrentHistogram, EventKind, LatencySummary, Observability, OpClass, PeerReport,
     QosReport, StatsReport, TraceEvent, TraceRing, TraceStats,
 };
-pub use qos::{Priority, QosConfig, QosMode, QosState};
+pub use qos::{Priority, QosMode, QosState};
 pub use shard::ShardedMap;
 pub use verify::{
     explore, fingerprint, proc_id, run_mixed, CheckOutcome, ExploreReport, HistOp, History,

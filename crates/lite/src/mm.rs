@@ -1453,7 +1453,7 @@ mod tests {
             let entry = crate::directory::DirEntry {
                 kernel: std::sync::Weak::new(),
                 rkey: 0,
-                qos: Arc::new(crate::qos::QosState::new(Default::default(), 1)),
+                qos: Arc::new(crate::qos::QosState::new(1)),
                 mm: Arc::clone(&mm),
             };
             dir.register(node, entry);

@@ -11,6 +11,9 @@
 //!   policies: (1) rate-limit low priority when high-priority load is
 //!   high, (2) don't when high-priority traffic is absent/light, and
 //!   (3) rate-limit low priority when high-priority RTT inflates.
+//!
+//! The HW-Sep share and the three SW-Pri thresholds are constants, the
+//! same on every node of every cluster.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,32 +41,17 @@ pub enum QosMode {
     SwPri,
 }
 
-/// QoS tunables.
-#[derive(Debug, Clone)]
-pub struct QosConfig {
-    /// Fraction of resources HW-Sep reserves for high priority.
-    pub hw_high_share: f64,
-    /// SW-Pri: rate allowed to low priority while throttled, as a
-    /// fraction of link bandwidth.
-    pub sw_low_frac: f64,
-    /// SW-Pri: high-priority load (fraction of link bandwidth over the
-    /// monitoring window) above which policy 1 throttles low priority.
-    pub sw_high_load_frac: f64,
-    /// SW-Pri: high-priority RTT EWMA above this throttles low priority
-    /// (policy 3).
-    pub sw_rtt_threshold_ns: Nanos,
-}
-
-impl Default for QosConfig {
-    fn default() -> Self {
-        QosConfig {
-            hw_high_share: 0.75,
-            sw_low_frac: 0.12,
-            sw_high_load_frac: 0.08,
-            sw_rtt_threshold_ns: 4_500,
-        }
-    }
-}
+/// Fraction of resources HW-Sep reserves for high priority.
+const HW_HIGH_SHARE: f64 = 0.75;
+/// SW-Pri: rate allowed to low priority while throttled, as a fraction of
+/// link bandwidth.
+const SW_LOW_FRAC: f64 = 0.12;
+/// SW-Pri: high-priority load (fraction of link bandwidth over the
+/// monitoring window) above which policy 1 throttles low priority.
+const SW_HIGH_LOAD_FRAC: f64 = 0.08;
+/// SW-Pri: high-priority RTT EWMA above this throttles low priority
+/// (policy 3).
+const SW_RTT_THRESHOLD_NS: Nanos = 4_500;
 
 /// Monitoring window: byte counters in 1 ms virtual-time buckets.
 const BUCKETS: usize = 32;
@@ -129,7 +117,6 @@ impl LoadMonitor {
 /// Per-node QoS state.
 pub struct QosState {
     mode: AtomicU64, // QosMode encoded
-    cfg: QosConfig,
     link_bytes_per_sec: u64,
     /// HW-Sep pipes: bandwidth shares as FCFS servers with scaled service.
     high_pipe: Resource,
@@ -145,11 +132,10 @@ pub struct QosState {
 impl QosState {
     /// Creates QoS state for a node whose link runs at
     /// `link_bytes_per_sec`.
-    pub fn new(cfg: QosConfig, link_bytes_per_sec: u64) -> Self {
-        let low_rate = (link_bytes_per_sec as f64 * cfg.sw_low_frac) as u64;
+    pub fn new(link_bytes_per_sec: u64) -> Self {
+        let low_rate = (link_bytes_per_sec as f64 * SW_LOW_FRAC) as u64;
         QosState {
             mode: AtomicU64::new(0),
-            cfg,
             link_bytes_per_sec,
             high_pipe: Resource::with_slack("qos-high-pipe", 60_000),
             low_pipe: Resource::with_slack("qos-low-pipe", 60_000),
@@ -185,7 +171,7 @@ impl QosState {
         if k <= 1 {
             return (k, k);
         }
-        let hi = ((k as f64 * self.cfg.hw_high_share).round() as usize).clamp(1, k - 1);
+        let hi = ((k as f64 * HW_HIGH_SHARE).round() as usize).clamp(1, k - 1);
         (hi, k)
     }
 
@@ -198,8 +184,8 @@ impl QosState {
                 // Service scaled by the inverse share: a class holding
                 // share s of the link drains bytes at s * link rate.
                 let (pipe, share) = match prio {
-                    Priority::High => (&self.high_pipe, self.cfg.hw_high_share),
-                    Priority::Low => (&self.low_pipe, 1.0 - self.cfg.hw_high_share),
+                    Priority::High => (&self.high_pipe, HW_HIGH_SHARE),
+                    Priority::Low => (&self.low_pipe, 1.0 - HW_HIGH_SHARE),
                 };
                 let eff = (self.link_bytes_per_sec as f64 * share).max(1.0) as u64;
                 let service = simnet::transfer_time(bytes, eff);
@@ -227,11 +213,11 @@ impl QosState {
         }
         let high_rate = self.monitor.rate(now);
         // Policy 1: high load from high-priority jobs.
-        if high_rate > self.cfg.sw_high_load_frac * self.link_bytes_per_sec as f64 {
+        if high_rate > SW_HIGH_LOAD_FRAC * self.link_bytes_per_sec as f64 {
             return true;
         }
         // Policy 3: high-priority RTT inflation.
-        self.rtt_ewma.load(Ordering::Relaxed) > self.cfg.sw_rtt_threshold_ns
+        self.rtt_ewma.load(Ordering::Relaxed) > SW_RTT_THRESHOLD_NS
     }
 
     /// Current high-priority RTT estimate (diagnostics, tests).
@@ -269,7 +255,7 @@ mod tests {
     use simnet::SECONDS;
 
     fn state() -> QosState {
-        QosState::new(QosConfig::default(), 4_000_000_000)
+        QosState::new(4_000_000_000)
     }
 
     #[test]

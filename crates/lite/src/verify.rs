@@ -58,6 +58,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -68,7 +69,6 @@ use crate::cluster::LiteCluster;
 use crate::config::LiteConfig;
 use crate::error::{LiteError, LiteResult};
 use crate::lmr::Perm;
-use crate::qos::QosConfig;
 
 // ---------------------------------------------------------------------
 // History model
@@ -233,46 +233,65 @@ pub fn fingerprint(data: &[u8]) -> u64 {
     h | 1
 }
 
-/// The shared, append-only log a cluster records [`HistOp`]s into.
-#[derive(Default)]
-pub struct HistoryLog {
-    ops: Mutex<Vec<HistOp>>,
+/// A shared, append-only log: a cluster records [`HistOp`]s into a
+/// [`HistoryLog`], the `lite-txn` layer one [`TxnOp`] per `commit()` /
+/// `abort()` return into a [`TxnLog`].
+pub struct Log<T> {
+    entries: Mutex<Vec<T>>,
 }
 
-impl HistoryLog {
+/// The log a cluster records [`HistOp`]s into.
+pub type HistoryLog = Log<HistOp>;
+
+/// The log the `lite-txn` layer records [`TxnOp`]s into.
+pub type TxnLog = Log<TxnOp>;
+
+impl<T> Default for Log<T> {
+    fn default() -> Self {
+        Log {
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<T> Log<T> {
     /// An empty log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends one operation (called from API and datapath hot paths).
-    pub fn record(&self, op: HistOp) {
-        self.ops.lock().push(op);
+    /// Appends one entry (called from API and datapath hot paths).
+    pub fn record(&self, entry: T) {
+        self.entries.lock().push(entry);
     }
 
-    /// Number of operations recorded so far.
+    /// Number of entries recorded so far.
     pub fn len(&self) -> usize {
-        self.ops.lock().len()
+        self.entries.lock().len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.ops.lock().is_empty()
+        self.entries.lock().is_empty()
     }
 
+    fn drain(&self) -> Vec<T> {
+        std::mem::take(&mut *self.entries.lock())
+    }
+}
+
+impl HistoryLog {
     /// Drains the log into a [`History`] (subsequent records start a new
     /// history).
     pub fn take(&self) -> History {
-        History {
-            ops: std::mem::take(&mut *self.ops.lock()),
-        }
+        History { ops: self.drain() }
     }
+}
 
-    /// Copies the current contents without draining.
-    pub fn snapshot(&self) -> History {
-        History {
-            ops: self.ops.lock().clone(),
-        }
+impl TxnLog {
+    /// Drains the log into a [`TxnHistory`].
+    pub fn take(&self) -> TxnHistory {
+        TxnHistory { txns: self.drain() }
     }
 }
 
@@ -460,8 +479,8 @@ enum PartitionResult {
 fn check_partition(key: Key, ops: &[HistOp]) -> PartitionResult {
     match key {
         Key::Barrier { .. } => check_barrier(ops),
-        Key::Lock { .. } => wing_gong(ops, SpecState::Mutex(None)),
-        Key::Cell { .. } | Key::LogicalCell { .. } => wing_gong(ops, SpecState::Cell(0)),
+        Key::Lock { .. } => linearize(ops, SpecState::Mutex(None)),
+        Key::Cell { .. } | Key::LogicalCell { .. } => linearize(ops, SpecState::Cell(0)),
         Key::Reg { .. } => {
             // A failed write may have applied some pieces of a
             // multi-chunk range: the resulting bytes match neither the
@@ -474,7 +493,7 @@ fn check_partition(key: Key, ops: &[HistOp]) -> PartitionResult {
                 return PartitionResult::Skipped("failed write (possible partial data)".into());
             }
             let ok_or_write: Vec<HistOp> = ops.iter().filter(|o| o.ok).copied().collect();
-            wing_gong(&ok_or_write, SpecState::Reg(0))
+            linearize(&ok_or_write, SpecState::Reg(0))
         }
     }
 }
@@ -546,93 +565,121 @@ fn bit_set(b: &mut Bits, i: usize) {
     b[i / 64] |= 1u64 << (i % 64);
 }
 
-/// Wing–Gong search: repeatedly pick a *minimal* remaining op (one whose
-/// invocation precedes every remaining effective response) and try to
-/// linearize it next; memoize (remaining-set, state) pairs. Failed ops
-/// have effective response ∞ and may also be dropped without applying.
-fn wing_gong(ops: &[HistOp], init: SpecState) -> PartitionResult {
-    let mut ops: Vec<HistOp> = ops.to_vec();
-    ops.sort_by_key(|o| (o.invoke, o.response, o.proc));
-    let n = ops.len();
-    if n == 0 {
-        return PartitionResult::Ok;
-    }
-    let eff_resp: Vec<Nanos> = ops
-        .iter()
-        .map(|o| if o.ok { o.response } else { Nanos::MAX })
-        .collect();
-    let mut remaining: Bits = vec![u64::MAX; n.div_ceil(64)].into_boxed_slice();
-    for i in n..remaining.len() * 64 {
-        bit_clear(&mut remaining, i);
-    }
-    let mut memo: HashSet<(Bits, SpecState)> = HashSet::new();
-    let mut budget = SEARCH_BUDGET;
-    match search(
-        &ops,
-        &eff_resp,
-        &mut remaining,
-        init,
-        &mut memo,
-        &mut budget,
-    ) {
+/// One partition's Wing–Gong verdict against its sequential spec.
+fn linearize(ops: &[HistOp], init: SpecState) -> PartitionResult {
+    match wing_gong(ops, init, apply) {
         Some(true) => PartitionResult::Ok,
         Some(false) => PartitionResult::Violation("no valid linearization".into()),
         None => PartitionResult::Skipped("search budget exhausted".into()),
     }
 }
 
-/// Returns `Some(linearizable)` or `None` when the budget ran out.
-fn search(
-    ops: &[HistOp],
-    eff_resp: &[Nanos],
-    remaining: &mut Bits,
-    state: SpecState,
-    memo: &mut HashSet<(Bits, SpecState)>,
-    budget: &mut usize,
+/// What the Wing–Gong search needs of an operation besides its effect.
+trait Interval {
+    /// `(invoke, response, proc)`; also the search's deterministic order.
+    fn span(&self) -> (Nanos, Nanos, u64);
+    /// Whether the operation may never have happened: its caller never
+    /// learned the outcome, so its effective response is ∞ and the search
+    /// may also drop it without applying.
+    fn pending(&self) -> bool;
+}
+
+impl Interval for HistOp {
+    fn span(&self) -> (Nanos, Nanos, u64) {
+        (self.invoke, self.response, self.proc)
+    }
+    fn pending(&self) -> bool {
+        !self.ok
+    }
+}
+
+impl Interval for TxnOp {
+    fn span(&self) -> (Nanos, Nanos, u64) {
+        (self.invoke, self.response, self.proc)
+    }
+    fn pending(&self) -> bool {
+        self.outcome == TxnOutcome::Indeterminate
+    }
+}
+
+/// Wing–Gong search: repeatedly pick a *minimal* remaining op (one whose
+/// invocation precedes every remaining effective response) and try to
+/// linearize it next from `init` through `apply`; memoize
+/// (remaining-set, state) pairs. Returns `Some(linearizable)`, or `None`
+/// when [`SEARCH_BUDGET`] ran out.
+fn wing_gong<'a, T: Interval + 'a, S: Clone + Eq + Hash>(
+    ops: impl IntoIterator<Item = &'a T>,
+    init: S,
+    apply: impl Fn(&S, &T) -> Option<S>,
 ) -> Option<bool> {
-    if remaining.iter().all(|&w| w == 0) {
-        return Some(true);
+    let mut ops: Vec<&T> = ops.into_iter().collect();
+    ops.sort_by_key(|o| o.span());
+    let n = ops.len();
+    let mut remaining: Bits = vec![u64::MAX; n.div_ceil(64)].into_boxed_slice();
+    for i in n..remaining.len() * 64 {
+        bit_clear(&mut remaining, i);
     }
-    if !memo.insert((remaining.clone(), state.clone())) {
-        return Some(false);
-    }
-    let min_resp = (0..ops.len())
-        .filter(|&i| bit_get(remaining, i))
-        .map(|i| eff_resp[i])
-        .min()
-        .unwrap_or(Nanos::MAX);
-    for i in 0..ops.len() {
-        if !bit_get(remaining, i) || ops[i].invoke > min_resp {
-            continue;
+    let mut search = Search {
+        eff_resp: ops
+            .iter()
+            .map(|o| if o.pending() { Nanos::MAX } else { o.span().1 })
+            .collect(),
+        ops,
+        apply,
+        memo: HashSet::new(),
+        budget: SEARCH_BUDGET,
+    };
+    search.step(&mut remaining, init)
+}
+
+/// The state of one [`wing_gong`] run.
+struct Search<'a, T, S, A> {
+    ops: Vec<&'a T>,
+    eff_resp: Vec<Nanos>,
+    apply: A,
+    memo: HashSet<(Bits, S)>,
+    budget: usize,
+}
+
+impl<T: Interval, S: Clone + Eq + Hash, A: Fn(&S, &T) -> Option<S>> Search<'_, T, S, A> {
+    fn step(&mut self, remaining: &mut Bits, state: S) -> Option<bool> {
+        if remaining.iter().all(|&w| w == 0) {
+            return Some(true);
         }
-        if *budget == 0 {
-            return None;
+        if !self.memo.insert((remaining.clone(), state.clone())) {
+            return Some(false);
         }
-        *budget -= 1;
-        // Branch 1: the op takes effect here.
-        if let Some(next) = apply(&state, &ops[i]) {
-            bit_clear(remaining, i);
-            let r = search(ops, eff_resp, remaining, next, memo, budget);
-            bit_set(remaining, i);
-            match r {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => return None,
+        let min_resp = (0..self.ops.len())
+            .filter(|&i| bit_get(remaining, i))
+            .map(|i| self.eff_resp[i])
+            .min()
+            .unwrap_or(Nanos::MAX);
+        for i in 0..self.ops.len() {
+            let op = self.ops[i];
+            if !bit_get(remaining, i) || op.span().0 > min_resp {
+                continue;
+            }
+            if self.budget == 0 {
+                return None;
+            }
+            self.budget -= 1;
+            // Branch 1: the op takes effect here; branch 2: a pending op
+            // may simply never have happened.
+            let branches = [
+                (self.apply)(&state, op),
+                op.pending().then(|| state.clone()),
+            ];
+            for next in branches.into_iter().flatten() {
+                bit_clear(remaining, i);
+                let r = self.step(remaining, next);
+                bit_set(remaining, i);
+                if r != Some(false) {
+                    return r;
+                }
             }
         }
-        // Branch 2: a failed op may simply never have happened.
-        if !ops[i].ok {
-            bit_clear(remaining, i);
-            let r = search(ops, eff_resp, remaining, state.clone(), memo, budget);
-            bit_set(remaining, i);
-            match r {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => return None,
-            }
-        }
+        Some(false)
     }
-    Some(false)
 }
 
 // ---------------------------------------------------------------------
@@ -672,42 +719,6 @@ pub struct TxnOp {
     pub invoke: Nanos,
     /// Virtual-time response stamp.
     pub response: Nanos,
-}
-
-/// Shared, append-only log of transactions (armed by the `lite-txn`
-/// layer; one [`TxnOp`] per `commit()`/`abort()` return).
-#[derive(Default)]
-pub struct TxnLog {
-    txns: Mutex<Vec<TxnOp>>,
-}
-
-impl TxnLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one finished transaction.
-    pub fn record(&self, txn: TxnOp) {
-        self.txns.lock().push(txn);
-    }
-
-    /// Number of transactions recorded so far.
-    pub fn len(&self) -> usize {
-        self.txns.lock().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.txns.lock().is_empty()
-    }
-
-    /// Drains the log into a [`TxnHistory`].
-    pub fn take(&self) -> TxnHistory {
-        TxnHistory {
-            txns: std::mem::take(&mut *self.txns.lock()),
-        }
-    }
 }
 
 /// Result of checking one transaction history.
@@ -763,38 +774,11 @@ impl TxnHistory {
                 TxnOutcome::Indeterminate => out.indeterminate += 1,
             }
         }
-        let mut txns: Vec<TxnOp> = self
+        let txns = self
             .txns
             .iter()
-            .filter(|t| t.outcome != TxnOutcome::Aborted)
-            .cloned()
-            .collect();
-        txns.sort_by_key(|a| (a.invoke, a.response, a.proc));
-        let n = txns.len();
-        if n == 0 {
-            return out;
-        }
-        let eff_resp: Vec<Nanos> = txns
-            .iter()
-            .map(|t| match t.outcome {
-                TxnOutcome::Committed => t.response,
-                _ => Nanos::MAX,
-            })
-            .collect();
-        let mut remaining: Bits = vec![u64::MAX; n.div_ceil(64)].into_boxed_slice();
-        for i in n..remaining.len() * 64 {
-            bit_clear(&mut remaining, i);
-        }
-        let mut memo: HashSet<(Bits, Vec<(u64, u64)>)> = HashSet::new();
-        let mut budget = SEARCH_BUDGET;
-        match txn_search(
-            &txns,
-            &eff_resp,
-            &mut remaining,
-            Vec::new(),
-            &mut memo,
-            &mut budget,
-        ) {
+            .filter(|t| t.outcome != TxnOutcome::Aborted);
+        match wing_gong(txns, Vec::new(), |state, t| txn_apply(state, t)) {
             Some(true) => {}
             Some(false) => {
                 out.violation = Some(format!(
@@ -863,71 +847,21 @@ fn txn_apply(state: &[(u64, u64)], t: &TxnOp) -> Option<Vec<(u64, u64)>> {
     Some(next)
 }
 
-/// The txn-level Wing–Gong step, structurally identical to [`search`]
-/// with the multi-key map spec: committed txns must take effect,
-/// indeterminate ones may also be dropped.
-fn txn_search(
-    txns: &[TxnOp],
-    eff_resp: &[Nanos],
-    remaining: &mut Bits,
-    state: Vec<(u64, u64)>,
-    memo: &mut HashSet<(Bits, Vec<(u64, u64)>)>,
-    budget: &mut usize,
-) -> Option<bool> {
-    if remaining.iter().all(|&w| w == 0) {
-        return Some(true);
-    }
-    if !memo.insert((remaining.clone(), state.clone())) {
-        return Some(false);
-    }
-    let min_resp = (0..txns.len())
-        .filter(|&i| bit_get(remaining, i))
-        .map(|i| eff_resp[i])
-        .min()
-        .unwrap_or(Nanos::MAX);
-    for i in 0..txns.len() {
-        if !bit_get(remaining, i) || txns[i].invoke > min_resp {
-            continue;
-        }
-        if *budget == 0 {
-            return None;
-        }
-        *budget -= 1;
-        // Branch 1: the transaction serializes here.
-        if let Some(next) = txn_apply(&state, &txns[i]) {
-            bit_clear(remaining, i);
-            let r = txn_search(txns, eff_resp, remaining, next, memo, budget);
-            bit_set(remaining, i);
-            match r {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => return None,
-            }
-        }
-        // Branch 2: an indeterminate commit may never have happened.
-        if txns[i].outcome == TxnOutcome::Indeterminate {
-            bit_clear(remaining, i);
-            let r = txn_search(txns, eff_resp, remaining, state.clone(), memo, budget);
-            bit_set(remaining, i);
-            match r {
-                Some(true) => return Some(true),
-                Some(false) => {}
-                None => return None,
-            }
-        }
-    }
-    Some(false)
-}
-
 // ---------------------------------------------------------------------
 // Seeded schedule exploration
 // ---------------------------------------------------------------------
+
+/// Every worker hits the shared barrier every this many rounds.
+const BARRIER_EVERY: usize = 4;
+/// Per-WR delay probability of every run's seeded fault plan.
+const DELAY_PROB: f64 = 0.2;
 
 /// The canonical mixed synchronization workload for schedule
 /// exploration: `threads` workers spread round-robin over `nodes` nodes
 /// share one distributed lock, one fetch-add counter, one test-set
 /// cell, one lock-protected 8-byte register, and one (reused) barrier
-/// id.
+/// id, hit every [`BARRIER_EVERY`] rounds. Every run installs a seeded
+/// fault plan that delays a [`DELAY_PROB`] share of work requests.
 #[derive(Debug, Clone)]
 pub struct MixedWorkload {
     /// Cluster size (≥ 2).
@@ -936,14 +870,10 @@ pub struct MixedWorkload {
     pub threads: usize,
     /// Rounds per worker.
     pub rounds: usize,
-    /// Hit the barrier every this many rounds (0 = never).
-    pub barrier_every: usize,
-    /// Per-WR drop probability of the seeded fault plan (0.0 = no plan).
+    /// Per-WR drop probability of the seeded fault plan (0.0 = none).
     pub drop_prob: f64,
     /// Cap on fired drops.
     pub max_drops: u64,
-    /// Per-WR delay probability (same plan).
-    pub delay_prob: f64,
     /// Injected delay in virtual nanoseconds.
     pub delay_ns: Nanos,
     /// Per-node physical-memory budget handed to `lite::mm`
@@ -960,10 +890,8 @@ impl Default for MixedWorkload {
             nodes: 3,
             threads: 3,
             rounds: 8,
-            barrier_every: 4,
             drop_prob: 0.0,
             max_drops: 0,
-            delay_prob: 0.2,
             delay_ns: 3_000,
             mem_budget: 0,
         }
@@ -995,32 +923,25 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
         },
         ..Default::default()
     };
-    let cluster = LiteCluster::start_with(
-        IbConfig::with_nodes(w.nodes.max(2)),
-        config,
-        QosConfig::default(),
-    )?;
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(w.nodes.max(2)), config)?;
     let log = cluster.record_history()?;
-    if w.drop_prob > 0.0 || w.delay_prob > 0.0 {
-        let mut plan = FaultPlan::seeded(seed);
-        if w.drop_prob > 0.0 {
-            plan = plan.with(FaultRule::DropWr {
-                src: None,
-                dst: None,
-                prob: w.drop_prob,
-                max_drops: w.max_drops,
-            });
-        }
-        if w.delay_prob > 0.0 {
-            plan = plan.with(FaultRule::DelayWr {
-                src: None,
-                dst: None,
-                prob: w.delay_prob,
-                delay_ns: w.delay_ns,
-            });
-        }
-        cluster.fabric().install_fault_plan(plan);
+    let mut plan = FaultPlan::seeded(seed);
+    if w.drop_prob > 0.0 {
+        plan = plan.with(FaultRule::DropWr {
+            src: None,
+            dst: None,
+            prob: w.drop_prob,
+            max_drops: w.max_drops,
+        });
     }
+    cluster
+        .fabric()
+        .install_fault_plan(plan.with(FaultRule::DelayWr {
+            src: None,
+            dst: None,
+            prob: DELAY_PROB,
+            delay_ns: w.delay_ns,
+        }));
 
     // Shared state: the lock lives on the last node, the cells + data
     // register on node 1 (distinct from the manager when possible).
@@ -1067,7 +988,7 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
                     // Unprotected atomics on their own cells.
                     let _ = h.lt_test_set(&mut ctx, lh, 8, r as u64, r as u64 + 1);
                     let _ = h.lt_fetch_add(&mut ctx, lh, 16, 1);
-                    if w.barrier_every > 0 && (r + 1) % w.barrier_every == 0 {
+                    if (r + 1) % BARRIER_EVERY == 0 {
                         // Same id every time: generations must still
                         // separate cleanly (id-reuse is checked).
                         let _ = h.lt_barrier(&mut ctx, 7, threads as u32);

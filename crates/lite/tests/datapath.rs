@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use lite::{Chunk, LiteCluster, LiteConfig, Op, Priority, QosConfig, USER_FUNC_MIN};
-use rnic::{FaultPlan, FaultRule, IbConfig};
+use lite::{Chunk, LiteCluster, LiteConfig, Op, Priority, USER_FUNC_MIN};
+use rnic::{FaultPlan, FaultRule, IbConfig, COST};
 use simnet::Ctx;
 
 fn cluster_with_batching(batch: bool) -> Arc<LiteCluster> {
@@ -16,7 +16,6 @@ fn cluster_with_batching(batch: bool) -> Arc<LiteCluster> {
             batch_posting: batch,
             ..Default::default()
         },
-        QosConfig::default(),
     )
     .unwrap()
 }
@@ -162,7 +161,6 @@ fn faulted_chains_resume_instead_of_replaying() {
                 retry_base_ns: 500,
                 ..Default::default()
             },
-            QosConfig::default(),
         )
         .unwrap();
         let dp0 = cluster.datapath(0);
@@ -244,7 +242,7 @@ fn loopback_word_read_is_a_stamped_load_at_the_price_of_a_copy() {
     let cluster = cluster_with_batching(true);
     let dp = cluster.datapath(0);
     let mem = dp.fabric().mem(0).clone();
-    let cost = dp.fabric().cost().clone();
+    let cost = COST;
     let cells = dp.alloc(64).unwrap();
     let land = dp.alloc(64).unwrap();
     mem.write(cells, &[0u8; 64]).unwrap();
@@ -324,7 +322,6 @@ fn ring_wraparound_survives_batched_posting() {
                 batch_posting: batch,
                 ..Default::default()
             },
-            QosConfig::default(),
         )
         .unwrap();
         const F: u8 = USER_FUNC_MIN + 12;

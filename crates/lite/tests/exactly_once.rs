@@ -8,7 +8,7 @@
 //! full stack (`lt_fetch_add` / `lt_test_set` / `lt_cmp_swap` →
 //! datapath → verbs) under seeded ack loss and assert no double-apply.
 
-use lite::{LiteCluster, LiteConfig, Perm, QosConfig};
+use lite::{LiteCluster, LiteConfig, Perm};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -17,7 +17,7 @@ fn cluster_with_retry() -> std::sync::Arc<LiteCluster> {
         retry_base_ns: 500,
         ..LiteConfig::default()
     };
-    LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap()
+    LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap()
 }
 
 fn ack_plan(seed: u64, prob: f64, max_drops: u64) -> FaultPlan {

@@ -6,12 +6,12 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lite::{LiteCluster, LiteConfig, LiteError, Perm, QosConfig, USER_FUNC_MIN};
+use lite::{LiteCluster, LiteConfig, LiteError, Perm, USER_FUNC_MIN};
 use rnic::{FaultPlan, FaultRule, IbConfig, VerbsError};
 use simnet::Ctx;
 
 fn cluster_with(nodes: usize, config: LiteConfig) -> Arc<LiteCluster> {
-    LiteCluster::start_with(IbConfig::with_nodes(nodes), config, QosConfig::default()).unwrap()
+    LiteCluster::start_with(IbConfig::with_nodes(nodes), config).unwrap()
 }
 
 /// Probabilistically dropped work requests never reach the application:

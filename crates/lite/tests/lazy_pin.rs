@@ -7,20 +7,27 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lite::mm::MmRequest;
-use lite::{LiteCluster, LiteConfig, Perm, QosConfig};
+use lite::{LiteCluster, LiteConfig, Perm};
 use rnic::IbConfig;
 use simnet::Ctx;
 
 const MB: u64 = 1 << 20;
 
-fn cluster_with(nodes: usize, lazy: bool, budget: u64) -> Arc<LiteCluster> {
+/// A sweep interval short enough for the background unpinner (and the
+/// budget sweeper) to act within a test.
+const FAST_SWEEP: Duration = Duration::from_millis(1);
+
+/// A sweep interval no test reaches: nothing is unpinned behind its back.
+const NO_SWEEP: Duration = Duration::from_secs(3600);
+
+fn cluster_with(nodes: usize, lazy: bool, budget: u64, sweep: Duration) -> Arc<LiteCluster> {
     let config = LiteConfig {
         lazy_pinning: lazy,
         mem_budget_bytes: budget,
-        mm_sweep_interval: Duration::from_millis(1),
+        mm_sweep_interval: sweep,
         ..LiteConfig::default()
     };
-    LiteCluster::start_with(IbConfig::with_nodes(nodes), config, QosConfig::default()).unwrap()
+    LiteCluster::start_with(IbConfig::with_nodes(nodes), config).unwrap()
 }
 
 /// Polls `cond` until it holds or `secs` elapse.
@@ -38,7 +45,7 @@ fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
 /// Virtual latency of one `lt_malloc` of `size` bytes on a fresh
 /// cluster (fresh so poller-clock history cannot skew the measurement).
 fn reg_latency(lazy: bool, size: u64, name: &str) -> u64 {
-    let cluster = cluster_with(2, lazy, 0);
+    let cluster = cluster_with(2, lazy, 0, FAST_SWEEP);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let t0 = ctx.now();
@@ -71,10 +78,14 @@ fn lazy_registration_latency_is_flat_across_sizes() {
 
 /// Lazy mode pins nothing at registration; the first access faults in
 /// and pins only the pages it covers, and repeat accesses to the same
-/// range are fault-free (and cheaper in virtual time).
+/// range are fault-free (and cheaper in virtual time). The unpinner never
+/// runs here: a host stall between the two writes would otherwise let it
+/// reap the fresh pins and the warm write refault
+/// (`background_unpinner_releases_cold_pages_and_refault_restores`
+/// covers the unpinner).
 #[test]
 fn first_touch_pins_only_the_touched_pages() {
-    let cluster = cluster_with(2, true, 0);
+    let cluster = cluster_with(2, true, 0, NO_SWEEP);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     h.lt_malloc(&mut ctx, 0, MB, "lazy.touch", Perm::RW)
@@ -107,7 +118,7 @@ fn first_touch_pins_only_the_touched_pages() {
     let s2 = kernel.mm_stats();
     assert_eq!(
         s2.first_touch_faults, s1.first_touch_faults,
-        "warm access refaulted"
+        "warm access refaulted: {s2:?}"
     );
     assert!(
         warm < cold,
@@ -125,7 +136,7 @@ fn first_touch_pins_only_the_touched_pages() {
 /// them back in with the bytes intact.
 #[test]
 fn background_unpinner_releases_cold_pages_and_refault_restores() {
-    let cluster = cluster_with(2, true, 0);
+    let cluster = cluster_with(2, true, 0, FAST_SWEEP);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h
@@ -167,7 +178,7 @@ fn background_unpinner_releases_cold_pages_and_refault_restores() {
 #[test]
 fn atomics_survive_concurrent_eviction() {
     // Lazy + budget: eviction can claim segments from the Unpinned tier.
-    let cluster = cluster_with(3, true, 4 << 20);
+    let cluster = cluster_with(3, true, 4 << 20, FAST_SWEEP);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h
@@ -252,7 +263,7 @@ fn atomics_survive_concurrent_eviction() {
 /// write-evict-read round trip stays intact.
 #[test]
 fn lazy_mode_reports_gauges_and_survives_eviction_roundtrip() {
-    let cluster = cluster_with(3, true, 16 * 1024);
+    let cluster = cluster_with(3, true, 16 * 1024, FAST_SWEEP);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use lite::{
-    LiteCluster, LiteConfig, LiteError, LiteHandle, LiteResult, Perm, Priority, QosConfig, QosMode,
+    LiteCluster, LiteConfig, LiteError, LiteHandle, LiteResult, Perm, Priority, QosMode,
     USER_FUNC_MIN,
 };
 use rnic::IbConfig;
@@ -204,8 +204,7 @@ fn failed_rpc_calls_pay_the_syscall_return() {
             fast_syscalls,
             ..Default::default()
         };
-        let cluster =
-            LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+        let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
         // Kernel-level server: its own cost does not depend on the knob.
         let srv = serve.then(|| {
             let mut h = cluster.attach_kernel(1).unwrap();
@@ -451,7 +450,6 @@ fn qp_sharing_counts_match_section_6_1() {
     let cluster = LiteCluster::start_with(
         rnic::IbConfig::with_nodes(5),
         lite::LiteConfig::with_qp_factor(2),
-        lite::QosConfig::default(),
     )
     .unwrap();
     for node in 0..5 {

@@ -15,7 +15,7 @@ fn small_chunk_cluster() -> std::sync::Arc<LiteCluster> {
         max_lmr_chunk: CHUNK,
         ..LiteConfig::default()
     };
-    LiteCluster::start_with(IbConfig::with_nodes(2), config, lite::QosConfig::default()).unwrap()
+    LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap()
 }
 
 fn pattern(len: usize) -> Vec<u8> {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lite::mm::MmRequest;
-use lite::{LiteCluster, LiteConfig, Perm, QosConfig};
+use lite::{LiteCluster, LiteConfig, Perm};
 use rnic::IbConfig;
 use simnet::Ctx;
 
@@ -19,7 +19,7 @@ fn tiered_cluster(nodes: usize, budget: u64) -> Arc<LiteCluster> {
         max_lmr_chunk: 8 * 1024,
         ..LiteConfig::default()
     };
-    LiteCluster::start_with(IbConfig::with_nodes(nodes), config, QosConfig::default()).unwrap()
+    LiteCluster::start_with(IbConfig::with_nodes(nodes), config).unwrap()
 }
 
 /// Polls `cond` until it holds or `secs` elapse.

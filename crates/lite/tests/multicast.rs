@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{LiteCluster, LiteConfig, LiteError, QosConfig, USER_FUNC_MIN};
+use lite::{LiteCluster, LiteConfig, LiteError, USER_FUNC_MIN};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -125,8 +125,7 @@ fn multicast_partial_survives_crashed_destination() {
         op_timeout: Duration::from_millis(200),
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(4), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(4), config).unwrap();
     let servers: Vec<_> = [1usize, 3]
         .into_iter()
         .map(|node| echo_server(&cluster, node, F, 1))
@@ -167,8 +166,7 @@ fn multicast_failure_paths_release_client_scratch() {
         op_timeout: Duration::from_millis(50),
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(3), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(3), config).unwrap();
     let server = echo_server(&cluster, 1, F, 2);
 
     let mut c = cluster.attach(0).unwrap();

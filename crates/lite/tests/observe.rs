@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use lite::{
-    ConcurrentHistogram, EventKind, LiteCluster, LiteConfig, OpClass, Perm, Priority, QosConfig,
-    QosMode, USER_FUNC_MIN,
+    ConcurrentHistogram, EventKind, LiteCluster, LiteConfig, OpClass, Perm, Priority, QosMode,
+    USER_FUNC_MIN,
 };
 use proptest::prelude::*;
 use rnic::IbConfig;
@@ -229,8 +229,7 @@ fn ring_pulls_count_stalls_for_ring_space() {
             rpc_ring_bytes: ring,
             ..Default::default()
         };
-        let cluster =
-            LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+        let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
         cluster.attach(1).unwrap().register_rpc(FN_ECHO).unwrap();
         let server = {
             let cluster = Arc::clone(&cluster);

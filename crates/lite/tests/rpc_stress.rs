@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use lite::{LiteCluster, LiteConfig, LiteError, QosConfig, USER_FUNC_MIN};
+use lite::{LiteCluster, LiteConfig, LiteError, USER_FUNC_MIN};
 use rnic::IbConfig;
 use simnet::Ctx;
 
@@ -16,8 +16,7 @@ fn tiny_ring_wraps_under_concurrency() {
         rpc_ring_bytes: 64 * 1024,
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
     const F: u8 = USER_FUNC_MIN + 11;
     cluster.attach(1).unwrap().register_rpc(F).unwrap();
     let per_client = 150;
@@ -67,8 +66,7 @@ fn ring_on_reused_memory_starts_empty() {
         op_timeout: std::time::Duration::from_millis(150),
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(3), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(3), config).unwrap();
     let mut ctx = Ctx::new();
     let mut dirty = cluster.attach(0).unwrap();
     let lh = dirty
@@ -180,12 +178,8 @@ fn multicast_partial_failure_reports() {
 /// numbers.
 #[test]
 fn per_sender_message_order() {
-    let cluster = LiteCluster::start_with(
-        IbConfig::with_nodes(2),
-        LiteConfig::with_qp_factor(1),
-        QosConfig::default(),
-    )
-    .unwrap();
+    let cluster =
+        LiteCluster::start_with(IbConfig::with_nodes(2), LiteConfig::with_qp_factor(1)).unwrap();
     let c2 = Arc::clone(&cluster);
     let n = 200u32;
     let recv = std::thread::spawn(move || {

@@ -15,7 +15,6 @@ fn partial_boot_and_runtime_join() {
     let cluster = LiteCluster::start_partial(
         rnic::IbConfig::with_nodes(4),
         lite::LiteConfig::default(),
-        lite::QosConfig::default(),
         2,
     )
     .unwrap();
@@ -130,7 +129,6 @@ fn sharded_tables_survive_multi_context_hammering() {
             kernel_shards: 4,
             ..Default::default()
         },
-        lite::QosConfig::default(),
     )
     .unwrap();
     let (lock, shared) = {

@@ -12,9 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{
-    fingerprint, ChainOp, ChainOut, LiteCluster, LiteConfig, LiteError, OpKind, Perm, QosConfig,
-};
+use lite::{fingerprint, ChainOp, ChainOut, LiteCluster, LiteConfig, LiteError, OpKind, Perm};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -35,8 +33,7 @@ fn unlock_handover_survives_dropped_ack() {
     // the API-level release retry + owner-side dedup, which only engage
     // once a reply is truly lost.
     config.retry_enabled = false;
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
     let log = cluster.record_history().unwrap();
 
     let mut owner = cluster.attach(0).unwrap();
@@ -115,7 +112,6 @@ fn lock_timeout_abort_unwinds_word() {
     let cluster = LiteCluster::start_with(
         IbConfig::with_nodes(2),
         quick_config(Duration::from_millis(150)),
-        QosConfig::default(),
     )
     .unwrap();
     let log = cluster.record_history().unwrap();
@@ -205,8 +201,7 @@ fn atomic_straddling_chunk_boundary_reports_real_offset() {
         max_lmr_chunk: 4096,
         ..LiteConfig::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h

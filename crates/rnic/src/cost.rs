@@ -5,11 +5,16 @@
 //! against well-known ConnectX-3 characteristics. The *shapes* of the
 //! reproduced figures come from the model's structure (caches, queues),
 //! not from these constants; the constants only pin the axes.
+//!
+//! There is one model, [`COST`]: every NIC and link of every fabric runs
+//! on it, and no caller picks another.
 
 use simnet::Nanos;
 
-/// Cost/capacity parameters for one simulated RNIC + fabric.
-#[derive(Debug, Clone)]
+/// Cost/capacity parameters of the simulated RNIC + fabric; [`COST`] is
+/// the only value (`non_exhaustive`: no other crate can build one).
+#[derive(Debug)]
+#[non_exhaustive]
 pub struct CostModel {
     // ---- software/NIC interface ----
     /// CPU cost to build and ring a work request (doorbell, WQE write).
@@ -80,35 +85,32 @@ pub struct CostModel {
     pub ud_max_payload: usize,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            post_wr_ns: 100,
-            cq_poll_ns: 150,
-            cq_poll_empty_ns: 60,
-            nic_engine_ns: 180,
-            recv_handle_ns: 200,
-            atomic_extra_ns: 900,
-            propagation_ns: 450,
-            link_bytes_per_sec: 3_900_000_000,
-            ack_ns: 350,
-            mr_cache_entries: 128,
-            mr_miss_ns: 1_100,
-            pte_cache_entries: 1_024,
-            pte_miss_ns: 900,
-            qp_cache_entries: 256,
-            qp_miss_ns: 700,
-            reg_mr_base_ns: 5_000,
-            pin_page_ns: 350,
-            dereg_mr_base_ns: 3_000,
-            unpin_page_ns: 250,
-            fault_page_ns: 1_800,
-            memcpy_bytes_per_sec: 10_000_000_000,
-            ud_extra_ns: 150,
-            ud_max_payload: 4_096,
-        }
-    }
-}
+/// The calibrated model every NIC and link uses.
+pub const COST: CostModel = CostModel {
+    post_wr_ns: 100,
+    cq_poll_ns: 150,
+    cq_poll_empty_ns: 60,
+    nic_engine_ns: 180,
+    recv_handle_ns: 200,
+    atomic_extra_ns: 900,
+    propagation_ns: 450,
+    link_bytes_per_sec: 3_900_000_000,
+    ack_ns: 350,
+    mr_cache_entries: 128,
+    mr_miss_ns: 1_100,
+    pte_cache_entries: 1_024,
+    pte_miss_ns: 900,
+    qp_cache_entries: 256,
+    qp_miss_ns: 700,
+    reg_mr_base_ns: 5_000,
+    pin_page_ns: 350,
+    dereg_mr_base_ns: 3_000,
+    unpin_page_ns: 250,
+    fault_page_ns: 1_800,
+    memcpy_bytes_per_sec: 10_000_000_000,
+    ud_extra_ns: 150,
+    ud_max_payload: 4_096,
+};
 
 impl CostModel {
     /// Transfer time of `bytes` on the link.
@@ -132,7 +134,7 @@ mod tests {
     fn default_latency_budget_matches_paper() {
         // A small one-sided write should come out around 1.2-1.7 us:
         // post + engine + link + propagation + remote engine + ack.
-        let c = CostModel::default();
+        let c = COST;
         let small = c.post_wr_ns
             + c.nic_engine_ns
             + c.link_time(64)
@@ -151,7 +153,7 @@ mod tests {
 
     #[test]
     fn link_time_is_sane() {
-        let c = CostModel::default();
+        let c = COST;
         // 4 KB at ~3.9 GB/s ≈ 1.05 us.
         let t = c.link_time(4096);
         assert!((900..=1200).contains(&t), "4KB link time = {t}");

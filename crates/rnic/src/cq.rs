@@ -19,7 +19,7 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use simnet::Ctx;
 
-use crate::cost::CostModel;
+use crate::cost::COST;
 use crate::verbs::Wc;
 
 /// Heap entry ordering completions by virtual readiness (the hardware
@@ -93,11 +93,11 @@ impl Cq {
 
     /// Non-blocking poll of up to `max` completions. Charges one poll's
     /// CPU cost and joins the caller's clock with each entry's stamp.
-    pub fn poll(&self, ctx: &mut Ctx, cost: &CostModel, max: usize) -> Vec<Wc> {
+    pub fn poll(&self, ctx: &mut Ctx, max: usize) -> Vec<Wc> {
         let mut q = self.q.lock();
         if q.0.is_empty() {
             drop(q);
-            ctx.work(cost.cq_poll_empty_ns);
+            ctx.work(COST.cq_poll_empty_ns);
             return Vec::new();
         }
         let n = q.0.len().min(max);
@@ -109,7 +109,7 @@ impl Cq {
         for wc in &out {
             ctx.wait_until(wc.ready_at);
         }
-        ctx.work(cost.cq_poll_ns * out.len() as u64);
+        ctx.work(COST.cq_poll_ns * out.len() as u64);
         out
     }
 
@@ -121,13 +121,7 @@ impl Cq {
     ///
     /// Returns `None` if the CQ is closed or `timeout` (host wall time,
     /// a liveness bound for failure tests) expires.
-    pub fn poll_blocking(
-        &self,
-        ctx: &mut Ctx,
-        cost: &CostModel,
-        spin: bool,
-        timeout: Duration,
-    ) -> Option<Wc> {
+    pub fn poll_blocking(&self, ctx: &mut Ctx, spin: bool, timeout: Duration) -> Option<Wc> {
         let mut q = self.q.lock();
         loop {
             if let Some(Entry(_, wc)) = q.0.pop() {
@@ -137,7 +131,7 @@ impl Cq {
                 } else {
                     ctx.wait_until(wc.ready_at);
                 }
-                ctx.work(cost.cq_poll_ns);
+                ctx.work(COST.cq_poll_ns);
                 return Some(wc);
             }
             if self.is_closed() {
@@ -169,51 +163,38 @@ mod tests {
     #[test]
     fn poll_joins_clock() {
         let cq = Cq::new();
-        let cost = CostModel::default();
         let mut ctx = Ctx::new();
         cq.push(wc(1, 5_000));
         cq.push(wc(2, 6_000));
-        let out = cq.poll(&mut ctx, &cost, 16);
+        let out = cq.poll(&mut ctx, 16);
         assert_eq!(out.len(), 2);
         assert!(ctx.now() >= 6_000);
         // Empty poll charges the empty cost only.
         let before = ctx.now();
-        assert!(cq.poll(&mut ctx, &cost, 16).is_empty());
-        assert_eq!(ctx.now(), before + cost.cq_poll_empty_ns);
+        assert!(cq.poll(&mut ctx, 16).is_empty());
+        assert_eq!(ctx.now(), before + COST.cq_poll_empty_ns);
     }
 
     #[test]
     fn blocking_poll_wakes_on_push() {
         let cq = Arc::new(Cq::new());
-        let cost = CostModel::default();
         let c2 = Arc::clone(&cq);
         let h = std::thread::spawn(move || {
             let mut ctx = Ctx::new();
-            c2.poll_blocking(
-                &mut ctx,
-                &CostModel::default(),
-                false,
-                Duration::from_secs(5),
-            )
-            .expect("completion arrives")
+            c2.poll_blocking(&mut ctx, false, Duration::from_secs(5))
+                .expect("completion arrives")
         });
         std::thread::sleep(Duration::from_millis(20));
         cq.push(wc(7, 1234));
         let got = h.join().unwrap();
         assert_eq!(got.wr_id, 7);
-        let _ = cost;
     }
 
     #[test]
     fn blocking_poll_times_out() {
         let cq = Cq::new();
         let mut ctx = Ctx::new();
-        let got = cq.poll_blocking(
-            &mut ctx,
-            &CostModel::default(),
-            false,
-            Duration::from_millis(10),
-        );
+        let got = cq.poll_blocking(&mut ctx, false, Duration::from_millis(10));
         assert!(got.is_none());
     }
 
@@ -223,12 +204,7 @@ mod tests {
         let c2 = Arc::clone(&cq);
         let h = std::thread::spawn(move || {
             let mut ctx = Ctx::new();
-            c2.poll_blocking(
-                &mut ctx,
-                &CostModel::default(),
-                false,
-                Duration::from_secs(30),
-            )
+            c2.poll_blocking(&mut ctx, false, Duration::from_secs(30))
         });
         std::thread::sleep(Duration::from_millis(10));
         cq.close();
@@ -238,11 +214,10 @@ mod tests {
     #[test]
     fn spin_charges_idle_gap() {
         let cq = Cq::new();
-        let cost = CostModel::default();
         let mut ctx = Ctx::new();
         cq.push(wc(1, 10_000));
         let got = cq
-            .poll_blocking(&mut ctx, &cost, true, Duration::from_secs(1))
+            .poll_blocking(&mut ctx, true, Duration::from_secs(1))
             .unwrap();
         assert_eq!(got.wr_id, 1);
         assert!(

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use smem::PhysMem;
 
-use crate::cost::CostModel;
 use crate::error::{VerbsError, VerbsResult};
 use crate::fault::{FaultAction, FaultPlan, FaultState, FaultStats};
 use crate::nic::Nic;
@@ -16,35 +15,22 @@ use crate::qp::{Qp, QpType};
 /// Index of a node in the fabric.
 pub type NodeId = usize;
 
-/// Fabric construction parameters.
+/// Physical memory per node, bytes (sparse — only touched pages cost
+/// host memory).
+const PHYS_MEM_PER_NODE: u64 = 16 << 30;
+
+/// Fabric construction parameters. Every node gets 16 GiB of memory and
+/// every NIC and link runs on [`COST`](crate::COST).
 #[derive(Debug, Clone)]
 pub struct IbConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// Physical memory per node, bytes (sparse — only touched pages cost
-    /// host memory).
-    pub phys_mem_per_node: u64,
-    /// Cost model applied to every NIC and link.
-    pub cost: CostModel,
-}
-
-impl Default for IbConfig {
-    fn default() -> Self {
-        IbConfig {
-            nodes: 2,
-            phys_mem_per_node: 16 << 30,
-            cost: CostModel::default(),
-        }
-    }
 }
 
 impl IbConfig {
-    /// Config with `n` nodes and default everything else.
+    /// Config with `n` nodes.
     pub fn with_nodes(n: usize) -> Self {
-        IbConfig {
-            nodes: n,
-            ..Default::default()
-        }
+        IbConfig { nodes: n }
     }
 }
 
@@ -56,7 +42,6 @@ pub(crate) struct NodeHw {
 
 /// The fabric. Everything in the simulation hangs off one of these.
 pub struct IbFabric {
-    cfg: IbConfig,
     pub(crate) nodes: Vec<NodeHw>,
     next_qp: AtomicU64,
     next_key: AtomicU64,
@@ -77,13 +62,12 @@ impl IbFabric {
         Arc::new_cyclic(|weak| {
             let nodes = (0..cfg.nodes)
                 .map(|id| NodeHw {
-                    mem: Arc::new(PhysMem::new(cfg.phys_mem_per_node)),
-                    nic: Nic::new(id, cfg.cost.clone(), weak.clone()),
+                    mem: Arc::new(PhysMem::new(PHYS_MEM_PER_NODE)),
+                    nic: Nic::new(id, weak.clone()),
                     down: AtomicBool::new(false),
                 })
                 .collect();
             IbFabric {
-                cfg,
                 nodes,
                 next_qp: AtomicU64::new(1),
                 next_key: AtomicU64::new(1),
@@ -97,11 +81,6 @@ impl IbFabric {
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The fabric-wide cost model.
-    pub fn cost(&self) -> &CostModel {
-        &self.cfg.cost
     }
 
     /// The NIC of node `n`.

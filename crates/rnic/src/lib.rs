@@ -21,6 +21,9 @@
 //! * **Queueing** — per-NIC request engines and link resources
 //!   ([`simnet::Resource`]) through which every operation passes, so
 //!   throughput saturation and multi-thread contention emerge naturally.
+//! * **One cost model** — every NIC and link charges the constants of
+//!   [`COST`], calibrated against the paper's testbed; no fabric, NIC or
+//!   caller picks other numbers.
 //!
 //! One-sided operations are executed by the *requester's* thread directly
 //! against the target node's memory — the remote CPU is never involved,
@@ -37,7 +40,7 @@ pub mod nic;
 pub mod qp;
 pub mod verbs;
 
-pub use cost::CostModel;
+pub use cost::{CostModel, COST};
 pub use cq::Cq;
 pub use error::{VerbsError, VerbsResult};
 pub use fabric::{IbConfig, IbFabric, NodeId};

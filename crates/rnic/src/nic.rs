@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 use simnet::{Ctx, Grant, Lru, Nanos, Resource};
 use smem::{AddrSpace, Chunk, PhysMem, PAGE_SHIFT, PAGE_SIZE};
 
-use crate::cost::CostModel;
+use crate::cost::COST;
 use crate::cq::Cq;
 use crate::error::{VerbsError, VerbsResult};
 use crate::fabric::{IbFabric, NodeId};
@@ -132,7 +132,6 @@ pub struct NicStats {
 /// One simulated RNIC.
 pub struct Nic {
     node: NodeId,
-    cost: CostModel,
     fabric: Weak<IbFabric>,
     /// WQE processing engine (FCFS).
     engine: Resource,
@@ -263,11 +262,11 @@ struct PlannedWr<'a> {
 }
 
 impl Nic {
-    pub(crate) fn new(node: NodeId, cost: CostModel, fabric: Weak<IbFabric>) -> Self {
+    pub(crate) fn new(node: NodeId, fabric: Weak<IbFabric>) -> Self {
         let caches = Caches {
-            mr_keys: Lru::new(cost.mr_cache_entries),
-            ptes: Lru::new(cost.pte_cache_entries),
-            qpc: Lru::new(cost.qp_cache_entries),
+            mr_keys: Lru::new(COST.mr_cache_entries),
+            ptes: Lru::new(COST.pte_cache_entries),
+            qpc: Lru::new(COST.qp_cache_entries),
         };
         // Pipeline windows: the request engine accepts a deep WQE queue
         // (it processes WQEs from many QPs out of order, so a request
@@ -275,10 +274,9 @@ impl Nic {
         // independent one); the wire has NIC buffering worth tens of
         // microseconds.
         let engine_slack = 64_000;
-        let tx_slack = cost.link_time(96 * 1024);
+        let tx_slack = COST.link_time(96 * 1024);
         Nic {
             node,
-            cost,
             fabric,
             engine: Resource::with_slack("nic-engine", engine_slack),
             tx: Resource::with_slack("nic-tx", tx_slack),
@@ -298,11 +296,6 @@ impl Nic {
     /// This NIC's node id.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The cost model in force.
-    pub fn cost(&self) -> &CostModel {
-        &self.cost
     }
 
     fn fabric(&self) -> Arc<IbFabric> {
@@ -346,7 +339,7 @@ impl Nic {
     /// first byte; competing senders queue on the ingress link.
     pub(crate) fn rx_arrival(&self, first_byte: Nanos, len: usize) -> Nanos {
         self.rx
-            .acquire(first_byte, self.cost.link_time(len as u64))
+            .acquire(first_byte, COST.link_time(len as u64))
             .finish
     }
 
@@ -365,7 +358,7 @@ impl Nic {
         access: Access,
     ) -> VerbsResult<Mr> {
         let pages = space.pin_range(addr, len)?;
-        ctx.work(self.cost.reg_mr_base_ns + self.cost.pin_page_ns * pages as u64);
+        ctx.work(COST.reg_mr_base_ns + COST.pin_page_ns * pages as u64);
         let key = self.fabric().alloc_key();
         let inner = Arc::new(MrInner {
             key,
@@ -387,7 +380,7 @@ impl Nic {
     /// Registers a user-space MR in pin-free mode (ODP / NP-RDMA style):
     /// no page is pinned up front, so the cost is O(1) in the region size.
     /// Pages pin on first datapath touch — the resolve paths emulate the
-    /// NIC page fault, charging [`CostModel::fault_page_ns`] per faulted
+    /// NIC page fault, charging `COST.fault_page_ns` per faulted
     /// page — and deregistration unpins only what actually faulted in.
     pub fn register_mr_lazy(
         &self,
@@ -400,7 +393,7 @@ impl Nic {
         // Bounds must still be mapped; only the pinning is deferred.
         space.translate(addr)?;
         space.translate(addr + len.max(1) - 1)?;
-        ctx.work(self.cost.reg_mr_base_ns);
+        ctx.work(COST.reg_mr_base_ns);
         let key = self.fabric().alloc_key();
         let inner = Arc::new(MrInner {
             key,
@@ -429,7 +422,7 @@ impl Nic {
         len: u64,
         access: Access,
     ) -> VerbsResult<Mr> {
-        ctx.work(self.cost.reg_mr_base_ns);
+        ctx.work(COST.reg_mr_base_ns);
         let key = self.fabric().alloc_key();
         let inner = Arc::new(MrInner {
             key,
@@ -482,12 +475,12 @@ impl Nic {
                         }
                     }
                 };
-                ctx.work(self.cost.dereg_mr_base_ns + self.cost.unpin_page_ns * unpinned);
+                ctx.work(COST.dereg_mr_base_ns + COST.unpin_page_ns * unpinned);
                 if let Some(e) = first_err {
                     return Err(e.into());
                 }
             }
-            MrKind::Phys { .. } => ctx.work(self.cost.dereg_mr_base_ns),
+            MrKind::Phys { .. } => ctx.work(COST.dereg_mr_base_ns),
         }
         Ok(())
     }
@@ -565,7 +558,7 @@ impl Nic {
 
     /// Posts a receive entry on a QP's receive queue.
     pub fn post_recv(&self, ctx: &mut Ctx, qp: &Qp, entry: RecvEntry) {
-        ctx.work(self.cost.post_wr_ns);
+        ctx.work(COST.post_wr_ns);
         qp.rq.post(entry);
     }
 
@@ -586,7 +579,7 @@ impl Nic {
             0
         } else {
             c.mr_keys.insert(key, ());
-            self.cost.mr_miss_ns
+            COST.mr_miss_ns
         }
     }
 
@@ -598,7 +591,7 @@ impl Nic {
         for vpn in first..=last {
             if c.ptes.touch(&(key, vpn)).is_none() {
                 c.ptes.insert((key, vpn), ());
-                pen += self.cost.pte_miss_ns;
+                pen += COST.pte_miss_ns;
             }
         }
         pen
@@ -610,7 +603,7 @@ impl Nic {
             0
         } else {
             c.qpc.insert(qpn, ());
-            self.cost.qp_miss_ns
+            COST.qp_miss_ns
         }
     }
 
@@ -647,7 +640,7 @@ impl Nic {
             if !set.contains(&vpn) {
                 space.pin_range(vpn << PAGE_SHIFT, 1)?;
                 set.insert(vpn);
-                pen += self.cost.fault_page_ns;
+                pen += COST.fault_page_ns;
                 self.page_faults.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -926,7 +919,7 @@ impl Nic {
     fn atomic_op(&self, ctx: &mut Ctx, qp: &Qp, wr: Wr) -> VerbsResult<u64> {
         let o = self.post_one(ctx, qp, wr)?;
         ctx.wait_until(o.completion);
-        ctx.work(self.cost.cq_poll_ns);
+        ctx.work(COST.cq_poll_ns);
         Ok(o.value)
     }
 
@@ -1049,8 +1042,8 @@ impl Nic {
 
         // One doorbell: a single host post charge, then the engine grants
         // the whole WQE chain back-to-back.
-        ctx.work(self.cost.post_wr_ns);
-        let service = |p: &PlannedWr| self.cost.nic_engine_ns + p.lpen;
+        ctx.work(COST.post_wr_ns);
+        let service = |p: &PlannedWr| COST.nic_engine_ns + p.lpen;
         let (single, batch);
         let grants: &[Grant] = if let [p] = &*plans {
             // A batch of one is exactly `acquire`, minus two allocations
@@ -1063,7 +1056,7 @@ impl Nic {
             &batch
         };
 
-        let prop = self.cost.propagation_ns;
+        let prop = COST.propagation_ns;
         let mem = self.mem();
         let rmem = fabric.mem(peer_node);
         let mut credits = credits.into_iter();
@@ -1075,7 +1068,7 @@ impl Nic {
         let (mut fence, mut floor) = (0, 0);
         for ((wr, plan), g1) in wrs.iter().zip(&*plans).zip(grants) {
             let len = plan.len;
-            let rsvc = self.cost.nic_engine_ns + plan.rpen;
+            let rsvc = COST.nic_engine_ns + plan.rpen;
             let mut step = || -> VerbsResult<WrOutcome> {
                 match *wr {
                     Wr::Write { imm, .. } => {
@@ -1083,7 +1076,7 @@ impl Nic {
                         // onto the wire; the remote NIC takes it off the
                         // ingress link, resolves the rkey and DMA-writes.
                         let local = plan.local.as_ref().expect("writes carry an sge");
-                        let g2 = self.tx.acquire(g1.finish, self.cost.link_time(len as u64));
+                        let g2 = self.tx.acquire(g1.finish, COST.link_time(len as u64));
                         let arrive = rnic.rx_arrival(g2.start + prop, len);
                         let g3 = rnic.engine.acquire(arrive, rsvc);
                         rmem.copy_from(&mem, &local.chunks, &plan.remote.chunks)?;
@@ -1096,7 +1089,7 @@ impl Nic {
                                 entry.wr_id,
                                 WcOpcode::RecvRdmaWithImm,
                                 len,
-                                delivered + self.cost.recv_handle_ns,
+                                delivered + COST.recv_handle_ns,
                             );
                             wc.imm = Some(imm);
                             wc.src = Some((self.node, qp.id));
@@ -1105,7 +1098,7 @@ impl Nic {
                         bytes_tx += len as u64;
                         // RC acks; UC completes at the wire.
                         let completion = match qp.typ {
-                            QpType::Rc => delivered + prop + self.cost.ack_ns,
+                            QpType::Rc => delivered + prop + COST.ack_ns,
                             _ => g2.finish,
                         };
                         Ok(WrOutcome {
@@ -1120,9 +1113,9 @@ impl Nic {
                         // local NIC DMAs it into the landing buffer.
                         let local = plan.local.as_ref().expect("reads carry an sge");
                         let g3 = rnic.engine.acquire((g1.finish + prop).max(fence), rsvc);
-                        let g4 = rnic.tx.acquire(g3.finish, self.cost.link_time(len as u64));
+                        let g4 = rnic.tx.acquire(g3.finish, COST.link_time(len as u64));
                         let back = self.rx_arrival(g4.start + prop, len);
-                        let mut completion = back + self.cost.ack_ns;
+                        let mut completion = back + COST.ack_ns;
                         match *plan.remote.chunks {
                             // One aligned word: a stamped load, so the
                             // read observes a word that atomics maintain
@@ -1144,12 +1137,11 @@ impl Nic {
                         })
                     }
                     Wr::FetchAdd { token, .. } | Wr::CmpSwap { token, .. } => {
-                        let g3 = rnic.engine.acquire(
-                            (g1.finish + prop).max(fence),
-                            rsvc + self.cost.atomic_extra_ns,
-                        );
+                        let g3 = rnic
+                            .engine
+                            .acquire((g1.finish + prop).max(fence), rsvc + COST.atomic_extra_ns);
                         rnic.atomic_ops.fetch_add(1, Ordering::Relaxed);
-                        let comp = g3.finish + prop + self.cost.ack_ns;
+                        let comp = g3.finish + prop + COST.ack_ns;
                         // Exactly-once filter for tagged ops: a retry
                         // whose first attempt already applied (its ack
                         // leg was lost) short-circuits to the memoized
@@ -1283,10 +1275,10 @@ impl Nic {
         if qp.typ != QpType::Ud {
             return Err(VerbsError::BadOpForQpType);
         }
-        if sge.len() > self.cost.ud_max_payload {
+        if sge.len() > COST.ud_max_payload {
             return Err(VerbsError::PayloadTooLarge {
                 len: sge.len(),
-                max: self.cost.ud_max_payload,
+                max: COST.ud_max_payload,
             });
         }
         self.send_inner(
@@ -1298,7 +1290,7 @@ impl Nic {
             signaled,
             dest.0,
             dest.1,
-            self.cost.ud_extra_ns,
+            COST.ud_extra_ns,
         )
     }
 
@@ -1317,20 +1309,20 @@ impl Nic {
     ) -> VerbsResult<Nanos> {
         let fabric = self.fabric();
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
-        ctx.work(self.cost.post_wr_ns);
+        ctx.work(COST.post_wr_ns);
         let len = sge.len();
         let local = self.resolve_local(sge.as_ref())?;
         let lpen = local.penalty + self.touch_qpc(qp.id);
         let g1 = self
             .engine
-            .acquire(ctx.now(), self.cost.nic_engine_ns + lpen + extra);
-        let g2 = self.tx.acquire(g1.finish, self.cost.link_time(len as u64));
+            .acquire(ctx.now(), COST.nic_engine_ns + lpen + extra);
+        let g2 = self.tx.acquire(g1.finish, COST.link_time(len as u64));
 
         let rnic = fabric.try_nic(peer_node)?;
-        let arrive = rnic.rx_arrival(g2.start + self.cost.propagation_ns, len);
+        let arrive = rnic.rx_arrival(g2.start + COST.propagation_ns, len);
         let rqp = rnic.qp(peer_qp)?;
         let entry = rqp.rq.consume()?;
-        let mut rpen = rnic.touch_qpc(peer_qp) + self.cost.recv_handle_ns;
+        let mut rpen = rnic.touch_qpc(peer_qp) + COST.recv_handle_ns;
         // Deliver the payload into the posted buffer. Only the payload
         // prefix of the buffer is resolved/charged — the NIC translates
         // the pages it DMAs into, not the whole posted region.
@@ -1352,7 +1344,7 @@ impl Nic {
                 .mem(peer_node)
                 .copy_from(&self.mem(), &local.chunks, &rres.chunks)?;
         }
-        let g3 = rnic.engine.acquire(arrive, self.cost.nic_engine_ns + rpen);
+        let g3 = rnic.engine.acquire(arrive, COST.nic_engine_ns + rpen);
         let delivered = qp.order_delivery(g3.finish);
         let mut wc = Wc::new(entry.wr_id, WcOpcode::Recv, len, delivered);
         wc.imm = imm;
@@ -1360,7 +1352,7 @@ impl Nic {
         rqp.recv_cq.push(wc);
 
         let comp = match qp.typ {
-            QpType::Rc => delivered + self.cost.propagation_ns + self.cost.ack_ns,
+            QpType::Rc => delivered + COST.propagation_ns + COST.ack_ns,
             _ => g2.finish,
         };
         if signaled {

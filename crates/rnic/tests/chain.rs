@@ -7,7 +7,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rnic::{
     Access, FaultPlan, FaultRule, IbConfig, IbFabric, Mr, Qp, RemoteAddr, Sge, SgeRef, VerbsError,
-    Wr, WrOutcome,
+    Wr, WrOutcome, COST,
 };
 use simnet::Ctx;
 use smem::{AddrSpace, PhysAllocator};
@@ -153,7 +153,7 @@ fn mixed_chain_executes_in_order_behind_one_doorbell() {
     let done = r.post(&mut ctx, &chain).unwrap();
     assert_eq!(
         ctx.now() - start,
-        r.fabric.cost().post_wr_ns,
+        COST.post_wr_ns,
         "one doorbell: the host post cost is charged once and nothing blocks"
     );
     assert_eq!(done.len(), 4);
@@ -227,9 +227,9 @@ fn one_element_chain_equals_the_single_verb() {
     };
     let chained = b.post(&mut cb, &[wr]).unwrap();
     assert_eq!(chained[0].value, old);
-    assert_eq!(cb.now(), b.fabric.cost().post_wr_ns);
+    assert_eq!(cb.now(), COST.post_wr_ns);
     assert_eq!(
-        chained[0].completion + b.fabric.cost().cq_poll_ns,
+        chained[0].completion + COST.cq_poll_ns,
         ca.now(),
         "verb = chain stamp + the CQ poll"
     );
@@ -370,7 +370,7 @@ fn lost_ack_mid_chain_resumes_from_the_atomic() {
 #[test]
 fn one_word_read_is_a_stamped_load_at_the_price_of_a_read() {
     let r = rig();
-    let cost = r.fabric.cost().clone();
+    let cost = COST;
     let read = |local: u64, remote: u64, len: usize| Wr::Read {
         sge: r.wr_sge(local, len),
         remote: r.at(remote),

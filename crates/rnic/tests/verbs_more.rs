@@ -164,7 +164,7 @@ fn srq_style_sharing_across_qps() {
     let mut seen = Vec::new();
     for _ in 0..2 {
         let wc = shared_cq
-            .poll_blocking(&mut rctx, fabric.cost(), false, Duration::from_secs(2))
+            .poll_blocking(&mut rctx, false, Duration::from_secs(2))
             .unwrap();
         seen.push(wc.src.unwrap().0);
     }

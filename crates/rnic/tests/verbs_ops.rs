@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rnic::{Access, CostModel, IbConfig, IbFabric, QpType, RemoteAddr, Sge, WcOpcode};
+use rnic::{Access, IbConfig, IbFabric, QpType, RemoteAddr, Sge, WcOpcode, COST};
 use simnet::{Ctx, MICROS};
 use smem::{AddrSpace, PhysAllocator};
 
@@ -62,7 +62,7 @@ fn one_sided_write_moves_bytes() {
     assert!(comp > ctx.now(), "completion is in the future");
 
     // Poll the send CQ: clock joins the completion stamp.
-    let wcs = qa.send_cq.poll(&mut ctx, fabric.cost(), 1);
+    let wcs = qa.send_cq.poll(&mut ctx, 1);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].opcode, WcOpcode::RdmaWrite);
     assert!(ctx.now() >= comp);
@@ -242,7 +242,7 @@ fn write_imm_delivers_to_recv_cq() {
     let mut rctx = Ctx::new();
     let wc = qb
         .recv_cq
-        .poll_blocking(&mut rctx, fabric.cost(), false, Duration::from_secs(1))
+        .poll_blocking(&mut rctx, false, Duration::from_secs(1))
         .unwrap();
     assert_eq!(wc.opcode, WcOpcode::RecvRdmaWithImm);
     assert_eq!(wc.imm, Some(42));
@@ -305,7 +305,7 @@ fn send_recv_roundtrip() {
     let mut rctx = Ctx::new();
     let wc = qb
         .recv_cq
-        .poll_blocking(&mut rctx, fabric.cost(), false, Duration::from_secs(1))
+        .poll_blocking(&mut rctx, false, Duration::from_secs(1))
         .unwrap();
     assert_eq!(wc.opcode, WcOpcode::Recv);
     assert_eq!(wc.byte_len, 4);
@@ -315,7 +315,7 @@ fn send_recv_roundtrip() {
     assert_eq!(got, msg);
 
     // Sender's completion also arrives.
-    let wcs = qa.send_cq.poll(&mut ctx, fabric.cost(), 4);
+    let wcs = qa.send_cq.poll(&mut ctx, 4);
     assert_eq!(wcs.len(), 1);
     assert_eq!(wcs[0].opcode, WcOpcode::Send);
 }
@@ -376,7 +376,7 @@ fn ud_send_enforces_mtu_and_delivers() {
     let mut rctx = Ctx::new();
     let wc = qb
         .recv_cq
-        .poll_blocking(&mut rctx, fabric.cost(), false, Duration::from_secs(1))
+        .poll_blocking(&mut rctx, false, Duration::from_secs(1))
         .unwrap();
     assert_eq!(wc.byte_len, 4096);
 }
@@ -492,7 +492,7 @@ fn down_node_times_out() {
 /// and latency rises; with one MR they always hit.
 #[test]
 fn mr_key_cache_produces_fig4_cliff() {
-    let cost = CostModel::default();
+    let cost = COST;
     let (fabric, spaces) = setup(2);
     let mut ctx = Ctx::new();
 
@@ -679,7 +679,7 @@ fn pte_cache_produces_fig5_cliff_and_phys_mr_avoids_it() {
 #[test]
 fn registration_cost_scales_with_pages() {
     let (fabric, spaces) = setup(1);
-    let cost = CostModel::default();
+    let cost = COST;
 
     let mut ctx = Ctx::new();
     let v_small = spaces[0].mmap(4096).unwrap();
@@ -784,7 +784,7 @@ fn link_saturates_under_parallel_writers() {
         .unwrap();
     let bytes = (threads * per_thread_ops * size) as u64;
     let gbps = bytes as f64 / makespan as f64; // bytes/ns == GB/s
-    let link = fabric.cost().link_bytes_per_sec as f64 / 1e9;
+    let link = COST.link_bytes_per_sec as f64 / 1e9;
     assert!(
         gbps <= link * 1.02,
         "throughput {gbps:.2} GB/s exceeds link {link:.2} GB/s"

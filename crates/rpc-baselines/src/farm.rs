@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex as PMutex;
-use rnic::{Access, IbFabric, NodeId, RemoteAddr, Sge, VerbsError, VerbsResult};
+use rnic::{Access, IbFabric, NodeId, RemoteAddr, Sge, VerbsError, VerbsResult, COST};
 use simnet::Ctx;
 use smem::{AddrSpace, PhysAllocator};
 
@@ -134,7 +134,7 @@ impl FarmPair {
         // reply ring.
         let (tag, _stamp, len) = self
             .rep_bell
-            .poll(ctx, self.fabric.cost().cq_poll_ns, timeout)
+            .poll(ctx, COST.cq_poll_ns, timeout)
             .ok_or(VerbsError::Timeout)?;
         debug_assert_eq!(tag as usize, slot);
         let mut out = vec![0u8; len];
@@ -151,7 +151,7 @@ impl FarmPair {
     ) -> VerbsResult<()> {
         let (slot, _stamp, len) = self
             .req_bell
-            .poll(ctx, self.fabric.cost().cq_poll_ns, timeout)
+            .poll(ctx, COST.cq_poll_ns, timeout)
             .ok_or(VerbsError::Timeout)?;
         let mut req = vec![0u8; len];
         self.s_ring.get(slot as usize * self.slot_size, &mut req)?;

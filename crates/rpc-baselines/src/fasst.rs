@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex as PMutex;
 use rnic::qp::RecvEntry;
-use rnic::{Access, IbFabric, NodeId, QpType, Sge, VerbsError, VerbsResult};
+use rnic::{Access, IbFabric, NodeId, QpType, Sge, VerbsError, VerbsResult, COST};
 use simnet::Ctx;
 use smem::{AddrSpace, PhysAllocator};
 
@@ -79,7 +79,7 @@ impl FasstServer {
     /// Creates the server endpoint. UD caps messages at one MTU (4 KB),
     /// exactly FaSST's constraint.
     pub fn new(fabric: &Arc<IbFabric>, node: NodeId, slot_size: usize) -> VerbsResult<Arc<Self>> {
-        assert!(slot_size <= fabric.cost().ud_max_payload);
+        assert!(slot_size <= COST.ud_max_payload);
         let (ud, recv, send) = make_endpoint(fabric, node, slot_size)?;
         Ok(Arc::new(FasstServer {
             fabric: Arc::clone(fabric),
@@ -107,7 +107,7 @@ impl FasstServer {
         let wc = self
             .ud
             .recv_cq
-            .poll_blocking(ctx, self.fabric.cost(), true, timeout)
+            .poll_blocking(ctx, true, timeout)
             .ok_or(VerbsError::Timeout)?;
         let slot = wc.wr_id as usize;
         let mut req = vec![0u8; wc.byte_len];
@@ -154,7 +154,7 @@ impl FasstClient {
         server: (NodeId, u64),
         slot_size: usize,
     ) -> VerbsResult<FasstClient> {
-        assert!(slot_size <= fabric.cost().ud_max_payload);
+        assert!(slot_size <= COST.ud_max_payload);
         let (ud, recv, send) = make_endpoint(fabric, node, slot_size)?;
         Ok(FasstClient {
             fabric: Arc::clone(fabric),
@@ -186,7 +186,7 @@ impl FasstClient {
         let wc = self
             .ud
             .recv_cq
-            .poll_blocking(ctx, self.fabric.cost(), true, timeout)
+            .poll_blocking(ctx, true, timeout)
             .ok_or(VerbsError::Timeout)?;
         let slot = wc.wr_id as usize;
         let mut out = vec![0u8; wc.byte_len];
@@ -254,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slot_size <= fabric.cost().ud_max_payload")]
+    #[should_panic(expected = "slot_size <= COST.ud_max_payload")]
     fn fasst_rejects_over_mtu() {
         let fabric = IbFabric::new(IbConfig::with_nodes(2));
         let _ = FasstServer::new(&fabric, 1, 8192);

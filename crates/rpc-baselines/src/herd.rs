@@ -198,7 +198,7 @@ impl HerdClient {
         let wc = self
             .ud
             .recv_cq
-            .poll_blocking(ctx, self.fabric.cost(), true, timeout)
+            .poll_blocking(ctx, true, timeout)
             .ok_or(VerbsError::Timeout)?;
         let slot = wc.wr_id as usize;
         let mut out = vec![0u8; wc.byte_len];

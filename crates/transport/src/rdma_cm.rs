@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rnic::qp::RecvEntry;
-use rnic::{Access, IbFabric, NodeId, Sge, VerbsError, VerbsResult, Wc};
+use rnic::{Access, IbFabric, NodeId, Sge, VerbsError, VerbsResult, Wc, COST};
 use simnet::{Ctx, Nanos};
 use smem::AddrSpace;
 
@@ -135,9 +135,8 @@ impl RcmSock {
             std::thread::yield_now();
         }
         let nic = self.fabric.nic(self.node);
-        let cost = nic.cost();
         // rsockets copies the user buffer into the registered region.
-        ctx.work(self.overhead_ns + cost.memcpy_time(data.len() as u64));
+        ctx.work(self.overhead_ns + COST.memcpy_time(data.len() as u64));
         let pa = self.space.translate(self.send_va)?;
         self.fabric.mem(self.node).write(pa, data)?;
         nic.post_send(
@@ -156,12 +155,10 @@ impl RcmSock {
 
     /// Blocking receive of one message.
     pub fn recv(&self, ctx: &mut Ctx, timeout: Duration) -> VerbsResult<Vec<u8>> {
-        let nic = self.fabric.nic(self.node);
-        let cost = nic.cost();
         let wc: Wc = self
             .qp
             .recv_cq
-            .poll_blocking(ctx, cost, false, timeout)
+            .poll_blocking(ctx, false, timeout)
             .ok_or(VerbsError::Timeout)?;
         let slot = wc.wr_id as usize;
         let va = self.recv_va + (slot * self.buf_size) as u64;
@@ -176,7 +173,7 @@ impl RcmSock {
                 .read(f.addr, &mut out[off..off + f.len as usize])?;
             off += f.len as usize;
         }
-        ctx.work(self.overhead_ns + cost.memcpy_time(wc.byte_len as u64));
+        ctx.work(self.overhead_ns + COST.memcpy_time(wc.byte_len as u64));
         self.post_ring_entry(ctx, slot);
         self.my_credits.fetch_add(1, Ordering::AcqRel);
         Ok(out)

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{LiteCluster, LiteConfig, LiteHandle, Perm, QosConfig, USER_FUNC_MIN};
+use lite::{LiteCluster, LiteConfig, LiteHandle, Perm, USER_FUNC_MIN};
 use rnic::IbConfig;
 use simnet::Ctx;
 
@@ -97,8 +97,7 @@ fn main() {
         max_lmr_chunk: 16 << 10,
         ..LiteConfig::default()
     };
-    let cluster = LiteCluster::start_with(IbConfig::with_nodes(3), config, QosConfig::default())
-        .expect("cluster");
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(3), config).expect("cluster");
     cluster.attach(1).unwrap().register_rpc(PUT).unwrap();
     let n_keys = 100usize;
     let srv = {

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{EventKind, LiteCluster, LiteConfig, Perm, QosConfig, USER_FUNC_MIN};
+use lite::{EventKind, LiteCluster, LiteConfig, Perm, USER_FUNC_MIN};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -28,8 +28,7 @@ fn chaos_workload_completes_under_seeded_faults() {
         trace_ring_slots: 1 << 16,
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(4), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(4), config).unwrap();
 
     // Node 0 is the master / job tracker and is never crashed; node 2
     // (a MapReduce worker) dies mid-run and comes back.
@@ -178,8 +177,7 @@ fn chaos_without_recovery_layer_fails() {
         op_timeout: Duration::from_millis(400),
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(2), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
     cluster
         .fabric()
         .install_fault_plan(FaultPlan::seeded(2017).with(FaultRule::BreakQp {
@@ -302,8 +300,7 @@ fn eviction_churn_survives_swap_node_crash() {
         max_lmr_chunk: 8 * 1024,
         ..Default::default()
     };
-    let cluster =
-        LiteCluster::start_with(IbConfig::with_nodes(3), config, QosConfig::default()).unwrap();
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(3), config).unwrap();
     cluster.fabric().install_fault_plan(
         FaultPlan::seeded(77)
             .with(FaultRule::DropWr {

@@ -126,7 +126,6 @@ fn node_failure_and_recovery() {
             op_timeout: std::time::Duration::from_millis(200),
             ..Default::default()
         },
-        lite::QosConfig::default(),
     )
     .unwrap();
     let mut h = cluster.attach(0).unwrap();
@@ -220,10 +219,7 @@ fn applications_share_one_cluster() {
 
     // LITE-Graph, also sharing the cluster.
     let g = lite_graph::Graph::power_law(300, 2_000, 0.9, 5);
-    let cfg = lite_graph::PagerankConfig {
-        max_iters: 4,
-        ..Default::default()
-    };
+    let cfg = lite_graph::PagerankConfig { max_iters: 4 };
     let pr = lite_graph::run_lite(&cluster, &g, 4, 2, &cfg).unwrap();
     let reference = lite_graph::run_reference(&g, &cfg);
     for (a, b) in pr.ranks.iter().zip(&reference.ranks) {
