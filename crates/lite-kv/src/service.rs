@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -259,22 +259,15 @@ struct Store {
 impl Store {
     /// The arena is read-only to whoever maps it by name: only this
     /// replica (which holds `MASTER`) ever writes it.
-    fn create(h: &mut LiteHandle, ctx: &mut Ctx, spec: &KvSpec, node: usize) -> Store {
-        let arena = h
-            .lt_malloc(
-                ctx,
-                node,
-                spec.arena_bytes,
-                &arena_name(&spec.name, node),
-                Perm::RO,
-            )
-            .expect("kv replica arena allocation");
-        Store {
+    fn create(h: &mut LiteHandle, ctx: &mut Ctx, spec: &KvSpec, node: usize) -> KvResult<Store> {
+        let name = arena_name(&spec.name, node);
+        let arena = h.lt_malloc(ctx, node, spec.arena_bytes, &name, Perm::RO)?;
+        Ok(Store {
             arena,
             cap: spec.arena_bytes,
             bump: 0,
             index: HashMap::new(),
-        }
+        })
     }
 
     fn aligned(len: usize) -> u64 {
@@ -354,8 +347,9 @@ fn check_cost(len: usize) -> u64 {
 // Service.
 // ---------------------------------------------------------------------------
 
-/// A running KV service: one leader thread, one replicator thread, and
-/// one thread per follower, all polling their node's RPC queues.
+/// A running KV service: one leader thread and one thread per follower,
+/// each asleep on its node's RPC queues until a call arrives, and one
+/// replicator thread.
 pub struct KvService {
     spec: KvSpec,
     stop: Arc<AtomicBool>,
@@ -369,10 +363,18 @@ pub struct KvService {
 impl KvService {
     /// Creates the log and arenas, starts all service threads, and
     /// returns once every replica is serving.
+    ///
+    /// Panics if the service cannot be set up; [`KvService::try_spawn`]
+    /// returns the error instead.
     pub fn spawn(cluster: &Arc<LiteCluster>, spec: KvSpec) -> KvService {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_replicator = Arc::new(AtomicBool::new(false));
-        let lag = Arc::new(AtomicU64::new(0));
+        Self::try_spawn(cluster, spec).expect("kv service set-up")
+    }
+
+    /// Sets up every replica and the replicator's view of the log from
+    /// the calling thread, then starts the service threads. A handle that
+    /// cannot attach, or a log or arena that cannot be allocated or
+    /// mapped, is returned as an error before any thread starts.
+    pub fn try_spawn(cluster: &Arc<LiteCluster>, spec: KvSpec) -> KvResult<KvService> {
         let replicas: Vec<Arc<ReplicaState>> = spec
             .replicas()
             .iter()
@@ -385,76 +387,43 @@ impl KvService {
                 })
             })
             .collect();
-        // Leader creates the shared LMRs before followers open them;
-        // everyone (plus the spawner) meets at `ready` before traffic.
-        let log_ready = Arc::new(Barrier::new(1 + spec.followers.len()));
-        let ready = Arc::new(Barrier::new(2 + spec.followers.len()));
-        let mut servers = Vec::new();
+        // The leader, first, creates the log the followers and the
+        // replicator open.
+        let served = replicas
+            .iter()
+            .enumerate()
+            .map(|(i, state)| Replica::set_up(cluster, &spec, Arc::clone(state), i == 0))
+            .collect::<KvResult<Vec<_>>>()?;
+        let mut rh = cluster.attach(spec.leader)?;
+        let mut rctx = Ctx::new();
+        let rlog = LiteLog::open(&mut rh, &mut rctx, &spec.name, spec.log_capacity)?;
 
-        // Leader.
-        servers.push({
-            let cluster = Arc::clone(cluster);
-            let spec = spec.clone();
-            let stop = Arc::clone(&stop);
-            let state = Arc::clone(&replicas[0]);
-            let log_ready = Arc::clone(&log_ready);
-            let ready = Arc::clone(&ready);
-            std::thread::spawn(move || {
-                let mut h = cluster.attach(spec.leader).expect("leader attach");
-                let mut ctx = Ctx::new();
-                let log =
-                    LiteLog::create(&mut h, &mut ctx, spec.leader, &spec.name, spec.log_capacity)
-                        .expect("kv log create");
-                let mut store = Store::create(&mut h, &mut ctx, &spec, spec.leader);
-                h.register_rpc(FN_PUT).expect("register PUT");
-                h.register_rpc(FN_GET).expect("register GET");
-                log_ready.wait();
-                ready.wait();
-                serve_leader(
-                    &cluster, &spec, &stop, &state, &mut h, &mut ctx, &log, &mut store,
-                );
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop_replicator = Arc::new(AtomicBool::new(false));
+        let lag = Arc::new(AtomicU64::new(0));
+        let servers = served
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                let delay = spec.apply_delay(r.state.node);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || match i {
+                    0 => serve_leader(&stop, &mut r),
+                    _ => serve_follower(&stop, &mut r, delay),
+                })
             })
-        });
-
-        // Followers.
-        for (i, &node) in spec.followers.iter().enumerate() {
-            let cluster = Arc::clone(cluster);
-            let spec = spec.clone();
-            let stop = Arc::clone(&stop);
-            let state = Arc::clone(&replicas[1 + i]);
-            let log_ready = Arc::clone(&log_ready);
-            let ready = Arc::clone(&ready);
-            servers.push(std::thread::spawn(move || {
-                log_ready.wait();
-                let mut h = cluster.attach(node).expect("follower attach");
-                let mut ctx = Ctx::new();
-                let log = LiteLog::open(&mut h, &mut ctx, &spec.name, spec.log_capacity)
-                    .expect("kv log open");
-                let mut store = Store::create(&mut h, &mut ctx, &spec, node);
-                h.register_rpc(FN_REPL).expect("register REPL");
-                h.register_rpc(FN_GET).expect("register GET");
-                ready.wait();
-                serve_follower(
-                    &cluster, &spec, &stop, &state, &mut h, &mut ctx, &log, &mut store,
-                );
-            }));
-        }
-
-        ready.wait();
-
-        // Replicator (runs on the leader node with its own handle).
+            .collect();
         let replicator = {
-            let cluster = Arc::clone(cluster);
             let spec = spec.clone();
             let stop = Arc::clone(&stop_replicator);
-            let leader_state = Arc::clone(&replicas[0]);
+            let leader = Arc::clone(&replicas[0]);
             let lag = Arc::clone(&lag);
             std::thread::spawn(move || {
-                run_replicator(&cluster, &spec, &stop, &leader_state, &lag);
+                run_replicator(&spec, &stop, &leader, &lag, rh, rctx, &rlog);
             })
         };
 
-        KvService {
+        Ok(KvService {
             spec,
             stop,
             stop_replicator,
@@ -462,7 +431,7 @@ impl KvService {
             replicator,
             replicas,
             lag,
-        }
+        })
     }
 
     /// The spec this service was started with.
@@ -517,28 +486,76 @@ impl KvService {
     }
 }
 
-/// Poll backoff when a service thread finds its queues empty. A timer on
-/// purpose: blocking on the poller's arrivals instead serves a closed loop
-/// four times faster, but at a rate set by the host's thread hand-offs,
-/// which on a shared VM moves by a quarter from one run to the next; the
-/// timer makes a run repeat (ROADMAP item 3 removes the hand-offs).
+/// How long the leader and the followers wait for a call before they
+/// count themselves quiet; a follower runs its anti-entropy pass once per
+/// quiet wait, never more often.
+const IDLE_WAIT: Duration = Duration::from_millis(1);
+
+/// The functions the leader serves and waits on.
+const LEADER_FUNCS: [u8; 2] = [FN_PUT, FN_GET];
+/// The functions a follower serves and waits on.
+const FOLLOWER_FUNCS: [u8; 2] = [FN_REPL, FN_GET];
+
+/// The replicator's pace between rounds with nothing to stream. A timer on
+/// purpose: it is the window in which a burst of leader applies gathers
+/// into one multicast batch.
 fn idle_pause() {
-    // sleep-ok: the one pace of the three service loops, see above
+    // sleep-ok: the replicator's batching window, see above
     std::thread::sleep(Duration::from_micros(50));
 }
 
-#[allow(clippy::too_many_arguments)]
-fn serve_leader(
-    cluster: &Arc<LiteCluster>,
-    spec: &KvSpec,
-    stop: &AtomicBool,
-    state: &ReplicaState,
-    h: &mut LiteHandle,
-    ctx: &mut Ctx,
-    log: &LiteLog,
-    store: &mut Store,
-) {
-    let kernel = Arc::clone(cluster.kernel(spec.leader));
+/// What one replica's serving thread owns.
+struct Replica {
+    state: Arc<ReplicaState>,
+    h: LiteHandle,
+    ctx: Ctx,
+    log: LiteLog,
+    store: Store,
+}
+
+impl Replica {
+    /// Attaches on the replica's node, creates (`leader`) or opens the
+    /// ordering log, allocates the value arena and registers the node's
+    /// functions.
+    fn set_up(
+        cluster: &LiteCluster,
+        spec: &KvSpec,
+        state: Arc<ReplicaState>,
+        leader: bool,
+    ) -> KvResult<Replica> {
+        let node = state.node;
+        let mut h = cluster.attach(node)?;
+        let mut ctx = Ctx::new();
+        let (log, funcs) = if leader {
+            let log = LiteLog::create(&mut h, &mut ctx, node, &spec.name, spec.log_capacity)?;
+            (log, LEADER_FUNCS)
+        } else {
+            let log = LiteLog::open(&mut h, &mut ctx, &spec.name, spec.log_capacity)?;
+            (log, FOLLOWER_FUNCS)
+        };
+        let store = Store::create(&mut h, &mut ctx, spec, node)?;
+        for func in funcs {
+            h.register_rpc(func)?;
+        }
+        Ok(Replica {
+            state,
+            h,
+            ctx,
+            log,
+            store,
+        })
+    }
+}
+
+fn serve_leader(stop: &AtomicBool, r: &mut Replica) {
+    let Replica {
+        state,
+        h,
+        ctx,
+        log,
+        store,
+    } = r;
+    let kernel = Arc::clone(h.kernel());
     while !stop.load(Ordering::Acquire) {
         let mut busy = false;
         // Writes: order through the log, apply locally, ack with seq.
@@ -550,7 +567,13 @@ fn serve_leader(
                 Some((key, value)) => match log.commit(h, ctx, &[key, value]) {
                     Ok(off) => {
                         let seq = state.applied.load(Ordering::Acquire) + 1;
-                        let loc = store.apply(h, ctx, seq, key, value).expect("checked apply");
+                        let Ok(loc) = store.apply(h, ctx, seq, key, value) else {
+                            // The update is in the order but not in this
+                            // arena, so the leader no longer answers for
+                            // the order: it stops serving.
+                            let _ = h.lt_reply_rpc(ctx, &call, &[PUT_COMMIT_FAILED]);
+                            return;
+                        };
                         state.applied.store(seq, Ordering::Release);
                         state
                             .next_off
@@ -570,7 +593,7 @@ fn serve_leader(
         }
         busy |= serve_gets(state, &kernel, h, ctx, store);
         if !busy {
-            idle_pause();
+            let _ = h.lt_wait_rpc(&LEADER_FUNCS, IDLE_WAIT);
         }
     }
 }
@@ -612,20 +635,15 @@ fn serve_gets(
     busy
 }
 
-#[allow(clippy::too_many_arguments)]
-fn serve_follower(
-    cluster: &Arc<LiteCluster>,
-    spec: &KvSpec,
-    stop: &AtomicBool,
-    state: &ReplicaState,
-    h: &mut LiteHandle,
-    ctx: &mut Ctx,
-    log: &LiteLog,
-    store: &mut Store,
-) {
-    let kernel = Arc::clone(cluster.kernel(state.node));
-    let delay = spec.apply_delay(state.node);
-    let mut idle_rounds = 0u32;
+fn serve_follower(stop: &AtomicBool, r: &mut Replica, delay: u64) {
+    let Replica {
+        state,
+        h,
+        ctx,
+        log,
+        store,
+    } = r;
+    let kernel = Arc::clone(h.kernel());
     // Reads are served on a clock of their own, as by a second thread of
     // the replica: this host thread takes frames and gets in the order
     // the host delivers them, and a get must not wait for a frame the
@@ -650,23 +668,19 @@ fn serve_follower(
             let _ = h.lt_reply_rpc(ctx, &call, &r);
         }
         busy |= serve_gets(state, &kernel, h, &mut reads, store);
-        if busy {
-            idle_rounds = 0;
+        if busy || !matches!(h.lt_wait_rpc(&FOLLOWER_FUNCS, IDLE_WAIT), Ok(false)) {
             continue;
         }
-        // Idle anti-entropy: a follower that was paused (or missed the
-        // stream entirely) pulls itself forward from the log without
-        // waiting for the leader to send anything.
-        idle_rounds += 1;
-        if idle_rounds.is_multiple_of(20) && !state.paused.load(Ordering::Acquire) {
+        // Quiet for `IDLE_WAIT`: anti-entropy. A follower that was paused
+        // (or missed the stream entirely) pulls itself forward from the
+        // log without waiting for the leader to send anything.
+        if !state.paused.load(Ordering::Acquire) {
             if let Ok(target) = log.committed(h, ctx) {
                 if target > state.applied.load(Ordering::Acquire) {
                     catch_up_from_log(state, h, ctx, log, store, target, delay, REPL_BATCH);
-                    continue;
                 }
             }
         }
-        idle_pause();
     }
 }
 
@@ -748,17 +762,15 @@ fn apply_stream_frame(
 /// followers in multicast batches, tracks acknowledgements, publishes
 /// the lag gauge, and cleans the log behind the slowest ack.
 fn run_replicator(
-    cluster: &Arc<LiteCluster>,
     spec: &KvSpec,
     stop: &AtomicBool,
     leader: &ReplicaState,
     lag: &AtomicU64,
+    mut h: LiteHandle,
+    mut ctx: Ctx,
+    log: &LiteLog,
 ) {
-    let mut h = cluster.attach(spec.leader).expect("replicator attach");
-    let mut ctx = Ctx::new();
-    let log = LiteLog::open(&mut h, &mut ctx, &spec.name, spec.log_capacity)
-        .expect("replicator log open");
-    let kernel = Arc::clone(cluster.kernel(spec.leader));
+    let kernel = Arc::clone(h.kernel());
     let n = spec.followers.len();
     let mut acked = vec![0u64; n]; // seq each follower acknowledged
     let mut acked_off = vec![0u64; n]; // their matching log offsets
@@ -824,14 +836,17 @@ fn run_replicator(
                 .lt_multicast_rpc_partial(&mut ctx, &nodes, FN_REPL, &buf, 32)
                 .unwrap_or_else(|_| vec![Err(LiteError::Timeout); nodes.len()]);
             for ((i, _), result) in targets.iter().zip(results) {
-                match result {
-                    Ok(rep) if rep.len() >= 16 => {
-                        let seq = u64::from_le_bytes(rep[0..8].try_into().expect("8"));
-                        let off = u64::from_le_bytes(rep[8..16].try_into().expect("8"));
+                let ack = result.ok().and_then(|rep| {
+                    let (seq, rest) = rep.split_first_chunk()?;
+                    let off = rest.first_chunk()?;
+                    Some((u64::from_le_bytes(*seq), u64::from_le_bytes(*off)))
+                });
+                match ack {
+                    Some((seq, off)) => {
                         acked[*i] = acked[*i].max(seq);
                         acked_off[*i] = acked_off[*i].max(off);
                     }
-                    _ => down[*i] = DOWN_ROUNDS,
+                    None => down[*i] = DOWN_ROUNDS,
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! End-to-end tests of the replicated KV service: write/read round
 //! trips on every replica, session consistency with a stalled
 //! follower, event-log scans, capacity overflow over `lite::mm`
-//! tiering, the kernel gauges the service feeds, and prompt shutdown.
+//! tiering, the kernel gauges the service feeds, set-up failures, and
+//! prompt shutdown.
 
 use std::time::{Duration, Instant};
 
 use lite::{LiteCluster, LiteConfig};
-use lite_kv::{KvClient, KvService, KvSpec, SessionMode};
+use lite_kv::{KvClient, KvError, KvService, KvSpec, SessionMode};
 use rnic::IbConfig;
 use simnet::Ctx;
 
@@ -200,6 +201,21 @@ fn capacity_overflow_rides_mm_tiering() {
         256 * 1024
     );
     svc.stop();
+}
+
+/// A service that cannot be set up says so: a log larger than the
+/// leader's memory is an error from `try_spawn` within `op_timeout`, not a
+/// spawner parked forever on a thread that died.
+#[test]
+fn try_spawn_reports_a_log_that_does_not_fit() {
+    let cluster = LiteCluster::start(3).unwrap();
+    let mut spec = KvSpec::new("kv", 1, &[2]);
+    spec.log_capacity = 32 << 30; // twice a node's memory
+    let asked = Instant::now();
+    let err = KvService::try_spawn(&cluster, spec).err();
+    assert!(matches!(err, Some(KvError::Lite(_))), "{err:?}");
+    let op_timeout = cluster.kernel(1).config().op_timeout;
+    assert!(asked.elapsed() < op_timeout, "{:?}", asked.elapsed());
 }
 
 /// Stopping a freshly loaded service — the replicator still streaming the

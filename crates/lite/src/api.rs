@@ -37,6 +37,7 @@
 //! a kernel.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use rnic::{NodeId, COST};
 use simnet::{Ctx, Nanos};
@@ -992,6 +993,16 @@ impl LiteHandle {
             let inc = this.kernel.try_pop_rpc(ctx, func)?;
             inc.map(|inc| this.finish_recv(ctx, inc)).transpose()
         })
+    }
+
+    /// Parks the thread until one of `funcs` has a queued call and returns
+    /// `true`, or returns `false` once `timeout` (host time) passes. It
+    /// takes no call and charges no virtual time — the library sleeping on
+    /// the shared page; the [`LiteHandle::lt_try_recv_rpc`] that takes the
+    /// call pays the crossing and waits for its arrival stamp. An
+    /// unregistered function is [`LiteError::UnknownRpc`].
+    pub fn lt_wait_rpc(&self, funcs: &[u8], timeout: Duration) -> LiteResult<bool> {
+        self.kernel.wait_rpc(funcs, timeout)
     }
 
     /// LT_replyRPC: sends the return value for `call`.

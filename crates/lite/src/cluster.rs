@@ -213,12 +213,14 @@ impl LiteCluster {
 }
 
 impl Drop for LiteCluster {
+    /// Two phases: every node's memory manager first, then every poller.
+    /// A manager can be mid-call to any node, so no poller may stop while
+    /// one still runs (stopping node by node left a later node's manager
+    /// waiting out `op_timeout` on an earlier node's dead poller).
     fn drop(&mut self) {
-        for slot in self.nodes.iter() {
-            if let Some(k) = slot.get() {
-                k.stop();
-            }
-        }
+        let joined = || self.nodes.iter().filter_map(OnceLock::get);
+        joined().for_each(|k| k.stop_mm());
+        joined().for_each(|k| k.stop_poller());
         self.fabric.shutdown();
     }
 }

@@ -48,7 +48,7 @@ pub(crate) use rpc::{CallSlot, ReplyRoute};
 
 use datapath::RnicDataPath;
 use msg::{BarrierState, LockState, MasterTable};
-use rpc::RpcQueue;
+use rpc::{Doorbell, RpcQueue};
 use stats::KernelCounters;
 
 // ---------------------------------------------------------------------
@@ -113,6 +113,8 @@ pub struct LiteKernel {
     slots: ShardedMap<u32, Arc<CallSlot>>,
     next_slot: AtomicU32,
     queues: ShardedMap<u8, Arc<RpcQueue>>,
+    /// Rung after every push onto `queues`.
+    arrivals: Doorbell,
     locks: ShardedMap<u64, LockState>,
     barriers: ShardedMap<u64, BarrierState>,
     masters: MasterTable,
@@ -178,6 +180,7 @@ impl LiteKernel {
             slots: ShardedMap::new(shards),
             next_slot: AtomicU32::new(1),
             queues: ShardedMap::new(shards),
+            arrivals: Doorbell::new(),
             locks: ShardedMap::new(shards),
             barriers: ShardedMap::new(shards),
             masters: MasterTable::new(shards),
@@ -529,14 +532,19 @@ impl LiteKernel {
         Ok(base)
     }
 
-    /// Begins shutdown: stops the memory manager (it issues kernel calls
-    /// of its own, so it must quiesce while the pollers still run), then
-    /// the poller, then closes CQs.
-    pub(crate) fn stop(&self) {
+    /// First half of shutdown: stops and joins the memory manager. It
+    /// issues kernel calls of its own, to this node and to others, so the
+    /// cluster stops every node's manager before it stops any poller.
+    pub(crate) fn stop_mm(&self) {
         self.mm.begin_shutdown();
         if let Some(h) = self.mm_thread.lock().take() {
             let _ = h.join();
         }
+    }
+
+    /// Second half of shutdown: closes the shared receive CQ and joins the
+    /// poller.
+    pub(crate) fn stop_poller(&self) {
         self.shutdown.store(true, Ordering::Release);
         self.shared_recv_cq.close();
         if let Some(h) = self.poller.lock().take() {

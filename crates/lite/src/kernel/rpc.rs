@@ -6,9 +6,9 @@
 //! datapath; the only NIC-adjacent artifact left is the loop-back
 //! delivery, which fabricates a completion into the shared receive CQ.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use rnic::qp::RecvEntry;
@@ -137,6 +137,57 @@ impl RpcQueue {
 
     fn try_pop(&self) -> Option<Incoming> {
         self.q.lock().pop_front()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.q.lock().is_empty()
+    }
+}
+
+/// The node's arrival doorbell: what a thread waiting on several function
+/// queues at once ([`LiteKernel::wait_rpc`]) parks on. Ringing it costs
+/// one atomic load while nobody is parked.
+pub(crate) struct Doorbell {
+    parked: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    pub(super) fn new() -> Self {
+        Doorbell {
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Called after a push. A waiter counts itself in before it checks its
+    /// queues and holds `lock` from that check until it sleeps, so a push
+    /// it missed sees it counted and cannot notify before it sleeps.
+    fn ring(&self) {
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _g = self.lock.lock();
+            self.cv.notify_all();
+        }
+    }
+
+    /// Whether one of `queues` holds a call before `deadline`.
+    fn wait(&self, queues: &[Arc<RpcQueue>], deadline: Instant) -> bool {
+        let queued = || queues.iter().any(|q| !q.is_empty());
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        let mut g = self.lock.lock();
+        let found = loop {
+            if queued() {
+                break true;
+            }
+            if self.cv.wait_until(&mut g, deadline).timed_out() {
+                break queued();
+            }
+        };
+        drop(g);
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+        found
     }
 }
 
@@ -395,6 +446,17 @@ impl LiteKernel {
         }))
     }
 
+    /// Parks until one of `funcs` has a queued call (`true`) or `timeout`
+    /// passes (`false`). Takes no call and charges no virtual time.
+    pub(crate) fn wait_rpc(&self, funcs: &[u8], timeout: Duration) -> LiteResult<bool> {
+        let deadline = Instant::now() + timeout;
+        let queues = funcs
+            .iter()
+            .map(|&f| self.queue_of(f))
+            .collect::<LiteResult<Vec<_>>>()?;
+        Ok(self.arrivals.wait(&queues, deadline))
+    }
+
     /// Copies a parked message's payload out of the ring.
     pub(crate) fn read_ring_payload(&self, client: NodeId, inc: &Incoming) -> LiteResult<Vec<u8>> {
         let ring = self.server_ring(client)?;
@@ -541,7 +603,10 @@ impl LiteKernel {
         };
         if hdr.func >= USER_FUNC_MIN || hdr.func == FN_MSG {
             match self.queues.get(&hdr.func) {
-                Some(q) => q.push(inc),
+                Some(q) => {
+                    q.push(inc);
+                    self.arrivals.ring();
+                }
                 None => {
                     // No handler bound: error-reply and release the ring.
                     let _ = self.release_ring(ctx, client, &inc);
