@@ -2,9 +2,10 @@
 //!
 //! Boot is **incremental**: starting a node creates its kernel, registers
 //! its membership record in the [`ClusterDirectory`], and starts its
-//! poller — O(1) work per node, O(N) for the cluster. The shared QP mesh
-//! and the ordered-pair RPC rings of the old eager bring-up are *not*
-//! built here; each pair is wired on first use by the datapath
+//! kernel-call thread — O(1) work per node, O(N) for the cluster. The
+//! shared QP mesh and the ordered-pair RPC rings of the old eager
+//! bring-up are *not* built here; each pair is wired on first use by
+//! the datapath
 //! ([`RnicDataPath::ensure_qps`](crate::kernel::datapath::RnicDataPath))
 //! and the RPC layer (`ensure_ring`), both under the directory's single
 //! connect lock.
@@ -79,7 +80,7 @@ impl LiteCluster {
     }
 
     /// Brings `node` up at runtime: creates its kernel, registers its
-    /// membership record, and starts its poller — all under the
+    /// membership record, and starts its kernel-call thread — all under the
     /// directory's connect lock so concurrent joins and lazy pair wiring
     /// serialize. Idempotent: joining a running node returns its kernel.
     pub fn join_node(&self, node: NodeId) -> LiteResult<Arc<LiteKernel>> {
@@ -213,10 +214,11 @@ impl LiteCluster {
 }
 
 impl Drop for LiteCluster {
-    /// Two phases: every node's memory manager first, then every poller.
-    /// A manager can be mid-call to any node, so no poller may stop while
-    /// one still runs (stopping node by node left a later node's manager
-    /// waiting out `op_timeout` on an earlier node's dead poller).
+    /// Two phases: every node's memory manager first, then every
+    /// kernel-call thread. A manager can be mid-call to any node, so no
+    /// node may stop serving kernel calls while one still runs (stopping
+    /// node by node left a later node's manager waiting out `op_timeout`
+    /// on an earlier node that no longer served them).
     fn drop(&mut self) {
         let joined = || self.nodes.iter().filter_map(OnceLock::get);
         joined().for_each(|k| k.stop_mm());

@@ -12,8 +12,8 @@ pub struct LiteConfig {
     /// Size of each per-client RPC ring LMR at a server node (§5.1 uses
     /// 16 MB).
     pub rpc_ring_bytes: u64,
-    /// Receive-credit pool pre-posted per QP (write-imm consumes one; the
-    /// polling thread reposts in the background).
+    /// Receive-credit pool pre-posted per QP (write-imm consumes one; its
+    /// dispatch reposts it).
     pub recv_credits: usize,
     /// Maximum physically-consecutive chunk of an LMR (§4.1 splits large
     /// LMRs to avoid external fragmentation).
@@ -76,7 +76,7 @@ pub struct LiteConfig {
     /// `false` reverts §5.2's crossing optimizations: every RPC pays
     /// 3 syscalls / 6 crossings instead of 2 crossings.
     pub fast_syscalls: bool,
-    /// `false` makes the shared polling thread and user waiters burn CPU
+    /// `false` makes the shared poller and user waiters burn CPU
     /// for their whole wait (no adaptive sleep) — the Fig 13 ablation.
     pub adaptive_poll: bool,
     /// `false` disables doorbell-batched posting: chains handed to

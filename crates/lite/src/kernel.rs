@@ -3,22 +3,27 @@
 //! One `LiteKernel` per node owns everything the paper's loadable module
 //! owns: the node's physical allocator, the single *global physical MR*
 //! (§4.1), K shared RC QPs per peer attached to one shared receive CQ
-//! (§6.1), per-peer RPC rings (§5.1), the shared polling thread, the lh
-//! tables, master records, and the kernel-internal services (naming,
-//! mapping, locks, barriers, memory ops) that the LITE API is built on.
+//! (§6.1), per-peer RPC rings (§5.1), the shared poller, the lh tables,
+//! master records, and the kernel-internal services (naming, mapping,
+//! locks, barriers, memory ops) that the LITE API is built on.
+//!
+//! The shared poller is one clock and one lock, not a thread: whoever
+//! delivers a write-imm dispatches the node's arrivals on it. The one
+//! thread a node runs, `lite-kcall-N`, serves kernel calls (DESIGN.md
+//! §5.3).
 //!
 //! This file only holds the struct, construction, and cluster wiring;
 //! the behavior lives in focused submodules:
 //!
 //! * [`datapath`] — op descriptors and the verbs-backed
 //!   [`datapath::RnicDataPath`] (one-sided plane + batching + recovery).
-//! * [`rpc`] — rings, completion slots, reply routing, the poll loop.
+//! * [`rpc`] — rings, completion slots, reply routing, dispatch.
 //! * [`msg`] — kernel services (naming, mapping, locks, barriers).
 //! * [`stats`] — hot-path counters and the stats snapshot.
 
 use std::any::{Any, TypeId};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 use rnic::qp::{RecvEntry, RecvQueue};
@@ -48,7 +53,7 @@ pub(crate) use rpc::{CallSlot, ReplyRoute};
 
 use datapath::RnicDataPath;
 use msg::{BarrierState, LockState, MasterTable};
-use rpc::{Doorbell, RpcQueue};
+use rpc::{Dispatcher, Doorbell, KernelCall, RpcQueue};
 use stats::KernelCounters;
 
 // ---------------------------------------------------------------------
@@ -129,9 +134,12 @@ pub struct LiteKernel {
     /// Memory-tiering manager (budget, residency, eviction policy).
     mm: Arc<MemManager>,
     mm_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
-    shutdown: AtomicBool,
-    poller: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// CPU meter of the shared polling thread.
+    /// The shared poller's clock, taken by whichever thread dispatches.
+    dispatcher: Mutex<Dispatcher>,
+    /// Where dispatch hands kernel calls; `None` once stopped.
+    kcalls: Mutex<Option<mpsc::Sender<KernelCall>>>,
+    kcall_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// CPU meter of the shared poller.
     pub poller_cpu: Arc<CpuMeter>,
     counters: KernelCounters,
     /// Sequence half of the cluster-unique synchronization tokens
@@ -161,6 +169,7 @@ impl LiteKernel {
         let mm = Arc::new(MemManager::new(node, fabric.num_nodes(), &config));
         let shards = config.kernel_shards;
         let capacity = fabric.num_nodes();
+        let poller_cpu = Arc::new(CpuMeter::new());
         let kernel = LiteKernel {
             node,
             config,
@@ -192,9 +201,10 @@ impl LiteKernel {
             qos: Arc::new(QosState::new(COST.link_bytes_per_sec)),
             mm,
             mm_thread: Mutex::new(None),
-            shutdown: AtomicBool::new(false),
-            poller: Mutex::new(None),
-            poller_cpu: Arc::new(CpuMeter::new()),
+            dispatcher: Mutex::new(Dispatcher::new(Arc::clone(&poller_cpu))),
+            kcalls: Mutex::new(None),
+            kcall_thread: Mutex::new(None),
+            poller_cpu,
             counters: KernelCounters::new(),
             next_sync_token: AtomicU64::new(1),
             boot_host_ns: AtomicU64::new(0),
@@ -425,10 +435,10 @@ impl LiteKernel {
     /// Second-phase setup, run once per node under the directory's
     /// connect lock: builds the datapath (empty QP pools — peers are
     /// wired lazily on first use), wires the self-loopback RPC ring,
-    /// pre-posts receive credits, and starts the poller. O(1) per node,
-    /// which is what makes cluster boot O(N) instead of the old O(N²·K)
-    /// full-mesh bring-up. Running it twice (or failing to spawn the
-    /// poller) is reported as [`LiteError::Internal`] instead of
+    /// pre-posts receive credits, and starts the kernel-call thread. O(1)
+    /// per node, which is what makes cluster boot O(N) instead of the old
+    /// O(N²·K) full-mesh bring-up. Running it twice (or failing to spawn
+    /// the thread) is reported as [`LiteError::Internal`] instead of
     /// panicking, so a misused builder degrades to a failed start.
     pub(crate) fn finish_setup(self: &Arc<Self>, dir: &Arc<ClusterDirectory>) -> LiteResult<()> {
         let boot_start = std::time::Instant::now();
@@ -461,12 +471,14 @@ impl LiteKernel {
                 sge: None,
             });
         }
+        let (calls, served) = mpsc::channel();
         let me = Arc::clone(self);
         let handle = std::thread::Builder::new()
-            .name(format!("lite-poller-{}", self.node))
-            .spawn(move || me.poll_loop())
-            .map_err(|_| LiteError::Internal("could not spawn the polling thread"))?;
-        *self.poller.lock() = Some(handle);
+            .name(format!("lite-kcall-{}", self.node))
+            .spawn(move || me.serve_kernel_calls(served))
+            .map_err(|_| LiteError::Internal("could not spawn the kernel-call thread"))?;
+        *self.kcalls.lock() = Some(calls);
+        *self.kcall_thread.lock() = Some(handle);
         // The tiering manager only runs when it has work — a budget to
         // enforce or lazy pins to reap — so default clusters (neither)
         // get no extra thread and byte-identical behavior.
@@ -534,7 +546,8 @@ impl LiteKernel {
 
     /// First half of shutdown: stops and joins the memory manager. It
     /// issues kernel calls of its own, to this node and to others, so the
-    /// cluster stops every node's manager before it stops any poller.
+    /// cluster stops every node's manager before it stops any node's
+    /// kernel calls.
     pub(crate) fn stop_mm(&self) {
         self.mm.begin_shutdown();
         if let Some(h) = self.mm_thread.lock().take() {
@@ -542,12 +555,12 @@ impl LiteKernel {
         }
     }
 
-    /// Second half of shutdown: closes the shared receive CQ and joins the
-    /// poller.
+    /// Second half of shutdown: closes the kernel-call queue and joins its
+    /// thread, which serves what is queued and exits. A kernel call that
+    /// arrives later is never served: its caller times out.
     pub(crate) fn stop_poller(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.shared_recv_cq.close();
-        if let Some(h) = self.poller.lock().take() {
+        self.kcalls.lock().take();
+        if let Some(h) = self.kcall_thread.lock().take() {
             let _ = h.join();
         }
     }

@@ -53,7 +53,7 @@ fn extent(addr: u64, len: usize) -> Chunk {
 pub enum Op<'a> {
     /// RDMA-write `len` bytes gathered from local `src` chunks to
     /// `(dst_node, dst_addr)`; optionally carries immediate data (which
-    /// consumes a receive credit and wakes the remote poller).
+    /// consumes a receive credit and is dispatched at the remote node).
     Write {
         /// Destination node.
         dst_node: NodeId,
@@ -757,10 +757,12 @@ impl RnicDataPath {
                 .collect::<Vec<_>>();
             &many
         };
-        // Write-imm posts race with the remote poller's credit reposting;
-        // RNR (exhausted credits) is transient, so retry briefly. Safe to
-        // repeat whole: `post_chain` claims credits before any side effect
-        // and rolls them back on failure.
+        // A write-imm's credit is reposted when the arrival is dispatched,
+        // by the thread that delivered it — or, while a kernel call holds
+        // the remote dispatcher, once the kernel-call thread drains after
+        // it. RNR (exhausted credits) is therefore transient, so retry
+        // briefly. Safe to repeat whole: `post_chain` claims credits before
+        // any side effect and rolls them back on failure.
         let nic = self.fabric.nic(self.node);
         let mut ack = |o: rnic::WrOutcome| {
             let op = &ops[done.n];

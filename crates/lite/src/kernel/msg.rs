@@ -2,10 +2,11 @@
 //! ops, locks, and barriers (§3.3's management plane plus §4.4/§4.5's
 //! synchronization primitives).
 //!
-//! Every handler here is *event-driven code executed by the polling
-//! thread* — none of them blocks, and multi-step operations are driven
-//! by the calling thread as a sequence of RPCs, so the poller can never
-//! deadlock.
+//! Every handler here is *event-driven code run by the node's kernel-call
+//! thread while it holds the poller's dispatcher*, so nothing else on the
+//! node is dispatched until it returns. None of them blocks, and
+//! multi-step operations are driven by the calling thread as a sequence
+//! of RPCs, so dispatch can never deadlock.
 //!
 //! Both ends of every service live in this module and nowhere else: the
 //! handler arms of [`LiteKernel::kernel_service`] and, below them, one
@@ -323,7 +324,7 @@ impl LiteKernel {
     }
 
     // ------------------------------------------------------------------
-    // Kernel services (run on the poller; must never block)
+    // Kernel services (run on the kernel-call thread; must never block)
     // ------------------------------------------------------------------
 
     /// Pins the raw range `[addr, addr + len)` at `mm` for the length of

@@ -1,19 +1,26 @@
 //! The RPC plane: completion slots, per-function queues, ring
-//! reservation/release, reply routing, and the shared polling thread
-//! (§5.1, §5.2, §6.1).
+//! reservation/release, reply routing, and the node's poller (§5.1,
+//! §5.2, §6.1).
+//!
+//! The poller is a role, not a thread: the thread that delivers a
+//! write-imm dispatches everything queued on the destination's shared
+//! receive CQ ([`LiteKernel::drain_arrivals`]) on the poller's one clock.
+//! Only kernel calls move to a thread, the node's kernel-call thread, so
+//! that a node's kernel state changes in the order its poller stamps
+//! them (DESIGN.md §5.3).
 //!
 //! Everything here speaks [`Op`] descriptors through the node's
 //! datapath; the only NIC-adjacent artifact left is the loop-back
 //! delivery, which fabricates a completion into the shared receive CQ.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use rnic::qp::RecvEntry;
 use rnic::{NodeId, Wc, WcOpcode, COST};
-use simnet::{Ctx, Nanos};
+use simnet::{CpuMeter, Ctx, Nanos};
 use smem::Chunk;
 
 use super::datapath::Op;
@@ -191,6 +198,30 @@ impl Doorbell {
     }
 }
 
+/// The node's poller: its clock, and whether a kernel call it dispatched
+/// is still waiting for the kernel-call thread. Held by whichever thread
+/// is dispatching; a deliverer only ever `try_lock`s it.
+pub(super) struct Dispatcher {
+    ctx: Ctx,
+    serving: bool,
+}
+
+impl Dispatcher {
+    pub(super) fn new(cpu: Arc<CpuMeter>) -> Self {
+        Dispatcher {
+            ctx: Ctx::with_meter(cpu),
+            serving: false,
+        }
+    }
+}
+
+/// A kernel-service request the poller dispatched, on its way to the
+/// node's kernel-call thread.
+pub(super) struct KernelCall {
+    client: NodeId,
+    inc: Incoming,
+}
+
 /// Where to send a (possibly delayed) reply.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReplyRoute {
@@ -269,9 +300,11 @@ impl LiteKernel {
     }
 
     /// Posts a write-imm carrying `len` bytes from `src_chunks` to
-    /// `(dst_node, dst_addr)`. Loop-back (self) deliveries bypass the NIC
-    /// but flow through the same shared CQ and poller; remote ones are an
-    /// [`Op::Write`] with immediate data.
+    /// `(dst_node, dst_addr)`, then dispatches what waits in the
+    /// destination's shared receive CQ, this one included. Loop-back
+    /// (self) deliveries bypass the NIC but land in the same shared CQ;
+    /// remote ones are an [`Op::Write`] with immediate data. Nothing else
+    /// fills a shared receive CQ, so no arrival waits for a thread.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn post_write_imm(
         &self,
@@ -295,6 +328,7 @@ impl LiteKernel {
             wc.imm = Some(imm.encode());
             wc.src = Some((self.node, u64::MAX)); // loopback marker
             self.shared_recv_cq.push(wc);
+            self.drain_arrivals();
             return Ok(stamp);
         }
         let op = Op::Write {
@@ -304,7 +338,11 @@ impl LiteKernel {
             len,
             imm: Some(imm.encode()),
         };
-        Ok(self.try_datapath()?.post(ctx, prio, &op)?.stamp)
+        let posted = self.try_datapath()?.post(ctx, prio, &op);
+        if let Some(dst) = self.try_dir()?.kernel(dst_node) {
+            dst.drain_arrivals();
+        }
+        Ok(posted?.stamp)
     }
 
     /// Reserves ring space towards `server`. Only when the cached head
@@ -518,112 +556,145 @@ impl LiteKernel {
     }
 
     // ------------------------------------------------------------------
-    // The shared polling thread (§5.1/§6.1: one per node).
+    // The node's poller (§5.1/§6.1: one per node), a role any thread
+    // that delivers an arrival takes on.
     // ------------------------------------------------------------------
 
-    pub(super) fn poll_loop(self: Arc<Self>) {
-        let mut ctx = Ctx::with_meter(Arc::clone(&self.poller_cpu));
-        let spin = !self.config.adaptive_poll;
-        while !self.shutdown.load(Ordering::Acquire) {
-            let Some(wc) =
-                self.shared_recv_cq
-                    .poll_blocking(&mut ctx, spin, Duration::from_millis(50))
-            else {
-                if self.shared_recv_cq.is_closed() {
-                    break;
-                }
-                continue;
+    /// Dispatches every arrival queued on the shared receive CQ, on the
+    /// poller's clock. `post_write_imm` calls it on the destination after
+    /// each delivery. A call that finds the dispatcher held returns at
+    /// once: it pushed before it tried the lock, and a holder re-checks
+    /// the CQ after it lets go, so one of them sees every arrival. A
+    /// kernel call stops the drain; the kernel-call thread drains again
+    /// once it has served it.
+    pub(super) fn drain_arrivals(&self) {
+        while !self.shared_recv_cq.is_empty() {
+            let Some(mut d) = self.dispatcher.try_lock() else {
+                return;
             };
-            let (src_node, src_qp) = wc.src.unwrap_or((self.node, u64::MAX));
-            // Repost the consumed receive credit (not for loop-backs,
-            // which never consumed one).
-            if src_qp != u64::MAX {
-                self.shared_rq.post(RecvEntry {
-                    wr_id: 0,
-                    sge: None,
-                });
-                ctx.work(COST.post_wr_ns);
-                if src_node != self.node {
-                    // Traffic from a peer is proof of life: revive it
-                    // for the liveness monitor without waiting for a
-                    // probe (a restarted node announces itself with its
-                    // first RPC).
-                    if let Some(dp) = self.datapath.get() {
-                        dp.mark_peer_alive(src_node);
-                    }
-                }
+            if d.serving {
+                return;
             }
-            ctx.work(IMM_DISPATCH_NS);
-            // A reserved (never sent) kind is dispatched to nobody.
-            match Imm::decode(wc.imm.unwrap_or(0)) {
-                None => {}
-                Some(Imm::Request { granule }) => {
-                    self.counters.count_rpc();
-                    let offset = granule as u64 * RING_GRANULE;
-                    self.handle_request(&mut ctx, src_node, offset, wc.ready_at);
-                }
-                Some(Imm::Reply { slot }) => {
-                    if let Some(s) = self.slots.get(&slot) {
-                        s.complete(SlotResult {
-                            stamp: ctx.now(),
-                            len: wc.byte_len as u32,
-                            ok: true,
-                        });
+            while let Some(wc) = self.shared_recv_cq.pop() {
+                if let Some(call) = self.dispatch(&mut d.ctx, wc) {
+                    d.serving = true;
+                    // Hand off only once the dispatcher is free: woken
+                    // under it, the thread would block on it at once.
+                    drop(d);
+                    if let Some(calls) = &*self.kcalls.lock() {
+                        let _ = calls.send(call);
                     }
-                }
-                Some(Imm::ReplyErr { slot }) => {
-                    if let Some(s) = self.slots.get(&slot) {
-                        s.complete(SlotResult {
-                            stamp: ctx.now(),
-                            len: 0,
-                            ok: false,
-                        });
-                    }
+                    return;
                 }
             }
         }
     }
 
-    fn handle_request(&self, ctx: &mut Ctx, client: NodeId, offset: u64, stamp: Nanos) {
-        let Ok(ring) = self.server_ring(client) else {
-            return;
-        };
-        let ring_base = ring.base;
-        let mut hbuf = [0u8; HEADER_BYTES];
-        if self.mem().read(ring_base + offset, &mut hbuf).is_err() {
-            return;
+    /// The body of the kernel-call thread: serves each handed-off call on
+    /// the poller's clock, then lets dispatch resume. It ends when
+    /// [`LiteKernel::stop_poller`] drops the sending half.
+    pub(super) fn serve_kernel_calls(&self, calls: mpsc::Receiver<KernelCall>) {
+        for call in calls {
+            let mut d = self.dispatcher.lock();
+            self.serve_kernel_call(&mut d.ctx, call);
+            d.serving = false;
+            drop(d);
+            self.drain_arrivals();
         }
-        let Ok(hdr) = MsgHeader::decode(&hbuf) else {
-            return;
+    }
+
+    /// One arrival, charged as a poll of the shared receive CQ: joins its
+    /// stamp, reposts the credit it consumed, and routes it. Replies
+    /// complete their slot and user calls join their function queue; a
+    /// kernel call comes back for the kernel-call thread.
+    fn dispatch(&self, ctx: &mut Ctx, wc: Wc) -> Option<KernelCall> {
+        if self.config.adaptive_poll {
+            ctx.wait_until(wc.ready_at);
+        } else {
+            ctx.spin_until(wc.ready_at);
+        }
+        ctx.work(COST.cq_poll_ns);
+        let (src_node, src_qp) = wc.src.unwrap_or((self.node, u64::MAX));
+        // Repost the consumed receive credit (not for loop-backs, which
+        // never consumed one).
+        if src_qp != u64::MAX {
+            self.shared_rq.post(RecvEntry {
+                wr_id: 0,
+                sge: None,
+            });
+            ctx.work(COST.post_wr_ns);
+            if src_node != self.node {
+                // Traffic from a peer is proof of life: revive it for the
+                // liveness monitor without waiting for a probe (a
+                // restarted node announces itself with its first RPC).
+                if let Some(dp) = self.datapath.get() {
+                    dp.mark_peer_alive(src_node);
+                }
+            }
+        }
+        ctx.work(IMM_DISPATCH_NS);
+        // A reserved (never sent) kind is dispatched to nobody.
+        let (slot, len, ok) = match Imm::decode(wc.imm.unwrap_or(0))? {
+            Imm::Request { granule } => {
+                self.counters.count_rpc();
+                let offset = granule as u64 * RING_GRANULE;
+                return self.handle_request(ctx, src_node, offset, wc.ready_at);
+            }
+            Imm::Reply { slot } => (slot, wc.byte_len as u32, true),
+            Imm::ReplyErr { slot } => (slot, 0, false),
         };
+        if let Some(s) = self.slots.get(&slot) {
+            let stamp = ctx.now();
+            s.complete(SlotResult { stamp, len, ok });
+        }
+        None
+    }
+
+    /// Routes a request: a user function's (or `FN_MSG`'s) call joins its
+    /// queue, and a kernel service's is returned to be served.
+    fn handle_request(
+        &self,
+        ctx: &mut Ctx,
+        client: NodeId,
+        offset: u64,
+        stamp: Nanos,
+    ) -> Option<KernelCall> {
+        let ring = self.server_ring(client).ok()?;
+        let mut hbuf = [0u8; HEADER_BYTES];
+        self.mem().read(ring.base + offset, &mut hbuf).ok()?;
+        let hdr = MsgHeader::decode(&hbuf).ok()?;
         let inc = Incoming {
             hdr,
             ring_offset: offset,
             stamp,
         };
-        if hdr.func >= USER_FUNC_MIN || hdr.func == FN_MSG {
-            match self.queues.get(&hdr.func) {
-                Some(q) => {
-                    q.push(inc);
-                    self.arrivals.ring();
-                }
-                None => {
-                    // No handler bound: error-reply and release the ring.
-                    let _ = self.release_ring(ctx, client, &inc);
-                    let _ = self.send_error_reply(ctx, ReplyRoute::of_hdr(&hdr));
-                }
-            }
-            return;
+        if hdr.func < USER_FUNC_MIN && hdr.func != FN_MSG {
+            return Some(KernelCall { client, inc });
         }
-        // Kernel service: read payload, free the ring, run the handler.
-        let payload = match self.read_ring_payload(client, &inc) {
-            Ok(p) => p,
-            Err(_) => return,
+        match self.queues.get(&hdr.func) {
+            Some(q) => {
+                q.push(inc);
+                self.arrivals.ring();
+            }
+            None => {
+                // No handler bound: error-reply and release the ring.
+                let _ = self.release_ring(ctx, client, &inc);
+                let _ = self.send_error_reply(ctx, ReplyRoute::of_hdr(&hdr));
+            }
+        }
+        None
+    }
+
+    /// Kernel service: reads the payload, frees the ring, runs the
+    /// handler and sends its reply.
+    fn serve_kernel_call(&self, ctx: &mut Ctx, KernelCall { client, inc }: KernelCall) {
+        let Ok(payload) = self.read_ring_payload(client, &inc) else {
+            return;
         };
         let _ = self.release_ring(ctx, client, &inc);
         ctx.work(RPC_META_NS);
-        let route = ReplyRoute::of_hdr(&hdr);
-        match self.kernel_service(ctx, &hdr, &payload) {
+        let route = ReplyRoute::of_hdr(&inc.hdr);
+        match self.kernel_service(ctx, &inc.hdr, &payload) {
             Ok(Some(resp)) => {
                 let _ = self.reply_bytes(ctx, route, &resp);
             }
@@ -635,7 +706,7 @@ impl LiteKernel {
     }
 
     /// Stages `bytes` in a scratch allocation and write-imm's them as a
-    /// reply. Used by poller-side handlers (user replies go through the
+    /// reply. Used by kernel-service handlers (user replies go through the
     /// caller's staging buffer instead).
     pub(super) fn reply_bytes(
         &self,

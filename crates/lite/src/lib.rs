@@ -14,8 +14,9 @@
 //!   with the NIC, eliminating the on-NIC MR-key and PTE-cache
 //!   scalability cliffs of native RDMA (§4).
 //! * **RPC** — a new mechanism built on paired `RDMA write-imm`
-//!   operations through per-node-pair rings, one shared polling thread
-//!   per node, and user/kernel crossing optimizations (§5).
+//!   operations through per-node-pair rings, one shared poller per node
+//!   (run by the threads that deliver, not a thread of its own), and
+//!   user/kernel crossing optimizations (§5).
 //! * **Sharing & QoS** — K×N shared RC QPs per node, one shared receive
 //!   CQ, and two QoS schemes (HW-Sep partitioning and SW-Pri software
 //!   flow control) (§6).

@@ -524,9 +524,9 @@ impl MemManager {
 
     /// Fences a raw physical range (kernel services that operate on raw
     /// addresses, e.g. `FN_MEMSET`): no identity expectation, and no
-    /// waiting — these run on the poller, which must never block, so a
-    /// mid-migration range answers `Relocated` immediately and the
-    /// caller retries after a refresh.
+    /// waiting — these run on the kernel-call thread, which must never
+    /// block, so a mid-migration range answers `Relocated` immediately
+    /// and the caller retries after a refresh.
     pub(crate) fn pin_raw_nowait(&self, addr: u64, len: u64) -> PinOutcome {
         self.pin_range(addr, len, None, false)
     }
@@ -1521,7 +1521,7 @@ mod tests {
     }
 
     /// A migration fences both of its ends, in either direction: while
-    /// the source is claimed and the landing staged, the poller's
+    /// the source is claimed and the landing staged, a kernel call's
     /// no-wait pin bounces off the landing range, and waiting pins on
     /// both ranges block until the migration commits (`finish`) or
     /// aborts (`unstage`, then the claim reverts).

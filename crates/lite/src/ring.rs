@@ -101,7 +101,7 @@ impl ClientRing {
     ///
     /// `size` must be a non-zero power of two (the wrap logic relies on
     /// it); a bad size is reported as an error instead of panicking the
-    /// poller thread that builds rings during cluster bring-up.
+    /// thread that builds rings during cluster bring-up.
     pub fn new(remote_base: PhysAddr, size: u64) -> LiteResult<Self> {
         if size == 0 || !size.is_power_of_two() {
             return Err(LiteError::Internal("ring size must be a power of two"));

@@ -3,7 +3,10 @@
 //! A [`Cq`] is a thread-safe FIFO of [`Wc`] entries. Completions are pushed
 //! by whichever thread executed the work (for one-sided operations that is
 //! the requester; for receives it is the sender acting as the remote NIC's
-//! DMA engine) and popped by software polling.
+//! DMA engine). They are taken off either by a polling thread
+//! ([`Cq::poll`], [`Cq::poll_blocking`]) or, uncharged, by [`Cq::pop`]:
+//! LITE's shared receive CQ is emptied by the thread that delivered into
+//! it, which charges the pops to the node's poller clock itself.
 //!
 //! Virtual-time semantics: each entry carries `ready_at`. A poller that
 //! pops an entry *joins* its clock with that stamp. Polling cost is
@@ -91,6 +94,17 @@ impl Cq {
         self.q.lock().0.len()
     }
 
+    /// Whether no completion is queued.
+    pub fn is_empty(&self) -> bool {
+        self.q.lock().0.is_empty()
+    }
+
+    /// Takes the completion with the earliest `ready_at`, charging nobody:
+    /// the caller joins its own clock and pays for the poll.
+    pub fn pop(&self) -> Option<Wc> {
+        self.q.lock().0.pop().map(|Entry(_, wc)| wc)
+    }
+
     /// Non-blocking poll of up to `max` completions. Charges one poll's
     /// CPU cost and joins the caller's clock with each entry's stamp.
     pub fn poll(&self, ctx: &mut Ctx, max: usize) -> Vec<Wc> {
@@ -173,6 +187,18 @@ mod tests {
         let before = ctx.now();
         assert!(cq.poll(&mut ctx, 16).is_empty());
         assert_eq!(ctx.now(), before + COST.cq_poll_empty_ns);
+    }
+
+    #[test]
+    fn pop_takes_the_earliest_and_charges_nobody() {
+        let cq = Cq::new();
+        assert!(cq.is_empty() && cq.pop().is_none());
+        cq.push(wc(1, 6_000));
+        cq.push(wc(2, 5_000));
+        assert!(!cq.is_empty());
+        assert_eq!(cq.pop().map(|w| w.wr_id), Some(2));
+        assert_eq!(cq.pop().map(|w| w.wr_id), Some(1));
+        assert!(cq.is_empty());
     }
 
     #[test]
