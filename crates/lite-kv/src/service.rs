@@ -1,11 +1,14 @@
 //! The replicated KV service proper: leader, followers, replicator, and
-//! the client. See the crate docs and DESIGN.md §15 for the protocol.
+//! the client. No service thread polls on a timer: the leader and
+//! followers sleep until a call arrives, the replicator until a batch is
+//! ready (or its 1 ms window ends). See the crate docs and DESIGN.md §15
+//! for the protocol.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
 use lite::{Lh, LiteCluster, LiteError, LiteHandle, LiteResult, Perm, Priority, USER_FUNC_MIN};
 use lite_log::LiteLog;
@@ -21,8 +24,11 @@ const FN_GET: u8 = USER_FUNC_MIN + 1;
 const FN_REPL: u8 = USER_FUNC_MIN + 2;
 
 /// Max updates streamed per replication multicast (and replayed per idle
-/// catch-up pass).
+/// catch-up pass): the replicator sleeps until this many wait, or until
+/// `IDLE_WAIT` passes.
 const REPL_BATCH: usize = 32;
+/// Most log bytes one replication or catch-up read takes.
+const REPL_BYTES: u64 = 64 * 1024;
 
 /// GET reply status bytes.
 const GET_HIT: u8 = 0;
@@ -52,8 +58,9 @@ const LOC_CACHE_ENTRIES: usize = 16 * 1024;
 const LOC_CACHE_WAYS: usize = 4;
 const LOC_CACHE_STRIPES: usize = 64;
 
-/// How long a follower sits out of the replication fan-out after a
-/// failed multicast before the replicator probes it again (rounds).
+/// How many replicator rounds a follower sits out of the replication
+/// fan-out after a failed multicast before it is probed again. A round is
+/// one batch under load and at most `IDLE_WAIT` when idle.
 const DOWN_ROUNDS: u32 = 20;
 
 /// Value arena allocations are rounded up to this, so in-place
@@ -349,15 +356,36 @@ fn check_cost(len: usize) -> u64 {
 
 /// A running KV service: one leader thread and one thread per follower,
 /// each asleep on its node's RPC queues until a call arrives, and one
-/// replicator thread.
+/// replicator thread, asleep until a batch is ready.
 pub struct KvService {
     spec: KvSpec,
     stop: Arc<AtomicBool>,
-    stop_replicator: Arc<AtomicBool>,
+    stream: Arc<Stream>,
     servers: Vec<JoinHandle<()>>,
     replicator: JoinHandle<()>,
     replicas: Vec<Arc<ReplicaState>>,
-    lag: Arc<AtomicU64>,
+}
+
+/// What the service, the leader and the replicator share about the
+/// replication stream.
+struct Stream {
+    /// Set by `stop()`; the replicator leaves at its next wake-up.
+    stop: AtomicBool,
+    /// Last seq the replicator has read out of the log to stream.
+    streamed: AtomicU64,
+    /// Last replication lag the replicator computed.
+    lag: AtomicU64,
+}
+
+impl Stream {
+    /// The leader's side of the replicator's wait: called once `seq` is
+    /// applied, it wakes the replicator when a whole batch waits — not on
+    /// every apply, which would stream a put per multicast.
+    fn applied(&self, seq: u64, replicator: &Thread) {
+        if seq >= self.streamed.load(Ordering::Acquire) + REPL_BATCH as u64 {
+            replicator.unpark();
+        }
+    }
 }
 
 impl KvService {
@@ -399,38 +427,41 @@ impl KvService {
         let rlog = LiteLog::open(&mut rh, &mut rctx, &spec.name, spec.log_capacity)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let stop_replicator = Arc::new(AtomicBool::new(false));
-        let lag = Arc::new(AtomicU64::new(0));
+        let stream = Arc::new(Stream {
+            stop: AtomicBool::new(false),
+            streamed: AtomicU64::new(0),
+            lag: AtomicU64::new(0),
+        });
+        let replicator = {
+            let spec = spec.clone();
+            let stream = Arc::clone(&stream);
+            let leader = Arc::clone(&replicas[0]);
+            std::thread::spawn(move || {
+                run_replicator(&spec, &stream, &leader, rh, rctx, &rlog);
+            })
+        };
         let servers = served
             .into_iter()
             .enumerate()
             .map(|(i, mut r)| {
                 let delay = spec.apply_delay(r.state.node);
                 let stop = Arc::clone(&stop);
+                let stream = Arc::clone(&stream);
+                let replicator = replicator.thread().clone();
                 std::thread::spawn(move || match i {
-                    0 => serve_leader(&stop, &mut r),
+                    0 => serve_leader(&stop, &mut r, &stream, &replicator),
                     _ => serve_follower(&stop, &mut r, delay),
                 })
             })
             .collect();
-        let replicator = {
-            let spec = spec.clone();
-            let stop = Arc::clone(&stop_replicator);
-            let leader = Arc::clone(&replicas[0]);
-            let lag = Arc::clone(&lag);
-            std::thread::spawn(move || {
-                run_replicator(&spec, &stop, &leader, &lag, rh, rctx, &rlog);
-            })
-        };
 
         Ok(KvService {
             spec,
             stop,
-            stop_replicator,
+            stream,
             servers,
             replicator,
             replicas,
-            lag,
         })
     }
 
@@ -455,7 +486,7 @@ impl KvService {
     /// Last replication lag the replicator computed (committed minus
     /// the slowest follower's acknowledged seq).
     pub fn replication_lag(&self) -> u64 {
-        self.lag.load(Ordering::Acquire)
+        self.stream.lag.load(Ordering::Acquire)
     }
 
     /// Stalls `node`'s apply loop: it keeps acking (so the leader sees
@@ -475,9 +506,11 @@ impl KvService {
 
     /// Stops all service threads and waits for them. The replicator goes
     /// first, while the followers still answer: caught mid-multicast after
-    /// they had left, it would wait out an `op_timeout` per follower.
+    /// they had left, it would wait out an `op_timeout` per follower. It is
+    /// woken, not left to wait out its batch window.
     pub fn stop(self) {
-        self.stop_replicator.store(true, Ordering::Release);
+        self.stream.stop.store(true, Ordering::Release);
+        self.replicator.thread().unpark();
         let _ = self.replicator.join();
         self.stop.store(true, Ordering::Release);
         for t in self.servers {
@@ -487,22 +520,15 @@ impl KvService {
 }
 
 /// How long the leader and the followers wait for a call before they
-/// count themselves quiet; a follower runs its anti-entropy pass once per
-/// quiet wait, never more often.
+/// count themselves quiet — a follower runs its anti-entropy pass once per
+/// quiet wait, never more often — and the longest the replicator waits for
+/// a batch to fill.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// The functions the leader serves and waits on.
 const LEADER_FUNCS: [u8; 2] = [FN_PUT, FN_GET];
 /// The functions a follower serves and waits on.
 const FOLLOWER_FUNCS: [u8; 2] = [FN_REPL, FN_GET];
-
-/// The replicator's pace between rounds with nothing to stream. A timer on
-/// purpose: it is the window in which a burst of leader applies gathers
-/// into one multicast batch.
-fn idle_pause() {
-    // sleep-ok: the replicator's batching window, see above
-    std::thread::sleep(Duration::from_micros(50));
-}
 
 /// What one replica's serving thread owns.
 struct Replica {
@@ -547,7 +573,7 @@ impl Replica {
     }
 }
 
-fn serve_leader(stop: &AtomicBool, r: &mut Replica) {
+fn serve_leader(stop: &AtomicBool, r: &mut Replica, stream: &Stream, replicator: &Thread) {
     let Replica {
         state,
         h,
@@ -578,6 +604,7 @@ fn serve_leader(stop: &AtomicBool, r: &mut Replica) {
                         state
                             .next_off
                             .store(off + update_record_size(key, value), Ordering::Release);
+                        stream.applied(seq, replicator);
                         kernel.note_kv_put();
                         let mut r = Vec::with_capacity(REPLY_HEAD);
                         r.push(PUT_OK);
@@ -684,10 +711,10 @@ fn serve_follower(stop: &AtomicBool, r: &mut Replica, delay: u64) {
     }
 }
 
-/// Replays log records with one-sided reads until `state` reaches
-/// `target` or `max` records were applied (the LITE move: recovery
-/// reads the leader's memory directly, never its CPU). Returns whether
-/// `target` was reached.
+/// Replays log records until `state` reaches `target` or `max` records
+/// were applied, one one-sided read per `REPL_BATCH` records (the LITE
+/// move: recovery reads the leader's memory directly, never its CPU).
+/// Returns whether `target` was reached.
 #[allow(clippy::too_many_arguments)]
 fn catch_up_from_log(
     state: &ReplicaState,
@@ -700,27 +727,33 @@ fn catch_up_from_log(
     max: usize,
 ) -> bool {
     let mut applied = state.applied.load(Ordering::Acquire);
-    let mut steps = 0usize;
-    while applied < target && steps < max {
+    let mut left = max;
+    while applied < target && left > 0 {
         let off = state.next_off.load(Ordering::Acquire);
-        let Ok(txn) = log.read_at(h, ctx, off) else {
-            return false; // record not readable yet; retry later
+        // Committed records only: `target` caps the count.
+        let records = (target - applied).min(left.min(REPL_BATCH) as u64) as usize;
+        let txns = match log.read_from(h, ctx, off, REPL_BYTES, records) {
+            Ok(txns) if !txns.is_empty() => txns,
+            _ => return false, // not readable yet; retry later
         };
-        let [key, value] = &txn.entries[..] else {
-            return false;
-        };
-        if store.apply(h, ctx, applied + 1, key, value).is_err() {
-            return false;
+        for txn in txns {
+            let [key, value] = &txn.entries[..] else {
+                return false;
+            };
+            if store.apply(h, ctx, applied + 1, key, value).is_err() {
+                return false;
+            }
+            if delay > 0 {
+                ctx.work(delay);
+            }
+            applied += 1;
+            left -= 1;
+            state.applied.store(applied, Ordering::Release);
+            state.next_off.store(
+                txn.offset + update_record_size(key, value),
+                Ordering::Release,
+            );
         }
-        if delay > 0 {
-            ctx.work(delay);
-        }
-        applied += 1;
-        steps += 1;
-        state.applied.store(applied, Ordering::Release);
-        state
-            .next_off
-            .store(off + update_record_size(key, value), Ordering::Release);
     }
     applied >= target
 }
@@ -758,14 +791,32 @@ fn apply_stream_frame(
     );
 }
 
+/// Parks the replicator until the leader has applied `REPL_BATCH` records
+/// past `streamed`, `IDLE_WAIT` has passed, or `stop()` was called; the
+/// leader ([`Stream::applied`]) and `stop()` unpark it. A wake-up that finds
+/// none of the three — one left over from a round that streamed what it
+/// announced — goes back to sleep.
+fn wait_for_batch(stream: &Stream, leader: &ReplicaState, streamed: u64) {
+    let deadline = Instant::now() + IDLE_WAIT;
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.stop.load(Ordering::Acquire) {
+            return;
+        }
+        std::thread::park_timeout(left);
+        if leader.applied.load(Ordering::Acquire) >= streamed + REPL_BATCH as u64 {
+            return;
+        }
+    }
+}
+
 /// The leader-side replication pump: streams committed updates to the
 /// followers in multicast batches, tracks acknowledgements, publishes
 /// the lag gauge, and cleans the log behind the slowest ack.
 fn run_replicator(
     spec: &KvSpec,
-    stop: &AtomicBool,
+    stream: &Stream,
     leader: &ReplicaState,
-    lag: &AtomicU64,
     mut h: LiteHandle,
     mut ctx: Ctx,
     log: &LiteLog,
@@ -778,46 +829,52 @@ fn run_replicator(
     let mut repl_seq = 0u64; // last seq streamed
     let mut repl_off = 0u64; // offset of seq repl_seq + 1
     let mut cleaned = 0u64; // log bytes already reclaimed
-    let mut idle_rounds = 0u32;
-    while !stop.load(Ordering::Acquire) {
+    let mut more = false; // the last read left committed records behind
+    while !stream.stop.load(Ordering::Acquire) {
+        if !more {
+            wait_for_batch(stream, leader, repl_seq);
+        }
         for d in down.iter_mut() {
             *d = d.saturating_sub(1);
         }
         let committed = leader.applied.load(Ordering::Acquire);
-        // Read the next batch out of the log (one-sided; the leader's
-        // serving thread is not involved).
-        let mut frames = Vec::new();
-        while repl_seq < committed && frames.len() < REPL_BATCH {
-            let Ok(txn) = log.read_at(&mut h, &mut ctx, repl_off) else {
+        // Read the next batch out of the log with one one-sided read (the
+        // leader's serving thread is not involved), up to the end of the
+        // last record the leader applied.
+        let end = leader.next_off.load(Ordering::Acquire);
+        let bytes = end.saturating_sub(repl_off).min(REPL_BYTES);
+        let txns = match bytes {
+            0 => Vec::new(),
+            _ => log
+                .read_from(&mut h, &mut ctx, repl_off, bytes, REPL_BATCH)
+                .unwrap_or_default(),
+        };
+        let mut frames = Vec::with_capacity(txns.len());
+        for txn in txns {
+            let Ok([key, value]) = <[Vec<u8>; 2]>::try_from(txn.entries) else {
                 break;
             };
-            let [key, value] = &txn.entries[..] else {
-                break;
-            };
-            let size = update_record_size(key, value);
-            frames.push(Frame {
-                seq: repl_seq + 1,
-                off: repl_off,
-                key: key.clone(),
-                value: value.clone(),
-            });
             repl_seq += 1;
-            repl_off += size;
+            repl_off = txn.offset + update_record_size(&key, &value);
+            frames.push(Frame {
+                seq: repl_seq,
+                off: txn.offset,
+                key,
+                value,
+            });
         }
+        stream.streamed.store(repl_seq, Ordering::Release);
+        more = !frames.is_empty() && repl_off < end;
         if frames.is_empty() {
             // Nothing new to stream. If some follower still trails
             // (paused, recovering, restarted), probe it with an empty
-            // batch now and then: followers pull the data from the log
-            // themselves, but only an ack round updates our lag view.
-            idle_rounds += 1;
+            // batch: followers pull the data from the log themselves, but
+            // only an ack round updates our lag view.
             let trailing = n > 0 && acked.iter().any(|&a| a < committed);
-            if !trailing || !idle_rounds.is_multiple_of(20) {
-                publish_lag(lag, &kernel, committed, &acked, n);
-                idle_pause();
+            if !trailing {
+                publish_lag(&stream.lag, &kernel, committed, &acked, n);
                 continue;
             }
-        } else {
-            idle_rounds = 0;
         }
         let buf = enc_frames(&frames);
         // Skip followers sitting out a failure backoff; a partial
@@ -850,7 +907,7 @@ fn run_replicator(
                 }
             }
         }
-        publish_lag(lag, &kernel, committed, &acked, n);
+        publish_lag(&stream.lag, &kernel, committed, &acked, n);
         // Ack-aware cleaning: reclaim only what every follower has
         // durably applied. A dead follower pins the log; staleness is
         // bounded by the log capacity (DESIGN.md §15).

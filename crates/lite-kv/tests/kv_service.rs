@@ -1,7 +1,8 @@
 //! End-to-end tests of the replicated KV service: write/read round
 //! trips on every replica, session consistency with a stalled
 //! follower, event-log scans, capacity overflow over `lite::mm`
-//! tiering, the kernel gauges the service feeds, set-up failures, and
+//! tiering, the kernel gauges the service feeds, set-up failures,
+//! replication in batches (and a lone put not left waiting for one), and
 //! prompt shutdown.
 
 use std::time::{Duration, Instant};
@@ -240,4 +241,103 @@ fn stop_right_after_a_load_returns_promptly() {
         let took = asked.elapsed();
         assert!(took < Duration::from_secs(1), "round {round}: {took:?}");
     }
+}
+
+/// RPCs each follower's node has dispatched so far: in the tests below,
+/// nothing but the replicator calls a follower.
+fn calls(cluster: &LiteCluster, spec: &KvSpec) -> Vec<u64> {
+    let of = |&node: &usize| cluster.kernel(node).stats().rpc_dispatched;
+    spec.followers.iter().map(of).collect()
+}
+
+/// The replicator streams batches, not puts: N puts back to back reach each
+/// follower in about N / 32 replication calls — each one a full batch of 32
+/// or the close of a 1 ms window, so in release (the puts take ~3 ms) at
+/// most 2·N/32 + 2. A replicator woken on every apply sends about one a
+/// put.
+#[test]
+fn replication_streams_in_batches() {
+    const N: u64 = 8 * 32;
+    let cluster = LiteCluster::start(4).unwrap();
+    let spec = KvSpec::new("kv", 1, &[2, 3]);
+    let svc = KvService::spawn(&cluster, spec.clone());
+    let mut ctx = Ctx::new();
+    let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    let before = calls(&cluster, &spec);
+    let began = Instant::now();
+    for i in 0..N {
+        c.put(&mut ctx, &i.to_le_bytes(), &[7; 64]).unwrap();
+    }
+    // Windows that can have closed while the puts ran, and the last one.
+    let windows = began.elapsed().as_millis() as u64 + 2;
+    assert!(
+        eventually(Duration::from_secs(10), || {
+            spec.followers.iter().all(|&f| svc.applied_seq(f) == N)
+        }),
+        "followers never caught up"
+    );
+    for ((f, after), before) in spec
+        .followers
+        .iter()
+        .zip(calls(&cluster, &spec))
+        .zip(before)
+    {
+        let sent = after - before;
+        assert!(
+            sent <= N / 32 + windows,
+            "follower {f}: {sent} replication calls for {N} puts in {windows} windows"
+        );
+    }
+    svc.stop();
+}
+
+/// A put with nothing behind it is not left waiting for a batch to fill:
+/// the replicator's window closes within 1 ms and streams it. The follower
+/// is sent it, and does not only find it with its own anti-entropy read.
+#[test]
+fn a_lone_put_reaches_every_follower() {
+    let cluster = LiteCluster::start(4).unwrap();
+    let spec = KvSpec::new("kv", 1, &[2, 3]);
+    let svc = KvService::spawn(&cluster, spec.clone());
+    let mut ctx = Ctx::new();
+    let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    let before = calls(&cluster, &spec);
+    let seq = c.put(&mut ctx, b"lone", b"put").unwrap();
+    assert!(
+        eventually(Duration::from_millis(100), || {
+            let sent = calls(&cluster, &spec)
+                .iter()
+                .zip(&before)
+                .all(|(a, b)| a > b);
+            sent && spec.followers.iter().all(|&f| svc.applied_seq(f) >= seq)
+        }),
+        "applied {:?}, replication calls {:?} (before {before:?})",
+        spec.followers
+            .iter()
+            .map(|&f| svc.applied_seq(f))
+            .collect::<Vec<_>>(),
+        calls(&cluster, &spec),
+    );
+    svc.stop();
+}
+
+/// Stopping a service with nothing to do wakes the parked replicator and
+/// the serving threads' waits end within their 1 ms: nobody sleeps out a
+/// window.
+#[test]
+fn stopping_an_idle_service_returns_at_once() {
+    let cluster = LiteCluster::start(4).unwrap();
+    let spec = KvSpec::new("kv", 1, &[2, 3]);
+    let svc = KvService::spawn(&cluster, spec.clone());
+    let mut ctx = Ctx::new();
+    let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    c.put(&mut ctx, b"k", b"v").unwrap();
+    assert!(eventually(Duration::from_secs(10), || {
+        spec.followers.iter().all(|&f| svc.applied_seq(f) == 1)
+    }));
+    std::thread::sleep(Duration::from_millis(20));
+    let asked = Instant::now();
+    svc.stop();
+    let took = asked.elapsed();
+    assert!(took < Duration::from_millis(50), "{took:?}");
 }

@@ -29,6 +29,8 @@
 //! The cleaner scans committed transactions a chunk at a time — one
 //! `LT_read` for every record in the chunk — and reclaims each chunk with
 //! one chain: zeroes over the records, `fetch-add(cleaned, n)` behind them.
+//! A reader that follows the log pulls it the same way
+//! ([`LiteLog::read_from`]): one `LT_read` for a batch of records.
 
 use lite::{ChainOp, Lh, LiteError, LiteHandle, LiteResult, Perm};
 use simnet::Ctx;
@@ -183,6 +185,34 @@ impl LiteLog {
         Ok(u64::from_le_bytes(b))
     }
 
+    /// Reads the whole records from `offset` on with one `LT_read` of up to
+    /// `max_bytes` (two at the wrap point): at most `max_records` of them,
+    /// ending at the first record not written yet. A record longer than
+    /// `max_bytes` at `offset` is read whole, with a second read.
+    ///
+    /// Past the last committed record the ring may hold a record half
+    /// written or, a lap on, the log's oldest records, so the caller bounds
+    /// the read by what it knows is committed: `max_bytes` at the end of
+    /// the last committed record, or `max_records` at the committed count.
+    pub fn read_from(
+        &self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        offset: u64,
+        max_bytes: u64,
+        max_records: usize,
+    ) -> LiteResult<Vec<Txn>> {
+        let mut len = max_bytes.min(self.capacity);
+        loop {
+            let mut buf = vec![0u8; len as usize];
+            self.read_ring(h, ctx, offset, &mut buf)?;
+            match whole_records(offset, &buf, u64::MAX, max_records) {
+                (_, 0, Scan::CutOff(size)) => len = size as u64,
+                (txns, ..) => return Ok(txns),
+            }
+        }
+    }
+
     /// Reads the transaction at `offset` (entirely from remote).
     pub fn read_at(&self, h: &mut LiteHandle, ctx: &mut Ctx, offset: u64) -> LiteResult<Txn> {
         let mut hdr = [0u8; HDR];
@@ -232,26 +262,12 @@ impl LiteLog {
         while pos < reserved && reclaimed < max_bytes {
             let mut buf = vec![0u8; chunk.min(reserved - pos) as usize];
             self.read_ring(h, ctx, pos, &mut buf)?;
-            // The whole records at the head of `buf`, within the budget.
-            let mut span = 0usize;
-            let mut in_flight = false;
-            while reclaimed + (span as u64) < max_bytes && span < buf.len() {
-                // A record reserved but not yet written stops the scan;
-                // the cleaner retries later.
-                let Some(size) = record_len(&buf[span..]) else {
-                    in_flight = true;
-                    break;
-                };
-                if span + size > buf.len() {
-                    // Cut off by the end of the chunk: the next read starts
-                    // at it, and is as long as it if no chunk is.
-                    if span == 0 {
-                        chunk = size as u64;
-                    }
-                    break;
-                }
-                out.push(decode(pos + span as u64, &buf[span..span + size]));
-                span += size;
+            let (txns, span, end) = whole_records(pos, &buf, max_bytes - reclaimed, usize::MAX);
+            out.extend(txns);
+            // A record cut off by the end of the chunk starts the next read,
+            // which is as long as it if no chunk is.
+            if let (0, Scan::CutOff(size)) = (span, end) {
+                chunk = size as u64;
             }
             if span > 0 {
                 buf[..span].fill(0);
@@ -264,12 +280,47 @@ impl LiteLog {
                 pos += span as u64;
                 reclaimed += span as u64;
             }
-            if in_flight {
+            // A record reserved but not yet written stops the cleaner; it
+            // retries later.
+            if end == Scan::Unwritten {
                 break;
             }
         }
         Ok(out)
     }
+}
+
+/// Why [`whole_records`] stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scan {
+    /// It took all it was allowed, or all of the buffer.
+    Done,
+    /// The next record was not written yet, or was cleaned since.
+    Unwritten,
+    /// The next record, this many bytes long, runs past the end of the
+    /// buffer.
+    CutOff(usize),
+}
+
+/// The whole records at the head of `buf`, read at log offset `at`: at
+/// most `max_records` of them, none starting at or past `budget` bytes (the
+/// last may end past it). Returns them, the bytes they span, and why the
+/// scan stopped. The one scanner of the log: the cleaner's chunks and
+/// [`LiteLog::read_from`]'s batches both go through it.
+fn whole_records(at: u64, buf: &[u8], budget: u64, max_records: usize) -> (Vec<Txn>, usize, Scan) {
+    let mut txns = Vec::new();
+    let mut span = 0usize;
+    while txns.len() < max_records && (span as u64) < budget && span < buf.len() {
+        let Some(size) = record_len(&buf[span..]) else {
+            return (txns, span, Scan::Unwritten);
+        };
+        if span + size > buf.len() {
+            return (txns, span, Scan::CutOff(size));
+        }
+        txns.push(decode(at + span as u64, &buf[span..span + size]));
+        span += size;
+    }
+    (txns, span, Scan::Done)
 }
 
 /// Total size of the record whose header `rec` starts with; `None` if no
@@ -502,6 +553,99 @@ mod tests {
         h.lt_read(&mut ctx, log.lh, META_CLEANED, &mut cleaned)
             .unwrap();
         assert_eq!(u64::from_le_bytes(cleaned), hole);
+    }
+
+    /// One read brings back a batch of records, lap after lap: the records
+    /// split at the wrap point come back whole, and so does a read whose
+    /// own span wraps.
+    #[test]
+    fn read_from_reads_records_split_at_the_wrap_point() {
+        const CAPACITY: u64 = 1000;
+        let cluster = LiteCluster::start(2).unwrap();
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let log = LiteLog::create(&mut h, &mut ctx, 1, "rwlog", CAPACITY).unwrap();
+        let (mut pos, mut split) = (0u64, 0);
+        for lap in 0..60u64 {
+            let batch: Vec<Vec<u8>> = (0..4)
+                .map(|i| vec![(lap * 4 + i) as u8; 20 + ((lap + i) % 5) as usize * 8])
+                .collect();
+            let offsets: Vec<u64> = batch
+                .iter()
+                .map(|e| log.commit(&mut h, &mut ctx, &[e]).unwrap())
+                .collect();
+            let end = offsets[3] + LiteLog::record_size(&[&batch[3]]);
+            split += offsets
+                .iter()
+                .zip(&batch)
+                .filter(|(off, e)| *off % CAPACITY + LiteLog::record_size(&[e]) > CAPACITY)
+                .count();
+            let txns = log
+                .read_from(&mut h, &mut ctx, pos, end - pos, usize::MAX)
+                .unwrap();
+            let got: Vec<(u64, &[u8])> =
+                txns.iter().map(|t| (t.offset, &t.entries[0][..])).collect();
+            let want: Vec<(u64, &[u8])> = offsets
+                .iter()
+                .copied()
+                .zip(batch.iter().map(|e| &e[..]))
+                .collect();
+            assert_eq!(got, want, "lap {lap}");
+            log.clean(&mut h, &mut ctx, end - pos).unwrap();
+            pos = end;
+        }
+        assert!(split >= 5, "only {split} records crossed the wrap point");
+    }
+
+    /// The read stops at the first record reserved but not written, at the
+    /// record cap, and at the end of its bytes — and a record longer than
+    /// the bytes asked for comes back whole.
+    #[test]
+    fn read_from_stops_at_an_unwritten_record_and_at_the_caps() {
+        let cluster = LiteCluster::start(2).unwrap();
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let log = LiteLog::create(&mut h, &mut ctx, 1, "rclog", 1 << 20).unwrap();
+        let entries: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 24]).collect();
+        for e in &entries {
+            log.commit(&mut h, &mut ctx, &[e]).unwrap();
+        }
+        let size = LiteLog::record_size(&[&entries[0]]);
+        // A writer that reserved and went away, and a record behind it.
+        let hole = h.lt_fetch_add(&mut ctx, log.lh, META_RESERVED, 64).unwrap();
+        log.commit(&mut h, &mut ctx, &[b"behind the hole"]).unwrap();
+        let read = |h: &mut LiteHandle, ctx: &mut Ctx, off: u64, bytes: u64, records: usize| {
+            let txns = log.read_from(h, ctx, off, bytes, records).unwrap();
+            txns.into_iter()
+                .map(|t| t.entries[0][0])
+                .collect::<Vec<u8>>()
+        };
+        let all: Vec<u8> = (0..10).collect();
+        assert_eq!(read(&mut h, &mut ctx, 0, 1 << 16, usize::MAX), all);
+        assert_eq!(read(&mut h, &mut ctx, 0, 1 << 16, 4), [0, 1, 2, 3]);
+        assert_eq!(read(&mut h, &mut ctx, 3 * size, 1 << 16, 2), [3, 4]);
+        assert_eq!(
+            read(&mut h, &mut ctx, 0, 3 * size + 8, usize::MAX),
+            [0, 1, 2]
+        );
+        assert_eq!(
+            read(&mut h, &mut ctx, hole, 1 << 16, usize::MAX),
+            Vec::<u8>::new()
+        );
+        assert_eq!(read(&mut h, &mut ctx, 0, 1 << 16, 0), Vec::<u8>::new());
+        // Fewer bytes than the first record: it is read whole regardless.
+        let big = vec![0xBB; 5000];
+        let off = log.commit(&mut h, &mut ctx, &[&big]).unwrap();
+        let txns = log
+            .read_from(&mut h, &mut ctx, off, 64, usize::MAX)
+            .unwrap();
+        assert_eq!(
+            txns,
+            vec![Txn {
+                offset: off,
+                entries: vec![big]
+            }]
+        );
     }
 
     #[test]

@@ -851,31 +851,33 @@ fn txn_apply(state: &[(u64, u64)], t: &TxnOp) -> Option<Vec<(u64, u64)>> {
 // Seeded schedule exploration
 // ---------------------------------------------------------------------
 
+/// Cluster size of every mixed-workload run.
+const MIXED_NODES: usize = 3;
+/// Worker threads (one handle each, round-robin over the nodes).
+const MIXED_THREADS: usize = 3;
+/// Rounds per worker.
+const MIXED_ROUNDS: usize = 8;
 /// Every worker hits the shared barrier every this many rounds.
 const BARRIER_EVERY: usize = 4;
 /// Per-WR delay probability of every run's seeded fault plan.
 const DELAY_PROB: f64 = 0.2;
+/// The delay it injects, in virtual nanoseconds.
+const DELAY_NS: Nanos = 3_000;
 
 /// The canonical mixed synchronization workload for schedule
-/// exploration: `threads` workers spread round-robin over `nodes` nodes
-/// share one distributed lock, one fetch-add counter, one test-set
-/// cell, one lock-protected 8-byte register, and one (reused) barrier
-/// id, hit every [`BARRIER_EVERY`] rounds. Every run installs a seeded
-/// fault plan that delays a [`DELAY_PROB`] share of work requests.
+/// exploration: [`MIXED_THREADS`] workers spread round-robin over
+/// [`MIXED_NODES`] nodes share one distributed lock, one fetch-add counter,
+/// one test-set cell, one lock-protected 8-byte register, and one (reused)
+/// barrier id, hit every [`BARRIER_EVERY`] of their [`MIXED_ROUNDS`]
+/// rounds. Every run installs a seeded fault plan that delays a
+/// [`DELAY_PROB`] share of work requests by [`DELAY_NS`]; the fields say
+/// what a sweep adds to that.
 #[derive(Debug, Clone)]
 pub struct MixedWorkload {
-    /// Cluster size (≥ 2).
-    pub nodes: usize,
-    /// Worker threads (one handle each, round-robin over nodes).
-    pub threads: usize,
-    /// Rounds per worker.
-    pub rounds: usize,
     /// Per-WR drop probability of the seeded fault plan (0.0 = none).
     pub drop_prob: f64,
     /// Cap on fired drops.
     pub max_drops: u64,
-    /// Injected delay in virtual nanoseconds.
-    pub delay_ns: Nanos,
     /// Per-node physical-memory budget handed to `lite::mm`
     /// (`LiteConfig::mem_budget_bytes`); 0 leaves tiering off. A small
     /// budget forces chunk eviction and fetch-back *under* the recorded
@@ -887,12 +889,8 @@ pub struct MixedWorkload {
 impl Default for MixedWorkload {
     fn default() -> Self {
         MixedWorkload {
-            nodes: 3,
-            threads: 3,
-            rounds: 8,
             drop_prob: 0.0,
             max_drops: 0,
-            delay_ns: 3_000,
             mem_budget: 0,
         }
     }
@@ -923,7 +921,7 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
         },
         ..Default::default()
     };
-    let cluster = LiteCluster::start_with(IbConfig::with_nodes(w.nodes.max(2)), config)?;
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(MIXED_NODES), config)?;
     let log = cluster.record_history()?;
     let mut plan = FaultPlan::seeded(seed);
     if w.drop_prob > 0.0 {
@@ -940,7 +938,7 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
             src: None,
             dst: None,
             prob: DELAY_PROB,
-            delay_ns: w.delay_ns,
+            delay_ns: DELAY_NS,
         }));
 
     // Shared state: the lock lives on the last node, the cells + data
@@ -949,29 +947,23 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
     // master record (the attach node) — `lite::mm` only tiers
     // locally-mastered chunks, so this is what puts the recorded ops on
     // evictable memory.
-    let owner = w.nodes.max(2) - 1;
+    let owner = MIXED_NODES - 1;
     let mut setup = cluster.attach_kernel(owner)?;
     let mut sctx = Ctx::new();
     let lock = setup.lt_create_lock(&mut sctx)?;
-    let cells_node = if w.mem_budget > 0 {
-        owner
-    } else {
-        1 % w.nodes.max(2)
-    };
+    let cells_node = if w.mem_budget > 0 { owner } else { 1 };
     let _master = setup.lt_malloc(&mut sctx, cells_node, 4096, "verify.cells", Perm::RW)?;
 
-    let threads = w.threads.max(1);
     std::thread::scope(|scope| -> LiteResult<()> {
         let mut handles = Vec::new();
-        for t in 0..threads {
+        for t in 0..MIXED_THREADS {
             let cluster = &cluster;
-            let w = w.clone();
             handles.push(scope.spawn(move || -> LiteResult<()> {
-                let node = t % w.nodes.max(2);
+                let node = t % MIXED_NODES;
                 let mut h = cluster.attach_kernel(node)?;
                 let mut ctx = Ctx::new();
                 let lh = h.lt_map(&mut ctx, "verify.cells")?;
-                for r in 0..w.rounds {
+                for r in 0..MIXED_ROUNDS {
                     ctx.work(mix(seed ^ (t as u64) << 32 ^ r as u64) % 2_000);
                     // Lock-protected read-modify-write of the data
                     // register at offset 64: couples the mutex spec to
@@ -991,7 +983,7 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
                     if (r + 1) % BARRIER_EVERY == 0 {
                         // Same id every time: generations must still
                         // separate cleanly (id-reuse is checked).
-                        let _ = h.lt_barrier(&mut ctx, 7, threads as u32);
+                        let _ = h.lt_barrier(&mut ctx, 7, MIXED_THREADS as u32);
                     }
                 }
                 Ok(())
