@@ -134,6 +134,18 @@ pub enum ChainOp<'a> {
     },
 }
 
+impl ChainOp<'_> {
+    /// The op's range in the LMR: offset, length and the permission it
+    /// needs.
+    fn range(&self) -> (u64, usize, Perm) {
+        match *self {
+            ChainOp::Write { off, data } => (off, data.len(), Perm::RW),
+            ChainOp::Read { off, len } => (off, len, Perm::RO),
+            ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => (off, 8, Perm::RW),
+        }
+    }
+}
+
 /// What one [`ChainOp`] returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChainOut {
@@ -662,31 +674,33 @@ impl LiteHandle {
     }
 
     /// The lh's LMR, the live physical pieces of every range
-    /// (`(offset, len, needed permission)` each), and the pins that keep
-    /// them where they are — healed: every range is resolved and pinned
-    /// before anything is posted, so a `Relocated` has no side effect to
-    /// repeat, and stays pinned while the caller holds the guards
-    /// (eviction drains pins, so no chunk can move or be freed under an
-    /// in-flight op).
+    /// (`(offset, len, needed permission)` each) in one list, range after
+    /// range ([`shares`] cuts it back into ranges), and the pins that
+    /// keep them where they are — healed: every range is resolved and
+    /// pinned before anything is posted, so a `Relocated` has no side
+    /// effect to repeat, and stays pinned while the caller holds the
+    /// guards (eviction drains pins, so no chunk can move or be freed
+    /// under an in-flight op).
     #[allow(clippy::type_complexity)]
     fn fresh_pieces(
         &mut self,
         ctx: &mut Ctx,
         lh: Lh,
         ranges: impl Iterator<Item = (u64, usize, Perm)> + Clone,
-    ) -> LiteResult<(LmrId, Vec<Vec<(NodeId, Chunk)>>, Vec<crate::mm::PinGuard>)> {
+    ) -> LiteResult<(LmrId, Vec<(NodeId, Chunk)>, Vec<crate::mm::PinGuard>)> {
         self.heal(ctx, &[lh], |this, ctx| {
             // Resolve against the entry in place; only the pieces leave.
             let (id, pieces) = this.kernel.with_lh(this.pid, lh, |entry| {
                 let mut pieces = Vec::with_capacity(ranges.size_hint().0);
                 for (offset, len, need) in ranges.clone() {
-                    pieces.push(entry.check(offset, len, need)?);
+                    entry.check_into(offset, len, need, &mut pieces)?;
                 }
                 Ok((entry.id, pieces))
             })?;
             let mut pins = Vec::new();
-            for ((offset, ..), p) in ranges.clone().zip(&pieces) {
-                this.pin_pieces(ctx, id, offset, p, &mut pins)?;
+            let lens = ranges.clone().map(|(_, len, _)| len);
+            for ((offset, ..), share) in ranges.clone().zip(shares(lens, &pieces)) {
+                this.pin_pieces(ctx, id, offset, share, &mut pins)?;
             }
             Ok((id, pieces, pins))
         })
@@ -1438,11 +1452,7 @@ impl LiteHandle {
         ops: &[ChainOp],
         sink: &mut dyn FnMut(Landed) -> LiteResult<()>,
     ) -> LiteResult<()> {
-        let ranges = ops.iter().map(|op| match *op {
-            ChainOp::Write { off, data } => (off, data.len(), Perm::RW),
-            ChainOp::Read { off, len } => (off, len, Perm::RO),
-            ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => (off, 8, Perm::RW),
-        });
+        let ranges = ops.iter().map(ChainOp::range);
         self.syscall(ctx, |this, ctx| {
             let (id, pieces, _pins) = this.fresh_pieces(ctx, lh, ranges)?;
             this.chain_pieces(ctx, id, ops, &pieces, sink)
@@ -1450,15 +1460,16 @@ impl LiteHandle {
     }
 
     /// The one body of a one-sided call, once every range is resolved
-    /// (`pieces[i]` are op `i`'s) and pinned: stage, post, wait once,
-    /// collect. One verb per physical piece; `zones`, `posts` and `comps`
-    /// below are indexed by verb.
+    /// (`pieces` holds op after op's, as [`Self::fresh_pieces`] lists
+    /// them) and pinned: stage, post, wait once, collect. One verb per
+    /// physical piece; `pieces`, `zones`, `posts` and `comps` below are
+    /// indexed by verb.
     fn chain_pieces(
         &mut self,
         ctx: &mut Ctx,
         id: LmrId,
         ops: &[ChainOp],
-        pieces: &[Vec<(NodeId, Chunk)>],
+        pieces: &[(NodeId, Chunk)],
         sink: &mut dyn FnMut(Landed) -> LiteResult<()>,
     ) -> LiteResult<()> {
         let start = ctx.now();
@@ -1472,8 +1483,12 @@ impl LiteHandle {
         let total: usize = ops.iter().map(staged).sum();
         Self::ensure(&self.kernel, &mut self.staging, total)?;
         let mem = self.kernel.fabric().mem(self.kernel.node());
+        // Each op with its share of the pieces.
+        let per_op = ops
+            .iter()
+            .zip(shares(ops.iter().map(|op| op.range().1), pieces));
         let mut at = self.staging.addr;
-        for (op, pieces) in ops.iter().zip(pieces) {
+        for (op, pieces) in per_op.clone() {
             match *op {
                 ChainOp::Write { data, .. } => mem.write(at, data)?,
                 ChainOp::Read { .. } => {}
@@ -1492,11 +1507,10 @@ impl LiteHandle {
             }
             at += staged(op) as u64;
         }
-        let verbs = ops
-            .iter()
-            .zip(pieces)
+        let verbs = per_op
+            .clone()
             .flat_map(|(op, pieces)| pieces.iter().map(move |piece| (op, piece)));
-        let n = pieces.iter().map(Vec::len).sum();
+        let n = pieces.len();
         // A verb's zone: its piece's share of the op's staging (none for
         // an atomic).
         let mut at = self.staging.addr;
@@ -1542,7 +1556,7 @@ impl LiteHandle {
         // Walk the ops again with the same two cursors the posting pass
         // advanced: the staging address and the verb index.
         let (mut at, mut verb) = (self.staging.addr, 0);
-        for (op, pieces) in ops.iter().zip(pieces) {
+        for (op, pieces) in per_op {
             let landed = match *op {
                 ChainOp::Write { off, data } => {
                     // Lookup/permission/bounds failures returned before any
@@ -1615,6 +1629,27 @@ impl Drop for LiteHandle {
             self.kernel.note_cleanup_failure(node, 0);
         }
     }
+}
+
+/// Cuts a call's one piece list back into each range's share, given the
+/// ranges' lengths in order. [`Location::slice_into`] covers a range
+/// exactly with pieces none of which is empty, so a range's share is the
+/// next pieces whose lengths add up to its own — none for an empty range.
+fn shares<'p>(
+    lens: impl Iterator<Item = usize> + Clone + 'p,
+    pieces: &'p [(NodeId, Chunk)],
+) -> impl Iterator<Item = &'p [(NodeId, Chunk)]> + Clone + 'p {
+    let mut rest = pieces;
+    lens.map(move |len| {
+        let (mut n, mut left) = (0, len as u64);
+        while left > 0 {
+            left -= rest[n].1.len;
+            n += 1;
+        }
+        let (share, tail) = rest.split_at(n);
+        rest = tail;
+        share
+    })
 }
 
 /// The `n` items of `items` as a slice: held in `one` when there is

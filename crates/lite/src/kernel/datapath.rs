@@ -479,12 +479,15 @@ impl RnicDataPath {
 
     /// Evidence of life from `peer` — a completed op or incoming traffic
     /// (the poller calls this on every remote completion it dispatches).
+    /// A healthy peer's state is only read: this runs once per op.
     pub(crate) fn mark_peer_alive(&self, peer: NodeId) {
         let Some(h) = self.health.get(peer) else {
             return;
         };
-        h.consecutive_timeouts.store(0, Ordering::Relaxed);
-        if h.dead.swap(false, Ordering::AcqRel) {
+        if h.consecutive_timeouts.load(Ordering::Relaxed) != 0 {
+            h.consecutive_timeouts.store(0, Ordering::Relaxed);
+        }
+        if h.dead.load(Ordering::Acquire) && h.dead.swap(false, Ordering::AcqRel) {
             *h.last_probe.lock() = None;
         }
     }
@@ -553,7 +556,7 @@ impl RnicDataPath {
     ///
     /// * transient faults (drops, down nodes, pools mid-swap) retry with
     ///   exponential virtual-time backoff, bounded by the `op_timeout`
-    ///   host-wall budget;
+    ///   host-wall budget counted from the first of them;
     /// * a broken QP is torn down and re-established transparently, then
     ///   the op is replayed;
     /// * a peer past the liveness threshold fails fast with
@@ -595,7 +598,9 @@ impl RnicDataPath {
             self.retry.ops_failed.fetch_add(1, Ordering::Relaxed);
             return Err(LiteError::PeerDead { node: peer });
         }
-        let deadline = Instant::now() + self.op_timeout;
+        // Taken at the first transient failure: an op that goes through
+        // at once never reads the host clock.
+        let mut deadline = None;
         let mut backoff = self.retry_base_ns;
         loop {
             match attempt(self, ctx) {
@@ -615,7 +620,8 @@ impl RnicDataPath {
                     retried(ctx.now());
                 }
                 Err(e @ (LiteError::Timeout | LiteError::NodeDown { .. })) => {
-                    if Instant::now() >= deadline {
+                    let now = Instant::now();
+                    if now >= *deadline.get_or_insert(now + self.op_timeout) {
                         self.note_peer_timeout(peer);
                         self.retry.ops_failed.fetch_add(1, Ordering::Relaxed);
                         return Err(e);
@@ -945,10 +951,15 @@ impl RnicDataPath {
             prio,
         };
         // One sequence per *logical* op, minted before the retry loop:
-        // every attempt below replays the same exactly-once tokens.
-        let aseq0 = self
-            .atomic_seq
-            .fetch_add(ops.len() as u64, Ordering::Relaxed);
+        // every attempt below replays the same exactly-once tokens. Only
+        // atomics carry one, so a run without them mints none.
+        let atomics = ops.iter().any(|op| op.class() == OpClass::Atomic);
+        let aseq0 = if atomics {
+            self.atomic_seq
+                .fetch_add(ops.len() as u64, Ordering::Relaxed)
+        } else {
+            0
+        };
         let mut done = Done { out, n: 0 };
         let res = self.with_retry(ctx, peer, trace, |dp, ctx| {
             if peer == dp.node {

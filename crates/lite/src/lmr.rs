@@ -81,8 +81,21 @@ impl Location {
     /// Splits the byte range `[offset, offset+len)` into per-extent
     /// physical pieces `(node, phys_addr, len)`.
     pub fn slice(&self, offset: u64, len: u64) -> LiteResult<Vec<(NodeId, Chunk)>> {
+        let mut out = Vec::new();
+        self.slice_into(offset, len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::slice`], appending the pieces to `out`: they cover the
+    /// range exactly, none of them empty (none at all when `len` is 0).
+    pub(crate) fn slice_into(
+        &self,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<(NodeId, Chunk)>,
+    ) -> LiteResult<()> {
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let out_of_bounds = LiteError::OutOfBounds {
             offset,
@@ -92,7 +105,6 @@ impl Location {
         if offset.checked_add(len).is_none_or(|end| end > self.len()) {
             return Err(out_of_bounds);
         }
-        let mut out = Vec::new();
         let mut cur = 0u64;
         let (mut remaining, mut pos) = (len, offset);
         for (node, c) in &self.extents {
@@ -118,7 +130,7 @@ impl Location {
         if remaining != 0 {
             return Err(out_of_bounds);
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -172,6 +184,20 @@ impl LhEntry {
     /// Validates an access of `len` bytes at `offset` with permission
     /// `need`, returning the physical pieces to operate on.
     pub fn check(&self, offset: u64, len: usize, need: Perm) -> LiteResult<Vec<(NodeId, Chunk)>> {
+        let mut out = Vec::new();
+        self.check_into(offset, len, need, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::check`], appending the pieces to `out`
+    /// ([`Location::slice_into`]).
+    pub(crate) fn check_into(
+        &self,
+        offset: u64,
+        len: usize,
+        need: Perm,
+        out: &mut Vec<(NodeId, Chunk)>,
+    ) -> LiteResult<()> {
         if self.stale {
             return Err(LiteError::BadLh { lh: 0 });
         }
@@ -181,7 +207,7 @@ impl LhEntry {
         if !self.perm.covers(need) {
             return Err(LiteError::PermissionDenied);
         }
-        self.location.slice(offset, len as u64)
+        self.location.slice_into(offset, len as u64, out)
     }
 }
 

@@ -132,12 +132,19 @@ impl HistShard {
         }
     }
 
+    /// Three RMWs once warm: the extremes are loaded first and written
+    /// only by a sample that moves one (they only ever move outwards, so
+    /// a stale load can cost an RMW, never lose a sample).
     fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 }
 
@@ -153,10 +160,11 @@ thread_local! {
 }
 
 /// The `simnet` log-bucketed histogram made lock-free and sharded for
-/// concurrent hot-path recording. `record` is wait-free (a handful of
-/// relaxed atomic RMWs on the calling thread's shard); `snapshot` merges
-/// all shards into a plain [`Histogram`] whose percentiles carry the
-/// usual ~6 % bucket error with exact endpoints.
+/// concurrent hot-path recording. `record` is wait-free (three relaxed
+/// atomic RMWs on the calling thread's shard, five while the extremes
+/// still move); `snapshot` merges all shards into a plain [`Histogram`]
+/// whose percentiles carry the usual ~6 % bucket error with exact
+/// endpoints.
 pub struct ConcurrentHistogram {
     shards: Vec<HistShard>,
 }
@@ -566,7 +574,9 @@ impl Observability {
             if sampled {
                 p.lat.record(latency);
             }
-            p.last_completion.fetch_max(stamp, Ordering::Relaxed);
+            if stamp > p.last_completion.load(Ordering::Relaxed) {
+                p.last_completion.fetch_max(stamp, Ordering::Relaxed);
+            }
         }
     }
 

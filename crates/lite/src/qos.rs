@@ -79,8 +79,10 @@ impl LoadMonitor {
         let epoch = at / BUCKET_WIDTH;
         let slot = (epoch as usize) % BUCKETS;
         // Best-effort reset on epoch change; a lost update only blurs the
-        // estimate by one bucket.
-        if self.epochs[slot].swap(epoch, Ordering::Relaxed) != epoch {
+        // estimate by one bucket. Within an epoch the tag is only read.
+        if self.epochs[slot].load(Ordering::Relaxed) != epoch
+            && self.epochs[slot].swap(epoch, Ordering::Relaxed) != epoch
+        {
             self.bytes[slot].store(0, Ordering::Relaxed);
             self.ops[slot].store(0, Ordering::Relaxed);
         }

@@ -7,7 +7,10 @@
 //! [`ShardedMap`] splits the table into a fixed power-of-two number of
 //! shards ([`crate::LiteConfig::kernel_shards`]), each behind its own
 //! `parking_lot` mutex, routed by key hash. An op on one key locks
-//! exactly one shard; ops on keys in different shards never contend.
+//! exactly one shard; ops on keys in different shards never contend. The
+//! key is hashed once, with `simnet`'s fixed [`KeyHasher`]: the shard
+//! comes from the middle bits of that hash, the shard's own table uses
+//! its low and top bits.
 //!
 //! # Lock-ordering rule
 //!
@@ -27,15 +30,15 @@
 //! one are skipped. Every current consumer (lh invalidation, the mm
 //! sweeper, stats gauges) tolerates that weaker snapshot.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasher, Hash};
 
 use parking_lot::Mutex;
+use simnet::{KeyHasher, KeyMap};
 
 /// A hash map split into power-of-two shards with per-shard locks.
 pub struct ShardedMap<K, V> {
-    shards: Box<[Mutex<HashMap<K, V>>]>,
+    shards: Box<[Mutex<KeyMap<K, V>>]>,
     mask: u64,
 }
 
@@ -45,7 +48,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         ShardedMap {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::default()).collect(),
             mask: (n - 1) as u64,
         }
     }
@@ -55,13 +58,12 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         self.shards.len()
     }
 
-    fn shard_of(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        // A fixed-seed SipHash: shard routing must agree with itself
-        // across calls, and must not depend on process-global hasher
-        // state (the simulation is otherwise deterministic).
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() & self.mask) as usize]
+    fn shard_of(&self, key: &K) -> &Mutex<KeyMap<K, V>> {
+        // A fixed hasher: shard routing must agree with itself across
+        // calls, and must not depend on process-global hasher state (the
+        // simulation is otherwise deterministic).
+        let h = KeyHasher::default().hash_one(key);
+        &self.shards[((h >> 32) & self.mask) as usize]
     }
 
     /// Inserts, returning the previous value.
@@ -95,7 +97,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     /// Runs `f` with the key's shard locked. The single entry point for
     /// entry-style read-modify-write; `f` must not take other kernel
     /// locks (see the module-level lock-ordering rule).
-    pub fn with_shard_of<R>(&self, key: &K, f: impl FnOnce(&mut HashMap<K, V>) -> R) -> R {
+    pub fn with_shard_of<R>(&self, key: &K, f: impl FnOnce(&mut KeyMap<K, V>) -> R) -> R {
         f(&mut self.shard_of(key).lock())
     }
 

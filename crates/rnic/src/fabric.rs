@@ -193,7 +193,7 @@ impl IbFabric {
     /// layer above re-establishes the connection.
     pub fn break_qp_pair(&self, qp: &Qp) {
         qp.set_broken(true);
-        if let Some((peer_node, peer_qp)) = *qp.peer.lock() {
+        if let Some(&(peer_node, peer_qp)) = qp.peer.get() {
             if let Ok(nic) = self.try_nic(peer_node) {
                 if let Ok(p) = nic.qp(peer_qp) {
                     p.set_broken(true);
@@ -222,12 +222,13 @@ impl IbFabric {
         (qa, qb)
     }
 
-    /// Connects two RC/UC QPs.
+    /// Connects two fresh RC/UC QPs. A QP connects once: a broken one
+    /// is destroyed and replaced, never reconnected.
     pub fn connect(&self, a: &Arc<Qp>, b: &Arc<Qp>) {
         assert_ne!(a.typ, QpType::Ud, "UD QPs are connectionless");
         assert_eq!(a.typ, b.typ, "QP types must match");
-        *a.peer.lock() = Some((b.node, b.id));
-        *b.peer.lock() = Some((a.node, a.id));
+        let fresh = a.peer.set((b.node, b.id)).is_ok() && b.peer.set((a.node, a.id)).is_ok();
+        assert!(fresh, "QP already connected");
     }
 
     /// Closes every CQ on every node, releasing blocked pollers.

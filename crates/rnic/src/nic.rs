@@ -1,12 +1,12 @@
 //! The per-node RNIC: MR registry, QP registry, SRAM caches, request
 //! engine, and the implementation of every verb.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::{Mutex, RwLock};
-use simnet::{Ctx, Grant, Lru, Nanos, Resource};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use simnet::{Ctx, Grant, KeyMap, Lru, Nanos, Resource};
 use smem::{AddrSpace, Chunk, PhysMem, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::cost::COST;
@@ -94,6 +94,86 @@ struct Caches {
     qpc: Lru<u64, ()>,
 }
 
+impl Caches {
+    /// Looks the MR key up, loading it on a miss; the miss penalty.
+    fn mr_key(&mut self, key: u32) -> Nanos {
+        if self.mr_keys.touch(&key).is_some() {
+            0
+        } else {
+            self.mr_keys.insert(key, ());
+            COST.mr_miss_ns
+        }
+    }
+
+    /// Looks up the PTE of every page of `[addr, addr+len)` under `key`,
+    /// loading each one that misses; the summed miss penalty.
+    fn ptes(&mut self, key: u32, addr: u64, len: usize) -> Nanos {
+        let first = addr >> PAGE_SHIFT;
+        let last = (addr + len.max(1) as u64 - 1) >> PAGE_SHIFT;
+        let mut pen = 0;
+        for vpn in first..=last {
+            if self.ptes.touch(&(key, vpn)).is_none() {
+                self.ptes.insert((key, vpn), ());
+                pen += COST.pte_miss_ns;
+            }
+        }
+        pen
+    }
+
+    /// Looks the QP context up, loading it on a miss; the miss penalty.
+    fn qpc(&mut self, qpn: u64) -> Nanos {
+        if self.qpc.touch(&qpn).is_some() {
+            0
+        } else {
+            self.qpc.insert(qpn, ());
+            COST.qp_miss_ns
+        }
+    }
+}
+
+/// The SRAM of the two NICs one post touches, each locked once for the
+/// whole validation pass — one guard when the post loops back to its own
+/// NIC. Two NICs lock in node order, so posts in opposite directions
+/// cannot deadlock.
+struct Sram<'n> {
+    local: MutexGuard<'n, Caches>,
+    remote: Option<MutexGuard<'n, Caches>>,
+}
+
+impl<'n> Sram<'n> {
+    fn lock(local: &'n Nic, remote: &'n Nic) -> Self {
+        if std::ptr::eq(local, remote) {
+            let local = local.caches.lock();
+            return Sram {
+                local,
+                remote: None,
+            };
+        }
+        let (local, remote) = if local.node < remote.node {
+            let l = local.caches.lock();
+            (l, remote.caches.lock())
+        } else {
+            let r = remote.caches.lock();
+            (local.caches.lock(), r)
+        };
+        Sram {
+            local,
+            remote: Some(remote),
+        }
+    }
+
+    fn local(&mut self) -> &mut Caches {
+        &mut self.local
+    }
+
+    fn remote(&mut self) -> &mut Caches {
+        match &mut self.remote {
+            Some(remote) => remote,
+            None => &mut self.local,
+        }
+    }
+}
+
 /// Aggregate NIC statistics for assertions and reports.
 #[derive(Debug, Clone, Default)]
 pub struct NicStats {
@@ -140,9 +220,12 @@ pub struct Nic {
     /// Ingress link (cut-through: contended only when several senders
     /// target this NIC at once).
     rx: Resource,
+    /// Lock order: `caches` before `mrs`. A post holds the SRAM of both
+    /// its NICs ([`Sram`]) and reads each registry inside; nothing takes
+    /// `caches` while it holds `mrs` or `qps`.
     caches: Mutex<Caches>,
-    mrs: RwLock<HashMap<u32, Arc<MrInner>>>,
-    qps: RwLock<HashMap<QpId, Arc<Qp>>>,
+    mrs: RwLock<KeyMap<u32, Arc<MrInner>>>,
+    qps: RwLock<KeyMap<QpId, Arc<Qp>>>,
     one_sided_ops: AtomicU64,
     send_ops: AtomicU64,
     bytes_tx: AtomicU64,
@@ -155,7 +238,7 @@ pub struct Nic {
     /// instead of applying twice. Keyed by the requester's per-logical-
     /// op sequence, which the layer above must keep stable across retry
     /// attempts of the same logical op.
-    atomic_dedup: Mutex<HashMap<NodeId, BTreeMap<u64, u64>>>,
+    atomic_dedup: Mutex<KeyMap<NodeId, BTreeMap<u64, u64>>>,
 }
 
 /// Per-source window of remembered atomic sequences. Sequences are
@@ -282,14 +365,14 @@ impl Nic {
             tx: Resource::with_slack("nic-tx", tx_slack),
             rx: Resource::with_slack("nic-rx", tx_slack),
             caches: Mutex::new(caches),
-            mrs: RwLock::new(HashMap::new()),
-            qps: RwLock::new(HashMap::new()),
+            mrs: RwLock::default(),
+            qps: RwLock::default(),
             one_sided_ops: AtomicU64::new(0),
             send_ops: AtomicU64::new(0),
             bytes_tx: AtomicU64::new(0),
             page_faults: AtomicU64::new(0),
             atomic_ops: AtomicU64::new(0),
-            atomic_dedup: Mutex::new(HashMap::new()),
+            atomic_dedup: Mutex::default(),
         }
     }
 
@@ -302,12 +385,14 @@ impl Nic {
         self.fabric.upgrade().expect("fabric alive")
     }
 
-    fn mem(&self) -> Arc<PhysMem> {
-        Arc::clone(self.fabric().mem(self.node))
-    }
-
-    /// Snapshot of counters and cache statistics.
+    /// Snapshot of counters and cache statistics. The registry sizes are
+    /// read before the SRAM is locked, so `stats` never waits for the
+    /// SRAM while it holds a registry: a post holds the SRAM while it
+    /// waits for a registry, and a queued registration can hold that
+    /// registry's readers back.
     pub fn stats(&self) -> NicStats {
+        let live_mrs = self.mrs.read().len();
+        let live_qps = self.qps.read().len();
         let c = self.caches.lock();
         NicStats {
             one_sided_ops: self.one_sided_ops.load(Ordering::Relaxed),
@@ -321,8 +406,8 @@ impl Nic {
             page_faults: self.page_faults.load(Ordering::Relaxed),
             engine_busy_ns: self.engine.busy_time(),
             atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
-            live_mrs: self.mrs.read().len(),
-            live_qps: self.qps.read().len(),
+            live_mrs,
+            live_qps,
         }
     }
 
@@ -570,54 +655,8 @@ impl Nic {
     }
 
     // ------------------------------------------------------------------
-    // SRAM model
-    // ------------------------------------------------------------------
-
-    fn touch_mr_key(&self, key: u32) -> Nanos {
-        let mut c = self.caches.lock();
-        if c.mr_keys.touch(&key).is_some() {
-            0
-        } else {
-            c.mr_keys.insert(key, ());
-            COST.mr_miss_ns
-        }
-    }
-
-    fn touch_ptes(&self, key: u32, addr: u64, len: usize) -> Nanos {
-        let mut c = self.caches.lock();
-        let first = addr >> PAGE_SHIFT;
-        let last = (addr + len.max(1) as u64 - 1) >> PAGE_SHIFT;
-        let mut pen = 0;
-        for vpn in first..=last {
-            if c.ptes.touch(&(key, vpn)).is_none() {
-                c.ptes.insert((key, vpn), ());
-                pen += COST.pte_miss_ns;
-            }
-        }
-        pen
-    }
-
-    fn touch_qpc(&self, qpn: u64) -> Nanos {
-        let mut c = self.caches.lock();
-        if c.qpc.touch(&qpn).is_some() {
-            0
-        } else {
-            c.qpc.insert(qpn, ());
-            COST.qp_miss_ns
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Address resolution
     // ------------------------------------------------------------------
-
-    fn lookup_mr(&self, key: u32) -> VerbsResult<Arc<MrInner>> {
-        self.mrs
-            .read()
-            .get(&key)
-            .cloned()
-            .ok_or(VerbsError::BadKey { key })
-    }
 
     /// Emulated NIC page fault for pin-free MRs: pins any page of
     /// `[addr, addr+len)` not yet faulted in and returns the service
@@ -647,12 +686,15 @@ impl Nic {
         Ok(pen)
     }
 
-    /// Resolves a local SGE to physical fragments, charging SRAM
-    /// penalties exactly as the hardware would.
-    fn resolve_local<'a>(&self, sge: SgeRef<'a>) -> VerbsResult<Resolved<'a>> {
+    /// Resolves a local SGE to physical fragments, charging the SRAM
+    /// penalties of `c` (this NIC's caches) exactly as the hardware would.
+    /// The MR is read under the registry's read guard, not cloned.
+    fn resolve_local<'a>(&self, c: &mut Caches, sge: SgeRef<'a>) -> VerbsResult<Resolved<'a>> {
+        let mrs = self.mrs.read();
+        let mr = |key| mrs.get(&key).ok_or(VerbsError::BadKey { key });
         match sge {
             SgeRef::Virt { lkey, addr, len } => {
-                let mr = self.lookup_mr(lkey)?;
+                let mr = mr(lkey)?;
                 let MrKind::Virt {
                     space,
                     base,
@@ -662,21 +704,20 @@ impl Nic {
                     return Err(VerbsError::BadKey { key: lkey });
                 };
                 check_bounds(addr, len, *base, *mrlen)?;
-                let mut penalty = self.touch_mr_key(lkey);
-                penalty += self.touch_ptes(lkey, addr, len);
-                penalty += self.fault_in_lazy(&mr, space, addr, len)?;
+                let mut penalty = c.mr_key(lkey);
+                penalty += c.ptes(lkey, addr, len);
+                penalty += self.fault_in_lazy(mr, space, addr, len)?;
                 let chunks = Frags::Owned(space.translate_range(addr, len as u64)?);
                 Ok(Resolved { chunks, penalty })
             }
             SgeRef::Phys { lkey, chunks } => {
-                let mr = self.lookup_mr(lkey)?;
-                let MrKind::Phys { base, len: mrlen } = &mr.kind else {
+                let MrKind::Phys { base, len: mrlen } = mr(lkey)?.kind else {
                     return Err(VerbsError::BadKey { key: lkey });
                 };
-                for c in chunks {
-                    check_bounds(c.addr, c.len as usize, *base, *mrlen)?;
+                for chunk in chunks {
+                    check_bounds(chunk.addr, chunk.len as usize, base, mrlen)?;
                 }
-                let penalty = self.touch_mr_key(lkey);
+                let penalty = c.mr_key(lkey);
                 let chunks = Frags::Borrowed(chunks);
                 Ok(Resolved { chunks, penalty })
             }
@@ -684,16 +725,21 @@ impl Nic {
     }
 
     /// Resolves a remote address (this NIC acting as the *target* of a
-    /// one-sided operation), charging this NIC's SRAM penalties.
+    /// one-sided operation), charging the SRAM penalties of `c` (this
+    /// NIC's caches). The MR is read under the registry's read guard.
     fn resolve_remote(
         &self,
+        c: &mut Caches,
         remote: &RemoteAddr,
         len: usize,
         need_write: bool,
         need_read: bool,
         need_atomic: bool,
     ) -> VerbsResult<Resolved<'static>> {
-        let mr = self.lookup_mr(remote.rkey)?;
+        let mrs = self.mrs.read();
+        let mr = mrs
+            .get(&remote.rkey)
+            .ok_or(VerbsError::BadKey { key: remote.rkey })?;
         let a = &mr.access;
         if (need_write && !a.remote_write)
             || (need_read && !a.remote_read)
@@ -708,15 +754,15 @@ impl Nic {
                 len: mrlen,
             } => {
                 check_bounds(remote.addr, len, *base, *mrlen)?;
-                let mut penalty = self.touch_mr_key(remote.rkey);
-                penalty += self.touch_ptes(remote.rkey, remote.addr, len);
-                penalty += self.fault_in_lazy(&mr, space, remote.addr, len)?;
+                let mut penalty = c.mr_key(remote.rkey);
+                penalty += c.ptes(remote.rkey, remote.addr, len);
+                penalty += self.fault_in_lazy(mr, space, remote.addr, len)?;
                 let chunks = Frags::Owned(space.translate_range(remote.addr, len as u64)?);
                 Ok(Resolved { chunks, penalty })
             }
             MrKind::Phys { base, len: mrlen } => {
                 check_bounds(remote.addr, len, *base, *mrlen)?;
-                let penalty = self.touch_mr_key(remote.rkey);
+                let penalty = c.mr_key(remote.rkey);
                 let chunks = Frags::One(Chunk {
                     addr: remote.addr,
                     len: len as u64,
@@ -1000,20 +1046,24 @@ impl Nic {
 
         // Validation pass: resolve both sides of every WQE and claim all
         // receive credits before touching memory, so a bad element cannot
-        // leave half the chain delivered.
+        // leave half the chain delivered. Each NIC's SRAM is locked once.
         let (mut one, mut many);
-        let plans: &mut [PlannedWr] = if let [wr] = wrs {
-            one = [self.plan_wr(rnic, wr)?];
-            &mut one
-        } else {
-            let planned = wrs.iter().map(|wr| self.plan_wr(rnic, wr));
-            many = planned.collect::<VerbsResult<Vec<_>>>()?;
-            &mut many
+        let plans: &mut [PlannedWr] = {
+            let mut sram = Sram::lock(self, rnic);
+            let plans: &mut [PlannedWr] = if let [wr] = wrs {
+                one = [self.plan_wr(rnic, &mut sram, wr)?];
+                &mut one
+            } else {
+                let planned = wrs.iter().map(|wr| self.plan_wr(rnic, &mut sram, wr));
+                many = planned.collect::<VerbsResult<Vec<_>>>()?;
+                &mut many
+            };
+            // The doorbell chain touches the QP context once; only the
+            // first WQE can miss.
+            plans[0].lpen += sram.local().qpc(qp.id);
+            plans[0].rpen += sram.remote().qpc(peer_qp);
+            plans
         };
-        // The doorbell chain touches the QP context once; only the first
-        // WQE can miss.
-        plans[0].lpen += self.touch_qpc(qp.id);
-        plans[0].rpen += rnic.touch_qpc(peer_qp);
         let imms = wrs
             .iter()
             .filter(|wr| matches!(wr, Wr::Write { imm: Some(_), .. }))
@@ -1057,8 +1107,7 @@ impl Nic {
         };
 
         let prop = COST.propagation_ns;
-        let mem = self.mem();
-        let rmem = fabric.mem(peer_node);
+        let (mem, rmem): (&PhysMem, &PhysMem) = (fabric.mem(self.node), fabric.mem(peer_node));
         let mut credits = credits.into_iter();
         let mut acked = 0u64;
         let mut bytes_tx = 0u64;
@@ -1079,7 +1128,7 @@ impl Nic {
                         let g2 = self.tx.acquire(g1.finish, COST.link_time(len as u64));
                         let arrive = rnic.rx_arrival(g2.start + prop, len);
                         let g3 = rnic.engine.acquire(arrive, rsvc);
-                        rmem.copy_from(&mem, &local.chunks, &plan.remote.chunks)?;
+                        rmem.copy_from(mem, &local.chunks, &plan.remote.chunks)?;
                         let delivered = qp.order_delivery(g3.finish);
                         // Immediate data consumes a receive credit and
                         // surfaces in the remote receive CQ.
@@ -1224,7 +1273,7 @@ impl Nic {
 
     /// Resolves both ends of one work request, charging each NIC's SRAM
     /// penalties exactly as the hardware would.
-    fn plan_wr<'a>(&self, rnic: &Nic, wr: &Wr<'a>) -> VerbsResult<PlannedWr<'a>> {
+    fn plan_wr<'a>(&self, rnic: &Nic, sram: &mut Sram, wr: &Wr<'a>) -> VerbsResult<PlannedWr<'a>> {
         let (sge, remote, write, read) = match *wr {
             Wr::Write { sge, remote, .. } => (Some(sge), remote, true, false),
             Wr::Read { sge, remote } => (Some(sge), remote, false, true),
@@ -1233,8 +1282,10 @@ impl Nic {
             }
         };
         let len = sge.map_or(8, |sge| sge.len());
-        let local = sge.map(|sge| self.resolve_local(sge)).transpose()?;
-        let remote = rnic.resolve_remote(&remote, len, write, read, sge.is_none())?;
+        let local = sge.map(|sge| self.resolve_local(sram.local(), sge));
+        let local = local.transpose()?;
+        let need_atomic = sge.is_none();
+        let remote = rnic.resolve_remote(sram.remote(), &remote, len, write, read, need_atomic)?;
         Ok(PlannedWr {
             lpen: local.as_ref().map_or(0, |l| l.penalty),
             rpen: remote.penalty,
@@ -1311,8 +1362,12 @@ impl Nic {
         self.fault_gate(ctx, &fabric, qp, peer_node)?;
         ctx.work(COST.post_wr_ns);
         let len = sge.len();
-        let local = self.resolve_local(sge.as_ref())?;
-        let lpen = local.penalty + self.touch_qpc(qp.id);
+        let (local, lpen) = {
+            let mut c = self.caches.lock();
+            let local = self.resolve_local(&mut c, sge.as_ref())?;
+            let lpen = local.penalty + c.qpc(qp.id);
+            (local, lpen)
+        };
         let g1 = self
             .engine
             .acquire(ctx.now(), COST.nic_engine_ns + lpen + extra);
@@ -1322,7 +1377,8 @@ impl Nic {
         let arrive = rnic.rx_arrival(g2.start + COST.propagation_ns, len);
         let rqp = rnic.qp(peer_qp)?;
         let entry = rqp.rq.consume()?;
-        let mut rpen = rnic.touch_qpc(peer_qp) + COST.recv_handle_ns;
+        let mut rc = rnic.caches.lock();
+        let mut rpen = rc.qpc(peer_qp) + COST.recv_handle_ns;
         // Deliver the payload into the posted buffer. Only the payload
         // prefix of the buffer is resolved/charged — the NIC translates
         // the pages it DMAs into, not the whole posted region.
@@ -1338,12 +1394,13 @@ impl Nic {
                 });
             }
             let dst = truncate_sge(dst, len);
-            let rres = rnic.resolve_local(dst.as_ref())?;
+            let rres = rnic.resolve_local(&mut rc, dst.as_ref())?;
             rpen += rres.penalty;
             fabric
                 .mem(peer_node)
-                .copy_from(&self.mem(), &local.chunks, &rres.chunks)?;
+                .copy_from(fabric.mem(self.node), &local.chunks, &rres.chunks)?;
         }
+        drop(rc);
         let g3 = rnic.engine.acquire(arrive, COST.nic_engine_ns + rpen);
         let delivered = qp.order_delivery(g3.finish);
         let mut wc = Wc::new(entry.wr_id, WcOpcode::Recv, len, delivered);

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -88,8 +88,8 @@ pub struct Qp {
     pub recv_cq: Arc<Cq>,
     /// Receive queue (shareable — SRQ).
     pub rq: Arc<RecvQueue>,
-    /// Connected peer, for RC/UC.
-    pub peer: Mutex<Option<(NodeId, QpId)>>,
+    /// Connected peer, for RC/UC: set once, by `IbFabric::connect`.
+    pub(crate) peer: OnceLock<(NodeId, QpId)>,
     /// Error state: a broken QP rejects every post with
     /// [`VerbsError::QpBroken`] until destroyed and replaced (real RC
     /// QPs enter the error state after retry exhaustion and must be
@@ -119,7 +119,7 @@ impl Qp {
             send_cq,
             recv_cq,
             rq,
-            peer: Mutex::new(None),
+            peer: OnceLock::new(),
             broken: AtomicBool::new(false),
             last_delivery: AtomicU64::new(0),
         }
@@ -169,7 +169,10 @@ impl Qp {
 
     /// Returns the connected peer or an error for unconnected RC/UC QPs.
     pub fn peer(&self) -> VerbsResult<(NodeId, QpId)> {
-        self.peer.lock().ok_or(VerbsError::BadQp { qp: self.id })
+        self.peer
+            .get()
+            .copied()
+            .ok_or(VerbsError::BadQp { qp: self.id })
     }
 
     /// Whether this QP supports one-sided reads and atomics.

@@ -41,7 +41,7 @@ pub mod time;
 
 pub use cpu::CpuMeter;
 pub use ctx::Ctx;
-pub use lru::Lru;
+pub use lru::{KeyHasher, KeyMap, Lru};
 pub use ratelimit::TokenBucket;
 pub use resource::{Grant, Resource, ResourcePool};
 pub use rng::{DiscreteSampler, Zipf};

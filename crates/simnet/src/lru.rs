@@ -5,10 +5,64 @@
 //! [`Lru`] of QP contexts. A miss costs extra virtual time (a PCIe round
 //! trip to host memory in the real hardware), which is what produces the
 //! paper's Figure 4 and Figure 5 scalability cliffs.
+//!
+//! Its map, and every other map a verb looks an integer key up in (the
+//! RNIC's MR and QP registries), hashes with [`KeyHasher`]: one multiply
+//! per word instead of SipHash's rounds.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A fixed multiplicative hasher for small keys (integers and tuples of
+/// them): each word is added to the state, which is then multiplied by
+/// an odd constant; `finish` rotates the well-mixed high bits down to
+/// where a table indexes. Deterministic across runs and processes, and
+/// not resistant to chosen keys: every key it sees is the simulator's
+/// own (ids, addresses, and names its callers pick).
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MulHasher(u64);
+
+impl MulHasher {
+    /// An odd constant with well-spread bits (the fractional part of π).
+    const K: u64 = 0x243f_6a88_85a3_08d3;
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(Self::K);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The [`MulHasher`] as a map's hash builder.
+pub type KeyHasher = BuildHasherDefault<MulHasher>;
+
+/// A `HashMap` keyed with [`KeyHasher`].
+pub type KeyMap<K, V> = HashMap<K, V, KeyHasher>;
 
 /// Slab index used by the intrusive doubly-linked list.
 type Idx = usize;
@@ -26,7 +80,7 @@ struct Entry<K, V> {
 /// Not internally synchronized: wrap in a lock (the RNIC model holds one
 /// short-lived lock per NIC operation, mirroring the single SRAM port).
 pub struct Lru<K, V> {
-    map: HashMap<K, Idx>,
+    map: KeyMap<K, Idx>,
     slab: Vec<Option<Entry<K, V>>>,
     free: Vec<Idx>,
     head: Idx,
@@ -42,7 +96,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU capacity must be positive");
         Lru {
-            map: HashMap::with_capacity(capacity),
+            map: KeyMap::with_capacity_and_hasher(capacity, KeyHasher::default()),
             slab: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -308,6 +362,26 @@ mod tests {
         lru.insert(3, 30);
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.remove(&9), None);
+    }
+
+    #[test]
+    fn key_hasher_spreads_sequential_keys() {
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let h = KeyHasher::default();
+        // Keys one apart, keys a page apart, and (key, vpn) pairs land in
+        // distinct low bits — where a table picks its bucket.
+        for step in [1u64, 4096] {
+            let low: HashSet<u64> = (0..1024u64).map(|k| h.hash_one(k * step) & 1023).collect();
+            assert!(
+                low.len() > 600,
+                "step {step}: {} buckets of 1024",
+                low.len()
+            );
+        }
+        let pairs: HashSet<u64> = (0..1024u64).map(|v| h.hash_one((7u32, v)) & 1023).collect();
+        assert!(pairs.len() > 600);
+        assert_eq!(h.hash_one(42u64), h.hash_one(42u64));
     }
 
     #[test]

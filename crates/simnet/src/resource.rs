@@ -44,13 +44,14 @@ struct FluidState {
     credit: i64,
     /// Virtual time the credit was computed at.
     as_of: Nanos,
+    /// Total service handed out (utilization accounting).
+    busy: Nanos,
 }
 
 /// A single fluid FCFS server in virtual time. See the module docs.
 #[derive(Debug)]
 pub struct Resource {
     state: Mutex<FluidState>,
-    busy: Mutex<Nanos>,
     slack: i64,
     name: &'static str,
 }
@@ -68,8 +69,8 @@ impl Resource {
             state: Mutex::new(FluidState {
                 credit: slack as i64,
                 as_of: 0,
+                busy: 0,
             }),
-            busy: Mutex::new(0),
             slack: slack as i64,
             name,
         }
@@ -99,8 +100,8 @@ impl Resource {
             0
         };
         st.credit -= service as i64;
+        st.busy += service;
         drop(st);
-        *self.busy.lock() += service;
         let start = now + wait;
         Grant {
             start,
@@ -130,7 +131,6 @@ impl Resource {
             st.as_of = now;
         }
         let mut grants = Vec::with_capacity(services.len());
-        let mut total = 0;
         for &service in services {
             let wait = if st.credit < 0 {
                 (-st.credit) as Nanos
@@ -138,15 +138,13 @@ impl Resource {
                 0
             };
             st.credit -= service as i64;
+            st.busy += service;
             let start = now + wait;
             grants.push(Grant {
                 start,
                 finish: start + service,
             });
-            total += service;
         }
-        drop(st);
-        *self.busy.lock() += total;
         grants
     }
 
@@ -162,7 +160,7 @@ impl Resource {
 
     /// Total service time handed out so far (utilization accounting).
     pub fn busy_time(&self) -> Nanos {
-        *self.busy.lock()
+        self.state.lock().busy
     }
 
     /// Resets the resource to idle at time zero (between experiments).
@@ -170,7 +168,7 @@ impl Resource {
         let mut st = self.state.lock();
         st.credit = self.slack;
         st.as_of = 0;
-        *self.busy.lock() = 0;
+        st.busy = 0;
     }
 }
 

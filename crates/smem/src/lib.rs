@@ -5,7 +5,11 @@
 //! Each simulated node owns one [`PhysMem`]: a sparse, page-granular,
 //! thread-safe physical address space. Pages materialize (zero-filled) on
 //! first touch, so a node can expose a multi-GB physical range while only
-//! the pages an experiment actually touches consume host memory.
+//! the pages an experiment actually touches consume host memory. The
+//! pages hang off a three-level table of write-once slots (1 GiB → 2 MiB
+//! → 4 KiB), each level boxed on first touch: an untouched 16 GiB node
+//! costs sixteen empty slots, and every byte a verb moves is found with
+//! three acquire loads, no hash and no reference count.
 //!
 //! On top of physical memory sit:
 //!

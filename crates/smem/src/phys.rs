@@ -1,15 +1,20 @@
 //! Sparse, page-granular physical memory.
 //!
-//! Concurrency model: a sharded `RwLock<HashMap>` maps page frame numbers
-//! to `Arc<Mutex<Page>>`. One-sided RDMA from many requester threads into
-//! one node therefore contends only per page, mirroring DRAM banks more
-//! closely than a single big lock would.
+//! Layout: a three-level page table of write-once slots — one slot per
+//! GiB, 512 per 2 MiB under it, 512 pages of 4 KiB under that. A table
+//! and a page are boxed on first touch ([`OnceLock::get_or_init`]), so a
+//! 16 GiB node that touched nothing holds 16 empty slots, and finding a
+//! page that exists takes three acquire loads: no hash, no lock, no
+//! reference count. Each page has its own mutex, so one-sided RDMA from
+//! many requester threads into one node contends only per page,
+//! mirroring DRAM banks more closely than a single big lock would. The
+//! mutex sits in the last-level slot beside the pointer to the page's
+//! bytes, so finding a page and locking it touch one cache line.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::alloc::Chunk;
 use crate::error::MemError;
@@ -19,17 +24,31 @@ pub const PAGE_SIZE: usize = 4096;
 /// log2 of [`PAGE_SIZE`].
 pub const PAGE_SHIFT: u32 = 12;
 
-const SHARDS: usize = 64;
+/// log2 of the slots in one table below the root.
+const FANOUT_SHIFT: u32 = 9;
+const FANOUT: usize = 1 << FANOUT_SHIFT;
 
 /// A physical address on one simulated node.
 pub type PhysAddr = u64;
 
-type Page = Box<[u8; PAGE_SIZE]>;
+type Page = Mutex<Box<[u8; PAGE_SIZE]>>;
+/// The pages of one 2 MiB range.
+type Leaf = [OnceLock<Page>; FANOUT];
+/// The leaves of one 1 GiB range.
+type Dir = [OnceLock<Box<Leaf>>; FANOUT];
+
+/// A table of empty slots, boxed.
+fn table<T>() -> Box<[OnceLock<T>; FANOUT]> {
+    Box::new(std::array::from_fn(|_| OnceLock::new()))
+}
 
 /// One node's physical memory.
 pub struct PhysMem {
     size: u64,
-    shards: Vec<RwLock<HashMap<u64, Arc<Mutex<Page>>>>>,
+    /// One slot per GiB of the address space.
+    root: Box<[OnceLock<Box<Dir>>]>,
+    /// Pages materialized so far.
+    resident: AtomicUsize,
     /// High-water mark of atomic completion stamps handed out by the
     /// `*_stamped` operations; guarantees stamps are monotone in actual
     /// apply order across the whole address space.
@@ -41,9 +60,13 @@ impl PhysMem {
     /// page). Pages materialize zero-filled on first touch.
     pub fn new(size: u64) -> Self {
         let size = size.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64;
+        let dir_bytes = 1u64 << (PAGE_SHIFT + 2 * FANOUT_SHIFT);
         PhysMem {
             size,
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            root: (0..size.div_ceil(dir_bytes))
+                .map(|_| OnceLock::new())
+                .collect(),
+            resident: AtomicUsize::new(0),
             atomic_clock: AtomicU64::new(0),
         }
     }
@@ -55,7 +78,7 @@ impl PhysMem {
 
     /// Number of pages actually materialized (host-memory footprint).
     pub fn resident_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.resident.load(Ordering::Relaxed)
     }
 
     fn check(&self, addr: PhysAddr, len: usize) -> Result<(), MemError> {
@@ -68,16 +91,15 @@ impl PhysMem {
         Ok(())
     }
 
-    fn page(&self, pfn: u64) -> Arc<Mutex<Page>> {
-        let shard = &self.shards[(pfn as usize) % SHARDS];
-        if let Some(p) = shard.read().get(&pfn) {
-            return Arc::clone(p);
-        }
-        let mut w = shard.write();
-        Arc::clone(
-            w.entry(pfn)
-                .or_insert_with(|| Arc::new(Mutex::new(Box::new([0u8; PAGE_SIZE])))),
-        )
+    /// The page `pfn`, materialized on first touch; `pfn` is in bounds.
+    fn page(&self, pfn: u64) -> &Page {
+        let slot = |shift: u32| (pfn >> shift) as usize & (FANOUT - 1);
+        let dir = self.root[(pfn >> (2 * FANOUT_SHIFT)) as usize].get_or_init(table);
+        let leaf = dir[slot(FANOUT_SHIFT)].get_or_init(table);
+        leaf[slot(0)].get_or_init(|| {
+            self.resident.fetch_add(1, Ordering::Relaxed);
+            Mutex::new(Box::new([0; PAGE_SIZE]))
+        })
     }
 
     /// Visits each `(page, offset, len)` fragment of the byte range.
@@ -85,7 +107,7 @@ impl PhysMem {
         &self,
         addr: PhysAddr,
         len: usize,
-        mut f: impl FnMut(&Arc<Mutex<Page>>, usize, usize, usize),
+        mut f: impl FnMut(&Page, usize, usize, usize),
     ) {
         let mut off = 0usize;
         while off < len {
@@ -93,8 +115,7 @@ impl PhysMem {
             let pfn = cur >> PAGE_SHIFT;
             let in_page = (cur & (PAGE_SIZE as u64 - 1)) as usize;
             let n = (PAGE_SIZE - in_page).min(len - off);
-            let page = self.page(pfn);
-            f(&page, in_page, off, n);
+            f(self.page(pfn), in_page, off, n);
             off += n;
         }
     }
@@ -198,14 +219,14 @@ impl PhysMem {
                 .min(PAGE_SIZE - doff);
             let sp = from.page(s.addr >> PAGE_SHIFT);
             let dp = self.page(d.addr >> PAGE_SHIFT);
-            if Arc::ptr_eq(&sp, &dp) {
+            if std::ptr::eq(sp, dp) {
                 // Disjoint ranges of one page (overlap went the other way).
                 sp.lock().copy_within(so..so + n, doff);
             } else {
                 // Both pages in address order, so two copies in opposite
                 // directions cannot deadlock.
                 let (sg, mut dg);
-                if Arc::as_ptr(&sp) < Arc::as_ptr(&dp) {
+                if (sp as *const Page) < (dp as *const Page) {
                     sg = sp.lock();
                     dg = dp.lock();
                 } else {
@@ -226,7 +247,7 @@ impl PhysMem {
         }
     }
 
-    fn atomic_cell(&self, addr: PhysAddr) -> Result<(Arc<Mutex<Page>>, usize), MemError> {
+    fn atomic_cell(&self, addr: PhysAddr) -> Result<(&Page, usize), MemError> {
         self.check(addr, 8)?;
         if !addr.is_multiple_of(8) || (addr & (PAGE_SIZE as u64 - 1)) as usize > PAGE_SIZE - 8 {
             return Err(MemError::BadAtomic { addr });
@@ -352,6 +373,7 @@ impl PhysMem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn read_write_roundtrip_cross_page() {
@@ -409,7 +431,7 @@ mod tests {
 
     #[test]
     fn concurrent_fetch_add_is_atomic() {
-        let m = std::sync::Arc::new(PhysMem::new(1 << 16));
+        let m = Arc::new(PhysMem::new(1 << 16));
         let hs: Vec<_> = (0..8)
             .map(|_| {
                 let m = m.clone();
@@ -482,6 +504,64 @@ mod tests {
                 assert!(stamp < next, "load of {k} follows a CAS it missed");
             }
         }
+    }
+
+    /// Threads race to materialize the same untouched pages: each page is
+    /// boxed once, and no thread's bytes land in a page another thread
+    /// then replaces.
+    #[test]
+    fn first_touch_races_materialize_one_page() {
+        const THREADS: usize = 8;
+        const PAGES: u64 = 64;
+        // Pages spread over two 2 MiB leaves and two GiB directories, so
+        // every level of the table is raced for.
+        let base = (1u64 << 30) - 32 * PAGE_SIZE as u64;
+        let m = Arc::new(PhysMem::new(4 << 30));
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+        let hs: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (m, barrier) = (Arc::clone(&m), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for p in 0..PAGES {
+                        let at = base + p * PAGE_SIZE as u64 + t as u64 * 16;
+                        m.write(at, &[t as u8 + 1; 16]).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        for p in 0..PAGES {
+            let mut back = [0u8; THREADS * 16];
+            m.read(base + p * PAGE_SIZE as u64, &mut back).unwrap();
+            for (t, bytes) in back.chunks(16).enumerate() {
+                assert!(
+                    bytes.iter().all(|&b| b == t as u8 + 1),
+                    "page {p}, thread {t}"
+                );
+            }
+        }
+        assert_eq!(m.resident_pages(), PAGES as usize);
+    }
+
+    #[test]
+    fn resident_pages_counts_only_touched_pages() {
+        let size = 16u64 << 30;
+        let m = PhysMem::new(size);
+        assert_eq!(m.resident_pages(), 0);
+        m.write(0, &[1]).unwrap();
+        m.write(size / 2, &[2]).unwrap();
+        m.write(size - 8, &[3; 8]).unwrap();
+        // Reading and writing touched pages again adds none.
+        let mut b = [0u8; 8];
+        m.read(size - 8, &mut b).unwrap();
+        assert_eq!(b, [3; 8]);
+        m.fill(size / 2 + 1, 100, 4).unwrap();
+        assert_eq!(m.resident_pages(), 3);
+        assert!(m.write(size, &[0]).is_err());
+        assert_eq!(m.resident_pages(), 3);
     }
 
     #[test]
