@@ -7,12 +7,13 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lite::{Lh, LiteCluster, LiteError, LiteHandle, LiteResult, Perm, Priority, USER_FUNC_MIN};
 use lite_log::LiteLog;
 use rnic::COST;
+use simnet::wait::Event;
 use simnet::Ctx;
 
 use crate::record::{self, Slot, HEADER};
@@ -368,6 +369,7 @@ pub struct KvService {
 
 /// What the service, the leader and the replicator share about the
 /// replication stream.
+#[derive(Default)]
 struct Stream {
     /// Set by `stop()`; the replicator leaves at its next wake-up.
     stop: AtomicBool,
@@ -375,15 +377,18 @@ struct Stream {
     streamed: AtomicU64,
     /// Last replication lag the replicator computed.
     lag: AtomicU64,
+    /// What the replicator parks on between batches; woken by the leader
+    /// ([`Stream::applied`]) and by `stop()`.
+    batch: Event,
 }
 
 impl Stream {
     /// The leader's side of the replicator's wait: called once `seq` is
     /// applied, it wakes the replicator when a whole batch waits — not on
     /// every apply, which would stream a put per multicast.
-    fn applied(&self, seq: u64, replicator: &Thread) {
+    fn applied(&self, seq: u64) {
         if seq >= self.streamed.load(Ordering::Acquire) + REPL_BATCH as u64 {
-            replicator.unpark();
+            self.batch.wake();
         }
     }
 }
@@ -427,11 +432,7 @@ impl KvService {
         let rlog = LiteLog::open(&mut rh, &mut rctx, &spec.name, spec.log_capacity)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let stream = Arc::new(Stream {
-            stop: AtomicBool::new(false),
-            streamed: AtomicU64::new(0),
-            lag: AtomicU64::new(0),
-        });
+        let stream = Arc::<Stream>::default();
         let replicator = {
             let spec = spec.clone();
             let stream = Arc::clone(&stream);
@@ -447,9 +448,8 @@ impl KvService {
                 let delay = spec.apply_delay(r.state.node);
                 let stop = Arc::clone(&stop);
                 let stream = Arc::clone(&stream);
-                let replicator = replicator.thread().clone();
                 std::thread::spawn(move || match i {
-                    0 => serve_leader(&stop, &mut r, &stream, &replicator),
+                    0 => serve_leader(&stop, &mut r, &stream),
                     _ => serve_follower(&stop, &mut r, delay),
                 })
             })
@@ -509,8 +509,8 @@ impl KvService {
     /// they had left, it would wait out an `op_timeout` per follower. It is
     /// woken, not left to wait out its batch window.
     pub fn stop(self) {
-        self.stream.stop.store(true, Ordering::Release);
-        self.replicator.thread().unpark();
+        self.stream.stop.store(true, Ordering::SeqCst);
+        self.stream.batch.wake();
         let _ = self.replicator.join();
         self.stop.store(true, Ordering::Release);
         for t in self.servers {
@@ -573,7 +573,7 @@ impl Replica {
     }
 }
 
-fn serve_leader(stop: &AtomicBool, r: &mut Replica, stream: &Stream, replicator: &Thread) {
+fn serve_leader(stop: &AtomicBool, r: &mut Replica, stream: &Stream) {
     let Replica {
         state,
         h,
@@ -600,11 +600,12 @@ fn serve_leader(stop: &AtomicBool, r: &mut Replica, stream: &Stream, replicator:
                             let _ = h.lt_reply_rpc(ctx, &call, &[PUT_COMMIT_FAILED]);
                             return;
                         };
-                        state.applied.store(seq, Ordering::Release);
+                        // SeqCst: the replicator's wait reads it (`Event`).
+                        state.applied.store(seq, Ordering::SeqCst);
                         state
                             .next_off
                             .store(off + update_record_size(key, value), Ordering::Release);
-                        stream.applied(seq, replicator);
+                        stream.applied(seq);
                         kernel.note_kv_put();
                         let mut r = Vec::with_capacity(REPLY_HEAD);
                         r.push(PUT_OK);
@@ -792,22 +793,13 @@ fn apply_stream_frame(
 }
 
 /// Parks the replicator until the leader has applied `REPL_BATCH` records
-/// past `streamed`, `IDLE_WAIT` has passed, or `stop()` was called; the
-/// leader ([`Stream::applied`]) and `stop()` unpark it. A wake-up that finds
-/// none of the three — one left over from a round that streamed what it
-/// announced — goes back to sleep.
+/// past `streamed`, `IDLE_WAIT` has passed, or `stop()` was called.
 fn wait_for_batch(stream: &Stream, leader: &ReplicaState, streamed: u64) {
-    let deadline = Instant::now() + IDLE_WAIT;
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || stream.stop.load(Ordering::Acquire) {
-            return;
-        }
-        std::thread::park_timeout(left);
-        if leader.applied.load(Ordering::Acquire) >= streamed + REPL_BATCH as u64 {
-            return;
-        }
-    }
+    let ready = || {
+        stream.stop.load(Ordering::SeqCst)
+            || leader.applied.load(Ordering::SeqCst) >= streamed + REPL_BATCH as u64
+    };
+    stream.batch.park_until(ready, Instant::now() + IDLE_WAIT);
 }
 
 /// The leader-side replication pump: streams committed updates to the
@@ -829,11 +821,8 @@ fn run_replicator(
     let mut repl_seq = 0u64; // last seq streamed
     let mut repl_off = 0u64; // offset of seq repl_seq + 1
     let mut cleaned = 0u64; // log bytes already reclaimed
-    let mut more = false; // the last read left committed records behind
     while !stream.stop.load(Ordering::Acquire) {
-        if !more {
-            wait_for_batch(stream, leader, repl_seq);
-        }
+        wait_for_batch(stream, leader, repl_seq);
         for d in down.iter_mut() {
             *d = d.saturating_sub(1);
         }
@@ -864,7 +853,6 @@ fn run_replicator(
             });
         }
         stream.streamed.store(repl_seq, Ordering::Release);
-        more = !frames.is_empty() && repl_off < end;
         if frames.is_empty() {
             // Nothing new to stream. If some follower still trails
             // (paused, recovering, restarted), probe it with an empty

@@ -580,7 +580,7 @@ impl TxnTable {
     fn backoff(ctx: &mut Ctx, attempt: u32) {
         ctx.work(200u64 << attempt.min(4));
         if attempt > 1 {
-            std::thread::sleep(std::time::Duration::from_micros(300));
+            simnet::wait::pause(std::time::Duration::from_micros(300));
         }
     }
 

@@ -36,8 +36,9 @@
 //! their handlers in `kernel/msg.rs`) under everything that is an RPC to
 //! a kernel.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rnic::{NodeId, COST};
 use simnet::{Ctx, Nanos};
@@ -591,10 +592,15 @@ impl LiteHandle {
     /// under the *same* lh number. The permission the handle already
     /// carries is preserved — a plain `FN_MAP` reply would downgrade a
     /// master handle to the granted perm.
-    fn refresh_lh(&mut self, ctx: &mut Ctx, lh: Lh) -> LiteResult<()> {
+    fn refresh_lh(&mut self, ctx: &mut Ctx, lh: Lh, deadline: Instant) -> LiteResult<()> {
         let (master, name, perm) = self.kernel.with_lh(self.pid, lh, |entry| {
             Ok((entry.id.node as NodeId, entry.name.clone(), entry.perm))
         })?;
+        // The master's manager moves the LMR's chunks, wherever they live:
+        // wait out a migration there before asking for the new location.
+        if let Some(mm) = self.kernel.mm().peer(master) {
+            mm.wait_migrations(deadline);
+        }
         let (id, _granted, location) = self.k_map(ctx, master, &name).map_err(|e| match e {
             // The LMR vanished while we held a relocated handle: the
             // handle is dead, not merely stale.
@@ -609,28 +615,32 @@ impl LiteHandle {
     /// The tiering heal loop, the only one: runs `body`, and when it
     /// answers `Relocated` — a cached location went stale under
     /// `lite::mm`, noticed by the permission/bounds check, a pin, or a
-    /// remote handler's own fence — re-fetches the location of every lh in
-    /// `lhs` from its master (a fresh one is a cheap no-op) and runs
-    /// `body` again, three times at most. A `body` that answers
-    /// `Relocated` must have done nothing it cannot repeat whole.
+    /// remote handler's own fence — waits out any migration in flight at
+    /// each lh's master, re-fetches the lh's location from it (a fresh one
+    /// is a cheap no-op) and runs `body` again, for `op_timeout` at most,
+    /// then answers `Timeout`. A `body` that answers `Relocated` must have
+    /// done nothing it cannot repeat whole.
     fn heal<T>(
         &mut self,
         ctx: &mut Ctx,
         lhs: &[Lh],
         mut body: impl FnMut(&mut Self, &mut Ctx) -> LiteResult<T>,
     ) -> LiteResult<T> {
-        for attempt in 0..3 {
-            if attempt > 0 {
-                for &lh in lhs {
-                    self.refresh_lh(ctx, lh)?;
-                }
-            }
+        let mut deadline = None;
+        loop {
             match body(self, ctx) {
                 Err(LiteError::Relocated) => {}
                 done => return done,
             }
+            let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + self.kernel.config.op_timeout);
+            if now >= deadline {
+                return Err(LiteError::Timeout);
+            }
+            for &lh in lhs {
+                self.refresh_lh(ctx, lh, deadline)?;
+            }
         }
-        Err(LiteError::Relocated)
     }
 
     /// Pins every piece at its storage node's memory manager before a
@@ -1247,16 +1257,25 @@ impl LiteHandle {
     fn ask_owner(&mut self, ctx: &mut Ctx, lock: LockId, op: u8, token: u64) -> LiteResult<u8> {
         // Each failed kcall already burns up to one op_timeout, so the
         // attempt budget (not the deadline) bounds the error path; the
-        // deadline bounds the fast "no waiter yet" polling loop.
-        let deadline = std::time::Instant::now() + self.kernel.config.op_timeout * 4;
+        // deadline bounds the "no waiter yet" waits.
+        let deadline = Instant::now() + self.kernel.config.op_timeout * 4;
+        let owner = self.kernel.try_dir().ok().and_then(|d| d.kernel(lock.node));
+        let moves = |k: &LiteKernel| k.lock_moves.load(Ordering::SeqCst);
         let mut errs = 0;
         let mut last = LiteError::Timeout;
         loop {
+            let seen = owner.as_deref().map_or(0, moves);
             match self.k_lock(ctx, lock, op, token) {
                 Ok(LOCK_NO_WAITER) if op == LOCK_RELEASE => {
                     match self.lock_word_add(ctx, lock, 0) {
                         Ok(0) => return Ok(LOCK_NO_WAITER),
-                        Ok(_) => {}
+                        // A waiter is in flight: re-ask once its enqueue
+                        // (or its abort and unwind) lands at the owner.
+                        Ok(_) => {
+                            if let Some(k) = &owner {
+                                k.lock_moved.park_until(|| moves(k) != seen, deadline);
+                            }
+                        }
                         Err(e) => last = e,
                     }
                 }
@@ -1269,20 +1288,23 @@ impl LiteHandle {
                     }
                 }
             }
-            if std::time::Instant::now() >= deadline {
+            if Instant::now() >= deadline {
                 return Err(last);
             }
-            // Back off before re-asking: the in-flight enqueue (or the
-            // aborting waiter's unwind) needs time to land.
-            ctx.work(2_000);
-            std::thread::yield_now();
+            ctx.work(2_000); // back off before re-asking
         }
     }
 
     /// Best-effort rollback of a failed acquire's `fetch_add`.
     fn unwind_lock_word(&mut self, ctx: &mut Ctx, lock: LockId) {
         match self.lock_word_add(ctx, lock, u64::MAX) {
-            Ok(_) => self.kernel.note_lock_unwind(),
+            Ok(_) => {
+                self.kernel.note_lock_unwind();
+                // An unlocker re-reading the word waits at the owner for this.
+                if let Some(owner) = self.kernel.try_dir().ok().and_then(|d| d.kernel(lock.node)) {
+                    owner.note_lock_move();
+                }
+            }
             Err(_) => self.kernel.note_sync_leak(lock.node, ctx.now()),
         }
     }

@@ -28,6 +28,7 @@ use std::sync::{mpsc, Arc, OnceLock};
 use parking_lot::{Mutex, RwLock};
 use rnic::qp::{RecvEntry, RecvQueue};
 use rnic::{Cq, IbFabric, NodeId, COST};
+use simnet::wait::Event;
 use simnet::{CpuMeter, Ctx};
 use smem::{PhysAllocator, PhysMem};
 
@@ -53,7 +54,7 @@ pub(crate) use rpc::{CallSlot, ReplyRoute};
 
 use datapath::RnicDataPath;
 use msg::{BarrierState, LockState, MasterTable};
-use rpc::{Dispatcher, Doorbell, KernelCall, RpcQueue};
+use rpc::{Dispatcher, KernelCall, RpcQueue};
 use stats::KernelCounters;
 
 // ---------------------------------------------------------------------
@@ -102,6 +103,9 @@ pub struct LiteKernel {
     pub(crate) shared_recv_cq: Arc<Cq>,
     shared_send_cq: Arc<Cq>,
     shared_rq: Arc<RecvQueue>,
+    /// Woken when dispatch reposts a credit to `shared_rq`: what a sender
+    /// that found none (RNR) waits on.
+    credits: Event,
     /// Client-side ring views, indexed by server node. Slots fill lazily
     /// on the first RPC towards a peer (under the directory's connect
     /// lock); the `RwLock` read on the fast path is uncontended.
@@ -118,9 +122,15 @@ pub struct LiteKernel {
     slots: ShardedMap<u32, Arc<CallSlot>>,
     next_slot: AtomicU32,
     queues: ShardedMap<u8, Arc<RpcQueue>>,
-    /// Rung after every push onto `queues`.
-    arrivals: Doorbell,
+    /// Woken after every push onto `queues`: what a thread waiting for a
+    /// call on one of them or on several at once parks on.
+    arrivals: Event,
     locks: ShardedMap<u64, LockState>,
+    /// Counts the enqueues and aborts that land in `locks` and the lock
+    /// words waiters unwind; `lock_moved` is woken after each. An unlocker
+    /// whose release found no waiter yet waits on it (`ask_owner`).
+    pub(crate) lock_moves: AtomicU64,
+    pub(crate) lock_moved: Event,
     barriers: ShardedMap<u64, BarrierState>,
     masters: MasterTable,
     names: ShardedMap<String, u32>,
@@ -181,6 +191,7 @@ impl LiteKernel {
             shared_recv_cq: Arc::new(Cq::new()),
             shared_send_cq: Arc::new(Cq::new()),
             shared_rq: Arc::new(RecvQueue::new()),
+            credits: Event::default(),
             client_rings: RwLock::new(vec![None; capacity]),
             server_rings: RwLock::new(vec![None; capacity]),
             pull_land: Mutex::new(None),
@@ -189,8 +200,10 @@ impl LiteKernel {
             slots: ShardedMap::new(shards),
             next_slot: AtomicU32::new(1),
             queues: ShardedMap::new(shards),
-            arrivals: Doorbell::new(),
+            arrivals: Event::default(),
             locks: ShardedMap::new(shards),
+            lock_moves: AtomicU64::new(0),
+            lock_moved: Event::default(),
             barriers: ShardedMap::new(shards),
             masters: MasterTable::new(shards),
             names: ShardedMap::new(shards),
@@ -211,7 +224,7 @@ impl LiteKernel {
             mesh_host_ns: AtomicU64::new(0),
         };
         // FN_MSG delivers through a queue like user functions do.
-        kernel.queues.insert(FN_MSG, Arc::new(RpcQueue::new()));
+        kernel.queues.insert(FN_MSG, Arc::default());
         Ok(kernel)
     }
 

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rnic::{IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr, COST};
+use simnet::wait::pause;
 use simnet::{Ctx, Nanos};
 use smem::{PhysAllocator, PhysMem};
 
@@ -630,8 +631,7 @@ impl RnicDataPath {
                     ctx.wait_until(ctx.now() + backoff);
                     // A little host-wall pacing so a down peer does not
                     // turn the bounded wait into a hot spin.
-                    // sleep-ok: retry backoff, nothing to be woken by
-                    std::thread::sleep(Duration::from_nanos(backoff.min(100_000)));
+                    pause(Duration::from_nanos(backoff.min(100_000)));
                     backoff = (backoff * 2).min(RETRY_MAX_BACKOFF_NS);
                 }
                 Err(e) => {
@@ -766,9 +766,10 @@ impl RnicDataPath {
         // A write-imm's credit is reposted when the arrival is dispatched,
         // by the thread that delivered it — or, while a kernel call holds
         // the remote dispatcher, once the kernel-call thread drains after
-        // it. RNR (exhausted credits) is therefore transient, so retry
-        // briefly. Safe to repeat whole: `post_chain` claims credits before
-        // any side effect and rolls them back on failure.
+        // it. RNR (exhausted credits) is therefore transient: wait for the
+        // destination to repost one, then retry. Safe to repeat whole:
+        // `post_chain` claims credits before any side effect and rolls them
+        // back on failure.
         let nic = self.fabric.nic(self.node);
         let mut ack = |o: rnic::WrOutcome| {
             let op = &ops[done.n];
@@ -787,12 +788,21 @@ impl RnicDataPath {
             });
         };
         let mut tries = 0;
+        let mut deadline = None;
         loop {
             match nic.post_chain(ctx, &qp, wrs, &mut ack) {
                 Err(VerbsError::ReceiverNotReady) if tries < 1000 => {
                     tries += 1;
-                    std::thread::yield_now();
                     ctx.clock.advance(200);
+                    let deadline =
+                        *deadline.get_or_insert_with(|| Instant::now() + self.op_timeout);
+                    let reposted = self.dir.kernel(dst).is_some_and(|peer| {
+                        peer.credits
+                            .park_until(|| peer.shared_rq.depth() > 0, deadline)
+                    });
+                    if !reposted {
+                        return Err(VerbsError::ReceiverNotReady.into());
+                    }
                 }
                 result => return Ok(result?),
             }

@@ -323,6 +323,13 @@ impl LiteKernel {
         Ok((addr, idx))
     }
 
+    /// An enqueue or an abort landed here, or a waiter unwound a lock word
+    /// this node owns: wakes the unlockers waiting for a waiter to show.
+    pub(crate) fn note_lock_move(&self) {
+        self.lock_moves.fetch_add(1, Ordering::SeqCst);
+        self.lock_moved.wake();
+    }
+
     // ------------------------------------------------------------------
     // Kernel services (run on the kernel-call thread; must never block)
     // ------------------------------------------------------------------
@@ -621,6 +628,7 @@ impl LiteKernel {
                         self.locks.with_shard_of(&addr, |m| {
                             m.entry(addr).or_default().waiters.push_back((token, route));
                         });
+                        self.note_lock_move();
                         Ok(None)
                     }
                     LOCK_RELEASE => {
@@ -696,6 +704,7 @@ impl LiteKernel {
                                 }
                             }
                         });
+                        self.note_lock_move();
                         Ok(Some(Enc::new().u8(0).u8(code).done()))
                     }
                     _ => Err(LiteError::Remote(1)),

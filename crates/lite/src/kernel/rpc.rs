@@ -13,13 +13,14 @@
 //! datapath; the only NIC-adjacent artifact left is the loop-back
 //! delivery, which fabricates a completion into the shared receive CQ.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rnic::qp::RecvEntry;
 use rnic::{NodeId, Wc, WcOpcode, COST};
+use simnet::wait::Event;
 use simnet::{CpuMeter, Ctx, Nanos};
 use smem::Chunk;
 
@@ -48,9 +49,10 @@ pub const ADAPTIVE_SPIN_NS: Nanos = 2_000;
 /// A per-call completion slot: the simulation analogue of §5.2's shared
 /// user/kernel page through which the LITE library observes completion
 /// without a kernel-to-user crossing.
+#[derive(Default)]
 pub(crate) struct CallSlot {
     state: Mutex<Option<SlotResult>>,
-    cv: Condvar,
+    done: Event,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -61,43 +63,32 @@ pub(crate) struct SlotResult {
 }
 
 impl CallSlot {
-    fn new() -> Self {
-        CallSlot {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
     pub(crate) fn complete(&self, r: SlotResult) {
         *self.state.lock() = Some(r);
-        self.cv.notify_all();
+        self.done.wake();
     }
 
     /// Blocks for the result; models the adaptive busy-check-then-sleep
     /// wait of the LITE library (§5.2).
     pub(crate) fn wait(&self, ctx: &mut Ctx, cfg: &LiteConfig) -> LiteResult<SlotResult> {
-        let mut st = self.state.lock();
-        let r = loop {
-            match *st {
-                Some(r) => break r,
-                None => {
-                    if self.cv.wait_for(&mut st, cfg.op_timeout).timed_out() && st.is_none() {
-                        return Err(LiteError::Timeout);
-                    }
-                }
-            }
-        };
-        drop(st);
-        let gap = r.stamp.saturating_sub(ctx.now());
-        if cfg.adaptive_poll {
-            // Busy-check briefly, then sleep until completion.
-            ctx.cpu.charge(gap.min(ADAPTIVE_SPIN_NS));
-        } else {
-            ctx.cpu.charge(gap);
-        }
-        ctx.wait_until(r.stamp);
+        let r = self.done.take_within(|| *self.state.lock(), cfg.op_timeout);
+        let r = r.ok_or(LiteError::Timeout)?;
+        join_adaptively(ctx, cfg, r.stamp);
         Ok(r)
     }
+}
+
+/// Joins `stamp` as the LITE library waits (§5.2): it busy-checks briefly,
+/// then sleeps until completion — or, with `adaptive_poll` off, spins.
+fn join_adaptively(ctx: &mut Ctx, cfg: &LiteConfig, stamp: Nanos) {
+    let gap = stamp.saturating_sub(ctx.now());
+    let spun = if cfg.adaptive_poll {
+        gap.min(ADAPTIVE_SPIN_NS)
+    } else {
+        gap
+    };
+    ctx.cpu.charge(spun);
+    ctx.wait_until(stamp);
 }
 
 /// An incoming RPC parked in a function queue, payload still in the ring.
@@ -111,92 +102,10 @@ pub struct Incoming {
     pub stamp: Nanos,
 }
 
-/// Queue of incoming calls for one RPC function id.
-pub(crate) struct RpcQueue {
-    q: Mutex<std::collections::VecDeque<Incoming>>,
-    cv: Condvar,
-}
-
-impl RpcQueue {
-    pub(super) fn new() -> Self {
-        RpcQueue {
-            q: Mutex::new(std::collections::VecDeque::new()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, inc: Incoming) {
-        self.q.lock().push_back(inc);
-        self.cv.notify_one();
-    }
-
-    fn pop(&self, timeout: Duration) -> Option<Incoming> {
-        let mut q = self.q.lock();
-        loop {
-            if let Some(inc) = q.pop_front() {
-                return Some(inc);
-            }
-            if self.cv.wait_for(&mut q, timeout).timed_out() {
-                return q.pop_front();
-            }
-        }
-    }
-
-    fn try_pop(&self) -> Option<Incoming> {
-        self.q.lock().pop_front()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.q.lock().is_empty()
-    }
-}
-
-/// The node's arrival doorbell: what a thread waiting on several function
-/// queues at once ([`LiteKernel::wait_rpc`]) parks on. Ringing it costs
-/// one atomic load while nobody is parked.
-pub(crate) struct Doorbell {
-    parked: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl Doorbell {
-    pub(super) fn new() -> Self {
-        Doorbell {
-            parked: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Called after a push. A waiter counts itself in before it checks its
-    /// queues and holds `lock` from that check until it sleeps, so a push
-    /// it missed sees it counted and cannot notify before it sleeps.
-    fn ring(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _g = self.lock.lock();
-            self.cv.notify_all();
-        }
-    }
-
-    /// Whether one of `queues` holds a call before `deadline`.
-    fn wait(&self, queues: &[Arc<RpcQueue>], deadline: Instant) -> bool {
-        let queued = || queues.iter().any(|q| !q.is_empty());
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.lock.lock();
-        let found = loop {
-            if queued() {
-                break true;
-            }
-            if self.cv.wait_until(&mut g, deadline).timed_out() {
-                break queued();
-            }
-        };
-        drop(g);
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-        found
-    }
-}
+/// Queue of incoming calls for one RPC function id. Each call pushed wakes
+/// the node's arrival event, which both [`LiteKernel::pop_rpc`] and
+/// [`LiteKernel::wait_rpc`] park on.
+pub(crate) type RpcQueue = Mutex<std::collections::VecDeque<Incoming>>;
 
 /// The node's poller: its clock, and whether a kernel call it dispatched
 /// is still waiting for the kernel-call thread. Held by whichever thread
@@ -429,7 +338,7 @@ impl LiteKernel {
             if id == 0 {
                 continue;
             }
-            let slot = Arc::new(CallSlot::new());
+            let slot = Arc::<CallSlot>::default();
             if self.slots.insert_if_absent(id, Arc::clone(&slot)) {
                 return (id, slot);
             }
@@ -447,7 +356,7 @@ impl LiteKernel {
             return Err(LiteError::ReservedFunc { func });
         }
         self.queues.with_shard_of(&func, |m| {
-            m.entry(func).or_insert_with(|| Arc::new(RpcQueue::new()));
+            m.entry(func).or_default();
         });
         Ok(())
     }
@@ -465,23 +374,16 @@ impl LiteKernel {
         timeout: Duration,
     ) -> LiteResult<Incoming> {
         let q = self.queue_of(func)?;
-        let inc = q.pop(timeout).ok_or(LiteError::Timeout)?;
-        let gap = inc.stamp.saturating_sub(ctx.now());
-        if self.config.adaptive_poll {
-            ctx.cpu.charge(gap.min(ADAPTIVE_SPIN_NS));
-        } else {
-            ctx.cpu.charge(gap);
-        }
-        ctx.wait_until(inc.stamp);
+        let inc = self.arrivals.take_within(|| q.lock().pop_front(), timeout);
+        let inc = inc.ok_or(LiteError::Timeout)?;
+        join_adaptively(ctx, &self.config, inc.stamp);
         Ok(inc)
     }
 
     /// Non-blocking dequeue (used by servers that interleave work).
     pub(crate) fn try_pop_rpc(&self, ctx: &mut Ctx, func: u8) -> LiteResult<Option<Incoming>> {
-        let q = self.queue_of(func)?;
-        Ok(q.try_pop().inspect(|inc| {
-            ctx.wait_until(inc.stamp);
-        }))
+        let inc = self.queue_of(func)?.lock().pop_front();
+        Ok(inc.inspect(|inc| ctx.wait_until(inc.stamp)))
     }
 
     /// Parks until one of `funcs` has a queued call (`true`) or `timeout`
@@ -492,7 +394,8 @@ impl LiteKernel {
             .iter()
             .map(|&f| self.queue_of(f))
             .collect::<LiteResult<Vec<_>>>()?;
-        Ok(self.arrivals.wait(&queues, deadline))
+        let queued = || queues.iter().any(|q| !q.lock().is_empty());
+        Ok(self.arrivals.park_until(queued, deadline))
     }
 
     /// Copies a parked message's payload out of the ring.
@@ -622,6 +525,7 @@ impl LiteKernel {
                 wr_id: 0,
                 sge: None,
             });
+            self.credits.wake();
             ctx.work(COST.post_wr_ns);
             if src_node != self.node {
                 // Traffic from a peer is proof of life: revive it for the
@@ -673,8 +577,8 @@ impl LiteKernel {
         }
         match self.queues.get(&hdr.func) {
             Some(q) => {
-                q.push(inc);
-                self.arrivals.ring();
+                q.lock().push_back(inc);
+                self.arrivals.wake();
             }
             None => {
                 // No handler bound: error-reply and release the ring.

@@ -62,11 +62,12 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use rnic::NodeId;
+use simnet::wait::Event;
 use simnet::{Ctx, Lru};
 use smem::Chunk;
 
@@ -106,6 +107,10 @@ const R_REMOTE: u8 = 2;
 /// access faults them in; the background sweeper parks cold segments
 /// here.
 const R_UNPINNED: u8 = 3;
+/// A migration replaced the segment (the source of a commit) or rolled it
+/// back (a stage): it is in no map, and a pin that waited on it looks its
+/// range up again.
+const R_RETIRED: u8 = 4;
 
 /// Logical identity of a segment: which LMR, at which byte offset.
 /// Stable across migration — the physical address changes, the key does
@@ -138,6 +143,10 @@ pub struct Segment {
     /// flight: the migrator re-checks it under the state lock and rolls
     /// back instead of committing segments of a dead LMR.
     dead: AtomicBool,
+    /// Woken when a migration of this segment ends and when its last pin
+    /// goes: what pins waiting out a migration and a migrator draining
+    /// pins park on.
+    changed: Event,
     /// Sweep epoch of the last access (background-unpinner input: a
     /// segment untouched for a full epoch is cold enough to unpin).
     last_touch: AtomicU64,
@@ -153,7 +162,22 @@ impl Segment {
             residency: AtomicU8::new(residency),
             pins: AtomicU32::new(0),
             dead: AtomicBool::new(false),
+            changed: Event::default(),
             last_touch: AtomicU64::new(0),
+        }
+    }
+
+    /// Stores the residency a migration leaves the segment in, and wakes
+    /// the pins that waited for it to end.
+    fn settle(&self, residency: u8) {
+        self.residency.store(residency, Ordering::SeqCst);
+        self.changed.wake();
+    }
+
+    /// Drops one pin; the last one wakes a migrator draining them.
+    fn unpin(&self) {
+        if self.pins.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.changed.wake();
         }
     }
 }
@@ -165,7 +189,7 @@ pub struct PinGuard {
 
 impl Drop for PinGuard {
     fn drop(&mut self) {
-        self.seg.pins.fetch_sub(1, Ordering::AcqRel);
+        self.seg.unpin();
     }
 }
 
@@ -273,9 +297,16 @@ pub struct MemManager {
     state: Mutex<MmState>,
     /// Peer managers (and this one), via cluster membership.
     dir: OnceLock<Arc<crate::directory::ClusterDirectory>>,
-    queue: StdMutex<VecDeque<MmRequest>>,
-    wake: Condvar,
+    queue: Mutex<VecDeque<MmRequest>>,
+    /// Woken by a request and by shutdown: what the manager thread waits
+    /// on between sweeps.
+    requested: Event,
     shutdown: AtomicBool,
+    /// Migrations claimed and not yet ended, and how many have ended.
+    in_flight: AtomicU32,
+    ended: AtomicU64,
+    /// Woken when a migration ends, however it went.
+    pub(crate) migrated: Event,
     evictions: AtomicU64,
     fetch_backs: AtomicU64,
     redirects: AtomicU64,
@@ -311,9 +342,12 @@ impl MemManager {
                 hosted_bytes: 0,
             }),
             dir: OnceLock::new(),
-            queue: StdMutex::new(VecDeque::new()),
-            wake: Condvar::new(),
+            queue: Mutex::new(VecDeque::new()),
+            requested: Event::default(),
             shutdown: AtomicBool::new(false),
+            in_flight: AtomicU32::new(0),
+            ended: AtomicU64::new(0),
+            migrated: Event::default(),
             evictions: AtomicU64::new(0),
             fetch_backs: AtomicU64::new(0),
             redirects: AtomicU64::new(0),
@@ -545,7 +579,7 @@ impl MemManager {
         // finds a migration in progress reads the host clock.
         let mut deadline = None;
         loop {
-            {
+            let seg = {
                 let st = self.state.lock();
                 let Some((start, slot)) = st.covering(addr) else {
                     return PinOutcome::Untracked;
@@ -568,7 +602,7 @@ impl MemManager {
                     }
                 }
                 match seg.residency.load(Ordering::Acquire) {
-                    R_MIGRATING => { /* wait below, lock released */ }
+                    R_MIGRATING => Arc::clone(seg), // wait below, lock released
                     r => {
                         // Lazy mode: fault the touched pages in (only the
                         // ones not yet resident) and promote an Unpinned
@@ -599,24 +633,22 @@ impl MemManager {
                         // first, then re-validate; both sides are SeqCst
                         // RMW-then-load, so at least one observes the
                         // other (see drain_pins).
-                        if seg.residency.load(Ordering::SeqCst) == R_MIGRATING {
-                            seg.pins.fetch_sub(1, Ordering::AcqRel);
-                            // Lost to a claim: wait below, lock released.
-                        } else {
-                            let seg = Arc::clone(seg);
+                        let seg = Arc::clone(seg);
+                        if seg.residency.load(Ordering::SeqCst) != R_MIGRATING {
                             return PinOutcome::Pinned(PinGuard { seg }, faulted);
                         }
+                        // Lost to a claim: wait below, lock released.
+                        seg.unpin();
+                        seg
                     }
                 }
-            }
-            if !wait
-                || Instant::now() >= *deadline.get_or_insert_with(|| Instant::now() + PIN_DEADLINE)
-            {
+            };
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + PIN_DEADLINE);
+            let ended = || seg.residency.load(Ordering::SeqCst) != R_MIGRATING;
+            if !wait || !seg.changed.park_until(ended, deadline) {
                 self.redirects.fetch_add(1, Ordering::Relaxed);
                 return PinOutcome::Relocated;
             }
-            // sleep-ok: bounded wait for a migration to end (ROADMAP item 3)
-            std::thread::sleep(Duration::from_micros(20));
         }
     }
 
@@ -655,25 +687,34 @@ impl MemManager {
         if !self.tracking() {
             return;
         }
-        self.queue.lock().expect("mm queue").push_back(req);
-        self.wake.notify_one();
+        self.queue.lock().push_back(req);
+        self.requested.wake();
     }
 
     fn drain_requests(&self, interval: Duration) -> Vec<MmRequest> {
-        let mut q = self.queue.lock().expect("mm queue");
-        if q.is_empty() && !self.stopping() {
-            q = self.wake.wait_timeout(q, interval).expect("mm queue").0;
-        }
-        q.drain(..).collect()
+        let ready = || self.stopping() || !self.queue.lock().is_empty();
+        self.requested.park_until(ready, Instant::now() + interval);
+        self.queue.lock().drain(..).collect()
     }
 
     pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.wake.notify_all();
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.requested.wake();
     }
 
     fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Parks until no migration is in flight or one that was ends, or
+    /// `deadline` passes: what an access that lost to a migration
+    /// (`Relocated`) waits out before it refreshes its location.
+    pub(crate) fn wait_migrations(&self, deadline: Instant) {
+        let seen = self.ended.load(Ordering::SeqCst);
+        let ended = || {
+            self.in_flight.load(Ordering::SeqCst) == 0 || self.ended.load(Ordering::SeqCst) != seen
+        };
+        self.migrated.park_until(ended, deadline);
     }
 
     /// Records one registration's virtual latency (whole `lt_malloc` /
@@ -788,27 +829,31 @@ impl MemManager {
             .residency
             .fetch_update(Ordering::SeqCst, Ordering::Acquire, claim)
             .ok()?;
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
         Some((Arc::clone(seg), from))
     }
 
+    /// Ends a migration `begin_migrate` claimed: `abort_migrate` and
+    /// `finish`, whichever way it went.
+    fn end_migration(&self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.ended.fetch_add(1, Ordering::SeqCst);
+        self.migrated.wake();
+    }
+
     fn abort_migrate(&self, seg: &Segment, back_to: u8) {
-        seg.residency.store(back_to, Ordering::Release);
+        seg.settle(back_to);
+        self.end_migration();
     }
 
     /// Waits for in-flight pins to drain; `false` on deadline.
     fn drain_pins(&self, seg: &Segment) -> bool {
-        let deadline = Instant::now() + DRAIN_DEADLINE;
         // SeqCst: see pin_range's publish-then-revalidate. If a pin's
         // increment is not visible here, the claim preceding this load
         // is visible to that pin's residency re-check, and it backs off.
-        while seg.pins.load(Ordering::SeqCst) != 0 {
-            if Instant::now() >= deadline || self.stopping() {
-                return false;
-            }
-            // sleep-ok: bounded wait for in-flight pins to drain (ROADMAP item 3)
-            std::thread::sleep(Duration::from_micros(20));
-        }
-        true
+        let drained = || seg.pins.load(Ordering::SeqCst) == 0;
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        drained() || (!self.stopping() && seg.changed.park_until(drained, deadline))
     }
 
     /// Stages a migration's landing range in the address map of the
@@ -866,6 +911,7 @@ impl MemManager {
                 }
             }
         }
+        staged.iter().for_each(|s| s.settle(R_RETIRED));
     }
 
     /// Finalizes a migration whose record already points at the landing:
@@ -903,15 +949,19 @@ impl MemManager {
         {
             drop(st);
             self.unstage(at, staged);
+            seg.settle(R_RETIRED);
+            self.end_migration();
             return false;
         }
         st.segs.remove(&seg.key);
         if at == self.node {
             st.evicted_bytes = st.evicted_bytes.saturating_sub(seg.len);
+            self.fetch_backs.fetch_add(1, Ordering::Relaxed);
         } else {
             st.lru.remove(&seg.key);
             st.resident_bytes = st.resident_bytes.saturating_sub(seg.len);
             st.evicted_bytes += seg.len;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         for s in staged {
             st.segs.insert(s.key, Arc::clone(s));
@@ -921,11 +971,14 @@ impl MemManager {
                 s.last_touch.store(self.current_epoch(), Ordering::Relaxed);
                 st.lru.insert(s.key, ());
                 st.resident_bytes += s.len;
-                s.residency.store(R_RESIDENT, Ordering::Release);
+                s.settle(R_RESIDENT);
             } else {
-                s.residency.store(R_REMOTE, Ordering::Release);
+                s.settle(R_REMOTE);
             }
         }
+        drop(st);
+        seg.settle(R_RETIRED);
+        self.end_migration();
         true
     }
 
@@ -1283,11 +1336,8 @@ fn migrate_one(
         return Err(LiteError::Internal("record vanished during migration"));
     }
     if inbound {
-        mm.fetch_backs.fetch_add(1, Ordering::Relaxed);
         mm.fetch_back_lat
             .record(ctx.now().saturating_sub(started).max(1));
-    } else {
-        mm.evictions.fetch_add(1, Ordering::Relaxed);
     }
     // Tell every mapper — local handles directly, other nodes by
     // `FN_INVALIDATE` — that the LMR's location changed under them:
@@ -1524,7 +1574,8 @@ mod tests {
     /// the source is claimed and the landing staged, a kernel call's
     /// no-wait pin bounces off the landing range, and waiting pins on
     /// both ranges block until the migration commits (`finish`) or
-    /// aborts (`unstage`, then the claim reverts).
+    /// aborts (`unstage`, then the claim reverts) — and not a moment
+    /// longer: the step that ends it wakes them.
     #[test]
     fn pin_blocks_until_transition_ends() {
         for (to, commits) in [(1, true), (1, false), (0, true), (0, false)] {
@@ -1540,8 +1591,10 @@ mod tests {
             let waiter = |mm: &Arc<MemManager>, addr: u64| {
                 let (mm, ended, id) = (Arc::clone(mm), Arc::clone(&ended), seg.key.id);
                 std::thread::spawn(move || {
+                    let start = Instant::now();
                     let out = mm.pin(addr, 64, id, 0);
                     assert!(ended.load(Ordering::SeqCst), "pinned through the fence");
+                    assert!(start.elapsed() < PIN_DEADLINE, "nothing woke the pin");
                     out
                 })
             };
@@ -1559,6 +1612,60 @@ mod tests {
                 a.abort_migrate(&seg, was);
                 assert!(matches!(at_src.join().unwrap(), PinOutcome::Pinned(..)));
                 assert!(matches!(at_land.join().unwrap(), PinOutcome::Untracked));
+            }
+        }
+    }
+
+    /// ROADMAP 1(a): an op that loses to a migration waits it out instead
+    /// of losing every retry. A memset (run by the LMR's node, whose
+    /// no-wait pin answers `Relocated` while chunk 0 is claimed) succeeds
+    /// once a claim held by hand ends, and is `Timeout` after `op_timeout`
+    /// if it never does.
+    #[test]
+    fn memset_waits_out_a_migration() {
+        let op_timeout = Duration::from_secs(1);
+        let config = LiteConfig {
+            mem_budget_bytes: 1 << 30,
+            op_timeout,
+            ..Default::default()
+        };
+        let cluster =
+            crate::LiteCluster::start_with(rnic::IbConfig::with_nodes(2), config).unwrap();
+        let mm = Arc::clone(cluster.kernel(0).mm());
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let lh = h
+            .lt_malloc(&mut ctx, 0, 8192, "held", crate::Perm::RW)
+            .unwrap();
+        let key = SegKey {
+            id: h.lh_id(lh).unwrap(),
+            off: 0,
+        };
+        for ends in [true, false] {
+            let (seg, was) = mm.begin_migrate(&key, 1).expect("claim chunk 0");
+            let redirects = mm.stats().redirects;
+            let started = Instant::now();
+            let out = std::thread::scope(|s| {
+                let memset = s.spawn(|| h.lt_memset(&mut ctx, lh, 0, 64, 7));
+                if ends {
+                    while mm.stats().redirects == redirects {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                    assert!(!memset.is_finished(), "gave up while the migration ran");
+                    mm.abort_migrate(&seg, was);
+                }
+                memset.join().unwrap()
+            });
+            if ends {
+                assert_eq!(out, Ok(()));
+                let mut buf = [0u8; 64];
+                h.lt_read(&mut ctx, lh, 0, &mut buf).unwrap();
+                assert_eq!(buf, [7; 64]);
+            } else {
+                assert_eq!(out, Err(LiteError::Timeout));
+                assert!(started.elapsed() >= op_timeout);
+                mm.abort_migrate(&seg, was);
             }
         }
     }

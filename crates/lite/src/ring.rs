@@ -24,7 +24,8 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use simnet::wait::Event;
 use simnet::Nanos;
 use smem::{MemError, PhysAddr, PhysMem};
 
@@ -185,8 +186,8 @@ pub struct ServerRing {
     /// Ring size in bytes.
     pub size: u64,
     inner: Mutex<ServerInner>,
-    /// Signalled whenever the head moves (see [`ServerRing::wait_past`]).
-    moved: Condvar,
+    /// Woken whenever the head moves (see [`ServerRing::wait_past`]).
+    moved: Event,
 }
 
 struct ServerInner {
@@ -212,7 +213,7 @@ impl ServerRing {
                 head: 0,
                 freed: BTreeMap::new(),
             }),
-            moved: Condvar::new(),
+            moved: Event::default(),
         })
     }
 
@@ -278,7 +279,8 @@ impl ServerRing {
             stamp,
         };
         mem.write(self.head_cell(), &cell.encode())?;
-        self.moved.notify_all();
+        drop(inner);
+        self.moved.wake();
         Ok(())
     }
 
@@ -287,8 +289,7 @@ impl ServerRing {
     /// client whose pull showed no progress would re-read the cell until
     /// it changes, and only the read that sees the change is modelled.
     pub fn wait_past(&self, seen: u64, deadline: Instant) {
-        let mut inner = self.inner.lock();
-        while inner.head <= seen && !self.moved.wait_until(&mut inner, deadline).timed_out() {}
+        self.moved.park_until(|| self.head() > seen, deadline);
     }
 
     /// Current monotonic head.

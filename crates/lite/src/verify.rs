@@ -1012,12 +1012,10 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
     // the deadline only covers a slow first sweep).
     if w.mem_budget > 0 {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while cluster.kernel(owner).mm_stats().evictions == 0 {
-            if std::time::Instant::now() >= deadline {
-                return Err(LiteError::Internal("tiering enabled but nothing evicted"));
-            }
-            // sleep-ok: test harness waiting on the sweeper's first pass
-            std::thread::sleep(Duration::from_millis(1));
+        let mm = cluster.kernel(owner).mm();
+        let evicted = || mm.stats().evictions > 0;
+        if !mm.migrated.park_until(evicted, deadline) {
+            return Err(LiteError::Internal("tiering enabled but nothing evicted"));
         }
     }
     cluster.fabric().clear_fault_plan();

@@ -206,18 +206,11 @@ fn atomics_survive_concurrent_eviction() {
         }
     });
 
-    // `Err(Relocated)` is the documented bounded-retry exhaustion under
-    // migration churn: pins are taken before any side effect, so the op
-    // did NOT apply and redoing it preserves exactly-once accounting.
-    fn eventually<T>(mut op: impl FnMut() -> lite::LiteResult<T>) -> T {
-        for _ in 0..100 {
-            match op() {
-                Ok(v) => return v,
-                Err(lite::LiteError::Relocated) => std::thread::sleep(Duration::from_millis(1)),
-                Err(e) => panic!("atomic failed under churn: {e:?}"),
-            }
-        }
-        panic!("atomic still Relocated after 100 retries");
+    // An op that loses to a migration waits it out and retries (`heal`),
+    // and only a migration outlasting `op_timeout` fails it (`Timeout`).
+    // Pins are taken before any side effect, so a retried op applies once.
+    fn healed<T>(op: impl FnOnce() -> lite::LiteResult<T>) -> T {
+        op().unwrap_or_else(|e| panic!("atomic failed under churn: {e:?}"))
     }
 
     // At least 200 adds and 50 swaps, and on until the churn thread has
@@ -232,14 +225,14 @@ fn atomics_survive_concurrent_eviction() {
         if i >= ADDS && (churned() || Instant::now() > deadline) {
             break;
         }
-        let before = eventually(|| h.lt_fetch_add(&mut ctx, lh, 16, 1));
+        let before = healed(|| h.lt_fetch_add(&mut ctx, lh, 16, 1));
         assert_eq!(before, i, "fetch-add lost or double-applied at {i}");
         prev_sum = before + 1;
     }
     // CAS chain: each step must see exactly the previous value. Its floor
     // runs with evictions already landing.
     for i in 0..SWAPS {
-        let prev = eventually(|| h.lt_test_set(&mut ctx, lh, 24, i, i + 1));
+        let prev = healed(|| h.lt_test_set(&mut ctx, lh, 24, i, i + 1));
         assert_eq!(prev, i, "test-set saw a torn value at {i}");
     }
     stop.store(true, std::sync::atomic::Ordering::Release);

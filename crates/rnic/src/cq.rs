@@ -19,7 +19,8 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
+use simnet::wait::Event;
 use simnet::Ctx;
 
 use crate::cost::COST;
@@ -48,20 +49,18 @@ impl Ord for Entry {
 }
 
 /// A completion queue.
+#[derive(Default)]
 pub struct Cq {
     q: Mutex<(BinaryHeap<Entry>, u64)>,
-    cv: Condvar,
+    /// Woken by `push` and `close`.
+    ready: Event,
     closed: AtomicBool,
 }
 
 impl Cq {
     /// Creates an empty CQ.
     pub fn new() -> Self {
-        Cq {
-            q: Mutex::new((BinaryHeap::new(), 0)),
-            cv: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
+        Self::default()
     }
 
     /// Hardware side: deposits a completion.
@@ -72,26 +71,14 @@ impl Cq {
             q.1 += 1;
             q.0.push(Entry(Reverse((wc.ready_at, seq)), wc));
         }
-        // Outside the lock: a poller woken while it is still held would
-        // block on it at once, two context switches for nothing. No wakeup
-        // is lost: a poller checks the heap and parks under the lock.
-        self.cv.notify_all();
+        // Outside the lock: a poller's `ready` takes it.
+        self.ready.wake();
     }
 
     /// Marks the CQ closed (fabric shutdown); wakes all pollers.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.cv.notify_all();
-    }
-
-    /// Whether the CQ has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
-    /// Entries currently queued.
-    pub fn depth(&self) -> usize {
-        self.q.lock().0.len()
+        self.closed.store(true, Ordering::SeqCst);
+        self.ready.wake();
     }
 
     /// Whether no completion is queued.
@@ -136,31 +123,17 @@ impl Cq {
     /// Returns `None` if the CQ is closed or `timeout` (host wall time,
     /// a liveness bound for failure tests) expires.
     pub fn poll_blocking(&self, ctx: &mut Ctx, spin: bool, timeout: Duration) -> Option<Wc> {
-        let mut q = self.q.lock();
-        loop {
-            if let Some(Entry(_, wc)) = q.0.pop() {
-                drop(q);
-                if spin {
-                    ctx.spin_until(wc.ready_at);
-                } else {
-                    ctx.wait_until(wc.ready_at);
-                }
-                ctx.work(COST.cq_poll_ns);
-                return Some(wc);
-            }
-            if self.is_closed() {
-                return None;
-            }
-            if self.cv.wait_for(&mut q, timeout).timed_out() {
-                return None;
-            }
+        // `Some(None)`: closed and drained.
+        let closed = || self.closed.load(Ordering::SeqCst).then_some(None);
+        let taken = || self.pop().map(Some).or_else(closed);
+        let wc = self.ready.take_within(taken, timeout).flatten()?;
+        if spin {
+            ctx.spin_until(wc.ready_at);
+        } else {
+            ctx.wait_until(wc.ready_at);
         }
-    }
-}
-
-impl Default for Cq {
-    fn default() -> Self {
-        Self::new()
+        ctx.work(COST.cq_poll_ns);
+        Some(wc)
     }
 }
 

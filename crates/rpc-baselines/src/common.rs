@@ -11,10 +11,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rnic::{Access, IbFabric, Mr, NodeId, VerbsResult};
+use simnet::wait::Event;
 use simnet::{Ctx, Nanos};
 use smem::AddrSpace;
 
@@ -89,24 +90,22 @@ impl Region {
 
 /// A `(tag, stamp, len)` notification channel standing in for polled
 /// memory flags.
+#[derive(Default)]
 pub struct Doorbell {
     q: Mutex<BinaryHeap<Reverse<(Nanos, u64, usize)>>>,
-    cv: Condvar,
+    rung: Event,
 }
 
 impl Doorbell {
     /// Creates an empty doorbell.
     pub fn new() -> Arc<Self> {
-        Arc::new(Doorbell {
-            q: Mutex::new(BinaryHeap::new()),
-            cv: Condvar::new(),
-        })
+        Arc::default()
     }
 
     /// Rings: data tagged `tag` became visible at `stamp`.
     pub fn ring(&self, tag: u64, stamp: Nanos, len: usize) {
         self.q.lock().push(Reverse((stamp, tag, len)));
-        self.cv.notify_all();
+        self.rung.wake();
     }
 
     /// Busy-polling receive: charges `scan_cost` CPU per poll iteration
@@ -117,23 +116,10 @@ impl Doorbell {
         scan_cost: Nanos,
         timeout: Duration,
     ) -> Option<(u64, Nanos, usize)> {
-        let deadline = Instant::now() + timeout;
-        let mut q = self.q.lock();
-        loop {
-            if let Some(Reverse((stamp, tag, len))) = q.pop() {
-                drop(q);
-                ctx.spin_until(stamp);
-                ctx.work(scan_cost);
-                return Some((tag, stamp, len));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            if self.cv.wait_until(&mut q, deadline).timed_out() {
-                return None;
-            }
-        }
+        let Reverse((stamp, tag, len)) = self.rung.take_within(|| self.q.lock().pop(), timeout)?;
+        ctx.spin_until(stamp);
+        ctx.work(scan_cost);
+        Some((tag, stamp, len))
     }
 }
 

@@ -27,8 +27,9 @@
 //! The crate also hosts the generic building blocks used by the RNIC model
 //! and the workload generators: [`Lru`] caches (the on-NIC SRAM model),
 //! [`TokenBucket`] rate limiters (LITE's SW-Pri QoS), [`CpuMeter`]s
-//! (CPU-utilization accounting for Fig 13), streaming [`stats`], and
-//! deterministic samplers ([`rng`]).
+//! (CPU-utilization accounting for Fig 13), streaming [`stats`],
+//! deterministic samplers ([`rng`]), and the one way a thread blocks
+//! ([`wait`]).
 
 pub mod cpu;
 pub mod ctx;
@@ -38,6 +39,7 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod wait;
 
 pub use cpu::CpuMeter;
 pub use ctx::Ctx;

@@ -5,7 +5,7 @@
 //! [`PinTable`] models that: a refcounted set of pinned frames that the
 //! kernel charges against when it pins LMR memory eagerly at registration
 //! (Figure 8's dominant cost) or lazily at first touch (the NP-RDMA-style
-//! pin-free mode, ROADMAP item 2).
+//! pin-free mode, DESIGN.md §13).
 //!
 //! Two pin disciplines coexist:
 //!

@@ -7,17 +7,25 @@
 //! everything else — close to raw RDMA, but with per-connection resources
 //! and no sharing, unlike LITE.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rnic::qp::RecvEntry;
 use rnic::{Access, IbFabric, NodeId, Sge, VerbsError, VerbsResult, Wc, COST};
+use simnet::wait::Event;
 use simnet::{Ctx, Nanos};
 use smem::AddrSpace;
 
 /// Receive ring depth per socket.
 const RING: usize = 64;
+
+/// How long a sender waits for the peer to free a receive slot.
+const CREDIT_WAIT: Duration = Duration::from_secs(10);
+
+/// Free slots in one socket's receive ring, and what its peer's sender
+/// parks on while there are none.
+type Credits = Arc<(AtomicUsize, Event)>;
 
 /// One end of an RDMA-CM style connection.
 pub struct RcmSock {
@@ -36,9 +44,9 @@ pub struct RcmSock {
     overhead_ns: Nanos,
     /// Receive credits at the peer (flow control: rsockets blocks the
     /// sender when the peer's ring is full).
-    peer_credits: Arc<AtomicUsize>,
+    peer_credits: Credits,
     /// Our own ring's credits (incremented when we repost).
-    my_credits: Arc<AtomicUsize>,
+    my_credits: Credits,
 }
 
 impl RcmSock {
@@ -52,14 +60,10 @@ impl RcmSock {
     ) -> VerbsResult<(RcmSock, RcmSock)> {
         let (qa, qb) = fabric.rc_pair(a.0, b.0);
         let mut ctx = Ctx::new();
-        let ca = Arc::new(AtomicUsize::new(RING));
-        let cb = Arc::new(AtomicUsize::new(RING));
         let mut sa = Self::build(fabric, a.0, a.1, qa, buf_size, &mut ctx)?;
         let mut sb = Self::build(fabric, b.0, b.1, qb, buf_size, &mut ctx)?;
-        sa.my_credits = Arc::clone(&ca);
-        sa.peer_credits = Arc::clone(&cb);
-        sb.my_credits = cb;
-        sb.peer_credits = ca;
+        sa.peer_credits = Arc::clone(&sb.my_credits);
+        sb.peer_credits = Arc::clone(&sa.my_credits);
         Ok((sa, sb))
     }
 
@@ -88,8 +92,8 @@ impl RcmSock {
             recv_va,
             buf_size,
             overhead_ns: 150,
-            peer_credits: Arc::new(AtomicUsize::new(RING)),
-            my_credits: Arc::new(AtomicUsize::new(RING)),
+            peer_credits: Arc::default(),
+            my_credits: Arc::new((AtomicUsize::new(RING), Event::default())),
         };
         for i in 0..RING {
             sock.post_ring_entry(ctx, i);
@@ -121,18 +125,13 @@ impl RcmSock {
                 have: self.buf_size,
             });
         }
-        // Flow control: wait for a receive credit at the peer.
-        loop {
-            let c = self.peer_credits.load(Ordering::Acquire);
-            if c > 0
-                && self
-                    .peer_credits
-                    .compare_exchange(c, c - 1, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                break;
-            }
-            std::thread::yield_now();
+        // Flow control: take a receive credit at the peer, waiting for its
+        // `recv` to free one (`Timeout` after `CREDIT_WAIT`).
+        let (free, freed) = &*self.peer_credits;
+        let take = |c: usize| c.checked_sub(1);
+        let took = || free.fetch_update(SeqCst, SeqCst, take).is_ok();
+        if !took() && !freed.park_until(took, Instant::now() + CREDIT_WAIT) {
+            return Err(VerbsError::Timeout);
         }
         let nic = self.fabric.nic(self.node);
         // rsockets copies the user buffer into the registered region.
@@ -175,7 +174,9 @@ impl RcmSock {
         }
         ctx.work(self.overhead_ns + COST.memcpy_time(wc.byte_len as u64));
         self.post_ring_entry(ctx, slot);
-        self.my_credits.fetch_add(1, Ordering::AcqRel);
+        let (free, freed) = &*self.my_credits;
+        free.fetch_add(1, SeqCst);
+        freed.wake();
         Ok(out)
     }
 
