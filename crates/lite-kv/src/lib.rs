@@ -4,14 +4,13 @@
 //! (§5.2); this crate builds the production-shaped version of that
 //! experiment on top of everything the repo has grown since: writes flow
 //! through a single leader that assigns a total order by committing each
-//! update to a [`lite_log::LiteLog`], one replicator thread — asleep until a
-//! batch is ready: 32 commits, or 1 ms since the last — reads each batch
-//! out of the log with one `LT_read` and streams it to the follower
-//! replicas with `lt_multicast_rpc`, and any replica serves reads. The
-//! log is the source of truth — a follower that misses replication frames
-//! (slow, paused, or crashed) catches up by reading the log directly, a
-//! batch to a one-sided `LT_read`, the same way the paper's applications
-//! sidestep their servers' CPUs.
+//! update to a [`lite_log::LiteLog`], and any replica serves reads.
+//! Replication is the log: one replicator thread — asleep until a batch
+//! is ready: 32 commits, or 1 ms since the last — tells each follower
+//! that is behind how far the log is committed, and the follower reads
+//! what it lacks out of the log itself, a batch to a one-sided `LT_read`,
+//! the same way the paper's applications sidestep their servers' CPUs. A
+//! follower that was slow, paused or crashed catches up the same way.
 //!
 //! So do warm reads: every value slot holds a self-verifying [`record`],
 //! PUT and GET replies say where the key's slot is, and a session on a

@@ -1,8 +1,8 @@
 //! The replicated KV service proper: leader, followers, replicator, and
 //! the client. No service thread polls on a timer: the leader and
 //! followers sleep until a call arrives, the replicator until a batch is
-//! ready (or its 1 ms window ends). See the crate docs and DESIGN.md §15
-//! for the protocol.
+//! committed (or its 1 ms window ends). See the crate docs and DESIGN.md
+//! §15 for the protocol.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,11 +24,11 @@ const FN_PUT: u8 = USER_FUNC_MIN;
 const FN_GET: u8 = USER_FUNC_MIN + 1;
 const FN_REPL: u8 = USER_FUNC_MIN + 2;
 
-/// Max updates streamed per replication multicast (and replayed per idle
-/// catch-up pass): the replicator sleeps until this many wait, or until
-/// `IDLE_WAIT` passes.
-const REPL_BATCH: usize = 32;
-/// Most log bytes one replication or catch-up read takes.
+/// Commits per replication round: the replicator sleeps until this many
+/// wait, or until `IDLE_WAIT` passes, before it tells the followers how
+/// far the log is committed.
+const REPL_BATCH: u64 = 32;
+/// Most log bytes one catch-up read takes.
 const REPL_BYTES: u64 = 64 * 1024;
 
 /// GET reply status bytes.
@@ -180,49 +180,21 @@ fn enc_get(need_seq: u64, key: &[u8]) -> Vec<u8> {
     b
 }
 
-struct Frame {
-    seq: u64,
-    off: u64,
-    key: Vec<u8>,
-    value: Vec<u8>,
+/// A replication notice `(committed, end)` and a follower's ack
+/// `(applied, next_off)`: two words.
+fn enc_pair(a: u64, b: u64) -> [u8; 16] {
+    let mut p = [0u8; 16];
+    p[..8].copy_from_slice(&a.to_le_bytes());
+    p[8..].copy_from_slice(&b.to_le_bytes());
+    p
 }
 
-fn enc_frames(frames: &[Frame]) -> Vec<u8> {
-    let mut b = Vec::new();
-    b.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-    for f in frames {
-        b.extend_from_slice(&f.seq.to_le_bytes());
-        b.extend_from_slice(&f.off.to_le_bytes());
-        b.extend_from_slice(&(f.key.len() as u16).to_le_bytes());
-        b.extend_from_slice(&(f.value.len() as u32).to_le_bytes());
-        b.extend_from_slice(&f.key);
-        b.extend_from_slice(&f.value);
-    }
-    b
-}
-
-fn dec_frames(req: &[u8]) -> Option<Vec<Frame>> {
-    let count = u32::from_le_bytes(req.get(0..4)?.try_into().ok()?) as usize;
-    let mut pos = 4usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let seq = u64::from_le_bytes(req.get(pos..pos + 8)?.try_into().ok()?);
-        let off = u64::from_le_bytes(req.get(pos + 8..pos + 16)?.try_into().ok()?);
-        let klen = u16::from_le_bytes(req.get(pos + 16..pos + 18)?.try_into().ok()?) as usize;
-        let vlen = u32::from_le_bytes(req.get(pos + 18..pos + 22)?.try_into().ok()?) as usize;
-        pos += 22;
-        let key = req.get(pos..pos + klen)?.to_vec();
-        pos += klen;
-        let value = req.get(pos..pos + vlen)?.to_vec();
-        pos += vlen;
-        out.push(Frame {
-            seq,
-            off,
-            key,
-            value,
-        });
-    }
-    Some(out)
+fn dec_pair(p: &[u8]) -> Option<(u64, u64)> {
+    let (a, rest) = p.split_first_chunk()?;
+    Some((
+        u64::from_le_bytes(*a),
+        u64::from_le_bytes(*rest.first_chunk()?),
+    ))
 }
 
 /// Size of the log record a (key, value) update commits as.
@@ -361,33 +333,33 @@ fn check_cost(len: usize) -> u64 {
 pub struct KvService {
     spec: KvSpec,
     stop: Arc<AtomicBool>,
-    stream: Arc<Stream>,
+    repl: Arc<Replication>,
     servers: Vec<JoinHandle<()>>,
     replicator: JoinHandle<()>,
     replicas: Vec<Arc<ReplicaState>>,
 }
 
-/// What the service, the leader and the replicator share about the
-/// replication stream.
+/// What the service, the leader and the replicator share about
+/// replication.
 #[derive(Default)]
-struct Stream {
+struct Replication {
     /// Set by `stop()`; the replicator leaves at its next wake-up.
     stop: AtomicBool,
-    /// Last seq the replicator has read out of the log to stream.
-    streamed: AtomicU64,
+    /// Last committed seq the replicator has told the followers about.
+    notified: AtomicU64,
     /// Last replication lag the replicator computed.
     lag: AtomicU64,
     /// What the replicator parks on between batches; woken by the leader
-    /// ([`Stream::applied`]) and by `stop()`.
+    /// ([`Replication::applied`]) and by `stop()`.
     batch: Event,
 }
 
-impl Stream {
+impl Replication {
     /// The leader's side of the replicator's wait: called once `seq` is
     /// applied, it wakes the replicator when a whole batch waits — not on
-    /// every apply, which would stream a put per multicast.
+    /// every apply, which would send a notice per put.
     fn applied(&self, seq: u64) {
-        if seq >= self.streamed.load(Ordering::Acquire) + REPL_BATCH as u64 {
+        if seq >= self.notified.load(Ordering::Acquire) + REPL_BATCH {
             self.batch.wake();
         }
     }
@@ -432,13 +404,13 @@ impl KvService {
         let rlog = LiteLog::open(&mut rh, &mut rctx, &spec.name, spec.log_capacity)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let stream = Arc::<Stream>::default();
+        let repl = Arc::<Replication>::default();
         let replicator = {
             let spec = spec.clone();
-            let stream = Arc::clone(&stream);
+            let repl = Arc::clone(&repl);
             let leader = Arc::clone(&replicas[0]);
             std::thread::spawn(move || {
-                run_replicator(&spec, &stream, &leader, rh, rctx, &rlog);
+                run_replicator(&spec, &repl, &leader, rh, rctx, &rlog);
             })
         };
         let servers = served
@@ -447,9 +419,9 @@ impl KvService {
             .map(|(i, mut r)| {
                 let delay = spec.apply_delay(r.state.node);
                 let stop = Arc::clone(&stop);
-                let stream = Arc::clone(&stream);
+                let repl = Arc::clone(&repl);
                 std::thread::spawn(move || match i {
-                    0 => serve_leader(&stop, &mut r, &stream),
+                    0 => serve_leader(&stop, &mut r, &repl),
                     _ => serve_follower(&stop, &mut r, delay),
                 })
             })
@@ -458,7 +430,7 @@ impl KvService {
         Ok(KvService {
             spec,
             stop,
-            stream,
+            repl,
             servers,
             replicator,
             replicas,
@@ -486,7 +458,7 @@ impl KvService {
     /// Last replication lag the replicator computed (committed minus
     /// the slowest follower's acknowledged seq).
     pub fn replication_lag(&self) -> u64 {
-        self.stream.lag.load(Ordering::Acquire)
+        self.repl.lag.load(Ordering::Acquire)
     }
 
     /// Stalls `node`'s apply loop: it keeps acking (so the leader sees
@@ -497,7 +469,8 @@ impl KvService {
         }
     }
 
-    /// Resumes `node`; it catches up from the log on the next frame.
+    /// Resumes `node`; it catches up from the log on the replicator's next
+    /// notice.
     pub fn resume_follower(&self, node: usize) {
         if let Some(r) = self.replicas.iter().find(|r| r.node == node) {
             r.paused.store(false, Ordering::Release);
@@ -509,8 +482,8 @@ impl KvService {
     /// they had left, it would wait out an `op_timeout` per follower. It is
     /// woken, not left to wait out its batch window.
     pub fn stop(self) {
-        self.stream.stop.store(true, Ordering::SeqCst);
-        self.stream.batch.wake();
+        self.repl.stop.store(true, Ordering::SeqCst);
+        self.repl.batch.wake();
         let _ = self.replicator.join();
         self.stop.store(true, Ordering::Release);
         for t in self.servers {
@@ -519,10 +492,9 @@ impl KvService {
     }
 }
 
-/// How long the leader and the followers wait for a call before they
-/// count themselves quiet — a follower runs its anti-entropy pass once per
-/// quiet wait, never more often — and the longest the replicator waits for
-/// a batch to fill.
+/// How long the leader and the followers wait for a call before they look
+/// again, and the longest the replicator waits for a batch to fill: an idle
+/// follower that is behind hears from it once per `IDLE_WAIT`.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// The functions the leader serves and waits on.
@@ -573,7 +545,7 @@ impl Replica {
     }
 }
 
-fn serve_leader(stop: &AtomicBool, r: &mut Replica, stream: &Stream) {
+fn serve_leader(stop: &AtomicBool, r: &mut Replica, repl: &Replication) {
     let Replica {
         state,
         h,
@@ -600,12 +572,14 @@ fn serve_leader(stop: &AtomicBool, r: &mut Replica, stream: &Stream) {
                             let _ = h.lt_reply_rpc(ctx, &call, &[PUT_COMMIT_FAILED]);
                             return;
                         };
-                        // SeqCst: the replicator's wait reads it (`Event`).
-                        state.applied.store(seq, Ordering::SeqCst);
+                        // `next_off` first: a replicator that sees `seq`
+                        // sees where its record ends. SeqCst: the
+                        // replicator's wait reads `applied` (`Event`).
                         state
                             .next_off
                             .store(off + update_record_size(key, value), Ordering::Release);
-                        stream.applied(seq);
+                        state.applied.store(seq, Ordering::SeqCst);
+                        repl.applied(seq);
                         kernel.note_kv_put();
                         let mut r = Vec::with_capacity(REPLY_HEAD);
                         r.push(PUT_OK);
@@ -664,6 +638,42 @@ fn serve_gets(
 }
 
 fn serve_follower(stop: &AtomicBool, r: &mut Replica, delay: u64) {
+    let kernel = Arc::clone(r.h.kernel());
+    // Reads are served on a clock of their own, as by a second thread of
+    // the replica: this host thread takes notices and gets in the order
+    // the host delivers them, and a get must not wait for a catch-up the
+    // replicator asked for after the get arrived. What reads no longer
+    // queue behind is one `lt_write` per update, a few percent of a core.
+    let mut reads = Ctx::new();
+    while !stop.load(Ordering::Acquire) {
+        let mut busy = false;
+        // Replication notices: always answered promptly (the leader must
+        // never block on a slow consumer); the log is read unless paused.
+        while let Ok(Some(call)) = r.h.lt_try_recv_rpc(&mut r.ctx, FN_REPL) {
+            busy = true;
+            if let Some((committed, end)) = dec_pair(&call.input) {
+                if !r.state.paused.load(Ordering::Acquire) {
+                    catch_up_from_log(r, committed, end, delay);
+                }
+            }
+            let applied = r.state.applied.load(Ordering::Acquire);
+            let ack = enc_pair(applied, r.state.next_off.load(Ordering::Acquire));
+            let _ = r.h.lt_reply_rpc(&mut r.ctx, &call, &ack);
+        }
+        busy |= serve_gets(&r.state, &kernel, &mut r.h, &mut reads, &r.store);
+        if !busy {
+            let _ = r.h.lt_wait_rpc(&FOLLOWER_FUNCS, IDLE_WAIT);
+        }
+    }
+}
+
+/// Replays the log records this replica lacks up to seq `target`, whose
+/// record ends at or before log offset `end` (the LITE move: a follower
+/// reads the leader's memory directly, never its CPU). Each one-sided read
+/// takes the committed bytes up to `end`, at most `REPL_BYTES`: a read of
+/// `REPL_BYTES` whatever was committed put all of the leader's log traffic
+/// on its link, once per batch and follower.
+fn catch_up_from_log(r: &mut Replica, target: u64, end: u64, delay: u64) {
     let Replica {
         state,
         h,
@@ -671,84 +681,28 @@ fn serve_follower(stop: &AtomicBool, r: &mut Replica, delay: u64) {
         log,
         store,
     } = r;
-    let kernel = Arc::clone(h.kernel());
-    // Reads are served on a clock of their own, as by a second thread of
-    // the replica: this host thread takes frames and gets in the order
-    // the host delivers them, and a get must not wait for a frame the
-    // replicator stamped after the get arrived. What reads no longer
-    // queue behind is one `lt_write` per update, a few percent of a core.
-    let mut reads = Ctx::new();
-    while !stop.load(Ordering::Acquire) {
-        let mut busy = false;
-        // Replication stream: always drained and acked promptly (the
-        // leader must never block on a slow consumer); applied unless
-        // paused. A gap means missed frames — recover from the log.
-        while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, FN_REPL) {
-            busy = true;
-            if !state.paused.load(Ordering::Acquire) {
-                for f in dec_frames(&call.input).unwrap_or_default() {
-                    apply_stream_frame(state, h, ctx, log, store, &f, delay);
-                }
-            }
-            let mut r = Vec::with_capacity(16);
-            r.extend_from_slice(&state.applied.load(Ordering::Acquire).to_le_bytes());
-            r.extend_from_slice(&state.next_off.load(Ordering::Acquire).to_le_bytes());
-            let _ = h.lt_reply_rpc(ctx, &call, &r);
-        }
-        busy |= serve_gets(state, &kernel, h, &mut reads, store);
-        if busy || !matches!(h.lt_wait_rpc(&FOLLOWER_FUNCS, IDLE_WAIT), Ok(false)) {
-            continue;
-        }
-        // Quiet for `IDLE_WAIT`: anti-entropy. A follower that was paused
-        // (or missed the stream entirely) pulls itself forward from the
-        // log without waiting for the leader to send anything.
-        if !state.paused.load(Ordering::Acquire) {
-            if let Ok(target) = log.committed(h, ctx) {
-                if target > state.applied.load(Ordering::Acquire) {
-                    catch_up_from_log(state, h, ctx, log, store, target, delay, REPL_BATCH);
-                }
-            }
-        }
-    }
-}
-
-/// Replays log records until `state` reaches `target` or `max` records
-/// were applied, one one-sided read per `REPL_BATCH` records (the LITE
-/// move: recovery reads the leader's memory directly, never its CPU).
-/// Returns whether `target` was reached.
-#[allow(clippy::too_many_arguments)]
-fn catch_up_from_log(
-    state: &ReplicaState,
-    h: &mut LiteHandle,
-    ctx: &mut Ctx,
-    log: &LiteLog,
-    store: &mut Store,
-    target: u64,
-    delay: u64,
-    max: usize,
-) -> bool {
     let mut applied = state.applied.load(Ordering::Acquire);
-    let mut left = max;
-    while applied < target && left > 0 {
+    while applied < target {
         let off = state.next_off.load(Ordering::Acquire);
-        // Committed records only: `target` caps the count.
-        let records = (target - applied).min(left.min(REPL_BATCH) as u64) as usize;
-        let txns = match log.read_from(h, ctx, off, REPL_BYTES, records) {
+        let bytes = end.saturating_sub(off).min(REPL_BYTES);
+        if bytes == 0 {
+            return;
+        }
+        let txns = match log.read_from(h, ctx, off, bytes, (target - applied) as usize) {
             Ok(txns) if !txns.is_empty() => txns,
-            _ => return false, // not readable yet; retry later
+            _ => return, // not readable yet; the next notice retries
         };
         for txn in txns {
             let [key, value] = &txn.entries[..] else {
-                return false;
+                return;
             };
             if store.apply(h, ctx, applied + 1, key, value).is_err() {
-                return false;
+                return;
             }
             if delay > 0 {
                 ctx.work(delay);
             }
             applied += 1;
-            left -= 1;
             state.applied.store(applied, Ordering::Release);
             state.next_off.store(
                 txn.offset + update_record_size(key, value),
@@ -756,58 +710,27 @@ fn catch_up_from_log(
             );
         }
     }
-    applied >= target
-}
-
-/// Applies one replication frame, first closing any gap (missed
-/// frames) by replaying the log.
-fn apply_stream_frame(
-    state: &ReplicaState,
-    h: &mut LiteHandle,
-    ctx: &mut Ctx,
-    log: &LiteLog,
-    store: &mut Store,
-    frame: &Frame,
-    delay: u64,
-) {
-    if frame.seq <= state.applied.load(Ordering::Acquire) {
-        return; // duplicate (leader re-streamed after a lost ack)
-    }
-    if !catch_up_from_log(state, h, ctx, log, store, frame.seq - 1, delay, usize::MAX) {
-        return;
-    }
-    if store
-        .apply(h, ctx, frame.seq, &frame.key, &frame.value)
-        .is_err()
-    {
-        return;
-    }
-    if delay > 0 {
-        ctx.work(delay);
-    }
-    state.applied.store(frame.seq, Ordering::Release);
-    state.next_off.store(
-        frame.off + update_record_size(&frame.key, &frame.value),
-        Ordering::Release,
-    );
 }
 
 /// Parks the replicator until the leader has applied `REPL_BATCH` records
-/// past `streamed`, `IDLE_WAIT` has passed, or `stop()` was called.
-fn wait_for_batch(stream: &Stream, leader: &ReplicaState, streamed: u64) {
+/// past the last `committed` it announced, `IDLE_WAIT` has passed, or
+/// `stop()` was called.
+fn wait_for_batch(repl: &Replication, leader: &ReplicaState) {
+    let notified = repl.notified.load(Ordering::Acquire);
     let ready = || {
-        stream.stop.load(Ordering::SeqCst)
-            || leader.applied.load(Ordering::SeqCst) >= streamed + REPL_BATCH as u64
+        repl.stop.load(Ordering::SeqCst)
+            || leader.applied.load(Ordering::SeqCst) >= notified + REPL_BATCH
     };
-    stream.batch.park_until(ready, Instant::now() + IDLE_WAIT);
+    repl.batch.park_until(ready, Instant::now() + IDLE_WAIT);
 }
 
-/// The leader-side replication pump: streams committed updates to the
-/// followers in multicast batches, tracks acknowledgements, publishes
-/// the lag gauge, and cleans the log behind the slowest ack.
+/// The leader-side replication pump: tells every follower that is behind
+/// how far the log is committed (it reads the records itself), tracks
+/// acknowledgements, publishes the lag gauge, and cleans the log behind
+/// the slowest ack.
 fn run_replicator(
     spec: &KvSpec,
-    stream: &Stream,
+    repl: &Replication,
     leader: &ReplicaState,
     mut h: LiteHandle,
     mut ctx: Ctx,
@@ -818,88 +741,43 @@ fn run_replicator(
     let mut acked = vec![0u64; n]; // seq each follower acknowledged
     let mut acked_off = vec![0u64; n]; // their matching log offsets
     let mut down = vec![0u32; n]; // rounds left in a failure backoff
-    let mut repl_seq = 0u64; // last seq streamed
-    let mut repl_off = 0u64; // offset of seq repl_seq + 1
     let mut cleaned = 0u64; // log bytes already reclaimed
-    while !stream.stop.load(Ordering::Acquire) {
-        wait_for_batch(stream, leader, repl_seq);
+    while !repl.stop.load(Ordering::Acquire) {
+        wait_for_batch(repl, leader);
         for d in down.iter_mut() {
             *d = d.saturating_sub(1);
         }
+        // `applied` first: the leader stores `next_off` before it, so `end`
+        // reaches at least the end of record `committed`.
         let committed = leader.applied.load(Ordering::Acquire);
-        // Read the next batch out of the log with one one-sided read (the
-        // leader's serving thread is not involved), up to the end of the
-        // last record the leader applied.
         let end = leader.next_off.load(Ordering::Acquire);
-        let bytes = end.saturating_sub(repl_off).min(REPL_BYTES);
-        let txns = match bytes {
-            0 => Vec::new(),
-            _ => log
-                .read_from(&mut h, &mut ctx, repl_off, bytes, REPL_BATCH)
-                .unwrap_or_default(),
-        };
-        let mut frames = Vec::with_capacity(txns.len());
-        for txn in txns {
-            let Ok([key, value]) = <[Vec<u8>; 2]>::try_from(txn.entries) else {
-                break;
-            };
-            repl_seq += 1;
-            repl_off = txn.offset + update_record_size(&key, &value);
-            frames.push(Frame {
-                seq: repl_seq,
-                off: txn.offset,
-                key,
-                value,
-            });
-        }
-        stream.streamed.store(repl_seq, Ordering::Release);
-        if frames.is_empty() {
-            // Nothing new to stream. If some follower still trails
-            // (paused, recovering, restarted), probe it with an empty
-            // batch: followers pull the data from the log themselves, but
-            // only an ack round updates our lag view.
-            let trailing = n > 0 && acked.iter().any(|&a| a < committed);
-            if !trailing {
-                publish_lag(&stream.lag, &kernel, committed, &acked, n);
-                continue;
-            }
-        }
-        let buf = enc_frames(&frames);
-        // Skip followers sitting out a failure backoff; a partial
-        // multicast failure towards one follower must not stall the
-        // stream to the others (they recover from the log anyway).
-        let targets: Vec<(usize, usize)> = spec
-            .followers
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| down[*i] == 0)
+        repl.notified.store(committed, Ordering::Release);
+        // Skip followers that are caught up or sit out a failure backoff; a
+        // failed call towards one follower must not stall the others.
+        let targets: Vec<usize> = (0..n)
+            .filter(|&i| down[i] == 0 && acked[i] < committed)
             .collect();
-        let nodes: Vec<usize> = targets.iter().map(|&(_, node)| node).collect();
-        if !nodes.is_empty() {
+        if !targets.is_empty() {
+            let nodes: Vec<usize> = targets.iter().map(|&i| spec.followers[i]).collect();
+            let notice = enc_pair(committed, end);
             let results = h
-                .lt_multicast_rpc_partial(&mut ctx, &nodes, FN_REPL, &buf, 32)
+                .lt_multicast_rpc_partial(&mut ctx, &nodes, FN_REPL, &notice, 32)
                 .unwrap_or_else(|_| vec![Err(LiteError::Timeout); nodes.len()]);
-            for ((i, _), result) in targets.iter().zip(results) {
-                let ack = result.ok().and_then(|rep| {
-                    let (seq, rest) = rep.split_first_chunk()?;
-                    let off = rest.first_chunk()?;
-                    Some((u64::from_le_bytes(*seq), u64::from_le_bytes(*off)))
-                });
-                match ack {
+            for (&i, result) in targets.iter().zip(results) {
+                match result.ok().as_deref().and_then(dec_pair) {
                     Some((seq, off)) => {
-                        acked[*i] = acked[*i].max(seq);
-                        acked_off[*i] = acked_off[*i].max(off);
+                        acked[i] = acked[i].max(seq);
+                        acked_off[i] = acked_off[i].max(off);
                     }
-                    None => down[*i] = DOWN_ROUNDS,
+                    None => down[i] = DOWN_ROUNDS,
                 }
             }
         }
-        publish_lag(&stream.lag, &kernel, committed, &acked, n);
+        publish_lag(&repl.lag, &kernel, committed, &acked, n);
         // Ack-aware cleaning: reclaim only what every follower has
         // durably applied. A dead follower pins the log; staleness is
         // bounded by the log capacity (DESIGN.md §15).
-        let min_off = acked_off.iter().copied().min().unwrap_or(repl_off);
+        let min_off = acked_off.iter().copied().min().unwrap_or(end);
         if min_off.saturating_sub(cleaned) >= spec.log_capacity / 4 {
             if let Ok(txns) = log.clean(&mut h, &mut ctx, min_off - cleaned) {
                 for t in &txns {

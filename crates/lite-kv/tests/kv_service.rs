@@ -2,8 +2,8 @@
 //! trips on every replica, session consistency with a stalled
 //! follower, event-log scans, capacity overflow over `lite::mm`
 //! tiering, the kernel gauges the service feeds, set-up failures,
-//! replication in batches (and a lone put not left waiting for one), and
-//! prompt shutdown.
+//! replication in batches (and a lone put not left waiting for one) that
+//! carries no record bytes, and prompt shutdown.
 
 use std::time::{Duration, Instant};
 
@@ -250,11 +250,10 @@ fn calls(cluster: &LiteCluster, spec: &KvSpec) -> Vec<u64> {
     spec.followers.iter().map(of).collect()
 }
 
-/// The replicator streams batches, not puts: N puts back to back reach each
-/// follower in about N / 32 replication calls — each one a full batch of 32
-/// or the close of a 1 ms window, so in release (the puts take ~3 ms) at
-/// most 2·N/32 + 2. A replicator woken on every apply sends about one a
-/// put.
+/// The replicator calls in batches, not puts: N puts back to back reach
+/// each follower in about N / 32 replication calls — each one for a full
+/// batch of 32 or at the close of a 1 ms window. A replicator woken on
+/// every apply sends about one a put.
 #[test]
 fn replication_streams_in_batches() {
     const N: u64 = 8 * 32;
@@ -292,8 +291,8 @@ fn replication_streams_in_batches() {
 }
 
 /// A put with nothing behind it is not left waiting for a batch to fill:
-/// the replicator's window closes within 1 ms and streams it. The follower
-/// is sent it, and does not only find it with its own anti-entropy read.
+/// the replicator's window closes within 1 ms and tells every follower,
+/// which reads the record out of the log.
 #[test]
 fn a_lone_put_reaches_every_follower() {
     let cluster = LiteCluster::start(4).unwrap();
@@ -318,6 +317,46 @@ fn a_lone_put_reaches_every_follower() {
             .collect::<Vec<_>>(),
         calls(&cluster, &spec),
     );
+    svc.stop();
+}
+
+/// Replication is the log: the leader's node sends each follower notices
+/// of a few words, and the followers read the records out of its log. 256
+/// puts of 64 B are ~24 KiB of records; a replicator that sent them would
+/// move that much towards each follower.
+#[test]
+fn replication_sends_no_record_bytes() {
+    const N: u64 = 256;
+    let cluster = LiteCluster::start(4).unwrap();
+    let spec = KvSpec::new("kv", 1, &[2, 3]);
+    let svc = KvService::spawn(&cluster, spec.clone());
+    let sent = |f: usize| {
+        let stats = cluster.attach(spec.leader).unwrap().lt_stats();
+        stats
+            .peers
+            .iter()
+            .find(|p| p.peer == f)
+            .map_or(0, |p| p.bytes)
+    };
+    let before: Vec<u64> = spec.followers.iter().map(|&f| sent(f)).collect();
+    let mut ctx = Ctx::new();
+    let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+    for i in 0..N {
+        c.put(&mut ctx, &i.to_le_bytes(), &[7; 64]).unwrap();
+    }
+    assert!(
+        eventually(Duration::from_secs(10), || {
+            spec.followers.iter().all(|&f| svc.applied_seq(f) == N)
+        }),
+        "followers never caught up"
+    );
+    for (&f, before) in spec.followers.iter().zip(before) {
+        let grew = sent(f) - before;
+        assert!(
+            grew < 2_048,
+            "leader node sent follower {f} {grew} B for {N} puts"
+        );
+    }
     svc.stop();
 }
 
