@@ -2,14 +2,13 @@
 //!
 //! The build environment has no access to crates.io, so this vendored
 //! shim provides the (small) subset of `parking_lot`'s API the workspace
-//! uses — `Mutex`, `RwLock`, and `Condvar` with guard-returning lock
-//! methods and no poisoning — implemented over `std::sync`. Semantics
-//! match `parking_lot` for every call site in this repo: a panicked
-//! holder does not poison the lock for later users.
+//! uses — `Mutex` and `RwLock` with guard-returning lock methods —
+//! implemented over `std::sync`. Semantics match `parking_lot` for every
+//! call site in this repo: a panicked holder does not poison the lock for
+//! later users.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Mutex
@@ -20,38 +19,28 @@ use std::time::{Duration, Instant};
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
 /// RAII guard for [`Mutex`].
-pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+pub struct MutexGuard<'a, T: ?Sized>(std::sync::MutexGuard<'a, T>);
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
     pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, ignoring poisoning (parking_lot has none).
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(|e| e.into_inner())))
+        MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Tries to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
+            Ok(g) => Some(MutexGuard(g)),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -64,13 +53,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard present")
+        &self.0
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard present")
+        &mut self.0
     }
 }
 
@@ -93,11 +82,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock(std::sync::RwLock::new(value))
     }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -109,12 +93,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires exclusive access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
     }
 }
 
@@ -135,81 +113,6 @@ impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
-    }
-}
-
-// ---------------------------------------------------------------------
-// Condvar
-// ---------------------------------------------------------------------
-
-/// Result of a timed condition-variable wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable usable with [`MutexGuard`] (parking_lot style:
-/// the guard is passed by `&mut`).
-#[derive(Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Blocks until notified.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard present");
-        let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
-        guard.0 = Some(inner);
-    }
-
-    /// Blocks until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard present");
-        let (inner, res) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        guard.0 = Some(inner);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Blocks until notified or `deadline` is reached.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        if timeout.is_zero() {
-            return WaitTimeoutResult(true);
-        }
-        self.wait_for(guard, timeout)
-    }
-
-    /// Wakes one waiter. Returns whether a thread was woken (always
-    /// `false` here: std does not report it; no call site consumes it).
-    pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
-        false
-    }
-
-    /// Wakes all waiters. Return value as in [`Condvar::notify_one`].
-    pub fn notify_all(&self) -> bool {
-        self.0.notify_all();
-        false
     }
 }
 
@@ -243,28 +146,5 @@ mod tests {
         }
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out_and_wakes() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        // Timeout path.
-        {
-            let mut g = pair.0.lock();
-            let res = pair.1.wait_for(&mut g, Duration::from_millis(10));
-            assert!(res.timed_out());
-        }
-        // Wake path.
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            *p2.0.lock() = true;
-            p2.1.notify_all();
-        });
-        let mut g = pair.0.lock();
-        while !*g {
-            let res = pair.1.wait_for(&mut g, Duration::from_secs(5));
-            assert!(!res.timed_out() || *g);
-        }
-        t.join().unwrap();
     }
 }

@@ -108,6 +108,10 @@ fn b_an_echo_wakes_no_kernel_thread() {
     let server = echo_server(&cluster, 1);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
+    // A thread takes its name once it first runs: make node 1's
+    // kernel-call thread serve a call before looking it up by name.
+    let lh = h.lt_malloc(&mut ctx, 1, 4096, "b.warm", Perm::RW).unwrap();
+    h.lt_free(&mut ctx, lh).unwrap();
     echo(&mut h, &mut ctx, 1, 0);
     let before = voluntary_switches("lite-kcall-1").expect("node 1's kernel-call thread");
     for i in 0..2_000 {

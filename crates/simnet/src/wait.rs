@@ -8,9 +8,8 @@
 //! condition variable (`tools/one_wait.sh`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 /// What threads park on until the state it announces changes.
 ///
@@ -18,7 +17,7 @@ use parking_lot::{Condvar, Mutex};
 /// [`Event::wake`]: under a lock `ready` also takes, or `SeqCst`. A parker
 /// counts itself in before it checks `ready` and holds the event's lock
 /// from that check until it sleeps, so the one load in `wake` cannot miss
-/// it.
+/// it. A thread that panics holding the lock does not poison the event.
 #[derive(Default)]
 pub struct Event {
     parked: AtomicUsize,
@@ -34,7 +33,7 @@ impl Event {
             // Once the lock is free, every counted parker is asleep or yet
             // to check `ready`. Notify after letting go: a parker woken
             // under it would block on it at once.
-            drop(self.lock.lock());
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
             self.cv.notify_all();
         }
     }
@@ -45,14 +44,17 @@ impl Event {
     /// event while holding one of them.
     pub fn park_until(&self, mut ready: impl FnMut() -> bool, deadline: Instant) -> bool {
         self.parked.fetch_add(1, Ordering::SeqCst);
-        let mut g = self.lock.lock();
+        let mut g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         let done = loop {
             if ready() {
                 break true;
             }
-            if self.cv.wait_until(&mut g, deadline).timed_out() {
-                break ready();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break false;
             }
+            let waited = self.cv.wait_timeout(g, left);
+            g = waited.unwrap_or_else(PoisonError::into_inner).0;
         };
         self.parked.fetch_sub(1, Ordering::SeqCst);
         done

@@ -7,9 +7,9 @@
 //! overhead). All constants are calibrated to the paper's Figure 6/7
 //! TCP lines (~20+ µs small-message latency, ~2 GB/s peak streaming).
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use simnet::{Ctx, Nanos, Resource};
 
 /// Cost parameters for the TCP/IPoIB stack.
@@ -99,8 +99,8 @@ impl TcpNet {
     /// Creates a connected socket pair between nodes `a` and `b`.
     pub fn connect(self: &Arc<Self>, a: usize, b: usize) -> (TcpSock, TcpSock) {
         assert!(a < self.nodes.len() && b < self.nodes.len());
-        let (tx_ab, rx_ab) = unbounded();
-        let (tx_ba, rx_ba) = unbounded();
+        let (tx_ab, rx_ab) = channel();
+        let (tx_ba, rx_ba) = channel();
         (
             TcpSock {
                 net: Arc::clone(self),

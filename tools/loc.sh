@@ -13,11 +13,13 @@ nontest() {
   find "$@" -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }' {} + 2>/dev/null |
     awk '{ n += $1 } END { print n + 0 }'
 }
-echo "== lines of Rust per crate (src/**, src/** up to #[cfg(test)], tests/**, all .rs) =="
+echo "== lines of Rust per crate and vendored shim (src/**, src/** up to #[cfg(test)], tests/**; total adds benches/** and examples/**) =="
 printf '%-24s %6s %8s %6s %6s\n' crate src non-test tests total
-for c in crates/*/; do
-  printf '%-24s %6s %8s %6s %6s\n' "$(basename "$c")" "$(lines "$c"src)" "$(nontest "$c"src)" \
-    "$(lines "$c"tests)" "$(lines "$c")"
+for c in crates/*/ crates/compat/*/; do
+  [ -d "$c"src ] || continue
+  name=${c#crates/}
+  printf '%-24s %6s %8s %6s %6s\n' "${name%/}" "$(lines "$c"src)" "$(nontest "$c"src)" \
+    "$(lines "$c"tests)" "$(lines "$c"src "$c"tests "$c"benches "$c"examples)"
 done
 printf '%-24s %6s %8s %6s %6s\n' "root (src+examples+tests)" "$(lines src examples)" \
   "$(nontest src examples)" "$(lines tests)" "$(lines src examples tests)"
