@@ -8,12 +8,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use lite::{Lh, LiteCluster, LiteError, LiteHandle, LiteResult, Perm, Priority, USER_FUNC_MIN};
 use lite_log::LiteLog;
 use rnic::COST;
-use simnet::wait::Event;
+use simnet::wait::{Deadline, Event};
 use simnet::Ctx;
 
 use crate::record::{self, Slot, HEADER};
@@ -721,7 +721,7 @@ fn wait_for_batch(repl: &Replication, leader: &ReplicaState) {
         repl.stop.load(Ordering::SeqCst)
             || leader.applied.load(Ordering::SeqCst) >= notified + REPL_BATCH
     };
-    repl.batch.park_until(ready, Instant::now() + IDLE_WAIT);
+    repl.batch.park_until(ready, Deadline::after(IDLE_WAIT));
 }
 
 /// The leader-side replication pump: tells every follower that is behind

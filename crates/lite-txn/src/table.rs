@@ -181,11 +181,10 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::sync::OnceLock;
-use std::time::Instant;
 
 use lite::verify::{fingerprint, proc_id, TxnLog, TxnOp, TxnOutcome};
 use lite::{ChainOp, ChainOut, Lh, LiteError, LiteHandle, Perm};
+use simnet::wait::lease_ms;
 use simnet::{Ctx, Nanos};
 
 /// Errors surfaced by the transaction layer.
@@ -280,16 +279,6 @@ const READ_ATTEMPTS: u32 = 512;
 /// Bounded CAS attempts per lock acquisition.
 const LOCK_ATTEMPTS: u32 = 16;
 
-/// Host-wall milliseconds since a process-global base (never 0). Leases
-/// deliberately use host time, not simnet virtual time: virtual clocks
-/// are per-thread and cannot order a crashed committer's silence
-/// against a recovering peer's progress.
-fn now_ms() -> u64 {
-    static BASE: OnceLock<Instant> = OnceLock::new();
-    let base = *BASE.get_or_init(Instant::now);
-    base.elapsed().as_millis() as u64 + 1
-}
-
 fn lock_word(slot: u16, epoch: u64, expiry_ms: u64) -> u64 {
     1 | ((slot as u64) << 1) | ((expiry_ms & 0xffff_ffff) << 17) | ((epoch & 0x7fff) << 49)
 }
@@ -311,9 +300,9 @@ fn lock_epoch15(w: u64) -> u64 {
 }
 
 /// Whether a lease that runs until `expiry_ms` (low 32 bits of
-/// [`now_ms`]) is over.
+/// [`lease_ms`]) is over.
 fn expired(expiry_ms: u64) -> bool {
-    (now_ms() & 0xffff_ffff) > expiry_ms
+    (lease_ms() & 0xffff_ffff) > expiry_ms
 }
 
 fn lock_expired(w: u64) -> bool {
@@ -713,7 +702,7 @@ impl TxnTable {
                     TxnTable::backoff(ctx, attempt); // live owner/recoverer
                     continue;
                 }
-                let fresh = lock_word(slot, epoch, (now_ms() + self.spec.lease_ms) & 0xffff_ffff);
+                let fresh = lock_word(slot, epoch, (lease_ms() + self.spec.lease_ms) & 0xffff_ffff);
                 if h.lt_cmp_swap(ctx, self.lh, self.rec_off(rec), cur, fresh)? != cur {
                     continue; // someone else claimed it; re-read
                 }
@@ -1073,7 +1062,7 @@ impl Txn<'_> {
         let epoch = (from >> 4) + 1;
         // The lease runs from here, not from before a claim that may have
         // waited for a slot.
-        let expiry = (now_ms() + t.spec.lease_ms) & 0xffff_ffff;
+        let expiry = (lease_ms() + t.spec.lease_ms) & 0xffff_ffff;
         let own = (slot, from, expiry);
         let lw = lock_word(slot, epoch, expiry);
         let slot_off = t.slot_off(slot);

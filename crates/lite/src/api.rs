@@ -38,9 +38,10 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rnic::{NodeId, COST};
+use simnet::wait::Deadline;
 use simnet::{Ctx, Nanos};
 use smem::{Chunk, PhysMem};
 
@@ -592,7 +593,7 @@ impl LiteHandle {
     /// under the *same* lh number. The permission the handle already
     /// carries is preserved — a plain `FN_MAP` reply would downgrade a
     /// master handle to the granted perm.
-    fn refresh_lh(&mut self, ctx: &mut Ctx, lh: Lh, deadline: Instant) -> LiteResult<()> {
+    fn refresh_lh(&mut self, ctx: &mut Ctx, lh: Lh, deadline: Deadline) -> LiteResult<()> {
         let (master, name, perm) = self.kernel.with_lh(self.pid, lh, |entry| {
             Ok((entry.id.node as NodeId, entry.name.clone(), entry.perm))
         })?;
@@ -632,9 +633,9 @@ impl LiteHandle {
                 Err(LiteError::Relocated) => {}
                 done => return done,
             }
-            let now = Instant::now();
-            let deadline = *deadline.get_or_insert(now + self.kernel.config.op_timeout);
-            if now >= deadline {
+            let deadline =
+                *deadline.get_or_insert_with(|| Deadline::after(self.kernel.config.op_timeout));
+            if deadline.passed() {
                 return Err(LiteError::Timeout);
             }
             for &lh in lhs {
@@ -1258,7 +1259,7 @@ impl LiteHandle {
         // Each failed kcall already burns up to one op_timeout, so the
         // attempt budget (not the deadline) bounds the error path; the
         // deadline bounds the "no waiter yet" waits.
-        let deadline = Instant::now() + self.kernel.config.op_timeout * 4;
+        let deadline = Deadline::after(self.kernel.config.op_timeout * 4);
         let owner = self.kernel.try_dir().ok().and_then(|d| d.kernel(lock.node));
         let moves = |k: &LiteKernel| k.lock_moves.load(Ordering::SeqCst);
         let mut errs = 0;
@@ -1288,7 +1289,7 @@ impl LiteHandle {
                     }
                 }
             }
-            if Instant::now() >= deadline {
+            if deadline.passed() {
                 return Err(last);
             }
             ctx.work(2_000); // back off before re-asking

@@ -11,11 +11,11 @@
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use rnic::{IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr, COST};
-use simnet::wait::pause;
+use simnet::wait::{pause, Deadline};
 use simnet::{Ctx, Nanos};
 use smem::{PhysAllocator, PhysMem};
 
@@ -181,7 +181,7 @@ pub struct Completion {
 struct PeerHealth {
     consecutive_timeouts: AtomicU32,
     dead: AtomicBool,
-    last_probe: Mutex<Option<Instant>>,
+    next_probe: Mutex<Option<Deadline>>,
 }
 
 /// The verbs-backed datapath of the LITE kernel.
@@ -317,7 +317,7 @@ impl RnicDataPath {
             Some(_) => {}
             None => return Err(LiteError::NodeDown { node: peer }),
         }
-        let start = Instant::now();
+        let start = std::time::Instant::now();
         let _g = self.dir.lock_connect();
         // Double-check under the lock (the peer's ensure may have won).
         if self.wired[peer].load(Ordering::Acquire) {
@@ -489,7 +489,7 @@ impl RnicDataPath {
             h.consecutive_timeouts.store(0, Ordering::Relaxed);
         }
         if h.dead.load(Ordering::Acquire) && h.dead.swap(false, Ordering::AcqRel) {
-            *h.last_probe.lock() = None;
+            *h.next_probe.lock() = None;
         }
     }
 
@@ -513,10 +513,10 @@ impl RnicDataPath {
             return false;
         };
         let interval = (self.op_timeout / 4).max(Duration::from_millis(5));
-        let mut last = h.last_probe.lock();
-        let due = last.is_none_or(|t| t.elapsed() >= interval);
+        let mut next = h.next_probe.lock();
+        let due = next.is_none_or(Deadline::passed);
         if due {
-            *last = Some(Instant::now());
+            *next = Some(Deadline::after(interval));
         }
         due
     }
@@ -621,8 +621,8 @@ impl RnicDataPath {
                     retried(ctx.now());
                 }
                 Err(e @ (LiteError::Timeout | LiteError::NodeDown { .. })) => {
-                    let now = Instant::now();
-                    if now >= *deadline.get_or_insert(now + self.op_timeout) {
+                    let deadline = deadline.get_or_insert_with(|| Deadline::after(self.op_timeout));
+                    if deadline.passed() {
                         self.note_peer_timeout(peer);
                         self.retry.ops_failed.fetch_add(1, Ordering::Relaxed);
                         return Err(e);
@@ -794,11 +794,10 @@ impl RnicDataPath {
                 Err(VerbsError::ReceiverNotReady) if tries < 1000 => {
                     tries += 1;
                     ctx.clock.advance(200);
-                    let deadline =
-                        *deadline.get_or_insert_with(|| Instant::now() + self.op_timeout);
+                    let deadline = deadline.get_or_insert_with(|| Deadline::after(self.op_timeout));
                     let reposted = self.dir.kernel(dst).is_some_and(|peer| {
                         peer.credits
-                            .park_until(|| peer.shared_rq.depth() > 0, deadline)
+                            .park_until(|| peer.shared_rq.depth() > 0, *deadline)
                     });
                     if !reposted {
                         return Err(VerbsError::ReceiverNotReady.into());

@@ -15,12 +15,12 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use rnic::qp::RecvEntry;
 use rnic::{NodeId, Wc, WcOpcode, COST};
-use simnet::wait::Event;
+use simnet::wait::{Deadline, Event};
 use simnet::{CpuMeter, Ctx, Nanos};
 use smem::Chunk;
 
@@ -269,10 +269,10 @@ impl LiteKernel {
         // the ring pair lazily here.
         self.ensure_ring(server)?;
         let ring = self.client_ring(server)?;
-        let deadline = std::time::Instant::now() + self.config.op_timeout;
+        let deadline = Deadline::after(self.config.op_timeout);
         loop {
             match ring.try_reserve(total_len) {
-                Err(LiteError::RingFull) if std::time::Instant::now() <= deadline => {}
+                Err(LiteError::RingFull) if !deadline.passed() => {}
                 reserved => return reserved,
             }
             let seen = ring.head();
@@ -389,7 +389,7 @@ impl LiteKernel {
     /// Parks until one of `funcs` has a queued call (`true`) or `timeout`
     /// passes (`false`). Takes no call and charges no virtual time.
     pub(crate) fn wait_rpc(&self, funcs: &[u8], timeout: Duration) -> LiteResult<bool> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Deadline::after(timeout);
         let queues = funcs
             .iter()
             .map(|&f| self.queue_of(f))

@@ -63,11 +63,11 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use rnic::NodeId;
-use simnet::wait::Event;
+use simnet::wait::{Deadline, Event};
 use simnet::{Ctx, Lru};
 use smem::Chunk;
 
@@ -643,7 +643,7 @@ impl MemManager {
                     }
                 }
             };
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + PIN_DEADLINE);
+            let deadline = *deadline.get_or_insert_with(|| Deadline::after(PIN_DEADLINE));
             let ended = || seg.residency.load(Ordering::SeqCst) != R_MIGRATING;
             if !wait || !seg.changed.park_until(ended, deadline) {
                 self.redirects.fetch_add(1, Ordering::Relaxed);
@@ -693,7 +693,7 @@ impl MemManager {
 
     fn drain_requests(&self, interval: Duration) -> Vec<MmRequest> {
         let ready = || self.stopping() || !self.queue.lock().is_empty();
-        self.requested.park_until(ready, Instant::now() + interval);
+        self.requested.park_until(ready, Deadline::after(interval));
         self.queue.lock().drain(..).collect()
     }
 
@@ -709,7 +709,7 @@ impl MemManager {
     /// Parks until no migration is in flight or one that was ends, or
     /// `deadline` passes: what an access that lost to a migration
     /// (`Relocated`) waits out before it refreshes its location.
-    pub(crate) fn wait_migrations(&self, deadline: Instant) {
+    pub(crate) fn wait_migrations(&self, deadline: Deadline) {
         let seen = self.ended.load(Ordering::SeqCst);
         let ended = || {
             self.in_flight.load(Ordering::SeqCst) == 0 || self.ended.load(Ordering::SeqCst) != seen
@@ -852,7 +852,7 @@ impl MemManager {
         // increment is not visible here, the claim preceding this load
         // is visible to that pin's residency re-check, and it backs off.
         let drained = || seg.pins.load(Ordering::SeqCst) == 0;
-        let deadline = Instant::now() + DRAIN_DEADLINE;
+        let deadline = Deadline::after(DRAIN_DEADLINE);
         drained() || (!self.stopping() && seg.changed.park_until(drained, deadline))
     }
 
@@ -1355,6 +1355,7 @@ fn migrate_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn cfg(budget: u64) -> LiteConfig {
         LiteConfig {

@@ -22,10 +22,9 @@
 //! map and advances the head over the contiguous freed prefix.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use parking_lot::Mutex;
-use simnet::wait::Event;
+use simnet::wait::{Deadline, Event};
 use simnet::Nanos;
 use smem::{MemError, PhysAddr, PhysMem};
 
@@ -288,7 +287,7 @@ impl ServerRing {
     /// or `deadline` passes. Simulation pacing only, no virtual time: a
     /// client whose pull showed no progress would re-read the cell until
     /// it changes, and only the read that sees the change is modelled.
-    pub fn wait_past(&self, seen: u64, deadline: Instant) {
+    pub fn wait_past(&self, seen: u64, deadline: Deadline) {
         self.moved.park_until(|| self.head() > seen, deadline);
     }
 

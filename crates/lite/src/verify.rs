@@ -1011,7 +1011,7 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
     // the sweeper must have evicted at least once (usually mid-run;
     // the deadline only covers a slow first sweep).
     if w.mem_budget > 0 {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = simnet::wait::Deadline::after(Duration::from_secs(5));
         let mm = cluster.kernel(owner).mm();
         let evicted = || mm.stats().evictions > 0;
         if !mm.migrated.park_until(evicted, deadline) {

@@ -5,11 +5,40 @@
 //! replication stream), and whoever changes that state wakes it. A wait
 //! nothing in the process ends (a peer that is down, a host-time lease) is
 //! a [`pause`]. Nothing else in the product sleeps, yields or keeps a
-//! condition variable (`tools/one_wait.sh`).
+//! condition variable (`tools/one_wait.sh`). What a wait waits until is a
+//! [`Deadline`], and a lease is stamped in [`lease_ms`]: only this module
+//! reads the host clock to make either (`tools/one_clock.sh`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The host instant a wait, an interval or a lease runs until.
+#[derive(Clone, Copy, Debug)]
+pub struct Deadline(Instant);
+
+impl Deadline {
+    /// `d` from now.
+    #[inline]
+    pub fn after(d: Duration) -> Self {
+        Deadline(Instant::now() + d)
+    }
+
+    /// Whether the host clock has reached this deadline.
+    #[inline]
+    pub fn passed(self) -> bool {
+        Instant::now() >= self.0
+    }
+}
+
+/// Host-wall ms since a process-wide base, never 0: the lease clock. Host,
+/// not virtual, time: virtual clocks are per-thread and cannot order a
+/// crashed committer's silence against a recovering peer's progress.
+pub fn lease_ms() -> u64 {
+    static BASE: OnceLock<Instant> = OnceLock::new();
+    let base = *BASE.get_or_init(Instant::now);
+    base.elapsed().as_millis() as u64 + 1
+}
 
 /// What threads park on until the state it announces changes.
 ///
@@ -38,18 +67,18 @@ impl Event {
         }
     }
 
-    /// Parks until `ready()` holds (`true`) or the host clock passes
-    /// `deadline` (`false`, after one last check). `ready` runs under the
-    /// event's lock: it may take other locks, but then nobody may wake this
-    /// event while holding one of them.
-    pub fn park_until(&self, mut ready: impl FnMut() -> bool, deadline: Instant) -> bool {
+    /// Parks until `ready()` holds (`true`) or `deadline` passes (`false`,
+    /// after one last check; a passed deadline still checks once). `ready`
+    /// runs under the event's lock: it may take other locks, but then
+    /// nobody may wake this event while holding one of them.
+    pub fn park_until(&self, mut ready: impl FnMut() -> bool, deadline: Deadline) -> bool {
         self.parked.fetch_add(1, Ordering::SeqCst);
         let mut g = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         let done = loop {
             if ready() {
                 break true;
             }
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.0.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break false;
             }
@@ -69,7 +98,7 @@ impl Event {
                 got = take();
                 got.is_some()
             };
-            self.park_until(ready, Instant::now() + d);
+            self.park_until(ready, Deadline::after(d));
         }
         got
     }
@@ -92,18 +121,54 @@ mod tests {
         let set = AtomicU64::new(0);
         set.store(1, Ordering::SeqCst);
         ev.wake();
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let deadline = Deadline::after(Duration::from_secs(10));
         assert!(ev.park_until(|| set.load(Ordering::SeqCst) == 1, deadline));
-        assert!(Instant::now() < deadline);
+        assert!(!deadline.passed());
     }
 
     #[test]
     fn a_deadline_returns_false() {
         let ev = Event::default();
-        let start = Instant::now();
-        let deadline = start + Duration::from_millis(20);
+        let deadline = Deadline::after(Duration::from_millis(20));
         assert!(!ev.park_until(|| false, deadline));
-        assert!(Instant::now() >= deadline);
+        assert!(deadline.passed());
+    }
+
+    #[test]
+    fn a_passed_deadline_still_checks_ready_once() {
+        let ev = Event::default();
+        let passed = Deadline::after(Duration::ZERO);
+        assert!(passed.passed());
+        let mut checks = 0;
+        let mut check = |holds| {
+            checks += 1;
+            holds
+        };
+        assert!(ev.park_until(|| check(true), passed));
+        assert!(!ev.park_until(|| check(false), passed));
+        assert_eq!(checks, 2);
+    }
+
+    /// Four threads read the lease clock for 30 ms each and publish the
+    /// largest reading: no thread ever reads less than one already
+    /// published.
+    #[test]
+    fn lease_ms_is_never_0_and_never_goes_back_across_threads() {
+        let seen = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let end = Deadline::after(Duration::from_millis(30));
+                    while !end.passed() {
+                        let before = seen.load(Ordering::SeqCst);
+                        let now = lease_ms();
+                        assert!(now > 0 && now >= before, "{now} after {before}");
+                        seen.fetch_max(now, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert!(seen.load(Ordering::SeqCst) > 0);
     }
 
     /// Four wakers each hand 2 500 events to their own parker, one at a
@@ -128,13 +193,13 @@ mod tests {
                 taken: AtomicU64::new(0),
             })
             .collect();
-        let deadline = Instant::now() + Duration::from_secs(10);
+        let deadline = Deadline::after(Duration::from_secs(10));
         std::thread::scope(|s| {
             for p in &pairs {
                 s.spawn(move || {
                     for k in 1..=EVENTS {
                         while p.taken.load(Ordering::SeqCst) < k - 1 {
-                            assert!(Instant::now() < deadline, "waker {k}");
+                            assert!(!deadline.passed(), "waker {k}");
                             std::thread::yield_now();
                         }
                         p.posted.store(k, Ordering::SeqCst);
@@ -151,7 +216,7 @@ mod tests {
                             posted
                         };
                         let woken = p.ev.park_until(posted, deadline);
-                        assert!(woken && Instant::now() < deadline, "parker {k}");
+                        assert!(woken && !deadline.passed(), "parker {k}");
                         p.taken.store(k, Ordering::SeqCst);
                     }
                 });

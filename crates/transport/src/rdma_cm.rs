@@ -9,11 +9,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rnic::qp::RecvEntry;
 use rnic::{Access, IbFabric, NodeId, Sge, VerbsError, VerbsResult, Wc, COST};
-use simnet::wait::Event;
+use simnet::wait::{Deadline, Event};
 use simnet::{Ctx, Nanos};
 use smem::AddrSpace;
 
@@ -130,7 +130,7 @@ impl RcmSock {
         let (free, freed) = &*self.peer_credits;
         let take = |c: usize| c.checked_sub(1);
         let took = || free.fetch_update(SeqCst, SeqCst, take).is_ok();
-        if !took() && !freed.park_until(took, Instant::now() + CREDIT_WAIT) {
+        if !took() && !freed.park_until(took, Deadline::after(CREDIT_WAIT)) {
             return Err(VerbsError::Timeout);
         }
         let nic = self.fabric.nic(self.node);

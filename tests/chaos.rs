@@ -332,17 +332,19 @@ fn eviction_churn_survives_swap_node_crash() {
 
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     let mut acked = [0u8; 64];
-    // Run at least 400 iterations AND until the scheduled restart has
-    // fired, so the workload always spans the whole crash window.
+    // Run at least 400 iterations, until the scheduled restart has fired
+    // AND until the sweeper has evicted at least once, so the workload
+    // always spans the whole crash window and the eviction race.
     let mut i = 0u32;
     loop {
-        if i >= 400 && cluster.fabric().fault_stats().restarts >= 1 {
+        let fired = cluster.fabric().fault_stats();
+        let evicted = cluster.kernel(0).mm_stats().evictions > 0;
+        if i >= 400 && fired.restarts >= 1 && evicted {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "restart never reached: {:?}",
-            cluster.fabric().fault_stats()
+            "restart or eviction never reached: {fired:?}, evicted: {evicted}"
         );
         let slot = (i % 64) as u64;
         let tag = [i as u8; 64];
