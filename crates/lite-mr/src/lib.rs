@@ -43,13 +43,6 @@ pub struct WordCountResult {
     pub phases: [u64; 3],
 }
 
-impl WordCountResult {
-    /// Counts as a map for comparisons.
-    pub fn as_map(&self) -> HashMap<u32, u64> {
-        self.counts.iter().copied().collect()
-    }
-}
-
 /// Reference (sequential, unmodeled) WordCount for verification.
 pub fn reference_counts(text: &Text) -> Vec<(u32, u64)> {
     let mut m: HashMap<u32, u64> = HashMap::new();

@@ -247,9 +247,7 @@ impl LiteHandle {
     /// feed only the class view; the datapath posts underneath them
     /// already account per-peer traffic.
     fn span(&self, class: OpClass, peer: NodeId, start: Nanos, end: Nanos) {
-        let Some(obs) = self.kernel.observe() else {
-            return;
-        };
+        let obs = self.kernel.observe();
         obs.record_span(class, self.prio, end.saturating_sub(start));
         if obs.sample() {
             let id = obs.next_op_id();
@@ -271,7 +269,7 @@ impl LiteHandle {
         invoke: Nanos,
         response: Nanos,
     ) {
-        let Some(log) = self.kernel.observe().and_then(|obs| obs.history().cloned()) else {
+        let Some(log) = self.kernel.observe().history() else {
             return;
         };
         log.record(HistOp {
@@ -599,7 +597,7 @@ impl LiteHandle {
         })?;
         // The master's manager moves the LMR's chunks, wherever they live:
         // wait out a migration there before asking for the new location.
-        if let Some(mm) = self.kernel.mm().peer(master) {
+        if let Some(mm) = self.kernel.dir.mm(master) {
             mm.wait_migrations(deadline);
         }
         let (id, _granted, location) = self.k_map(ctx, master, &name).map_err(|e| match e {
@@ -666,7 +664,7 @@ impl LiteHandle {
         let mut lmr_off = offset;
         let mut faulted = 0usize;
         for (node, c) in pieces {
-            if let Some(mm) = self.kernel.mm().peer(*node) {
+            if let Some(mm) = self.kernel.dir.mm(*node) {
                 match mm.pin(c.addr, c.len, id, lmr_off) {
                     crate::mm::PinOutcome::Untracked => {}
                     crate::mm::PinOutcome::Pinned(g, f) => {
@@ -1202,11 +1200,7 @@ impl LiteHandle {
     fn lock_word_add(&self, ctx: &mut Ctx, lock: LockId, delta: u64) -> LiteResult<u64> {
         let (node, addr) = (lock.node, lock.addr);
         let add = Op::FetchAdd { node, addr, delta };
-        Ok(self
-            .kernel
-            .try_datapath()?
-            .post(ctx, self.prio, &add)?
-            .value)
+        Ok(self.kernel.datapath.post(ctx, self.prio, &add)?.value)
     }
 
     fn lock_inner(&mut self, ctx: &mut Ctx, lock: LockId) -> LiteResult<()> {
@@ -1260,7 +1254,7 @@ impl LiteHandle {
         // attempt budget (not the deadline) bounds the error path; the
         // deadline bounds the "no waiter yet" waits.
         let deadline = Deadline::after(self.kernel.config.op_timeout * 4);
-        let owner = self.kernel.try_dir().ok().and_then(|d| d.kernel(lock.node));
+        let owner = self.kernel.dir.kernel(lock.node);
         let moves = |k: &LiteKernel| k.lock_moves.load(Ordering::SeqCst);
         let mut errs = 0;
         let mut last = LiteError::Timeout;
@@ -1302,7 +1296,7 @@ impl LiteHandle {
             Ok(_) => {
                 self.kernel.note_lock_unwind();
                 // An unlocker re-reading the word waits at the owner for this.
-                if let Some(owner) = self.kernel.try_dir().ok().and_then(|d| d.kernel(lock.node)) {
+                if let Some(owner) = self.kernel.dir.kernel(lock.node) {
                     owner.note_lock_move();
                 }
             }
@@ -1760,7 +1754,7 @@ mod tests {
         let unarmed = || -> OpKind { panic!("computed for an observer nobody armed") };
         h.record_reg(id, 0, 8, unarmed, true, 0, 1);
 
-        let log = cluster.record_history().unwrap();
+        let log = cluster.record_history();
         h.record_reg(id, 0, 8, || OpKind::Write { fp: 7 }, true, 0, 1);
         let ops = log.take().ops;
         assert_eq!(ops.len(), 1);

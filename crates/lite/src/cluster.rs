@@ -1,8 +1,9 @@
 //! Cluster construction: fabric, kernels, and the membership directory.
 //!
-//! Boot is **incremental**: starting a node creates its kernel, registers
-//! its membership record in the [`ClusterDirectory`], and starts its
-//! kernel-call thread — O(1) work per node, O(N) for the cluster. The
+//! Boot is **incremental**: starting a node builds its kernel and
+//! datapath, registers its membership record in the [`ClusterDirectory`],
+//! and starts its kernel-call thread, in one step
+//! ([`LiteKernel::boot`]) — O(1) work per node, O(N) for the cluster. The
 //! shared QP mesh and the ordered-pair RPC rings of the old eager
 //! bring-up are *not* built here; each pair is wired on first use by
 //! the datapath
@@ -21,7 +22,7 @@ use rnic::{IbConfig, IbFabric, NodeId};
 
 use crate::api::LiteHandle;
 use crate::config::LiteConfig;
-use crate::directory::{ClusterDirectory, DirEntry};
+use crate::directory::ClusterDirectory;
 use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::RnicDataPath;
 use crate::kernel::LiteKernel;
@@ -79,45 +80,24 @@ impl LiteCluster {
         Ok(cluster)
     }
 
-    /// Brings `node` up at runtime: creates its kernel, registers its
-    /// membership record, and starts its kernel-call thread — all under the
-    /// directory's connect lock so concurrent joins and lazy pair wiring
+    /// Brings `node` up at runtime ([`LiteKernel::boot`]) under the
+    /// directory's connect lock, so concurrent joins and lazy pair wiring
     /// serialize. Idempotent: joining a running node returns its kernel.
     pub fn join_node(&self, node: NodeId) -> LiteResult<Arc<LiteKernel>> {
         let slot = self.nodes.get(node).ok_or(LiteError::NodeDown { node })?;
         if let Some(k) = slot.get() {
             return Ok(Arc::clone(k));
         }
-        let kernel = Arc::new(LiteKernel::new(
-            node,
-            self.config.clone(),
-            Arc::clone(&self.fabric),
-        )?);
-        {
-            // Register + finish under one lock hold: a peer that finds
-            // the record can rely on the kernel being fully wired,
-            // because reaching it (ensure_qps / ensure_ring) takes this
-            // same lock.
+        let kernel = {
             let _g = self.dir.lock_connect();
             if let Some(k) = slot.get() {
                 return Ok(Arc::clone(k)); // lost a join race — fine
             }
-            self.dir.register(
-                node,
-                DirEntry {
-                    kernel: Arc::downgrade(&kernel),
-                    rkey: kernel.global_rkey(),
-                    qos: kernel.qos_arc(),
-                    mm: kernel.mm_arc(),
-                },
-            );
-            kernel.finish_setup(&self.dir)?;
-            let _ = slot.set(Arc::clone(&kernel));
-        }
+            let kernel = LiteKernel::boot(node, self.config.clone(), &self.fabric, &self.dir)?;
+            Arc::clone(slot.get_or_init(|| kernel))
+        };
         if let Some(log) = self.history.get() {
-            if let Some(obs) = kernel.observe() {
-                obs.install_history(Arc::clone(log));
-            }
+            kernel.observe().install_history(Arc::clone(log));
         }
         Ok(kernel)
     }
@@ -167,7 +147,7 @@ impl LiteCluster {
     ///
     /// [`Op`]: crate::kernel::datapath::Op
     pub fn datapath(&self, node: NodeId) -> Arc<RnicDataPath> {
-        Arc::clone(self.kernel(node).datapath())
+        Arc::clone(&self.kernel(node).datapath)
     }
 
     /// Attaches a user-level process on `node` (LT_join).
@@ -190,17 +170,13 @@ impl LiteCluster {
     /// was installed (first install wins on every node).
     ///
     /// [`HistoryLog`]: crate::verify::HistoryLog
-    pub fn record_history(&self) -> LiteResult<Arc<crate::verify::HistoryLog>> {
+    pub fn record_history(&self) -> Arc<crate::verify::HistoryLog> {
         let log = Arc::new(crate::verify::HistoryLog::new());
         let _ = self.history.set(Arc::clone(&log));
-        for slot in self.nodes.iter() {
-            let Some(k) = slot.get() else { continue };
-            let obs = k
-                .observe()
-                .ok_or(LiteError::Internal("datapath not initialized"))?;
-            obs.install_history(Arc::clone(&log));
+        for k in self.nodes.iter().filter_map(OnceLock::get) {
+            k.observe().install_history(Arc::clone(&log));
         }
-        Ok(log)
+        log
     }
 
     /// Switches the QoS mode on every joined node.

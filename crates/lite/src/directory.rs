@@ -24,8 +24,9 @@ use crate::qos::QosState;
 
 /// One node's membership record.
 pub(crate) struct DirEntry {
-    /// The node's kernel (weak: the cluster owns kernels, the directory
-    /// must not keep a stopped one alive).
+    /// The node's kernel (weak: the cluster owns kernels, and every
+    /// kernel holds the directory, so a strong handle here would be a
+    /// cycle). The one weak kernel handle in the crate.
     pub(crate) kernel: Weak<LiteKernel>,
     /// The node's global-MR rkey (§4.1).
     pub(crate) rkey: u32,
@@ -73,9 +74,9 @@ impl ClusterDirectory {
     }
 
     /// Registers `node`'s membership record; `false` if already present
-    /// or out of range. Callers hold [`ClusterDirectory::lock_connect`]
-    /// across register + kernel wiring so peers never observe a record
-    /// whose kernel is still half-built.
+    /// or out of range. Called by `LiteKernel::boot`, whose caller holds
+    /// [`ClusterDirectory::lock_connect`] across the whole bring-up, so
+    /// a peer never reaches a kernel whose threads have not started.
     pub(crate) fn register(&self, node: NodeId, entry: DirEntry) -> bool {
         let Some(slot) = self.entries.get(node) else {
             return false;
@@ -89,11 +90,6 @@ impl ClusterDirectory {
 
     fn entry(&self, node: NodeId) -> Option<&DirEntry> {
         self.entries.get(node)?.get()
-    }
-
-    /// Whether `node` has joined.
-    pub fn is_member(&self, node: NodeId) -> bool {
-        self.entry(node).is_some()
     }
 
     /// The node's kernel, if joined and alive.

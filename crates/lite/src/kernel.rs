@@ -12,8 +12,13 @@
 //! thread a node runs, `lite-kcall-N`, serves kernel calls (DESIGN.md
 //! §5.3).
 //!
-//! This file only holds the struct, construction, and cluster wiring;
-//! the behavior lives in focused submodules:
+//! A node comes up in one step, [`LiteKernel::boot`]: the kernel is
+//! built with its datapath and the cluster directory in hand, registered,
+//! and its threads started, all under the directory's connect lock. No
+//! kernel exists without its datapath, so nothing checks for one.
+//!
+//! This file only holds the struct and bring-up; the behavior lives in
+//! focused submodules:
 //!
 //! * [`datapath`] — op descriptors and the verbs-backed
 //!   [`datapath::RnicDataPath`] (one-sided plane + batching + recovery).
@@ -23,7 +28,7 @@
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc};
 
 use parking_lot::{Mutex, RwLock};
 use rnic::qp::{RecvEntry, RecvQueue};
@@ -33,7 +38,7 @@ use simnet::{CpuMeter, Ctx};
 use smem::{PhysAllocator, PhysMem};
 
 use crate::config::LiteConfig;
-use crate::directory::ClusterDirectory;
+use crate::directory::{ClusterDirectory, DirEntry};
 use crate::error::{LiteError, LiteResult};
 use crate::mm::MemManager;
 use crate::observe::{self, Observability, QosReport, StatsReport};
@@ -97,11 +102,10 @@ pub struct LiteKernel {
     pub(crate) fabric: Arc<IbFabric>,
     pub(crate) alloc: Arc<Mutex<PhysAllocator>>,
     global_mr: rnic::Mr,
-    datapath: OnceLock<Arc<RnicDataPath>>,
-    /// Cluster membership directory (rkeys, peer kernels).
-    dir: OnceLock<Arc<ClusterDirectory>>,
+    pub(crate) datapath: Arc<RnicDataPath>,
+    /// Cluster membership directory (rkeys, peer kernels and managers).
+    pub(crate) dir: Arc<ClusterDirectory>,
     pub(crate) shared_recv_cq: Arc<Cq>,
-    shared_send_cq: Arc<Cq>,
     shared_rq: Arc<RecvQueue>,
     /// Woken when dispatch reposts a credit to `shared_rq`: what a sender
     /// that found none (RNR) waits on.
@@ -155,7 +159,7 @@ pub struct LiteKernel {
     /// Sequence half of the cluster-unique synchronization tokens
     /// (enqueue / release identities on the lock fault paths).
     next_sync_token: AtomicU64,
-    /// Host-wall nanoseconds this node's `finish_setup` took (gauge).
+    /// Host-wall nanoseconds this node's `boot` took (gauge).
     boot_host_ns: AtomicU64,
     /// Host-wall nanoseconds spent wiring rings lazily (gauge; QP
     /// wiring time is tracked by the datapath).
@@ -163,9 +167,23 @@ pub struct LiteKernel {
 }
 
 impl LiteKernel {
-    /// Creates the kernel for `node`; the cluster finishes wiring with
-    /// [`LiteKernel::finish_setup`].
-    pub(crate) fn new(node: NodeId, config: LiteConfig, fabric: Arc<IbFabric>) -> LiteResult<Self> {
+    /// Brings `node` up in one step: builds the kernel and its datapath
+    /// (empty QP pools — peers are wired lazily on first use), registers
+    /// its membership record in `dir`, wires the self-loopback RPC ring,
+    /// pre-posts receive credits, and starts the kernel-call thread (and
+    /// the memory manager's, when it has work). The caller holds the
+    /// directory's connect lock, so a peer that finds the record finds a
+    /// running kernel: reaching it (`ensure_qps` / `ensure_ring`) takes
+    /// the same lock. O(1) per node, which is what makes cluster boot
+    /// O(N) instead of the old O(N²·K) full-mesh bring-up.
+    pub(crate) fn boot(
+        node: NodeId,
+        config: LiteConfig,
+        fabric: &Arc<IbFabric>,
+        dir: &Arc<ClusterDirectory>,
+    ) -> LiteResult<Arc<Self>> {
+        let boot_start = std::time::Instant::now();
+        let fabric = Arc::clone(fabric);
         let mem_size = fabric.mem(node).size();
         let alloc = Arc::new(Mutex::new(PhysAllocator::new(0, mem_size)));
         let mut ctx = Ctx::new();
@@ -180,17 +198,30 @@ impl LiteKernel {
         let shards = config.kernel_shards;
         let capacity = fabric.num_nodes();
         let poller_cpu = Arc::new(CpuMeter::new());
-        let kernel = LiteKernel {
+        let qos = Arc::new(QosState::new(COST.link_bytes_per_sec));
+        let shared_recv_cq = Arc::new(Cq::new());
+        let shared_rq = Arc::new(RecvQueue::new());
+        let datapath = Arc::new(RnicDataPath::new(
+            Arc::clone(&fabric),
+            node,
+            &config,
+            global_mr.lkey(),
+            Arc::clone(&qos),
+            Arc::clone(&alloc),
+            Arc::clone(dir),
+            Arc::clone(&shared_recv_cq),
+            Arc::clone(&shared_rq),
+        ));
+        let kernel = Arc::new(LiteKernel {
             node,
             config,
             fabric,
             alloc,
             global_mr,
-            datapath: OnceLock::new(),
-            dir: OnceLock::new(),
-            shared_recv_cq: Arc::new(Cq::new()),
-            shared_send_cq: Arc::new(Cq::new()),
-            shared_rq: Arc::new(RecvQueue::new()),
+            datapath,
+            dir: Arc::clone(dir),
+            shared_recv_cq,
+            shared_rq,
             credits: Event::default(),
             client_rings: RwLock::new(vec![None; capacity]),
             server_rings: RwLock::new(vec![None; capacity]),
@@ -211,7 +242,7 @@ impl LiteKernel {
             service_states: ShardedMap::new(shards),
             next_pid: AtomicU32::new(1),
             next_lh: AtomicU64::new(1),
-            qos: Arc::new(QosState::new(COST.link_bytes_per_sec)),
+            qos,
             mm,
             mm_thread: Mutex::new(None),
             dispatcher: Mutex::new(Dispatcher::new(Arc::clone(&poller_cpu))),
@@ -222,9 +253,55 @@ impl LiteKernel {
             next_sync_token: AtomicU64::new(1),
             boot_host_ns: AtomicU64::new(0),
             mesh_host_ns: AtomicU64::new(0),
-        };
+        });
         // FN_MSG delivers through a queue like user functions do.
         kernel.queues.insert(FN_MSG, Arc::default());
+        dir.register(
+            node,
+            DirEntry {
+                kernel: Arc::downgrade(&kernel),
+                rkey: kernel.global_mr.rkey(),
+                qos: Arc::clone(&kernel.qos),
+                mm: Arc::clone(&kernel.mm),
+            },
+        );
+        // The self-loopback ring is wired eagerly: kernel services RPC
+        // their own node (manager calls on node 0, local lock homes),
+        // and a node is always a member of itself.
+        let base = kernel.alloc_ring(node)?;
+        let size = kernel.config.rpc_ring_bytes;
+        kernel.server_rings.write()[node] = Some(Arc::new(ServerRing::new(base, size)?));
+        kernel.client_rings.write()[node] = Some(Arc::new(ClientRing::new(base, size)?));
+        // Pre-post receive credits for write-imm (the paper's background
+        // IMM-buffer posting).
+        for _ in 0..kernel.config.recv_credits {
+            kernel.shared_rq.post(RecvEntry {
+                wr_id: 0,
+                sge: None,
+            });
+        }
+        let (calls, served) = mpsc::channel();
+        let me = Arc::clone(&kernel);
+        let handle = std::thread::Builder::new()
+            .name(format!("lite-kcall-{node}"))
+            .spawn(move || me.serve_kernel_calls(served))
+            .map_err(|_| LiteError::Internal("could not spawn the kernel-call thread"))?;
+        *kernel.kcalls.lock() = Some(calls);
+        *kernel.kcall_thread.lock() = Some(handle);
+        // The tiering manager only runs when it has work — a budget to
+        // enforce or lazy pins to reap — so default clusters (neither)
+        // get no extra thread and byte-identical behavior.
+        if kernel.mm.tracking() {
+            let me = Arc::clone(&kernel);
+            let mm_handle = std::thread::Builder::new()
+                .name(format!("lite-mm-{node}"))
+                .spawn(move || crate::mm::run(me))
+                .map_err(|_| LiteError::Internal("could not spawn the memory manager"))?;
+            *kernel.mm_thread.lock() = Some(mm_handle);
+        }
+        let ns = boot_start.elapsed().as_nanos() as u64;
+        kernel.boot_host_ns.store(ns, Ordering::Relaxed);
+        dir.note_boot(ns);
         Ok(kernel)
     }
 
@@ -248,19 +325,9 @@ impl LiteKernel {
         &self.qos
     }
 
-    /// Shared handle to this node's QoS state (cluster wiring).
-    pub(crate) fn qos_arc(&self) -> Arc<QosState> {
-        Arc::clone(&self.qos)
-    }
-
     /// The node's memory-tiering manager.
     pub fn mm(&self) -> &Arc<MemManager> {
         &self.mm
-    }
-
-    /// Shared handle to this node's memory manager (cluster wiring).
-    pub(crate) fn mm_arc(&self) -> Arc<MemManager> {
-        Arc::clone(&self.mm)
     }
 
     /// Memory-tiering gauges.
@@ -270,59 +337,37 @@ impl LiteKernel {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> KernelStats {
-        let mut s = match self.datapath.get() {
-            Some(dp) => {
-                let mut s = self
-                    .counters
-                    .snapshot(dp.num_qps(), Some(dp.retry_counters()));
-                s.mesh_ns = self.mesh_host_ns.load(Ordering::Relaxed) + dp.mesh_host_ns();
-                s.lazy_connects = dp.lazy_connects();
-                s
-            }
-            None => self.counters.snapshot(0, None),
-        };
+        let dp = &self.datapath;
+        let mut s = self.counters.snapshot(dp.num_qps(), dp.retry_counters());
+        s.mesh_ns = self.mesh_host_ns.load(Ordering::Relaxed) + dp.mesh_host_ns();
+        s.lazy_connects = dp.lazy_connects();
         s.boot_ns = self.boot_host_ns.load(Ordering::Relaxed);
         s
     }
 
     /// Structured observability report: per-class × priority latency
     /// percentiles, per-peer gauges and liveness, trace-ring occupancy,
-    /// and QoS state. Before cluster wiring the report is empty (no
-    /// classes, no peers, zero-capacity ring).
+    /// and QoS state.
     pub fn lt_stats(&self) -> StatsReport {
         let qos = QosReport {
             mode: self.qos.mode(),
             rtt_ewma_ns: self.qos.rtt_estimate(),
         };
-        let nic = self.fabric.nic(self.node).stats();
-        match self.datapath.get() {
-            Some(dp) => observe::build_report(
-                self.node,
-                self.stats(),
-                dp.observer(),
-                |peer| !dp.peer_is_dead(peer),
-                qos,
-                self.mm.stats(),
-                nic,
-            ),
-            None => StatsReport {
-                node: self.node,
-                kernel: self.stats(),
-                classes: Vec::new(),
-                peers: Vec::new(),
-                trace: Default::default(),
-                qos,
-                mm: self.mm.stats(),
-                nic,
-                sample_rate: self.config.stats_sample_rate,
-            },
-        }
+        let dp = &self.datapath;
+        observe::build_report(
+            self.node,
+            self.stats(),
+            dp.observer(),
+            |peer| !dp.peer_is_dead(peer),
+            qos,
+            self.mm.stats(),
+            self.fabric.nic(self.node).stats(),
+        )
     }
 
-    /// The node's observability state (op traces + histograms), once the
-    /// cluster has wired the datapath.
-    pub fn observe(&self) -> Option<&Arc<Observability>> {
-        self.datapath.get().map(|dp| dp.observer())
+    /// The node's observability state (op traces + histograms).
+    pub fn observe(&self) -> &Arc<Observability> {
+        self.datapath.observer()
     }
 
     /// A cluster-unique synchronization token: node id in the top bits,
@@ -338,17 +383,15 @@ impl LiteKernel {
     /// observable instead of silent.
     pub(crate) fn note_cleanup_failure(&self, peer: NodeId, stamp: simnet::Nanos) {
         self.counters.count_cleanup_failure();
-        if let Some(obs) = self.observe() {
-            let id = obs.next_op_id();
-            obs.trace(
-                id,
-                crate::observe::OpClass::Mgmt,
-                crate::observe::EventKind::Failed,
-                crate::qos::Priority::Low,
-                peer,
-                stamp,
-            );
-        }
+        let obs = self.observe();
+        obs.trace(
+            obs.next_op_id(),
+            crate::observe::OpClass::Mgmt,
+            crate::observe::EventKind::Failed,
+            crate::qos::Priority::Low,
+            peer,
+            stamp,
+        );
     }
 
     /// Counts a lock-word unwind (a failed acquire rolled its
@@ -424,96 +467,19 @@ impl LiteKernel {
     /// release grant undeliverable). Also traced as Mgmt/Failed.
     pub(crate) fn note_sync_leak(&self, peer: NodeId, stamp: simnet::Nanos) {
         self.counters.count_sync_leak();
-        if let Some(obs) = self.observe() {
-            let id = obs.next_op_id();
-            obs.trace(
-                id,
-                crate::observe::OpClass::Mgmt,
-                crate::observe::EventKind::Failed,
-                crate::qos::Priority::Low,
-                peer,
-                stamp,
-            );
-        }
+        let obs = self.observe();
+        obs.trace(
+            obs.next_op_id(),
+            crate::observe::OpClass::Mgmt,
+            crate::observe::EventKind::Failed,
+            crate::qos::Priority::Low,
+            peer,
+            stamp,
+        );
     }
 
     fn mem(&self) -> &Arc<PhysMem> {
         self.fabric.mem(self.node)
-    }
-
-    // ------------------------------------------------------------------
-    // Cluster wiring
-    // ------------------------------------------------------------------
-
-    /// Second-phase setup, run once per node under the directory's
-    /// connect lock: builds the datapath (empty QP pools — peers are
-    /// wired lazily on first use), wires the self-loopback RPC ring,
-    /// pre-posts receive credits, and starts the kernel-call thread. O(1)
-    /// per node, which is what makes cluster boot O(N) instead of the old
-    /// O(N²·K) full-mesh bring-up. Running it twice (or failing to spawn
-    /// the thread) is reported as [`LiteError::Internal`] instead of
-    /// panicking, so a misused builder degrades to a failed start.
-    pub(crate) fn finish_setup(self: &Arc<Self>, dir: &Arc<ClusterDirectory>) -> LiteResult<()> {
-        let boot_start = std::time::Instant::now();
-        let once = LiteError::Internal("cluster setup ran twice on one node");
-        self.dir.set(Arc::clone(dir)).map_err(|_| once.clone())?;
-        self.mm.set_directory(Arc::clone(dir));
-        let dp = Arc::new(RnicDataPath::new(
-            Arc::clone(&self.fabric),
-            self.node,
-            &self.config,
-            self.global_mr.lkey(),
-            Arc::clone(&self.qos),
-            Arc::clone(&self.alloc),
-            Arc::clone(dir),
-            Arc::downgrade(self),
-        ));
-        self.datapath.set(dp).map_err(|_| once)?;
-        // The self-loopback ring is wired eagerly: kernel services RPC
-        // their own node (manager calls on node 0, local lock homes),
-        // and a node is always a member of itself.
-        let base = self.alloc_ring(self.node)?;
-        let size = self.config.rpc_ring_bytes;
-        self.server_rings.write()[self.node] = Some(Arc::new(ServerRing::new(base, size)?));
-        self.client_rings.write()[self.node] = Some(Arc::new(ClientRing::new(base, size)?));
-        // Pre-post receive credits for write-imm (the paper's background
-        // IMM-buffer posting).
-        for _ in 0..self.config.recv_credits {
-            self.shared_rq.post(RecvEntry {
-                wr_id: 0,
-                sge: None,
-            });
-        }
-        let (calls, served) = mpsc::channel();
-        let me = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("lite-kcall-{}", self.node))
-            .spawn(move || me.serve_kernel_calls(served))
-            .map_err(|_| LiteError::Internal("could not spawn the kernel-call thread"))?;
-        *self.kcalls.lock() = Some(calls);
-        *self.kcall_thread.lock() = Some(handle);
-        // The tiering manager only runs when it has work — a budget to
-        // enforce or lazy pins to reap — so default clusters (neither)
-        // get no extra thread and byte-identical behavior.
-        if self.mm.tracking() {
-            let me = Arc::clone(self);
-            let mm_handle = std::thread::Builder::new()
-                .name(format!("lite-mm-{}", self.node))
-                .spawn(move || crate::mm::run(me))
-                .map_err(|_| LiteError::Internal("could not spawn the memory manager"))?;
-            *self.mm_thread.lock() = Some(mm_handle);
-        }
-        let ns = boot_start.elapsed().as_nanos() as u64;
-        self.boot_host_ns.store(ns, Ordering::Relaxed);
-        dir.note_boot(ns);
-        Ok(())
-    }
-
-    /// The cluster directory, once this node has joined.
-    pub(crate) fn try_dir(&self) -> LiteResult<&Arc<ClusterDirectory>> {
-        self.dir
-            .get()
-            .ok_or(LiteError::Internal("op posted before cluster wiring"))
     }
 
     /// Installs the server-side ring state for messages from `client`.
@@ -529,21 +495,6 @@ impl LiteKernel {
     /// Adds host-wall nanoseconds to the lazy ring-wiring gauge.
     pub(crate) fn note_mesh_ns(&self, ns: u64) {
         self.mesh_host_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Gives the cluster what it needs to wire this node: the shared CQs
-    /// and receive queue for QP creation.
-    pub(crate) fn shared_queues(&self) -> (Arc<Cq>, Arc<Cq>, Arc<RecvQueue>) {
-        (
-            Arc::clone(&self.shared_send_cq),
-            Arc::clone(&self.shared_recv_cq),
-            Arc::clone(&self.shared_rq),
-        )
-    }
-
-    /// This node's global rkey (for the cluster exchange).
-    pub(crate) fn global_rkey(&self) -> u32 {
-        self.global_mr.rkey()
     }
 
     /// Allocates the server-side ring for messages from `client`, with

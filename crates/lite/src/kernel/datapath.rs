@@ -10,11 +10,12 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rnic::{IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr, COST};
+use rnic::qp::RecvQueue;
+use rnic::{Cq, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr, COST};
 use simnet::wait::{pause, Deadline};
 use simnet::{Ctx, Nanos};
 use smem::{PhysAllocator, PhysMem};
@@ -193,9 +194,11 @@ pub struct RnicDataPath {
     /// Cluster membership: peer rkeys, QoS views, and memory managers
     /// all come from here instead of boot-time broadcast vectors.
     dir: Arc<ClusterDirectory>,
-    /// Back-reference to the owning kernel (shared CQs for lazy QP
-    /// wiring and repairs).
-    kernel: Weak<LiteKernel>,
+    /// The node's shared send CQ, receive CQ and receive queue: every QP
+    /// this end of a pair gets is created on them (§6.1).
+    send_cq: Arc<Cq>,
+    recv_cq: Arc<Cq>,
+    rq: Arc<RecvQueue>,
     /// K, the shared-QP factor per peer pair (§6.1).
     qp_factor: usize,
     /// Per-peer shared QP pools, sized to fabric capacity; empty until
@@ -261,7 +264,8 @@ impl RnicDataPath {
         qos: Arc<QosState>,
         alloc: Arc<Mutex<PhysAllocator>>,
         dir: Arc<ClusterDirectory>,
-        kernel: Weak<LiteKernel>,
+        recv_cq: Arc<Cq>,
+        rq: Arc<RecvQueue>,
     ) -> Self {
         let peers = dir.capacity();
         RnicDataPath {
@@ -270,7 +274,9 @@ impl RnicDataPath {
             batch: config.batch_posting,
             global_lkey,
             dir,
-            kernel,
+            send_cq: Arc::new(Cq::new()),
+            recv_cq,
+            rq,
             qp_factor: config.qp_factor,
             qp_pools: (0..peers).map(|_| Mutex::new(Vec::new())).collect(),
             wired: (0..peers).map(|_| AtomicBool::new(false)).collect(),
@@ -333,49 +339,38 @@ impl RnicDataPath {
     /// Builds the K shared QPs between this node and `peer`, installing
     /// both ends' pools. Caller holds the directory's connect lock.
     fn wire_peer(&self, peer: NodeId) -> LiteResult<()> {
-        let (me, other) = self.pair_ends(peer)?;
-        let other_dp = other.try_datapath()?;
+        let other = self
+            .dir
+            .kernel(peer)
+            .ok_or(LiteError::NodeDown { node: peer })?;
         for _ in 0..self.qp_factor.max(1) {
-            self.add_pair(peer, &me, &other, other_dp);
+            self.add_pair(peer, &other.datapath);
         }
         // Latch both ends so neither side re-wires the pair.
         self.wired[peer].store(true, Ordering::Release);
-        if let Some(w) = other_dp.wired.get(self.node) {
+        if let Some(w) = other.datapath.wired.get(self.node) {
             w.store(true, Ordering::Release);
         }
         Ok(())
     }
 
-    /// The kernels at the two ends of the pair towards `peer`.
-    fn pair_ends(&self, peer: NodeId) -> LiteResult<(Arc<LiteKernel>, Arc<LiteKernel>)> {
-        let me = self
-            .kernel
-            .upgrade()
-            .ok_or(LiteError::NodeDown { node: self.node })?;
-        let other = self
-            .dir
-            .kernel(peer)
-            .ok_or(LiteError::NodeDown { node: peer })?;
-        Ok((me, other))
-    }
-
     /// Builds one RC QP pair on the two nodes' shared queues, connects it
     /// and adds it to both ends' pools. Caller holds the directory's
     /// connect lock.
-    fn add_pair(&self, peer: NodeId, me: &LiteKernel, other: &LiteKernel, other_dp: &Self) {
-        let (sa, ra, rqa) = me.shared_queues();
-        let (sb, rb, rqb) = other.shared_queues();
-        let qa = self
-            .fabric
-            .nic(self.node)
-            .create_qp_with(QpType::Rc, sa, ra, rqa);
-        let qb = self
-            .fabric
-            .nic(peer)
-            .create_qp_with(QpType::Rc, sb, rb, rqb);
+    fn add_pair(&self, peer: NodeId, other: &Self) {
+        let qa = self.shared_qp();
+        let qb = other.shared_qp();
         self.fabric.connect(&qa, &qb);
         self.add_qp(peer, qa);
-        other_dp.add_qp(self.node, qb);
+        other.add_qp(self.node, qb);
+    }
+
+    /// A fresh RC QP on this node's shared queues.
+    fn shared_qp(&self) -> Arc<Qp> {
+        let send = Arc::clone(&self.send_cq);
+        let recv = Arc::clone(&self.recv_cq);
+        let nic = self.fabric.nic(self.node);
+        nic.create_qp_with(QpType::Rc, send, recv, Arc::clone(&self.rq))
     }
 
     /// This node's observability surface (histograms + trace ring).
@@ -529,8 +524,11 @@ impl RnicDataPath {
     /// rebuilt the pair (`false`: the other end got there first).
     fn reconnect_qp(&self, peer: NodeId, qp: QpId) -> LiteResult<bool> {
         let _g = self.dir.lock_connect();
-        let (me, other) = self.pair_ends(peer)?;
-        let other_dp = other.try_datapath()?;
+        let other = self
+            .dir
+            .kernel(peer)
+            .ok_or(LiteError::NodeDown { node: peer })?;
+        let other_dp = &other.datapath;
         // Already repaired from the other end?
         if !self.remove_qp(peer, qp) {
             return Ok(false);
@@ -547,7 +545,7 @@ impl RnicDataPath {
             nic.destroy_qp(&q);
         }
         // ...and wire a fresh one on the same shared queues.
-        self.add_pair(peer, &me, &other, other_dp);
+        self.add_pair(peer, other_dp);
         self.retry.qp_reconnects.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
@@ -1097,22 +1095,6 @@ impl RnicDataPath {
 // ---------------------------------------------------------------------
 
 impl LiteKernel {
-    /// This node's datapath (available after cluster wiring).
-    ///
-    /// Panics when wiring never ran; op paths use
-    /// [`LiteKernel::try_datapath`] so a half-built kernel fails ops
-    /// instead of crashing.
-    pub(crate) fn datapath(&self) -> &Arc<RnicDataPath> {
-        self.datapath.get().expect("setup complete")
-    }
-
-    /// Fallible [`LiteKernel::datapath`] for op paths.
-    pub(crate) fn try_datapath(&self) -> LiteResult<&Arc<RnicDataPath>> {
-        self.datapath
-            .get()
-            .ok_or(LiteError::Internal("op posted before cluster wiring"))
-    }
-
     /// Posts one read or write, counted like a chain of one; returns its
     /// completion stamp, and the caller decides whether to block on it.
     pub(crate) fn rdma_one(&self, ctx: &mut Ctx, prio: Priority, op: &Op) -> LiteResult<Nanos> {
@@ -1138,7 +1120,7 @@ impl LiteKernel {
                 Op::FetchAdd { .. } | Op::CmpSwap { .. } => {}
             }
         }
-        self.try_datapath()?.post_many_into(ctx, prio, ops, out)
+        self.datapath.post_many_into(ctx, prio, ops, out)
     }
 }
 

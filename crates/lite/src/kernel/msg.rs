@@ -592,7 +592,7 @@ impl LiteKernel {
                 let dst_mm = if local_dst {
                     Some(&self.mm)
                 } else {
-                    self.mm.peer(dst_node)
+                    self.dir.mm(dst_node)
                 };
                 let _dst_pin = match dst_mm.map(|mm| self.fence(ctx, mm, dst, len)) {
                     Some(None) => return Ok(Some(Enc::new().u8(4).done())),

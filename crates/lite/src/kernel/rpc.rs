@@ -184,8 +184,7 @@ impl LiteKernel {
             return Ok(());
         }
         let start = std::time::Instant::now();
-        let dir = self.try_dir()?;
-        let _g = dir.lock_connect();
+        let _g = self.dir.lock_connect();
         // Double-check under the lock (another thread may have wired
         // the pair while this one waited).
         if self
@@ -197,7 +196,8 @@ impl LiteKernel {
         {
             return Ok(());
         }
-        let srv = dir
+        let srv = self
+            .dir
             .kernel(server)
             .ok_or(LiteError::NodeDown { node: server })?;
         let base = srv.alloc_ring(self.node)?;
@@ -247,8 +247,8 @@ impl LiteKernel {
             len,
             imm: Some(imm.encode()),
         };
-        let posted = self.try_datapath()?.post(ctx, prio, &op);
-        if let Some(dst) = self.try_dir()?.kernel(dst_node) {
+        let posted = self.datapath.post(ctx, prio, &op);
+        if let Some(dst) = self.dir.kernel(dst_node) {
             dst.drain_arrivals();
         }
         Ok(posted?.stamp)
@@ -287,7 +287,7 @@ impl LiteKernel {
                 // only once something has been, so that pulls — and the
                 // virtual time they cost — follow the server's consumes,
                 // not how often this host thread gets to spin.
-                let srv = self.try_dir()?.kernel(server);
+                let srv = self.dir.kernel(server);
                 let srv = srv.ok_or(LiteError::NodeDown { node: server })?;
                 srv.server_ring(self.node)?.wait_past(seen, deadline);
             }
@@ -314,7 +314,7 @@ impl LiteKernel {
             std::slice::from_ref(&land),
             HeadCell::BYTES,
         );
-        let done = self.try_datapath()?.post(ctx, Priority::High, &op)?.stamp;
+        let done = self.datapath.post(ctx, Priority::High, &op)?.stamp;
         let mut cell = [0u8; HeadCell::BYTES];
         self.mem().read(land.addr, &mut cell)?;
         let cell = HeadCell::decode(&cell);
@@ -531,9 +531,7 @@ impl LiteKernel {
                 // Traffic from a peer is proof of life: revive it for the
                 // liveness monitor without waiting for a probe (a
                 // restarted node announces itself with its first RPC).
-                if let Some(dp) = self.datapath.get() {
-                    dp.mark_peer_alive(src_node);
-                }
+                self.datapath.mark_peer_alive(src_node);
             }
         }
         ctx.work(IMM_DISPATCH_NS);

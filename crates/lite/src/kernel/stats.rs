@@ -68,7 +68,8 @@ pub struct KernelStats {
     /// committed writes minus the slowest follower's acknowledged seq.
     /// A gauge (last stored value), not a monotonic counter.
     pub kv_replication_lag: u64,
-    /// Host-wall nanoseconds this node's boot (`finish_setup`) took.
+    /// Host-wall nanoseconds this node's bring-up (`LiteKernel::boot`)
+    /// took.
     pub boot_ns: u64,
     /// Host-wall nanoseconds spent wiring peer pairs lazily (shared QP
     /// pools + RPC rings) after boot.
@@ -173,7 +174,7 @@ impl KernelCounters {
 
     /// Snapshot with the QP count and recovery counters supplied by the
     /// kernel (which owns the pool tables and the datapath).
-    pub(crate) fn snapshot(&self, qps: usize, retry: Option<&RetryCounters>) -> KernelStats {
+    pub(crate) fn snapshot(&self, qps: usize, retry: &RetryCounters) -> KernelStats {
         let r = |c: &AtomicU64| c.load(Ordering::Relaxed);
         // Bytes first (acquire): pairs with the release adds so the op
         // counters read afterwards can only be ahead of, never behind,
@@ -185,10 +186,10 @@ impl KernelCounters {
             lt_reads: r(&self.reads),
             lt_bytes,
             qps,
-            retries: retry.map_or(0, |c| r(&c.retries)),
-            qp_reconnects: retry.map_or(0, |c| r(&c.qp_reconnects)),
-            peers_marked_dead: retry.map_or(0, |c| r(&c.peers_marked_dead)),
-            ops_failed: retry.map_or(0, |c| r(&c.ops_failed)),
+            retries: r(&retry.retries),
+            qp_reconnects: r(&retry.qp_reconnects),
+            peers_marked_dead: r(&retry.peers_marked_dead),
+            ops_failed: r(&retry.ops_failed),
             cleanup_failures: r(&self.cleanup_failures),
             lock_unwinds: r(&self.lock_unwinds),
             sync_leaks: r(&self.sync_leaks),
@@ -231,7 +232,7 @@ mod tests {
         c.count_kv_get();
         c.set_kv_replication_lag(9);
         c.set_kv_replication_lag(4);
-        let s = c.snapshot(6, None);
+        let s = c.snapshot(6, &RetryCounters::default());
         assert_eq!(s.lt_writes, 3);
         assert_eq!(s.lt_reads, 1);
         assert_eq!(s.lt_bytes, 157);
@@ -258,7 +259,7 @@ mod tests {
         r.qp_reconnects.fetch_add(1, Ordering::Relaxed);
         r.peers_marked_dead.fetch_add(2, Ordering::Relaxed);
         r.ops_failed.fetch_add(3, Ordering::Relaxed);
-        let s = c.snapshot(0, Some(&r));
+        let s = c.snapshot(0, &r);
         assert_eq!(s.retries, 4);
         assert_eq!(s.qp_reconnects, 1);
         assert_eq!(s.peers_marked_dead, 2);

@@ -62,7 +62,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -73,6 +73,7 @@ use smem::Chunk;
 
 use crate::api::LiteHandle;
 use crate::config::LiteConfig;
+use crate::directory::ClusterDirectory;
 use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::Op;
 use crate::kernel::LiteKernel;
@@ -295,8 +296,6 @@ pub struct MemManager {
     lazy: bool,
     next_swap: AtomicUsize,
     state: Mutex<MmState>,
-    /// Peer managers (and this one), via cluster membership.
-    dir: OnceLock<Arc<crate::directory::ClusterDirectory>>,
     queue: Mutex<VecDeque<MmRequest>>,
     /// Woken by a request and by shutdown: what the manager thread waits
     /// on between sweeps.
@@ -341,7 +340,6 @@ impl MemManager {
                 evicted_bytes: 0,
                 hosted_bytes: 0,
             }),
-            dir: OnceLock::new(),
             queue: Mutex::new(VecDeque::new()),
             requested: Event::default(),
             shutdown: AtomicBool::new(false),
@@ -386,17 +384,6 @@ impl MemManager {
     /// The configured budget in bytes (0 = disabled).
     pub fn budget(&self) -> u64 {
         self.budget
-    }
-
-    /// Wires peer-manager lookup through the cluster directory (normal
-    /// boot path; resolves late joiners too).
-    pub(crate) fn set_directory(&self, dir: Arc<crate::directory::ClusterDirectory>) {
-        let _ = self.dir.set(dir);
-    }
-
-    /// The manager of `node` — any member, this node included.
-    pub(crate) fn peer(&self, node: NodeId) -> Option<&Arc<MemManager>> {
-        self.dir.get()?.mm(node)
     }
 
     // ------------------------------------------------------------------
@@ -795,7 +782,7 @@ impl MemManager {
     /// Picks the swap node for the next eviction: round-robin over alive
     /// peers.
     fn pick_swap_node(&self, kernel: &LiteKernel) -> Option<NodeId> {
-        let alive = |n: NodeId| kernel.try_datapath().is_ok_and(|dp| !dp.peer_is_dead(n));
+        let alive = |n: NodeId| !kernel.datapath.peer_is_dead(n);
         let candidates: Vec<NodeId> = (0..self.nodes).filter(|&n| n != self.node).collect();
         if candidates.is_empty() {
             return None;
@@ -869,7 +856,13 @@ impl MemManager {
     /// under a live access, losing the op's effect. `finish` flips the
     /// stage to its settled state once the record points at it;
     /// `unstage` removes it on any abort.
-    fn stage(&self, seg: &Segment, at: NodeId, chunks: &[Chunk]) -> Vec<Arc<Segment>> {
+    fn stage(
+        &self,
+        dir: &ClusterDirectory,
+        seg: &Segment,
+        at: NodeId,
+        chunks: &[Chunk],
+    ) -> Vec<Arc<Segment>> {
         let mut staged = Vec::with_capacity(chunks.len());
         let mut off = seg.key.off;
         for c in chunks {
@@ -880,7 +873,7 @@ impl MemManager {
             staged.push(Arc::new(Segment::new(key, c.len, c.addr, at, R_MIGRATING)));
             off += c.len;
         }
-        if let Some(land) = self.peer(at) {
+        if let Some(land) = dir.mm(at) {
             let mut lst = land.state.lock();
             for s in &staged {
                 lst.scrub_moved(s.addr, s.len);
@@ -898,8 +891,8 @@ impl MemManager {
     /// (aborted copy, vanished record, or dead LMR). The chunks
     /// themselves stay allocated — the caller (or, when the LMR died
     /// after `replace_extents` adopted them, the dropper) frees them.
-    fn unstage(&self, at: NodeId, staged: &[Arc<Segment>]) {
-        if let Some(land) = self.peer(at) {
+    fn unstage(&self, dir: &ClusterDirectory, at: NodeId, staged: &[Arc<Segment>]) {
+        if let Some(land) = dir.mm(at) {
             let mut lst = land.state.lock();
             for s in staged {
                 if matches!(lst.by_addr.get(&s.addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, s)) {
@@ -926,8 +919,14 @@ impl MemManager {
     /// segments of a dead LMR in `segs` (leaking `evicted_bytes`) and
     /// leave entries over chunks the dropper frees at the landing. Either
     /// way the caller frees the source copy — nothing else will.
-    fn finish(&self, seg: &Arc<Segment>, at: NodeId, staged: &[Arc<Segment>]) -> bool {
-        if let Some(src) = self.peer(seg.host) {
+    fn finish(
+        &self,
+        dir: &ClusterDirectory,
+        seg: &Arc<Segment>,
+        at: NodeId,
+        staged: &[Arc<Segment>],
+    ) -> bool {
+        if let Some(src) = dir.mm(seg.host) {
             let mut sst = src.state.lock();
             if matches!(sst.by_addr.get(&seg.addr), Some(Slot::Entry(e)) if Arc::ptr_eq(e, seg)) {
                 sst.by_addr.insert(seg.addr, Slot::Moved(seg.len));
@@ -948,7 +947,7 @@ impl MemManager {
             || !matches!(st.segs.get(&seg.key), Some(e) if Arc::ptr_eq(e, seg))
         {
             drop(st);
-            self.unstage(at, staged);
+            self.unstage(dir, at, staged);
             seg.settle(R_RETIRED);
             self.end_migration();
             return false;
@@ -1143,7 +1142,8 @@ impl MmReport {
 
 /// The body of the `lite-mm-{node}` thread: drains requests, relieves
 /// budget pressure, and pulls faulted LMRs home.
-/// Spawned by `finish_setup` only when a budget is configured.
+/// Spawned by `LiteKernel::boot` only when the manager tracks segments
+/// (a budget or lazy pinning).
 pub(crate) fn run(kernel: Arc<LiteKernel>) {
     let mm = Arc::clone(kernel.mm());
     let mut ctx = Ctx::new();
@@ -1289,7 +1289,7 @@ fn migrate_one(
     // Fence the landing range before any byte moves (see `stage`), so a
     // stale (or freshly-refreshed) view of those addresses blocks on the
     // staged entries instead of posting unfenced mid-copy.
-    let staged = mm.stage(&seg, to, &chunks);
+    let staged = mm.stage(&kernel.dir, &seg, to, &chunks);
     // Copy over the datapath — pulled with one-sided reads inbound,
     // pushed outbound with one-sided writes from the segment's own
     // physical range (no staging copy) at low priority — then point the
@@ -1320,13 +1320,13 @@ fn migrate_one(
         Ok(())
     })();
     if let Err(e) = moved {
-        mm.unstage(to, &staged);
+        mm.unstage(&kernel.dir, to, &staged);
         free_at(kernel, ctx, handle, to, chunks.iter().map(|c| c.addr));
         mm.abort_migrate(&seg, was);
         return Err(e);
     }
     let mappers = kernel.record_mappers(key.id.idx).unwrap_or_default();
-    let committed = mm.finish(&seg, to, &staged);
+    let committed = mm.finish(&kernel.dir, &seg, to, &staged);
     // Release the source last: its tombstone is already in place. Also
     // when the LMR was freed/moved after replace_extents pointed its
     // record at the landed chunks — the dropper owns (and frees) those,
@@ -1497,8 +1497,8 @@ mod tests {
 
     /// Two managers that find each other the way kernels' do: through
     /// a cluster directory (whose entries carry no kernel here).
-    fn pair() -> (Arc<MemManager>, Arc<MemManager>) {
-        let dir = Arc::new(crate::directory::ClusterDirectory::new(2));
+    fn pair() -> (ClusterDirectory, Arc<MemManager>, Arc<MemManager>) {
+        let dir = ClusterDirectory::new(2);
         let join = |node: NodeId| {
             let mm = Arc::new(MemManager::new(node, 2, &cfg(1 << 20)));
             let entry = crate::directory::DirEntry {
@@ -1508,10 +1508,10 @@ mod tests {
                 mm: Arc::clone(&mm),
             };
             dir.register(node, entry);
-            mm.set_directory(Arc::clone(&dir));
             mm
         };
-        (join(0), join(1))
+        let (a, b) = (join(0), join(1));
+        (dir, a, b)
     }
 
     /// LMR 1 of `a` (node 0), one 4 KiB segment, claimed for a migration
@@ -1544,15 +1544,15 @@ mod tests {
     #[test]
     fn finish_rolls_back_when_lmr_dies() {
         for (to, dies_before_stage) in [(1, false), (1, true), (0, false), (0, true)] {
-            let (a, b) = pair();
+            let (dir, a, b) = pair();
             let (seg, _, landed) = claimed(&a, &b, to);
             if dies_before_stage {
                 a.unregister_lmr(1);
             }
-            let staged = a.stage(&seg, to, &[landed]);
+            let staged = a.stage(&dir, &seg, to, &[landed]);
             // The LMR is freed while the migration is mid-flight.
             a.unregister_lmr(1);
-            assert!(!a.finish(&seg, to, &staged), "to {to}");
+            assert!(!a.finish(&dir, &seg, to, &staged), "to {to}");
             // Nothing resurrected on the master.
             assert_eq!(a.stats().evicted_bytes, 0, "to {to}");
             assert_eq!(a.stats().resident_bytes, 0, "to {to}");
@@ -1580,9 +1580,9 @@ mod tests {
     #[test]
     fn pin_blocks_until_transition_ends() {
         for (to, commits) in [(1, true), (1, false), (0, true), (0, false)] {
-            let (a, b) = pair();
+            let (dir, a, b) = pair();
             let (seg, was, landed) = claimed(&a, &b, to);
-            let staged = a.stage(&seg, to, &[landed]);
+            let staged = a.stage(&dir, &seg, to, &[landed]);
             let (land, src) = if to == 1 { (&b, &a) } else { (&a, &b) };
             assert!(matches!(
                 land.pin_raw_nowait(landed.addr, 64),
@@ -1604,12 +1604,12 @@ mod tests {
             ended.store(true, Ordering::SeqCst);
             if commits {
                 // The source is a tombstone now, the landing live.
-                assert!(a.finish(&seg, to, &staged));
+                assert!(a.finish(&dir, &seg, to, &staged));
                 assert!(matches!(at_src.join().unwrap(), PinOutcome::Relocated));
                 assert!(matches!(at_land.join().unwrap(), PinOutcome::Pinned(..)));
             } else {
                 // The source is live again, the landing nobody's.
-                a.unstage(to, &staged);
+                a.unstage(&dir, to, &staged);
                 a.abort_migrate(&seg, was);
                 assert!(matches!(at_src.join().unwrap(), PinOutcome::Pinned(..)));
                 assert!(matches!(at_land.join().unwrap(), PinOutcome::Untracked));

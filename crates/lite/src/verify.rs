@@ -922,7 +922,7 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
         ..Default::default()
     };
     let cluster = LiteCluster::start_with(IbConfig::with_nodes(MIXED_NODES), config)?;
-    let log = cluster.record_history()?;
+    let log = cluster.record_history();
     let mut plan = FaultPlan::seeded(seed);
     if w.drop_prob > 0.0 {
         plan = plan.with(FaultRule::DropWr {

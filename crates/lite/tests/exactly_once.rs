@@ -112,7 +112,7 @@ fn test_set_exactly_once_under_ack_loss() {
 #[test]
 fn atomic_history_linearizable_under_ack_loss() {
     let cluster = cluster_with_retry();
-    let log = cluster.record_history().unwrap();
+    let log = cluster.record_history();
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h.lt_malloc(&mut ctx, 1, 4096, "eo.hist", Perm::RW).unwrap();

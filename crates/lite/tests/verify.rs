@@ -34,7 +34,7 @@ fn unlock_handover_survives_dropped_ack() {
     // once a reply is truly lost.
     config.retry_enabled = false;
     let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
-    let log = cluster.record_history().unwrap();
+    let log = cluster.record_history();
 
     let mut owner = cluster.attach(0).unwrap();
     let mut ctx0 = Ctx::new();
@@ -114,7 +114,7 @@ fn lock_timeout_abort_unwinds_word() {
         quick_config(Duration::from_millis(150)),
     )
     .unwrap();
-    let log = cluster.record_history().unwrap();
+    let log = cluster.record_history();
 
     let mut holder = cluster.attach(0).unwrap();
     let mut ctx_h = Ctx::new();
@@ -163,7 +163,7 @@ fn lock_timeout_abort_unwinds_word() {
 #[test]
 fn barrier_id_reuse_forms_fresh_generations() {
     let cluster = LiteCluster::start(3).unwrap();
-    let log = cluster.record_history().unwrap();
+    let log = cluster.record_history();
 
     for _round in 0..4 {
         let mut threads = Vec::new();
@@ -251,7 +251,7 @@ fn mixed_workload_records_linearizable_history() {
 #[test]
 fn armed_history_fingerprints_every_payload() {
     let cluster = LiteCluster::start(2).unwrap();
-    let log = cluster.record_history().unwrap();
+    let log = cluster.record_history();
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h.lt_malloc(&mut ctx, 1, 4096, "fp", Perm::RW).unwrap();

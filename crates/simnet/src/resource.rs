@@ -216,11 +216,6 @@ impl ResourcePool {
         self.servers[idx].acquire(now, service)
     }
 
-    /// Acquires on a specific server (e.g. priority-partitioned QPs).
-    pub fn acquire_on(&self, idx: usize, now: Nanos, service: Nanos) -> Grant {
-        self.servers[idx].acquire(now, service)
-    }
-
     /// Sum of service time over all servers.
     pub fn busy_time(&self) -> Nanos {
         self.servers.iter().map(|r| r.busy_time()).sum()

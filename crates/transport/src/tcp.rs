@@ -183,11 +183,6 @@ impl TcpSock {
         self.send(ctx, data);
         self.recv(ctx)
     }
-
-    /// Node this socket lives on.
-    pub fn local_node(&self) -> usize {
-        self.local
-    }
 }
 
 #[cfg(test)]

@@ -304,3 +304,27 @@ fn dsm_and_lite_ops_interleave() {
     assert_eq!(u64::from_le_bytes(buf), 19);
     dsm.shutdown();
 }
+
+/// Dropping a cluster frees it: its directory and every node's memory
+/// manager die with it, even after traffic has wired peer pairs. The
+/// directory is the only `Weak` holder, so no `Arc` cycle runs between
+/// it and the kernels' managers.
+#[test]
+fn dropped_cluster_frees_directory_and_managers() {
+    let cluster = LiteCluster::start(3).unwrap();
+    {
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let lh = h.lt_malloc(&mut ctx, 1, 4096, "leak", Perm::RW).unwrap();
+        h.lt_write(&mut ctx, lh, 0, &[7; 64]).unwrap();
+    }
+    let dir = Arc::downgrade(cluster.directory());
+    let mm = Arc::downgrade(cluster.kernel(0).mm());
+    drop(cluster);
+    assert_eq!(dir.strong_count(), 0, "the directory outlived its cluster");
+    assert_eq!(
+        mm.strong_count(),
+        0,
+        "node 0's manager outlived its cluster"
+    );
+}

@@ -5,7 +5,7 @@
 # `simnet/src/wait.rs` makes one. So no `Instant`, `.elapsed()` or
 # `SystemTime` in any `crates/*/src` outside it, except in the three
 # gauges that time host set-up cost, named by file and function:
-# `LiteKernel::finish_setup` (`boot_ns`), `RnicDataPath::ensure_qps` and
+# `LiteKernel::boot` (`boot_ns`), `RnicDataPath::ensure_qps` and
 # `LiteKernel::ensure_ring` (`mesh_ns`). The benchmark figures (`bench`)
 # and the vendored stand-ins (`compat`) are not product code. Test modules
 # (from `#[cfg(test)]` to the end of a file) are not checked.
@@ -15,7 +15,7 @@ hits=$(find crates/*/src -name '*.rs' | grep -v -e '^crates/bench/' -e '^crates/
   -e '^crates/simnet/src/wait\.rs$' | sort | while read -r f; do
   awk -v f="$f" '
     BEGIN {
-      gauge["crates/lite/src/kernel.rs:finish_setup"] = 1
+      gauge["crates/lite/src/kernel.rs:boot"] = 1
       gauge["crates/lite/src/kernel/datapath.rs:ensure_qps"] = 1
       gauge["crates/lite/src/kernel/rpc.rs:ensure_ring"] = 1
     }
