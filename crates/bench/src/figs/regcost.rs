@@ -183,7 +183,7 @@ pub fn regcost(full: bool) -> RegCostReport {
                 .cell("eager_us", p.eager_ns as f64 / US)
                 .cell("lazy_us", p.lazy_ns as f64 / US)
                 .cell("speedup", p.eager_ns as f64 / p.lazy_ns.max(1) as f64)
-                .cell("lazy_pins", p.lazy_pinned_pages as f64)
+                .cell("lazy_pinned", p.lazy_pinned_pages as f64)
         })
         .collect();
     rows.push(
@@ -191,7 +191,7 @@ pub fn regcost(full: bool) -> RegCostReport {
             .cell("eager_us", steady.eager_mean_us)
             .cell("lazy_us", steady.lazy_mean_us)
             .cell("speedup", 1.0 / steady.overhead.max(1e-9))
-            .cell("lazy_pins", steady.lazy_mm.pinned_pages as f64),
+            .cell("lazy_pinned", steady.lazy_mm.pinned_pages as f64),
     );
     RegCostReport {
         rows,

@@ -946,6 +946,7 @@ pub struct KvClient {
     replicas: Vec<usize>,
     max_value: usize,
     mode: SessionMode,
+    /// Highest sequence number this session has written.
     session_seq: u64,
     prefer: Option<usize>,
     rr: usize,
@@ -999,11 +1000,6 @@ impl KvClient {
     /// QoS priority for this session's subsequent operations.
     pub fn set_priority(&mut self, prio: Priority) {
         self.h.set_priority(prio);
-    }
-
-    /// Highest sequence number this session has written.
-    pub fn session_seq(&self) -> u64 {
-        self.session_seq
     }
 
     /// How this session's gets were served so far.

@@ -153,6 +153,45 @@ fn explicit_abort_leaves_no_trace() {
 }
 
 #[test]
+fn write_set_is_bounded_by_max_writes() {
+    // The redo area holds `max_writes` entries a slot; the bound lives in
+    // the table's header, so a handle that opens the table by name
+    // enforces the creator's bound.
+    let cluster = start(2);
+    let mut h0 = cluster.attach(0).unwrap();
+    let mut h1 = cluster.attach(1).unwrap();
+    let mut c0 = Ctx::new();
+    let mut c1 = Ctx::new();
+    let spec = TableSpec {
+        max_writes: 2,
+        ..TableSpec::new(4, 8)
+    };
+    TxnTable::create(&mut h0, &mut c0, 1, "txn.bound", spec).unwrap();
+    let t = TxnTable::open(&mut h1, &mut c1, "txn.bound").unwrap();
+    assert_eq!(t.spec().max_writes, 2);
+
+    let mut big = t.begin();
+    for rec in 0..3u64 {
+        big.write(rec, &7u64.to_le_bytes()).unwrap();
+    }
+    assert!(matches!(
+        big.commit(&mut h1, &mut c1),
+        Err(TxnError::Invalid(_))
+    ));
+    let mut ok = t.begin();
+    ok.write(0, &1u64.to_le_bytes()).unwrap();
+    ok.write(1, &2u64.to_le_bytes()).unwrap();
+    ok.commit(&mut h1, &mut c1).unwrap();
+
+    let mut r = t.begin();
+    let got: Vec<u64> = (0..3)
+        .map(|rec| u64s(&r.read(&mut h1, &mut c1, rec).unwrap()))
+        .collect();
+    r.commit(&mut h1, &mut c1).unwrap();
+    assert_eq!(got, [1, 2, 0], "the refused write set left no trace");
+}
+
+#[test]
 fn stats_gauges_count_commits_and_aborts() {
     let cluster = start(2);
     let mut h = cluster.attach(0).unwrap();

@@ -68,10 +68,10 @@ pub struct CostModel {
     pub dereg_mr_base_ns: Nanos,
     /// Per-page unpin cost during deregistration.
     pub unpin_page_ns: Nanos,
-    /// First-touch page-fault service for a lazily registered page: the
-    /// NIC raises an event, the host pins the page and patches the NIC
-    /// page table (the ODP/NP-RDMA pin-free path). Much dearer than a
-    /// register-time pin, which is the eager-vs-lazy tradeoff.
+    /// First-touch page-fault service for a page LITE registered without
+    /// pinning (`lite::mm`'s lazy segments): the host pins the page on
+    /// the datapath's first touch. Much dearer than a register-time pin,
+    /// which is the eager-vs-lazy tradeoff.
     pub fault_page_ns: Nanos,
 
     // ---- memory ----

@@ -1,7 +1,7 @@
 //! The per-node RNIC: MR registry, QP registry, SRAM caches, request
 //! engine, and the implementation of every verb.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -33,10 +33,6 @@ struct MrInner {
     key: u32,
     kind: MrKind,
     access: Access,
-    /// Pin-free (lazy) MR: pages pin on first datapath touch instead of
-    /// at registration; this set holds the vpns faulted in so far.
-    /// `None` for eagerly pinned and physical MRs.
-    lazy_pins: Option<Mutex<BTreeSet<u64>>>,
 }
 
 /// A registered memory region handle.
@@ -193,7 +189,10 @@ pub struct NicStats {
     pub pte_misses: u64,
     /// QP-context cache misses.
     pub qp_misses: u64,
-    /// First-touch page faults served for lazily registered MRs.
+    /// Always 0: the NIC pins every page of a user MR at registration
+    /// and takes no page fault. Pin-free registration is LITE's
+    /// (`lite::mm`), and `MmReport::first_touch_faults` counts its
+    /// first-touch faults.
     pub page_faults: u64,
     /// Virtual nanoseconds of service this NIC's WQE engine has handed
     /// out, as requester and as responder. Over an interval of virtual
@@ -229,7 +228,6 @@ pub struct Nic {
     one_sided_ops: AtomicU64,
     send_ops: AtomicU64,
     bytes_tx: AtomicU64,
-    page_faults: AtomicU64,
     atomic_ops: AtomicU64,
     /// Responder-side exactly-once filter for *tagged* atomics: per
     /// requester node, a sliding window of (sequence → old value). A
@@ -300,7 +298,12 @@ pub enum Wr<'a> {
         remote: RemoteAddr,
         /// Addend.
         delta: u64,
-        /// Exactly-once token; see [`Nic::fetch_add_tagged`].
+        /// Exactly-once token `(requester node, per-logical-op
+        /// sequence)`. The sequence must be allocated once per *logical*
+        /// op and reused verbatim on every retry attempt: the responder
+        /// memoizes the old value under it, so a retry after a lost ack
+        /// returns the original result instead of applying the delta a
+        /// second time. `None` applies every attempt.
         token: Option<(NodeId, u64)>,
     },
     /// Atomic compare-and-swap on the remote u64.
@@ -311,7 +314,9 @@ pub enum Wr<'a> {
         expect: u64,
         /// Replacement value.
         new: u64,
-        /// Exactly-once token; see [`Nic::fetch_add_tagged`].
+        /// Exactly-once token, as for [`Wr::FetchAdd`]'s: a retry after
+        /// a lost ack returns the first attempt's old value and swaps
+        /// nothing.
         token: Option<(NodeId, u64)>,
     },
 }
@@ -370,7 +375,6 @@ impl Nic {
             one_sided_ops: AtomicU64::new(0),
             send_ops: AtomicU64::new(0),
             bytes_tx: AtomicU64::new(0),
-            page_faults: AtomicU64::new(0),
             atomic_ops: AtomicU64::new(0),
             atomic_dedup: Mutex::default(),
         }
@@ -403,7 +407,7 @@ impl Nic {
             pte_hits: c.ptes.hits(),
             pte_misses: c.ptes.misses(),
             qp_misses: c.qpc.misses(),
-            page_faults: self.page_faults.load(Ordering::Relaxed),
+            page_faults: 0,
             engine_busy_ns: self.engine.busy_time(),
             atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
             live_mrs,
@@ -453,42 +457,6 @@ impl Nic {
                 len,
             },
             access,
-            lazy_pins: None,
-        });
-        self.mrs.write().insert(key, inner.clone());
-        Ok(Mr {
-            inner,
-            node: self.node,
-        })
-    }
-
-    /// Registers a user-space MR in pin-free mode (ODP / NP-RDMA style):
-    /// no page is pinned up front, so the cost is O(1) in the region size.
-    /// Pages pin on first datapath touch — the resolve paths emulate the
-    /// NIC page fault, charging `COST.fault_page_ns` per faulted
-    /// page — and deregistration unpins only what actually faulted in.
-    pub fn register_mr_lazy(
-        &self,
-        ctx: &mut Ctx,
-        space: &Arc<AddrSpace>,
-        addr: u64,
-        len: u64,
-        access: Access,
-    ) -> VerbsResult<Mr> {
-        // Bounds must still be mapped; only the pinning is deferred.
-        space.translate(addr)?;
-        space.translate(addr + len.max(1) - 1)?;
-        ctx.work(COST.reg_mr_base_ns);
-        let key = self.fabric().alloc_key();
-        let inner = Arc::new(MrInner {
-            key,
-            kind: MrKind::Virt {
-                space: Arc::clone(space),
-                base: addr,
-                len,
-            },
-            access,
-            lazy_pins: Some(Mutex::new(BTreeSet::new())),
         });
         self.mrs.write().insert(key, inner.clone());
         Ok(Mr {
@@ -513,7 +481,6 @@ impl Nic {
             key,
             kind: MrKind::Phys { base, len },
             access,
-            lazy_pins: None,
         });
         self.mrs.write().insert(key, inner.clone());
         Ok(Mr {
@@ -538,26 +505,16 @@ impl Nic {
         self.caches.lock().mr_keys.remove(&mr.inner.key);
         match &removed.kind {
             MrKind::Virt { space, base, len } => {
-                let (unpinned, first_err) = match &removed.lazy_pins {
-                    // Lazy MR: only the faulted-in pages hold pins.
-                    Some(pinned) => {
-                        let vpns: Vec<u64> =
-                            std::mem::take(&mut *pinned.lock()).into_iter().collect();
-                        Self::unpin_each(space, vpns.into_iter())
-                    }
-                    None => {
-                        // Fast path: the whole range unpins atomically.
-                        match space.unpin_range(*base, *len) {
-                            Ok(pages) => (pages as u64, None),
-                            // A page was unpinned behind our back: fall
-                            // back to per-page sweep so the rest of the
-                            // range is still released.
-                            Err(_) => {
-                                let first = *base >> PAGE_SHIFT;
-                                let last = (*base + (*len).max(1) - 1) >> PAGE_SHIFT;
-                                Self::unpin_each(space, first..=last)
-                            }
-                        }
+                // Fast path: the whole range unpins atomically.
+                let (unpinned, first_err) = match space.unpin_range(*base, *len) {
+                    Ok(pages) => (pages as u64, None),
+                    // A page was unpinned behind our back: fall back to a
+                    // per-page sweep so the rest of the range is still
+                    // released.
+                    Err(_) => {
+                        let first = *base >> PAGE_SHIFT;
+                        let last = (*base + (*len).max(1) - 1) >> PAGE_SHIFT;
+                        Self::unpin_each(space, first..=last)
                     }
                 };
                 ctx.work(COST.dereg_mr_base_ns + COST.unpin_page_ns * unpinned);
@@ -658,34 +615,6 @@ impl Nic {
     // Address resolution
     // ------------------------------------------------------------------
 
-    /// Emulated NIC page fault for pin-free MRs: pins any page of
-    /// `[addr, addr+len)` not yet faulted in and returns the service
-    /// penalty (`fault_page_ns` per fault). No-op for eager MRs.
-    fn fault_in_lazy(
-        &self,
-        mr: &MrInner,
-        space: &Arc<AddrSpace>,
-        addr: u64,
-        len: usize,
-    ) -> VerbsResult<Nanos> {
-        let Some(pinned) = &mr.lazy_pins else {
-            return Ok(0);
-        };
-        let first = addr >> PAGE_SHIFT;
-        let last = (addr + len.max(1) as u64 - 1) >> PAGE_SHIFT;
-        let mut pen = 0;
-        let mut set = pinned.lock();
-        for vpn in first..=last {
-            if !set.contains(&vpn) {
-                space.pin_range(vpn << PAGE_SHIFT, 1)?;
-                set.insert(vpn);
-                pen += COST.fault_page_ns;
-                self.page_faults.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(pen)
-    }
-
     /// Resolves a local SGE to physical fragments, charging the SRAM
     /// penalties of `c` (this NIC's caches) exactly as the hardware would.
     /// The MR is read under the registry's read guard, not cloned.
@@ -694,19 +623,16 @@ impl Nic {
         let mr = |key| mrs.get(&key).ok_or(VerbsError::BadKey { key });
         match sge {
             SgeRef::Virt { lkey, addr, len } => {
-                let mr = mr(lkey)?;
                 let MrKind::Virt {
                     space,
                     base,
                     len: mrlen,
-                } = &mr.kind
+                } = &mr(lkey)?.kind
                 else {
                     return Err(VerbsError::BadKey { key: lkey });
                 };
                 check_bounds(addr, len, *base, *mrlen)?;
-                let mut penalty = c.mr_key(lkey);
-                penalty += c.ptes(lkey, addr, len);
-                penalty += self.fault_in_lazy(mr, space, addr, len)?;
+                let penalty = c.mr_key(lkey) + c.ptes(lkey, addr, len);
                 let chunks = Frags::Owned(space.translate_range(addr, len as u64)?);
                 Ok(Resolved { chunks, penalty })
             }
@@ -754,9 +680,7 @@ impl Nic {
                 len: mrlen,
             } => {
                 check_bounds(remote.addr, len, *base, *mrlen)?;
-                let mut penalty = c.mr_key(remote.rkey);
-                penalty += c.ptes(remote.rkey, remote.addr, len);
-                penalty += self.fault_in_lazy(mr, space, remote.addr, len)?;
+                let penalty = c.mr_key(remote.rkey) + c.ptes(remote.rkey, remote.addr, len);
                 let chunks = Frags::Owned(space.translate_range(remote.addr, len as u64)?);
                 Ok(Resolved { chunks, penalty })
             }
@@ -888,11 +812,10 @@ impl Nic {
         remote: RemoteAddr,
         delta: u64,
     ) -> VerbsResult<u64> {
-        let token = None;
         let wr = Wr::FetchAdd {
             remote,
             delta,
-            token,
+            token: None,
         };
         self.atomic_op(ctx, qp, wr)
     }
@@ -906,56 +829,11 @@ impl Nic {
         expect: u64,
         new: u64,
     ) -> VerbsResult<u64> {
-        let token = None;
         let wr = Wr::CmpSwap {
             remote,
             expect,
             new,
-            token,
-        };
-        self.atomic_op(ctx, qp, wr)
-    }
-
-    /// [`Self::fetch_add`] tagged with an exactly-once token
-    /// `(requester node, per-logical-op sequence)`. The sequence must be
-    /// allocated once per *logical* op and reused verbatim on every
-    /// retry attempt: the responder memoizes the old value under it, so
-    /// a retry after a lost ack returns the original result instead of
-    /// applying the delta a second time.
-    pub fn fetch_add_tagged(
-        &self,
-        ctx: &mut Ctx,
-        qp: &Qp,
-        remote: RemoteAddr,
-        delta: u64,
-        token: (NodeId, u64),
-    ) -> VerbsResult<u64> {
-        let token = Some(token);
-        let wr = Wr::FetchAdd {
-            remote,
-            delta,
-            token,
-        };
-        self.atomic_op(ctx, qp, wr)
-    }
-
-    /// [`Self::cmp_swap`] tagged with an exactly-once token; see
-    /// [`Self::fetch_add_tagged`].
-    pub fn cmp_swap_tagged(
-        &self,
-        ctx: &mut Ctx,
-        qp: &Qp,
-        remote: RemoteAddr,
-        expect: u64,
-        new: u64,
-        token: (NodeId, u64),
-    ) -> VerbsResult<u64> {
-        let token = Some(token);
-        let wr = Wr::CmpSwap {
-            remote,
-            expect,
-            new,
-            token,
+            token: None,
         };
         self.atomic_op(ctx, qp, wr)
     }

@@ -3,14 +3,17 @@
 //! `FaultRule::DropAtomicAck` models the window the request-leg gate
 //! cannot: the responder applied the atomic, but the completion never
 //! reached the requester. A blind retry of an *untagged* verb then
-//! double-applies; the *tagged* verbs (`fetch_add_tagged` /
-//! `cmp_swap_tagged`) carry a per-logical-op sequence the responder
-//! memoizes, so a retry returns the original old value instead.
+//! double-applies; a *tagged* atomic (`Wr::{FetchAdd, CmpSwap}` with
+//! `token: Some(..)`, posted through `Nic::post_chain` as LITE posts it)
+//! carries a per-logical-op sequence the responder memoizes, so a retry
+//! returns the original old value instead.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rnic::{Access, FaultPlan, FaultRule, IbConfig, IbFabric, RemoteAddr, VerbsError};
+use rnic::{
+    Access, FaultPlan, FaultRule, IbConfig, IbFabric, Qp, RemoteAddr, VerbsError, VerbsResult, Wr,
+};
 use simnet::Ctx;
 use smem::{AddrSpace, PhysAllocator};
 
@@ -33,6 +36,35 @@ fn setup() -> (Arc<IbFabric>, u64, RemoteAddr) {
         addr: va,
     };
     (fabric, pa, remote)
+}
+
+/// Posts one tagged atomic from node 0 as a one-element chain; the old
+/// value it acknowledged, or the chain's error.
+fn post_tagged(fabric: &IbFabric, ctx: &mut Ctx, qp: &Qp, wr: Wr) -> VerbsResult<u64> {
+    let mut old = None;
+    fabric
+        .nic(0)
+        .post_chain(ctx, qp, &[wr], |o| old = Some(o.value))?;
+    Ok(old.expect("an acknowledged atomic"))
+}
+
+/// Node 0's logical fetch-add number `seq`.
+fn tagged_add(remote: RemoteAddr, delta: u64, seq: u64) -> Wr<'static> {
+    Wr::FetchAdd {
+        remote,
+        delta,
+        token: Some((0, seq)),
+    }
+}
+
+/// Node 0's logical compare-and-swap number `seq`.
+fn tagged_cas(remote: RemoteAddr, expect: u64, new: u64, seq: u64) -> Wr<'static> {
+    Wr::CmpSwap {
+        remote,
+        expect,
+        new,
+        token: Some((0, seq)),
+    }
 }
 
 fn ack_drop_plan(max_drops: u64) -> FaultPlan {
@@ -63,7 +95,7 @@ fn untagged_blind_retry_double_applies() {
     // A layer above that blindly retries the same logical op...
     let second = fabric.nic(0).fetch_add(&mut ctx, &qa, remote, 5).unwrap();
     assert_eq!(second, 5);
-    // ...has now applied it twice. This is the bug the tagged verbs fix.
+    // ...has now applied it twice. This is the bug the tokens fix.
     assert_eq!(fabric.mem(1).load_u64(pa).unwrap(), 10);
     assert_eq!(fabric.fault_stats().ack_drops, 1);
 }
@@ -79,28 +111,18 @@ fn tagged_retry_is_exactly_once() {
 
     // Fetch-add: first attempt applies + loses its ack; the retry (same
     // token) must return old = 0 and leave the word at 5.
-    let r = fabric
-        .nic(0)
-        .fetch_add_tagged(&mut ctx, &qa, remote, 5, (0, 1));
+    let r = post_tagged(&fabric, &mut ctx, &qa, tagged_add(remote, 5, 1));
     assert!(matches!(r, Err(VerbsError::Timeout)));
-    let old = fabric
-        .nic(0)
-        .fetch_add_tagged(&mut ctx, &qa, remote, 5, (0, 1))
-        .unwrap();
+    let old = post_tagged(&fabric, &mut ctx, &qa, tagged_add(remote, 5, 1)).unwrap();
     assert_eq!(old, 0);
     assert_eq!(fabric.mem(1).load_u64(pa).unwrap(), 5);
 
     // CAS: ack of the winning 5 -> 9 swap is lost; the retry must report
     // the original success (old = 5), not a spurious CAS failure from
     // re-executing against the already-swapped word.
-    let r = fabric
-        .nic(0)
-        .cmp_swap_tagged(&mut ctx, &qa, remote, 5, 9, (0, 2));
+    let r = post_tagged(&fabric, &mut ctx, &qa, tagged_cas(remote, 5, 9, 2));
     assert!(matches!(r, Err(VerbsError::Timeout)));
-    let old = fabric
-        .nic(0)
-        .cmp_swap_tagged(&mut ctx, &qa, remote, 5, 9, (0, 2))
-        .unwrap();
+    let old = post_tagged(&fabric, &mut ctx, &qa, tagged_cas(remote, 5, 9, 2)).unwrap();
     assert_eq!(old, 5, "retry reports the one real apply");
     assert_eq!(fabric.mem(1).load_u64(pa).unwrap(), 9, "swapped once");
     assert_eq!(fabric.fault_stats().ack_drops, 2);
@@ -113,10 +135,7 @@ fn fresh_sequences_apply_normally() {
     let (qa, _qb) = fabric.rc_pair(0, 1);
     let mut ctx = Ctx::new();
     for seq in 0..4u64 {
-        let old = fabric
-            .nic(0)
-            .fetch_add_tagged(&mut ctx, &qa, remote, 1, (0, seq))
-            .unwrap();
+        let old = post_tagged(&fabric, &mut ctx, &qa, tagged_add(remote, 1, seq)).unwrap();
         assert_eq!(old, seq);
     }
     assert_eq!(fabric.mem(1).load_u64(pa).unwrap(), 4);

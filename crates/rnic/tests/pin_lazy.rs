@@ -1,43 +1,35 @@
 //! Pin accounting at the Verbs layer: deregistration consistency under
-//! mid-list unpin failures, and the pin-free (lazy) MR mode.
+//! mid-list unpin failures. Pin-free registration is LITE's, not the
+//! NIC's: `crates/lite/tests/lazy_pin.rs` covers it.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rnic::{Access, IbConfig, IbFabric, RemoteAddr, Sge, VerbsError};
+use rnic::{Access, IbConfig, IbFabric, VerbsError};
 use simnet::Ctx;
 use smem::{AddrSpace, PhysAllocator, PAGE_SIZE};
 
 const P: u64 = PAGE_SIZE as u64;
 
-fn setup(nodes: usize) -> (Arc<IbFabric>, Vec<Arc<AddrSpace>>) {
-    let fabric = IbFabric::new(IbConfig::with_nodes(nodes));
-    let spaces = (0..nodes)
-        .map(|_| {
-            Arc::new(AddrSpace::new(Arc::new(Mutex::new(PhysAllocator::new(
-                0,
-                1 << 30,
-            )))))
-        })
-        .collect();
-    (fabric, spaces)
-}
-
 #[test]
 fn dereg_mid_list_failure_stays_consistent() {
-    let (fabric, spaces) = setup(1);
+    let fabric = IbFabric::new(IbConfig::with_nodes(1));
+    let space = Arc::new(AddrSpace::new(Arc::new(Mutex::new(PhysAllocator::new(
+        0,
+        1 << 30,
+    )))));
     let mut ctx = Ctx::new();
     let nic = fabric.nic(0);
 
-    let va = spaces[0].mmap(3 * P).unwrap();
+    let va = space.mmap(3 * P).unwrap();
     let mr = nic
-        .register_mr(&mut ctx, &spaces[0], va, 3 * P, Access::RW)
+        .register_mr(&mut ctx, &space, va, 3 * P, Access::RW)
         .unwrap();
-    assert_eq!(spaces[0].pinned_pages(), 3);
+    assert_eq!(space.pinned_pages(), 3);
 
     // Sabotage: release the middle page's pin behind the NIC's back, so
     // deregistration hits a NotPinned error mid-list.
-    spaces[0].unpin_range(va + P, P).unwrap();
+    space.unpin_range(va + P, P).unwrap();
 
     let err = nic.deregister_mr(&mut ctx, &mr).unwrap_err();
     assert!(
@@ -46,7 +38,7 @@ fn dereg_mid_list_failure_stays_consistent() {
     );
     // Continue-and-collect: the failure neither resurrects the MR nor
     // leaves the other pages pinned.
-    assert_eq!(spaces[0].pinned_pages(), 0, "outer pages still released");
+    assert_eq!(space.pinned_pages(), 0, "outer pages still released");
     assert!(
         matches!(
             nic.deregister_mr(&mut ctx, &mr),
@@ -55,97 +47,4 @@ fn dereg_mid_list_failure_stays_consistent() {
         "MR identity is gone after the failed dereg"
     );
     assert_eq!(nic.stats().live_mrs, 0);
-}
-
-#[test]
-fn lazy_registration_is_o1_in_region_size() {
-    let (fabric, spaces) = setup(1);
-    let nic = fabric.nic(0);
-
-    // Eager registration cost scales with pages; lazy stays flat.
-    let small = spaces[0].mmap(16 * P).unwrap();
-    let large = spaces[0].mmap(1024 * P).unwrap();
-
-    let mut ctx = Ctx::new();
-    let t0 = ctx.now();
-    let mr_s = nic
-        .register_mr_lazy(&mut ctx, &spaces[0], small, 16 * P, Access::RW)
-        .unwrap();
-    let lazy_small = ctx.now() - t0;
-    let t0 = ctx.now();
-    let mr_l = nic
-        .register_mr_lazy(&mut ctx, &spaces[0], large, 1024 * P, Access::RW)
-        .unwrap();
-    let lazy_large = ctx.now() - t0;
-    assert_eq!(lazy_small, lazy_large, "lazy registration is O(1)");
-    assert_eq!(spaces[0].pinned_pages(), 0, "no up-front pins");
-
-    let t0 = ctx.now();
-    nic.register_mr(&mut ctx, &spaces[0], large, 1024 * P, Access::RW)
-        .unwrap();
-    let eager_large = ctx.now() - t0;
-    assert!(
-        eager_large > 10 * lazy_large,
-        "eager {eager_large} ns should dwarf lazy {lazy_large} ns at 4 MB"
-    );
-
-    // Lazy dereg unpins nothing when nothing faulted in.
-    nic.deregister_mr(&mut ctx, &mr_s).unwrap();
-    nic.deregister_mr(&mut ctx, &mr_l).unwrap();
-}
-
-#[test]
-fn lazy_mr_faults_pages_in_on_first_touch() {
-    let (fabric, spaces) = setup(2);
-    let mut ctx = Ctx::new();
-
-    // Node 1 exposes a 64-page lazy MR; node 0 writes 2 pages into it.
-    let dst = spaces[1].mmap(64 * P).unwrap();
-    let dst_mr = fabric
-        .nic(1)
-        .register_mr_lazy(&mut ctx, &spaces[1], dst, 64 * P, Access::RW)
-        .unwrap();
-    let src = spaces[0].mmap(2 * P).unwrap();
-    let src_mr = fabric
-        .nic(0)
-        .register_mr(&mut ctx, &spaces[0], src, 2 * P, Access::LOCAL)
-        .unwrap();
-    let (qa, _qb) = fabric.rc_pair(0, 1);
-    let sge = Sge::Virt {
-        lkey: src_mr.lkey(),
-        addr: src,
-        len: 2 * P as usize,
-    };
-    let remote = RemoteAddr {
-        rkey: dst_mr.rkey(),
-        addr: dst,
-    };
-
-    let c1 = fabric
-        .nic(0)
-        .post_write(&mut ctx, &qa, 1, &sge, remote, None, false)
-        .unwrap();
-    assert_eq!(
-        fabric.nic(1).stats().page_faults,
-        2,
-        "two first-touch faults"
-    );
-    assert_eq!(spaces[1].pinned_pages(), 2, "only touched pages pinned");
-
-    // Second write to the same pages: resident, no new faults, faster.
-    let t0 = ctx.now();
-    let c2 = fabric
-        .nic(0)
-        .post_write(&mut ctx, &qa, 2, &sge, remote, None, false)
-        .unwrap();
-    assert_eq!(fabric.nic(1).stats().page_faults, 2, "no refault when warm");
-    assert!(
-        c2 - t0 < c1,
-        "warm op ({} ns) beats faulting op ({c1} ns)",
-        c2 - t0
-    );
-
-    // Dereg releases exactly the faulted pages.
-    fabric.nic(1).deregister_mr(&mut ctx, &dst_mr).unwrap();
-    assert_eq!(spaces[1].pinned_pages(), 0);
 }

@@ -20,7 +20,7 @@ struct State {
 #[derive(Debug)]
 pub struct TokenBucket {
     /// Refill rate in bytes per (virtual) second. Zero disables the limiter.
-    rate: Mutex<u64>,
+    rate: u64,
     /// Maximum burst in bytes.
     burst: u64,
     state: Mutex<State>,
@@ -31,7 +31,7 @@ impl TokenBucket {
     /// `burst` bytes. The bucket starts full.
     pub fn new(rate_bytes_per_sec: u64, burst: u64) -> Self {
         TokenBucket {
-            rate: Mutex::new(rate_bytes_per_sec),
+            rate: rate_bytes_per_sec,
             burst: burst.max(1),
             state: Mutex::new(State {
                 tokens: burst.max(1) as f64,
@@ -40,23 +40,13 @@ impl TokenBucket {
         }
     }
 
-    /// Returns the current rate (bytes/s); zero means unlimited.
-    pub fn rate(&self) -> u64 {
-        *self.rate.lock()
-    }
-
-    /// Changes the refill rate; zero disables limiting entirely.
-    pub fn set_rate(&self, rate_bytes_per_sec: u64) {
-        *self.rate.lock() = rate_bytes_per_sec;
-    }
-
     /// Reserves `bytes` of budget for a client at `now`; returns the
     /// virtual time at which the client may proceed (>= `now`).
     ///
     /// Allows the bucket to go negative ("borrowing"), which is the usual
     /// single-lock implementation: the depth of debt determines the delay.
     pub fn reserve(&self, now: Nanos, bytes: u64) -> Nanos {
-        let rate = *self.rate.lock();
+        let rate = self.rate;
         if rate == 0 {
             return now;
         }
@@ -130,14 +120,5 @@ mod tests {
             (achieved - 1_000_000.0).abs() / 1_000_000.0 < 0.01,
             "achieved {achieved}"
         );
-    }
-
-    #[test]
-    fn rate_change_takes_effect() {
-        let tb = TokenBucket::new(1000, 10);
-        let t1 = tb.reserve(0, 1010);
-        tb.set_rate(0);
-        let t2 = tb.reserve(t1, 1 << 20);
-        assert_eq!(t2, t1);
     }
 }

@@ -1,6 +1,7 @@
-//! A transactional key-value store on lite-txn: OCC transactions over
-//! an LMR, a remote hash map, and an ordered index — all built purely
-//! on the one-sided `lt_*` API (the home node runs no store code).
+//! Bank transfers on lite-txn: two nodes race OCC transactions over
+//! two accounts in an LMR on a third, built purely on the one-sided
+//! `lt_*` API (the home node runs no transaction code), and an audit
+//! checks that the total is conserved.
 //!
 //! ```text
 //! cargo run --example txn_kv
@@ -9,7 +10,7 @@
 use std::sync::Arc;
 
 use lite::LiteCluster;
-use lite_txn::{with_txn_retry, OrderedIndex, RemoteHashMap, TableSpec, TxnTable};
+use lite_txn::{with_txn_retry, TableSpec, TxnTable};
 use simnet::Ctx;
 
 fn u64s(bytes: &[u8]) -> u64 {
@@ -19,7 +20,7 @@ fn u64s(bytes: &[u8]) -> u64 {
 fn main() {
     let cluster = LiteCluster::start(3).expect("cluster");
 
-    // --- Raw OCC transactions: a bank transfer on node 2's memory ---
+    // A bank on node 2's memory.
     {
         let mut h = cluster.attach(0).expect("attach");
         let mut ctx = Ctx::new();
@@ -65,41 +66,15 @@ fn main() {
     for m in movers {
         m.join().unwrap();
     }
-    {
-        let mut h = cluster.attach(1).expect("attach");
-        let mut ctx = Ctx::new();
-        let table = TxnTable::open(&mut h, &mut ctx, "bank").expect("open");
-        let mut audit = table.begin();
-        let a = u64s(&audit.read(&mut h, &mut ctx, 0).expect("read"));
-        let b = u64s(&audit.read(&mut h, &mut ctx, 1).expect("read"));
-        audit.commit(&mut h, &mut ctx).expect("commit");
-        println!("after 100 racing transfers: a={a} b={b} (total {})", a + b);
-        assert_eq!(a + b, 200, "transfers conserve the total");
-    }
-
-    // --- Remote hash map: transactional put/get/remove ---
-    let mut h = cluster.attach(0).expect("attach");
+    let mut h = cluster.attach(1).expect("attach");
     let mut ctx = Ctx::new();
-    let map = RemoteHashMap::create(&mut h, &mut ctx, 2, "kv", 64).expect("create");
-    for k in 0..16u64 {
-        map.put(&mut h, &mut ctx, k, k * k).expect("put");
-    }
-    map.remove(&mut h, &mut ctx, 5).expect("remove");
-    println!(
-        "map: get(3)={:?} get(5)={:?} (removed)",
-        map.get(&mut h, &mut ctx, 3).expect("get"),
-        map.get(&mut h, &mut ctx, 5).expect("get"),
-    );
-
-    // --- Ordered index: append-friendly, range-scannable ---
-    let idx = OrderedIndex::create(&mut h, &mut ctx, 2, "times", 128, 8).expect("create");
-    for t in [100u64, 200, 300, 400, 500] {
-        idx.insert(&mut h, &mut ctx, t, t / 100).expect("insert"); // append path
-    }
-    idx.insert(&mut h, &mut ctx, 250, 99).expect("insert"); // out-of-order
-    let window = idx.range(&mut h, &mut ctx, 150, 350).expect("range");
-    println!("index range [150,350]: {window:?}");
-    assert_eq!(window, vec![(200, 2), (250, 99), (300, 3)]);
+    let table = TxnTable::open(&mut h, &mut ctx, "bank").expect("open");
+    let mut audit = table.begin();
+    let a = u64s(&audit.read(&mut h, &mut ctx, 0).expect("read"));
+    let b = u64s(&audit.read(&mut h, &mut ctx, 1).expect("read"));
+    audit.commit(&mut h, &mut ctx).expect("commit");
+    println!("after 100 racing transfers: a={a} b={b} (total {})", a + b);
+    assert_eq!(a + b, 200, "transfers conserve the total");
 
     println!("txn_kv: all invariants held");
 }
