@@ -155,8 +155,9 @@ impl LiteLog {
         ops.push(ChainOp::FetchAdd {
             off: META_COMMITTED,
             delta: 1,
+            old: 0,
         });
-        h.lt_chain(ctx, self.lh, &ops)?;
+        h.lt_chain(ctx, self.lh, &mut ops)?;
         Ok(start)
     }
 
@@ -275,8 +276,9 @@ impl LiteLog {
                 ops.push(ChainOp::FetchAdd {
                     off: META_CLEANED,
                     delta: span as u64,
+                    old: 0,
                 });
-                h.lt_chain(ctx, self.lh, &ops)?;
+                h.lt_chain(ctx, self.lh, &mut ops)?;
                 pos += span as u64;
                 reclaimed += span as u64;
             }

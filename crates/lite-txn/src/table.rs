@@ -179,13 +179,12 @@
 //! owns the outcome.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lite::verify::{fingerprint, proc_id, TxnLog, TxnOp, TxnOutcome};
-use lite::{ChainOp, ChainOut, Lh, LiteError, LiteHandle, Perm};
+use lite::{ChainOp, Lh, LiteError, LiteHandle, Perm};
 use simnet::wait::lease_ms;
-use simnet::{Ctx, Nanos};
+use simnet::{Ctx, InlineVec, Nanos};
 
 /// Errors surfaced by the transaction layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -348,12 +347,54 @@ fn start_slot(node: usize, pid: u32, slots: u16) -> u16 {
 
 /// The words a chain observed, in op order: the old value of every
 /// atomic and the word every one-word read fetched.
-fn old_values(outs: &[ChainOut]) -> impl Iterator<Item = u64> + '_ {
-    outs.iter().filter_map(|o| match o {
-        ChainOut::Value(v) => Some(*v),
-        ChainOut::Bytes(b) => b.as_slice().try_into().ok().map(u64::from_le_bytes),
-        ChainOut::Done => None,
-    })
+fn old_values<'o>(ops: &'o [ChainOp]) -> impl Iterator<Item = u64> + 'o {
+    ops.iter().filter_map(ChainOp::word)
+}
+
+/// One 8-byte word, as a chain reads or writes it.
+type Word = [u8; 8];
+
+/// A transaction's read and write sets with the bytes they hold, kept on
+/// its table between transactions: a warm transaction reuses their
+/// buffers and allocates only the vectors [`Txn::read`] returns.
+#[derive(Default)]
+struct Sets {
+    /// `(rec, version observed, offset of its payload in bytes)`, by rec.
+    reads: Vec<(u64, u64, usize)>,
+    /// `(rec, offset of its padded payload in bytes)`, by rec.
+    writes: Vec<(u64, usize)>,
+    bytes: Vec<u8>,
+}
+
+impl Sets {
+    fn read(&self, rec: u64) -> Option<(u64, usize)> {
+        let i = self.reads.binary_search_by_key(&rec, |r| r.0).ok()?;
+        Some((self.reads[i].1, self.reads[i].2))
+    }
+
+    fn written(&self, rec: u64) -> Option<usize> {
+        let i = self.writes.binary_search_by_key(&rec, |w| w.0).ok()?;
+        Some(self.writes[i].1)
+    }
+
+    /// The reads a commit re-validates: those no write lock covers.
+    fn validated(&self) -> impl Iterator<Item = &(u64, u64, usize)> {
+        self.reads.iter().filter(|r| self.written(r.0).is_none())
+    }
+
+    /// Whether the version probes `ops` (one per [`Self::validated`]
+    /// read, in order) still saw the versions the reads observed.
+    fn still_valid(&self, ops: &[ChainOp]) -> bool {
+        old_values(ops)
+            .zip(self.validated())
+            .all(|(seen, &(_, v, _))| seen == v)
+    }
+
+    fn note_read(&mut self, rec: u64, version: u64, at: usize) {
+        if let Err(i) = self.reads.binary_search_by_key(&rec, |r| r.0) {
+            self.reads.insert(i, (rec, version, at));
+        }
+    }
 }
 
 /// Where to stop a commit mid-protocol without unwinding — the
@@ -418,6 +459,11 @@ pub struct TxnTable {
     last_slot: Cell<Option<(u16, u64, u64)>>,
     stats: Cell<TableStats>,
     log: Option<Arc<TxnLog>>,
+    /// The sets the last finished transaction left, for the next to
+    /// reuse.
+    spare: Cell<Option<Sets>>,
+    /// The buffer the last commit encoded its redo log in.
+    redo: Cell<Vec<u8>>,
 }
 
 impl TxnTable {
@@ -433,6 +479,8 @@ impl TxnTable {
             last_slot: Cell::new(None),
             stats: Cell::default(),
             log: None,
+            spare: Cell::new(None),
+            redo: Cell::default(),
         }
     }
 
@@ -520,10 +568,13 @@ impl TxnTable {
 
     /// Begins a transaction against this table.
     pub fn begin(&self) -> Txn<'_> {
+        let mut sets = self.spare.take().unwrap_or_default();
+        sets.reads.clear();
+        sets.writes.clear();
+        sets.bytes.clear();
         Txn {
             table: self,
-            reads: BTreeMap::new(),
-            writes: BTreeMap::new(),
+            sets,
             invoke: None,
         }
     }
@@ -546,7 +597,8 @@ impl TxnTable {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// The validating read of `rec`'s *version* word: a one-sided read of
+    /// Appends to `ops` the validating reads of every [`Sets::validated`]
+    /// record's *version* word, landing in `words`: each a one-sided read of
     /// exactly that aligned word, which the datapath executes as a stamped
     /// load (`smem::PhysMem::load_u64_stamped`). Its completion stamp is
     /// monotone with the conflicting lock CASes on the same word, and
@@ -556,11 +608,30 @@ impl TxnTable {
     /// per-thread clocks: a transaction that observed another's commit
     /// can never be real-time-ordered before it. It costs the home NIC's
     /// engine what a read costs, not an atomic.
-    fn version_probe(&self, rec: u64) -> ChainOp<'static> {
-        ChainOp::Read {
+    fn push_probes<'b>(
+        &self,
+        sets: &Sets,
+        words: &'b mut [Word],
+        ops: &mut InlineVec<ChainOp<'b>>,
+    ) {
+        let probe = |(&(rec, ..), buf): (&(u64, u64, usize), &'b mut Word)| ChainOp::Read {
             off: self.rec_off(rec),
-            len: 8,
-        }
+            buf,
+        };
+        ops.extend(sets.validated().zip(words.iter_mut()).map(probe));
+    }
+
+    /// The write set in ascending record order: `(rec, old version,
+    /// padded payload)` each.
+    fn write_list<'s>(
+        &self,
+        sets: &'s Sets,
+    ) -> impl ExactSizeIterator<Item = (u64, u64, &'s [u8])> + 's {
+        let width = self.payload_p as usize;
+        sets.writes.iter().map(move |&(rec, at)| {
+            let old_v = sets.read(rec).map_or(0, |r| r.0);
+            (rec, old_v, &sets.bytes[at..at + width])
+        })
     }
 
     /// One contention backoff step: virtual think time plus a little
@@ -573,18 +644,22 @@ impl TxnTable {
         }
     }
 
-    /// Snapshots one record: a consistent `(version, payload)` pair
-    /// obtained by the version-payload-version read dance, recovering
-    /// expired lock words along the way.
-    fn snapshot_record(
+    /// Snapshots one record into the end of `bytes`: a consistent
+    /// version and payload, obtained by the version-payload-version read
+    /// dance, recovering expired lock words along the way. Returns the
+    /// version and where the payload starts in `bytes`.
+    fn snapshot_into(
         &self,
         h: &mut LiteHandle,
         ctx: &mut Ctx,
         rec: u64,
-    ) -> TxnResult<(u64, Vec<u8>)> {
+        bytes: &mut Vec<u8>,
+    ) -> TxnResult<(u64, usize)> {
         if rec >= self.spec.records {
             return Err(TxnError::Invalid("record out of range"));
         }
+        let at = bytes.len();
+        bytes.resize(at + 8 + self.payload_p as usize, 0);
         for attempt in 0..READ_ATTEMPTS {
             // One blob read covers the version word and the payload —
             // the snapshot is *optimistic* (Silo-style): it is not
@@ -599,21 +674,28 @@ impl TxnTable {
             // serializability intervals clock-sound: the stamped
             // validation orders every committed reader after the
             // writers it observed.
-            let mut blob = vec![0u8; 8 + self.payload_p as usize];
-            h.lt_read(ctx, self.lh, self.rec_off(rec), &mut blob)?;
+            let blob = &mut bytes[at..];
+            if let Err(e) = h.lt_read(ctx, self.lh, self.rec_off(rec), blob) {
+                bytes.truncate(at);
+                return Err(e.into());
+            }
             let v1 = u64::from_le_bytes(blob[..8].try_into().unwrap());
             if is_locked(v1) {
-                if lock_expired(v1) {
-                    self.recover_from_lock(h, ctx, v1)?;
+                let settled = if lock_expired(v1) {
+                    self.recover_from_lock(h, ctx, v1)
                 } else {
                     Self::backoff(ctx, attempt);
+                    Ok(())
+                };
+                if let Err(e) = settled {
+                    bytes.truncate(at);
+                    return Err(e);
                 }
                 continue;
             }
-            let mut payload = blob.split_off(8);
-            payload.truncate(self.spec.payload);
-            return Ok((v1, payload));
+            return Ok((v1, at + 8));
         }
+        bytes.truncate(at);
         Err(TxnError::Conflict { validation: false })
     }
 
@@ -817,19 +899,24 @@ impl TxnTable {
         Err(TxnError::Conflict { validation: false })
     }
 
-    /// The redo log of `writes` (`(rec, old version, padded payload)`
-    /// each) as it sits in a slot from its count word on.
-    fn encode_redo(&self, writes: &[(u64, u64, &[u8])]) -> Vec<u8> {
+    /// Encodes the redo log of `writes` (`(rec, old version, padded
+    /// payload)` each) into `redo`, as it sits in a slot from its count
+    /// word on.
+    fn encode_redo<'p>(
+        &self,
+        writes: impl ExactSizeIterator<Item = (u64, u64, &'p [u8])>,
+        redo: &mut Vec<u8>,
+    ) {
         let entry_sz = (16 + self.payload_p) as usize;
-        let mut redo = vec![0u8; 8 + writes.len() * entry_sz];
+        redo.clear();
+        redo.resize(8 + writes.len() * entry_sz, 0);
         redo[..8].copy_from_slice(&(writes.len() as u64).to_le_bytes());
-        for (j, (rec, old_v, payload)) in writes.iter().enumerate() {
+        for (j, (rec, old_v, payload)) in writes.enumerate() {
             let e = &mut redo[8 + j * entry_sz..8 + (j + 1) * entry_sz];
             e[..8].copy_from_slice(&rec.to_le_bytes());
             e[8..16].copy_from_slice(&old_v.to_le_bytes());
             e[16..16 + payload.len()].copy_from_slice(payload);
         }
-        redo
     }
 
     /// A committer's own abort, one chain: CAS the locks it holds
@@ -850,15 +937,20 @@ impl TxnTable {
     ) -> TxnResult<()> {
         let epoch = (from >> 4) + 1;
         let (off, lw) = (self.slot_off(slot), lock_word(slot, epoch, expiry));
-        let cas = |off, expect, new| ChainOp::CmpSwap { off, expect, new };
-        let mut ops: Vec<ChainOp> = locked
+        let cas = |off, expect, new| ChainOp::CmpSwap {
+            off,
+            expect,
+            new,
+            old: 0,
+        };
+        let mut ops: InlineVec<ChainOp> = locked
             .iter()
             .map(|&(rec, old_v)| cas(self.rec_off(rec), lw, old_v))
             .collect();
         let aborted = (epoch << 4) | S_ABORTED;
         ops.push(cas(off, from, aborted));
-        let outs = h.lt_chain(ctx, self.lh, &ops)?;
-        if old_values(&outs).last() == Some(from) {
+        h.lt_chain(ctx, self.lh, &mut ops)?;
+        if old_values(&ops).last() == Some(from) {
             self.keep(slot, aborted, expiry);
         }
         Ok(())
@@ -884,8 +976,7 @@ impl TxnTable {
         h: &LiteHandle,
         invoke: Nanos,
         response: Nanos,
-        reads: &BTreeMap<u64, (u64, Vec<u8>)>,
-        writes: &BTreeMap<u64, Vec<u8>>,
+        sets: &Sets,
         outcome: TxnOutcome,
     ) {
         self.count(|c| match outcome {
@@ -893,14 +984,21 @@ impl TxnTable {
             TxnOutcome::Aborted | TxnOutcome::Indeterminate => c.aborts += 1,
         });
         if let Some(log) = &self.log {
+            let payload = |at: usize| &sets.bytes[at..at + self.spec.payload];
+            let padded = |at: usize| &sets.bytes[at..at + self.payload_p as usize];
             log.record(TxnOp {
                 proc: proc_id(h.node(), h.pid()),
-                reads: reads
+                reads: sets
+                    .reads
                     .iter()
-                    .filter(|(r, _)| !writes.contains_key(r))
-                    .map(|(&r, (_, p))| (r, fingerprint(p)))
+                    .filter(|&&(r, ..)| sets.written(r).is_none())
+                    .map(|&(r, _, at)| (r, fingerprint(payload(at))))
                     .collect(),
-                writes: writes.iter().map(|(&r, p)| (r, fingerprint(p))).collect(),
+                writes: sets
+                    .writes
+                    .iter()
+                    .map(|&(r, at)| (r, fingerprint(padded(at))))
+                    .collect(),
                 outcome,
                 invoke,
                 response,
@@ -913,11 +1011,15 @@ impl TxnTable {
 /// staged writes, atomically published by [`Txn::commit`].
 pub struct Txn<'t> {
     table: &'t TxnTable,
-    /// rec -> (version observed, payload observed).
-    reads: BTreeMap<u64, (u64, Vec<u8>)>,
-    /// rec -> staged payload (padded to the table's rounded width).
-    writes: BTreeMap<u64, Vec<u8>>,
+    sets: Sets,
     invoke: Option<Nanos>,
+}
+
+impl Drop for Txn<'_> {
+    /// Leaves the sets' buffers on the table for the next transaction.
+    fn drop(&mut self) {
+        self.table.spare.set(Some(std::mem::take(&mut self.sets)));
+    }
 }
 
 impl Txn<'_> {
@@ -926,17 +1028,16 @@ impl Txn<'_> {
     /// version-consistent snapshot that `commit` later re-validates.
     pub fn read(&mut self, h: &mut LiteHandle, ctx: &mut Ctx, rec: u64) -> TxnResult<Vec<u8>> {
         self.invoke.get_or_insert(ctx.now());
-        if let Some(w) = self.writes.get(&rec) {
-            let mut out = w.clone();
-            out.truncate(self.table.spec.payload);
-            return Ok(out);
-        }
-        if let Some((_, p)) = self.reads.get(&rec) {
-            return Ok(p.clone());
-        }
-        let (v, payload) = self.table.snapshot_record(h, ctx, rec)?;
-        self.reads.insert(rec, (v, payload.clone()));
-        Ok(payload)
+        let t = self.table;
+        let at = match self.sets.written(rec).or(self.sets.read(rec).map(|r| r.1)) {
+            Some(at) => at,
+            None => {
+                let (v, at) = t.snapshot_into(h, ctx, rec, &mut self.sets.bytes)?;
+                self.sets.note_read(rec, v, at);
+                at
+            }
+        };
+        Ok(self.sets.bytes[at..at + t.spec.payload].to_vec())
     }
 
     /// Stages one write; nothing is visible remotely until `commit`.
@@ -947,9 +1048,20 @@ impl Txn<'_> {
         if data.len() > self.table.spec.payload {
             return Err(TxnError::Invalid("payload too large"));
         }
-        let mut padded = vec![0u8; self.table.payload_p as usize];
+        let width = self.table.payload_p as usize;
+        let sets = &mut self.sets;
+        let at = match sets.writes.binary_search_by_key(&rec, |w| w.0) {
+            Ok(i) => sets.writes[i].1,
+            Err(i) => {
+                let at = sets.bytes.len();
+                sets.bytes.resize(at + width, 0);
+                sets.writes.insert(i, (rec, at));
+                at
+            }
+        };
+        let padded = &mut sets.bytes[at..at + width];
+        padded.fill(0);
         padded[..data.len()].copy_from_slice(data);
-        self.writes.insert(rec, padded);
         Ok(())
     }
 
@@ -957,14 +1069,9 @@ impl Txn<'_> {
     /// visible remotely.
     pub fn abort(self, h: &mut LiteHandle, ctx: &mut Ctx) {
         let invoke = self.invoke.unwrap_or_else(|| ctx.now());
-        self.table.record_txn(
-            h,
-            invoke,
-            ctx.now(),
-            &self.reads,
-            &self.writes,
-            TxnOutcome::Aborted,
-        );
+        let outcome = TxnOutcome::Aborted;
+        self.table
+            .record_txn(h, invoke, ctx.now(), &self.sets, outcome);
         h.kernel().note_txn_abort(false);
     }
 
@@ -974,6 +1081,21 @@ impl Txn<'_> {
     /// unwound) and may simply be retried.
     pub fn commit(self, h: &mut LiteHandle, ctx: &mut Ctx) -> TxnResult<()> {
         self.commit_at(h, ctx, CrashPoint::None)
+    }
+
+    /// A clean conflict: recorded as aborted, counted, returned.
+    fn fail(
+        self,
+        h: &mut LiteHandle,
+        ctx: &mut Ctx,
+        invoke: Nanos,
+        validation: bool,
+    ) -> TxnResult<()> {
+        let outcome = TxnOutcome::Aborted;
+        self.table
+            .record_txn(h, invoke, ctx.now(), &self.sets, outcome);
+        h.kernel().note_txn_abort(validation);
+        Err(TxnError::Conflict { validation })
     }
 
     /// `commit` with a crash hook — the recovery-test surface. A fired
@@ -987,74 +1109,42 @@ impl Txn<'_> {
     ) -> TxnResult<()> {
         let t = self.table;
         let invoke = self.invoke.unwrap_or_else(|| ctx.now());
-        let fail = |this: &Self, h: &mut LiteHandle, ctx: &mut Ctx, validation: bool| {
-            t.record_txn(
-                h,
-                invoke,
-                ctx.now(),
-                &this.reads,
-                &this.writes,
-                TxnOutcome::Aborted,
-            );
-            h.kernel().note_txn_abort(validation);
-            Err(TxnError::Conflict { validation })
-        };
-
-        // Reads not covered by a write lock are re-validated at commit.
-        let validate: Vec<(u64, u64)> = self
-            .reads
-            .iter()
-            .filter(|(rec, _)| !self.writes.contains_key(rec))
-            .map(|(&rec, &(v, _))| (rec, v))
-            .collect();
-        let probes = validate.iter().map(|&(rec, _)| t.version_probe(rec));
-        let still_valid = |seen: &[u64]| seen.iter().zip(&validate).all(|(s, (_, v))| s == v);
 
         // Read-only fast path: validate in one chain and return — no
         // slot, no locks.
-        if self.writes.is_empty() {
-            let outs = h.lt_chain(ctx, t.lh, &probes.collect::<Vec<_>>())?;
-            if !still_valid(&old_values(&outs).collect::<Vec<_>>()) {
-                return fail(&self, h, ctx, true);
+        if self.sets.writes.is_empty() {
+            let mut words: InlineVec<Word> = self.sets.validated().map(|_| [0; 8]).collect();
+            let mut probes = InlineVec::new();
+            t.push_probes(&self.sets, &mut words, &mut probes);
+            h.lt_chain(ctx, t.lh, &mut probes)?;
+            if !self.sets.still_valid(&probes) {
+                drop(probes);
+                return self.fail(h, ctx, invoke, true);
             }
-            t.record_txn(
-                h,
-                invoke,
-                ctx.now(),
-                &self.reads,
-                &self.writes,
-                TxnOutcome::Committed,
-            );
+            drop(probes);
+            let outcome = TxnOutcome::Committed;
+            t.record_txn(h, invoke, ctx.now(), &self.sets, outcome);
             h.kernel().note_txn_commit();
             return Ok(());
         }
-        if self.writes.len() > t.spec.max_writes {
+        if self.sets.writes.len() > t.spec.max_writes {
             return Err(TxnError::Invalid("write set exceeds table max_writes"));
         }
 
         // Every write record needs a base version for its lock CAS;
         // blind writes fetch one now.
-        let blind: Vec<u64> = self
-            .writes
-            .keys()
-            .filter(|r| !self.reads.contains_key(r))
-            .copied()
-            .collect();
-        for rec in blind {
-            let (v, payload) = t.snapshot_record(h, ctx, rec)?;
-            self.reads.insert(rec, (v, payload));
+        for i in 0..self.sets.writes.len() {
+            let rec = self.sets.writes[i].0;
+            if self.sets.read(rec).is_none() {
+                let (v, at) = t.snapshot_into(h, ctx, rec, &mut self.sets.bytes)?;
+                self.sets.note_read(rec, v, at);
+            }
         }
 
-        // Ascending record order (the write set is a BTreeMap).
-        let write_list: Vec<(u64, u64, &[u8])> = self
-            .writes
-            .iter()
-            .map(|(&rec, p)| (rec, self.reads[&rec].0, p.as_slice()))
-            .collect();
-        let w = write_list.len();
+        let w = self.sets.writes.len();
         let (slot, from) = match t.claim_slot(h, ctx) {
             Ok(sh) => sh,
-            Err(TxnError::Conflict { .. }) => return fail(&self, h, ctx, false),
+            Err(TxnError::Conflict { .. }) => return self.fail(h, ctx, invoke, false),
             Err(e) => return Err(e),
         };
         // This transaction runs at the epoch after the header in hand, and
@@ -1066,36 +1156,45 @@ impl Txn<'_> {
         let own = (slot, from, expiry);
         let lw = lock_word(slot, epoch, expiry);
         let slot_off = t.slot_off(slot);
-        let cas = |off, expect, new| ChainOp::CmpSwap { off, expect, new };
+        let cas = |off, expect, new| ChainOp::CmpSwap {
+            off,
+            expect,
+            new,
+            old: 0,
+        };
 
         // Publish redo then lease, lock the write set, validate the read
         // set: one chain.
-        let redo = t.encode_redo(&write_list);
+        let sets = &self.sets;
+        let mut redo = t.redo.take();
+        t.encode_redo(t.write_list(sets), &mut redo);
         let lease = ((expiry << 16) | (epoch & 0xffff)).to_le_bytes();
-        let mut ops = vec![
-            ChainOp::Write {
-                off: slot_off + 16,
-                data: &redo,
-            },
-            ChainOp::Write {
-                off: slot_off + 8,
-                data: &lease,
-            },
-        ];
+        let mut words: InlineVec<Word> = sets.validated().map(|_| [0; 8]).collect();
+        let mut ops: InlineVec<ChainOp> = InlineVec::new();
+        ops.push(ChainOp::Write {
+            off: slot_off + 16,
+            data: &redo,
+        });
+        ops.push(ChainOp::Write {
+            off: slot_off + 8,
+            data: &lease,
+        });
         ops.extend(
-            write_list
-                .iter()
-                .map(|&(rec, old_v, _)| cas(t.rec_off(rec), old_v, lw)),
+            t.write_list(sets)
+                .map(|(rec, old_v, _)| cas(t.rec_off(rec), old_v, lw)),
         );
-        ops.extend(probes);
-        let outs = h.lt_chain(ctx, t.lh, &ops)?;
-        let seen: Vec<u64> = old_values(&outs).collect();
-        let (lock_seen, read_seen) = seen.split_at(w);
-        let locked: Vec<(u64, u64)> = write_list
-            .iter()
-            .zip(lock_seen)
+        t.push_probes(sets, &mut words, &mut ops);
+        h.lt_chain(ctx, t.lh, &mut ops)?;
+        let (lock_ops, probes) = ops[2..].split_at(w);
+        let lock_seen: InlineVec<u64> = old_values(lock_ops).collect();
+        let valid = sets.still_valid(probes);
+        drop(ops);
+        t.redo.set(redo);
+        let locked: InlineVec<(u64, u64)> = t
+            .write_list(sets)
+            .zip(lock_seen.iter())
             .filter(|((_, old_v, _), cur)| old_v == *cur)
-            .map(|(&(rec, old_v, _), _)| (rec, old_v))
+            .map(|((rec, old_v, _), _)| (rec, old_v))
             .collect();
         if locked.len() < w {
             // Lost at least one lock: give back the ones that won and
@@ -1103,21 +1202,21 @@ impl Txn<'_> {
             // what keeps ascending-order locking deadlock-free. What the
             // validation probes saw is moot.
             t.abort_own(h, ctx, own, &locked)?;
-            for &cur in lock_seen {
+            for &cur in lock_seen.iter() {
                 if is_locked(cur) && lock_expired(cur) {
                     // A dead committer's lock: settle it now, so the
                     // retry does not run into it again.
                     t.recover_from_lock(h, ctx, cur)?;
                 }
             }
-            return fail(&self, h, ctx, false);
+            return self.fail(h, ctx, invoke, false);
         }
         if crash == CrashPoint::AfterLock {
             return self.vanish(h, ctx, invoke);
         }
-        if !still_valid(read_seen) {
+        if !valid {
             t.abort_own(h, ctx, own, &locked)?;
-            return fail(&self, h, ctx, true);
+            return self.fail(h, ctx, invoke, true);
         }
 
         // Decide, apply, release: one chain. Its first op is the commit
@@ -1134,23 +1233,24 @@ impl Txn<'_> {
         // keeps a scavenger from deciding in our place. The decide is the
         // chain's only atomic and its first op, so a lost ack resumes at
         // it, ahead of every write, and re-lands nothing.
-        let released: Vec<[u8; 8]> = write_list
-            .iter()
-            .map(|&(_, old_v, _)| old_v.wrapping_add(2).to_le_bytes())
+        let released: InlineVec<Word> = t
+            .write_list(sets)
+            .map(|(_, old_v, _)| old_v.wrapping_add(2).to_le_bytes())
             .collect();
-        let payloads = write_list.iter().map(|&(rec, _, data)| ChainOp::Write {
+        let payloads = t.write_list(sets).map(|(rec, _, data)| ChainOp::Write {
             off: t.rec_off(rec) + 8,
             data,
         });
-        let versions = write_list
-            .iter()
-            .zip(&released)
-            .map(|(&(rec, ..), data)| ChainOp::Write {
+        let versions = t
+            .write_list(sets)
+            .zip(released.iter())
+            .map(|((rec, ..), data)| ChainOp::Write {
                 off: t.rec_off(rec),
                 data,
             });
         let committed = (epoch << 4) | S_COMMITTED;
-        let mut ops = vec![cas(slot_off, from, committed)];
+        let mut ops: InlineVec<ChainOp> = InlineVec::new();
+        ops.push(cas(slot_off, from, committed));
         ops.extend(payloads.chain(versions));
         let cut = match crash {
             CrashPoint::AfterDecide => Some(1),
@@ -1158,18 +1258,21 @@ impl Txn<'_> {
             CrashPoint::MidRelease if w > 1 => Some(w + 2),
             _ => None,
         };
-        ops.truncate(cut.unwrap_or(ops.len()));
+        let posted = cut.unwrap_or(ops.len());
         // Once our own lease is expired we must stop touching the table
         // (recovery may already be settling us) and report indeterminate.
         if expired(expiry) {
+            drop(ops);
             return self.vanish(h, ctx, invoke);
         }
-        let outs = h.lt_chain(ctx, t.lh, &ops)?;
+        h.lt_chain(ctx, t.lh, &mut ops[..posted])?;
         // A decide that lost did so to a scavenger, inside the window
         // between the check above and the chain executing: the writes
         // behind it went out all the same, so the outcome is recovery's
         // to tell, not a clean conflict.
-        if cut.is_some() || old_values(&outs).next() != Some(from) {
+        let decided = old_values(&ops).next() == Some(from);
+        drop(ops);
+        if cut.is_some() || !decided {
             return self.vanish(h, ctx, invoke);
         }
         // The whole chain has completed: no lock word of this epoch is
@@ -1177,14 +1280,8 @@ impl Txn<'_> {
         // from.
         t.keep(slot, committed, expiry);
 
-        t.record_txn(
-            h,
-            invoke,
-            ctx.now(),
-            &self.reads,
-            &self.writes,
-            TxnOutcome::Committed,
-        );
+        let outcome = TxnOutcome::Committed;
+        t.record_txn(h, invoke, ctx.now(), &self.sets, outcome);
         h.kernel().note_txn_commit();
         Ok(())
     }
@@ -1192,14 +1289,9 @@ impl Txn<'_> {
     /// The crash/lease-loss exit: record an indeterminate outcome and
     /// abandon the protocol without unwinding anything.
     fn vanish(self, h: &mut LiteHandle, ctx: &mut Ctx, invoke: Nanos) -> TxnResult<()> {
-        self.table.record_txn(
-            h,
-            invoke,
-            ctx.now(),
-            &self.reads,
-            &self.writes,
-            TxnOutcome::Indeterminate,
-        );
+        let outcome = TxnOutcome::Indeterminate;
+        self.table
+            .record_txn(h, invoke, ctx.now(), &self.sets, outcome);
         h.kernel().note_txn_abort(false);
         Err(TxnError::Indeterminate)
     }

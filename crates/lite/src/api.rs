@@ -42,8 +42,8 @@ use std::time::Duration;
 
 use rnic::{NodeId, COST};
 use simnet::wait::Deadline;
-use simnet::{Ctx, Nanos};
-use smem::{Chunk, PhysMem};
+use simnet::{Ctx, InlineVec, Nanos};
+use smem::Chunk;
 
 use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::{Completion, Op};
@@ -101,8 +101,9 @@ pub struct RpcCall {
 }
 
 /// One op of an [`LiteHandle::lt_chain`]: a one-sided access at byte
-/// offset `off` of the chain's LMR.
-#[derive(Debug, Clone, Copy)]
+/// offset `off` of the chain's LMR. What an op returns lands in the op:
+/// a read in its `buf`, an atomic's previous word in its `old`.
+#[derive(Debug)]
 pub enum ChainOp<'a> {
     /// Writes `data` at `off`.
     Write {
@@ -111,12 +112,12 @@ pub enum ChainOp<'a> {
         /// Bytes to write.
         data: &'a [u8],
     },
-    /// Reads `len` bytes at `off`.
+    /// Reads `buf.len()` bytes at `off` into `buf`.
     Read {
         /// Byte offset in the LMR.
         off: u64,
-        /// Bytes to read.
-        len: usize,
+        /// Where the bytes land.
+        buf: &'a mut [u8],
     },
     /// Fetch-and-add on the u64 at `off`.
     FetchAdd {
@@ -124,6 +125,8 @@ pub enum ChainOp<'a> {
         off: u64,
         /// Addend.
         delta: u64,
+        /// Set to the word's previous contents.
+        old: u64,
     },
     /// Compare-and-swap `expect -> new` on the u64 at `off`.
     CmpSwap {
@@ -133,6 +136,9 @@ pub enum ChainOp<'a> {
         expect: u64,
         /// Replacement value.
         new: u64,
+        /// Set to the word's previous contents (the CAS won iff it
+        /// equals `expect`).
+        old: u64,
     },
 }
 
@@ -142,22 +148,29 @@ impl ChainOp<'_> {
     fn range(&self) -> (u64, usize, Perm) {
         match *self {
             ChainOp::Write { off, data } => (off, data.len(), Perm::RW),
-            ChainOp::Read { off, len } => (off, len, Perm::RO),
+            ChainOp::Read { off, ref buf } => (off, buf.len(), Perm::RO),
             ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => (off, 8, Perm::RW),
         }
     }
-}
 
-/// What one [`ChainOp`] returned.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChainOut {
-    /// A write; nothing to return.
-    Done,
-    /// The bytes a read fetched.
-    Bytes(Vec<u8>),
-    /// The word's previous contents (an atomic; a CAS won iff it equals
-    /// `expect`).
-    Value(u64),
+    /// Bytes the op stages: a write's payload, a read's landing zone.
+    fn staged(&self) -> usize {
+        match self {
+            ChainOp::Write { data, .. } => data.len(),
+            ChainOp::Read { buf, .. } => buf.len(),
+            ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => 0,
+        }
+    }
+
+    /// The word a completed op observed: an atomic's previous contents,
+    /// or what an 8-byte read fetched; `None` for anything else.
+    pub fn word(&self) -> Option<u64> {
+        match self {
+            ChainOp::FetchAdd { old, .. } | ChainOp::CmpSwap { old, .. } => Some(*old),
+            ChainOp::Read { buf, .. } => (**buf).try_into().ok().map(u64::from_le_bytes),
+            ChainOp::Write { .. } => None,
+        }
+    }
 }
 
 /// A physical scratch region owned by a handle; none yet while `cap`
@@ -246,10 +259,10 @@ impl LiteHandle {
     /// the class histograms and — when sampled — the trace ring. Spans
     /// feed only the class view; the datapath posts underneath them
     /// already account per-peer traffic.
-    fn span(&self, class: OpClass, peer: NodeId, start: Nanos, end: Nanos) {
+    fn span(&self, ctx: &mut Ctx, class: OpClass, peer: NodeId, start: Nanos, end: Nanos) {
         let obs = self.kernel.observe();
-        obs.record_span(class, self.prio, end.saturating_sub(start));
-        if obs.sample() {
+        obs.record_span(ctx, class, self.prio, end.saturating_sub(start));
+        if obs.sample(ctx) {
             let id = obs.next_op_id();
             obs.trace(id, class, EventKind::Posted, self.prio, peer, start);
             obs.trace(id, class, EventKind::Completed, self.prio, peer, end);
@@ -348,7 +361,7 @@ impl LiteHandle {
             let end = ctx.now();
             this.record_hist(key, || kind, 0, result.is_ok(), start, end);
             if let (Ok(()), Some((class, peer))) = (&result, span) {
-                this.span(class, peer, start, end);
+                this.span(ctx, class, peer, start, end);
             }
             result
         })
@@ -455,7 +468,7 @@ impl LiteHandle {
         self.kernel.free_slot(slot_id);
         let res = waited?;
         if let Some((server, start)) = span {
-            self.span(OpClass::Rpc, server, start, res.stamp);
+            self.span(ctx, OpClass::Rpc, server, start, res.stamp);
         }
         if !res.ok {
             return Err(LiteError::UnknownRpc { func });
@@ -557,9 +570,10 @@ impl LiteHandle {
             let lh = this
                 .kernel
                 .install_lh(this.pid, fresh_entry(id, name, location, Perm::MASTER));
+            let reg = ctx.now().saturating_sub(reg_started).max(1);
             this.kernel
-                .mm()
-                .record_reg_latency(ctx.now().saturating_sub(reg_started));
+                .observe()
+                .record_latency(ctx, crate::observe::cell::MM_REG, reg);
             Ok(lh)
         })
     }
@@ -659,7 +673,7 @@ impl LiteHandle {
         id: LmrId,
         offset: u64,
         pieces: &[(NodeId, Chunk)],
-        guards: &mut Vec<crate::mm::PinGuard>,
+        guards: &mut Pins,
     ) -> LiteResult<()> {
         let mut lmr_off = offset;
         let mut faulted = 0usize;
@@ -682,36 +696,43 @@ impl LiteHandle {
         Ok(())
     }
 
-    /// The lh's LMR, the live physical pieces of every range
-    /// (`(offset, len, needed permission)` each) in one list, range after
-    /// range ([`shares`] cuts it back into ranges), and the pins that
-    /// keep them where they are — healed: every range is resolved and
+    /// The lh's LMR, with the live physical pieces of every range
+    /// (`(offset, len, needed permission)` each) in `pieces`, range after
+    /// range ([`share`] cuts it back into ranges), and in `pins` the pins
+    /// that keep them where they are — healed: every range is resolved and
     /// pinned before anything is posted, so a `Relocated` has no side
     /// effect to repeat, and stays pinned while the caller holds the
     /// guards (eviction drains pins, so no chunk can move or be freed
     /// under an in-flight op).
-    #[allow(clippy::type_complexity)]
     fn fresh_pieces(
         &mut self,
         ctx: &mut Ctx,
         lh: Lh,
         ranges: impl Iterator<Item = (u64, usize, Perm)> + Clone,
-    ) -> LiteResult<(LmrId, Vec<(NodeId, Chunk)>, Vec<crate::mm::PinGuard>)> {
+        pieces: &mut Pieces,
+        pins: &mut Pins,
+    ) -> LiteResult<LmrId> {
         self.heal(ctx, &[lh], |this, ctx| {
+            pins.clear();
+            pieces.clear();
             // Resolve against the entry in place; only the pieces leave.
-            let (id, pieces) = this.kernel.with_lh(this.pid, lh, |entry| {
-                let mut pieces = Vec::with_capacity(ranges.size_hint().0);
+            let id = this.kernel.with_lh(this.pid, lh, |entry| {
                 for (offset, len, need) in ranges.clone() {
-                    entry.check_into(offset, len, need, &mut pieces)?;
+                    entry.check_into(offset, len, need, pieces)?;
                 }
-                Ok((entry.id, pieces))
+                Ok(entry.id)
             })?;
-            let mut pins = Vec::new();
-            let lens = ranges.clone().map(|(_, len, _)| len);
-            for ((offset, ..), share) in ranges.clone().zip(shares(lens, &pieces)) {
-                this.pin_pieces(ctx, id, offset, share, &mut pins)?;
+            let mut rest = &pieces[..];
+            for (offset, len, _) in ranges.clone() {
+                let share = share(&mut rest, len);
+                if let Err(e) = this.pin_pieces(ctx, id, offset, share, pins) {
+                    // Unpinned before the heal waits out the migration
+                    // that relocated a piece: it drains pins.
+                    pins.clear();
+                    return Err(e);
+                }
             }
-            Ok((id, pieces, pins))
+            Ok(id)
         })
     }
 
@@ -835,7 +856,7 @@ impl LiteHandle {
     /// [`Self::lt_chain`].
     pub fn lt_write(&mut self, ctx: &mut Ctx, lh: Lh, offset: u64, data: &[u8]) -> LiteResult<()> {
         let op = ChainOp::Write { off: offset, data };
-        self.one_sided(ctx, lh, &[op], &mut |_| Ok(()))
+        self.one_sided(ctx, lh, &mut [op])
     }
 
     /// LT_read: blocking one-sided read into `buf` from `offset`. A
@@ -847,13 +868,7 @@ impl LiteHandle {
         offset: u64,
         buf: &mut [u8],
     ) -> LiteResult<()> {
-        let (off, len) = (offset, buf.len());
-        self.one_sided(ctx, lh, &[ChainOp::Read { off, len }], &mut |landed| {
-            if let Landed::Bytes(mem, at) = landed {
-                mem.read(at.addr, buf)?;
-            }
-            Ok(())
-        })
+        self.one_sided(ctx, lh, &mut [ChainOp::Read { off: offset, buf }])
     }
 
     /// LT_memset: sets `len` bytes at `offset` to `byte`, executed at the
@@ -1369,19 +1384,14 @@ impl LiteHandle {
         offset: u64,
         delta: u64,
     ) -> LiteResult<u64> {
-        self.atomic(ctx, lh, ChainOp::FetchAdd { off: offset, delta })
+        let (off, old) = (offset, 0);
+        self.atomic(ctx, lh, ChainOp::FetchAdd { off, delta, old })
     }
 
     /// A one-op chain of an atomic: the word's previous contents.
-    fn atomic(&mut self, ctx: &mut Ctx, lh: Lh, op: ChainOp) -> LiteResult<u64> {
-        let mut old = 0;
-        self.one_sided(ctx, lh, &[op], &mut |landed| {
-            if let Landed::Value(v) = landed {
-                old = v;
-            }
-            Ok(())
-        })?;
-        Ok(old)
+    fn atomic(&mut self, ctx: &mut Ctx, lh: Lh, mut op: ChainOp) -> LiteResult<u64> {
+        self.one_sided(ctx, lh, std::slice::from_mut(&mut op))?;
+        Ok(op.word().unwrap_or(0))
     }
 
     /// LT_test-set on a u64 inside an LMR: compare-and-swap
@@ -1414,16 +1424,27 @@ impl LiteHandle {
         expect: u64,
         new: u64,
     ) -> LiteResult<u64> {
-        let off = offset;
-        self.atomic(ctx, lh, ChainOp::CmpSwap { off, expect, new })
+        let (off, old) = (offset, 0);
+        self.atomic(
+            ctx,
+            lh,
+            ChainOp::CmpSwap {
+                off,
+                expect,
+                new,
+                old,
+            },
+        )
     }
 
     /// Executes an ordered chain of one-sided ops on one LMR in a single
     /// call: one syscall crossing, one lh lookup, one pin pass over every
     /// range, one doorbell per storage node, one completion wait. Ops are
     /// unconditional and take effect in order (a later op sees every
-    /// earlier one); the result holds one [`ChainOut`] per op — the bytes
-    /// read, or the word's previous value for atomics.
+    /// earlier one); what each returns lands in it — a read's bytes in
+    /// its `buf`, an atomic's previous word in its `old`
+    /// ([`ChainOp::word`]). A chain of up to [`simnet::CHAIN_INLINE`]
+    /// verbs allocates nothing.
     ///
     /// This is the round-trip lever for protocols whose steps do not
     /// depend on each other's results (publish a record *then* release
@@ -1431,81 +1452,53 @@ impl LiteHandle {
     /// waits become one.
     ///
     /// An `Err` means the chain stopped part-way: a prefix of the ops may
-    /// have taken effect, each at most once.
-    pub fn lt_chain(
-        &mut self,
-        ctx: &mut Ctx,
-        lh: Lh,
-        ops: &[ChainOp],
-    ) -> LiteResult<Vec<ChainOut>> {
+    /// have taken effect, each at most once, and no op's result is set.
+    pub fn lt_chain(&mut self, ctx: &mut Ctx, lh: Lh, ops: &mut [ChainOp]) -> LiteResult<()> {
         if ops.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let mut outs = Vec::with_capacity(ops.len());
-        self.one_sided(ctx, lh, ops, &mut |landed| {
-            outs.push(match landed {
-                Landed::Done => ChainOut::Done,
-                Landed::Bytes(mem, at) => {
-                    let mut bytes = vec![0u8; at.len as usize];
-                    mem.read(at.addr, &mut bytes)?;
-                    ChainOut::Bytes(bytes)
-                }
-                Landed::Value(old) => ChainOut::Value(old),
-            });
-            Ok(())
-        })?;
-        Ok(outs)
+        self.one_sided(ctx, lh, ops)
     }
 
     /// Every one-sided call — `lt_write`, `lt_read`, the atomics,
     /// `lt_chain` — is this: one syscall crossing around the healed,
     /// pinned pieces of every op's range ([`Self::fresh_pieces`]) and the
-    /// one body that posts them ([`Self::chain_pieces`]). `sink` is handed
-    /// each op's result, in op order, once the whole chain completed.
-    fn one_sided(
-        &mut self,
-        ctx: &mut Ctx,
-        lh: Lh,
-        ops: &[ChainOp],
-        sink: &mut dyn FnMut(Landed) -> LiteResult<()>,
-    ) -> LiteResult<()> {
-        let ranges = ops.iter().map(ChainOp::range);
+    /// one body that posts them ([`Self::chain_pieces`]).
+    fn one_sided(&mut self, ctx: &mut Ctx, lh: Lh, ops: &mut [ChainOp]) -> LiteResult<()> {
         self.syscall(ctx, |this, ctx| {
-            let (id, pieces, _pins) = this.fresh_pieces(ctx, lh, ranges)?;
-            this.chain_pieces(ctx, id, ops, &pieces, sink)
+            // Held until the chain completed: the pins keep its pieces
+            // where they are.
+            let (mut pieces, mut pins) = (Pieces::new(), Pins::new());
+            let ranges = ops.iter().map(ChainOp::range);
+            let id = this.fresh_pieces(ctx, lh, ranges, &mut pieces, &mut pins)?;
+            this.chain_pieces(ctx, id, ops, &pieces)
         })
     }
 
     /// The one body of a one-sided call, once every range is resolved
     /// (`pieces` holds op after op's, as [`Self::fresh_pieces`] lists
-    /// them) and pinned: stage, post, wait once, collect. One verb per
-    /// physical piece; `pieces`, `zones`, `posts` and `comps` below are
-    /// indexed by verb.
+    /// them) and pinned: stage, post, wait once, land each op's result.
+    /// One verb per physical piece; `zones`, `posts` and `comps` below
+    /// are indexed by verb and held inline.
     fn chain_pieces(
         &mut self,
         ctx: &mut Ctx,
         id: LmrId,
-        ops: &[ChainOp],
+        ops: &mut [ChainOp],
         pieces: &[(NodeId, Chunk)],
-        sink: &mut dyn FnMut(Landed) -> LiteResult<()>,
     ) -> LiteResult<()> {
         let start = ctx.now();
         // Staging holds every write's payload and every read's landing
         // zone, in op order.
-        let staged = |op: &ChainOp| match *op {
-            ChainOp::Write { data, .. } => data.len(),
-            ChainOp::Read { len, .. } => len,
-            ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => 0,
-        };
-        let total: usize = ops.iter().map(staged).sum();
+        let total: usize = ops.iter().map(ChainOp::staged).sum();
         Self::ensure(&self.kernel, &mut self.staging, total)?;
         let mem = self.kernel.fabric().mem(self.kernel.node());
-        // Each op with its share of the pieces.
-        let per_op = ops
-            .iter()
-            .zip(shares(ops.iter().map(|op| op.range().1), pieces));
-        let mut at = self.staging.addr;
-        for (op, pieces) in per_op.clone() {
+        // Each verb's zone: its piece's share of the op's staging (none
+        // for an atomic).
+        let (mut at, mut rest) = (self.staging.addr, pieces);
+        let mut zones: InlineVec<Chunk> = InlineVec::new();
+        for op in ops.iter() {
+            let share = share(&mut rest, op.range().1);
             match *op {
                 ChainOp::Write { data, .. } => mem.write(at, data)?,
                 ChainOp::Read { .. } => {}
@@ -1514,7 +1507,7 @@ impl LiteHandle {
                 // has bounds/permission checked the range, so more than
                 // one piece means the word straddles a chunk boundary.
                 ChainOp::FetchAdd { off, .. } | ChainOp::CmpSwap { off, .. } => {
-                    if pieces.len() != 1 {
+                    if share.len() != 1 {
                         return Err(LiteError::StraddlesChunk {
                             offset: off,
                             len: 8,
@@ -1522,43 +1515,33 @@ impl LiteHandle {
                     }
                 }
             }
-            at += staged(op) as u64;
-        }
-        let verbs = per_op
-            .clone()
-            .flat_map(|(op, pieces)| pieces.iter().map(move |piece| (op, piece)));
-        let n = pieces.len();
-        // A verb's zone: its piece's share of the op's staging (none for
-        // an atomic).
-        let mut at = self.staging.addr;
-        let zone_of = verbs.clone().map(|(op, (_, c))| {
-            let len = if staged(op) > 0 { c.len } else { 0 };
-            let zone = Chunk { addr: at, len };
-            at += len;
-            zone
-        });
-        let (mut one, mut many) = (None, Vec::new());
-        let zones = gather(n, zone_of, &mut one, &mut many);
-        let post_of = verbs.zip(&*zones).map(|((op, &(node, c)), zone)| {
-            let (addr, zone, len) = (c.addr, std::slice::from_ref(zone), c.len as usize);
-            match *op {
-                ChainOp::Write { .. } => Op::write(node, addr, zone, len),
-                ChainOp::Read { .. } => Op::read(node, addr, zone, len),
-                ChainOp::FetchAdd { delta, .. } => Op::FetchAdd { node, addr, delta },
-                ChainOp::CmpSwap { expect, new, .. } => Op::CmpSwap {
-                    node,
-                    addr,
-                    expect,
-                    new,
-                },
+            for (_, c) in share {
+                let len = if op.staged() > 0 { c.len } else { 0 };
+                zones.push(Chunk { addr: at, len });
+                at += len;
             }
-        });
-        let (mut one, mut many) = (None, Vec::new());
-        let posts = gather(n, post_of, &mut one, &mut many);
-        let (mut one, mut many) = (None, Vec::new());
-        let blank = std::iter::repeat_n(Completion::default(), n);
-        let comps = gather(n, blank, &mut one, &mut many);
-        let result = self.kernel.rdma_chain(ctx, self.prio, posts, comps);
+        }
+        let mut posts: InlineVec<Op> = InlineVec::new();
+        let (mut verbs, mut rest) = (zones.iter(), pieces);
+        for op in ops.iter() {
+            for (&(node, c), zone) in share(&mut rest, op.range().1).iter().zip(&mut verbs) {
+                let (addr, zone, len) = (c.addr, std::slice::from_ref(zone), c.len as usize);
+                posts.push(match *op {
+                    ChainOp::Write { .. } => Op::write(node, addr, zone, len),
+                    ChainOp::Read { .. } => Op::read(node, addr, zone, len),
+                    ChainOp::FetchAdd { delta, .. } => Op::FetchAdd { node, addr, delta },
+                    ChainOp::CmpSwap { expect, new, .. } => Op::CmpSwap {
+                        node,
+                        addr,
+                        expect,
+                        new,
+                    },
+                });
+            }
+        }
+        let mut comps: InlineVec<Completion> =
+            pieces.iter().map(|_| Completion::default()).collect();
+        let result = self.kernel.rdma_chain(ctx, self.prio, &posts, &mut comps);
         if result.is_ok() {
             // A call that moved bytes reaps one completion. Atomics alone:
             // a lone one was reaped by its post, like the blocking verb it
@@ -1572,9 +1555,10 @@ impl LiteHandle {
         let (end, ok) = (ctx.now(), result.is_ok());
         // Walk the ops again with the same two cursors the posting pass
         // advanced: the staging address and the verb index.
-        let (mut at, mut verb) = (self.staging.addr, 0);
-        for (op, pieces) in per_op {
-            let landed = match *op {
+        let (mut at, mut verb, mut rest) = (self.staging.addr, 0, pieces);
+        for op in ops.iter_mut() {
+            let (staged, n) = (op.staged(), share(&mut rest, op.range().1).len());
+            match op {
                 ChainOp::Write { off, data } => {
                     // Lookup/permission/bounds failures returned before any
                     // side effect and are not recorded in the history (a
@@ -1584,45 +1568,42 @@ impl LiteHandle {
                     let kind = || OpKind::Write {
                         fp: fingerprint(data),
                     };
-                    self.record_reg(id, off, data.len(), kind, ok, start, end);
-                    Landed::Done
+                    self.record_reg(id, *off, data.len(), kind, ok, start, end);
                 }
-                ChainOp::Read { off, len } => {
+                ChainOp::Read { off, buf } => {
                     // Failed reads are excluded by the checker; fp is
                     // meaningful only on the ok path.
+                    let len = buf.len();
                     let kind = || {
                         let mut got = vec![0u8; len];
                         let read = ok && mem.read(at, &mut got).is_ok();
                         let fp = if read { fingerprint(&got) } else { 0 };
                         OpKind::Read { fp }
                     };
-                    self.record_reg(id, off, len, kind, ok, start, end);
-                    let len = len as u64;
-                    Landed::Bytes(mem, Chunk { addr: at, len })
+                    self.record_reg(id, *off, len, kind, ok, start, end);
+                    if ok {
+                        mem.read(at, buf)?;
+                    }
                 }
-                ChainOp::FetchAdd { .. } | ChainOp::CmpSwap { .. } => {
-                    Landed::Value(comps[verb].value)
+                ChainOp::FetchAdd { old, .. } | ChainOp::CmpSwap { old, .. } => {
+                    if ok {
+                        *old = comps[verb].value;
+                    }
                 }
-            };
-            if ok {
-                sink(landed)?;
             }
-            at += staged(op) as u64;
-            verb += pieces.len();
+            at += staged as u64;
+            verb += n;
         }
         result
     }
 }
 
-/// What the one-sided body hands its caller's sink for one completed op.
-enum Landed<'a> {
-    /// A write; nothing to return.
-    Done,
-    /// A read: the bytes wait in this zone of the node's memory.
-    Bytes(&'a PhysMem, Chunk),
-    /// An atomic: the word's previous contents.
-    Value(u64),
-}
+/// A one-sided call's physical pieces, op after op's, inline for a
+/// chain of up to [`simnet::CHAIN_INLINE`] of them.
+type Pieces = InlineVec<(NodeId, Chunk)>;
+
+/// The pins that hold a call's pieces in place while it runs.
+type Pins = InlineVec<crate::mm::PinGuard>;
 
 /// A claimed completion slot: its id and the slot to wait on.
 type Posted = (u32, Arc<CallSlot>);
@@ -1648,44 +1629,19 @@ impl Drop for LiteHandle {
     }
 }
 
-/// Cuts a call's one piece list back into each range's share, given the
-/// ranges' lengths in order. [`Location::slice_into`] covers a range
-/// exactly with pieces none of which is empty, so a range's share is the
-/// next pieces whose lengths add up to its own — none for an empty range.
-fn shares<'p>(
-    lens: impl Iterator<Item = usize> + Clone + 'p,
-    pieces: &'p [(NodeId, Chunk)],
-) -> impl Iterator<Item = &'p [(NodeId, Chunk)]> + Clone + 'p {
-    let mut rest = pieces;
-    lens.map(move |len| {
-        let (mut n, mut left) = (0, len as u64);
-        while left > 0 {
-            left -= rest[n].1.len;
-            n += 1;
-        }
-        let (share, tail) = rest.split_at(n);
-        rest = tail;
-        share
-    })
-}
-
-/// The `n` items of `items` as a slice: held in `one` when there is
-/// just one — a one-op call on one piece builds no vector — else in
-/// `many`.
-fn gather<'s, T>(
-    n: usize,
-    mut items: impl Iterator<Item = T>,
-    one: &'s mut Option<T>,
-    many: &'s mut Vec<T>,
-) -> &'s mut [T] {
-    if n == 1 {
-        *one = items.next();
-        one.as_mut_slice()
-    } else {
-        many.reserve_exact(n);
-        many.extend(items);
-        many
+/// The next range's share of a call's one piece list: the pieces at
+/// the front of `rest` whose lengths add up to `len`, taken off it.
+/// [`Location::slice_into`] covers a range exactly with pieces none of
+/// which is empty, so the share is exact — none for an empty range.
+fn share<'p>(rest: &mut &'p [(NodeId, Chunk)], len: usize) -> &'p [(NodeId, Chunk)] {
+    let (mut n, mut left) = (0, len as u64);
+    while left > 0 {
+        left -= rest[n].1.len;
+        n += 1;
     }
+    let (share, tail) = rest.split_at(n);
+    *rest = tail;
+    share
 }
 
 /// A just-fetched lh table entry.

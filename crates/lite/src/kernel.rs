@@ -332,13 +332,34 @@ impl LiteKernel {
 
     /// Memory-tiering gauges.
     pub fn mm_stats(&self) -> crate::mm::MmReport {
-        self.mm.stats()
+        self.mm_stats_with(&self.observe().tally())
+    }
+
+    /// [`Self::mm_stats`] with mm's latencies from an already folded
+    /// `tally`.
+    fn mm_stats_with(&self, tally: &simnet::ledger::Tally) -> crate::mm::MmReport {
+        use crate::observe::{cell, LatencySummary};
+        let lat = |c: usize| LatencySummary::of(tally.cells[c].lat.as_ref());
+        crate::mm::MmReport {
+            fetch_back_lat: lat(cell::MM_FETCH_BACK),
+            reg_lat: lat(cell::MM_REG),
+            ..self.mm.stats()
+        }
     }
 
     /// Statistics snapshot.
     pub fn stats(&self) -> KernelStats {
+        self.stats_with(&self.observe().tally())
+    }
+
+    /// [`Self::stats`] with the one-sided counts of an already folded
+    /// `tally`.
+    fn stats_with(&self, tally: &simnet::ledger::Tally) -> KernelStats {
+        use crate::observe::cell;
         let dp = &self.datapath;
         let mut s = self.counters.snapshot(dp.num_qps(), dp.retry_counters());
+        let (w, r) = (&tally.cells[cell::LT_WRITE], &tally.cells[cell::LT_READ]);
+        (s.lt_writes, s.lt_reads, s.lt_bytes) = (w.count, r.count, w.bytes + r.bytes);
         s.mesh_ns = self.mesh_host_ns.load(Ordering::Relaxed) + dp.mesh_host_ns();
         s.lazy_connects = dp.lazy_connects();
         s.boot_ns = self.boot_host_ns.load(Ordering::Relaxed);
@@ -354,13 +375,15 @@ impl LiteKernel {
             rtt_ewma_ns: self.qos.rtt_estimate(),
         };
         let dp = &self.datapath;
+        let tally = dp.observer().tally();
         observe::build_report(
             self.node,
-            self.stats(),
+            self.stats_with(&tally),
             dp.observer(),
+            &tally,
             |peer| !dp.peer_is_dead(peer),
             qos,
-            self.mm.stats(),
+            self.mm_stats_with(&tally),
             self.fabric.nic(self.node).stats(),
         )
     }

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use rnic::qp::RecvQueue;
 use rnic::{Cq, IbFabric, NodeId, Qp, QpId, QpType, RemoteAddr, SgeRef, VerbsError, Wr, COST};
 use simnet::wait::{pause, Deadline};
-use simnet::{Ctx, Nanos};
+use simnet::{Ctx, InlineVec, Nanos};
 use smem::{PhysAllocator, PhysMem};
 
 use super::stats::RetryCounters;
@@ -748,19 +748,13 @@ impl RnicDataPath {
                 },
             }
         };
-        // A run of one (every `post`) needs no heap for its work request.
-        let (one, many);
-        let wrs: &[Wr] = if let [op] = rest {
-            one = wr_of(0, op);
-            std::slice::from_ref(&one)
-        } else {
-            many = rest
-                .iter()
-                .enumerate()
-                .map(|(k, op)| wr_of(k, op))
-                .collect::<Vec<_>>();
-            &many
-        };
+        // Held inline: a run of up to `CHAIN_INLINE` needs no heap for its
+        // work requests.
+        let wrs: InlineVec<Wr> = rest
+            .iter()
+            .enumerate()
+            .map(|(k, op)| wr_of(k, op))
+            .collect();
         // A write-imm's credit is reposted when the arrival is dispatched,
         // by the thread that delivered it — or, while a kernel call holds
         // the remote dispatcher, once the kernel-call thread drains after
@@ -788,7 +782,7 @@ impl RnicDataPath {
         let mut tries = 0;
         let mut deadline = None;
         loop {
-            match nic.post_chain(ctx, &qp, wrs, &mut ack) {
+            match nic.post_chain(ctx, &qp, &wrs, &mut ack) {
                 Err(VerbsError::ReceiverNotReady) if tries < 1000 => {
                     tries += 1;
                     ctx.clock.advance(200);
@@ -938,7 +932,7 @@ impl RnicDataPath {
             self.touch_mm(op);
         }
         let start = ctx.now();
-        let sampled = self.obs.sample();
+        let sampled = self.obs.sample(ctx);
         let id0 = self.obs.next_op_ids(ops.len() as u64);
         if sampled {
             for (id, op) in (id0..).zip(ops) {
@@ -989,6 +983,7 @@ impl RnicDataPath {
         for ((id, op), c) in (id0..).zip(ops).zip(done) {
             self.record_atomic(op, c.value, true, start, c.stamp);
             self.obs.record_completion(
+                ctx,
                 op.class(),
                 prio,
                 peer,
@@ -1113,13 +1108,7 @@ impl LiteKernel {
         ops: &[Op],
         out: &mut [Completion],
     ) -> LiteResult<()> {
-        for op in ops {
-            match op {
-                Op::Write { len, .. } => self.counters.count_write(*len as u64),
-                Op::Read { len, .. } => self.counters.count_read(*len as u64),
-                Op::FetchAdd { .. } | Op::CmpSwap { .. } => {}
-            }
-        }
+        self.observe().count_moved(ctx, ops);
         self.datapath.post_many_into(ctx, prio, ops, out)
     }
 }

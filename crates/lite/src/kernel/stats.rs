@@ -1,18 +1,15 @@
-//! Kernel statistics: lock-free counters updated on the hot paths and
-//! the aggregate snapshot handed to benchmarks.
+//! Kernel statistics: the counters of the paths that are not per verb,
+//! and the aggregate snapshot handed to benchmarks.
 //!
 //! # Snapshot consistency contract
 //!
-//! Each counter is updated independently, so a snapshot is **not** a
-//! point-in-time cut across all of them. The one cross-counter invariant
-//! readers may rely on is `bytes` vs the op counters: every hot-path
-//! update bumps the op counter (relaxed) *before* adding to `bytes` with
-//! `Release`, and the snapshot loads `bytes` first with `Acquire` before
-//! the op counters. Every byte visible in a snapshot therefore belongs
-//! to an op already visible in it — derived rates like bytes/op can
-//! *under*-estimate in-flight traffic but never attribute bytes to ops
-//! the snapshot has not counted. All remaining counters are monotonic
-//! relaxed totals with no ordering relative to one another.
+//! `lt_writes`, `lt_reads` and `lt_bytes` are counted per verb in the
+//! ledgers of the posting contexts (`crate::observe`) and folded in by
+//! `LiteKernel::stats`. Each ledger is read at an op boundary, so every
+//! byte in a snapshot belongs to an op the snapshot counts, and a
+//! quiesced snapshot is exact. The counters here are monotonic relaxed
+//! atomics with no ordering relative to one another: each is counted
+//! once per RPC, transaction, KV op or fault, never per verb.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,9 +83,6 @@ pub struct KernelStats {
 #[derive(Debug, Default)]
 pub(crate) struct KernelCounters {
     pub(crate) rpc: AtomicU64,
-    pub(crate) writes: AtomicU64,
-    pub(crate) reads: AtomicU64,
-    pub(crate) bytes: AtomicU64,
     pub(crate) cleanup_failures: AtomicU64,
     pub(crate) lock_unwinds: AtomicU64,
     pub(crate) sync_leaks: AtomicU64,
@@ -114,19 +108,6 @@ pub(crate) struct RetryCounters {
 impl KernelCounters {
     pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    // Op counter (relaxed) strictly before bytes (release) — see the
-    // module-level snapshot consistency contract.
-
-    pub(crate) fn count_write(&self, bytes: u64) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Release);
-    }
-
-    pub(crate) fn count_read(&self, bytes: u64) {
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Release);
     }
 
     pub(crate) fn count_rpc(&self) {
@@ -176,15 +157,8 @@ impl KernelCounters {
     /// kernel (which owns the pool tables and the datapath).
     pub(crate) fn snapshot(&self, qps: usize, retry: &RetryCounters) -> KernelStats {
         let r = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        // Bytes first (acquire): pairs with the release adds so the op
-        // counters read afterwards can only be ahead of, never behind,
-        // the ops that produced these bytes.
-        let lt_bytes = self.bytes.load(Ordering::Acquire);
         KernelStats {
             rpc_dispatched: r(&self.rpc),
-            lt_writes: r(&self.writes),
-            lt_reads: r(&self.reads),
-            lt_bytes,
             qps,
             retries: r(&retry.retries),
             qp_reconnects: r(&retry.qp_reconnects),
@@ -200,8 +174,12 @@ impl KernelCounters {
             kv_gets: r(&self.kv_gets),
             kv_replication_lag: r(&self.kv_replication_lag),
             ring_pulls: r(&self.ring_pulls),
-            // Gauges owned by the kernel/datapath; folded in by
-            // `LiteKernel::stats` after this snapshot.
+            // Counted in the contexts' ledgers or owned by the
+            // kernel/datapath; folded in by `LiteKernel::stats` after
+            // this snapshot.
+            lt_writes: 0,
+            lt_reads: 0,
+            lt_bytes: 0,
             boot_ns: 0,
             mesh_ns: 0,
             lazy_connects: 0,
@@ -216,10 +194,6 @@ mod tests {
     #[test]
     fn counters_snapshot() {
         let c = KernelCounters::new();
-        c.count_write(100);
-        c.count_write(20);
-        c.count_write(30);
-        c.count_read(7);
         c.count_rpc();
         c.count_cleanup_failure();
         c.count_lock_unwind();
@@ -233,9 +207,6 @@ mod tests {
         c.set_kv_replication_lag(9);
         c.set_kv_replication_lag(4);
         let s = c.snapshot(6, &RetryCounters::default());
-        assert_eq!(s.lt_writes, 3);
-        assert_eq!(s.lt_reads, 1);
-        assert_eq!(s.lt_bytes, 157);
         assert_eq!(s.rpc_dispatched, 1);
         assert_eq!(s.qps, 6);
         assert_eq!(s.retries, 0);

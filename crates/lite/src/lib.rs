@@ -63,7 +63,7 @@ pub mod shard;
 pub mod verify;
 pub mod wire;
 
-pub use api::{ChainOp, ChainOut, Lh, LiteHandle, LockId, RpcCall};
+pub use api::{ChainOp, Lh, LiteHandle, LockId, RpcCall};
 pub use cluster::LiteCluster;
 pub use config::LiteConfig;
 pub use directory::ClusterDirectory;
@@ -73,8 +73,8 @@ pub use kernel::{KernelStats, LiteKernel, MANAGER_NODE, USER_FUNC_MIN};
 pub use lmr::{LmrId, Location, Perm};
 pub use mm::{MemManager, MmReport};
 pub use observe::{
-    ClassStats, ConcurrentHistogram, EventKind, LatencySummary, Observability, OpClass, PeerReport,
-    QosReport, StatsReport, TraceEvent, TraceRing, TraceStats,
+    ClassStats, EventKind, LatencySummary, Observability, OpClass, PeerReport, QosReport,
+    StatsReport, TraceEvent, TraceRing, TraceStats,
 };
 pub use qos::{Priority, QosMode, QosState};
 pub use shard::ShardedMap;

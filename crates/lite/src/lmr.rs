@@ -92,7 +92,7 @@ impl Location {
         &self,
         offset: u64,
         len: u64,
-        out: &mut Vec<(NodeId, Chunk)>,
+        out: &mut impl Extend<(NodeId, Chunk)>,
     ) -> LiteResult<()> {
         if len == 0 {
             return Ok(());
@@ -112,13 +112,11 @@ impl Location {
             if pos < ext_end && remaining > 0 {
                 let in_ext = pos - cur;
                 let take = (c.len - in_ext).min(remaining);
-                out.push((
-                    *node,
-                    Chunk {
-                        addr: c.addr + in_ext,
-                        len: take,
-                    },
-                ));
+                let piece = Chunk {
+                    addr: c.addr + in_ext,
+                    len: take,
+                };
+                out.extend([(*node, piece)]);
                 pos += take;
                 remaining -= take;
             }
@@ -196,7 +194,7 @@ impl LhEntry {
         offset: u64,
         len: usize,
         need: Perm,
-        out: &mut Vec<(NodeId, Chunk)>,
+        out: &mut impl Extend<(NodeId, Chunk)>,
     ) -> LiteResult<()> {
         if self.stale {
             return Err(LiteError::BadLh { lh: 0 });

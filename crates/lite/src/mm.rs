@@ -78,7 +78,7 @@ use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::Op;
 use crate::kernel::LiteKernel;
 use crate::lmr::{LmrId, Location};
-use crate::observe::{ConcurrentHistogram, LatencySummary};
+use crate::observe::LatencySummary;
 use crate::qos::Priority;
 
 /// How long a migrator waits for in-flight pins to drain before giving
@@ -311,15 +311,12 @@ pub struct MemManager {
     redirects: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    fetch_back_lat: ConcurrentHistogram,
     /// Page-granular pin accounting for tracked ranges on this node.
     pins: smem::PinTable,
     /// Sweep epoch: bumped once per manager sweep; cold detection input.
     epoch: AtomicU64,
     first_touch_faults: AtomicU64,
     bg_unpins: AtomicU64,
-    /// Registration (`lt_malloc`/`lt_map`) latency, virtual ns.
-    reg_lat: ConcurrentHistogram,
 }
 
 impl MemManager {
@@ -351,12 +348,10 @@ impl MemManager {
             redirects: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            fetch_back_lat: ConcurrentHistogram::new(),
             pins: smem::PinTable::new(),
             epoch: AtomicU64::new(1),
             first_touch_faults: AtomicU64::new(0),
             bg_unpins: AtomicU64::new(0),
-            reg_lat: ConcurrentHistogram::new(),
         }
     }
 
@@ -704,13 +699,10 @@ impl MemManager {
         self.migrated.park_until(ended, deadline);
     }
 
-    /// Records one registration's virtual latency (whole `lt_malloc` /
-    /// `lt_map` call) into the `reg_lat` histogram.
-    pub(crate) fn record_reg_latency(&self, ns: u64) {
-        self.reg_lat.record(ns.max(1));
-    }
-
-    /// Memory-tiering gauges (folded into [`crate::StatsReport`]).
+    /// Memory-tiering gauges (folded into [`crate::StatsReport`]). The
+    /// two latency summaries are empty here: they live in the ledgers of
+    /// the contexts that took them, and [`LiteKernel::mm_stats`] folds
+    /// them in.
     pub fn stats(&self) -> MmReport {
         let (resident_bytes, evicted_bytes, hosted_bytes, resident_chunks, evicted_chunks) = {
             let st = self.state.lock();
@@ -747,8 +739,10 @@ impl MemManager {
             pinned_pages: self.pins.pinned_pages(),
             first_touch_faults: self.first_touch_faults.load(Ordering::Relaxed),
             bg_unpins: self.bg_unpins.load(Ordering::Relaxed),
-            fetch_back_lat: LatencySummary::of(&self.fetch_back_lat),
-            reg_lat: LatencySummary::of(&self.reg_lat),
+            // Recorded in the ledgers of the contexts that migrate and
+            // register; `LiteKernel::mm_stats` folds them in.
+            fetch_back_lat: LatencySummary::default(),
+            reg_lat: LatencySummary::default(),
         }
     }
 
@@ -1336,8 +1330,10 @@ fn migrate_one(
         return Err(LiteError::Internal("record vanished during migration"));
     }
     if inbound {
-        mm.fetch_back_lat
-            .record(ctx.now().saturating_sub(started).max(1));
+        let took = ctx.now().saturating_sub(started).max(1);
+        kernel
+            .observe()
+            .record_latency(ctx, crate::observe::cell::MM_FETCH_BACK, took);
     }
     // Tell every mapper — local handles directly, other nodes by
     // `FN_INVALIDATE` — that the LMR's location changed under them:

@@ -1,16 +1,21 @@
-//! Kernel-level observability: lock-free latency histograms, per-peer
-//! accounting, and an op-lifecycle trace ring.
+//! Kernel-level observability: latency histograms and per-peer accounting
+//! kept in the ledgers of the contexts that record them, and an
+//! op-lifecycle trace ring.
 //!
 //! The paper's evaluation (§6, §8) is built on per-priority latency and
 //! throughput breakdowns; production RDMA stacks (FaRM's per-machine
 //! telemetry, HERD's per-verb accounting) treat in-kernel measurement as
 //! load-bearing. This module gives the LITE kernel the same capability:
 //!
-//! * [`ConcurrentHistogram`] — the log-bucketed [`simnet::Histogram`]
-//!   made concurrent: per-bucket atomics sharded across cache lines so
-//!   hot-path recording is a couple of relaxed `fetch_add`s, never a
-//!   lock. Snapshots reconstruct a plain `Histogram` (with exact
-//!   min/max) for percentile queries.
+//! * The node's [`simnet::Book`] of ledgers: every context that posts
+//!   through the node records its class × priority latency histograms,
+//!   per-peer ops, bytes and latencies, the kernel's one-sided op and
+//!   byte counts and mm's two latency histograms in its own ledger,
+//!   with loads and stores and one release store per op (no
+//!   read-modify-write); a dropped context's ledger retires into the
+//!   book's total. `lt_stats()` folds them into a [`StatsReport`]. Per-peer failures
+//!   and retries stay atomics here: they are counted on the recovery
+//!   paths, some of which hold no context.
 //! * [`TraceRing`] — a fixed-size, per-node, seqlock-style ring of
 //!   timestamped op-lifecycle events (posted, batched, retried,
 //!   reconnected, completed, failed). Writers never block; readers
@@ -26,11 +31,12 @@
 //! measures. A sampling knob ([`crate::LiteConfig::stats_sample_rate`])
 //! bounds even the host cost on hot paths.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rnic::NodeId;
-use simnet::{bucket_floor, bucket_of, Histogram, Nanos, HIST_BUCKETS};
+use simnet::ledger::{Samples, Tally};
+use simnet::{Book, Ctx, Nanos};
 
 use crate::qos::{Priority, QosMode};
 
@@ -105,131 +111,6 @@ fn prio_index(p: Priority) -> usize {
     match p {
         Priority::High => 0,
         Priority::Low => 1,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Concurrent sharded histogram
-// ---------------------------------------------------------------------
-
-/// One shard: a full bucket array plus exact extremes and a running sum.
-struct HistShard {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistShard {
-    fn new() -> Self {
-        HistShard {
-            buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Three RMWs once warm: the extremes are loaded first and written
-    /// only by a sample that moves one (they only ever move outwards, so
-    /// a stale load can cost an RMW, never lose a sample).
-    fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        if v < self.min.load(Ordering::Relaxed) {
-            self.min.fetch_min(v, Ordering::Relaxed);
-        }
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Number of shards; recording threads spread across them to avoid
-/// bouncing one cache line between cores. Power of two.
-const SHARDS: usize = 4;
-
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each recording thread gets a stable shard index.
-    static THREAD_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-}
-
-/// The `simnet` log-bucketed histogram made lock-free and sharded for
-/// concurrent hot-path recording. `record` is wait-free (three relaxed
-/// atomic RMWs on the calling thread's shard, five while the extremes
-/// still move); `snapshot` merges all shards into a plain [`Histogram`]
-/// whose percentiles carry the usual ~6 % bucket error with exact
-/// endpoints.
-pub struct ConcurrentHistogram {
-    shards: Vec<HistShard>,
-}
-
-impl ConcurrentHistogram {
-    /// Creates an empty concurrent histogram.
-    pub fn new() -> Self {
-        ConcurrentHistogram {
-            shards: (0..SHARDS).map(|_| HistShard::new()).collect(),
-        }
-    }
-
-    /// Records one sample (lock-free, callable from any thread).
-    pub fn record(&self, v: u64) {
-        THREAD_SHARD.with(|&s| self.shards[s].record(v));
-    }
-
-    /// Total samples recorded across all shards.
-    pub fn count(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Merges every shard into a plain histogram for percentile queries.
-    /// Concurrent recording during a snapshot can skew individual bucket
-    /// counts by in-flight ops; it never tears a single bucket.
-    pub fn snapshot(&self) -> Histogram {
-        let mut h = Histogram::new();
-        let (mut min, mut max) = (u64::MAX, 0u64);
-        for shard in &self.shards {
-            for i in 0..HIST_BUCKETS {
-                let c = shard.buckets[i].load(Ordering::Relaxed);
-                if c > 0 {
-                    h.record_n(bucket_floor(i), c);
-                }
-            }
-            min = min.min(shard.min.load(Ordering::Relaxed));
-            max = max.max(shard.max.load(Ordering::Relaxed));
-        }
-        if h.count() > 0 {
-            h.set_bounds(min, max);
-        }
-        h
-    }
-
-    /// Mean of all recorded samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        let (mut c, mut s) = (0u64, 0u128);
-        for shard in &self.shards {
-            c += shard.count.load(Ordering::Relaxed);
-            s += shard.sum.load(Ordering::Relaxed) as u128;
-        }
-        if c == 0 {
-            0.0
-        } else {
-            s as f64 / c as f64
-        }
-    }
-}
-
-impl Default for ConcurrentHistogram {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -438,31 +319,36 @@ impl TraceRing {
 }
 
 // ---------------------------------------------------------------------
-// Per-peer accounting
+// The ledger cells
 // ---------------------------------------------------------------------
 
-/// Lock-free per-peer counters plus a latency histogram.
-pub(crate) struct PeerStats {
-    pub(crate) ops: AtomicU64,
-    pub(crate) bytes: AtomicU64,
-    pub(crate) failures: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) lat: ConcurrentHistogram,
-    /// Virtual stamp of the most recent completion from this peer.
-    pub(crate) last_completion: AtomicU64,
+/// What each fixed cell of a node's ledgers counts. The first
+/// `OP_CLASSES.len() * 2` are the class × priority latency histograms
+/// (`class * 2 + priority`).
+pub(crate) mod cell {
+    /// One-sided writes the kernel posted for `lt_*` calls and its own
+    /// services (`KernelStats::lt_writes`, bytes in `lt_bytes`).
+    pub const LT_WRITE: usize = 14;
+    /// One-sided reads, likewise (`lt_reads`).
+    pub const LT_READ: usize = 15;
+    /// mm fetch-back latency (virtual ns, whole operation).
+    pub const MM_FETCH_BACK: usize = 16;
+    /// Registration (`lt_malloc`) latency, virtual ns.
+    pub const MM_REG: usize = 17;
+    /// Fixed cells per ledger.
+    pub const COUNT: usize = 18;
 }
 
-impl PeerStats {
-    fn new() -> Self {
-        PeerStats {
-            ops: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            lat: ConcurrentHistogram::new(),
-            last_completion: AtomicU64::new(0),
-        }
-    }
+fn class_cell(class: OpClass, prio: Priority) -> usize {
+    class.index() * 2 + prio_index(prio)
+}
+
+/// Per-peer fault counters: counted where recovery gives up or repeats,
+/// which are rare paths and not all of them hold a context.
+#[derive(Default)]
+struct PeerFaults {
+    failures: AtomicU64,
+    retries: AtomicU64,
 }
 
 // ---------------------------------------------------------------------
@@ -472,20 +358,17 @@ impl PeerStats {
 /// The kernel's observability surface: one per node, shared by the
 /// datapath hot paths, the RPC plane, and the API layer.
 pub struct Observability {
-    /// class × priority latency histograms (post → completion).
-    class_lat: Vec<ConcurrentHistogram>, // [class][prio] flattened
-    /// Per-peer accounting, materialized on first traffic to the peer.
-    /// Eager allocation here was O(peers × histogram) per node — the
-    /// dominant boot cost at hundreds of nodes — for tables most peers
-    /// never populate.
-    peers: Vec<OnceLock<Box<PeerStats>>>,
+    /// The ledgers of every context that recorded here (class ×
+    /// priority histograms, per-peer ops, bytes and latency, one-sided
+    /// op counts, mm latencies).
+    book: Arc<Book>,
+    faults: Box<[PeerFaults]>,
     ring: TraceRing,
-    /// Record 1 in `sample_rate` latency samples (lifecycle *error*
-    /// events — retried/reconnected/failed — are always recorded).
+    /// Record 1 in `sample_rate` latency samples per context (lifecycle
+    /// *error* events — retried/reconnected/failed — are always
+    /// recorded).
     sample_rate: u32,
     next_op: AtomicU64,
-    /// Per-thread sampling strides start from here.
-    sample_tick: AtomicU64,
     /// History log for the linearizability checker (armed by
     /// [`crate::LiteCluster::record_history`]; absent in normal runs).
     history: OnceLock<Arc<crate::verify::HistoryLog>>,
@@ -495,14 +378,11 @@ impl Observability {
     /// Creates observability state for a node with `peers` peers.
     pub fn new(peers: usize, sample_rate: u32, ring_slots: usize) -> Self {
         Observability {
-            class_lat: (0..OP_CLASSES.len() * 2)
-                .map(|_| ConcurrentHistogram::new())
-                .collect(),
-            peers: (0..peers).map(|_| OnceLock::new()).collect(),
+            book: Arc::new(Book::new(cell::COUNT, peers)),
+            faults: (0..peers).map(|_| PeerFaults::default()).collect(),
             ring: TraceRing::new(ring_slots),
             sample_rate: sample_rate.max(1),
             next_op: AtomicU64::new(1),
-            sample_tick: AtomicU64::new(0),
             history: OnceLock::new(),
         }
     }
@@ -530,14 +410,11 @@ impl Observability {
         self.next_op.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// Whether this op's latency (and posted/completed trace events)
-    /// should be recorded under the sampling rate.
-    pub fn sample(&self) -> bool {
-        self.sample_rate <= 1
-            || self
-                .sample_tick
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(self.sample_rate as u64)
+    /// Whether `ctx`'s next op's latency (and posted/completed trace
+    /// events) should be recorded under the sampling rate: one in
+    /// `sample_rate` of each context's ops.
+    pub fn sample(&self, ctx: &mut Ctx) -> bool {
+        ctx.ledger(&self.book).sample(self.sample_rate)
     }
 
     /// The trace ring.
@@ -545,18 +422,14 @@ impl Observability {
         &self.ring
     }
 
-    /// The latency histogram for one class × priority cell.
-    pub fn class_hist(&self, class: OpClass, prio: Priority) -> &ConcurrentHistogram {
-        &self.class_lat[class.index() * 2 + prio_index(prio)]
-    }
-
-    /// Records a completed op: per-peer op/byte gauges are always exact;
-    /// the latency histograms (class cell + per-peer) record only when
-    /// `sampled` — the caller's one [`Observability::sample`] draw for
-    /// the op.
+    /// Records a completed op in `ctx`'s ledger: per-peer op/byte gauges
+    /// are always exact; the latency histograms (class cell + per-peer)
+    /// record only when `sampled` — the caller's one
+    /// [`Observability::sample`] draw for the op.
     #[allow(clippy::too_many_arguments)]
     pub fn record_completion(
         &self,
+        ctx: &mut Ctx,
         class: OpClass,
         prio: Priority,
         peer: NodeId,
@@ -565,38 +438,52 @@ impl Observability {
         stamp: Nanos,
         sampled: bool,
     ) {
-        if sampled {
-            self.class_hist(class, prio).record(latency);
-        }
-        if let Some(p) = self.peer_touch(peer) {
-            p.ops.fetch_add(1, Ordering::Relaxed);
-            p.bytes.fetch_add(bytes, Ordering::Relaxed);
+        ctx.ledger(&self.book).record(|e| {
             if sampled {
-                p.lat.record(latency);
+                e.sample(class_cell(class, prio), latency);
             }
-            if stamp > p.last_completion.load(Ordering::Relaxed) {
-                p.last_completion.fetch_max(stamp, Ordering::Relaxed);
-            }
-        }
+            e.peer(peer, bytes, stamp, sampled.then_some(latency));
+        });
     }
 
     /// Records a latency sample into one class × priority cell only (no
     /// per-peer accounting) — used for API-level round-trip spans (RPC,
     /// lock, barrier) whose underlying posts already feed the peer table.
-    pub fn record_span(&self, class: OpClass, prio: Priority, latency: Nanos) {
-        self.class_hist(class, prio).record(latency);
+    pub fn record_span(&self, ctx: &mut Ctx, class: OpClass, prio: Priority, latency: Nanos) {
+        self.record_latency(ctx, class_cell(class, prio), latency);
+    }
+
+    /// Records one latency sample into fixed cell `cell` of `ctx`'s
+    /// ledger.
+    pub(crate) fn record_latency(&self, ctx: &mut Ctx, cell: usize, latency: Nanos) {
+        ctx.ledger(&self.book).record(|e| e.sample(cell, latency));
+    }
+
+    /// Counts the one-sided reads and writes of a chain the kernel posts
+    /// (`KernelStats::{lt_writes, lt_reads, lt_bytes}`), as one op.
+    pub(crate) fn count_moved(&self, ctx: &mut Ctx, ops: &[crate::kernel::datapath::Op]) {
+        use crate::kernel::datapath::Op;
+        ctx.ledger(&self.book).record(|e| {
+            for op in ops {
+                match op {
+                    Op::Write { len, .. } => e.add(cell::LT_WRITE, 1, *len as u64),
+                    Op::Read { len, .. } => e.add(cell::LT_READ, 1, *len as u64),
+                    Op::FetchAdd { .. } | Op::CmpSwap { .. } => {}
+                }
+            }
+        });
     }
 
     /// Counts a failed op towards `peer`.
     pub fn record_failure(&self, peer: NodeId) {
-        if let Some(p) = self.peer_touch(peer) {
+        if let Some(p) = self.faults.get(peer) {
             p.failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Counts a retried attempt towards `peer`.
     pub fn record_retry(&self, peer: NodeId) {
-        if let Some(p) = self.peer_touch(peer) {
+        if let Some(p) = self.faults.get(peer) {
             p.retries.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -621,22 +508,9 @@ impl Observability {
         });
     }
 
-    /// The peer's stats slot, materializing it on first use (recording
-    /// paths: the caller has real traffic towards this peer). After the
-    /// first touch this is one acquire load.
-    fn peer_touch(&self, peer: NodeId) -> Option<&PeerStats> {
-        self.peers
-            .get(peer)
-            .map(|slot| &**slot.get_or_init(|| Box::new(PeerStats::new())))
-    }
-
-    /// The peer's stats, if any traffic ever materialized them
-    /// (read-only: reporting must not inflate the table).
-    pub(crate) fn peer_stats(&self, peer: NodeId) -> Option<&PeerStats> {
-        self.peers
-            .get(peer)
-            .and_then(|slot| slot.get())
-            .map(|b| &**b)
+    /// Everything the node's contexts recorded, live and retired.
+    pub(crate) fn tally(&self) -> Tally {
+        self.book.fold()
     }
 
     /// Configured sampling rate (1 = every op).
@@ -672,11 +546,15 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    pub(crate) fn of(hist: &ConcurrentHistogram) -> LatencySummary {
-        let h = hist.snapshot();
+    /// The summary of folded samples (empty for none).
+    pub(crate) fn of(samples: Option<&Samples>) -> LatencySummary {
+        let Some(s) = samples else {
+            return LatencySummary::default();
+        };
+        let h = &s.hist;
         LatencySummary {
             count: h.count(),
-            mean_ns: hist.mean(),
+            mean_ns: s.mean(),
             p0: h.percentile(0.0),
             p50: h.percentile(50.0),
             p90: h.percentile(90.0),
@@ -884,11 +762,14 @@ impl StatsReport {
     }
 }
 
-/// Builds the per-class / per-peer sections of a report from live state.
+/// Builds the per-class / per-peer sections of a report from the node's
+/// folded ledgers (`tally`) and its fault counters.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn build_report(
     node: NodeId,
     kernel: crate::KernelStats,
     obs: &Observability,
+    tally: &Tally,
     peer_alive: impl Fn(NodeId) -> bool,
     qos: QosReport,
     mm: crate::mm::MmReport,
@@ -897,32 +778,30 @@ pub(crate) fn build_report(
     let mut classes = Vec::new();
     for &class in &OP_CLASSES {
         for prio in [Priority::High, Priority::Low] {
-            let lat = LatencySummary::of(obs.class_hist(class, prio));
+            let lat = LatencySummary::of(tally.cells[class_cell(class, prio)].lat.as_ref());
             if lat.count > 0 {
                 classes.push(ClassStats { class, prio, lat });
             }
         }
     }
     let mut peers = Vec::new();
-    for peer in 0..obs.peers.len() {
-        let Some(p) = obs.peer_stats(peer) else {
-            continue;
-        };
-        let ops = p.ops.load(Ordering::Relaxed);
-        let retries = p.retries.load(Ordering::Relaxed);
-        let failures = p.failures.load(Ordering::Relaxed);
+    for (peer, faults) in obs.faults.iter().enumerate() {
+        let seen = tally.peers[peer].as_ref();
+        let ops = seen.map_or(0, |p| p.count);
+        let retries = faults.retries.load(Ordering::Relaxed);
+        let failures = faults.failures.load(Ordering::Relaxed);
         if ops == 0 && retries == 0 && failures == 0 {
             continue; // never talked to this peer (or ourselves)
         }
         peers.push(PeerReport {
             peer,
             ops,
-            bytes: p.bytes.load(Ordering::Relaxed),
+            bytes: seen.map_or(0, |p| p.bytes),
             failures,
             retries,
             alive: peer_alive(peer),
-            last_completion: p.last_completion.load(Ordering::Relaxed),
-            lat: LatencySummary::of(&p.lat),
+            last_completion: seen.map_or(0, |p| p.last),
+            lat: LatencySummary::of(seen.and_then(|p| p.lat.as_ref())),
         });
     }
     let events = obs.ring.snapshot();
@@ -951,24 +830,6 @@ pub(crate) fn build_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn concurrent_histogram_matches_serial() {
-        let ch = ConcurrentHistogram::new();
-        let mut serial = Histogram::new();
-        for v in 1..=5_000u64 {
-            ch.record(v);
-            serial.record(v);
-        }
-        let snap = ch.snapshot();
-        assert_eq!(snap.count(), serial.count());
-        assert_eq!(snap.percentile(0.0), serial.percentile(0.0));
-        assert_eq!(snap.percentile(100.0), serial.percentile(100.0));
-        for p in [25.0, 50.0, 90.0, 99.0] {
-            assert_eq!(snap.percentile(p), serial.percentile(p), "p={p}");
-        }
-        assert!((ch.mean() - 2500.5).abs() < 1.0);
-    }
 
     #[test]
     fn trace_ring_orders_and_evicts() {
@@ -1015,10 +876,21 @@ mod tests {
     #[test]
     fn observability_records_and_reports() {
         let obs = Observability::new(3, 1, 256);
+        let mut ctx = Ctx::new();
         for i in 0..50u64 {
             let id = obs.next_op_id();
             obs.trace(id, OpClass::Read, EventKind::Posted, Priority::High, 2, i);
-            obs.record_completion(OpClass::Read, Priority::High, 2, 64, 1_000 + i, i + 5, true);
+            let (lat, stamp) = (1_000 + i, i + 5);
+            obs.record_completion(
+                &mut ctx,
+                OpClass::Read,
+                Priority::High,
+                2,
+                64,
+                lat,
+                stamp,
+                true,
+            );
             obs.trace(
                 id,
                 OpClass::Read,
@@ -1029,10 +901,12 @@ mod tests {
             );
         }
         obs.record_failure(2);
+        drop(ctx);
         let report = build_report(
             0,
             crate::KernelStats::default(),
             &obs,
+            &obs.tally(),
             |_| true,
             QosReport {
                 mode: QosMode::None,
@@ -1065,14 +939,10 @@ mod tests {
     #[test]
     fn sampling_rate_thins_recording() {
         let obs = Observability::new(1, 4, 64);
-        let mut sampled = 0;
-        for _ in 0..100 {
-            if obs.sample() {
-                sampled += 1;
-            }
-        }
+        let mut ctx = Ctx::new();
+        let sampled = (0..100).filter(|_| obs.sample(&mut ctx)).count();
         assert_eq!(sampled, 25);
         let every = Observability::new(1, 1, 64);
-        assert!((0..10).all(|_| every.sample()));
+        assert!((0..10).all(|_| every.sample(&mut ctx)));
     }
 }

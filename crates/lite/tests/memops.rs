@@ -4,7 +4,7 @@
 //! range split across several chunk segments, an ascending copy
 //! overwrites source bytes a later segment still has to read.
 
-use lite::{ChainOp, ChainOut, LiteCluster, LiteConfig, LiteError, Perm};
+use lite::{ChainOp, LiteCluster, LiteConfig, LiteError, Perm};
 use rnic::IbConfig;
 use simnet::Ctx;
 
@@ -140,41 +140,41 @@ fn chain_matches_the_single_calls_in_one_wait() {
         let (_cluster, mut h, mut ctx, lh) = fresh(home);
 
         let t0 = ctx.now();
-        let outs = h
-            .lt_chain(
-                &mut ctx,
-                lh,
-                &[
-                    ChainOp::Write {
-                        off: straddle,
-                        data: &payload,
-                    },
-                    ChainOp::FetchAdd { off: 64, delta: 5 },
-                    ChainOp::CmpSwap {
-                        off: 64,
-                        expect: 5,
-                        new: 9,
-                    },
-                    ChainOp::Read {
-                        off: straddle,
-                        len: 24,
-                    },
-                    ChainOp::Read { off: 64, len: 8 },
-                ],
-            )
-            .unwrap();
+        let (mut bytes, mut word) = ([0u8; 24], [0u8; 8]);
+        let mut chain = [
+            ChainOp::Write {
+                off: straddle,
+                data: &payload,
+            },
+            ChainOp::FetchAdd {
+                off: 64,
+                delta: 5,
+                old: 7,
+            },
+            ChainOp::CmpSwap {
+                off: 64,
+                expect: 5,
+                new: 9,
+                old: 7,
+            },
+            ChainOp::Read {
+                off: straddle,
+                buf: &mut bytes,
+            },
+            ChainOp::Read {
+                off: 64,
+                buf: &mut word,
+            },
+        ];
+        h.lt_chain(&mut ctx, lh, &mut chain).unwrap();
         let chained = ctx.now() - t0;
+        let words: Vec<Option<u64>> = chain.iter().map(ChainOp::word).collect();
         assert_eq!(
-            outs,
-            [
-                ChainOut::Done,
-                ChainOut::Value(0),
-                ChainOut::Value(5),
-                ChainOut::Bytes(payload.clone()),
-                ChainOut::Bytes(9u64.to_le_bytes().to_vec()),
-            ],
+            words,
+            [None, Some(0), Some(5), None, Some(9)],
             "home {home}"
         );
+        assert_eq!((&bytes[..], word), (&payload[..], 9u64.to_le_bytes()));
 
         // The same five ops as five calls see what the chain left.
         h.lt_write(&mut ctx, lh, straddle, &payload).unwrap();
@@ -197,11 +197,16 @@ fn chain_matches_the_single_calls_in_one_wait() {
         let err = h.lt_chain(
             &mut ctx,
             lh,
-            &[
-                ChainOp::FetchAdd { off: 64, delta: 1 },
+            &mut [
+                ChainOp::FetchAdd {
+                    off: 64,
+                    delta: 1,
+                    old: 0,
+                },
                 ChainOp::FetchAdd {
                     off: CHUNK - 4,
                     delta: 1,
+                    old: 0,
                 },
             ],
         );
@@ -216,7 +221,7 @@ fn chain_matches_the_single_calls_in_one_wait() {
 /// A single call *is* a chain of one: for each of write / read /
 /// fetch-add / cmp-swap, on a remote and on a local LMR, from the first
 /// call after `lt_malloc` (one shared QP never touched) to the tenth,
-/// `lt_chain(&[op])` on a cluster of its own costs exactly the virtual ns
+/// `lt_chain(&mut [op])` on a cluster of its own costs exactly the virtual ns
 /// the single call costs and returns what it returns.
 #[test]
 fn single_call_costs_what_a_chain_of_one_costs_cold_and_warm() {
@@ -242,20 +247,32 @@ fn single_call_costs_what_a_chain_of_one_costs_cold_and_warm() {
                 }
                 let off = call * 64;
                 let (s0, c0) = (sctx.now(), cctx.now());
-                let (got, op) = match kind {
+                // What each side returned: the word an atomic saw, and
+                // the bytes a read fetched.
+                let mut cbuf = [0u8; 64];
+                let (got, mut op) = match kind {
                     "write" => {
                         single.lt_write(&mut sctx, slh, off, &payload).unwrap();
                         let data = &payload[..];
-                        (ChainOut::Done, ChainOp::Write { off, data })
+                        ((None, vec![]), ChainOp::Write { off, data })
                     }
                     "read" => {
                         let mut buf = vec![0u8; 64];
                         single.lt_read(&mut sctx, slh, 0, &mut buf).unwrap();
-                        (ChainOut::Bytes(buf), ChainOp::Read { off: 0, len: 64 })
+                        let op = ChainOp::Read {
+                            off: 0,
+                            buf: &mut cbuf,
+                        };
+                        ((None, buf), op)
                     }
                     "fetch-add" => {
                         let old = single.lt_fetch_add(&mut sctx, slh, 8, 3).unwrap();
-                        (ChainOut::Value(old), ChainOp::FetchAdd { off: 8, delta: 3 })
+                        let op = ChainOp::FetchAdd {
+                            off: 8,
+                            delta: 3,
+                            old: 0,
+                        };
+                        ((Some(old), vec![]), op)
                     }
                     _ => {
                         // Wins on even calls, loses on odd ones.
@@ -265,16 +282,28 @@ fn single_call_costs_what_a_chain_of_one_costs_cold_and_warm() {
                             off: 8,
                             expect,
                             new,
+                            old: 0,
                         };
-                        (ChainOut::Value(old), op)
+                        ((Some(old), vec![]), op)
                     }
                 };
-                let chained = chain.lt_chain(&mut cctx, clh, &[op]).unwrap();
+                chain
+                    .lt_chain(&mut cctx, clh, std::slice::from_mut(&mut op))
+                    .unwrap();
+                let word = match op {
+                    ChainOp::Read { .. } => None,
+                    _ => op.word(),
+                };
+                let bytes = if kind == "read" {
+                    cbuf.to_vec()
+                } else {
+                    vec![]
+                };
                 let at = format!("{kind}, home {home}, call {call}");
-                assert_eq!(chained, std::slice::from_ref(&got), "{at}");
+                assert_eq!((word, bytes), got, "{at}");
                 assert_eq!(cctx.now() - c0, sctx.now() - s0, "virtual ns: {at}");
                 if kind == "read" && call == 9 {
-                    assert_eq!(got, ChainOut::Bytes(payload.clone()));
+                    assert_eq!(got.1, payload);
                 }
             }
         }
@@ -323,14 +352,18 @@ fn offset_near_u64_max_is_out_of_bounds_everywhere() {
 
     let verbs = || cluster.fabric().nic(0).stats().one_sided_ops;
     let before = verbs();
-    let chain = [
-        ChainOp::FetchAdd { off: 64, delta: 5 },
+    let mut chain = [
+        ChainOp::FetchAdd {
+            off: 64,
+            delta: 5,
+            old: 0,
+        },
         ChainOp::Write {
             off: far,
             data: &[1; 8],
         },
     ];
-    oob(h.lt_chain(&mut ctx, lh, &chain).map(drop), "lt_chain");
+    oob(h.lt_chain(&mut ctx, lh, &mut chain), "lt_chain");
     assert_eq!(verbs(), before, "a chain with a bad op posts nothing");
     assert_eq!(h.lt_fetch_add(&mut ctx, lh, 64, 0).unwrap(), 0);
 }

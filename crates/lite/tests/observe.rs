@@ -1,73 +1,90 @@
-//! Observability acceptance tests: the concurrent histogram against an
-//! exact-quantile oracle under multi-threaded recording, `lt_stats()`
-//! percentiles after a mixed workload, per-priority separation under
-//! SW-Pri contention, and the JSON export.
+//! Observability acceptance tests: the ledgers of many posting contexts
+//! folded by a concurrent `lt_stats()`, `lt_stats()` percentiles after a
+//! mixed workload, per-priority separation under SW-Pri contention, and
+//! the JSON export.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
-use lite::{
-    ConcurrentHistogram, EventKind, LiteCluster, LiteConfig, OpClass, Perm, Priority, QosMode,
-    USER_FUNC_MIN,
-};
-use proptest::prelude::*;
+use lite::{EventKind, LiteCluster, LiteConfig, OpClass, Perm, Priority, QosMode, USER_FUNC_MIN};
 use rnic::IbConfig;
-use simnet::stats::{bucket_floor, bucket_of};
 use simnet::Ctx;
 
-/// What the log-scaled histogram must report for rank-`target` (1-based)
-/// of `sorted`: the floor of the bucket holding that sample, clamped to
-/// the exact extremes (and the exact max at the top rank).
-fn oracle(sorted: &[u64], p: f64) -> u64 {
-    let count = sorted.len() as u64;
-    let target = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
-    let min = sorted[0];
-    let max = *sorted.last().unwrap();
-    if target >= count {
-        return max;
-    }
-    bucket_floor(bucket_of(sorted[target as usize - 1])).clamp(min, max)
+/// What node 0's `lt_stats()` says about 64-byte writes to node 1: the
+/// write cell's samples, peer 1's ops and bytes, and the kernel's
+/// one-sided write and byte counts.
+fn write_gauges(cluster: &LiteCluster) -> [u64; 5] {
+    let r = cluster.kernel(0).lt_stats();
+    let cell = r
+        .class(OpClass::Write, Priority::High)
+        .map_or(0, |l| l.count);
+    let peer = r.peers.iter().find(|p| p.peer == 1);
+    let (ops, bytes) = peer.map_or((0, 0), |p| (p.ops, p.bytes));
+    [cell, ops, bytes, r.kernel.lt_writes, r.kernel.lt_bytes]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Sharded concurrent recording merges into exactly the same
-    /// histogram a serial recorder would produce: every percentile
-    /// equals the bucket-floor oracle over the sorted values, and the
-    /// extremes are exact.
-    #[test]
-    fn concurrent_histogram_matches_exact_quantile_oracle(
-        values in prop::collection::vec(1u64..1_000_000_000, 64..512),
-    ) {
-        let hist = Arc::new(ConcurrentHistogram::new());
-        let threads = 4;
-        let chunk = values.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for part in values.chunks(chunk) {
-                let hist = Arc::clone(&hist);
-                s.spawn(move || {
-                    for &v in part {
-                        hist.record(v);
-                    }
-                });
+/// N threads post M writes each through their own context while another
+/// thread reads `lt_stats()`: every read is monotone and untorn (each
+/// context's ledger is read at an op boundary, so bytes are exactly 64
+/// per counted write), and once the writers are done — their contexts
+/// dropped, their ledgers retired — the counts are exact.
+#[test]
+fn ledgers_fold_exactly_under_concurrent_reads() {
+    const N: usize = 4;
+    const M: u64 = 400;
+    let cluster = LiteCluster::start(2).unwrap();
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    h.lt_malloc(&mut ctx, 1, 1 << 20, "obs.ledger", Perm::RW)
+        .unwrap();
+    let ready = Arc::new(Barrier::new(N + 1));
+    let go = Arc::new(Barrier::new(N + 2));
+    let writers: Vec<_> = (0..N)
+        .map(|t| {
+            let (cluster, ready, go) = (Arc::clone(&cluster), ready.clone(), go.clone());
+            std::thread::spawn(move || {
+                let mut h = cluster.attach(0).unwrap();
+                let mut ctx = Ctx::new();
+                let lh = h.lt_map(&mut ctx, "obs.ledger").unwrap();
+                ready.wait();
+                go.wait();
+                for i in 0..M {
+                    let off = (t as u64 * M + i) * 64;
+                    h.lt_write(&mut ctx, lh, off, &[t as u8; 64]).unwrap();
+                }
+            })
+        })
+        .collect();
+    ready.wait();
+    let base = write_gauges(&cluster);
+    let reader = {
+        let (cluster, go) = (Arc::clone(&cluster), go.clone());
+        std::thread::spawn(move || {
+            go.wait();
+            let mut last = base;
+            for _ in 0..200 {
+                let now = write_gauges(&cluster);
+                for (i, (n, l)) in now.iter().zip(&last).enumerate() {
+                    assert!(n >= l, "gauge {i} went back: {last:?} -> {now:?}");
+                }
+                let d: Vec<u64> = now.iter().zip(&base).map(|(n, b)| n - b).collect();
+                assert_eq!(d[2], 64 * d[1], "peer bytes torn from its ops: {d:?}");
+                assert_eq!(d[4], 64 * d[3], "lt_bytes torn from lt_writes: {d:?}");
+                last = now;
             }
-        });
-        prop_assert_eq!(hist.count(), values.len() as u64);
-
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        let snap = hist.snapshot();
-        for p in [0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-            prop_assert_eq!(
-                snap.percentile(p),
-                oracle(&sorted, p),
-                "percentile {} diverged from the exact oracle",
-                p
-            );
-        }
-        prop_assert_eq!(snap.percentile(0.0), sorted[0]);
-        prop_assert_eq!(snap.percentile(100.0), *sorted.last().unwrap());
+        })
+    };
+    go.wait();
+    for w in writers {
+        w.join().unwrap();
     }
+    reader.join().unwrap();
+    let total = N as u64 * M;
+    let done = write_gauges(&cluster);
+    let d: Vec<u64> = done.iter().zip(&base).map(|(n, b)| n - b).collect();
+    assert_eq!(d, [total, total, 64 * total, total, 64 * total]);
+    let lat = cluster.kernel(0).lt_stats();
+    let lat = lat.class(OpClass::Write, Priority::High).unwrap();
+    assert!(lat.p0 > 0 && lat.p0 <= lat.p50 && lat.p50 <= lat.p100);
 }
 
 /// After a mixed workload (one-sided writes + reads + RPC), `lt_stats()`

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use lite::{fingerprint, ChainOp, ChainOut, LiteCluster, LiteConfig, LiteError, OpKind, Perm};
+use lite::{fingerprint, ChainOp, LiteCluster, LiteConfig, LiteError, OpKind, Perm};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
 
@@ -261,15 +261,19 @@ fn armed_history_fingerprints_every_payload() {
     h.lt_read(&mut ctx, lh, 0, &mut back).unwrap();
     let mut untouched = [1u8; 16];
     h.lt_read(&mut ctx, lh, 2048, &mut untouched).unwrap();
-    let chain = [
+    let mut got = [0u8; 24];
+    let mut chain = [
         ChainOp::Write {
             off: 512,
             data: &second,
         },
-        ChainOp::Read { off: 512, len: 24 },
+        ChainOp::Read {
+            off: 512,
+            buf: &mut got,
+        },
     ];
-    let outs = h.lt_chain(&mut ctx, lh, &chain).unwrap();
-    assert_eq!(outs[1], ChainOut::Bytes(second.to_vec()));
+    h.lt_chain(&mut ctx, lh, &mut chain).unwrap();
+    assert_eq!(got, second);
 
     let kinds: Vec<OpKind> = log.take().ops.iter().map(|op| op.kind).collect();
     let (fp1, fp2) = (fingerprint(&first), fingerprint(&second));

@@ -45,6 +45,6 @@ pub use cq::Cq;
 pub use error::{VerbsError, VerbsResult};
 pub use fabric::{IbConfig, IbFabric, NodeId};
 pub use fault::{FaultAction, FaultPlan, FaultRule, FaultStats};
-pub use nic::{Mr, Nic, NicStats, Wr, WrOutcome};
+pub use nic::{Mr, Nic, NicStats, Wr, WrOutcome, ATOMIC_MEMO_WINDOW};
 pub use qp::{Qp, QpId, QpType};
 pub use verbs::{Access, RemoteAddr, Sge, SgeRef, Wc, WcOpcode};

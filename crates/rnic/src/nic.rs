@@ -1,12 +1,10 @@
 //! The per-node RNIC: MR registry, QP registry, SRAM caches, request
 //! engine, and the implementation of every verb.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use simnet::{Ctx, Grant, KeyMap, Lru, Nanos, Resource};
+use simnet::{Book, Ctx, Grant, InlineVec, KeyMap, Lru, Nanos, Resource};
 use smem::{AddrSpace, Chunk, PhysMem, PAGE_SHIFT, PAGE_SIZE};
 
 use crate::cost::COST;
@@ -208,6 +206,17 @@ pub struct NicStats {
     pub live_qps: usize,
 }
 
+/// What each cell of a NIC's ledgers counts.
+mod gauge {
+    /// One-sided verbs this NIC issued, and the bytes its writes sent.
+    pub const ONE_SIDED: usize = 0;
+    /// Two-sided sends this NIC issued, and their bytes.
+    pub const SEND: usize = 1;
+    /// Atomics this NIC's engine executed as the responder.
+    pub const ATOMIC: usize = 2;
+    pub const COUNT: usize = 3;
+}
+
 /// One simulated RNIC.
 pub struct Nic {
     node: NodeId,
@@ -225,25 +234,32 @@ pub struct Nic {
     caches: Mutex<Caches>,
     mrs: RwLock<KeyMap<u32, Arc<MrInner>>>,
     qps: RwLock<KeyMap<QpId, Arc<Qp>>>,
-    one_sided_ops: AtomicU64,
-    send_ops: AtomicU64,
-    bytes_tx: AtomicU64,
-    atomic_ops: AtomicU64,
+    /// The ledgers of the contexts that post through this NIC or whose
+    /// atomics it executes: ops and bytes per [`gauge`] cell, folded by
+    /// [`Nic::stats`].
+    gauges: Arc<Book>,
     /// Responder-side exactly-once filter for *tagged* atomics: per
-    /// requester node, a sliding window of (sequence → old value). A
-    /// retried atomic whose first attempt already applied (its ack leg
-    /// was lost) hits the memo and gets its original old value back
-    /// instead of applying twice. Keyed by the requester's per-logical-
-    /// op sequence, which the layer above must keep stable across retry
-    /// attempts of the same logical op.
-    atomic_dedup: Mutex<KeyMap<NodeId, BTreeMap<u64, u64>>>,
+    /// requester node, a direct-mapped window of (sequence, old value),
+    /// slot `sequence % ATOMIC_MEMO_WINDOW`. A retried atomic whose first
+    /// attempt already applied (its ack leg was lost) hits the memo and
+    /// gets its original old value back instead of applying twice. Keyed
+    /// by the requester's per-logical-op sequence, which the layer above
+    /// must keep stable across retry attempts of the same logical op.
+    atomic_dedup: Mutex<KeyMap<NodeId, MemoWindow>>,
 }
 
 /// Per-source window of remembered atomic sequences. Sequences are
-/// monotone per source, so the oldest entry is the smallest key; the
-/// window only needs to out-last the deepest retry pipeline (one
-/// in-flight logical atomic per requester context).
-const ATOMIC_MEMO_WINDOW: usize = 1024;
+/// minted in increasing order per source, so a token is forgotten once
+/// the one `ATOMIC_MEMO_WINDOW` after it lands in its slot; the window
+/// only needs to out-last the deepest retry pipeline (one in-flight
+/// logical atomic per requester context).
+pub const ATOMIC_MEMO_WINDOW: usize = 1024;
+
+/// One source's memo: `(sequence, old value)` per slot.
+type MemoWindow = Box<[(u64, u64)]>;
+
+/// What an empty memo slot holds: a sequence no source mints.
+const NO_TOKEN: (u64, u64) = (u64::MAX, 0);
 
 /// The physical fragments behind one end of a work request: borrowed
 /// from the poster's SGE, a single extent held inline, or a translated
@@ -372,10 +388,7 @@ impl Nic {
             caches: Mutex::new(caches),
             mrs: RwLock::default(),
             qps: RwLock::default(),
-            one_sided_ops: AtomicU64::new(0),
-            send_ops: AtomicU64::new(0),
-            bytes_tx: AtomicU64::new(0),
-            atomic_ops: AtomicU64::new(0),
+            gauges: Arc::new(Book::new(gauge::COUNT, 0)),
             atomic_dedup: Mutex::default(),
         }
     }
@@ -397,11 +410,13 @@ impl Nic {
     pub fn stats(&self) -> NicStats {
         let live_mrs = self.mrs.read().len();
         let live_qps = self.qps.read().len();
+        let t = self.gauges.fold();
+        let (one_sided, send) = (&t.cells[gauge::ONE_SIDED], &t.cells[gauge::SEND]);
         let c = self.caches.lock();
         NicStats {
-            one_sided_ops: self.one_sided_ops.load(Ordering::Relaxed),
-            send_ops: self.send_ops.load(Ordering::Relaxed),
-            bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
+            one_sided_ops: one_sided.count,
+            send_ops: send.count,
+            bytes_tx: one_sided.bytes + send.bytes,
             mr_hits: c.mr_keys.hits(),
             mr_misses: c.mr_keys.misses(),
             pte_hits: c.ptes.hits(),
@@ -409,7 +424,7 @@ impl Nic {
             qp_misses: c.qpc.misses(),
             page_faults: 0,
             engine_busy_ns: self.engine.busy_time(),
-            atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
+            atomic_ops: t.cells[gauge::ATOMIC].count,
             live_mrs,
             live_qps,
         }
@@ -855,16 +870,17 @@ impl Nic {
     }
 
     fn atomic_memo_get(&self, src: NodeId, seq: u64) -> Option<u64> {
-        self.atomic_dedup.lock().get(&src)?.get(&seq).copied()
+        let table = self.atomic_dedup.lock();
+        let (kept, old) = table.get(&src)?[seq as usize % ATOMIC_MEMO_WINDOW];
+        (kept == seq).then_some(old)
     }
 
     fn atomic_memo_put(&self, src: NodeId, seq: u64, old: u64) {
         let mut table = self.atomic_dedup.lock();
-        let memo = table.entry(src).or_default();
-        memo.insert(seq, old);
-        while memo.len() > ATOMIC_MEMO_WINDOW {
-            memo.pop_first();
-        }
+        let memo = table
+            .entry(src)
+            .or_insert_with(|| vec![NO_TOKEN; ATOMIC_MEMO_WINDOW].into_boxed_slice());
+        memo[seq as usize % ATOMIC_MEMO_WINDOW] = (seq, old);
     }
 
     /// Posts an ordered chain of one-sided work requests — any mix of
@@ -925,23 +941,19 @@ impl Nic {
         // Validation pass: resolve both sides of every WQE and claim all
         // receive credits before touching memory, so a bad element cannot
         // leave half the chain delivered. Each NIC's SRAM is locked once.
-        let (mut one, mut many);
-        let plans: &mut [PlannedWr] = {
+        // Plans, credits and grants are held inline for a chain of up to
+        // `CHAIN_INLINE` work requests.
+        let mut plans: InlineVec<PlannedWr> = InlineVec::new();
+        {
             let mut sram = Sram::lock(self, rnic);
-            let plans: &mut [PlannedWr] = if let [wr] = wrs {
-                one = [self.plan_wr(rnic, &mut sram, wr)?];
-                &mut one
-            } else {
-                let planned = wrs.iter().map(|wr| self.plan_wr(rnic, &mut sram, wr));
-                many = planned.collect::<VerbsResult<Vec<_>>>()?;
-                &mut many
-            };
+            for wr in wrs {
+                plans.push(self.plan_wr(rnic, &mut sram, wr)?);
+            }
             // The doorbell chain touches the QP context once; only the
             // first WQE can miss.
             plans[0].lpen += sram.local().qpc(qp.id);
             plans[0].rpen += sram.remote().qpc(peer_qp);
-            plans
-        };
+        }
         let imms = wrs
             .iter()
             .filter(|wr| matches!(wr, Wr::Write { imm: Some(_), .. }))
@@ -951,15 +963,15 @@ impl Nic {
         } else {
             None
         };
-        let mut credits = Vec::with_capacity(imms);
+        let mut credits: InlineVec<Option<RecvEntry>> = InlineVec::new();
         if let Some(rqp) = &rqp {
             for _ in 0..imms {
                 match rqp.rq.consume() {
-                    Ok(entry) => credits.push(entry),
+                    Ok(entry) => credits.push(Some(entry)),
                     Err(e) => {
                         // Roll back: pure credits are interchangeable, so
                         // re-posting in any order restores the queue.
-                        for entry in credits {
+                        for entry in credits.iter_mut().filter_map(Option::take) {
                             rqp.rq.post(entry);
                         }
                         return Err(e);
@@ -971,29 +983,19 @@ impl Nic {
         // One doorbell: a single host post charge, then the engine grants
         // the whole WQE chain back-to-back.
         ctx.work(COST.post_wr_ns);
-        let service = |p: &PlannedWr| COST.nic_engine_ns + p.lpen;
-        let (single, batch);
-        let grants: &[Grant] = if let [p] = &*plans {
-            // A batch of one is exactly `acquire`, minus two allocations
-            // on what is every single verb's path.
-            single = [self.engine.acquire(ctx.now(), service(p))];
-            &single
-        } else {
-            let services: Vec<Nanos> = plans.iter().map(service).collect();
-            batch = self.engine.acquire_batch(ctx.now(), &services);
-            &batch
-        };
+        let services = plans.iter().map(|p| COST.nic_engine_ns + p.lpen);
+        let mut grants: InlineVec<Grant> = InlineVec::new();
+        self.engine.acquire_batch(ctx.now(), services, &mut grants);
 
         let prop = COST.propagation_ns;
         let (mem, rmem): (&PhysMem, &PhysMem) = (fabric.mem(self.node), fabric.mem(peer_node));
-        let mut credits = credits.into_iter();
-        let mut acked = 0u64;
-        let mut bytes_tx = 0u64;
+        let mut credits = credits.iter_mut().filter_map(Option::take);
+        let (mut acked, mut bytes_tx, mut atomics) = (0u64, 0u64, 0u64);
         let mut failure = None;
         // In-order execution at the responder: requests that carry no
         // payload would otherwise overtake a large write ahead of them.
         let (mut fence, mut floor) = (0, 0);
-        for ((wr, plan), g1) in wrs.iter().zip(&*plans).zip(grants) {
+        for ((wr, plan), g1) in wrs.iter().zip(plans.iter()).zip(grants.iter()) {
             let len = plan.len;
             let rsvc = COST.nic_engine_ns + plan.rpen;
             let mut step = || -> VerbsResult<WrOutcome> {
@@ -1067,7 +1069,7 @@ impl Nic {
                         let g3 = rnic
                             .engine
                             .acquire((g1.finish + prop).max(fence), rsvc + COST.atomic_extra_ns);
-                        rnic.atomic_ops.fetch_add(1, Ordering::Relaxed);
+                        atomics += 1;
                         let comp = g3.finish + prop + COST.ack_ns;
                         // Exactly-once filter for tagged ops: a retry
                         // whose first attempt already applied (its ack
@@ -1135,8 +1137,12 @@ impl Nic {
                 }
             }
         }
-        self.one_sided_ops.fetch_add(acked, Ordering::Relaxed);
-        self.bytes_tx.fetch_add(bytes_tx, Ordering::Relaxed);
+        ctx.ledger(&self.gauges)
+            .record(|e| e.add(gauge::ONE_SIDED, acked, bytes_tx));
+        if atomics > 0 {
+            ctx.ledger(&rnic.gauges)
+                .record(|e| e.add(gauge::ATOMIC, atomics, 0));
+        }
         let Some(error) = failure else {
             return Ok(());
         };
@@ -1293,8 +1299,8 @@ impl Nic {
         if signaled {
             qp.send_cq.push(Wc::new(wr_id, WcOpcode::Send, len, comp));
         }
-        self.send_ops.fetch_add(1, Ordering::Relaxed);
-        self.bytes_tx.fetch_add(len as u64, Ordering::Relaxed);
+        ctx.ledger(&self.gauges)
+            .record(|e| e.add(gauge::SEND, 1, len as u64));
         Ok(comp)
     }
 }

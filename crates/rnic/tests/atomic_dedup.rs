@@ -13,6 +13,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rnic::{
     Access, FaultPlan, FaultRule, IbConfig, IbFabric, Qp, RemoteAddr, VerbsError, VerbsResult, Wr,
+    ATOMIC_MEMO_WINDOW,
 };
 use simnet::Ctx;
 use smem::{AddrSpace, PhysAllocator};
@@ -139,4 +140,32 @@ fn fresh_sequences_apply_normally() {
         assert_eq!(old, seq);
     }
     assert_eq!(fabric.mem(1).load_u64(pa).unwrap(), 4);
+}
+
+/// The memo's edge: after `ATOMIC_MEMO_WINDOW` newer tokens, the oldest
+/// one kept still deduplicates and the one before it — forgotten — is
+/// applied again, as when the window was an ordered map trimmed from its
+/// smallest sequence.
+#[test]
+fn the_window_keeps_exactly_the_last_window_of_tokens() {
+    let (fabric, pa, remote) = setup();
+    let (qa, _qb) = fabric.rc_pair(0, 1);
+    let mut ctx = Ctx::new();
+    let w = ATOMIC_MEMO_WINDOW as u64;
+    for seq in 0..=w {
+        let old = post_tagged(&fabric, &mut ctx, &qa, tagged_add(remote, 1, seq)).unwrap();
+        assert_eq!(old, seq);
+    }
+    // Token 1 is the oldest of the last `w`: a retry is a lookup.
+    let old = post_tagged(&fabric, &mut ctx, &qa, tagged_add(remote, 1, 1)).unwrap();
+    assert_eq!(old, 1, "the oldest kept token returns its first apply");
+    assert_eq!(
+        fabric.mem(1).load_u64(pa).unwrap(),
+        w + 1,
+        "and applies nothing"
+    );
+    // Token 0 fell out of the window: a retry applies again.
+    let old = post_tagged(&fabric, &mut ctx, &qa, tagged_add(remote, 1, 0)).unwrap();
+    assert_eq!(old, w + 1);
+    assert_eq!(fabric.mem(1).load_u64(pa).unwrap(), w + 2);
 }

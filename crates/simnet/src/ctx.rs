@@ -5,11 +5,12 @@
 //! (burns host CPU and advances time — polling, memcpy, syscall entry)
 //! from *waiting* (advances time only — blocked on the NIC or a remote
 //! peer). The distinction feeds the paper's CPU-utilization comparisons
-//! (Figure 13).
+//! (Figure 13). A context also owns the gauges it records ([`Ctx::ledger`]).
 
 use std::sync::Arc;
 
 use crate::cpu::CpuMeter;
+use crate::ledger::{Book, Ledgers, Pen};
 use crate::time::{Nanos, VClock};
 
 /// A simulated thread's execution context.
@@ -19,6 +20,8 @@ pub struct Ctx {
     pub clock: VClock,
     /// Where this thread's CPU time is charged.
     pub cpu: Arc<CpuMeter>,
+    /// The ledgers this context records gauges in, one per book.
+    ledgers: Ledgers,
 }
 
 impl Ctx {
@@ -27,6 +30,7 @@ impl Ctx {
         Ctx {
             clock: VClock::new(),
             cpu: Arc::new(CpuMeter::new()),
+            ledgers: Ledgers::default(),
         }
     }
 
@@ -35,6 +39,7 @@ impl Ctx {
         Ctx {
             clock: VClock::new(),
             cpu,
+            ledgers: Ledgers::default(),
         }
     }
 
@@ -43,7 +48,16 @@ impl Ctx {
         Ctx {
             clock: VClock::at(at),
             cpu,
+            ledgers: Ledgers::default(),
         }
+    }
+
+    /// This context's own ledger in `book`, opened on first use: what
+    /// it records there is loads and stores, no read-modify-write (see
+    /// [`crate::ledger`]).
+    #[inline]
+    pub fn ledger(&mut self, book: &Arc<Book>) -> Pen<'_> {
+        self.ledgers.pen(book)
     }
 
     /// Current virtual time.

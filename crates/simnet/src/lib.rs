@@ -27,12 +27,15 @@
 //! The crate also hosts the generic building blocks used by the RNIC model
 //! and the workload generators: [`Lru`] caches (the on-NIC SRAM model),
 //! [`TokenBucket`] rate limiters (LITE's SW-Pri QoS), [`CpuMeter`]s
-//! (CPU-utilization accounting for Fig 13), streaming [`stats`],
+//! (CPU-utilization accounting for Fig 13), the gauges a context owns
+//! ([`ledger`]), streaming [`stats`],
 //! deterministic samplers ([`rng`]), and the one way a thread blocks
 //! ([`wait`]).
 
 pub mod cpu;
 pub mod ctx;
+pub mod inline;
+pub mod ledger;
 pub mod lru;
 pub mod ratelimit;
 pub mod resource;
@@ -43,6 +46,8 @@ pub mod wait;
 
 pub use cpu::CpuMeter;
 pub use ctx::Ctx;
+pub use inline::{InlineVec, CHAIN_INLINE};
+pub use ledger::Book;
 pub use lru::{KeyHasher, KeyMap, Lru};
 pub use ratelimit::TokenBucket;
 pub use resource::{Grant, Resource, ResourcePool};

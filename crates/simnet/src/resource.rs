@@ -110,17 +110,25 @@ impl Resource {
     }
 
     /// Reserves a batch of back-to-back services for a client whose clock
-    /// reads `now`, under one lock acquisition and one credit refill.
+    /// reads `now`, under one lock acquisition and one credit refill,
+    /// appending one grant per service to `grants` (the caller owns the
+    /// buffer, so a batch allocates nothing of its own).
     ///
     /// The grants are exactly what sequential [`Resource::acquire`] calls
     /// at the same `now` would return: each element queues behind the
     /// deficit left by its predecessors. A one-element batch is therefore
-    /// a strict no-op relative to `acquire`. This models a doorbell-
-    /// batched request engine: the host rings once and the engine drains
-    /// the WQE chain FCFS.
-    pub fn acquire_batch(&self, now: Nanos, services: &[Nanos]) -> Vec<Grant> {
-        if services.is_empty() {
-            return Vec::new();
+    /// a strict no-op relative to `acquire`, and an empty one leaves the
+    /// resource as it was. This models a doorbell-batched request engine:
+    /// the host rings once and the engine drains the WQE chain FCFS.
+    pub fn acquire_batch(
+        &self,
+        now: Nanos,
+        services: impl IntoIterator<Item = Nanos>,
+        grants: &mut impl Extend<Grant>,
+    ) {
+        let mut services = services.into_iter().peekable();
+        if services.peek().is_none() {
+            return;
         }
         let mut st = self.state.lock();
         if now > st.as_of {
@@ -130,8 +138,7 @@ impl Resource {
                 .min(self.slack);
             st.as_of = now;
         }
-        let mut grants = Vec::with_capacity(services.len());
-        for &service in services {
+        grants.extend(services.map(|service| {
             let wait = if st.credit < 0 {
                 (-st.credit) as Nanos
             } else {
@@ -140,12 +147,11 @@ impl Resource {
             st.credit -= service as i64;
             st.busy += service;
             let start = now + wait;
-            grants.push(Grant {
+            Grant {
                 start,
                 finish: start + service,
-            });
-        }
-        grants
+            }
+        }));
     }
 
     /// Time at which currently-committed work drains (diagnostics).
@@ -307,7 +313,8 @@ mod tests {
         seq.acquire(50, 200);
         bat.acquire(50, 200);
         let expect: Vec<Grant> = services.iter().map(|&s| seq.acquire(700, s)).collect();
-        let got = bat.acquire_batch(700, &services);
+        let mut got = Vec::new();
+        bat.acquire_batch(700, services, &mut got);
         assert_eq!(got, expect);
         assert_eq!(bat.busy_time(), seq.busy_time());
         assert_eq!(bat.horizon(), seq.horizon());
@@ -320,9 +327,13 @@ mod tests {
         let a = Resource::new("a");
         let b = Resource::new("b");
         let g1 = a.acquire(100, 30);
-        let g2 = b.acquire_batch(100, &[30]);
-        assert_eq!(g2, vec![g1]);
-        assert!(b.acquire_batch(0, &[]).is_empty());
+        let mut g2 = Vec::new();
+        b.acquire_batch(100, [30], &mut g2);
+        assert_eq!(g2, [g1]);
+        // An empty batch leaves the resource as it was.
+        b.acquire_batch(0, [], &mut g2);
+        assert_eq!(g2, [g1]);
+        assert_eq!((b.horizon(), b.busy_time()), (130, 30));
     }
 
     #[test]

@@ -97,9 +97,9 @@ const SUB_BITS: u32 = 4;
 /// Total number of buckets a [`Histogram`] holds.
 pub const HIST_BUCKETS: usize = 64 * SUB;
 
-/// Index of the bucket containing `v` (shared with the concurrent
-/// histogram in `lite`, which reconstructs a [`Histogram`] from sharded
-/// per-bucket counts).
+/// Index of the bucket containing `v` (shared with the ledger's
+/// histograms, [`crate::ledger`], which a fold turns back into a
+/// [`Histogram`] from per-bucket counts).
 pub fn bucket_of(v: u64) -> usize {
     if v < SUB as u64 {
         return v as usize;

@@ -28,10 +28,12 @@ srcs=$(for c in crates/*/; do echo "$c"src; done)
 printf '%-24s %6s %8s %6s %6s\n' "workspace" "$(lines $srcs src examples)" \
   "$(nontest $srcs src examples)" "$(lines crates/*/tests tests)" "$(lines crates src examples tests)"
 echo
-echo "== the API layer and the memory manager on their own (ROADMAP item 8) =="
-printf '%-24s %6s\n' crates/lite/src/api.rs "$(wc -l < crates/lite/src/api.rs)"
-printf '%-24s %6s non-test (up to #[cfg(test)])\n' crates/lite/src/mm.rs \
-  "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n }' crates/lite/src/mm.rs)"
+echo "== the API layer, the memory manager and observability on their own (ROADMAP item 8) =="
+printf '%-28s %6s\n' crates/lite/src/api.rs "$(wc -l < crates/lite/src/api.rs)"
+for f in crates/lite/src/mm.rs crates/lite/src/observe.rs; do
+  printf '%-28s %6s non-test (up to #[cfg(test)])\n' "$f" \
+    "$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n }' "$f")"
+done
 echo
 echo "== settable fields per config struct (tools/one_value_knobs.sh) =="
 sh tools/one_value_knobs.sh || true
