@@ -4,7 +4,10 @@
 //! (§5.2); this crate builds the production-shaped version of that
 //! experiment on top of everything the repo has grown since: writes flow
 //! through a single leader that assigns a total order by committing each
-//! update to a [`lite_log::LiteLog`], and any replica serves reads.
+//! update to a [`lite_log::LiteLog`], and any replica serves reads. The
+//! leader and the followers have no threads: they are served RPC
+//! functions (`lite::LiteHandle::serve_rpc`), run by whichever thread
+//! delivers a call to them, so a put runs on its client's own thread.
 //! Replication is the log: one replicator thread — asleep until a batch
 //! is ready: 32 commits, or 1 ms since the last — tells each follower
 //! that is behind how far the log is committed, and the follower reads

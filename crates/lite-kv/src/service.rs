@@ -1,8 +1,8 @@
 //! The replicated KV service proper: leader, followers, replicator, and
-//! the client. No service thread polls on a timer: the leader and
-//! followers sleep until a call arrives, the replicator until a batch is
-//! committed (or its 1 ms window ends). See the crate docs and DESIGN.md
-//! §15 for the protocol.
+//! the client. The leader and followers are served functions with no
+//! thread of their own; the replicator, the one thread, sleeps until a
+//! batch is committed (or its 1 ms window ends). See the crate docs and
+//! DESIGN.md §15 for the protocol.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -10,7 +10,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use lite::{Lh, LiteCluster, LiteError, LiteHandle, LiteResult, Perm, Priority, USER_FUNC_MIN};
+use lite::{
+    Lh, LiteCluster, LiteError, LiteHandle, LiteResult, Perm, Priority, RpcHandler, RpcServer,
+    USER_FUNC_MIN,
+};
 use lite_log::LiteLog;
 use rnic::COST;
 use simnet::wait::{Deadline, Event};
@@ -117,7 +120,7 @@ impl KvSpec {
     }
 }
 
-/// Per-replica state shared between the service threads and the
+/// Per-replica state shared between the handlers, the replicator and the
 /// accessors tests use.
 struct ReplicaState {
     node: usize,
@@ -299,22 +302,6 @@ impl Store {
         }
         Ok(loc)
     }
-
-    fn get(
-        &self,
-        h: &mut LiteHandle,
-        ctx: &mut Ctx,
-        key: &[u8],
-    ) -> KvResult<Option<(Loc, Vec<u8>)>> {
-        let Some(loc) = self.index.get(key) else {
-            return Ok(None);
-        };
-        let mut buf = vec![0u8; loc.len as usize];
-        if !buf.is_empty() {
-            h.lt_read(ctx, self.arena, loc.off + HEADER as u64, &mut buf)?;
-        }
-        Ok(Some((*loc, buf)))
-    }
 }
 
 /// CPU a record's check costs its writer and each reader: one pass over
@@ -327,16 +314,16 @@ fn check_cost(len: usize) -> u64 {
 // Service.
 // ---------------------------------------------------------------------------
 
-/// A running KV service: one leader thread and one thread per follower,
-/// each asleep on its node's RPC queues until a call arrives, and one
-/// replicator thread, asleep until a batch is ready.
+/// A running KV service: the leader and the followers are served
+/// functions, run by whichever thread delivers a call to them (DESIGN.md
+/// §15), and one replicator thread sleeps until a batch is ready.
 pub struct KvService {
     spec: KvSpec,
-    stop: Arc<AtomicBool>,
     repl: Arc<Replication>,
-    servers: Vec<JoinHandle<()>>,
     replicator: JoinHandle<()>,
     replicas: Vec<Arc<ReplicaState>>,
+    /// The replicas' servers: their functions are served while these live.
+    _servers: Vec<Arc<RpcServer>>,
 }
 
 /// What the service, the leader and the replicator share about
@@ -352,22 +339,35 @@ struct Replication {
     /// What the replicator parks on between batches; woken by the leader
     /// ([`Replication::applied`]) and by `stop()`.
     batch: Event,
+    /// The `committed` of the replicator's last finished round.
+    replicated: AtomicU64,
+    /// Woken at the end of each round.
+    round: Event,
 }
 
 impl Replication {
     /// The leader's side of the replicator's wait: called once `seq` is
     /// applied, it wakes the replicator when a whole batch waits — not on
-    /// every apply, which would send a notice per put.
+    /// every apply, which would send a notice per put — and then waits, at
+    /// most `IDLE_WAIT`, for a round that covers `seq` to finish. The put
+    /// that fills a batch runs on its client's thread, which would
+    /// otherwise keep the CPU from the replicator it woke: run on one CPU,
+    /// the followers fell two batches and more behind, and an eventual get
+    /// of a key they had not applied yet read it as absent.
     fn applied(&self, seq: u64) {
-        if seq >= self.notified.load(Ordering::Acquire) + REPL_BATCH {
-            self.batch.wake();
+        if seq < self.notified.load(Ordering::Acquire) + REPL_BATCH {
+            return;
         }
+        self.batch.wake();
+        let done =
+            || self.stop.load(Ordering::SeqCst) || self.replicated.load(Ordering::SeqCst) >= seq;
+        self.round.park_until(done, Deadline::after(IDLE_WAIT));
     }
 }
 
 impl KvService {
-    /// Creates the log and arenas, starts all service threads, and
-    /// returns once every replica is serving.
+    /// Creates the log and arenas, binds every replica's functions and
+    /// starts the replicator; returns once every replica is serving.
     ///
     /// Panics if the service cannot be set up; [`KvService::try_spawn`]
     /// returns the error instead.
@@ -376,9 +376,9 @@ impl KvService {
     }
 
     /// Sets up every replica and the replicator's view of the log from
-    /// the calling thread, then starts the service threads. A handle that
+    /// the calling thread, then starts the replicator. A handle that
     /// cannot attach, or a log or arena that cannot be allocated or
-    /// mapped, is returned as an error before any thread starts.
+    /// mapped, is returned as an error before the thread starts.
     pub fn try_spawn(cluster: &Arc<LiteCluster>, spec: KvSpec) -> KvResult<KvService> {
         let replicas: Vec<Arc<ReplicaState>> = spec
             .replicas()
@@ -392,19 +392,32 @@ impl KvService {
                 })
             })
             .collect();
+        let repl = Arc::<Replication>::default();
         // The leader, first, creates the log the followers and the
         // replicator open.
-        let served = replicas
-            .iter()
-            .enumerate()
-            .map(|(i, state)| Replica::set_up(cluster, &spec, Arc::clone(state), i == 0))
-            .collect::<KvResult<Vec<_>>>()?;
+        let mut servers = Vec::with_capacity(replicas.len());
+        for (i, state) in replicas.iter().enumerate() {
+            let (funcs, role) = if i == 0 {
+                let repl = Arc::clone(&repl);
+                (
+                    [FN_PUT, FN_GET],
+                    Role::Leader {
+                        repl,
+                        broken: false,
+                    },
+                )
+            } else {
+                let delay = spec.apply_delay(state.node);
+                let reads = Ctx::new();
+                ([FN_REPL, FN_GET], Role::Follower { reads, delay })
+            };
+            let (h, replica) = Replica::set_up(cluster, &spec, Arc::clone(state), role)?;
+            servers.push(h.serve_rpc(&funcs, replica)?);
+        }
         let mut rh = cluster.attach(spec.leader)?;
         let mut rctx = Ctx::new();
         let rlog = LiteLog::open(&mut rh, &mut rctx, &spec.name, spec.log_capacity)?;
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let repl = Arc::<Replication>::default();
         let replicator = {
             let spec = spec.clone();
             let repl = Arc::clone(&repl);
@@ -413,27 +426,12 @@ impl KvService {
                 run_replicator(&spec, &repl, &leader, rh, rctx, &rlog);
             })
         };
-        let servers = served
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut r)| {
-                let delay = spec.apply_delay(r.state.node);
-                let stop = Arc::clone(&stop);
-                let repl = Arc::clone(&repl);
-                std::thread::spawn(move || match i {
-                    0 => serve_leader(&stop, &mut r, &repl),
-                    _ => serve_follower(&stop, &mut r, delay),
-                })
-            })
-            .collect();
-
         Ok(KvService {
             spec,
-            stop,
             repl,
-            servers,
             replicator,
             replicas,
+            _servers: servers,
         })
     }
 
@@ -461,8 +459,8 @@ impl KvService {
         self.repl.lag.load(Ordering::Acquire)
     }
 
-    /// Stalls `node`'s apply loop: it keeps acking (so the leader sees
-    /// it alive) but stops applying, and its staleness grows.
+    /// Stalls `node`'s applies: it keeps acking (so the leader sees it
+    /// alive) but stops applying, and its staleness grows.
     pub fn pause_follower(&self, node: usize) {
         if let Some(r) = self.replicas.iter().find(|r| r.node == node) {
             r.paused.store(true, Ordering::Release);
@@ -477,192 +475,174 @@ impl KvService {
         }
     }
 
-    /// Stops all service threads and waits for them. The replicator goes
-    /// first, while the followers still answer: caught mid-multicast after
-    /// they had left, it would wait out an `op_timeout` per follower. It is
-    /// woken, not left to wait out its batch window.
+    /// Stops the replicator and waits for it, woken rather than left to
+    /// wait out its batch window, then unbinds every replica's functions.
+    /// A call already being served finishes on the thread that runs it.
     pub fn stop(self) {
         self.repl.stop.store(true, Ordering::SeqCst);
         self.repl.batch.wake();
         let _ = self.replicator.join();
-        self.stop.store(true, Ordering::Release);
-        for t in self.servers {
-            let _ = t.join();
-        }
     }
 }
 
-/// How long the leader and the followers wait for a call before they look
-/// again, and the longest the replicator waits for a batch to fill: an idle
-/// follower that is behind hears from it once per `IDLE_WAIT`.
+/// The longest the replicator waits for a batch to fill: an idle follower
+/// that is behind hears from it once per `IDLE_WAIT`.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// The functions the leader serves and waits on.
-const LEADER_FUNCS: [u8; 2] = [FN_PUT, FN_GET];
-/// The functions a follower serves and waits on.
-const FOLLOWER_FUNCS: [u8; 2] = [FN_REPL, FN_GET];
-
-/// What one replica's serving thread owns.
+/// One replica's handler: what it owns besides its server's handle.
 struct Replica {
     state: Arc<ReplicaState>,
-    h: LiteHandle,
     ctx: Ctx,
     log: LiteLog,
     store: Store,
+    role: Role,
+}
+
+/// The leader serves `FN_PUT` and `FN_GET`, a follower `FN_REPL` and
+/// `FN_GET`.
+enum Role {
+    /// `broken` once an update is in the order but not in this arena: the
+    /// leader no longer answers for the order, and fails every call.
+    Leader {
+        repl: Arc<Replication>,
+        broken: bool,
+    },
+    /// A follower's gets are served on a clock of their own, `reads`, as by
+    /// a second thread of the replica: a get must not wait for a catch-up
+    /// the replicator asked for after the get arrived. `delay` is the
+    /// artificial apply cost per update (`KvSpec::slow_followers`).
+    Follower { reads: Ctx, delay: u64 },
 }
 
 impl Replica {
-    /// Attaches on the replica's node, creates (`leader`) or opens the
-    /// ordering log, allocates the value arena and registers the node's
-    /// functions.
+    /// Attaches on the replica's node, creates (leader) or opens the
+    /// ordering log and allocates the value arena; returns the handle the
+    /// replica's server will own.
     fn set_up(
         cluster: &LiteCluster,
         spec: &KvSpec,
         state: Arc<ReplicaState>,
-        leader: bool,
-    ) -> KvResult<Replica> {
+        role: Role,
+    ) -> KvResult<(LiteHandle, Replica)> {
         let node = state.node;
         let mut h = cluster.attach(node)?;
         let mut ctx = Ctx::new();
-        let (log, funcs) = if leader {
-            let log = LiteLog::create(&mut h, &mut ctx, node, &spec.name, spec.log_capacity)?;
-            (log, LEADER_FUNCS)
-        } else {
-            let log = LiteLog::open(&mut h, &mut ctx, &spec.name, spec.log_capacity)?;
-            (log, FOLLOWER_FUNCS)
+        let log = match role {
+            Role::Leader { .. } => {
+                LiteLog::create(&mut h, &mut ctx, node, &spec.name, spec.log_capacity)?
+            }
+            Role::Follower { .. } => {
+                LiteLog::open(&mut h, &mut ctx, &spec.name, spec.log_capacity)?
+            }
         };
         let store = Store::create(&mut h, &mut ctx, spec, node)?;
-        for func in funcs {
-            h.register_rpc(func)?;
-        }
-        Ok(Replica {
+        let replica = Replica {
             state,
-            h,
             ctx,
             log,
             store,
-        })
+            role,
+        };
+        Ok((h, replica))
+    }
+
+    /// The leader's put: orders the update through the log, applies it and
+    /// acks it with its seq and slot.
+    fn put(&mut self, h: &mut LiteHandle, input: &[u8], reply: &mut Vec<u8>) {
+        let Replica {
+            state,
+            ctx,
+            log,
+            store,
+            role: Role::Leader { repl, broken },
+        } = self
+        else {
+            return;
+        };
+        let Some((key, value)) = dec_put(input) else {
+            return reply.push(BAD_REQUEST);
+        };
+        if !store.can_apply(key, value.len()) {
+            return reply.push(PUT_STORE_FULL);
+        }
+        let off = match log.commit(h, ctx, &[key, value]) {
+            Ok(off) => off,
+            Err(LiteError::OutOfBounds { .. }) => return reply.push(PUT_LOG_FULL),
+            Err(_) => return reply.push(PUT_COMMIT_FAILED),
+        };
+        let seq = state.applied.load(Ordering::Acquire) + 1;
+        let Ok(loc) = store.apply(h, ctx, seq, key, value) else {
+            *broken = true;
+            return reply.push(PUT_COMMIT_FAILED);
+        };
+        // `next_off` first: a replicator that sees `seq` sees where its
+        // record ends. SeqCst: the replicator's wait reads `applied`
+        // (`Event`).
+        state
+            .next_off
+            .store(off + update_record_size(key, value), Ordering::Release);
+        state.applied.store(seq, Ordering::SeqCst);
+        repl.applied(seq);
+        h.kernel().note_kv_put();
+        reply.push(PUT_OK);
+        reply.extend_from_slice(&seq.to_le_bytes());
+        loc.append_to(reply);
+    }
+
+    /// A GET, leader and followers alike: the replica's applied seq, then
+    /// `(off, cap)` and the value on a hit.
+    fn get(&mut self, h: &mut LiteHandle, input: &[u8], reply: &mut Vec<u8>) {
+        h.kernel().note_kv_get();
+        let applied = self.state.applied.load(Ordering::Acquire);
+        let Some((need, key)) = input.split_first_chunk::<8>() else {
+            return reply.push(BAD_REQUEST);
+        };
+        reply.push(GET_BEHIND);
+        reply.extend_from_slice(&applied.to_le_bytes());
+        if u64::from_le_bytes(*need) > applied {
+            return;
+        }
+        reply[0] = GET_MISS;
+        let Some(&loc) = self.store.index.get(key) else {
+            return;
+        };
+        loc.append_to(reply);
+        reply.resize(REPLY_HEAD + loc.len as usize, 0);
+        let (arena, at) = (self.store.arena, loc.off + HEADER as u64);
+        let value = &mut reply[REPLY_HEAD..];
+        if value.is_empty() || h.lt_read(self.ctx(FN_GET), arena, at, value).is_ok() {
+            reply[0] = GET_HIT;
+        } else {
+            reply.truncate(LOC_AT);
+        }
     }
 }
 
-fn serve_leader(stop: &AtomicBool, r: &mut Replica, repl: &Replication) {
-    let Replica {
-        state,
-        h,
-        ctx,
-        log,
-        store,
-    } = r;
-    let kernel = Arc::clone(h.kernel());
-    while !stop.load(Ordering::Acquire) {
-        let mut busy = false;
-        // Writes: order through the log, apply locally, ack with seq.
-        while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, FN_PUT) {
-            busy = true;
-            let reply = match dec_put(&call.input) {
-                None => vec![BAD_REQUEST],
-                Some((key, value)) if !store.can_apply(key, value.len()) => vec![PUT_STORE_FULL],
-                Some((key, value)) => match log.commit(h, ctx, &[key, value]) {
-                    Ok(off) => {
-                        let seq = state.applied.load(Ordering::Acquire) + 1;
-                        let Ok(loc) = store.apply(h, ctx, seq, key, value) else {
-                            // The update is in the order but not in this
-                            // arena, so the leader no longer answers for
-                            // the order: it stops serving.
-                            let _ = h.lt_reply_rpc(ctx, &call, &[PUT_COMMIT_FAILED]);
-                            return;
-                        };
-                        // `next_off` first: a replicator that sees `seq`
-                        // sees where its record ends. SeqCst: the
-                        // replicator's wait reads `applied` (`Event`).
-                        state
-                            .next_off
-                            .store(off + update_record_size(key, value), Ordering::Release);
-                        state.applied.store(seq, Ordering::SeqCst);
-                        repl.applied(seq);
-                        kernel.note_kv_put();
-                        let mut r = Vec::with_capacity(REPLY_HEAD);
-                        r.push(PUT_OK);
-                        r.extend_from_slice(&seq.to_le_bytes());
-                        loc.append_to(&mut r);
-                        r
+impl RpcHandler for Replica {
+    fn ctx(&mut self, func: u8) -> &mut Ctx {
+        match &mut self.role {
+            Role::Follower { reads, .. } if func == FN_GET => reads,
+            _ => &mut self.ctx,
+        }
+    }
+
+    fn call(&mut self, h: &mut LiteHandle, func: u8, input: &[u8], reply: &mut Vec<u8>) {
+        match (&self.role, func) {
+            (Role::Leader { broken: true, .. }, _) => reply.push(PUT_COMMIT_FAILED),
+            (_, FN_PUT) => self.put(h, input, reply),
+            (&Role::Follower { delay, .. }, FN_REPL) => {
+                // Always answered promptly (the leader must never block on
+                // a slow consumer); the log is read unless paused.
+                if let Some((committed, end)) = dec_pair(input) {
+                    if !self.state.paused.load(Ordering::Acquire) {
+                        catch_up_from_log(self, h, committed, end, delay);
                     }
-                    Err(LiteError::OutOfBounds { .. }) => vec![PUT_LOG_FULL],
-                    Err(_) => vec![PUT_COMMIT_FAILED],
-                },
-            };
-            let _ = h.lt_reply_rpc(ctx, &call, &reply);
-        }
-        busy |= serve_gets(state, &kernel, h, ctx, store);
-        if !busy {
-            let _ = h.lt_wait_rpc(&LEADER_FUNCS, IDLE_WAIT);
-        }
-    }
-}
-
-/// Drains the GET queue; shared by leader and followers. Returns
-/// whether any call was served.
-fn serve_gets(
-    state: &ReplicaState,
-    kernel: &lite::LiteKernel,
-    h: &mut LiteHandle,
-    ctx: &mut Ctx,
-    store: &Store,
-) -> bool {
-    let mut busy = false;
-    while let Ok(Some(call)) = h.lt_try_recv_rpc(ctx, FN_GET) {
-        busy = true;
-        kernel.note_kv_get();
-        let applied = state.applied.load(Ordering::Acquire);
-        let with_applied = |status: u8| {
-            let mut r = vec![status];
-            r.extend_from_slice(&applied.to_le_bytes());
-            r
-        };
-        let reply = match call.input.split_first_chunk::<8>() {
-            None => vec![BAD_REQUEST],
-            Some((need, _)) if u64::from_le_bytes(*need) > applied => with_applied(GET_BEHIND),
-            Some((_, key)) => match store.get(h, ctx, key) {
-                Ok(Some((loc, v))) => {
-                    let mut r = with_applied(GET_HIT);
-                    loc.append_to(&mut r);
-                    r.extend_from_slice(&v);
-                    r
                 }
-                _ => with_applied(GET_MISS),
-            },
-        };
-        let _ = h.lt_reply_rpc(ctx, &call, &reply);
-    }
-    busy
-}
-
-fn serve_follower(stop: &AtomicBool, r: &mut Replica, delay: u64) {
-    let kernel = Arc::clone(r.h.kernel());
-    // Reads are served on a clock of their own, as by a second thread of
-    // the replica: this host thread takes notices and gets in the order
-    // the host delivers them, and a get must not wait for a catch-up the
-    // replicator asked for after the get arrived. What reads no longer
-    // queue behind is one `lt_write` per update, a few percent of a core.
-    let mut reads = Ctx::new();
-    while !stop.load(Ordering::Acquire) {
-        let mut busy = false;
-        // Replication notices: always answered promptly (the leader must
-        // never block on a slow consumer); the log is read unless paused.
-        while let Ok(Some(call)) = r.h.lt_try_recv_rpc(&mut r.ctx, FN_REPL) {
-            busy = true;
-            if let Some((committed, end)) = dec_pair(&call.input) {
-                if !r.state.paused.load(Ordering::Acquire) {
-                    catch_up_from_log(r, committed, end, delay);
-                }
+                let state = &self.state;
+                let next_off = state.next_off.load(Ordering::Acquire);
+                reply.extend_from_slice(&enc_pair(state.applied.load(Ordering::Acquire), next_off));
             }
-            let applied = r.state.applied.load(Ordering::Acquire);
-            let ack = enc_pair(applied, r.state.next_off.load(Ordering::Acquire));
-            let _ = r.h.lt_reply_rpc(&mut r.ctx, &call, &ack);
-        }
-        busy |= serve_gets(&r.state, &kernel, &mut r.h, &mut reads, &r.store);
-        if !busy {
-            let _ = r.h.lt_wait_rpc(&FOLLOWER_FUNCS, IDLE_WAIT);
+            _ => self.get(h, input, reply),
         }
     }
 }
@@ -673,13 +653,13 @@ fn serve_follower(stop: &AtomicBool, r: &mut Replica, delay: u64) {
 /// takes the committed bytes up to `end`, at most `REPL_BYTES`: a read of
 /// `REPL_BYTES` whatever was committed put all of the leader's log traffic
 /// on its link, once per batch and follower.
-fn catch_up_from_log(r: &mut Replica, target: u64, end: u64, delay: u64) {
+fn catch_up_from_log(r: &mut Replica, h: &mut LiteHandle, target: u64, end: u64, delay: u64) {
     let Replica {
         state,
-        h,
         ctx,
         log,
         store,
+        ..
     } = r;
     let mut applied = state.applied.load(Ordering::Acquire);
     while applied < target {
@@ -774,6 +754,8 @@ fn run_replicator(
             }
         }
         publish_lag(&repl.lag, &kernel, committed, &acked, n);
+        repl.replicated.store(committed, Ordering::SeqCst);
+        repl.round.wake();
         // Ack-aware cleaning: reclaim only what every follower has
         // durably applied. A dead follower pins the log; staleness is
         // bounded by the log capacity (DESIGN.md §15).

@@ -32,8 +32,10 @@
 //! A reader that follows the log pulls it the same way
 //! ([`LiteLog::read_from`]): one `LT_read` for a batch of records.
 
+use std::cell::{Cell, RefCell};
+
 use lite::{ChainOp, Lh, LiteError, LiteHandle, LiteResult, Perm};
-use simnet::Ctx;
+use simnet::{Ctx, InlineVec};
 
 /// Byte offsets of the metadata words.
 const META_RESERVED: u64 = 0;
@@ -61,7 +63,10 @@ pub struct LiteLog {
     /// only when a reservation would overrun it, instead of on every
     /// commit. Keeps the commit fast path at fetch-add, then write +
     /// fetch-add.
-    cleaned_cache: std::cell::Cell<u64>,
+    cleaned_cache: Cell<u64>,
+    /// Where a commit encodes its record: kept from one commit to the
+    /// next, so a warm commit allocates nothing.
+    record: RefCell<Vec<u8>>,
 }
 
 /// One decoded transaction.
@@ -89,11 +94,7 @@ impl LiteLog {
     ) -> LiteResult<LiteLog> {
         let lh = h.lt_malloc(ctx, home, META_BYTES + capacity, &lmr_name(name), Perm::RW)?;
         h.lt_memset(ctx, lh, 0, META_BYTES as usize, 0)?;
-        Ok(LiteLog {
-            lh,
-            capacity,
-            cleaned_cache: std::cell::Cell::new(0),
-        })
+        Ok(LiteLog::view(lh, capacity))
     }
 
     /// Opens an existing log by name from any node.
@@ -103,11 +104,16 @@ impl LiteLog {
         name: &str,
         capacity: u64,
     ) -> LiteResult<LiteLog> {
-        Ok(LiteLog {
-            lh: h.lt_map(ctx, &lmr_name(name))?,
+        Ok(LiteLog::view(h.lt_map(ctx, &lmr_name(name))?, capacity))
+    }
+
+    fn view(lh: Lh, capacity: u64) -> LiteLog {
+        LiteLog {
+            lh,
             capacity,
-            cleaned_cache: std::cell::Cell::new(0),
-        })
+            cleaned_cache: Cell::new(0),
+            record: RefCell::new(Vec::new()),
+        }
     }
 
     /// Serialized size of a transaction with these entries.
@@ -142,7 +148,8 @@ impl LiteLog {
             });
         }
         // Serialize; write and publish with a single chain.
-        let mut rec = Vec::with_capacity(size as usize);
+        let mut rec = self.record.borrow_mut();
+        rec.clear();
         rec.extend_from_slice(&TXN_MAGIC.to_le_bytes());
         rec.extend_from_slice(&(size as u32).to_le_bytes());
         rec.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -162,14 +169,16 @@ impl LiteLog {
     }
 
     /// The write that lands `data` at log offset `offset` — two where it
-    /// straddles the end of the ring.
-    fn ring_writes<'a>(&self, offset: u64, data: &'a [u8]) -> Vec<ChainOp<'a>> {
+    /// straddles the end of the ring — with room for the fetch-add that
+    /// publishes it.
+    fn ring_writes<'a>(&self, offset: u64, data: &'a [u8]) -> InlineVec<ChainOp<'a>, 3> {
         let ring_off = offset % self.capacity;
         let first = (data.len() as u64).min(self.capacity - ring_off) as usize;
-        let mut ops = vec![ChainOp::Write {
+        let mut ops = InlineVec::new();
+        ops.push(ChainOp::Write {
             off: META_BYTES + ring_off,
             data: &data[..first],
-        }];
+        });
         if first < data.len() {
             ops.push(ChainOp::Write {
                 off: META_BYTES,

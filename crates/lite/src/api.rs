@@ -14,7 +14,7 @@
 //! | `LT_read/write`  | [`LiteHandle::lt_read`] / [`LiteHandle::lt_write`] |
 //! | `LT_memset`      | [`LiteHandle::lt_memset`]                |
 //! | `LT_memcpy/move` | [`LiteHandle::lt_memcpy`] / [`LiteHandle::lt_memmove`] |
-//! | `LT_regRPC`      | [`LiteHandle::register_rpc`]             |
+//! | `LT_regRPC`      | [`LiteHandle::register_rpc`] (+ served by the delivering thread: [`LiteHandle::serve_rpc`]) |
 //! | `LT_RPC`         | [`LiteHandle::lt_rpc`]                   |
 //! | `LT_recvRPC`     | [`LiteHandle::lt_recv_rpc`]              |
 //! | `LT_replyRPC`    | [`LiteHandle::lt_reply_rpc`] (+ combined [`LiteHandle::lt_reply_recv`]) |
@@ -38,7 +38,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use rnic::{NodeId, COST};
 use simnet::wait::Deadline;
@@ -47,9 +46,10 @@ use smem::Chunk;
 
 use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::{Completion, Op};
+use crate::kernel::serve;
 use crate::kernel::{
-    CallSlot, LiteKernel, ReplyRoute, FN_MSG, LOCK_ABORT, LOCK_ENQUEUE, LOCK_NO_WAITER,
-    LOCK_RELEASE, MANAGER_NODE, RPC_META_NS, USER_FUNC_MIN,
+    CallSlot, Incoming, LiteKernel, ReplyRoute, RpcHandler, RpcServer, FN_MSG, LOCK_ABORT,
+    LOCK_ENQUEUE, LOCK_NO_WAITER, LOCK_RELEASE, MANAGER_NODE, RPC_META_NS, USER_FUNC_MIN,
 };
 use crate::lmr::{LhEntry, LmrId, Location, Perm};
 use crate::observe::{EventKind, OpClass, StatsReport};
@@ -330,17 +330,22 @@ impl LiteHandle {
         ctx: &mut Ctx,
         body: impl FnOnce(&mut Self, &mut Ctx) -> LiteResult<T>,
     ) -> LiteResult<T> {
-        if self.user_level {
-            ctx.work(SYSCALL_CROSSING_NS);
-        }
-        let result = body(self, ctx);
-        // With the §5.2 optimizations the return path is observed through
-        // the shared page — no further crossing. The ablation restores
-        // the full syscall return plus a re-entry to fetch results.
-        if self.user_level && !self.kernel.config.fast_syscalls {
-            ctx.work(2 * SYSCALL_CROSSING_NS);
-        }
-        result
+        // Back outside every `lt_*` call, the thread runs the served calls
+        // its deliveries dispatched (DESIGN.md §5.3).
+        serve::in_call(|| {
+            if self.user_level {
+                ctx.work(SYSCALL_CROSSING_NS);
+            }
+            let result = body(self, ctx);
+            // With the §5.2 optimizations the return path is observed
+            // through the shared page — no further crossing. The ablation
+            // restores the full syscall return plus a re-entry to fetch
+            // results.
+            if self.user_level && !self.kernel.config.fast_syscalls {
+                ctx.work(2 * SYSCALL_CROSSING_NS);
+            }
+            result
+        })
     }
 
     /// One synchronization call (§7.2): a syscall whose round trip goes
@@ -407,7 +412,7 @@ impl LiteHandle {
     /// input — and posts `gather` as one write-imm (§5.1 step 2). The
     /// server writes its reply to `reply_at`, `max_reply` bytes at most. A
     /// failure releases the slot.
-    fn post_request(
+    pub(crate) fn post_request(
         &self,
         ctx: &mut Ctx,
         server: NodeId,
@@ -978,6 +983,15 @@ impl LiteHandle {
         self.kernel.register_rpc(func)
     }
 
+    /// Binds each of `funcs` (≥ [`USER_FUNC_MIN`]) on this node to
+    /// `handler`, which runs every call on the thread that delivered it
+    /// (DESIGN.md §5.3); the returned server owns this handle and the
+    /// handler. The functions are served while it lives; a function some
+    /// other live server serves is an error.
+    pub fn serve_rpc(self, funcs: &[u8], handler: impl RpcHandler) -> LiteResult<Arc<RpcServer>> {
+        RpcServer::bind(self, funcs, Box::new(handler))
+    }
+
     /// LT_RPC: calls `func` on `server`; returns the reply.
     pub fn lt_rpc(
         &mut self,
@@ -1010,18 +1024,55 @@ impl LiteHandle {
         self.finish_recv(ctx, inc)
     }
 
-    fn finish_recv(&mut self, ctx: &mut Ctx, inc: crate::kernel::Incoming) -> LiteResult<RpcCall> {
-        let client = inc.hdr.src_node as NodeId;
-        let input = self.kernel.read_ring_payload(client, &inc)?;
-        ctx.work(COST.memcpy_time(input.len() as u64));
-        ctx.work(RPC_META_NS);
-        self.kernel.release_ring(ctx, client, &inc)?;
+    fn finish_recv(&mut self, ctx: &mut Ctx, inc: Incoming) -> LiteResult<RpcCall> {
+        let mut input = Vec::new();
+        self.take_payload(ctx, &inc, &mut input)?;
         Ok(RpcCall {
             input,
-            src_node: client,
+            src_node: inc.hdr.src_node as NodeId,
             src_pid: inc.hdr.src_pid,
             route: ReplyRoute::of_hdr(&inc.hdr),
         })
+    }
+
+    /// Moves a taken call's payload out of the ring into `input` and frees
+    /// its ring span.
+    fn take_payload(
+        &mut self,
+        ctx: &mut Ctx,
+        inc: &Incoming,
+        input: &mut Vec<u8>,
+    ) -> LiteResult<()> {
+        let client = inc.hdr.src_node as NodeId;
+        self.kernel.read_ring_payload(client, inc, input)?;
+        ctx.work(COST.memcpy_time(input.len() as u64));
+        ctx.work(RPC_META_NS);
+        self.kernel.release_ring(ctx, client, inc)
+    }
+
+    /// A served call taken off its queue, charged as
+    /// [`LiteHandle::lt_try_recv_rpc`] charges one it finds; its payload
+    /// lands in `input`.
+    pub(crate) fn take_served(
+        &mut self,
+        ctx: &mut Ctx,
+        inc: &Incoming,
+        input: &mut Vec<u8>,
+    ) -> LiteResult<()> {
+        self.syscall(ctx, |this, ctx| {
+            ctx.wait_until(inc.stamp);
+            this.take_payload(ctx, inc, input)
+        })
+    }
+
+    /// A served call's answer, charged as [`LiteHandle::lt_reply_rpc`].
+    pub(crate) fn reply_served(
+        &mut self,
+        ctx: &mut Ctx,
+        route: ReplyRoute,
+        output: &[u8],
+    ) -> LiteResult<()> {
+        self.syscall(ctx, |this, ctx| this.reply(ctx, route, output))
     }
 
     /// Non-blocking LT_recvRPC: returns `Ok(None)` when no call is
@@ -1033,23 +1084,13 @@ impl LiteHandle {
         })
     }
 
-    /// Parks the thread until one of `funcs` has a queued call and returns
-    /// `true`, or returns `false` once `timeout` (host time) passes. It
-    /// takes no call and charges no virtual time — the library sleeping on
-    /// the shared page; the [`LiteHandle::lt_try_recv_rpc`] that takes the
-    /// call pays the crossing and waits for its arrival stamp. An
-    /// unregistered function is [`LiteError::UnknownRpc`].
-    pub fn lt_wait_rpc(&self, funcs: &[u8], timeout: Duration) -> LiteResult<bool> {
-        self.kernel.wait_rpc(funcs, timeout)
-    }
-
     /// LT_replyRPC: sends the return value for `call`.
     pub fn lt_reply_rpc(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
-        self.syscall(ctx, |this, ctx| this.reply(ctx, call, output))
+        self.syscall(ctx, |this, ctx| this.reply(ctx, call.route, output))
     }
 
     /// The reply half of a server-side call: stage `output` and send it.
-    fn reply(&mut self, ctx: &mut Ctx, call: &RpcCall, output: &[u8]) -> LiteResult<()> {
+    fn reply(&mut self, ctx: &mut Ctx, route: ReplyRoute, output: &[u8]) -> LiteResult<()> {
         ctx.work(RPC_META_NS);
         let staged = self.stage(output)?;
         let chunks = [Chunk {
@@ -1057,7 +1098,7 @@ impl LiteHandle {
             len: output.len() as u64,
         }];
         self.kernel
-            .send_reply(ctx, self.prio, call.route, &chunks, output.len())?;
+            .send_reply(ctx, self.prio, route, &chunks, output.len())?;
         Ok(())
     }
 
@@ -1070,7 +1111,7 @@ impl LiteHandle {
         func: u8,
     ) -> LiteResult<RpcCall> {
         self.syscall(ctx, |this, ctx| {
-            this.reply(ctx, call, output)?;
+            this.reply(ctx, call.route, output)?;
             this.recv(ctx, func)
         })
     }

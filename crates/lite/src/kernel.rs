@@ -23,6 +23,7 @@
 //! * [`datapath`] — op descriptors and the verbs-backed
 //!   [`datapath::RnicDataPath`] (one-sided plane + batching + recovery).
 //! * [`rpc`] — rings, completion slots, reply routing, dispatch.
+//! * [`serve`] — served functions: handlers run by the delivering thread.
 //! * [`msg`] — kernel services (naming, mapping, locks, barriers).
 //! * [`stats`] — hot-path counters and the stats snapshot.
 
@@ -49,9 +50,11 @@ use crate::shard::ShardedMap;
 pub mod datapath;
 mod msg;
 mod rpc;
+pub(crate) mod serve;
 mod stats;
 
 pub use rpc::{Incoming, ADAPTIVE_SPIN_NS, IMM_DISPATCH_NS, RPC_META_NS};
+pub use serve::{RpcHandler, RpcServer};
 pub use stats::KernelStats;
 
 pub(crate) use msg::{LOCK_ABORT, LOCK_ENQUEUE, LOCK_NO_WAITER, LOCK_RELEASE};
@@ -59,7 +62,8 @@ pub(crate) use rpc::{CallSlot, ReplyRoute};
 
 use datapath::RnicDataPath;
 use msg::{BarrierState, LockState, MasterTable};
-use rpc::{Dispatcher, KernelCall, RpcQueue};
+use rpc::{Dispatcher, KernelCall};
+use serve::RpcQueue;
 use stats::KernelCounters;
 
 // ---------------------------------------------------------------------
@@ -126,8 +130,8 @@ pub struct LiteKernel {
     slots: ShardedMap<u32, Arc<CallSlot>>,
     next_slot: AtomicU32,
     queues: ShardedMap<u8, Arc<RpcQueue>>,
-    /// Woken after every push onto `queues`: what a thread waiting for a
-    /// call on one of them or on several at once parks on.
+    /// Woken after every push onto the queue of a function no server
+    /// serves: what `lt_recv_rpc` parks on.
     arrivals: Event,
     locks: ShardedMap<u64, LockState>,
     /// Counts the enqueues and aborts that land in `locks` and the lock

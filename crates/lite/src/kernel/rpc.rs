@@ -7,7 +7,8 @@
 //! receive CQ ([`LiteKernel::drain_arrivals`]) on the poller's one clock.
 //! Only kernel calls move to a thread, the node's kernel-call thread, so
 //! that a node's kernel state changes in the order its poller stamps
-//! them (DESIGN.md §5.3).
+//! them (DESIGN.md §5.3). A served function's calls run on the thread
+//! that dispatched them, once it holds nothing ([`super::serve`]).
 //!
 //! Everything here speaks [`Op`] descriptors through the node's
 //! datapath; the only NIC-adjacent artifact left is the loop-back
@@ -25,6 +26,7 @@ use simnet::{CpuMeter, Ctx, Nanos};
 use smem::Chunk;
 
 use super::datapath::Op;
+use super::serve::{self, RpcQueue, RpcServer};
 use super::{LiteKernel, FN_MSG, USER_FUNC_MIN};
 use crate::config::LiteConfig;
 use crate::error::{LiteError, LiteResult};
@@ -48,11 +50,19 @@ pub const ADAPTIVE_SPIN_NS: Nanos = 2_000;
 
 /// A per-call completion slot: the simulation analogue of §5.2's shared
 /// user/kernel page through which the LITE library observes completion
-/// without a kernel-to-user crossing.
+/// without a kernel-to-user crossing. It also carries a served call that a
+/// thread outside any `lt_*` call dispatched: the caller runs it
+/// ([`serve::note`]).
 #[derive(Default)]
 pub(crate) struct CallSlot {
-    state: Mutex<Option<SlotResult>>,
+    state: Mutex<SlotState>,
     done: Event,
+}
+
+#[derive(Default)]
+struct SlotState {
+    result: Option<SlotResult>,
+    help: Option<Arc<RpcServer>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -64,15 +74,44 @@ pub(crate) struct SlotResult {
 
 impl CallSlot {
     pub(crate) fn complete(&self, r: SlotResult) {
-        *self.state.lock() = Some(r);
+        self.state.lock().result = Some(r);
         self.done.wake();
     }
 
+    /// Asks the caller to run `server`, which holds its call.
+    pub(super) fn help(&self, server: Arc<RpcServer>) {
+        self.state.lock().help = Some(server);
+        self.done.wake();
+    }
+
+    /// The result, or else a server the caller was asked to run.
+    fn take(&self) -> Option<Result<SlotResult, Arc<RpcServer>>> {
+        let mut s = self.state.lock();
+        s.result.map(Ok).or_else(|| s.help.take().map(Err))
+    }
+
     /// Blocks for the result; models the adaptive busy-check-then-sleep
-    /// wait of the LITE library (§5.2).
+    /// wait of the LITE library (§5.2). The caller holds nothing here, so
+    /// first it runs the served calls its own deliveries dispatched, and
+    /// any it is handed while it waits.
     pub(crate) fn wait(&self, ctx: &mut Ctx, cfg: &LiteConfig) -> LiteResult<SlotResult> {
-        let r = self.done.take_within(|| *self.state.lock(), cfg.op_timeout);
-        let r = r.ok_or(LiteError::Timeout)?;
+        serve::run_pending();
+        let mut deadline = None;
+        let r = loop {
+            let mut got = self.take();
+            if got.is_none() {
+                let until = *deadline.get_or_insert_with(|| Deadline::after(cfg.op_timeout));
+                let ready = || {
+                    got = self.take();
+                    got.is_some()
+                };
+                self.done.park_until(ready, until);
+            }
+            match got.ok_or(LiteError::Timeout)? {
+                Ok(r) => break r,
+                Err(server) => serve::run_now(server),
+            }
+        };
         join_adaptively(ctx, cfg, r.stamp);
         Ok(r)
     }
@@ -101,11 +140,6 @@ pub struct Incoming {
     /// Virtual arrival stamp.
     pub stamp: Nanos,
 }
-
-/// Queue of incoming calls for one RPC function id. Each call pushed wakes
-/// the node's arrival event, which both [`LiteKernel::pop_rpc`] and
-/// [`LiteKernel::wait_rpc`] park on.
-pub(crate) type RpcQueue = Mutex<std::collections::VecDeque<Incoming>>;
 
 /// The node's poller: its clock, and whether a kernel call it dispatched
 /// is still waiting for the kernel-call thread. Held by whichever thread
@@ -374,7 +408,7 @@ impl LiteKernel {
         timeout: Duration,
     ) -> LiteResult<Incoming> {
         let q = self.queue_of(func)?;
-        let inc = self.arrivals.take_within(|| q.lock().pop_front(), timeout);
+        let inc = self.arrivals.take_within(|| q.pop(), timeout);
         let inc = inc.ok_or(LiteError::Timeout)?;
         join_adaptively(ctx, &self.config, inc.stamp);
         Ok(inc)
@@ -382,29 +416,22 @@ impl LiteKernel {
 
     /// Non-blocking dequeue (used by servers that interleave work).
     pub(crate) fn try_pop_rpc(&self, ctx: &mut Ctx, func: u8) -> LiteResult<Option<Incoming>> {
-        let inc = self.queue_of(func)?.lock().pop_front();
+        let inc = self.queue_of(func)?.pop();
         Ok(inc.inspect(|inc| ctx.wait_until(inc.stamp)))
     }
 
-    /// Parks until one of `funcs` has a queued call (`true`) or `timeout`
-    /// passes (`false`). Takes no call and charges no virtual time.
-    pub(crate) fn wait_rpc(&self, funcs: &[u8], timeout: Duration) -> LiteResult<bool> {
-        let deadline = Deadline::after(timeout);
-        let queues = funcs
-            .iter()
-            .map(|&f| self.queue_of(f))
-            .collect::<LiteResult<Vec<_>>>()?;
-        let queued = || queues.iter().any(|q| !q.lock().is_empty());
-        Ok(self.arrivals.park_until(queued, deadline))
-    }
-
-    /// Copies a parked message's payload out of the ring.
-    pub(crate) fn read_ring_payload(&self, client: NodeId, inc: &Incoming) -> LiteResult<Vec<u8>> {
+    /// Copies a parked message's payload out of the ring into `buf`.
+    pub(crate) fn read_ring_payload(
+        &self,
+        client: NodeId,
+        inc: &Incoming,
+        buf: &mut Vec<u8>,
+    ) -> LiteResult<()> {
         let ring = self.server_ring(client)?;
-        let mut buf = vec![0u8; inc.hdr.len as usize];
+        buf.resize(inc.hdr.len as usize, 0);
         self.mem()
-            .read(ring.base + inc.ring_offset + HEADER_BYTES as u64, &mut buf)?;
-        Ok(buf)
+            .read(ring.base + inc.ring_offset + HEADER_BYTES as u64, buf)?;
+        Ok(())
     }
 
     /// Frees the ring span of a consumed message (§5.1 step f). The new
@@ -553,7 +580,8 @@ impl LiteKernel {
     }
 
     /// Routes a request: a user function's (or `FN_MSG`'s) call joins its
-    /// queue, and a kernel service's is returned to be served.
+    /// queue — a served one's noted for its server ([`serve::note`]) — and
+    /// a kernel service's is returned to be served.
     fn handle_request(
         &self,
         ctx: &mut Ctx,
@@ -574,10 +602,10 @@ impl LiteKernel {
             return Some(KernelCall { client, inc });
         }
         match self.queues.get(&hdr.func) {
-            Some(q) => {
-                q.lock().push_back(inc);
-                self.arrivals.wake();
-            }
+            Some(q) => match q.push(inc) {
+                Some(server) => serve::note(self, server, client, hdr.slot),
+                None => self.arrivals.wake(),
+            },
             None => {
                 // No handler bound: error-reply and release the ring.
                 let _ = self.release_ring(ctx, client, &inc);
@@ -590,9 +618,10 @@ impl LiteKernel {
     /// Kernel service: reads the payload, frees the ring, runs the
     /// handler and sends its reply.
     fn serve_kernel_call(&self, ctx: &mut Ctx, KernelCall { client, inc }: KernelCall) {
-        let Ok(payload) = self.read_ring_payload(client, &inc) else {
+        let mut payload = Vec::new();
+        if self.read_ring_payload(client, &inc, &mut payload).is_err() {
             return;
-        };
+        }
         let _ = self.release_ring(ctx, client, &inc);
         ctx.work(RPC_META_NS);
         let route = ReplyRoute::of_hdr(&inc.hdr);

@@ -1,0 +1,425 @@
+//! Served functions: an RPC function whose calls run where they land
+//! (DESIGN.md §5.3 "Served functions").
+//!
+//! A function bound with [`LiteHandle::serve_rpc`] has no server thread.
+//! Its calls join the function's queue as every user call does, and the
+//! thread whose delivery dispatched one notes the server as pending. That
+//! thread runs it once it holds nothing: at the reply wait of its own
+//! `lt_*` call ([`super::CallSlot::wait`], before it parks), or else at the
+//! end of that call ([`LiteHandle::syscall`]'s way out). A thread outside
+//! any `lt_*` call — a kernel-call thread, the memory manager — never runs
+//! a handler: it hands the call to its caller, whose reply wait runs it.
+//!
+//! Three rules:
+//! * **Hand-over.** A thread that finds the server held leaves the call
+//!   queued; the holder looks at the queues again after it lets go.
+//! * **No re-entrancy.** Served work found while a handler runs waits on
+//!   that thread's pending list until the handler returns. So a handler
+//!   must not wait on a reply from a served function: that call would wait
+//!   for the handler to return, and the handler for it (`op_timeout`).
+//! * **Same charges.** A call is taken and answered on the handler's clock
+//!   exactly as `lt_try_recv_rpc` + `lt_reply_rpc` take and answer it.
+
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::sync::{Arc, Weak};
+
+use parking_lot::Mutex;
+use rnic::NodeId;
+use simnet::Ctx;
+
+use super::rpc::{Incoming, ReplyRoute};
+use super::LiteKernel;
+use crate::api::LiteHandle;
+use crate::error::{LiteError, LiteResult};
+
+/// What a served function runs, once per call (see the module docs).
+pub trait RpcHandler: Send + 'static {
+    /// The clock `func`'s calls are taken, run and answered on.
+    fn ctx(&mut self, func: u8) -> &mut Ctx;
+
+    /// Runs one call of `func` on `h`, the handle the server owns. `input`
+    /// is the request payload; what is in `reply` (empty on entry) when it
+    /// returns is the answer.
+    fn call(&mut self, h: &mut LiteHandle, func: u8, input: &[u8], reply: &mut Vec<u8>);
+}
+
+/// The server of a set of served functions: its handle, its handler and
+/// the buffers every call reuses, behind one lock. The functions stay
+/// served while it lives; the kernel holds it weakly, so a handler that
+/// owns the handle of its own node makes no cycle.
+pub struct RpcServer {
+    funcs: Vec<(u8, Arc<RpcQueue>)>,
+    serving: Mutex<Serving>,
+}
+
+struct Serving {
+    h: LiteHandle,
+    handler: Box<dyn RpcHandler>,
+    input: Vec<u8>,
+    reply: Vec<u8>,
+}
+
+impl RpcServer {
+    /// Binds each of `funcs` on `h`'s node to a new server of `handler`,
+    /// which owns `h` ([`LiteHandle::serve_rpc`]).
+    pub(crate) fn bind(
+        h: LiteHandle,
+        funcs: &[u8],
+        handler: Box<dyn RpcHandler>,
+    ) -> LiteResult<Arc<RpcServer>> {
+        let kernel = Arc::clone(h.kernel());
+        let mut queues = Vec::with_capacity(funcs.len());
+        for &func in funcs {
+            kernel.register_rpc(func)?;
+            queues.push((func, kernel.queue_of(func)?));
+        }
+        let serving = Serving {
+            h,
+            handler,
+            input: Vec::new(),
+            reply: Vec::new(),
+        };
+        let server = Arc::new(RpcServer {
+            funcs: queues,
+            serving: Mutex::new(serving),
+        });
+        for (_, queue) in &server.funcs {
+            if !queue.bind(Arc::downgrade(&server)) {
+                return Err(LiteError::Internal("function already served"));
+            }
+        }
+        Ok(server)
+    }
+
+    /// Serves every queued call unless another thread holds the server;
+    /// once it lets go it looks again, so a call queued while it held the
+    /// server is not left behind.
+    fn run(&self) {
+        while let Some(mut s) = self.serving.try_lock() {
+            for (func, queue) in &self.funcs {
+                while let Some(inc) = queue.pop() {
+                    s.serve(*func, &inc);
+                }
+            }
+            drop(s);
+            if self.funcs.iter().all(|(_, q)| q.is_empty()) {
+                return;
+            }
+        }
+    }
+}
+
+impl Serving {
+    fn serve(&mut self, func: u8, inc: &Incoming) {
+        let Serving {
+            h,
+            handler,
+            input,
+            reply,
+        } = self;
+        if h.take_served(handler.ctx(func), inc, input).is_err() {
+            return;
+        }
+        reply.clear();
+        handler.call(h, func, input, reply);
+        let route = ReplyRoute::of_hdr(&inc.hdr);
+        let _ = h.reply_served(handler.ctx(func), route, reply);
+    }
+}
+
+/// Queue of incoming calls for one RPC function id, and the server that
+/// serves it, if one does. Each call for an unserved function wakes the
+/// node's arrival event, which [`LiteKernel::pop_rpc`] parks on.
+#[derive(Default)]
+pub(crate) struct RpcQueue(Mutex<FuncQueue>);
+
+#[derive(Default)]
+struct FuncQueue {
+    calls: VecDeque<Incoming>,
+    server: Option<Weak<RpcServer>>,
+}
+
+impl RpcQueue {
+    pub(crate) fn pop(&self) -> Option<Incoming> {
+        self.0.lock().calls.pop_front()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.lock().calls.is_empty()
+    }
+
+    /// Queues `inc`; returns the function's server, if a live one serves
+    /// it.
+    pub(crate) fn push(&self, inc: Incoming) -> Option<Arc<RpcServer>> {
+        let mut q = self.0.lock();
+        q.calls.push_back(inc);
+        q.server.as_ref()?.upgrade()
+    }
+
+    /// Binds the function to `server`; fails if a live one serves it.
+    pub(crate) fn bind(&self, server: Weak<RpcServer>) -> bool {
+        let mut q = self.0.lock();
+        if q.server.as_ref().is_some_and(|s| s.strong_count() > 0) {
+            return false;
+        }
+        q.server = Some(server);
+        true
+    }
+}
+
+thread_local! {
+    /// How many `lt_*` calls this thread is inside.
+    static DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// Whether this thread is running served work.
+    static RUNNING: Cell<bool> = const { Cell::new(false) };
+    /// Servers with calls this thread dispatched and has yet to run.
+    static PENDING: RefCell<Vec<Arc<RpcServer>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `body` as an `lt_*` call of this thread, then — back outside every
+/// such call — the served work it found.
+pub(crate) fn in_call<T>(body: impl FnOnce() -> T) -> T {
+    struct Leave;
+    impl Drop for Leave {
+        fn drop(&mut self) {
+            DEPTH.set(DEPTH.get() - 1);
+        }
+    }
+    DEPTH.set(DEPTH.get() + 1);
+    let out = {
+        let _leave = Leave;
+        body()
+    };
+    if DEPTH.get() == 0 {
+        run_pending();
+    }
+    out
+}
+
+/// Notes a call queued for `server`, from client `node`'s completion slot
+/// `slot`. A thread inside an `lt_*` call (or a handler) runs it later
+/// itself; any other thread hands it to the caller's reply wait.
+pub(crate) fn note(kernel: &LiteKernel, server: Arc<RpcServer>, node: NodeId, slot: u32) {
+    if DEPTH.get() > 0 || RUNNING.get() {
+        defer(server);
+    } else if let Some(slot) = kernel.dir.kernel(node).and_then(|k| k.slots.get(&slot)) {
+        slot.help(server);
+    }
+}
+
+fn defer(server: Arc<RpcServer>) {
+    PENDING.with_borrow_mut(|p| {
+        if !p.iter().any(|s| Arc::ptr_eq(s, &server)) {
+            p.push(server);
+        }
+    });
+}
+
+/// Runs `server` now if this thread may, else after its handler returns.
+pub(crate) fn run_now(server: Arc<RpcServer>) {
+    defer(server);
+    run_pending();
+}
+
+/// Runs the served work this thread found, oldest first, unless it is
+/// already doing so further up its stack (that loop will reach it).
+pub(crate) fn run_pending() {
+    if RUNNING.get() || PENDING.with_borrow(Vec::is_empty) {
+        return;
+    }
+    struct Done;
+    impl Drop for Done {
+        fn drop(&mut self) {
+            RUNNING.set(false);
+        }
+    }
+    RUNNING.set(true);
+    let _done = Done;
+    while let Some(server) = PENDING.with_borrow_mut(|p| (!p.is_empty()).then(|| p.remove(0))) {
+        server.run();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread::ThreadId;
+
+    use smem::Chunk;
+
+    use super::*;
+    use crate::cluster::LiteCluster;
+    use crate::kernel::{CallSlot, USER_FUNC_MIN};
+    use crate::wire::HEADER_BYTES;
+
+    const F1: u8 = USER_FUNC_MIN + 1;
+    const F2: u8 = USER_FUNC_MIN + 2;
+
+    /// What the test's two handlers saw.
+    #[derive(Default)]
+    struct Seen {
+        /// Whether the first handler is running.
+        in_first: AtomicBool,
+        /// The first handler's server.
+        first: Mutex<Weak<RpcServer>>,
+        /// The second call's completion slot, once posted.
+        posted: Mutex<Option<(u32, Arc<CallSlot>)>>,
+        /// Where the second handler ran, and whether the first handler or
+        /// its server (which sends its reply) was running.
+        second: Mutex<Option<(ThreadId, bool)>>,
+    }
+
+    /// Calls `F2` on node 0 from node 1's handle `b` while it holds node
+    /// 0's poller, so that the call waits undispatched in node 0's receive
+    /// CQ; then echoes.
+    struct First {
+        ctx: Ctx,
+        node0: Arc<LiteKernel>,
+        b: LiteHandle,
+        /// Where `b` stages the call, and where its reply lands.
+        stage: u64,
+        reply_at: u64,
+        seen: Arc<Seen>,
+    }
+
+    impl RpcHandler for First {
+        fn ctx(&mut self, _: u8) -> &mut Ctx {
+            &mut self.ctx
+        }
+
+        fn call(&mut self, _: &mut LiteHandle, _: u8, input: &[u8], reply: &mut Vec<u8>) {
+            self.seen.in_first.store(true, Ordering::SeqCst);
+            let held = self.node0.dispatcher.lock();
+            let mem = self.b.kernel().mem();
+            mem.write(self.stage + HEADER_BYTES as u64, b"second")
+                .unwrap();
+            let gather = [Chunk {
+                addr: self.stage,
+                len: HEADER_BYTES as u64 + 6,
+            }];
+            let posted =
+                self.b
+                    .post_request(&mut Ctx::new(), 0, F2, &gather, (self.reply_at, 8), false);
+            assert!(!self.node0.shared_recv_cq.is_empty(), "dispatched at once");
+            drop(held);
+            *self.seen.posted.lock() = posted.unwrap();
+            reply.extend_from_slice(input);
+            self.seen.in_first.store(false, Ordering::SeqCst);
+        }
+    }
+
+    struct Second {
+        ctx: Ctx,
+        seen: Arc<Seen>,
+    }
+
+    impl RpcHandler for Second {
+        fn ctx(&mut self, _: u8) -> &mut Ctx {
+            &mut self.ctx
+        }
+
+        fn call(&mut self, _: &mut LiteHandle, _: u8, input: &[u8], reply: &mut Vec<u8>) {
+            let server = self.seen.first.lock().upgrade().expect("first server");
+            let inside =
+                self.seen.in_first.load(Ordering::SeqCst) || server.serving.try_lock().is_none();
+            *self.seen.second.lock() = Some((std::thread::current().id(), inside));
+            reply.extend_from_slice(input);
+        }
+    }
+
+    /// A handler's reply delivers a call to a second served function: the
+    /// replying thread dispatches it while the first handler's server is
+    /// still running, and runs it once that returns, never inside it.
+    #[test]
+    fn a_call_found_inside_a_handler_runs_after_it() {
+        let cluster = LiteCluster::start(2).unwrap();
+        let seen = Arc::new(Seen::default());
+        let node1 = cluster.kernel(1);
+        let stage = node1.alloc.lock().alloc(64).unwrap();
+        let reply_at = node1.alloc.lock().alloc(8).unwrap();
+        let first = First {
+            ctx: Ctx::new(),
+            node0: Arc::clone(cluster.kernel(0)),
+            b: cluster.attach(1).unwrap(),
+            stage,
+            reply_at,
+            seen: Arc::clone(&seen),
+        };
+        let f1 = cluster.attach(1).unwrap().serve_rpc(&[F1], first).unwrap();
+        *seen.first.lock() = Arc::downgrade(&f1);
+        let second = Second {
+            ctx: Ctx::new(),
+            seen: Arc::clone(&seen),
+        };
+        let _f2 = cluster.attach(0).unwrap().serve_rpc(&[F2], second).unwrap();
+        let mut a = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        assert_eq!(a.lt_rpc(&mut ctx, 1, F1, b"first", 8).unwrap(), b"first");
+        let (ran_on, inside) = seen.second.lock().expect("the second handler ran");
+        assert_eq!(
+            ran_on,
+            std::thread::current().id(),
+            "run by the replying thread"
+        );
+        assert!(!inside, "run inside the first handler or its reply");
+        // And it answered its caller.
+        let (id, slot) = seen.posted.lock().take().expect("posted");
+        let done = slot.wait(&mut ctx, node1.config()).unwrap();
+        node1.free_slot(id);
+        let mut got = vec![0u8; done.len as usize];
+        node1.mem().read(reply_at, &mut got).unwrap();
+        assert_eq!(got, b"second");
+    }
+
+    struct Echo(Ctx);
+
+    impl RpcHandler for Echo {
+        fn ctx(&mut self, _: u8) -> &mut Ctx {
+            &mut self.0
+        }
+
+        fn call(&mut self, _: &mut LiteHandle, _: u8, input: &[u8], reply: &mut Vec<u8>) {
+            reply.extend_from_slice(input);
+        }
+    }
+
+    /// A served call dispatched by a thread outside any `lt_*` call — a
+    /// kernel-call thread draining after its call, played here by the test
+    /// thread — is handed to its caller, and the caller's reply wait runs
+    /// it. Without the hand-off the call would sit queued until the wait
+    /// timed out.
+    #[test]
+    fn a_call_dispatched_outside_any_call_runs_at_its_callers_wait() {
+        let cluster = LiteCluster::start(2).unwrap();
+        let (node0, node1) = (cluster.kernel(0), cluster.kernel(1));
+        let _echo = cluster
+            .attach(1)
+            .unwrap()
+            .serve_rpc(&[F1], Echo(Ctx::new()))
+            .unwrap();
+        let a = cluster.attach(0).unwrap();
+        let stage = node0.alloc.lock().alloc(64).unwrap();
+        let reply_at = node0.alloc.lock().alloc(8).unwrap();
+        node0
+            .mem()
+            .write(stage + HEADER_BYTES as u64, b"handed")
+            .unwrap();
+        let gather = [Chunk {
+            addr: stage,
+            len: HEADER_BYTES as u64 + 6,
+        }];
+        let mut ctx = Ctx::new();
+        let held = node1.dispatcher.lock();
+        let posted = a.post_request(&mut ctx, 1, F1, &gather, (reply_at, 8), false);
+        drop(held);
+        let (id, slot) = posted.unwrap().expect("a slot");
+        assert!(!node1.shared_recv_cq.is_empty(), "dispatched at once");
+        node1.drain_arrivals();
+        let done = slot.wait(&mut ctx, node0.config()).unwrap();
+        node0.free_slot(id);
+        let mut got = vec![0u8; done.len as usize];
+        node0.mem().read(reply_at, &mut got).unwrap();
+        assert_eq!(got, b"handed");
+    }
+}

@@ -69,7 +69,7 @@ pub use config::LiteConfig;
 pub use directory::ClusterDirectory;
 pub use error::{LiteError, LiteResult};
 pub use kernel::datapath::{Chunk, Completion, Op, RnicDataPath};
-pub use kernel::{KernelStats, LiteKernel, MANAGER_NODE, USER_FUNC_MIN};
+pub use kernel::{KernelStats, LiteKernel, RpcHandler, RpcServer, MANAGER_NODE, USER_FUNC_MIN};
 pub use lmr::{LmrId, Location, Perm};
 pub use mm::{MemManager, MmReport};
 pub use observe::{

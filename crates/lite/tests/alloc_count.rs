@@ -12,7 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lite::{ChainOp, LiteCluster, Perm};
+use lite::{ChainOp, LiteCluster, LiteConfig, LiteHandle, Perm, RpcHandler, USER_FUNC_MIN};
+use rnic::IbConfig;
 use simnet::Ctx;
 
 thread_local! {
@@ -117,4 +118,49 @@ fn warm_one_sided_calls_allocate_nothing() {
             "{call}: {allocs} allocations in its worst warm call"
         );
     }
+}
+
+/// Echoes every call on its own clock.
+struct Echo(Ctx);
+
+impl RpcHandler for Echo {
+    fn ctx(&mut self, _: u8) -> &mut Ctx {
+        &mut self.0
+    }
+
+    fn call(&mut self, _: &mut LiteHandle, _: u8, input: &[u8], reply: &mut Vec<u8>) {
+        reply.extend_from_slice(input);
+    }
+}
+
+/// A warm `lt_rpc` round trip to a served echo on another node, counted
+/// whole: the handler runs on the calling thread, at its reply wait.
+/// Served, the request's payload lands in a buffer the server keeps and
+/// the reply leaves from the handle's staging, so what is left is the
+/// call's completion slot and the reply `lt_rpc` hands back. "Warm" means
+/// past the ring's first lap: until then a call every 4 KiB of ring
+/// touches a page of simulated memory for the first time, and the
+/// simulation allocates it.
+#[test]
+fn a_warm_rpc_round_trip_allocates_its_slot_and_its_reply() {
+    const ECHO: u8 = USER_FUNC_MIN;
+    let config = LiteConfig {
+        rpc_ring_bytes: 64 << 10,
+        ..Default::default()
+    };
+    let cluster = LiteCluster::start_with(IbConfig::with_nodes(2), config).unwrap();
+    let server = cluster.attach(1).unwrap();
+    let _served = server.serve_rpc(&[ECHO], Echo(Ctx::new())).unwrap();
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let input = [9u8; 64];
+    // Past the ring's first lap (a call takes 128 B of it), and past the
+    // first slot of every shard of the slot table, which allocates it.
+    for _ in 0..1024 {
+        h.lt_rpc(&mut ctx, 1, ECHO, &input, 64).unwrap();
+    }
+    let rpc = worst_call(|_| {
+        assert_eq!(h.lt_rpc(&mut ctx, 1, ECHO, &input, 64).unwrap(), input);
+    });
+    assert_eq!(rpc, 2, "{rpc} allocations in the worst warm round trip");
 }

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use lite::{LiteCluster, Perm, Priority, QosMode, USER_FUNC_MIN};
+use lite_kv::{KvClient, KvService, KvSpec, SessionMode};
 use simnet::Ctx;
 
 /// A mixed workload touching every LITE API family at once, from every
@@ -327,4 +328,40 @@ fn dropped_cluster_frees_directory_and_managers() {
         0,
         "node 0's manager outlived its cluster"
     );
+}
+
+/// The same after a KV service ran and stopped. Its leader and followers
+/// are served functions whose handlers own handles on their own nodes:
+/// the kernels hold their servers weakly, so no kernel → handler → handle
+/// → kernel cycle outlives the cluster.
+#[test]
+fn a_stopped_kv_service_frees_its_cluster() {
+    let cluster = LiteCluster::start(4).unwrap();
+    {
+        let spec = KvSpec::new("leak.kv", 1, &[2, 3]);
+        let svc = KvService::spawn(&cluster, spec.clone());
+        let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+        let mut ctx = Ctx::new();
+        for i in 0..100u32 {
+            c.put(&mut ctx, &i.to_le_bytes(), &[i as u8; 64]).unwrap();
+        }
+        for i in 0..100u32 {
+            let got = c.get(&mut ctx, &i.to_le_bytes()).unwrap();
+            assert_eq!(got.as_deref(), Some(&[i as u8; 64][..]));
+        }
+        svc.stop();
+    }
+    let dir = Arc::downgrade(cluster.directory());
+    let mms: Vec<_> = (0..4)
+        .map(|n| Arc::downgrade(cluster.kernel(n).mm()))
+        .collect();
+    drop(cluster);
+    assert_eq!(dir.strong_count(), 0, "the directory outlived its cluster");
+    for (n, mm) in mms.iter().enumerate() {
+        assert_eq!(
+            mm.strong_count(),
+            0,
+            "node {n}'s manager outlived its cluster"
+        );
+    }
 }
