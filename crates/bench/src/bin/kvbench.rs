@@ -2,10 +2,11 @@
 //! load against the replicated KV service, reported per QoS mode.
 //!
 //! Shape: a 5-node cluster (leader on 1, followers on 2 and 3 with 3 a
-//! deliberately slow consumer, clients on 0 and 4). Two client threads
-//! replay one precomputed zipfian schedule (1M-user popularity, 90/10
-//! read/write, bursty on/off arrival) at three offered load points,
-//! under both QoS modes. Reads run at `Priority::High`, writes at
+//! deliberately slow consumer, clients on 0 and 4). Two clients, stepped
+//! in arrival order on one thread ([`bench::drive`]), replay one
+//! precomputed zipfian schedule (1M-user popularity, 90/10 read/write,
+//! bursty on/off arrival) at three offered load points, under both QoS
+//! modes. Reads run at `Priority::High`, writes at
 //! `Priority::Low`, so the kernel's per-class × per-priority histograms
 //! separate the two populations.
 //!
@@ -20,9 +21,7 @@
 //! Usage: `kvbench [--full] [--json [path]]` — `--json` emits one JSON
 //! document (the CI artifact) to `path` or stdout.
 
-use std::sync::Arc;
-
-use bench::{print_table, Row, SkewGate};
+use bench::{drive, print_table, Row};
 use lite::{LiteCluster, Priority, QosMode};
 use lite_kv::workload::{exact_percentile, WorkloadSpec};
 use lite_kv::{KvClient, KvService, KvSpec, SessionMode};
@@ -34,8 +33,6 @@ const LEADER: usize = 1;
 const FOLLOWERS: [usize; 2] = [2, 3];
 /// Virtual ns of apply cost per record on the slow follower.
 const SLOW_APPLY_NS: u64 = 20_000;
-/// Max virtual-clock skew between the two client threads.
-const SKEW_WINDOW: Nanos = 100_000;
 
 /// SLO targets (open-loop, scheduled-arrival to completion).
 const SLO_GET_NS: Nanos = 150_000; // 150 us
@@ -89,7 +86,7 @@ fn run(mode: QosMode, rate: f64, ops: usize) -> RunResult {
     spec.log_capacity = 16 << 20;
     spec.arena_bytes = 4 << 20;
     spec.slow_followers = vec![(FOLLOWERS[1], SLOW_APPLY_NS)];
-    let svc = Arc::new(KvService::spawn(&cluster, spec.clone()));
+    let svc = KvService::spawn(&cluster, spec.clone());
 
     let workload = WorkloadSpec {
         rate_ops_per_sec: rate,
@@ -99,61 +96,47 @@ fn run(mode: QosMode, rate: f64, ops: usize) -> RunResult {
         burst_off_ns: 100_000,
         ..WorkloadSpec::default()
     };
-    let schedule = Arc::new(workload.schedule());
-    let gate = Arc::new(SkewGate::new(CLIENTS.len(), SKEW_WINDOW));
+    let schedule = workload.schedule();
 
-    let mut joins = Vec::new();
-    for (t, &node) in CLIENTS.iter().enumerate() {
-        let cluster = Arc::clone(&cluster);
-        let schedule = Arc::clone(&schedule);
-        let gate = Arc::clone(&gate);
-        let svc = Arc::clone(&svc);
-        let spec = spec.clone();
-        joins.push(std::thread::spawn(move || {
-            let mut c = KvClient::connect(&cluster, node, &spec, SessionMode::Eventual).unwrap();
-            let mut ctx = Ctx::new();
-            let mut get_lats = Vec::new();
-            let mut put_lats = Vec::new();
-            let mut max_lag = 0u64;
-            // Thread t owns every other op; arrival times stay global.
-            for (i, op) in schedule.iter().enumerate().skip(t).step_by(CLIENTS.len()) {
-                gate.pace(t, ctx.now());
-                if ctx.now() < op.at {
-                    ctx.work(op.at - ctx.now()); // idle until the arrival
-                }
-                let key = WorkloadSpec::key_of(op.user);
-                if op.is_read {
-                    c.set_priority(Priority::High);
-                    c.get(&mut ctx, &key)
-                        .unwrap_or_else(|e| panic!("get {i}: {e}"));
-                    get_lats.push(ctx.now() - op.at);
-                } else {
-                    c.set_priority(Priority::Low);
-                    let value = format!("v{:06}@{i}", op.user % 1_000_000);
-                    c.put(&mut ctx, &key, value.as_bytes())
-                        .unwrap_or_else(|e| panic!("put {i}: {e}"));
-                    put_lats.push(ctx.now() - op.at);
-                }
-                // The slow consumer's instantaneous lag (in records),
-                // sampled behind every op — two atomic loads.
-                let gap = svc
-                    .committed_seq()
-                    .saturating_sub(svc.applied_seq(FOLLOWERS[1]));
-                max_lag = max_lag.max(gap);
-            }
-            gate.finish(t);
-            (get_lats, put_lats, max_lag)
-        }));
-    }
+    // Client t owns every other op, starting at op t; arrival times stay
+    // global, and each op waits for its arrival.
+    let mut clients: Vec<_> = CLIENTS
+        .iter()
+        .enumerate()
+        .map(|(t, &node)| {
+            let c = KvClient::connect(&cluster, node, &spec, SessionMode::Eventual).unwrap();
+            (Ctx::new(), (c, t))
+        })
+        .collect();
     let mut get_lats = Vec::new();
     let mut put_lats = Vec::new();
     let mut max_lag = 0u64;
-    for j in joins {
-        let (g, p, l) = j.join().unwrap();
-        get_lats.extend(g);
-        put_lats.extend(p);
-        max_lag = max_lag.max(l);
-    }
+    drive(
+        &mut clients,
+        |_, (_, i)| schedule.get(*i).map(|op| op.at),
+        |ctx, (c, i)| {
+            let op = &schedule[*i];
+            let key = WorkloadSpec::key_of(op.user);
+            if op.is_read {
+                c.set_priority(Priority::High);
+                c.get(ctx, &key).unwrap_or_else(|e| panic!("get {i}: {e}"));
+                get_lats.push(ctx.now() - op.at);
+            } else {
+                c.set_priority(Priority::Low);
+                let value = format!("v{:06}@{i}", op.user % 1_000_000);
+                c.put(ctx, &key, value.as_bytes())
+                    .unwrap_or_else(|e| panic!("put {i}: {e}"));
+                put_lats.push(ctx.now() - op.at);
+            }
+            // The slow consumer's instantaneous lag (in records),
+            // sampled behind every op — two atomic loads.
+            let gap = svc
+                .committed_seq()
+                .saturating_sub(svc.applied_seq(FOLLOWERS[1]));
+            max_lag = max_lag.max(gap);
+            *i += CLIENTS.len();
+        },
+    );
 
     // Kernel-side view: the clients' RPC histograms split by priority
     // (gets that took the RPC path high, puts low) and the service gauges
@@ -175,10 +158,7 @@ fn run(mode: QosMode, rate: f64, ops: usize) -> RunResult {
         kv_puts: cluster.kernel(LEADER).stats().kv_puts,
         kv_gets: kv_gets.sum(),
     };
-    match Arc::try_unwrap(svc) {
-        Ok(svc) => svc.stop(),
-        Err(_) => unreachable!("all client threads joined"),
-    }
+    svc.stop();
     result
 }
 

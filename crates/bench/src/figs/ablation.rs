@@ -5,7 +5,9 @@ use rand::{Rng, SeedableRng};
 use rnic::COST;
 use simnet::{Ctx, Summary};
 
+use crate::drive::drive;
 use crate::env::LiteEnv;
+use crate::figs::micro::lite_writers;
 use crate::table::Row;
 
 const US: f64 = 1_000.0;
@@ -155,37 +157,17 @@ pub fn ablation_qp_factor(full: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for k in [1usize, 2, 4] {
         let env = LiteEnv::with_config(2, LiteConfig::with_qp_factor(k));
-        {
-            let mut h = env.cluster.attach(0).unwrap();
-            let mut c = Ctx::new();
-            h.lt_malloc(&mut c, 1, 16 << 20, "qpk", Perm::RW).unwrap();
-        }
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let cluster = std::sync::Arc::clone(&env.cluster);
-            handles.push(std::thread::spawn(move || {
-                let mut h = cluster.attach(0).unwrap();
-                let mut ctx = Ctx::new();
-                let lh = h.lt_map(&mut ctx, "qpk").unwrap();
-                let start = ctx.now();
-                let buf = vec![1u8; 4096];
-                for i in 0..ops {
-                    h.lt_write(
-                        &mut ctx,
-                        lh,
-                        ((t * ops + i) * 4096) as u64 % (16 << 20) / 64 * 64,
-                        &buf,
-                    )
-                    .unwrap();
-                }
-                ctx.now() - start
-            }));
-        }
-        let makespan = handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .max()
-            .unwrap();
+        let mut writers = lite_writers(&env, "qpk", 16 << 20, threads, 0);
+        let buf = vec![1u8; 4096];
+        let makespan = drive(
+            &mut writers,
+            |_, w| (w.done < ops).then_some(0),
+            |ctx, w| {
+                let off = ((w.t * ops + w.done) * 4096) as u64 % (16 << 20) / 64 * 64;
+                w.h.lt_write(ctx, w.lh, off, &buf).unwrap();
+                w.done += 1;
+            },
+        );
         let gbps = (threads * ops * 4096) as f64 / makespan as f64;
         rows.push(
             Row::new(format!("K={k}"))

@@ -8,6 +8,7 @@ use lite_log::LiteLog;
 use lite_mr::{run_hadoop, run_litemr, run_phoenix, Text};
 use simnet::{Ctx, Summary};
 
+use crate::drive::drive;
 use crate::env::LiteEnv;
 use crate::table::Row;
 
@@ -102,26 +103,23 @@ pub fn app_log(full: bool) -> Vec<Row> {
             let mut c = Ctx::new();
             LiteLog::create(&mut h, &mut c, home, "alog", 64 << 20).unwrap();
         }
-        let mut handles = Vec::new();
-        for w in 0..writers {
-            let cluster = Arc::clone(&lenv.cluster);
-            handles.push(std::thread::spawn(move || {
-                let mut h = cluster.attach(w).unwrap();
+        let mut logs: Vec<_> = (0..writers)
+            .map(|w| {
+                let mut h = lenv.cluster.attach(w).unwrap();
                 let mut ctx = Ctx::new();
                 let log = LiteLog::open(&mut h, &mut ctx, "alog", 64 << 20).unwrap();
-                let start = ctx.now();
-                let entry = [0xBBu8; 16];
-                for _ in 0..commits {
-                    log.commit(&mut h, &mut ctx, &[&entry]).unwrap();
-                }
-                ctx.now() - start
-            }));
-        }
-        let makespan = handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .max()
-            .unwrap();
+                (ctx, (h, log, 0))
+            })
+            .collect();
+        let entry = [0xBBu8; 16];
+        let makespan = drive(
+            &mut logs,
+            |_, (.., i)| (*i < commits).then_some(0),
+            |ctx, (h, log, i)| {
+                log.commit(h, ctx, &[&entry]).unwrap();
+                *i += 1;
+            },
+        );
         let rate = (writers * commits) as f64 * 1e9 / makespan as f64;
         rows.push(Row::new(format!("{writers}w")).cell("commits_per_s", rate));
     }

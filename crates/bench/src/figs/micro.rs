@@ -2,12 +2,14 @@
 
 use std::sync::Arc;
 
-use lite::Perm;
+use lite::{LiteHandle, Perm};
+use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rnic::{Access, RemoteAddr, Sge, COST};
+use rnic::{Access, IbFabric, RemoteAddr, Sge, COST};
 use simnet::{Ctx, Summary};
 use transport::{RcmSock, TcpCostModel, TcpNet};
 
+use crate::drive::drive;
 use crate::env::{LiteEnv, VerbsEnv};
 use crate::table::Row;
 
@@ -15,13 +17,13 @@ const US: f64 = 1_000.0;
 
 /// A warmed verbs write path: node 0 → node 1, single source buffer.
 struct VerbsWriter {
-    env: VerbsEnv,
+    fabric: Arc<IbFabric>,
     qp: Arc<rnic::Qp>,
     src_sge: Sge,
 }
 
 impl VerbsWriter {
-    fn new(env: VerbsEnv, max_size: usize) -> (Self, Ctx) {
+    fn new(env: &VerbsEnv, max_size: usize) -> (Self, Ctx) {
         let mut ctx = Ctx::new();
         let src_va = env.spaces[0].mmap(max_size as u64).unwrap();
         let src_mr = env
@@ -41,7 +43,15 @@ impl VerbsWriter {
             addr: src_va,
             len: max_size,
         };
-        (VerbsWriter { env, qp, src_sge }, ctx)
+        let fabric = Arc::clone(&env.fabric);
+        (
+            VerbsWriter {
+                fabric,
+                qp,
+                src_sge,
+            },
+            ctx,
+        )
     }
 
     fn write_blocking(&self, ctx: &mut Ctx, len: usize, remote: RemoteAddr) {
@@ -54,7 +64,6 @@ impl VerbsWriter {
             _ => unreachable!(),
         };
         let comp = self
-            .env
             .fabric
             .nic(0)
             .post_write(ctx, &self.qp, 0, &sge, remote, None, false)
@@ -92,9 +101,9 @@ pub fn fig04(full: bool) -> Vec<Row> {
                     .unwrap()
             })
             .collect();
-        let (w, mut wctx) = VerbsWriter::new(env, 64);
+        let (w, mut wctx) = VerbsWriter::new(&env, 64);
         wctx.wait_until(ctx.now());
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
+        let mut rng = SmallRng::seed_from_u64(4);
         let mut verbs = Summary::new();
         for _ in 0..ops {
             let mr = &mrs[rng.gen_range(0..m)];
@@ -137,8 +146,9 @@ pub fn fig04(full: bool) -> Vec<Row> {
     rows
 }
 
-/// Figure 5: pipelined write throughput vs total MR size (8 threads of
-/// blocking writers approximate the paper's request pipelining).
+/// Figure 5: pipelined write throughput vs total MR size: 8 blocking
+/// writers, stepped lowest clock first, approximate the paper's request
+/// pipelining. `lite_threads_64B` is the control column.
 pub fn fig05(full: bool) -> Vec<Row> {
     let sizes_mb: &[u64] = if full {
         &[1, 4, 16, 64, 256, 1024]
@@ -150,7 +160,7 @@ pub fn fig05(full: bool) -> Vec<Row> {
     let mut rows = Vec::new();
     for &mb in sizes_mb {
         let total = mb << 20;
-        let mut cells = Vec::new();
+        let mut row = Row::new(format!("{mb}MB"));
         for (label, req) in [("64B", 64usize), ("1KB", 1024)] {
             // ---- Verbs: one big virtual MR. ----
             let env = VerbsEnv::new(2);
@@ -161,106 +171,117 @@ pub fn fig05(full: bool) -> Vec<Row> {
                 .nic(1)
                 .register_mr(&mut ctx, &env.spaces[1], region, total, Access::RW)
                 .unwrap();
-            let env = Arc::new(env);
-            let gate = Arc::new(crate::skew::SkewGate::new(threads, 5_000));
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let env = Arc::clone(&env);
-                let gate = Arc::clone(&gate);
-                let rkey = mr.rkey();
-                handles.push(std::thread::spawn(move || {
-                    let mut ctx = Ctx::new();
-                    let src_va = env.spaces[0].mmap(4096).unwrap();
-                    let src = env
-                        .fabric
-                        .nic(0)
-                        .register_mr(&mut ctx, &env.spaces[0], src_va, 4096, Access::LOCAL)
-                        .unwrap();
-                    let (qp, _) = env.fabric.rc_pair(0, 1);
-                    let mut rng = rand::rngs::SmallRng::seed_from_u64(t as u64);
-                    let sge = Sge::Virt {
-                        lkey: src.lkey(),
-                        addr: src_va,
-                        len: req,
+            let mut writers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (w, ctx) = VerbsWriter::new(&env, 4096);
+                    (ctx, (w, SmallRng::seed_from_u64(t as u64), 0))
+                })
+                .collect();
+            let makespan = drive(
+                &mut writers,
+                |_, (.., i)| (*i < ops).then_some(0),
+                |ctx, (w, rng, i)| {
+                    let off = rng.gen_range(0..(total - req as u64)) & !63;
+                    let remote = RemoteAddr {
+                        rkey: mr.rkey(),
+                        addr: region + off,
                     };
-                    for _ in 0..ops {
-                        let off = rng.gen_range(0..(total - req as u64)) & !63;
-                        let comp = env
-                            .fabric
-                            .nic(0)
-                            .post_write(
-                                &mut ctx,
-                                &qp,
-                                0,
-                                &sge,
-                                RemoteAddr {
-                                    rkey,
-                                    addr: region + off,
-                                },
-                                None,
-                                false,
-                            )
-                            .unwrap();
-                        ctx.wait_until(comp);
-                        ctx.work(COST.cq_poll_ns);
-                        gate.pace(t, ctx.now());
-                    }
-                    gate.finish(t);
-                    ctx.now()
-                }));
-            }
-            let makespan = handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .max()
-                .unwrap();
+                    w.write_blocking(ctx, req, remote);
+                    *i += 1;
+                },
+            );
             let verbs_tput = (threads * ops) as f64 / (makespan as f64 / 1000.0);
 
             // ---- LITE: one LMR; physical global MR underneath. ----
             let lenv = LiteEnv::new(2);
-            {
-                let mut h = lenv.cluster.attach(0).unwrap();
-                let mut c = Ctx::new();
-                h.lt_malloc(&mut c, 1, total, "f5", Perm::RW).unwrap();
-            }
-            let cluster = Arc::clone(&lenv.cluster);
-            let gate = Arc::new(crate::skew::SkewGate::new(threads, 5_000));
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let cluster = Arc::clone(&cluster);
-                let gate = Arc::clone(&gate);
-                handles.push(std::thread::spawn(move || {
-                    let mut h = cluster.attach(0).unwrap();
-                    let mut ctx = Ctx::new();
-                    let lh = h.lt_map(&mut ctx, "f5").unwrap();
-                    let start = ctx.now();
-                    let mut rng = rand::rngs::SmallRng::seed_from_u64(100 + t as u64);
-                    let buf = vec![1u8; req];
-                    for _ in 0..ops {
-                        let off = rng.gen_range(0..(total - req as u64)) & !63;
-                        h.lt_write(&mut ctx, lh, off, &buf).unwrap();
-                        gate.pace(t, ctx.now() - start);
-                    }
-                    gate.finish(t);
-                    ctx.now() - start
-                }));
-            }
-            let makespan = handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .max()
-                .unwrap();
+            let mut writers = lite_writers(&lenv, "f5", total, threads, 100);
+            let buf = vec![1u8; req];
+            let makespan = drive(
+                &mut writers,
+                |_, w| (w.done < ops).then_some(0),
+                |ctx, w| {
+                    let off = w.rng.gen_range(0..(total - req as u64)) & !63;
+                    w.h.lt_write(ctx, w.lh, off, &buf).unwrap();
+                    w.done += 1;
+                },
+            );
             let lite_tput = (threads * ops) as f64 / (makespan as f64 / 1000.0);
-            cells.push((format!("lite_{label}"), lite_tput));
-            cells.push((format!("verbs_{label}"), verbs_tput));
+            row = row
+                .cell(format!("lite_{label}"), lite_tput)
+                .cell(format!("verbs_{label}"), verbs_tput);
         }
-        let mut row = Row::new(format!("{mb}MB"));
-        for (n, v) in cells {
-            row = row.cell(n, v);
-        }
-        rows.push(row);
+        rows.push(row.cell("lite_threads_64B", lite_threads_64b(total, threads, ops)));
     }
     rows
+}
+
+/// Fig 5's control column: the LITE 64 B writers as plain threads, each
+/// on its own host schedule. A host-fast thread books the shared QPs far
+/// in the virtual future and the others queue behind that booking, so
+/// this column reads below `lite_64B` and moves from run to run. It keeps
+/// that artifact in view until the product's concurrent runs are exact
+/// (ROADMAP item 2).
+fn lite_threads_64b(total: u64, threads: usize, ops: usize) -> f64 {
+    let lenv = LiteEnv::new(2);
+    let handles: Vec<_> = lite_writers(&lenv, "f5", total, threads, 100)
+        .into_iter()
+        .map(|(mut ctx, mut w)| {
+            std::thread::spawn(move || {
+                let start = ctx.now();
+                for _ in 0..ops {
+                    let off = w.rng.gen_range(0..(total - 64)) & !63;
+                    w.h.lt_write(&mut ctx, w.lh, off, &[1u8; 64]).unwrap();
+                }
+                ctx.now() - start
+            })
+        })
+        .collect();
+    let makespan = handles.into_iter().map(|h| h.join().unwrap()).max();
+    (threads * ops) as f64 / (makespan.unwrap() as f64 / 1000.0)
+}
+
+/// A LITE writer on node 0: its own handle with the LMR mapped, its
+/// index, a seeded rng and the count of ops it has done.
+pub(crate) struct LiteWriter {
+    pub(crate) h: LiteHandle,
+    pub(crate) lh: u64,
+    pub(crate) t: usize,
+    pub(crate) rng: SmallRng,
+    pub(crate) done: usize,
+}
+
+/// Allocates the LMR `name` (`bytes` on node 1) and opens `threads`
+/// writers on it, writer `t`'s rng seeded `seed + t`.
+pub(crate) fn lite_writers(
+    lenv: &LiteEnv,
+    name: &str,
+    bytes: u64,
+    threads: usize,
+    seed: u64,
+) -> Vec<(Ctx, LiteWriter)> {
+    {
+        let mut h = lenv.cluster.attach(0).unwrap();
+        let mut c = Ctx::new();
+        h.lt_malloc(&mut c, 1, bytes, name, Perm::RW).unwrap();
+    }
+    (0..threads)
+        .map(|t| {
+            let mut h = lenv.cluster.attach(0).unwrap();
+            let mut ctx = Ctx::new();
+            let lh = h.lt_map(&mut ctx, name).unwrap();
+            let rng = SmallRng::seed_from_u64(seed + t as u64);
+            (
+                ctx,
+                LiteWriter {
+                    h,
+                    lh,
+                    t,
+                    rng,
+                    done: 0,
+                },
+            )
+        })
+        .collect()
 }
 
 /// Figure 6: write latency vs request size for TCP, LITE (user and
@@ -279,7 +300,7 @@ pub fn fig06(full: bool) -> Vec<Row> {
             .nic(1)
             .register_mr(&mut ctx, &env.spaces[1], dst_va, 1 << 20, Access::RW)
             .unwrap();
-        let (w, mut wctx) = VerbsWriter::new(env, size);
+        let (w, mut wctx) = VerbsWriter::new(&env, size);
         let remote = RemoteAddr {
             rkey: dst.rkey(),
             addr: dst_va,
@@ -351,42 +372,22 @@ pub fn fig07(full: bool) -> Vec<Row> {
             // LITE.
             let region_bytes: u64 = 4 << 20;
             let lenv = LiteEnv::new(2);
-            {
-                let mut h = lenv.cluster.attach(0).unwrap();
-                let mut c = Ctx::new();
-                h.lt_malloc(&mut c, 1, region_bytes, "f7", Perm::RW)
-                    .unwrap();
-            }
-            let gate = Arc::new(crate::skew::SkewGate::new(threads, 5_000));
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let cluster = Arc::clone(&lenv.cluster);
-                let gate = Arc::clone(&gate);
-                handles.push(std::thread::spawn(move || {
-                    let mut h = cluster.attach(0).unwrap();
-                    let mut ctx = Ctx::new();
-                    let lh = h.lt_map(&mut ctx, "f7").unwrap();
-                    let start = ctx.now();
-                    let buf = vec![1u8; size];
-                    for i in 0..ops {
-                        let off = (((t * ops + i) * size) as u64) % (region_bytes - size as u64);
-                        h.lt_write(&mut ctx, lh, off & !63, &buf).unwrap();
-                        gate.pace(t, ctx.now() - start);
-                    }
-                    gate.finish(t);
-                    ctx.now() - start
-                }));
-            }
-            let makespan = handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .max()
-                .unwrap();
+            let mut writers = lite_writers(&lenv, "f7", region_bytes, threads, 0);
+            let buf = vec![1u8; size];
+            let makespan = drive(
+                &mut writers,
+                |_, w| (w.done < ops).then_some(0),
+                |ctx, w| {
+                    let off = (((w.t * ops + w.done) * size) as u64) % (region_bytes - size as u64);
+                    w.h.lt_write(ctx, w.lh, off & !63, &buf).unwrap();
+                    w.done += 1;
+                },
+            );
             let lite = (threads * ops * size) as f64 / makespan as f64;
 
             // Verbs (warm 4 MB region, within PTE reach — the paper's
             // Fig 7 microbenchmark, unlike Fig 5's thrashing sweep).
-            let env = Arc::new(VerbsEnv::new(2));
+            let env = VerbsEnv::new(2);
             let mut ctx = Ctx::new();
             let dst_va = env.spaces[1].mmap(region_bytes).unwrap();
             let dst = env
@@ -394,57 +395,25 @@ pub fn fig07(full: bool) -> Vec<Row> {
                 .nic(1)
                 .register_mr(&mut ctx, &env.spaces[1], dst_va, region_bytes, Access::RW)
                 .unwrap();
-            let gate = Arc::new(crate::skew::SkewGate::new(threads, 5_000));
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let env = Arc::clone(&env);
-                let gate = Arc::clone(&gate);
-                let rkey = dst.rkey();
-                handles.push(std::thread::spawn(move || {
-                    let mut ctx = Ctx::new();
-                    let src_va = env.spaces[0].mmap(size as u64).unwrap();
-                    let src = env
-                        .fabric
-                        .nic(0)
-                        .register_mr(&mut ctx, &env.spaces[0], src_va, size as u64, Access::LOCAL)
-                        .unwrap();
-                    let (qp, _) = env.fabric.rc_pair(0, 1);
-                    let sge = Sge::Virt {
-                        lkey: src.lkey(),
-                        addr: src_va,
-                        len: size,
+            let mut writers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (w, ctx) = VerbsWriter::new(&env, size);
+                    (ctx, (w, t, 0))
+                })
+                .collect();
+            let makespan = drive(
+                &mut writers,
+                |_, (.., i)| (*i < ops).then_some(0),
+                |ctx, (w, t, i)| {
+                    let off = (((*t * ops + *i) * size) as u64) % (region_bytes - size as u64);
+                    let remote = RemoteAddr {
+                        rkey: dst.rkey(),
+                        addr: dst_va + (off & !63),
                     };
-                    for i in 0..ops {
-                        let off = (((t * ops + i) * size) as u64) % (region_bytes - size as u64);
-                        let comp = env
-                            .fabric
-                            .nic(0)
-                            .post_write(
-                                &mut ctx,
-                                &qp,
-                                0,
-                                &sge,
-                                RemoteAddr {
-                                    rkey,
-                                    addr: dst_va + (off & !63),
-                                },
-                                None,
-                                false,
-                            )
-                            .unwrap();
-                        ctx.wait_until(comp);
-                        ctx.work(COST.cq_poll_ns);
-                        gate.pace(t, ctx.now());
-                    }
-                    gate.finish(t);
-                    ctx.now()
-                }));
-            }
-            let makespan = handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .max()
-                .unwrap();
+                    w.write_blocking(ctx, size, remote);
+                    *i += 1;
+                },
+            );
             let verbs = (threads * ops * size) as f64 / makespan as f64;
 
             // RDMA-CM (rsockets): stream over `threads` connections.

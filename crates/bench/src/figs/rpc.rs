@@ -5,24 +5,26 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lite::USER_FUNC_MIN;
+use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rnic::{IbConfig, IbFabric};
 use rpc_baselines::{
     FarmPair, FasstClient, FasstServer, HerdClient, HerdServer, RingAccounting, SendRpcAccounting,
 };
-use simnet::{Ctx, Summary};
+use simnet::{Ctx, Nanos, Summary};
 
+use crate::drive::drive;
 use crate::env::LiteEnv;
 use crate::facebook;
 use crate::table::Row;
 
 const US: f64 = 1_000.0;
-const ECHO: u8 = USER_FUNC_MIN + 1;
+pub(crate) const ECHO: u8 = USER_FUNC_MIN + 1;
 const TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Runs a LITE RPC echo server thread for `calls` calls; returns its CPU
 /// accounting handles.
-fn lite_server(
+pub(crate) fn lite_server(
     cluster: &Arc<lite::LiteCluster>,
     node: usize,
     calls: usize,
@@ -40,6 +42,58 @@ fn lite_server(
         }
         ctx.cpu.total()
     })
+}
+
+/// Steps `calls` blocking calls of every client, lowest clock first;
+/// returns the makespan.
+fn closed_clients<C>(
+    clients: Vec<C>,
+    calls: usize,
+    mut call: impl FnMut(&mut Ctx, &mut C),
+) -> Nanos {
+    let mut clients: Vec<_> = clients.into_iter().map(|c| (Ctx::new(), (c, 0))).collect();
+    drive(
+        &mut clients,
+        |_, (_, i)| (*i < calls).then_some(0),
+        |ctx, (c, i)| {
+            call(ctx, c);
+            *i += 1;
+        },
+    )
+}
+
+/// Fig 13's clients: each makes `calls` blocking calls, the next one due
+/// a Facebook inter-arrival gap × `factor` after the last returned (client
+/// `t`'s rng seeded `seed + t`), stepped in due order. Returns the
+/// clients' summed CPU and the makespan.
+fn facebook_clients<C>(
+    clients: Vec<C>,
+    calls: usize,
+    factor: u64,
+    seed: u64,
+    mut call: impl FnMut(&mut Ctx, &mut C),
+) -> (Nanos, Nanos) {
+    let arrivals = facebook::inter_arrivals();
+    let mut clients: Vec<_> = clients
+        .into_iter()
+        .enumerate()
+        .map(|(t, c)| {
+            let mut rng = SmallRng::seed_from_u64(seed + t as u64);
+            let due = arrivals.sample(&mut rng) * factor;
+            (Ctx::new(), (c, rng, due, 0))
+        })
+        .collect();
+    let makespan = drive(
+        &mut clients,
+        |_, (_, _, due, i)| (*i < calls).then_some(*due),
+        |ctx, (c, rng, due, i)| {
+            call(ctx, c);
+            *i += 1;
+            *due = ctx.now() + arrivals.sample(rng) * factor;
+        },
+    );
+    let cpu = clients.iter().map(|(ctx, _)| ctx.cpu.total()).sum();
+    (cpu, makespan)
 }
 
 /// Figure 10: RPC latency vs return size (8 B input).
@@ -167,27 +221,12 @@ pub fn fig11(full: bool) -> Vec<Row> {
             for _ in 0..pairs {
                 servers.push(lite_server(&lenv.cluster, 1, per_client, size));
             }
-            let gate = Arc::new(crate::skew::SkewGate::new(pairs, 5_000));
-            let mut clients = Vec::new();
-            for p in 0..pairs {
-                let cluster = Arc::clone(&lenv.cluster);
-                let gate = Arc::clone(&gate);
-                clients.push(std::thread::spawn(move || {
-                    let mut h = cluster.attach(0).unwrap();
-                    let mut ctx = Ctx::new();
-                    for _ in 0..per_client {
-                        h.lt_rpc(&mut ctx, 1, ECHO, &[1u8; 8], 8192).unwrap();
-                        gate.pace(p, ctx.now());
-                    }
-                    gate.finish(p);
-                    ctx.now()
-                }));
-            }
-            let makespan = clients
-                .into_iter()
-                .map(|c| c.join().unwrap())
-                .max()
-                .unwrap();
+            let handles = (0..pairs)
+                .map(|_| lenv.cluster.attach(0).unwrap())
+                .collect();
+            let makespan = closed_clients(handles, per_client, |ctx, h| {
+                h.lt_rpc(ctx, 1, ECHO, &[1u8; 8], 8192).unwrap();
+            });
             for s in servers {
                 s.join().unwrap();
             }
@@ -210,26 +249,12 @@ pub fn fig11(full: bool) -> Vec<Row> {
                     }
                 }));
             }
-            let gate = Arc::new(crate::skew::SkewGate::new(pairs, 5_000));
-            let mut clients = Vec::new();
-            for p in 0..pairs {
-                let client = HerdClient::connect(&server, 0, size.max(64)).unwrap();
-                let gate = Arc::clone(&gate);
-                clients.push(std::thread::spawn(move || {
-                    let mut ctx = Ctx::new();
-                    for _ in 0..per_client {
-                        client.call(&mut ctx, &[1u8; 8], TIMEOUT).unwrap();
-                        gate.pace(p, ctx.now());
-                    }
-                    gate.finish(p);
-                    ctx.now()
-                }));
-            }
-            let makespan = clients
-                .into_iter()
-                .map(|c| c.join().unwrap())
-                .max()
-                .unwrap();
+            let clients = (0..pairs)
+                .map(|_| HerdClient::connect(&server, 0, size.max(64)).unwrap())
+                .collect();
+            let makespan = closed_clients(clients, per_client, |ctx, c| {
+                c.call(ctx, &[1u8; 8], TIMEOUT).unwrap();
+            });
             for s in srvs {
                 s.join().unwrap();
             }
@@ -247,27 +272,14 @@ pub fn fig11(full: bool) -> Vec<Row> {
                             .unwrap();
                     }
                 });
-                let gate = Arc::new(crate::skew::SkewGate::new(pairs, 5_000));
-                let mut clients = Vec::new();
-                for p in 0..pairs {
-                    let client =
-                        FasstClient::connect(&fabric, 0, server.address(), size.max(64)).unwrap();
-                    let gate = Arc::clone(&gate);
-                    clients.push(std::thread::spawn(move || {
-                        let mut ctx = Ctx::new();
-                        for _ in 0..per_client {
-                            client.call(&mut ctx, &[1u8; 8], TIMEOUT).unwrap();
-                            gate.pace(p, ctx.now());
-                        }
-                        gate.finish(p);
-                        ctx.now()
-                    }));
-                }
-                let makespan = clients
-                    .into_iter()
-                    .map(|c| c.join().unwrap())
-                    .max()
-                    .unwrap();
+                let clients = (0..pairs)
+                    .map(|_| {
+                        FasstClient::connect(&fabric, 0, server.address(), size.max(64)).unwrap()
+                    })
+                    .collect();
+                let makespan = closed_clients(clients, per_client, |ctx, c| {
+                    c.call(ctx, &[1u8; 8], TIMEOUT).unwrap();
+                });
                 srv.join().unwrap();
                 row = row.cell(format!("fasst{pairs}_gbps"), total_bytes / makespan as f64);
             }
@@ -281,7 +293,7 @@ pub fn fig11(full: bool) -> Vec<Row> {
 /// distributions: send-based with 1..4 RQ ladders vs LITE's ring.
 pub fn fig12(full: bool) -> Vec<Row> {
     let msgs = if full { 500_000 } else { 50_000 };
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(12);
+    let mut rng = SmallRng::seed_from_u64(12);
     let keys = facebook::key_sizes();
     let values = facebook::value_sizes();
     let max_size = 65_536;
@@ -330,27 +342,12 @@ pub fn fig13(full: bool) -> Vec<Row> {
         for _ in 0..threads {
             servers.push(lite_server(&lenv.cluster, 1, per_thread, 64));
         }
-        let gate = Arc::new(crate::skew::SkewGate::new(threads, 30_000));
-        let mut clients = Vec::new();
-        for t in 0..threads {
-            let cluster = Arc::clone(&lenv.cluster);
-            let gate = Arc::clone(&gate);
-            clients.push(std::thread::spawn(move || {
-                let arrivals = facebook::inter_arrivals();
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(13 + t as u64);
-                let mut h = cluster.attach(0).unwrap();
-                let mut ctx = Ctx::new();
-                for _ in 0..per_thread {
-                    let gap = arrivals.sample(&mut rng) * factor;
-                    ctx.wait_until(ctx.now() + gap);
-                    h.lt_rpc(&mut ctx, 1, ECHO, &[1u8; 16], 4096).unwrap();
-                    gate.pace(t, ctx.now());
-                }
-                gate.finish(t);
-                ctx.cpu.total()
-            }));
-        }
-        let client_cpu: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+        let handles = (0..threads)
+            .map(|_| lenv.cluster.attach(0).unwrap())
+            .collect();
+        let (client_cpu, _) = facebook_clients(handles, per_thread, factor, 13, |ctx, h| {
+            h.lt_rpc(ctx, 1, ECHO, &[1u8; 16], 4096).unwrap();
+        });
         for s in servers {
             server_cpu += s.join().unwrap();
         }
@@ -374,32 +371,13 @@ pub fn fig13(full: bool) -> Vec<Row> {
                 ctx.cpu.total()
             }));
         }
-        let gate = Arc::new(crate::skew::SkewGate::new(threads, 30_000));
-        let mut clients = Vec::new();
-        for t in 0..threads {
-            let client = HerdClient::connect(&server, 0, 4096).unwrap();
-            let gate = Arc::clone(&gate);
-            clients.push(std::thread::spawn(move || {
-                let arrivals = facebook::inter_arrivals();
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(31 + t as u64);
-                let mut ctx = Ctx::new();
-                for _ in 0..per_thread {
-                    let gap = arrivals.sample(&mut rng) * factor;
-                    ctx.wait_until(ctx.now() + gap);
-                    client.call(&mut ctx, &[1u8; 16], TIMEOUT).unwrap();
-                    gate.pace(t, ctx.now());
-                }
-                gate.finish(t);
-                (ctx.cpu.total(), ctx.now())
-            }));
-        }
-        let mut herd_client_cpu = 0u64;
-        let mut herd_span = 0u64;
-        for c in clients {
-            let (cpu, now) = c.join().unwrap();
-            herd_client_cpu += cpu;
-            herd_span = herd_span.max(now);
-        }
+        let clients = (0..threads)
+            .map(|_| HerdClient::connect(&server, 0, 4096).unwrap())
+            .collect();
+        let (herd_client_cpu, herd_span) =
+            facebook_clients(clients, per_thread, factor, 31, |ctx, c| {
+                c.call(ctx, &[1u8; 16], TIMEOUT).unwrap();
+            });
         stop.store(true, Ordering::Release);
         let mut herd_server_cpu: u64 = srvs.into_iter().map(|s| s.join().unwrap()).sum();
         // The busy-polling server burns the whole (virtual) span even when
@@ -419,26 +397,12 @@ pub fn fig13(full: bool) -> Vec<Row> {
             }
             (ctx.cpu.total(), ctx.now())
         });
-        let gate = Arc::new(crate::skew::SkewGate::new(threads, 30_000));
-        let mut clients = Vec::new();
-        for t in 0..threads {
-            let client = FasstClient::connect(&fabric, 0, server.address(), 4096).unwrap();
-            let gate = Arc::clone(&gate);
-            clients.push(std::thread::spawn(move || {
-                let arrivals = facebook::inter_arrivals();
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(57 + t as u64);
-                let mut ctx = Ctx::new();
-                for _ in 0..per_thread {
-                    let gap = arrivals.sample(&mut rng) * factor;
-                    ctx.wait_until(ctx.now() + gap);
-                    client.call(&mut ctx, &[1u8; 16], TIMEOUT).unwrap();
-                    gate.pace(t, ctx.now());
-                }
-                gate.finish(t);
-                ctx.cpu.total()
-            }));
-        }
-        let fasst_client_cpu: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+        let clients = (0..threads)
+            .map(|_| FasstClient::connect(&fabric, 0, server.address(), 4096).unwrap())
+            .collect();
+        let (fasst_client_cpu, _) = facebook_clients(clients, per_thread, factor, 57, |ctx, c| {
+            c.call(ctx, &[1u8; 16], TIMEOUT).unwrap();
+        });
         let (fasst_server_cpu, fasst_span) = srv.join().unwrap();
         let fasst_per_req =
             (fasst_client_cpu + fasst_server_cpu.max(fasst_span)) as f64 / requests as f64;

@@ -1,18 +1,19 @@
 //! Scalability and QoS: Figures 14, 15, 16.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use lite::{Perm, Priority, QosMode, USER_FUNC_MIN};
+use lite::{LiteCluster, LiteHandle, Perm, Priority, QosMode};
 use lite_log::LiteLog;
+use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use simnet::{Ctx, TimeSeries, MILLIS, SECONDS};
+use simnet::{Ctx, Nanos, TimeSeries, MILLIS, SECONDS};
 
+use crate::drive::drive;
 use crate::env::LiteEnv;
-use crate::skew::SkewGate;
+use crate::figs::rpc::{lite_server, ECHO};
 use crate::table::Row;
-
-const ECHO: u8 = USER_FUNC_MIN + 2;
 
 /// Figure 14: LT_write and LT_RPC throughput vs cluster size (8 threads
 /// per node, 64 B ops to random peers).
@@ -30,101 +31,67 @@ pub fn fig14(full: bool) -> Vec<Row> {
             h.lt_malloc(&mut c, n, 1 << 20, &format!("f14.{n}"), Perm::RW)
                 .unwrap();
         }
-        let gate = Arc::new(SkewGate::new(nodes * threads, 5_000));
-        let mut workers = Vec::new();
+        let mut writers = Vec::new();
         for node in 0..nodes {
             for t in 0..threads {
-                let cluster = Arc::clone(&lenv.cluster);
-                let gate = Arc::clone(&gate);
-                workers.push(std::thread::spawn(move || {
-                    let mut h = cluster.attach(node).unwrap();
-                    let mut ctx = Ctx::new();
-                    let mut lhs = Vec::new();
-                    for n in 0..nodes {
-                        lhs.push(h.lt_map(&mut ctx, &format!("f14.{n}")).unwrap());
-                    }
-                    // Align clocks so the measurement starts together.
-                    h.lt_barrier(&mut ctx, 7_140, (nodes * threads) as u32)
-                        .unwrap();
-                    let start = ctx.now();
-                    let mut rng = rand::rngs::SmallRng::seed_from_u64((node * 8 + t) as u64);
-                    let buf = [5u8; 64];
-                    for _ in 0..ops {
-                        let peer = rng.gen_range(0..nodes);
-                        h.lt_write(&mut ctx, lhs[peer], (t * 64) as u64, &buf)
-                            .unwrap();
-                        gate.pace(node * threads + t, ctx.now() - start);
-                    }
-                    gate.finish(node * threads + t);
-                    ctx.now() - start
-                }));
+                let mut h = lenv.cluster.attach(node).unwrap();
+                let mut ctx = Ctx::new();
+                let lhs: Vec<u64> = (0..nodes)
+                    .map(|n| h.lt_map(&mut ctx, &format!("f14.{n}")).unwrap())
+                    .collect();
+                let rng = SmallRng::seed_from_u64((node * 8 + t) as u64);
+                writers.push((ctx, (h, lhs, t, rng, 0)));
             }
         }
-        let makespan = workers
-            .into_iter()
-            .map(|w| w.join().unwrap())
-            .max()
-            .unwrap();
+        let makespan = drive(
+            &mut writers,
+            |_, (.., i)| (*i < ops).then_some(0),
+            |ctx, (h, lhs, t, rng, i)| {
+                let peer = rng.gen_range(0..nodes);
+                h.lt_write(ctx, lhs[peer], (*t * 64) as u64, &[5u8; 64])
+                    .unwrap();
+                *i += 1;
+            },
+        );
         let write_tput = (nodes * threads * ops) as f64 / (makespan as f64 / 1000.0);
 
-        // ---- LT_RPC: every node also runs 8 echo servers. ----
+        // ---- LT_RPC: every node also runs 8 echo servers, which
+        // share the calls the clients' seeded peer choices send there. ----
         let lenv = LiteEnv::new(nodes);
-        let done = Arc::new(AtomicBool::new(false));
-        let mut servers = Vec::new();
+        let mut calls = vec![0; nodes];
+        let mut clients = Vec::new();
         for node in 0..nodes {
+            for t in 0..threads {
+                let mut rng = SmallRng::seed_from_u64(100 + (node * 8 + t) as u64);
+                let peers: Vec<usize> = (0..ops)
+                    .map(|_| (node + rng.gen_range(1..nodes)) % nodes)
+                    .collect();
+                for &p in &peers {
+                    calls[p] += 1;
+                }
+                clients.push((Ctx::new(), (lenv.cluster.attach(node).unwrap(), peers, 0)));
+            }
+        }
+        let mut servers = Vec::new();
+        for (node, &n) in calls.iter().enumerate() {
             lenv.cluster
                 .attach(node)
                 .unwrap()
                 .register_rpc(ECHO)
                 .unwrap();
-            for _ in 0..threads {
-                let cluster = Arc::clone(&lenv.cluster);
-                let done = Arc::clone(&done);
-                servers.push(std::thread::spawn(move || {
-                    let mut h = cluster.attach(node).unwrap();
-                    let mut ctx = Ctx::new();
-                    loop {
-                        match h.lt_try_recv_rpc(&mut ctx, ECHO) {
-                            Ok(Some(call)) => {
-                                h.lt_reply_rpc(&mut ctx, &call, &[0u8; 8]).unwrap();
-                            }
-                            _ => {
-                                if done.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }));
+            for s in 0..threads {
+                let share = n / threads + usize::from(s < n % threads);
+                servers.push(lite_server(&lenv.cluster, node, share, 8));
             }
         }
-        let gate = Arc::new(SkewGate::new(nodes * threads, 5_000));
-        let mut clients = Vec::new();
-        for node in 0..nodes {
-            for t in 0..threads {
-                let cluster = Arc::clone(&lenv.cluster);
-                let gate = Arc::clone(&gate);
-                clients.push(std::thread::spawn(move || {
-                    let mut h = cluster.attach(node).unwrap();
-                    let mut ctx = Ctx::new();
-                    let mut rng = rand::rngs::SmallRng::seed_from_u64(100 + (node * 8 + t) as u64);
-                    for _ in 0..ops {
-                        let peer = (node + rng.gen_range(1..nodes)) % nodes;
-                        h.lt_rpc(&mut ctx, peer, ECHO, &[2u8; 64], 256).unwrap();
-                        gate.pace(node * threads + t, ctx.now());
-                    }
-                    gate.finish(node * threads + t);
-                    ctx.now()
-                }));
-            }
-        }
-        let makespan = clients
-            .into_iter()
-            .map(|c| c.join().unwrap())
-            .max()
-            .unwrap();
-        done.store(true, Ordering::Release);
+        let makespan = drive(
+            &mut clients,
+            |_, (_, peers, i)| (*i < peers.len()).then_some(0),
+            |ctx, (h, peers, i)| {
+                h.lt_rpc(ctx, peers[*i], ECHO, &[2u8; 64], 256).unwrap();
+                *i += 1;
+            },
+        );
         for s in servers {
             s.join().unwrap();
         }
@@ -139,41 +106,33 @@ pub fn fig14(full: bool) -> Vec<Row> {
     rows
 }
 
-/// Background low-priority writers flooding 64 KB writes to `victims`.
-/// Paced against the foreground's clock so the conservative queueing
-/// model stays causal.
+/// A background low-priority writer on node 0 with the LMR `bg` mapped.
+fn bg_writer(cluster: &LiteCluster) -> (Ctx, LiteHandle, u64) {
+    let mut h = cluster.attach(0).unwrap();
+    h.set_priority(Priority::Low);
+    let mut ctx = Ctx::new();
+    let lh = h.lt_map(&mut ctx, "bg").unwrap();
+    (ctx, h, lh)
+}
+
+/// `n` background writers as threads, flooding 64 KB writes until `stop`.
 fn background_writers(
-    cluster: &Arc<lite::LiteCluster>,
+    cluster: &LiteCluster,
     n: usize,
-    gate: Option<(Arc<SkewGate>, usize)>,
     stop: &Arc<AtomicBool>,
-) -> Vec<std::thread::JoinHandle<u64>> {
-    let mut out = Vec::new();
-    for i in 0..n {
-        let cluster = Arc::clone(cluster);
-        let stop = Arc::clone(stop);
-        let gate = gate.clone();
-        out.push(std::thread::spawn(move || {
-            let mut h = cluster.attach(0).unwrap();
-            h.set_priority(Priority::Low);
-            let mut ctx = Ctx::new();
-            let lh = h.lt_map(&mut ctx, "bg").unwrap();
-            let buf = vec![0u8; 64 * 1024];
-            let mut bytes = 0u64;
-            while !stop.load(Ordering::Acquire) {
-                h.lt_write(&mut ctx, lh, (i * 65_536) as u64, &buf).unwrap();
-                bytes += buf.len() as u64;
-                if let Some((g, base)) = &gate {
-                    g.pace(base + i, ctx.now());
+) -> Vec<std::thread::JoinHandle<()>> {
+    (0..n)
+        .map(|i| {
+            let (mut ctx, mut h, lh) = bg_writer(cluster);
+            let stop = Arc::clone(stop);
+            std::thread::spawn(move || {
+                let buf = vec![0u8; 64 * 1024];
+                while !stop.load(Ordering::Acquire) {
+                    h.lt_write(&mut ctx, lh, (i * 65_536) as u64, &buf).unwrap();
                 }
-            }
-            if let Some((g, base)) = &gate {
-                g.finish(base + i);
-            }
-            bytes
-        }));
-    }
-    out
+            })
+        })
+        .collect()
 }
 
 /// Figure 15: real applications (LITE-Log commits/s and LITE-Graph
@@ -197,32 +156,36 @@ pub fn fig15(full: bool) -> Vec<Row> {
             let mut c = Ctx::new();
             h.lt_malloc(&mut c, 2, 8 << 20, "bg", Perm::RW).unwrap();
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(SkewGate::new(5, 10_000));
-        let mut bg = Vec::new();
         if let Some(m) = mode {
             lenv.cluster.set_qos_mode(m);
-            bg = background_writers(&lenv.cluster, 4, Some((Arc::clone(&gate), 1)), &stop);
-        } else {
-            for i in 1..5 {
-                gate.finish(i);
-            }
         }
         let mut h = lenv.cluster.attach(1).unwrap();
         let mut ctx = Ctx::new();
         let log = LiteLog::create(&mut h, &mut ctx, 2, "f15log", 32 << 20).unwrap();
-        let start = ctx.now();
+        // Context 0 commits; with a QoS mode, four 64 KB background
+        // writers ride along until it is done.
+        let mut contexts = vec![(ctx, (h, None))];
+        for i in 0..if mode.is_some() { 4 } else { 0 } {
+            let (ctx, h, lh) = bg_writer(&lenv.cluster);
+            contexts.push((ctx, (h, Some((lh, (i * 65_536) as u64)))));
+        }
+        // The loop's common start: the latest clock.
+        let start = contexts.iter().map(|(c, _)| c.now()).max().unwrap();
+        let committed = Cell::new(0);
         let entry = [0xAAu8; 16];
-        for _ in 0..commits {
-            log.commit(&mut h, &mut ctx, &[&entry]).unwrap();
-            gate.pace(0, ctx.now());
-        }
-        gate.finish(0);
-        let elapsed = ctx.now() - start;
-        stop.store(true, Ordering::Release);
-        for b in bg {
-            b.join().unwrap();
-        }
+        let bg = vec![0u8; 64 * 1024];
+        drive(
+            &mut contexts,
+            |_, _| (committed.get() < commits).then_some(0),
+            |ctx, (h, writes)| match writes {
+                Some((lh, off)) => h.lt_write(ctx, *lh, *off, &bg).unwrap(),
+                None => {
+                    log.commit(h, ctx, &[&entry]).unwrap();
+                    committed.set(committed.get() + 1);
+                }
+            },
+        );
+        let elapsed = contexts[0].0.now() - start;
         log_rate.push(commits as f64 * 1e9 / elapsed as f64);
     }
 
@@ -243,7 +206,7 @@ pub fn fig15(full: bool) -> Vec<Row> {
         let mut bg = Vec::new();
         if let Some(m) = mode {
             lenv.cluster.set_qos_mode(m);
-            bg = background_writers(&lenv.cluster, 4, None, &stop);
+            bg = background_writers(&lenv.cluster, 4, &stop);
         }
         let r = lite_graph::run_lite(&lenv.cluster, &g, 3, 4, &cfg).unwrap();
         stop.store(true, Ordering::Release);
@@ -265,11 +228,23 @@ pub fn fig15(full: bool) -> Vec<Row> {
         .collect()
 }
 
+/// One Fig 16 worker: its handle, the LMRs it targets, its priority, the
+/// `(start, end)` bursts it runs an op in, and what it moved when.
+struct QosWorker {
+    h: LiteHandle,
+    lhs: Vec<u64>,
+    high: bool,
+    bursts: Vec<(Nanos, Nanos)>,
+    rng: SmallRng,
+    ts: TimeSeries,
+    ops: usize,
+}
+
 /// Figure 16: QoS timeline under the synthetic §6.2 schedule, driven by
 /// virtual deadlines so quick mode compresses time rather than load:
-/// low-priority threads run from 0 to 4.5T; high-priority threads join at
-/// T and run to 2.2T; 8 of them sleep until 3.2T and run again to 4T.
-/// Returns one row per bucket (T/20): total and high GB/s per mode.
+/// 20 low-priority workers run from 0 to 4.5T; 20 high-priority workers
+/// join at T and run to 2.2T; 8 of them sleep until 3.2T and run again to
+/// 4T. Returns one row per bucket (T/20): total and high GB/s per mode.
 pub fn fig16(full: bool) -> Vec<Row> {
     let t_unit = if full { SECONDS } else { 300 * MILLIS };
     let bucket = t_unit / 20;
@@ -290,77 +265,71 @@ pub fn fig16(full: bool) -> Vec<Row> {
                     .unwrap();
             }
         }
-        let workers = 40usize;
-        let gate = Arc::new(SkewGate::new(workers, 20_000));
-        let finished = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let cluster = Arc::clone(&lenv.cluster);
-            let gate = Arc::clone(&gate);
-            let finished = Arc::clone(&finished);
-            handles.push(std::thread::spawn(move || {
-                // Spread senders over all 5 nodes; targets exclude the
-                // local node so every op crosses the fabric.
-                let me = w % 5;
-                let mut h = cluster.attach(me).unwrap();
-                let high = w >= 20;
-                h.set_priority(if high { Priority::High } else { Priority::Low });
-                let mut ctx = Ctx::new();
-                let mut lhs = Vec::new();
-                for n in 0..5 {
-                    if n != me {
-                        lhs.push(h.lt_map(&mut ctx, &format!("bg{n}")).unwrap());
-                    }
-                }
-                let mut ts = TimeSeries::new(bucket);
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(w as u64);
-                let mut i = 0usize;
-                let mut run_until = |h: &mut lite::LiteHandle,
-                                     ctx: &mut Ctx,
-                                     rng: &mut rand::rngs::SmallRng,
-                                     ts: &mut TimeSeries,
-                                     deadline: u64,
-                                     low: bool| {
-                    let buf = vec![1u8; 8192];
-                    while ctx.now() < deadline {
-                        let size = if low && rng.gen_bool(0.5) { 8192 } else { 4096 };
-                        let lh = lhs[i % lhs.len()];
-                        i += 1;
-                        if rng.gen_bool(0.5) {
-                            let mut b = vec![0u8; size];
-                            h.lt_read(ctx, lh, 0, &mut b).unwrap();
-                        } else {
-                            h.lt_write(ctx, lh, 0, &buf[..size]).unwrap();
-                        }
-                        ts.record(ctx.now(), size as u64);
-                        gate.pace(w, ctx.now());
-                    }
-                };
-                if high {
-                    gate.pace(w, t_unit);
-                    ctx.wait_until(t_unit);
-                    run_until(&mut h, &mut ctx, &mut rng, &mut ts, t_unit * 22 / 10, false);
-                    if w < 28 {
-                        // 8 of the 20 sleep, then run a second burst.
-                        gate.pace(w, t_unit * 32 / 10);
-                        ctx.wait_until(t_unit * 32 / 10);
-                        run_until(&mut h, &mut ctx, &mut rng, &mut ts, t_unit * 4, false);
-                    }
-                } else {
-                    run_until(&mut h, &mut ctx, &mut rng, &mut ts, t_unit * 45 / 10, true);
-                }
-                gate.finish(w);
-                finished.fetch_add(1, Ordering::Relaxed);
-                (high, ts)
-            }));
+        let mut workers = Vec::new();
+        for w in 0..40 {
+            // Spread senders over all 5 nodes; targets exclude the
+            // local node so every op crosses the fabric.
+            let me = w % 5;
+            let mut h = lenv.cluster.attach(me).unwrap();
+            let high = w >= 20;
+            h.set_priority(if high { Priority::High } else { Priority::Low });
+            let mut ctx = Ctx::new();
+            let lhs = (0..5)
+                .filter(|&n| n != me)
+                .map(|n| h.lt_map(&mut ctx, &format!("bg{n}")).unwrap())
+                .collect();
+            let bursts = match w {
+                0..20 => vec![(0, t_unit * 45 / 10)],
+                // 8 of the 20 high sleep, then run a second burst.
+                20..28 => vec![(t_unit, t_unit * 22 / 10), (t_unit * 32 / 10, t_unit * 4)],
+                _ => vec![(t_unit, t_unit * 22 / 10)],
+            };
+            let rng = SmallRng::seed_from_u64(w as u64);
+            let ts = TimeSeries::new(bucket);
+            workers.push((
+                ctx,
+                QosWorker {
+                    h,
+                    lhs,
+                    high,
+                    bursts,
+                    rng,
+                    ts,
+                    ops: 0,
+                },
+            ));
         }
+        let buf = vec![1u8; 8192];
+        let mut read = vec![0u8; 8192];
+        drive(
+            &mut workers,
+            // An op starts while the clock is inside a burst.
+            |ctx, w| {
+                let mut left = w.bursts.iter().filter(|&&(_, end)| ctx.now() < end);
+                left.next().map(|&(start, _)| start)
+            },
+            |ctx, w| {
+                let size = if !w.high && w.rng.gen_bool(0.5) {
+                    8192
+                } else {
+                    4096
+                };
+                let lh = w.lhs[w.ops % w.lhs.len()];
+                w.ops += 1;
+                if w.rng.gen_bool(0.5) {
+                    w.h.lt_read(ctx, lh, 0, &mut read[..size]).unwrap();
+                } else {
+                    w.h.lt_write(ctx, lh, 0, &buf[..size]).unwrap();
+                }
+                w.ts.record(ctx.now(), size as u64);
+            },
+        );
         let mut total = TimeSeries::new(bucket);
         let mut high = TimeSeries::new(bucket);
-        for h in handles {
-            let (is_high, ts) = h.join().unwrap();
-            total.merge(&ts);
-            if is_high {
-                high.merge(&ts);
+        for (_, w) in &workers {
+            total.merge(&w.ts);
+            if w.high {
+                high.merge(&w.ts);
             }
         }
         series.push((

@@ -12,15 +12,23 @@
 //! Absolute numbers come from a calibrated cost model (see
 //! [`rnic::COST`] and DESIGN.md §2); the claims under test are the
 //! *shapes*: who wins, by what factor, and where the cliffs fall.
+//!
+//! A figure's concurrent clients are contexts that one host thread steps
+//! lowest virtual clock first ([`drive`]), so a figure that runs no
+//! thread of its own prints the same rows on every run. OS threads are
+//! left where contexts block on one another — RPC servers owned by the
+//! harness, contended locks and barriers, Fig 15's graph half, Figs 18
+//! and 19 — and in Fig 5's `lite_threads_64B` control column, which
+//! shows what threads do to a shared QP's virtual schedule.
 
+pub mod drive;
 pub mod env;
 pub mod facebook;
 pub mod figs;
-pub mod skew;
 pub mod table;
 
+pub use drive::drive;
 pub use env::{LiteEnv, VerbsEnv};
-pub use skew::SkewGate;
 pub use table::{print_table, Row};
 
 /// Quick-vs-full switch parsed from CLI args.
