@@ -3,7 +3,7 @@
 //!
 //! Shape: a 5-node cluster (leader on 1, followers on 2 and 3 with 3 a
 //! deliberately slow consumer, clients on 0 and 4). Two clients, stepped
-//! in arrival order on one thread ([`bench::drive`]), replay one
+//! in arrival order on one thread ([`bench::drive()`]), replay one
 //! precomputed zipfian schedule (1M-user popularity, 90/10 read/write,
 //! bursty on/off arrival) at three offered load points, under both QoS
 //! modes. Reads run at `Priority::High`, writes at

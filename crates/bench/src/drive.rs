@@ -8,7 +8,8 @@
 //! scheduler, not the model. Stepping the client whose clock is lowest,
 //! one blocking call at a time, makes requests reach the product in
 //! virtual-time order, so a figure that runs no thread of its own prints
-//! the same rows on every run.
+//! the same rows on every run. A server is a context too, due at its
+//! earliest queued request.
 
 use simnet::{Ctx, Nanos};
 
@@ -20,8 +21,12 @@ use simnet::{Ctx, Nanos};
 /// all of them, the context whose key is lowest, ties to the lowest
 /// index, waits until its key and makes one `step`. The key is
 /// `max(ctx.now(), due)`: `due` is when the context's next op may start
-/// (`Some(0)` in a closed loop, the op's arrival time in an open one) and
-/// `None` once it is finished.
+/// (`Some(0)` in a closed loop, the op's arrival time in an open one, the
+/// stamp of what it takes next) and `None` while it has nothing to do: it
+/// is finished, or it waits for something no context has sent yet. A
+/// context that reads `None` may read `Some` again after another's step,
+/// and a context that takes what another sent is never stepped before the
+/// sender: the sender's key was lower.
 pub fn drive<S>(
     contexts: &mut [(Ctx, S)],
     mut due: impl FnMut(&Ctx, &S) -> Option<Nanos>,

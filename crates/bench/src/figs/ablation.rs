@@ -8,6 +8,7 @@ use simnet::{Ctx, Summary};
 use crate::drive::drive;
 use crate::env::LiteEnv;
 use crate::figs::micro::lite_writers;
+use crate::figs::rpc::{run_calls, serve_echo, warm_mean_us, Client, ECHO};
 use crate::table::Row;
 
 const US: f64 = 1_000.0;
@@ -118,34 +119,20 @@ pub fn ablation_syscalls(full: bool) -> Vec<Row> {
             },
         );
         // RPC latency is where the crossings live.
-        const F: u8 = lite::USER_FUNC_MIN + 3;
-        env.cluster.attach(1).unwrap().register_rpc(F).unwrap();
-        let cluster = std::sync::Arc::clone(&env.cluster);
-        let srv = std::thread::spawn(move || {
-            let mut h = cluster.attach(1).unwrap();
-            let mut ctx = Ctx::new();
-            for _ in 0..ops + 1 {
-                let call = h.lt_recv_rpc(&mut ctx, F).unwrap();
-                h.lt_reply_rpc(&mut ctx, &call, &[0u8; 64]).unwrap();
-            }
-            ctx.cpu.total()
-        });
+        let (_echo, server_cpu) = serve_echo(&env.cluster, 1, 1, 64);
         let mut h = env.cluster.attach(0).unwrap();
         let mut ctx = Ctx::new();
-        h.lt_rpc(&mut ctx, 1, F, &[1u8; 8], 4096).unwrap();
-        let mut s = Summary::new();
-        for _ in 0..ops {
-            let t0 = ctx.now();
-            h.lt_rpc(&mut ctx, 1, F, &[1u8; 8], 4096).unwrap();
-            s.record(ctx.now() - t0);
-        }
-        let server_cpu = srv.join().unwrap();
+        let rpc_us = warm_mean_us(&mut ctx, ops, |ctx| {
+            h.lt_rpc(ctx, 1, ECHO, &[1u8; 8], 4096).unwrap();
+        });
         let poller_cpu =
             env.cluster.kernel(0).poller_cpu.total() + env.cluster.kernel(1).poller_cpu.total();
-        rows.push(Row::new(name).cell("rpc_us", s.mean() / US).cell(
-            "cpu_per_req_us",
-            (ctx.cpu.total() + server_cpu + poller_cpu) as f64 / ops as f64 / US,
-        ));
+        let cpu = ctx.cpu.total() + server_cpu.total() + poller_cpu;
+        rows.push(
+            Row::new(name)
+                .cell("rpc_us", rpc_us)
+                .cell("cpu_per_req_us", cpu as f64 / ops as f64 / US),
+        );
     }
     rows
 }
@@ -218,36 +205,12 @@ pub fn ablation_batch_posting(full: bool) -> Vec<Row> {
 
         // ---- RPC echo, fig11 shape: 8 clients on one ring keep the
         // server busy; each reply is a head-release + data chain. ----
-        const F: u8 = lite::USER_FUNC_MIN + 9;
-        env.cluster.attach(1).unwrap().register_rpc(F).unwrap();
+        let _echo = serve_echo(&env.cluster, 1, 1, 512);
+        let clients = (0..rpc_clients)
+            .map(|_| Client::Lite(env.cluster.attach(0).unwrap(), ECHO))
+            .collect();
+        let (.., makespan) = run_calls(clients, vec![], &[1u8; 64], rpc_per_client, 0, |_| 0);
         let total = rpc_clients * rpc_per_client;
-        let cluster = std::sync::Arc::clone(&env.cluster);
-        let srv = std::thread::spawn(move || {
-            let mut h = cluster.attach(1).unwrap();
-            let mut ctx = Ctx::new();
-            for _ in 0..total {
-                let call = h.lt_recv_rpc(&mut ctx, F).unwrap();
-                h.lt_reply_rpc(&mut ctx, &call, &[0u8; 512]).unwrap();
-            }
-        });
-        let mut clients = Vec::new();
-        for _ in 0..rpc_clients {
-            let cluster = std::sync::Arc::clone(&env.cluster);
-            clients.push(std::thread::spawn(move || {
-                let mut h = cluster.attach(0).unwrap();
-                let mut ctx = Ctx::new();
-                for _ in 0..rpc_per_client {
-                    h.lt_rpc(&mut ctx, 1, F, &[1u8; 64], 4096).unwrap();
-                }
-                ctx.now()
-            }));
-        }
-        let makespan = clients
-            .into_iter()
-            .map(|c| c.join().unwrap())
-            .max()
-            .unwrap();
-        srv.join().unwrap();
         let rpc_kops = total as f64 / makespan as f64 * 1_000_000.0;
         rows.push(
             Row::new(name)

@@ -7,11 +7,10 @@
 //! the outside: every number comes out of the kernel's own histograms
 //! and trace ring, which is the point.
 
-use std::sync::Arc;
-
-use lite::{LiteCluster, OpClass, Perm, Priority, StatsReport, USER_FUNC_MIN};
+use lite::{LiteCluster, OpClass, Perm, Priority, StatsReport};
 use simnet::Ctx;
 
+use crate::figs::rpc::{serve_echo, ECHO};
 use crate::table::Row;
 
 const US: f64 = 1_000.0;
@@ -42,7 +41,6 @@ impl LatencyReport {
 
 /// Mixed workload over 3 nodes, observed entirely through `lt_stats()`.
 pub fn latency(full: bool) -> LatencyReport {
-    const FN_ECHO: u8 = USER_FUNC_MIN + 2;
     let (data_ops, rpc_ops, sync_ops) = if full {
         (2_000u64, 500usize, 100u64)
     } else {
@@ -50,18 +48,7 @@ pub fn latency(full: bool) -> LatencyReport {
     };
 
     let cluster = LiteCluster::start(3).unwrap();
-    cluster.attach(2).unwrap().register_rpc(FN_ECHO).unwrap();
-    let server = {
-        let cluster = Arc::clone(&cluster);
-        std::thread::spawn(move || {
-            let mut h = cluster.attach(2).unwrap();
-            let mut ctx = Ctx::new();
-            for _ in 0..rpc_ops {
-                let call = h.lt_recv_rpc(&mut ctx, FN_ECHO).unwrap();
-                h.lt_reply_rpc(&mut ctx, &call, &call.input).unwrap();
-            }
-        })
-    };
+    let _echo = serve_echo(&cluster, 2, 1, 8);
 
     let mut hi = cluster.attach(0).unwrap();
     let mut lo = cluster.attach(0).unwrap();
@@ -82,7 +69,7 @@ pub fn latency(full: bool) -> LatencyReport {
         hi.lt_read(&mut ctx, lh_hi, off, &mut buf).unwrap();
     }
     for _ in 0..rpc_ops {
-        hi.lt_rpc(&mut ctx, 2, FN_ECHO, b"observed", 64).unwrap();
+        hi.lt_rpc(&mut ctx, 2, ECHO, b"observed", 64).unwrap();
     }
     let lock = hi.lt_create_lock(&mut ctx).unwrap();
     for _ in 0..sync_ops {
@@ -90,7 +77,6 @@ pub fn latency(full: bool) -> LatencyReport {
         hi.lt_unlock(&mut ctx, lock).unwrap();
         hi.lt_barrier(&mut ctx, 7, 1).unwrap();
     }
-    server.join().unwrap();
 
     let reports: Vec<StatsReport> = (0..cluster.num_nodes())
         .map(|n| cluster.kernel(n).lt_stats())

@@ -12,7 +12,7 @@ use simnet::{Ctx, Nanos, TimeSeries, MILLIS, SECONDS};
 
 use crate::drive::drive;
 use crate::env::LiteEnv;
-use crate::figs::rpc::{lite_server, ECHO};
+use crate::figs::rpc::{serve_echo, ECHO};
 use crate::table::Row;
 
 /// Figure 14: LT_write and LT_RPC throughput vs cluster size (8 threads
@@ -55,10 +55,13 @@ pub fn fig14(full: bool) -> Vec<Row> {
         );
         let write_tput = (nodes * threads * ops) as f64 / (makespan as f64 / 1000.0);
 
-        // ---- LT_RPC: every node also runs 8 echo servers, which
-        // share the calls the clients' seeded peer choices send there. ----
+        // ---- LT_RPC: every node also serves 8 echo functions, one per
+        // client thread: client `(node, t)` calls `ECHO + t` on its
+        // seeded peers. ----
         let lenv = LiteEnv::new(nodes);
-        let mut calls = vec![0; nodes];
+        let _echoes: Vec<_> = (0..nodes)
+            .map(|node| serve_echo(&lenv.cluster, node, threads, 8))
+            .collect();
         let mut clients = Vec::new();
         for node in 0..nodes {
             for t in 0..threads {
@@ -66,35 +69,18 @@ pub fn fig14(full: bool) -> Vec<Row> {
                 let peers: Vec<usize> = (0..ops)
                     .map(|_| (node + rng.gen_range(1..nodes)) % nodes)
                     .collect();
-                for &p in &peers {
-                    calls[p] += 1;
-                }
-                clients.push((Ctx::new(), (lenv.cluster.attach(node).unwrap(), peers, 0)));
-            }
-        }
-        let mut servers = Vec::new();
-        for (node, &n) in calls.iter().enumerate() {
-            lenv.cluster
-                .attach(node)
-                .unwrap()
-                .register_rpc(ECHO)
-                .unwrap();
-            for s in 0..threads {
-                let share = n / threads + usize::from(s < n % threads);
-                servers.push(lite_server(&lenv.cluster, node, share, 8));
+                let h = lenv.cluster.attach(node).unwrap();
+                clients.push((Ctx::new(), (h, ECHO + t as u8, peers, 0)));
             }
         }
         let makespan = drive(
             &mut clients,
-            |_, (_, peers, i)| (*i < peers.len()).then_some(0),
-            |ctx, (h, peers, i)| {
-                h.lt_rpc(ctx, peers[*i], ECHO, &[2u8; 64], 256).unwrap();
+            |_, (.., peers, i)| (*i < peers.len()).then_some(0),
+            |ctx, (h, func, peers, i)| {
+                h.lt_rpc(ctx, peers[*i], *func, &[2u8; 64], 256).unwrap();
                 *i += 1;
             },
         );
-        for s in servers {
-            s.join().unwrap();
-        }
         let rpc_tput = (nodes * threads * ops) as f64 / (makespan as f64 / 1000.0);
 
         rows.push(

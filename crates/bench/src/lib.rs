@@ -14,12 +14,16 @@
 //! *shapes*: who wins, by what factor, and where the cliffs fall.
 //!
 //! A figure's concurrent clients are contexts that one host thread steps
-//! lowest virtual clock first ([`drive`]), so a figure that runs no
-//! thread of its own prints the same rows on every run. OS threads are
-//! left where contexts block on one another — RPC servers owned by the
-//! harness, contended locks and barriers, Fig 15's graph half, Figs 18
-//! and 19 — and in Fig 5's `lite_threads_64B` control column, which
-//! shows what threads do to a shared QP's virtual schedule.
+//! lowest virtual clock first ([`drive()`]), so a figure that runs no
+//! thread of its own prints the same rows on every run. RPC servers run
+//! on that thread too: a LITE server is a served function, run inside
+//! its caller's `lt_rpc`, and a baseline's server steps there as well (a
+//! context of the loop where several clients call). OS threads are left where contexts block on one another — §7.2's
+//! contended lock and barrier, Fig 7's RDMA-CM and TCP senders and
+//! receivers, Fig 15's graph half with its background writers, the
+//! `scale` and `txnbench` workers, and the applications of Figs 18 and
+//! 19 — and in Fig 5's `lite_threads_64B` control column, which shows
+//! what threads do to a shared QP's virtual schedule.
 
 pub mod drive;
 pub mod env;

@@ -1021,10 +1021,6 @@ impl LiteHandle {
         let inc = self
             .kernel
             .pop_rpc(ctx, func, self.kernel.config.op_timeout)?;
-        self.finish_recv(ctx, inc)
-    }
-
-    fn finish_recv(&mut self, ctx: &mut Ctx, inc: Incoming) -> LiteResult<RpcCall> {
         let mut input = Vec::new();
         self.take_payload(ctx, &inc, &mut input)?;
         Ok(RpcCall {
@@ -1051,8 +1047,9 @@ impl LiteHandle {
     }
 
     /// A served call taken off its queue, charged as
-    /// [`LiteHandle::lt_try_recv_rpc`] charges one it finds; its payload
-    /// lands in `input`.
+    /// [`LiteHandle::lt_recv_rpc`] charges one except that the clock joins
+    /// the call's stamp with no CPU charged for the wait; its payload lands
+    /// in `input`.
     pub(crate) fn take_served(
         &mut self,
         ctx: &mut Ctx,
@@ -1073,15 +1070,6 @@ impl LiteHandle {
         output: &[u8],
     ) -> LiteResult<()> {
         self.syscall(ctx, |this, ctx| this.reply(ctx, route, output))
-    }
-
-    /// Non-blocking LT_recvRPC: returns `Ok(None)` when no call is
-    /// queued. Lets servers interleave RPC service with other work.
-    pub fn lt_try_recv_rpc(&mut self, ctx: &mut Ctx, func: u8) -> LiteResult<Option<RpcCall>> {
-        self.syscall(ctx, |this, ctx| {
-            let inc = this.kernel.try_pop_rpc(ctx, func)?;
-            inc.map(|inc| this.finish_recv(ctx, inc)).transpose()
-        })
     }
 
     /// LT_replyRPC: sends the return value for `call`.

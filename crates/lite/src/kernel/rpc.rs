@@ -414,12 +414,6 @@ impl LiteKernel {
         Ok(inc)
     }
 
-    /// Non-blocking dequeue (used by servers that interleave work).
-    pub(crate) fn try_pop_rpc(&self, ctx: &mut Ctx, func: u8) -> LiteResult<Option<Incoming>> {
-        let inc = self.queue_of(func)?.pop();
-        Ok(inc.inspect(|inc| ctx.wait_until(inc.stamp)))
-    }
-
     /// Copies a parked message's payload out of the ring into `buf`.
     pub(crate) fn read_ring_payload(
         &self,

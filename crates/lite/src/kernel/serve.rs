@@ -18,7 +18,10 @@
 //!   must not wait on a reply from a served function: that call would wait
 //!   for the handler to return, and the handler for it (`op_timeout`).
 //! * **Same charges.** A call is taken and answered on the handler's clock
-//!   exactly as `lt_try_recv_rpc` + `lt_reply_rpc` take and answer it.
+//!   as `lt_recv_rpc` + `lt_reply_rpc` take and answer it, except that the
+//!   take charges no CPU for the wait: the clock joins the call's stamp.
+//!   A handler that models a waiting server thread adds that charge itself
+//!   (DESIGN.md §5.3).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -35,7 +38,8 @@ use crate::error::{LiteError, LiteResult};
 
 /// What a served function runs, once per call (see the module docs).
 pub trait RpcHandler: Send + 'static {
-    /// The clock `func`'s calls are taken, run and answered on.
+    /// The clock `func`'s calls are taken, run and answered on: lent once
+    /// to take a call, before [`RpcHandler::call`], and once to answer it.
     fn ctx(&mut self, func: u8) -> &mut Ctx;
 
     /// Runs one call of `func` on `h`, the handle the server owns. `input`

@@ -225,7 +225,6 @@ fn failed_rpc_calls_pay_the_syscall_return() {
         ctx.now()
     };
     let rpc: Call = |c, ctx| c.lt_rpc(ctx, 1, F, b"ping", 64).map(|_| ());
-    let try_recv: Call = |c, ctx| c.lt_try_recv_rpc(ctx, F).map(|_| ());
     let send: Call = |c, ctx| c.lt_send(ctx, 1, &vec![0; lite::api::MAX_RPC_PAYLOAD + 1]);
     // Node 5 is not in the cluster; lh 999 was never handed out; a 1 TB
     // reply cell cannot be carved out of the scratch allocator.
@@ -246,7 +245,6 @@ fn failed_rpc_calls_pay_the_syscall_return() {
     );
     for (name, failing) in [
         ("lt_rpc", rpc),
-        ("lt_try_recv_rpc", try_recv),
         ("lt_send", send),
         ("lt_malloc", malloc),
         ("lt_free", free),

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use simnet::wait::Event;
-use simnet::Ctx;
+use simnet::{Ctx, Nanos};
 
 use crate::cost::COST;
 use crate::verbs::Wc;
@@ -84,6 +84,11 @@ impl Cq {
     /// Whether no completion is queued.
     pub fn is_empty(&self) -> bool {
         self.q.lock().0.is_empty()
+    }
+
+    /// The earliest queued completion's `ready_at`, taking nothing.
+    pub fn peek(&self) -> Option<Nanos> {
+        self.q.lock().0.peek().map(|Entry(_, wc)| wc.ready_at)
     }
 
     /// Takes the completion with the earliest `ready_at`, charging nobody:
@@ -165,10 +170,11 @@ mod tests {
     #[test]
     fn pop_takes_the_earliest_and_charges_nobody() {
         let cq = Cq::new();
-        assert!(cq.is_empty() && cq.pop().is_none());
+        assert!(cq.is_empty() && cq.pop().is_none() && cq.peek().is_none());
         cq.push(wc(1, 6_000));
         cq.push(wc(2, 5_000));
         assert!(!cq.is_empty());
+        assert_eq!(cq.peek(), Some(5_000));
         assert_eq!(cq.pop().map(|w| w.wr_id), Some(2));
         assert_eq!(cq.pop().map(|w| w.wr_id), Some(1));
         assert!(cq.is_empty());

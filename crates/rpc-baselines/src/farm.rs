@@ -18,8 +18,8 @@ use crate::common::{Doorbell, Region};
 /// Ring slots per direction.
 const SLOTS: usize = 64;
 
-/// One FaRM-style connected pair. The client calls; a server thread
-/// serves with a handler.
+/// One FaRM-style connected pair. The client calls; the server serves
+/// with a handler.
 pub struct FarmPair {
     fabric: Arc<IbFabric>,
     client_node: NodeId,
@@ -101,14 +101,9 @@ impl FarmPair {
         })
     }
 
-    /// Client: one RPC = one write (request) + polled reply write.
-    pub fn call(
-        &self,
-        ctx: &mut Ctx,
-        slot: usize,
-        payload: &[u8],
-        timeout: Duration,
-    ) -> VerbsResult<Vec<u8>> {
+    /// Client: writes a request into ring slot `slot`. FaRM senders don't
+    /// wait for their own completion; they poll the reply ring.
+    pub fn send(&self, ctx: &mut Ctx, slot: usize, payload: &[u8]) -> VerbsResult<()> {
         assert!(slot < SLOTS && payload.len() <= self.slot_size);
         self.c_send.put(0, payload)?;
         let nic = self.fabric.nic(self.client_node);
@@ -130,8 +125,11 @@ impl FarmPair {
         )?;
         self.req_bell
             .ring(slot as u64, outcome.remote_visible, payload.len());
-        // FaRM senders don't wait for their own completion; they poll the
-        // reply ring.
+        Ok(())
+    }
+
+    /// Client: polls the reply to the request in slot `slot`.
+    pub fn recv(&self, ctx: &mut Ctx, slot: usize, timeout: Duration) -> VerbsResult<Vec<u8>> {
         let (tag, _stamp, len) = self
             .rep_bell
             .poll(ctx, COST.cq_poll_ns, timeout)
@@ -190,34 +188,24 @@ mod tests {
     #[test]
     fn two_write_rpc_roundtrip_and_latency() {
         let fabric = IbFabric::new(IbConfig::with_nodes(2));
-        let pair = Arc::new(FarmPair::new(&fabric, 0, 1, 4096).unwrap());
-        let srv = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let mut ctx = Ctx::new();
-            for _ in 0..10 {
-                srv.serve_one(
-                    &mut ctx,
-                    |req| {
-                        let mut r = req.to_vec();
-                        r.reverse();
-                        r
-                    },
-                    Duration::from_secs(2),
-                )
-                .unwrap();
-            }
-            ctx
-        });
-        let mut ctx = Ctx::new();
+        let pair = FarmPair::new(&fabric, 0, 1, 4096).unwrap();
+        let (mut ctx, mut sctx) = (Ctx::new(), Ctx::new());
+        let t = Duration::from_secs(2);
+        let reverse = |req: &[u8]| {
+            let mut r = req.to_vec();
+            r.reverse();
+            r
+        };
+        let mut call = |ctx: &mut Ctx, slot: usize, payload: &[u8]| {
+            pair.send(ctx, slot, payload).unwrap();
+            pair.serve_one(&mut sctx, reverse, t).unwrap();
+            pair.recv(ctx, slot, t).unwrap()
+        };
         // Warm up once.
-        pair.call(&mut ctx, 0, b"warm", Duration::from_secs(2))
-            .unwrap();
+        call(&mut ctx, 0, b"warm");
         let t0 = ctx.now();
         for i in 0..9 {
-            let out = pair
-                .call(&mut ctx, i % SLOTS, b"ping", Duration::from_secs(2))
-                .unwrap();
-            assert_eq!(out, b"gnip");
+            assert_eq!(call(&mut ctx, i % SLOTS, b"ping"), b"gnip");
         }
         let per_call = (ctx.now() - t0) / 9;
         // Two one-sided writes plus polling: ~3-6 us.
@@ -225,6 +213,5 @@ mod tests {
             per_call < 8 * MICROS,
             "two-write RPC costs {per_call} ns/call"
         );
-        h.join().unwrap();
     }
 }

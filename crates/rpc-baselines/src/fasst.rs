@@ -6,73 +6,23 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex as PMutex;
-use rnic::qp::RecvEntry;
-use rnic::{Access, IbFabric, NodeId, QpType, Sge, VerbsError, VerbsResult, COST};
-use simnet::Ctx;
-use smem::{AddrSpace, PhysAllocator};
+use rnic::{IbFabric, NodeId, VerbsError, VerbsResult, COST};
+use simnet::{Ctx, Nanos};
 
-use crate::common::Region;
+use crate::common::UdEndpoint;
 
 /// Receive ring depth (both sides).
 const RING: usize = 256;
 
 /// The FaSST server endpoint.
 pub struct FasstServer {
-    fabric: Arc<IbFabric>,
-    node: NodeId,
-    ud: Arc<rnic::Qp>,
-    recv: Region,
-    send: Region,
-    slot_size: usize,
+    ep: UdEndpoint,
 }
 
 /// A FaSST client endpoint.
 pub struct FasstClient {
-    fabric: Arc<IbFabric>,
-    node: NodeId,
-    ud: Arc<rnic::Qp>,
-    recv: Region,
-    send: Region,
+    ep: UdEndpoint,
     server: (NodeId, u64),
-    slot_size: usize,
-}
-
-fn make_endpoint(
-    fabric: &Arc<IbFabric>,
-    node: NodeId,
-    slot_size: usize,
-) -> VerbsResult<(Arc<rnic::Qp>, Region, Region)> {
-    let mut ctx = Ctx::new();
-    let space = Arc::new(AddrSpace::new(Arc::new(PMutex::new(PhysAllocator::new(
-        0,
-        1 << 28,
-    )))));
-    let recv = Region::new(
-        fabric,
-        node,
-        &space,
-        slot_size * RING,
-        Access::LOCAL,
-        &mut ctx,
-    )?;
-    let send = Region::new(fabric, node, &space, slot_size, Access::LOCAL, &mut ctx)?;
-    let ud = fabric.nic(node).create_qp(QpType::Ud);
-    for i in 0..RING {
-        fabric.nic(node).post_recv(
-            &mut ctx,
-            &ud,
-            RecvEntry {
-                wr_id: i as u64,
-                sge: Some(Sge::Virt {
-                    lkey: recv.mr.lkey(),
-                    addr: recv.va + (i * slot_size) as u64,
-                    len: slot_size,
-                }),
-            },
-        );
-    }
-    Ok((ud, recv, send))
 }
 
 impl FasstServer {
@@ -80,20 +30,18 @@ impl FasstServer {
     /// exactly FaSST's constraint.
     pub fn new(fabric: &Arc<IbFabric>, node: NodeId, slot_size: usize) -> VerbsResult<Arc<Self>> {
         assert!(slot_size <= COST.ud_max_payload);
-        let (ud, recv, send) = make_endpoint(fabric, node, slot_size)?;
-        Ok(Arc::new(FasstServer {
-            fabric: Arc::clone(fabric),
-            node,
-            ud,
-            recv,
-            send,
-            slot_size,
-        }))
+        let ep = UdEndpoint::new(fabric, node, RING, slot_size)?;
+        Ok(Arc::new(FasstServer { ep }))
     }
 
     /// The server's UD address clients send to.
     pub fn address(&self) -> (NodeId, u64) {
-        (self.node, self.ud.id)
+        self.ep.address()
+    }
+
+    /// The stamp of the earliest queued request, taking nothing.
+    pub fn peek_request(&self) -> Option<Nanos> {
+        self.ep.peek()
     }
 
     /// Master-thread step: poll the CQ (busy), run the handler *inline*,
@@ -104,44 +52,12 @@ impl FasstServer {
         f: impl FnOnce(&[u8]) -> Vec<u8>,
         timeout: Duration,
     ) -> VerbsResult<()> {
-        let wc = self
-            .ud
-            .recv_cq
-            .poll_blocking(ctx, true, timeout)
-            .ok_or(VerbsError::Timeout)?;
-        let slot = wc.wr_id as usize;
-        let mut req = vec![0u8; wc.byte_len];
-        self.recv.get(slot * self.slot_size, &mut req)?;
+        let (wc, req) = self.ep.take(ctx, timeout)?;
         // Handler runs on the polling thread — FaSST's bottleneck.
         let reply = f(&req);
-        assert!(reply.len() <= self.slot_size);
-        self.send.put(0, &reply)?;
         let dest = wc.src.ok_or(VerbsError::Disconnected)?;
-        self.fabric.nic(self.node).post_send_ud(
-            ctx,
-            &self.ud,
-            0,
-            &Sge::Virt {
-                lkey: self.send.mr.lkey(),
-                addr: self.send.va,
-                len: reply.len(),
-            },
-            dest,
-            false,
-        )?;
-        // Repost the consumed receive.
-        self.fabric.nic(self.node).post_recv(
-            ctx,
-            &self.ud,
-            RecvEntry {
-                wr_id: wc.wr_id,
-                sge: Some(Sge::Virt {
-                    lkey: self.recv.mr.lkey(),
-                    addr: self.recv.va + (slot * self.slot_size) as u64,
-                    len: self.slot_size,
-                }),
-            },
-        );
+        self.ep.send_to(ctx, dest, &reply)?;
+        self.ep.repost(ctx, wc.wr_id);
         Ok(())
     }
 }
@@ -155,54 +71,30 @@ impl FasstClient {
         slot_size: usize,
     ) -> VerbsResult<FasstClient> {
         assert!(slot_size <= COST.ud_max_payload);
-        let (ud, recv, send) = make_endpoint(fabric, node, slot_size)?;
-        Ok(FasstClient {
-            fabric: Arc::clone(fabric),
-            node,
-            ud,
-            recv,
-            send,
-            server,
-            slot_size,
-        })
+        let ep = UdEndpoint::new(fabric, node, RING, slot_size)?;
+        Ok(FasstClient { ep, server })
     }
 
-    /// One RPC: UD send + busy-poll the reply.
+    /// UD-sends a request to the server.
+    pub fn send(&self, ctx: &mut Ctx, payload: &[u8]) -> VerbsResult<()> {
+        self.ep.send_to(ctx, self.server, payload)
+    }
+
+    /// One RPC: [`FasstClient::send`], then [`FasstClient::recv`].
     pub fn call(&self, ctx: &mut Ctx, payload: &[u8], timeout: Duration) -> VerbsResult<Vec<u8>> {
-        assert!(payload.len() <= self.slot_size);
-        self.send.put(0, payload)?;
-        self.fabric.nic(self.node).post_send_ud(
-            ctx,
-            &self.ud,
-            0,
-            &Sge::Virt {
-                lkey: self.send.mr.lkey(),
-                addr: self.send.va,
-                len: payload.len(),
-            },
-            self.server,
-            false,
-        )?;
-        let wc = self
-            .ud
-            .recv_cq
-            .poll_blocking(ctx, true, timeout)
-            .ok_or(VerbsError::Timeout)?;
-        let slot = wc.wr_id as usize;
-        let mut out = vec![0u8; wc.byte_len];
-        self.recv.get(slot * self.slot_size, &mut out)?;
-        self.fabric.nic(self.node).post_recv(
-            ctx,
-            &self.ud,
-            RecvEntry {
-                wr_id: wc.wr_id,
-                sge: Some(Sge::Virt {
-                    lkey: self.recv.mr.lkey(),
-                    addr: self.recv.va + (slot * self.slot_size) as u64,
-                    len: self.slot_size,
-                }),
-            },
-        );
+        self.send(ctx, payload)?;
+        self.recv(ctx, timeout)
+    }
+
+    /// The stamp of our earliest queued reply, taking nothing.
+    pub fn peek_reply(&self) -> Option<Nanos> {
+        self.ep.peek()
+    }
+
+    /// Busy-polls a reply.
+    pub fn recv(&self, ctx: &mut Ctx, timeout: Duration) -> VerbsResult<Vec<u8>> {
+        let (wc, out) = self.ep.take(ctx, timeout)?;
+        self.ep.repost(ctx, wc.wr_id);
         Ok(out)
     }
 }
@@ -218,39 +110,27 @@ mod tests {
         let fabric = IbFabric::new(IbConfig::with_nodes(2));
         let server = FasstServer::new(&fabric, 1, 4096).unwrap();
         let client = FasstClient::connect(&fabric, 0, server.address(), 4096).unwrap();
-        let s2 = Arc::clone(&server);
-        let h = std::thread::spawn(move || {
-            let mut ctx = Ctx::new();
-            for _ in 0..10 {
-                s2.serve_one(
-                    &mut ctx,
-                    |req| {
-                        let mut r = req.to_vec();
-                        r.rotate_left(1);
-                        r
-                    },
-                    Duration::from_secs(2),
-                )
-                .unwrap();
-            }
-            ctx.cpu.total()
-        });
-        let mut ctx = Ctx::new();
-        client
-            .call(&mut ctx, b"warm", Duration::from_secs(2))
-            .unwrap();
+        let (mut ctx, mut sctx) = (Ctx::new(), Ctx::new());
+        let t = Duration::from_secs(2);
+        let rotate = |req: &[u8]| {
+            let mut r = req.to_vec();
+            r.rotate_left(1);
+            r
+        };
+        let mut call = |ctx: &mut Ctx, payload: &[u8]| {
+            client.send(ctx, payload).unwrap();
+            server.serve_one(&mut sctx, rotate, t).unwrap();
+            client.recv(ctx, t).unwrap()
+        };
+        call(&mut ctx, b"warm");
         let t0 = ctx.now();
         for _ in 0..9 {
-            let out = client
-                .call(&mut ctx, b"abcd", Duration::from_secs(2))
-                .unwrap();
-            assert_eq!(out, b"bcda");
+            assert_eq!(call(&mut ctx, b"abcd"), b"bcda");
         }
         let per_call = (ctx.now() - t0) / 9;
         assert!(per_call < 7 * MICROS, "FaSST 4B RPC = {per_call} ns");
-        let server_cpu = h.join().unwrap();
-        // The busy-polling master thread burned CPU for the entire run.
-        assert!(server_cpu > 0);
+        // The busy-polling master thread burned CPU.
+        assert!(sctx.cpu.total() > 0);
     }
 
     #[test]

@@ -9,41 +9,37 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex as PMutex;
-use rnic::qp::RecvEntry;
-use rnic::{Access, IbFabric, NodeId, QpType, RemoteAddr, Sge, VerbsError, VerbsResult};
+use rnic::{Access, IbFabric, NodeId, RemoteAddr, Sge, VerbsError, VerbsResult};
 use simnet::{Ctx, Nanos};
 use smem::{AddrSpace, PhysAllocator};
 
-use crate::common::{Doorbell, Region};
+use crate::common::{Doorbell, Region, UdEndpoint};
 
 /// Cost of checking one client's request region for a new flag byte.
 const REGION_CHECK_NS: Nanos = 40;
 /// Receive ring posted on each client's UD QP.
 const CLIENT_RING: usize = 64;
 
-/// The HERD server: one request region per client, one UD QP for replies.
+/// The HERD server: one request region per client, one UD endpoint (with
+/// no receives posted) for replies.
 pub struct HerdServer {
     fabric: Arc<IbFabric>,
     node: NodeId,
     regions: Vec<Region>,
-    send: Region,
-    ud: Arc<rnic::Qp>,
+    ep: UdEndpoint,
     bell: Arc<Doorbell>,
-    slot_size: usize,
     clients: PMutex<Vec<(NodeId, u64)>>,
 }
 
-/// A HERD client endpoint.
+/// A HERD client endpoint: an RC QP it writes requests on, from its UD
+/// endpoint's send scratch, and the UD endpoint replies arrive at.
 pub struct HerdClient {
     fabric: Arc<IbFabric>,
     node: NodeId,
     id: usize,
     qp: Arc<rnic::Qp>,
-    send: Region,
-    recv: Region,
-    ud: Arc<rnic::Qp>,
+    ep: UdEndpoint,
     server: Arc<HerdServer>,
-    slot_size: usize,
 }
 
 impl HerdServer {
@@ -62,18 +58,19 @@ impl HerdServer {
         let regions = (0..max_clients)
             .map(|_| Region::new(fabric, node, &space, slot_size, Access::RW, &mut ctx))
             .collect::<VerbsResult<Vec<_>>>()?;
-        let send = Region::new(fabric, node, &space, slot_size, Access::LOCAL, &mut ctx)?;
-        let ud = fabric.nic(node).create_qp(QpType::Ud);
         Ok(Arc::new(HerdServer {
             fabric: Arc::clone(fabric),
             node,
             regions,
-            send,
-            ud,
+            ep: UdEndpoint::new(fabric, node, 0, slot_size)?,
             bell: Doorbell::new(),
-            slot_size,
             clients: PMutex::new(Vec::new()),
         }))
+    }
+
+    /// The stamp of the earliest queued request, taking nothing.
+    pub fn peek_request(&self) -> Option<Nanos> {
+        self.bell.peek()
     }
 
     /// Serves one request with `f`; busy-polls all client regions.
@@ -95,22 +92,8 @@ impl HerdServer {
         let mut req = vec![0u8; len];
         self.regions[client as usize].get(0, &mut req)?;
         let reply = f(&req);
-        assert!(reply.len() <= self.slot_size, "HERD reply exceeds slot");
-        self.send.put(0, &reply)?;
         let dest = self.clients.lock()[client as usize];
-        self.fabric.nic(self.node).post_send_ud(
-            ctx,
-            &self.ud,
-            0,
-            &Sge::Virt {
-                lkey: self.send.mr.lkey(),
-                addr: self.send.va,
-                len: reply.len(),
-            },
-            dest,
-            false,
-        )?;
-        Ok(())
+        self.ep.send_to(ctx, dest, &reply)
     }
 }
 
@@ -122,39 +105,11 @@ impl HerdClient {
         slot_size: usize,
     ) -> VerbsResult<HerdClient> {
         let fabric = Arc::clone(&server.fabric);
-        let mut ctx = Ctx::new();
-        let space = Arc::new(AddrSpace::new(Arc::new(PMutex::new(PhysAllocator::new(
-            0,
-            1 << 28,
-        )))));
-        let send = Region::new(&fabric, node, &space, slot_size, Access::LOCAL, &mut ctx)?;
-        let recv = Region::new(
-            &fabric,
-            node,
-            &space,
-            slot_size * CLIENT_RING,
-            Access::LOCAL,
-            &mut ctx,
-        )?;
-        let ud = fabric.nic(node).create_qp(QpType::Ud);
-        for i in 0..CLIENT_RING {
-            fabric.nic(node).post_recv(
-                &mut ctx,
-                &ud,
-                RecvEntry {
-                    wr_id: i as u64,
-                    sge: Some(Sge::Virt {
-                        lkey: recv.mr.lkey(),
-                        addr: recv.va + (i * slot_size) as u64,
-                        len: slot_size,
-                    }),
-                },
-            );
-        }
+        let ep = UdEndpoint::new(&fabric, node, CLIENT_RING, slot_size)?;
         let (qp, _server_qp) = fabric.rc_pair(node, server.node);
         let id = {
             let mut clients = server.clients.lock();
-            clients.push((node, ud.id));
+            clients.push(ep.address());
             clients.len() - 1
         };
         Ok(HerdClient {
@@ -162,27 +117,24 @@ impl HerdClient {
             node,
             id,
             qp,
-            send,
-            recv,
-            ud,
+            ep,
             server: Arc::clone(server),
-            slot_size,
         })
     }
 
-    /// One RPC: RDMA-write the request into our region at the server,
-    /// then busy-poll our UD recv CQ for the reply.
-    pub fn call(&self, ctx: &mut Ctx, payload: &[u8], timeout: Duration) -> VerbsResult<Vec<u8>> {
-        assert!(payload.len() <= self.slot_size);
-        self.send.put(0, payload)?;
+    /// RDMA-writes a request into our region at the server.
+    pub fn send(&self, ctx: &mut Ctx, payload: &[u8]) -> VerbsResult<()> {
+        let scratch = &self.ep.send;
+        assert!(payload.len() <= scratch.len);
+        scratch.put(0, payload)?;
         let region = &self.server.regions[self.id];
         let outcome = self.fabric.nic(self.node).post_write_outcome(
             ctx,
             &self.qp,
             0,
             &Sge::Virt {
-                lkey: self.send.mr.lkey(),
-                addr: self.send.va,
+                lkey: scratch.mr.lkey(),
+                addr: scratch.va,
                 len: payload.len(),
             },
             RemoteAddr {
@@ -195,27 +147,24 @@ impl HerdClient {
         self.server
             .bell
             .ring(self.id as u64, outcome.remote_visible, payload.len());
-        let wc = self
-            .ud
-            .recv_cq
-            .poll_blocking(ctx, true, timeout)
-            .ok_or(VerbsError::Timeout)?;
-        let slot = wc.wr_id as usize;
-        let mut out = vec![0u8; wc.byte_len];
-        self.recv.get(slot * self.slot_size, &mut out)?;
-        // Repost the consumed receive.
-        self.fabric.nic(self.node).post_recv(
-            ctx,
-            &self.ud,
-            RecvEntry {
-                wr_id: wc.wr_id,
-                sge: Some(Sge::Virt {
-                    lkey: self.recv.mr.lkey(),
-                    addr: self.recv.va + (slot * self.slot_size) as u64,
-                    len: self.slot_size,
-                }),
-            },
-        );
+        Ok(())
+    }
+
+    /// One RPC: [`HerdClient::send`], then [`HerdClient::recv`].
+    pub fn call(&self, ctx: &mut Ctx, payload: &[u8], timeout: Duration) -> VerbsResult<Vec<u8>> {
+        self.send(ctx, payload)?;
+        self.recv(ctx, timeout)
+    }
+
+    /// The stamp of our earliest queued reply, taking nothing.
+    pub fn peek_reply(&self) -> Option<Nanos> {
+        self.ep.peek()
+    }
+
+    /// Busy-polls our UD recv CQ for a reply.
+    pub fn recv(&self, ctx: &mut Ctx, timeout: Duration) -> VerbsResult<Vec<u8>> {
+        let (wc, out) = self.ep.take(ctx, timeout)?;
+        self.ep.repost(ctx, wc.wr_id);
         Ok(out)
     }
 }
@@ -231,28 +180,41 @@ mod tests {
         let fabric = IbFabric::new(IbConfig::with_nodes(2));
         let server = HerdServer::new(&fabric, 1, 4, 4096).unwrap();
         let client = HerdClient::connect(&server, 0, 4096).unwrap();
-        let s2 = Arc::clone(&server);
-        let h = std::thread::spawn(move || {
-            let mut ctx = Ctx::new();
-            for _ in 0..10 {
-                s2.serve_one(&mut ctx, |req| req.to_vec(), Duration::from_secs(2))
-                    .unwrap();
-            }
-        });
-        let mut ctx = Ctx::new();
-        client
-            .call(&mut ctx, b"warm", Duration::from_secs(2))
-            .unwrap();
+        let (mut ctx, mut sctx) = (Ctx::new(), Ctx::new());
+        let t = Duration::from_secs(2);
+        let mut call = |ctx: &mut Ctx, payload: &[u8]| {
+            client.send(ctx, payload).unwrap();
+            server.serve_one(&mut sctx, |req| req.to_vec(), t).unwrap();
+            client.recv(ctx, t).unwrap()
+        };
+        call(&mut ctx, b"warm");
         let t0 = ctx.now();
         for _ in 0..9 {
-            let out = client
-                .call(&mut ctx, b"herd!", Duration::from_secs(2))
-                .unwrap();
-            assert_eq!(out, b"herd!");
+            assert_eq!(call(&mut ctx, b"herd!"), b"herd!");
         }
         let per_call = (ctx.now() - t0) / 9;
         assert!(per_call < 6 * MICROS, "HERD 5B RPC = {per_call} ns");
-        h.join().unwrap();
+    }
+
+    #[test]
+    fn peeks_read_the_earliest_stamp() {
+        let fabric = IbFabric::new(IbConfig::with_nodes(2));
+        let server = HerdServer::new(&fabric, 1, 4, 64).unwrap();
+        let client = HerdClient::connect(&server, 0, 64).unwrap();
+        let (mut ctx, mut sctx) = (Ctx::new(), Ctx::new());
+        assert_eq!((server.peek_request(), client.peek_reply()), (None, None));
+        let t0 = ctx.now();
+        client.send(&mut ctx, b"x").unwrap();
+        let sent = server.peek_request().expect("request queued");
+        assert!(sent > t0);
+        let t = Duration::from_secs(1);
+        server.serve_one(&mut sctx, |r| r.to_vec(), t).unwrap();
+        assert_eq!(server.peek_request(), None);
+        let replied = client.peek_reply().expect("reply queued");
+        assert!(replied > sent);
+        client.recv(&mut ctx, t).unwrap();
+        assert!(ctx.now() > replied);
+        assert_eq!(client.peek_reply(), None);
     }
 
     #[test]
@@ -266,7 +228,7 @@ mod tests {
         }
         let mut cctx = Ctx::new();
         let mut sctx = Ctx::new();
-        clients[0].send.put(0, b"x").unwrap();
+        clients[0].ep.send.put(0, b"x").unwrap();
         // Ring directly to isolate the scan cost.
         server.bell.ring(0, cctx.now(), 1);
         let cpu0 = sctx.cpu.total();

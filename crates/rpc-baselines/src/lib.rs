@@ -13,9 +13,11 @@
 //! * [`send_rpc`] — send/recv-based RPC memory accounting for Figure 12:
 //!   pre-posted worst-case receive buffers vs LITE's packed ring.
 //!
-//! Each baseline exposes a client `call` and a server loop driven by a
-//! user handler, plus CPU meters, so the Fig 10/11/13 harnesses treat
-//! them uniformly with LITE RPC.
+//! A client's call is a `send` and a `recv`, and a server serves one
+//! request per `serve_one` with a user handler, so one thread can step
+//! clients and servers in virtual-time order, as the Fig 10/11/13
+//! harnesses do (HERD's and FaSST's `peek_request` / `peek_reply` say when
+//! a side is next due).
 
 pub mod common;
 pub mod farm;

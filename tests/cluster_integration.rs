@@ -340,7 +340,9 @@ fn a_stopped_kv_service_frees_its_cluster() {
     {
         let spec = KvSpec::new("leak.kv", 1, &[2, 3]);
         let svc = KvService::spawn(&cluster, spec.clone());
-        let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+        // The gets assert the puts' own values: the session mode that
+        // promises that is read-your-writes (eventual reads may be stale).
+        let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::ReadYourWrites).unwrap();
         let mut ctx = Ctx::new();
         for i in 0..100u32 {
             c.put(&mut ctx, &i.to_le_bytes(), &[i as u8; 64]).unwrap();
