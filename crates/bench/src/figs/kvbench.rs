@@ -3,7 +3,7 @@
 //!
 //! Shape: a 5-node cluster (leader on 1, followers on 2 and 3 with 3 a
 //! deliberately slow consumer, clients on 0 and 4). Two clients, stepped
-//! in arrival order on one thread ([`bench::drive()`]), replay one
+//! in arrival order on one thread ([`drive()`]), replay one
 //! precomputed zipfian schedule (1M-user popularity, 90/10 read/write,
 //! bursty on/off arrival) at three offered load points, under both QoS
 //! modes. Reads run at `Priority::High`, writes at
@@ -13,19 +13,17 @@
 //! Latency is open-loop: measured from each op's *scheduled* arrival on
 //! the virtual clock, so backlog at an overloaded service shows up as
 //! queueing delay instead of silently thinning the offered load
-//! (coordinated omission). The report combines exact harness-side
-//! percentiles (p50/p99/p999 per op class), kernel `lt_stats` RPC
-//! summaries, SLO attainment against fixed targets, and the peak
-//! replication lag the slow follower produced.
-//!
-//! Usage: `kvbench [--full] [--json [path]]` — `--json` emits one JSON
-//! document (the CI artifact) to `path` or stdout.
+//! (coordinated omission). The report gives exact harness-side
+//! percentiles per op class, SLO attainment against fixed targets (the
+//! last row), and the peak replication lag the slow follower produced.
 
-use bench::{drive, print_table, Row};
 use lite::{LiteCluster, Priority, QosMode};
 use lite_kv::workload::{exact_percentile, WorkloadSpec};
 use lite_kv::{KvClient, KvService, KvSpec, SessionMode};
 use simnet::{Ctx, Nanos};
+
+use crate::drive;
+use crate::table::Row;
 
 /// Client nodes; leader and followers sit between them.
 const CLIENTS: [usize; 2] = [0, 4];
@@ -40,7 +38,6 @@ const SLO_PUT_NS: Nanos = 300_000; // 300 us
 
 /// One op class's harness-side summary.
 struct ClassSummary {
-    count: usize,
     p50: Nanos,
     p99: Nanos,
     p999: Nanos,
@@ -50,7 +47,6 @@ struct ClassSummary {
 fn summarize(lats: &[Nanos], slo: Nanos) -> ClassSummary {
     let under = lats.iter().filter(|&&l| l <= slo).count();
     ClassSummary {
-        count: lats.len(),
         p50: exact_percentile(lats, 50.0),
         p99: exact_percentile(lats, 99.0),
         p999: exact_percentile(lats, 99.9),
@@ -58,23 +54,10 @@ fn summarize(lats: &[Nanos], slo: Nanos) -> ClassSummary {
     }
 }
 
-impl ClassSummary {
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"slo_attainment\":{:.4}}}",
-            self.count, self.p50, self.p99, self.p999, self.attainment
-        )
-    }
-}
-
 struct RunResult {
     gets: ClassSummary,
     puts: ClassSummary,
     max_lag: u64,
-    kernel_rpc_high_p999: Nanos,
-    kernel_rpc_low_p999: Nanos,
-    kv_puts: u64,
-    kv_gets: u64,
 }
 
 /// One load point under one QoS mode: fresh cluster, fresh service,
@@ -137,51 +120,32 @@ fn run(mode: QosMode, rate: f64, ops: usize) -> RunResult {
             *i += CLIENTS.len();
         },
     );
-
-    // Kernel-side view: the clients' RPC histograms split by priority
-    // (gets that took the RPC path high, puts low) and the service gauges
-    // — puts count on the leader, a get where it was served: on a replica
-    // by RPC, on the client's own node by a one-sided read.
-    let client_stats = cluster.attach(CLIENTS[0]).unwrap().lt_stats();
-    let rpc_p999 = |prio| {
-        client_stats
-            .class(lite::OpClass::Rpc, prio)
-            .map_or(0, |s| s.p999)
-    };
-    let kv_gets = (0..cluster.num_nodes()).map(|n| cluster.kernel(n).stats().kv_gets);
-    let result = RunResult {
+    svc.stop();
+    RunResult {
         gets: summarize(&get_lats, SLO_GET_NS),
         puts: summarize(&put_lats, SLO_PUT_NS),
         max_lag,
-        kernel_rpc_high_p999: rpc_p999(Priority::High),
-        kernel_rpc_low_p999: rpc_p999(Priority::Low),
-        kv_puts: cluster.kernel(LEADER).stats().kv_puts,
-        kv_gets: kv_gets.sum(),
-    };
-    svc.stop();
-    result
+    }
 }
 
-fn main() {
-    let full = bench::full_mode();
-    let args: Vec<String> = std::env::args().collect();
-    let json_at = args.iter().position(|a| a == "--json");
-    let json_path = json_at.and_then(|i| args.get(i + 1)).cloned();
-
+/// Both QoS modes at three offered loads, then a `slo_target` row with
+/// the SLOs in the p999 columns. Gate: at the lowest load the service
+/// meets its read SLO for at least 90 % of gets in every QoS mode.
+pub fn kvbench(full: bool) -> Vec<Row> {
     let ops = if full { 6_000 } else { 1_200 };
     // Offered load points (ops/s on the virtual clock, during bursts).
     let rates: &[f64] = &[20_000.0, 50_000.0, 100_000.0];
     let modes: &[(&str, QosMode)] = &[("hw_sep", QosMode::HwSep), ("sw_pri", QosMode::SwPri)];
 
     let mut rows = Vec::new();
-    let mut entries = Vec::new();
-    let mut low_load_get_attainment = f64::MAX;
     for &(mode_name, mode) in modes {
         for (li, &rate) in rates.iter().enumerate() {
             let r = run(mode, rate, ops);
-            if li == 0 {
-                low_load_get_attainment = low_load_get_attainment.min(r.gets.attainment);
-            }
+            assert!(
+                li > 0 || r.gets.attainment >= 0.9,
+                "{mode_name}: read SLO attainment {:.3} < 0.9 at the lowest load point",
+                r.gets.attainment
+            );
             rows.push(
                 Row::new(format!("{mode_name}/{:.0}k", rate / 1e3))
                     .cell("get_p50_us", r.gets.p50 as f64 / 1e3)
@@ -192,47 +156,12 @@ fn main() {
                     .cell("put_slo", r.puts.attainment)
                     .cell("max_lag", r.max_lag as f64),
             );
-            entries.push(format!(
-                "{{\"qos\":\"{mode_name}\",\"rate_ops_per_sec\":{rate:.0},\
-                 \"gets\":{},\"puts\":{},\"max_replication_lag\":{},\
-                 \"kernel_rpc_high_p999\":{},\"kernel_rpc_low_p999\":{},\
-                 \"kv_puts\":{},\"kv_gets\":{}}}",
-                r.gets.json(),
-                r.puts.json(),
-                r.max_lag,
-                r.kernel_rpc_high_p999,
-                r.kernel_rpc_low_p999,
-                r.kv_puts,
-                r.kv_gets,
-            ));
         }
     }
-
-    let doc = format!(
-        "{{\"bench\":\"kvbench\",\"ops\":{ops},\"clients\":{},\"users\":1000000,\
-         \"zipf_theta\":0.99,\"read_pct\":90,\"burst_on_ns\":200000,\"burst_off_ns\":100000,\
-         \"slow_follower_apply_ns\":{SLOW_APPLY_NS},\
-         \"slo_get_ns\":{SLO_GET_NS},\"slo_put_ns\":{SLO_PUT_NS},\
-         \"low_load_get_attainment\":{low_load_get_attainment:.4},\"runs\":[{}]}}",
-        CLIENTS.len(),
-        entries.join(",")
+    rows.push(
+        Row::new("slo_target")
+            .cell("get_p999_us", SLO_GET_NS as f64 / 1e3)
+            .cell("put_p999_us", SLO_PUT_NS as f64 / 1e3),
     );
-    if json_at.is_some() {
-        match &json_path {
-            Some(p) => std::fs::write(p, &doc).expect("write report"),
-            None => println!("{doc}"),
-        }
-    } else {
-        print_table("kvbench: open-loop SLO report", "qos/rate", &rows);
-        println!("\nSLO targets: get {SLO_GET_NS} ns, put {SLO_PUT_NS} ns (open-loop)");
-    }
-
-    // Headline: at the lowest load point the service must actually meet
-    // its read SLO in every QoS mode.
-    if low_load_get_attainment < 0.9 {
-        eprintln!(
-            "kvbench: read SLO attainment {low_load_get_attainment:.3} < 0.9 at the lowest load point"
-        );
-        std::process::exit(1);
-    }
+    rows
 }

@@ -1,13 +1,12 @@
 //! Kernel-level observability: runs a mixed workload (one-sided
-//! reads/writes, RPC, locks, barriers) and renders each node's
-//! `lt_stats()` report — per-class latency percentiles for the table,
-//! the full structured report as a JSON artifact.
+//! reads/writes, RPC, locks, barriers) and renders the client node's
+//! `lt_stats()` report as per-class latency percentiles.
 //!
 //! Unlike the figure harnesses, nothing here times the workload from
 //! the outside: every number comes out of the kernel's own histograms
 //! and trace ring, which is the point.
 
-use lite::{LiteCluster, OpClass, Perm, Priority, StatsReport};
+use lite::{LiteCluster, OpClass, Perm, Priority};
 use simnet::Ctx;
 
 use crate::figs::rpc::{serve_echo, ECHO};
@@ -15,32 +14,10 @@ use crate::table::Row;
 
 const US: f64 = 1_000.0;
 
-/// The workload's outcome: one row per recorded class × priority cell
-/// on the client node, plus every node's full report for JSON export.
-pub struct LatencyReport {
-    /// Table rows (latencies in µs).
-    pub rows: Vec<Row>,
-    /// Per-node structured reports, in node order.
-    pub reports: Vec<StatsReport>,
-}
-
-impl LatencyReport {
-    /// All per-node reports as one JSON array (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("[");
-        for (i, r) in self.reports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.to_json());
-        }
-        s.push(']');
-        s
-    }
-}
-
-/// Mixed workload over 3 nodes, observed entirely through `lt_stats()`.
-pub fn latency(full: bool) -> LatencyReport {
+/// Mixed workload over 3 nodes, observed entirely through `lt_stats()`:
+/// one row per recorded class × priority cell on the client node
+/// (latencies in µs).
+pub fn latency(full: bool) -> Vec<Row> {
     let (data_ops, rpc_ops, sync_ops) = if full {
         (2_000u64, 500usize, 100u64)
     } else {
@@ -78,10 +55,7 @@ pub fn latency(full: bool) -> LatencyReport {
         hi.lt_barrier(&mut ctx, 7, 1).unwrap();
     }
 
-    let reports: Vec<StatsReport> = (0..cluster.num_nodes())
-        .map(|n| cluster.kernel(n).lt_stats())
-        .collect();
-    let client = &reports[0];
+    let client = cluster.kernel(0).lt_stats();
     let mut rows = Vec::new();
     for class in [
         OpClass::Read,
@@ -115,5 +89,5 @@ pub fn latency(full: bool) -> LatencyReport {
             );
         }
     }
-    LatencyReport { rows, reports }
+    rows
 }

@@ -6,6 +6,8 @@
 //! the report carries a hard verify-failure count alongside the
 //! throughput and the kernel's own tiering gauges.
 
+use std::time::{Duration, Instant};
+
 use lite::{LiteConfig, MmReport, Perm};
 use rand::{Rng, SeedableRng};
 use simnet::{Ctx, Summary};
@@ -15,79 +17,12 @@ use crate::table::Row;
 
 const US: f64 = 1_000.0;
 
-/// One case's outcome (unlimited or budgeted).
-pub struct CaseResult {
-    /// Row label.
-    pub label: String,
-    /// Configured per-node budget (0 = tiering off).
-    pub budget_bytes: u64,
-    /// Ops that completed (forward progress).
-    pub ops_done: u64,
-    /// Reads that did not match the shadow buffer.
-    pub verify_failures: u64,
-    /// Mean op latency, µs (virtual time).
-    pub mean_us: f64,
-    /// Tiering gauges from every node, in node order.
-    pub mm: Vec<MmReport>,
-}
-
-impl CaseResult {
-    fn json(&self) -> String {
-        let mut s = format!(
-            "{{\"label\":\"{}\",\"budget_bytes\":{},\"ops_done\":{},\"verify_failures\":{},\"mean_us\":{:.3},\"nodes\":[",
-            self.label, self.budget_bytes, self.ops_done, self.verify_failures, self.mean_us
-        );
-        for (i, m) in self.mm.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&m.json());
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Lifetime evictions summed over the cluster.
-    pub fn evictions(&self) -> u64 {
-        self.mm.iter().map(|m| m.evictions).sum()
-    }
-
-    /// Lifetime fetch-backs summed over the cluster.
-    pub fn fetch_backs(&self) -> u64 {
-        self.mm.iter().map(|m| m.fetch_backs).sum()
-    }
-}
-
-/// The benchmark's outcome: table rows plus both cases for the JSON
-/// artifact.
-pub struct MemPressureReport {
-    /// Table rows.
-    pub rows: Vec<Row>,
-    /// Working-set bytes.
-    pub working_set: u64,
-    /// Tiering off.
-    pub unlimited: CaseResult,
-    /// Budget at 50 % of the working set.
-    pub budgeted: CaseResult,
-}
-
-impl MemPressureReport {
-    /// The CI artifact.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"working_set\":{},\"unlimited\":{},\"budgeted\":{}}}",
-            self.working_set,
-            self.unlimited.json(),
-            self.budgeted.json()
-        )
-    }
-}
-
-/// Runs the seeded workload once with `budget` bytes per node.
-fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> CaseResult {
+/// Runs the seeded workload once with `budget` bytes per node. Returns
+/// its row, and whether any node had tiering enabled.
+fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> (Row, bool) {
     let config = LiteConfig {
         mem_budget_bytes: budget,
-        mm_sweep_interval: std::time::Duration::from_millis(1),
+        mm_sweep_interval: Duration::from_millis(1),
         max_lmr_chunk: 16 * 1024,
         ..LiteConfig::default()
     };
@@ -99,6 +34,17 @@ fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> CaseResult 
     let lh = h
         .lt_malloc(&mut ctx, 0, working_set, "mempressure", Perm::RW)
         .unwrap();
+    // The sweeper is a host thread that evicts down to the budget every
+    // millisecond. Under a budget the ops start once it has got there (or
+    // a second has passed): a fast run could otherwise end before it had
+    // evicted anything, and how far it got would vary run to run.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while budget > 0
+        && env.cluster.kernel(0).mm_stats().resident_bytes > budget
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let mut shadow = vec![0u8; working_set as usize];
     let mut rng = rand::rngs::SmallRng::seed_from_u64(4242);
@@ -137,45 +83,43 @@ fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> CaseResult 
     if buf != shadow {
         failures += 1;
     }
-    CaseResult {
-        label: label.to_string(),
-        budget_bytes: budget,
-        ops_done: done,
-        verify_failures: failures,
-        mean_us: s.mean() / US,
-        mm: (0..3).map(|n| env.cluster.kernel(n).mm_stats()).collect(),
-    }
+    let mm: Vec<MmReport> = (0..3).map(|n| env.cluster.kernel(n).mm_stats()).collect();
+    let sum = |f: fn(&MmReport) -> u64| mm.iter().map(f).sum::<u64>() as f64;
+    let row = Row::new(label)
+        .cell("mean_us", s.mean() / US)
+        .cell("ops", done as f64)
+        .cell("verify_fail", failures as f64)
+        .cell("evictions", sum(|m| m.evictions))
+        .cell("fetch_backs", sum(|m| m.fetch_backs))
+        .cell("redirects", sum(|m| m.redirects));
+    (row, mm.iter().any(|m| m.enabled))
 }
 
 /// Unlimited vs budget-at-50 %: the tiering tax under pressure, and
 /// the zero-eviction ablation when the budget is off.
-pub fn mempressure(full: bool) -> MemPressureReport {
+///
+/// Gates: neither run reads a byte wrong; the unlimited run leaves
+/// tiering disabled and migrates nothing; the budgeted run evicts and
+/// completes as many ops as the unlimited one.
+pub fn mempressure(full: bool) -> Vec<Row> {
     let (working_set, ops) = if full {
         (1u64 << 20, 4_000u64)
     } else {
         (256u64 << 10, 800u64)
     };
-    let unlimited = run_case("unlimited", working_set, 0, ops);
-    let budgeted = run_case("budget-50%", working_set, working_set / 2, ops);
-    let rows = [&unlimited, &budgeted]
-        .iter()
-        .map(|c| {
-            Row::new(c.label.clone())
-                .cell("mean_us", c.mean_us)
-                .cell("ops", c.ops_done as f64)
-                .cell("verify_fail", c.verify_failures as f64)
-                .cell("evictions", c.evictions() as f64)
-                .cell("fetch_backs", c.fetch_backs() as f64)
-                .cell(
-                    "redirects",
-                    c.mm.iter().map(|m| m.redirects).sum::<u64>() as f64,
-                )
-        })
-        .collect();
-    MemPressureReport {
-        rows,
-        working_set,
-        unlimited,
-        budgeted,
-    }
+    let (unlimited, tiering_on) = run_case("unlimited", working_set, 0, ops);
+    let (budgeted, _) = run_case("budget-50%", working_set, working_set / 2, ops);
+    let u = |c: &str| unlimited.get(c).unwrap();
+    let b = |c: &str| budgeted.get(c).unwrap();
+    assert_eq!(u("verify_fail"), 0.0, "corruption with tiering OFF");
+    assert_eq!(
+        u("evictions") + u("fetch_backs"),
+        0.0,
+        "unlimited budget must never migrate (ablation)"
+    );
+    assert!(!tiering_on, "budget 0 must leave tiering disabled");
+    assert_eq!(b("verify_fail"), 0.0, "corruption under eviction");
+    assert!(b("evictions") > 0.0, "budgeted run never evicted");
+    assert_eq!(b("ops"), u("ops"), "budgeted run lost forward progress");
+    vec![unlimited, budgeted]
 }

@@ -3,6 +3,7 @@
 pub mod ablation;
 pub mod apps;
 pub mod chaos;
+pub mod kvbench;
 pub mod latency;
 pub mod mempressure;
 pub mod micro;
@@ -10,3 +11,4 @@ pub mod regcost;
 pub mod rpc;
 pub mod scale;
 pub mod scale_qos;
+pub mod txnbench;

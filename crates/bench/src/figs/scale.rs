@@ -25,86 +25,17 @@ use crate::table::Row;
 const US: f64 = 1_000.0;
 const MS: f64 = 1_000_000.0;
 
-/// One boot-sweep measurement.
-pub struct BootPoint {
-    /// Cluster size.
-    pub nodes: usize,
-    /// Total host-wall boot time (all joins), milliseconds.
-    pub boot_ms: f64,
-    /// Host-wall boot time per node, microseconds — the linearity check.
-    pub boot_per_node_us: f64,
-    /// Live QPs on the whole fabric right after boot (must be 0: the
-    /// mesh is lazy).
-    pub qps_after_boot: usize,
-}
-
-/// One context-sweep measurement.
-pub struct ContextPoint {
-    /// Cluster size the contexts run against.
-    pub nodes: usize,
-    /// Client contexts attached (spread round-robin over nodes).
-    pub contexts: usize,
-    /// Data ops completed (writes + reads, all contexts).
-    pub ops: u64,
-    /// Host-clock throughput, thousand ops per second.
-    pub tput_kops: f64,
-    /// Worst per-node write-class p99 (sim clock), microseconds.
-    pub p99_write_us: f64,
-    /// Pair connects performed lazily, summed over nodes.
-    pub lazy_connects: u64,
-    /// Host-wall nanoseconds spent wiring pairs, summed over nodes.
-    pub mesh_ms: f64,
-}
-
-/// The sweep outcome: table rows plus the raw points for JSON export.
-pub struct ScaleReport {
-    /// Boot-sweep rows (one per cluster size).
-    pub boot_rows: Vec<Row>,
-    /// Context-sweep rows (one per context count).
-    pub ctx_rows: Vec<Row>,
-    pub boot_points: Vec<BootPoint>,
-    pub ctx_points: Vec<ContextPoint>,
-}
-
-impl ScaleReport {
-    /// Both sweeps as one JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"boot\":[");
-        for (i, p) in self.boot_points.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"nodes\":{},\"boot_ms\":{:.3},\"boot_per_node_us\":{:.3},\"qps_after_boot\":{}}}",
-                p.nodes, p.boot_ms, p.boot_per_node_us, p.qps_after_boot
-            ));
-        }
-        s.push_str("],\"contexts\":[");
-        for (i, p) in self.ctx_points.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"nodes\":{},\"contexts\":{},\"ops\":{},\"tput_kops\":{:.1},\"p99_write_us\":{:.3},\"lazy_connects\":{},\"mesh_ms\":{:.3}}}",
-                p.nodes, p.contexts, p.ops, p.tput_kops, p.p99_write_us,
-                p.lazy_connects, p.mesh_ms
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
-fn boot_point(nodes: usize) -> BootPoint {
+/// One boot-sweep row: host-wall boot time in all and per node, and
+/// the live QPs on the whole fabric right after boot (0: the mesh is
+/// lazy).
+fn boot_row(nodes: usize) -> Row {
     let cluster = LiteCluster::start(nodes).unwrap();
     let boot_ns = cluster.directory().boot_host_ns();
-    let qps_after_boot = (0..nodes).map(|n| cluster.kernel(n).stats().qps).sum();
-    BootPoint {
-        nodes,
-        boot_ms: boot_ns as f64 / MS,
-        boot_per_node_us: boot_ns as f64 / nodes as f64 / US,
-        qps_after_boot,
-    }
+    let qps_after_boot: usize = (0..nodes).map(|n| cluster.kernel(n).stats().qps).sum();
+    Row::new(format!("{nodes} nodes"))
+        .cell("boot_ms", boot_ns as f64 / MS)
+        .cell("per_node_us", boot_ns as f64 / nodes as f64 / US)
+        .cell("qps_after_boot", qps_after_boot as f64)
 }
 
 /// Runs `contexts` client contexts against an `nodes`-node cluster.
@@ -113,7 +44,7 @@ fn boot_point(nodes: usize) -> BootPoint {
 /// Contexts live on a bounded worker pool but every handle stays alive
 /// until the sweep point ends, so table occupancy really reaches
 /// `contexts` entries.
-fn context_point(nodes: usize, contexts: usize, ops_per_ctx: usize) -> ContextPoint {
+fn context_row(nodes: usize, contexts: usize, ops_per_ctx: usize) -> Row {
     let cluster = LiteCluster::start(nodes).unwrap();
     let workers = 16.min(contexts);
     let start = std::time::Instant::now();
@@ -166,58 +97,53 @@ fn context_point(nodes: usize, contexts: usize, ops_per_ctx: usize) -> ContextPo
         lazy_connects += report.kernel.lazy_connects;
         mesh_ns += report.kernel.mesh_ns;
     }
-    ContextPoint {
-        nodes,
-        contexts,
-        ops,
-        tput_kops: ops as f64 / host_s / 1_000.0,
-        p99_write_us: p99 as f64 / US,
-        lazy_connects,
-        mesh_ms: mesh_ns as f64 / MS,
-    }
+    Row::new(format!("{nodes}x{contexts}"))
+        .cell("ops", ops as f64)
+        .cell("tput_kops", ops as f64 / host_s / 1_000.0)
+        .cell("p99_write_us", p99 as f64 / US)
+        .cell("lazy_connects", lazy_connects as f64)
+        .cell("mesh_ms", mesh_ns as f64 / MS)
 }
 
-/// The full sweep. Quick mode keeps CI fast; `--full` runs the paper
-/// claim at scale: boot out to 512 nodes, contexts out to 10⁴ against a
-/// 256-node cluster.
-pub fn scale(full: bool) -> ScaleReport {
-    let (boot_sizes, ctx_nodes, ctx_counts, ops_per_ctx): (&[usize], usize, &[usize], usize) =
-        if full {
-            (&[16, 64, 256, 512], 256, &[100, 1_000, 4_096, 10_000], 4)
-        } else {
-            (&[8, 16, 32], 8, &[16, 100, 256], 2)
-        };
-
-    let boot_points: Vec<BootPoint> = boot_sizes.iter().map(|&n| boot_point(n)).collect();
-    let ctx_points: Vec<ContextPoint> = ctx_counts
-        .iter()
-        .map(|&c| context_point(ctx_nodes, c, ops_per_ctx))
-        .collect();
-
-    let boot_rows = boot_points
-        .iter()
-        .map(|p| {
-            Row::new(format!("{} nodes", p.nodes))
-                .cell("boot_ms", p.boot_ms)
-                .cell("per_node_us", p.boot_per_node_us)
-                .cell("qps_after_boot", p.qps_after_boot as f64)
-        })
-        .collect();
-    let ctx_rows = ctx_points
-        .iter()
-        .map(|p| {
-            Row::new(format!("{}x{}", p.nodes, p.contexts))
-                .cell("ops", p.ops as f64)
-                .cell("tput_kops", p.tput_kops)
-                .cell("p99_write_us", p.p99_write_us)
-                .cell("lazy_connects", p.lazy_connects as f64)
-                .cell("mesh_ms", p.mesh_ms)
-        })
-        .collect();
-    ScaleReport {
-        boot_rows,
-        ctx_rows,
-        boot_points,
-        ctx_points,
+/// The boot sweep, out to 512 nodes with `full`. Gates: no node wires a
+/// data QP at boot, and the per-node boot cost of the largest cluster is
+/// under 8x the smallest's (generous slack for host noise; the old eager
+/// bring-up grew linearly per node). The last row is that ratio.
+pub fn scale_boot(full: bool) -> Vec<Row> {
+    let sizes: &[usize] = if full {
+        &[16, 64, 256, 512]
+    } else {
+        &[8, 16, 32]
+    };
+    let mut rows: Vec<Row> = sizes.iter().map(|&n| boot_row(n)).collect();
+    for r in &rows {
+        assert_eq!(
+            r.get("qps_after_boot"),
+            Some(0.0),
+            "{}: boot must not wire data QPs (lazy mesh)",
+            r.label
+        );
     }
+    let per_node = |r: &Row| r.get("per_node_us").unwrap();
+    let ratio = per_node(&rows[rows.len() - 1]) / per_node(&rows[0]).max(1e-9);
+    assert!(
+        ratio < 8.0,
+        "per-node boot cost grew superlinearly (x{ratio:.2})"
+    );
+    rows.push(Row::new("last/first").cell("per_node_us", ratio));
+    rows
+}
+
+/// The context sweep: contexts out to 10⁴ against a 256-node cluster
+/// with `full`.
+pub fn scale_contexts(full: bool) -> Vec<Row> {
+    let (nodes, counts, ops_per_ctx): (usize, &[usize], usize) = if full {
+        (256, &[100, 1_000, 4_096, 10_000], 4)
+    } else {
+        (8, &[16, 100, 256], 2)
+    };
+    counts
+        .iter()
+        .map(|&c| context_row(nodes, c, ops_per_ctx))
+        .collect()
 }

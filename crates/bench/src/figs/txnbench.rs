@@ -11,17 +11,15 @@
 //! should win; the write-heavy mix pays for
 //! optimism with validation aborts (counted from the `lt_stats` txn
 //! gauges) and is reported honestly.
-//!
-//! Usage: `txnbench [--full] [--json]` — `--json` prints one JSON
-//! document (the CI artifact), otherwise aligned tables.
 
 use std::sync::Arc;
 
-use bench::{print_table, Row};
 use lite::{LiteCluster, LiteHandle, LockId, Perm, QosMode};
 use lite_txn::{TableSpec, TxnError, TxnTable};
 use rnic::COST;
 use simnet::Ctx;
+
+use crate::table::Row;
 
 const RECORDS: u64 = 64;
 const NODES: usize = 3;
@@ -258,9 +256,10 @@ fn run_lock_rpc(mode: QosMode, read_pct: u64, ops: usize) -> RunResult {
     }
 }
 
-fn main() {
-    let full = bench::full_mode();
-    let json = std::env::args().any(|a| a == "--json");
+/// Both mixes under every QoS mode, then the read-heavy mix's geomean
+/// OCC speedup over QoS modes as the last row. Gate: that geomean is
+/// above 1 (OCC wins the read-heavy mix).
+pub fn txnbench(full: bool) -> Vec<Row> {
     let ops = if full { 4_000 } else { 800 };
 
     let mixes: &[(&str, u64)] = &[("read_heavy", 80), ("write_heavy", 50)];
@@ -271,45 +270,24 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut entries = Vec::new();
     for &(mix_name, read_pct) in mixes {
         for &(mode_name, mode) in modes {
             let occ = run_occ(mode, read_pct, ops);
             let lock = run_lock_rpc(mode, read_pct, ops);
-            let speedup = occ.tps() / lock.tps();
             rows.push(
                 Row::new(format!("{mix_name}/{mode_name}"))
                     .cell("occ_ktps", occ.tps() / 1e3)
                     .cell("lock_ktps", lock.tps() / 1e3)
-                    .cell("occ_speedup", speedup)
+                    .cell("occ_speedup", occ.tps() / lock.tps())
                     .cell("occ_aborts", occ.aborts as f64)
                     .cell("home_engine_busy", occ.home_engine_busy)
                     .cell("of_it_atomics", occ.home_atomic_share)
                     .cell("claims_kept", occ.claims_kept as f64)
                     .cell("claims_cas", occ.claims_cas as f64),
             );
-            entries.push(format!(
-                "{{\"mix\":\"{mix_name}\",\"qos\":\"{mode_name}\",\
-                 \"occ_tps\":{:.0},\"lock_rpc_tps\":{:.0},\"occ_speedup\":{:.3},\
-                 \"occ_txns\":{},\"occ_aborts\":{},\"lock_txns\":{},\
-                 \"occ_home_engine_busy\":{:.3},\"occ_home_atomic_share\":{:.3},\
-                 \"occ_claims_kept\":{},\"occ_claims_cas\":{}}}",
-                occ.tps(),
-                lock.tps(),
-                speedup,
-                occ.txns,
-                occ.aborts,
-                lock.txns,
-                occ.home_engine_busy,
-                occ.home_atomic_share,
-                occ.claims_kept,
-                occ.claims_cas,
-            ));
         }
     }
 
-    // The headline claim: OCC wins the read-heavy mix (geomean over
-    // QoS modes).
     let read_heavy_speedup: f64 = rows
         .iter()
         .filter(|r| r.label.starts_with("read_heavy"))
@@ -317,21 +295,10 @@ fn main() {
         .sum::<f64>()
         .exp()
         .powf(1.0 / modes.len() as f64);
-
-    if json {
-        println!(
-            "{{\"bench\":\"txnbench\",\"ops_per_thread\":{ops},\"threads\":{THREADS},\
-             \"records\":{RECORDS},\"zipf_theta\":{ZIPF_THETA},\
-             \"read_heavy_occ_speedup\":{read_heavy_speedup:.3},\"runs\":[{}]}}",
-            entries.join(",")
-        );
-    } else {
-        print_table("txnbench: OCC vs lock+RPC", "mix/qos", &rows);
-        println!("\nread-heavy OCC speedup (geomean): {read_heavy_speedup:.2}x");
-    }
-
-    if read_heavy_speedup <= 1.0 {
-        eprintln!("txnbench: OCC failed to beat lock+RPC on the read-heavy mix");
-        std::process::exit(1);
-    }
+    assert!(
+        read_heavy_speedup > 1.0,
+        "OCC failed to beat lock+RPC on the read-heavy mix (geomean {read_heavy_speedup:.3}x)"
+    );
+    rows.push(Row::new("read_heavy/geomean").cell("occ_speedup", read_heavy_speedup));
+    rows
 }

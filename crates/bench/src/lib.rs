@@ -1,13 +1,18 @@
 //! Benchmark harnesses reproducing every table and figure of the LITE
-//! paper's evaluation.
+//! paper's evaluation, and the reports that gate this reproduction's own
+//! additions (scale-out, registration cost, memory tiering, kernel
+//! observability, chaos, the KV SLO and transaction benchmarks).
 //!
-//! Each `figs::figNN` module regenerates one figure: it builds the
-//! workload the paper describes, runs it over the simulated substrate,
-//! and returns the same rows/series the paper plots. The `reproduce`
-//! binary runs everything in [`FIGURES`] and prints a report, or only
-//! the figures named on its command line (`reproduce fig04 fig06`).
-//! Pass `--full` for paper-scale parameters (default is a quick mode
-//! suitable for CI).
+//! Each entry of [`FIGURES`] regenerates one table: it builds the
+//! workload, runs it over the simulated substrate, and returns the rows
+//! the paper plots. A claim a table is there to show is an assertion in
+//! its `run` function, so a figure that no longer shows it panics. The
+//! `reproduce` binary is the one harness: it runs every entry, or those
+//! named on its command line (`reproduce fig04 fig06`; `scale` names
+//! both `scale_*` entries), and prints each table with [`print_table`].
+//! `--full` asks for paper-scale parameters (the default is a quick mode
+//! suitable for CI), and `--json <path>` also writes every printed table
+//! to `path` with [`table::to_json`].
 //!
 //! Absolute numbers come from a calibrated cost model (see
 //! [`rnic::COST`] and DESIGN.md §2); the claims under test are the
@@ -35,11 +40,6 @@ pub use drive::drive;
 pub use env::{LiteEnv, VerbsEnv};
 pub use table::{print_table, Row};
 
-/// Quick-vs-full switch parsed from CLI args.
-pub fn full_mode() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
 /// One entry of the report: what `reproduce <name>` runs and how its
 /// table is headed.
 pub struct Figure {
@@ -49,8 +49,20 @@ pub struct Figure {
     pub title: &'static str,
     /// Label of the row-key column.
     pub xlabel: &'static str,
-    /// The harness; `true` asks for paper-scale parameters.
+    /// The harness; `true` asks for paper-scale parameters. It panics
+    /// when a claim its table is there to show does not hold.
     pub run: fn(bool) -> Vec<Row>,
+}
+
+impl Figure {
+    /// Whether `reproduce <arg>` runs this entry: `arg` is its name, or
+    /// its name starts with `arg` and an `_` (`scale` runs `scale_boot`
+    /// and `scale_contexts`, `ablation` every ablation).
+    pub fn selected_by(&self, arg: &str) -> bool {
+        self.name
+            .strip_prefix(arg)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('_'))
+    }
 }
 
 /// Every figure and table of the report, in print order.
@@ -192,5 +204,53 @@ pub const FIGURES: &[Figure] = &[
         title: "Ablation: doorbell-batched posting",
         xlabel: "posting",
         run: figs::ablation::ablation_batch_posting,
+    },
+    Figure {
+        name: "scale_boot",
+        title: "Scale-out: boot cost vs cluster size (lazy mesh)",
+        xlabel: "cluster",
+        run: figs::scale::scale_boot,
+    },
+    Figure {
+        name: "scale_contexts",
+        title: "Scale-out: client contexts vs throughput and write p99",
+        xlabel: "nodes x contexts",
+        run: figs::scale::scale_contexts,
+    },
+    Figure {
+        name: "regcost",
+        title: "Registration cost: eager (pin-at-register) vs lazy (pin-free)",
+        xlabel: "LMR size",
+        run: figs::regcost::regcost,
+    },
+    Figure {
+        name: "mempressure",
+        title: "Memory tiering under pressure (budget = 50% of working set)",
+        xlabel: "case",
+        run: figs::mempressure::mempressure,
+    },
+    Figure {
+        name: "latency",
+        title: "Kernel observability: per-class op latency (lt_stats)",
+        xlabel: "class.prio",
+        run: figs::latency::latency,
+    },
+    Figure {
+        name: "chaos",
+        title: "Chaos: recovery layer under seeded fault plans",
+        xlabel: "scenario",
+        run: figs::chaos::chaos,
+    },
+    Figure {
+        name: "kvbench",
+        title: "kvbench: open-loop SLO report",
+        xlabel: "qos/rate",
+        run: figs::kvbench::kvbench,
+    },
+    Figure {
+        name: "txnbench",
+        title: "txnbench: OCC vs lock+RPC",
+        xlabel: "mix/qos",
+        run: figs::txnbench::txnbench,
     },
 ];

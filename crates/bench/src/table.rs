@@ -1,4 +1,4 @@
-//! Minimal tabular report printing.
+//! Minimal tabular report printing, and the same tables as JSON.
 
 /// One output row: a label plus (column, value) pairs.
 #[derive(Debug, Clone)]
@@ -63,6 +63,60 @@ pub fn print_table(title: &str, xlabel: &str, rows: &[Row]) {
     }
 }
 
+/// Renders printed tables as one JSON array, one object a table and
+/// a line each: `{"title", "xlabel", "rows": [{"label", "cells":
+/// {name: value, ...}}, ...]}`, cells in display order. A value that is
+/// not finite is `null`, which is what JSON has for it.
+pub fn to_json(tables: &[(&str, &str, Vec<Row>)]) -> String {
+    let mut s = String::from("[");
+    for (t, (title, xlabel, rows)) in tables.iter().enumerate() {
+        if t > 0 {
+            s.push(',');
+        }
+        s.push_str(&format!(
+            "\n{{\"title\":{},\"xlabel\":{},\"rows\":[",
+            quoted(title),
+            quoted(xlabel)
+        ));
+        for (r, row) in rows.iter().enumerate() {
+            if r > 0 {
+                s.push(',');
+            }
+            s.push_str(&format!("{{\"label\":{},\"cells\":{{", quoted(&row.label)));
+            for (c, (name, v)) in row.cells.iter().enumerate() {
+                if c > 0 {
+                    s.push(',');
+                }
+                s.push_str(&quoted(name));
+                if v.is_finite() {
+                    s.push_str(&format!(":{v}"));
+                } else {
+                    s.push_str(":null");
+                }
+            }
+            s.push_str("}}");
+        }
+        s.push_str("]}");
+    }
+    s.push_str("\n]\n");
+    s
+}
+
+/// `text` as a JSON string literal.
+fn quoted(text: &str) -> String {
+    let mut s = String::from("\"");
+    for ch in text.chars() {
+        match ch {
+            '"' => s.push_str("\\\""),
+            '\\' => s.push_str("\\\\"),
+            c if c.is_control() => s.push_str(&format!("\\u{:04x}", c as u32)),
+            c => s.push(c),
+        }
+    }
+    s.push('"');
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,6 +126,13 @@ mod tests {
         let r = Row::new("64").cell("lite", 1.5).cell("verbs", 1.4);
         assert_eq!(r.get("lite"), Some(1.5));
         assert_eq!(r.get("nope"), None);
-        print_table("t", "size", &[r]);
+        print_table("t", "size", std::slice::from_ref(&r));
+        let nan = Row::new("a \"b\"").cell("x", f64::NAN);
+        assert_eq!(
+            to_json(&[("t", "size", vec![r, nan])]),
+            "[\n{\"title\":\"t\",\"xlabel\":\"size\",\"rows\":[\
+             {\"label\":\"64\",\"cells\":{\"lite\":1.5,\"verbs\":1.4}},\
+             {\"label\":\"a \\\"b\\\"\",\"cells\":{\"x\":null}}]}\n]\n"
+        );
     }
 }

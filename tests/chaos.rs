@@ -232,6 +232,22 @@ fn mixed_sync_workload_linearizable_across_seeds() {
         };
         run_mixed(seed, w)
     });
+    // Each failing history goes to `verify-failures/seed-<seed>.json`
+    // first, for offline replay with `History::check`.
+    for r in report
+        .reports
+        .iter()
+        .filter(|r| !r.outcome.is_linearizable())
+    {
+        let dir = std::path::Path::new("verify-failures");
+        let path = dir.join(format!("seed-{}.json", r.seed));
+        let written =
+            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, r.history.to_json()));
+        match written {
+            Ok(()) => eprintln!("seed {}: history in {}", r.seed, path.display()),
+            Err(e) => eprintln!("seed {}: cannot write {}: {e}", r.seed, path.display()),
+        }
+    }
     assert!(
         report.run_errors.is_empty(),
         "workload runs failed: {:?}",
