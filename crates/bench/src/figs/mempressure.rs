@@ -34,6 +34,14 @@ fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> (Row, bool)
     let lh = h
         .lt_malloc(&mut ctx, 0, working_set, "mempressure", Perm::RW)
         .unwrap();
+    let io = 4096usize;
+    // Every byte is written (and shadowed) before the sweeper's work is
+    // waited for, so what it evicts is live data.
+    let mut shadow: Vec<u8> = (0..working_set).map(|j| (j % 251) as u8).collect();
+    for (i, block) in shadow.chunks(io).enumerate() {
+        h.lt_write(&mut ctx, lh, (i * io) as u64, block)
+            .expect("filling the working set");
+    }
     // The sweeper is a host thread that evicts down to the budget every
     // millisecond. Under a budget the ops start once it has got there (or
     // a second has passed): a fast run could otherwise end before it had
@@ -46,12 +54,10 @@ fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> (Row, bool)
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    let mut shadow = vec![0u8; working_set as usize];
     let mut rng = rand::rngs::SmallRng::seed_from_u64(4242);
     let mut s = Summary::new();
     let mut done = 0u64;
     let mut failures = 0u64;
-    let io = 4096usize;
     for i in 0..ops {
         let off = (rng.gen_range(0..working_set - io as u64) / 64) * 64;
         let t0 = ctx.now();
