@@ -39,7 +39,6 @@ proptest! {
                 prop_assert_eq!(&buf[..], &shadow[addr as usize..addr as usize + data.len()]);
             }
         }
-        dsm.shutdown();
     }
 
     /// Readers on other nodes always observe a prefix-consistent value:
@@ -63,7 +62,6 @@ proptest! {
             r.read(&mut rctx, page, &mut buf).unwrap();
             prop_assert_eq!(buf, val, "reader missed a released write");
         }
-        dsm.shutdown();
     }
 }
 
@@ -105,7 +103,6 @@ fn concurrent_random_cells_lose_nothing() {
         total += u64::from_le_bytes(b);
     }
     assert_eq!(total as usize, 3 * per_node);
-    dsm.shutdown();
 }
 
 /// §8.4's one-sided read property: moving N pages of data involves the
@@ -137,7 +134,6 @@ fn reads_move_data_one_sidedly() {
         rpcs <= 8,
         "home CPU touched {rpcs} times for 4 faulted pages"
     );
-    dsm.shutdown();
 }
 
 /// The MRSW protocol on a memory-tiered cluster: the per-node budget
@@ -200,5 +196,4 @@ fn concurrent_cells_lose_nothing_under_memory_budget() {
     );
     let evictions: u64 = (0..3).map(|n| cluster.kernel(n).mm_stats().evictions).sum();
     assert!(evictions > 0, "budget never forced eviction");
-    dsm.shutdown();
 }

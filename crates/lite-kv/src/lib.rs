@@ -40,8 +40,8 @@
 //! (coordinated-omission-free) arrival schedule over millions of
 //! simulated users with zipfian popularity, a configurable read/write
 //! mix, and bursty on/off arrival — precomputed from a seed so the
-//! schedule is independent of service time by construction. The
-//! `kvbench` bin in `crates/bench` drives it and emits an SLO report.
+//! schedule is independent of service time by construction.
+//! `reproduce kvbench` (`crates/bench`) drives it and emits an SLO report.
 //!
 //! See DESIGN.md §15 for the replication protocol and its guarantees.
 

@@ -727,7 +727,7 @@ impl MemManager {
             resident_chunks,
             evicted_chunks,
             evictions: self.evictions.load(Ordering::Relaxed),
-            fetch_backs: self.fetch_backs.load(Ordering::Relaxed),
+            fetch_backs: self.fetch_backs.load(Ordering::Acquire),
             redirects: self.redirects.load(Ordering::Relaxed),
             lru_hits: hits,
             lru_misses: misses,
@@ -949,7 +949,6 @@ impl MemManager {
         st.segs.remove(&seg.key);
         if at == self.node {
             st.evicted_bytes = st.evicted_bytes.saturating_sub(seg.len);
-            self.fetch_backs.fetch_add(1, Ordering::Relaxed);
         } else {
             st.lru.remove(&seg.key);
             st.resident_bytes = st.resident_bytes.saturating_sub(seg.len);
@@ -1334,6 +1333,9 @@ fn migrate_one(
         kernel
             .observe()
             .record_latency(ctx, crate::observe::cell::MM_FETCH_BACK, took);
+        // Counted after its latency: a reader that sees the count sees
+        // the sample.
+        mm.fetch_backs.fetch_add(1, Ordering::Release);
     }
     // Tell every mapper — local handles directly, other nodes by
     // `FN_INVALIDATE` — that the LMR's location changed under them:

@@ -64,5 +64,4 @@ fn main() {
         std::str::from_utf8(&msg).unwrap(),
         ctx.now() - t0
     );
-    dsm.shutdown();
 }

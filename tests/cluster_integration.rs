@@ -303,7 +303,6 @@ fn dsm_and_lite_ops_interleave() {
     let mut buf = [0u8; 8];
     r.read(&mut rctx, 0, &mut buf).unwrap();
     assert_eq!(u64::from_le_bytes(buf), 19);
-    dsm.shutdown();
 }
 
 /// Dropping a cluster frees it: its directory and every node's memory
@@ -366,4 +365,29 @@ fn a_stopped_kv_service_frees_its_cluster() {
             "node {n}'s manager outlived its cluster"
         );
     }
+}
+
+/// The DSM twin of the test above: a DSM dropped without any shutdown
+/// call unbinds its served functions, so nothing it left behind keeps the
+/// cluster alive once the cluster is dropped.
+#[test]
+fn a_dropped_dsm_frees_its_cluster() {
+    let cluster = LiteCluster::start(2).unwrap();
+    {
+        let dsm = lite_dsm::DsmCluster::create(&cluster, 1 << 16).unwrap();
+        let (mut w, mut r) = (dsm.handle(0).unwrap(), dsm.handle(1).unwrap());
+        let (mut wctx, mut rctx) = (Ctx::new(), Ctx::new());
+        let mut buf = [0u8; 8];
+        // Node 1 faults in a page homed on node 0 (a sharer registration),
+        // and node 0's release invalidates it.
+        r.read(&mut rctx, 0, &mut buf).unwrap();
+        w.acquire(&mut wctx, 0, 8).unwrap();
+        w.write(&mut wctx, 0, &7u64.to_le_bytes()).unwrap();
+        w.release(&mut wctx).unwrap();
+        r.read(&mut rctx, 0, &mut buf).unwrap();
+        assert_eq!(u64::from_le_bytes(buf), 7);
+    }
+    let weak = Arc::downgrade(&cluster);
+    drop(cluster);
+    assert!(weak.upgrade().is_none(), "the DSM kept its cluster alive");
 }

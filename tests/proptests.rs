@@ -306,7 +306,6 @@ proptest! {
             sum += u64::from_le_bytes(b);
         }
         prop_assert_eq!(sum as usize, 3 * per_node, "increments lost or duplicated");
-        dsm.shutdown();
     }
 }
 
