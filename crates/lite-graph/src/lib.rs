@@ -17,7 +17,10 @@
 //! * [`backends::DsmBackend`] — LITE-Graph-DSM (§8.4): ranks in
 //!   `lite_dsm` shared memory, paying the extra DSM indirection.
 //!
-//! Every backend computes bit-comparable ranks (asserted in tests).
+//! Every backend computes bit-comparable ranks (asserted in tests). Each
+//! engine node runs on a thread of its own, and the threads take turns
+//! ([`simnet::turn`]): their LITE calls go one at a time, lowest virtual
+//! clock first, whatever order the host runs them in.
 
 pub mod backends;
 pub mod engine;

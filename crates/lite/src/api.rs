@@ -332,7 +332,7 @@ impl LiteHandle {
     ) -> LiteResult<T> {
         // Back outside every `lt_*` call, the thread runs the served calls
         // its deliveries dispatched (DESIGN.md §5.3).
-        serve::in_call(|| {
+        serve::in_call(ctx, |ctx| {
             if self.user_level {
                 ctx.work(SYSCALL_CROSSING_NS);
             }

@@ -182,21 +182,27 @@ thread_local! {
 }
 
 /// Runs `body` as an `lt_*` call of this thread, then — back outside every
-/// such call — the served work it found.
-pub(crate) fn in_call<T>(body: impl FnOnce() -> T) -> T {
+/// such call — the served work it found. The outermost call starts and
+/// ends in the thread's turn, if it takes turns ([`simnet::turn`]).
+pub(crate) fn in_call<T>(ctx: &mut Ctx, body: impl FnOnce(&mut Ctx) -> T) -> T {
     struct Leave;
     impl Drop for Leave {
         fn drop(&mut self) {
             DEPTH.set(DEPTH.get() - 1);
         }
     }
+    let outermost = DEPTH.get() == 0;
+    if outermost {
+        simnet::turn::enter(ctx.now());
+    }
     DEPTH.set(DEPTH.get() + 1);
     let out = {
         let _leave = Leave;
-        body()
+        body(ctx)
     };
-    if DEPTH.get() == 0 {
+    if outermost {
         run_pending();
+        simnet::turn::leave(ctx.now());
     }
     out
 }

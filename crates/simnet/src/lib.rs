@@ -42,6 +42,7 @@ pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod turn;
 pub mod wait;
 
 pub use cpu::CpuMeter;
