@@ -6,9 +6,41 @@
 //! implemented over `std::sync`. Semantics match `parking_lot` for every
 //! call site in this repo: a panicked holder does not poison the lock for
 //! later users.
+//!
+//! In debug builds every acquisition (`lock`, a successful `try_lock`,
+//! `read`, `write`) bumps a per-thread counter that [`acquisitions`]
+//! reads, so a test can pin how many locks a code path takes, the way a
+//! counting allocator pins its allocations. Release builds count nothing.
 
+#[cfg(debug_assertions)]
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+
+// ---------------------------------------------------------------------
+// Acquisition counting (debug builds)
+// ---------------------------------------------------------------------
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static TAKEN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one acquisition on this thread (a no-op in release builds).
+#[inline]
+fn taken() {
+    // `try_with`: a lock taken during thread teardown is not counted.
+    #[cfg(debug_assertions)]
+    let _ = TAKEN.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The locks this thread has acquired so far, every `Mutex` and `RwLock`
+/// of this crate together. Debug builds only: release builds keep no
+/// count.
+#[cfg(debug_assertions)]
+pub fn acquisitions() -> u64 {
+    TAKEN.with(Cell::get)
+}
 
 // ---------------------------------------------------------------------
 // Mutex
@@ -31,16 +63,19 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, ignoring poisoning (parking_lot has none).
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        taken();
         MutexGuard(self.0.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Tries to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(g)),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(e.into_inner())),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.0.try_lock() {
+            Ok(g) => g,
+            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => return None,
+        };
+        taken();
+        Some(MutexGuard(guard))
     }
 }
 
@@ -87,11 +122,13 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        taken();
         RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Acquires exclusive access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        taken();
         RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
     }
 }
@@ -146,5 +183,22 @@ mod tests {
         }
         l.write().push(3);
         assert_eq!(*l.read(), vec![1, 2, 3]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn acquisitions_count_this_threads_locks() {
+        let (m, l) = (Mutex::new(0), RwLock::new(0));
+        let before = acquisitions();
+        drop(m.lock());
+        drop(m.try_lock());
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "a failed try_lock takes nothing");
+        drop(held);
+        drop(l.read());
+        drop(l.write());
+        assert_eq!(acquisitions() - before, 5);
+        let other = std::thread::spawn(acquisitions).join().unwrap();
+        assert_eq!(other, 0, "each thread counts its own");
     }
 }

@@ -63,6 +63,16 @@ struct NodeState {
     sharers: Mutex<HashMap<u32, HashSet<usize>>>,
 }
 
+impl NodeState {
+    /// Drops this node's cached copies of `pages` (what `DSM_INV` does).
+    fn invalidate(&self, pages: impl IntoIterator<Item = u32>) {
+        let mut cache = self.cache.lock();
+        for page in pages {
+            cache.remove(&page);
+        }
+    }
+}
+
 /// Page numbers packed as little-endian `u32`s.
 fn pages_of(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes
@@ -120,10 +130,7 @@ impl RpcHandler for NodeServer {
     fn call(&mut self, _h: &mut LiteHandle, func: u8, input: &[u8], reply: &mut Vec<u8>) {
         match (func, input) {
             (DSM_INV, [OP_INV, pages @ ..]) => {
-                let mut cache = self.state.cache.lock();
-                for page in pages_of(pages) {
-                    cache.remove(&page);
-                }
+                self.state.invalidate(pages_of(pages));
                 reply.push(0);
             }
             // Batched: [OP_REG, sharer, page u32 ...].
@@ -324,34 +331,58 @@ impl DsmHandle {
     /// the home CPU when the pages are cached; misses are fetched in
     /// batched one-sided reads.
     pub fn read(&mut self, ctx: &mut Ctx, addr: u64, buf: &mut [u8]) -> LiteResult<()> {
+        self.read_between(ctx, addr, buf, |_| {})
+    }
+
+    /// [`Self::read`], running `between` on this node's state after each
+    /// fault-in and before the pages are looked up again: where a test
+    /// plays a concurrent release's invalidation.
+    fn read_between(
+        &mut self,
+        ctx: &mut Ctx,
+        addr: u64,
+        buf: &mut [u8],
+        mut between: impl FnMut(&NodeState),
+    ) -> LiteResult<()> {
         self.check_bounds(addr, buf.len())?;
-        // Fault in every uncached page of the range up front.
-        let missing: Vec<u32> = {
-            let cache = self.dsm.states[self.node].cache.lock();
-            Self::page_range(addr, buf.len())
+        // Fault in every uncached page of the range up front, then copy
+        // under one cache guard. A concurrent release's invalidation can
+        // drop a page in between: it is faulted in again.
+        let state = Arc::clone(&self.dsm.states[self.node]);
+        loop {
+            let cache = state.cache.lock();
+            let missing: Vec<u32> = Self::page_range(addr, buf.len())
                 .filter(|p| !self.dirty.contains_key(p) && !cache.contains_key(p))
-                .collect()
-        };
-        self.fault_in_batch(ctx, &missing)?;
+                .collect();
+            if missing.is_empty() {
+                self.copy_out(ctx, &cache, addr, buf);
+                return Ok(());
+            }
+            drop(cache);
+            self.fault_in_batch(ctx, &missing)?;
+            between(&state);
+        }
+    }
+
+    /// Copies `[addr, addr + buf.len())` into `buf` from the dirty copies
+    /// (our own in-flight writes win) and `cache`, which holds every
+    /// other page of the range.
+    fn copy_out(&self, ctx: &mut Ctx, cache: &HashMap<u32, Vec<u8>>, addr: u64, buf: &mut [u8]) {
         let mut pos = 0usize;
         let mut cur = addr;
         while pos < buf.len() {
             let page = (cur / PAGE as u64) as u32;
             let in_page = (cur % PAGE as u64) as usize;
             let n = (PAGE - in_page).min(buf.len() - pos);
-            // Dirty (our own in-flight writes) wins, then cache.
-            if let Some(d) = self.dirty.get(&page) {
-                buf[pos..pos + n].copy_from_slice(&d[in_page..in_page + n]);
-            } else {
-                let cache = self.dsm.states[self.node].cache.lock();
-                let p = cache.get(&page).expect("faulted in above");
-                buf[pos..pos + n].copy_from_slice(&p[in_page..in_page + n]);
-            }
+            let p = match self.dirty.get(&page) {
+                Some(d) => d,
+                None => &cache[&page],
+            };
+            buf[pos..pos + n].copy_from_slice(&p[in_page..in_page + n]);
             ctx.work(HIT_NS);
             pos += n;
             cur += n as u64;
         }
-        Ok(())
     }
 
     /// Acquires the write tokens for every page overlapping
@@ -609,6 +640,32 @@ mod tests {
         assert_eq!(readers[1].cached_pages(), 0, "node 2 kept a stale copy");
         readers[1].read(&mut Ctx::new(), 0, &mut buf).unwrap();
         assert_eq!(buf, [2u8; PAGE]);
+    }
+
+    /// An invalidation that lands after `read` faulted a page in and
+    /// before it copied it out (a concurrent release's) makes the read
+    /// fault the page again, and the read returns the fresh bytes.
+    #[test]
+    fn a_page_invalidated_after_its_fault_is_faulted_again() {
+        let (_c, dsm) = setup(2, 64 * 1024);
+        let mut w = dsm.handle(0).unwrap();
+        let mut ctx = Ctx::new();
+        w.acquire(&mut ctx, 0, 8).unwrap();
+        w.write(&mut ctx, 0, &7u64.to_le_bytes()).unwrap();
+        w.release(&mut ctx).unwrap();
+        let mut r = dsm.handle(1).unwrap();
+        let mut faults = 0;
+        let invalidate_once = |state: &NodeState| {
+            faults += 1;
+            if faults == 1 {
+                state.invalidate([0]);
+            }
+        };
+        let mut buf = [0u8; 8];
+        r.read_between(&mut Ctx::new(), 0, &mut buf, invalidate_once)
+            .unwrap();
+        assert_eq!(u64::from_le_bytes(buf), 7);
+        assert_eq!(r.cached_pages(), 1, "the page was faulted in again");
     }
 
     #[test]

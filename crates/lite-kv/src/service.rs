@@ -162,12 +162,12 @@ pub enum SessionMode {
 // Wire encoding (little-endian throughout).
 // ---------------------------------------------------------------------------
 
-fn enc_put(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut b = Vec::with_capacity(2 + key.len() + value.len());
+/// A put request, encoded into `b` (cleared first; a client reuses one).
+fn enc_put(b: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    b.clear();
     b.extend_from_slice(&(key.len() as u16).to_le_bytes());
     b.extend_from_slice(key);
     b.extend_from_slice(value);
-    b
 }
 
 fn dec_put(req: &[u8]) -> Option<(&[u8], &[u8])> {
@@ -942,6 +942,8 @@ pub struct KvClient {
     /// Replica arenas mapped so far, by node.
     arenas: Vec<(usize, Lh)>,
     stats: KvClientStats,
+    /// The last put's request, kept so a warm put encodes into it.
+    req: Vec<u8>,
 }
 
 impl KvClient {
@@ -971,6 +973,7 @@ impl KvClient {
             locs,
             arenas: Vec::new(),
             stats: KvClientStats::default(),
+            req: Vec::new(),
         })
     }
 
@@ -992,9 +995,10 @@ impl KvClient {
     /// Writes `key = value` through the leader; returns the assigned
     /// sequence number.
     pub fn put(&mut self, ctx: &mut Ctx, key: &[u8], value: &[u8]) -> KvResult<u64> {
+        enc_put(&mut self.req, key, value);
         let rep = self
             .h
-            .lt_rpc(ctx, self.leader, FN_PUT, &enc_put(key, value), REPLY_HEAD)?;
+            .lt_rpc(ctx, self.leader, FN_PUT, &self.req, REPLY_HEAD)?;
         match rep.first() {
             Some(&PUT_OK) if rep.len() == REPLY_HEAD => {
                 let seq = u64::from_le_bytes(rep[1..LOC_AT].try_into().expect("8"));
@@ -1187,6 +1191,12 @@ mod tests {
         h.lt_rpc(&mut Ctx::new(), node, func, input, 64).unwrap()
     }
 
+    fn put_req(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut b = Vec::new();
+        enc_put(&mut b, key, value);
+        b
+    }
+
     #[test]
     fn malformed_requests_get_their_own_status() {
         let cluster = LiteCluster::start(3).unwrap();
@@ -1201,7 +1211,7 @@ mod tests {
             assert_eq!(raw(&mut h, node, FN_GET, &[0; 7]), [BAD_REQUEST]);
         }
         // Well-formed ones still answer as before.
-        let ok = raw(&mut h, 1, FN_PUT, &enc_put(b"k", b"v"));
+        let ok = raw(&mut h, 1, FN_PUT, &put_req(b"k", b"v"));
         assert_eq!((ok[0], ok.len()), (PUT_OK, REPLY_HEAD));
         let hit = raw(&mut h, 1, FN_GET, &enc_get(0, b"k"));
         assert_eq!((hit[0], &hit[REPLY_HEAD..]), (GET_HIT, &b"v"[..]));
@@ -1224,7 +1234,7 @@ mod tests {
         // Two 64 B slots fit 256 B of arena, a third does not.
         c.put(&mut ctx, b"a", &[1; 64]).unwrap();
         c.put(&mut ctx, b"b", &[2; 64]).unwrap();
-        let full = raw(&mut h, 1, FN_PUT, &enc_put(b"c", &[3; 64]));
+        let full = raw(&mut h, 1, FN_PUT, &put_req(b"c", &[3; 64]));
         assert_eq!(full, [PUT_STORE_FULL]);
         assert!(matches!(
             c.put(&mut ctx, b"c", &[3; 64]),
@@ -1234,7 +1244,7 @@ mod tests {
         svc.pause_follower(2);
         let filled = (0..64).find_map(|_| c.put(&mut ctx, b"a", &[4; 64]).err());
         assert!(matches!(filled, Some(KvError::LogFull)), "{filled:?}");
-        let full = raw(&mut h, 1, FN_PUT, &enc_put(b"a", &[5; 64]));
+        let full = raw(&mut h, 1, FN_PUT, &put_req(b"a", &[5; 64]));
         assert_eq!(full, [PUT_LOG_FULL]);
         svc.stop();
     }

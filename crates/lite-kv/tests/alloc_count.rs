@@ -7,13 +7,13 @@
 //!
 //! - `Store::apply` encodes each slot record into a fresh `Vec`
 //!   (`record::live`);
-//! - `KvClient::put` builds `enc_put`'s request `Vec`;
 //! - `lt_rpc`'s completion slot and the reply it hands back
 //!   (`crates/lite/tests/alloc_count.rs` pins those two);
 //! - on the replicator thread, `LiteLog::read_from` returns a `Vec<Txn>`
 //!   of `Vec<Vec<u8>>` per follower catch-up.
 //!
-//! A warm one-sided get allocates only the value it returns.
+//! A put's request is encoded into a buffer the client keeps. A warm
+//! one-sided get allocates only the value it returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,9 +66,9 @@ fn worst_call(calls: u64, mut f: impl FnMut(u64)) -> u64 {
 }
 
 /// Puts that rewrite 16 keys in place, then gets of the same keys,
-/// one-sided from a follower's arena. The worst warm put allocates 4:
-/// `enc_put`'s request, `record::live`'s record, `lt_rpc`'s slot and its
-/// reply (3 when another thread happened to run the leader's handler).
+/// one-sided from a follower's arena. The worst warm put allocates 3:
+/// `record::live`'s record, `lt_rpc`'s slot and its reply (2 when another
+/// thread happened to run the leader's handler).
 /// The worst warm get allocates 1, the value. "Warm" means past the first
 /// lap of the RPC ring and of the log, which the test shrinks to 64 KiB
 /// and 256 KiB: until then a put every few KiB touches a page of
@@ -106,6 +106,6 @@ fn warm_puts_and_gets_allocate_todays_counts() {
     });
     assert_eq!(c.stats().rpc, 0, "a get went by RPC: {:?}", c.stats());
     svc.stop();
-    assert_eq!(put, 4, "{put} allocations in the worst warm put");
+    assert_eq!(put, 3, "{put} allocations in the worst warm put");
     assert_eq!(get, 1, "{get} allocations in the worst warm get");
 }

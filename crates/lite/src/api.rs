@@ -48,8 +48,9 @@ use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::{Completion, Op};
 use crate::kernel::serve;
 use crate::kernel::{
-    CallSlot, Incoming, LiteKernel, ReplyRoute, RpcHandler, RpcServer, FN_MSG, LOCK_ABORT,
-    LOCK_ENQUEUE, LOCK_NO_WAITER, LOCK_RELEASE, MANAGER_NODE, RPC_META_NS, USER_FUNC_MIN,
+    CallSlot, Incoming, LhCache, LiteKernel, QpCache, ReplyRoute, RpcHandler, RpcServer, FN_MSG,
+    LOCK_ABORT, LOCK_ENQUEUE, LOCK_NO_WAITER, LOCK_RELEASE, MANAGER_NODE, RPC_META_NS,
+    USER_FUNC_MIN,
 };
 use crate::lmr::{LhEntry, LmrId, Location, Perm};
 use crate::observe::{EventKind, OpClass, StatsReport};
@@ -196,6 +197,10 @@ pub struct LiteHandle {
     /// a straggler reply landing after a slot timeout scribbles scratch
     /// this handle owns, never allocator memory someone else reused.
     mcast_reply: Scratch,
+    /// This handle's copies of its lh entries and of the QP pools it
+    /// posts on: a warm one-sided call takes neither table's lock.
+    lh_cache: LhCache,
+    qp_cache: QpCache,
 }
 
 const INIT_SCRATCH: usize = 64 * 1024;
@@ -210,6 +215,8 @@ impl LiteHandle {
             staging: NO_SCRATCH,
             reply: NO_SCRATCH,
             mcast_reply: NO_SCRATCH,
+            lh_cache: LhCache::default(),
+            qp_cache: QpCache::default(),
         };
         Self::ensure(&handle.kernel, &mut handle.staging, 1)?;
         Self::ensure(&handle.kernel, &mut handle.reply, 1)?;
@@ -721,12 +728,14 @@ impl LiteHandle {
             pins.clear();
             pieces.clear();
             // Resolve against the entry in place; only the pieces leave.
-            let id = this.kernel.with_lh(this.pid, lh, |entry| {
-                for (offset, len, need) in ranges.clone() {
-                    entry.check_into(offset, len, need, pieces)?;
-                }
-                Ok(entry.id)
-            })?;
+            let id = this
+                .kernel
+                .with_lh_cached(&mut this.lh_cache, this.pid, lh, |entry| {
+                    for (offset, len, need) in ranges.clone() {
+                        entry.check_into(offset, len, need, pieces)?;
+                    }
+                    Ok(entry.id)
+                })?;
             let mut rest = &pieces[..];
             for (offset, len, _) in ranges.clone() {
                 let share = share(&mut rest, len);
@@ -1570,7 +1579,10 @@ impl LiteHandle {
         }
         let mut comps: InlineVec<Completion> =
             pieces.iter().map(|_| Completion::default()).collect();
-        let result = self.kernel.rdma_chain(ctx, self.prio, &posts, &mut comps);
+        let qps = Some(&mut self.qp_cache);
+        let result = self
+            .kernel
+            .rdma_chain(ctx, self.prio, &posts, &mut comps, qps);
         if result.is_ok() {
             // A call that moved bytes reaps one completion. Atomics alone:
             // a lone one was reaped by its post, like the blocking verb it

@@ -60,7 +60,9 @@ pub use stats::KernelStats;
 pub(crate) use msg::{LOCK_ABORT, LOCK_ENQUEUE, LOCK_NO_WAITER, LOCK_RELEASE};
 pub(crate) use rpc::{CallSlot, ReplyRoute};
 
+pub(crate) use datapath::QpCache;
 use datapath::RnicDataPath;
+pub(crate) use msg::LhCache;
 use msg::{BarrierState, LockState, MasterTable};
 use rpc::{Dispatcher, KernelCall};
 use serve::RpcQueue;
@@ -143,6 +145,10 @@ pub struct LiteKernel {
     masters: MasterTable,
     names: ShardedMap<String, u32>,
     lhs: ShardedMap<(u32, u64), crate::lmr::LhEntry>,
+    /// Bumped after every change to an entry already in `lhs`
+    /// (reinstall, remove, invalidation): an [`msg::LhCache`] filled
+    /// at an older value starts over.
+    lh_gen: AtomicU64,
     /// What services layered above the kernel hold once per node, by type
     /// and service name ([`LiteKernel::service_state`]).
     service_states: ShardedMap<(TypeId, String), Arc<dyn Any + Send + Sync>>,
@@ -243,6 +249,7 @@ impl LiteKernel {
             masters: MasterTable::new(shards),
             names: ShardedMap::new(shards),
             lhs: ShardedMap::new(shards),
+            lh_gen: AtomicU64::new(0),
             service_states: ShardedMap::new(shards),
             next_pid: AtomicU32::new(1),
             next_lh: AtomicU64::new(1),

@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use rnic::{NodeId, COST};
-use simnet::Ctx;
+use simnet::{Ctx, KeyMap};
 use smem::Chunk;
 
 use super::datapath::Op;
@@ -121,6 +121,17 @@ fn byte_to_perm(b: u8) -> Perm {
     }
 }
 
+/// A handle's own copies of the lh entries it uses, so a warm one-sided
+/// call reads its entry without the table's shard lock
+/// ([`LiteKernel::with_lh_cached`]). Good while the kernel's lh
+/// generation reads what it read when the copies were taken: every change
+/// to an existing entry bumps it. A new lh changes no entry anyone holds.
+#[derive(Default)]
+pub(crate) struct LhCache {
+    gen: u64,
+    entries: KeyMap<u64, LhEntry>,
+}
+
 impl LiteKernel {
     // ------------------------------------------------------------------
     // lh table
@@ -152,12 +163,46 @@ impl LiteKernel {
         })
     }
 
+    /// [`Self::with_lh`] for a warm call: `f` runs on the handle's own
+    /// copy of the entry, with no shard lock, unless some entry changed
+    /// since `cache` was filled; then the cache starts over from the
+    /// table, one entry at a time.
+    pub(crate) fn with_lh_cached<T>(
+        &self,
+        cache: &mut LhCache,
+        pid: u32,
+        lh: u64,
+        f: impl FnOnce(&LhEntry) -> LiteResult<T>,
+    ) -> LiteResult<T> {
+        // Read before the table: a change after this load bumps the
+        // generation past it, so a copy taken below is never kept
+        // beyond the change.
+        let gen = self.lh_gen.load(Ordering::Acquire);
+        if cache.gen != gen {
+            cache.entries.clear();
+            cache.gen = gen;
+        }
+        if let Some(entry) = cache.entries.get(&lh) {
+            return f(entry);
+        }
+        let entry = self.lhs.get(&(pid, lh)).ok_or(LiteError::BadLh { lh })?;
+        f(cache.entries.entry(lh).or_insert(entry))
+    }
+
+    /// Marks every [`LhCache`] out of date, after an entry changed.
+    fn lh_changed(&self) {
+        self.lh_gen.fetch_add(1, Ordering::AcqRel);
+    }
+
     pub(crate) fn reinstall_lh(&self, pid: u32, lh: u64, entry: LhEntry) {
         self.lhs.insert((pid, lh), entry);
+        self.lh_changed();
     }
 
     pub(crate) fn remove_lh(&self, pid: u32, lh: u64) -> LiteResult<LhEntry> {
-        self.lhs.remove(&(pid, lh)).ok_or(LiteError::BadLh { lh })
+        let entry = self.lhs.remove(&(pid, lh)).ok_or(LiteError::BadLh { lh });
+        self.lh_changed();
+        entry
     }
 
     /// Marks every local handle on `id` dead (`stale`: the LMR was freed
@@ -177,6 +222,7 @@ impl LiteKernel {
                 }
             }
         });
+        self.lh_changed();
     }
 
     // ------------------------------------------------------------------

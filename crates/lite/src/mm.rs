@@ -699,6 +699,14 @@ impl MemManager {
         self.migrated.park_until(ended, deadline);
     }
 
+    /// Parks until this node has evicted a chunk or `deadline` passes;
+    /// whether it has. For a caller that needs tiering to have engaged
+    /// under its traffic.
+    pub fn wait_for_eviction(&self, deadline: Deadline) -> bool {
+        let evicted = || self.evictions.load(Ordering::Relaxed) > 0;
+        self.migrated.park_until(evicted, deadline)
+    }
+
     /// Memory-tiering gauges (folded into [`crate::StatsReport`]). The
     /// two latency summaries are empty here: they live in the ledgers of
     /// the contexts that took them, and [`LiteKernel::mm_stats`] folds

@@ -19,8 +19,10 @@
 //!   layer above avoids all three by registering a single *physical*
 //!   global MR ([`Nic::register_phys_mr`]).
 //! * **Queueing** — per-NIC request engines and link resources
-//!   ([`simnet::Resource`]) through which every operation passes, so
+//!   ([`simnet::Fluid`] servers) through which every operation passes, so
 //!   throughput saturation and multi-thread contention emerge naturally.
+//!   They sit with the SRAM model, the MR and QP tables and the atomic
+//!   memo under the NIC's one lock, which a post takes once per NIC.
 //! * **One cost model** — every NIC and link charges the constants of
 //!   [`COST`], calibrated against the paper's testbed; no fabric, NIC or
 //!   caller picks other numbers.

@@ -1,8 +1,9 @@
 //! `Nic::stats` against posts and registration churn. A post locks the
-//! SRAM of both its NICs and reads each MR registry inside; registration
-//! and deregistration write a registry; `stats` reads both kinds of
-//! state. Whatever the interleaving, every one of them must keep making
-//! progress — a lock-order cycle shows up here as a stuck thread.
+//! state of both its NICs (SRAM, engine, links, MR table) in node order;
+//! registration and deregistration lock one NIC's state to change its MR
+//! table; `stats` reads it. Whatever the interleaving, every one of them
+//! must keep making progress — a lock-order cycle shows up here as a
+//! stuck thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;

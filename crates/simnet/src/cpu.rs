@@ -31,6 +31,14 @@ impl CpuMeter {
         self.busy.fetch_add(cost, Ordering::Relaxed);
     }
 
+    /// [`Self::charge`] for the meter's only holder: a load and a store,
+    /// no read-modify-write ([`crate::Ctx::work`] decides when).
+    #[inline]
+    pub(crate) fn charge_unshared(&self, cost: Nanos) {
+        let busy = self.busy.load(Ordering::Relaxed);
+        self.busy.store(busy + cost, Ordering::Relaxed);
+    }
+
     /// Total CPU time charged.
     pub fn total(&self) -> Nanos {
         self.busy.load(Ordering::Relaxed)

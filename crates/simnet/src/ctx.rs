@@ -7,6 +7,7 @@
 //! peer). The distinction feeds the paper's CPU-utilization comparisons
 //! (Figure 13). A context also owns the gauges it records ([`Ctx::ledger`]).
 
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 use crate::cpu::CpuMeter;
@@ -70,7 +71,24 @@ impl Ctx {
     #[inline]
     pub fn work(&mut self, cost: Nanos) {
         self.clock.advance(cost);
-        self.cpu.charge(cost);
+        self.charge(cost);
+    }
+
+    /// Charges `cost` to this context's meter. A meter no other handle
+    /// reaches (one strong count, no weak one) takes a load and a store
+    /// instead of an atomic add: nothing can clone or downgrade it while
+    /// this context is borrowed mutably, and the acquire fence orders the
+    /// load after every charge made through a handle since dropped (each
+    /// drop is a release decrement of the count read above). A shared
+    /// meter takes the atomic add.
+    #[inline]
+    fn charge(&mut self, cost: Nanos) {
+        if Arc::strong_count(&self.cpu) == 1 && Arc::weak_count(&self.cpu) == 0 {
+            fence(Ordering::Acquire);
+            self.cpu.charge_unshared(cost);
+        } else {
+            self.cpu.charge(cost);
+        }
     }
 
     /// Blocked waiting (NIC, network, remote peer): advances the clock
@@ -86,7 +104,7 @@ impl Ctx {
     pub fn spin_until(&mut self, stamp: Nanos) {
         let now = self.now();
         if stamp > now {
-            self.cpu.charge(stamp - now);
+            self.charge(stamp - now);
             self.clock.join(stamp);
         }
     }
@@ -116,5 +134,20 @@ mod tests {
         c.spin_until(100);
         assert_eq!(c.now(), 700);
         assert_eq!(c.cpu.total(), 300);
+    }
+
+    /// A meter the context holds alone and one it shares sum the same:
+    /// charges made while another thread charges it too are atomic, and
+    /// the first charge after that thread's handle dropped sees them all.
+    #[test]
+    fn private_and_shared_meters_sum_alike() {
+        let mut c = Ctx::new();
+        c.work(7);
+        let other = Arc::clone(&c.cpu);
+        let t = std::thread::spawn(move || (0..1000).for_each(|_| other.charge(1)));
+        (0..1000).for_each(|_| c.work(1));
+        t.join().unwrap();
+        c.work(2);
+        assert_eq!(c.cpu.total(), 7 + 1000 + 1000 + 2);
     }
 }

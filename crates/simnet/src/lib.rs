@@ -10,8 +10,9 @@
 //!   ([`VClock`], nanoseconds) inside a [`Ctx`]. Performing an operation
 //!   advances the clock by the modeled cost of that operation.
 //! * Every shared piece of hardware (a NIC request engine, a DMA engine, a
-//!   link, a polling thread) is an FCFS server ([`Resource`]) whose
-//!   `next_free` timestamp is advanced with an atomic max loop. Waiting in
+//!   link, a polling thread) is a fluid FCFS server ([`Fluid`]), behind
+//!   its own lock as a [`Resource`] or under its owner's (a NIC keeps
+//!   its engine and links under the one lock a post takes). Waiting in
 //!   a queue therefore shows up as clock advancement, and contention
 //!   between concurrent clients emerges from execution rather than from a
 //!   closed-form formula.
@@ -51,7 +52,7 @@ pub use inline::{InlineVec, CHAIN_INLINE};
 pub use ledger::Book;
 pub use lru::{KeyHasher, KeyMap, Lru};
 pub use ratelimit::TokenBucket;
-pub use resource::{Grant, Resource, ResourcePool};
+pub use resource::{Fluid, Grant, Resource, ResourcePool};
 pub use rng::{DiscreteSampler, Zipf};
 pub use stats::{bucket_floor, bucket_of, Histogram, Summary, TimeSeries, HIST_BUCKETS};
 pub use time::{transfer_time, Nanos, VClock, GIGA, MICROS, MILLIS, SECONDS};

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed multiplicative hasher for small keys (integers and tuples of
 /// them): each word is added to the state, which is then multiplied by
@@ -75,10 +74,11 @@ struct Entry<K, V> {
     next: Idx,
 }
 
-/// An LRU cache with a fixed capacity and atomic hit/miss counters.
+/// An LRU cache with a fixed capacity and hit/miss counters.
 ///
-/// Not internally synchronized: wrap in a lock (the RNIC model holds one
-/// short-lived lock per NIC operation, mirroring the single SRAM port).
+/// Not internally synchronized: wrap in a lock (the RNIC model keeps its
+/// caches under the NIC's one lock, mirroring the single SRAM port), so
+/// the counters are plain integers, not atomics.
 pub struct Lru<K, V> {
     map: KeyMap<K, Idx>,
     slab: Vec<Option<Entry<K, V>>>,
@@ -86,9 +86,9 @@ pub struct Lru<K, V> {
     head: Idx,
     tail: Idx,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> Lru<K, V> {
@@ -102,9 +102,9 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
@@ -125,17 +125,17 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Hits recorded so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     /// Misses recorded so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
     /// Evictions performed so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions
     }
 
     fn slot(&self, idx: Idx) -> &Entry<K, V> {
@@ -182,9 +182,15 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// Looks `key` up, promoting it on a hit. Records hit/miss. Returns a
     /// reference to the cached value on a hit.
     pub fn touch(&mut self, key: &K) -> Option<&V> {
+        // The most recent entry again (a NIC's one global MR key, every
+        // verb): a hit with nothing to promote, found without hashing.
+        if self.head != NIL && self.slot(self.head).key == *key {
+            self.hits += 1;
+            return Some(&self.slot(self.head).value);
+        }
         match self.map.get(key).copied() {
             Some(idx) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hits += 1;
                 if self.head != idx {
                     self.unlink(idx);
                     self.push_front(idx);
@@ -192,7 +198,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
                 Some(&self.slot(idx).value)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses += 1;
                 None
             }
         }
@@ -223,7 +229,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             let old = self.slab[victim].take().expect("tail slot occupied");
             self.map.remove(&old.key);
             self.free.push(victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions += 1;
             evicted = Some((old.key, old.value));
         }
         let entry = Entry {
