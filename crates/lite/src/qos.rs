@@ -125,7 +125,8 @@ pub struct QosState {
     low_pipe: Resource,
     /// SW-Pri limiter for low priority.
     low_bucket: TokenBucket,
-    /// High-priority load monitor (policies 1 and 2).
+    /// High-priority load monitor (policies 1 and 2), fed only while
+    /// the mode is SW-Pri.
     monitor: LoadMonitor,
     /// High-priority RTT EWMA in ns (policy 3).
     rtt_ewma: AtomicU64,
@@ -228,8 +229,12 @@ impl QosState {
     }
 
     /// Records a completed high-priority op (feeds policies 1 and 3).
+    /// The load monitor counts it only under SW-Pri, its one reader:
+    /// its two atomic adds a verb are otherwise paid for nothing.
     pub fn after_high_op(&self, finish: Nanos, bytes: u64, latency: Nanos) {
-        self.monitor.record(finish, bytes);
+        if self.mode() == QosMode::SwPri {
+            self.monitor.record(finish, bytes);
+        }
         // EWMA with alpha = 1/8.
         let old = self.rtt_ewma.load(Ordering::Relaxed);
         let new = old - old / 8 + latency / 8;
