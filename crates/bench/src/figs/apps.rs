@@ -135,7 +135,10 @@ pub fn app_dsm(full: bool) -> Vec<Row> {
     let lenv = LiteEnv::new(4);
     let dsm = DsmCluster::create(&lenv.cluster, 32 << 20).unwrap();
     let mut h = dsm.handle(0).unwrap();
+    // The client starts where set-up ended, as `drive`'s common start
+    // does: from 0 its first call to a home would pay set-up's clock.
     let mut ctx = Ctx::new();
+    ctx.wait_until(dsm.ready_at());
     let mut rng = rand::rngs::SmallRng::seed_from_u64(84);
     let pages = (32 << 20) / PAGE as u64;
 

@@ -1,12 +1,12 @@
 //! Memory-tiering pressure benchmark (`lite::mm`): a seeded random
-//! read/write workload over a working set, run twice — once with no
-//! budget (tiering off) and once with a per-node budget at 50 % of the
-//! working set, which keeps the sweeper evicting and fetching chunks
-//! the whole run. Every read is checked against a shadow buffer, so
-//! the report carries a hard verify-failure count alongside the
-//! throughput and the kernel's own tiering gauges.
-
-use std::time::{Duration, Instant};
+//! read/write workload over a working set of two LMRs, run twice — once
+//! with no budget (tiering off) and once with a per-node budget at 50 %
+//! of the working set. The first LMR is written in full within the
+//! budget; allocating the second takes the node over it, and that
+//! `lt_malloc` evicts the first (the coldest) before it returns, so what
+//! tiering moves is written data. Every read is checked against a
+//! shadow buffer, so the report carries a hard verify-failure count
+//! alongside the latency and the kernel's own tiering gauges.
 
 use lite::{LiteConfig, MmReport, Perm};
 use rand::{Rng, SeedableRng};
@@ -22,36 +22,28 @@ const US: f64 = 1_000.0;
 fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> (Row, bool) {
     let config = LiteConfig {
         mem_budget_bytes: budget,
-        mm_sweep_interval: Duration::from_millis(1),
         max_lmr_chunk: 16 * 1024,
         ..LiteConfig::default()
     };
     let env = LiteEnv::with_config(3, config);
     let mut h = env.cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
-    // Mastered and stored on node 0: exactly the memory the budget
-    // governs.
-    let lh = h
-        .lt_malloc(&mut ctx, 0, working_set, "mempressure", Perm::RW)
-        .unwrap();
     let io = 4096usize;
-    // Every byte is written (and shadowed) before the sweeper's work is
-    // waited for, so what it evicts is live data.
+    let half = working_set / 2;
     let mut shadow: Vec<u8> = (0..working_set).map(|j| (j % 251) as u8).collect();
-    for (i, block) in shadow.chunks(io).enumerate() {
-        h.lt_write(&mut ctx, lh, (i * io) as u64, block)
-            .expect("filling the working set");
-    }
-    // The sweeper is a host thread that evicts down to the budget every
-    // millisecond. Under a budget the ops start once it has got there (or
-    // a second has passed): a fast run could otherwise end before it had
-    // evicted anything, and how far it got would vary run to run.
-    let deadline = Instant::now() + Duration::from_secs(1);
-    while budget > 0
-        && env.cluster.kernel(0).mm_stats().resident_bytes > budget
-        && Instant::now() < deadline
-    {
-        std::thread::sleep(Duration::from_millis(1));
+    // Both halves are mastered and stored on node 0: exactly the memory
+    // the budget governs. Each is written in full right after its
+    // `lt_malloc`, so the second one's evictions move written bytes.
+    let mut lhs = Vec::new();
+    for (n, part) in shadow.chunks(half as usize).enumerate() {
+        let lh = h
+            .lt_malloc(&mut ctx, 0, half, &format!("mempressure.{n}"), Perm::RW)
+            .unwrap();
+        for (i, block) in part.chunks(io).enumerate() {
+            h.lt_write(&mut ctx, lh, (i * io) as u64, block)
+                .expect("filling the working set");
+        }
+        lhs.push(lh);
     }
 
     let mut rng = rand::rngs::SmallRng::seed_from_u64(4242);
@@ -59,31 +51,35 @@ fn run_case(label: &str, working_set: u64, budget: u64, ops: u64) -> (Row, bool)
     let mut done = 0u64;
     let mut failures = 0u64;
     for i in 0..ops {
-        let off = (rng.gen_range(0..working_set - io as u64) / 64) * 64;
+        let n = rng.gen_range(0..lhs.len());
+        let off = (rng.gen_range(0..half - io as u64) / 64) * 64;
+        let at = (n as u64 * half + off) as usize;
         let t0 = ctx.now();
         if i % 2 == 0 {
             let block: Vec<u8> = (0..io).map(|j| (i as u8).wrapping_add(j as u8)).collect();
-            if h.lt_write(&mut ctx, lh, off, &block).is_ok() {
-                shadow[off as usize..off as usize + io].copy_from_slice(&block);
+            if h.lt_write(&mut ctx, lhs[n], off, &block).is_ok() {
+                shadow[at..at + io].copy_from_slice(&block);
                 done += 1;
             }
         } else {
             let mut buf = vec![0u8; io];
-            if h.lt_read(&mut ctx, lh, off, &mut buf).is_ok() {
+            if h.lt_read(&mut ctx, lhs[n], off, &mut buf).is_ok() {
                 done += 1;
-                if buf != shadow[off as usize..off as usize + io] {
+                if buf != shadow[at..at + io] {
                     failures += 1;
                 }
             }
         }
         s.record(ctx.now() - t0);
     }
-    // Final full sweep of the shadow: every byte, wherever its chunk
+    // Final full read of the shadow: every byte, wherever its chunk
     // migrated to, must read back exactly.
     let mut buf = vec![0u8; working_set as usize];
-    for (i, slice) in buf.chunks_mut(io).enumerate() {
-        if h.lt_read(&mut ctx, lh, (i * io) as u64, slice).is_err() {
-            failures += 1;
+    for (part, &lh) in buf.chunks_mut(half as usize).zip(&lhs) {
+        for (i, slice) in part.chunks_mut(io).enumerate() {
+            if h.lt_read(&mut ctx, lh, (i * io) as u64, slice).is_err() {
+                failures += 1;
+            }
         }
     }
     if buf != shadow {

@@ -524,7 +524,10 @@ pub fn fig08(full: bool) -> Vec<Row> {
         let mut octx = Ctx::new();
         owner.lt_malloc(&mut octx, 1, size, "f8", Perm::RW).unwrap();
         let mut h = lenv.cluster.attach(0).unwrap();
+        // The mapper starts where set-up ended: from 0 its first map
+        // would wait out the registration's pinning on node 1's clock.
         let mut lctx = Ctx::new();
+        lctx.wait_until(octx.now());
         let (mut map, mut unmap) = (Summary::new(), Summary::new());
         for _ in 0..ops {
             let t0 = lctx.now();

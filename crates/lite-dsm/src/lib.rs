@@ -157,6 +157,8 @@ pub struct DsmCluster {
     page_locks: Vec<LockId>,
     /// Each node's server; the DSM's functions are served while they live.
     _servers: Vec<Arc<RpcServer>>,
+    /// The virtual time set-up ended at ([`DsmCluster::ready_at`]).
+    ready_at: Nanos,
 }
 
 impl DsmCluster {
@@ -223,7 +225,15 @@ impl DsmCluster {
             states,
             page_locks,
             _servers: servers,
+            ready_at: ctx.now(),
         }))
+    }
+
+    /// The virtual time set-up ended at: registering the homes moved the
+    /// homes' clocks there, so a client that starts earlier pays the rest
+    /// of set-up in its first call to each home.
+    pub fn ready_at(&self) -> Nanos {
+        self.ready_at
     }
 
     /// Total DSM size in bytes.

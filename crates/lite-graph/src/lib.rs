@@ -107,12 +107,17 @@ mod tests {
 
     /// The unmodified LITE backend on a memory-tiered cluster: every
     /// node's rank partition (~9 KB at this scale) sits far over the
-    /// 2 KB per-node budget, so partitions are evicted and chased by
-    /// the per-round `LT_read` pulls — and the ranks must still be
-    /// bit-comparable to the reference. The app code does not change.
+    /// 2 KB per-node budget, so partitions are evicted as they are
+    /// created and chased by the per-round `LT_read` pulls — and the
+    /// ranks must still be bit-comparable to the reference. The app code
+    /// does not change. A churn thread pulls the partitions home and
+    /// pushes them out again while the engines run; a run that no
+    /// migration ended under (after the engines' first barrier) is
+    /// repeated, five runs at most.
     #[test]
     fn lite_backend_agrees_on_ranks_under_memory_budget() {
-        use std::time::Duration;
+        use lite::mm::MmRequest;
+        use std::sync::atomic::{AtomicBool, Ordering};
 
         let g = Graph::power_law(3_000, 24_000, 0.9, 11);
         let cfg = PagerankConfig { max_iters: 5 };
@@ -120,19 +125,59 @@ mod tests {
 
         let config = lite::LiteConfig {
             mem_budget_bytes: 2048,
-            mm_sweep_interval: Duration::from_millis(1),
             max_lmr_chunk: 4096,
             ..lite::LiteConfig::default()
         };
         let cluster = lite::LiteCluster::start_with(rnic::IbConfig::with_nodes(3), config).unwrap();
-        let lite_r = run_lite(&cluster, &g, 3, 2, &cfg).unwrap();
-        assert_eq!(lite_r.ranks.len(), reference.ranks.len());
-        for (i, (a, b)) in lite_r.ranks.iter().zip(&reference.ranks).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-9,
-                "budgeted rank[{i}] {a} vs reference {b}"
-            );
+        let moved = || {
+            let m = |n| cluster.kernel(n).mm_stats();
+            (0..3).map(|n| m(n).evictions + m(n).fetch_backs).sum::<u64>()
+        };
+        let barriers = || {
+            let b = |n| cluster.kernel(n).lt_stats();
+            let high = lite::Priority::High;
+            (0..3)
+                .filter_map(|n| b(n).class(lite::OpClass::Barrier, high).map(|l| l.count))
+                .sum::<u64>()
+        };
+        let mut under = 0;
+        for _ in 0..5 {
+            let (stop, before) = (AtomicBool::new(false), barriers());
+            let lite_r = std::thread::scope(|s| {
+                let churn = s.spawn(|| {
+                    let mut under = 0;
+                    while !stop.load(Ordering::SeqCst) {
+                        // Partitions are the first LMRs their nodes master,
+                        // one more per run.
+                        for (node, idx) in (0..3).flat_map(|n| (1..=5).map(move |i| (n, i))) {
+                            let (started, from) = (barriers() > before, moved());
+                            let mm = cluster.kernel(node).mm();
+                            mm.request(MmRequest::FetchBack { idx });
+                            mm.request(MmRequest::Evict { idx, off: u64::MAX });
+                            if started && !stop.load(Ordering::SeqCst) {
+                                under += moved() - from;
+                            }
+                        }
+                    }
+                    under
+                });
+                let r = run_lite(&cluster, &g, 3, 2, &cfg).unwrap();
+                stop.store(true, Ordering::SeqCst);
+                under += churn.join().unwrap();
+                r
+            });
+            assert_eq!(lite_r.ranks.len(), reference.ranks.len());
+            for (i, (a, b)) in lite_r.ranks.iter().zip(&reference.ranks).enumerate() {
+                assert!(
+                    (a - b).abs() < 1e-9,
+                    "budgeted rank[{i}] {a} vs reference {b}"
+                );
+            }
+            if under > 0 {
+                break;
+            }
         }
+        assert!(under > 0, "no migration ended under the engines' ops");
         let evictions: u64 = (0..3).map(|n| cluster.kernel(n).mm_stats().evictions).sum();
         assert!(evictions > 0, "budget never forced eviction");
     }

@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lite::mm::MmRequest;
 use lite::{LiteCluster, LiteConfig, LiteError, Perm};
 use lite_kv::record::{self, Slot, HEADER};
 use lite_kv::{KvClient, KvClientStats, KvFallbacks, KvService, KvSpec, SessionMode};
@@ -433,12 +434,13 @@ fn arenas_are_byte_identical_and_read_only() {
 
 /// (f) The memory-budget case of `capacity_overflow_rides_mm_tiering`
 /// with warm sessions: one-sided reads of slots whose chunks were tiered
-/// out fault them back (or fall back) and return every byte.
+/// out fault them back (or fall back) and return every byte. A churn
+/// thread moves the leader's chunks all along, so migrations end under
+/// the gets.
 #[test]
 fn cached_reads_ride_mm_tiering() {
     let config = LiteConfig {
         mem_budget_bytes: 256 * 1024,
-        mm_sweep_interval: Duration::from_millis(1),
         max_lmr_chunk: 16 * 1024,
         ..Default::default()
     };
@@ -448,28 +450,70 @@ fn cached_reads_ride_mm_tiering() {
     spec.log_capacity = 2 << 20;
     spec.max_value = 20 * 1024;
     let svc = KvService::spawn(&cluster, spec.clone());
-    let mut ctx = Ctx::new();
-    let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
-    let blob = |i: usize| vec![(i % 251) as u8; 16 * 1024];
-    for i in 0..40 {
-        c.put(&mut ctx, format!("big{i}").as_bytes(), &blob(i))
-            .unwrap_or_else(|e| panic!("put big{i}: {e}"));
-    }
-    converge(&svc);
-    for pass in 0..2 {
+    let moved = || {
+        let s = cluster.kernel(1).mm_stats();
+        s.evictions + s.fetch_backs
+    };
+    let stop = AtomicBool::new(false);
+    let (s, passes) = std::thread::scope(|scope| {
+        scope.spawn(|| churn(&cluster, 1, &stop));
+        let _stop = Stop(&stop);
+        let mut ctx = Ctx::new();
+        let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::Eventual).unwrap();
+        let blob = |i: usize| vec![(i % 251) as u8; 16 * 1024];
         for i in 0..40 {
-            let v = c.get(&mut ctx, format!("big{i}").as_bytes()).unwrap();
-            assert_eq!(v.as_deref(), Some(blob(i).as_slice()), "big{i} pass {pass}");
+            c.put(&mut ctx, format!("big{i}").as_bytes(), &blob(i))
+                .unwrap_or_else(|e| panic!("put big{i}: {e}"));
         }
-    }
-    let s = c.stats();
-    assert_eq!(s.one_sided + s.rpc, 80);
+        converge(&svc);
+        // Two passes, and on until a migration has ended since the first
+        // get, within ten seconds.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut first = None;
+        let mut passes = 0;
+        while passes < 2 || moved() <= first.unwrap() {
+            assert!(Instant::now() < deadline, "no migration under the gets");
+            for i in 0..40 {
+                let v = c.get(&mut ctx, format!("big{i}").as_bytes()).unwrap();
+                assert_eq!(v.as_deref(), Some(blob(i).as_slice()), "big{i} pass {passes}");
+                first.get_or_insert_with(moved);
+            }
+            passes += 1;
+        }
+        (c.stats(), passes)
+    });
+    assert_eq!(s.one_sided + s.rpc, 40 * passes);
     assert!(
-        s.one_sided >= 40,
+        s.one_sided >= 20 * passes,
         "warm gets should mostly be one-sided: {s:?}"
     );
     assert!(cluster.kernel(1).mm_stats().evictions > 0);
     svc.stop();
+}
+
+/// Sets its flag when dropped, by a panic too: what stops [`churn`].
+struct Stop<'a>(&'a AtomicBool);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Until `stop`, pulls home every LMR node `node` masters, pushes its
+/// first chunk out again, and rests a millisecond: migrations of the
+/// service's own log and arenas while its ops run. The pulls take the
+/// node over its budget, and the next lt_map there evicts.
+fn churn(cluster: &LiteCluster, node: usize, stop: &AtomicBool) {
+    let mm = cluster.kernel(node).mm();
+    while !stop.load(Ordering::Relaxed) {
+        // Master-table indices count up from 1 per node.
+        for idx in 1..=8 {
+            mm.request(MmRequest::FetchBack { idx });
+            mm.request(MmRequest::Evict { idx, off: 0 });
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// (g) Seeded model: three sessions (two eventual, one read-your-writes)

@@ -5,8 +5,10 @@
 //! replication in batches (and a lone put not left waiting for one) that
 //! carries no record bytes, and prompt shutdown.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use lite::mm::MmRequest;
 use lite::{LiteCluster, LiteConfig};
 use lite_kv::{KvClient, KvError, KvService, KvSpec, SessionMode};
 use rnic::IbConfig;
@@ -164,12 +166,13 @@ fn paused_follower_bounds_staleness_not_availability() {
 
 /// With a memory budget far below the working set, the value arenas
 /// overflow onto `lite::mm` swap: evictions happen, reads fault values
-/// back, and every byte still comes back correct.
+/// back, and every byte still comes back correct. A churn thread moves
+/// the leader's chunks all along, so migrations end under the puts and
+/// gets, not only at set-up.
 #[test]
 fn capacity_overflow_rides_mm_tiering() {
     let config = LiteConfig {
         mem_budget_bytes: 256 * 1024,
-        mm_sweep_interval: Duration::from_millis(1),
         // Small chunks so tiering moves values, not whole arenas.
         max_lmr_chunk: 16 * 1024,
         ..Default::default()
@@ -180,20 +183,38 @@ fn capacity_overflow_rides_mm_tiering() {
     spec.log_capacity = 2 << 20;
     spec.max_value = 20 * 1024;
     let svc = KvService::spawn(&cluster, spec.clone());
-
-    let mut ctx = Ctx::new();
-    let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::ReadYourWrites).unwrap();
-    // ~40 × 16 KiB values ≈ 640 KiB per replica — several times the
-    // 256 KiB node budget.
-    let blob = |i: usize| vec![(i % 251) as u8; 16 * 1024];
-    for i in 0..40 {
-        c.put(&mut ctx, format!("big{i}").as_bytes(), &blob(i))
-            .unwrap_or_else(|e| panic!("put big{i}: {e}"));
-    }
-    for i in 0..40 {
-        let v = c.get(&mut ctx, format!("big{i}").as_bytes()).unwrap();
-        assert_eq!(v.as_deref(), Some(blob(i).as_slice()), "big{i}");
-    }
+    let moved = || {
+        let s = cluster.kernel(1).mm_stats();
+        s.evictions + s.fetch_backs
+    };
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| churn(&cluster, 1, &stop));
+        let _stop = Stop(&stop);
+        let mut ctx = Ctx::new();
+        let mut c = KvClient::connect(&cluster, 0, &spec, SessionMode::ReadYourWrites).unwrap();
+        // ~40 × 16 KiB values ≈ 640 KiB per replica — several times the
+        // 256 KiB node budget.
+        let blob = |i: usize| vec![(i % 251) as u8; 16 * 1024];
+        let mut first = None;
+        for i in 0..40 {
+            c.put(&mut ctx, format!("big{i}").as_bytes(), &blob(i))
+                .unwrap_or_else(|e| panic!("put big{i}: {e}"));
+            first.get_or_insert_with(moved);
+        }
+        // Every value, and on until a migration has ended since the first
+        // put, within ten seconds.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for n in 0usize.. {
+            if n >= 40 && moved() > first.unwrap() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "no migration under the ops");
+            let i = n % 40;
+            let v = c.get(&mut ctx, format!("big{i}").as_bytes()).unwrap();
+            assert_eq!(v.as_deref(), Some(blob(i).as_slice()), "big{i}");
+        }
+    });
     let mm = cluster.kernel(1).mm_stats();
     assert!(mm.enabled);
     assert!(
@@ -202,6 +223,31 @@ fn capacity_overflow_rides_mm_tiering() {
         256 * 1024
     );
     svc.stop();
+}
+
+/// Sets its flag when dropped, by a panic too: what stops [`churn`].
+struct Stop<'a>(&'a AtomicBool);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Until `stop`, pulls home every LMR node `node` masters, pushes its
+/// first chunk out again, and rests a millisecond: migrations of the
+/// service's own log and arenas while its ops run. The pulls take the
+/// node over its budget, and the next lt_map there evicts.
+fn churn(cluster: &LiteCluster, node: usize, stop: &AtomicBool) {
+    let mm = cluster.kernel(node).mm();
+    while !stop.load(Ordering::Relaxed) {
+        // Master-table indices count up from 1 per node.
+        for idx in 1..=8 {
+            mm.request(MmRequest::FetchBack { idx });
+            mm.request(MmRequest::Evict { idx, off: 0 });
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// A service that cannot be set up says so: a log larger than the

@@ -586,6 +586,8 @@ impl LiteHandle {
             this.kernel
                 .observe()
                 .record_latency(ctx, crate::observe::cell::MM_REG, reg);
+            // Over budget now? Evict before the call returns.
+            this.kernel.mm().poke(ctx.now());
             Ok(lh)
         })
     }
@@ -688,12 +690,19 @@ impl LiteHandle {
         guards: &mut Pins,
     ) -> LiteResult<()> {
         let mut lmr_off = offset;
-        let mut faulted = 0usize;
+        let (mut faulted, mut landed) = (0usize, 0);
         for (node, c) in pieces {
             if let Some(mm) = self.kernel.dir.mm(*node) {
-                match mm.pin(c.addr, c.len, id, lmr_off) {
+                match mm.pin(c.addr, c.len, (id, lmr_off), ctx.now()) {
+                    crate::mm::PinOutcome::Untracked if mm.tracking() => {
+                        let master = self.kernel.dir.mm(id.node as NodeId);
+                        if master.is_some_and(|m| m.tracks(id, lmr_off)) {
+                            return Err(LiteError::Relocated);
+                        }
+                    }
                     crate::mm::PinOutcome::Untracked => {}
                     crate::mm::PinOutcome::Pinned(g, f) => {
+                        landed = g.landed().max(landed);
                         guards.push(g);
                         faulted += f;
                     }
@@ -701,6 +710,10 @@ impl LiteHandle {
                 }
             }
             lmr_off += c.len;
+        }
+        if landed > 0 {
+            // Bytes a migration moved are there from its end on.
+            ctx.wait_until(landed);
         }
         if faulted > 0 {
             ctx.work(COST.fault_page_ns * faulted as u64);
@@ -853,6 +866,7 @@ impl LiteHandle {
             // put the fresh entry under the caller's lh number.
             let entry = fresh_entry(id, &name, new_loc, Perm::MASTER);
             this.kernel.reinstall_lh(this.pid, lh, entry);
+            this.kernel.mm().poke(ctx.now());
             freed
         })
     }

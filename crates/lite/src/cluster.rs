@@ -18,6 +18,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use parking_lot::Mutex;
 use rnic::{IbConfig, IbFabric, NodeId};
 
 use crate::api::LiteHandle;
@@ -26,6 +27,7 @@ use crate::directory::ClusterDirectory;
 use crate::error::{LiteError, LiteResult};
 use crate::kernel::datapath::RnicDataPath;
 use crate::kernel::LiteKernel;
+use crate::mm::Migrator;
 use crate::qos::QosMode;
 
 /// A running LITE cluster: one fabric, one kernel per joined node, one
@@ -37,6 +39,9 @@ pub struct LiteCluster {
     /// Write-once kernel slot per fabric node; empty until the node
     /// joins (at boot or via [`LiteCluster::join_node`]).
     nodes: Box<[OnceLock<Arc<LiteKernel>>]>,
+    /// The migrators of the nodes whose managers track segments. Their
+    /// managers hold them weakly, so they drop with the cluster.
+    migrators: Mutex<Vec<Arc<Migrator>>>,
     /// History log handed to late joiners so runtime joins see the same
     /// recording state as boot nodes.
     history: OnceLock<Arc<crate::verify::HistoryLog>>,
@@ -71,6 +76,7 @@ impl LiteCluster {
             fabric,
             dir: Arc::new(ClusterDirectory::new(capacity)),
             nodes: (0..capacity).map(|_| OnceLock::new()).collect(),
+            migrators: Mutex::new(Vec::new()),
             history: OnceLock::new(),
             config,
         });
@@ -94,6 +100,9 @@ impl LiteCluster {
                 return Ok(Arc::clone(k)); // lost a join race — fine
             }
             let kernel = LiteKernel::boot(node, self.config.clone(), &self.fabric, &self.dir)?;
+            if let Some(m) = Migrator::bind(&kernel)? {
+                self.migrators.lock().push(m);
+            }
             Arc::clone(slot.get_or_init(|| kernel))
         };
         if let Some(log) = self.history.get() {
@@ -190,15 +199,14 @@ impl LiteCluster {
 }
 
 impl Drop for LiteCluster {
-    /// Two phases: every node's memory manager first, then every
-    /// kernel-call thread. A manager can be mid-call to any node, so no
-    /// node may stop serving kernel calls while one still runs (stopping
-    /// node by node left a later node's manager waiting out `op_timeout`
-    /// on an earlier node that no longer served them).
+    /// Stops every node's kernel-call thread, the only threads a cluster
+    /// runs. The migrators drop with the cluster: a migration runs on a
+    /// thread in a LITE call, which holds its node's migrator while it
+    /// does.
     fn drop(&mut self) {
-        let joined = || self.nodes.iter().filter_map(OnceLock::get);
-        joined().for_each(|k| k.stop_mm());
-        joined().for_each(|k| k.stop_poller());
+        for k in self.nodes.iter().filter_map(OnceLock::get) {
+            k.stop_poller();
+        }
         self.fabric.shutdown();
     }
 }

@@ -58,18 +58,17 @@ pub struct LiteConfig {
     /// Per-node physical-memory budget for LMR chunks, in bytes. When the
     /// resident bytes of locally-mastered LMRs exceed the budget, the
     /// [`crate::mm`] manager evicts cold chunks to swap nodes over the
-    /// datapath. 0 (the default) disables tiering entirely: nothing is
+    /// datapath, before the `lt_malloc` or `lt_move` that went over the
+    /// budget returns. 0 (the default) disables tiering entirely: nothing is
     /// tracked or evicted — the ablation baseline.
     pub mem_budget_bytes: u64,
-    /// How often the background memory manager wakes to check pressure,
-    /// in host wall time.
-    pub mm_sweep_interval: std::time::Duration,
     /// Pin-free on-demand registration (DESIGN.md §13). `false` (the
     /// default) pins every LMR page up front, so registration cost
     /// scales with size (the paper's Fig 8 malloc line). `true` defers
     /// pinning to first touch at the datapath — O(1) registration, a
-    /// one-time page-fault penalty per touched page, and a background
-    /// unpinner that releases pages cold for a full sweep epoch.
+    /// one-time page-fault penalty per touched page, and an unpinner that
+    /// releases pages cold for a full epoch ([`crate::mm::EPOCH_NS`] of
+    /// virtual time).
     pub lazy_pinning: bool,
 
     // ---- ablation switches ----
@@ -100,7 +99,6 @@ impl Default for LiteConfig {
             stats_sample_rate: 1,
             trace_ring_slots: 4_096,
             mem_budget_bytes: 0,
-            mm_sweep_interval: std::time::Duration::from_millis(2),
             lazy_pinning: false,
             fast_syscalls: true,
             adaptive_poll: true,

@@ -157,7 +157,6 @@ pub struct LiteKernel {
     pub(crate) qos: Arc<QosState>,
     /// Memory-tiering manager (budget, residency, eviction policy).
     mm: Arc<MemManager>,
-    mm_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// The shared poller's clock, taken by whichever thread dispatches.
     dispatcher: Mutex<Dispatcher>,
     /// Where dispatch hands kernel calls; `None` once stopped.
@@ -180,8 +179,8 @@ impl LiteKernel {
     /// Brings `node` up in one step: builds the kernel and its datapath
     /// (empty QP pools — peers are wired lazily on first use), registers
     /// its membership record in `dir`, wires the self-loopback RPC ring,
-    /// pre-posts receive credits, and starts the kernel-call thread (and
-    /// the memory manager's, when it has work). The caller holds the
+    /// pre-posts receive credits, and starts the kernel-call thread, the
+    /// node's one thread (DESIGN.md §5.3). The caller holds the
     /// directory's connect lock, so a peer that finds the record finds a
     /// running kernel: reaching it (`ensure_qps` / `ensure_ring`) takes
     /// the same lock. O(1) per node, which is what makes cluster boot
@@ -255,7 +254,6 @@ impl LiteKernel {
             next_lh: AtomicU64::new(1),
             qos,
             mm,
-            mm_thread: Mutex::new(None),
             dispatcher: Mutex::new(Dispatcher::new(Arc::clone(&poller_cpu))),
             kcalls: Mutex::new(None),
             kcall_thread: Mutex::new(None),
@@ -299,17 +297,6 @@ impl LiteKernel {
             .map_err(|_| LiteError::Internal("could not spawn the kernel-call thread"))?;
         *kernel.kcalls.lock() = Some(calls);
         *kernel.kcall_thread.lock() = Some(handle);
-        // The tiering manager only runs when it has work — a budget to
-        // enforce or lazy pins to reap — so default clusters (neither)
-        // get no extra thread and byte-identical behavior.
-        if kernel.mm.tracking() {
-            let me = Arc::clone(&kernel);
-            let mm_handle = std::thread::Builder::new()
-                .name(format!("lite-mm-{node}"))
-                .spawn(move || crate::mm::run(me))
-                .map_err(|_| LiteError::Internal("could not spawn the memory manager"))?;
-            *kernel.mm_thread.lock() = Some(mm_handle);
-        }
         let ns = boot_start.elapsed().as_nanos() as u64;
         kernel.boot_host_ns.store(ns, Ordering::Relaxed);
         dir.note_boot(ns);
@@ -542,20 +529,9 @@ impl LiteKernel {
         Ok(base)
     }
 
-    /// First half of shutdown: stops and joins the memory manager. It
-    /// issues kernel calls of its own, to this node and to others, so the
-    /// cluster stops every node's manager before it stops any node's
-    /// kernel calls.
-    pub(crate) fn stop_mm(&self) {
-        self.mm.begin_shutdown();
-        if let Some(h) = self.mm_thread.lock().take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Second half of shutdown: closes the kernel-call queue and joins its
-    /// thread, which serves what is queued and exits. A kernel call that
-    /// arrives later is never served: its caller times out.
+    /// Shutdown: closes the kernel-call queue and joins its thread, which
+    /// serves what is queued and exits. A kernel call that arrives later
+    /// is never served: its caller times out.
     pub(crate) fn stop_poller(&self) {
         self.kcalls.lock().take();
         if let Some(h) = self.kcall_thread.lock().take() {

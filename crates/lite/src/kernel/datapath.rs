@@ -400,10 +400,10 @@ impl RnicDataPath {
         self.fabric.mem(self.node)
     }
 
-    /// Feeds the target node's memory manager one access: promotes the
-    /// touched chunk in its LRU. Called once per op (not per retry
-    /// attempt).
-    fn touch_mm(&self, op: &Op) {
+    /// Feeds the target node's memory manager one access at `now`:
+    /// promotes the touched chunk in its LRU. Called once per op (not per
+    /// retry attempt).
+    fn touch_mm(&self, op: &Op, now: Nanos) {
         let (node, addr) = match op {
             Op::Write {
                 dst_node, dst_addr, ..
@@ -414,7 +414,7 @@ impl RnicDataPath {
             Op::FetchAdd { node, addr, .. } | Op::CmpSwap { node, addr, .. } => (*node, *addr),
         };
         if let Some(mm) = self.dir.mm(node) {
-            mm.touch(addr);
+            mm.touch(addr, now);
         }
     }
 
@@ -994,7 +994,7 @@ impl RnicDataPath {
             self.ensure_qps(peer)?;
         }
         for op in ops {
-            self.touch_mm(op);
+            self.touch_mm(op, ctx.now());
         }
         let start = ctx.now();
         let sampled = self.obs.sample(ctx);

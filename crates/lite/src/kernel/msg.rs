@@ -510,7 +510,7 @@ impl LiteKernel {
                     }
                     // A mapper re-fetching a location whose extents left
                     // the master node is a remote fault: enough of them
-                    // pull the LMR home on the next manager sweep.
+                    // pull the LMR home (the mapper runs it, `k_map`).
                     let fault = rec.id.node as NodeId == me
                         && rec.location.extents.iter().any(|(n, _)| *n != me);
                     let e = Enc::new()
@@ -922,6 +922,11 @@ impl LiteHandle {
         let resp = self
             .kcall(ctx, master, FN_MAP, request)
             .map_err(|e| named_err(e, name))?;
+        // A fault that crossed the fetch-back threshold at the master is
+        // this thread's to run.
+        if let Some(mm) = self.kernel().dir.mm(master) {
+            mm.poke(ctx.now());
+        }
         let mut d = Dec::new(&resp);
         let (node, idx) = (d.u32()?, d.u32()?);
         let perm = byte_to_perm(d.u8()?);

@@ -7,8 +7,12 @@
 //! thread runs it once it holds nothing: at the reply wait of its own
 //! `lt_*` call ([`super::CallSlot::wait`], before it parks), or else at the
 //! end of that call ([`LiteHandle::syscall`]'s way out). A thread outside
-//! any `lt_*` call — a kernel-call thread, the memory manager — never runs
-//! a handler: it hands the call to its caller, whose reply wait runs it.
+//! any `lt_*` call — a kernel-call thread, a migration — never runs a
+//! handler: it hands the call to its caller, whose reply wait runs it.
+//!
+//! The memory manager's migrations ride the same list
+//! ([`defer_migration`]), but run only at the end of the outermost call:
+//! a reply wait may hold a pin, which a migration would wait out.
 //!
 //! Three rules:
 //! * **Hand-over.** A thread that finds the server held leaves the call
@@ -35,6 +39,7 @@ use super::rpc::{Incoming, ReplyRoute};
 use super::LiteKernel;
 use crate::api::LiteHandle;
 use crate::error::{LiteError, LiteResult};
+use crate::mm::Migrator;
 
 /// What a served function runs, once per call (see the module docs).
 pub trait RpcHandler: Send + 'static {
@@ -177,8 +182,15 @@ thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
     /// Whether this thread is running served work.
     static RUNNING: Cell<bool> = const { Cell::new(false) };
-    /// Servers with calls this thread dispatched and has yet to run.
-    static PENDING: RefCell<Vec<Arc<RpcServer>>> = const { RefCell::new(Vec::new()) };
+    /// Work this thread found and has yet to run.
+    static PENDING: RefCell<Vec<Pending>> = const { RefCell::new(Vec::new()) };
+}
+
+/// What a thread runs once it holds nothing: a server with calls it
+/// dispatched, or a migrator with work it noted (outside every call only).
+enum Pending {
+    Serve(Arc<RpcServer>),
+    Migrate(Arc<Migrator>),
 }
 
 /// Runs `body` as an `lt_*` call of this thread, then — back outside every
@@ -219,9 +231,24 @@ pub(crate) fn note(kernel: &LiteKernel, server: Arc<RpcServer>, node: NodeId, sl
 }
 
 fn defer(server: Arc<RpcServer>) {
+    push(Pending::Serve(server));
+}
+
+/// Notes `migrator`'s work for this thread to run at the end of its
+/// outermost `lt_*` call.
+pub(crate) fn defer_migration(migrator: Arc<Migrator>) {
+    push(Pending::Migrate(migrator));
+}
+
+fn push(work: Pending) {
     PENDING.with_borrow_mut(|p| {
-        if !p.iter().any(|s| Arc::ptr_eq(s, &server)) {
-            p.push(server);
+        let same = |w: &Pending| match (w, &work) {
+            (Pending::Serve(a), Pending::Serve(b)) => Arc::ptr_eq(a, b),
+            (Pending::Migrate(a), Pending::Migrate(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        if !p.iter().any(same) {
+            p.push(work);
         }
     });
 }
@@ -232,8 +259,9 @@ pub(crate) fn run_now(server: Arc<RpcServer>) {
     run_pending();
 }
 
-/// Runs the served work this thread found, oldest first, unless it is
-/// already doing so further up its stack (that loop will reach it).
+/// Runs the work this thread found, oldest first, unless it is already
+/// doing so further up its stack (that loop will reach it). Migrations
+/// wait for the end of the outermost `lt_*` call.
 pub(crate) fn run_pending() {
     if RUNNING.get() || PENDING.with_borrow(Vec::is_empty) {
         return;
@@ -246,8 +274,18 @@ pub(crate) fn run_pending() {
     }
     RUNNING.set(true);
     let _done = Done;
-    while let Some(server) = PENDING.with_borrow_mut(|p| (!p.is_empty()).then(|| p.remove(0))) {
-        server.run();
+    let outside = DEPTH.get() == 0;
+    let next = |p: &mut Vec<Pending>| {
+        let at = p
+            .iter()
+            .position(|w| outside || matches!(w, Pending::Serve(_)))?;
+        Some(p.remove(at))
+    };
+    while let Some(work) = PENDING.with_borrow_mut(next) {
+        match work {
+            Pending::Serve(server) => server.run(),
+            Pending::Migrate(migrator) => migrator.run(),
+        }
     }
 }
 

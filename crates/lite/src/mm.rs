@@ -49,7 +49,7 @@
 //! the bytes are home but their pages hold no pin — registration was
 //! O(1). The first access faults the touched pages in (the datapath
 //! charges the NIC page-fault cost) and promotes the segment to
-//! `Resident`; the sweeper demotes cold, pin-free segments back to
+//! `Resident`; the unpinner demotes cold, pin-free segments back to
 //! `Unpinned`, releasing their page pins. Eviction may start from either
 //! tier — `Unpinned` segments are the cheapest victims. It does not fold
 //! into `Resident`: it is the one bit that lets the background unpinner
@@ -59,16 +59,23 @@
 //! Budget is policy, not capacity: allocation never fails because of the
 //! budget, so forward progress is guaranteed even when eviction cannot
 //! keep up (swap nodes dead, pins never draining).
+//!
+//! # Who migrates
+//!
+//! No thread (DESIGN.md §11): the LITE call that made migrations due
+//! runs the node's [`Migrator`] on its way out ([`MemManager::poke`]),
+//! an [`MmRequest`]'s caller runs it, and the touch that moves the
+//! virtual unpin epoch on walks the cold segments.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use rnic::NodeId;
 use simnet::wait::{Deadline, Event};
-use simnet::{Ctx, Lru};
+use simnet::{Ctx, Lru, Nanos};
 use smem::Chunk;
 
 use crate::api::LiteHandle;
@@ -93,6 +100,10 @@ const PIN_DEADLINE: Duration = Duration::from_secs(2);
 /// chunks home (fetch-back), budget permitting.
 pub const FETCH_BACK_FAULTS: u32 = 3;
 
+/// Virtual nanoseconds in one unpin epoch: a segment untouched for a
+/// whole epoch is cold, and the lazy unpinner releases its pages.
+pub const EPOCH_NS: Nanos = 1_000_000;
+
 /// Track at most this many segments in the recency list; beyond it the
 /// LRU sheds recency info (victim selection falls back to map order).
 const LRU_CAPACITY: usize = 65_536;
@@ -105,8 +116,7 @@ const R_MIGRATING: u8 = 1;
 /// Bytes live on a swap node (the segment's host).
 const R_REMOTE: u8 = 2;
 /// Bytes are home but their pages hold no pin (lazy mode): the next
-/// access faults them in; the background sweeper parks cold segments
-/// here.
+/// access faults them in; the unpinner parks cold segments here.
 const R_UNPINNED: u8 = 3;
 /// A migration replaced the segment (the source of a commit) or rolled it
 /// back (a stage): it is in no map, and a pin that waited on it looks its
@@ -148,9 +158,14 @@ pub struct Segment {
     /// goes: what pins waiting out a migration and a migrator draining
     /// pins park on.
     changed: Event,
-    /// Sweep epoch of the last access (background-unpinner input: a
-    /// segment untouched for a full epoch is cold enough to unpin).
+    /// Unpin epoch of the last access (unpinner input: a segment
+    /// untouched for a full epoch is cold enough to unpin).
     last_touch: AtomicU64,
+    /// The latest virtual stamp a pin was taken at, and the one the
+    /// bytes landed at (0 when registered): a migration starts no earlier
+    /// than the first, and an access joins the second (DESIGN.md §11).
+    touched: AtomicU64,
+    landed: AtomicU64,
 }
 
 impl Segment {
@@ -165,6 +180,8 @@ impl Segment {
             dead: AtomicBool::new(false),
             changed: Event::default(),
             last_touch: AtomicU64::new(0),
+            touched: AtomicU64::new(0),
+            landed: AtomicU64::new(0),
         }
     }
 
@@ -186,6 +203,13 @@ impl Segment {
 /// A held pin: the segment cannot migrate until this drops.
 pub struct PinGuard {
     seg: Arc<Segment>,
+}
+
+impl PinGuard {
+    /// The virtual stamp the pinned bytes landed at.
+    pub(crate) fn landed(&self) -> Nanos {
+        self.seg.landed.load(Ordering::SeqCst)
+    }
 }
 
 impl Drop for PinGuard {
@@ -227,7 +251,7 @@ impl Slot {
     }
 }
 
-/// An asynchronous request to the manager thread.
+/// An explicit migration, run on the caller ([`MemManager::request`]).
 #[derive(Debug, Clone, Copy)]
 pub enum MmRequest {
     /// Evict the segment of LMR `idx` containing byte `off`
@@ -296,11 +320,8 @@ pub struct MemManager {
     lazy: bool,
     next_swap: AtomicUsize,
     state: Mutex<MmState>,
-    queue: Mutex<VecDeque<MmRequest>>,
-    /// Woken by a request and by shutdown: what the manager thread waits
-    /// on between sweeps.
-    requested: Event,
-    shutdown: AtomicBool,
+    /// Weak: the migrator's handle holds this node's kernel.
+    migrator: Mutex<Weak<Migrator>>,
     /// Migrations claimed and not yet ended, and how many have ended.
     in_flight: AtomicU32,
     ended: AtomicU64,
@@ -313,7 +334,8 @@ pub struct MemManager {
     misses: AtomicU64,
     /// Page-granular pin accounting for tracked ranges on this node.
     pins: smem::PinTable,
-    /// Sweep epoch: bumped once per manager sweep; cold detection input.
+    /// Unpin epoch: the highest `clock / EPOCH_NS` a toucher has shown
+    /// (cold detection input).
     epoch: AtomicU64,
     first_touch_faults: AtomicU64,
     bg_unpins: AtomicU64,
@@ -337,9 +359,7 @@ impl MemManager {
                 evicted_bytes: 0,
                 hosted_bytes: 0,
             }),
-            queue: Mutex::new(VecDeque::new()),
-            requested: Event::default(),
-            shutdown: AtomicBool::new(false),
+            migrator: Mutex::new(Weak::new()),
             in_flight: AtomicU32::new(0),
             ended: AtomicU64::new(0),
             migrated: Event::default(),
@@ -349,36 +369,21 @@ impl MemManager {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             pins: smem::PinTable::new(),
-            epoch: AtomicU64::new(1),
+            epoch: AtomicU64::new(0),
             first_touch_faults: AtomicU64::new(0),
             bg_unpins: AtomicU64::new(0),
         }
     }
 
-    /// Whether tiering is on (a budget was configured).
-    pub fn enabled(&self) -> bool {
-        self.budget > 0
-    }
-
     /// Whether this manager tracks segments at all: tiering (budget) or
     /// pin-free registration (lazy) — either needs the residency machine
-    /// and the manager thread.
+    /// and a migrator.
     pub fn tracking(&self) -> bool {
         self.budget > 0 || self.lazy
     }
 
-    /// Whether pin-free (lazy) registration is on.
-    pub fn lazy(&self) -> bool {
-        self.lazy
-    }
-
     fn current_epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// The configured budget in bytes (0 = disabled).
-    pub fn budget(&self) -> u64 {
-        self.budget
     }
 
     // ------------------------------------------------------------------
@@ -506,11 +511,15 @@ impl MemManager {
     // Hot-path hooks (datapath / API)
     // ------------------------------------------------------------------
 
-    /// Records one access at `addr`: promotes the covering segment in
-    /// the LRU and stamps it with the current sweep epoch.
-    pub(crate) fn touch(&self, addr: u64) {
+    /// Records one access at `addr` by a thread whose clock reads `now`:
+    /// advances the unpin epoch to `now`'s (lazy mode), promotes the
+    /// covering segment in the LRU and stamps it with the epoch.
+    pub(crate) fn touch(&self, addr: u64, now: Nanos) {
         if !self.tracking() {
             return;
+        }
+        if self.lazy {
+            self.advance_epoch(now);
         }
         let mut st = self.state.lock();
         let Some((_, slot)) = st.covering(addr) else {
@@ -529,13 +538,23 @@ impl MemManager {
         }
     }
 
-    /// Fences an access to `[addr, addr+len)` that the caller believes
-    /// belongs to LMR `id` at byte offset `lmr_off`, waiting out a
-    /// migration in progress. Verifying the identity closes the ABA
-    /// window where the range was freed and recycled for a different
-    /// tracked LMR.
-    pub(crate) fn pin(&self, addr: u64, len: u64, id: LmrId, lmr_off: u64) -> PinOutcome {
-        self.pin_range(addr, len, Some((id, lmr_off)), true)
+    /// Fences an access to `[addr, addr+len)` that the caller, at clock
+    /// `now`, believes belongs to LMR `id` at byte offset `lmr_off`,
+    /// waiting out a migration in progress. Verifying the identity closes
+    /// the ABA window where the range was freed and recycled for a
+    /// different tracked LMR.
+    pub(crate) fn pin(
+        &self,
+        addr: u64,
+        len: u64,
+        (id, lmr_off): (LmrId, u64),
+        now: Nanos,
+    ) -> PinOutcome {
+        let pinned = self.pin_range(addr, len, Some((id, lmr_off)), true);
+        if let PinOutcome::Pinned(g, _) = &pinned {
+            g.seg.touched.fetch_max(now, Ordering::SeqCst);
+        }
+        pinned
     }
 
     /// Fences a raw physical range (kernel services that operate on raw
@@ -634,6 +653,16 @@ impl MemManager {
         }
     }
 
+    /// Whether byte `off` of LMR `id`, mastered here, is tracked: then a
+    /// piece of it that pins `Untracked` where it is stored was read from
+    /// a stale location whose range the storage node has handed out
+    /// again (its tombstone scrubbed, the new owner not yet staged).
+    pub(crate) fn tracks(&self, id: LmrId, off: u64) -> bool {
+        let covers = |s: &&Arc<Segment>| s.key.off <= off && off < s.key.off + s.len;
+        id.node as NodeId == self.node
+            && self.state.lock().segs.values().filter(|s| s.key.id == id).any(|s| covers(&s))
+    }
+
     /// The logical identity of the byte at `addr`, if tracked: the
     /// owning LMR and the byte's offset within it. Used to key atomic
     /// histories by logical location so they survive migration.
@@ -650,8 +679,9 @@ impl MemManager {
     }
 
     /// Counts one remote map-fault on locally-mastered LMR `idx` (a
-    /// mapper re-fetched a location with remote extents). Enough faults
-    /// trigger a fetch-back on the next sweep.
+    /// mapper re-fetched a location with remote extents). Runs on the
+    /// kernel-call thread, which never migrates: the mapper whose fault
+    /// crossed [`FETCH_BACK_FAULTS`] runs the fetch-back ([`Self::poke`]).
     pub(crate) fn note_map_fault(&self, idx: u32) {
         if !self.tracking() {
             return;
@@ -664,28 +694,47 @@ impl MemManager {
     // Requests and gauges
     // ------------------------------------------------------------------
 
-    /// Enqueues an asynchronous request for the manager thread.
+    /// Runs `req` on the calling thread, which must hold nothing and be
+    /// in no `lt_*` call: it waits for a migrator another thread holds.
     pub fn request(&self, req: MmRequest) {
-        if !self.tracking() {
+        let Some(migrator) = self.migrator() else {
+            return;
+        };
+        let (idx, off, out) = match req {
+            MmRequest::Evict { idx, off } => (idx, off, true),
+            MmRequest::FetchBack { idx } => (idx, u64::MAX, false),
+        };
+        let mut clock = migrator.clock.lock();
+        let Clock { ctx, h } = &mut *clock;
+        migrate_lmr(&Arc::clone(h.kernel()), ctx, h, idx, off, out);
+        drop(clock);
+        // Work noted while the request held the migrator.
+        migrator.run();
+    }
+
+    /// Notes the migrations a thread in an `lt_*` call, at clock `now`,
+    /// made due here (pressure, or a fetch-back its map-fault called
+    /// for); it runs them on its way out of the outermost call.
+    pub(crate) fn poke(&self, now: Nanos) {
+        if !self.tracking() || !self.has_work() {
             return;
         }
-        self.queue.lock().push_back(req);
-        self.requested.wake();
+        if let Some(migrator) = self.migrator() {
+            migrator.due.fetch_max(now, Ordering::SeqCst);
+            migrator.noted.store(true, Ordering::SeqCst);
+            crate::kernel::serve::defer_migration(migrator);
+        }
     }
 
-    fn drain_requests(&self, interval: Duration) -> Vec<MmRequest> {
-        let ready = || self.stopping() || !self.queue.lock().is_empty();
-        self.requested.park_until(ready, Deadline::after(interval));
-        self.queue.lock().drain(..).collect()
+    fn migrator(&self) -> Option<Arc<Migrator>> {
+        self.tracking().then(|| self.migrator.lock().upgrade())?
     }
 
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.requested.wake();
-    }
-
-    fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+    /// Bytes over the budget, or an LMR past [`FETCH_BACK_FAULTS`].
+    fn has_work(&self) -> bool {
+        self.pressure() > 0
+            || (self.budget > 0
+                && self.state.lock().faults.values().any(|&n| n >= FETCH_BACK_FAULTS))
     }
 
     /// Parks until no migration is in flight or one that was ends, or
@@ -697,14 +746,6 @@ impl MemManager {
             self.in_flight.load(Ordering::SeqCst) == 0 || self.ended.load(Ordering::SeqCst) != seen
         };
         self.migrated.park_until(ended, deadline);
-    }
-
-    /// Parks until this node has evicted a chunk or `deadline` passes;
-    /// whether it has. For a caller that needs tiering to have engaged
-    /// under its traffic.
-    pub fn wait_for_eviction(&self, deadline: Deadline) -> bool {
-        let evicted = || self.evictions.load(Ordering::Relaxed) > 0;
-        self.migrated.park_until(evicted, deadline)
     }
 
     /// Memory-tiering gauges (folded into [`crate::StatsReport`]). The
@@ -726,7 +767,7 @@ impl MemManager {
         let hits = self.hits.load(Ordering::Relaxed);
         let misses = self.misses.load(Ordering::Relaxed);
         MmReport {
-            enabled: self.enabled(),
+            enabled: self.budget > 0,
             lazy: self.lazy,
             budget_bytes: self.budget,
             resident_bytes,
@@ -796,7 +837,7 @@ impl MemManager {
     }
 
     // ------------------------------------------------------------------
-    // Migration primitives (called from the manager thread only)
+    // Migration primitives (called by the node's migrator only)
     // ------------------------------------------------------------------
 
     /// Claims `key` for a migration to `to`: Resident | Unpinned | Remote
@@ -842,7 +883,7 @@ impl MemManager {
         // is visible to that pin's residency re-check, and it backs off.
         let drained = || seg.pins.load(Ordering::SeqCst) == 0;
         let deadline = Deadline::after(DRAIN_DEADLINE);
-        drained() || (!self.stopping() && seg.changed.park_until(drained, deadline))
+        drained() || seg.changed.park_until(drained, deadline)
     }
 
     /// Stages a migration's landing range in the address map of the
@@ -1024,25 +1065,29 @@ impl MemManager {
         out
     }
 
-    /// Background unpinner (lazy mode only): closes the sweep epoch and
-    /// demotes locally-resident segments that went a full epoch without
-    /// a touch and have no pins in flight — Resident → Unpinned, pages
-    /// released. Runs entirely under the state lock, so it can never
-    /// interleave with `pin_range`'s fault-in/pin sequence: a segment is
-    /// either demoted before a pin (the pin refaults it) or after (the
-    /// pin count blocks the demotion).
-    fn bg_unpin_sweep(&self) {
-        if !self.lazy {
-            return;
+    /// Raises the unpin epoch to `now`'s; whoever raised it walks.
+    fn advance_epoch(&self, now: Nanos) {
+        let epoch = now / EPOCH_NS;
+        if epoch > self.epoch.load(Ordering::Relaxed)
+            && self.epoch.fetch_max(epoch, Ordering::AcqRel) < epoch
+        {
+            self.unpin_cold(epoch);
         }
-        // `prev` is the epoch that just ended; anything last touched
-        // before it has been cold for at least one full sweep interval.
-        let prev = self.epoch.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// The unpinner: demotes locally-resident segments last touched
+    /// before the epoch preceding `epoch` — a full epoch without a touch —
+    /// that have no pins in flight, Resident → Unpinned, pages released.
+    /// Runs entirely under the state lock, so it can never interleave
+    /// with `pin_range`'s fault-in/pin sequence: a segment is either
+    /// demoted before a pin (the pin refaults it) or after (the pin count
+    /// blocks the demotion).
+    fn unpin_cold(&self, epoch: u64) {
         let st = self.state.lock();
         for seg in st.segs.values() {
             if seg.host != self.node
                 || seg.pins.load(Ordering::Acquire) != 0
-                || seg.last_touch.load(Ordering::Relaxed) >= prev
+                || seg.last_touch.load(Ordering::Relaxed) + 1 >= epoch
                 || seg
                     .residency
                     .compare_exchange(R_RESIDENT, R_UNPINNED, Ordering::AcqRel, Ordering::Acquire)
@@ -1138,45 +1183,66 @@ impl MmReport {
 }
 
 // ---------------------------------------------------------------------
-// The manager thread
+// The migrator
 // ---------------------------------------------------------------------
 
-/// The body of the `lite-mm-{node}` thread: drains requests, relieves
-/// budget pressure, and pulls faulted LMRs home.
-/// Spawned by `LiteKernel::boot` only when the manager tracks segments
-/// (a budget or lazy pinning).
-pub(crate) fn run(kernel: Arc<LiteKernel>) {
-    let mm = Arc::clone(kernel.mm());
-    let mut ctx = Ctx::new();
-    let Ok(mut handle) = LiteHandle::new(Arc::clone(&kernel), false) else {
-        return;
-    };
-    let interval = kernel.config().mm_sweep_interval;
-    while !mm.stopping() {
-        for req in mm.drain_requests(interval) {
-            if mm.stopping() {
-                break;
-            }
-            let (idx, off, out) = match req {
-                MmRequest::Evict { idx, off } => (idx, off, true),
-                MmRequest::FetchBack { idx } => (idx, u64::MAX, false),
+/// A node's migration clock and the handle migrations post through. The
+/// cluster holds it, its manager weakly. Only a request waits for it;
+/// a thread that finds it held leaves its work `noted`, and the holder
+/// looks again after it lets go. `due` is the latest noter's clock:
+/// migrations start no earlier, and never charge the noter.
+pub(crate) struct Migrator {
+    noted: AtomicBool,
+    due: AtomicU64,
+    clock: Mutex<Clock>,
+}
+
+struct Clock {
+    ctx: Ctx,
+    h: LiteHandle,
+}
+
+impl Migrator {
+    /// The migrator of `kernel`'s node, bound to its manager; `None` when
+    /// the manager tracks nothing (no budget, no lazy pinning).
+    pub(crate) fn bind(kernel: &Arc<LiteKernel>) -> LiteResult<Option<Arc<Migrator>>> {
+        if !kernel.mm().tracking() {
+            return Ok(None);
+        }
+        let migrator = Arc::new(Migrator {
+            noted: AtomicBool::new(false),
+            due: AtomicU64::new(0),
+            clock: Mutex::new(Clock {
+                ctx: Ctx::new(),
+                h: LiteHandle::new(Arc::clone(kernel), false)?,
+            }),
+        });
+        *kernel.mm().migrator.lock() = Arc::downgrade(&migrator);
+        Ok(Some(migrator))
+    }
+
+    /// Runs the noted work unless another thread holds the migrator.
+    pub(crate) fn run(&self) {
+        while self.noted.load(Ordering::SeqCst) {
+            let Some(mut clock) = self.clock.try_lock() else {
+                return;
             };
-            migrate_lmr(&kernel, &mut ctx, &mut handle, idx, off, out);
+            self.noted.store(false, Ordering::SeqCst);
+            let Clock { ctx, h } = &mut *clock;
+            ctx.wait_until(self.due.load(Ordering::SeqCst));
+            relieve(&Arc::clone(h.kernel()), ctx, h);
         }
-        if mm.stopping() {
-            break;
-        }
-        sweep(&kernel, &mut ctx, &mut handle);
     }
 }
 
-fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
-    let mm = Arc::clone(kernel.mm());
-    // 1. Budget pressure: evict coldest-first until under budget (or
-    //    nothing evictable / a migration fails — retried next sweep).
-    let mut guard = 0;
-    while mm.pressure() > 0 && !mm.stopping() && guard < 1_024 {
-        guard += 1;
+/// Evicts coldest-first down to the budget (a failure leaves the rest to
+/// the next poke), then fetches back the LMRs faults called home.
+fn relieve(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
+    let mm = kernel.mm();
+    for _ in 0..1_024 {
+        if mm.pressure() == 0 {
+            break;
+        }
         let Some(victim) = mm.pick_victim() else {
             break;
         };
@@ -1187,16 +1253,9 @@ fn sweep(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
             break;
         }
     }
-    // 2. Fault-driven fetch-back: LMRs whose mappers keep faulting on
-    //    remote extents come home when the budget has headroom.
     for idx in mm.take_fetch_back_candidates() {
-        if mm.stopping() {
-            return;
-        }
         migrate_lmr(kernel, ctx, handle, idx, u64::MAX, false);
     }
-    // 3. Lazy mode: release pins of segments cold for a full epoch.
-    mm.bg_unpin_sweep();
 }
 
 /// Migrates the segments of LMR `idx` covering byte `off` (`u64::MAX`:
@@ -1266,11 +1325,12 @@ fn migrate_one(
     let Some((seg, was)) = mm.begin_migrate(&key, to) else {
         return Ok(()); // gone, mid-migration or already there; nothing to do
     };
-    let started = ctx.now();
     if !mm.drain_pins(&seg) {
         mm.abort_migrate(&seg, was);
         return Err(LiteError::Timeout);
     }
+    ctx.wait_until(seg.touched.load(Ordering::SeqCst));
+    let started = ctx.now();
     // Land space at `to`: straight from our allocator when that is us
     // (no RPC to self), from the swap node's allocator service otherwise.
     let landed = if inbound {
@@ -1313,6 +1373,9 @@ fn migrate_one(
             };
             ctx.wait_until(comp);
             done += c.len;
+        }
+        for s in &staged {
+            s.landed.store(ctx.now(), Ordering::SeqCst);
         }
         let repl: Vec<(NodeId, Chunk)> = chunks.iter().map(|c| (to, *c)).collect();
         if !kernel.replace_extents(key.id.idx, key.off, seg.len, &repl) {
@@ -1361,7 +1424,6 @@ fn migrate_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
 
     fn cfg(budget: u64) -> LiteConfig {
         LiteConfig {
@@ -1384,7 +1446,7 @@ mod tests {
         let mm = MemManager::new(0, 2, &cfg(0));
         let id = LmrId { node: 0, idx: 1 };
         mm.register(id, &loc(0, &[(0x1000, 4096)]));
-        assert!(matches!(mm.pin(0x1000, 64, id, 0), PinOutcome::Untracked));
+        assert!(matches!(mm.pin(0x1000, 64, (id, 0), 0), PinOutcome::Untracked));
         let r = mm.stats();
         assert!(!r.enabled);
         assert_eq!(r.resident_bytes, 0);
@@ -1398,17 +1460,17 @@ mod tests {
         assert_eq!(mm.stats().resident_bytes, 8192);
         assert_eq!(mm.stats().resident_chunks, 2);
         // Pin inside the second chunk: lmr offset 4096 + 16.
-        match mm.pin(0x4010, 32, id, 4096 + 16) {
+        match mm.pin(0x4010, 32, (id, 4096 + 16), 0) {
             PinOutcome::Pinned(..) => {}
             _ => panic!("expected pin"),
         }
         // Wrong identity → Relocated.
         let other = LmrId { node: 0, idx: 9 };
-        assert!(matches!(mm.pin(0x1000, 8, other, 0), PinOutcome::Relocated));
+        assert!(matches!(mm.pin(0x1000, 8, (other, 0), 0), PinOutcome::Relocated));
         // Wrong offset → Relocated.
-        assert!(matches!(mm.pin(0x1000, 8, id, 64), PinOutcome::Relocated));
+        assert!(matches!(mm.pin(0x1000, 8, (id, 64), 0), PinOutcome::Relocated));
         // Outside tracked space → Untracked.
-        assert!(matches!(mm.pin(0x9000, 8, id, 0), PinOutcome::Untracked));
+        assert!(matches!(mm.pin(0x9000, 8, (id, 0), 0), PinOutcome::Untracked));
     }
 
     #[test]
@@ -1431,7 +1493,7 @@ mod tests {
         mm.register(id, &loc(0, &[(0x2000, 4096)]));
         mm.unregister_lmr(1);
         assert_eq!(mm.stats().resident_bytes, 0);
-        assert!(matches!(mm.pin(0x2000, 8, id, 0), PinOutcome::Untracked));
+        assert!(matches!(mm.pin(0x2000, 8, (id, 0), 0), PinOutcome::Untracked));
     }
 
     #[test]
@@ -1439,9 +1501,9 @@ mod tests {
         let mm = MemManager::new(0, 3, &cfg(1 << 20));
         let id = LmrId { node: 0, idx: 1 };
         mm.register(id, &loc(0, &[(0x1000, 4096), (0x4000, 4096)]));
-        mm.touch(0x1000);
-        mm.touch(0x1080);
-        mm.touch(0x4000);
+        mm.touch(0x1000, 0);
+        mm.touch(0x1080, 0);
+        mm.touch(0x4000, 0);
         let r = mm.stats();
         assert_eq!(r.lru_hits, 3);
         // The coldest segment is the one at 0x4000? No: 0x4000 touched
@@ -1462,13 +1524,13 @@ mod tests {
             st.resident_bytes = 0;
         }
         assert!(matches!(
-            mm.pin(0x1800, 8, id, 0x800),
+            mm.pin(0x1800, 8, (id, 0x800), 0),
             PinOutcome::Relocated
         ));
         assert!(mm.stats().redirects >= 1);
         // Re-registration scrubs the tombstone.
         mm.register(id, &loc(0, &[(0x1000, 4096)]));
-        assert!(matches!(mm.pin(0x1000, 8, id, 0), PinOutcome::Pinned(..)));
+        assert!(matches!(mm.pin(0x1000, 8, (id, 0), 0), PinOutcome::Pinned(..)));
     }
 
     #[test]
@@ -1477,7 +1539,7 @@ mod tests {
         let id = LmrId { node: 0, idx: 1 };
         mm.register(id, &loc(0, &[(0x1000, 4096), (0x4000, 4096)]));
         // Touch the first; the second becomes the LRU victim.
-        mm.touch(0x1000);
+        mm.touch(0x1000, 0);
         assert_eq!(mm.pick_victim(), Some(SegKey { id, off: 4096 }));
     }
 
@@ -1598,10 +1660,10 @@ mod tests {
             let waiter = |mm: &Arc<MemManager>, addr: u64| {
                 let (mm, ended, id) = (Arc::clone(mm), Arc::clone(&ended), seg.key.id);
                 std::thread::spawn(move || {
-                    let start = Instant::now();
-                    let out = mm.pin(addr, 64, id, 0);
+                    let deadline = Deadline::after(PIN_DEADLINE);
+                    let out = mm.pin(addr, 64, (id, 0), 0);
                     assert!(ended.load(Ordering::SeqCst), "pinned through the fence");
-                    assert!(start.elapsed() < PIN_DEADLINE, "nothing woke the pin");
+                    assert!(!deadline.passed(), "nothing woke the pin");
                     out
                 })
             };
@@ -1651,7 +1713,7 @@ mod tests {
         for ends in [true, false] {
             let (seg, was) = mm.begin_migrate(&key, 1).expect("claim chunk 0");
             let redirects = mm.stats().redirects;
-            let started = Instant::now();
+            let timeout = Deadline::after(op_timeout);
             let out = std::thread::scope(|s| {
                 let memset = s.spawn(|| h.lt_memset(&mut ctx, lh, 0, 64, 7));
                 if ends {
@@ -1671,7 +1733,7 @@ mod tests {
                 assert_eq!(buf, [7; 64]);
             } else {
                 assert_eq!(out, Err(LiteError::Timeout));
-                assert!(started.elapsed() >= op_timeout);
+                assert!(timeout.passed());
                 mm.abort_migrate(&seg, was);
             }
         }

@@ -28,7 +28,7 @@
 //! There is no global freeze — entries inserted into an already-visited
 //! shard during iteration are missed, entries removed from an unvisited
 //! one are skipped. Every current consumer (lh invalidation, the mm
-//! sweeper, stats gauges) tolerates that weaker snapshot.
+//! migrator, stats gauges) tolerates that weaker snapshot.
 
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, Hash};

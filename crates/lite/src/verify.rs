@@ -59,6 +59,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -69,6 +70,7 @@ use crate::cluster::LiteCluster;
 use crate::config::LiteConfig;
 use crate::error::{LiteError, LiteResult};
 use crate::lmr::Perm;
+use crate::mm::MmRequest;
 
 // ---------------------------------------------------------------------
 // History model
@@ -912,13 +914,6 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
         op_timeout: Duration::from_millis(400),
         stats_sample_rate: 1_000,
         mem_budget_bytes: w.mem_budget,
-        // Sweep aggressively when tiering is on so a short run still
-        // migrates chunks under the recorded ops.
-        mm_sweep_interval: if w.mem_budget > 0 {
-            Duration::from_micros(200)
-        } else {
-            LiteConfig::default().mm_sweep_interval
-        },
         ..Default::default()
     };
     let cluster = LiteCluster::start_with(IbConfig::with_nodes(MIXED_NODES), config)?;
@@ -952,12 +947,20 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
     let mut sctx = Ctx::new();
     let lock = setup.lt_create_lock(&mut sctx)?;
     let cells_node = if w.mem_budget > 0 { owner } else { 1 };
-    let _master = setup.lt_malloc(&mut sctx, cells_node, 4096, "verify.cells", Perm::RW)?;
+    let cells = setup.lt_malloc(&mut sctx, cells_node, 4096, "verify.cells", Perm::RW)?;
+    // The budget evicts the cells as they are allocated. Under it worker
+    // 0 pulls them home and pushes them out again after each of its
+    // rounds but the last, while the others run theirs: migrations that
+    // end between the first op and the last.
+    let cells_idx = setup.lh_id(cells)?.idx;
+    let mm = cluster.kernel(owner).mm();
+    let moved = || mm.stats().evictions + mm.stats().fetch_backs;
+    let under = AtomicU64::new(0);
 
     std::thread::scope(|scope| -> LiteResult<()> {
         let mut handles = Vec::new();
         for t in 0..MIXED_THREADS {
-            let cluster = &cluster;
+            let (cluster, moved, under) = (&cluster, &moved, &under);
             handles.push(scope.spawn(move || -> LiteResult<()> {
                 let node = t % MIXED_NODES;
                 let mut h = cluster.attach_kernel(node)?;
@@ -985,6 +988,15 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
                         // separate cleanly (id-reuse is checked).
                         let _ = h.lt_barrier(&mut ctx, 7, MIXED_THREADS as u32);
                     }
+                    if t == 0 && w.mem_budget > 0 && r + 1 < MIXED_ROUNDS {
+                        let before = moved();
+                        mm.request(MmRequest::FetchBack { idx: cells_idx });
+                        mm.request(MmRequest::Evict {
+                            idx: cells_idx,
+                            off: u64::MAX,
+                        });
+                        under.fetch_add(moved() - before, Ordering::SeqCst);
+                    }
                 }
                 Ok(())
             }));
@@ -1007,16 +1019,9 @@ pub fn run_mixed(seed: u64, w: &MixedWorkload) -> LiteResult<History> {
         }
     })?;
     // With tiering requested, refuse to certify a run where the
-    // machinery never engaged: the budget sits below the cells LMR, so
-    // the sweeper must have evicted at least once (usually mid-run;
-    // the deadline only covers a slow first sweep).
-    if w.mem_budget > 0 {
-        let deadline = simnet::wait::Deadline::after(Duration::from_secs(5));
-        let mm = cluster.kernel(owner).mm();
-        let evicted = || mm.stats().evictions > 0;
-        if !mm.migrated.park_until(evicted, deadline) {
-            return Err(LiteError::Internal("tiering enabled but nothing evicted"));
-        }
+    // machinery never engaged under the ops.
+    if w.mem_budget > 0 && under.load(Ordering::SeqCst) == 0 {
+        return Err(LiteError::Internal("tiering enabled but no migration under the ops"));
     }
     cluster.fabric().clear_fault_plan();
     Ok(log.take())

@@ -6,46 +6,26 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lite::mm::MmRequest;
+use lite::mm::{MmRequest, EPOCH_NS};
 use lite::{LiteCluster, LiteConfig, Perm};
 use rnic::IbConfig;
 use simnet::Ctx;
 
 const MB: u64 = 1 << 20;
 
-/// A sweep interval short enough for the background unpinner (and the
-/// budget sweeper) to act within a test.
-const FAST_SWEEP: Duration = Duration::from_millis(1);
-
-/// A sweep interval no test reaches: nothing is unpinned behind its back.
-const NO_SWEEP: Duration = Duration::from_secs(3600);
-
-fn cluster_with(nodes: usize, lazy: bool, budget: u64, sweep: Duration) -> Arc<LiteCluster> {
+fn cluster_with(nodes: usize, lazy: bool, budget: u64) -> Arc<LiteCluster> {
     let config = LiteConfig {
         lazy_pinning: lazy,
         mem_budget_bytes: budget,
-        mm_sweep_interval: sweep,
         ..LiteConfig::default()
     };
     LiteCluster::start_with(IbConfig::with_nodes(nodes), config).unwrap()
 }
 
-/// Polls `cond` until it holds or `secs` elapse.
-fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(secs);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
-
 /// Virtual latency of one `lt_malloc` of `size` bytes on a fresh
 /// cluster (fresh so poller-clock history cannot skew the measurement).
 fn reg_latency(lazy: bool, size: u64, name: &str) -> u64 {
-    let cluster = cluster_with(2, lazy, 0, FAST_SWEEP);
+    let cluster = cluster_with(2, lazy, 0);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let t0 = ctx.now();
@@ -78,14 +58,13 @@ fn lazy_registration_latency_is_flat_across_sizes() {
 
 /// Lazy mode pins nothing at registration; the first access faults in
 /// and pins only the pages it covers, and repeat accesses to the same
-/// range are fault-free (and cheaper in virtual time). The unpinner never
-/// runs here: a host stall between the two writes would otherwise let it
-/// reap the fresh pins and the warm write refault
+/// range are fault-free (and cheaper in virtual time). The test's clock
+/// stays inside the first unpin epoch, so the unpinner never runs here
 /// (`background_unpinner_releases_cold_pages_and_refault_restores`
-/// covers the unpinner).
+/// covers it).
 #[test]
 fn first_touch_pins_only_the_touched_pages() {
-    let cluster = cluster_with(2, true, 0, NO_SWEEP);
+    let cluster = cluster_with(2, true, 0);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     h.lt_malloc(&mut ctx, 0, MB, "lazy.touch", Perm::RW)
@@ -129,14 +108,15 @@ fn first_touch_pins_only_the_touched_pages() {
     let mut buf = vec![0u8; 64 * 1024];
     h.lt_read(&mut ctx, lh, 0, &mut buf).unwrap();
     assert_eq!(buf, data);
+    assert!(ctx.now() < EPOCH_NS, "the test left the first epoch");
 }
 
-/// The background unpinner demotes segments that go cold for a full
-/// sweep epoch: their pins are released, and the next access faults
-/// them back in with the bytes intact.
+/// The unpinner demotes segments that go cold for a full epoch: the
+/// first touch of node 0 in a later epoch releases their pins, and the
+/// next access faults them back in with the bytes intact.
 #[test]
 fn background_unpinner_releases_cold_pages_and_refault_restores() {
-    let cluster = cluster_with(2, true, 0, FAST_SWEEP);
+    let cluster = cluster_with(2, true, 0);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h
@@ -148,14 +128,19 @@ fn background_unpinner_releases_cold_pages_and_refault_restores() {
     let touched = kernel.mm_stats();
     assert!(touched.pinned_pages >= 16, "write should pin: {touched:?}");
 
-    // Go idle; the sweeper (1 ms interval) must reap the pins.
+    // Go idle for two epochs, then touch node 0 from node 1 at memory
+    // node 0 does not track (an LMR node 1 masters): the touch that
+    // advances the epoch reaps the cold pins.
+    let mut peer = cluster.attach(1).unwrap();
+    let tick = peer
+        .lt_malloc(&mut ctx, 0, 4096, "lazy.tick", Perm::RW)
+        .unwrap();
+    ctx.wait_until(ctx.now() + 2 * EPOCH_NS);
+    peer.lt_write(&mut ctx, tick, 0, &[1; 8]).unwrap();
+    let s = kernel.mm_stats();
     assert!(
-        wait_for(10, || {
-            let s = kernel.mm_stats();
-            s.bg_unpins >= 16 && s.pinned_pages == 0
-        }),
-        "background unpinner never reaped cold pages: {:?}",
-        kernel.mm_stats()
+        s.bg_unpins >= 16 && s.pinned_pages == 0,
+        "the unpinner never reaped cold pages: {s:?}"
     );
 
     // Refault: the read faults the pages back in, data intact.
@@ -178,7 +163,7 @@ fn background_unpinner_releases_cold_pages_and_refault_restores() {
 #[test]
 fn atomics_survive_concurrent_eviction() {
     // Lazy + budget: eviction can claim segments from the Unpinned tier.
-    let cluster = cluster_with(3, true, 4 << 20, FAST_SWEEP);
+    let cluster = cluster_with(3, true, 4 << 20);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h
@@ -256,28 +241,31 @@ fn atomics_survive_concurrent_eviction() {
 /// write-evict-read round trip stays intact.
 #[test]
 fn lazy_mode_reports_gauges_and_survives_eviction_roundtrip() {
-    let cluster = cluster_with(3, true, 16 * 1024, FAST_SWEEP);
+    let cluster = cluster_with(3, true, 16 * 1024);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
     let lh = h
-        .lt_malloc(&mut ctx, 0, 64 * 1024, "lazy.roundtrip", Perm::RW)
+        .lt_malloc(&mut ctx, 0, 16 * 1024, "lazy.roundtrip", Perm::RW)
         .unwrap();
-    let data: Vec<u8> = (0..64 * 1024).map(|i| (i * 7 % 253) as u8).collect();
-    for (i, slice) in data.chunks(16 * 1024).enumerate() {
-        h.lt_write(&mut ctx, lh, (i * 16 * 1024) as u64, slice)
+    let data: Vec<u8> = (0..16 * 1024).map(|i| (i * 7 % 253) as u8).collect();
+    for (i, slice) in data.chunks(4 * 1024).enumerate() {
+        h.lt_write(&mut ctx, lh, (i * 4 * 1024) as u64, slice)
             .unwrap();
     }
     let kernel = cluster.kernel(0);
     assert!(kernel.mm_stats().reg_lat.count >= 1, "reg_lat not recorded");
-    // 64 KB resident against a 16 KB budget: the sweeper must evict.
+    // 48 KB more against a 16 KB budget: the malloc evicts the written
+    // LMR, the coldest, before it returns.
+    h.lt_malloc(&mut ctx, 0, 48 * 1024, "lazy.roundtrip.more", Perm::RW)
+        .unwrap();
     assert!(
-        wait_for(20, || kernel.mm_stats().evictions > 0),
+        kernel.mm_stats().evictions > 0,
         "no eviction under pressure in lazy mode: {:?}",
         kernel.mm_stats()
     );
-    let mut buf = vec![0u8; 64 * 1024];
-    for (i, slice) in buf.chunks_mut(16 * 1024).enumerate() {
-        h.lt_read(&mut ctx, lh, (i * 16 * 1024) as u64, slice)
+    let mut buf = vec![0u8; 16 * 1024];
+    for (i, slice) in buf.chunks_mut(4 * 1024).enumerate() {
+        h.lt_read(&mut ctx, lh, (i * 4 * 1024) as u64, slice)
             .unwrap();
     }
     assert_eq!(buf, data, "data corrupted across lazy-mode eviction");

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lite::mm::MmRequest;
+use lite::mm::{MmRequest, FETCH_BACK_FAULTS};
 use lite::{LiteCluster, LiteConfig, Perm};
 use rnic::IbConfig;
 use simnet::Ctx;
@@ -15,23 +15,10 @@ use simnet::Ctx;
 fn tiered_cluster(nodes: usize, budget: u64) -> Arc<LiteCluster> {
     let config = LiteConfig {
         mem_budget_bytes: budget,
-        mm_sweep_interval: Duration::from_millis(1),
         max_lmr_chunk: 8 * 1024,
         ..LiteConfig::default()
     };
     LiteCluster::start_with(IbConfig::with_nodes(nodes), config).unwrap()
-}
-
-/// Polls `cond` until it holds or `secs` elapse.
-fn wait_for(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(secs);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
 }
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -40,14 +27,15 @@ fn pattern(len: usize, salt: u8) -> Vec<u8> {
         .collect()
 }
 
-/// A working set far above the budget is evicted to swap nodes by the
-/// background sweeper, and every byte survives the trip: reads through
-/// the original (now stale) handle transparently refresh and follow the
-/// chunks to their new hosts.
+/// A written working set is evicted to swap nodes by the `lt_malloc`
+/// that takes the node over its budget, before that call returns, and
+/// every byte survives the trip: reads through the original (now stale)
+/// handle transparently refresh and follow the chunks to their new
+/// hosts.
 #[test]
 fn pressure_eviction_keeps_data_intact() {
     let budget = 48 * 1024u64;
-    let total = 128 * 1024usize;
+    let total = 48 * 1024usize;
     let cluster = tiered_cluster(3, budget);
     let mut h = cluster.attach(0).unwrap();
     let mut ctx = Ctx::new();
@@ -59,17 +47,17 @@ fn pressure_eviction_keeps_data_intact() {
         h.lt_write(&mut ctx, lh, (i * 16 * 1024) as u64, slice)
             .unwrap();
     }
-
     let kernel = cluster.kernel(0);
-    assert!(
-        wait_for(20, || {
-            let s = kernel.mm_stats();
-            s.evictions > 0 && s.resident_bytes <= budget
-        }),
-        "sweeper never relieved pressure: {:?}",
-        kernel.mm_stats()
-    );
+    assert_eq!(kernel.mm_stats().evictions, 0, "evicted within budget");
+
+    // 80 KB more: the written LMR is the coldest, so it goes first.
+    h.lt_malloc(&mut ctx, 0, 80 * 1024, "mm.pressure.more", Perm::RW)
+        .unwrap();
     let stats = kernel.mm_stats();
+    assert!(
+        stats.evictions >= (total / (8 * 1024)) as u64 && stats.resident_bytes <= budget,
+        "the malloc over budget did not relieve it: {stats:?}"
+    );
     assert!(stats.enabled);
     assert!(
         stats.evicted_bytes > 0,
@@ -89,8 +77,8 @@ fn pressure_eviction_keeps_data_intact() {
     let mut remote = cluster.attach(1).unwrap();
     let rlh = remote.lt_map(&mut ctx, "mm.pressure").unwrap();
     let mut rbuf = vec![0u8; 4096];
-    remote.lt_read(&mut ctx, rlh, 60 * 1024, &mut rbuf).unwrap();
-    assert_eq!(&rbuf[..], &data[60 * 1024..64 * 1024]);
+    remote.lt_read(&mut ctx, rlh, 40 * 1024, &mut rbuf).unwrap();
+    assert_eq!(&rbuf[..], &data[40 * 1024..44 * 1024]);
 }
 
 /// An explicit `MmRequest::Evict` migrates every chunk of one LMR, and
@@ -118,8 +106,7 @@ fn explicit_evict_is_transparent_to_stale_handles() {
         off: u64::MAX,
     });
     assert!(
-        wait_for(10, || kernel.mm_stats().evicted_chunks
-            >= total / (8 * 1024)),
+        kernel.mm_stats().evicted_chunks >= total / (8 * 1024),
         "explicit evict did not complete: {:?}",
         kernel.mm_stats()
     );
@@ -166,22 +153,25 @@ fn map_faults_pull_chunks_home() {
         off: u64::MAX,
     });
     assert!(
-        wait_for(10, || kernel.mm_stats().evicted_chunks > 0),
+        kernel.mm_stats().evicted_chunks > 0,
         "evict did not complete: {:?}",
         kernel.mm_stats()
     );
 
     // Each lt_map re-fetches the record from the master and counts as a
-    // remote fault there (extents point away from home). Enough of them
-    // trigger a fetch-back on the next sweep.
+    // remote fault there (extents point away from home). The map whose
+    // fault crosses the threshold runs the fetch-back before it returns.
     let mut remote = cluster.attach(1).unwrap();
-    let fetched = wait_for(10, || {
+    for _ in 1..FETCH_BACK_FAULTS {
         remote.lt_map(&mut ctx, "mm.faults").unwrap();
-        let s = kernel.mm_stats();
-        s.fetch_backs > 0 && s.evicted_chunks == 0
-    });
-    assert!(fetched, "fetch-back never fired: {:?}", kernel.mm_stats());
+    }
+    assert_eq!(kernel.mm_stats().fetch_backs, 0, "fetched back early");
+    remote.lt_map(&mut ctx, "mm.faults").unwrap();
     let stats = kernel.mm_stats();
+    assert!(
+        stats.fetch_backs > 0 && stats.evicted_chunks == 0,
+        "fetch-back never fired: {stats:?}"
+    );
     assert_eq!(stats.evicted_bytes, 0, "still remote: {stats:?}");
     assert!(stats.resident_bytes >= total as u64);
 
@@ -195,56 +185,78 @@ fn map_faults_pull_chunks_home() {
     assert_eq!(rbuf, data);
 }
 
-/// Concurrent writers and readers make progress while the sweeper
-/// churns their LMR between hosts — the pin/retry fencing never loses
-/// an acknowledged write.
+/// Concurrent writers and readers make progress while their LMR churns
+/// between hosts — the pin/retry fencing never loses an acknowledged
+/// write. The main thread moves the chunks out and back with explicit
+/// requests while the writers run.
 #[test]
 fn concurrent_access_survives_live_migration() {
     let cluster = tiered_cluster(3, 16 * 1024);
-    {
+    let id = {
         let mut h = cluster.attach(0).unwrap();
         let mut ctx = Ctx::new();
-        h.lt_malloc(&mut ctx, 0, 64 * 1024, "mm.churn", Perm::RW)
+        let lh = h
+            .lt_malloc(&mut ctx, 0, 64 * 1024, "mm.churn", Perm::RW)
             .unwrap();
-    }
-    let mut joins = Vec::new();
-    for t in 0..2usize {
-        let cluster = Arc::clone(&cluster);
-        joins.push(std::thread::spawn(move || {
-            let mut h = cluster.attach(t).unwrap();
-            let mut ctx = Ctx::new();
-            let lh = h.lt_map(&mut ctx, "mm.churn").unwrap();
-            // The sweeper ticks on host time: keep writing until it has
-            // migrated something under the writers (a release build gets
-            // through 150 rounds before its first tick), but not forever.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let churned = || cluster.kernel(0).mm_stats().evictions > 0;
-            for i in 0u32.. {
-                if i >= 150 && (churned() || Instant::now() > deadline) {
-                    break;
+        h.lh_id(lh).unwrap()
+    };
+    let moved = || {
+        let s = cluster.kernel(0).mm_stats();
+        s.evictions + s.fetch_backs
+    };
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let mut writers = Vec::new();
+        for t in 0..2usize {
+            let (cluster, moved) = (&cluster, &moved);
+            writers.push(scope.spawn(move || {
+                let mut h = cluster.attach(t).unwrap();
+                let mut ctx = Ctx::new();
+                let lh = h.lt_map(&mut ctx, "mm.churn").unwrap();
+                // At least 150 rounds, and on until a migration has ended
+                // since this writer's first one, within ten seconds.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let mut first = None;
+                for i in 0u32.. {
+                    let churned = first.is_some_and(|f| moved() > f);
+                    if i >= 150 && (churned || Instant::now() > deadline) {
+                        return churned;
+                    }
+                    let off = (t * 32 * 1024) as u64 + u64::from(i % 64) * 256;
+                    let tag = [(t as u8) << 4 | (i % 16) as u8; 64];
+                    h.lt_write(&mut ctx, lh, off, &tag).unwrap();
+                    first.get_or_insert_with(moved);
+                    let mut back = [0u8; 64];
+                    h.lt_read(&mut ctx, lh, off, &mut back).unwrap();
+                    assert_eq!(back, tag, "writer {t} lost write {i}");
                 }
-                let off = (t * 32 * 1024) as u64 + u64::from(i % 64) * 256;
-                let tag = [(t as u8) << 4 | (i % 16) as u8; 64];
-                h.lt_write(&mut ctx, lh, off, &tag).unwrap();
-                let mut back = [0u8; 64];
-                h.lt_read(&mut ctx, lh, off, &mut back).unwrap();
-                assert_eq!(back, tag, "writer {t} lost write {i}");
+                unreachable!()
+            }));
+        }
+        let mm = cluster.kernel(0).mm();
+        while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            mm.request(MmRequest::FetchBack { idx: id.idx });
+            mm.request(MmRequest::Evict {
+                idx: id.idx,
+                off: u64::MAX,
+            });
+            if writers.iter().all(|w| w.is_finished()) {
+                stop.store(true, std::sync::atomic::Ordering::Relaxed);
             }
-        }));
-    }
-    for j in joins {
-        j.join().unwrap();
-    }
-    let stats = cluster.kernel(0).mm_stats();
-    assert!(
-        stats.evictions > 0,
-        "budget never forced migration — test exercised nothing: {stats:?}"
-    );
+        }
+        for w in writers {
+            assert!(
+                w.join().unwrap(),
+                "no migration ended under a writer: {:?}",
+                cluster.kernel(0).mm_stats()
+            );
+        }
+    });
 }
 
-/// Budget 0 disables tiering entirely: no manager thread, every gauge
-/// stays zero, explicit requests are no-ops, and the data path behaves
-/// exactly as before the subsystem existed.
+/// Budget 0 disables tiering entirely: no migrator, every gauge stays
+/// zero, explicit requests are no-ops, and the data path behaves exactly
+/// as before the subsystem existed.
 #[test]
 fn ablation_budget_zero_is_inert() {
     let cluster = tiered_cluster(2, 0);
@@ -262,7 +274,6 @@ fn ablation_budget_zero_is_inert() {
         idx: id.idx,
         off: u64::MAX,
     });
-    std::thread::sleep(Duration::from_millis(50));
 
     let stats = kernel.mm_stats();
     assert!(!stats.enabled);
@@ -299,17 +310,9 @@ fn migration_costs_what_it_cost() {
         idx: id.idx,
         off: u64::MAX,
     });
-    assert!(
-        wait_for(10, || kernel.mm_stats().evictions == 4),
-        "evict did not complete: {:?}",
-        kernel.mm_stats()
-    );
+    assert_eq!(kernel.mm_stats().evictions, 4, "evict did not complete");
     kernel.mm().request(MmRequest::FetchBack { idx: id.idx });
-    assert!(
-        wait_for(10, || kernel.mm_stats().fetch_backs == 4),
-        "fetch-back did not complete: {:?}",
-        kernel.mm_stats()
-    );
+    assert_eq!(kernel.mm_stats().fetch_backs, 4, "fetch-back did not complete");
 
     let stats = kernel.lt_stats();
     let mm = &stats.mm;

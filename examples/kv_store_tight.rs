@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use lite::{LiteCluster, LiteConfig, LiteHandle, Perm, USER_FUNC_MIN};
 use rnic::IbConfig;
@@ -93,7 +92,6 @@ fn main() {
     // budget of BUDGET bytes — a quarter of its arena.
     let config = LiteConfig {
         mem_budget_bytes: BUDGET,
-        mm_sweep_interval: Duration::from_millis(1),
         max_lmr_chunk: 16 << 10,
         ..LiteConfig::default()
     };

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use lite::mm::MmRequest;
 use lite::{EventKind, LiteCluster, LiteConfig, Perm, USER_FUNC_MIN};
 use rnic::{FaultPlan, FaultRule, IbConfig};
 use simnet::Ctx;
@@ -301,18 +302,18 @@ fn mixed_sync_workload_linearizable_under_eviction() {
     );
 }
 
-/// Eviction churn racing a swap-node crash: a tight budget keeps the
-/// manager migrating chunks to nodes 1 and 2 while node 2 (a swap
-/// target, possibly hosting evicted chunks) crashes and later restarts,
-/// with background WR drops throughout. Acknowledged writes must never
-/// be lost: every slot reads back the last value whose write returned
-/// Ok, and the sweeper keeps making progress around the dead node.
+/// Eviction churn racing a swap-node crash: a tight budget and a churn
+/// thread keep node 0's manager migrating chunks to nodes 1 and 2 while
+/// node 2 (a swap target, possibly hosting evicted chunks) crashes and
+/// later restarts, with background WR drops throughout. Acknowledged
+/// writes must never be lost: every slot reads back the last value
+/// whose write returned Ok, and migrations keep ending around the dead
+/// node.
 #[test]
 fn eviction_churn_survives_swap_node_crash() {
     let config = LiteConfig {
         op_timeout: Duration::from_millis(300),
         mem_budget_bytes: 16 * 1024,
-        mm_sweep_interval: Duration::from_millis(1),
         max_lmr_chunk: 8 * 1024,
         ..Default::default()
     };
@@ -339,6 +340,23 @@ fn eviction_churn_survives_swap_node_crash() {
     let lh = h
         .lt_malloc(&mut ctx, 0, 64 * 1024, "chaos.mm", Perm::RW)
         .unwrap();
+    // The churn thread pulls the chunks home and pushes the written one
+    // out again while the writes run.
+    let idx = h.lh_id(lh).unwrap().idx;
+    let mm = Arc::clone(cluster.kernel(0).mm());
+    let moved = || mm.stats().evictions + mm.stats().fetch_backs;
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let churn = {
+        let (mm, stop) = (Arc::clone(&mm), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                mm.request(MmRequest::FetchBack { idx });
+                std::thread::sleep(Duration::from_millis(1));
+                mm.request(MmRequest::Evict { idx, off: 0 });
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
     // Keepalive traffic to node 1 keeps the fabric op counter moving
     // while writes to chunks on the dead node spin, so the scheduled
     // restart is always reached.
@@ -349,18 +367,19 @@ fn eviction_churn_survives_swap_node_crash() {
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     let mut acked = [0u8; 64];
     // Run at least 400 iterations, until the scheduled restart has fired
-    // AND until the sweeper has evicted at least once, so the workload
-    // always spans the whole crash window and the eviction race.
+    // AND until a migration has ended since the first write, so the
+    // workload always spans the whole crash window and the eviction race.
+    let mut first = None;
     let mut i = 0u32;
     loop {
         let fired = cluster.fabric().fault_stats();
-        let evicted = cluster.kernel(0).mm_stats().evictions > 0;
-        if i >= 400 && fired.restarts >= 1 && evicted {
+        let migrated = first.is_some_and(|f| moved() > f);
+        if i >= 400 && fired.restarts >= 1 && migrated {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "restart or eviction never reached: {fired:?}, evicted: {evicted}"
+            "restart or migration never reached: {fired:?}, migrated: {migrated}"
         );
         let slot = (i % 64) as u64;
         let tag = [i as u8; 64];
@@ -376,9 +395,12 @@ fn eviction_churn_survives_swap_node_crash() {
             let _ = h.lt_write(&mut ctx, keep, 0, &i.to_le_bytes());
             std::thread::sleep(Duration::from_millis(1));
         }
+        first.get_or_insert_with(moved);
         let _ = h.lt_write(&mut ctx, keep, (slot % 8) * 8, &i.to_le_bytes());
         i += 1;
     }
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    churn.join().unwrap();
 
     let fired = cluster.fabric().fault_stats();
     assert_eq!(fired.crashes, 1, "crash must fire: {fired:?}");

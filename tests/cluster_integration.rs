@@ -329,6 +329,43 @@ fn dropped_cluster_frees_directory_and_managers() {
     );
 }
 
+/// The same with tiering and lazy pinning on, after migrations ran: a
+/// node's migrator owns a handle on its node, and its manager holds it
+/// weakly, so no kernel → manager → migrator → handle → kernel cycle
+/// outlives the cluster.
+#[test]
+fn dropped_tiered_cluster_frees_directory_and_managers() {
+    let config = lite::LiteConfig {
+        mem_budget_bytes: 16 * 1024,
+        lazy_pinning: true,
+        max_lmr_chunk: 8 * 1024,
+        ..Default::default()
+    };
+    let cluster = LiteCluster::start_with(rnic::IbConfig::with_nodes(3), config).unwrap();
+    {
+        let mut h = cluster.attach(0).unwrap();
+        let mut ctx = Ctx::new();
+        let lh = h.lt_malloc(&mut ctx, 0, 64 * 1024, "leak", Perm::RW).unwrap();
+        h.lt_write(&mut ctx, lh, 0, &[7; 64]).unwrap();
+        let id = h.lh_id(lh).unwrap();
+        cluster
+            .kernel(0)
+            .mm()
+            .request(lite::mm::MmRequest::FetchBack { idx: id.idx });
+    }
+    let stats = cluster.kernel(0).mm_stats();
+    assert!(stats.evictions > 0 && stats.fetch_backs > 0, "{stats:?}");
+    let dir = Arc::downgrade(cluster.directory());
+    let mm = Arc::downgrade(cluster.kernel(0).mm());
+    drop(cluster);
+    assert_eq!(dir.strong_count(), 0, "the directory outlived its cluster");
+    assert_eq!(
+        mm.strong_count(),
+        0,
+        "node 0's manager outlived its cluster"
+    );
+}
+
 /// The same after a KV service ran and stopped. Its leader and followers
 /// are served functions whose handlers own handles on their own nodes:
 /// the kernels hold their servers weakly, so no kernel → handler → handle
