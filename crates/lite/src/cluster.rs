@@ -1,9 +1,9 @@
 //! Cluster construction: fabric, kernels, and the membership directory.
 //!
 //! Boot is **incremental**: starting a node builds its kernel and
-//! datapath, registers its membership record in the [`ClusterDirectory`],
-//! and starts its kernel-call thread, in one step
-//! ([`LiteKernel::boot`]) — O(1) work per node, O(N) for the cluster. The
+//! datapath and registers its membership record in the
+//! [`ClusterDirectory`], in one step ([`LiteKernel::boot`]), and starts no
+//! thread — O(1) work per node, O(N) for the cluster. The
 //! shared QP mesh and the ordered-pair RPC rings of the old eager
 //! bring-up are *not* built here; each pair is wired on first use by
 //! the datapath
@@ -199,14 +199,10 @@ impl LiteCluster {
 }
 
 impl Drop for LiteCluster {
-    /// Stops every node's kernel-call thread, the only threads a cluster
-    /// runs. The migrators drop with the cluster: a migration runs on a
-    /// thread in a LITE call, which holds its node's migrator while it
-    /// does.
+    /// Shuts the fabric down; a cluster runs no thread to stop. No kernel
+    /// call is served after this, so calls in flight time out. A running
+    /// migration holds its migrator, so the migrators drop with it.
     fn drop(&mut self) {
-        for k in self.nodes.iter().filter_map(OnceLock::get) {
-            k.stop_poller();
-        }
         self.fabric.shutdown();
     }
 }

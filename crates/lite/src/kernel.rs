@@ -8,14 +8,14 @@
 //! locks, barriers, memory ops) that the LITE API is built on.
 //!
 //! The shared poller is one clock and one lock, not a thread: whoever
-//! delivers a write-imm dispatches the node's arrivals on it. The one
-//! thread a node runs, `lite-kcall-N`, serves kernel calls (DESIGN.md
-//! §5.3).
+//! delivers a write-imm dispatches the node's arrivals on it, and serves
+//! the kernel calls among them once it holds nothing (DESIGN.md §5.3). A
+//! node runs no thread.
 //!
 //! A node comes up in one step, [`LiteKernel::boot`]: the kernel is
-//! built with its datapath and the cluster directory in hand, registered,
-//! and its threads started, all under the directory's connect lock. No
-//! kernel exists without its datapath, so nothing checks for one.
+//! built with its datapath and the cluster directory in hand and
+//! registered, under the directory's connect lock. No kernel exists
+//! without its datapath, so nothing checks for one.
 //!
 //! This file only holds the struct and bring-up; the behavior lives in
 //! focused submodules:
@@ -29,7 +29,7 @@
 
 use std::any::{Any, TypeId};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use rnic::qp::{RecvEntry, RecvQueue};
@@ -40,7 +40,7 @@ use smem::{PhysAllocator, PhysMem};
 
 use crate::config::LiteConfig;
 use crate::directory::{ClusterDirectory, DirEntry};
-use crate::error::{LiteError, LiteResult};
+use crate::error::LiteResult;
 use crate::mm::MemManager;
 use crate::observe::{self, Observability, QosReport, StatsReport};
 use crate::qos::QosState;
@@ -64,7 +64,7 @@ pub(crate) use datapath::QpCache;
 use datapath::RnicDataPath;
 pub(crate) use msg::LhCache;
 use msg::{BarrierState, LockState, MasterTable};
-use rpc::{Dispatcher, KernelCall};
+use rpc::Dispatcher;
 use serve::RpcQueue;
 use stats::KernelCounters;
 
@@ -157,11 +157,9 @@ pub struct LiteKernel {
     pub(crate) qos: Arc<QosState>,
     /// Memory-tiering manager (budget, residency, eviction policy).
     mm: Arc<MemManager>,
-    /// The shared poller's clock, taken by whichever thread dispatches.
+    /// The shared poller's clock and parked kernel call, taken by
+    /// whichever thread dispatches or serves.
     dispatcher: Mutex<Dispatcher>,
-    /// Where dispatch hands kernel calls; `None` once stopped.
-    kcalls: Mutex<Option<mpsc::Sender<KernelCall>>>,
-    kcall_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// CPU meter of the shared poller.
     pub poller_cpu: Arc<CpuMeter>,
     counters: KernelCounters,
@@ -178,13 +176,13 @@ pub struct LiteKernel {
 impl LiteKernel {
     /// Brings `node` up in one step: builds the kernel and its datapath
     /// (empty QP pools — peers are wired lazily on first use), registers
-    /// its membership record in `dir`, wires the self-loopback RPC ring,
-    /// pre-posts receive credits, and starts the kernel-call thread, the
-    /// node's one thread (DESIGN.md §5.3). The caller holds the
-    /// directory's connect lock, so a peer that finds the record finds a
-    /// running kernel: reaching it (`ensure_qps` / `ensure_ring`) takes
-    /// the same lock. O(1) per node, which is what makes cluster boot
-    /// O(N) instead of the old O(N²·K) full-mesh bring-up.
+    /// its membership record in `dir`, wires the self-loopback RPC ring
+    /// and pre-posts receive credits; it starts no thread (DESIGN.md
+    /// §5.3). The caller holds the directory's connect lock, so a peer
+    /// that finds the record finds a running kernel: reaching it
+    /// (`ensure_qps` / `ensure_ring`) takes the same lock. O(1) per node,
+    /// which is what makes cluster boot O(N) instead of the old O(N²·K)
+    /// full-mesh bring-up.
     pub(crate) fn boot(
         node: NodeId,
         config: LiteConfig,
@@ -254,9 +252,10 @@ impl LiteKernel {
             next_lh: AtomicU64::new(1),
             qos,
             mm,
-            dispatcher: Mutex::new(Dispatcher::new(Arc::clone(&poller_cpu))),
-            kcalls: Mutex::new(None),
-            kcall_thread: Mutex::new(None),
+            dispatcher: Mutex::new(Dispatcher {
+                ctx: Ctx::with_meter(Arc::clone(&poller_cpu)),
+                held: None,
+            }),
             poller_cpu,
             counters: KernelCounters::new(),
             next_sync_token: AtomicU64::new(1),
@@ -289,14 +288,6 @@ impl LiteKernel {
                 sge: None,
             });
         }
-        let (calls, served) = mpsc::channel();
-        let me = Arc::clone(&kernel);
-        let handle = std::thread::Builder::new()
-            .name(format!("lite-kcall-{node}"))
-            .spawn(move || me.serve_kernel_calls(served))
-            .map_err(|_| LiteError::Internal("could not spawn the kernel-call thread"))?;
-        *kernel.kcalls.lock() = Some(calls);
-        *kernel.kcall_thread.lock() = Some(handle);
         let ns = boot_start.elapsed().as_nanos() as u64;
         kernel.boot_host_ns.store(ns, Ordering::Relaxed);
         dir.note_boot(ns);
@@ -527,15 +518,5 @@ impl LiteKernel {
         let empty = HeadCell { head: 0, stamp: 0 };
         self.mem().write(base + size, &empty.encode())?;
         Ok(base)
-    }
-
-    /// Shutdown: closes the kernel-call queue and joins its thread, which
-    /// serves what is queued and exits. A kernel call that arrives later
-    /// is never served: its caller times out.
-    pub(crate) fn stop_poller(&self) {
-        self.kcalls.lock().take();
-        if let Some(h) = self.kcall_thread.lock().take() {
-            let _ = h.join();
-        }
     }
 }

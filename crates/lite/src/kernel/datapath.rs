@@ -821,8 +821,8 @@ impl RnicDataPath {
             .collect();
         // A write-imm's credit is reposted when the arrival is dispatched,
         // by the thread that delivered it — or, while a kernel call holds
-        // the remote dispatcher, once the kernel-call thread drains after
-        // it. RNR (exhausted credits) is therefore transient: wait for the
+        // the remote dispatcher, once the thread that serves it drains
+        // after it. RNR (exhausted credits) is therefore transient: wait for the
         // destination to repost one, then retry. Safe to repeat whole:
         // `post_chain` claims credits before any side effect and rolls them
         // back on failure.

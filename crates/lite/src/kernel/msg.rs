@@ -2,11 +2,12 @@
 //! ops, locks, and barriers (§3.3's management plane plus §4.4/§4.5's
 //! synchronization primitives).
 //!
-//! Every handler here is *event-driven code run by the node's kernel-call
-//! thread while it holds the poller's dispatcher*, so nothing else on the
-//! node is dispatched until it returns. None of them blocks, and
-//! multi-step operations are driven by the calling thread as a sequence
-//! of RPCs, so dispatch can never deadlock.
+//! Every handler here is *event-driven code run while its node's poller
+//! dispatcher is held*, by the thread that delivered the call (usually
+//! its caller, at its reply wait), so nothing else on the node is
+//! dispatched until it returns. None of them blocks, and multi-step
+//! operations are driven by the calling thread as a sequence of RPCs, so
+//! dispatch can never deadlock (DESIGN.md §5.3).
 //!
 //! Both ends of every service live in this module and nowhere else: the
 //! handler arms of [`LiteKernel::kernel_service`] and, below them, one
@@ -377,7 +378,7 @@ impl LiteKernel {
     }
 
     // ------------------------------------------------------------------
-    // Kernel services (run on the kernel-call thread; must never block)
+    // Kernel services (run holding the dispatcher; must never block)
     // ------------------------------------------------------------------
 
     /// Pins the raw range `[addr, addr + len)` at `mm` for the length of

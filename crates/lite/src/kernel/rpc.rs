@@ -5,28 +5,28 @@
 //! The poller is a role, not a thread: the thread that delivers a
 //! write-imm dispatches everything queued on the destination's shared
 //! receive CQ ([`LiteKernel::drain_arrivals`]) on the poller's one clock.
-//! Only kernel calls move to a thread, the node's kernel-call thread, so
-//! that a node's kernel state changes in the order its poller stamps
-//! them (DESIGN.md §5.3). A served function's calls run on the thread
-//! that dispatched them, once it holds nothing ([`super::serve`]).
+//! A kernel call stops the node's dispatch until it is served, so that a
+//! node's kernel state changes in the order its poller stamps (DESIGN.md
+//! §5.3); it runs, as a served function's calls do, on the thread that
+//! dispatched it once that holds nothing ([`super::serve`]).
 //!
 //! Everything here speaks [`Op`] descriptors through the node's
 //! datapath; the only NIC-adjacent artifact left is the loop-back
 //! delivery, which fabricates a completion into the shared receive CQ.
 
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use rnic::qp::RecvEntry;
 use rnic::{NodeId, Wc, WcOpcode, COST};
 use simnet::wait::{Deadline, Event};
-use simnet::{CpuMeter, Ctx, Nanos};
+use simnet::{Ctx, Nanos};
 use smem::Chunk;
 
 use super::datapath::Op;
-use super::serve::{self, RpcQueue, RpcServer};
+use super::serve::{self, Pending, RpcQueue};
 use super::{LiteKernel, FN_MSG, USER_FUNC_MIN};
 use crate::config::LiteConfig;
 use crate::error::{LiteError, LiteResult};
@@ -50,7 +50,7 @@ pub const ADAPTIVE_SPIN_NS: Nanos = 2_000;
 
 /// A per-call completion slot: the simulation analogue of §5.2's shared
 /// user/kernel page through which the LITE library observes completion
-/// without a kernel-to-user crossing. It also carries a served call that a
+/// without a kernel-to-user crossing. It also carries a call that a
 /// thread outside any `lt_*` call dispatched: the caller runs it
 /// ([`serve::note`]).
 #[derive(Default)]
@@ -62,7 +62,7 @@ pub(crate) struct CallSlot {
 #[derive(Default)]
 struct SlotState {
     result: Option<SlotResult>,
-    help: Option<Arc<RpcServer>>,
+    help: Option<Pending>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -78,22 +78,22 @@ impl CallSlot {
         self.done.wake();
     }
 
-    /// Asks the caller to run `server`, which holds its call.
-    pub(super) fn help(&self, server: Arc<RpcServer>) {
-        self.state.lock().help = Some(server);
+    /// Asks the caller to run `work`, which holds its call.
+    pub(super) fn help(&self, work: Pending) {
+        self.state.lock().help = Some(work);
         self.done.wake();
     }
 
-    /// The result, or else a server the caller was asked to run.
-    fn take(&self) -> Option<Result<SlotResult, Arc<RpcServer>>> {
+    /// The result, or else the work the caller was asked to run.
+    fn take(&self) -> Option<Result<SlotResult, Pending>> {
         let mut s = self.state.lock();
         s.result.map(Ok).or_else(|| s.help.take().map(Err))
     }
 
     /// Blocks for the result; models the adaptive busy-check-then-sleep
     /// wait of the LITE library (§5.2). The caller holds nothing here, so
-    /// first it runs the served calls its own deliveries dispatched, and
-    /// any it is handed while it waits.
+    /// first it runs the calls its own deliveries dispatched, and any it
+    /// is handed while it waits.
     pub(crate) fn wait(&self, ctx: &mut Ctx, cfg: &LiteConfig) -> LiteResult<SlotResult> {
         serve::run_pending();
         let mut deadline = None;
@@ -109,7 +109,7 @@ impl CallSlot {
             }
             match got.ok_or(LiteError::Timeout)? {
                 Ok(r) => break r,
-                Err(server) => serve::run_now(server),
+                Err(work) => serve::run_now(work),
             }
         };
         join_adaptively(ctx, cfg, r.stamp);
@@ -141,25 +141,16 @@ pub struct Incoming {
     pub stamp: Nanos,
 }
 
-/// The node's poller: its clock, and whether a kernel call it dispatched
-/// is still waiting for the kernel-call thread. Held by whichever thread
-/// is dispatching; a deliverer only ever `try_lock`s it.
+/// The node's poller: its clock, and the kernel call it dispatched that
+/// is still to be served. Held by whichever thread is dispatching or
+/// serving; a deliverer only ever `try_lock`s it.
 pub(super) struct Dispatcher {
-    ctx: Ctx,
-    serving: bool,
+    pub(super) ctx: Ctx,
+    pub(super) held: Option<KernelCall>,
 }
 
-impl Dispatcher {
-    pub(super) fn new(cpu: Arc<CpuMeter>) -> Self {
-        Dispatcher {
-            ctx: Ctx::with_meter(cpu),
-            serving: false,
-        }
-    }
-}
-
-/// A kernel-service request the poller dispatched, on its way to the
-/// node's kernel-call thread.
+/// A kernel-service request the poller dispatched, parked until the
+/// thread that noted it serves it.
 pub(super) struct KernelCall {
     client: NodeId,
     inc: Incoming,
@@ -489,48 +480,50 @@ impl LiteKernel {
     /// each delivery. A call that finds the dispatcher held returns at
     /// once: it pushed before it tried the lock, and a holder re-checks
     /// the CQ after it lets go, so one of them sees every arrival. A
-    /// kernel call stops the drain; the kernel-call thread drains again
-    /// once it has served it.
+    /// kernel call stops the drain until it is served: it is parked and
+    /// noted for this thread to serve ([`serve::note`]), and so is one
+    /// found parked, lest the thread that noted it be waiting elsewhere.
     pub(super) fn drain_arrivals(&self) {
         while !self.shared_recv_cq.is_empty() {
             let Some(mut d) = self.dispatcher.try_lock() else {
                 return;
             };
-            if d.serving {
-                return;
+            while d.held.is_none() {
+                let Some(wc) = self.shared_recv_cq.pop() else {
+                    break;
+                };
+                d.held = self.dispatch(&mut d.ctx, wc);
             }
-            while let Some(wc) = self.shared_recv_cq.pop() {
-                if let Some(call) = self.dispatch(&mut d.ctx, wc) {
-                    d.serving = true;
-                    // Hand off only once the dispatcher is free: woken
-                    // under it, the thread would block on it at once.
-                    drop(d);
-                    if let Some(calls) = &*self.kcalls.lock() {
-                        let _ = calls.send(call);
-                    }
-                    return;
+            if let Some(call) = &d.held {
+                let (client, slot) = (call.client, call.inc.hdr.slot);
+                drop(d);
+                if let Some(me) = self.dir.kernel(self.node) {
+                    serve::note(self, Pending::Kernel(me), client, slot);
                 }
+                return;
             }
         }
     }
 
-    /// The body of the kernel-call thread: serves each handed-off call on
-    /// the poller's clock, then lets dispatch resume. It ends when
-    /// [`LiteKernel::stop_poller`] drops the sending half.
-    pub(super) fn serve_kernel_calls(&self, calls: mpsc::Receiver<KernelCall>) {
-        for call in calls {
-            let mut d = self.dispatcher.lock();
-            self.serve_kernel_call(&mut d.ctx, call);
-            d.serving = false;
-            drop(d);
-            self.drain_arrivals();
+    /// Serves the parked kernel call, if no other thread has, on the
+    /// poller's clock; then lets dispatch resume. Once the fabric is shut
+    /// down nothing is served: the caller times out.
+    pub(super) fn serve_held(&self) {
+        if self.fabric.is_shut_down() {
+            return;
         }
+        let mut d = self.dispatcher.lock();
+        if let Some(call) = d.held.take() {
+            self.serve_kernel_call(&mut d.ctx, call);
+        }
+        drop(d);
+        self.drain_arrivals();
     }
 
     /// One arrival, charged as a poll of the shared receive CQ: joins its
     /// stamp, reposts the credit it consumed, and routes it. Replies
     /// complete their slot and user calls join their function queue; a
-    /// kernel call comes back for the kernel-call thread.
+    /// kernel call comes back to be parked.
     fn dispatch(&self, ctx: &mut Ctx, wc: Wc) -> Option<KernelCall> {
         if self.config.adaptive_poll {
             ctx.wait_until(wc.ready_at);
@@ -597,7 +590,7 @@ impl LiteKernel {
         }
         match self.queues.get(&hdr.func) {
             Some(q) => match q.push(inc) {
-                Some(server) => serve::note(self, server, client, hdr.slot),
+                Some(server) => serve::note(self, Pending::Serve(server), client, hdr.slot),
                 None => self.arrivals.wake(),
             },
             None => {

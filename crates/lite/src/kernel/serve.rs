@@ -1,31 +1,36 @@
-//! Served functions: an RPC function whose calls run where they land
-//! (DESIGN.md §5.3 "Served functions").
+//! Work a thread runs where it lands: served functions' calls and kernel
+//! calls (DESIGN.md §5.3).
 //!
 //! A function bound with [`LiteHandle::serve_rpc`] has no server thread.
 //! Its calls join the function's queue as every user call does, and the
-//! thread whose delivery dispatched one notes the server as pending. That
+//! thread whose delivery dispatched one notes the server as pending; for a
+//! kernel call, which dispatch parks, it notes the node's kernel. That
 //! thread runs it once it holds nothing: at the reply wait of its own
-//! `lt_*` call ([`super::CallSlot::wait`], before it parks), or else at the
-//! end of that call ([`LiteHandle::syscall`]'s way out). A thread outside
-//! any `lt_*` call — a kernel-call thread, a migration — never runs a
-//! handler: it hands the call to its caller, whose reply wait runs it.
+//! `lt_*` call ([`super::CallSlot::wait`], before it parks), or else at
+//! the end of that call ([`LiteHandle::syscall`]'s way out). A thread
+//! outside any `lt_*` call never runs a call: it hands it to its caller,
+//! whose reply wait runs it. The memory manager's migrations ride the same
+//! list ([`defer_migration`]), but run only at the end of the outermost
+//! call: a reply wait may hold a pin, which a migration would wait out.
 //!
-//! The memory manager's migrations ride the same list
-//! ([`defer_migration`]), but run only at the end of the outermost call:
-//! a reply wait may hold a pin, which a migration would wait out.
-//!
-//! Three rules:
+//! Four rules:
 //! * **Hand-over.** A thread that finds the server held leaves the call
 //!   queued; the holder looks at the queues again after it lets go.
 //! * **No re-entrancy.** Served work found while a handler runs waits on
 //!   that thread's pending list until the handler returns. So a handler
 //!   must not wait on a reply from a served function: that call would wait
 //!   for the handler to return, and the handler for it (`op_timeout`).
+//! * **Kernel calls are exempt.** A parked kernel call stops its node's
+//!   dispatch, so it runs at the next reply wait even inside a handler or
+//!   a migration, whose own `k_*` call to that node would otherwise wait
+//!   out `op_timeout`. Safe because a kernel handler never waits and makes
+//!   no call that needs dispatch: it pins with `pin_raw_nowait`,
+//!   `FN_MEMCPY` pushes one-sided, `LOCK_RELEASE` only replies. Keep it so.
 //! * **Same charges.** A call is taken and answered on the handler's clock
 //!   as `lt_recv_rpc` + `lt_reply_rpc` take and answer it, except that the
 //!   take charges no CPU for the wait: the clock joins the call's stamp.
-//!   A handler that models a waiting server thread adds that charge itself
-//!   (DESIGN.md §5.3).
+//!   A handler that models a waiting server thread adds that charge itself.
+//!   A kernel call is charged on the poller's clock, as dispatch charges.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -187,9 +192,11 @@ thread_local! {
 }
 
 /// What a thread runs once it holds nothing: a server with calls it
-/// dispatched, or a migrator with work it noted (outside every call only).
-enum Pending {
+/// dispatched, a kernel with a parked kernel call, or a migrator with
+/// work it noted (outside every call only).
+pub(crate) enum Pending {
     Serve(Arc<RpcServer>),
+    Kernel(Arc<LiteKernel>),
     Migrate(Arc<Migrator>),
 }
 
@@ -219,19 +226,15 @@ pub(crate) fn in_call<T>(ctx: &mut Ctx, body: impl FnOnce(&mut Ctx) -> T) -> T {
     out
 }
 
-/// Notes a call queued for `server`, from client `node`'s completion slot
-/// `slot`. A thread inside an `lt_*` call (or a handler) runs it later
+/// Notes `work`, a call that client `node`'s completion slot `slot` waits
+/// on. A thread inside an `lt_*` call (or running one) runs it later
 /// itself; any other thread hands it to the caller's reply wait.
-pub(crate) fn note(kernel: &LiteKernel, server: Arc<RpcServer>, node: NodeId, slot: u32) {
+pub(crate) fn note(kernel: &LiteKernel, work: Pending, node: NodeId, slot: u32) {
     if DEPTH.get() > 0 || RUNNING.get() {
-        defer(server);
+        push(work);
     } else if let Some(slot) = kernel.dir.kernel(node).and_then(|k| k.slots.get(&slot)) {
-        slot.help(server);
+        slot.help(work);
     }
-}
-
-fn defer(server: Arc<RpcServer>) {
-    push(Pending::Serve(server));
 }
 
 /// Notes `migrator`'s work for this thread to run at the end of its
@@ -244,6 +247,7 @@ fn push(work: Pending) {
     PENDING.with_borrow_mut(|p| {
         let same = |w: &Pending| match (w, &work) {
             (Pending::Serve(a), Pending::Serve(b)) => Arc::ptr_eq(a, b),
+            (Pending::Kernel(a), Pending::Kernel(b)) => Arc::ptr_eq(a, b),
             (Pending::Migrate(a), Pending::Migrate(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
@@ -253,37 +257,41 @@ fn push(work: Pending) {
     });
 }
 
-/// Runs `server` now if this thread may, else after its handler returns.
-pub(crate) fn run_now(server: Arc<RpcServer>) {
-    defer(server);
+/// Runs `work` now if this thread may, else once it may.
+pub(crate) fn run_now(work: Pending) {
+    push(work);
     run_pending();
 }
 
-/// Runs the work this thread found, oldest first, unless it is already
-/// doing so further up its stack (that loop will reach it). Migrations
-/// wait for the end of the outermost `lt_*` call.
+/// Runs the work this thread found, oldest first. Kernel calls run even
+/// while the thread is already running work further up its stack (they
+/// never wait); the rest waits for that loop. Migrations wait for the end
+/// of the outermost `lt_*` call.
 pub(crate) fn run_pending() {
-    if RUNNING.get() || PENDING.with_borrow(Vec::is_empty) {
+    if PENDING.with_borrow(Vec::is_empty) {
         return;
     }
-    struct Done;
+    struct Done(bool);
     impl Drop for Done {
         fn drop(&mut self) {
-            RUNNING.set(false);
+            RUNNING.set(self.0);
         }
     }
-    RUNNING.set(true);
-    let _done = Done;
+    let nested = RUNNING.replace(true);
+    let _done = Done(nested);
     let outside = DEPTH.get() == 0;
     let next = |p: &mut Vec<Pending>| {
-        let at = p
-            .iter()
-            .position(|w| outside || matches!(w, Pending::Serve(_)))?;
+        let at = p.iter().position(|w| match w {
+            Pending::Kernel(_) => true,
+            Pending::Serve(_) => !nested,
+            Pending::Migrate(_) => !nested && outside,
+        })?;
         Some(p.remove(at))
     };
     while let Some(work) = PENDING.with_borrow_mut(next) {
         match work {
             Pending::Serve(server) => server.run(),
+            Pending::Kernel(kernel) => kernel.serve_held(),
             Pending::Migrate(migrator) => migrator.run(),
         }
     }
@@ -432,11 +440,85 @@ mod tests {
         }
     }
 
-    /// A served call dispatched by a thread outside any `lt_*` call — a
-    /// kernel-call thread draining after its call, played here by the test
-    /// thread — is handed to its caller, and the caller's reply wait runs
-    /// it. Without the hand-off the call would sit queued until the wait
-    /// timed out.
+    /// Allocates on node 0 from inside its handler, and answers whether
+    /// it could.
+    struct Malloc(Ctx);
+
+    impl RpcHandler for Malloc {
+        fn ctx(&mut self, _: u8) -> &mut Ctx {
+            &mut self.0
+        }
+
+        fn call(&mut self, h: &mut LiteHandle, _: u8, _: &[u8], reply: &mut Vec<u8>) {
+            let mut ctx = Ctx::new();
+            let lh = h.lt_malloc(&mut ctx, 0, 4096, "in.handler", crate::Perm::RW);
+            reply.push(lh.and_then(|lh| h.lt_free(&mut ctx, lh)).is_ok() as u8);
+        }
+    }
+
+    /// The kernel calls a handler makes are served by the handler's own
+    /// thread at its reply waits, though that thread is already running
+    /// served work. Left for after the handler, a parked call would stop
+    /// node 0's dispatch, and the handler would wait out `op_timeout`.
+    #[test]
+    fn a_kernel_call_inside_a_handler_runs_at_its_wait() {
+        let config = crate::LiteConfig {
+            op_timeout: std::time::Duration::from_millis(300),
+            ..Default::default()
+        };
+        let ib = rnic::IbConfig::with_nodes(2);
+        let cluster = LiteCluster::start_with(ib, config).unwrap();
+        let _malloc = cluster
+            .attach(1)
+            .unwrap()
+            .serve_rpc(&[F1], Malloc(Ctx::new()))
+            .unwrap();
+        let mut a = cluster.attach(0).unwrap();
+        let got = a.lt_rpc(&mut Ctx::new(), 1, F1, b"go", 8).unwrap();
+        assert_eq!(got, [1], "the handler's allocation failed");
+    }
+
+    /// A kernel call parked for a thread that then blocks on something
+    /// else is served by the next thread that delivers to its node: this
+    /// thread dispatches `u`'s allocation on node 1 inside a call and
+    /// then waits for it, and `v`'s allocation there serves both.
+    #[test]
+    fn a_parked_kernel_call_is_served_by_the_next_deliverer() {
+        let config = crate::LiteConfig {
+            op_timeout: std::time::Duration::from_millis(300),
+            ..Default::default()
+        };
+        let ib = rnic::IbConfig::with_nodes(2);
+        let cluster = LiteCluster::start_with(ib, config).unwrap();
+        let node1 = Arc::clone(cluster.kernel(1));
+        let malloc = |name: &'static str| {
+            let mut h = cluster.attach(0).unwrap();
+            move || {
+                let lh = h.lt_malloc(&mut Ctx::new(), 1, 4096, name, crate::Perm::RW);
+                lh.map(drop)
+            }
+        };
+        std::thread::scope(|s| {
+            let held = node1.dispatcher.lock();
+            let u = s.spawn(malloc("u"));
+            while node1.shared_recv_cq.is_empty() {
+                std::thread::yield_now();
+            }
+            drop(held);
+            in_call(&mut Ctx::new(), |_| {
+                node1.drain_arrivals();
+                assert!(node1.dispatcher.lock().held.is_some(), "not parked");
+                let v = s.spawn(malloc("v"));
+                assert_eq!(v.join().unwrap(), Ok(()));
+                assert_eq!(u.join().unwrap(), Ok(()));
+            });
+        });
+    }
+
+    /// A served call dispatched by a thread outside any `lt_*` call — the
+    /// test thread draining by hand — is handed to its caller, and the
+    /// caller's reply wait runs it. Without the hand-off the call would
+    /// sit queued until the wait timed out.
     #[test]
     fn a_call_dispatched_outside_any_call_runs_at_its_callers_wait() {
         let cluster = LiteCluster::start(2).unwrap();

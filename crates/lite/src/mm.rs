@@ -329,6 +329,7 @@ pub struct MemManager {
     pub(crate) migrated: Event,
     evictions: AtomicU64,
     fetch_backs: AtomicU64,
+    migrator_runs: AtomicU64,
     redirects: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -365,6 +366,7 @@ impl MemManager {
             migrated: Event::default(),
             evictions: AtomicU64::new(0),
             fetch_backs: AtomicU64::new(0),
+            migrator_runs: AtomicU64::new(0),
             redirects: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -559,9 +561,10 @@ impl MemManager {
 
     /// Fences a raw physical range (kernel services that operate on raw
     /// addresses, e.g. `FN_MEMSET`): no identity expectation, and no
-    /// waiting — these run on the kernel-call thread, which must never
-    /// block, so a mid-migration range answers `Relocated` immediately
-    /// and the caller retries after a refresh.
+    /// waiting — these run holding their node's dispatcher, even on a
+    /// thread that is mid-migration, and must never block; so a
+    /// mid-migration range answers `Relocated` immediately and the caller
+    /// retries after a refresh.
     pub(crate) fn pin_raw_nowait(&self, addr: u64, len: u64) -> PinOutcome {
         self.pin_range(addr, len, None, false)
     }
@@ -679,8 +682,8 @@ impl MemManager {
     }
 
     /// Counts one remote map-fault on locally-mastered LMR `idx` (a
-    /// mapper re-fetched a location with remote extents). Runs on the
-    /// kernel-call thread, which never migrates: the mapper whose fault
+    /// mapper re-fetched a location with remote extents). Runs in the
+    /// `FN_MAP` handler, which never migrates: the mapper whose fault
     /// crossed [`FETCH_BACK_FAULTS`] runs the fetch-back ([`Self::poke`]).
     pub(crate) fn note_map_fault(&self, idx: u32) {
         if !self.tracking() {
@@ -730,11 +733,9 @@ impl MemManager {
         self.tracking().then(|| self.migrator.lock().upgrade())?
     }
 
-    /// Bytes over the budget, or an LMR past [`FETCH_BACK_FAULTS`].
+    /// Bytes over the budget, or an LMR to fetch back.
     fn has_work(&self) -> bool {
-        self.pressure() > 0
-            || (self.budget > 0
-                && self.state.lock().faults.values().any(|&n| n >= FETCH_BACK_FAULTS))
+        self.budget > 0 && (self.pressure() > 0 || !self.fetch_back_candidates(false).is_empty())
     }
 
     /// Parks until no migration is in flight or one that was ends, or
@@ -777,6 +778,7 @@ impl MemManager {
             evicted_chunks,
             evictions: self.evictions.load(Ordering::Relaxed),
             fetch_backs: self.fetch_backs.load(Ordering::Acquire),
+            migrator_runs: self.migrator_runs.load(Ordering::Relaxed),
             redirects: self.redirects.load(Ordering::Relaxed),
             lru_hits: hits,
             lru_misses: misses,
@@ -1041,8 +1043,9 @@ impl MemManager {
     }
 
     /// LMRs whose remote map-faults crossed the fetch-back threshold and
-    /// whose remote bytes fit under the budget. Consumes the counts.
-    fn take_fetch_back_candidates(&self) -> Vec<u32> {
+    /// whose remote bytes fit under the budget. With `take`, consumes their
+    /// counts, and those of LMRs with nothing left remote.
+    fn fetch_back_candidates(&self, take: bool) -> Vec<u32> {
         let mut st = self.state.lock();
         let ready: Vec<u32> = st
             .faults
@@ -1054,12 +1057,12 @@ impl MemManager {
         let mut out = Vec::new();
         for idx in ready {
             let need: u64 = self.segs_of(&st, idx, u64::MAX, false).map(|s| s.len).sum();
+            if take && need <= headroom {
+                st.faults.remove(&idx);
+            }
             if need > 0 && need <= headroom {
                 headroom -= need;
                 out.push(idx);
-                st.faults.remove(&idx);
-            } else if need == 0 {
-                st.faults.remove(&idx);
             }
         }
         out
@@ -1126,6 +1129,8 @@ pub struct MmReport {
     pub evictions: u64,
     /// Chunks fetched back over the node's lifetime.
     pub fetch_backs: u64,
+    /// Passes the node's migrator made, whether or not they moved a chunk.
+    pub migrator_runs: u64,
     /// Accesses that landed on migrated chunks and were redirected
     /// (refresh + retry) instead of served in place.
     pub redirects: u64,
@@ -1152,7 +1157,7 @@ impl MmReport {
     /// stats report).
     pub fn json(&self) -> String {
         format!(
-            "{{\"enabled\":{},\"lazy\":{},\"budget_bytes\":{},\"resident_bytes\":{},\"evicted_bytes\":{},\"hosted_bytes\":{},\"resident_chunks\":{},\"evicted_chunks\":{},\"evictions\":{},\"fetch_backs\":{},\"redirects\":{},\"lru_hits\":{},\"lru_misses\":{},\"hit_rate\":{:.4},\"pinned_pages\":{},\"first_touch_faults\":{},\"bg_unpins\":{},\"fetch_back_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}},\"reg_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}}}}",
+            "{{\"enabled\":{},\"lazy\":{},\"budget_bytes\":{},\"resident_bytes\":{},\"evicted_bytes\":{},\"hosted_bytes\":{},\"resident_chunks\":{},\"evicted_chunks\":{},\"evictions\":{},\"fetch_backs\":{},\"migrator_runs\":{},\"redirects\":{},\"lru_hits\":{},\"lru_misses\":{},\"hit_rate\":{:.4},\"pinned_pages\":{},\"first_touch_faults\":{},\"bg_unpins\":{},\"fetch_back_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}},\"reg_lat\":{{\"count\":{},\"mean_ns\":{:.1},\"p50\":{},\"p99\":{}}}}}",
             self.enabled,
             self.lazy,
             self.budget_bytes,
@@ -1163,6 +1168,7 @@ impl MmReport {
             self.evicted_chunks,
             self.evictions,
             self.fetch_backs,
+            self.migrator_runs,
             self.redirects,
             self.lru_hits,
             self.lru_misses,
@@ -1239,6 +1245,7 @@ impl Migrator {
 /// the next poke), then fetches back the LMRs faults called home.
 fn relieve(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
     let mm = kernel.mm();
+    mm.migrator_runs.fetch_add(1, Ordering::Relaxed);
     for _ in 0..1_024 {
         if mm.pressure() == 0 {
             break;
@@ -1253,7 +1260,7 @@ fn relieve(kernel: &Arc<LiteKernel>, ctx: &mut Ctx, handle: &mut LiteHandle) {
             break;
         }
     }
-    for idx in mm.take_fetch_back_candidates() {
+    for idx in mm.fetch_back_candidates(true) {
         migrate_lmr(kernel, ctx, handle, idx, u64::MAX, false);
     }
 }
@@ -1739,6 +1746,64 @@ mod tests {
         }
     }
 
+    /// A read through a stale location whose range the swap node handed
+    /// out again (ROADMAP 1(d)), driven by hand: chunk 1 of an LMR is
+    /// evicted to node 1, node 2 maps the LMR, the chunk is fetched back
+    /// home, and node 1's `FN_MALLOC` gives its range to a cross-node LMR
+    /// that node 1 never registers and that zeroes it. Node 2 then reads across
+    /// the chunk boundary with the location it held before the fetch-back:
+    /// the second piece pins `Untracked` at node 1, and only the master's
+    /// [`MemManager::tracks`] turns that into `Relocated`, so that the read
+    /// refreshes and returns the LMR's bytes rather than the new owner's.
+    #[test]
+    fn a_read_through_a_recycled_range_refreshes() {
+        const CHUNK: u64 = 8192;
+        let config = LiteConfig {
+            mem_budget_bytes: 1 << 30,
+            max_lmr_chunk: CHUNK,
+            ..Default::default()
+        };
+        let cluster =
+            crate::LiteCluster::start_with(rnic::IbConfig::with_nodes(3), config).unwrap();
+        let mut ctx = Ctx::new();
+        let mut h = cluster.attach(0).unwrap();
+        let lh = h
+            .lt_malloc(&mut ctx, 0, 2 * CHUNK, "stale", crate::Perm::RW)
+            .unwrap();
+        h.lt_write(&mut ctx, lh, 0, &[0xA5; 2 * CHUNK as usize])
+            .unwrap();
+        let idx = h.lh_id(lh).unwrap().idx;
+        // Node 2 wires its ring to node 1 now, or the ring would take the
+        // range the fetch-back frees there.
+        let mut r = cluster.attach(2).unwrap();
+        r.lt_malloc(&mut ctx, 1, CHUNK, "kept", crate::Perm::RW)
+            .unwrap();
+        let mm = cluster.kernel(0).mm();
+        mm.request(MmRequest::Evict { idx, off: CHUNK });
+        let rlh = r.lt_map(&mut ctx, "stale").unwrap();
+        let node2 = cluster.kernel(2);
+        let stale = node2.with_lh(r.pid(), rlh, |e| Ok(e.clone())).unwrap();
+        let (swap, at) = stale.location.extents[1];
+        assert_eq!(swap, 1, "chunk 1 was not evicted to node 1");
+
+        mm.request(MmRequest::FetchBack { idx });
+        assert_eq!(mm.stats().evicted_bytes, 0, "chunk 1 is not home");
+        let other = r
+            .lt_malloc(&mut ctx, 1, CHUNK, "recycled", crate::Perm::RW)
+            .unwrap();
+        let recycled = node2.with_lh(r.pid(), other, |e| Ok(e.location.extents[0]));
+        let recycled = recycled.unwrap();
+        let at = Chunk { len: CHUNK, ..at };
+        assert_eq!(recycled, (1, at), "node 1 did not hand the range out again");
+        r.lt_write(&mut ctx, other, 0, &[0; CHUNK as usize])
+            .unwrap();
+        node2.reinstall_lh(r.pid(), rlh, stale);
+
+        let mut buf = [0u8; 64];
+        r.lt_read(&mut ctx, rlh, CHUNK - 32, &mut buf).unwrap();
+        assert_eq!(buf, [0xA5; 64], "read the new owner's bytes");
+    }
+
     #[test]
     fn fetch_back_candidates_respect_budget() {
         let mm = MemManager::new(0, 2, &cfg(8192));
@@ -1759,8 +1824,9 @@ mod tests {
         for _ in 0..3 {
             mm.note_map_fault(7);
         }
-        assert_eq!(mm.take_fetch_back_candidates(), vec![7]);
+        assert_eq!(mm.fetch_back_candidates(false), vec![7]);
+        assert_eq!(mm.fetch_back_candidates(true), vec![7]);
         // Counts consumed.
-        assert!(mm.take_fetch_back_candidates().is_empty());
+        assert!(mm.fetch_back_candidates(true).is_empty());
     }
 }

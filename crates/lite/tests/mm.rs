@@ -185,6 +185,47 @@ fn map_faults_pull_chunks_home() {
     assert_eq!(rbuf, data);
 }
 
+/// A fetch-back that does not fit runs no migrator: an evicted LMR whose
+/// map-faults pass the threshold while the node sits at its budget stays
+/// where it is, and the maps that fault on it run nothing, until a free
+/// makes room and the next map fetches it back.
+#[test]
+fn a_fetch_back_without_headroom_runs_no_migrator() {
+    let total = 16 * 1024u64;
+    let cluster = tiered_cluster(2, total);
+    let mut h = cluster.attach(0).unwrap();
+    let mut ctx = Ctx::new();
+    let lh = h
+        .lt_malloc(&mut ctx, 0, total, "mm.futile", Perm::RW)
+        .unwrap();
+    let id = h.lh_id(lh).unwrap();
+    let kernel = cluster.kernel(0);
+    kernel.mm().request(MmRequest::Evict {
+        idx: id.idx,
+        off: u64::MAX,
+    });
+    let filler = h
+        .lt_malloc(&mut ctx, 0, total, "mm.filler", Perm::RW)
+        .unwrap();
+    let stats = kernel.mm_stats();
+    assert_eq!((stats.evicted_bytes, stats.resident_bytes), (total, total));
+    let runs = stats.migrator_runs;
+
+    let mut remote = cluster.attach(1).unwrap();
+    for _ in 0..FETCH_BACK_FAULTS + 5 {
+        remote.lt_map(&mut ctx, "mm.futile").unwrap();
+    }
+    let stats = kernel.mm_stats();
+    assert_eq!(stats.migrator_runs, runs, "futile runs: {stats:?}");
+    assert_eq!((stats.fetch_backs, stats.evicted_bytes), (0, total));
+
+    h.lt_free(&mut ctx, filler).unwrap();
+    remote.lt_map(&mut ctx, "mm.futile").unwrap();
+    let stats = kernel.mm_stats();
+    assert_eq!(stats.evicted_bytes, 0, "not fetched back: {stats:?}");
+    assert!(stats.migrator_runs > runs);
+}
+
 /// Concurrent writers and readers make progress while their LMR churns
 /// between hosts — the pin/retry fencing never loses an acknowledged
 /// write. The main thread moves the chunks out and back with explicit

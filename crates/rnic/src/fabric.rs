@@ -53,6 +53,8 @@ pub struct IbFabric {
     /// Fabric-wide count of work requests that passed the injection
     /// point; drives the scheduled (`at_op`) fault rules.
     fault_ops: AtomicU64,
+    /// Set by [`IbFabric::shutdown`].
+    shut: AtomicBool,
 }
 
 impl IbFabric {
@@ -74,6 +76,7 @@ impl IbFabric {
                 fault: Mutex::new(None),
                 fault_active: AtomicBool::new(false),
                 fault_ops: AtomicU64::new(0),
+                shut: AtomicBool::new(false),
             }
         })
     }
@@ -106,6 +109,11 @@ impl IbFabric {
     /// injection hook used by the fault tests.
     pub fn set_down(&self, n: NodeId, down: bool) {
         self.nodes[n].down.store(down, Ordering::Release);
+    }
+
+    /// Whether [`IbFabric::shutdown`] has run.
+    pub fn is_shut_down(&self) -> bool {
+        self.shut.load(Ordering::Acquire)
     }
 
     /// Whether node `n` is marked down.
@@ -233,6 +241,7 @@ impl IbFabric {
 
     /// Closes every CQ on every node, releasing blocked pollers.
     pub fn shutdown(&self) {
+        self.shut.store(true, Ordering::Release);
         for hw in &self.nodes {
             hw.nic.close_all_cqs();
         }

@@ -9,6 +9,11 @@
 #    waits on a CQ for arrivals.
 # 3. `fn post_write_imm` calls `drain_arrivals` on both of its paths
 #    (loop-back and remote), so every delivery is dispatched.
+# 4. No `thread::spawn`, `thread::Builder`, `thread::scope` or `mpsc` in
+#    non-test crates/lite/src (what comes before a file's first
+#    `#[cfg(test)]`): the thread that delivers a kernel call serves it, and
+#    the product starts no thread. The one exception is verify.rs, whose
+#    scoped workers are the test oracle's.
 set -e
 cd "$(dirname "$0")/.."
 status=0
@@ -41,6 +46,17 @@ drains=$(awk '
 ' crates/lite/src/kernel/rpc.rs)
 if [ "$drains" -lt 2 ]; then
   echo "error: post_write_imm calls drain_arrivals $drains time(s): its loop-back and remote paths must each drain the destination" >&2
+  status=1
+fi
+threads=$(find crates/lite/src -name '*.rs' ! -name verify.rs | sort | while read -r f; do
+  awk -v f="$f" '
+    /^#\[cfg\(test\)\]/ { exit }
+    /thread::(spawn|Builder|scope)|mpsc/ { print f ":" FNR ": " $0 }
+  ' "$f"
+done)
+if [ -n "$threads" ]; then
+  echo "$threads"
+  echo "error: a thread or a channel in crates/lite/src: run the work on the thread that delivered it (kernel/serve.rs)" >&2
   status=1
 fi
 exit $status
